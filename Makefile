@@ -11,13 +11,10 @@ test:
 	$(GO) test ./...
 
 # The concurrent paths (selector cache, profile snapshots, dispatch
-# pool, sharded registry, SimNet) must stay race-clean.  The broker
-# layers run again with -count=1 so cached results never mask a race.
+# pool, sharded registry, SimNet) must stay race-clean; -count=1 so
+# cached results never mask a race.  The same line ci.sh runs.
 race:
-	$(GO) test -race ./...
-	$(GO) test -race -count=1 ./internal/dispatch/ ./internal/registry/
-	$(GO) test -race -count=1 ./internal/repair/
-	$(GO) test -race -count=1 -run 'TestRepairChaosMatrix|TestRepairHealedPartition|TestRepairAbandonsUnrepairableGap|TestCoordinatorDuplicateArchiveRegression' ./internal/core/
+	$(GO) test -race -count=1 ./...
 
 vet:
 	$(GO) vet ./...

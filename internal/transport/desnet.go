@@ -2,19 +2,15 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"adaptiveqos/internal/clock"
 )
 
-// DESNet is the discrete-event sibling of SimNet: the same directed
-// Link model (bandwidth serialization, delay, jitter, loss,
-// duplication, partitions — shared via planLink), but every delivery
-// is an event on a clock.Virtual heap instead of a wall-clock timer.
-// No goroutine ever sleeps: a driver advances the clock and deliveries
+// DESNet is the simulated broadcast network on a clock.Virtual (see
+// engine for the model it shares with SimNet): every delivery is an
+// event on the virtual heap instead of a wall-clock timer.  No
+// goroutine ever sleeps: a driver advances the clock and deliveries
 // fire inline, so one box can push a 100k-client session through
 // simulated minutes in wall-clock seconds, deterministically — the
 // same seed replays byte-identical event sequences.
@@ -32,26 +28,7 @@ import (
 //     runs inside the event callbacks, the run is single-threaded from
 //     the scheduler's point of view, and determinism is total.  The
 //     scenario package and cmd/qossim use this mode.
-//
-// Frame bytes are copied once per send and shared by every recipient
-// (including duplicate deliveries, as in SimNet): receivers must treat
-// Packet.Data as read-only.
-type DESNet struct {
-	clk *clock.Virtual
-
-	mu       sync.Mutex
-	rng      *rand.Rand
-	nodes    map[string]*desNode
-	order    []string // node IDs, sorted: deterministic fan-out order
-	links    map[linkKey]Link
-	linkBusy map[linkKey]time.Time // virtual instants links free up
-	def      Link
-	mtu      int
-	depth    int
-	closed   bool
-
-	trace func(TraceEvent)
-}
+type DESNet struct{ engine }
 
 // TraceKind labels one DESNet trace event.
 type TraceKind uint8
@@ -102,57 +79,31 @@ type DESNetConfig struct {
 	// network and the rest of the simulated system (SLO pollers,
 	// repair tickers) so everything moves together.
 	Clock *clock.Virtual
-	// Trace, when non-nil, observes every delivery/drop/overflow.  It
-	// runs on the driving goroutine (or the sender's, for drops
-	// decided at send time) and must not call back into the network.
-	Trace func(TraceEvent)
 }
 
 // NewDESNet creates an empty discrete-event network.
 func NewDESNet(cfg DESNetConfig) *DESNet {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	mtu := cfg.MTU
-	if mtu <= 0 {
-		mtu = 64 << 10
-	}
-	depth := cfg.InboxDepth
-	if depth <= 0 {
-		depth = 1024
-	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.NewVirtual(time.Time{})
 	}
-	return &DESNet{
-		clk:      clk,
-		rng:      rand.New(rand.NewSource(seed)),
-		nodes:    make(map[string]*desNode),
-		links:    make(map[linkKey]Link),
-		linkBusy: make(map[linkKey]time.Time),
-		def:      cfg.DefaultLink,
-		mtu:      mtu,
-		depth:    depth,
-	}
+	n := &DESNet{}
+	n.init(cfg.Seed, cfg.DefaultLink, cfg.MTU, cfg.InboxDepth, clk)
+	return n
 }
 
 // Clock returns the virtual clock deliveries are scheduled on; drive
 // it (Advance/AdvanceTo/Step) to make the network move.
-func (n *DESNet) Clock() *clock.Virtual { return n.clk }
+func (n *DESNet) Clock() *clock.Virtual { return n.virt }
 
-// SetTrace installs the trace hook (see DESNetConfig.Trace).
+// SetTrace installs a hook that observes every delivery, drop and
+// overflow (nil removes it).  It runs on the driving goroutine (or the
+// sender's, for drops decided at send time) and must not call back
+// into the network.
 func (n *DESNet) SetTrace(f func(TraceEvent)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.trace = f
-}
-
-// Attach joins a channel-mode node (see the type comment for the
-// determinism caveat).
-func (n *DESNet) Attach(id string) (Conn, error) {
-	return n.attach(id, nil)
 }
 
 // AttachHandler joins a handler-mode node: h runs inline on the
@@ -162,306 +113,4 @@ func (n *DESNet) AttachHandler(id string, h func(Packet)) (Conn, error) {
 		return nil, fmt.Errorf("transport: nil handler for %q", id)
 	}
 	return n.attach(id, h)
-}
-
-func (n *DESNet) attach(id string, h func(Packet)) (Conn, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, ErrClosed
-	}
-	if _, ok := n.nodes[id]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateID, id)
-	}
-	c := &desNode{net: n, id: id, handler: h}
-	if h == nil {
-		c.inbox = make(chan Packet, n.depth)
-	}
-	n.nodes[id] = c
-	i := sort.SearchStrings(n.order, id)
-	n.order = append(n.order, "")
-	copy(n.order[i+1:], n.order[i:])
-	n.order[i] = id
-	return c, nil
-}
-
-// SetLink installs directed link characteristics between two nodes.
-func (n *DESNet) SetLink(from, to string, l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[linkKey{from, to}] = l
-}
-
-// SetLinkBoth installs the same characteristics in both directions.
-func (n *DESNet) SetLinkBoth(a, b string, l Link) {
-	n.SetLink(a, b, l)
-	n.SetLink(b, a, l)
-}
-
-// SetDefaultLink replaces the default link characteristics.
-func (n *DESNet) SetDefaultLink(l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.def = l
-}
-
-// Partition takes the directed links between two nodes down or up.
-func (n *DESNet) Partition(a, b string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, k := range []linkKey{{a, b}, {b, a}} {
-		l := n.linkLocked(k.from, k.to)
-		l.Down = down
-		n.links[k] = l
-	}
-}
-
-func (n *DESNet) linkLocked(from, to string) Link {
-	if l, ok := n.links[linkKey{from, to}]; ok {
-		return l
-	}
-	return n.def
-}
-
-// NodeIDs returns the attached node IDs.
-func (n *DESNet) NodeIDs() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ids := make([]string, 0, len(n.nodes))
-	for id := range n.nodes {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// Stats returns delivery statistics for a node ID (zero Stats if the
-// node is unknown).
-func (n *DESNet) Stats(id string) Stats {
-	n.mu.Lock()
-	c, ok := n.nodes[id]
-	n.mu.Unlock()
-	if !ok {
-		return Stats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Close detaches every node.  Pending deliveries still on the heap
-// become no-ops.
-func (n *DESNet) Close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.closed = true
-	conns := make([]*desNode, 0, len(n.nodes))
-	for _, c := range n.nodes {
-		conns = append(conns, c)
-	}
-	n.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// desDelivery is one scheduled packet arrival — a clock.Event
-// implemented directly so each delivery costs a single allocation.
-type desDelivery struct {
-	net     *DESNet
-	dst     *desNode
-	from    string
-	data    []byte
-	unicast bool
-}
-
-// Fire implements clock.Event.
-func (d *desDelivery) Fire(now time.Time) {
-	d.dst.deliver(Packet{From: d.from, Data: d.data, Unicast: d.unicast, At: now})
-}
-
-// sendAll applies the link model and schedules deliveries for one
-// frame to each destination.  One shared copy of frame serves every
-// recipient.  Caller holds no locks.
-func (n *DESNet) sendAll(src *desNode, dsts []string, frame []byte, unicast bool) {
-	data := append([]byte(nil), frame...)
-	type drop struct {
-		atNS int64
-		to   string
-	}
-	var drops []drop
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	trace := n.trace
-	now := n.clk.Now()
-	for _, dstID := range dsts {
-		dst, ok := n.nodes[dstID]
-		if !ok {
-			continue
-		}
-		l := n.linkLocked(src.id, dstID)
-		key := linkKey{src.id, dstID}
-		plan := planLink(l, len(data), n.rng, n.linkBusy[key], now, 1)
-		if l.BandwidthBps > 0 {
-			n.linkBusy[key] = plan.busy
-		}
-		if plan.drop {
-			dst.mu.Lock()
-			dst.stats.Dropped++
-			dst.mu.Unlock()
-			if trace != nil {
-				drops = append(drops, drop{atNS: now.UnixNano(), to: dstID})
-			}
-			continue
-		}
-		for i := 0; i < plan.copies; i++ {
-			// Every delivery goes through the heap — zero-delay links
-			// included — so arrival order is always (instant, schedule
-			// order), never a recursion into the recipient mid-send.
-			n.clk.Schedule(plan.delay, &desDelivery{
-				net: n, dst: dst, from: src.id, data: data, unicast: unicast,
-			})
-		}
-	}
-	n.mu.Unlock()
-	for _, d := range drops {
-		trace(TraceEvent{AtNS: d.atNS, From: src.id, To: d.to, Kind: TraceDrop,
-			Size: len(data), Unicast: unicast})
-	}
-}
-
-// desNode is a node's attachment to a DESNet.
-type desNode struct {
-	net     *DESNet
-	id      string
-	handler func(Packet) // nil = channel mode
-	inbox   chan Packet  // nil = handler mode
-
-	mu     sync.Mutex
-	closed bool
-	stats  Stats
-}
-
-// ID implements Conn.
-func (c *desNode) ID() string { return c.id }
-
-// Recv implements Conn.  Handler-mode nodes return nil: their packets
-// go to the handler, and ranging over a nil channel blocks forever —
-// do not start a receive loop on a handler-mode Conn.
-func (c *desNode) Recv() <-chan Packet { return c.inbox }
-
-// Multicast implements Conn.
-func (c *desNode) Multicast(frame []byte) error {
-	if err := c.checkSend(frame); err != nil {
-		return err
-	}
-	c.net.mu.Lock()
-	// The maintained sorted order keeps fan-out (and so rng draw
-	// order) deterministic regardless of map iteration.
-	dsts := make([]string, 0, len(c.net.order))
-	for _, id := range c.net.order {
-		if id != c.id {
-			dsts = append(dsts, id)
-		}
-	}
-	c.net.mu.Unlock()
-	c.net.sendAll(c, dsts, frame, false)
-	return nil
-}
-
-// Unicast implements Conn.
-func (c *desNode) Unicast(to string, frame []byte) error {
-	if err := c.checkSend(frame); err != nil {
-		return err
-	}
-	c.net.mu.Lock()
-	_, ok := c.net.nodes[to]
-	c.net.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
-	}
-	c.net.sendAll(c, []string{to}, frame, true)
-	return nil
-}
-
-func (c *desNode) checkSend(frame []byte) error {
-	if len(frame) > c.net.mtu {
-		return fmt.Errorf("%w: %d > %d", ErrFrameSize, len(frame), c.net.mtu)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	c.stats.Sent++
-	return nil
-}
-
-// deliver hands a packet to the node (driver goroutine).
-func (c *desNode) deliver(p Packet) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	h := c.handler
-	kind := TraceDeliver
-	if h != nil {
-		c.stats.Delivered++
-		c.stats.Bytes += uint64(len(p.Data))
-		c.mu.Unlock()
-	} else {
-		select {
-		case c.inbox <- p:
-			c.stats.Delivered++
-			c.stats.Bytes += uint64(len(p.Data))
-		default:
-			c.stats.Overflow++
-			kind = TraceOverflow
-		}
-		c.mu.Unlock()
-	}
-	c.net.mu.Lock()
-	trace := c.net.trace
-	c.net.mu.Unlock()
-	if trace != nil {
-		trace(TraceEvent{AtNS: p.At.UnixNano(), From: p.From, To: c.id,
-			Kind: kind, Size: len(p.Data), Unicast: p.Unicast})
-	}
-	if h != nil && kind == TraceDeliver {
-		h(p)
-	}
-}
-
-// Close implements Conn.
-func (c *desNode) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	inbox := c.inbox
-	c.mu.Unlock()
-
-	c.net.mu.Lock()
-	delete(c.net.nodes, c.id)
-	if i := sort.SearchStrings(c.net.order, c.id); i < len(c.net.order) && c.net.order[i] == c.id {
-		c.net.order = append(c.net.order[:i], c.net.order[i+1:]...)
-	}
-	for k := range c.net.linkBusy {
-		if k.from == c.id || k.to == c.id {
-			delete(c.net.linkBusy, k)
-		}
-	}
-	c.net.mu.Unlock()
-	if inbox != nil {
-		close(inbox)
-	}
-	return nil
 }

@@ -46,123 +46,49 @@ func TestDESNetHandlerDelivery(t *testing.T) {
 	_ = a
 }
 
+// TestDESNetMulticastOrderAndSharing: under either scheduler a
+// multicast reaches recipients in sorted-ID order, and they all read
+// one private copy of the frame — the sender may reuse its buffer as
+// soon as the send returns.
 func TestDESNetMulticastOrderAndSharing(t *testing.T) {
-	n := NewDESNet(DESNetConfig{})
-	var order []string
-	var datas [][]byte
-	for _, id := range []string{"w3", "w1", "w2"} {
-		id := id
-		if _, err := n.AttachHandler(id, func(p Packet) {
-			order = append(order, id)
-			datas = append(datas, p.Data)
-		}); err != nil {
+	onEachDriver(t, SimNetConfig{}, func(t *testing.T, n *testNet) {
+		var order []string
+		var datas [][]byte
+		for _, id := range []string{"w3", "w1", "w2"} {
+			if _, err := n.engine.attach(id, func(p Packet) {
+				order = append(order, id)
+				datas = append(datas, p.Data)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src := n.attach("src")[0]
+		frame := []byte("x")
+		if err := src.Multicast(frame); err != nil {
 			t.Fatal(err)
 		}
-	}
-	src, err := n.AttachHandler("src", func(Packet) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Multicast([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	n.Clock().Advance(time.Millisecond)
-	if len(order) != 3 || order[0] != "w1" || order[1] != "w2" || order[2] != "w3" {
-		t.Fatalf("zero-delay multicast arrival order = %v, want sorted IDs", order)
-	}
-	// One shared copy for all recipients.
-	if &datas[0][0] != &datas[1][0] || &datas[1][0] != &datas[2][0] {
-		t.Error("multicast should share one frame copy across recipients")
-	}
-}
-
-func TestDESNetLossDupPartition(t *testing.T) {
-	n := NewDESNet(DESNetConfig{Seed: 7})
-	delivered := 0
-	if _, err := n.AttachHandler("rx", func(Packet) { delivered++ }); err != nil {
-		t.Fatal(err)
-	}
-	tx, err := n.AttachHandler("tx", func(Packet) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	n.SetLink("tx", "rx", Link{Loss: 1})
-	if err := tx.Unicast("rx", []byte("gone")); err != nil {
-		t.Fatal(err)
-	}
-	n.Clock().Advance(time.Millisecond)
-	if delivered != 0 {
-		t.Fatal("lossy link delivered")
-	}
-	if s := n.Stats("rx"); s.Dropped != 1 {
-		t.Fatalf("stats %+v", s)
-	}
-
-	n.SetLink("tx", "rx", Link{Duplicate: 1})
-	if err := tx.Unicast("rx", []byte("twice")); err != nil {
-		t.Fatal(err)
-	}
-	n.Clock().Advance(time.Millisecond)
-	if delivered != 2 {
-		t.Fatalf("duplicating link delivered %d, want 2", delivered)
-	}
-
-	n.SetLink("tx", "rx", Link{})
-	n.Partition("tx", "rx", true)
-	if err := tx.Unicast("rx", []byte("cut")); err != nil {
-		t.Fatal(err)
-	}
-	n.Clock().Advance(time.Millisecond)
-	if delivered != 2 {
-		t.Fatal("partitioned link delivered")
-	}
-	n.Partition("tx", "rx", false)
-	if err := tx.Unicast("rx", []byte("healed")); err != nil {
-		t.Fatal(err)
-	}
-	n.Clock().Advance(time.Millisecond)
-	if delivered != 3 {
-		t.Fatal("healed link did not deliver")
-	}
-}
-
-func TestDESNetBandwidthSerialization(t *testing.T) {
-	n := NewDESNet(DESNetConfig{})
-	// 8000 bit/s: a 100-byte frame takes 100ms to serialize.
-	n.SetDefaultLink(Link{BandwidthBps: 8000})
-	var arrivals []time.Duration
-	start := n.Clock().Now()
-	if _, err := n.AttachHandler("rx", func(p Packet) {
-		arrivals = append(arrivals, p.At.Sub(start))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tx, err := n.AttachHandler("tx", func(Packet) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 100)
-	// Back-to-back sends queue behind each other on the link.
-	for i := 0; i < 3; i++ {
-		if err := tx.Unicast("rx", frame); err != nil {
-			t.Fatal(err)
+		frame[0] = 'y'
+		n.pass(time.Millisecond)
+		if len(order) != 3 || order[0] != "w1" || order[1] != "w2" || order[2] != "w3" {
+			t.Fatalf("zero-delay multicast arrival order = %v, want sorted IDs", order)
 		}
-	}
-	n.Clock().Advance(time.Second)
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond}
-	if len(arrivals) != 3 {
-		t.Fatalf("arrivals %v", arrivals)
-	}
-	for i := range want {
-		if arrivals[i] != want[i] {
-			t.Fatalf("arrivals %v, want %v", arrivals, want)
+		for i, d := range datas {
+			if string(d) != "x" {
+				t.Errorf("%s read %q after the sender reused its buffer", order[i], d)
+			}
 		}
-	}
+		// One shared copy for all recipients.
+		if &datas[0][0] != &datas[1][0] || &datas[1][0] != &datas[2][0] {
+			t.Error("multicast should share one frame copy across recipients")
+		}
+	})
 }
 
+// TestDESNetChannelModeCompat: a channel-mode inbox on the virtual
+// scheduler fills only when the clock is driven — even over a
+// zero-delay link, where the wall scheduler delivers inside the send.
 func TestDESNetChannelModeCompat(t *testing.T) {
-	n := NewDESNet(DESNetConfig{DefaultLink: Link{Delay: time.Millisecond}})
+	n := NewDESNet(DESNetConfig{})
 	rx, err := n.Attach("rx")
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +100,10 @@ func TestDESNetChannelModeCompat(t *testing.T) {
 	if err := tx.Multicast([]byte("ch")); err != nil {
 		t.Fatal(err)
 	}
-	n.Clock().Advance(2 * time.Millisecond)
+	if len(rx.Recv()) != 0 {
+		t.Fatal("delivery before the clock was driven")
+	}
+	n.Clock().Advance(0)
 	select {
 	case p := <-rx.Recv():
 		if string(p.Data) != "ch" || p.From != "tx" {

@@ -1,56 +1,16 @@
 package transport
 
-import (
-	"fmt"
-	"math/rand"
-	"sync"
-	"time"
-
-	"adaptiveqos/internal/clock"
-)
-
-// Link describes the characteristics of a directed link in the
-// simulated network.  The zero value is an ideal link: infinite
-// bandwidth, zero delay, no loss.
-type Link struct {
-	// BandwidthBps is the link bandwidth in bits/s; 0 means unlimited.
-	BandwidthBps float64
-	// Delay is the fixed propagation delay.
-	Delay time.Duration
-	// Jitter adds a uniformly distributed random delay in [0, Jitter].
-	Jitter time.Duration
-	// Loss is the independent per-frame loss probability in [0, 1].
-	Loss float64
-	// Duplicate is the probability a delivered frame arrives twice.
-	Duplicate float64
-	// Down disconnects the link entirely (partition injection).
-	Down bool
-}
-
-// SimNet is a simulated broadcast network.  Nodes attach with an ID;
-// multicast reaches every other attached node subject to the pairwise
-// link characteristics.  Deliveries are scheduled on wall-clock timers
-// scaled by TimeScale, so experiments can compress simulated seconds
-// into real milliseconds while preserving ordering behaviour.
+// SimNet is the simulated broadcast network on the wall clock (see
+// engine for the model it shares with DESNet).  Zero-delay links
+// deliver synchronously in the sender's goroutine, preserving
+// per-sender FIFO order; delayed frames ride real timers, so a Link's
+// Delay, Jitter and serialization time are real elapsed time.
 //
-// Randomness (loss, jitter, duplication) derives from a seeded
-// generator, making experiment runs reproducible.
-type SimNet struct {
-	mu         sync.Mutex
-	rng        *rand.Rand
-	clk        clock.Clock
-	nodes      map[string]*simConn
-	links      map[linkKey]Link
-	linkBusy   map[linkKey]time.Time // real-time instants links free up
-	def        Link
-	timeScale  float64
-	mtu        int
-	inboxDepth int
-	closed     bool
-	wg         sync.WaitGroup
-}
-
-type linkKey struct{ from, to string }
+// The seeded generator makes the loss/jitter/duplication draws of a
+// single sending goroutine reproducible run to run; concurrent senders
+// interleave their draws as the scheduler interleaves them.  For a
+// fully deterministic run use DESNet.
+type SimNet struct{ engine }
 
 // SimNetConfig configures a simulated network.
 type SimNetConfig struct {
@@ -58,303 +18,15 @@ type SimNetConfig struct {
 	Seed int64
 	// DefaultLink applies to node pairs with no explicit link.
 	DefaultLink Link
-	// TimeScale divides all simulated delays; 0 means 1 (real time).
-	// A scale of 1000 turns simulated seconds into real milliseconds.
-	TimeScale float64
 	// MTU bounds frame size; 0 means 64 KiB.
 	MTU int
 	// InboxDepth is each node's receive buffer; 0 means 1024.
 	InboxDepth int
-	// Clock schedules deliveries and stamps arrivals (nil = wall
-	// clock).  For fully deterministic virtual-time simulation prefer
-	// DESNet, which owns its clock and delivers on the event heap.
-	Clock clock.Clock
 }
 
 // NewSimNet creates an empty simulated network.
 func NewSimNet(cfg SimNetConfig) *SimNet {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	ts := cfg.TimeScale
-	if ts <= 0 {
-		ts = 1
-	}
-	mtu := cfg.MTU
-	if mtu <= 0 {
-		mtu = 64 << 10
-	}
-	depth := cfg.InboxDepth
-	if depth <= 0 {
-		depth = 1024
-	}
-	return &SimNet{
-		rng:        rand.New(rand.NewSource(seed)),
-		clk:        clock.Or(cfg.Clock),
-		nodes:      make(map[string]*simConn),
-		links:      make(map[linkKey]Link),
-		linkBusy:   make(map[linkKey]time.Time),
-		def:        cfg.DefaultLink,
-		timeScale:  ts,
-		mtu:        mtu,
-		inboxDepth: depth,
-	}
-}
-
-// Attach joins a node to the network.
-func (n *SimNet) Attach(id string) (Conn, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, ErrClosed
-	}
-	if _, ok := n.nodes[id]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateID, id)
-	}
-	c := &simConn{
-		net:   n,
-		id:    id,
-		inbox: make(chan Packet, n.inboxDepth),
-	}
-	n.nodes[id] = c
-	return c, nil
-}
-
-// SetLink installs directed link characteristics between two nodes.
-func (n *SimNet) SetLink(from, to string, l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[linkKey{from, to}] = l
-}
-
-// SetLinkBoth installs the same characteristics in both directions.
-func (n *SimNet) SetLinkBoth(a, b string, l Link) {
-	n.SetLink(a, b, l)
-	n.SetLink(b, a, l)
-}
-
-// SetDefaultLink replaces the default link characteristics.
-func (n *SimNet) SetDefaultLink(l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.def = l
-}
-
-// Partition takes the directed link between two nodes down or up.
-func (n *SimNet) Partition(a, b string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, k := range []linkKey{{a, b}, {b, a}} {
-		l := n.linkLocked(k.from, k.to)
-		l.Down = down
-		n.links[k] = l
-	}
-}
-
-// NodeIDs returns the attached node IDs.
-func (n *SimNet) NodeIDs() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ids := make([]string, 0, len(n.nodes))
-	for id := range n.nodes {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// Close detaches every node and waits for in-flight deliveries.
-func (n *SimNet) Close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.closed = true
-	conns := make([]*simConn, 0, len(n.nodes))
-	for _, c := range n.nodes {
-		conns = append(conns, c)
-	}
-	n.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	n.wg.Wait()
-}
-
-func (n *SimNet) linkLocked(from, to string) Link {
-	if l, ok := n.links[linkKey{from, to}]; ok {
-		return l
-	}
-	return n.def
-}
-
-// Stats returns delivery statistics for a node ID (zero Stats if the
-// node is unknown).
-func (n *SimNet) Stats(id string) Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if c, ok := n.nodes[id]; ok {
-		return c.statsLocked()
-	}
-	return Stats{}
-}
-
-// send schedules delivery of frame from src to dst, applying the link
-// model.  Caller holds no locks.
-func (n *SimNet) send(src *simConn, dstID string, frame []byte, unicast bool) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	dst, ok := n.nodes[dstID]
-	if !ok {
-		n.mu.Unlock()
-		return
-	}
-	l := n.linkLocked(src.id, dstID)
-	key := linkKey{src.id, dstID}
-	now := n.clk.Now()
-	plan := planLink(l, len(frame), n.rng, n.linkBusy[key], now, n.timeScale)
-	if l.BandwidthBps > 0 {
-		n.linkBusy[key] = plan.busy
-	}
-	if plan.drop {
-		dst.mu.Lock()
-		dst.stats.Dropped++
-		dst.mu.Unlock()
-		n.mu.Unlock()
-		return
-	}
-	n.wg.Add(plan.copies)
-	n.mu.Unlock()
-
-	data := append([]byte(nil), frame...)
-	deliver := func() {
-		defer n.wg.Done()
-		dst.deliver(Packet{From: src.id, Data: data, Unicast: unicast, At: n.clk.Now()})
-	}
-	for i := 0; i < plan.copies; i++ {
-		if plan.delay <= 0 {
-			// Zero-delay links deliver synchronously, preserving
-			// per-sender FIFO order like a real loopback; inboxes are
-			// non-blocking so this cannot deadlock.
-			deliver()
-		} else {
-			n.clk.AfterFunc(plan.delay, deliver)
-		}
-	}
-}
-
-// simConn is a node's attachment to a SimNet.
-type simConn struct {
-	net   *SimNet
-	id    string
-	inbox chan Packet
-
-	mu     sync.Mutex
-	closed bool
-	stats  Stats
-}
-
-// ID implements Conn.
-func (c *simConn) ID() string { return c.id }
-
-// Recv implements Conn.
-func (c *simConn) Recv() <-chan Packet { return c.inbox }
-
-// Multicast implements Conn.
-func (c *simConn) Multicast(frame []byte) error {
-	if err := c.checkSend(frame); err != nil {
-		return err
-	}
-	c.net.mu.Lock()
-	dsts := make([]string, 0, len(c.net.nodes))
-	for id := range c.net.nodes {
-		if id != c.id {
-			dsts = append(dsts, id)
-		}
-	}
-	c.net.mu.Unlock()
-	for _, d := range dsts {
-		c.net.send(c, d, frame, false)
-	}
-	return nil
-}
-
-// Unicast implements Conn.
-func (c *simConn) Unicast(to string, frame []byte) error {
-	if err := c.checkSend(frame); err != nil {
-		return err
-	}
-	c.net.mu.Lock()
-	_, ok := c.net.nodes[to]
-	c.net.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
-	}
-	c.net.send(c, to, frame, true)
-	return nil
-}
-
-func (c *simConn) checkSend(frame []byte) error {
-	if len(frame) > c.net.mtu {
-		return fmt.Errorf("%w: %d > %d", ErrFrameSize, len(frame), c.net.mtu)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	c.stats.Sent++
-	return nil
-}
-
-// deliver places a packet in the inbox, dropping on overflow.
-func (c *simConn) deliver(p Packet) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	select {
-	case c.inbox <- p:
-		c.stats.Delivered++
-		c.stats.Bytes += uint64(len(p.Data))
-	default:
-		c.stats.Overflow++
-	}
-	c.mu.Unlock()
-}
-
-// Close implements Conn.
-func (c *simConn) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-
-	c.net.mu.Lock()
-	delete(c.net.nodes, c.id)
-	// Purge the detached node's serialization state: linkBusy entries
-	// are keyed per directed pair and would otherwise accumulate
-	// forever under attach/detach churn.
-	for k := range c.net.linkBusy {
-		if k.from == c.id || k.to == c.id {
-			delete(c.net.linkBusy, k)
-		}
-	}
-	c.net.mu.Unlock()
-	close(c.inbox)
-	return nil
-}
-
-func (c *simConn) statsLocked() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	n := &SimNet{}
+	n.init(cfg.Seed, cfg.DefaultLink, cfg.MTU, cfg.InboxDepth, nil)
+	return n
 }

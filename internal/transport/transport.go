@@ -19,7 +19,8 @@ import (
 type Packet struct {
 	// From is the sender's node ID.
 	From string
-	// Data is the frame payload (owned by the receiver).
+	// Data is the frame payload.  On the simulated networks it is
+	// shared between recipients: read-only.
 	Data []byte
 	// Unicast reports whether the frame was addressed to this node
 	// specifically rather than to the multicast group.
