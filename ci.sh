@@ -35,6 +35,35 @@ for pkg in adaptiveqos/internal/registry adaptiveqos/internal/dispatch; do
 	done
 done
 
+# Kernel gates (DESIGN.md §3, §15).
+#
+# Sans-IO purity: the receive kernels take packets, time and a conn and
+# give back effects.  No go statement, no channel type, make, send,
+# receive or select, and no reach for the wall clock (clock.Wall, or
+# clock.Or's nil-means-wall default) may appear in their source — the
+# shells in core.go/coordinator.go own all of that.
+viol=$(grep -nE '^[[:space:]]*go[[:space:]]|(^|[^[:alnum:]_])chan([^[:alnum:]_]|$)|<-|(^|[^[:alnum:]_])select[[:space:]]*\{|clock\.(Wall|Or)([^[:alnum:]_]|$)' \
+	internal/core/kernel.go internal/core/coordkernel.go || true)
+if [ -n "$viol" ]; then
+	echo "KERNEL PURITY VIOLATION: goroutine, channel or wall clock in a sans-IO kernel:" >&2
+	echo "$viol" >&2
+	exit 1
+fi
+
+# Replay fidelity: the simulator must run the real kernels, and the
+# private frame codec, order tracker and coordinator it used to carry
+# must not quietly come back.
+if ! go list -deps adaptiveqos/internal/replay | grep -qx 'adaptiveqos/internal/core'; then
+	echo "FIDELITY VIOLATION: internal/replay no longer depends on internal/core" >&2
+	exit 1
+fi
+viol=$(grep -nE 'func (encodeData|decodeData|encodeNack)|type tracker|coordHandler' internal/replay/*.go || true)
+if [ -n "$viol" ]; then
+	echo "FIDELITY VIOLATION: internal/replay grew a private receive model again:" >&2
+	echo "$viol" >&2
+	exit 1
+fi
+
 # Observability-layer gates (tentpole contract, DESIGN.md §8):
 # instrumentation must be near-free when disabled — zero allocations
 # on the disabled path and under 5% timing overhead versus the

@@ -4,11 +4,6 @@ import (
 	"sync"
 
 	"adaptiveqos/internal/clock"
-	"adaptiveqos/internal/message"
-	"adaptiveqos/internal/metrics"
-	"adaptiveqos/internal/obs"
-	"adaptiveqos/internal/profile"
-	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
 )
@@ -23,41 +18,19 @@ import (
 // Replayed frames are verbatim originals, so the late joiner's own
 // semantic filtering still applies: it only absorbs the history its
 // profile admits.
+//
+// Coordinator is the goroutine shell: the archive, reorder, replay and
+// lock arbitration all live in the CoordinatorKernel it feeds from
+// conn.Recv() under mu.
 type Coordinator struct {
 	conn transport.Conn
-	clk  clock.Clock
-	sess *session.Session
 
-	env    message.Enveloper
-	unwrap *message.Unwrapper
-
-	mu      sync.Mutex
-	frames  map[uint64]archivedFrame // session seq → original frame + sender seq
-	streams map[string]*senderStream // per-sender arrival reordering
-	locks   *session.ObjectLocks     // distributed lock arbitration
+	mu sync.Mutex // serializes every kernel call
+	k  *CoordinatorKernel
 
 	closeOnce sync.Once
 	loopDone  chan struct{}
 }
-
-// archivedFrame is one archived original frame plus the sender-scoped
-// sequence number it carried, so NACK-style repair requests can be
-// answered per sender without re-decoding the archive.
-type archivedFrame struct {
-	data      []byte
-	senderSeq uint32
-}
-
-// Control-message vocabulary for the history protocol.
-const (
-	attrCtrl       = "ctrl"
-	ctrlHistoryReq = "history-request"
-	attrAfterSeq   = "after-seq"
-	// attrForSender scopes a history request to one sender's frames,
-	// with attrAfterSeq then counted in that sender's own sequence
-	// space — the NACK a gap-repair loop issues.
-	attrForSender = "for-sender"
-)
 
 // NewCoordinator attaches an archiving coordinator to the substrate.
 // group describes the session being archived (used for metadata only;
@@ -72,16 +45,9 @@ func NewCoordinator(conn transport.Conn, group session.Group) *Coordinator {
 func NewCoordinatorClock(conn transport.Conn, group session.Group, clk clock.Clock) *Coordinator {
 	c := &Coordinator{
 		conn:     conn,
-		clk:      clock.Or(clk),
-		sess:     session.New(group),
-		unwrap:   message.NewUnwrapper(),
-		frames:   make(map[uint64]archivedFrame),
-		streams:  make(map[string]*senderStream),
-		locks:    session.NewObjectLocks(),
+		k:        NewCoordinatorKernel(conn, group, clock.Or(clk)),
 		loopDone: make(chan struct{}),
 	}
-	c.env.Node = conn.ID()
-	c.unwrap.Node = conn.ID()
 	go c.loop()
 	return c
 }
@@ -90,23 +56,20 @@ func NewCoordinatorClock(conn transport.Conn, group session.Group, clk clock.Clo
 func (c *Coordinator) ID() string { return c.conn.ID() }
 
 // Session exposes the archive (membership, history, sequence state).
-func (c *Coordinator) Session() *session.Session { return c.sess }
+func (c *Coordinator) Session() *session.Session { return c.k.sess }
 
 // SetArchiveCap bounds retained history to the most recent n events.
 func (c *Coordinator) SetArchiveCap(n int) {
-	c.sess.SetArchiveCap(n)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Drop frames the session no longer remembers.
-	keep := make(map[uint64]bool)
-	for _, ev := range c.sess.History(0) {
-		keep[ev.Seq] = true
-	}
-	for seq := range c.frames {
-		if !keep[seq] {
-			delete(c.frames, seq)
-		}
-	}
+	c.k.SetArchiveCap(n)
+}
+
+// ArchivedEvents returns the number of archived events.
+func (c *Coordinator) ArchivedEvents() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.k.ArchivedEvents()
 }
 
 // Close detaches the coordinator.
@@ -122,300 +85,10 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) loop() {
 	defer close(c.loopDone)
 	for pkt := range c.conn.Recv() {
-		c.handle(pkt)
+		c.mu.Lock()
+		c.k.HandlePacket(pkt)
+		c.mu.Unlock()
 	}
-}
-
-func (c *Coordinator) handle(pkt transport.Packet) {
-	frame, err := c.unwrap.Unwrap(pkt.From, pkt.Data)
-	if err != nil || frame == nil {
-		return
-	}
-	m, err := message.Decode(frame)
-	if err != nil {
-		return
-	}
-	switch m.Kind {
-	case message.KindEvent, message.KindData:
-		// The substrate may reorder frames; the archive must reflect
-		// each sender's causal order, so frames pass through a
-		// per-sender reorder stage keyed on the sender sequence number.
-		for _, ordered := range c.reorder(m, frame) {
-			c.archive(ordered.msg, ordered.frame)
-		}
-	case message.KindControl:
-		ctrl, ok := m.Attr(attrCtrl)
-		if !ok {
-			return
-		}
-		switch ctrl.Str() {
-		case ctrlHistoryReq:
-			after := uint64(0)
-			if v, ok := m.Attr(attrAfterSeq); ok {
-				after = uint64(v.Num())
-			}
-			if forSender, ok := m.Attr(attrForSender); ok {
-				c.replayFor(m.Sender, forSender.Str(), uint32(after))
-			} else {
-				c.replay(m.Sender, after)
-			}
-		case ctrlLockRequest, ctrlLockRelease:
-			if object, ok := m.Attr(attrObject); ok {
-				c.handleLock(m.Sender, ctrl.Str(), object.Str())
-			}
-		}
-	}
-}
-
-// handleLock arbitrates a lock request or release and notifies the
-// affected clients.
-func (c *Coordinator) handleLock(sender, ctrl, object string) {
-	switch ctrl {
-	case ctrlLockRequest:
-		if err := c.locks.TryAcquire(object, sender); err != nil {
-			c.notifyLock(sender, ctrlLockWait, object, c.locks.Holder(object))
-			return
-		}
-		c.notifyLock(sender, ctrlLockGrant, object, sender)
-	case ctrlLockRelease:
-		next, err := c.locks.Release(object, sender)
-		if err != nil {
-			return // not the holder: ignore
-		}
-		if next != "" {
-			c.notifyLock(next, ctrlLockGrant, object, next)
-		}
-	}
-}
-
-func (c *Coordinator) notifyLock(to, ctrl, object, holder string) {
-	m := &message.Message{
-		Kind:      message.KindControl,
-		Sender:    c.ID(),
-		Timestamp: c.clk.Now(),
-		Attrs: selector.Attributes{
-			attrCtrl:   selector.S(ctrl),
-			attrObject: selector.S(object),
-			attrHolder: selector.S(holder),
-		},
-	}
-	frame, err := message.Encode(m)
-	if err != nil {
-		return
-	}
-	datagrams, err := c.env.Wrap(frame)
-	if err != nil {
-		return
-	}
-	for _, d := range datagrams {
-		c.conn.Unicast(to, d)
-	}
-}
-
-// orderedFrame pairs a decoded message with its original frame.
-type orderedFrame struct {
-	msg   *message.Message
-	frame []byte
-}
-
-// senderStream restores one sender's frame order.
-type senderStream struct {
-	next    uint32
-	pending map[uint32]orderedFrame
-	// missing records sequence numbers the flush path skipped past
-	// without archiving: a straggler carrying one of them is genuine
-	// lost history and archives once; any other seq below next is a
-	// duplicate delivery of an already-archived frame and is dropped.
-	missing map[uint32]struct{}
-}
-
-// maxStreamPending bounds per-sender buffering; past it the stream
-// flushes in ascending order (archive completeness beats a perfect
-// order when the substrate genuinely lost a frame).
-const maxStreamPending = 64
-
-// maxStreamMissing bounds the skipped-seq memory per sender; past it
-// the oldest (smallest) entries give way and an extremely late
-// straggler is treated as a duplicate — the archive-safe direction.
-const maxStreamMissing = 1024
-
-// noteMissing records [from, to) as skipped without archiving.
-func (st *senderStream) noteMissing(from, to uint32) {
-	for s := from; s < to; s++ {
-		if len(st.missing) >= maxStreamMissing {
-			oldest, have := uint32(0), false
-			for m := range st.missing {
-				if !have || m < oldest {
-					oldest, have = m, true
-				}
-			}
-			delete(st.missing, oldest)
-		}
-		st.missing[s] = struct{}{}
-	}
-}
-
-// reorder returns the frames now releasable in the sender's order.
-func (c *Coordinator) reorder(m *message.Message, frame []byte) []orderedFrame {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.streams[m.Sender]
-	if !ok {
-		// Framework clients number their messages from 1, so a fresh
-		// stream anchors there; a coordinator attaching mid-session
-		// catches up through the flush path below.
-		st = &senderStream{
-			next:    1,
-			pending: make(map[uint32]orderedFrame),
-			missing: make(map[uint32]struct{}),
-		}
-		c.streams[m.Sender] = st
-	}
-	own := orderedFrame{msg: m, frame: append([]byte(nil), frame...)}
-	if m.Seq < st.next {
-		if _, lost := st.missing[m.Seq]; lost {
-			// A straggler the flush path skipped past: genuine lost
-			// history, archive it now (exactly once).
-			delete(st.missing, m.Seq)
-			return []orderedFrame{own}
-		}
-		// Duplicate delivery of an already-archived frame: committing
-		// it again would mint a second session event.
-		metrics.C(metrics.CtrArchiveDupDrops).Inc()
-		if obs.Enabled() {
-			obs.Drop(obs.MsgID(m.Sender, m.Seq), obs.StageReorder,
-				c.ID()+": duplicate frame from "+m.Sender+" dropped before archive")
-		}
-		return nil
-	}
-	st.pending[m.Seq] = own
-
-	var out []orderedFrame
-	for {
-		f, ok := st.pending[st.next]
-		if !ok {
-			break
-		}
-		delete(st.pending, st.next)
-		out = append(out, f)
-		st.next++
-	}
-	if len(st.pending) > maxStreamPending {
-		// Flush: a frame was probably lost.  Release in ascending
-		// order, remembering the skipped seqs as repairable holes.
-		seqs := make([]uint32, 0, len(st.pending))
-		for s := range st.pending {
-			seqs = append(seqs, s)
-		}
-		for i := 1; i < len(seqs); i++ { // insertion sort, tiny n
-			for j := i; j > 0 && seqs[j] < seqs[j-1]; j-- {
-				seqs[j], seqs[j-1] = seqs[j-1], seqs[j]
-			}
-		}
-		for _, s := range seqs {
-			out = append(out, st.pending[s])
-			delete(st.pending, s)
-			st.noteMissing(st.next, s)
-			st.next = s + 1
-		}
-	}
-	return out
-}
-
-func (c *Coordinator) archive(m *message.Message, frame []byte) {
-	// The session requires membership for Commit; the coordinator
-	// auto-registers senders it hears (they are in the multicast group
-	// by construction).
-	if !c.sess.IsMember(m.Sender) {
-		if err := c.sess.Join(profile.New(m.Sender)); err != nil {
-			return // filtered by the group: not archived
-		}
-	}
-	app, _ := m.Attr(message.AttrApp)
-	object, _ := m.Attr(message.AttrObject)
-	ev, err := c.sess.Commit(m.Sender, app.Str(), object.Str(), nil)
-	if err != nil {
-		return
-	}
-	obs.AppendHop(obs.MsgID(m.Sender, m.Seq), c.ID(), obs.StageArchive)
-	c.mu.Lock()
-	c.frames[ev.Seq] = archivedFrame{data: append([]byte(nil), frame...), senderSeq: m.Seq}
-	c.mu.Unlock()
-}
-
-// replayFrame pairs an archived frame with the trace identity of the
-// message it carries, so a replay continues the original trace (the
-// flight recorder shows the repair hop on the message's own timeline).
-type replayFrame struct {
-	data    []byte
-	traceID uint64
-}
-
-// replay unicasts archived frames with Seq > after, in order.
-func (c *Coordinator) replay(to string, after uint64) {
-	events := c.sess.History(after)
-	c.mu.Lock()
-	frames := make([]replayFrame, 0, len(events))
-	for _, ev := range events {
-		if f, ok := c.frames[ev.Seq]; ok {
-			frames = append(frames, replayFrame{data: f.data, traceID: obs.MsgID(ev.Sender, f.senderSeq)})
-		}
-	}
-	c.mu.Unlock()
-	c.unicastFrames(to, frames)
-}
-
-// replayFor answers a NACK-style repair request: it unicasts the
-// archived frames originated by sender whose sender-scoped sequence
-// number exceeds afterSenderSeq, in archive order.  Repeated requests
-// with an advancing afterSenderSeq resume where the previous replay
-// left off, and requests for already-delivered ranges are harmless —
-// the requester's order buffer discards what it has already applied.
-func (c *Coordinator) replayFor(to, sender string, afterSenderSeq uint32) {
-	events := c.sess.History(0)
-	c.mu.Lock()
-	frames := make([]replayFrame, 0, 8)
-	for _, ev := range events {
-		if ev.Sender != sender {
-			continue
-		}
-		if f, ok := c.frames[ev.Seq]; ok && f.senderSeq > afterSenderSeq {
-			frames = append(frames, replayFrame{data: f.data, traceID: obs.MsgID(sender, f.senderSeq)})
-		}
-	}
-	c.mu.Unlock()
-	c.unicastFrames(to, frames)
-}
-
-// unicastFrames ships replayed frames, appending a repair hop to each
-// frame's trace and re-attaching the trace extension so the requester
-// sees the replay on the message's original timeline.
-func (c *Coordinator) unicastFrames(to string, frames []replayFrame) {
-	for _, f := range frames {
-		obs.AppendHop(f.traceID, c.ID(), obs.StageRepair)
-		var datagrams [][]byte
-		var err error
-		if obs.TraceEnabled() {
-			datagrams, err = c.env.WrapTraced(f.data, f.traceID)
-		} else {
-			datagrams, err = c.env.Wrap(f.data)
-		}
-		if err != nil {
-			return
-		}
-		for _, d := range datagrams {
-			if err := c.conn.Unicast(to, d); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// ArchivedEvents returns the number of archived events.
-func (c *Coordinator) ArchivedEvents() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.frames)
 }
 
 // RequestHistory asks the coordinator to replay the session history
@@ -423,17 +96,7 @@ func (c *Coordinator) ArchivedEvents() int {
 // through the normal receive path, subject to this client's semantic
 // filtering.
 func (c *Client) RequestHistory(coordinator string, afterSeq uint64) error {
-	m := &message.Message{
-		Kind:      message.KindControl,
-		Sender:    c.ID(),
-		Seq:       c.ctrlSeq.Add(1),
-		Timestamp: c.clk.Now(),
-		Attrs: selector.Attributes{
-			attrCtrl:     selector.S(ctrlHistoryReq),
-			attrAfterSeq: selector.N(float64(afterSeq)),
-		},
-	}
-	return c.unicastMessage(coordinator, m)
+	return c.k.requestHistory(coordinator, "", afterSeq)
 }
 
 // RequestHistoryFrom asks the coordinator to replay one sender's
@@ -443,16 +106,5 @@ func (c *Client) RequestHistory(coordinator string, afterSeq uint64) error {
 // through the normal receive path and are deduplicated against
 // already-applied sequence numbers by the per-sender order buffer.
 func (c *Client) RequestHistoryFrom(coordinator, sender string, afterSeq uint64) error {
-	m := &message.Message{
-		Kind:      message.KindControl,
-		Sender:    c.ID(),
-		Seq:       c.ctrlSeq.Add(1),
-		Timestamp: c.clk.Now(),
-		Attrs: selector.Attributes{
-			attrCtrl:      selector.S(ctrlHistoryReq),
-			attrForSender: selector.S(sender),
-			attrAfterSeq:  selector.N(float64(afterSeq)),
-		},
-	}
-	return c.unicastMessage(coordinator, m)
+	return c.k.requestHistory(coordinator, sender, afterSeq)
 }

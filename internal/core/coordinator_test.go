@@ -194,3 +194,38 @@ func TestCoordinatorGroupFilterSkipsArchival(t *testing.T) {
 		t.Errorf("archived %d events, want 1 (group filter)", got)
 	}
 }
+
+// TestCoordinatorArchiveCapHoldsAsEventsArrive is the regression test
+// for the frame leak past the cap: once a cap is set, frames archived
+// afterwards must be dropped together with the session events the cap
+// trims, and a late joiner still gets the newest cap-many.
+func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
+	net, coord := newCoordinatedNet(t)
+	ca, _ := net.Attach("alice")
+	a := NewClient(ca, Config{})
+	defer a.Close()
+
+	coord.SetArchiveCap(4)
+	for i := 0; i < 10; i++ {
+		if err := a.Say(fmt.Sprintf("m%d", i), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "all ten sequenced", func() bool { return coord.Session().LastSeq() == 10 })
+	if got := coord.ArchivedEvents(); got != 4 {
+		t.Errorf("frames held after ten events under cap 4 = %d, want 4", got)
+	}
+
+	cb, _ := net.Attach("bob")
+	b := NewClient(cb, Config{})
+	defer b.Close()
+	if err := b.RequestHistory("coordinator", 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "capped replay", func() bool { return b.Chat().Len() == 4 })
+	for i, l := range b.Chat().Lines() {
+		if want := fmt.Sprintf("m%d", 6+i); l.Text != want {
+			t.Errorf("replayed line %d = %q, want %q", i, l.Text, want)
+		}
+	}
+}

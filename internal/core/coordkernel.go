@@ -1,0 +1,338 @@
+package core
+
+import (
+	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/dispatch"
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
+	"adaptiveqos/internal/obs"
+	"adaptiveqos/internal/profile"
+	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/session"
+	"adaptiveqos/internal/transport"
+)
+
+// CoordinatorKernel is the archiving coordinator with the I/O taken
+// out, the counterpart of Kernel: datagrams in through HandlePacket,
+// replays and lock notifications out on the conn it was given.  Like
+// Kernel it is single-threaded (the owner serializes every call) and
+// runs unchanged under core.Coordinator's receive loop and under the
+// replay simulator's discrete-event net.
+type CoordinatorKernel struct {
+	conn transport.Conn
+	clk  clock.Clock
+	sess *session.Session
+
+	env    message.Enveloper
+	tx     dispatch.Unicaster // enveloped unicast of the kernel's own messages
+	unwrap *message.Unwrapper
+
+	frames     map[uint64]archivedFrame // session seq → original frame + sender seq
+	archiveCap int                      // retained events (0 = unlimited)
+	streams    map[string]*senderStream // per-sender arrival reordering
+	locks      *session.ObjectLocks     // distributed lock arbitration
+}
+
+// archivedFrame is one archived original frame plus the sender-scoped
+// sequence number it carried, so NACK-style repair requests can be
+// answered per sender without re-decoding the archive.
+type archivedFrame struct {
+	data      []byte
+	senderSeq uint32
+}
+
+// Control-message vocabulary for the history protocol.
+const (
+	attrCtrl       = "ctrl"
+	ctrlHistoryReq = "history-request"
+	attrAfterSeq   = "after-seq"
+	// attrForSender scopes a history request to one sender's frames,
+	// with attrAfterSeq then counted in that sender's own sequence
+	// space — the NACK a gap-repair loop issues.
+	attrForSender = "for-sender"
+)
+
+// NewCoordinatorKernel builds the coordinator kernel for the endpoint
+// attached as conn.  group describes the session being archived; clk
+// (required) timestamps lock notifications.
+func NewCoordinatorKernel(conn transport.Conn, group session.Group, clk clock.Clock) *CoordinatorKernel {
+	k := &CoordinatorKernel{
+		conn:    conn,
+		clk:     clk,
+		sess:    session.New(group),
+		unwrap:  message.NewUnwrapper(),
+		frames:  make(map[uint64]archivedFrame),
+		streams: make(map[string]*senderStream),
+		locks:   session.NewObjectLocks(),
+	}
+	k.env.Node = conn.ID()
+	k.tx = dispatch.Unicaster{Env: &k.env, Conn: conn}
+	k.unwrap.Node = conn.ID()
+	return k
+}
+
+// ID returns the coordinator's substrate identifier.
+func (k *CoordinatorKernel) ID() string { return k.conn.ID() }
+
+// SetArchiveCap bounds retained history to the most recent n events
+// (0 = unlimited), now and as later events are archived.
+func (k *CoordinatorKernel) SetArchiveCap(n int) {
+	k.sess.SetArchiveCap(n)
+	k.archiveCap = n
+	if n <= 0 {
+		return
+	}
+	// Drop frames the session no longer remembers: session seqs are
+	// contiguous, so what survives is the last n.
+	last := k.sess.LastSeq()
+	for seq := range k.frames {
+		if seq+uint64(n) <= last {
+			delete(k.frames, seq)
+		}
+	}
+}
+
+// ArchivedEvents returns the number of archived events.
+func (k *CoordinatorKernel) ArchivedEvents() int { return len(k.frames) }
+
+// HandlePacket ingests one datagram: event and data frames are put in
+// their sender's order and archived; history requests are answered
+// with unicast replays; lock requests are arbitrated.  Malformed input
+// is dropped.
+func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
+	frame, err := k.unwrap.Unwrap(pkt.From, pkt.Data)
+	if err != nil || frame == nil {
+		return
+	}
+	m, err := message.Decode(frame)
+	if err != nil {
+		return
+	}
+	switch m.Kind {
+	case message.KindEvent, message.KindData:
+		// The substrate may reorder frames; the archive must reflect
+		// each sender's causal order, so frames pass through a
+		// per-sender reorder stage keyed on the sender sequence number.
+		for _, ordered := range k.reorder(m, frame) {
+			k.archive(ordered.msg, ordered.frame)
+		}
+	case message.KindControl:
+		ctrl, ok := m.Attr(attrCtrl)
+		if !ok {
+			return
+		}
+		switch ctrl.Str() {
+		case ctrlHistoryReq:
+			after := uint64(0)
+			if v, ok := m.Attr(attrAfterSeq); ok {
+				after = uint64(v.Num())
+			}
+			forSender, _ := m.Attr(attrForSender)
+			k.replay(m.Sender, forSender.Str(), after)
+		case ctrlLockRequest, ctrlLockRelease:
+			if object, ok := m.Attr(attrObject); ok {
+				k.handleLock(m.Sender, ctrl.Str(), object.Str())
+			}
+		}
+	}
+}
+
+// handleLock arbitrates a lock request or release and notifies the
+// affected clients.
+func (k *CoordinatorKernel) handleLock(sender, ctrl, object string) {
+	switch ctrl {
+	case ctrlLockRequest:
+		if err := k.locks.TryAcquire(object, sender); err != nil {
+			k.notifyLock(sender, ctrlLockWait, object, k.locks.Holder(object))
+			return
+		}
+		k.notifyLock(sender, ctrlLockGrant, object, sender)
+	case ctrlLockRelease:
+		next, err := k.locks.Release(object, sender)
+		if err != nil {
+			return // not the holder: ignore
+		}
+		if next != "" {
+			k.notifyLock(next, ctrlLockGrant, object, next)
+		}
+	}
+}
+
+func (k *CoordinatorKernel) notifyLock(to, ctrl, object, holder string) {
+	// Best effort: a requester that has left simply misses the notice.
+	_ = k.tx.Deliver(to, &message.Message{
+		Kind:      message.KindControl,
+		Sender:    k.ID(),
+		Timestamp: k.clk.Now(),
+		Attrs: selector.Attributes{
+			attrCtrl:   selector.S(ctrl),
+			attrObject: selector.S(object),
+			attrHolder: selector.S(holder),
+		},
+	})
+}
+
+// orderedFrame pairs a decoded message with its original frame.
+type orderedFrame struct {
+	msg   *message.Message
+	frame []byte
+}
+
+// senderStream restores one sender's frame order.
+type senderStream struct {
+	next    uint32
+	pending map[uint32]orderedFrame
+	// missing records sequence numbers the flush path skipped past
+	// without archiving: a straggler carrying one of them is genuine
+	// lost history and archives once; any other seq below next is a
+	// duplicate delivery of an already-archived frame and is dropped.
+	missing map[uint32]struct{}
+}
+
+// maxStreamPending bounds per-sender buffering; past it the stream
+// flushes in ascending order (archive completeness beats a perfect
+// order when the substrate genuinely lost a frame).
+const maxStreamPending = 64
+
+// maxStreamMissing bounds the skipped-seq memory per sender; past it
+// the oldest (smallest) entries give way and an extremely late
+// straggler is treated as a duplicate — the archive-safe direction.
+const maxStreamMissing = 1024
+
+// noteMissing records [from, to) as skipped without archiving.
+func (st *senderStream) noteMissing(from, to uint32) {
+	for s := from; s < to; s++ {
+		if len(st.missing) >= maxStreamMissing {
+			oldest, have := uint32(0), false
+			for m := range st.missing {
+				if !have || m < oldest {
+					oldest, have = m, true
+				}
+			}
+			delete(st.missing, oldest)
+		}
+		st.missing[s] = struct{}{}
+	}
+}
+
+// reorder returns the frames now releasable in the sender's order.
+func (k *CoordinatorKernel) reorder(m *message.Message, frame []byte) []orderedFrame {
+	st, ok := k.streams[m.Sender]
+	if !ok {
+		// Framework clients number their messages from 1, so a fresh
+		// stream anchors there; a coordinator attaching mid-session
+		// catches up through the flush path below.
+		st = &senderStream{
+			next:    1,
+			pending: make(map[uint32]orderedFrame),
+			missing: make(map[uint32]struct{}),
+		}
+		k.streams[m.Sender] = st
+	}
+	own := orderedFrame{msg: m, frame: append([]byte(nil), frame...)}
+	if m.Seq < st.next {
+		if _, lost := st.missing[m.Seq]; lost {
+			// A straggler the flush path skipped past: genuine lost
+			// history, archive it now (exactly once).
+			delete(st.missing, m.Seq)
+			return []orderedFrame{own}
+		}
+		// Duplicate delivery of an already-archived frame: committing
+		// it again would mint a second session event.
+		metrics.C(metrics.CtrArchiveDupDrops).Inc()
+		if obs.Enabled() {
+			obs.Drop(obs.MsgID(m.Sender, m.Seq), obs.StageReorder,
+				k.ID()+": duplicate frame from "+m.Sender+" dropped before archive")
+		}
+		return nil
+	}
+	st.pending[m.Seq] = own
+
+	var out []orderedFrame
+	for {
+		f, ok := st.pending[st.next]
+		if !ok {
+			break
+		}
+		delete(st.pending, st.next)
+		out = append(out, f)
+		st.next++
+	}
+	if len(st.pending) > maxStreamPending {
+		// Flush: a frame was probably lost.  Release in ascending
+		// order, remembering the skipped seqs as repairable holes.
+		seqs := make([]uint32, 0, len(st.pending))
+		for s := range st.pending {
+			seqs = append(seqs, s)
+		}
+		for i := 1; i < len(seqs); i++ { // insertion sort, tiny n
+			for j := i; j > 0 && seqs[j] < seqs[j-1]; j-- {
+				seqs[j], seqs[j-1] = seqs[j-1], seqs[j]
+			}
+		}
+		for _, s := range seqs {
+			out = append(out, st.pending[s])
+			delete(st.pending, s)
+			st.noteMissing(st.next, s)
+			st.next = s + 1
+		}
+	}
+	return out
+}
+
+func (k *CoordinatorKernel) archive(m *message.Message, frame []byte) {
+	// The session requires membership for Commit; the coordinator
+	// auto-registers senders it hears (they are in the multicast group
+	// by construction).
+	if !k.sess.IsMember(m.Sender) {
+		if err := k.sess.Join(profile.New(m.Sender)); err != nil {
+			return // filtered by the group: not archived
+		}
+	}
+	app, _ := m.Attr(message.AttrApp)
+	object, _ := m.Attr(message.AttrObject)
+	ev, err := k.sess.Commit(m.Sender, app.Str(), object.Str(), nil)
+	if err != nil {
+		return
+	}
+	obs.AppendHop(obs.MsgID(m.Sender, m.Seq), k.ID(), obs.StageArchive)
+	k.frames[ev.Seq] = archivedFrame{data: append([]byte(nil), frame...), senderSeq: m.Seq}
+	if n := uint64(k.archiveCap); n > 0 && ev.Seq > n {
+		// The event this commit trimmed is exactly n back; its frame
+		// goes with it.
+		delete(k.frames, ev.Seq-n)
+	}
+}
+
+// replay unicasts archived frames to one peer, in archive order: with
+// sender "" every frame whose session seq exceeds after (a late
+// joiner's catch-up), otherwise that sender's frames whose own seq
+// exceeds after — the NACK form.  Repeated NACKs with an advancing
+// after resume where the previous replay left off, and re-sent ranges
+// are harmless: the requester's order buffer discards what it has
+// already applied.  Each frame continues its original trace with a
+// repair hop and carries the trace extension again, so the requester
+// sees the replay on the message's own timeline.
+func (k *CoordinatorKernel) replay(to, sender string, after uint64) {
+	sessionAfter := after
+	if sender != "" {
+		sessionAfter = 0
+	}
+	for _, ev := range k.sess.History(sessionAfter) {
+		f, ok := k.frames[ev.Seq]
+		if !ok || (sender != "" && (ev.Sender != sender || uint64(f.senderSeq) <= after)) {
+			continue
+		}
+		traceID := obs.MsgID(ev.Sender, f.senderSeq)
+		obs.AppendHop(traceID, k.ID(), obs.StageRepair)
+		datagrams, err := k.env.WrapTraced(f.data, traceID) // plain Wrap while tracing is off
+		if err != nil {
+			return
+		}
+		for _, d := range datagrams {
+			if err := k.conn.Unicast(to, d); err != nil {
+				return
+			}
+		}
+	}
+}

@@ -30,7 +30,6 @@ import (
 	"adaptiveqos/internal/repair"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
-	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/slo"
 	"adaptiveqos/internal/snmp"
 	"adaptiveqos/internal/transport"
@@ -133,12 +132,20 @@ type Stats struct {
 	DecodeErrors   uint64 // undecodable frames or payloads
 }
 
-// Client is one collaborating endpoint.
+// Client is one collaborating endpoint: the goroutine shell around a
+// receive Kernel (DESIGN.md §3).  The shell owns the receive loop, the
+// repair ticker, the send side and the applications; unwrap, decode,
+// per-sender ordering, gap repair and the profile match live in the
+// kernel, whose Deliver and Control effects the shell applies.
 type Client struct {
 	cfg    Config
 	conn   transport.Conn
-	pm     *profile.Manager
 	engine *inference.Engine
+
+	// kmu serializes the kernel: the receive loop, the repair ticker
+	// and RepairStatus all enter it, and effects run with it held.
+	kmu sync.Mutex
+	k   *Kernel
 
 	chat    *apps.ChatArea
 	wb      *apps.Whiteboard
@@ -147,25 +154,20 @@ type Client struct {
 	locks   *lockTable
 	reports *reportState
 
-	env    message.Enveloper
-	unwrap *message.Unwrapper
-
-	// txMulti/txUni are the shared transmit adapters (the same seam the
-	// base station's relay pipelines transmit through).
+	// txMulti is the shared multicast transmit adapter (the same seam
+	// the base station's relay pipelines transmit through); unicasts go
+	// through the kernel's adapter so both share one enveloper.
 	txMulti dispatch.Deliverer
-	txUni   dispatch.Deliverer
 
 	clk     clock.Clock // injected time source (clock.Wall by default)
-	clock   session.LamportClock
 	rtpSend *rtp.Sender
 	rtpMu   sync.Mutex
 	rtpRecv map[string]*rtp.Receiver // per-sender reorder/loss state
 
 	// seq numbers event/data frames (gapless per sender: archive
-	// coordinators reorder on it); ctrlSeq numbers control frames
-	// separately so they never leave gaps in the event stream.
-	seq     atomic.Uint32
-	ctrlSeq atomic.Uint32
+	// coordinators reorder on it); control frames are numbered by the
+	// kernel's separate sequence.
+	seq atomic.Uint32
 
 	mu           sync.RWMutex
 	lastDecision inference.Decision
@@ -176,50 +178,39 @@ type Client struct {
 	pendingMu   sync.Mutex
 	pendingData map[string][]pendingPacket
 
-	// Gap repair (cfg.Repair != nil): per-sender order buffers restore
-	// each sender's gapless event/data sequence before application;
-	// the repair engine NACKs the coordinator for persistent gaps.
-	// orderMu serializes buffer pushes AND the application of released
-	// messages, so the abandon path (engine goroutine) cannot
-	// interleave with the receive loop.
-	orderMu sync.Mutex
-	order   map[string]*senderOrder // nil = repair disabled
-	rep     *repair.Engine
-
 	stats struct {
-		received, filtered, data, errors atomic.Uint64
+		received, data, errors atomic.Uint64
 	}
 
 	closeOnce sync.Once
 	done      chan struct{}
-	loopDone  chan struct{}
+	loops     sync.WaitGroup // receive loop + repair ticker
 }
 
 // NewClient attaches a client to the substrate and starts its receive
 // loop.  Callers configure interests/capabilities through Profile().
 func NewClient(conn transport.Conn, cfg Config) *Client {
 	cfg = cfg.withDefaults()
+	cfg.Clock = clock.Or(cfg.Clock)
 	c := &Client{
 		cfg:         cfg,
-		clk:         clock.Or(cfg.Clock),
+		clk:         cfg.Clock,
 		conn:        conn,
-		pm:          profile.NewManager(conn.ID()),
+		k:           NewKernel(conn, cfg),
 		engine:      inference.New(cfg.Contract),
 		chat:        apps.NewChatArea(),
 		wb:          apps.NewWhiteboard(),
 		viewer:      apps.NewImageViewer(),
 		inbox:       apps.NewMediaInbox(),
 		locks:       newLockTable(),
-		reports:     newReportState(clock.Or(cfg.Clock)),
+		reports:     newReportState(cfg.Clock),
 		rtpSend:     rtp.NewSender(fnv32(conn.ID()), 96, 0),
 		rtpRecv:     make(map[string]*rtp.Receiver),
 		pendingData: make(map[string][]pendingPacket),
-		env:         message.Enveloper{MTU: cfg.MTU, Node: conn.ID()},
-		unwrap:      message.NewUnwrapper(),
 		done:        make(chan struct{}),
-		loopDone:    make(chan struct{}),
 	}
-	c.unwrap.Node = conn.ID()
+	c.k.Deliver = c.deliver
+	c.k.Control = c.control
 	c.engine.SetOwner(conn.ID())
 	c.engine.SetClock(cfg.Clock)
 	pol := inference.Params{
@@ -233,23 +224,13 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 		panic(fmt.Sprintf("core: default policy: %v", err))
 	}
 	c.lastDecision = inference.Decision{PacketBudget: inference.Unlimited}
-	c.txMulti = &dispatch.Multicaster{Env: &c.env, Conn: conn}
-	c.txUni = &dispatch.Unicaster{Env: &c.env, Conn: conn}
-	if cfg.Repair != nil {
-		c.order = make(map[string]*senderOrder)
-		c.rep = repair.New(repair.Config{
-			StallTimeout: cfg.Repair.StallTimeout,
-			MaxRetries:   cfg.Repair.MaxRetries,
-			BaseBackoff:  cfg.Repair.BaseBackoff,
-			MaxBackoff:   cfg.Repair.MaxBackoff,
-			Interval:     cfg.Repair.Interval,
-			Seed:         cfg.Repair.Seed,
-			Owner:        c.ID(),
-			Clock:        cfg.Clock,
-		}, c.repairRequest, c.repairAbandon)
-		c.rep.Start()
-	}
+	c.txMulti = &dispatch.Multicaster{Env: &c.k.env, Conn: conn}
+	c.loops.Add(1)
 	go c.recvLoop()
+	if interval := c.k.PollInterval(); interval > 0 {
+		c.loops.Add(1)
+		go c.repairLoop(interval)
+	}
 	return c
 }
 
@@ -266,7 +247,7 @@ func fnv32(s string) uint32 {
 func (c *Client) ID() string { return c.conn.ID() }
 
 // Profile returns the client's profile manager.
-func (c *Client) Profile() *profile.Manager { return c.pm }
+func (c *Client) Profile() *profile.Manager { return c.k.pm }
 
 // Engine returns the client's inference engine for custom policies.
 func (c *Client) Engine() *inference.Engine { return c.engine }
@@ -288,9 +269,9 @@ func (c *Client) Inbox() *apps.MediaInbox { return c.inbox }
 func (c *Client) Stats() Stats {
 	return Stats{
 		EventsReceived: c.stats.received.Load(),
-		EventsFiltered: c.stats.filtered.Load(),
+		EventsFiltered: c.k.filtered.Load(),
 		DataPackets:    c.stats.data.Load(),
-		DecodeErrors:   c.stats.errors.Load(),
+		DecodeErrors:   c.stats.errors.Load() + c.k.decodeErrors.Load(),
 	}
 }
 
@@ -306,11 +287,8 @@ func (c *Client) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		close(c.done)
-		if c.rep != nil {
-			c.rep.Stop()
-		}
 		err = c.conn.Close()
-		<-c.loopDone
+		c.loops.Wait()
 	})
 	return err
 }
@@ -343,11 +321,6 @@ func (c *Client) multicast(m *message.Message) error {
 	return c.txMulti.Deliver("", m)
 }
 
-// unicastMessage sends one message to a specific peer, enveloped.
-func (c *Client) unicastMessage(to string, m *message.Message) error {
-	return c.txUni.Deliver(to, m)
-}
-
 // Say publishes a chat line addressed to profiles matching sel ("" =
 // everyone).
 func (c *Client) Say(text, sel string) error {
@@ -355,13 +328,16 @@ func (c *Client) Say(text, sel string) error {
 		message.AttrApp:   selector.S(apps.AppChat),
 		message.AttrMedia: selector.S(string(media.KindText)),
 		message.AttrSize:  selector.N(float64(len(text))),
-		"lamport":         selector.N(float64(c.clock.Tick())),
+		"lamport":         selector.N(float64(c.k.lamport.Tick())),
 	}
-	// The local state repository reflects the local action immediately.
-	if err := c.chat.Apply(c.ID(), apps.EncodeSay(text)); err != nil {
+	// The local state repository reflects the local action immediately
+	// (Apply and the codec only read the bytes, so one encoding serves
+	// both).
+	payload := apps.EncodeSay(text)
+	if err := c.chat.Apply(c.ID(), payload); err != nil {
 		return err
 	}
-	m := c.newMessage(message.KindEvent, sel, attrs, apps.EncodeSay(text))
+	m := c.newMessage(message.KindEvent, sel, attrs, payload)
 	obs.AppendHop(obs.MsgID(m.Sender, m.Seq), c.ID(), obs.StagePublish)
 	sp := obs.StartStage(obs.MsgID(m.Sender, m.Seq), obs.StagePublish)
 	err := c.multicast(m)
@@ -375,7 +351,7 @@ func (c *Client) Draw(s apps.Stroke, sel string) error {
 	attrs := selector.Attributes{
 		message.AttrApp:   selector.S(apps.AppWhiteboard),
 		message.AttrMedia: selector.S("stroke"),
-		"lamport":         selector.N(float64(c.clock.Tick())),
+		"lamport":         selector.N(float64(c.k.lamport.Tick())),
 	}
 	if err := c.wb.Apply(payload); err != nil {
 		return err
@@ -408,7 +384,7 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 	announceAttrs := obj.Attrs().Merge(selector.Attributes{
 		message.AttrApp:    selector.S(apps.AppImageViewer),
 		message.AttrObject: selector.S(object),
-		"lamport":          selector.N(float64(c.clock.Tick())),
+		"lamport":          selector.N(float64(c.k.lamport.Tick())),
 	})
 	announce := c.newMessage(message.KindEvent, sel, announceAttrs, apps.EncodeImageMeta(meta))
 	shareID := obs.MsgID(announce.Sender, announce.Seq)
@@ -460,7 +436,7 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 // power announces {"modality": "text"} this way and the base station
 // degrades its downlink accordingly.
 func (c *Client) AnnounceProfile(to string) error {
-	snap := c.pm.Snapshot()
+	snap := c.k.pm.Snapshot()
 	attrs := make(selector.Attributes, len(snap.Interests)+len(snap.Preferences))
 	for k, v := range snap.Interests {
 		attrs[profile.SectionInterest+"."+k] = v
@@ -471,99 +447,61 @@ func (c *Client) AnnounceProfile(to string) error {
 	m := &message.Message{
 		Kind:      message.KindProfile,
 		Sender:    c.ID(),
-		Seq:       c.ctrlSeq.Add(1),
+		Seq:       c.k.ctrlSeq.Add(1),
 		Timestamp: c.clk.Now(),
 		Attrs:     attrs,
 	}
 	if to == "" {
 		return c.multicast(m)
 	}
-	return c.unicastMessage(to, m)
+	return c.k.tx.Deliver(to, m)
 }
 
 // --- Receiving ---
 
+// recvLoop feeds the kernel from the substrate until the conn closes.
 func (c *Client) recvLoop() {
-	defer close(c.loopDone)
+	defer c.loops.Done()
 	for pkt := range c.conn.Recv() {
-		c.handleFrame(pkt)
+		c.kmu.Lock()
+		c.k.HandlePacket(pkt)
+		c.kmu.Unlock()
 	}
 }
 
-func (c *Client) handleFrame(pkt transport.Packet) {
-	frame, err := c.unwrap.Unwrap(pkt.From, pkt.Data)
-	if err != nil {
-		c.stats.errors.Add(1)
-		return
-	}
-	if frame == nil {
-		return // fragment of a larger message, not yet complete
-	}
-	m, err := message.Decode(frame)
-	if err != nil {
-		c.stats.errors.Add(1)
-		if obs.Enabled() {
-			obs.Drop(0, obs.StageMatch, c.ID()+": undecodable frame from "+pkt.From)
-		}
-		return
-	}
-	if m.Sender == c.ID() {
-		return // self-delivery via relays
-	}
-	if c.order != nil && (m.Kind == message.KindEvent || m.Kind == message.KindData) {
-		// Repair mode: event/data frames are gapless per sender, so
-		// they pass through the sender's order buffer first; profile
-		// filtering happens on release (a filtered frame still
-		// consumes its sequence number — it is not a gap).
-		c.ingestOrdered(m)
-		return
-	}
-	c.process(m)
-}
-
-// process interprets one decoded, ordered (or orderless-mode) message:
-// semantic profile match, Lamport witness, then application dispatch.
-func (c *Client) process(m *message.Message) {
-	msgID := obs.MsgID(m.Sender, m.Seq)
-	// Semantic interpretation: the message selector is evaluated
-	// against this client's profile; non-matching traffic is dropped
-	// without any name-based addressing.  The flattened view is
-	// memoized by the manager, so steady-state dispatch costs a map
-	// read, not a deep copy plus a rebuild per frame.
-	msp := obs.StartStage(msgID, obs.StageMatch)
-	flat, _ := c.pm.FlatSnapshot()
-	if !m.MatchProfile(flat) {
-		c.stats.filtered.Add(1)
-		if msp.Active() {
-			msp.EndErr(c.ID() + ": filtered by profile")
-		}
-		return
-	}
-	msp.End()
-	obs.AppendHop(msgID, c.ID(), obs.StageMatch)
-	if lam, ok := m.Attrs["lamport"]; ok {
-		c.clock.Witness(uint64(lam.Num()))
-	}
-
-	switch m.Kind {
-	case message.KindEvent:
-		dsp := obs.StartStage(msgID, obs.StageDeliver)
-		c.handleEvent(m)
-		dsp.End()
-		obs.AppendHop(msgID, c.ID(), obs.StageDeliver)
-		c.observeDeliverySLO(m)
-	case message.KindData:
-		dsp := obs.StartStage(msgID, obs.StageDeliver)
-		c.handleData(m)
-		dsp.End()
-		obs.AppendHop(msgID, c.ID(), obs.StageDeliver)
-		c.observeDeliverySLO(m)
-	case message.KindControl:
-		// RTCP feedback and lock notifications; other control traffic
-		// belongs to coordinators and base stations.
-		if c.handleRTCPReport(m) {
+// repairLoop ticks the kernel's repair engine until Close.
+func (c *Client) repairLoop(interval time.Duration) {
+	defer c.loops.Done()
+	ticker := c.clk.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-c.done:
 			return
+		case now := <-ticker.C():
+			c.kmu.Lock()
+			c.k.Poll(now)
+			c.kmu.Unlock()
 		}
+	}
+}
+
+// deliver is the kernel's Deliver effect: apply one admitted, ordered
+// event or data message to the applications (kmu held).
+func (c *Client) deliver(m *message.Message) {
+	if m.Kind == message.KindEvent {
+		c.handleEvent(m)
+	} else {
+		c.handleData(m)
+	}
+	c.observeDeliverySLO(m)
+}
+
+// control is the kernel's Control effect: RTCP feedback and lock
+// notifications; other control traffic belongs to coordinators and
+// base stations.
+func (c *Client) control(m *message.Message) {
+	if !c.handleRTCPReport(m) {
 		c.handleLockControl(m)
 	}
 }
@@ -671,98 +609,12 @@ func (c *Client) handleData(m *message.Message) {
 	c.stats.data.Add(1)
 }
 
-// --- Gap repair (cfg.Repair != nil) ---
-
-// senderOrder restores one sender's gapless event/data sequence at a
-// replica: the order buffer tracks sequence state (and is what the
-// repair engine watches), msgs holds the decoded frames parked behind
-// a gap until release.
-type senderOrder struct {
-	buf  *session.OrderBuffer
-	msgs map[uint64]*message.Message
-}
-
-// defaultMaxPending bounds each sender's order buffer when
-// RepairOptions.MaxPending is zero.
-const defaultMaxPending = 512
-
-// ingestOrdered pushes an event/data frame through its sender's order
-// buffer and applies whatever becomes releasable, in order.
-// Duplicates — replayed frames already applied, or substrate
-// duplicate deliveries — are discarded here.  orderMu is held across
-// application so the abandon path cannot interleave.
-func (c *Client) ingestOrdered(m *message.Message) {
-	c.orderMu.Lock()
-	defer c.orderMu.Unlock()
-	so, ok := c.order[m.Sender]
-	if !ok {
-		so = &senderOrder{buf: session.NewOrderBuffer(0), msgs: make(map[uint64]*message.Message)}
-		so.buf.SetClock(c.clk)
-		limit := c.cfg.Repair.MaxPending
-		if limit <= 0 {
-			limit = defaultMaxPending
-		}
-		// Overflow evicts the farthest-ahead frame from the buffer;
-		// drop its parked payload too (runs under the buffer's lock).
-		so.buf.SetLimit(limit, func(ev session.Event) { delete(so.msgs, ev.Seq) })
-		c.order[m.Sender] = so
-		c.rep.Watch(m.Sender, so.buf)
-	}
-	seq := uint64(m.Seq)
-	so.msgs[seq] = m
-	released := so.buf.Push(session.Event{Seq: seq, Sender: m.Sender})
-	if len(released) == 0 {
-		if w, _ := so.buf.Gap(); seq < w {
-			// Already applied (or skipped): a duplicate or replay echo.
-			delete(so.msgs, seq)
-		}
-		return
-	}
-	c.applyReleasedLocked(so, released)
-}
-
-// applyReleasedLocked applies released events in order (orderMu held).
-func (c *Client) applyReleasedLocked(so *senderOrder, released []session.Event) {
-	for _, ev := range released {
-		if mm, ok := so.msgs[ev.Seq]; ok {
-			delete(so.msgs, ev.Seq)
-			obs.AppendHop(obs.MsgID(mm.Sender, mm.Seq), c.ID(), obs.StageReorder)
-			c.process(mm)
-		}
-	}
-}
-
-// repairRequest is the engine's NACK callback: ask the coordinator to
-// replay the stalled sender's frames past the last applied seq.
-func (c *Client) repairRequest(stream string, afterSeq uint64, attempt int) error {
-	return c.RequestHistoryFrom(c.cfg.Repair.Coordinator, stream, afterSeq)
-}
-
-// repairAbandon is the engine's budget-exhausted callback: skip the
-// stream past the unrepairable gap so delivery resumes, noting what
-// was given up.
-func (c *Client) repairAbandon(stream string, waitingFor uint64) {
-	c.orderMu.Lock()
-	defer c.orderMu.Unlock()
-	so, ok := c.order[stream]
-	if !ok {
-		return
-	}
-	released, from, to := so.buf.Skip()
-	if to > from && obs.Enabled() {
-		obs.Drop(0, obs.StageRepair, fmt.Sprintf(
-			"%s: abandoned seqs [%d,%d) from %s", c.ID(), from, to, stream))
-	}
-	c.applyReleasedLocked(so, released)
-}
-
 // RepairStatus snapshots the per-sender gap-repair state (nil when
 // repair is disabled).
 func (c *Client) RepairStatus() map[string]repair.StreamStatus {
-	if c.rep == nil {
-		return nil
-	}
-	return c.rep.Status()
+	c.kmu.Lock()
+	defer c.kmu.Unlock()
+	return c.k.RepairStatus()
 }
 
 // pendingPacket is one parked early-arriving image packet.
@@ -827,7 +679,7 @@ func (c *Client) Trap(frame []byte) {
 	if len(state) == 0 {
 		return
 	}
-	c.pm.Update(func(p *profile.Profile) {
+	c.k.pm.Update(func(p *profile.Profile) {
 		for k, v := range state {
 			p.State[k] = v
 		}
@@ -835,7 +687,7 @@ func (c *Client) Trap(frame []byte) {
 	// Decide over the full accumulated state, not just the trap's
 	// variables (the trap may only carry the parameter that crossed).
 	full := make(selector.Attributes)
-	for k, v := range c.pm.Snapshot().State {
+	for k, v := range c.k.pm.Snapshot().State {
 		full[k] = v
 	}
 	if loss, ok := c.observedLoss(); ok {
@@ -844,7 +696,7 @@ func (c *Client) Trap(frame []byte) {
 	d := c.engine.Decide(full)
 	c.viewer.SetBudget(d.EffectiveBudget(c.cfg.TotalPackets))
 	if d.Modality != "" {
-		c.pm.SetPreference("modality", selector.S(string(d.Modality)))
+		c.k.pm.SetPreference("modality", selector.S(string(d.Modality)))
 	}
 	c.mu.Lock()
 	c.lastDecision = d
@@ -940,7 +792,7 @@ func (c *Client) AdaptOnce() (inference.Decision, error) {
 			state.SetNumber(k, v)
 		}
 	} else {
-		for k, v := range c.pm.Snapshot().State {
+		for k, v := range c.k.pm.Snapshot().State {
 			state[k] = v
 		}
 	}
@@ -957,7 +809,7 @@ func (c *Client) AdaptOnce() (inference.Decision, error) {
 
 	// Fold the observed state into the profile (it is part of the
 	// client's selectable identity).
-	c.pm.Update(func(p *profile.Profile) {
+	c.k.pm.Update(func(p *profile.Profile) {
 		for k, v := range state {
 			p.State[k] = v
 		}
@@ -966,7 +818,7 @@ func (c *Client) AdaptOnce() (inference.Decision, error) {
 	d := c.engine.Decide(state)
 	c.viewer.SetBudget(d.EffectiveBudget(c.cfg.TotalPackets))
 	if d.Modality != "" {
-		c.pm.SetPreference("modality", selector.S(string(d.Modality)))
+		c.k.pm.SetPreference("modality", selector.S(string(d.Modality)))
 	}
 
 	c.mu.Lock()

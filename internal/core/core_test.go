@@ -242,8 +242,8 @@ func TestLamportClockAdvancesOnReceive(t *testing.T) {
 		}
 	}
 	waitFor(t, "bob receives", func() bool { return b.Chat().Len() == 5 })
-	if b.clock.Now() < 5 {
-		t.Errorf("bob's clock = %d, want >= 5", b.clock.Now())
+	if b.k.lamport.Now() < 5 {
+		t.Errorf("bob's clock = %d, want >= 5", b.k.lamport.Now())
 	}
 }
 

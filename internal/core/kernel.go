@@ -1,0 +1,290 @@
+package core
+
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/dispatch"
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/obs"
+	"adaptiveqos/internal/profile"
+	"adaptiveqos/internal/repair"
+	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/session"
+	"adaptiveqos/internal/transport"
+)
+
+// Kernel is the receive side of a session endpoint with the I/O taken
+// out (DESIGN.md §3): datagrams come in through HandlePacket, time
+// comes in through Poll, and what the endpoint decides goes out as the
+// Deliver and Control effects and as repair requests sent on the conn
+// it was given.  It starts nothing, waits on nothing and reads no time
+// source but the injected one, so the code that runs under
+// core.Client's receive loop is the code the replay simulator attaches
+// to a discrete-event net in handler mode.
+//
+// A kernel is single-threaded: its owner serializes HandlePacket, Poll
+// and RepairStatus.
+type Kernel struct {
+	// Deliver receives every event and data message this endpoint's
+	// profile admits: once, and in its sender's order when repair is on
+	// (a gap is either filled first or explicitly abandoned).  Control
+	// receives every admitted control message.  Either may be nil.
+	Deliver func(*message.Message)
+	Control func(*message.Message)
+
+	conn    transport.Conn
+	clk     clock.Clock
+	pm      *profile.Manager
+	env     message.Enveloper
+	tx      dispatch.Unicaster // enveloped unicast on conn (shared with the owner's sends)
+	unwrap  *message.Unwrapper
+	lamport session.LamportClock
+	// ctrlSeq numbers control frames apart from the event/data
+	// sequence, so they never leave gaps in it.
+	ctrlSeq atomic.Uint32
+
+	// Gap repair (Config.Repair != nil): per-sender order buffers
+	// restore each sender's gapless event/data sequence before
+	// delivery; the repair engine NACKs the coordinator for persistent
+	// gaps.  order == nil means repair is off.
+	maxPending int
+	order      map[string]*senderOrder
+	rep        *repair.Engine
+
+	// Counters are atomic so an owner may read them from any goroutine.
+	filtered, decodeErrors atomic.Uint64
+}
+
+// NewKernel builds the receive kernel for the endpoint attached as
+// conn.  It reads cfg.MTU, cfg.Repair and cfg.Clock; cfg.Clock must be
+// set — a kernel never falls back to the wall clock on its own.
+func NewKernel(conn transport.Conn, cfg Config) *Kernel {
+	k := &Kernel{
+		conn:   conn,
+		clk:    cfg.Clock,
+		pm:     profile.NewManager(conn.ID()),
+		env:    message.Enveloper{MTU: cfg.MTU, Node: conn.ID()},
+		unwrap: message.NewUnwrapper(),
+	}
+	k.unwrap.Node = conn.ID()
+	k.tx = dispatch.Unicaster{Env: &k.env, Conn: conn}
+	if r := cfg.Repair; r != nil {
+		k.maxPending = r.MaxPending
+		if k.maxPending <= 0 {
+			k.maxPending = defaultMaxPending
+		}
+		k.order = make(map[string]*senderOrder)
+		k.rep = repair.New(repair.Config{
+			StallTimeout: r.StallTimeout,
+			MaxRetries:   r.MaxRetries,
+			BaseBackoff:  r.BaseBackoff,
+			MaxBackoff:   r.MaxBackoff,
+			Interval:     r.Interval,
+			Seed:         r.Seed,
+			Owner:        conn.ID(),
+		}, func(stream string, afterSeq uint64, _ int) error {
+			// The NACK: replay the stalled sender's frames past the last
+			// applied seq.
+			return k.requestHistory(r.Coordinator, stream, afterSeq)
+		}, k.repairAbandon)
+	}
+	return k
+}
+
+// ID returns the endpoint's substrate identifier.
+func (k *Kernel) ID() string { return k.conn.ID() }
+
+// HandlePacket ingests one datagram: unwrap (reassembling fragments),
+// decode, drop self-deliveries, restore per-sender order when repair
+// is on, match against the profile, then fire the effect.  Malformed
+// input is counted, never returned or panicked on.
+func (k *Kernel) HandlePacket(pkt transport.Packet) {
+	frame, err := k.unwrap.Unwrap(pkt.From, pkt.Data)
+	if err != nil {
+		k.decodeErrors.Add(1)
+		return
+	}
+	if frame == nil {
+		return // fragment of a larger message, not yet complete
+	}
+	m, err := message.Decode(frame)
+	if err != nil {
+		k.decodeErrors.Add(1)
+		if obs.Enabled() {
+			obs.Drop(0, obs.StageMatch, k.ID()+": undecodable frame from "+pkt.From)
+		}
+		return
+	}
+	if m.Sender == k.ID() {
+		return // self-delivery via relays
+	}
+	if k.order != nil && (m.Kind == message.KindEvent || m.Kind == message.KindData) {
+		// Repair mode: event/data frames are gapless per sender, so
+		// they pass through the sender's order buffer first; profile
+		// filtering happens on release (a filtered frame still
+		// consumes its sequence number — it is not a gap).
+		k.ingestOrdered(m)
+		return
+	}
+	k.process(m)
+}
+
+// Poll advances the repair engine to now: stalled gaps are NACKed on
+// their backoff schedule and, once the retry budget is spent,
+// abandoned.  A no-op with repair off.
+func (k *Kernel) Poll(now time.Time) {
+	if k.rep != nil {
+		k.rep.Poll(now)
+	}
+}
+
+// PollInterval is how often the owner should call Poll (0 with repair
+// off: never).
+func (k *Kernel) PollInterval() time.Duration {
+	if k.rep == nil {
+		return 0
+	}
+	return k.rep.Interval()
+}
+
+// RepairStatus snapshots the per-sender gap-repair state (nil when
+// repair is disabled).
+func (k *Kernel) RepairStatus() map[string]repair.StreamStatus {
+	if k.rep == nil {
+		return nil
+	}
+	return k.rep.Status()
+}
+
+// process interprets one decoded, ordered (or orderless-mode) message:
+// semantic profile match, Lamport witness, then the effect.
+func (k *Kernel) process(m *message.Message) {
+	msgID := obs.MsgID(m.Sender, m.Seq)
+	// Semantic interpretation: the message selector is evaluated
+	// against this endpoint's profile; non-matching traffic is dropped
+	// without any name-based addressing.  The flattened view is
+	// memoized by the manager, so steady-state dispatch costs a map
+	// read, not a deep copy plus a rebuild per frame.
+	msp := obs.StartStage(msgID, obs.StageMatch)
+	flat, _ := k.pm.FlatSnapshot()
+	if !m.MatchProfile(flat) {
+		k.filtered.Add(1)
+		if msp.Active() {
+			msp.EndErr(k.ID() + ": filtered by profile")
+		}
+		return
+	}
+	msp.End()
+	obs.AppendHop(msgID, k.ID(), obs.StageMatch)
+	if lam, ok := m.Attrs["lamport"]; ok {
+		k.lamport.Witness(uint64(lam.Num()))
+	}
+
+	switch m.Kind {
+	case message.KindEvent, message.KindData:
+		dsp := obs.StartStage(msgID, obs.StageDeliver)
+		if k.Deliver != nil {
+			k.Deliver(m)
+		}
+		dsp.End()
+		obs.AppendHop(msgID, k.ID(), obs.StageDeliver)
+	case message.KindControl:
+		if k.Control != nil {
+			k.Control(m)
+		}
+	}
+}
+
+// senderOrder restores one sender's gapless event/data sequence at a
+// replica: the order buffer tracks sequence state (and is what the
+// repair engine watches), msgs holds the decoded frames parked behind
+// a gap until release.
+type senderOrder struct {
+	buf  *session.OrderBuffer
+	msgs map[uint64]*message.Message
+}
+
+// defaultMaxPending bounds each sender's order buffer when
+// RepairOptions.MaxPending is zero.
+const defaultMaxPending = 512
+
+// ingestOrdered pushes an event/data frame through its sender's order
+// buffer and processes whatever becomes releasable, in order.
+// Duplicates — replayed frames already applied, or substrate
+// duplicate deliveries — are discarded here.
+func (k *Kernel) ingestOrdered(m *message.Message) {
+	so, ok := k.order[m.Sender]
+	if !ok {
+		so = &senderOrder{buf: session.NewOrderBuffer(0), msgs: make(map[uint64]*message.Message)}
+		so.buf.SetClock(k.clk)
+		// Overflow evicts the farthest-ahead frame from the buffer;
+		// drop its parked payload too (runs under the buffer's lock).
+		so.buf.SetLimit(k.maxPending, func(ev session.Event) { delete(so.msgs, ev.Seq) })
+		k.order[m.Sender] = so
+		k.rep.Watch(m.Sender, so.buf)
+	}
+	seq := uint64(m.Seq)
+	so.msgs[seq] = m
+	released := so.buf.Push(session.Event{Seq: seq, Sender: m.Sender})
+	if len(released) == 0 {
+		if w, _ := so.buf.Gap(); seq < w {
+			// Already applied (or skipped): a duplicate or replay echo.
+			delete(so.msgs, seq)
+		}
+		return
+	}
+	k.release(so, released)
+}
+
+// release processes released events in order.
+func (k *Kernel) release(so *senderOrder, released []session.Event) {
+	for _, ev := range released {
+		if mm, ok := so.msgs[ev.Seq]; ok {
+			delete(so.msgs, ev.Seq)
+			obs.AppendHop(obs.MsgID(mm.Sender, mm.Seq), k.ID(), obs.StageReorder)
+			k.process(mm)
+		}
+	}
+}
+
+// repairAbandon is the engine's budget-exhausted callback: skip the
+// stream past the unrepairable gap so delivery resumes, noting what
+// was given up.
+func (k *Kernel) repairAbandon(stream string, waitingFor uint64) {
+	so, ok := k.order[stream]
+	if !ok {
+		return
+	}
+	released, from, to := so.buf.Skip()
+	if to > from && obs.Enabled() {
+		obs.Drop(0, obs.StageRepair, fmt.Sprintf(
+			"%s: abandoned seqs [%d,%d) from %s", k.ID(), from, to, stream))
+	}
+	k.release(so, released)
+}
+
+// requestHistory unicasts a history request to the coordinator: the
+// whole session past session-seq afterSeq, or with forSender set the
+// NACK form — that sender's frames past its own seq afterSeq.  It
+// touches only the atomic control sequence, the enveloper and the
+// conn, so unlike the rest of the kernel it may be called from any
+// goroutine.
+func (k *Kernel) requestHistory(coordinator, forSender string, afterSeq uint64) error {
+	attrs := selector.Attributes{
+		attrCtrl:     selector.S(ctrlHistoryReq),
+		attrAfterSeq: selector.N(float64(afterSeq)),
+	}
+	if forSender != "" {
+		attrs[attrForSender] = selector.S(forSender)
+	}
+	return k.tx.Deliver(coordinator, &message.Message{
+		Kind:      message.KindControl,
+		Sender:    k.ID(),
+		Seq:       k.ctrlSeq.Add(1),
+		Timestamp: k.clk.Now(),
+		Attrs:     attrs,
+	})
+}

@@ -95,14 +95,14 @@ func (c *Client) sendLockControl(coordinator, ctrl, object string) error {
 	m := &message.Message{
 		Kind:      message.KindControl,
 		Sender:    c.ID(),
-		Seq:       c.ctrlSeq.Add(1),
+		Seq:       c.k.ctrlSeq.Add(1),
 		Timestamp: c.clk.Now(),
 		Attrs: selector.Attributes{
 			attrCtrl:   selector.S(ctrl),
 			attrObject: selector.S(object),
 		},
 	}
-	return c.unicastMessage(coordinator, m)
+	return c.k.tx.Deliver(coordinator, m)
 }
 
 // RequestLock asks the coordinator for the exclusive lock on object.

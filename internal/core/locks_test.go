@@ -107,6 +107,6 @@ func TestReleaseByNonHolderIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "coordinator still sees alice", func() bool {
-		return coord.locks.Holder("x") == "alice"
+		return coord.k.locks.Holder("x") == "alice"
 	})
 }

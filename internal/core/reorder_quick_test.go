@@ -15,7 +15,7 @@ func TestQuickCoordinatorReorder(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60) // stay under the flush threshold
-		c := &Coordinator{
+		c := &CoordinatorKernel{
 			frames:  make(map[uint64]archivedFrame),
 			streams: make(map[string]*senderStream),
 		}
@@ -50,7 +50,7 @@ func TestQuickCoordinatorReorder(t *testing.T) {
 func TestQuickCoordinatorReorderWithLoss(t *testing.T) {
 	f := func(seed int64) bool {
 		_ = seed // the scenario is deterministic; quick just repeats it
-		c := &Coordinator{
+		c := &CoordinatorKernel{
 			frames:  make(map[uint64]archivedFrame),
 			streams: make(map[string]*senderStream),
 		}

@@ -89,7 +89,7 @@ func (c *Client) SendReceptionReports() error {
 		m := &message.Message{
 			Kind:      message.KindControl,
 			Sender:    c.ID(),
-			Seq:       c.ctrlSeq.Add(1),
+			Seq:       c.k.ctrlSeq.Add(1),
 			Timestamp: c.clk.Now(),
 			Attrs: selector.Attributes{
 				attrCtrl:     selector.S(ctrlRTCPReport),

@@ -10,10 +10,11 @@
 // abandonment is counted, and an obs trace entry records what was
 // given up.
 //
-// The engine is transport-agnostic: it sees streams as Gap() sources
-// and acts through two callbacks, so core.Client wires it to
-// per-sender session.OrderBuffers and Coordinator history replay, but
-// any gap-detecting consumer can reuse it.
+// The engine is transport- and clock-agnostic: it sees streams as
+// Gap() sources, takes time as an argument to Poll and acts through
+// two callbacks, so core.Kernel wires it to per-sender
+// session.OrderBuffers and Coordinator history replay, but any
+// gap-detecting consumer can reuse it.
 package repair
 
 import (
@@ -23,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/slo"
@@ -73,9 +73,6 @@ type Config struct {
 	// convergence latencies are attributed to it in the SLO engine
 	// (empty = unattributed, SLO feed skipped).
 	Owner string
-	// Clock drives the Start loop's ticker (nil = wall clock).  Poll
-	// itself takes explicit times and stays clock-free.
-	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -116,6 +113,9 @@ type StreamStatus struct {
 	Requests   uint64 // total requests issued for this stream
 	Repaired   uint64 // gaps closed after at least one request
 	Abandoned  uint64 // gaps given up on
+	// LastRepair is the first-request-to-observed-fill latency of the
+	// most recently repaired gap (what the repair SLO is fed).
+	LastRepair time.Duration
 }
 
 // streamState is the per-stream gap state machine.
@@ -128,9 +128,10 @@ type streamState struct {
 	nextAction   time.Time // when to retry or abandon
 	firstRequest time.Time // start of the repair-latency measurement
 
-	requests  uint64
-	repaired  uint64
-	abandoned uint64
+	requests   uint64
+	repaired   uint64
+	abandoned  uint64
+	lastRepair time.Duration
 }
 
 // Engine runs the gap-repair loop over a set of monitored streams.
@@ -142,11 +143,6 @@ type Engine struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	streams map[string]*streamState
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	done      chan struct{}
-	loopDone  chan struct{}
 }
 
 // New creates an engine.  request must be non-nil; abandon may be nil
@@ -157,18 +153,16 @@ func New(cfg Config, request Requester, abandon Abandoner) *Engine {
 	// init, so aqos_repair_* expose at zero without any per-engine
 	// registration here.)
 	return &Engine{
-		cfg:      cfg,
-		request:  request,
-		abandon:  abandon,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		streams:  make(map[string]*streamState),
-		done:     make(chan struct{}),
-		loopDone: make(chan struct{}),
+		cfg:     cfg,
+		request: request,
+		abandon: abandon,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		streams: make(map[string]*streamState),
 	}
 }
 
 // Watch adds (or replaces) a monitored stream.  Safe concurrently
-// with the poll loop.
+// with Poll.
 func (e *Engine) Watch(name string, s Stream) {
 	w, _ := s.Gap()
 	e.mu.Lock()
@@ -183,32 +177,9 @@ func (e *Engine) Unwatch(name string) {
 	delete(e.streams, name)
 }
 
-// Start launches the background poll loop.
-func (e *Engine) Start() {
-	e.startOnce.Do(func() {
-		go func() {
-			defer close(e.loopDone)
-			ticker := clock.Or(e.cfg.Clock).NewTicker(e.cfg.Interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-e.done:
-					return
-				case now := <-ticker.C():
-					e.Poll(now)
-				}
-			}
-		}()
-	})
-}
-
-// Stop halts the poll loop (idempotent; safe if Start was never
-// called).
-func (e *Engine) Stop() {
-	e.stopOnce.Do(func() { close(e.done) })
-	e.startOnce.Do(func() { close(e.loopDone) }) // never started: nothing to wait for
-	<-e.loopDone
-}
+// Interval returns the gap-poll cadence: how often the owner should
+// call Poll.
+func (e *Engine) Interval() time.Duration { return e.cfg.Interval }
 
 // Status snapshots every monitored stream's repair state.
 func (e *Engine) Status() map[string]StreamStatus {
@@ -224,6 +195,7 @@ func (e *Engine) Status() map[string]StreamStatus {
 			Requests:   st.requests,
 			Repaired:   st.repaired,
 			Abandoned:  st.abandoned,
+			LastRepair: st.lastRepair,
 		}
 	}
 	return out
@@ -247,8 +219,8 @@ type action struct {
 }
 
 // Poll runs one scan of every stream's gap state machine at time now.
-// Exported so tests can drive the machine deterministically; the
-// Start loop calls it on every tick.
+// The engine has no loop of its own: the owner calls Poll every
+// Interval, on whatever clock it lives on.
 func (e *Engine) Poll(now time.Time) {
 	var actions []action
 	e.mu.Lock()
@@ -269,10 +241,11 @@ func (e *Engine) Poll(now time.Time) {
 			// and record stall-to-fill latency on the repair stage.
 			if st.attempts > 0 {
 				st.repaired++
+				st.lastRepair = now.Sub(st.firstRequest)
 				metrics.C(metrics.CtrRepairSuccess).Inc()
-				obs.StageHistogram(obs.StageRepair).Observe(now.Sub(st.firstRequest).Nanoseconds())
+				obs.StageHistogram(obs.StageRepair).Observe(st.lastRepair.Nanoseconds())
 				if e.cfg.Owner != "" {
-					slo.ObserveRepair(e.cfg.Owner, now.Sub(st.firstRequest))
+					slo.ObserveRepair(e.cfg.Owner, st.lastRepair)
 				}
 				if obs.Enabled() {
 					obs.Note(0, obs.StageRepair, fmt.Sprintf(

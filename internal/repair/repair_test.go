@@ -66,8 +66,8 @@ func TestNoRequestBeforeStallTimeout(t *testing.T) {
 	e.Watch("a", s)
 
 	base := time.Unix(1000, 0)
-	e.Poll(base)                                // first sighting of the stall
-	e.Poll(base.Add(50 * time.Millisecond))     // not stalled long enough
+	e.Poll(base)                            // first sighting of the stall
+	e.Poll(base.Add(50 * time.Millisecond)) // not stalled long enough
 	if n := len(rec.requests); n != 0 {
 		t.Fatalf("requested before stall timeout: %d", n)
 	}
@@ -209,51 +209,6 @@ func TestJitterSpreadsBackoffDeterministically(t *testing.T) {
 		if d < base/2 || d > base*3/2 {
 			t.Errorf("backoff %d = %v outside ±50%% of %v", i+1, d, base)
 		}
-	}
-}
-
-func TestStartStopLifecycle(t *testing.T) {
-	rec := &recorder{}
-	e := newTestEngine(rec, Config{
-		StallTimeout: 5 * time.Millisecond,
-		Interval:     time.Millisecond,
-		JitterFrac:   -1,
-	})
-	s := &fakeStream{wait: 2, parked: 1}
-	e.Watch("a", s)
-	e.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		rec.mu.Lock()
-		n := len(rec.requests)
-		rec.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	e.Stop()
-	rec.mu.Lock()
-	n := len(rec.requests)
-	rec.mu.Unlock()
-	if n == 0 {
-		t.Fatal("running engine never issued a request")
-	}
-	// Stop is idempotent and Status still works afterwards.
-	e.Stop()
-	if _, ok := e.Status()["a"]; !ok {
-		t.Error("status lost after stop")
-	}
-}
-
-func TestStopWithoutStart(t *testing.T) {
-	e := newTestEngine(&recorder{}, Config{})
-	done := make(chan struct{})
-	go func() { e.Stop(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Stop without Start deadlocked")
 	}
 }
 

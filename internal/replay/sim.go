@@ -1,13 +1,15 @@
 package replay
 
 import (
-	"encoding/binary"
-	"sort"
+	"slices"
 	"time"
 
 	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/core"
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/obs"
-	"adaptiveqos/internal/repair"
+	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/timeline"
 	"adaptiveqos/internal/transport"
 )
@@ -63,7 +65,8 @@ type Outcome struct {
 	Truncated int `json:"truncated"`
 
 	// Expected is sent frames × reachable receivers; Delivered counts
-	// in-order deliveries (gap-repaired and abandon-drained included);
+	// the receive kernels' Deliver effects (in sender order under a
+	// repair-on candidate, gap-repaired and abandon-drained included);
 	// Abandoned counts gaps given up on.
 	Expected  int `json:"expected"`
 	Delivered int `json:"delivered"`
@@ -73,8 +76,8 @@ type Outcome struct {
 	// never happened.
 	LossFrac float64 `json:"loss_frac"`
 
-	// Byte accounting: original data, coordinator repair replays, and
-	// NACK control traffic.
+	// Byte accounting, all in wire datagrams: original data, coordinator
+	// repair replays, and NACK control traffic.
 	DataBytes   uint64 `json:"data_bytes"`
 	RepairBytes uint64 `json:"repair_bytes"`
 	NackBytes   uint64 `json:"nack_bytes"`
@@ -84,9 +87,10 @@ type Outcome struct {
 	RepairRequests int `json:"repair_requests"`
 	Repaired       int `json:"repaired"`
 
-	// DeliveryNS holds every in-order delivery latency (publish to
-	// in-order arrival, virtual ns), sorted; ConvergeNS every repaired
-	// gap's stall-to-fill latency, sorted.
+	// DeliveryNS holds every delivery latency (publish to Deliver
+	// effect, virtual ns), sorted; ConvergeNS every repaired gap's
+	// first-NACK-to-observed-fill latency as the repair engine measures
+	// it (the figure the live repair SLO is fed), sorted.
 	DeliveryNS []int64 `json:"-"`
 	ConvergeNS []int64 `json:"-"`
 
@@ -98,117 +102,6 @@ type Outcome struct {
 	// SimConfig.CurveWindows > 0 — how this candidate's delivery, repair
 	// traffic and latency evolved across the replayed span.
 	Curve []timeline.SeriesData `json:"curve,omitempty"`
-}
-
-// Frame wire format (replay-internal).
-const (
-	frameData byte = 1
-	frameNack byte = 2
-
-	// Data header: type, seq, sentNS, level, senderLen, sender bytes.
-	// The stream sender rides in the frame — a coordinator replay
-	// arrives with Packet.From = coordinator, and the receiver must
-	// still credit the original stream.
-	dataHeaderLen = 1 + 8 + 8 + 1 + 1
-	// maxReplayPerNack bounds one NACK's replay burst; the engine's
-	// retry budget covers longer runs of loss.
-	maxReplayPerNack = 16
-)
-
-func encodeData(sender string, seq uint64, sentNS int64, level, size int) []byte {
-	if size < dataHeaderLen+len(sender) {
-		size = dataHeaderLen + len(sender)
-	}
-	buf := make([]byte, size)
-	buf[0] = frameData
-	binary.BigEndian.PutUint64(buf[1:], seq)
-	binary.BigEndian.PutUint64(buf[9:], uint64(sentNS))
-	buf[17] = byte(level)
-	buf[18] = byte(len(sender))
-	copy(buf[19:], sender)
-	return buf
-}
-
-func decodeData(buf []byte) (sender string, seq uint64, sentNS int64) {
-	seq = binary.BigEndian.Uint64(buf[1:])
-	sentNS = int64(binary.BigEndian.Uint64(buf[9:]))
-	sender = string(buf[19 : 19+int(buf[18])])
-	return
-}
-
-func encodeNack(stream string, afterSeq uint64) []byte {
-	buf := make([]byte, 1+8+len(stream))
-	buf[0] = frameNack
-	binary.BigEndian.PutUint64(buf[1:], afterSeq)
-	copy(buf[9:], stream)
-	return buf
-}
-
-// tracker is one receiver's per-sender stream state: the minimal
-// OrderBuffer shape the repair engine needs (repair.Stream) plus
-// delivery accounting.  Loss and latency are counted at unique
-// arrival — the RTP semantics the recorded rtp_loss_fraction gauges
-// use — while the next/parked ordering state exists to detect gaps
-// for the repair engine.
-type tracker struct {
-	next     uint64          // first seq not yet passed in order (the gap pointer)
-	parked   map[uint64]bool // arrived out-of-order seqs > next
-	gapSince int64           // virtual ns the current gap opened; 0 = none
-
-	out *Outcome
-	lat *obs.Histogram // optional: windowed delivery latency for curves
-}
-
-func newTracker(out *Outcome, lat *obs.Histogram) *tracker {
-	return &tracker{next: 1, parked: make(map[uint64]bool), out: out, lat: lat}
-}
-
-// Gap implements repair.Stream.
-func (t *tracker) Gap() (uint64, int) { return t.next, len(t.parked) }
-
-// accept processes one arriving frame.
-func (t *tracker) accept(seq uint64, sentNS int64, now time.Time) {
-	if seq < t.next || t.parked[seq] {
-		return // duplicate (or a replay of an already-abandoned seq)
-	}
-	t.out.Delivered++
-	t.out.DeliveryNS = append(t.out.DeliveryNS, now.UnixNano()-sentNS)
-	if t.lat != nil {
-		t.lat.Observe(now.UnixNano() - sentNS)
-	}
-	if seq > t.next {
-		t.parked[seq] = true
-		if t.gapSince == 0 {
-			t.gapSince = now.UnixNano()
-		}
-		return
-	}
-	t.next = seq + 1
-	t.advance(now)
-}
-
-// advance walks the gap pointer over contiguously arrived seqs and
-// refreshes the gap bookkeeping.
-func (t *tracker) advance(now time.Time) {
-	for t.parked[t.next] {
-		delete(t.parked, t.next)
-		t.next++
-	}
-	if len(t.parked) == 0 {
-		t.gapSince = 0
-	} else if t.gapSince == 0 {
-		t.gapSince = now.UnixNano()
-	}
-}
-
-// skipPast abandons the gap at waitingFor: ordering resumes beyond it
-// (the lost frame stays undelivered — abandonment trades completeness
-// for liveness, it does not conjure data).
-func (t *tracker) skipPast(waitingFor uint64, now time.Time) {
-	if t.next <= waitingFor {
-		t.next = waitingFor + 1
-	}
-	t.advance(now)
 }
 
 // Simulate reruns the workload under one candidate policy and returns
@@ -268,138 +161,93 @@ func Simulate(w *Workload, pol Policy, cfg SimConfig) Outcome {
 		}
 	}
 
-	receiverSet := make(map[string]bool, len(w.Receivers))
-	for _, id := range w.Receivers {
-		receiverSet[id] = true
-	}
-
-	// Coordinator: archives every data frame off the multicast, answers
-	// NACKs with bounded unicast replays over its clean links.
-	archive := make(map[string]map[uint64][]byte) // stream → seq → frame
-	var coordConn transport.Conn
-	coordHandler := func(p transport.Packet) {
-		switch p.Data[0] {
-		case frameData:
-			sender, seq, _ := decodeData(p.Data)
-			byStream := archive[sender]
-			if byStream == nil {
-				byStream = make(map[uint64][]byte)
-				archive[sender] = byStream
-			}
-			byStream[seq] = p.Data
-		case frameNack:
-			afterSeq := binary.BigEndian.Uint64(p.Data[1:])
-			stream := string(p.Data[9:])
-			byStream := archive[stream]
-			seqs := make([]uint64, 0, len(byStream))
-			for s := range byStream {
-				if s > afterSeq {
-					seqs = append(seqs, s)
-				}
-			}
-			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-			if len(seqs) > maxReplayPerNack {
-				seqs = seqs[:maxReplayPerNack]
-			}
-			for _, s := range seqs {
-				frame := byStream[s]
-				out.RepairBytes += uint64(len(frame))
-				coordConn.Unicast(p.From, frame)
-			}
-		}
-	}
-	var err error
-	coordConn, err = net.AttachHandler(coordID, coordHandler)
-	if err != nil {
-		panic("replay: attach coordinator: " + err.Error())
-	}
-
-	// Receivers (publishers included — multicast excludes self): one
-	// tracker per (receiver, sender) stream, one repair engine per
-	// receiver when the candidate enables repair.
-	conns := make(map[string]transport.Conn, len(w.Receivers))
-	trackers := make(map[string]map[string]*tracker, len(w.Receivers))
-	engines := make([]*repair.Engine, 0, len(w.Receivers))
-	for i, id := range w.Receivers {
-		id := id
-		mine := make(map[string]*tracker, len(w.Senders))
-		for _, s := range w.Senders {
-			if s != id {
-				mine[s] = newTracker(&out, lat)
-			}
-		}
-		trackers[id] = mine
-
-		var eng *repair.Engine
-		if pol.Repair.Enabled {
-			eng = repair.New(repair.Config{
-				StallTimeout: pol.Repair.StallTimeout(),
-				MaxRetries:   pol.Repair.MaxRetries,
-				Seed:         cfg.Seed + int64(i) + 1,
-			}, func(stream string, afterSeq uint64, _ int) error {
-				nack := encodeNack(stream, afterSeq)
-				out.RepairRequests++
-				out.NackBytes += uint64(len(nack))
-				return conns[id].Unicast(coordID, nack)
-			}, func(stream string, waitingFor uint64) {
-				t := mine[stream]
-				out.Abandoned++
-				t.skipPast(waitingFor, clk.Now())
-			})
-			for s, t := range mine {
-				eng.Watch(s, t)
-			}
-			engines = append(engines, eng)
-		}
-
-		conn, err := net.AttachHandler(id, func(p transport.Packet) {
-			if p.Data[0] != frameData {
-				return
-			}
-			sender, seq, sentNS := decodeData(p.Data)
-			t := mine[sender]
-			if t == nil {
-				return // own stream or one we don't track
-			}
-			wasGap := t.gapSince
-			t.accept(seq, sentNS, p.At)
-			// A closed gap that repair had asked about is a convergence
-			// sample: stall-start to fill.
-			if wasGap != 0 && t.gapSince == 0 && p.Unicast {
-				out.ConvergeNS = append(out.ConvergeNS, p.At.UnixNano()-wasGap)
-			}
-		})
+	// Every node hangs off the coordinator by a clean link, mirroring
+	// the live deployment's wired coordinator.
+	attach := func(id string, h func(transport.Packet)) transport.Conn {
+		conn, err := net.AttachHandler(id, h)
 		if err != nil {
 			panic("replay: attach " + id + ": " + err.Error())
 		}
-		conns[id] = conn
-		net.SetLinkBoth(id, coordID, transport.Link{Delay: cfg.Delay})
+		if id != coordID {
+			net.SetLinkBoth(id, coordID, transport.Link{Delay: cfg.Delay})
+		}
+		return conn
+	}
+
+	// Coordinator: the real archive-and-replay kernel.  The only
+	// unicasts it receives are NACKs.
+	var coord *core.CoordinatorKernel
+	coord = core.NewCoordinatorKernel(attach(coordID, func(p transport.Packet) {
+		if p.Unicast {
+			out.NackBytes += uint64(len(p.Data))
+		}
+		coord.HandlePacket(p)
+	}), session.Group{Objective: "replay"}, clk)
+
+	// Receivers (publishers included — multicast excludes self): the
+	// real receive kernel each, with the candidate's repair knobs.  An
+	// outcome's deliveries are its Deliver effects; the only unicasts a
+	// receiver gets are coordinator replays.
+	deliver := func(m *message.Message) {
+		d := clk.Now().Sub(m.Timestamp).Nanoseconds()
+		out.Delivered++
+		out.DeliveryNS = append(out.DeliveryNS, d)
+		if lat != nil {
+			lat.Observe(d)
+		}
+	}
+	conns := make(map[string]transport.Conn, len(w.Receivers))
+	kernels := make([]*core.Kernel, len(w.Receivers))
+	for i, id := range w.Receivers {
+		i := i
+		conns[id] = attach(id, func(p transport.Packet) {
+			if p.Unicast {
+				out.RepairBytes += uint64(len(p.Data))
+			}
+			kernels[i].HandlePacket(p)
+		})
+		kcfg := core.Config{Clock: clk}
+		if pol.Repair.Enabled {
+			kcfg.Repair = &core.RepairOptions{
+				Coordinator:  coordID,
+				StallTimeout: pol.Repair.StallTimeout(),
+				MaxRetries:   pol.Repair.MaxRetries,
+				Seed:         cfg.Seed + int64(i) + 1,
+			}
+		}
+		kernels[i] = core.NewKernel(conns[id], kcfg)
+		kernels[i].Deliver = deliver
 	}
 
 	// Sender schedule: each surviving publish renumbers with a fresh
 	// per-sender seq at send time — candidate budgets change which
 	// frames exist *before* sequencing, exactly as the live pipeline
-	// truncates before the session layer numbers frames.
-	nextSeq := make(map[string]uint64, len(w.Senders))
-	senderConns := make(map[string]transport.Conn, len(w.Senders))
-	for _, s := range w.Senders {
-		nextSeq[s] = 1
-		if c, ok := conns[s]; ok {
-			senderConns[s] = c
-		} else {
-			c, err := net.AttachHandler(s, func(transport.Packet) {})
-			if err != nil {
-				panic("replay: attach sender " + s + ": " + err.Error())
-			}
-			senderConns[s] = c
-			net.SetLinkBoth(s, coordID, transport.Link{Delay: cfg.Delay})
+	// truncates before the session layer numbers frames — and goes out
+	// as a real message through the real codec and envelope
+	// (fragmented past the client MTU), carrying the recorded kind,
+	// media, level and a body of the recorded size.
+	type sender struct {
+		conn    transport.Conn
+		env     message.Enveloper
+		nextSeq uint32
+		reach   int // receivers other than itself
+	}
+	senders := make(map[string]*sender, len(w.Senders))
+	for _, id := range w.Senders {
+		sn := &sender{conn: conns[id], env: message.Enveloper{Node: id}, reach: len(w.Receivers) - 1}
+		if sn.conn == nil {
+			sn.conn = attach(id, func(transport.Packet) {})
+			sn.reach = len(w.Receivers)
 		}
+		senders[id] = sn
 	}
 	for i := range w.Publishes {
 		pub := w.Publishes[i]
 		d := time.Duration(pub.AtNS - w.StartNS)
 		clk.ScheduleFunc(d, func(now time.Time) {
+			kind := message.KindEvent
 			if pub.Kind == "data" {
+				kind = message.KindData
 				budget := pol.Inference.Budget(
 					w.hostValueAt("cpu-load", pub.AtNS),
 					w.hostValueAt("page-faults", pub.AtNS),
@@ -409,37 +257,62 @@ func Simulate(w *Workload, pol Policy, cfg SimConfig) Outcome {
 					return
 				}
 			}
-			seq := nextSeq[pub.Sender]
-			nextSeq[pub.Sender] = seq + 1
-			frame := encodeData(pub.Sender, seq, now.UnixNano(), pub.Level, pub.Size)
-			out.Sent++
-			out.DataBytes += uint64(len(frame))
-			reach := len(w.Receivers)
-			if receiverSet[pub.Sender] {
-				reach--
+			sn := senders[pub.Sender]
+			sn.nextSeq++
+			datagrams, err := sn.env.WrapMessage(&message.Message{
+				Kind:      kind,
+				Sender:    pub.Sender,
+				Seq:       sn.nextSeq,
+				Timestamp: now,
+				Attrs: selector.Attributes{
+					message.AttrMedia: selector.S(pub.Modality),
+					message.AttrLevel: selector.N(float64(pub.Level)),
+				},
+				Body: make([]byte, pub.Size),
+			})
+			if err != nil {
+				panic("replay: encode publish: " + err.Error())
 			}
-			out.Expected += reach
-			senderConns[pub.Sender].Multicast(frame)
+			out.Sent++
+			out.Expected += sn.reach
+			for _, dg := range datagrams {
+				out.DataBytes += uint64(len(dg))
+				sn.conn.Multicast(dg)
+			}
 		})
 	}
 
-	// Repair poll ticks: one recurring event drives every engine, in
+	// Repair poll ticks: one recurring event polls every kernel, in
 	// receiver order, from the driving goroutine — Poll itself scans
-	// streams sorted, so the whole control loop is deterministic.
+	// streams sorted, so the whole control loop is deterministic.  The
+	// engines' counters move only inside Poll, so the tick is also
+	// where the outcome reads them.
 	end := time.Unix(0, w.EndNS)
 	drain := 500 * time.Millisecond
-	if pol.Repair.Enabled {
+	if pol.Repair.Enabled && len(kernels) > 0 {
 		drain = abandonSpan(pol.Repair) + time.Second
-		interval := pol.Repair.StallTimeout() / 4
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
+		interval := kernels[0].PollInterval()
 		stopAt := end.Add(drain)
+		repaired := make(map[[2]string]uint64) // (receiver, stream) → repairs harvested
 		var tick func(now time.Time)
 		tick = func(now time.Time) {
-			for _, eng := range engines {
-				eng.Poll(now)
+			var requests, repairs, abandoned uint64
+			for i, k := range kernels {
+				k.Poll(now)
+				// Map order is harmless: sums commute and ConvergeNS is
+				// sorted before anyone reads it.
+				for stream, st := range k.RepairStatus() {
+					requests += st.Requests
+					repairs += st.Repaired
+					abandoned += st.Abandoned
+					// A Poll closes at most one gap per stream.
+					if key := [2]string{w.Receivers[i], stream}; st.Repaired > repaired[key] {
+						repaired[key] = st.Repaired
+						out.ConvergeNS = append(out.ConvergeNS, int64(st.LastRepair))
+					}
+				}
 			}
+			out.RepairRequests, out.Repaired, out.Abandoned = int(requests), int(repairs), int(abandoned)
 			if now.Before(stopAt) {
 				clk.ScheduleFunc(interval, tick)
 			}
@@ -455,27 +328,14 @@ func Simulate(w *Workload, pol Policy, cfg SimConfig) Outcome {
 		out.Curve = tl.Query(timeline.Query{})
 	}
 
-	// Repaired-gap counts from the engines (sorted receiver order).
-	for _, eng := range engines {
-		st := eng.Status()
-		streams := make([]string, 0, len(st))
-		for name := range st {
-			streams = append(streams, name)
-		}
-		sort.Strings(streams)
-		for _, name := range streams {
-			out.Repaired += int(st[name].Repaired)
-		}
-	}
-
 	if out.Expected > 0 {
 		out.LossFrac = 1 - float64(out.Delivered)/float64(out.Expected)
 		if out.LossFrac < 0 {
 			out.LossFrac = 0
 		}
 	}
-	sortInt64(out.DeliveryNS)
-	sortInt64(out.ConvergeNS)
+	slices.Sort(out.DeliveryNS)
+	slices.Sort(out.ConvergeNS)
 	out.DeliveryP99 = time.Duration(p99(out.DeliveryNS))
 	out.ConvergeP99 = time.Duration(p99(out.ConvergeNS))
 	return out
@@ -495,10 +355,6 @@ func abandonSpan(r RepairPolicy) time.Duration {
 		}
 	}
 	return span + span/2 // +50%: jitter margin and poll-grid slack
-}
-
-func sortInt64(v []int64) {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 }
 
 // p99 returns the 99th-percentile of a sorted sample (0 when empty).

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/obs"
 )
 
@@ -111,6 +112,11 @@ func ExtractWorkload(s *obs.Session) (*Workload, error) {
 		}
 		switch ev.Type {
 		case obs.RecTypePublish:
+			// The rerun re-encodes every publish with the real codec.
+			if ev.Size < 0 || ev.Size > message.MaxBodyLen ||
+				len(ev.Client) > message.MaxStringLen || len(ev.Detail) > message.MaxStringLen {
+				return nil, fmt.Errorf("replay: publish record %d (sender %.32q, %d bytes) is beyond the wire codec's limits", i, ev.Client, ev.Size)
+			}
 			w.Publishes = append(w.Publishes, Publish{
 				AtNS:     ev.AtNS,
 				Sender:   ev.Client,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/obs"
 )
 
@@ -121,6 +122,19 @@ func TestExtractWorkloadNoPublishes(t *testing.T) {
 	})
 	if _, err := ExtractWorkload(s); !errors.Is(err, ErrNoWorkload) {
 		t.Fatalf("err = %v, want ErrNoWorkload", err)
+	}
+}
+
+// A publish the wire codec could not have carried is a corrupt record,
+// reported at extraction rather than found by the rerun's encoder.
+func TestExtractWorkloadRejectsUnencodablePublish(t *testing.T) {
+	for _, size := range []int{-1, message.MaxBodyLen + 1} {
+		s := recordSession(t, func() {
+			obs.RecordPublish(1000, "alice", 1, "event", "", 0, size)
+		})
+		if _, err := ExtractWorkload(s); err == nil {
+			t.Errorf("publish of %d bytes accepted", size)
+		}
 	}
 }
 
