@@ -10,6 +10,15 @@
 # skip themselves under -race (allocation counts, timing budgets).
 set -eu
 
+# Formatting: gofmt must have nothing to say about any file, the
+# benchmark module's included.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "UNFORMATTED (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 go test ./...
@@ -138,6 +147,12 @@ fi
 # sim-lecture and bs-relay benchmark budgets, held in go test (the
 # file is excluded under -race).
 go test -count=1 -run 'TestVirtualMulticastAllocs|TestWallZeroDelayAllocs' ./internal/transport/
+
+# Wavelet coder working-set pin (DESIGN.md §17): a steady-state Decode
+# allocates the raster and little else — the image-tiered benchmark's
+# alloc_bytes_per_delivery budget, held in go test (the file is
+# excluded under -race).
+go test -count=1 -run TestDecodeSteadyStateAllocs ./internal/wavelet/
 
 # Scale smoke: a 10k-client simulated minute must complete within 30s
 # of wall clock (it takes ~1-2s; the margin absorbs slow CI boxes).

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,6 +34,16 @@ func TestChatArea(t *testing.T) {
 	}
 	if c.Len() != 3 {
 		t.Errorf("bounded len = %d", c.Len())
+	}
+	// The window slides without copying; what it shows is the newest
+	// MaxLines lines, in order, however long it has been sliding.
+	for i := 0; i < 1000; i++ {
+		c.Apply("a", EncodeSay(fmt.Sprint(i)))
+		if i >= 2 {
+			if l := c.Lines(); len(l) != 3 || l[0].Text != fmt.Sprint(i-2) || l[2].Text != fmt.Sprint(i) {
+				t.Fatalf("after line %d the window shows %v", i, l)
+			}
+		}
 	}
 	// Malformed payloads.
 	for _, bad := range [][]byte{nil, {1}, {0, 0, 0, 5, 'a'}, append(EncodeSay("x"), 0)} {

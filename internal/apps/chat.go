@@ -61,8 +61,13 @@ func (c *ChatArea) Apply(sender string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lines = append(c.lines, ChatLine{Sender: sender, Text: string(payload[4:])})
-	if c.MaxLines > 0 && len(c.lines) > c.MaxLines {
-		c.lines = append([]ChatLine(nil), c.lines[len(c.lines)-c.MaxLines:]...)
+	if drop := len(c.lines) - c.MaxLines; c.MaxLines > 0 && drop > 0 {
+		// Slide the window instead of copying it: the cut lines are
+		// cleared so their text is not retained, and append moves the
+		// survivors only when the backing array runs out, once per
+		// MaxLines lines or so.
+		clear(c.lines[:drop])
+		c.lines = c.lines[drop:]
 	}
 	return nil
 }

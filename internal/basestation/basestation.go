@@ -360,8 +360,10 @@ func (bs *BaseStation) UplinkShare(sender, object, sel string, obj *media.Object
 		return fmt.Errorf("%w: %s at %.1f dB", ErrNoService, sender, assess.SIRdB)
 	}
 
-	// Forward to the wired session at the uplink-admitted tier.
-	if err := bs.forwardTiered(sender, object, sel, obj, assess.Tier, bs.wiredTx, ""); err != nil {
+	// Forward to the wired session at the uplink-admitted tier.  Every
+	// recipient below is served from the one rendition set.
+	rs := &renditions{bs: bs, sender: sender, object: object, sel: sel, obj: obj}
+	if err := bs.forwardTiered(rs, assess.Tier, bs.wiredTx, ""); err != nil {
 		return err
 	}
 	switch assess.Tier {
@@ -390,7 +392,7 @@ func (bs *BaseStation) UplinkShare(sender, object, sel string, obj *media.Object
 		if tier == radio.TierNone {
 			return nil
 		}
-		return bs.forwardTiered(sender, object, sel, obj, tier, bs.rfTx, id)
+		return bs.forwardTiered(rs, tier, bs.rfTx, id)
 	}); err != nil {
 		return err
 	}

@@ -21,6 +21,7 @@ import (
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
+	"adaptiveqos/internal/wavelet"
 )
 
 // fnv32 hashes a string to an RTP SSRC.
@@ -47,97 +48,6 @@ func (bs *BaseStation) tierGate(min radio.Tier) dispatch.Stage {
 		}
 		t.Tier = int(a.Tier)
 		return nil
-	}
-}
-
-// forwardTiered emits the object at the given tier through the
-// transmit adapter (to is ignored by the multicast adapter).
-// Full-image tier uses the announce + packets path so receivers can
-// still apply their own packet budgets; lower tiers deliver one
-// transformed media event.
-func (bs *BaseStation) forwardTiered(sender, object, sel string, obj *media.Object,
-	tier radio.Tier, tx dispatch.Deliverer, to string) error {
-
-	deliver := func(o *media.Object, transformed bool) error {
-		payload, err := apps.EncodeMediaObject(o)
-		if err != nil {
-			return err
-		}
-		attrs := o.Attrs().Merge(selector.Attributes{
-			message.AttrApp:    selector.S(apps.AppMedia),
-			message.AttrObject: selector.S(object),
-		})
-		m := bs.newMessage(message.KindEvent, sender, sel, attrs, payload)
-		if transformed {
-			// The relayed message is minted here, so the transform hop
-			// can only be attributed once its trace identity exists.
-			obs.AppendHop(obs.MsgID(m.Sender, m.Seq), bs.id, obs.StageTransform)
-		}
-		return tx.Deliver(to, m)
-	}
-
-	switch tier {
-	case radio.TierImage:
-		if obj.Kind == media.KindImage &&
-			(obj.Format == media.FormatEZW || obj.Format == media.FormatEZWColor) {
-			meta, packets, err := apps.ShareImage(object, obj, bs.cfg.TotalPackets)
-			if err != nil {
-				return err
-			}
-			attrs := obj.Attrs().Merge(selector.Attributes{
-				message.AttrApp:    selector.S(apps.AppImageViewer),
-				message.AttrObject: selector.S(object),
-			})
-			if err := tx.Deliver(to, bs.newMessage(message.KindEvent, sender, sel, attrs, apps.EncodeImageMeta(meta))); err != nil {
-				return err
-			}
-			for i, p := range packets {
-				dattrs := selector.Attributes{
-					message.AttrApp:    selector.S(apps.AppImageViewer),
-					message.AttrObject: selector.S(object),
-					message.AttrLevel:  selector.N(float64(i)),
-				}
-				// RTP-framed like core clients' data packets.
-				rp := rtp.Packet{
-					PayloadType: 96,
-					Marker:      i == len(packets)-1,
-					Seq:         uint16(i),
-					Timestamp:   uint32(bs.clk.Now().UnixMilli()),
-					SSRC:        fnv32(bs.id + "/" + object),
-					Payload:     p,
-				}
-				if err := tx.Deliver(to, bs.newMessage(message.KindData, sender, sel, dattrs, rp.Marshal())); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return deliver(obj, false)
-	case radio.TierSketch:
-		tsp := obs.StartStage(0, obs.StageTransform)
-		sk, err := bs.cfg.Registry.Transmode(obj, media.KindSketch)
-		if err != nil {
-			// Non-image content cannot be sketched; fall back to text.
-			if tsp.Active() {
-				tsp.EndErr("bs " + bs.id + ": " + object + " cannot sketch, falling back to text")
-			}
-			return bs.forwardTiered(sender, object, sel, obj, radio.TierText, tx, to)
-		}
-		tsp.End()
-		return deliver(sk, true)
-	case radio.TierText:
-		tsp := obs.StartStage(0, obs.StageTransform)
-		txt, err := bs.cfg.Registry.Transmode(obj, media.KindText)
-		if err != nil {
-			if tsp.Active() {
-				tsp.EndErr("bs " + bs.id + ": " + object + " text transform failed")
-			}
-			return err
-		}
-		tsp.End()
-		return deliver(txt, true)
-	default:
-		return ErrNoService
 	}
 }
 
@@ -230,28 +140,32 @@ func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
 	meta, _ := bs.collections.Meta(object)
 
 	// Re-encode the collected image, preserving color when the wired
-	// share carried it (full-image-tier clients see the original hues;
-	// lower tiers go through the grayscale/sketch/text chain anyway).
-	var obj *media.Object
+	// share carried it (full-image-tier clients see the original hues).
+	// The raster decoded here is also what the sketch tier is extracted
+	// from, so the fresh object is never decoded again.
+	rs := &renditions{bs: bs, sender: sender, object: object, sel: sel}
 	if cres, err := bs.collect.RenderColor(object); err == nil && cres.PlanesPresent == 3 {
-		obj, err = media.EncodeColorImage(cres.Image, meta.Description)
-		if err != nil {
+		if rs.obj, err = media.EncodeColorImage(cres.Image, meta.Description); err != nil {
 			return
+		}
+		rs.gray = func() *wavelet.Image {
+			luma := cres.Image.Luma()
+			luma.Clamp8()
+			return luma
 		}
 	} else {
 		res, err := bs.collect.Render(object)
 		if err != nil {
 			return
 		}
-		var encErr error
-		obj, encErr = media.EncodeImage(res.Image, meta.Description)
-		if encErr != nil {
+		if rs.obj, err = media.EncodeImage(res.Image, meta.Description); err != nil {
 			return
 		}
+		rs.gray = func() *wavelet.Image { return res.Image }
 	}
 	// Per-client pipeline: resolve the flattened profile, infer the
 	// tier, clamp to the client's declared modality preference, then
-	// transform + transmit through forwardTiered.
+	// frame + transmit that tier's rendition through forwardTiered.
 	pipe := dispatch.NewPipeline(
 		dispatch.Match(func(id string) (selector.Attributes, bool) {
 			flat, _, ok := bs.reg.FlatSnapshot(id)
@@ -283,7 +197,7 @@ func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
 			return nil
 		},
 		func(t *dispatch.Task) error {
-			bs.forwardTiered(sender, object, sel, obj, radio.Tier(t.Tier), bs.rfTx, t.To)
+			bs.forwardTiered(rs, radio.Tier(t.Tier), bs.rfTx, t.To)
 			return nil
 		},
 	)

@@ -1,0 +1,179 @@
+package basestation
+
+// The per-share rendition set (DESIGN.md §17).  The SIR thresholds put
+// every recipient of a share in one of three tiers, so adapting the
+// share costs one derivation per occupied tier however many clients
+// sit in it; what remains per client is framing: sequence number,
+// timestamp, RTP header, unicast.
+
+import (
+	"sync"
+
+	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/dispatch"
+	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/obs"
+	"adaptiveqos/internal/radio"
+	"adaptiveqos/internal/rtp"
+	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/wavelet"
+)
+
+// rendition is one tier's form of a share, ready to be framed.
+type rendition struct {
+	attrs   selector.Attributes
+	payload []byte
+	// packets, on a progressive image's full tier, is the split stream
+	// that follows the announce (attrs + payload); packetAttrs[i]
+	// travels with packets[i], RTP-framed under ssrc.
+	packets     [][]byte
+	packetAttrs []selector.Attributes
+	ssrc        uint32
+	err         error
+}
+
+// renditions holds one share's three tier renditions.  Each is derived
+// on first use and at most once: the dispatch pool asks from several
+// shard goroutines, and a tier nobody sits in is never built.
+type renditions struct {
+	bs                  *BaseStation
+	sender, object, sel string
+	// obj is the share as received (uplink) or re-encoded (collected).
+	obj *media.Object
+	// gray, when set, yields the clamped luma raster obj was encoded
+	// from: the base station still holds it, and obj decodes to exactly
+	// it, so the stock sketch extractor can skip the decode.
+	gray func() *wavelet.Image
+
+	imageOnce, sketchOnce, textOnce sync.Once
+	image, sketch, text             rendition
+}
+
+// mediaEvent renders o as a single media-inbox event.
+func (rs *renditions) mediaEvent(o *media.Object) rendition {
+	payload, err := apps.EncodeMediaObject(o)
+	return rendition{payload: payload, err: err, attrs: o.Attrs().Merge(selector.Attributes{
+		message.AttrApp:    selector.S(apps.AppMedia),
+		message.AttrObject: selector.S(rs.object),
+	})}
+}
+
+// imageTier is the full tier: a progressive image goes as announce +
+// packets so receivers can still apply their own packet budgets; any
+// other object goes as it is.
+func (rs *renditions) imageTier() *rendition {
+	rs.imageOnce.Do(func() {
+		meta, packets, err := apps.ShareImage(rs.object, rs.obj, rs.bs.cfg.TotalPackets)
+		if err != nil {
+			rs.image = rs.mediaEvent(rs.obj)
+			return
+		}
+		viewer := selector.Attributes{
+			message.AttrApp:    selector.S(apps.AppImageViewer),
+			message.AttrObject: selector.S(rs.object),
+		}
+		rs.image = rendition{
+			attrs:       rs.obj.Attrs().Merge(viewer),
+			payload:     apps.EncodeImageMeta(meta),
+			packets:     packets,
+			packetAttrs: make([]selector.Attributes, len(packets)),
+			ssrc:        fnv32(rs.bs.id + "/" + rs.object),
+		}
+		for i := range packets {
+			rs.image.packetAttrs[i] = viewer.Merge(selector.Attributes{message.AttrLevel: selector.N(float64(i))})
+		}
+	})
+	return &rs.image
+}
+
+// transformed derives a lower tier through the configured registry,
+// under one transform span per share.
+func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
+	sp := obs.StartStage(0, obs.StageTransform)
+	o, err := rs.transmode(to)
+	if err != nil {
+		if sp.Active() {
+			sp.EndErr("bs " + rs.bs.id + ": " + rs.object + onFail)
+		}
+		return rendition{err: err}
+	}
+	sp.End()
+	return rs.mediaEvent(o)
+}
+
+// transmode is Registry.Transmode(obj, to), except that the stock
+// one-step image→sketch path is fed the raster already in hand.  Any
+// other registered path runs as configured.
+func (rs *renditions) transmode(to media.Kind) (*media.Object, error) {
+	reg := rs.bs.cfg.Registry
+	if to == media.KindSketch && rs.gray != nil {
+		if path, err := reg.Path(rs.obj.Kind, to); err == nil && len(path) == 1 {
+			if _, stock := path[0].(media.ImageToSketch); stock {
+				return media.SketchFromRaster(rs.gray(), rs.obj.Description)
+			}
+		}
+	}
+	return reg.Transmode(rs.obj, to)
+}
+
+func (rs *renditions) sketchTier() *rendition {
+	rs.sketchOnce.Do(func() {
+		rs.sketch = rs.transformed(media.KindSketch, " cannot sketch, falling back to text")
+	})
+	return &rs.sketch
+}
+
+func (rs *renditions) textTier() *rendition {
+	rs.textOnce.Do(func() {
+		rs.text = rs.transformed(media.KindText, " text transform failed")
+	})
+	return &rs.text
+}
+
+// forwardTiered frames the share's rendition for the given tier and
+// emits it through the transmit adapter (to is ignored by the
+// multicast adapter).
+func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatch.Deliverer, to string) error {
+	var r *rendition
+	switch tier {
+	case radio.TierImage:
+		r = rs.imageTier()
+	case radio.TierSketch:
+		if r = rs.sketchTier(); r.err != nil {
+			// Non-image content cannot be sketched; fall back to text.
+			r = rs.textTier()
+		}
+	case radio.TierText:
+		r = rs.textTier()
+	default:
+		return ErrNoService
+	}
+	if r.err != nil {
+		return r.err
+	}
+	m := bs.newMessage(message.KindEvent, rs.sender, rs.sel, r.attrs, r.payload)
+	if tier != radio.TierImage {
+		// The relayed message is minted here, so the transform hop can
+		// only be attributed once its trace identity exists.
+		obs.AppendHop(obs.MsgID(m.Sender, m.Seq), bs.id, obs.StageTransform)
+	}
+	if err := tx.Deliver(to, m); err != nil {
+		return err
+	}
+	for i, p := range r.packets {
+		// RTP-framed like core clients' data packets.
+		rp := rtp.Packet{
+			PayloadType: 96,
+			Marker:      i == len(r.packets)-1,
+			Seq:         uint16(i),
+			Timestamp:   uint32(bs.clk.Now().UnixMilli()),
+			SSRC:        r.ssrc,
+			Payload:     p,
+		}
+		if err := tx.Deliver(to, bs.newMessage(message.KindData, rs.sender, rs.sel, r.packetAttrs[i], rp.Marshal())); err != nil {
+			return err
+		}
+	}
+	return nil
+}

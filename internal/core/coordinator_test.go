@@ -229,3 +229,61 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorReplayWalksLongArchive: replay reads the archive a
+// page at a time; a catch-up and a sender-scoped NACK over an archive
+// several pages long still replay exactly the frames asked for, in
+// archive order.
+func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
+	net, coord := newCoordinatedNet(t)
+	ca, _ := net.Attach("alice")
+	cc, _ := net.Attach("carol")
+	a, c := NewClient(ca, Config{}), NewClient(cc, Config{})
+	defer a.Close()
+	defer c.Close()
+
+	const each = 100 // 200 archived events: three pages and a bit
+	for i := 1; i <= each; i++ {
+		if err := a.Say(fmt.Sprintf("a%d", i), ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Say(fmt.Sprintf("c%d", i), ""); err != nil {
+			t.Fatal(err)
+		}
+		// Keep the archive order known: alice's i-th, then carol's.
+		waitFor(t, "archived in turn", func() bool { return coord.ArchivedEvents() == 2*i })
+	}
+
+	cb, _ := net.Attach("bob")
+	b := NewClient(cb, Config{})
+	defer b.Close()
+	// NACK form: alice's frames after her seq 30, nothing of carol's.
+	if err := b.RequestHistoryFrom("coordinator", "alice", 30); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "sender-scoped replay", func() bool { return b.Chat().Len() == each-30 })
+	for i, l := range b.Chat().Lines() {
+		if want := fmt.Sprintf("a%d", 31+i); l.Sender != "alice" || l.Text != want {
+			t.Fatalf("replayed line %d is %s %q, want alice %q", i, l.Sender, l.Text, want)
+		}
+	}
+
+	cd, _ := net.Attach("dave")
+	d := NewClient(cd, Config{})
+	defer d.Close()
+	// Catch-up form: everything after session seq 70.
+	if err := d.RequestHistory("coordinator", 70); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "catch-up replay", func() bool { return d.Chat().Len() == 2*each-70 })
+	for i, l := range d.Chat().Lines() {
+		n := 36 + i/2 // session seq 71 is alice's 36th
+		want := fmt.Sprintf("a%d", n)
+		if i%2 == 1 {
+			want = fmt.Sprintf("c%d", n)
+		}
+		if l.Text != want {
+			t.Fatalf("replayed line %d is %q, want %q", i, l.Text, want)
+		}
+	}
+}

@@ -318,20 +318,27 @@ func (k *CoordinatorKernel) replay(to, sender string, after uint64) {
 	if sender != "" {
 		sessionAfter = 0
 	}
-	for _, ev := range k.sess.History(sessionAfter) {
-		f, ok := k.frames[ev.Seq]
-		if !ok || (sender != "" && (ev.Sender != sender || uint64(f.senderSeq) <= after)) {
-			continue
-		}
-		traceID := obs.MsgID(ev.Sender, f.senderSeq)
-		obs.AppendHop(traceID, k.ID(), obs.StageRepair)
-		datagrams, err := k.env.WrapTraced(f.data, traceID) // plain Wrap while tracing is off
-		if err != nil {
-			return
-		}
-		for _, d := range datagrams {
-			if err := k.conn.Unicast(to, d); err != nil {
+	// The archive is walked a page at a time: a sender-scoped NACK
+	// starts from the beginning every time, and copying the whole
+	// history for it was half the bytes a lossy session allocated.
+	var page [64]session.Event
+	for n := k.sess.HistoryPage(sessionAfter, page[:]); n > 0; n = k.sess.HistoryPage(sessionAfter, page[:]) {
+		sessionAfter = page[n-1].Seq
+		for _, ev := range page[:n] {
+			f, ok := k.frames[ev.Seq]
+			if !ok || (sender != "" && (ev.Sender != sender || uint64(f.senderSeq) <= after)) {
+				continue
+			}
+			traceID := obs.MsgID(ev.Sender, f.senderSeq)
+			obs.AppendHop(traceID, k.ID(), obs.StageRepair)
+			datagrams, err := k.env.WrapTraced(f.data, traceID) // plain Wrap while tracing is off
+			if err != nil {
 				return
+			}
+			for _, d := range datagrams {
+				if err := k.conn.Unicast(to, d); err != nil {
+					return
+				}
 			}
 		}
 	}

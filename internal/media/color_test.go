@@ -1,6 +1,7 @@
 package media
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -120,5 +121,37 @@ func TestGradateColor(t *testing.T) {
 	}
 	if res.Image.W != 48 {
 		t.Error("gradated color dimensions")
+	}
+}
+
+// TestColorSketchSkipsTheGrayscaleRoundTrip: the sketch of a colour
+// object, whole or truncated, is byte for byte what the old route —
+// ToGrayscale (re-encode the luma) then DecodeImage — extracted.
+func TestColorSketchSkipsTheGrayscaleRoundTrip(t *testing.T) {
+	full := testColorObject(t)
+	for _, n := range []int{len(full.Data), len(full.Data) / 2, len(full.Data) / 6} {
+		obj, err := Gradate(full, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ImageToSketch{}.Transform(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gray, err := ToGrayscale(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := DecodeImage(gray)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SketchFromRaster(res.Image, obj.Description)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data, want.Data) || got.Width != want.Width || got.Height != want.Height || got.Description != want.Description {
+			t.Errorf("prefix of %d B: shortcut sketch differs from the grayscale route's", n)
+		}
 	}
 }

@@ -84,20 +84,34 @@ func (ImageToSketch) From() Kind { return KindImage }
 // To implements Transformer.
 func (ImageToSketch) To() Kind { return KindSketch }
 
-// Transform implements Transformer.
+// Transform implements Transformer.  A colour object goes straight
+// from its decoded luma to the extractor: the coder is lossless on
+// 8-bit rasters, so re-encoding the luma (ToGrayscale) and decoding it
+// again would hand ExtractSketch the same pixels.
 func (ImageToSketch) Transform(in *Object) (*Object, error) {
+	var gray *wavelet.Image
 	if IsColor(in) {
-		gray, err := ToGrayscale(in)
+		res, err := DecodeColorImage(in)
 		if err != nil {
 			return nil, err
 		}
-		in = gray
+		gray = res.Image.Luma()
+		gray.Clamp8()
+	} else {
+		res, err := DecodeImage(in)
+		if err != nil {
+			return nil, err
+		}
+		gray = res.Image
 	}
-	res, err := DecodeImage(in)
-	if err != nil {
-		return nil, err
-	}
-	sk := wavelet.ExtractSketch(res.Image, in.Description)
+	return SketchFromRaster(gray, in.Description)
+}
+
+// SketchFromRaster builds the sketch object of a gray raster — what
+// ImageToSketch yields for an image object that decodes to it.  The
+// base station calls it with the raster it already holds.
+func SketchFromRaster(gray *wavelet.Image, description string) (*Object, error) {
+	sk := wavelet.ExtractSketch(gray, description)
 	data, err := sk.Marshal()
 	if err != nil {
 		return nil, err
@@ -106,7 +120,7 @@ func (ImageToSketch) Transform(in *Object) (*Object, error) {
 		Kind:        KindSketch,
 		Format:      FormatSketch,
 		Data:        data,
-		Description: in.Description,
+		Description: description,
 		Width:       sk.W,
 		Height:      sk.H,
 	}, nil

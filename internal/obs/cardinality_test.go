@@ -75,7 +75,7 @@ func TestGaugeCardinalityCap(t *testing.T) {
 func TestGaugeOverflowRoundReset(t *testing.T) {
 	SetGaugeCardinalityLimit(1)
 	defer SetGaugeCardinalityLimit(DefaultGaugeCardinalityLimit)
-	StartGaugeOverflowRound() // fresh aggregates even under -count=2
+	StartGaugeOverflowRound()         // fresh aggregates even under -count=2
 	SetGauge(`cardround_v{c="a"}`, 1) // occupies the family's single slot
 
 	SetGauge(`cardround_v{c="b"}`, 100)

@@ -167,11 +167,11 @@ func TestFlightMalformedWire(t *testing.T) {
 		badBefore := metrics.C(metrics.CtrTraceWireBad).Load()
 		cases := [][]byte{
 			nil,
-			{1, 2, 3},                          // shorter than header
-			{0, 0, 0, 0, 0, 0, 0, 1, 200},      // nhops over maxWireHops
-			{0, 0, 0, 0, 0, 0, 0, 1, 1, 0},     // truncated hop record
-			append(make([]byte, 9), 1, 2, 3),   // nhops=0 with trailing bytes
-			make([]byte, maxWireBlob+1),        // oversized claim
+			{1, 2, 3},                        // shorter than header
+			{0, 0, 0, 0, 0, 0, 0, 1, 200},    // nhops over maxWireHops
+			{0, 0, 0, 0, 0, 0, 0, 1, 1, 0},   // truncated hop record
+			append(make([]byte, 9), 1, 2, 3), // nhops=0 with trailing bytes
+			make([]byte, maxWireBlob+1),      // oversized claim
 			{0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 9}, // nodeLen past end
 		}
 		for i, blob := range cases {

@@ -7,6 +7,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"adaptiveqos/internal/profile"
@@ -183,10 +184,20 @@ func (s *Session) Commit(sender, app, object string, payload []byte) (Event, err
 }
 
 func (s *Session) trimLocked() {
-	if s.archiveCap > 0 && len(s.archive) > s.archiveCap {
-		drop := len(s.archive) - s.archiveCap
-		s.archive = append([]Event(nil), s.archive[drop:]...)
+	if drop := len(s.archive) - s.archiveCap; s.archiveCap > 0 && drop > 0 {
+		// Slide the window instead of copying it: the cut events are
+		// cleared so their payloads are not retained, and append moves
+		// the survivors only when the backing array runs out.
+		clear(s.archive[:drop])
+		s.archive = s.archive[drop:]
 	}
+}
+
+// afterLocked returns the archived events with Seq > afterSeq (the
+// archive is ordered by Seq).  The caller holds the lock.
+func (s *Session) afterLocked(afterSeq uint64) []Event {
+	i := sort.Search(len(s.archive), func(i int) bool { return s.archive[i].Seq > afterSeq })
+	return s.archive[i:]
 }
 
 // History returns archived events with Seq > afterSeq, in order — the
@@ -194,13 +205,18 @@ func (s *Session) trimLocked() {
 func (s *Session) History(afterSeq uint64) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Event
-	for _, ev := range s.archive {
-		if ev.Seq > afterSeq {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return append([]Event(nil), s.afterLocked(afterSeq)...)
+}
+
+// HistoryPage is History in bounded pieces: it copies the first
+// len(buf) archived events with Seq > afterSeq into buf and returns
+// how many it copied.  A caller that walks a long archive passes the
+// last Seq it saw as the next afterSeq and never materialises the
+// whole history.
+func (s *Session) HistoryPage(afterSeq uint64, buf []Event) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return copy(buf, s.afterLocked(afterSeq))
 }
 
 // LastSeq returns the highest assigned sequence number.

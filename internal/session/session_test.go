@@ -132,6 +132,41 @@ func TestArchiveCap(t *testing.T) {
 	if len(hist) != 3 || hist[0].Seq != 8 || hist[2].Seq != 10 {
 		t.Errorf("capped history: %v", hist)
 	}
+	// The window slides without copying; History shows the newest cap
+	// events whatever afterSeq asks for, and the paged walk visits the
+	// same events in the same order.
+	for i := 10; i < 500; i++ {
+		s.Commit("a", "chat", "", []byte{byte(i)})
+		last := uint64(i + 1)
+		if h := s.History(0); len(h) != 3 || h[0].Seq != last-2 || h[2].Seq != last {
+			t.Fatalf("after commit %d history is %v", last, h)
+		}
+		if h := s.History(last - 1); len(h) != 1 || h[0].Seq != last {
+			t.Fatalf("History(%d) = %v", last-1, h)
+		}
+	}
+	s.SetArchiveCap(0)
+	for i := 0; i < 7; i++ {
+		s.Commit("a", "chat", "", nil)
+	}
+	for _, after := range []uint64{0, 498, 500, 503, 507, 900} {
+		var walked []Event
+		var page [4]Event
+		next := after
+		for n := s.HistoryPage(next, page[:]); n > 0; n = s.HistoryPage(next, page[:]) {
+			walked = append(walked, page[:n]...)
+			next = page[n-1].Seq
+		}
+		want := s.History(after)
+		if len(walked) != len(want) {
+			t.Fatalf("paged walk after %d visits %d events, History has %d", after, len(walked), len(want))
+		}
+		for i := range want {
+			if walked[i].Seq != want[i].Seq {
+				t.Errorf("paged walk after %d: event %d is seq %d, want %d", after, i, walked[i].Seq, want[i].Seq)
+			}
+		}
+	}
 }
 
 func TestObjectLocks(t *testing.T) {

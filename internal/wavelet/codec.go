@@ -21,7 +21,8 @@ var (
 	ErrImageSize    = errors.New("wavelet: image dimensions unsupported")
 )
 
-// maxDim bounds W and H (uint16 on the wire).
+// maxDim bounds W and H (uint16 on the wire); maxPixels (scratch.go)
+// bounds their product.
 const maxDim = 1 << 15
 
 // Encode produces the full embedded stream for the image: a
@@ -36,7 +37,7 @@ func Encode(im *Image, levels int) ([]byte, error) {
 // choice travels in the stream header, so decoders need no side
 // information.
 func EncodeFilter(im *Image, levels int, filter Filter) ([]byte, error) {
-	if im.W < 1 || im.H < 1 || im.W > maxDim || im.H > maxDim {
+	if !checkGeometry(im.W, im.H) || len(im.Pix) != im.W*im.H {
 		return nil, fmt.Errorf("%w: %dx%d", ErrImageSize, im.W, im.H)
 	}
 	if filter != Filter53 && filter != FilterHaar {
@@ -46,7 +47,7 @@ func EncodeFilter(im *Image, levels int, filter Filter) ([]byte, error) {
 		levels = MaxLevels(im.W, im.H)
 	}
 	c := ForwardFilter(im, levels, filter)
-	order := c.scanOrder()
+	order := scanTable(c.W, c.H, c.Levels)
 
 	// Highest significant bit plane across all coefficients.
 	var maxMag int32
@@ -64,26 +65,12 @@ func EncodeFilter(im *Image, levels int, filter Filter) ([]byte, error) {
 		maxPlane++
 	}
 
-	header := make([]byte, headerLen)
-	copy(header, streamMagic[:])
-	binary.BigEndian.PutUint16(header[4:], uint16(im.W))
-	binary.BigEndian.PutUint16(header[6:], uint16(im.H))
-	// Levels occupy the low nibble; bit 7 selects the Haar filter.
-	header[8] = byte(c.Levels)
-	if filter == FilterHaar {
-		header[8] |= 0x80
-	}
-	header[9] = byte(maxPlane)
-
-	w := &bitWriter{}
-	significant := make([]bool, len(order))
 	// insig holds positions (into order) still insignificant, compacted
 	// each plane so zero runs shorten as coefficients become significant.
-	insig := make([]int, len(order))
-	for i := range insig {
-		insig[i] = i
-	}
-	var refine []int // positions in order, in the order they became significant
+	sc := getScratch(len(order), false)
+	defer scratchPool.Put(sc)
+	significant, insig, refine := sc.significant, sc.insig, sc.refine
+	w := &bitWriter{buf: sc.code}
 
 	for plane := maxPlane; plane >= 0; plane-- {
 		t := int32(1) << uint(plane)
@@ -139,7 +126,21 @@ func EncodeFilter(im *Image, levels int, filter Filter) ([]byte, error) {
 		}
 		insig = keep
 	}
-	return append(header, w.bytes()...), nil
+	code := w.bytes()
+	sc.code = code[:0] // keep what the writer grew
+
+	// Only the stream escapes: header, then the code at its exact size.
+	stream := make([]byte, headerLen, headerLen+len(code))
+	copy(stream, streamMagic[:])
+	binary.BigEndian.PutUint16(stream[4:], uint16(im.W))
+	binary.BigEndian.PutUint16(stream[6:], uint16(im.H))
+	// Levels occupy the low nibble; bit 7 selects the Haar filter.
+	stream[8] = byte(c.Levels)
+	if filter == FilterHaar {
+		stream[8] |= 0x80
+	}
+	stream[9] = byte(maxPlane)
+	return append(stream, code...), nil
 }
 
 // DecodeResult is a progressive decode outcome.
@@ -183,7 +184,7 @@ func decode(stream []byte, clamp bool) (*DecodeResult, error) {
 	}
 	levels := int(stream[8] &^ 0x80)
 	maxPlane := int(stream[9])
-	if w < 1 || h < 1 || w > maxDim || h > maxDim || levels > 8 || maxPlane > 31 {
+	if !checkGeometry(w, h) || levels > 8 || maxPlane > 31 {
 		return nil, ErrStreamHeader
 	}
 	if levels > MaxLevels(w, h) {
@@ -191,17 +192,12 @@ func decode(stream []byte, clamp bool) (*DecodeResult, error) {
 	}
 
 	c := &Coeffs{W: w, H: h, Levels: levels, Filter: filter, Data: make([]int32, w*h)}
-	order := c.scanOrder()
+	order := scanTable(w, h, levels)
 	r := &bitReader{buf: stream[headerLen:]}
 
-	mag := make([]int32, len(order)) // known magnitude bits
-	sign := make([]int8, len(order)) // -1, +1, or 0 (insignificant)
-	significant := make([]bool, len(order))
-	insig := make([]int, len(order))
-	for i := range insig {
-		insig[i] = i
-	}
-	var refine []int
+	sc := getScratch(len(order), true)
+	defer scratchPool.Put(sc)
+	mag, sign, significant, insig, refine := sc.mag, sc.sign, sc.significant, sc.insig, sc.refine
 
 	planesDone := 0
 	lastPlane := maxPlane
@@ -280,7 +276,7 @@ decode:
 		c.Data[p] = v
 	}
 
-	im := Inverse(c)
+	im := c.invert() // c.Data is ours: it becomes the raster
 	if clamp {
 		im.Clamp8()
 	}

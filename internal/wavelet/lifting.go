@@ -118,7 +118,15 @@ func Forward(im *Image, levels int) *Coeffs {
 
 // Inverse reconstructs the image from the decomposition.
 func Inverse(c *Coeffs) *Image {
-	im := &Image{W: c.W, H: c.H, Pix: append([]int32(nil), c.Data...)}
+	d := *c
+	d.Data = append([]int32(nil), c.Data...)
+	return d.invert()
+}
+
+// invert undoes the transform in place: c.Data becomes the raster of
+// the returned image and no longer holds coefficients.
+func (c *Coeffs) invert() *Image {
+	im := &Image{W: c.W, H: c.H, Pix: c.Data}
 
 	// Precompute the band sizes per level, then undo deepest-first.
 	ws := make([]int, c.Levels+1)
@@ -155,37 +163,4 @@ func Inverse(c *Coeffs) *Image {
 		}
 	}
 	return im
-}
-
-// scanOrder returns coefficient indices ordered coarse-to-fine: the
-// deepest LL band first, then each level's HL, LH, HH from deepest to
-// finest.  Early stream prefixes therefore carry the visually dominant
-// low-frequency content — the "sketch first, detail later" hierarchy.
-func (c *Coeffs) scanOrder() []int {
-	order := make([]int, 0, c.W*c.H)
-	ws := make([]int, c.Levels+1)
-	hs := make([]int, c.Levels+1)
-	ws[0], hs[0] = c.W, c.H
-	for lv := 1; lv <= c.Levels; lv++ {
-		ws[lv] = (ws[lv-1] + 1) / 2
-		hs[lv] = (hs[lv-1] + 1) / 2
-	}
-	appendRect := func(x0, y0, x1, y1 int) {
-		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				order = append(order, y*c.W+x)
-			}
-		}
-	}
-	// Deepest LL.
-	appendRect(0, 0, ws[c.Levels], hs[c.Levels])
-	// Detail bands from deepest level outwards.
-	for lv := c.Levels; lv >= 1; lv-- {
-		lw, lh := ws[lv], hs[lv]     // low sizes at this level
-		pw, ph := ws[lv-1], hs[lv-1] // parent (full) sizes
-		appendRect(lw, 0, pw, lh)    // HL (high in x)
-		appendRect(0, lh, lw, ph)    // LH (high in y)
-		appendRect(lw, lh, pw, ph)   // HH
-	}
-	return order
 }

@@ -70,13 +70,13 @@ func TestScanOrderIsPermutation(t *testing.T) {
 	for _, size := range [][2]int{{8, 8}, {7, 5}, {33, 17}, {1, 1}, {2, 3}} {
 		im := Gradient(size[0], size[1])
 		c := Forward(im, MaxLevels(size[0], size[1]))
-		order := c.scanOrder()
+		order := scanTable(c.W, c.H, c.Levels)
 		if len(order) != size[0]*size[1] {
 			t.Fatalf("%v: scan order has %d entries, want %d", size, len(order), size[0]*size[1])
 		}
 		seen := make([]bool, len(order))
 		for _, idx := range order {
-			if idx < 0 || idx >= len(seen) || seen[idx] {
+			if idx < 0 || int(idx) >= len(seen) || seen[idx] {
 				t.Fatalf("%v: scan order not a permutation (index %d)", size, idx)
 			}
 			seen[idx] = true
@@ -88,10 +88,10 @@ func TestScanOrderCoarseFirst(t *testing.T) {
 	// The first entries must cover the deepest LL band (top-left block).
 	im := Gradient(64, 64)
 	c := Forward(im, 3)
-	order := c.scanOrder()
+	order := scanTable(c.W, c.H, c.Levels)
 	llW, llH := 8, 8 // 64 >> 3
 	for i := 0; i < llW*llH; i++ {
-		x, y := order[i]%64, order[i]/64
+		x, y := int(order[i])%64, int(order[i])/64
 		if x >= llW || y >= llH {
 			t.Fatalf("scan position %d = (%d,%d) outside deepest LL %dx%d", i, x, y, llW, llH)
 		}
