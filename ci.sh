@@ -52,7 +52,7 @@ done
 # clock.Or's nil-means-wall default) may appear in their source — the
 # shells in core.go/coordinator.go own all of that.
 viol=$(grep -nE '^[[:space:]]*go[[:space:]]|(^|[^[:alnum:]_])chan([^[:alnum:]_]|$)|<-|(^|[^[:alnum:]_])select[[:space:]]*\{|clock\.(Wall|Or)([^[:alnum:]_]|$)' \
-	internal/core/kernel.go internal/core/coordkernel.go || true)
+	internal/core/kernel.go internal/core/coordkernel.go internal/core/nack.go || true)
 if [ -n "$viol" ]; then
 	echo "KERNEL PURITY VIOLATION: goroutine, channel or wall clock in a sans-IO kernel:" >&2
 	echo "$viol" >&2
@@ -72,6 +72,19 @@ if [ -n "$viol" ]; then
 	echo "$viol" >&2
 	exit 1
 fi
+
+# Repair amplification (DESIGN.md §10): a NACK names its holes and the
+# coordinator answers from its per-sender index, so what it re-sends is
+# what was lost — at most twice as many frames on a seeded lossy link,
+# not the sender's whole suffix per NACK.  The test runs the kernels on
+# the discrete-event net in virtual time, so this is a count, not a
+# wall-clock smoke.  The hole list is parsed from untrusted bytes: a
+# short fuzz run of the coordinator's packet handler rides along.
+if ! go test -count=1 -run '^TestRepairReplaysOnlyHoles$' ./internal/core/; then
+	echo "REPAIR AMPLIFICATION: the coordinator replays more than the holes a NACK names" >&2
+	exit 1
+fi
+go test -run '^$' -fuzz '^FuzzCoordinatorHandlePacket$' -fuzztime 5s ./internal/core/
 
 # Observability-layer gates (tentpole contract, DESIGN.md §8):
 # instrumentation must be near-free when disabled — zero allocations

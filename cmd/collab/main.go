@@ -365,10 +365,10 @@ func main() {
 	}
 	if coord != nil {
 		ctrs := metrics.Counters()
-		fmt.Printf("%-12s archived=%d repair: requests=%d repaired=%d abandoned=%d\n",
+		fmt.Printf("%-12s archived=%d repair: requests=%d repaired=%d abandoned=%d replayed=%d\n",
 			"coordinator", coord.ArchivedEvents(),
 			ctrs[metrics.CtrRepairRequests], ctrs[metrics.CtrRepairSuccess],
-			ctrs[metrics.CtrRepairAbandoned])
+			ctrs[metrics.CtrRepairAbandoned], ctrs[metrics.CtrRepairReplayedFrames])
 	}
 
 	if *traceFlag {

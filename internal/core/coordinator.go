@@ -101,10 +101,11 @@ func (c *Client) RequestHistory(coordinator string, afterSeq uint64) error {
 
 // RequestHistoryFrom asks the coordinator to replay one sender's
 // archived frames with sender-scoped sequence numbers greater than
-// afterSeq — the NACK the gap-repair loop issues when that sender's
-// event stream stalls on a missing frame.  Replayed frames arrive
-// through the normal receive path and are deduplicated against
-// already-applied sequence numbers by the per-sender order buffer.
+// afterSeq, at most maxRepairFrames of them per request — the open-
+// ended form of the NACK the gap-repair loop issues, which lists the
+// missing frames instead.  Replayed frames arrive through the normal
+// receive path and are deduplicated against already-applied sequence
+// numbers by the per-sender order buffer.
 func (c *Client) RequestHistoryFrom(coordinator, sender string, afterSeq uint64) error {
 	return c.k.requestHistory(coordinator, sender, afterSeq)
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"sort"
+
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/message"
@@ -29,16 +32,17 @@ type CoordinatorKernel struct {
 
 	frames     map[uint64]archivedFrame // session seq → original frame + sender seq
 	archiveCap int                      // retained events (0 = unlimited)
-	streams    map[string]*senderStream // per-sender arrival reordering
+	streams    map[string]*senderStream // per-sender arrival reordering and archive index
 	locks      *session.ObjectLocks     // distributed lock arbitration
 }
 
-// archivedFrame is one archived original frame plus the sender-scoped
-// sequence number it carried, so NACK-style repair requests can be
-// answered per sender without re-decoding the archive.
+// archivedFrame is one archived original frame plus where its sender's
+// index lists it, so the frame and its index entry leave together when
+// the archive cap trims the event.
 type archivedFrame struct {
 	data      []byte
 	senderSeq uint32
+	stream    *senderStream
 }
 
 // Control-message vocabulary for the history protocol.
@@ -46,11 +50,21 @@ const (
 	attrCtrl       = "ctrl"
 	ctrlHistoryReq = "history-request"
 	attrAfterSeq   = "after-seq"
-	// attrForSender scopes a history request to one sender's frames,
-	// with attrAfterSeq then counted in that sender's own sequence
-	// space — the NACK a gap-repair loop issues.
+	// attrForSender scopes a history request to one sender's frames —
+	// the NACK a gap-repair loop issues.  The message body then lists
+	// the sender sequence numbers wanted (nack.go); without a body it
+	// is everything past attrAfterSeq, counted in that sender's own
+	// sequence space.
 	attrForSender = "for-sender"
 )
+
+// maxRepairFrames is the most frames one NACK is answered with,
+// whatever it asks for.  A requester behind more than that sees its
+// gap move and asks again; a hostile one costs the coordinator this
+// much work per datagram and no more.  It is a quarter of the default
+// receive buffer, so an answer does not overflow the inbox it is
+// repairing.
+const maxRepairFrames = 256
 
 // NewCoordinatorKernel builds the coordinator kernel for the endpoint
 // attached as conn.  group describes the session being archived; clk
@@ -83,12 +97,20 @@ func (k *CoordinatorKernel) SetArchiveCap(n int) {
 		return
 	}
 	// Drop frames the session no longer remembers: session seqs are
-	// contiguous, so what survives is the last n.
+	// contiguous, so frames holds the run ending at last and what
+	// survives is its last n.  Oldest first, which is the cheap end of
+	// each sender's index.
 	last := k.sess.LastSeq()
-	for seq := range k.frames {
-		if seq+uint64(n) <= last {
-			delete(k.frames, seq)
-		}
+	for seq := last - uint64(len(k.frames)) + 1; seq+uint64(n) <= last; seq++ {
+		k.evict(seq)
+	}
+}
+
+// evict forgets the frame of a session event the archive cap trimmed.
+func (k *CoordinatorKernel) evict(sessionSeq uint64) {
+	if f, ok := k.frames[sessionSeq]; ok {
+		delete(k.frames, sessionSeq)
+		f.stream.unindex(f.senderSeq)
 	}
 }
 
@@ -128,7 +150,18 @@ func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 				after = uint64(v.Num())
 			}
 			forSender, _ := m.Attr(attrForSender)
-			k.replay(m.Sender, forSender.Str(), after)
+			if forSender.Str() == "" {
+				k.replay(m.Sender, after)
+				return
+			}
+			var ranges [maxNackHoles + 1]session.SeqRange
+			want, ok := parseHoles(m.Body, ranges[:0])
+			if len(m.Body) == 0 {
+				want = append(want, session.SeqRange{From: after + 1, To: maxSenderSeq})
+			}
+			if ok {
+				k.repair(m.Sender, forSender.Str(), want)
+			}
 		case ctrlLockRequest, ctrlLockRelease:
 			if object, ok := m.Attr(attrObject); ok {
 				k.handleLock(m.Sender, ctrl.Str(), object.Str())
@@ -178,7 +211,8 @@ type orderedFrame struct {
 	frame []byte
 }
 
-// senderStream restores one sender's frame order.
+// senderStream restores one sender's frame order and indexes what was
+// archived of it.
 type senderStream struct {
 	next    uint32
 	pending map[uint32]orderedFrame
@@ -187,6 +221,40 @@ type senderStream struct {
 	// lost history and archives once; any other seq below next is a
 	// duplicate delivery of an already-archived frame and is dropped.
 	missing map[uint32]struct{}
+	// archived lists the sender's frames still in the archive, ascending
+	// by sender seq: what a NACK is answered from.  Frames are archived
+	// in sender order but for stragglers and leave oldest first, so it
+	// grows at the tail and shrinks at the head.
+	archived []indexEntry
+}
+
+// indexEntry locates one archived frame by its sender seq.
+type indexEntry struct {
+	senderSeq  uint32
+	sessionSeq uint64
+}
+
+// find returns the position of the first entry at or past senderSeq.
+func (st *senderStream) find(senderSeq uint64) int {
+	return sort.Search(len(st.archived), func(i int) bool { return uint64(st.archived[i].senderSeq) >= senderSeq })
+}
+
+func (st *senderStream) index(senderSeq uint32, sessionSeq uint64) {
+	at := len(st.archived)
+	if at > 0 && st.archived[at-1].senderSeq >= senderSeq {
+		at = st.find(uint64(senderSeq)) // a straggler: keep the order
+	}
+	st.archived = slices.Insert(st.archived, at, indexEntry{senderSeq, sessionSeq})
+}
+
+func (st *senderStream) unindex(senderSeq uint32) {
+	if len(st.archived) > 0 && st.archived[0].senderSeq == senderSeq {
+		st.archived = st.archived[1:]
+		return
+	}
+	if at := st.find(uint64(senderSeq)); at < len(st.archived) && st.archived[at].senderSeq == senderSeq {
+		st.archived = slices.Delete(st.archived, at, at+1)
+	}
 }
 
 // maxStreamPending bounds per-sender buffering; past it the stream
@@ -229,13 +297,12 @@ func (k *CoordinatorKernel) reorder(m *message.Message, frame []byte) []orderedF
 		}
 		k.streams[m.Sender] = st
 	}
-	own := orderedFrame{msg: m, frame: append([]byte(nil), frame...)}
 	if m.Seq < st.next {
 		if _, lost := st.missing[m.Seq]; lost {
 			// A straggler the flush path skipped past: genuine lost
 			// history, archive it now (exactly once).
 			delete(st.missing, m.Seq)
-			return []orderedFrame{own}
+			return []orderedFrame{{msg: m, frame: append([]byte(nil), frame...)}}
 		}
 		// Duplicate delivery of an already-archived frame: committing
 		// it again would mint a second session event.
@@ -246,7 +313,9 @@ func (k *CoordinatorKernel) reorder(m *message.Message, frame []byte) []orderedF
 		}
 		return nil
 	}
-	st.pending[m.Seq] = own
+	// frame aliases the datagram, which the substrate shares between
+	// recipients: this copy is the one the archive keeps.
+	st.pending[m.Seq] = orderedFrame{msg: m, frame: append([]byte(nil), frame...)}
 
 	var out []orderedFrame
 	for {
@@ -280,6 +349,8 @@ func (k *CoordinatorKernel) reorder(m *message.Message, frame []byte) []orderedF
 	return out
 }
 
+// archive commits one ordered frame as the next session event.  It
+// keeps frame, which must be the reorder stage's private copy.
 func (k *CoordinatorKernel) archive(m *message.Message, frame []byte) {
 	// The session requires membership for Commit; the coordinator
 	// auto-registers senders it hears (they are in the multicast group
@@ -296,50 +367,77 @@ func (k *CoordinatorKernel) archive(m *message.Message, frame []byte) {
 		return
 	}
 	obs.AppendHop(obs.MsgID(m.Sender, m.Seq), k.ID(), obs.StageArchive)
-	k.frames[ev.Seq] = archivedFrame{data: append([]byte(nil), frame...), senderSeq: m.Seq}
+	st := k.streams[m.Sender]
+	k.frames[ev.Seq] = archivedFrame{data: frame, senderSeq: m.Seq, stream: st}
+	st.index(m.Seq, ev.Seq)
 	if n := uint64(k.archiveCap); n > 0 && ev.Seq > n {
 		// The event this commit trimmed is exactly n back; its frame
 		// goes with it.
-		delete(k.frames, ev.Seq-n)
+		k.evict(ev.Seq - n)
 	}
 }
 
-// replay unicasts archived frames to one peer, in archive order: with
-// sender "" every frame whose session seq exceeds after (a late
-// joiner's catch-up), otherwise that sender's frames whose own seq
-// exceeds after — the NACK form.  Repeated NACKs with an advancing
-// after resume where the previous replay left off, and re-sent ranges
-// are harmless: the requester's order buffer discards what it has
-// already applied.  Each frame continues its original trace with a
-// repair hop and carries the trace extension again, so the requester
-// sees the replay on the message's own timeline.
-func (k *CoordinatorKernel) replay(to, sender string, after uint64) {
-	sessionAfter := after
-	if sender != "" {
-		sessionAfter = 0
-	}
-	// The archive is walked a page at a time: a sender-scoped NACK
-	// starts from the beginning every time, and copying the whole
-	// history for it was half the bytes a lossy session allocated.
+// replay is a late joiner's catch-up: every archived frame whose
+// session seq exceeds after is unicast to the peer, in archive order,
+// the archive read a page at a time.
+func (k *CoordinatorKernel) replay(to string, after uint64) {
 	var page [64]session.Event
-	for n := k.sess.HistoryPage(sessionAfter, page[:]); n > 0; n = k.sess.HistoryPage(sessionAfter, page[:]) {
-		sessionAfter = page[n-1].Seq
+	for n := k.sess.HistoryPage(after, page[:]); n > 0; n = k.sess.HistoryPage(after, page[:]) {
+		after = page[n-1].Seq
 		for _, ev := range page[:n] {
-			f, ok := k.frames[ev.Seq]
-			if !ok || (sender != "" && (ev.Sender != sender || uint64(f.senderSeq) <= after)) {
-				continue
-			}
-			traceID := obs.MsgID(ev.Sender, f.senderSeq)
-			obs.AppendHop(traceID, k.ID(), obs.StageRepair)
-			datagrams, err := k.env.WrapTraced(f.data, traceID) // plain Wrap while tracing is off
-			if err != nil {
+			if f, ok := k.frames[ev.Seq]; ok && !k.resend(to, ev.Sender, f) {
 				return
-			}
-			for _, d := range datagrams {
-				if err := k.conn.Unicast(to, d); err != nil {
-					return
-				}
 			}
 		}
 	}
+}
+
+// repair answers a NACK: the archived frames of sender whose own seqs
+// fall in the wanted ranges (ascending, as parseHoles returns them)
+// are unicast to the peer in sender order, maxRepairFrames at most.
+// Each range is looked up in the sender's index, so a request costs
+// the frames it is answered with and a binary search per range,
+// however wide the ranges and however long the archive; seqs the
+// archive never held or no longer holds are skipped at no cost.
+// Serving a frame twice is harmless — the requester's order buffer
+// discards what it has already applied — so nothing is remembered
+// between requests.
+func (k *CoordinatorKernel) repair(to, sender string, want []session.SeqRange) {
+	st, ok := k.streams[sender]
+	if !ok {
+		return
+	}
+	sent := 0
+serve:
+	for _, r := range want {
+		for _, e := range st.archived[st.find(r.From):] {
+			if uint64(e.senderSeq) > r.To {
+				break
+			}
+			if sent == maxRepairFrames || !k.resend(to, sender, k.frames[e.sessionSeq]) {
+				break serve
+			}
+			sent++
+		}
+	}
+	metrics.C(metrics.CtrRepairReplayedFrames).Add(uint64(sent))
+}
+
+// resend unicasts one archived frame, reporting whether it went out.
+// The frame continues its original trace with a repair hop and carries
+// the trace extension again, so the requester sees the replay on the
+// message's own timeline.
+func (k *CoordinatorKernel) resend(to, sender string, f archivedFrame) bool {
+	traceID := obs.MsgID(sender, f.senderSeq)
+	obs.AppendHop(traceID, k.ID(), obs.StageRepair)
+	datagrams, err := k.env.WrapTraced(f.data, traceID) // plain Wrap while tracing is off
+	if err != nil {
+		return false
+	}
+	for _, d := range datagrams {
+		if err := k.conn.Unicast(to, d); err != nil {
+			return false
+		}
+	}
+	return true
 }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
 )
 
@@ -27,9 +32,10 @@ func (nullConn) Close() error                  { return nil }
 //
 // The seed corpus (testdata/fuzz/FuzzKernelHandlePacket) is real
 // output of Enveloper.WrapMessage: a chat event, an RTP data packet
-// under a selector, a NACK control frame, the first fragment of a 3 KB
-// event at MTU 1024, and the traced (0x02/0x03) envelope forms of a
-// whole frame and of a fragment.
+// under a selector, a NACK control frame in its after-seq and its
+// hole-list form, the first fragment of a 3 KB event at MTU 1024, and
+// the traced (0x02/0x03) envelope forms of a whole frame and of a
+// fragment.
 func FuzzKernelHandlePacket(f *testing.F) {
 	const maxPending = 4
 	var env message.Enveloper
@@ -75,4 +81,147 @@ func FuzzKernelHandlePacket(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCoordinatorHandlePacket feeds one arbitrary datagram to a
+// coordinator whose archive has every shape a NACK can ask about: a
+// prefix the cap evicted, a seq that never arrived, a second sender,
+// and more live frames than one request may be answered with.  The
+// hole list is a parser on a trust boundary, so whatever the bytes the
+// coordinator must not panic, must answer a sender-scoped request with
+// exactly the frames a brute-force reading of it selects — in sender
+// order, none twice, never more than maxRepairFrames — and must keep
+// its index and its archive in step.
+//
+// The seed corpus (testdata/fuzz/FuzzCoordinatorHandlePacket) is real
+// output of Enveloper.WrapMessage: an after-seq NACK, a hole-list NACK,
+// one whose body stops inside a varint, one asking for a
+// four-billion-wide range, and a lock request.
+func FuzzCoordinatorHandlePacket(f *testing.F) {
+	const (
+		live       = 300 // s's seqs 1..live, but for never
+		never      = 150
+		archiveCap = 280
+	)
+	var archive [][]byte
+	var env message.Enveloper
+	event := func(sender string, seq uint32) {
+		d, err := env.WrapMessage(&message.Message{Kind: message.KindEvent, Sender: sender, Seq: seq})
+		if err != nil {
+			f.Fatal(err)
+		}
+		archive = append(archive, d[0])
+	}
+	for seq := uint32(1); seq <= live; seq++ {
+		if seq <= 5 {
+			event("t", seq)
+		}
+		if seq != never {
+			event("s", seq)
+		}
+	}
+	f.Fuzz(func(t *testing.T, datagram []byte) {
+		conn := &captureConn{nullConn: "coordinator"}
+		k := NewCoordinatorKernel(conn, session.Group{Objective: "fuzz"}, clock.NewVirtual(time.Unix(100, 0)))
+		k.SetArchiveCap(archiveCap)
+		for _, d := range archive {
+			k.HandlePacket(transport.Packet{From: "p", Data: d})
+		}
+		held := make(map[string][]uint64) // sender → archived seqs, ascending
+		for _, f := range k.frames {
+			for sender, st := range k.streams {
+				if st == f.stream {
+					held[sender] = append(held[sender], uint64(f.senderSeq))
+				}
+			}
+		}
+		for _, seqs := range held {
+			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		}
+
+		k.HandlePacket(transport.Packet{From: "r", Data: datagram})
+
+		if k.ArchivedEvents() != indexed(k) || k.ArchivedEvents() > archiveCap {
+			t.Errorf("%d frames archived, %d indexed, cap %d", k.ArchivedEvents(), indexed(k), archiveCap)
+		}
+		frames, other := conn.sentSeqs(t)
+		m := &message.Message{} // what the datagram says, read independently; nothing if unreadable
+		if frame, err := message.NewUnwrapper().Unwrap("r", datagram); err == nil && frame != nil {
+			if dm, err := message.Decode(frame); err == nil {
+				m = dm
+			}
+		}
+		ctrl := ""
+		if m.Kind == message.KindControl {
+			v, _ := m.Attr(attrCtrl)
+			ctrl = v.Str()
+		}
+		forSender, _ := m.Attr(attrForSender)
+		sender := forSender.Str()
+		switch {
+		case ctrl == ctrlHistoryReq && sender != "":
+			var want []string
+			for _, seq := range held[sender] {
+				if len(want) < maxRepairFrames && referenceWants(m, seq) {
+					want = append(want, fmt.Sprintf("%s/%d", sender, seq))
+				}
+			}
+			if !reflect.DeepEqual(frames, want) || other != 0 {
+				t.Errorf("NACK answered with %d frames (+%d other) %v, want %d %v", len(frames), other, frames, len(want), want)
+			}
+		case ctrl == ctrlHistoryReq:
+			if len(frames) > archiveCap || other != 0 {
+				t.Errorf("catch-up answered with %d frames (+%d other) from an archive of %d", len(frames), other, archiveCap)
+			}
+		case ctrl == ctrlLockRequest || ctrl == ctrlLockRelease:
+			if len(frames) != 0 || other > 1 {
+				t.Errorf("lock message answered with %d frames and %d notices", len(frames), other)
+			}
+		default:
+			if len(conn.sent) != 0 {
+				t.Errorf("%d datagrams sent in answer to something that asks for nothing", len(conn.sent))
+			}
+		}
+	})
+}
+
+// referenceWants reads a sender-scoped history request the slow way —
+// every varint of the body first, then range by range — and reports
+// whether it asks for seq.  A body it cannot read asks for nothing.
+func referenceWants(m *message.Message, seq uint64) bool {
+	if len(m.Body) == 0 {
+		after := uint64(0)
+		if v, ok := m.Attr(attrAfterSeq); ok {
+			after = uint64(v.Num())
+		}
+		return seq >= after+1
+	}
+	var vals []uint64
+	for body := m.Body; len(body) > 0; {
+		v, n := binary.Uvarint(body)
+		if n <= 0 {
+			return false
+		}
+		vals, body = append(vals, v), body[n:]
+	}
+	if (len(vals)+1)/2 > maxNackHoles+1 {
+		return false
+	}
+	wanted := false
+	next := uint64(0) // one past the previous range
+	for i := 0; i < len(vals); i += 2 {
+		if next > maxSenderSeq || vals[i] > maxSenderSeq-next {
+			return false
+		}
+		from, to := next+vals[i], uint64(maxSenderSeq)
+		if i+1 < len(vals) {
+			if vals[i+1] > maxSenderSeq-from {
+				return false
+			}
+			to = from + vals[i+1]
+		}
+		wanted = wanted || (from <= seq && seq <= to)
+		next = to + 1
+	}
+	return wanted
 }

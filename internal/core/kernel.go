@@ -85,10 +85,8 @@ func NewKernel(conn transport.Conn, cfg Config) *Kernel {
 			Interval:     r.Interval,
 			Seed:         r.Seed,
 			Owner:        conn.ID(),
-		}, func(stream string, afterSeq uint64, _ int) error {
-			// The NACK: replay the stalled sender's frames past the last
-			// applied seq.
-			return k.requestHistory(r.Coordinator, stream, afterSeq)
+		}, func(stream string, _ uint64, _ int) error {
+			return k.nack(r.Coordinator, stream)
 		}, k.repairAbandon)
 	}
 	return k
@@ -266,12 +264,30 @@ func (k *Kernel) repairAbandon(stream string, waitingFor uint64) {
 	k.release(so, released)
 }
 
+// nack asks the coordinator for exactly what the stalled stream is
+// missing: the holes its order buffer can see (the lowest maxNackHoles
+// of them), then everything past the highest frame it holds — the one
+// part of the request the receiver cannot bound, and what recovers the
+// lost tail of a burst without waiting for a later frame to expose it.
+func (k *Kernel) nack(coordinator, stream string) error {
+	so, ok := k.order[stream]
+	if !ok {
+		return nil
+	}
+	var ranges [maxNackHoles]session.SeqRange
+	holes, past := so.buf.Holes(ranges[:0], maxNackHoles)
+	return k.sendHistoryRequest(coordinator, selector.Attributes{
+		attrCtrl:      selector.S(ctrlHistoryReq),
+		attrForSender: selector.S(stream),
+	}, appendHoles(nil, holes, past))
+}
+
 // requestHistory unicasts a history request to the coordinator: the
-// whole session past session-seq afterSeq, or with forSender set the
-// NACK form — that sender's frames past its own seq afterSeq.  It
-// touches only the atomic control sequence, the enveloper and the
-// conn, so unlike the rest of the kernel it may be called from any
-// goroutine.
+// whole session past session-seq afterSeq, or with forSender set that
+// sender's frames past its own seq afterSeq (a NACK with no hole list:
+// one open range).  It touches only the atomic control sequence, the
+// enveloper and the conn, so unlike the rest of the kernel it may be
+// called from any goroutine.
 func (k *Kernel) requestHistory(coordinator, forSender string, afterSeq uint64) error {
 	attrs := selector.Attributes{
 		attrCtrl:     selector.S(ctrlHistoryReq),
@@ -280,11 +296,16 @@ func (k *Kernel) requestHistory(coordinator, forSender string, afterSeq uint64) 
 	if forSender != "" {
 		attrs[attrForSender] = selector.S(forSender)
 	}
+	return k.sendHistoryRequest(coordinator, attrs, nil)
+}
+
+func (k *Kernel) sendHistoryRequest(coordinator string, attrs selector.Attributes, body []byte) error {
 	return k.tx.Deliver(coordinator, &message.Message{
 		Kind:      message.KindControl,
 		Sender:    k.ID(),
 		Seq:       k.ctrlSeq.Add(1),
 		Timestamp: k.clk.Now(),
 		Attrs:     attrs,
+		Body:      body,
 	})
 }

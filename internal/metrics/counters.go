@@ -139,6 +139,10 @@ const (
 	CtrRepairRequests  = "repair.requests"
 	CtrRepairSuccess   = "repair.success"
 	CtrRepairAbandoned = "repair.abandoned"
+	// Coordinator side: archived frames re-sent in answer to NACKs.
+	// Divided by the frames the links dropped it is the repair
+	// amplification (1 = every replayed frame was a lost one).
+	CtrRepairReplayedFrames = "repair.replayed.frames"
 	// Duplicate frames dropped before the session archive instead of
 	// being committed as second events (coordinator straggler path).
 	CtrArchiveDupDrops = "archive.duplicate.drops"
@@ -266,7 +270,7 @@ var defaultCounterNames = []string{
 	CtrEncodeBufReuse, CtrEncodeBufAlloc,
 	CtrDispatchBatches, CtrDispatchJobs, CtrDispatchQueueDrops,
 	CtrCollectEvictions,
-	CtrRepairRequests, CtrRepairSuccess, CtrRepairAbandoned,
+	CtrRepairRequests, CtrRepairSuccess, CtrRepairAbandoned, CtrRepairReplayedFrames,
 	CtrArchiveDupDrops,
 	CtrTraceHopsDropped, CtrTraceWireMerged, CtrTraceWireBad,
 	CtrMatchIndexCandidates, CtrMatchIndexFallback, CtrMatchIndexReindex,

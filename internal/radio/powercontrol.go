@@ -102,17 +102,9 @@ func (c *Channel) PowerControlStep(targetDB, minPower, maxPower float64) (map[st
 		cl  *Client
 		sir float64
 	}
-	updates := make([]upd, 0, len(c.clients))
-	for _, cl := range c.clients {
-		signal := cl.Power * c.gainLocked(cl)
-		var interference float64
-		for _, other := range c.clients {
-			if other.ID != cl.ID {
-				interference += other.Power * c.gainLocked(other)
-			}
-		}
-		noise := c.params.NoiseFloor + cl.Power/math.Pow(10, c.params.NoiseExp)
-		updates = append(updates, upd{cl, signal / (interference + noise)})
+	updates := make([]upd, 0, len(c.members))
+	for _, cl := range c.members {
+		updates = append(updates, upd{cl, c.sirLocked(cl)})
 	}
 	out := make(map[string]float64, len(updates))
 	for _, u := range updates {

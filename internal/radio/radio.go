@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -84,6 +85,11 @@ type Channel struct {
 	mu      sync.RWMutex
 	params  Params
 	clients map[string]*Client
+	// members is clients in ID order, kept by Join and Leave.  Sums over
+	// the cell run over it: float addition is not associative, so
+	// ranging over the map would let an SIR wander in its last bits
+	// from call to call.
+	members []*Client
 }
 
 // NewChannel creates a channel with the given parameters.
@@ -108,8 +114,15 @@ func (c *Channel) Join(id string, distance, power float64) error {
 	if _, ok := c.clients[id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicate, id)
 	}
-	c.clients[id] = &Client{ID: id, Distance: distance, Power: power}
+	cl := &Client{ID: id, Distance: distance, Power: power}
+	c.clients[id] = cl
+	c.members = slices.Insert(c.members, c.memberIndexLocked(id), cl)
 	return nil
+}
+
+// memberIndexLocked returns where id sits, or would sit, in members.
+func (c *Channel) memberIndexLocked(id string) int {
+	return sort.Search(len(c.members), func(i int) bool { return c.members[i].ID >= id })
 }
 
 // Leave removes a client, reporting whether it was present.
@@ -117,7 +130,11 @@ func (c *Channel) Leave(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.clients[id]
-	delete(c.clients, id)
+	if ok {
+		delete(c.clients, id)
+		at := c.memberIndexLocked(id)
+		c.members = slices.Delete(c.members, at, at+1)
+	}
 	return ok
 }
 
@@ -132,11 +149,10 @@ func (c *Channel) Len() int {
 func (c *Channel) IDs() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	ids := make([]string, 0, len(c.clients))
-	for id := range c.clients {
-		ids = append(ids, id)
+	ids := make([]string, len(c.members))
+	for i, cl := range c.members {
+		ids[i] = cl.ID
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -209,16 +225,19 @@ func (c *Channel) SIR(id string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownClient, id)
 	}
+	return c.sirLocked(cl), nil
+}
+
+func (c *Channel) sirLocked(cl *Client) float64 {
 	signal := cl.Power * c.gainLocked(cl)
 	var interference float64
-	for _, other := range c.clients {
-		if other.ID == id {
-			continue
+	for _, other := range c.members {
+		if other != cl {
+			interference += other.Power * c.gainLocked(other)
 		}
-		interference += other.Power * c.gainLocked(other)
 	}
 	noise := c.params.NoiseFloor + cl.Power/math.Pow(10, c.params.NoiseExp)
-	return signal / (interference + noise), nil
+	return signal / (interference + noise)
 }
 
 // SIRdB returns the SIR in decibels.

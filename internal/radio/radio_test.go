@@ -400,3 +400,55 @@ func TestQuickTierMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSIRBitIdenticalAcrossCalls: the interference sum runs over the
+// members in ID order, so at distances whose gains do not add exactly
+// a client's SIR is the same float on every call, in a channel joined
+// in another order, and after members in the middle leave — and a call
+// allocates nothing.
+func TestSIRBitIdenticalAcrossCalls(t *testing.T) {
+	const members = 48
+	id := func(i int) string { return "m" + string(rune('A'+i/26)) + string(rune('a'+i%26)) }
+	join := func(c *Channel, i int) {
+		t.Helper()
+		if err := c.Join(id(i), 17.3+1.7*float64(i), 0.1+0.013*float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := newTestChannel(t), newTestChannel(t)
+	for i := 0; i < members; i++ {
+		join(a, i)
+		join(b, members-1-i)
+	}
+	extra := []int{members, members + 1, members + 2}
+	for _, i := range extra { // joined, then gone again: the order must survive
+		join(b, i)
+	}
+	for _, i := range extra {
+		if !b.Leave(id(i)) {
+			t.Fatalf("%s was not a member", id(i))
+		}
+	}
+
+	who := id(7)
+	want, err := a.SIR(who)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 1000; call++ {
+		c := a
+		if call%2 == 1 {
+			c = b
+		}
+		got, err := c.SIR(who)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: SIR %x, first call %x", call, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { a.SIR(who) }); n != 0 {
+		t.Errorf("SIR allocates %v times per call", n)
+	}
+}

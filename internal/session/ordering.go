@@ -2,6 +2,8 @@ package session
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"adaptiveqos/internal/clock"
@@ -15,11 +17,16 @@ import (
 // buffer there is no skipping — session events are not loss-tolerant,
 // and the replica instead requests history for persistent gaps.
 type OrderBuffer struct {
-	mu      sync.Mutex
-	next    uint64
-	pending map[uint64]Event
+	mu   sync.Mutex
+	next uint64
+	// parked holds the events waiting behind a gap, ascending by Seq
+	// and all ≥ next.  Arrivals are mostly in order, so an insert is
+	// nearly always an append; keeping the order is what makes the
+	// nearest and farthest parked event, and the holes between them,
+	// readable without a scan or a sort.
+	parked []Event
 
-	// limit bounds pending (0 = unlimited): a corrupt or far-future
+	// limit bounds parked (0 = unlimited): a corrupt or far-future
 	// sequence number must not park events forever, so overflow evicts
 	// the farthest-ahead event and counts the eviction.
 	limit    int
@@ -37,11 +44,14 @@ type OrderBuffer struct {
 	clk clock.Clock
 }
 
+// SeqRange is an inclusive range of sequence numbers.
+type SeqRange struct{ From, To uint64 }
+
 // NewOrderBuffer creates a buffer expecting sequence numbers starting
 // at afterSeq+1 (pass a session's LastSeq at join time, or 0 for a
 // fresh session).
 func NewOrderBuffer(afterSeq uint64) *OrderBuffer {
-	return &OrderBuffer{next: afterSeq + 1, pending: make(map[uint64]Event)}
+	return &OrderBuffer{next: afterSeq + 1}
 }
 
 // SetClock pins held-event timestamps to c (nil restores wall time).
@@ -79,34 +89,38 @@ func (b *OrderBuffer) Push(ev Event) []Event {
 	if ev.Seq < b.next {
 		return nil
 	}
-	if _, dup := b.pending[ev.Seq]; !dup && b.limit > 0 && len(b.pending) >= b.limit {
+	n := len(b.parked)
+	at := n // where ev belongs; past the end for an in-order arrival
+	if n > 0 && ev.Seq <= b.parked[n-1].Seq {
+		at = sort.Search(n, func(i int) bool { return b.parked[i].Seq >= ev.Seq })
+	}
+	switch {
+	case at < n && b.parked[at].Seq == ev.Seq:
+		b.parked[at] = ev // a duplicate of a parked event
+	case b.limit > 0 && n >= b.limit:
 		// Full: keep the events nearest the gap (they release first)
 		// and evict whichever of {farthest parked, new} is farther.
-		far := ev.Seq
-		for s := range b.pending {
-			if s > far {
-				far = s
-			}
+		evicted := ev
+		if at < n {
+			evicted = b.parked[n-1]
+			copy(b.parked[at+1:], b.parked[at:n-1])
+			b.parked[at] = ev
+			delete(b.held, evicted.Seq)
 		}
 		b.overflow++
 		if obs.Enabled() {
 			obs.Note(0, obs.StageReorder,
-				fmt.Sprintf("order buffer overflow: evicting seq %d (limit %d, waiting for %d)", far, b.limit, b.next))
+				fmt.Sprintf("order buffer overflow: evicting seq %d (limit %d, waiting for %d)", evicted.Seq, b.limit, b.next))
 		}
-		if far == ev.Seq {
-			if b.onEvict != nil {
-				b.onEvict(ev)
-			}
-			return nil
-		}
-		evicted := b.pending[far]
-		delete(b.pending, far)
-		delete(b.held, far)
 		if b.onEvict != nil {
 			b.onEvict(evicted)
 		}
+		if at == n {
+			return nil
+		}
+	default:
+		b.parked = slices.Insert(b.parked, at, ev)
 	}
-	b.pending[ev.Seq] = ev
 	if obs.Enabled() {
 		if b.held == nil {
 			b.held = make(map[uint64]int64)
@@ -118,22 +132,28 @@ func (b *OrderBuffer) Push(ev Event) []Event {
 
 // releaseLocked drains the contiguous run starting at next.
 func (b *OrderBuffer) releaseLocked() []Event {
-	var out []Event
-	for {
-		next, ok := b.pending[b.next]
-		if !ok {
-			break
-		}
-		delete(b.pending, b.next)
-		if b.held != nil {
-			if t, ok := b.held[b.next]; ok {
-				obs.StageHistogram(obs.StageReorder).Observe(clock.Or(b.clk).Now().UnixNano() - t)
-				delete(b.held, b.next)
+	run := 0
+	for run < len(b.parked) && b.parked[run].Seq == b.next+uint64(run) {
+		run++
+	}
+	if run == 0 {
+		return nil
+	}
+	out := make([]Event, run)
+	copy(out, b.parked)
+	if b.held != nil {
+		now := clock.Or(b.clk).Now().UnixNano()
+		for _, ev := range out {
+			if t, ok := b.held[ev.Seq]; ok {
+				obs.StageHistogram(obs.StageReorder).Observe(now - t)
+				delete(b.held, ev.Seq)
 			}
 		}
-		out = append(out, next)
-		b.next++
 	}
+	rest := copy(b.parked, b.parked[run:])
+	clear(b.parked[rest:]) // released events must not stay reachable
+	b.parked = b.parked[:rest]
+	b.next += uint64(run)
 	return out
 }
 
@@ -147,17 +167,12 @@ func (b *OrderBuffer) Skip() (released []Event, from, to uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	from = b.next
-	if len(b.pending) == 0 {
+	if len(b.parked) == 0 {
 		return nil, from, from
 	}
-	min := uint64(0)
-	for s := range b.pending {
-		if min == 0 || s < min {
-			min = s
-		}
-	}
-	b.next = min
-	return b.releaseLocked(), from, min
+	to = b.parked[0].Seq
+	b.next = to
+	return b.releaseLocked(), from, to
 }
 
 // Gap reports the first missing sequence number the buffer is waiting
@@ -165,7 +180,27 @@ func (b *OrderBuffer) Skip() (released []Event, from, to uint64) {
 func (b *OrderBuffer) Gap() (waitingFor uint64, parked int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.next, len(b.pending)
+	return b.next, len(b.parked)
+}
+
+// Holes appends to dst the ranges missing between the sequence number
+// the buffer is waiting for and the highest parked one, lowest first
+// and at most max of them, and returns dst with the first sequence
+// number past everything the buffer has seen (the one it is waiting
+// for when nothing is parked).  What lies from there on is unknown to
+// the buffer: lost or merely not sent yet.
+func (b *OrderBuffer) Holes(dst []SeqRange, max int) (holes []SeqRange, past uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	past = b.next
+	for _, ev := range b.parked {
+		if ev.Seq > past && max > 0 {
+			dst = append(dst, SeqRange{From: past, To: ev.Seq - 1})
+			max--
+		}
+		past = ev.Seq + 1
+	}
+	return dst, past
 }
 
 // LamportClock provides causal timestamps for the distributed (peer)

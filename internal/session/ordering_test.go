@@ -1,6 +1,11 @@
 package session
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+)
 
 func TestOrderBufferLimitEvictsFarthest(t *testing.T) {
 	b := NewOrderBuffer(0)
@@ -81,5 +86,145 @@ func TestOrderBufferSkip(t *testing.T) {
 	// The stream continues normally past the skipped range.
 	if out := b.Push(ev(6)); len(out) != 2 || out[0].Seq != 6 || out[1].Seq != 7 {
 		t.Errorf("post-skip release = %v", out)
+	}
+}
+
+// orderModel is the brute-force reference for OrderBuffer: a set of
+// parked sequence numbers and nothing else, every question answered
+// by scanning it.
+type orderModel struct {
+	next   uint64
+	parked map[uint64]bool
+	limit  int
+}
+
+func (m *orderModel) farthest() (far uint64) {
+	for s := range m.parked {
+		far = max(far, s)
+	}
+	return far
+}
+
+func (m *orderModel) release() (out []uint64) {
+	for m.parked[m.next] {
+		delete(m.parked, m.next)
+		out = append(out, m.next)
+		m.next++
+	}
+	return out
+}
+
+// push returns the released seqs and the evicted one (0 = none).
+func (m *orderModel) push(seq uint64) (released []uint64, evicted uint64) {
+	if seq < m.next {
+		return nil, 0
+	}
+	if !m.parked[seq] && len(m.parked) >= m.limit {
+		if far := m.farthest(); far > seq {
+			delete(m.parked, far)
+			evicted = far
+		} else {
+			return nil, seq
+		}
+	}
+	m.parked[seq] = true
+	return m.release(), evicted
+}
+
+func (m *orderModel) skip() (released []uint64, from, to uint64) {
+	from = m.next
+	if len(m.parked) == 0 {
+		return nil, from, from
+	}
+	to = m.farthest()
+	for s := range m.parked {
+		to = min(to, s)
+	}
+	m.next = to
+	return m.release(), from, to
+}
+
+func (m *orderModel) holes(max int) (holes []SeqRange, past uint64) {
+	past = m.next
+	if far := m.farthest(); far >= past {
+		past = far + 1
+	}
+	for s := m.next; s < past; s++ {
+		if m.parked[s] {
+			continue
+		}
+		if n := len(holes); n > 0 && holes[n-1].To == s-1 {
+			holes[n-1].To = s
+		} else if n < max {
+			holes = append(holes, SeqRange{From: s, To: s})
+		} else {
+			break
+		}
+	}
+	return holes, past
+}
+
+// TestQuickOrderBufferMatchesModel drives a limited buffer and the
+// brute-force model through the same random pushes (in-order, ahead,
+// duplicate, stale, far ahead so the limit evicts) and skips, and
+// compares every release, eviction, gap and hole list.
+func TestQuickOrderBufferMatchesModel(t *testing.T) {
+	seqsOf := func(evs []Event) (out []uint64) {
+		for _, ev := range evs {
+			out = append(out, ev.Seq)
+		}
+		return out
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		limit := 1 + r.Intn(12)
+		b := NewOrderBuffer(0)
+		var evicted uint64
+		b.SetLimit(limit, func(ev Event) { evicted = ev.Seq })
+		m := &orderModel{next: 1, parked: map[uint64]bool{}, limit: limit}
+		for step := 0; step < 400; step++ {
+			if r.Intn(10) == 0 {
+				rel, from, to := b.Skip()
+				wantRel, wantFrom, wantTo := m.skip()
+				if !reflect.DeepEqual(seqsOf(rel), wantRel) || from != wantFrom || to != wantTo {
+					t.Logf("seed %d step %d: skip = %v [%d,%d), model %v [%d,%d)",
+						seed, step, seqsOf(rel), from, to, wantRel, wantFrom, wantTo)
+					return false
+				}
+			} else {
+				// Mostly near the gap, now and then behind it or far ahead.
+				seq := m.next + uint64(r.Intn(2*limit+2))
+				switch r.Intn(12) {
+				case 0:
+					seq = uint64(r.Intn(int(m.next)) + 1)
+				case 1:
+					seq = m.next + uint64(r.Intn(1000))
+				}
+				evicted = 0
+				rel := b.Push(Event{Seq: seq})
+				wantRel, wantEvicted := m.push(seq)
+				if !reflect.DeepEqual(seqsOf(rel), wantRel) || evicted != wantEvicted {
+					t.Logf("seed %d step %d: push %d = %v evicting %d, model %v evicting %d",
+						seed, step, seq, seqsOf(rel), evicted, wantRel, wantEvicted)
+					return false
+				}
+			}
+			if w, parked := b.Gap(); w != m.next || parked != len(m.parked) {
+				t.Logf("seed %d step %d: gap = %d/%d, model %d/%d", seed, step, w, parked, m.next, len(m.parked))
+				return false
+			}
+			max := r.Intn(limit + 2)
+			holes, past := b.Holes(nil, max)
+			wantHoles, wantPast := m.holes(max)
+			if !reflect.DeepEqual(holes, wantHoles) || past != wantPast {
+				t.Logf("seed %d step %d: holes(%d) = %v past %d, model %v past %d",
+					seed, step, max, holes, past, wantHoles, wantPast)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,6 +28,10 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, decode); got > 12 {
 		t.Errorf("Decode allocates %.0f times per call, limit 12", got)
 	}
+	// One P while counting bytes: the pooled scratch sits in the pool's
+	// per-P private slot, which another P cannot reach, so a migration
+	// mid-loop buys a whole new scratch set (45 KB a call on average).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
