@@ -50,9 +50,12 @@ done
 # give back effects.  No go statement, no channel type, make, send,
 # receive or select, and no reach for the wall clock (clock.Wall, or
 # clock.Or's nil-means-wall default) may appear in their source — the
-# shells in core.go/coordinator.go own all of that.
+# shells in core.go/coordinator.go own all of that.  The frame view and
+# the intern table the kernels read every datagram through (DESIGN.md
+# §7) are held to the same rule.
 viol=$(grep -nE '^[[:space:]]*go[[:space:]]|(^|[^[:alnum:]_])chan([^[:alnum:]_]|$)|<-|(^|[^[:alnum:]_])select[[:space:]]*\{|clock\.(Wall|Or)([^[:alnum:]_]|$)' \
-	internal/core/kernel.go internal/core/coordkernel.go internal/core/nack.go || true)
+	internal/core/kernel.go internal/core/coordkernel.go internal/core/nack.go \
+	internal/message/view.go internal/message/intern.go || true)
 if [ -n "$viol" ]; then
 	echo "KERNEL PURITY VIOLATION: goroutine, channel or wall clock in a sans-IO kernel:" >&2
 	echo "$viol" >&2
@@ -85,6 +88,9 @@ if ! go test -count=1 -run '^TestRepairReplaysOnlyHoles$' ./internal/core/; then
 	exit 1
 fi
 go test -run '^$' -fuzz '^FuzzCoordinatorHandlePacket$' -fuzztime 5s ./internal/core/
+# So is every frame: the codec's own target holds Parse/View.Message to
+# the one-pass decoder they replaced (DESIGN.md §7).
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/message/
 
 # Observability-layer gates (tentpole contract, DESIGN.md §8):
 # instrumentation must be near-free when disabled — zero allocations
@@ -166,6 +172,14 @@ go test -count=1 -run 'TestVirtualMulticastAllocs|TestWallZeroDelayAllocs' ./int
 # alloc_bytes_per_delivery budget, held in go test (the file is
 # excluded under -race).
 go test -count=1 -run TestDecodeSteadyStateAllocs ./internal/wavelet/
+
+# Receive-path allocation pins (DESIGN.md §7): Parse and a view's reads
+# allocate nothing, a materialised chat line four times, AppendEncode
+# nothing; through Kernel.HandlePacket a filtered frame, the endpoint's
+# own echo and a repair-mode duplicate cost no allocation and an
+# admitted Say at most five — the chat-wired allocs_per_delivery
+# budget, held in go test (the files are excluded under -race).
+go test -count=1 -run 'TestParseZeroAllocs|TestMessageAllocs|TestAppendEncodeZeroAllocs|TestKernelReceiveAllocs' ./internal/message/ ./internal/core/
 
 # Scale smoke: a 10k-client simulated minute must complete within 30s
 # of wall clock (it takes ~1-2s; the margin absorbs slow CI boxes).

@@ -156,8 +156,8 @@ type BaseStation struct {
 	reg  *registry.Registry
 	pool *dispatch.Pool
 
-	wiredTx dispatch.Deliverer // multicast adapter (session)
-	rfTx    dispatch.Deliverer // unicast adapter (wireless clients)
+	wiredTx dispatch.Deliverer  // multicast adapter (session)
+	rfTx    *dispatch.Unicaster // unicast adapter (wireless clients)
 
 	// eventPipe relays one light wired-session event to one wireless
 	// client: match → tier gate → transmit.
@@ -165,6 +165,8 @@ type BaseStation struct {
 
 	env    message.Enveloper
 	unwrap *message.Unwrapper
+	// Each receive loop owns the interner its frames decode through.
+	wiredIntern, rfIntern message.Interner
 
 	seq atomic.Uint32
 
@@ -224,7 +226,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 			return flat, ok
 		}),
 		bs.tierGate(radio.TierText),
-		dispatch.Transmit(bs.rfTx),
+		dispatch.Transmit,
 	)
 	// SLO violation attributions get the client's radio picture from
 	// here (Close unregisters).
@@ -320,11 +322,13 @@ func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) erro
 		}
 		return err
 	}
+	// Every member gets the same bytes: one envelope for the fan-out.
+	fan := bs.rfTx.Fanout(m)
 	if err := bs.pool.Each(msgID, bs.reg.IDs(), func(id string) error {
 		if id == sender {
 			return nil
 		}
-		return bs.rfTx.Deliver(id, m)
+		return fan.Deliver(id)
 	}); err != nil {
 		if sp.Active() {
 			sp.EndErr("bs fan-out: " + err.Error())

@@ -15,6 +15,7 @@ import (
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
@@ -51,6 +52,27 @@ func (bs *BaseStation) tierGate(min radio.Tier) dispatch.Stage {
 	}
 }
 
+// parse unwraps one datagram from peer and validates the frame it
+// completes, if it completes one.  What cannot be read is counted.
+func (bs *BaseStation) parse(peer string, datagram []byte) (message.View, bool) {
+	frame, err := bs.unwrap.Unwrap(peer, datagram)
+	if err != nil {
+		ctrDecodeErrors.Inc()
+		return message.View{}, false
+	}
+	if frame == nil {
+		return message.View{}, false // a fragment, its message still incomplete
+	}
+	v, err := message.Parse(frame)
+	if err != nil {
+		ctrDecodeErrors.Inc()
+		return message.View{}, false
+	}
+	return v, true
+}
+
+var ctrDecodeErrors = metrics.C(metrics.CtrDecodeErrors)
+
 // --- Downlink (session → wireless clients) ---
 
 func (bs *BaseStation) wiredLoop() {
@@ -63,17 +85,11 @@ func (bs *BaseStation) wiredLoop() {
 // handleWired relays wired-session traffic to the wireless clients,
 // degrading content to each client's tier.
 func (bs *BaseStation) handleWired(pkt transport.Packet) {
-	frame, err := bs.unwrap.Unwrap(pkt.From, pkt.Data)
-	if err != nil || frame == nil {
+	v, ok := bs.parse(pkt.From, pkt.Data)
+	if !ok || string(v.Sender()) == bs.id {
 		return
 	}
-	m, err := message.Decode(frame)
-	if err != nil {
-		return
-	}
-	if m.Sender == bs.id {
-		return
-	}
+	m := v.Message(&bs.wiredIntern)
 	app, _ := m.Attr(message.AttrApp)
 	switch {
 	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard || app.Str() == apps.AppMedia):
@@ -83,11 +99,14 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 		// then each candidate's pipeline re-verifies the cached
 		// compiled selector against the memoized flattened profile,
 		// gates on the text tier and transmits.  The dispatch pool
-		// fans the candidate set across its shards.
+		// fans the candidate set across its shards.  What is
+		// transmitted is the same for every client, so the event is
+		// enveloped once, by the first client to get that far.
 		msgID := obs.MsgID(m.Sender, m.Seq)
 		ids := dispatch.Candidates(bs.reg, m, bs.cfg.MatchIndex != MatchIndexOff)
+		fan := bs.rfTx.Fanout(m)
 		bs.pool.Each(msgID, ids, func(id string) error {
-			t := dispatch.Task{MsgID: msgID, To: id, Msg: m, Node: bs.id}
+			t := dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id}
 			return bs.eventPipe.Run(&t)
 		})
 	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
@@ -252,14 +271,11 @@ func (bs *BaseStation) wirelessLoop() {
 }
 
 func (bs *BaseStation) handleWireless(pkt transport.Packet) {
-	frame, err := bs.unwrap.Unwrap("rf:"+pkt.From, pkt.Data)
-	if err != nil || frame == nil {
+	v, ok := bs.parse("rf:"+pkt.From, pkt.Data)
+	if !ok {
 		return
 	}
-	m, err := message.Decode(frame)
-	if err != nil {
-		return
-	}
+	m := v.Message(&bs.rfIntern)
 	if _, ok := bs.reg.Get(m.Sender); !ok {
 		return // not joined: ignore
 	}

@@ -29,6 +29,7 @@ type CoordinatorKernel struct {
 	env    message.Enveloper
 	tx     dispatch.Unicaster // enveloped unicast of the kernel's own messages
 	unwrap *message.Unwrapper
+	intern message.Interner // the strings control messages and archived events repeat
 
 	frames     map[uint64]archivedFrame // session seq → original frame + sender seq
 	archiveCap int                      // retained events (0 = unlimited)
@@ -118,27 +119,36 @@ func (k *CoordinatorKernel) evict(sessionSeq uint64) {
 func (k *CoordinatorKernel) ArchivedEvents() int { return len(k.frames) }
 
 // HandlePacket ingests one datagram: event and data frames are put in
-// their sender's order and archived; history requests are answered
-// with unicast replays; lock requests are arbitrated.  Malformed input
-// is dropped.
+// their sender's order and archived straight from the validated frame
+// (the archive keeps the bytes; the session event needs only sender,
+// seq, app and object); control frames are materialised — history
+// requests are answered with unicast replays, lock requests are
+// arbitrated.  Malformed input is counted and dropped.
 func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 	frame, err := k.unwrap.Unwrap(pkt.From, pkt.Data)
-	if err != nil || frame == nil {
-		return
-	}
-	m, err := message.Decode(frame)
 	if err != nil {
+		ctrDecodeErrors.Inc()
 		return
 	}
-	switch m.Kind {
+	if frame == nil {
+		return
+	}
+	v, err := message.Parse(frame)
+	if err != nil {
+		ctrDecodeErrors.Inc()
+		return
+	}
+	switch v.Kind() {
 	case message.KindEvent, message.KindData:
 		// The substrate may reorder frames; the archive must reflect
 		// each sender's causal order, so frames pass through a
 		// per-sender reorder stage keyed on the sender sequence number.
-		for _, ordered := range k.reorder(m, frame) {
-			k.archive(ordered.msg, ordered.frame)
+		st, ordered := k.reorder(v, frame)
+		for _, f := range ordered {
+			k.archive(st, f)
 		}
 	case message.KindControl:
+		m := v.Message(&k.intern)
 		ctrl, ok := m.Attr(attrCtrl)
 		if !ok {
 			return
@@ -205,15 +215,18 @@ func (k *CoordinatorKernel) notifyLock(to, ctrl, object, holder string) {
 	})
 }
 
-// orderedFrame pairs a decoded message with its original frame.
+// orderedFrame is one frame on its way into the archive: the private
+// copy of its bytes and what its session event records of it.
 type orderedFrame struct {
-	msg   *message.Message
-	frame []byte
+	seq         uint32
+	app, object string
+	frame       []byte
 }
 
 // senderStream restores one sender's frame order and indexes what was
 // archived of it.
 type senderStream struct {
+	sender  string
 	next    uint32
 	pending map[uint32]orderedFrame
 	// missing records sequence numbers the flush path skipped past
@@ -283,39 +296,49 @@ func (st *senderStream) noteMissing(from, to uint32) {
 	}
 }
 
-// reorder returns the frames now releasable in the sender's order.
-func (k *CoordinatorKernel) reorder(m *message.Message, frame []byte) []orderedFrame {
-	st, ok := k.streams[m.Sender]
+// keep takes what the archive retains of a frame it is not dropping.
+// frame aliases the datagram, which the substrate shares between
+// recipients: the copy made here is the one the archive keeps.
+func (k *CoordinatorKernel) keep(v message.View, frame []byte) orderedFrame {
+	app, _ := v.Attr(message.AttrApp, &k.intern)
+	object, _ := v.Attr(message.AttrObject, &k.intern)
+	return orderedFrame{seq: v.Seq(), app: app.Str(), object: object.Str(), frame: append([]byte(nil), frame...)}
+}
+
+// reorder returns the frame's sender stream and the frames now
+// releasable in that sender's order.
+func (k *CoordinatorKernel) reorder(v message.View, frame []byte) (*senderStream, []orderedFrame) {
+	st, ok := k.streams[string(v.Sender())]
 	if !ok {
 		// Framework clients number their messages from 1, so a fresh
 		// stream anchors there; a coordinator attaching mid-session
 		// catches up through the flush path below.
 		st = &senderStream{
+			sender:  string(v.Sender()),
 			next:    1,
 			pending: make(map[uint32]orderedFrame),
 			missing: make(map[uint32]struct{}),
 		}
-		k.streams[m.Sender] = st
+		k.streams[st.sender] = st
 	}
-	if m.Seq < st.next {
-		if _, lost := st.missing[m.Seq]; lost {
+	seq := v.Seq()
+	if seq < st.next {
+		if _, lost := st.missing[seq]; lost {
 			// A straggler the flush path skipped past: genuine lost
 			// history, archive it now (exactly once).
-			delete(st.missing, m.Seq)
-			return []orderedFrame{{msg: m, frame: append([]byte(nil), frame...)}}
+			delete(st.missing, seq)
+			return st, []orderedFrame{k.keep(v, frame)}
 		}
 		// Duplicate delivery of an already-archived frame: committing
 		// it again would mint a second session event.
 		metrics.C(metrics.CtrArchiveDupDrops).Inc()
 		if obs.Enabled() {
-			obs.Drop(obs.MsgID(m.Sender, m.Seq), obs.StageReorder,
-				k.ID()+": duplicate frame from "+m.Sender+" dropped before archive")
+			obs.Drop(obs.MsgID(st.sender, seq), obs.StageReorder,
+				k.ID()+": duplicate frame from "+st.sender+" dropped before archive")
 		}
-		return nil
+		return st, nil
 	}
-	// frame aliases the datagram, which the substrate shares between
-	// recipients: this copy is the one the archive keeps.
-	st.pending[m.Seq] = orderedFrame{msg: m, frame: append([]byte(nil), frame...)}
+	st.pending[seq] = k.keep(v, frame)
 
 	var out []orderedFrame
 	for {
@@ -346,30 +369,27 @@ func (k *CoordinatorKernel) reorder(m *message.Message, frame []byte) []orderedF
 			st.next = s + 1
 		}
 	}
-	return out
+	return st, out
 }
 
-// archive commits one ordered frame as the next session event.  It
-// keeps frame, which must be the reorder stage's private copy.
-func (k *CoordinatorKernel) archive(m *message.Message, frame []byte) {
+// archive commits one ordered frame of st as the next session event
+// and keeps its bytes.
+func (k *CoordinatorKernel) archive(st *senderStream, f orderedFrame) {
 	// The session requires membership for Commit; the coordinator
 	// auto-registers senders it hears (they are in the multicast group
 	// by construction).
-	if !k.sess.IsMember(m.Sender) {
-		if err := k.sess.Join(profile.New(m.Sender)); err != nil {
+	if !k.sess.IsMember(st.sender) {
+		if err := k.sess.Join(profile.New(st.sender)); err != nil {
 			return // filtered by the group: not archived
 		}
 	}
-	app, _ := m.Attr(message.AttrApp)
-	object, _ := m.Attr(message.AttrObject)
-	ev, err := k.sess.Commit(m.Sender, app.Str(), object.Str(), nil)
+	ev, err := k.sess.Commit(st.sender, f.app, f.object, nil)
 	if err != nil {
 		return
 	}
-	obs.AppendHop(obs.MsgID(m.Sender, m.Seq), k.ID(), obs.StageArchive)
-	st := k.streams[m.Sender]
-	k.frames[ev.Seq] = archivedFrame{data: frame, senderSeq: m.Seq, stream: st}
-	st.index(m.Seq, ev.Seq)
+	obs.AppendHop(obs.MsgID(st.sender, f.seq), k.ID(), obs.StageArchive)
+	k.frames[ev.Seq] = archivedFrame{data: f.frame, senderSeq: f.seq, stream: st}
+	st.index(f.seq, ev.Seq)
 	if n := uint64(k.archiveCap); n > 0 && ev.Seq > n {
 		// The event this commit trimmed is exactly n back; its frame
 		// goes with it.

@@ -7,7 +7,10 @@ import (
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/snmp"
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
@@ -271,9 +274,21 @@ func TestMalformedTrafficCounted(t *testing.T) {
 	c := NewClient(conn, Config{})
 	defer c.Close()
 
+	cconn, _ := net.Attach("coordinator")
+	coord := NewCoordinator(cconn, session.Group{Objective: "malformed"})
+	defer coord.Close()
+
+	// Both receive kernels report what they cannot read into the one
+	// process-wide family: an unknown envelope tag, then a whole-frame
+	// envelope around bytes that are no frame.
+	ctr := metrics.C(metrics.CtrDecodeErrors)
+	base := ctr.Load()
 	raw.Multicast([]byte("not a message"))
 	waitFor(t, "decode error counted", func() bool { return c.Stats().DecodeErrors == 1 })
+	raw.Multicast(message.WrapWhole([]byte("enveloped, still not a message")))
+	waitFor(t, "second decode error counted", func() bool { return c.Stats().DecodeErrors == 2 })
 	if c.Stats().EventsReceived != 0 {
 		t.Error("garbage counted as event")
 	}
+	waitFor(t, "client and coordinator counting in "+metrics.CtrDecodeErrors, func() bool { return ctr.Load() == base+4 })
 }

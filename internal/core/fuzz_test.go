@@ -75,9 +75,9 @@ func FuzzKernelHandlePacket(f *testing.F) {
 
 		for sender, so := range k.order {
 			_, parked := so.buf.Gap()
-			if parked > maxPending || len(so.msgs) != parked {
+			if parked > maxPending || len(so.parked) != parked {
 				t.Errorf("sender %q: %d parked in the buffer, %d held by the kernel, limit %d",
-					sender, parked, len(so.msgs), maxPending)
+					sender, parked, len(so.parked), maxPending)
 			}
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/repair"
@@ -54,6 +55,10 @@ type Kernel struct {
 	order      map[string]*senderOrder
 	rep        *repair.Engine
 
+	// intern shares the strings every frame repeats (sender, attribute
+	// names, short values) among the messages this kernel materialises.
+	intern message.Interner
+
 	// Counters are atomic so an owner may read them from any goroutine.
 	filtered, decodeErrors atomic.Uint64
 }
@@ -96,39 +101,51 @@ func NewKernel(conn transport.Conn, cfg Config) *Kernel {
 func (k *Kernel) ID() string { return k.conn.ID() }
 
 // HandlePacket ingests one datagram: unwrap (reassembling fragments),
-// decode, drop self-deliveries, restore per-sender order when repair
-// is on, match against the profile, then fire the effect.  Malformed
-// input is counted, never returned or panicked on.
+// validate, drop self-deliveries, restore per-sender order when repair
+// is on, match against the profile, and only then materialise the
+// message and fire the effect — every endpoint of the session receives
+// every frame, so what a frame costs the endpoints that reject it is
+// the validation and nothing else.  Malformed input is counted, never
+// returned or panicked on.
 func (k *Kernel) HandlePacket(pkt transport.Packet) {
 	frame, err := k.unwrap.Unwrap(pkt.From, pkt.Data)
 	if err != nil {
-		k.decodeErrors.Add(1)
+		k.countDecodeError()
 		return
 	}
 	if frame == nil {
 		return // fragment of a larger message, not yet complete
 	}
-	m, err := message.Decode(frame)
+	v, err := message.Parse(frame)
 	if err != nil {
-		k.decodeErrors.Add(1)
+		k.countDecodeError()
 		if obs.Enabled() {
 			obs.Drop(0, obs.StageMatch, k.ID()+": undecodable frame from "+pkt.From)
 		}
 		return
 	}
-	if m.Sender == k.ID() {
+	if string(v.Sender()) == k.ID() {
 		return // self-delivery via relays
 	}
-	if k.order != nil && (m.Kind == message.KindEvent || m.Kind == message.KindData) {
+	if k.order != nil && (v.Kind() == message.KindEvent || v.Kind() == message.KindData) {
 		// Repair mode: event/data frames are gapless per sender, so
 		// they pass through the sender's order buffer first; profile
 		// filtering happens on release (a filtered frame still
 		// consumes its sequence number — it is not a gap).
-		k.ingestOrdered(m)
+		k.ingestOrdered(v)
 		return
 	}
-	k.process(m)
+	k.process(v)
 }
+
+func (k *Kernel) countDecodeError() {
+	k.decodeErrors.Add(1)
+	ctrDecodeErrors.Inc()
+}
+
+// ctrDecodeErrors counts datagrams either kernel could not unwrap or
+// parse, process-wide (Kernel.decodeErrors is this endpoint's share).
+var ctrDecodeErrors = metrics.C(metrics.CtrDecodeErrors)
 
 // Poll advances the repair engine to now: stalled gaps are NACKed on
 // their backoff schedule and, once the retry budget is spent,
@@ -157,18 +174,19 @@ func (k *Kernel) RepairStatus() map[string]repair.StreamStatus {
 	return k.rep.Status()
 }
 
-// process interprets one decoded, ordered (or orderless-mode) message:
-// semantic profile match, Lamport witness, then the effect.
-func (k *Kernel) process(m *message.Message) {
-	msgID := obs.MsgID(m.Sender, m.Seq)
-	// Semantic interpretation: the message selector is evaluated
+// process interprets one validated, ordered (or orderless-mode) frame:
+// semantic profile match, then — for a frame the profile admits — the
+// message, its Lamport witness and the effect.
+func (k *Kernel) process(v message.View) {
+	msgID := obs.MsgID(v.Sender(), v.Seq())
+	// Semantic interpretation: the frame's selector is evaluated
 	// against this endpoint's profile; non-matching traffic is dropped
-	// without any name-based addressing.  The flattened view is
-	// memoized by the manager, so steady-state dispatch costs a map
-	// read, not a deep copy plus a rebuild per frame.
+	// without any name-based addressing and without being decoded.  The
+	// flattened view is memoized by the manager, so steady-state
+	// dispatch costs a map read, not a deep copy plus a rebuild per frame.
 	msp := obs.StartStage(msgID, obs.StageMatch)
 	flat, _ := k.pm.FlatSnapshot()
-	if !m.MatchProfile(flat) {
+	if !v.Matches(flat) {
 		k.filtered.Add(1)
 		if msp.Active() {
 			msp.EndErr(k.ID() + ": filtered by profile")
@@ -177,6 +195,7 @@ func (k *Kernel) process(m *message.Message) {
 	}
 	msp.End()
 	obs.AppendHop(msgID, k.ID(), obs.StageMatch)
+	m := v.Message(&k.intern)
 	if lam, ok := m.Attrs["lamport"]; ok {
 		k.lamport.Witness(uint64(lam.Num()))
 	}
@@ -198,11 +217,13 @@ func (k *Kernel) process(m *message.Message) {
 
 // senderOrder restores one sender's gapless event/data sequence at a
 // replica: the order buffer tracks sequence state (and is what the
-// repair engine watches), msgs holds the decoded frames parked behind
-// a gap until release.
+// repair engine watches), parked holds the frames waiting behind a gap
+// until release — as views, so a frame that turns out to be filtered,
+// evicted or abandoned was never decoded.
 type senderOrder struct {
-	buf  *session.OrderBuffer
-	msgs map[uint64]*message.Message
+	sender string
+	buf    *session.OrderBuffer
+	parked map[uint64]message.View
 }
 
 // defaultMaxPending bounds each sender's order buffer when
@@ -213,37 +234,36 @@ const defaultMaxPending = 512
 // buffer and processes whatever becomes releasable, in order.
 // Duplicates — replayed frames already applied, or substrate
 // duplicate deliveries — are discarded here.
-func (k *Kernel) ingestOrdered(m *message.Message) {
-	so, ok := k.order[m.Sender]
+func (k *Kernel) ingestOrdered(v message.View) {
+	so, ok := k.order[string(v.Sender())]
 	if !ok {
-		so = &senderOrder{buf: session.NewOrderBuffer(0), msgs: make(map[uint64]*message.Message)}
+		so = &senderOrder{
+			sender: string(v.Sender()),
+			buf:    session.NewOrderBuffer(0),
+			parked: make(map[uint64]message.View),
+		}
 		so.buf.SetClock(k.clk)
 		// Overflow evicts the farthest-ahead frame from the buffer;
-		// drop its parked payload too (runs under the buffer's lock).
-		so.buf.SetLimit(k.maxPending, func(ev session.Event) { delete(so.msgs, ev.Seq) })
-		k.order[m.Sender] = so
-		k.rep.Watch(m.Sender, so.buf)
+		// drop its parked view too (runs under the buffer's lock).
+		so.buf.SetLimit(k.maxPending, func(ev session.Event) { delete(so.parked, ev.Seq) })
+		k.order[so.sender] = so
+		k.rep.Watch(so.sender, so.buf)
 	}
-	seq := uint64(m.Seq)
-	so.msgs[seq] = m
-	released := so.buf.Push(session.Event{Seq: seq, Sender: m.Sender})
-	if len(released) == 0 {
-		if w, _ := so.buf.Gap(); seq < w {
-			// Already applied (or skipped): a duplicate or replay echo.
-			delete(so.msgs, seq)
-		}
-		return
+	seq := uint64(v.Seq())
+	if w, _ := so.buf.Gap(); seq < w {
+		return // already applied (or skipped): a duplicate or replay echo
 	}
-	k.release(so, released)
+	so.parked[seq] = v
+	k.release(so, so.buf.Push(session.Event{Seq: seq, Sender: so.sender}))
 }
 
 // release processes released events in order.
 func (k *Kernel) release(so *senderOrder, released []session.Event) {
 	for _, ev := range released {
-		if mm, ok := so.msgs[ev.Seq]; ok {
-			delete(so.msgs, ev.Seq)
-			obs.AppendHop(obs.MsgID(mm.Sender, mm.Seq), k.ID(), obs.StageReorder)
-			k.process(mm)
+		if v, ok := so.parked[ev.Seq]; ok {
+			delete(so.parked, ev.Seq)
+			obs.AppendHop(obs.MsgID(v.Sender(), v.Seq()), k.ID(), obs.StageReorder)
+			k.process(v)
 		}
 	}
 }

@@ -1,0 +1,118 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/transport"
+)
+
+// viewRig is one kernel fed by hand on a virtual clock: datagrams are
+// built the way a publisher builds them and handed straight to
+// HandlePacket.
+type viewRig struct {
+	t       *testing.T
+	k       *Kernel
+	env     message.Enveloper
+	applied []string // "sender/seq" in Deliver order
+}
+
+func newViewRig(t *testing.T, id string, repair bool) *viewRig {
+	t.Helper()
+	r := &viewRig{t: t}
+	cfg := Config{Clock: clock.NewVirtual(time.Unix(100, 0))}
+	if repair {
+		cfg.Repair = &RepairOptions{Coordinator: "coordinator", StallTimeout: time.Second}
+	}
+	r.k = NewKernel(nullConn(id), cfg)
+	r.k.Deliver = func(m *message.Message) {
+		r.applied = append(r.applied, fmt.Sprintf("%s/%d", m.Sender, m.Seq))
+	}
+	return r
+}
+
+// say builds the datagram of a chat line.
+func (r *viewRig) say(sender string, seq uint32, sel string) transport.Packet {
+	r.t.Helper()
+	d, err := r.env.WrapMessage(&message.Message{
+		Kind: message.KindEvent, Sender: sender, Seq: seq, Timestamp: time.Unix(100, 0), Selector: sel,
+		Attrs: selector.Attributes{
+			message.AttrApp:   selector.S("chat"),
+			message.AttrMedia: selector.S("text"),
+			message.AttrSize:  selector.N(5),
+			"lamport":         selector.N(float64(seq)),
+		},
+		Body: []byte{0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o'},
+	})
+	if err != nil || len(d) != 1 {
+		r.t.Fatalf("wrap: %d datagrams, %v", len(d), err)
+	}
+	return transport.Packet{From: sender, Data: d[0]}
+}
+
+// A frame parked behind a gap has not been matched yet: when the gap
+// closes it is judged by the profile the endpoint has then, not the one
+// it had when the frame arrived.
+func TestParkedFrameMatchedAsOfRelease(t *testing.T) {
+	r := newViewRig(t, "recv", true)
+	r.k.pm.SetInterest("topic", selector.S("a"))
+	r.k.HandlePacket(r.say("pub", 2, `topic == "a"`)) // would pass now
+	r.k.HandlePacket(r.say("pub", 3, `topic == "b"`)) // would be filtered now
+	if len(r.applied) != 0 {
+		t.Fatalf("delivered %v past a gap", r.applied)
+	}
+	r.k.pm.SetInterest("topic", selector.S("b"))
+	r.k.HandlePacket(r.say("pub", 1, ""))
+	if want := []string{"pub/1", "pub/3"}; !reflect.DeepEqual(r.applied, want) {
+		t.Errorf("delivered %v, want %v: parked frames must meet the profile as of release", r.applied, want)
+	}
+	if got := r.k.filtered.Load(); got != 1 {
+		t.Errorf("filtered = %d, want 1 (seq 2, at release)", got)
+	}
+}
+
+// A frame the profile rejects still consumes its sequence number: the
+// frames after it are delivered, nothing is parked behind it and no
+// gap is left for the repair engine to chase.
+func TestFilteredFrameConsumesItsSeq(t *testing.T) {
+	r := newViewRig(t, "recv", true)
+	r.k.pm.SetInterest("topic", selector.S("a"))
+	r.k.HandlePacket(r.say("pub", 1, `topic == "a"`))
+	r.k.HandlePacket(r.say("pub", 2, `topic == "b"`))
+	r.k.HandlePacket(r.say("pub", 3, `topic == "a"`))
+	r.k.HandlePacket(r.say("pub", 2, `topic == "b"`)) // and again: a duplicate, not counted twice
+	if want := []string{"pub/1", "pub/3"}; !reflect.DeepEqual(r.applied, want) {
+		t.Errorf("delivered %v, want %v", r.applied, want)
+	}
+	so := r.k.order["pub"]
+	if next, parked := so.buf.Gap(); next != 4 || parked != 0 || len(so.parked) != 0 {
+		t.Errorf("waiting for %d with %d parked (%d views held), want 4, 0, 0", next, parked, len(so.parked))
+	}
+	if got := r.k.filtered.Load(); got != 1 {
+		t.Errorf("filtered = %d, want 1", got)
+	}
+}
+
+// Each kernel owns its intern table: traffic through one leaves the
+// other's untouched, and what two kernels deliver is equal but was
+// interned apart.
+func TestKernelsShareNoInternTable(t *testing.T) {
+	a, b := newViewRig(t, "recv-a", false), newViewRig(t, "recv-b", false)
+	for seq := uint32(1); seq <= 3; seq++ {
+		a.k.HandlePacket(a.say("pub", seq, ""))
+	}
+	if len(a.applied) != 3 {
+		t.Fatalf("delivered %v", a.applied)
+	}
+	if a.k.intern == (message.Interner{}) {
+		t.Error("the receiving kernel interned nothing")
+	}
+	if b.k.intern != (message.Interner{}) {
+		t.Error("an idle kernel's intern table was written to")
+	}
+}

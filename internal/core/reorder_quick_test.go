@@ -8,6 +8,26 @@ import (
 	"adaptiveqos/internal/message"
 )
 
+// reorderSeq feeds the reorder stage sender "s"'s frame seq, the way
+// HandlePacket does, and returns the seqs it releases.
+func reorderSeq(t *testing.T, c *CoordinatorKernel, seq uint32) []uint32 {
+	t.Helper()
+	frame, err := message.Encode(&message.Message{Kind: message.KindEvent, Sender: "s", Seq: seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := message.Parse(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var released []uint32
+	_, ordered := c.reorder(v, frame)
+	for _, of := range ordered {
+		released = append(released, of.seq)
+	}
+	return released
+}
+
 // TestQuickCoordinatorReorder: for any permutation of a sender's
 // sequence numbers (starting at 1), the reorder stage releases them
 // exactly once, in order.
@@ -22,10 +42,7 @@ func TestQuickCoordinatorReorder(t *testing.T) {
 		perm := r.Perm(n)
 		var released []uint32
 		for _, i := range perm {
-			m := &message.Message{Kind: message.KindEvent, Sender: "s", Seq: uint32(i + 1)}
-			for _, of := range c.reorder(m, []byte{byte(i)}) {
-				released = append(released, of.msg.Seq)
-			}
+			released = append(released, reorderSeq(t, c, uint32(i+1))...)
 		}
 		if len(released) != n {
 			t.Logf("seed %d: released %d of %d", seed, len(released), n)
@@ -58,10 +75,7 @@ func TestQuickCoordinatorReorderWithLoss(t *testing.T) {
 		n := maxStreamPending + 10
 		var released []uint32
 		for i := 2; i <= n+1; i++ {
-			m := &message.Message{Kind: message.KindEvent, Sender: "s", Seq: uint32(i)}
-			for _, of := range c.reorder(m, nil) {
-				released = append(released, of.msg.Seq)
-			}
+			released = append(released, reorderSeq(t, c, uint32(i))...)
 		}
 		if len(released) != n {
 			t.Logf("seed %d: released %d of %d after flush", seed, len(released), n)

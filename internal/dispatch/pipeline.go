@@ -27,6 +27,9 @@ type Task struct {
 	Flat  selector.Attributes
 	Tier  int
 	Obj   any
+	// Fan is the message enveloped for everyone it is relayed to; the
+	// Transmit stage sends this client its datagrams.
+	Fan *Fanout
 	// Node names the broker executing this pipeline in flight-recorder
 	// hop records; empty disables hop recording for the task.
 	Node string
@@ -88,13 +91,11 @@ func Match(lookup func(id string) (selector.Attributes, bool)) Stage {
 	}
 }
 
-// Transmit returns the terminal stage: hand the task's message to a
-// transmit adapter addressed to the task's client.
-func Transmit(d Deliverer) Stage {
-	return func(t *Task) error {
-		if t.Node != "" {
-			obs.AppendHop(t.MsgID, t.Node, obs.StageTransmit)
-		}
-		return d.Deliver(t.To, t.Msg)
+// Transmit is the terminal stage: unicast the task's fan-out — one set
+// of datagrams, whoever it goes to — to the task's client.
+func Transmit(t *Task) error {
+	if t.Node != "" {
+		obs.AppendHop(t.MsgID, t.Node, obs.StageTransmit)
 	}
+	return t.Fan.Deliver(t.To)
 }

@@ -1,6 +1,8 @@
 package dispatch
 
 import (
+	"sync"
+
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/transport"
 )
@@ -59,6 +61,10 @@ func (uc *Unicaster) Deliver(to string, m *message.Message) error {
 	if err != nil {
 		return err
 	}
+	return uc.send(to, datagrams)
+}
+
+func (uc *Unicaster) send(to string, datagrams [][]byte) error {
 	if uc.OnSend != nil {
 		uc.OnSend(to)
 	}
@@ -68,4 +74,33 @@ func (uc *Unicaster) Deliver(to string, m *message.Message) error {
 		}
 	}
 	return nil
+}
+
+// Fanout is one message on its way to many peers through a Unicaster.
+// The datagrams are the same bytes whoever they go to, so the message
+// is enveloped once — on the first Deliver, so a message no peer turns
+// out to be admitted to is never encoded — and every addressee is
+// unicast that one set.  It is safe for concurrent use: the dispatch
+// pool delivers from several shard goroutines.
+type Fanout struct {
+	uc        *Unicaster
+	m         *message.Message
+	once      sync.Once
+	datagrams [][]byte
+	err       error
+}
+
+// Fanout prepares m for delivery to any number of peers.
+func (uc *Unicaster) Fanout(m *message.Message) *Fanout {
+	return &Fanout{uc: uc, m: m}
+}
+
+// Deliver unicasts the message's datagrams to to, as Unicaster.Deliver
+// would.
+func (f *Fanout) Deliver(to string) error {
+	f.once.Do(func() { f.datagrams, f.err = f.uc.Env.WrapMessage(f.m) })
+	if f.err != nil {
+		return f.err
+	}
+	return f.uc.send(to, f.datagrams)
 }

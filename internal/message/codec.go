@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"time"
+	"slices"
 
 	"adaptiveqos/internal/selector"
 )
@@ -89,7 +89,20 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	buf = appendString(buf, m.Selector)
 
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Attrs)))
-	for _, name := range m.Attrs.Names() { // deterministic order
+	// Names go out sorted, so a message has one encoding.  The usual
+	// handful is sorted in a stack array; only a message with more
+	// attributes than that pays for Names' slice.
+	var few [16]string
+	names := few[:0]
+	if len(m.Attrs) > len(few) {
+		names = m.Attrs.Names()
+	} else {
+		for name := range m.Attrs {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+	}
+	for _, name := range names {
 		if len(name) > MaxStringLen {
 			return nil, ErrTooLarge
 		}
@@ -121,116 +134,16 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses a frame produced by Encode.  The input must contain
-// exactly one frame.
+// Decode parses a frame produced by Encode into a message that shares
+// nothing with it.  The input must contain exactly one frame.  It is
+// Parse followed by View.Message: receive paths that can reject a
+// frame before they need the message call those two themselves.
 func Decode(frame []byte) (*Message, error) {
-	const minLen = 4 + 1 + 4 + 8 + 2 + 2 + 2 + 4 + 4
-	if len(frame) < minLen {
-		return nil, ErrTruncated
-	}
-	payload, sum := frame[:len(frame)-4], binary.BigEndian.Uint32(frame[len(frame)-4:])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, ErrChecksum
-	}
-	d := decoder{buf: payload}
-
-	var mg [4]byte
-	if err := d.bytes(mg[:]); err != nil {
-		return nil, err
-	}
-	if mg != magic {
-		return nil, ErrBadMagic
-	}
-	kind, err := d.u8()
+	v, err := Parse(frame)
 	if err != nil {
 		return nil, err
 	}
-	m := &Message{Kind: Kind(kind)}
-	if !m.Kind.valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadKind, kind)
-	}
-	if m.Seq, err = d.u32(); err != nil {
-		return nil, err
-	}
-	ts, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.Timestamp = time.Unix(0, int64(ts))
-	if m.Sender, err = d.str(); err != nil {
-		return nil, err
-	}
-	if m.Selector, err = d.str(); err != nil {
-		return nil, err
-	}
-	// Reject uncompilable selectors at decode time: a corrupt selector
-	// off the wire is a malformed frame, not a message every receiver
-	// should carry to the dispatch layer and silently drop there.  The
-	// selector cache (including its negative entries) makes this check a
-	// map lookup on all but the first sighting.
-	if m.Selector != "" {
-		if _, serr := selector.CompileCached(m.Selector); serr != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSelector, serr)
-		}
-	}
-
-	nattrs, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if int(nattrs) > MaxAttrs {
-		return nil, ErrTooLarge
-	}
-	m.Attrs = make(selector.Attributes, nattrs)
-	for i := 0; i < int(nattrs); i++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		k, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
-		switch selector.Kind(k) {
-		case selector.KindString:
-			s, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			m.Attrs[name] = selector.S(s)
-		case selector.KindNumber:
-			bits, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			m.Attrs[name] = selector.N(math.Float64frombits(bits))
-		case selector.KindBool:
-			b, err := d.u8()
-			if err != nil {
-				return nil, err
-			}
-			m.Attrs[name] = selector.B(b != 0)
-		default:
-			return nil, fmt.Errorf("%w: attribute %q kind %d", ErrBadAttr, name, k)
-		}
-	}
-
-	bodyLen, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if bodyLen > MaxBodyLen {
-		return nil, ErrTooLarge
-	}
-	if int(bodyLen) > len(d.buf)-d.off {
-		return nil, ErrTruncated
-	}
-	m.Body = append([]byte(nil), d.buf[d.off:d.off+int(bodyLen)]...)
-	d.off += int(bodyLen)
-	if d.off != len(d.buf) {
-		return nil, ErrTrailing
-	}
-	return m, nil
+	return v.Message(nil), nil
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -251,13 +164,14 @@ func (d *decoder) need(n int) error {
 	return nil
 }
 
-func (d *decoder) bytes(dst []byte) error {
-	if err := d.need(len(dst)); err != nil {
-		return err
+// take returns the next n bytes, still in the buffer.
+func (d *decoder) take(n int) ([]byte, error) {
+	if err := d.need(n); err != nil {
+		return nil, err
 	}
-	copy(dst, d.buf[d.off:])
-	d.off += len(dst)
-	return nil
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b, nil
 }
 
 func (d *decoder) u8() (uint8, error) {
@@ -296,15 +210,35 @@ func (d *decoder) u64() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) str() (string, error) {
+// str reads a length-prefixed string, returned as the buffer's bytes.
+func (d *decoder) str() ([]byte, error) {
 	n, err := d.u16()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if err := d.need(int(n)); err != nil {
-		return "", err
+	return d.take(int(n))
+}
+
+// attr reads one attribute entry: its name, its kind and the bytes of
+// its value (a string's text, a number's eight, a bool's one), all
+// still in the buffer.
+func (d *decoder) attr() (name []byte, kind selector.Kind, raw []byte, err error) {
+	if name, err = d.str(); err != nil {
+		return nil, 0, nil, err
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
+	k, err := d.u8()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	switch kind = selector.Kind(k); kind {
+	case selector.KindString:
+		raw, err = d.str()
+	case selector.KindNumber:
+		raw, err = d.take(8)
+	case selector.KindBool:
+		raw, err = d.take(1)
+	default:
+		err = fmt.Errorf("%w: attribute %q kind %d", ErrBadAttr, name, k)
+	}
+	return name, kind, raw, err
 }

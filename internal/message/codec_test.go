@@ -301,3 +301,34 @@ func randBytes(r *rand.Rand, max int) []byte {
 	r.Read(b)
 	return b
 }
+
+// TestAttributesEncodeInNameOrder: a message has one encoding whatever
+// order its map iterates in — on both sides of the attribute count at
+// which AppendEncode stops sorting on the stack.
+func TestAttributesEncodeInNameOrder(t *testing.T) {
+	for _, n := range []int{1, 15, 16, 17, 40} {
+		m := &Message{Kind: KindEvent, Attrs: selector.Attributes{}}
+		for i := 0; i < n; i++ {
+			m.Attrs[strings.Repeat("k", 1+(i*7)%5)+string(rune('a'+i%26))+string(rune('A'+i/26))] = selector.N(float64(i))
+		}
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := Parse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, prev := decoder{buf: v.attrs}, ""
+		for i := 0; i < n; i++ {
+			name, _, _, err := d.attr()
+			if err != nil || string(name) <= prev {
+				t.Fatalf("%d attributes: entry %d is %q after %q (%v)", n, i, name, prev, err)
+			}
+			prev = string(name)
+		}
+		if again, _ := Encode(m); string(again) != string(frame) {
+			t.Errorf("%d attributes: two encodings of one message differ", n)
+		}
+	}
+}

@@ -231,7 +231,7 @@ func (u *Unwrapper) Unwrap(peer string, datagram []byte) ([]byte, error) {
 	case envWhole, envWholeTraced:
 		return body, nil
 	case envFragment, envFragmentTraced:
-		frag, err := UnmarshalFragment(body)
+		frag, err := parseFragment(body) // in place: Add copies the chunk it keeps
 		if err != nil {
 			return nil, err
 		}

@@ -143,3 +143,42 @@ func TestQuickEnvelopeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The unwrapper reads a fragment's header in place and keeps its own
+// copy of the chunk: the datagram may be overwritten the moment Unwrap
+// returns (UnmarshalFragment, the public decoder, copies as before).
+func TestUnwrapFragmentKeepsOwnCopy(t *testing.T) {
+	frame := bytes.Repeat([]byte("fragmented payload "), 40)
+	datagrams, err := (&Enveloper{MTU: 128}).Wrap(frame)
+	if err != nil || len(datagrams) < 3 {
+		t.Fatalf("%d datagrams, %v", len(datagrams), err)
+	}
+	u := NewUnwrapper()
+	var got []byte
+	for _, d := range datagrams {
+		out, err := u.Unwrap("peer", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range d {
+			d[i] = 0xEE
+		}
+		if out != nil {
+			got = out
+		}
+	}
+	if !bytes.Equal(got, frame) {
+		t.Error("reassembled frame changed with the datagrams it arrived in")
+	}
+
+	f := Fragment{MsgID: 1, Count: 1, Chunk: []byte("chunk")}
+	wire := f.Marshal()
+	back, err := UnmarshalFragment(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire[len(wire)-1] ^= 0xFF
+	if string(back.Chunk) != "chunk" {
+		t.Error("UnmarshalFragment's chunk aliases its input")
+	}
+}

@@ -91,8 +91,21 @@ func (f *Fragment) AppendMarshal(dst []byte) []byte {
 	return append(dst, f.Chunk...)
 }
 
-// UnmarshalFragment decodes a fragment frame.
+// UnmarshalFragment decodes a fragment frame.  The returned fragment
+// owns its chunk: frame may be reused afterwards.
 func UnmarshalFragment(frame []byte) (Fragment, error) {
+	f, err := parseFragment(frame)
+	if err != nil {
+		return Fragment{}, err
+	}
+	f.Chunk = append([]byte(nil), f.Chunk...)
+	return f, nil
+}
+
+// parseFragment decodes a fragment frame in place: the chunk is the
+// frame's own bytes.  The receive path hands it straight to
+// Reassembler.Add, which makes the one copy that is kept.
+func parseFragment(frame []byte) (Fragment, error) {
 	if len(frame) < fragHeaderLen {
 		return Fragment{}, ErrFragHeader
 	}
@@ -100,16 +113,16 @@ func UnmarshalFragment(frame []byte) (Fragment, error) {
 		MsgID: binary.BigEndian.Uint64(frame),
 		Index: binary.BigEndian.Uint16(frame[8:]),
 		Count: binary.BigEndian.Uint16(frame[10:]),
+		Chunk: frame[fragHeaderLen:],
 	}
 	chunkLen := binary.BigEndian.Uint32(frame[12:])
-	if int(chunkLen) != len(frame)-fragHeaderLen {
+	if int(chunkLen) != len(f.Chunk) {
 		return Fragment{}, fmt.Errorf("%w: chunk length %d vs frame %d",
-			ErrFragHeader, chunkLen, len(frame)-fragHeaderLen)
+			ErrFragHeader, chunkLen, len(f.Chunk))
 	}
 	if f.Count == 0 || f.Index >= f.Count {
 		return Fragment{}, fmt.Errorf("%w: index %d of %d", ErrFragHeader, f.Index, f.Count)
 	}
-	f.Chunk = append([]byte(nil), frame[fragHeaderLen:]...)
 	return f, nil
 }
 
@@ -145,9 +158,10 @@ func (r *Reassembler) maxPending() int {
 	return r.MaxPending
 }
 
-// Add ingests a fragment.  When the fragment completes its message the
-// reassembled payload is returned with done=true and the message's
-// state is released.  Duplicate fragments are ignored.
+// Add ingests a fragment, copying its chunk: the caller keeps f.Chunk.
+// When the fragment completes its message the reassembled payload is
+// returned with done=true and the message's state is released.
+// Duplicate fragments are ignored.
 func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 	if f.Count == 0 || f.Index >= f.Count {
 		return nil, false, fmt.Errorf("%w: index %d of %d", ErrFragHeader, f.Index, f.Count)

@@ -75,6 +75,12 @@ type Message struct {
 	Attrs selector.Attributes
 	// Body is the payload.
 	Body []byte
+
+	// sel is Selector compiled, remembered by View.Message so that a
+	// received message is matched (once per candidate at a relay)
+	// without going back to the selector cache.  It is used only while
+	// its source still equals Selector.
+	sel *selector.Selector
 }
 
 // MatchProfile reports whether the message's selector admits the given
@@ -85,7 +91,8 @@ type Message struct {
 //
 // Compilation goes through the process-global selector cache, so each
 // distinct selector is lexed and parsed once per process rather than
-// once per delivered message.
+// once per delivered message; a received message already holds its
+// compiled selector and skips the cache too.
 func (m *Message) MatchProfile(flat selector.Attributes) bool {
 	sel, err := m.CompiledSelector()
 	if err != nil {
@@ -97,12 +104,16 @@ func (m *Message) MatchProfile(flat selector.Attributes) bool {
 	return sel.Matches(flat)
 }
 
-// CompiledSelector returns the message's selector compiled through the
+// CompiledSelector returns the message's selector compiled: the one
+// Parse resolved for a received message, otherwise through the
 // process-global cache.  A nil selector with nil error means the empty
 // ("match all") selector.
 func (m *Message) CompiledSelector() (*selector.Selector, error) {
 	if m.Selector == "" {
 		return nil, nil
+	}
+	if m.sel != nil && m.sel.Source() == m.Selector {
+		return m.sel, nil
 	}
 	return selector.CompileCached(m.Selector)
 }

@@ -1,0 +1,198 @@
+package message
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"time"
+
+	"adaptiveqos/internal/selector"
+)
+
+// View is a frame that has passed every check the codec makes, read in
+// place: its fields are the frame's own bytes and nothing has been
+// allocated for it.  On the multicast session every endpoint receives
+// every frame and most reject it (own echo, duplicate, selector
+// mismatch), so a receive path asks the view what it needs to decide —
+// kind, sender, sequence number, whether the selector admits a profile —
+// and calls Message only for a frame it keeps.
+//
+// A View aliases the frame it was parsed from and stays valid for as
+// long as those bytes are not modified; transport.Packet.Data never is,
+// so a view of a received datagram may be retained.
+type View struct {
+	kind   Kind
+	seq    uint32
+	ts     int64
+	sender []byte
+	sel    *selector.Selector // nil: the empty, match-all selector
+	nattrs int
+	attrs  []byte // the attribute entries, bounds-checked by Parse
+	body   []byte
+}
+
+// Parse validates a frame produced by Encode — length, checksum, magic,
+// kind, every string, attribute and body bound, the codec limits, no
+// trailing bytes, a selector that compiles — and returns a view of it.
+// The input must contain exactly one frame.
+//
+// The selector is resolved once, through the process-global cache keyed
+// by the frame's own bytes; with the selector cached, Parse allocates
+// nothing.
+func Parse(frame []byte) (View, error) {
+	const minLen = 4 + 1 + 4 + 8 + 2 + 2 + 2 + 4 + 4
+	if len(frame) < minLen {
+		return View{}, ErrTruncated
+	}
+	payload, sum := frame[:len(frame)-4], binary.BigEndian.Uint32(frame[len(frame)-4:])
+	if crc32.ChecksumIEEE(payload) != sum {
+		return View{}, ErrChecksum
+	}
+	d := decoder{buf: payload}
+
+	mg, err := d.take(len(magic))
+	if err != nil {
+		return View{}, err
+	}
+	if [4]byte(mg) != magic {
+		return View{}, ErrBadMagic
+	}
+	kind, err := d.u8()
+	if err != nil {
+		return View{}, err
+	}
+	v := View{kind: Kind(kind)}
+	if !v.kind.valid() {
+		return View{}, fmt.Errorf("%w: %d", ErrBadKind, kind)
+	}
+	if v.seq, err = d.u32(); err != nil {
+		return View{}, err
+	}
+	ts, err := d.u64()
+	if err != nil {
+		return View{}, err
+	}
+	v.ts = int64(ts)
+	if v.sender, err = d.str(); err != nil {
+		return View{}, err
+	}
+	src, err := d.str()
+	if err != nil {
+		return View{}, err
+	}
+	// Reject uncompilable selectors here: a corrupt selector off the
+	// wire is a malformed frame, not a message every receiver should
+	// carry to the dispatch layer and silently drop there.  The cache
+	// (including its negative entries) makes this a map lookup on all
+	// but the first sighting, and what it returns is what the view, and
+	// the message made from it, match with.
+	if len(src) > 0 {
+		var serr error
+		if v.sel, serr = selector.DefaultCache().CompileBytes(src); serr != nil {
+			return View{}, fmt.Errorf("%w: %v", ErrBadSelector, serr)
+		}
+	}
+
+	nattrs, err := d.u16()
+	if err != nil {
+		return View{}, err
+	}
+	if int(nattrs) > MaxAttrs {
+		return View{}, ErrTooLarge
+	}
+	v.nattrs = int(nattrs)
+	start := d.off
+	for i := 0; i < v.nattrs; i++ {
+		if _, _, _, err := d.attr(); err != nil {
+			return View{}, err
+		}
+	}
+	v.attrs = d.buf[start:d.off]
+
+	bodyLen, err := d.u32()
+	if err != nil {
+		return View{}, err
+	}
+	if bodyLen > MaxBodyLen {
+		return View{}, ErrTooLarge
+	}
+	if v.body, err = d.take(int(bodyLen)); err != nil {
+		return View{}, err
+	}
+	if d.off != len(d.buf) {
+		return View{}, ErrTrailing
+	}
+	return v, nil
+}
+
+// Kind returns the message kind.
+func (v View) Kind() Kind { return v.kind }
+
+// Seq returns the sender-scoped sequence number.
+func (v View) Seq() uint32 { return v.seq }
+
+// Sender returns the originating client ID as the frame's bytes.
+func (v View) Sender() []byte { return v.sender }
+
+// Matches reports whether the frame's selector admits the given
+// flattened profile attributes; the empty selector admits everything.
+func (v View) Matches(flat selector.Attributes) bool {
+	return v.sel == nil || v.sel.Matches(flat)
+}
+
+// Attr returns a content attribute, as Message(in).Attr would.
+func (v View) Attr(name string, in *Interner) (selector.Value, bool) {
+	var kind selector.Kind
+	var raw []byte
+	found := false
+	d := decoder{buf: v.attrs}
+	for i := 0; i < v.nattrs; i++ {
+		n, k, r, _ := d.attr()
+		if string(n) == name {
+			kind, raw, found = k, r, true // a repeated name: the last entry wins, as in Message's map
+		}
+	}
+	if !found {
+		return selector.Value{}, false
+	}
+	return attrValue(kind, raw, in), true
+}
+
+// Message materialises the view as a message that shares no memory
+// with the frame.  Sender, attribute names and short string values
+// come out of in (nil: each is a fresh string); the selector source is
+// the compiled selector's own copy, and the message remembers that
+// selector, so matching it later costs no cache lookup.
+func (v View) Message(in *Interner) *Message {
+	m := &Message{
+		Kind:      v.kind,
+		Sender:    in.String(v.sender),
+		Seq:       v.seq,
+		Timestamp: time.Unix(0, v.ts),
+		Attrs:     make(selector.Attributes, v.nattrs),
+		Body:      append([]byte(nil), v.body...),
+		sel:       v.sel,
+	}
+	if v.sel != nil {
+		m.Selector = v.sel.Source()
+	}
+	d := decoder{buf: v.attrs}
+	for i := 0; i < v.nattrs; i++ {
+		name, kind, raw, _ := d.attr()
+		m.Attrs[in.String(name)] = attrValue(kind, raw, in)
+	}
+	return m
+}
+
+// attrValue builds the value of an attribute entry decoder.attr read.
+func attrValue(kind selector.Kind, raw []byte, in *Interner) selector.Value {
+	switch kind {
+	case selector.KindString:
+		return selector.S(in.String(raw))
+	case selector.KindNumber:
+		return selector.N(math.Float64frombits(binary.BigEndian.Uint64(raw)))
+	default:
+		return selector.B(raw[0] != 0)
+	}
+}

@@ -126,6 +126,10 @@ const (
 	CtrFlattenBuild      = "profile.flatten.build"
 	CtrEncodeBufReuse    = "message.encodebuf.reuse"
 	CtrEncodeBufAlloc    = "message.encodebuf.alloc"
+	// Datagrams a receive path (client kernel, coordinator kernel, the
+	// base station's wired and radio loops) could not unwrap or parse: a
+	// corrupt or hostile peer shows here.
+	CtrDecodeErrors = "message.decode.errors"
 	// Dispatch-pool counters (exposed as aqos_dispatch_*; the pool
 	// replaced the base station's per-batch fan-out goroutines).
 	CtrDispatchBatches    = "dispatch.batches"
@@ -267,7 +271,7 @@ func UnescapeLabel(v string) string {
 var defaultCounterNames = []string{
 	CtrSelectorCacheHit, CtrSelectorCacheMiss,
 	CtrFlattenReuse, CtrFlattenBuild,
-	CtrEncodeBufReuse, CtrEncodeBufAlloc,
+	CtrEncodeBufReuse, CtrEncodeBufAlloc, CtrDecodeErrors,
 	CtrDispatchBatches, CtrDispatchJobs, CtrDispatchQueueDrops,
 	CtrCollectEvictions,
 	CtrRepairRequests, CtrRepairSuccess, CtrRepairAbandoned, CtrRepairReplayedFrames,

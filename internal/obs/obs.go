@@ -35,8 +35,9 @@ func Enabled() bool { return enabled.Load() }
 // sender and sender-scoped sequence number (FNV-1a over the sender,
 // mixed with the seq).  Every pipeline hop can recompute it from the
 // message itself, so the trace context crosses the wire for free — no
-// envelope format change, no allocation.
-func MsgID(sender string, seq uint32) uint64 {
+// envelope format change, no allocation — including for a receiver that
+// holds the sender only as the bytes of a frame it has not decoded.
+func MsgID[S string | []byte](sender S, seq uint32) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(sender); i++ {
 		h ^= uint64(sender[i])

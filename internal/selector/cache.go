@@ -65,7 +65,7 @@ func NewCache(capacity int) *Cache {
 
 // shardFor hashes src (FNV-1a) to a shard so concurrent compiles of
 // different selectors rarely contend on one lock.
-func (c *Cache) shardFor(src string) *cacheShard {
+func shardFor[S string | []byte](c *Cache, src S) *cacheShard {
 	h := uint32(2166136261)
 	for i := 0; i < len(src); i++ {
 		h ^= uint32(src[i])
@@ -79,18 +79,42 @@ func (c *Cache) shardFor(src string) *cacheShard {
 // shared: it is immutable after compilation and safe for concurrent
 // Matches calls.
 func (c *Cache) Compile(src string) (*Selector, error) {
-	sh := c.shardFor(src)
+	sh := shardFor(c, src)
 	sh.mu.Lock()
 	if el, ok := sh.entries[src]; ok {
-		sh.order.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		ctrCacheHit.Inc()
-		return e.sel, e.err
+		return c.hit(sh, el)
 	}
 	sh.mu.Unlock()
+	return c.install(sh, src)
+}
 
+// CompileBytes is Compile for source text still sitting in a receive
+// buffer: a hit allocates nothing (the map is indexed by the bytes in
+// place), and only a first sighting copies src, into the string the
+// cache and the compiled selector then keep.  src is not retained.
+func (c *Cache) CompileBytes(src []byte) (*Selector, error) {
+	sh := shardFor(c, src)
+	sh.mu.Lock()
+	if el, ok := sh.entries[string(src)]; ok {
+		return c.hit(sh, el)
+	}
+	sh.mu.Unlock()
+	return c.install(sh, string(src))
+}
+
+// hit finishes a lookup that found el; the shard lock is held on entry
+// and released here.
+func (c *Cache) hit(sh *cacheShard, el *list.Element) (*Selector, error) {
+	sh.order.MoveToFront(el)
+	e := el.Value.(*cacheEntry)
+	sh.mu.Unlock()
+	c.hits.Add(1)
+	ctrCacheHit.Inc()
+	return e.sel, e.err
+}
+
+// install compiles src after a lookup missed and caches the outcome.
+func (c *Cache) install(sh *cacheShard, src string) (*Selector, error) {
 	// Parse outside the shard lock: a slow parse of one selector must
 	// not stall cache hits for every other selector in the shard.
 	// Concurrent first sightings may both parse; the second install is
@@ -99,12 +123,7 @@ func (c *Cache) Compile(src string) (*Selector, error) {
 
 	sh.mu.Lock()
 	if el, ok := sh.entries[src]; ok { // raced with another first sighting
-		sh.order.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		ctrCacheHit.Inc()
-		return e.sel, e.err
+		return c.hit(sh, el)
 	}
 	el := sh.order.PushFront(&cacheEntry{src: src, sel: sel, err: err})
 	sh.entries[src] = el

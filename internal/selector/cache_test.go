@@ -127,3 +127,39 @@ func TestCompileCachedDefault(t *testing.T) {
 		t.Error("default cache saw no compiles")
 	}
 }
+
+// CompileBytes is Compile for source text still in a receive buffer:
+// the same entries, the same counters, and nothing kept of the buffer.
+func TestCacheCompileBytes(t *testing.T) {
+	c := NewCache(0)
+	buf := []byte(`media == "image" and size <= 4096`)
+	src := string(buf)
+	first, err := c.CompileBytes(buf)
+	if err != nil || first.Source() != src {
+		t.Fatalf("CompileBytes: %v, %v", first, err)
+	}
+	for i := range buf {
+		buf[i] = 'x' // the caller's buffer is its own again
+	}
+	if first.Source() != src {
+		t.Error("compiled selector aliases the caller's buffer")
+	}
+	viaString, _ := c.Compile(src)
+	viaBytes, _ := c.CompileBytes([]byte(src))
+	if viaString != first || viaBytes != first {
+		t.Error("Compile and CompileBytes must share one entry per source")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss, 2 hits, 1 entry", st)
+	}
+	// Errors are cached under the bytes too.
+	if _, err := c.CompileBytes([]byte("media == ")); err == nil {
+		t.Fatal("bad selector compiled")
+	}
+	if _, err := c.CompileBytes([]byte("media == ")); err == nil {
+		t.Fatal("bad selector compiled from the negative entry")
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 3 {
+		t.Errorf("stats after the bad selector = %+v, want 2 misses, 3 hits", st)
+	}
+}

@@ -19,8 +19,13 @@ import (
 type Packet struct {
 	// From is the sender's node ID.
 	From string
-	// Data is the frame payload.  On the simulated networks it is
-	// shared between recipients: read-only.
+	// Data is the frame payload.  It is immutable and may be retained:
+	// no substrate writes to it or reuses it after delivery (the
+	// simulated networks make one private copy per send, shared
+	// read-only by every recipient; UDP copies each datagram out of its
+	// read buffer).  Receivers rely on this — a message.View parked
+	// behind a sequence gap aliases it — and must not write to it
+	// themselves.
 	Data []byte
 	// Unicast reports whether the frame was addressed to this node
 	// specifically rather than to the multicast group.
