@@ -91,6 +91,10 @@ go test -run '^$' -fuzz '^FuzzCoordinatorHandlePacket$' -fuzztime 5s ./internal/
 # So is every frame: the codec's own target holds Parse/View.Message to
 # the one-pass decoder they replaced (DESIGN.md §7).
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/message/
+# And every collected image stream: the base station relays what the
+# header inspector accepts without decoding it, so the inspector is held
+# to the decoders it fronts (DESIGN.md §17).
+go test -run '^$' -fuzz '^FuzzInspect$' -fuzztime 5s ./internal/wavelet/
 
 # Observability-layer gates (tentpole contract, DESIGN.md §8):
 # instrumentation must be near-free when disabled — zero allocations
@@ -172,6 +176,10 @@ go test -count=1 -run 'TestVirtualMulticastAllocs|TestWallZeroDelayAllocs' ./int
 # alloc_bytes_per_delivery budget, held in go test (the file is
 # excluded under -race).
 go test -count=1 -run TestDecodeSteadyStateAllocs ./internal/wavelet/
+# Collected-image relay plane passes (DESIGN.md §17): no raster for the
+# image and text tiers, one luma decode per share for the sketch tier
+# however many members sit in it (same exclusion).
+go test -count=1 -run TestCollectedRelayPlanePasses ./internal/basestation/
 
 # Receive-path allocation pins (DESIGN.md §7): Parse and a view's reads
 # allocate nothing, a materialised chat line four times, AppendEncode

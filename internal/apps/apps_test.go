@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -325,6 +326,64 @@ func TestImageViewerOutOfOrderAndErrors(t *testing.T) {
 	// Sharing a non-image object fails.
 	if _, _, err := ShareImage("x", media.NewText("hi"), 4); err == nil {
 		t.Error("sharing text as image should fail")
+	}
+}
+
+// TestAcceptedStream: the accessor hands back the accepted prefix — not
+// what was merely received — in one buffer of exactly its size that
+// the viewer does not share.
+func TestAcceptedStream(t *testing.T) {
+	meta, packets, _ := shareTestImage(t)
+	v := NewImageViewer()
+	v.SetBudget(5)
+	v.Announce(meta)
+	for i, p := range packets {
+		v.AddPacket("img-1", i, p)
+	}
+	got, err := v.AcceptedStream("img-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Join(packets[:5], nil)
+	if !bytes.Equal(got, want) || cap(got) != len(want) {
+		t.Errorf("accepted stream: %d B in a %d B buffer, want exactly %d", len(got), cap(got), len(want))
+	}
+	got[0] ^= 0xFF
+	if again, _ := v.AcceptedStream("img-1"); !bytes.Equal(again, want) {
+		t.Error("the returned buffer aliases the viewer's packets")
+	}
+	if _, err := v.AcceptedStream("ghost"); !errors.Is(err, ErrUnknownImage) {
+		t.Errorf("unknown image: %v", err)
+	}
+}
+
+// TestEndAt: a sender's marker lowers the packet count, never raises
+// it and never cuts into the accepted prefix; what lies past the new
+// end is dropped and out of range from then on.
+func TestEndAt(t *testing.T) {
+	meta, packets, _ := shareTestImage(t)
+	v := NewImageViewer()
+	v.Announce(meta)
+	for _, i := range []int{0, 1, 2, 9} {
+		v.AddPacket("img-1", i, packets[i])
+	}
+	v.EndAt("img-1", 20) // would raise
+	v.EndAt("img-1", 2)  // would cut accepted packet 2
+	v.EndAt("img-1", 0)
+	v.EndAt("ghost", 4)
+	if st, _ := v.Stats("img-1"); st.TotalPackets != 16 || st.PacketsReceived != 4 {
+		t.Fatalf("refused EndAt calls moved the share: %+v", st)
+	}
+	v.EndAt("img-1", 4)
+	if st, _ := v.Stats("img-1"); st.TotalPackets != 4 || st.PacketsAccepted != 3 || st.PacketsReceived != 3 {
+		t.Errorf("after EndAt(4): %+v", st)
+	}
+	if err := v.AddPacket("img-1", 4, packets[4]); !errors.Is(err, ErrBadPacket) {
+		t.Errorf("packet past the end: %v", err)
+	}
+	v.AddPacket("img-1", 3, packets[3])
+	if st, _ := v.Stats("img-1"); st.PacketsAccepted != st.TotalPackets {
+		t.Errorf("the truncated share does not complete: %+v", st)
 	}
 }
 

@@ -219,6 +219,25 @@ func (v *ImageViewer) AddPacket(object string, idx int, data []byte) error {
 	return nil
 }
 
+// EndAt lowers a share's packet count to total: the sender's marker
+// said the stream stops there (it truncated the share itself).  The
+// count is never raised and never cut below what is already accepted;
+// packets at or past it are out of range from then on.
+func (v *ImageViewer) EndAt(object string, total int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	si, ok := v.images[object]
+	if !ok || total >= si.meta.TotalPackets || total < si.accepted || total < 1 {
+		return
+	}
+	si.meta.TotalPackets = total
+	for idx := range si.received {
+		if idx >= total {
+			delete(si.received, idx)
+		}
+	}
+}
+
 // Forget drops all state for a shared image (a completed collection
 // that has been rendered and delivered, or one evicted by a TTL
 // sweep).  Unknown objects are a no-op.
@@ -265,56 +284,68 @@ func (v *ImageViewer) Stats(object string) (ImageStats, error) {
 	return st, nil
 }
 
-// Render decodes the accepted prefix of a shared image.
-func (v *ImageViewer) Render(object string) (*wavelet.DecodeResult, error) {
+// AcceptedStream returns the accepted prefix of a shared image as one
+// buffer the caller owns, allocated at its exact size.
+func (v *ImageViewer) AcceptedStream(object string) ([]byte, error) {
+	stream, _, err := v.prefix(object)
+	return stream, err
+}
+
+func (v *ImageViewer) prefix(object string) ([]byte, ImageMeta, error) {
 	v.mu.RLock()
+	defer v.mu.RUnlock()
 	si, ok := v.images[object]
 	if !ok {
-		v.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownImage, object)
+		return nil, ImageMeta{}, fmt.Errorf("%w: %q", ErrUnknownImage, object)
 	}
-	var stream []byte
+	n := 0
+	for i := 0; i < si.accepted; i++ {
+		n += len(si.received[i])
+	}
+	stream := make([]byte, 0, n)
 	for i := 0; i < si.accepted; i++ {
 		stream = append(stream, si.received[i]...)
 	}
-	meta := si.meta
-	v.mu.RUnlock()
-	// Color streams render through the color decoder; the grayscale
-	// Render view is the luma plane.
-	if len(stream) >= 4 && string(stream[:4]) == "EZC1" {
-		cres, err := wavelet.DecodeColor(stream)
-		if err != nil {
-			return nil, err
-		}
-		luma := cres.Image.Luma()
-		luma.Clamp8()
-		return &wavelet.DecodeResult{Image: luma, Lossless: cres.Lossless}, nil
+	return stream, si.meta, nil
+}
+
+// Render decodes the accepted prefix of a shared image.
+func (v *ImageViewer) Render(object string) (*wavelet.DecodeResult, error) {
+	stream, meta, err := v.prefix(object)
+	if err != nil {
+		return nil, err
 	}
-	res, err := wavelet.Decode(stream)
+	info, err := wavelet.Inspect(stream)
 	if errors.Is(err, wavelet.ErrStreamHeader) {
 		// Nothing (or less than a header) accepted yet: show a blank
 		// canvas of the announced size rather than failing the render.
 		return &wavelet.DecodeResult{Image: wavelet.NewImage(meta.Width, meta.Height)}, nil
 	}
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	if !info.Color {
+		return wavelet.Decode(stream)
+	}
+	// Color streams render through the color decoder; the grayscale
+	// Render view is the luma plane.
+	cres, err := wavelet.DecodeColor(stream)
+	if err != nil {
+		return nil, err
+	}
+	luma := cres.Image.Luma()
+	luma.Clamp8()
+	return &wavelet.DecodeResult{Image: luma, Lossless: cres.Lossless}, nil
 }
 
 // RenderColor decodes the accepted prefix of a color share.  With no
 // accepted data it returns a blank canvas; with a partial prefix the
 // chroma may be missing (a grayscale rendition).
 func (v *ImageViewer) RenderColor(object string) (*wavelet.ColorDecodeResult, error) {
-	v.mu.RLock()
-	si, ok := v.images[object]
-	if !ok {
-		v.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownImage, object)
+	stream, meta, err := v.prefix(object)
+	if err != nil {
+		return nil, err
 	}
-	var stream []byte
-	for i := 0; i < si.accepted; i++ {
-		stream = append(stream, si.received[i]...)
-	}
-	meta := si.meta
-	v.mu.RUnlock()
 	res, err := wavelet.DecodeColor(stream)
 	if errors.Is(err, wavelet.ErrColorStream) && len(stream) < 16 {
 		return &wavelet.ColorDecodeResult{

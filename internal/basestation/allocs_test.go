@@ -1,0 +1,109 @@
+//go:build !race
+
+package basestation
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/profile"
+	"adaptiveqos/internal/radio"
+	"adaptiveqos/internal/transport"
+	"adaptiveqos/internal/wavelet"
+)
+
+// collectedRelayBytes measures what deliverCollectedImage allocates per
+// 256×256 share in a cell with two members in each of the given tiers.
+// The members are bare radio endpoints, joined but with no client
+// behind them, and the dispatch pool runs inline: everything counted is
+// the base station's own relay work.
+func collectedRelayBytes(t *testing.T, tiers ...radio.Tier) uint64 {
+	t.Helper()
+	r := newRig(t, Config{FanOutWorkers: 1, Thresholds: tierThresholds})
+	var conns []transport.Conn
+	for _, tier := range tiers {
+		for i, d := range tierDistances[tier] {
+			id := fmt.Sprintf("%s-%d", tier, i)
+			conn, err := r.radioNet.Attach(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns = append(conns, conn)
+			if _, err := r.bs.Join(profile.New(id), d, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tier := range tiers {
+		for i := range tierDistances[tier] {
+			if a, err := r.bs.Assess(fmt.Sprintf("%s-%d", tier, i)); err != nil || a.Tier != tier {
+				t.Fatalf("placement: %s-%d assessed %s (%v)", tier, i, a.Tier, err)
+			}
+		}
+	}
+
+	obj, err := media.EncodeImage(wavelet.Blocks(256, 256, 64, 4), "blocks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, packets, err := apps.ShareImage("pin", obj, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One P while counting, as in wavelet's TestDecodeSteadyStateAllocs:
+	// the coder's pooled scratch sits in a per-P slot.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 8
+	var total uint64
+	for run := 0; run <= runs; run++ {
+		r.bs.collect.Announce(meta)
+		r.bs.collections.Announce(meta.Object, meta, time.Now())
+		for i, p := range packets {
+			if err := r.bs.collect.AddPacket(meta.Object, i, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.bs.deliverCollectedImage("pub", meta.Object, "")
+		runtime.ReadMemStats(&after)
+		if run > 0 { // run 0 warms the pool and the scan cache
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		sent := 0
+		for _, conn := range conns {
+			for len(conn.Recv()) > 0 {
+				<-conn.Recv()
+				sent++
+			}
+		}
+		if want := 17*2 + 2*(len(tiers)-1); sent != want {
+			t.Fatalf("run %d: %d frames on the RF leg, want %d", run, sent, want)
+		}
+	}
+	return total / runs
+}
+
+// TestCollectedRelayPlanePasses pins the collected-image relay's plane
+// passes by what it allocates (DESIGN.md §17).  A cell with only image-
+// and text-tier members is served without a raster ever existing: the
+// relay stays under a quarter of one w·h·4 plane, framing for two
+// image-tier members included (51 KB measured).  Seating members in the sketch tier costs one luma
+// decode per share — one plane and change, 279 KB measured — however
+// many they are.
+func TestCollectedRelayPlanePasses(t *testing.T) {
+	const plane = 256 * 256 * 4
+	flat := collectedRelayBytes(t, radio.TierImage, radio.TierText)
+	if flat > plane/4 {
+		t.Errorf("image+text cell: the relay allocates %d B per share, limit %d (a quarter plane)", flat, plane/4)
+	}
+	sketched := collectedRelayBytes(t, radio.TierImage, radio.TierSketch, radio.TierText)
+	if cost := sketched - flat; sketched < flat || cost < plane || cost > plane+plane/4 {
+		t.Errorf("two sketch-tier members cost %d B per share (%d → %d), want one plane pass: %d to %d",
+			cost, flat, sketched, plane, plane+plane/4)
+	}
+}

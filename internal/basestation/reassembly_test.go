@@ -57,8 +57,15 @@ func (in *wiredInjector) announce(object string, meta apps.ImageMeta) {
 }
 
 func (in *wiredInjector) data(object string, idx int, chunk []byte) {
+	in.dataMarked(object, idx, chunk, false)
+}
+
+// dataMarked sends a data packet, with the RTP marker set when the
+// sender stops its share there.
+func (in *wiredInjector) dataMarked(object string, idx int, chunk []byte, marker bool) {
 	rp := rtp.Packet{
 		PayloadType: 96,
+		Marker:      marker,
 		Seq:         uint16(idx),
 		SSRC:        1,
 		Payload:     chunk,

@@ -117,26 +117,46 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 		bs.collect.Announce(meta)
 		parked := bs.collections.Announce(meta.Object, meta, bs.clk.Now())
 		for _, p := range parked {
-			bs.collect.AddPacket(meta.Object, p.Idx, p.Data)
+			bs.collectPacket(meta.Object, p.Idx, p.Data)
 		}
 		bs.maybeDeliver(m.Sender, meta.Object, m.Selector)
 	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:
 		object, ok1 := m.Attr(message.AttrObject)
 		level, ok2 := m.Attr(message.AttrLevel)
-		if !ok1 || !ok2 || len(m.Body) < rtp.HeaderLen {
+		if !ok1 || !ok2 {
 			return
 		}
-		chunk := m.Body[rtp.HeaderLen:]
-		if err := bs.collect.AddPacket(object.Str(), int(level.Num()), chunk); err != nil {
+		if err := bs.collectPacket(object.Str(), int(level.Num()), m.Body); err != nil {
 			if errors.Is(err, apps.ErrUnknownImage) {
-				// The packet overtook its announce; park it (bounded).
-				bs.collections.Park(object.Str(), int(level.Num()), chunk, bs.clk.Now())
+				// The packet overtook its announce; park it (bounded),
+				// RTP header and all, so its marker survives the wait.
+				bs.collections.Park(object.Str(), int(level.Num()), m.Body, bs.clk.Now())
 			}
 			return
 		}
 		bs.collections.Touch(object.Str(), bs.clk.Now())
 		bs.maybeDeliver(m.Sender, object.Str(), m.Selector)
 	}
+}
+
+// collectPacket adds one RTP-framed chunk to its collection.  A sender
+// that truncates a share itself (core.Client.ShareImage under reported
+// loss) announces the full packet count and sets the marker on the last
+// packet it does send: the marker ends the collection there, so the
+// prefix is delivered instead of waiting out the TTL for packets that
+// were never sent.
+func (bs *BaseStation) collectPacket(object string, idx int, frame []byte) error {
+	pkt, err := rtp.Unmarshal(frame)
+	if err != nil {
+		return err
+	}
+	if err := bs.collect.AddPacket(object, idx, pkt.Payload); err != nil {
+		return err
+	}
+	if pkt.Marker {
+		bs.collect.EndAt(object, idx+1)
+	}
+	return nil
 }
 
 // maybeDeliver forwards a wired-side image to the wireless clients
@@ -153,34 +173,44 @@ func (bs *BaseStation) maybeDeliver(sender, object, sel string) {
 	bs.collect.Forget(object)
 }
 
-// deliverCollectedImage sends a fully collected wired-side image to
-// each wireless client at its own tier.
+// deliverCollectedImage sends a collected wired-side image to each
+// wireless client at its own tier.  The collected stream is the image
+// tier as it stands (DESIGN.md §17): once its headers pass the coder's
+// checks it is re-split and relayed, not decoded and coded again, and
+// the lower tiers are derived from it only if somebody sits in them.
 func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
 	meta, _ := bs.collections.Meta(object)
-
-	// Re-encode the collected image, preserving color when the wired
-	// share carried it (full-image-tier clients see the original hues).
-	// The raster decoded here is also what the sketch tier is extracted
-	// from, so the fresh object is never decoded again.
-	rs := &renditions{bs: bs, sender: sender, object: object, sel: sel}
-	if cres, err := bs.collect.RenderColor(object); err == nil && cres.PlanesPresent == 3 {
-		if rs.obj, err = media.EncodeColorImage(cres.Image, meta.Description); err != nil {
-			return
+	stream, err := bs.collect.AcceptedStream(object)
+	if err != nil {
+		return
+	}
+	info, err := wavelet.Inspect(stream)
+	if err != nil {
+		return
+	}
+	obj := &media.Object{
+		Kind:        media.KindImage,
+		Format:      media.FormatEZW,
+		Data:        stream,
+		Description: meta.Description,
+		Width:       info.W,
+		Height:      info.H,
+	}
+	if info.Color {
+		obj.Format = media.FormatEZWColor
+		if info.PlanesPresent < 3 {
+			// A prefix that stops short of the chroma headers is a gray
+			// image: relay the luma plane's own stream.
+			if obj, err = media.ToGrayscale(obj); err != nil {
+				return
+			}
 		}
-		rs.gray = func() *wavelet.Image {
-			luma := cres.Image.Luma()
-			luma.Clamp8()
-			return luma
-		}
-	} else {
-		res, err := bs.collect.Render(object)
-		if err != nil {
-			return
-		}
-		if rs.obj, err = media.EncodeImage(res.Image, meta.Description); err != nil {
-			return
-		}
-		rs.gray = func() *wavelet.Image { return res.Image }
+	}
+	rs := &renditions{bs: bs, sender: sender, object: object, sel: sel, obj: obj}
+	rs.gray = func() *wavelet.Image {
+		// Cannot fail: these are the headers Inspect accepted above.
+		res, _ := wavelet.DecodeLuma(obj.Data)
+		return res.Image
 	}
 	// Per-client pipeline: resolve the flattened profile, infer the
 	// tier, clamp to the client's declared modality preference, then

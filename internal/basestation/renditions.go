@@ -39,11 +39,12 @@ type rendition struct {
 type renditions struct {
 	bs                  *BaseStation
 	sender, object, sel string
-	// obj is the share as received (uplink) or re-encoded (collected).
+	// obj is the share as received (uplink) or as collected.
 	obj *media.Object
-	// gray, when set, yields the clamped luma raster obj was encoded
-	// from: the base station still holds it, and obj decodes to exactly
-	// it, so the stock sketch extractor can skip the decode.
+	// gray, when set, yields obj's clamped luma raster for the stock
+	// sketch extractor.  The collected path decodes it here, on first
+	// use: the one plane pass a share costs, and only when somebody
+	// sits in the sketch tier.
 	gray func() *wavelet.Image
 
 	imageOnce, sketchOnce, textOnce sync.Once
@@ -103,8 +104,8 @@ func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
 }
 
 // transmode is Registry.Transmode(obj, to), except that the stock
-// one-step image→sketch path is fed the raster already in hand.  Any
-// other registered path runs as configured.
+// one-step image→sketch path is fed gray's raster.  Any other
+// registered path runs as configured.
 func (rs *renditions) transmode(to media.Kind) (*media.Object, error) {
 	reg := rs.bs.cfg.Registry
 	if to == media.KindSketch && rs.gray != nil {

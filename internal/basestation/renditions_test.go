@@ -85,8 +85,8 @@ func (c counted) Transform(in *media.Object) (*media.Object, error) {
 	return c.Transformer.Transform(in)
 }
 
-// tierRig is a base station whose registry counts derivations, with
-// two wireless clients in each of the named tiers.
+// tierRig is a base station with two wireless clients in each of the
+// named tiers; newTierRig gives it a registry that counts derivations.
 type tierRig struct {
 	*rig
 	sketches, texts atomic.Int64
@@ -95,16 +95,32 @@ type tierRig struct {
 
 func newTierRig(t *testing.T, tiers ...radio.Tier) *tierRig {
 	t.Helper()
-	tr := &tierRig{clients: make(map[radio.Tier][]*core.Client)}
+	tr := &tierRig{}
 	reg := media.NewRegistry()
 	reg.Register(counted{media.ImageToSketch{}, &tr.sketches})
 	reg.Register(counted{media.ImageToText{}, &tr.texts})
+	tr.place(t, Config{Registry: reg}, tiers...)
+	return tr
+}
+
+// Under tierThresholds, two members at tierDistances[tier] each are
+// assessed into that tier in every combination of tiers these tests
+// seat (each rig asserts its placement).
+var (
+	tierThresholds = radio.Thresholds{ImageDB: -7, SketchDB: -17, TextDB: -30}
+	tierDistances  = map[radio.Tier][2]float64{radio.TierImage: {20, 22}, radio.TierSketch: {40, 44}, radio.TierText: {80, 88}}
+)
+
+// place builds the rig under cfg and seats two clients in each tier.
+func (tr *tierRig) place(t *testing.T, cfg Config, tiers ...radio.Tier) {
+	t.Helper()
 	// Several shards, so the once-guards are met from several goroutines.
-	tr.rig = newRig(t, Config{Registry: reg, FanOutWorkers: 4,
-		Thresholds: radio.Thresholds{ImageDB: -7, SketchDB: -17, TextDB: -30}})
-	distances := map[radio.Tier][2]float64{radio.TierImage: {20, 22}, radio.TierSketch: {40, 44}, radio.TierText: {80, 88}}
+	cfg.FanOutWorkers = 4
+	cfg.Thresholds = tierThresholds
+	tr.rig = newRig(t, cfg)
+	tr.clients = make(map[radio.Tier][]*core.Client)
 	for _, tier := range tiers {
-		for i, d := range distances[tier] {
+		for i, d := range tierDistances[tier] {
 			tr.clients[tier] = append(tr.clients[tier], tr.joinWireless(t, fmt.Sprintf("%s-%d", tier, i), d, 1))
 		}
 	}
@@ -115,7 +131,6 @@ func newTierRig(t *testing.T, tiers ...radio.Tier) *tierRig {
 			}
 		}
 	}
-	return tr
 }
 
 // awaitShare waits until every client holds its rendition of share n

@@ -44,22 +44,33 @@ func IsColor(o *Object) bool {
 
 // ToGrayscale converts a color image object to the grayscale
 // progressive format — the "B/W transformation" a monochrome-capable
-// client advertises in Figure 3.  Grayscale objects pass through
-// unchanged (as a copy).
+// client advertises in Figure 3.  The colour container codes its luma
+// plane as a gray stream of its own, so the conversion is a copy of
+// that byte range, no decode: on a truncated object, the truncated luma
+// plane itself.  Grayscale objects pass through unchanged (as a copy).
 func ToGrayscale(o *Object) (*Object, error) {
-	if o.Kind != KindImage {
+	if !isProgressiveImage(o) {
 		return nil, fmt.Errorf("%w: %s", ErrBadInput, o)
 	}
 	if o.Format == FormatEZW {
 		return o.Clone(), nil
 	}
-	res, err := DecodeColorImage(o)
+	si, err := wavelet.Inspect(o.Data)
 	if err != nil {
 		return nil, err
 	}
-	luma := res.Image.Luma()
-	luma.Clamp8()
-	return EncodeImage(luma, o.Description)
+	if !si.Color {
+		return nil, fmt.Errorf("%w: %s holds no colour container", ErrBadInput, o)
+	}
+	luma := si.Planes[0]
+	return &Object{
+		Kind:        KindImage,
+		Format:      FormatEZW,
+		Data:        append([]byte(nil), o.Data[luma.Start:luma.End]...),
+		Description: o.Description,
+		Width:       si.W,
+		Height:      si.H,
+	}, nil
 }
 
 // colorToGray is the registered module form of ToGrayscale.  It maps

@@ -86,6 +86,77 @@ func TestToGrayscale(t *testing.T) {
 	}
 }
 
+// referenceGrayscale is ToGrayscale as it was before it became a byte
+// copy: decode all three planes, take the clamped luma, code it again.
+func referenceGrayscale(t *testing.T, o *Object) *Object {
+	t.Helper()
+	res, err := DecodeColorImage(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	luma := res.Image.Luma()
+	luma.Clamp8()
+	gray, err := EncodeImage(luma, o.Description)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gray
+}
+
+// TestToGrayscaleIsTheLumaPlane: on a complete stream the copied luma
+// range is byte for byte what decode → luma → encode produced; on a
+// prefix that stops inside the luma plane it is that truncated plane —
+// the same pixels in fewer bytes than a lossless coding of them.
+func TestToGrayscaleIsTheLumaPlane(t *testing.T) {
+	full := testColorObject(t)
+	got, err := ToGrayscale(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceGrayscale(t, full); !bytes.Equal(got.Data, want.Data) || got.Width != want.Width || got.Height != want.Height {
+		t.Errorf("complete stream: luma copy is %d B, the re-coded luma %d B, or they differ", len(got.Data), len(want.Data))
+	}
+	got.Data[0] = '!'
+	if full.Data[8] == '!' {
+		t.Error("grayscale aliases the colour object")
+	}
+
+	si, err := wavelet.Inspect(full.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := Gradate(full, si.Planes[0].End/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = ToGrayscale(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceGrayscale(t, cut)
+	a, err := DecodeImage(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeImage(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Image.Equal(b.Image) {
+		t.Error("luma-only prefix: the copied plane decodes to other pixels than the re-coded one")
+	}
+	if len(got.Data) != len(cut.Data)-si.Planes[0].Start || len(got.Data) >= len(want.Data) {
+		t.Errorf("luma-only prefix of %d B: copy is %d B, re-coding %d B", len(cut.Data), len(got.Data), len(want.Data))
+	}
+
+	// A colour-format object that holds no colour container is refused.
+	bad := full.Clone()
+	bad.Data = got.Data
+	if _, err := ToGrayscale(bad); !errors.Is(err, ErrBadInput) {
+		t.Errorf("gray bytes in a colour object: %v", err)
+	}
+}
+
 func TestColorObjectDownChain(t *testing.T) {
 	reg := DefaultRegistry()
 	obj := testColorObject(t)

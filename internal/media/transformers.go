@@ -47,6 +47,12 @@ func DecodeImage(o *Object) (*wavelet.DecodeResult, error) {
 	return wavelet.Decode(o.Data)
 }
 
+// isProgressiveImage reports whether o holds an embedded wavelet
+// stream, gray or colour.
+func isProgressiveImage(o *Object) bool {
+	return o.Kind == KindImage && (o.Format == FormatEZW || o.Format == FormatEZWColor)
+}
+
 // Gradate applies gradual gradation: it truncates a progressive image
 // object to at most budget bytes (never below the stream header), the
 // fidelity-reducing transformation the inference engine applies when
@@ -57,7 +63,7 @@ func Gradate(o *Object, budget int) (*Object, error) {
 	if o.Size() <= budget {
 		return o.Clone(), nil
 	}
-	if o.Kind != KindImage || (o.Format != FormatEZW && o.Format != FormatEZWColor) {
+	if !isProgressiveImage(o) {
 		return nil, fmt.Errorf("%w: cannot gradate %s to %d bytes", ErrBadInput, o, budget)
 	}
 	if budget < 16 {
@@ -84,32 +90,22 @@ func (ImageToSketch) From() Kind { return KindImage }
 // To implements Transformer.
 func (ImageToSketch) To() Kind { return KindSketch }
 
-// Transform implements Transformer.  A colour object goes straight
-// from its decoded luma to the extractor: the coder is lossless on
-// 8-bit rasters, so re-encoding the luma (ToGrayscale) and decoding it
-// again would hand ExtractSketch the same pixels.
+// Transform implements Transformer.  The sketch is drawn from the luma
+// alone, so a colour object costs one plane pass like a gray one: its
+// chroma planes are never decoded.
 func (ImageToSketch) Transform(in *Object) (*Object, error) {
-	var gray *wavelet.Image
-	if IsColor(in) {
-		res, err := DecodeColorImage(in)
-		if err != nil {
-			return nil, err
-		}
-		gray = res.Image.Luma()
-		gray.Clamp8()
-	} else {
-		res, err := DecodeImage(in)
-		if err != nil {
-			return nil, err
-		}
-		gray = res.Image
+	if !isProgressiveImage(in) {
+		return nil, fmt.Errorf("%w: %s", ErrBadInput, in)
 	}
-	return SketchFromRaster(gray, in.Description)
+	res, err := wavelet.DecodeLuma(in.Data)
+	if err != nil {
+		return nil, err
+	}
+	return SketchFromRaster(res.Image, in.Description)
 }
 
 // SketchFromRaster builds the sketch object of a gray raster — what
-// ImageToSketch yields for an image object that decodes to it.  The
-// base station calls it with the raster it already holds.
+// ImageToSketch yields for an image object whose luma decodes to it.
 func SketchFromRaster(gray *wavelet.Image, description string) (*Object, error) {
 	sk := wavelet.ExtractSketch(gray, description)
 	data, err := sk.Marshal()

@@ -68,7 +68,8 @@ func (p *Packet) Marshal() []byte {
 	return buf
 }
 
-// Unmarshal decodes a packet frame.
+// Unmarshal decodes a packet frame.  Payload aliases frame rather than
+// copying it: a caller that reuses frame's buffer copies what it keeps.
 func Unmarshal(frame []byte) (Packet, error) {
 	if len(frame) < HeaderLen {
 		return Packet{}, ErrShort
@@ -82,7 +83,7 @@ func Unmarshal(frame []byte) (Packet, error) {
 		Seq:         binary.BigEndian.Uint16(frame[2:]),
 		Timestamp:   binary.BigEndian.Uint32(frame[4:]),
 		SSRC:        binary.BigEndian.Uint32(frame[8:]),
-		Payload:     append([]byte(nil), frame[HeaderLen:]...),
+		Payload:     frame[HeaderLen:],
 	}, nil
 }
 

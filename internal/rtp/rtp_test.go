@@ -28,6 +28,23 @@ func TestPacketMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalAliasesFrame: the payload is a view of the frame, not a
+// copy of it — receivers copy what they keep, once.
+func TestUnmarshalAliasesFrame(t *testing.T) {
+	frame := (&Packet{Payload: []byte("chunk")}).Marshal()
+	got, err := Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[HeaderLen] = 'C'
+	if string(got.Payload) != "Chunk" {
+		t.Errorf("payload %q does not alias the frame", got.Payload)
+	}
+	if n := testing.AllocsPerRun(100, func() { Unmarshal(frame) }); n != 0 {
+		t.Errorf("Unmarshal allocates %.0f times", n)
+	}
+}
+
 func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal(make([]byte, HeaderLen-1)); !errors.Is(err, ErrShort) {
 		t.Errorf("short: %v", err)

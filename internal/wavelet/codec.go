@@ -170,28 +170,13 @@ func DecodeSigned(stream []byte) (*DecodeResult, error) {
 }
 
 func decode(stream []byte, clamp bool) (*DecodeResult, error) {
-	if len(stream) < headerLen {
+	hd, ok := parseHeader(stream)
+	if !ok {
 		return nil, ErrStreamHeader
 	}
-	if [4]byte(stream[:4]) != streamMagic {
-		return nil, ErrStreamHeader
-	}
-	w := int(binary.BigEndian.Uint16(stream[4:]))
-	h := int(binary.BigEndian.Uint16(stream[6:]))
-	filter := Filter53
-	if stream[8]&0x80 != 0 {
-		filter = FilterHaar
-	}
-	levels := int(stream[8] &^ 0x80)
-	maxPlane := int(stream[9])
-	if !checkGeometry(w, h) || levels > 8 || maxPlane > 31 {
-		return nil, ErrStreamHeader
-	}
-	if levels > MaxLevels(w, h) {
-		return nil, ErrStreamHeader
-	}
+	w, h, levels, maxPlane := hd.w, hd.h, hd.levels, hd.maxPlane
 
-	c := &Coeffs{W: w, H: h, Levels: levels, Filter: filter, Data: make([]int32, w*h)}
+	c := &Coeffs{W: w, H: h, Levels: levels, Filter: hd.filter, Data: make([]int32, w*h)}
 	order := scanTable(w, h, levels)
 	r := &bitReader{buf: stream[headerLen:]}
 

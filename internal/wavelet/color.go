@@ -132,49 +132,22 @@ type ColorDecodeResult struct {
 // with only the luma plane present the result is the grayscale
 // rendition of the image.
 func DecodeColor(stream []byte) (*ColorDecodeResult, error) {
-	if len(stream) < 8 || [4]byte(stream[:4]) != colorMagic {
-		return nil, ErrColorStream
+	si, err := inspectColor(stream)
+	if err != nil {
+		return nil, err
 	}
-	off := 4
 	planes := make([]*Image, 0, 3)
-	lossless := true
-	present := 0
-	var w, h int
-	for p := 0; p < 3; p++ {
-		if len(stream) < off+4 {
-			break // plane length itself truncated
-		}
-		n := int(binary.BigEndian.Uint32(stream[off:]))
-		off += 4
-		end := off + n
-		if end > len(stream) {
-			end = len(stream)
-		}
-		res, err := DecodeSigned(stream[off:end])
+	lossless := si.PlanesPresent == 3
+	for _, sp := range si.Planes[:si.PlanesPresent] {
+		res, err := DecodeSigned(stream[sp.Start:sp.End])
 		if err != nil {
-			break // plane header truncated: stop here
-		}
-		if p == 0 {
-			w, h = res.Image.W, res.Image.H
-		} else if res.Image.W != w || res.Image.H != h {
-			return nil, fmt.Errorf("%w: plane %d is %dx%d", ErrColorStream, p, res.Image.W, res.Image.H)
+			return nil, err
 		}
 		planes = append(planes, res.Image)
-		present++
-		if !res.Lossless {
-			lossless = false
-		}
-		off = end
-		if end == len(stream) {
-			break
-		}
+		lossless = lossless && res.Lossless
 	}
-	if present == 0 {
-		return nil, ErrColorStream
-	}
-	lossless = lossless && present == 3
 	for len(planes) < 3 {
-		planes = append(planes, NewImage(w, h)) // zero chroma = grayscale
+		planes = append(planes, NewImage(si.W, si.H)) // zero chroma = grayscale
 	}
 	// Chroma planes are signed; only clamp after color reconstruction.
 	img, err := FromYCoCg(planes[0], planes[1], planes[2])
@@ -193,7 +166,7 @@ func DecodeColor(stream []byte) (*ColorDecodeResult, error) {
 	clamp(img.R)
 	clamp(img.G)
 	clamp(img.B)
-	return &ColorDecodeResult{Image: img, Lossless: lossless, PlanesPresent: present}, nil
+	return &ColorDecodeResult{Image: img, Lossless: lossless, PlanesPresent: si.PlanesPresent}, nil
 }
 
 // ColorPSNR averages the per-channel PSNR (dB); +Inf when identical.

@@ -166,3 +166,61 @@ func TestQuickColorPrefixSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInspectEveryPrefix walks every prefix of a colour stream: Inspect
+// and DecodeColor accept the same ones and count the same planes, the
+// plane ranges tile the container, and DecodeLuma is the clamped decode
+// of the luma range — on the whole stream, the luma of the full decode.
+func TestInspectEveryPrefix(t *testing.T) {
+	im := randomColor(7, 12, 10)
+	stream, err := EncodeColor(im, 0, Filter53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for n := 0; n <= len(stream); n++ {
+		prefix := stream[:n]
+		si, err := Inspect(prefix)
+		res, derr := DecodeColor(prefix)
+		if n < 4 {
+			// Too short to carry a magic: a gray stream's error.
+			if !errors.Is(err, ErrStreamHeader) {
+				t.Fatalf("%d B: %v", n, err)
+			}
+			continue
+		}
+		if (err == nil) != (derr == nil) || (err != nil && !errors.Is(err, ErrColorStream)) {
+			t.Fatalf("%d B: Inspect %v, DecodeColor %v", n, err, derr)
+		}
+		if err != nil {
+			continue
+		}
+		if !si.Color || si.W != 12 || si.H != 10 || si.PlanesPresent != res.PlanesPresent {
+			t.Fatalf("%d B: %+v, decoder found %d planes", n, si, res.PlanesPresent)
+		}
+		seen[si.PlanesPresent] = true
+		at := 4
+		for _, sp := range si.Planes[:si.PlanesPresent] {
+			if sp.Start != at+4 || sp.End > n {
+				t.Fatalf("%d B: plane range %+v after offset %d", n, sp, at)
+			}
+			at = sp.End
+		}
+		luma, err := DecodeLuma(prefix)
+		want, werr := Decode(prefix[si.Planes[0].Start:si.Planes[0].End])
+		if err != nil || werr != nil || !luma.Image.Equal(want.Image) || luma.Lossless != want.Lossless {
+			t.Fatalf("%d B: DecodeLuma is not the decode of the luma range (err %v, %v)", n, err, werr)
+		}
+	}
+	if !seen[1] || !seen[2] || !seen[3] {
+		t.Errorf("prefixes covered plane counts %v, want 1, 2 and 3", seen)
+	}
+	luma, err := DecodeLuma(stream)
+	want := im.Luma()
+	if err != nil || !luma.Lossless || !luma.Image.Equal(want) {
+		t.Errorf("DecodeLuma of the whole stream is not the image's luma (err %v)", err)
+	}
+	if n := testing.AllocsPerRun(50, func() { Inspect(stream) }); n != 0 {
+		t.Errorf("Inspect allocates %.0f times", n)
+	}
+}

@@ -1,6 +1,9 @@
 package wavelet
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // The coded stream crosses a trust boundary: the base station decodes
 // what it collected off the network.  Both targets hold the decoder to
@@ -65,6 +68,86 @@ func FuzzDecodeColor(f *testing.F) {
 		back, err := DecodeColor(again)
 		if err != nil || !back.Lossless || !back.Image.Equal(im) {
 			t.Fatalf("decode(encode(im)) != im (err %v)", err)
+		}
+	})
+}
+
+// FuzzInspect holds the header inspector to the decoders: a relay
+// forwards what Inspect accepts without decoding it, so Inspect must
+// accept exactly what the decoder of that magic accepts, fail with the
+// same sentinel, and report the geometry and plane count the decoder
+// finds.  The plane ranges it hands out must lie inside the input, and
+// DecodeLuma — the one plane pass a sketch costs — must agree with the
+// full decoders.  The seed corpus is FuzzDecode's and FuzzDecodeColor's,
+// plus colour containers whose chroma header is hostile or empty.
+func FuzzInspect(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		si, err := Inspect(stream)
+		lres, lerr := DecodeLuma(stream)
+
+		color := len(stream) >= 4 && [4]byte(stream[:4]) == colorMagic
+		sentinel := ErrStreamHeader
+		var (
+			gres *DecodeResult
+			cres *ColorDecodeResult
+			derr error
+		)
+		w, h, present := 0, 0, 1
+		if color {
+			sentinel = ErrColorStream
+			if cres, derr = DecodeColor(stream); derr == nil {
+				w, h, present = cres.Image.W, cres.Image.H, cres.PlanesPresent
+			}
+		} else if gres, derr = Decode(stream); derr == nil {
+			w, h = gres.Image.W, gres.Image.H
+		}
+
+		if derr != nil {
+			for _, e := range []error{derr, err, lerr} {
+				if !errors.Is(e, sentinel) {
+					t.Fatalf("decoder said %v, Inspect %v, DecodeLuma %v; want %v from all three", derr, err, lerr, sentinel)
+				}
+			}
+			return
+		}
+		if err != nil || lerr != nil {
+			t.Fatalf("the decoder accepts what Inspect (%v) or DecodeLuma (%v) rejects", err, lerr)
+		}
+		if si.Color != color || si.W != w || si.H != h || si.PlanesPresent != present {
+			t.Fatalf("Inspect says colour=%v %dx%d with %d planes, the decoder colour=%v %dx%d with %d",
+				si.Color, si.W, si.H, si.PlanesPresent, color, w, h, present)
+		}
+		at := 0
+		for p, sp := range si.Planes[:present] {
+			if sp.Start < at || sp.End < sp.Start+headerLen || sp.End > len(stream) {
+				t.Fatalf("plane %d range [%d,%d) of a %d B input, previous plane ends at %d", p, sp.Start, sp.End, len(stream), at)
+			}
+			at = sp.End
+		}
+
+		luma := lres.Image
+		if luma.W != w || luma.H != h || len(luma.Pix) != w*h {
+			t.Fatalf("DecodeLuma gave %dx%d with %d pixels, want %dx%d", luma.W, luma.H, len(luma.Pix), w, h)
+		}
+		if !color {
+			if !luma.Equal(gres.Image) {
+				t.Fatal("DecodeLuma of a gray stream differs from Decode")
+			}
+			return
+		}
+		if w*h > fuzzRoundTripPixels {
+			return
+		}
+		// A complete stream of an 8-bit raster: the luma plane alone is
+		// the luma of the full decode.
+		again, err := EncodeColor(cres.Image, 0, Filter53)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cres.Image.Luma()
+		want.Clamp8()
+		if got, err := DecodeLuma(again); err != nil || !got.Lossless || !got.Image.Equal(want) {
+			t.Fatalf("DecodeLuma(complete colour stream) != DecodeColor(...).Image.Luma() (err %v)", err)
 		}
 	})
 }
