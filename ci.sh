@@ -62,6 +62,30 @@ if [ -n "$viol" ]; then
 	exit 1
 fi
 
+# Buffer ownership (DESIGN.md §7.1): a received datagram is immutable
+# and is retained, not copied — by the message body, the fragment
+# reassembler (one copy, at completion), the image viewer, the parked
+# collections and the coordinator's archive — and the simulated network
+# has one send path that copies nothing (the copying calls clone, then
+# give).  The per-hand-off copies must not quietly come back; the
+# frame-integrity harness (transporttest.Integrity, inside the
+# differential, chaos, relay and replay tests above) is what makes
+# sharing safe.
+copies='append\(\[\]byte\(nil\)|bytes\.Clone\('
+viol=$(grep -nE "$copies" \
+	internal/message/view.go internal/message/fragment.go internal/apps/imageviewer.go \
+	internal/core/coordkernel.go internal/registry/collections.go || true)
+if [ -n "$viol" ]; then
+	echo "OWNERSHIP VIOLATION: a receive-path hand-off copies the bytes it is given again:" >&2
+	echo "$viol" >&2
+	exit 1
+fi
+if [ "$(grep -cE "$copies" internal/transport/engine.go)" != 2 ]; then
+	echo "OWNERSHIP VIOLATION: internal/transport/engine.go must copy a frame in Multicast and Unicast and nowhere else:" >&2
+	grep -nE "$copies" internal/transport/engine.go >&2
+	exit 1
+fi
+
 # Replay fidelity: the simulator must run the real kernels, and the
 # private frame codec, order tracker and coordinator it used to carry
 # must not quietly come back.
@@ -167,9 +191,11 @@ if [ -n "$viol" ]; then
 fi
 
 # Simulated-network send-path allocation pins (DESIGN.md §14): the
-# sim-lecture and bs-relay benchmark budgets, held in go test (the
-# file is excluded under -race).
-go test -count=1 -run 'TestVirtualMulticastAllocs|TestWallZeroDelayAllocs' ./internal/transport/
+# sim-lecture and bs-relay benchmark budgets, held in go test at
+# exactly what the engine allocates for a given frame and for a copied
+# one (the file is excluded under -race).  With them the indexed
+# match's pin: one result slice per MatchIDs in a 256-member cell.
+go test -count=1 -run 'TestVirtualMulticastAllocs|TestWallZeroDelayAllocs|TestMatchIDsAllocs' ./internal/transport/ ./internal/registry/
 
 # Wavelet coder working-set pin (DESIGN.md §17): a steady-state Decode
 # allocates the raster and little else — the image-tiered benchmark's
@@ -182,11 +208,12 @@ go test -count=1 -run TestDecodeSteadyStateAllocs ./internal/wavelet/
 go test -count=1 -run TestCollectedRelayPlanePasses ./internal/basestation/
 
 # Receive-path allocation pins (DESIGN.md §7): Parse and a view's reads
-# allocate nothing, a materialised chat line four times, AppendEncode
-# nothing; through Kernel.HandlePacket a filtered frame, the endpoint's
-# own echo and a repair-mode duplicate cost no allocation and an
-# admitted Say at most five — the chat-wired allocs_per_delivery
-# budget, held in go test (the files are excluded under -race).
+# allocate nothing, a materialised chat line three times (its body is
+# the frame's), AppendEncode nothing; through Kernel.HandlePacket a
+# filtered frame, the endpoint's own echo and a repair-mode duplicate
+# cost no allocation and an admitted Say three — the chat-wired
+# allocs_per_delivery budget, held in go test (the files are excluded
+# under -race).
 go test -count=1 -run 'TestParseZeroAllocs|TestMessageAllocs|TestAppendEncodeZeroAllocs|TestKernelReceiveAllocs' ./internal/message/ ./internal/core/
 
 # Scale smoke: a 10k-client simulated minute must complete within 30s

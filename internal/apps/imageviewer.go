@@ -187,7 +187,10 @@ func (v *ImageViewer) Announce(meta ImageMeta) {
 
 // AddPacket ingests packet idx of a shared image.  Packets beyond the
 // budget are counted as received but not accepted; the accepted prefix
-// only grows through contiguous, in-budget packets.
+// only grows through contiguous, in-budget packets.  The viewer retains
+// data itself, not a copy, until the share is forgotten: the caller
+// must not write to it afterwards (a received message body never is
+// written; AcceptedStream and the renderers copy out).
 func (v *ImageViewer) AddPacket(object string, idx int, data []byte) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -201,7 +204,7 @@ func (v *ImageViewer) AddPacket(object string, idx int, data []byte) error {
 	if _, dup := si.received[idx]; dup {
 		return nil
 	}
-	si.received[idx] = append([]byte(nil), data...)
+	si.received[idx] = data
 	// Advance the accepted prefix under the budget.
 	for {
 		limit := si.meta.TotalPackets

@@ -33,7 +33,10 @@ func EncodeMediaObject(o *media.Object) ([]byte, error) {
 	return append(out, o.Data...), nil
 }
 
-// DecodeMediaObject parses an EncodeMediaObject payload.
+// DecodeMediaObject parses an EncodeMediaObject payload.  The object's
+// Data aliases payload (its strings are copies): the object is
+// read-only for as long as the payload is, which for a received
+// message body is for good.
 func DecodeMediaObject(payload []byte) (*media.Object, error) {
 	fail := func(what string) (*media.Object, error) {
 		return nil, fmt.Errorf("%w: media object %s", ErrBadEvent, what)
@@ -76,7 +79,7 @@ func DecodeMediaObject(payload []byte) (*media.Object, error) {
 		Description: desc,
 		Width:       w,
 		Height:      h,
-		Data:        append([]byte(nil), payload[off:]...),
+		Data:        payload[off:len(payload):len(payload)],
 	}, nil
 }
 

@@ -162,6 +162,8 @@ type BaseStation struct {
 	// eventPipe relays one light wired-session event to one wireless
 	// client: match → tier gate → transmit.
 	eventPipe dispatch.Pipeline
+	// tasks recycles the per-candidate dispatch.Task (see runTask).
+	tasks sync.Pool
 
 	env    message.Enveloper
 	unwrap *message.Unwrapper
@@ -212,6 +214,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	}
 	bs.env.Node = id
 	bs.unwrap.Node = id
+	bs.tasks.New = func() any { return new(dispatch.Task) }
 	bs.wiredTx = &dispatch.Multicaster{Env: &bs.env, Conn: wired}
 	bs.rfTx = &dispatch.Unicaster{Env: &bs.env, Conn: wireless,
 		OnSend: func(string) { bs.stats.downlk.Add(1) }}

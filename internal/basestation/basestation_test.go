@@ -11,6 +11,7 @@ import (
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/transport"
+	"adaptiveqos/internal/transport/transporttest"
 	"adaptiveqos/internal/wavelet"
 )
 
@@ -29,6 +30,9 @@ func newRig(t *testing.T, cfg Config) *rig {
 	wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 1})
 	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 2})
 	t.Cleanup(func() { wiredNet.Close(); radioNet.Close() })
+	// Every rig test doubles as a frame-integrity test: collected image
+	// chunks, parked packets and relayed bodies all alias datagrams.
+	transporttest.Watch(t, wiredNet, radioNet)
 
 	bsWired, err := wiredNet.Attach("bs")
 	if err != nil {

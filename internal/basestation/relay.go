@@ -52,6 +52,19 @@ func (bs *BaseStation) tierGate(min radio.Tier) dispatch.Stage {
 	}
 }
 
+// runTask runs one candidate's task through pipe.  A Task escapes to
+// the heap through the pipeline's indirect stage calls, and there is
+// one per candidate per relayed message, so it comes from a pool; no
+// stage keeps the pointer past its return.
+func (bs *BaseStation) runTask(pipe dispatch.Pipeline, task dispatch.Task) error {
+	t := bs.tasks.Get().(*dispatch.Task)
+	*t = task
+	err := pipe.Run(t)
+	*t = dispatch.Task{}
+	bs.tasks.Put(t)
+	return err
+}
+
 // parse unwraps one datagram from peer and validates the frame it
 // completes, if it completes one.  What cannot be read is counted.
 func (bs *BaseStation) parse(peer string, datagram []byte) (message.View, bool) {
@@ -106,8 +119,7 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 		ids := dispatch.Candidates(bs.reg, m, bs.cfg.MatchIndex != MatchIndexOff)
 		fan := bs.rfTx.Fanout(m)
 		bs.pool.Each(msgID, ids, func(id string) error {
-			t := dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id}
-			return bs.eventPipe.Run(&t)
+			return bs.runTask(bs.eventPipe, dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id})
 		})
 	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
 		meta, err := apps.DecodeImageMeta(m.Body)
@@ -251,8 +263,7 @@ func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
 		},
 	)
 	bs.pool.Each(0, bs.reg.IDs(), func(id string) error {
-		t := dispatch.Task{To: id, Node: bs.id}
-		return pipe.Run(&t)
+		return bs.runTask(pipe, dispatch.Task{To: id, Node: bs.id})
 	})
 }
 

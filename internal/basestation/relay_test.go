@@ -10,10 +10,7 @@ import (
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
-	"adaptiveqos/internal/profile"
-	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/selector"
-	"adaptiveqos/internal/transport"
 )
 
 // wraps counts Enveloper.WrapMessage calls in the process: each takes
@@ -41,32 +38,12 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const members, blue = 12, 5 // the first five are team blue
-			wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 1})
-			radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 2})
-			t.Cleanup(func() { wiredNet.Close(); radioNet.Close() })
-			attach := func(net *transport.SimNet, id string) transport.Conn {
-				conn, err := net.Attach(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return conn
-			}
-			// Every member clears every tier: this test is about framing.
-			bs := New("bs", attach(wiredNet, "bs"), attach(radioNet, "bs"), radio.NewChannel(radio.Params{}),
-				Config{FanOutWorkers: workers, Thresholds: radio.Thresholds{TextDB: -1000, SketchDB: -900, ImageDB: -800}})
-			t.Cleanup(func() { bs.Close() })
-			pub := attach(wiredNet, "pub")
-			conns := make([]transport.Conn, members)
-			for i := range conns {
-				id := fmt.Sprintf("m%02d", i)
-				conns[i] = attach(radioNet, id)
-				p := profile.New(id)
-				if i < blue {
-					p.Interests.SetString("team", "blue")
-				}
-				if _, err := bs.Join(p, 30, 1); err != nil {
-					t.Fatal(err)
-				}
+			cell := newBareCell(t, workers, 0, members)
+			bs, pub, conns := cell.bs, cell.pub, cell.members
+			for _, conn := range conns[:blue] {
+				p, _ := bs.reg.Get(conn.ID())
+				p.Interests.SetString("team", "blue")
+				bs.reg.Put(p)
 			}
 			// recv takes the one datagram a member is owed, or reports
 			// that none came.

@@ -215,8 +215,9 @@ func (k *CoordinatorKernel) notifyLock(to, ctrl, object, holder string) {
 	})
 }
 
-// orderedFrame is one frame on its way into the archive: the private
-// copy of its bytes and what its session event records of it.
+// orderedFrame is one frame on its way into the archive: its bytes
+// (read-only, shared with the datagram they arrived in) and what its
+// session event records of it.
 type orderedFrame struct {
 	seq         uint32
 	app, object string
@@ -297,12 +298,13 @@ func (st *senderStream) noteMissing(from, to uint32) {
 }
 
 // keep takes what the archive retains of a frame it is not dropping.
-// frame aliases the datagram, which the substrate shares between
-// recipients: the copy made here is the one the archive keeps.
+// frame aliases the datagram (or is the reassembler's fresh buffer),
+// which nobody writes again: the archive keeps those bytes and resend
+// only reads them.
 func (k *CoordinatorKernel) keep(v message.View, frame []byte) orderedFrame {
 	app, _ := v.Attr(message.AttrApp, &k.intern)
 	object, _ := v.Attr(message.AttrObject, &k.intern)
-	return orderedFrame{seq: v.Seq(), app: app.Str(), object: object.Str(), frame: append([]byte(nil), frame...)}
+	return orderedFrame{seq: v.Seq(), app: app.Str(), object: object.Str(), frame: frame}
 }
 
 // reorder returns the frame's sender stream and the frames now
@@ -451,13 +453,5 @@ func (k *CoordinatorKernel) resend(to, sender string, f archivedFrame) bool {
 	traceID := obs.MsgID(sender, f.senderSeq)
 	obs.AppendHop(traceID, k.ID(), obs.StageRepair)
 	datagrams, err := k.env.WrapTraced(f.data, traceID) // plain Wrap while tracing is off
-	if err != nil {
-		return false
-	}
-	for _, d := range datagrams {
-		if err := k.conn.Unicast(to, d); err != nil {
-			return false
-		}
-	}
-	return true
+	return err == nil && k.tx.Send(to, datagrams) == nil
 }

@@ -368,6 +368,11 @@ func (c *Client) Draw(s apps.Stroke, sel string) error {
 // by TotalPackets data packets, each a prefix-extending slice of the
 // embedded stream.  Receivers accept packets up to their own inferred
 // budget.
+//
+// obj is retained read-only: the local viewer keeps slices of obj.Data
+// itself (ImageViewer.AddPacket does not copy), as the base station's
+// rendition sets already assume of a media.Object.  A caller that wants
+// to reuse the buffer shares a Clone.
 func (c *Client) ShareImage(object string, obj *media.Object, sel string) error {
 	meta, packets, err := apps.ShareImage(object, obj, c.cfg.TotalPackets)
 	if err != nil {
@@ -639,7 +644,7 @@ func (c *Client) parkPacket(object string, idx int, data []byte) {
 	if len(q) >= maxPendingPerObj {
 		return
 	}
-	c.pendingData[object] = append(q, pendingPacket{idx: idx, data: append([]byte(nil), data...)})
+	c.pendingData[object] = append(q, pendingPacket{idx: idx, data: data}) // the message body's bytes: never written
 }
 
 func (c *Client) flushPending(object string) {

@@ -12,6 +12,7 @@ import (
 	"adaptiveqos/internal/repair"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
+	"adaptiveqos/internal/transport/transporttest"
 )
 
 // The differential oracle (ROADMAP item 2): one seeded chat workload —
@@ -115,6 +116,7 @@ func attachPublishers(t *testing.T, net diffNet, clk clock.Clock) []*Client {
 func runShells(t *testing.T) diffResult {
 	net := transport.NewSimNet(transport.SimNetConfig{Seed: 77})
 	t.Cleanup(net.Close)
+	transporttest.Watch(t, net)
 	cconn, err := net.Attach(diffCoord)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +161,7 @@ func runKernels(t *testing.T) (diffResult, []string) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	net := transport.NewDESNet(transport.DESNetConfig{Seed: 77, Clock: clk})
 	defer net.Close()
+	transporttest.Watch(t, net)
 
 	var coord *CoordinatorKernel
 	cconn, err := net.AttachHandler(diffCoord, func(p transport.Packet) { coord.HandlePacket(p) })

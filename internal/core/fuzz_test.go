@@ -20,6 +20,7 @@ type nullConn string
 func (c nullConn) ID() string                  { return string(c) }
 func (nullConn) Multicast([]byte) error        { return nil }
 func (nullConn) Unicast(string, []byte) error  { return nil }
+func (nullConn) Give(string, []byte) error     { return nil }
 func (nullConn) Recv() <-chan transport.Packet { return nil }
 func (nullConn) Close() error                  { return nil }
 

@@ -261,7 +261,7 @@ type captureConn struct {
 	sent [][]byte
 }
 
-func (c *captureConn) Unicast(_ string, d []byte) error {
+func (c *captureConn) Give(_ string, d []byte) error {
 	c.sent = append(c.sent, d)
 	return nil
 }
@@ -313,6 +313,27 @@ func nackDatagram(t testing.TB, from, sender string, body []byte) []byte {
 		t.Fatal(err)
 	}
 	return d[0]
+}
+
+// TestCoordinatorNeverAnswersTheGroup: the requester's ID comes off the
+// wire, and the substrate's frozen send reads "" as the whole group.  A
+// history request that names nobody must be answered to nobody — not
+// with the archive multicast to the session.
+func TestCoordinatorNeverAnswersTheGroup(t *testing.T) {
+	conn := &captureConn{nullConn: "coordinator"}
+	k := NewCoordinatorKernel(conn, session.Group{Objective: "anon"}, clock.NewVirtual(time.Unix(0, 0)))
+	for seq := uint32(1); seq <= 3; seq++ {
+		feed(t, k, "alice", seq)
+	}
+	k.HandlePacket(transport.Packet{From: "x", Data: nackDatagram(t, "", "alice", nil)})
+	k.HandlePacket(transport.Packet{From: "x", Data: nackDatagram(t, "", "", nil)}) // the late-join form
+	if len(conn.sent) != 0 {
+		t.Fatalf("a request from %q was answered with %d datagrams", "", len(conn.sent))
+	}
+	k.HandlePacket(transport.Packet{From: "x", Data: nackDatagram(t, "bob", "alice", nil)})
+	if frames, _ := conn.sentSeqs(t); len(frames) != 3 {
+		t.Fatalf("a request from bob was answered with %v, want alice's three frames", frames)
+	}
 }
 
 // indexed is how many frames the per-sender indexes list.

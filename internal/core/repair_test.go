@@ -10,6 +10,7 @@ import (
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
+	"adaptiveqos/internal/transport/transporttest"
 )
 
 // chaosNet is a repair-enabled topology: an archiving coordinator,
@@ -28,6 +29,9 @@ func newChaosNet(t *testing.T, seed int64, nSenders, nReplicas int, link transpo
 	t.Helper()
 	net := transport.NewSimNet(transport.SimNetConfig{Seed: seed})
 	t.Cleanup(net.Close)
+	// Lost, duplicated, reordered, replayed from the archive: a frame is
+	// still the bytes it was when the network first carried it.
+	transporttest.Watch(t, net)
 	conn, err := net.Attach("coordinator")
 	if err != nil {
 		t.Fatal(err)

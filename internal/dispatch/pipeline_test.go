@@ -129,4 +129,14 @@ func TestTransmitAdapters(t *testing.T) {
 	if len(sent) != 1 || sent[0] != "b" {
 		t.Errorf("OnSend observed %v", sent)
 	}
+	// A send that fails is not observed, and "" — Conn.Give's name for
+	// the whole group — is nobody a unicast adapter will send to.
+	for _, to := range []string{"nobody", ""} {
+		if err := uc.Deliver(to, m2); !errors.Is(err, transport.ErrUnknownNode) {
+			t.Errorf("unicast to %q: %v, want ErrUnknownNode", to, err)
+		}
+	}
+	if len(sent) != 1 || len(b.Recv()) != 0 || len(c.Recv()) != 0 {
+		t.Errorf("failed unicasts were observed (%v) or delivered", sent)
+	}
 }

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"fmt"
 	"sync"
 
 	"adaptiveqos/internal/message"
@@ -25,7 +26,9 @@ func (f DeliverFunc) Deliver(to string, m *message.Message) error { return f(to,
 // Multicaster is the wired-segment transmit adapter: it envelopes the
 // message (fragmenting to the MTU, reusing pooled encode buffers) and
 // multicasts every datagram to the session.  The destination argument
-// is ignored — multicast has no single addressee.
+// is ignored — multicast has no single addressee.  The datagrams are
+// the enveloper's fresh buffers and nobody writes them again, so they
+// are given to the substrate, not copied into it.
 type Multicaster struct {
 	Env  *message.Enveloper
 	Conn transport.Conn
@@ -38,7 +41,7 @@ func (mc *Multicaster) Deliver(_ string, m *message.Message) error {
 		return err
 	}
 	for _, d := range datagrams {
-		if err := mc.Conn.Multicast(d); err != nil {
+		if err := mc.Conn.Give("", d); err != nil {
 			return err
 		}
 	}
@@ -47,8 +50,9 @@ func (mc *Multicaster) Deliver(_ string, m *message.Message) error {
 
 // Unicaster is the per-client transmit adapter: it envelopes the
 // message and unicasts every datagram to the addressed peer.  OnSend,
-// when set, observes each delivered message (the base station counts
-// downlink unicasts through it).
+// when set, observes each message once its last datagram has been
+// handed to the substrate (the base station counts downlink unicasts
+// through it); a send that fails is not observed.
 type Unicaster struct {
 	Env    *message.Enveloper
 	Conn   transport.Conn
@@ -61,17 +65,25 @@ func (uc *Unicaster) Deliver(to string, m *message.Message) error {
 	if err != nil {
 		return err
 	}
-	return uc.send(to, datagrams)
+	return uc.Send(to, datagrams)
 }
 
-func (uc *Unicaster) send(to string, datagrams [][]byte) error {
-	if uc.OnSend != nil {
-		uc.OnSend(to)
+// Send unicasts datagrams that are already enveloped — and frozen: they
+// are given to the substrate as they are, so the same set may be sent
+// to any number of peers and must never be written again.
+func (uc *Unicaster) Send(to string, datagrams [][]byte) error {
+	if to == "" {
+		// Conn.Give reads "" as the whole group; a peer ID off the wire
+		// must never turn a unicast into a multicast.
+		return fmt.Errorf("%w: %q", transport.ErrUnknownNode, to)
 	}
 	for _, d := range datagrams {
-		if err := uc.Conn.Unicast(to, d); err != nil {
+		if err := uc.Conn.Give(to, d); err != nil {
 			return err
 		}
+	}
+	if uc.OnSend != nil {
+		uc.OnSend(to)
 	}
 	return nil
 }
@@ -80,8 +92,9 @@ func (uc *Unicaster) send(to string, datagrams [][]byte) error {
 // The datagrams are the same bytes whoever they go to, so the message
 // is enveloped once — on the first Deliver, so a message no peer turns
 // out to be admitted to is never encoded — and every addressee is
-// unicast that one set.  It is safe for concurrent use: the dispatch
-// pool delivers from several shard goroutines.
+// given that one set: one buffer per datagram, however many peers.  It
+// is safe for concurrent use: the dispatch pool delivers from several
+// shard goroutines.
 type Fanout struct {
 	uc        *Unicaster
 	m         *message.Message
@@ -102,5 +115,5 @@ func (f *Fanout) Deliver(to string) error {
 	if f.err != nil {
 		return f.err
 	}
-	return f.uc.send(to, f.datagrams)
+	return f.uc.Send(to, f.datagrams)
 }

@@ -116,10 +116,13 @@ type Shard struct {
 	dirty   idSet
 
 	// counts is the counting-match scratch (client → satisfied
-	// predicates); seen dedupes candidates across branches.  Both are
+	// predicates); seen dedupes candidates across branches; sizes,
+	// counted and verified are one branch's predicate split.  All are
 	// reused across matches under mu.
-	counts map[string]int
-	seen   idSet
+	counts            map[string]int
+	seen              idSet
+	sizes             []int
+	counted, verified []*pred
 }
 
 // NewShard returns an empty index shard.
@@ -399,19 +402,19 @@ func (s *Shard) Match(p *Plan, lookup Lookup, dst []string) []string {
 		// Split the conjuncts: the most selective predicates enumerate
 		// their postings into the counting match, the rest verify.
 		pivot := -1
-		sizes := make([]int, len(br.preds))
+		sizes := s.sizes[:0]
 		for i := range br.preds {
-			sizes[i] = s.estimate(&br.preds[i])
+			sizes = append(sizes, s.estimate(&br.preds[i]))
 			if pivot < 0 || sizes[i] < sizes[pivot] {
 				pivot = i
 			}
 		}
+		s.sizes = sizes
 		if sizes[pivot] == 0 {
 			continue // some conjunct has no satisfying client
 		}
 		bound := sizes[pivot]*verifyFactor + verifySlack
-		counted := make([]*pred, 0, len(br.preds))
-		verified := make([]*pred, 0, len(br.preds))
+		counted, verified := s.counted[:0], s.verified[:0]
 		for i := range br.preds {
 			if i == pivot || sizes[i] <= bound {
 				counted = append(counted, &br.preds[i])
@@ -419,6 +422,7 @@ func (s *Shard) Match(p *Plan, lookup Lookup, dst []string) []string {
 				verified = append(verified, &br.preds[i])
 			}
 		}
+		s.counted, s.verified = counted, verified
 
 		emit := func(id string) {
 			if _, dup := s.seen[id]; dup {

@@ -34,9 +34,9 @@ func TestParseZeroAllocs(t *testing.T) {
 	}
 }
 
-// A materialised chat line is the message, its attribute map (two
-// allocations) and its body; every string in it is interned.  Without
-// an interner the eight strings come back (the old Decode's 12).
+// A materialised chat line is the message and its attribute map (two
+// allocations); the body is the frame's and every string in it is
+// interned.  Without an interner the eight strings come back.
 func TestMessageAllocs(t *testing.T) {
 	frame, err := Encode(wireSamples()[0])
 	if err != nil {
@@ -48,11 +48,11 @@ func TestMessageAllocs(t *testing.T) {
 	}
 	in := new(Interner)
 	v.Message(in)
-	if n := testing.AllocsPerRun(200, func() { v.Message(in) }); n > 4 {
-		t.Errorf("Message through a warm interner allocates %g times, want <= 4", n)
+	if n := testing.AllocsPerRun(200, func() { v.Message(in) }); n > 3 {
+		t.Errorf("Message through a warm interner allocates %g times, want <= 3", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { Decode(frame) }); n > 12 {
-		t.Errorf("Decode allocates %g times, want <= 12", n)
+	if n := testing.AllocsPerRun(200, func() { Decode(frame) }); n > 11 {
+		t.Errorf("Decode allocates %g times, want <= 11", n)
 	}
 }
 

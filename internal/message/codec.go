@@ -134,10 +134,12 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses a frame produced by Encode into a message that shares
-// nothing with it.  The input must contain exactly one frame.  It is
-// Parse followed by View.Message: receive paths that can reject a
-// frame before they need the message call those two themselves.
+// Decode parses a frame produced by Encode into a message whose Body
+// aliases the frame's body bytes (see View.Message) and which shares
+// nothing else with it: a caller that goes on to overwrite frame must
+// copy the body out first.  The input must contain exactly one frame.
+// It is Parse followed by View.Message: receive paths that can reject
+// a frame before they need the message call those two themselves.
 func Decode(frame []byte) (*Message, error) {
 	v, err := Parse(frame)
 	if err != nil {

@@ -231,7 +231,7 @@ func (u *Unwrapper) Unwrap(peer string, datagram []byte) ([]byte, error) {
 	case envWhole, envWholeTraced:
 		return body, nil
 	case envFragment, envFragmentTraced:
-		frag, err := parseFragment(body) // in place: Add copies the chunk it keeps
+		frag, err := parseFragment(body) // in place: Add keeps the datagram's bytes until completion
 		if err != nil {
 			return nil, err
 		}

@@ -144,41 +144,55 @@ func TestQuickEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// The unwrapper reads a fragment's header in place and keeps its own
-// copy of the chunk: the datagram may be overwritten the moment Unwrap
-// returns (UnmarshalFragment, the public decoder, copies as before).
-func TestUnwrapFragmentKeepsOwnCopy(t *testing.T) {
+// TestUnwrapFragmentAliasesUntilComplete: the unwrapper reads a
+// fragment's header in place and keeps the datagram's own chunk bytes —
+// no copy — until the message completes; the completed frame is the one
+// copy a fragmented byte gets, a fresh buffer of exactly the frame's
+// size that shares nothing with the datagrams.
+func TestUnwrapFragmentAliasesUntilComplete(t *testing.T) {
 	frame := bytes.Repeat([]byte("fragmented payload "), 40)
 	datagrams, err := (&Enveloper{MTU: 128}).Wrap(frame)
 	if err != nil || len(datagrams) < 3 {
 		t.Fatalf("%d datagrams, %v", len(datagrams), err)
 	}
 	u := NewUnwrapper()
-	var got []byte
-	for _, d := range datagrams {
-		out, err := u.Unwrap("peer", d)
-		if err != nil {
-			t.Fatal(err)
+	last := len(datagrams) - 1
+	for i, d := range datagrams[:last] {
+		if out, err := u.Unwrap("peer", d); err != nil || out != nil {
+			t.Fatalf("fragment %d: %v, %v", i, out, err)
 		}
+	}
+	// Pending chunks are the datagrams' bytes, not copies of them.
+	var msgID uint64
+	for id := range u.peers["peer"].pending {
+		msgID = id
+	}
+	for i, d := range datagrams[:last] {
+		chunk := u.peers["peer"].pending[msgID].chunks[uint16(i)]
+		if len(chunk) == 0 || &chunk[0] != &d[1+fragHeaderLen] {
+			t.Fatalf("pending chunk %d is not its datagram's bytes", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() { u.Unwrap("peer", datagrams[0]) }); allocs != 0 {
+		t.Errorf("a duplicate fragment allocated %.0f times", allocs)
+	}
+
+	got, err := u.Unwrap("peer", datagrams[last])
+	if err != nil || !bytes.Equal(got, frame) {
+		t.Fatalf("reassembled %d bytes, %v", len(got), err)
+	}
+	if cap(got) != len(frame) {
+		t.Errorf("reassembled frame has capacity %d for %d bytes", cap(got), len(frame))
+	}
+	for _, d := range datagrams {
 		for i := range d {
 			d[i] = 0xEE
 		}
-		if out != nil {
-			got = out
-		}
 	}
 	if !bytes.Equal(got, frame) {
-		t.Error("reassembled frame changed with the datagrams it arrived in")
+		t.Error("completed frame still shares memory with its datagrams")
 	}
-
-	f := Fragment{MsgID: 1, Count: 1, Chunk: []byte("chunk")}
-	wire := f.Marshal()
-	back, err := UnmarshalFragment(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire[len(wire)-1] ^= 0xFF
-	if string(back.Chunk) != "chunk" {
-		t.Error("UnmarshalFragment's chunk aliases its input")
+	if u.peers["peer"].Pending() != 0 {
+		t.Error("completed message still pending")
 	}
 }

@@ -65,7 +65,7 @@ func TestFragmentAppendMarshal(t *testing.T) {
 	if out[0] != 0xAA {
 		t.Fatal("AppendMarshal clobbered the destination prefix")
 	}
-	got, err := UnmarshalFragment(out[1:])
+	got, err := parseFragment(out[1:])
 	if err != nil {
 		t.Fatal(err)
 	}

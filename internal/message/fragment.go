@@ -91,20 +91,9 @@ func (f *Fragment) AppendMarshal(dst []byte) []byte {
 	return append(dst, f.Chunk...)
 }
 
-// UnmarshalFragment decodes a fragment frame.  The returned fragment
-// owns its chunk: frame may be reused afterwards.
-func UnmarshalFragment(frame []byte) (Fragment, error) {
-	f, err := parseFragment(frame)
-	if err != nil {
-		return Fragment{}, err
-	}
-	f.Chunk = append([]byte(nil), f.Chunk...)
-	return f, nil
-}
-
 // parseFragment decodes a fragment frame in place: the chunk is the
 // frame's own bytes.  The receive path hands it straight to
-// Reassembler.Add, which makes the one copy that is kept.
+// Reassembler.Add, which keeps it as it is.
 func parseFragment(frame []byte) (Fragment, error) {
 	if len(frame) < fragHeaderLen {
 		return Fragment{}, ErrFragHeader
@@ -143,7 +132,7 @@ type Reassembler struct {
 
 type pendingMsg struct {
 	count  uint16
-	chunks map[uint16][]byte
+	chunks map[uint16][]byte // aliases of the fragments' own datagrams
 }
 
 // NewReassembler returns an empty reassembler.
@@ -158,10 +147,13 @@ func (r *Reassembler) maxPending() int {
 	return r.MaxPending
 }
 
-// Add ingests a fragment, copying its chunk: the caller keeps f.Chunk.
-// When the fragment completes its message the reassembled payload is
-// returned with done=true and the message's state is released.
-// Duplicate fragments are ignored.
+// Add ingests a fragment and retains f.Chunk itself until its message
+// completes or is discarded: the chunk must not be written again (a
+// received datagram never is).  When the fragment completes its
+// message the chunks are concatenated — the one copy a fragmented byte
+// gets — into a fresh buffer of exactly the payload's size, returned
+// with done=true, and the message's state is released.  Duplicate
+// fragments are ignored.
 func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 	if f.Count == 0 || f.Index >= f.Count {
 		return nil, false, fmt.Errorf("%w: index %d of %d", ErrFragHeader, f.Index, f.Count)
@@ -182,7 +174,7 @@ func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 			ErrFragMismatch, f.Count, pm.count, f.MsgID)
 	}
 	if _, dup := pm.chunks[f.Index]; !dup {
-		pm.chunks[f.Index] = append([]byte(nil), f.Chunk...)
+		pm.chunks[f.Index] = f.Chunk
 	}
 	if len(pm.chunks) < int(pm.count) {
 		return nil, false, nil

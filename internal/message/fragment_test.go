@@ -55,7 +55,7 @@ func TestSplitEdgeCases(t *testing.T) {
 
 func TestFragmentMarshalRoundTrip(t *testing.T) {
 	f := Fragment{MsgID: 123456789, Index: 3, Count: 9, Chunk: []byte("hello")}
-	got, err := UnmarshalFragment(f.Marshal())
+	got, err := parseFragment(f.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +64,15 @@ func TestFragmentMarshalRoundTrip(t *testing.T) {
 		t.Errorf("round trip: %+v vs %+v", got, f)
 	}
 
-	if _, err := UnmarshalFragment(nil); !errors.Is(err, ErrFragHeader) {
+	if _, err := parseFragment(nil); !errors.Is(err, ErrFragHeader) {
 		t.Errorf("nil frame: %v", err)
 	}
 	frame := f.Marshal()
-	if _, err := UnmarshalFragment(frame[:len(frame)-1]); !errors.Is(err, ErrFragHeader) {
+	if _, err := parseFragment(frame[:len(frame)-1]); !errors.Is(err, ErrFragHeader) {
 		t.Errorf("short frame: %v", err)
 	}
 	bad := Fragment{MsgID: 1, Index: 5, Count: 5, Chunk: nil} // index >= count
-	if _, err := UnmarshalFragment(bad.Marshal()); !errors.Is(err, ErrFragHeader) {
+	if _, err := parseFragment(bad.Marshal()); !errors.Is(err, ErrFragHeader) {
 		t.Errorf("bad index: %v", err)
 	}
 }
@@ -247,7 +247,7 @@ func TestQuickFragmentMarshalRoundTrip(t *testing.T) {
 			Count: count,
 			Chunk: randBytes(r, 300),
 		}
-		got, err := UnmarshalFragment(fr.Marshal())
+		got, err := parseFragment(fr.Marshal())
 		return err == nil && got.MsgID == fr.MsgID && got.Index == fr.Index &&
 			got.Count == fr.Count && bytes.Equal(got.Chunk, fr.Chunk)
 	}

@@ -73,7 +73,10 @@ type Message struct {
 	// Attrs describes the content itself; receivers use these for
 	// interpretation and transformation decisions.
 	Attrs selector.Attributes
-	// Body is the payload.
+	// Body is the payload.  On a received message (View.Message,
+	// Decode) it aliases the frame the message was parsed from and is
+	// read-only: retain it freely, never write through it.  A sender
+	// hands its own bytes in, and they are only read.
 	Body []byte
 
 	// sel is Selector compiled, remembered by View.Message so that a

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"adaptiveqos/internal/selector"
 )
@@ -227,8 +228,12 @@ func checkParse(t *testing.T, frame []byte) {
 		t.Errorf("view reads %v %q/%d, reference %v %q/%d", v.Kind(), v.Sender(), v.Seq(), ref.Kind, ref.Sender, ref.Seq)
 	}
 	for _, in := range []*Interner{nil, fuzzInterner} {
-		if m := v.Message(in); !sameMessage(m, ref) {
+		m := v.Message(in)
+		if !sameMessage(m, ref) {
 			t.Fatalf("materialised (interner %v)\n %v\nreference\n %v", in != nil, m, ref)
+		}
+		if !within(m.Body, frame) || cap(m.Body) != len(m.Body) {
+			t.Fatalf("materialised body (len %d, cap %d) is not a clipped slice of the input frame", len(m.Body), cap(m.Body))
 		}
 		for name, want := range ref.Attrs {
 			if got, ok := v.Attr(name, in); !ok || !got.Equal(want) {
@@ -279,9 +284,12 @@ func TestParseSeedsAreCanonical(t *testing.T) {
 	}
 }
 
-// TestViewAliasesFrameMessageDoesNot: the view reads the frame in
-// place; the message made from it shares nothing with it.
-func TestViewAliasesFrameMessageDoesNot(t *testing.T) {
+// TestMessageBodyAliasesFrame: the view reads the frame in place, and
+// of the message made from it the body — and only the body — is still
+// the frame's bytes, clipped so that appending cannot write into the
+// frame.  Sender, attribute names and string values are copies.  An
+// empty body is nil, aliasing nothing.
+func TestMessageBodyAliasesFrame(t *testing.T) {
 	frame, err := Encode(wireSamples()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -293,9 +301,21 @@ func TestViewAliasesFrameMessageDoesNot(t *testing.T) {
 	in := new(Interner)
 	m := v.Message(in)
 	want := m.Clone()
+	if !within(m.Body, frame) || cap(m.Body) != len(m.Body) {
+		t.Fatalf("body (len %d, cap %d) is not a clipped slice of the frame", len(m.Body), cap(m.Body))
+	}
+	pristine := bytes.Clone(frame)
+	if grown := append(m.Body, 'x'); within(grown, frame) || !bytes.Equal(frame, pristine) {
+		t.Error("append to a delivered body wrote into the frame")
+	}
+
 	for i := range frame {
 		frame[i] = 0xEE
 	}
+	if m.Body[0] != 0xEE {
+		t.Error("body did not alias the frame")
+	}
+	m.Body = want.Body // everything but the body must have survived the scribble
 	if !sameMessage(m, want) || m.Sender != "wired-0" || m.Attrs[AttrApp].Str() != "chat" {
 		t.Errorf("message changed with the frame it was made from: %v", m)
 	}
@@ -305,6 +325,34 @@ func TestViewAliasesFrameMessageDoesNot(t *testing.T) {
 	if string(v.Sender()) == "wired-0" {
 		t.Error("view did not alias the frame")
 	}
+
+	empty, err := Decode(mustEncode(t, &Message{Kind: KindControl, Sender: "s"}))
+	if err != nil || empty.Body != nil {
+		t.Errorf("empty body decoded as %#v (%v), want nil", empty.Body, err)
+	}
+}
+
+func mustEncode(t *testing.T, m *Message) []byte {
+	t.Helper()
+	frame, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// within reports whether every byte of b lies inside outer's backing
+// array (an empty b lies anywhere).
+func within(b, outer []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	if len(outer) == 0 {
+		return false
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(outer)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= lo && p+uintptr(len(b)) <= lo+uintptr(len(outer))
 }
 
 // TestDecodedMessageKeepsItsSelector: a received message matches with

@@ -159,19 +159,28 @@ func (v View) Attr(name string, in *Interner) (selector.Value, bool) {
 	return attrValue(kind, raw, in), true
 }
 
-// Message materialises the view as a message that shares no memory
-// with the frame.  Sender, attribute names and short string values
-// come out of in (nil: each is a fresh string); the selector source is
-// the compiled selector's own copy, and the message remembers that
-// selector, so matching it later costs no cache lookup.
+// Message materialises the view as a message whose Body is the frame's
+// own body bytes and which shares nothing else with the frame.  The
+// body is not copied: it stays valid, and may be retained, for as long
+// as the frame is not modified (transport.Packet.Data never is), and it
+// is read-only — its capacity is clipped to its length, so appending to
+// it reallocates instead of writing into a frame other receivers hold.
+// An empty body is nil.  Sender, attribute names and short string
+// values come out of in (nil: each is a fresh string); the selector
+// source is the compiled selector's own copy, and the message remembers
+// that selector, so matching it later costs no cache lookup.
 func (v View) Message(in *Interner) *Message {
+	var body []byte
+	if len(v.body) > 0 {
+		body = v.body[:len(v.body):len(v.body)]
+	}
 	m := &Message{
 		Kind:      v.kind,
 		Sender:    in.String(v.sender),
 		Seq:       v.seq,
 		Timestamp: time.Unix(0, v.ts),
 		Attrs:     make(selector.Attributes, v.nattrs),
-		Body:      append([]byte(nil), v.body...),
+		Body:      body,
 		sel:       v.sel,
 	}
 	if v.sel != nil {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"adaptiveqos/internal/metrics"
@@ -248,14 +249,19 @@ func (r *Registry) Len() int {
 }
 
 // IDs returns the registered client IDs in unspecified order.
-func (r *Registry) IDs() []string {
+func (r *Registry) IDs() []string { return r.AppendIDs(nil) }
+
+// AppendIDs appends the registered client IDs to dst, in unspecified
+// order: IDs into a buffer the caller sized (the sharded registry
+// gathers every shard into one).
+func (r *Registry) AppendIDs(dst []string) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.profiles))
+	dst = slices.Grow(dst, len(r.profiles))
 	for id := range r.profiles {
-		ids = append(ids, id)
+		dst = append(dst, id)
 	}
-	return ids
+	return dst
 }
 
 // MatchAll returns copies of every profile satisfying sel, evaluated

@@ -88,8 +88,9 @@ func (c *Collections[M]) Meta(object string) (M, bool) {
 }
 
 // Park stores an early-arriving data packet (one that overtook its
-// announce), copying data.  It reports whether the packet was kept;
-// packets beyond the parking bounds are dropped.
+// announce), retaining data itself: the caller must not write to it
+// again.  It reports whether the packet was kept; packets beyond the
+// parking bounds are dropped.
 func (c *Collections[M]) Park(object string, idx int, data []byte, now time.Time) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -110,7 +111,7 @@ func (c *Collections[M]) Park(object string, idx int, data []byte, now time.Time
 		}
 		c.parked++
 	}
-	e.parked = append(e.parked, Packet{Idx: idx, Data: append([]byte(nil), data...)})
+	e.parked = append(e.parked, Packet{Idx: idx, Data: data})
 	e.touched = now
 	return true
 }

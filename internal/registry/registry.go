@@ -11,6 +11,8 @@
 package registry
 
 import (
+	"sync/atomic"
+
 	"adaptiveqos/internal/matchindex"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/profile"
@@ -65,6 +67,9 @@ type Registry struct {
 	shards []*profile.Registry
 	idx    []*matchindex.Shard // nil when the index is disabled
 	mask   uint32
+	// matched is the size of the last indexed match: the next one's
+	// result starts at that capacity instead of growing by doubling.
+	matched atomic.Int64
 }
 
 // New returns a registry with the given shard count, rounded up to a
@@ -150,9 +155,9 @@ func (r *Registry) Len() int {
 
 // IDs returns the registered client IDs in unspecified order.
 func (r *Registry) IDs() []string {
-	var ids []string
+	ids := make([]string, 0, r.Len())
 	for _, s := range r.shards {
-		ids = append(ids, s.IDs()...)
+		ids = s.AppendIDs(ids)
 	}
 	return ids
 }
@@ -193,10 +198,11 @@ func (r *Registry) MatchIDs(sel *selector.Selector) []string {
 			return r.IDs()
 		}
 		if plan.Indexable() {
-			var out []string
+			out := make([]string, 0, r.matched.Load())
 			for i, s := range r.shards {
 				out = r.idx[i].Match(plan, s.FlatSnapshot, out)
 			}
+			r.matched.Store(int64(len(out)))
 			return out
 		}
 		if len(plan.Branches) == 0 && !plan.FullScan {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"adaptiveqos/internal/slo"
+	"adaptiveqos/internal/transport/transporttest"
 )
 
 // syntheticWorkload builds a 3-client session: alice and bob publish
@@ -71,10 +72,17 @@ func TestSimulateLosslessDeliversEverything(t *testing.T) {
 func TestSimulateRepairRecoversLoss(t *testing.T) {
 	w := syntheticWorkload(0.35)
 	cfg := SimConfig{Seed: 7, Loss: 0.35}
-	off := Simulate(w, Policy{Repair: RepairPolicy{Enabled: false}}, cfg)
-	on := Simulate(w, Policy{
+	// The real kernels on the virtual clock, under the frame-integrity
+	// harness: parked views, archived frames and replays all alias the
+	// datagrams the simulated senders gave.
+	frames := transporttest.Watch(t)
+	off := simulate(w, Policy{Repair: RepairPolicy{Enabled: false}}, cfg, frames.Observe)
+	on := simulate(w, Policy{
 		Repair: RepairPolicy{Enabled: true, StallTimeoutMS: 100, MaxRetries: 6},
-	}, cfg)
+	}, cfg, frames.Observe)
+	if frames.Frames() == 0 {
+		t.Error("the integrity harness saw no frames")
+	}
 
 	if off.LossFrac < 0.25 {
 		t.Errorf("repair-off lossFrac = %v, want ≈ injected 0.35", off.LossFrac)

@@ -107,6 +107,12 @@ type Outcome struct {
 // Simulate reruns the workload under one candidate policy and returns
 // the measured outcome.
 func Simulate(w *Workload, pol Policy, cfg SimConfig) Outcome {
+	return simulate(w, pol, cfg, nil)
+}
+
+// simulate is Simulate with the replayed network's trace handed to
+// trace (nil: nobody watches).
+func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.TraceEvent)) Outcome {
 	pol = pol.withDefaults()
 	cfg = cfg.withDefaults(w)
 	out := Outcome{Policy: pol, Offered: len(w.Publishes)}
@@ -120,6 +126,7 @@ func Simulate(w *Workload, pol Policy, cfg SimConfig) Outcome {
 		Clock:       clk,
 	})
 	defer net.Close()
+	net.SetTrace(trace)
 
 	// Candidate curves: derived delta series over the Outcome's own
 	// accounting plus a windowed latency histogram.  Boundary SampleNow
@@ -277,7 +284,7 @@ func Simulate(w *Workload, pol Policy, cfg SimConfig) Outcome {
 			out.Expected += sn.reach
 			for _, dg := range datagrams {
 				out.DataBytes += uint64(len(dg))
-				sn.conn.Multicast(dg)
+				sn.conn.Give("", dg)
 			}
 		})
 	}

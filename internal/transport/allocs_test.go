@@ -10,13 +10,20 @@ import (
 
 // The send path's allocation counts are end-to-end benchmark budgets
 // (bench/: sim-lecture and bs-relay allocs_per_delivery).  These pins
-// hold them in `go test`: each limit is what the two-engine code
-// before the fold allocated for the same call (measured there with
-// this test at go1.24), so the shared engine may allocate less but
-// never more.  Excluded under -race: the detector's instrumentation
-// allocates.
+// hold them in `go test` at exactly what the engine does, for both
+// send contracts: a copying send costs the one clone of its frame more
+// than a Give of the same frame.  Excluded under -race: the detector's
+// instrumentation allocates.
 
 const allocFanOut = 16
+
+// pinAllocs requires send to allocate exactly want times per call.
+func pinAllocs(t *testing.T, what string, want float64, send func()) {
+	t.Helper()
+	if got := testing.AllocsPerRun(200, send); got != want {
+		t.Errorf("%s: %.1f allocs, pinned at %.0f", what, got, want)
+	}
+}
 
 func TestVirtualMulticastAllocs(t *testing.T) {
 	n := NewDESNet(DESNetConfig{})
@@ -31,15 +38,16 @@ func TestVirtualMulticastAllocs(t *testing.T) {
 		}
 	}
 	frame := make([]byte, 64)
-	got := testing.AllocsPerRun(200, func() {
+	// Three per delivery: the event, its heap entry, its Scheduled
+	// handle.
+	pinAllocs(t, "virtual Give to 16 handlers", 3*allocFanOut, func() {
+		src.Give("", frame)
+		n.Clock().Advance(time.Millisecond)
+	})
+	pinAllocs(t, "virtual Multicast to 16 handlers", 1+3*allocFanOut, func() {
 		src.Multicast(frame)
 		n.Clock().Advance(time.Millisecond)
 	})
-	// Before the fold: frame copy + destination list + 3 per delivery
-	// (the event, its heap entry, its Scheduled handle).
-	if limit := float64(2 + 3*allocFanOut); got > limit {
-		t.Errorf("virtual Multicast to %d handlers: %.1f allocs, limit %.0f", allocFanOut, got, limit)
-	}
 }
 
 func TestWallZeroDelayAllocs(t *testing.T) {
@@ -64,22 +72,22 @@ func TestWallZeroDelayAllocs(t *testing.T) {
 	}
 	frame := make([]byte, 64)
 
-	got := testing.AllocsPerRun(200, func() {
+	pinAllocs(t, "wall zero-delay Give to one inbox", 0, func() {
+		src.Give("dst-00", frame)
+		drain()
+	})
+	pinAllocs(t, "wall zero-delay Unicast", 1, func() {
 		src.Unicast("dst-00", frame)
 		drain()
 	})
-	// Before the fold: frame copy + delivery closure.
-	if limit := 2.0; got > limit {
-		t.Errorf("wall zero-delay Unicast: %.1f allocs, limit %.0f", got, limit)
-	}
-
-	got = testing.AllocsPerRun(200, func() {
+	// A group send past eight recipients grows its list of synchronous
+	// deliveries off the stack once.
+	pinAllocs(t, "wall zero-delay Give to 16 inboxes", 1, func() {
+		src.Give("", frame)
+		drain()
+	})
+	pinAllocs(t, "wall zero-delay Multicast to 16 inboxes", 2, func() {
 		src.Multicast(frame)
 		drain()
 	})
-	// Before the fold: destination list + (frame copy + closure) per
-	// recipient.
-	if limit := float64(1 + 2*allocFanOut); got > limit {
-		t.Errorf("wall zero-delay Multicast to %d inboxes: %.1f allocs, limit %.0f", allocFanOut, got, limit)
-	}
 }

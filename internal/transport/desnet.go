@@ -30,39 +30,6 @@ import (
 //     scenario package and cmd/qossim use this mode.
 type DESNet struct{ engine }
 
-// TraceKind labels one DESNet trace event.
-type TraceKind uint8
-
-// Trace event kinds.
-const (
-	TraceDeliver  TraceKind = iota // packet handed to the recipient
-	TraceDrop                      // lost on the link (loss or partition)
-	TraceOverflow                  // recipient inbox full (channel mode)
-)
-
-func (k TraceKind) String() string {
-	switch k {
-	case TraceDeliver:
-		return "deliver"
-	case TraceDrop:
-		return "drop"
-	case TraceOverflow:
-		return "overflow"
-	}
-	return "trace(?)"
-}
-
-// TraceEvent describes one network-level event, in virtual time.  The
-// determinism test hashes the stream; scenario loss curves count it.
-type TraceEvent struct {
-	AtNS    int64 // virtual UnixNano
-	From    string
-	To      string
-	Kind    TraceKind
-	Size    int
-	Unicast bool
-}
-
 // DESNetConfig configures a discrete-event network.
 type DESNetConfig struct {
 	// Seed initializes the network's random source; 0 means 1.
@@ -95,16 +62,6 @@ func NewDESNet(cfg DESNetConfig) *DESNet {
 // Clock returns the virtual clock deliveries are scheduled on; drive
 // it (Advance/AdvanceTo/Step) to make the network move.
 func (n *DESNet) Clock() *clock.Virtual { return n.virt }
-
-// SetTrace installs a hook that observes every delivery, drop and
-// overflow (nil removes it).  It runs on the driving goroutine (or the
-// sender's, for drops decided at send time) and must not call back
-// into the network.
-func (n *DESNet) SetTrace(f func(TraceEvent)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.trace = f
-}
 
 // AttachHandler joins a handler-mode node: h runs inline on the
 // driving goroutine for every delivered packet, and may itself send.

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptiveqos/internal/clock"
@@ -17,8 +19,10 @@ import (
 // from a seeded generator drawn in that order, so a single-goroutine
 // run is reproducible.
 //
-// Frame bytes are copied once per send and shared by every recipient
-// (duplicate deliveries included): Packet.Data is read-only.
+// A frame handed over with Give is delivered as it stands: every
+// recipient (duplicate deliveries included) shares the sender's slice,
+// read-only.  Multicast and Unicast clone their frame and give the
+// clone, which is the only copy this file makes.
 //
 // The two exported faces differ only in the scheduling step at the
 // bottom of sendAll.  With virt set, every delivery — zero-delay
@@ -41,9 +45,65 @@ type engine struct {
 	mtu      int
 	depth    int
 	closed   bool
-	trace    func(TraceEvent)
+
+	// trace is read on every delivery, so it lives outside mu: a send's
+	// fan-out holds mu, and its deliveries must not queue behind it for
+	// a hook that is usually nil.
+	trace atomic.Pointer[func(TraceEvent)]
 
 	wg sync.WaitGroup // wall-clock timers in flight
+}
+
+// TraceKind labels one network trace event.
+type TraceKind uint8
+
+// Trace event kinds.
+const (
+	TraceDeliver  TraceKind = iota // packet handed to the recipient
+	TraceDrop                      // lost on the link (loss or partition)
+	TraceOverflow                  // recipient inbox full (channel mode)
+)
+
+func (k TraceKind) String() string {
+	switch k {
+	case TraceDeliver:
+		return "deliver"
+	case TraceDrop:
+		return "drop"
+	case TraceOverflow:
+		return "overflow"
+	}
+	return "trace(?)"
+}
+
+// TraceEvent describes one network-level event, stamped on the
+// network's clock.  The determinism test hashes the stream; scenario
+// loss curves count it; the frame-integrity harness
+// (transporttest.Integrity) holds Data to what it was at first sight.
+type TraceEvent struct {
+	AtNS    int64 // UnixNano on the network's clock
+	From    string
+	To      string
+	Kind    TraceKind
+	Size    int
+	Unicast bool
+	// Data is the frame itself — the slice the recipient was (or would
+	// have been) handed, not a copy.  Read-only, like Packet.Data.
+	Data []byte
+}
+
+// SetTrace installs a hook that observes every delivery, drop and
+// overflow (nil removes it); it may be called while traffic flows.
+// The hook runs on whichever goroutine delivers — the clock's driver
+// on a DESNet, senders and timers concurrently on a SimNet — or on the
+// sender's for drops decided at send time, and must not call back into
+// the network.
+func (n *engine) SetTrace(f func(TraceEvent)) {
+	if f == nil {
+		n.trace.Store(nil)
+		return
+	}
+	n.trace.Store(&f)
 }
 
 type linkKey struct{ from, to string }
@@ -195,11 +255,17 @@ func (d *delivery) Fire(now time.Time) {
 }
 
 // sendAll applies the link model to one frame from src — toward the
-// node named to for a unicast, else toward every other node in sorted
-// order — and schedules the resulting deliveries.  It reports false
-// for a unicast to an unknown node.  Caller holds no locks.
-func (n *engine) sendAll(src *node, to string, unicast bool, frame []byte) bool {
-	data := append([]byte(nil), frame...)
+// node named to for a unicast, else (to == "") toward every other node
+// in sorted order — and schedules the resulting deliveries, every one
+// of them holding data itself: nobody writes those bytes again.  It
+// reports false for a unicast to an unknown node.  Caller holds no
+// locks.
+//
+// data is never reassigned here: the wall scheduler's timer closure
+// captures it, and a second assignment would make that a capture by
+// reference — the variable moved to the heap on every call.
+func (n *engine) sendAll(src *node, to string, data []byte) bool {
+	unicast := to != ""
 	// What has to wait for the lock to drop: drop traces, and the wall
 	// scheduler's synchronous deliveries.
 	type pending struct {
@@ -222,7 +288,7 @@ func (n *engine) sendAll(src *node, to string, unicast bool, frame []byte) bool 
 		}
 		dsts = []string{to}
 	}
-	trace := n.trace
+	trace := n.trace.Load()
 	now := n.clk.Now()
 	for _, id := range dsts {
 		if id == src.id && !unicast {
@@ -270,8 +336,8 @@ func (n *engine) sendAll(src *node, to string, unicast bool, frame []byte) bool 
 
 	for _, p := range after {
 		if p.drop {
-			trace(TraceEvent{AtNS: now.UnixNano(), From: src.id, To: p.dst.id, Kind: TraceDrop,
-				Size: len(data), Unicast: unicast})
+			(*trace)(TraceEvent{AtNS: now.UnixNano(), From: src.id, To: p.dst.id, Kind: TraceDrop,
+				Size: len(data), Unicast: unicast, Data: data})
 		} else {
 			p.dst.deliver(src.id, data, unicast, n.clk.Now())
 		}
@@ -299,21 +365,24 @@ func (c *node) ID() string { return c.id }
 // do not start a receive loop on a handler-mode Conn.
 func (c *node) Recv() <-chan Packet { return c.inbox }
 
-// Multicast implements Conn.
-func (c *node) Multicast(frame []byte) error {
-	if err := c.checkSend(frame); err != nil {
-		return err
+// Multicast implements Conn: a private copy of frame, given.
+func (c *node) Multicast(frame []byte) error { return c.Give("", bytes.Clone(frame)) }
+
+// Unicast implements Conn: a private copy of frame, given.
+func (c *node) Unicast(to string, frame []byte) error {
+	if to == "" {
+		return fmt.Errorf("%w: %q", ErrUnknownNode, to) // "" is Give's name for the group
 	}
-	c.net.sendAll(c, "", false, frame)
-	return nil
+	return c.Give(to, bytes.Clone(frame))
 }
 
-// Unicast implements Conn.
-func (c *node) Unicast(to string, frame []byte) error {
+// Give implements Conn.  It is the one send path: the deliveries it
+// schedules all hold frame itself.
+func (c *node) Give(to string, frame []byte) error {
 	if err := c.checkSend(frame); err != nil {
 		return err
 	}
-	if !c.net.sendAll(c, to, true, frame) {
+	if !c.net.sendAll(c, to, frame) {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
 	}
 	return nil
@@ -358,12 +427,9 @@ func (c *node) deliver(from string, data []byte, unicast bool, at time.Time) {
 		}
 	}
 	c.mu.Unlock()
-	c.net.mu.Lock()
-	trace := c.net.trace
-	c.net.mu.Unlock()
-	if trace != nil {
-		trace(TraceEvent{AtNS: p.At.UnixNano(), From: p.From, To: c.id,
-			Kind: kind, Size: len(p.Data), Unicast: p.Unicast})
+	if trace := c.net.trace.Load(); trace != nil {
+		(*trace)(TraceEvent{AtNS: p.At.UnixNano(), From: p.From, To: c.id,
+			Kind: kind, Size: len(p.Data), Unicast: p.Unicast, Data: p.Data})
 	}
 	if h != nil {
 		h(p)

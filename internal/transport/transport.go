@@ -20,12 +20,14 @@ type Packet struct {
 	// From is the sender's node ID.
 	From string
 	// Data is the frame payload.  It is immutable and may be retained:
-	// no substrate writes to it or reuses it after delivery (the
-	// simulated networks make one private copy per send, shared
-	// read-only by every recipient; UDP copies each datagram out of its
-	// read buffer).  Receivers rely on this — a message.View parked
-	// behind a sequence gap aliases it — and must not write to it
-	// themselves.
+	// no substrate writes to it or reuses it after delivery.  On the
+	// simulated networks it is the very slice the sender gave (Give) or
+	// the one clone the copying calls made of theirs, shared read-only
+	// by every recipient of the send; UDP copies each datagram out of
+	// its read buffer.  Receivers rely on this — a parked message.View,
+	// a delivered Message.Body, a collected image chunk and an archived
+	// frame all alias it — and must not write to it themselves
+	// (DESIGN.md §7.1 has the hand-off table).
 	Data []byte
 	// Unicast reports whether the frame was addressed to this node
 	// specifically rather than to the multicast group.
@@ -35,13 +37,27 @@ type Packet struct {
 }
 
 // Conn is one node's attachment to the communication substrate.
+//
+// There are two send contracts.  Multicast and Unicast leave frame with
+// the caller, who may overwrite it as soon as the call returns; they
+// pay one copy for that.  Give takes the frame over: the bytes must
+// never change again, the substrate delivers them as they are, and one
+// buffer serves every recipient of every Give of it.  A sender that has
+// just built a datagram nobody else writes — an Enveloper's output, an
+// archived frame — gives it.
 type Conn interface {
 	// ID returns the node's identifier on the substrate.
 	ID() string
-	// Multicast sends the frame to every other node in the group.
+	// Multicast sends a copy of the frame to every other node in the
+	// group.
 	Multicast(frame []byte) error
-	// Unicast sends the frame to one node.
+	// Unicast sends a copy of the frame to one node.
 	Unicast(to string, frame []byte) error
+	// Give sends a frozen frame — to one node, or with to == "" to
+	// every other node in the group — without copying it.  The caller
+	// may keep reading frame and may give it again; nobody may write
+	// to it.
+	Give(to string, frame []byte) error
 	// Recv returns the channel of inbound packets.  It is closed when
 	// the connection closes.
 	Recv() <-chan Packet

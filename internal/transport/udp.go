@@ -175,6 +175,16 @@ func (c *udpConn) Unicast(to string, frame []byte) error {
 	return err
 }
 
+// Give implements Conn.  The copying calls already encode frame into a
+// datagram of their own and write it before returning, so a frozen
+// frame takes the same path.
+func (c *udpConn) Give(to string, frame []byte) error {
+	if to == "" {
+		return c.Multicast(frame)
+	}
+	return c.Unicast(to, frame)
+}
+
 // Close implements Conn.
 func (c *udpConn) Close() error {
 	c.mu.Lock()

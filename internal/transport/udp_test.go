@@ -51,6 +51,21 @@ func TestUDPTransportMulticastAndUnicast(t *testing.T) {
 	if err := a.Unicast("ghost", []byte("x")); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("unknown peer: %v", err)
 	}
+
+	// Give addresses the same two ways: a peer, or "" for the group.
+	if err := c.Give("", []byte("given-to-all")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Give("a", []byte("given")); err != nil {
+		t.Fatal(err)
+	}
+	if p := collect(t, b.Recv(), 1, 2*time.Second)[0]; p.From != "c" || string(p.Data) != "given-to-all" || p.Unicast {
+		t.Errorf("group give: %+v", p)
+	}
+	got := collect(t, a.Recv(), 2, 2*time.Second)
+	if got[0].Unicast == got[1].Unicast {
+		t.Errorf("a should hold one group and one direct give: %+v", got)
+	}
 }
 
 func TestUDPTransportClose(t *testing.T) {
