@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-dispatch bench-json ci clean
+.PHONY: all build test race vet census bench ci clean
 
 all: build test
 
@@ -19,20 +19,18 @@ race:
 vet:
 	$(GO) vet ./...
 
+# The surface census: every declaration under internal/ is reachable
+# from a program or allowlisted with a reason (DESIGN.md §3).
+census:
+	$(GO) run ./internal/census
+
+# The benchmark (BENCHMARK.json, bench/README.md): five end-to-end
+# workloads plus the per-layer ladder.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) run -C bench .
 
-# Just the dispatch fast-path microbenchmarks (DESIGN.md §7).
-bench-dispatch:
-	$(GO) test -run xxx -benchmem . \
-		-bench 'MatchProfile|ProfileFlatten|MessageWrap|BaseStationFanOut'
-
-# Machine-readable micro-benchmark report (BENCH_results.json).
-bench-json:
-	$(GO) run ./cmd/qosbench -bench
-
-# The gate a PR must pass: vet + full suite + race detector, plus the
-# observability zero-alloc and <5%-overhead guards (see ci.sh).
+# The gate a PR must pass: vet, census, the full suite with and without
+# the race detector, boundary greps, fuzz and command smokes (see ci.sh).
 ci:
 	./ci.sh
 

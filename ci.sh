@@ -1,13 +1,12 @@
 #!/bin/sh
-# CI gate: vet, build, full test suite, then the race detector over
-# every package, once (the selector cache, profile snapshots,
-# base-station fan-out pool, repair loop, SLO engine, recorder,
-# timeline and the obs instrumentation layer are concurrent and must
-# stay race-clean).  -count=1 so cached results never mask a freshly
-# introduced race or nondeterminism; the chaos matrix, the match-index
-# equivalence harness and the scenario/replay determinism tests all
-# run inside it.  The non-race guards further down are the tests that
-# skip themselves under -race (allocation counts, timing budgets).
+# CI gate: vet, build, the surface census, the full test suite without
+# the race detector, then with it, once each (the selector cache,
+# profile snapshots, base-station fan-out pool, repair loop, SLO engine,
+# recorder, timeline and the obs instrumentation layer are concurrent
+# and must stay race-clean).  -count=1 so cached results never mask a
+# freshly introduced race or nondeterminism; the chaos matrix, the
+# match-index equivalence harness and the scenario/replay determinism
+# tests all run inside both.
 set -eu
 
 # Formatting: gofmt must have nothing to say about any file, the
@@ -21,7 +20,44 @@ fi
 
 go vet ./...
 go build ./...
-go test ./...
+
+# Surface census (DESIGN.md §3): every top-level declaration under
+# internal/ is reachable from a command, an example or the benchmark,
+# or stands in internal/census/allow.txt with its reason.  Prints
+# file:line pkg.Name for each one that is neither.
+go run ./internal/census
+
+# The non-race run is also where the guards that skip themselves under
+# -race (or -short) run — allocation counts and timing budgets the race
+# runtime would distort:
+#   - repair amplification (DESIGN.md §10): TestRepairReplaysOnlyHoles —
+#     a NACK names its holes and the coordinator re-sends at most twice
+#     what a seeded lossy link dropped, counted in virtual time;
+#   - observability (DESIGN.md §8, §11): TestDisabledPathZeroAllocs,
+#     TestEnabledSpanZeroAllocs, TestDisabledOverheadGuard (<5%),
+#     TestDefaultCounterFamiliesPreTouched, TestTraceDisabledZeroAllocs,
+#     TestTraceDisabledWrapZeroAllocs, TestTraceOverheadGuard (<5%),
+#     TestRecordEventDisabledZeroAllocs, the exposition round trip
+#     (TestExpositionParserRoundTrip, TestEscapeLabel*,
+#     TestLabeledCounterNameConstructorsEscape);
+#   - SLO engine (DESIGN.md §13): TestDisabledObserveZeroAllocs,
+#     TestEnabledObserveSteadyStateZeroAllocs,
+#     TestEnabledObserveOverheadGuard (<5%);
+#   - match index (DESIGN.md §12): TestFlatMatchGuard — a constant-size
+#     match out of 100k clients costs a bounded ratio of the same match
+#     out of 1k;
+#   - send-path and match pins (DESIGN.md §14): TestVirtualMulticastAllocs,
+#     TestWallZeroDelayAllocs, TestMatchIDsAllocs — the sim-lecture and
+#     bs-relay budgets at exactly what the engine allocates;
+#   - image path (DESIGN.md §17): TestDecodeSteadyStateAllocs (the coder's
+#     working set), TestCollectedRelayPlanePasses (no raster for the
+#     image and text tiers, one luma decode per share for the sketch tier);
+#   - receive path (DESIGN.md §7): TestParseZeroAllocs, TestMessageAllocs,
+#     TestAppendEncodeZeroAllocs, TestKernelReceiveAllocs — the
+#     chat-wired allocs_per_delivery budget;
+#   - timeline (DESIGN.md §16): TestDisabledPathZeroAllocs,
+#     TestSampleZeroAllocs, TestTimelineOverheadGuard (<5%).
+go test -count=1 ./...
 go test -race -count=1 ./...
 
 # The benchmark is a module of its own (bench/go.mod replaces this one
@@ -100,17 +136,8 @@ if [ -n "$viol" ]; then
 	exit 1
 fi
 
-# Repair amplification (DESIGN.md §10): a NACK names its holes and the
-# coordinator answers from its per-sender index, so what it re-sends is
-# what was lost — at most twice as many frames on a seeded lossy link,
-# not the sender's whole suffix per NACK.  The test runs the kernels on
-# the discrete-event net in virtual time, so this is a count, not a
-# wall-clock smoke.  The hole list is parsed from untrusted bytes: a
-# short fuzz run of the coordinator's packet handler rides along.
-if ! go test -count=1 -run '^TestRepairReplaysOnlyHoles$' ./internal/core/; then
-	echo "REPAIR AMPLIFICATION: the coordinator replays more than the holes a NACK names" >&2
-	exit 1
-fi
+# Fuzz smokes.  The NACK hole list is parsed from untrusted bytes
+# (DESIGN.md §10): a short run of the coordinator's packet handler.
 go test -run '^$' -fuzz '^FuzzCoordinatorHandlePacket$' -fuzztime 5s ./internal/core/
 # So is every frame: the codec's own target holds Parse/View.Message to
 # the one-pass decoder they replaced (DESIGN.md §7).
@@ -119,39 +146,6 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/message/
 # header inspector accepts without decoding it, so the inspector is held
 # to the decoders it fronts (DESIGN.md §17).
 go test -run '^$' -fuzz '^FuzzInspect$' -fuzztime 5s ./internal/wavelet/
-
-# Observability-layer gates (tentpole contract, DESIGN.md §8):
-# instrumentation must be near-free when disabled — zero allocations
-# on the disabled path and under 5% timing overhead versus the
-# uninstrumented workload.
-go test -count=1 -run 'TestDisabledPathZeroAllocs|TestEnabledSpanZeroAllocs' ./internal/obs/
-go test -count=1 -run TestDisabledOverheadGuard -v ./internal/obs/
-
-# Flight-recorder gate (DESIGN.md §11): every default counter family
-# is exported from the first scrape, before any traffic touches it.
-go test -count=1 -run TestDefaultCounterFamiliesPreTouched ./internal/metrics/
-
-# Disabled tracing must stay zero-alloc, and enabling it must cost
-# under 5% on the dispatch-representative workload (non-race: the race
-# runtime distorts timing, the guards skip themselves under -race).
-go test -count=1 -run 'TestTraceDisabledZeroAllocs|TestTraceDisabledWrapZeroAllocs' ./internal/obs/ ./internal/message/
-go test -count=1 -run TestTraceOverheadGuard -v ./internal/obs/
-
-# SLO-engine and session-recorder gates (DESIGN.md §13): the
-# disabled paths must stay zero-alloc, and enabled SLO evaluation must
-# cost under 5% on a per-message unit of work (non-race: the timing
-# guard skips itself under -race, like the other guards).
-go test -count=1 -run 'TestDisabledObserveZeroAllocs|TestEnabledObserveSteadyStateZeroAllocs' ./internal/slo/
-go test -count=1 -run TestRecordEventDisabledZeroAllocs ./internal/obs/
-go test -count=1 -run TestEnabledObserveOverheadGuard -v ./internal/slo/
-go test -count=1 -run 'TestExpositionParserRoundTrip|TestEscapeLabel|TestUnescapeLabel|TestLabeledCounterNameConstructorsEscape' ./internal/obs/ ./internal/metrics/
-
-# Match-index gate (DESIGN.md §12): the scaling contract must hold:
-# with the index on, matching a constant-size subset out of 100k
-# clients costs within a bounded ratio of the same match over 1k
-# (non-race: the guard skips itself under -race, like the timing
-# guards above).
-go test -count=1 -run TestFlatMatchGuard -v ./internal/registry/
 
 # Virtual-time gates (DESIGN.md §14).
 #
@@ -190,32 +184,6 @@ if [ -n "$viol" ]; then
 	exit 1
 fi
 
-# Simulated-network send-path allocation pins (DESIGN.md §14): the
-# sim-lecture and bs-relay benchmark budgets, held in go test at
-# exactly what the engine allocates for a given frame and for a copied
-# one (the file is excluded under -race).  With them the indexed
-# match's pin: one result slice per MatchIDs in a 256-member cell.
-go test -count=1 -run 'TestVirtualMulticastAllocs|TestWallZeroDelayAllocs|TestMatchIDsAllocs' ./internal/transport/ ./internal/registry/
-
-# Wavelet coder working-set pin (DESIGN.md §17): a steady-state Decode
-# allocates the raster and little else — the image-tiered benchmark's
-# alloc_bytes_per_delivery budget, held in go test (the file is
-# excluded under -race).
-go test -count=1 -run TestDecodeSteadyStateAllocs ./internal/wavelet/
-# Collected-image relay plane passes (DESIGN.md §17): no raster for the
-# image and text tiers, one luma decode per share for the sketch tier
-# however many members sit in it (same exclusion).
-go test -count=1 -run TestCollectedRelayPlanePasses ./internal/basestation/
-
-# Receive-path allocation pins (DESIGN.md §7): Parse and a view's reads
-# allocate nothing, a materialised chat line three times (its body is
-# the frame's), AppendEncode nothing; through Kernel.HandlePacket a
-# filtered frame, the endpoint's own echo and a repair-mode duplicate
-# cost no allocation and an admitted Say three — the chat-wired
-# allocs_per_delivery budget, held in go test (the files are excluded
-# under -race).
-go test -count=1 -run 'TestParseZeroAllocs|TestMessageAllocs|TestAppendEncodeZeroAllocs|TestKernelReceiveAllocs' ./internal/message/ ./internal/core/
-
 # Scale smoke: a 10k-client simulated minute must complete within 30s
 # of wall clock (it takes ~1-2s; the margin absorbs slow CI boxes).
 go build -o /tmp/qossim-ci ./cmd/qossim
@@ -252,14 +220,6 @@ case "$best" in
 	exit 1
 	;;
 esac
-
-# Windowed-timeline gates (DESIGN.md §16): the disabled path and
-# enabled steady-state sampling must stay zero-alloc; and an enabled
-# timeline must cost under 5% on the counter+histogram hot path
-# (non-race: the timing guard skips itself under -race, like the other
-# guards).
-go test -count=1 -run 'TestDisabledPathZeroAllocs|TestSampleZeroAllocs' ./internal/timeline/
-go test -count=1 -run TestTimelineOverheadGuard -v ./internal/timeline/
 
 # Timeline determinism gate: the same seeded lecture scenario exported
 # twice must produce byte-identical JSONL timelines — window bounds,

@@ -49,12 +49,21 @@
 // /debug/timeline, attached to SLO violation attributions, and
 // exported to the file at exit (.csv = CSV, else JSONL).
 //
+// After every image share each receiver multicasts a reception report
+// (loss fraction, jitter) about the senders it hears; a sender whose
+// receivers report loss truncates its next share and marks the last
+// packet it does send, which ends the collection at the base station.
+// The summary's feedback line counts the reports and the truncated
+// shares (none on a lossless run).
+//
 // -loss accepts either a probability (0.2) or a percentage (20).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -93,21 +102,32 @@ func exportTimeline(path string, tl *timeline.Timeline) error {
 }
 
 func main() {
-	nWired := flag.Int("wired", 2, "number of wired clients")
-	nWireless := flag.Int("wireless", 2, "number of wireless clients")
-	nEvents := flag.Int("events", 40, "number of workload events")
-	seed := flag.Int64("seed", 1, "workload seed")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics and /debug/qos on this address (enables instrumentation)")
-	obsHold := flag.Duration("obs-hold", 0, "keep serving the observability endpoint this long after the run")
-	loss := flag.Float64("loss", 0, "per-frame loss probability on wired links (chaos injection)")
-	repairTimeout := flag.Duration("repair-timeout", 250*time.Millisecond, "gap stall timeout before a NACK to the coordinator (0 disables gap repair)")
-	repairRetries := flag.Int("repair-retries", 6, "repair request budget per gap before skipping it")
-	traceFlag := flag.Bool("trace", false, "enable the cross-node flight recorder and print a sampled timeline in the summary")
-	recordPath := flag.String("record", "", "stream a JSONL session record to this file (enables instrumentation)")
-	sloFlag := flag.Bool("slo", true, "monitor per-client SLO conformance and print the summary")
-	tlPath := flag.String("timeline", "", "export the run's per-window metric timeline to this file (.csv = CSV, else JSONL; enables instrumentation)")
-	tlWindow := flag.Duration("timeline-window", 250*time.Millisecond, "timeline sampling window")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("collab: %v", err)
+	}
+}
+
+// run is the whole command: it parses args, runs the session and
+// writes the summary to out (progress goes to the log).
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("collab", flag.ContinueOnError)
+	nWired := fs.Int("wired", 2, "number of wired clients")
+	nWireless := fs.Int("wireless", 2, "number of wireless clients")
+	nEvents := fs.Int("events", 40, "number of workload events")
+	seed := fs.Int64("seed", 1, "workload seed")
+	obsAddr := fs.String("obs-addr", "", "serve /metrics and /debug/qos on this address (enables instrumentation)")
+	obsHold := fs.Duration("obs-hold", 0, "keep serving the observability endpoint this long after the run")
+	loss := fs.Float64("loss", 0, "per-frame loss probability on wired links (chaos injection)")
+	repairTimeout := fs.Duration("repair-timeout", 250*time.Millisecond, "gap stall timeout before a NACK to the coordinator (0 disables gap repair)")
+	repairRetries := fs.Int("repair-retries", 6, "repair request budget per gap before skipping it")
+	traceFlag := fs.Bool("trace", false, "enable the cross-node flight recorder and print a sampled timeline in the summary")
+	recordPath := fs.String("record", "", "stream a JSONL session record to this file (enables instrumentation)")
+	sloFlag := fs.Bool("slo", true, "monitor per-client SLO conformance and print the summary")
+	tlPath := fs.String("timeline", "", "export the run's per-window metric timeline to this file (.csv = CSV, else JSONL; enables instrumentation)")
+	tlWindow := fs.Duration("timeline-window", 250*time.Millisecond, "timeline sampling window")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *loss > 1 {
 		*loss /= 100 // -loss 20 means 20%
@@ -122,7 +142,7 @@ func main() {
 	if *obsAddr != "" {
 		srv, err := obs.Serve(*obsAddr)
 		if err != nil {
-			log.Fatalf("collab: observability endpoint: %v", err)
+			return fmt.Errorf("observability endpoint: %w", err)
 		}
 		defer srv.Close()
 		log.Printf("collab: serving /metrics and the /debug index on %s", *obsAddr)
@@ -148,7 +168,7 @@ func main() {
 	}
 	if *recordPath != "" {
 		if _, err := obs.StartRecording(*recordPath, "collab"); err != nil {
-			log.Fatalf("collab: session record: %v", err)
+			return fmt.Errorf("session record: %w", err)
 		}
 		log.Printf("collab: recording session to %s", *recordPath)
 	}
@@ -189,7 +209,7 @@ func main() {
 	if *repairTimeout > 0 {
 		coordConn, err := wiredNet.Attach("coordinator")
 		if err != nil {
-			log.Fatalf("collab: %v", err)
+			return err
 		}
 		// The archive must hear everything to answer NACKs: keep the
 		// links into the coordinator clean even under -loss.
@@ -220,7 +240,7 @@ func main() {
 		id := fmt.Sprintf("wired-%d", i)
 		conn, err := wiredNet.Attach(id)
 		if err != nil {
-			log.Fatalf("collab: %v", err)
+			return err
 		}
 		cfg := core.Config{Repair: repairOpts}
 		if i == 0 {
@@ -241,11 +261,11 @@ func main() {
 	// Base station bridging to the wireless segment.
 	bsWired, err := wiredNet.Attach("bs")
 	if err != nil {
-		log.Fatalf("collab: %v", err)
+		return err
 	}
 	bsRF, err := radioNet.Attach("bs")
 	if err != nil {
-		log.Fatalf("collab: %v", err)
+		return err
 	}
 	bs := basestation.New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}), basestation.Config{})
 	defer bs.Close()
@@ -261,7 +281,7 @@ func main() {
 		id := fmt.Sprintf("wireless-%d", i)
 		conn, err := radioNet.Attach(id)
 		if err != nil {
-			log.Fatalf("collab: %v", err)
+			return err
 		}
 		c := core.NewClient(conn, core.Config{})
 		defer c.Close()
@@ -271,13 +291,19 @@ func main() {
 		p := profile.New(id)
 		assess, err := bs.Join(p, 50+float64(i)*6, 1)
 		if err != nil {
-			log.Fatalf("collab: join %s: %v", id, err)
+			return fmt.Errorf("join %s: %w", id, err)
 		}
 		log.Printf("collab: %s joined at %.0fm: SIR %.1f dB, tier %s",
 			id, assess.Distance, assess.SIRdB, assess.Tier)
 		wireless = append(wireless, c)
 		senders = append(senders, id)
 	}
+
+	// Every receiver of image data — the wired peers from each other,
+	// the wireless clients from the base station — reports its
+	// reception quality once a share has had time to arrive, so a
+	// sender whose receivers see loss truncates its next share.
+	receivers := append(append([]*core.Client(nil), wired...), wireless...)
 
 	gen := trace.NewGenerator(*seed, senders[:*nWired], trace.DefaultMix())
 	imgCount := 0
@@ -312,6 +338,13 @@ func main() {
 			}
 		}
 		clock.Wall.Sleep(5 * time.Millisecond)
+		if ev.Kind == trace.EventImageShare {
+			for _, c := range receivers {
+				if err := c.SendReceptionReports(); err != nil {
+					log.Printf("collab: reception report: %v", err)
+				}
+			}
+		}
 	}
 	clock.Wall.Sleep(200 * time.Millisecond) // drain in-flight deliveries
 	if coord != nil && *loss > 0 {
@@ -342,30 +375,37 @@ func main() {
 		}
 	}
 
-	fmt.Println("\n--- session summary ---")
+	fmt.Fprintln(out, "\n--- session summary ---")
 	for _, c := range wired {
 		st := c.Stats()
-		fmt.Printf("%-12s chat=%d strokes=%d images=%d events=%d data=%d filtered=%d\n",
+		fmt.Fprintf(out, "%-12s chat=%d strokes=%d images=%d events=%d data=%d filtered=%d\n",
 			c.ID(), c.Chat().Len(), c.Whiteboard().Len(), len(c.Viewer().Objects()),
 			st.EventsReceived, st.DataPackets, st.EventsFiltered)
 	}
 	for _, c := range wireless {
 		st := c.Stats()
-		fmt.Printf("%-12s chat=%d images=%d inbox=%d events=%d data=%d\n",
+		fmt.Fprintf(out, "%-12s chat=%d images=%d inbox=%d events=%d data=%d\n",
 			c.ID(), c.Chat().Len(), len(c.Viewer().Objects()), c.Inbox().Len(),
 			st.EventsReceived, st.DataPackets)
 	}
 	bsStats := bs.Stats()
-	fmt.Printf("%-12s uplink=%d dropped=%d full=%d sketch=%d text=%d downlink=%d\n",
+	fmt.Fprintf(out, "%-12s uplink=%d dropped=%d full=%d sketch=%d text=%d downlink=%d\n",
 		"bs", bsStats.UplinkEvents, bsStats.UplinkDropped, bsStats.ForwardFullImage,
 		bsStats.ForwardSketch, bsStats.ForwardText, bsStats.DownlinkUnicasts)
+	var reports, truncated uint64
+	for _, c := range receivers {
+		st := c.Stats()
+		reports += st.ReportsSent
+		truncated += st.Truncated
+	}
+	fmt.Fprintf(out, "%-12s reports=%d truncated-shares=%d\n", "feedback", reports, truncated)
 	if d := wired[0].LastDecision(); true {
-		fmt.Printf("final wired-0 budget: %d/16 packets (rules: %v)\n",
+		fmt.Fprintf(out, "final wired-0 budget: %d/16 packets (rules: %v)\n",
 			d.EffectiveBudget(16), d.Fired)
 	}
 	if coord != nil {
 		ctrs := metrics.Counters()
-		fmt.Printf("%-12s archived=%d repair: requests=%d repaired=%d abandoned=%d replayed=%d\n",
+		fmt.Fprintf(out, "%-12s archived=%d repair: requests=%d repaired=%d abandoned=%d replayed=%d\n",
 			"coordinator", coord.ArchivedEvents(),
 			ctrs[metrics.CtrRepairRequests], ctrs[metrics.CtrRepairSuccess],
 			ctrs[metrics.CtrRepairAbandoned], ctrs[metrics.CtrRepairReplayedFrames])
@@ -373,7 +413,7 @@ func main() {
 
 	if *traceFlag {
 		summaries := obs.TraceSummaries(0)
-		fmt.Printf("\n--- flight recorder (%d traces retained) ---\n", len(summaries))
+		fmt.Fprintf(out, "\n--- flight recorder (%d traces retained) ---\n", len(summaries))
 		// Sample the most informative timeline: a complete
 		// publish→deliver trace with the most hops, falling back to the
 		// deepest incomplete one.
@@ -388,7 +428,7 @@ func main() {
 			}
 		}
 		if best.Hops > 0 {
-			if err := obs.WriteTimeline(os.Stdout, best.ID); err != nil {
+			if err := obs.WriteTimeline(out, best.ID); err != nil {
 				log.Printf("collab: sampled timeline: %v", err)
 			}
 		}
@@ -396,21 +436,21 @@ func main() {
 
 	if sloEng != nil {
 		sloEng.Poll(clock.Wall.Now())
-		fmt.Println("\n--- slo conformance ---")
-		sloEng.WriteSummary(os.Stdout, "")
+		fmt.Fprintln(out, "\n--- slo conformance ---")
+		sloEng.WriteSummary(out, "")
 	}
 
 	if collector != nil {
 		collector.SampleOnce()
-		fmt.Println("\n--- qos telemetry ---")
-		obs.WriteQoSDebug(os.Stdout, 16)
+		fmt.Fprintln(out, "\n--- qos telemetry ---")
+		obs.WriteQoSDebug(out, 16)
 		if tl != nil {
 			// Close the partial tail window after the final sample so the
 			// export covers the whole run, then write by extension.
 			tl.Stop()
 			tl.Flush()
 			if err := exportTimeline(*tlPath, tl); err != nil {
-				log.Fatalf("collab: timeline export: %v", err)
+				return fmt.Errorf("timeline export: %w", err)
 			}
 			log.Printf("collab: timeline exported to %s", *tlPath)
 		}
@@ -422,30 +462,31 @@ func main() {
 
 	if *recordPath != "" {
 		if err := obs.StopRecording(); err != nil {
-			log.Fatalf("collab: session record: %v", err)
+			return fmt.Errorf("session record: %w", err)
 		}
 		sess, err := obs.LoadSessionFile(*recordPath)
 		if err != nil {
-			log.Fatalf("collab: session record load: %v", err)
+			return fmt.Errorf("session record load: %w", err)
 		}
 		ctrs := metrics.Counters()
 		appended := ctrs[metrics.CtrRecordAppended]
-		fmt.Println("\n--- session record ---")
-		fmt.Printf("%s: schema %s v%d, node %s, truncated=%v\n",
+		fmt.Fprintln(out, "\n--- session record ---")
+		fmt.Fprintf(out, "%s: schema %s v%d, node %s, truncated=%v\n",
 			*recordPath, sess.Header.Schema, sess.Header.Version, sess.Header.Node, sess.Truncated)
 		counts := sess.CountByType()
 		for _, typ := range []string{obs.RecTypeSpan, obs.RecTypeQoS, obs.RecTypeDecision, obs.RecTypeSLO, obs.RecTypeNote, obs.RecTypePublish} {
 			if counts[typ] > 0 {
-				fmt.Printf("  %-8s %d\n", typ, counts[typ])
+				fmt.Fprintf(out, "  %-8s %d\n", typ, counts[typ])
 			}
 		}
 		if uint64(len(sess.Events)) != appended {
-			log.Fatalf("collab: record verification FAILED: loaded %d events, aqos_record_appended=%d (dropped=%d)",
+			return fmt.Errorf("record verification FAILED: loaded %d events, aqos_record_appended=%d (dropped=%d)",
 				len(sess.Events), appended, ctrs[metrics.CtrRecordDropped])
 		}
-		fmt.Printf("record verified: %d loaded events match aqos_record_appended (dropped=%d)\n",
+		fmt.Fprintf(out, "record verified: %d loaded events match aqos_record_appended (dropped=%d)\n",
 			len(sess.Events), ctrs[metrics.CtrRecordDropped])
 	}
+	return nil
 }
 
 func indexOf(ss []string, s string) int {

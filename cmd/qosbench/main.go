@@ -1,19 +1,14 @@
 // Command qosbench regenerates the paper's evaluation figures and
-// prints them as aligned tables, and runs the repo's performance
-// micro-benchmark suite.
+// prints them as aligned tables.  (The performance benchmark is the
+// bench/ module: go run -C bench .)
 //
 // Usage:
 //
 //	qosbench -exp fig6|fig7|fig8|fig9|fig10|all [-steps N] [-csv]
-//	qosbench -bench [-bench-out BENCH_results.json]
 //	qosbench ... [-obs-addr :9090]
 //
-// With -bench, the figure experiments are skipped and the dispatch /
-// instrumentation micro-benchmarks run instead, writing a
-// machine-readable JSON report (ns/op, B/op, allocs/op per benchmark)
-// for regression tracking across PRs.  With -obs-addr, pipeline
-// instrumentation is enabled and /metrics + /debug/qos are served
-// while the experiments run.
+// With -obs-addr, pipeline instrumentation is enabled and /metrics +
+// /debug/qos are served while the experiments run.
 package main
 
 import (
@@ -31,8 +26,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: fig6, fig7, fig8, fig9, fig10 or all")
 	steps := flag.Int("steps", 8, "sweep steps for the fig6/fig7 load sweeps")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	bench := flag.Bool("bench", false, "run the performance micro-benchmark suite instead of the figure experiments")
-	benchOut := flag.String("bench-out", "BENCH_results.json", "file to write machine-readable benchmark results to (with -bench)")
 	obsAddr := flag.String("obs-addr", "", "serve /metrics and /debug/qos on this address (enables instrumentation)")
 	flag.Parse()
 
@@ -45,14 +38,6 @@ func main() {
 		}
 		defer srv.Close()
 		log.Printf("qosbench: serving /metrics and /debug/qos on %s", *obsAddr)
-	}
-
-	if *bench {
-		if err := runBenchSuite(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "qosbench: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	printTable := func(title string, t *metrics.Table) error {

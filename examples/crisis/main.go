@@ -2,8 +2,10 @@
 // on wireless devices join a collaboration session through a base
 // station.  As responders crowd the cell and move, each one's SIR —
 // and therefore the modality the base station forwards — changes:
-// full imagery, sketch + text, or text only.  Power control conserves
-// batteries without losing service.
+// full imagery, sketch + text, or text only.  A responder low on
+// battery announces a text-only preference and is served text; power
+// control conserves batteries without losing service; a responder who
+// leaves the cell takes its interference with it.
 //
 // Run with: go run ./examples/crisis
 package main
@@ -18,6 +20,7 @@ import (
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
+	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
 )
@@ -102,6 +105,37 @@ func main() {
 		fmt.Printf("  at %3.0fm: SIR %6.1f dB → tier %s\n", d, a.SIRdB, a.Tier)
 	}
 
+	// The command post shares the site map.  Responder 1, close in, is
+	// served the image itself; it then switches to text mode to save
+	// battery — a change in preference, announced to the base station —
+	// and the next share reaches it as text.
+	r1 := field[0].client
+	share := func(object string) {
+		plan, err := media.EncodeImage(wavelet.Circles(64, 64), "site map, sectors A-D")
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := commandPost.ShareImage(object, plan, ""); err != nil {
+			log.Fatal(err)
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+	fmt.Println("\ncommand post shares the site map; responder-1 then asks for text only:")
+	share("site-map-1")
+	fmt.Printf("  before the announce: responder-1 holds images=%d inbox=%d\n",
+		len(r1.Viewer().Objects()), r1.Inbox().Len())
+	r1.Profile().SetPreference("modality", selector.S(string(media.KindText)))
+	if err := r1.AnnounceProfile("bs"); err != nil {
+		log.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	share("site-map-2")
+	fmt.Printf("  after the announce:  responder-1 holds images=%d inbox=%d\n",
+		len(r1.Viewer().Objects()), r1.Inbox().Len())
+	if d, ok := r1.Inbox().Latest(); ok {
+		fmt.Printf("  latest delivery: %s — %q\n", d.Object, d.Object.Description)
+	}
+
 	// The base station runs the distributed power-control iteration to
 	// its fixed point: clients above the target back off (conserving
 	// battery), clients below raise power, and the whole cell settles
@@ -119,6 +153,15 @@ func main() {
 	for _, id := range bs.Clients() {
 		fmt.Printf("  %-12s power → %.3f W, SIR %6.1f → %6.1f dB\n",
 			id, powers[id], before[id], after[id])
+	}
+
+	// Responder 3 leaves the cell: one interferer fewer for the rest.
+	if err := bs.Leave("responder-3"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\nresponder-3 leaves the cell:")
+	for _, m := range bs.Channel().SortedSIRs() {
+		fmt.Printf("  %-12s SIR %6.1f → %6.1f dB\n", m.ID, after[m.ID], m.SIRdB)
 	}
 
 	st := bs.Stats()

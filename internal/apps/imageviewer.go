@@ -167,13 +167,6 @@ func (v *ImageViewer) SetBudget(n int) {
 	}
 }
 
-// Budget returns the current default budget.
-func (v *ImageViewer) Budget() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.budget
-}
-
 // Announce registers a new shared image.
 func (v *ImageViewer) Announce(meta ImageMeta) {
 	v.mu.Lock()

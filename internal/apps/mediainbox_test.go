@@ -13,7 +13,7 @@ import (
 
 func TestMediaObjectCodecRoundTrip(t *testing.T) {
 	objs := []*media.Object{
-		media.NewText("plain text payload"),
+		textObject("plain text payload"),
 		{Kind: media.KindSketch, Format: media.FormatSketch,
 			Data: []byte{1, 2, 3}, Description: "a sketch", Width: 32, Height: 16},
 		{Kind: media.KindSpeech, Format: media.FormatSpeech, Data: nil},
@@ -52,7 +52,7 @@ func TestMediaObjectCodecRejects(t *testing.T) {
 		t.Errorf("long description: %v", err)
 	}
 
-	good, _ := EncodeMediaObject(media.NewText("ok"))
+	good, _ := EncodeMediaObject(textObject("ok"))
 	for _, bad := range [][]byte{
 		nil,
 		good[:3],
@@ -70,8 +70,8 @@ func TestMediaInbox(t *testing.T) {
 	if _, ok := b.Latest(); ok {
 		t.Error("empty inbox should have no latest")
 	}
-	p1, _ := EncodeMediaObject(media.NewText("first"))
-	p2, _ := EncodeMediaObject(media.NewText("second"))
+	p1, _ := EncodeMediaObject(textObject("first"))
+	p2, _ := EncodeMediaObject(textObject("second"))
 	if err := b.Apply("alice", p1); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMediaInbox(t *testing.T) {
 	// Bounded inbox keeps the most recent.
 	b.MaxItems = 3
 	for i := 0; i < 10; i++ {
-		p, _ := EncodeMediaObject(media.NewText(strings.Repeat("z", i+1)))
+		p, _ := EncodeMediaObject(textObject(strings.Repeat("z", i+1)))
 		b.Apply("s", p)
 	}
 	if b.Len() != 3 {
@@ -143,4 +143,9 @@ func randChars(r *rand.Rand, max int) string {
 		b[i] = byte(32 + r.Intn(95))
 	}
 	return string(b)
+}
+
+// textObject builds a plain text media object.
+func textObject(s string) *media.Object {
+	return &media.Object{Kind: media.KindText, Format: media.FormatText, Data: []byte(s), Description: s}
 }

@@ -30,22 +30,11 @@ type Whiteboard struct {
 	mu      sync.RWMutex
 	strokes map[uint32]Stroke
 	zorder  []uint32
-	nextID  uint32
 }
 
 // NewWhiteboard returns an empty whiteboard.
 func NewWhiteboard() *Whiteboard {
 	return &Whiteboard{strokes: make(map[uint32]Stroke)}
-}
-
-// NewStrokeID allocates a locally unique stroke identifier.  Callers
-// combine it with their client ID in the session's object name to make
-// it globally unique.
-func (w *Whiteboard) NewStrokeID() uint32 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.nextID++
-	return w.nextID
 }
 
 // EncodeStroke builds the event payload adding a stroke.
@@ -59,14 +48,6 @@ func EncodeStroke(s Stroke) []byte {
 	}
 	return out
 }
-
-// EncodeErase builds the event payload removing a stroke.
-func EncodeErase(id uint32) []byte {
-	return binary.BigEndian.AppendUint32([]byte{wbOpErase}, id)
-}
-
-// EncodeClear builds the event payload clearing the board.
-func EncodeClear() []byte { return []byte{wbOpClear} }
 
 // Apply ingests a whiteboard event.
 func (w *Whiteboard) Apply(payload []byte) error {

@@ -43,22 +43,7 @@ import (
 var (
 	ErrNotJoined     = errors.New("basestation: client is not joined")
 	ErrAlreadyJoined = errors.New("basestation: client already joined")
-	ErrAdmission     = errors.New("basestation: admission denied")
 	ErrNoService     = errors.New("basestation: SIR below any service tier")
-)
-
-// MatchIndexMode selects how the downlink relay enumerates the
-// candidate receivers of a message selector.
-type MatchIndexMode int
-
-const (
-	// MatchIndexOn (the default) enumerates candidates through the
-	// registry's inverted predicate index: per-message match cost
-	// tracks the matching subset, not the registered population.
-	MatchIndexOn MatchIndexMode = iota
-	// MatchIndexOff retains the brute-force path — every registered
-	// client runs the pipeline's match stage — for A/B benchmarking.
-	MatchIndexOff
 )
 
 // Config parameterizes a base station.
@@ -67,33 +52,17 @@ type Config struct {
 	Thresholds radio.Thresholds
 	// Registry supplies modality transformers (default DefaultRegistry).
 	Registry *media.Registry
-	// MaxClients caps the wireless population; 0 = unlimited (the SIR
-	// still degrades naturally as clients join).
-	MaxClients int
 	// TotalPackets is the packet count used when relaying full images
 	// to the multicast session (default 16).
 	TotalPackets int
-	// AdmissionMinSIRdB, when non-zero, denies joins that would push
-	// the *joining* client below this SIR.
-	AdmissionMinSIRdB float64
 	// FanOutWorkers is the dispatch pool's shard count: per-client
 	// delivery work is hashed over this many single-worker queues.
 	// 0 means GOMAXPROCS; 1 forces the inline sequential path.
 	FanOutWorkers int
-	// QueueDepth bounds each dispatch shard's queue (default 256);
-	// a full queue sheds work with a recorded drop.
-	QueueDepth int
-	// RegistryShards is the membership registry's lock-shard count
-	// (default registry.DefaultShards, rounded up to a power of two).
-	RegistryShards int
 	// CollectTTL bounds how long an incomplete wired-side image
 	// collection may sit idle before the sweeper evicts it (default
 	// 60s; < 0 disables the sweep).
 	CollectTTL time.Duration
-	// MatchIndex selects index-first candidate enumeration on the
-	// relay dispatch path (default on; MatchIndexOff retains the
-	// O(clients) brute-force scan for A/B comparison, DESIGN.md §12).
-	MatchIndex MatchIndexMode
 	// Clock timestamps relayed frames and drives the collection
 	// sweeper (nil = wall clock).
 	Clock clock.Clock
@@ -203,7 +172,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		wireless:    wireless,
 		cfg:         cfg,
 		channel:     channel,
-		reg:         registry.NewWithIndex(cfg.RegistryShards, cfg.MatchIndex != MatchIndexOff),
+		reg:         registry.New(registry.DefaultShards),
 		unwrap:      message.NewUnwrapper(),
 		collect:     apps.NewImageViewer(),
 		collections: registry.NewCollections[apps.ImageMeta](cfg.CollectTTL),
@@ -219,9 +188,8 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	bs.rfTx = &dispatch.Unicaster{Env: &bs.env, Conn: wireless,
 		OnSend: func(string) { bs.stats.downlk.Add(1) }}
 	bs.pool = dispatch.NewPool(dispatch.PoolConfig{
-		Name:       "bs-" + id,
-		Workers:    cfg.FanOutWorkers,
-		QueueDepth: cfg.QueueDepth,
+		Name:    "bs-" + id,
+		Workers: cfg.FanOutWorkers,
 	})
 	bs.eventPipe = dispatch.NewPipeline(
 		dispatch.Match(func(id string) (selector.Attributes, bool) {

@@ -127,43 +127,6 @@ func TestJoinAssessLeave(t *testing.T) {
 	}
 }
 
-func TestAdmissionControl(t *testing.T) {
-	r := newRig(t, Config{MaxClients: 2})
-	r.joinWireless(t, "w1", 50, 1)
-	r.joinWireless(t, "w2", 60, 1)
-	_, err := r.bs.Join(profile.New("w3"), 70, 1)
-	if !errors.Is(err, ErrAdmission) {
-		t.Errorf("over-capacity join: %v", err)
-	}
-	if len(r.bs.Clients()) != 2 {
-		t.Errorf("clients: %v", r.bs.Clients())
-	}
-}
-
-func TestAdmissionBySIR(t *testing.T) {
-	wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 3})
-	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 4})
-	defer wiredNet.Close()
-	defer radioNet.Close()
-	bw, _ := wiredNet.Attach("bs")
-	br, _ := radioNet.Attach("bs")
-	bs := New("bs", bw, br, radio.NewChannel(radio.Params{}), Config{AdmissionMinSIRdB: -3})
-	defer bs.Close()
-
-	if _, err := bs.Join(profile.New("near"), 30, 1); err != nil {
-		t.Fatal(err)
-	}
-	// An equal-power client at the same distance would land both at
-	// ~0 dB minus noise — still above -3.  A far, weak client lands
-	// below the floor and is denied.
-	if _, err := bs.Join(profile.New("weak"), 500, 0.001); !errors.Is(err, ErrAdmission) {
-		t.Errorf("weak join: %v", err)
-	}
-	if len(bs.Clients()) != 1 {
-		t.Errorf("clients after denial: %v", bs.Clients())
-	}
-}
-
 func TestUplinkEventRelay(t *testing.T) {
 	r := newRig(t, Config{})
 	w1 := r.joinWireless(t, "w1", 40, 1)

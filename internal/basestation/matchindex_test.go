@@ -7,6 +7,7 @@ import (
 
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/profile"
+	"adaptiveqos/internal/registry"
 	"adaptiveqos/internal/selector"
 )
 
@@ -32,15 +33,17 @@ func (r *rig) joinWithMedia(t *testing.T, id, media string) *core.Client {
 }
 
 // TestRelaySelectorDeliveryIndexModes runs the same selector-addressed
-// wired relay with the match index on and off and requires identical
-// delivered sets: the index is a pruning pre-filter, never a semantic
-// change (DESIGN.md §12).
+// wired relay over the indexed registry the station builds (mode 0) and
+// over the brute-force one the equivalence harnesses use as their
+// oracle (mode 1, swapped in before anyone joins) and requires
+// identical delivered sets: the index is a pruning pre-filter, never a
+// semantic change (DESIGN.md §12).
 func TestRelaySelectorDeliveryIndexModes(t *testing.T) {
-	for _, mode := range []MatchIndexMode{MatchIndexOn, MatchIndexOff} {
+	for mode, indexed := range []bool{true, false} {
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
-			r := newRig(t, Config{MatchIndex: mode})
-			if (mode == MatchIndexOn) != r.bs.reg.Indexed() {
-				t.Fatalf("Config.MatchIndex=%d but Indexed()=%v", mode, r.bs.reg.Indexed())
+			r := newRig(t, Config{})
+			if !indexed {
+				r.bs.reg = registry.NewWithIndex(registry.DefaultShards, false)
 			}
 			video1 := r.joinWithMedia(t, "v1", "video")
 			video2 := r.joinWithMedia(t, "v2", "video")

@@ -1,10 +1,10 @@
 package basestation
 
-// Membership control plane: admission, departure, per-client service
+// Membership control plane: joining, departure, per-client service
 // assessment and the radio/power-control knobs.  Membership state
 // itself lives in the sharded internal/registry; these methods are the
-// policy around it (admission control, SIR → tier mapping, folding
-// assessments back into profile state).
+// policy around it (SIR → tier mapping, folding assessments back into
+// profile state).
 
 import (
 	"fmt"
@@ -21,21 +21,11 @@ import (
 // considering the noise effect of the other wireless clients — and
 // returns the basic service assessment.
 func (bs *BaseStation) Join(p *profile.Profile, distance, power float64) (Assessment, error) {
-	if bs.cfg.MaxClients > 0 && bs.channel.Len() >= bs.cfg.MaxClients {
-		return Assessment{}, fmt.Errorf("%w: at capacity (%d)", ErrAdmission, bs.cfg.MaxClients)
-	}
 	if _, ok := bs.reg.Get(p.ID); ok {
 		return Assessment{}, fmt.Errorf("%w: %s", ErrAlreadyJoined, p.ID)
 	}
 	if err := bs.channel.Join(p.ID, distance, power); err != nil {
 		return Assessment{}, err
-	}
-	if bs.cfg.AdmissionMinSIRdB != 0 {
-		if db, err := bs.channel.SIRdB(p.ID); err == nil && db < bs.cfg.AdmissionMinSIRdB {
-			bs.channel.Leave(p.ID)
-			return Assessment{}, fmt.Errorf("%w: SIR %.1f dB below %.1f dB",
-				ErrAdmission, db, bs.cfg.AdmissionMinSIRdB)
-		}
 	}
 	bs.reg.Put(p)
 	return bs.Assess(p.ID)
@@ -135,11 +125,6 @@ func (bs *BaseStation) RadioSnapshot(id string) (slo.RadioSnapshot, bool) {
 // SetDistance moves a wireless client (mobility).
 func (bs *BaseStation) SetDistance(id string, d float64) error {
 	return bs.channel.SetDistance(id, d)
-}
-
-// SetPower changes a wireless client's transmit power.
-func (bs *BaseStation) SetPower(id string, p float64) error {
-	return bs.channel.SetPower(id, p)
 }
 
 // Channel exposes the radio model (for experiments).

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/wavelet"
 )
@@ -59,4 +61,28 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 	if len(r.bs.reg.IDs()) != before {
 		t.Error("stranger changed the registry")
 	}
+}
+
+// TestLiteralProfileJoinsAndUpdates: a member joined with a profile
+// literal (nil sections) is assessed, and a profile frame from the air
+// can install an interest on it — neither may find a nil map.
+func TestLiteralProfileJoinsAndUpdates(t *testing.T) {
+	r := newRig(t, Config{})
+	conn, err := r.radioNet.Attach("thin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := core.NewClient(conn, core.Config{})
+	t.Cleanup(func() { w.Close() })
+	if _, err := r.bs.Join(&profile.Profile{ID: "thin"}, 20, 1); err != nil {
+		t.Fatal(err)
+	}
+	w.Profile().SetInterest("x", selector.S("y"))
+	if err := w.AnnounceProfile("bs"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "interest at BS", func() bool {
+		p, ok := r.bs.reg.Get("thin")
+		return ok && p.Interests["x"].Str() == "y"
+	})
 }

@@ -108,15 +108,15 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard || app.Str() == apps.AppMedia):
 		// Light events run the relay pipeline per client: candidates
 		// come index-first from the registry's inverted predicate
-		// index (DESIGN.md §12; Config.MatchIndex off = every client),
-		// then each candidate's pipeline re-verifies the cached
-		// compiled selector against the memoized flattened profile,
-		// gates on the text tier and transmits.  The dispatch pool
-		// fans the candidate set across its shards.  What is
-		// transmitted is the same for every client, so the event is
-		// enveloped once, by the first client to get that far.
+		// index (DESIGN.md §12), then each candidate's pipeline
+		// re-verifies the cached compiled selector against the
+		// memoized flattened profile, gates on the text tier and
+		// transmits.  The dispatch pool fans the candidate set across
+		// its shards.  What is transmitted is the same for every
+		// client, so the event is enveloped once, by the first client
+		// to get that far.
 		msgID := obs.MsgID(m.Sender, m.Seq)
-		ids := dispatch.Candidates(bs.reg, m, bs.cfg.MatchIndex != MatchIndexOff)
+		ids := dispatch.Candidates(bs.reg, m)
 		fan := bs.rfTx.Fanout(m)
 		bs.pool.Each(msgID, ids, func(id string) error {
 			return bs.runTask(bs.eventPipe, dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id})
@@ -219,11 +219,6 @@ func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
 		}
 	}
 	rs := &renditions{bs: bs, sender: sender, object: object, sel: sel, obj: obj}
-	rs.gray = func() *wavelet.Image {
-		// Cannot fail: these are the headers Inspect accepted above.
-		res, _ := wavelet.DecodeLuma(obj.Data)
-		return res.Image
-	}
 	// Per-client pipeline: resolve the flattened profile, infer the
 	// tier, clamp to the client's declared modality preference, then
 	// frame + transmit that tier's rendition through forwardTiered.

@@ -17,7 +17,6 @@ import (
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
-	"adaptiveqos/internal/wavelet"
 )
 
 // rendition is one tier's form of a share, ready to be framed.
@@ -41,11 +40,6 @@ type renditions struct {
 	sender, object, sel string
 	// obj is the share as received (uplink) or as collected.
 	obj *media.Object
-	// gray, when set, yields obj's clamped luma raster for the stock
-	// sketch extractor.  The collected path decodes it here, on first
-	// use: the one plane pass a share costs, and only when somebody
-	// sits in the sketch tier.
-	gray func() *wavelet.Image
 
 	imageOnce, sketchOnce, textOnce sync.Once
 	image, sketch, text             rendition
@@ -89,10 +83,12 @@ func (rs *renditions) imageTier() *rendition {
 }
 
 // transformed derives a lower tier through the configured registry,
-// under one transform span per share.
+// under one transform span per share.  The stock sketch path decodes
+// one luma plane (media.ImageToSketch): the one plane pass a share
+// costs, and only when somebody sits in the sketch tier.
 func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
 	sp := obs.StartStage(0, obs.StageTransform)
-	o, err := rs.transmode(to)
+	o, err := rs.bs.cfg.Registry.Transmode(rs.obj, to)
 	if err != nil {
 		if sp.Active() {
 			sp.EndErr("bs " + rs.bs.id + ": " + rs.object + onFail)
@@ -101,21 +97,6 @@ func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
 	}
 	sp.End()
 	return rs.mediaEvent(o)
-}
-
-// transmode is Registry.Transmode(obj, to), except that the stock
-// one-step image→sketch path is fed gray's raster.  Any other
-// registered path runs as configured.
-func (rs *renditions) transmode(to media.Kind) (*media.Object, error) {
-	reg := rs.bs.cfg.Registry
-	if to == media.KindSketch && rs.gray != nil {
-		if path, err := reg.Path(rs.obj.Kind, to); err == nil && len(path) == 1 {
-			if _, stock := path[0].(media.ImageToSketch); stock {
-				return media.SketchFromRaster(rs.gray(), rs.obj.Description)
-			}
-		}
-	}
-	return reg.Transmode(rs.obj, to)
 }
 
 func (rs *renditions) sketchTier() *rendition {

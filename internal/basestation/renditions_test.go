@@ -14,61 +14,66 @@ import (
 )
 
 // TestRenditionsMatchPerClientDerivation is the differential for the
-// rendition set: for a gray and a colour share, in the collected form
-// (raster in hand) and the uplink form (object only), the image
-// packets, sketch bytes and text bytes are what apps.ShareImage and
-// Registry.Transmode — the per-client route — produce from the object.
+// rendition set, through the station's public paths: for a gray and a
+// colour share, collected from the wired side and uplinked by a member,
+// what the image-, sketch- and text-tier members end up holding is what
+// apps.ShareImage and Registry.Transmode — the per-client route —
+// produce from the object.
 func TestRenditionsMatchPerClientDerivation(t *testing.T) {
-	r := newRig(t, Config{})
+	tr := &tierRig{}
+	tr.place(t, Config{}, radio.TierImage, radio.TierSketch, radio.TierText)
 	reg := media.DefaultRegistry()
 
-	gray := wavelet.Medical(64, 48, 3)
-	grayObj, err := media.EncodeImage(gray, "gray scan")
+	grayObj, err := media.EncodeImage(wavelet.Medical(64, 48, 3), "gray scan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	color := wavelet.ColorScene(48, 64, 5)
-	colorObj, err := media.EncodeColorImage(color, "colour scene")
+	colorObj, err := media.EncodeColorImage(wavelet.ColorScene(48, 64, 5), "colour scene")
 	if err != nil {
 		t.Fatal(err)
 	}
-	luma := func() *wavelet.Image {
-		l := color.Luma()
-		l.Clamp8()
-		return l
-	}
-	for name, rs := range map[string]*renditions{
-		"gray collected":   {obj: grayObj, gray: func() *wavelet.Image { return gray }},
-		"gray uplink":      {obj: grayObj},
-		"colour collected": {obj: colorObj, gray: luma},
-		"colour uplink":    {obj: colorObj},
-	} {
-		rs.bs, rs.sender, rs.object = r.bs, "pub", "obj-1"
+	uplinker := tr.clients[radio.TierImage][0]
+	shares := 0
+	for _, obj := range []*media.Object{grayObj, colorObj} {
+		for _, uplink := range []bool{false, true} {
+			shares++
+			object := fmt.Sprintf("obj-%d", shares)
+			name := fmt.Sprintf("%s uplink=%v", obj.Description, uplink)
+			var skip *core.Client
+			if uplink {
+				skip = uplinker
+				err = tr.bs.UplinkShare(uplinker.ID(), object, "", obj)
+			} else {
+				err = tr.wired.ShareImage(object, obj, "")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.awaitShare(t, object, shares, skip)
 
-		meta, packets, err := apps.ShareImage(rs.object, rs.obj, r.bs.cfg.TotalPackets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		im := rs.imageTier()
-		if im.err != nil || !bytes.Equal(im.payload, apps.EncodeImageMeta(meta)) || len(im.packets) != len(packets) {
-			t.Fatalf("%s: image announce differs (err %v)", name, im.err)
-		}
-		for i := range packets {
-			if !bytes.Equal(im.packets[i], packets[i]) {
-				t.Errorf("%s: image packet %d differs", name, i)
-			}
-		}
-		for kind, got := range map[media.Kind]*rendition{media.KindSketch: rs.sketchTier(), media.KindText: rs.textTier()} {
-			o, err := reg.Transmode(rs.obj, kind)
+			_, packets, err := apps.ShareImage(object, obj, tr.bs.cfg.TotalPackets)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := apps.EncodeMediaObject(o)
-			if err != nil {
-				t.Fatal(err)
+			got, err := tr.clients[radio.TierImage][1].Viewer().AcceptedStream(object)
+			if err != nil || !bytes.Equal(got, bytes.Join(packets, nil)) {
+				t.Errorf("%s: image tier holds %d B, ShareImage splits %d B (err %v)", name, len(got), len(bytes.Join(packets, nil)), err)
 			}
-			if got.err != nil || !bytes.Equal(got.payload, want) {
-				t.Errorf("%s: %s rendition differs from Transmode's (err %v)", name, kind, got.err)
+			for tier, kind := range map[radio.Tier]media.Kind{radio.TierSketch: media.KindSketch, radio.TierText: media.KindText} {
+				o, err := reg.Transmode(obj, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := apps.EncodeMediaObject(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range tr.clients[tier] {
+					d, _ := c.Inbox().Latest()
+					if have, err := apps.EncodeMediaObject(d.Object); err != nil || !bytes.Equal(have, want) {
+						t.Errorf("%s: %s holds %s, not Transmode's %s rendition (err %v)", name, c.ID(), d.Object, kind, err)
+					}
+				}
 			}
 		}
 	}
@@ -226,7 +231,7 @@ func TestOneDerivationPerOccupiedTier(t *testing.T) {
 func TestUnsketchableFallsBackToText(t *testing.T) {
 	tr := newTierRig(t, radio.TierImage, radio.TierSketch)
 	sender := tr.clients[radio.TierImage][0]
-	note := media.NewText("meet at the north gate")
+	note := &media.Object{Kind: media.KindText, Format: media.FormatText, Data: []byte("meet at the north gate")}
 	if err := tr.bs.UplinkShare(sender.ID(), "note", "", note); err != nil {
 		t.Fatal(err)
 	}

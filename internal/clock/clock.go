@@ -21,9 +21,6 @@ type Clock interface {
 	Now() time.Time
 	// Sleep blocks until the clock has advanced by d.
 	Sleep(d time.Duration)
-	// After returns a channel that receives the clock's time once it
-	// has advanced by d.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc runs f once the clock has advanced by d.  On a Virtual
 	// clock f runs on the goroutine driving the event heap.
 	AfterFunc(d time.Duration, f func()) Timer
@@ -67,10 +64,9 @@ func Or(c Clock) Clock {
 
 type wallClock struct{}
 
-func (wallClock) Now() time.Time                         { return time.Now() }
-func (wallClock) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (wallClock) Since(t time.Time) time.Duration        { return time.Since(t) }
+func (wallClock) Now() time.Time                  { return time.Now() }
+func (wallClock) Sleep(d time.Duration)           { time.Sleep(d) }
+func (wallClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
 func (wallClock) AfterFunc(d time.Duration, f func()) Timer {
 	return wallTimer{t: time.AfterFunc(d, f)}

@@ -156,16 +156,6 @@ func (v *Virtual) Len() int {
 	return len(v.heap)
 }
 
-// NextAt reports the earliest pending event's instant.
-func (v *Virtual) NextAt() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.heap) == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, v.heap[0].atNS), true
-}
-
 // Advance moves the clock forward by d, firing every event scheduled
 // in (now, now+d] in deterministic (instant, schedule-order) order.
 // Events fired may schedule further events; those whose instants also
@@ -255,13 +245,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 	ch := make(chan struct{})
 	v.ScheduleFunc(d, func(time.Time) { close(ch) })
 	<-ch
-}
-
-// After implements Clock.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	v.ScheduleFunc(d, func(now time.Time) { ch <- now })
-	return ch
 }
 
 // AfterFunc implements Clock.

@@ -5,7 +5,6 @@ import (
 
 	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/media"
-	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/snmp"
 	"adaptiveqos/internal/transport"
 )
@@ -47,8 +46,7 @@ func TestBandwidthTiersDriveModality(t *testing.T) {
 			t.Errorf("bandwidth %g: modality %q, want %q", tc.bps, d.Modality, tc.want)
 		}
 		if tc.want != "" {
-			if !c.Profile().Matches(selector.MustCompile(
-				`modality == "` + string(tc.want) + `"`)) {
+			if !profileMatches(c, `modality == "`+string(tc.want)+`"`) {
 				t.Errorf("bandwidth %g: preference not in profile", tc.bps)
 			}
 		}

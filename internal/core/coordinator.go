@@ -58,13 +58,6 @@ func (c *Coordinator) ID() string { return c.conn.ID() }
 // Session exposes the archive (membership, history, sequence state).
 func (c *Coordinator) Session() *session.Session { return c.k.sess }
 
-// SetArchiveCap bounds retained history to the most recent n events.
-func (c *Coordinator) SetArchiveCap(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.k.SetArchiveCap(n)
-}
-
 // ArchivedEvents returns the number of archived events.
 func (c *Coordinator) ArchivedEvents() int {
 	c.mu.Lock()
@@ -97,15 +90,4 @@ func (c *Coordinator) loop() {
 // filtering.
 func (c *Client) RequestHistory(coordinator string, afterSeq uint64) error {
 	return c.k.requestHistory(coordinator, "", afterSeq)
-}
-
-// RequestHistoryFrom asks the coordinator to replay one sender's
-// archived frames with sender-scoped sequence numbers greater than
-// afterSeq, at most maxRepairFrames of them per request — the open-
-// ended form of the NACK the gap-repair loop issues, which lists the
-// missing frames instead.  Replayed frames arrive through the normal
-// receive path and are deduplicated against already-applied sequence
-// numbers by the per-sender order buffer.
-func (c *Client) RequestHistoryFrom(coordinator, sender string, afterSeq uint64) error {
-	return c.k.requestHistory(coordinator, sender, afterSeq)
 }

@@ -152,7 +152,7 @@ func TestCoordinatorArchiveCap(t *testing.T) {
 		}
 	}
 	waitFor(t, "archive fill", func() bool { return coord.ArchivedEvents() == 10 })
-	coord.SetArchiveCap(4)
+	coord.setArchiveCap(4)
 	if got := coord.ArchivedEvents(); got != 4 {
 		t.Errorf("frames after cap = %d, want 4", got)
 	}
@@ -205,7 +205,7 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 	a := NewClient(ca, Config{})
 	defer a.Close()
 
-	coord.SetArchiveCap(4)
+	coord.setArchiveCap(4)
 	for i := 0; i < 10; i++ {
 		if err := a.Say(fmt.Sprintf("m%d", i), ""); err != nil {
 			t.Fatal(err)
@@ -258,7 +258,7 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	b := NewClient(cb, Config{})
 	defer b.Close()
 	// NACK form: alice's frames after her seq 30, nothing of carol's.
-	if err := b.RequestHistoryFrom("coordinator", "alice", 30); err != nil {
+	if err := b.k.requestHistory("coordinator", "alice", 30); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "sender-scoped replay", func() bool { return b.Chat().Len() == each-30 })
@@ -286,4 +286,11 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 			t.Fatalf("replayed line %d is %q, want %q", i, l.Text, want)
 		}
 	}
+}
+
+// setArchiveCap bounds the running coordinator's archive.
+func (c *Coordinator) setArchiveCap(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.k.SetArchiveCap(n)
 }

@@ -27,17 +27,10 @@ import (
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/profile"
-	"adaptiveqos/internal/repair"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/slo"
-	"adaptiveqos/internal/snmp"
 	"adaptiveqos/internal/transport"
-)
-
-// Framework errors.
-var (
-	ErrClosed = errors.New("core: client closed")
 )
 
 // Config parameterizes a client.
@@ -68,9 +61,6 @@ type Config struct {
 	// MTU bounds each wire datagram; larger message frames are
 	// fragmented transparently (default 8 KiB).
 	MTU int
-	// DisableSenderAdaptation turns off RTCP-feedback-driven send-side
-	// packet reduction (on by default; see SendReceptionReports).
-	DisableSenderAdaptation bool
 	// Repair enables automatic gap repair (nil = off): event and data
 	// frames pass through per-sender order buffers, and a repair loop
 	// NACKs the named coordinator for persistent gaps (DESIGN.md §10).
@@ -87,13 +77,11 @@ type Config struct {
 type RepairOptions struct {
 	// Coordinator is the archiving coordinator NACKed for replays.
 	Coordinator string
-	// StallTimeout, MaxRetries, BaseBackoff, MaxBackoff, Interval and
-	// Seed parameterize the retry schedule; zero values take the
-	// repair package defaults.
+	// StallTimeout, MaxRetries, Interval and Seed parameterize the
+	// retry schedule; zero values take the repair package defaults
+	// (the backoff starts at StallTimeout and doubles to 16× that).
 	StallTimeout time.Duration
 	MaxRetries   int
-	BaseBackoff  time.Duration
-	MaxBackoff   time.Duration
 	Interval     time.Duration
 	Seed         int64
 	// MaxPending bounds each sender's order buffer (default 512);
@@ -130,6 +118,8 @@ type Stats struct {
 	EventsFiltered uint64 // messages rejected by the profile
 	DataPackets    uint64 // image data packets ingested
 	DecodeErrors   uint64 // undecodable frames or payloads
+	ReportsSent    uint64 // reception reports multicast (SendReceptionReports)
+	Truncated      uint64 // own image shares cut short because receivers reported loss
 }
 
 // Client is one collaborating endpoint: the goroutine shell around a
@@ -142,8 +132,8 @@ type Client struct {
 	conn   transport.Conn
 	engine *inference.Engine
 
-	// kmu serializes the kernel: the receive loop, the repair ticker
-	// and RepairStatus all enter it, and effects run with it held.
+	// kmu serializes the kernel: the receive loop and the repair ticker
+	// both enter it, and effects run with it held.
 	kmu sync.Mutex
 	k   *Kernel
 
@@ -180,6 +170,7 @@ type Client struct {
 
 	stats struct {
 		received, data, errors atomic.Uint64
+		reports, truncated     atomic.Uint64
 	}
 
 	closeOnce sync.Once
@@ -272,6 +263,8 @@ func (c *Client) Stats() Stats {
 		EventsFiltered: c.k.filtered.Load(),
 		DataPackets:    c.stats.data.Load(),
 		DecodeErrors:   c.stats.errors.Load() + c.k.decodeErrors.Load(),
+		ReportsSent:    c.stats.reports.Load(),
+		Truncated:      c.stats.truncated.Load(),
 	}
 }
 
@@ -412,6 +405,7 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 				fmt.Sprintf("send-side truncation to %d/%d packets", budget, len(packets)))
 		}
 		packets = packets[:budget]
+		c.stats.truncated.Add(1)
 	}
 	obs.AppendHop(shareID, c.ID(), obs.StageRTP)
 	rsp := obs.StartStage(shareID, obs.StageRTP)
@@ -614,14 +608,6 @@ func (c *Client) handleData(m *message.Message) {
 	c.stats.data.Add(1)
 }
 
-// RepairStatus snapshots the per-sender gap-repair state (nil when
-// repair is disabled).
-func (c *Client) RepairStatus() map[string]repair.StreamStatus {
-	c.kmu.Lock()
-	defer c.kmu.Unlock()
-	return c.k.RepairStatus()
-}
-
 // pendingPacket is one parked early-arriving image packet.
 type pendingPacket struct {
 	idx  int
@@ -659,53 +645,6 @@ func (c *Client) flushPending(object string) {
 		}
 		c.stats.data.Add(1)
 	}
-}
-
-// Trap implements snmp.TrapSink: an SNMPv2 trap from a host agent's
-// alarm evaluator updates the profile state immediately and re-runs
-// the inference engine — push-driven adaptation without waiting for
-// the next poll.  Unknown or malformed traps are counted and ignored.
-func (c *Client) Trap(frame []byte) {
-	msg, err := snmp.DecodeMessage(frame)
-	if err != nil || msg.PDU.Type != snmp.TrapV2 {
-		c.stats.errors.Add(1)
-		return
-	}
-	state := make(selector.Attributes)
-	for _, vb := range msg.PDU.VarBinds {
-		param, ok := hostagent.ParamForOID(vb.OID)
-		if !ok {
-			continue
-		}
-		if n, numeric := vb.Value.Number(); numeric {
-			state.SetNumber(param, n)
-		}
-	}
-	if len(state) == 0 {
-		return
-	}
-	c.k.pm.Update(func(p *profile.Profile) {
-		for k, v := range state {
-			p.State[k] = v
-		}
-	})
-	// Decide over the full accumulated state, not just the trap's
-	// variables (the trap may only carry the parameter that crossed).
-	full := make(selector.Attributes)
-	for k, v := range c.k.pm.Snapshot().State {
-		full[k] = v
-	}
-	if loss, ok := c.observedLoss(); ok {
-		full.SetNumber(inference.StateLoss, loss)
-	}
-	d := c.engine.Decide(full)
-	c.viewer.SetBudget(d.EffectiveBudget(c.cfg.TotalPackets))
-	if d.Modality != "" {
-		c.k.pm.SetPreference("modality", selector.S(string(d.Modality)))
-	}
-	c.mu.Lock()
-	c.lastDecision = d
-	c.mu.Unlock()
 }
 
 // observedLoss aggregates the data-packet loss fraction across every
@@ -830,23 +769,4 @@ func (c *Client) AdaptOnce() (inference.Decision, error) {
 	c.lastDecision = d
 	c.mu.Unlock()
 	return d, nil
-}
-
-// StartAdaptation runs AdaptOnce every interval until the client is
-// closed.  Sampling errors are counted and skipped.
-func (c *Client) StartAdaptation(interval time.Duration) {
-	go func() {
-		ticker := c.clk.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-c.done:
-				return
-			case <-ticker.C():
-				if _, err := c.AdaptOnce(); err != nil {
-					c.stats.errors.Add(1)
-				}
-			}
-		}
-	}()
 }

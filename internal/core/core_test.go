@@ -9,6 +9,7 @@ import (
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/metrics"
+	"adaptiveqos/internal/repair"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/snmp"
@@ -209,32 +210,13 @@ func TestAdaptationLoopAgainstSNMP(t *testing.T) {
 		t.Error("partial acceptance cannot be lossless")
 	}
 	// The profile now carries the observed state, selectable by peers.
-	if !b.Profile().Matches(selector.MustCompile(`state.cpu-load >= 95`)) {
+	if !profileMatches(b, `state.cpu-load >= 95`) {
 		t.Error("state not folded into profile")
 	}
 	if d.Contract.Satisfied {
 		// The default config has an empty contract; add one and re-check.
 		t.Log("empty contract is always satisfied (expected)")
 	}
-}
-
-func TestStartAdaptation(t *testing.T) {
-	host := hostagent.NewHost("h")
-	host.Set(hostagent.ParamCPULoad, 95)
-	host.Set(hostagent.ParamPageFaults, 10)
-	mon := &hostagent.Monitor{
-		Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: hostagent.NewAgent(host)}, snmp.V2c, ""),
-	}
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 3})
-	defer net.Close()
-	conn, _ := net.Attach("c")
-	c := NewClient(conn, Config{Monitor: mon})
-	defer c.Close()
-
-	c.StartAdaptation(5 * time.Millisecond)
-	waitFor(t, "periodic adaptation", func() bool {
-		return c.LastDecision().EffectiveBudget(16) < 16
-	})
 }
 
 func TestLamportClockAdvancesOnReceive(t *testing.T) {
@@ -291,4 +273,17 @@ func TestMalformedTrafficCounted(t *testing.T) {
 		t.Error("garbage counted as event")
 	}
 	waitFor(t, "client and coordinator counting in "+metrics.CtrDecodeErrors, func() bool { return ctr.Load() == base+4 })
+}
+
+// profileMatches evaluates a selector against c's current profile.
+func profileMatches(c *Client, src string) bool {
+	flat, _ := c.Profile().FlatSnapshot()
+	return selector.MustCompile(src).Matches(flat)
+}
+
+// repairStatus snapshots c's per-sender gap-repair state.
+func repairStatus(c *Client) map[string]repair.StreamStatus {
+	c.kmu.Lock()
+	defer c.kmu.Unlock()
+	return c.k.RepairStatus()
 }

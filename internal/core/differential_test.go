@@ -149,7 +149,7 @@ func runShells(t *testing.T) diffResult {
 	}
 	res := diffResult{delivered: make(map[string]map[string][]string)}
 	for _, r := range recvs {
-		res.collect(r.ID(), r.Chat(), r.RepairStatus())
+		res.collect(r.ID(), r.Chat(), repairStatus(r))
 	}
 	return res
 }

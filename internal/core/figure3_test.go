@@ -39,7 +39,7 @@ func TestFigure3OverTheWire(t *testing.T) {
 	colorClient.Profile().SetInterest("accepts-color", selector.B(true))
 	bwTransform.Profile().SetInterest("accepts-color", selector.B(false))
 	bwTransform.Profile().Update(func(p *profile.Profile) {
-		p.SetTransform("color", "gray", true)
+		p.Capabilities["transform.color.gray"] = selector.B(true)
 	})
 	bwOnly.Profile().SetInterest("accepts-color", selector.B(false))
 

@@ -85,8 +85,6 @@ func NewKernel(conn transport.Conn, cfg Config) *Kernel {
 		k.rep = repair.New(repair.Config{
 			StallTimeout: r.StallTimeout,
 			MaxRetries:   r.MaxRetries,
-			BaseBackoff:  r.BaseBackoff,
-			MaxBackoff:   r.MaxBackoff,
 			Interval:     r.Interval,
 			Seed:         r.Seed,
 			Owner:        conn.ID(),

@@ -38,39 +38,23 @@ const (
 	LockGranted LockStatus = "granted"
 )
 
-// LockEvent notifies a lock-state change.
-type LockEvent struct {
-	Object string
-	Status LockStatus
-	// Holder is the current holder when Status is LockWaiting.
-	Holder string
-}
-
 // lockTable is the client-side lock view.
 type lockTable struct {
 	mu     sync.Mutex
 	states map[string]LockStatus
-	events chan LockEvent
 }
 
 func newLockTable() *lockTable {
-	return &lockTable{
-		states: make(map[string]LockStatus),
-		events: make(chan LockEvent, 32),
-	}
+	return &lockTable{states: make(map[string]LockStatus)}
 }
 
-func (lt *lockTable) set(object string, st LockStatus, holder string) {
+func (lt *lockTable) set(object string, st LockStatus) {
 	lt.mu.Lock()
+	defer lt.mu.Unlock()
 	if st == LockNone {
 		delete(lt.states, object)
 	} else {
 		lt.states[object] = st
-	}
-	lt.mu.Unlock()
-	select {
-	case lt.events <- LockEvent{Object: object, Status: st, Holder: holder}:
-	default: // slow consumer: state remains queryable via LockState
 	}
 }
 
@@ -83,12 +67,6 @@ func (lt *lockTable) get(object string) LockStatus {
 // LockState reports this client's standing on an object lock.
 func (c *Client) LockState(object string) LockStatus {
 	return c.locks.get(object)
-}
-
-// LockEvents delivers lock-state change notifications.  Events are
-// dropped for slow consumers; LockState always has the latest truth.
-func (c *Client) LockEvents() <-chan LockEvent {
-	return c.locks.events
 }
 
 func (c *Client) sendLockControl(coordinator, ctrl, object string) error {
@@ -106,17 +84,17 @@ func (c *Client) sendLockControl(coordinator, ctrl, object string) error {
 }
 
 // RequestLock asks the coordinator for the exclusive lock on object.
-// The outcome arrives asynchronously (LockEvents / LockState): either
+// The outcome arrives asynchronously (LockState): either
 // LockGranted or LockWaiting behind the current holder.
 func (c *Client) RequestLock(coordinator, object string) error {
-	c.locks.set(object, LockPending, "")
+	c.locks.set(object, LockPending)
 	return c.sendLockControl(coordinator, ctrlLockRequest, object)
 }
 
 // ReleaseLock gives the lock back; the coordinator promotes the first
 // waiter, if any.
 func (c *Client) ReleaseLock(coordinator, object string) error {
-	c.locks.set(object, LockNone, "")
+	c.locks.set(object, LockNone)
 	return c.sendLockControl(coordinator, ctrlLockRelease, object)
 }
 
@@ -129,11 +107,10 @@ func (c *Client) handleLockControl(m *message.Message) bool {
 	object, _ := m.Attr(attrObject)
 	switch ctrl.Str() {
 	case ctrlLockGrant:
-		c.locks.set(object.Str(), LockGranted, c.ID())
+		c.locks.set(object.Str(), LockGranted)
 		return true
 	case ctrlLockWait:
-		holder, _ := m.Attr(attrHolder)
-		c.locks.set(object.Str(), LockWaiting, holder.Str())
+		c.locks.set(object.Str(), LockWaiting)
 		return true
 	default:
 		return false

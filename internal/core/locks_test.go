@@ -62,40 +62,6 @@ func TestDistributedLockGrantAndQueue(t *testing.T) {
 	waitLock(t, a, "img-2", LockGranted)
 }
 
-func TestDistributedLockEvents(t *testing.T) {
-	_, a, b := lockRig(t)
-
-	a.RequestLock("coordinator", "doc")
-	waitLock(t, a, "doc", LockGranted)
-	b.RequestLock("coordinator", "doc")
-	waitLock(t, b, "doc", LockWaiting)
-
-	// Drain bob's events: pending then waiting (with holder), then
-	// granted after alice releases.
-	var seen []LockEvent
-	collect := func(n int) {
-		t.Helper()
-		for len(seen) < n {
-			select {
-			case ev := <-b.LockEvents():
-				seen = append(seen, ev)
-			default:
-				return
-			}
-		}
-	}
-	collect(2)
-	if len(seen) < 2 || seen[0].Status != LockPending || seen[1].Status != LockWaiting {
-		t.Fatalf("events so far: %+v", seen)
-	}
-	if seen[1].Holder != "alice" {
-		t.Errorf("waiting event holder = %q", seen[1].Holder)
-	}
-
-	a.ReleaseLock("coordinator", "doc")
-	waitLock(t, b, "doc", LockGranted)
-}
-
 func TestReleaseByNonHolderIgnored(t *testing.T) {
 	coord, a, b := lockRig(t)
 	a.RequestLock("coordinator", "x")

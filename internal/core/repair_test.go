@@ -286,7 +286,7 @@ func TestRepairAbandonsUnrepairableGap(t *testing.T) {
 	if got := replica.Chat().Lines()[0].Text; got != "parked behind the gap" {
 		t.Errorf("released line = %q", got)
 	}
-	st := replica.RepairStatus()["alice"]
+	st := repairStatus(replica)["alice"]
 	if st.Abandoned != 1 {
 		t.Errorf("abandoned = %d, want 1", st.Abandoned)
 	}

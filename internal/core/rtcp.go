@@ -101,6 +101,7 @@ func (c *Client) SendReceptionReports() error {
 		if err := c.multicast(m); err != nil {
 			return err
 		}
+		c.stats.reports.Add(1)
 	}
 	return nil
 }
@@ -152,12 +153,8 @@ func (c *Client) observedJitter() (float64, bool) {
 }
 
 // sendBudget resolves how many of total packets to actually transmit,
-// given receiver feedback.  With no reports (or SenderAdaptation off)
-// everything is sent.
+// given receiver feedback.  With no reports everything is sent.
 func (c *Client) sendBudget(total int) int {
-	if c.cfg.DisableSenderAdaptation {
-		return total
-	}
 	worst := c.reports.worst()
 	if worst <= 0 {
 		return total

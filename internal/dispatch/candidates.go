@@ -17,24 +17,17 @@ type Membership interface {
 }
 
 // Candidates returns the client IDs a message's per-client pipelines
-// should be offered to.  With useIndex set it enumerates index-first:
-// only the clients whose profiles satisfy the message selector are
-// returned, so the per-message fan-out cost tracks the matching subset
-// instead of the registered population.  Without it (or for a message
-// with no selector) it returns the whole population — the pipeline's
-// Match stage then pays one evaluation per registered client, the
-// pre-index behavior.
+// should be offered to, index-first: only the clients whose profiles
+// satisfy the message selector, so the per-message fan-out cost tracks
+// the matching subset instead of the registered population.  A message
+// with no selector is offered to everyone.
 //
-// Either way the delivered set is identical: Candidates is a pruning
-// pre-filter, and the Match stage re-verifies each candidate against
-// its live flattened profile (clients may depart or mutate between
-// enumeration and delivery).  An unparsable selector returns no
-// candidates, mirroring MatchProfile's fail-closed contract.
-func Candidates(reg Membership, m *message.Message, useIndex bool) []string {
+// Candidates is a pruning pre-filter: the Match stage re-verifies each
+// candidate against its live flattened profile (clients may depart or
+// mutate between enumeration and delivery).  An unparsable selector
+// returns no candidates, mirroring MatchProfile's fail-closed contract.
+func Candidates(reg Membership, m *message.Message) []string {
 	if m == nil || m.Selector == "" {
-		return reg.IDs()
-	}
-	if !useIndex {
 		return reg.IDs()
 	}
 	sel, err := m.CompiledSelector()

@@ -33,27 +33,23 @@ func TestCandidates(t *testing.T) {
 	}
 
 	// No message and no selector both mean the whole population.
-	if got := Candidates(reg, nil, true); len(got) != 4 {
+	if got := Candidates(reg, nil); len(got) != 4 {
 		t.Errorf("nil message: %v", got)
 	}
-	if got := Candidates(reg, &message.Message{}, true); len(got) != 4 {
+	if got := Candidates(reg, &message.Message{}); len(got) != 4 {
 		t.Errorf("empty selector: %v", got)
 	}
 
-	// Index off: whole population, regardless of selector.
-	m := &message.Message{Selector: `media == "video"`}
-	if got := Candidates(reg, m, false); len(got) != 4 {
-		t.Errorf("index off: %v", got)
-	}
 	if reg.lastSel != nil {
-		t.Error("index off still called MatchIDs")
+		t.Error("a message without a selector still called MatchIDs")
 	}
 
-	// Index on: only the matching subset, via MatchIDs.
-	got := Candidates(reg, m, true)
+	// A selector: only the matching subset, via MatchIDs.
+	m := &message.Message{Selector: `media == "video"`}
+	got := Candidates(reg, m)
 	sort.Strings(got)
 	if len(got) != 1 || got[0] != "w2" {
-		t.Errorf("index on: %v", got)
+		t.Errorf("with a selector: %v", got)
 	}
 	if reg.lastSel == nil || reg.lastSel.Source() != m.Selector {
 		t.Errorf("MatchIDs saw selector %v", reg.lastSel)
@@ -62,7 +58,7 @@ func TestCandidates(t *testing.T) {
 	// An unparsable selector is fail-closed: no candidates, matching
 	// MatchProfile's behavior of delivering to no one.
 	bad := &message.Message{Selector: `media ==`}
-	if got := Candidates(reg, bad, true); got != nil {
+	if got := Candidates(reg, bad); got != nil {
 		t.Errorf("unparsable selector: %v", got)
 	}
 }

@@ -17,12 +17,6 @@ type Deliverer interface {
 	Deliver(to string, m *message.Message) error
 }
 
-// DeliverFunc adapts a function to the Deliverer interface.
-type DeliverFunc func(to string, m *message.Message) error
-
-// Deliver calls f.
-func (f DeliverFunc) Deliver(to string, m *message.Message) error { return f(to, m) }
-
 // Multicaster is the wired-segment transmit adapter: it envelopes the
 // message (fragmenting to the MTU, reusing pooled encode buffers) and
 // multicasts every datagram to the session.  The destination argument

@@ -3,6 +3,8 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"adaptiveqos/internal/metrics"
 )
 
 // TestFig6Shape verifies the paper's Figure 6 shapes: as page faults
@@ -18,11 +20,11 @@ func TestFig6Shape(t *testing.T) {
 	bpp := table.Series("bpp")
 	psnr := table.Series("psnr-db")
 
-	if packets.YAt(30) != 16 {
-		t.Errorf("packets at 30 faults = %g, want 16", packets.YAt(30))
+	if yAt(packets, 30) != 16 {
+		t.Errorf("packets at 30 faults = %g, want 16", yAt(packets, 30))
 	}
-	if packets.YAt(100) != 1 {
-		t.Errorf("packets at 100 faults = %g, want 1", packets.YAt(100))
+	if yAt(packets, 100) != 1 {
+		t.Errorf("packets at 100 faults = %g, want 1", yAt(packets, 100))
 	}
 	for _, y := range packets.Y {
 		n := int(y)
@@ -30,16 +32,16 @@ func TestFig6Shape(t *testing.T) {
 			t.Errorf("packet count %d is not a power of two", n)
 		}
 	}
-	if !packets.MonotoneNonIncreasing(0) {
+	if !nonIncreasing(packets, 0) {
 		t.Errorf("packets not monotone: %v", packets.Y)
 	}
-	if !cr.MonotoneNonDecreasing(1e-9) {
+	if !nonDecreasing(cr, 1e-9) {
 		t.Errorf("compression ratio not rising: %v", cr.Y)
 	}
-	if !bpp.MonotoneNonIncreasing(1e-9) {
+	if !nonIncreasing(bpp, 1e-9) {
 		t.Errorf("BPP not falling: %v", bpp.Y)
 	}
-	if !psnr.MonotoneNonIncreasing(0.6) {
+	if !nonIncreasing(psnr, 0.6) {
 		t.Errorf("PSNR should fall with fewer packets: %v", psnr.Y)
 	}
 	// The dynamic range is wide, as in the paper (3.6→131 there).
@@ -59,24 +61,24 @@ func TestFig7Shape(t *testing.T) {
 	cr := table.Series("compression-ratio")
 	bpp := table.Series("bpp")
 
-	if packets.YAt(30) != 16 {
-		t.Errorf("packets at 30%% = %g, want 16", packets.YAt(30))
+	if yAt(packets, 30) != 16 {
+		t.Errorf("packets at 30%% = %g, want 16", yAt(packets, 30))
 	}
-	if packets.YAt(100) != 0 {
-		t.Errorf("packets at 100%% = %g, want 0 (paper: drop to 0)", packets.YAt(100))
+	if yAt(packets, 100) != 0 {
+		t.Errorf("packets at 100%% = %g, want 0 (paper: drop to 0)", yAt(packets, 100))
 	}
-	if !packets.MonotoneNonIncreasing(0) {
+	if !nonIncreasing(packets, 0) {
 		t.Errorf("packets not monotone: %v", packets.Y)
 	}
-	if !bpp.MonotoneNonIncreasing(1e-9) {
+	if !nonIncreasing(bpp, 1e-9) {
 		t.Errorf("BPP not falling: %v", bpp.Y)
 	}
-	if !cr.MonotoneNonDecreasing(1e-9) {
+	if !nonDecreasing(cr, 1e-9) {
 		t.Errorf("CR not rising: %v", cr.Y)
 	}
 	// At zero packets the compression ratio diverges (nothing accepted).
-	if !math.IsInf(cr.YAt(100), 1) {
-		t.Errorf("CR at 100%% load = %g, want +Inf", cr.YAt(100))
+	if !math.IsInf(yAt(cr, 100), 1) {
+		t.Errorf("CR at 100%% load = %g, want +Inf", yAt(cr, 100))
 	}
 }
 
@@ -130,7 +132,7 @@ func TestFig9Shape(t *testing.T) {
 	}
 	sirA := table.Series("sir-A-db")
 	sirB := table.Series("sir-B-db")
-	for s := 1; s < sirA.Len(); s++ {
+	for s := 1; s < len(sirA.Y); s++ {
 		if sirA.Y[s] <= sirA.Y[s-1] {
 			t.Errorf("step %d: A's SIR should rise with power", s)
 		}
@@ -224,4 +226,35 @@ func render(tb interface{ String() string }, err error) (string, error) {
 		return "", err
 	}
 	return tb.String(), nil
+}
+
+// yAt returns s's y value for the first sample at x (NaN if absent).
+func yAt(s *metrics.Series, x float64) float64 {
+	for i, xv := range s.X {
+		if xv == x {
+			return s.Y[i]
+		}
+	}
+	return math.NaN()
+}
+
+// nonIncreasing reports whether y never rises along s (within eps) —
+// the shape check for the Fig 6/7 curves.
+func nonIncreasing(s *metrics.Series, eps float64) bool {
+	for i := 1; i < len(s.Y); i++ {
+		if s.Y[i] > s.Y[i-1]+eps {
+			return false
+		}
+	}
+	return true
+}
+
+// nonDecreasing reports whether y never falls along s (within eps).
+func nonDecreasing(s *metrics.Series, eps float64) bool {
+	for i := 1; i < len(s.Y); i++ {
+		if s.Y[i] < s.Y[i-1]-eps {
+			return false
+		}
+	}
+	return true
 }

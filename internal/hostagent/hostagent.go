@@ -13,7 +13,6 @@ package hostagent
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"adaptiveqos/internal/metrics"
@@ -116,53 +115,6 @@ func (r Ramp) At(step int) float64 {
 	return r.From + (r.To-r.From)*f
 }
 
-// Trace replays an explicit value sequence, holding the last value.
-type Trace []float64
-
-// At implements Schedule.
-func (tr Trace) At(step int) float64 {
-	if len(tr) == 0 {
-		return 0
-	}
-	if step >= len(tr) {
-		return tr[len(tr)-1]
-	}
-	if step < 0 {
-		return tr[0]
-	}
-	return tr[step]
-}
-
-// Noisy perturbs a base schedule with deterministic uniform noise in
-// [-Amplitude, +Amplitude].
-type Noisy struct {
-	Base      Schedule
-	Amplitude float64
-	Seed      int64
-}
-
-// At implements Schedule.
-func (n Noisy) At(step int) float64 {
-	r := rand.New(rand.NewSource(n.Seed + int64(step)))
-	return n.Base.At(step) + (2*r.Float64()-1)*n.Amplitude
-}
-
-// Sawtooth cycles From→To over Period steps, repeating.
-type Sawtooth struct {
-	From, To float64
-	Period   int
-}
-
-// At implements Schedule.
-func (s Sawtooth) At(step int) float64 {
-	if s.Period <= 1 {
-		return s.To
-	}
-	pos := step % s.Period
-	f := float64(pos) / float64(s.Period-1)
-	return s.From + (s.To-s.From)*f
-}
-
 // Host is a simulated monitored host: a set of named parameters driven
 // by schedules, exposed through SNMP instrumentation routines.  It is
 // safe for concurrent use (the SNMP agent reads while the experiment
@@ -236,20 +188,6 @@ func (h *Host) Step() int {
 	for param, s := range h.schedules {
 		h.values[param] = s.At(h.step)
 	}
-	return h.step
-}
-
-// StepN advances n steps.
-func (h *Host) StepN(n int) {
-	for i := 0; i < n; i++ {
-		h.Step()
-	}
-}
-
-// CurrentStep returns the current step index.
-func (h *Host) CurrentStep() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return h.step
 }
 

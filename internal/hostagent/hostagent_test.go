@@ -1,6 +1,7 @@
 package hostagent
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -32,33 +33,6 @@ func TestSchedules(t *testing.T) {
 	if (Ramp{From: 1, To: 2, Steps: 1}).At(0) != 2 {
 		t.Error("degenerate ramp should hold To")
 	}
-
-	tr := Trace{10, 20, 30}
-	if tr.At(-1) != 10 || tr.At(0) != 10 || tr.At(2) != 30 || tr.At(99) != 30 {
-		t.Error("Trace")
-	}
-	if (Trace{}).At(5) != 0 {
-		t.Error("empty Trace")
-	}
-
-	n := Noisy{Base: Constant(50), Amplitude: 5, Seed: 7}
-	for s := 0; s < 50; s++ {
-		v := n.At(s)
-		if v < 45 || v > 55 {
-			t.Errorf("noisy out of band at %d: %g", s, v)
-		}
-		if n.At(s) != v {
-			t.Error("Noisy must be deterministic per step")
-		}
-	}
-
-	sw := Sawtooth{From: 0, To: 10, Period: 5}
-	if sw.At(0) != 0 || sw.At(4) != 10 || sw.At(5) != 0 {
-		t.Errorf("sawtooth: %g %g %g", sw.At(0), sw.At(4), sw.At(5))
-	}
-	if (Sawtooth{From: 1, To: 9, Period: 1}).At(3) != 9 {
-		t.Error("degenerate sawtooth")
-	}
 }
 
 func TestHostStepAndSchedules(t *testing.T) {
@@ -71,7 +45,7 @@ func TestHostStepAndSchedules(t *testing.T) {
 		t.Errorf("step-0 page faults = %g", got)
 	}
 	h.Step()
-	if h.CurrentStep() != 1 {
+	if h.step != 1 {
 		t.Error("step index")
 	}
 	if got := h.Get(ParamPageFaults); got <= 30 {
@@ -83,7 +57,9 @@ func TestHostStepAndSchedules(t *testing.T) {
 	if h.Get(ParamBandwidth) != 1e6 {
 		t.Error("fixed value changed")
 	}
-	h.StepN(10)
+	for i := 0; i < 10; i++ {
+		h.Step()
+	}
 	if got := h.Get(ParamPageFaults); got != 100 {
 		t.Errorf("page faults at end = %g", got)
 	}
@@ -103,27 +79,27 @@ func TestAgentServesInstrumentation(t *testing.T) {
 	agent := NewAgent(h)
 	client := snmp.NewClient(&snmp.AgentRoundTripper{Agent: agent}, snmp.V2c, "public")
 
-	v, err := client.GetNumber(OIDCPULoad.Append(0))
+	v, err := getNumber(client, OIDCPULoad.Append(0))
 	if err != nil || v != 72 { // gauge rounds
 		t.Errorf("cpu = %g, %v", v, err)
 	}
-	v, err = client.GetNumber(OIDPageFaults.Append(0))
+	v, err = getNumber(client, OIDPageFaults.Append(0))
 	if err != nil || v != 88 {
 		t.Errorf("page faults = %g, %v", v, err)
 	}
 	// Signal is Integer dB ×10, may be negative.
-	v, err = client.GetNumber(OIDSignalStrength.Append(0))
+	v, err = getNumber(client, OIDSignalStrength.Append(0))
 	if err != nil || v != -75 {
 		t.Errorf("signal = %g, %v", v, err)
 	}
 
 	// sysDescr/sysUpTime respond.
-	sd, err := client.GetOne(OIDSysDescr.Append(0))
+	sd, err := getOne(client, OIDSysDescr.Append(0))
 	if err != nil || len(sd.Bytes) == 0 {
 		t.Errorf("sysDescr: %v %v", sd, err)
 	}
 	h.Step()
-	up, err := client.GetOne(OIDSysUpTime.Append(0))
+	up, err := getOne(client, OIDSysUpTime.Append(0))
 	if err != nil || up.Uint != 100 {
 		t.Errorf("sysUpTime: %v %v", up, err)
 	}
@@ -148,11 +124,11 @@ func TestGaugeClamping(t *testing.T) {
 	agent := NewAgent(h)
 	client := snmp.NewClient(&snmp.AgentRoundTripper{Agent: agent}, snmp.V2c, "")
 
-	v, err := client.GetNumber(OIDCPULoad.Append(0))
+	v, err := getNumber(client, OIDCPULoad.Append(0))
 	if err != nil || v != 0 {
 		t.Errorf("negative gauge = %g", v)
 	}
-	v, err = client.GetNumber(OIDBandwidth.Append(0))
+	v, err = getNumber(client, OIDBandwidth.Append(0))
 	if err != nil || v != math.MaxUint32 {
 		t.Errorf("overflow gauge = %g", v)
 	}
@@ -218,4 +194,26 @@ func TestQuickRampMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// getOne fetches a single OID's value.
+func getOne(c *snmp.Client, oid snmp.OID) (snmp.Value, error) {
+	vbs, err := c.Get(oid)
+	if err != nil {
+		return snmp.Value{}, err
+	}
+	return vbs[0].Value, nil
+}
+
+// getNumber fetches a single OID as a float64.
+func getNumber(c *snmp.Client, oid snmp.OID) (float64, error) {
+	v, err := getOne(c, oid)
+	if err != nil {
+		return 0, err
+	}
+	n, ok := v.Number()
+	if !ok {
+		return 0, fmt.Errorf("%s has non-numeric type %s", oid, v.Type)
+	}
+	return n, nil
 }

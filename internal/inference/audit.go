@@ -89,14 +89,6 @@ func Audits(client string, max int) []AuditEntry {
 	return out
 }
 
-// ResetAudits clears the audit ring (tests).
-func ResetAudits() {
-	auditRing.mu.Lock()
-	auditRing.next = 0
-	auditRing.entries = [auditRingCap]AuditEntry{}
-	auditRing.mu.Unlock()
-}
-
 // formatState renders attributes deterministically (sorted key=value).
 func formatState(state selector.Attributes) string {
 	if len(state) == 0 {

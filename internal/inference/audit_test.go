@@ -62,7 +62,7 @@ func TestDecideRecordsAudit(t *testing.T) {
 	if all[0].Client != "wired-1" || all[1].Client != "wired-0" {
 		t.Errorf("audit order/owners = %q, %q", all[0].Client, all[1].Client)
 	}
-	if all[1].Budget != PacketsFromCPULoad(80, 16) {
+	if all[1].Budget != (Params{MaxPackets: 16}).PacketsFromCPULoad(80) {
 		t.Errorf("budget = %d", all[1].Budget)
 	}
 	if all[1].Modality != "sketch" {

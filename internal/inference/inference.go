@@ -103,9 +103,6 @@ func New(contract *profile.Contract) *Engine {
 	return &Engine{contract: contract}
 }
 
-// Contract returns the engine's QoS contract.
-func (e *Engine) Contract() *profile.Contract { return e.contract }
-
 // SetOwner names the client this engine decides for; the name labels
 // the engine's entries in the decision audit (/debug/decisions).
 func (e *Engine) SetOwner(name string) {
@@ -153,17 +150,6 @@ func (e *Engine) AddRule(r Rule) error {
 	}
 	e.rules, e.order = rules, order
 	return nil
-}
-
-// RuleNames lists the installed rules in evaluation order.
-func (e *Engine) RuleNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, len(e.rules))
-	for i, r := range e.rules {
-		names[i] = r.Name
-	}
-	return names
 }
 
 // Decide evaluates the contract and every matching rule against the
@@ -242,9 +228,6 @@ type Params struct {
 	// modality degrades to sketch (default 0.5).
 	HeavyLossSketch float64 `json:"heavy_loss_sketch,omitempty"`
 }
-
-// DefaultParams returns the paper's standard policy parameters.
-func DefaultParams() Params { return Params{}.WithDefaults() }
 
 // WithDefaults fills zero-valued fields with the paper's numbers.
 func (p Params) WithDefaults() Params {
@@ -349,27 +332,12 @@ func (p Params) Budget(cpuLoad, pageFaults, loss float64) int {
 	return budget
 }
 
-// PacketsFromPageFaults maps the observed page-fault rate to an image
-// packet budget with the paper's breakpoints; maxPackets generalizes
-// the paper's 16.  Kept as a thin wrapper over Params for existing
-// callers.
-func PacketsFromPageFaults(pageFaults float64, maxPackets int) int {
-	return Params{MaxPackets: maxPackets}.PacketsFromPageFaults(pageFaults)
-}
-
-// PacketsFromCPULoad maps CPU load (percent) to an image packet budget
-// with the paper's breakpoints (wrapper over Params).
-func PacketsFromCPULoad(cpuLoad float64, maxPackets int) int {
-	return Params{MaxPackets: maxPackets}.PacketsFromCPULoad(cpuLoad)
-}
-
 // StateKey names the state attributes the default policy consumes.
 // They match the hostagent parameter vocabulary.
 const (
 	StatePageFaults = "page-faults"
 	StateCPULoad    = "cpu-load"
 	StateBandwidth  = "bandwidth"
-	StateSIR        = "sir"
 	// StateLoss is the observed data-packet loss fraction in [0, 1],
 	// reported by the RTP reception statistics.
 	StateLoss = "loss-fraction"

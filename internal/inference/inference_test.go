@@ -33,7 +33,7 @@ func TestPacketsFromPageFaults(t *testing.T) {
 		{0, 16}, {30, 16}, {100, 1}, {150, 1},
 	}
 	for _, tc := range cases {
-		if got := PacketsFromPageFaults(tc.pf, 16); got != tc.want {
+		if got := (Params{MaxPackets: 16}).PacketsFromPageFaults(tc.pf); got != tc.want {
 			t.Errorf("PacketsFromPageFaults(%g) = %d, want %d", tc.pf, got, tc.want)
 		}
 	}
@@ -41,7 +41,7 @@ func TestPacketsFromPageFaults(t *testing.T) {
 	prev := 17
 	seen := map[int]bool{}
 	for pf := 0.0; pf <= 120; pf += 1 {
-		got := PacketsFromPageFaults(pf, 16)
+		got := (Params{MaxPackets: 16}).PacketsFromPageFaults(pf)
 		if got < 1 || got > 16 || got&(got-1) != 0 {
 			t.Fatalf("pf=%g: %d not a power of two in range", pf, got)
 		}
@@ -58,25 +58,25 @@ func TestPacketsFromPageFaults(t *testing.T) {
 		}
 	}
 	// Default maxPackets.
-	if PacketsFromPageFaults(0, 0) != 16 {
+	if (Params{MaxPackets: 0}).PacketsFromPageFaults(0) != 16 {
 		t.Error("default maxPackets should be 16")
 	}
 }
 
 func TestPacketsFromCPULoad(t *testing.T) {
 	// Fig 7: 16 packets at <=30 %, 0 at 100 %.
-	if got := PacketsFromCPULoad(30, 16); got != 16 {
+	if got := (Params{MaxPackets: 16}).PacketsFromCPULoad(30); got != 16 {
 		t.Errorf("cpu 30 = %d", got)
 	}
-	if got := PacketsFromCPULoad(100, 16); got != 0 {
+	if got := (Params{MaxPackets: 16}).PacketsFromCPULoad(100); got != 0 {
 		t.Errorf("cpu 100 = %d", got)
 	}
-	if got := PacketsFromCPULoad(120, 16); got != 0 {
+	if got := (Params{MaxPackets: 16}).PacketsFromCPULoad(120); got != 0 {
 		t.Errorf("cpu 120 = %d", got)
 	}
 	prev := 17
 	for load := 0.0; load <= 110; load += 0.5 {
-		got := PacketsFromCPULoad(load, 16)
+		got := (Params{MaxPackets: 16}).PacketsFromCPULoad(load)
 		if got < 0 || got > 16 {
 			t.Fatalf("cpu %g: budget %d out of range", load, got)
 		}
@@ -114,8 +114,8 @@ func TestEngineDefaultPolicy(t *testing.T) {
 	if err := DefaultPolicy(e, 16, 64_000, 16_000); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.RuleNames()) != 6 {
-		t.Fatalf("rules: %v", e.RuleNames())
+	if len(e.rules) != 6 {
+		t.Fatalf("rules: %d", len(e.rules))
 	}
 
 	// Light load: everything passes.
@@ -138,7 +138,7 @@ func TestEngineDefaultPolicy(t *testing.T) {
 
 	// The tighter of the two constraints governs.
 	d = e.Decide(st(StateCPULoad, 99, StatePageFaults, 35))
-	cpuOnly := PacketsFromCPULoad(99, 16)
+	cpuOnly := (Params{MaxPackets: 16}).PacketsFromCPULoad(99)
 	if d.EffectiveBudget(16) != cpuOnly {
 		t.Errorf("min composition: %d, want %d", d.EffectiveBudget(16), cpuOnly)
 	}
@@ -194,7 +194,7 @@ func TestEnginePriorityAndValidation(t *testing.T) {
 	if err := e.AddRule(Rule{Name: "x"}); err == nil {
 		t.Error("actionless rule accepted")
 	}
-	if New(nil).Contract() == nil {
+	if New(nil).contract == nil {
 		t.Error("nil contract should default to empty contract")
 	}
 }
@@ -215,8 +215,8 @@ func TestQuickBudgetMonotone(t *testing.T) {
 		if maxPackets < 1 {
 			maxPackets = 1
 		}
-		return PacketsFromPageFaults(a, maxPackets) >= PacketsFromPageFaults(b, maxPackets) &&
-			PacketsFromCPULoad(a, maxPackets) >= PacketsFromCPULoad(b, maxPackets)
+		return (Params{MaxPackets: maxPackets}).PacketsFromPageFaults(a) >= (Params{MaxPackets: maxPackets}).PacketsFromPageFaults(b) &&
+			(Params{MaxPackets: maxPackets}).PacketsFromCPULoad(a) >= (Params{MaxPackets: maxPackets}).PacketsFromCPULoad(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestLossRules(t *testing.T) {
 
 	// Loss composes with CPU pressure by minimum.
 	d = e.Decide(st(StateLoss, 0.25, StateCPULoad, 95))
-	cpuBudget := PacketsFromCPULoad(95, 16)
+	cpuBudget := (Params{MaxPackets: 16}).PacketsFromCPULoad(95)
 	if got := d.EffectiveBudget(16); got != cpuBudget {
 		t.Errorf("composed budget = %d, want %d (cpu tighter)", got, cpuBudget)
 	}

@@ -42,15 +42,6 @@ var (
 	ctrReindex    = metrics.C(metrics.CtrMatchIndexReindex)
 )
 
-// CountFallback adds n brute-force evaluations to the fallback
-// counter; the registry calls it when a FullScan plan (or a disabled
-// index) routes a match through the per-client evaluator.
-func CountFallback(n int) {
-	if n > 0 {
-		ctrFallback.Add(uint64(n))
-	}
-}
-
 // Lookup resolves a client's current flattened attribute view and its
 // generation (profile version).  The registry's FlatSnapshot has this
 // exact shape; the returned map is immutable by contract.
@@ -157,13 +148,6 @@ func (s *Shard) Invalidate(id string) {
 	}
 	s.dirty[id] = struct{}{}
 	s.mu.Unlock()
-}
-
-// Len returns the number of indexed clients (diagnostics, tests).
-func (s *Shard) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.clients)
 }
 
 func (s *Shard) removeLocked(id string, e *clientEntry) {

@@ -282,8 +282,8 @@ func TestRemovalDropsPostings(t *testing.T) {
 			t.Fatal("departed client still matched")
 		}
 	}
-	if s.Len() != len(pop) {
-		t.Errorf("Len() = %d, want %d", s.Len(), len(pop))
+	if len(s.clients) != len(pop) {
+		t.Errorf("%d indexed clients, want %d", len(s.clients), len(pop))
 	}
 }
 

@@ -166,10 +166,10 @@ func TestQuickIndexEquivalence(t *testing.T) {
 			for m := 0; m < 3; m++ {
 				id := fmt.Sprintf("w%d", r.Intn(len(flats)))
 				v := quickValue(r)
-				if _, err := indexed.UpdateState(id, "sir", v); err != nil {
+				if err := indexed.UpdateStates(id, []profile.StateKV{{Name: "sir", V: v}}); err != nil {
 					continue
 				}
-				if _, err := brute.UpdateState(id, "sir", v); err != nil {
+				if err := brute.UpdateStates(id, []profile.StateKV{{Name: "sir", V: v}}); err != nil {
 					continue
 				}
 				p, _ := indexed.Get(id)
@@ -177,16 +177,11 @@ func TestQuickIndexEquivalence(t *testing.T) {
 			}
 		}
 
-		// MatchAll must agree with MatchIDs on the surviving state.
+		// And again on the surviving state.
 		sel := selector.FromExpr(quickExpr(r, 2))
 		want := bruteMatch(flats, sel)
-		got := make([]string, 0, len(want))
-		for _, p := range indexed.MatchAll(sel) {
-			got = append(got, p.ID)
-		}
-		sort.Strings(got)
-		if !idsEqual(got, want) {
-			t.Logf("seed %d: MatchAll mismatch for %q:\n got %v\nwant %v", seed, sel.Source(), got, want)
+		if got := sortedMatchIDs(indexed, sel); !idsEqual(got, want) {
+			t.Logf("seed %d: mismatch after mutations for %q:\n got %v\nwant %v", seed, sel.Source(), got, want)
 			return false
 		}
 		return true

@@ -28,15 +28,6 @@ func EncodeColorImage(im *wavelet.ColorImage, description string) (*Object, erro
 	}, nil
 }
 
-// DecodeColorImage reconstructs the color raster from an object (any
-// prefix of the progressive stream).
-func DecodeColorImage(o *Object) (*wavelet.ColorDecodeResult, error) {
-	if o.Kind != KindImage || o.Format != FormatEZWColor {
-		return nil, fmt.Errorf("%w: %s", ErrBadInput, o)
-	}
-	return wavelet.DecodeColor(o.Data)
-}
-
 // IsColor reports whether an object carries color visual content.
 func IsColor(o *Object) bool {
 	return o.Kind == KindImage && o.Format == FormatEZWColor

@@ -26,17 +26,14 @@ func TestEncodeDecodeColorObject(t *testing.T) {
 	if !IsColor(obj) || obj.Format != FormatEZWColor {
 		t.Errorf("object: %+v", obj)
 	}
-	res, err := DecodeColorImage(obj)
+	res, err := decodeColorImage(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Lossless || !res.Image.Equal(im) {
 		t.Error("full color object should decode losslessly")
 	}
-	if _, err := DecodeColorImage(NewText("x")); !errors.Is(err, ErrBadInput) {
-		t.Errorf("decode text as color: %v", err)
-	}
-	if IsColor(NewText("x")) {
+	if IsColor(newText("x")) {
 		t.Error("text is not color")
 	}
 }
@@ -53,7 +50,7 @@ func TestToGrayscale(t *testing.T) {
 	if gray.Description != obj.Description {
 		t.Error("description lost in B/W transformation")
 	}
-	res, err := DecodeImage(gray)
+	res, err := decodeImage(gray)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +67,15 @@ func TestToGrayscale(t *testing.T) {
 	if gray.Data[0] == '!' {
 		t.Error("identity grayscale aliases input")
 	}
-	if _, err := ToGrayscale(NewText("x")); !errors.Is(err, ErrBadInput) {
+	if _, err := ToGrayscale(newText("x")); !errors.Is(err, ErrBadInput) {
 		t.Errorf("grayscale of text: %v", err)
 	}
 
 	// The registered module form.
 	reg := DefaultRegistry()
-	mod, err := reg.Get("color-to-grayscale")
-	if err != nil {
-		t.Fatal(err)
+	mod := reg.byName["color-to-grayscale"]
+	if mod == nil {
+		t.Fatal("color-to-grayscale not registered")
 	}
 	out, err := mod.Transform(obj)
 	if err != nil || out.Format != FormatEZW {
@@ -90,7 +87,7 @@ func TestToGrayscale(t *testing.T) {
 // copy: decode all three planes, take the clamped luma, code it again.
 func referenceGrayscale(t *testing.T, o *Object) *Object {
 	t.Helper()
-	res, err := DecodeColorImage(o)
+	res, err := decodeColorImage(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +131,11 @@ func TestToGrayscaleIsTheLumaPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := referenceGrayscale(t, cut)
-	a, err := DecodeImage(got)
+	a, err := decodeImage(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DecodeImage(want)
+	b, err := decodeImage(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +180,7 @@ func TestGradateColor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DecodeColorImage(reduced)
+	res, err := decodeColorImage(reduced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +210,7 @@ func TestColorSketchSkipsTheGrayscaleRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := DecodeImage(gray)
+		res, err := decodeImage(gray)
 		if err != nil {
 			t.Fatal(err)
 		}

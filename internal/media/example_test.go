@@ -47,7 +47,7 @@ func ExampleGradate() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := media.DecodeImage(reduced)
+	res, err := wavelet.Decode(reduced.Data)
 	if err != nil {
 		panic(err)
 	}

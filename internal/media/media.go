@@ -94,9 +94,8 @@ func (o *Object) String() string {
 
 // Transformation errors.
 var (
-	ErrNoPath       = errors.New("media: no transformation path")
-	ErrBadInput     = errors.New("media: input does not match transformer")
-	ErrUnregistered = errors.New("media: transformer not registered")
+	ErrNoPath   = errors.New("media: no transformation path")
+	ErrBadInput = errors.New("media: input does not match transformer")
 )
 
 // Transformer converts objects between modalities or formats.
@@ -141,24 +140,6 @@ func DefaultRegistry() *Registry {
 func (r *Registry) Register(t Transformer) {
 	r.byName[t.Name()] = t
 	r.byEdge[t.From()] = append(r.byEdge[t.From()], t)
-}
-
-// Get looks up a module by name.
-func (r *Registry) Get(name string) (Transformer, error) {
-	t, ok := r.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnregistered, name)
-	}
-	return t, nil
-}
-
-// Names returns the registered module names (unordered).
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Path finds the shortest transformation chain from one modality to
@@ -211,10 +192,4 @@ func (r *Registry) Transmode(in *Object, to Kind) (*Object, error) {
 		out = in.Clone()
 	}
 	return out, nil
-}
-
-// CanReach reports whether a transformation path exists.
-func (r *Registry) CanReach(from, to Kind) bool {
-	_, err := r.Path(from, to)
-	return err == nil
 }

@@ -28,15 +28,12 @@ func TestEncodeDecodeImageObject(t *testing.T) {
 	if obj.Kind != KindImage || obj.Format != FormatEZW || obj.Width != 48 {
 		t.Errorf("object: %+v", obj)
 	}
-	res, err := DecodeImage(obj)
+	res, err := decodeImage(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Lossless || !res.Image.Equal(im) {
 		t.Error("full image object should decode losslessly")
-	}
-	if _, err := DecodeImage(NewText("nope")); !errors.Is(err, ErrBadInput) {
-		t.Errorf("decode non-image: %v", err)
 	}
 
 	attrs := obj.Attrs()
@@ -60,7 +57,7 @@ func TestGradate(t *testing.T) {
 		t.Errorf("gradated size = %d, want %d", half.Size(), full/2)
 	}
 	// The gradated prefix still decodes.
-	res, err := DecodeImage(half)
+	res, err := decodeImage(half)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +82,11 @@ func TestGradate(t *testing.T) {
 		t.Errorf("tiny budget: %d, %v", tiny.Size(), err)
 	}
 	// Text can't be gradated below its size.
-	if _, err := Gradate(NewText(strings.Repeat("a", 100)), 10); !errors.Is(err, ErrBadInput) {
+	if _, err := Gradate(newText(strings.Repeat("a", 100)), 10); !errors.Is(err, ErrBadInput) {
 		t.Errorf("gradate text: %v", err)
 	}
 	// ... but passes through if it fits.
-	if o, err := Gradate(NewText("hi"), 100); err != nil || string(o.Data) != "hi" {
+	if o, err := Gradate(newText("hi"), 100); err != nil || string(o.Data) != "hi" {
 		t.Errorf("gradate fitting text: %v", err)
 	}
 }
@@ -134,7 +131,7 @@ func TestImageToSketchToText(t *testing.T) {
 
 func TestSpeechRoundTrip(t *testing.T) {
 	reg := DefaultRegistry()
-	in := NewText("share the northeast quadrant of the site map")
+	in := newText("share the northeast quadrant of the site map")
 
 	sp, err := reg.Transmode(in, KindSpeech)
 	if err != nil {
@@ -203,29 +200,25 @@ func TestMultiHopPath(t *testing.T) {
 	if _, err := reg.Path(KindText, KindImage); !errors.Is(err, ErrNoPath) {
 		t.Errorf("text->image: %v", err)
 	}
-	if reg.CanReach(KindText, KindImage) {
+	if canReach(reg, KindText, KindImage) {
 		t.Error("CanReach text->image should be false")
 	}
-	if !reg.CanReach(KindImage, KindText) {
+	if !canReach(reg, KindImage, KindText) {
 		t.Error("CanReach image->text should be true")
 	}
 }
 
 func TestRegistryLookup(t *testing.T) {
 	reg := DefaultRegistry()
-	if len(reg.Names()) != 7 {
-		t.Errorf("names: %v", reg.Names())
+	if len(reg.byName) != 7 {
+		t.Errorf("modules: %v", reg.byName)
 	}
-	tr, err := reg.Get("text-to-speech")
-	if err != nil || tr.From() != KindText || tr.To() != KindSpeech {
-		t.Errorf("Get: %v, %v", tr, err)
-	}
-	if _, err := reg.Get("nope"); !errors.Is(err, ErrUnregistered) {
-		t.Errorf("missing module: %v", err)
+	tr := reg.byName["text-to-speech"]
+	if tr == nil || tr.From() != KindText || tr.To() != KindSpeech {
+		t.Errorf("text-to-speech: %v", tr)
 	}
 	// Every registered transformer rejects wrong-kind input.
-	for _, name := range reg.Names() {
-		tr, _ := reg.Get(name)
+	for name, tr := range reg.byName {
 		wrong := &Object{Kind: KindVideo, Format: "x", Data: []byte("x")}
 		if _, err := tr.Transform(wrong); err == nil {
 			t.Errorf("%s accepted video input", name)
@@ -241,7 +234,7 @@ func TestQuickTextSpeechRoundTrip(t *testing.T) {
 		if len(s) > 10000 {
 			s = s[:10000]
 		}
-		sp, err := reg.Transmode(NewText(s), KindSpeech)
+		sp, err := reg.Transmode(newText(s), KindSpeech)
 		if err != nil {
 			return false
 		}
@@ -276,10 +269,27 @@ func TestQuickGradatePrefixDecodes(t *testing.T) {
 		if g.Size() > obj.Size() {
 			return false
 		}
-		res, err := DecodeImage(g)
+		res, err := decodeImage(g)
 		return err == nil && res.Image.W == 32 && res.Image.H == 32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Test-side conveniences over the package's objects.
+
+func newText(s string) *Object {
+	return &Object{Kind: KindText, Format: FormatText, Data: []byte(s), Description: s}
+}
+
+func decodeImage(o *Object) (*wavelet.DecodeResult, error) { return wavelet.Decode(o.Data) }
+
+func decodeColorImage(o *Object) (*wavelet.ColorDecodeResult, error) {
+	return wavelet.DecodeColor(o.Data)
+}
+
+func canReach(r *Registry, from, to Kind) bool {
+	_, err := r.Path(from, to)
+	return err == nil
 }

@@ -3,7 +3,6 @@ package media
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"adaptiveqos/internal/wavelet"
 )
@@ -36,15 +35,6 @@ func EncodeImage(im *wavelet.Image, description string) (*Object, error) {
 		Width:       im.W,
 		Height:      im.H,
 	}, nil
-}
-
-// DecodeImage reconstructs the raster from an image object (any
-// prefix of the progressive stream).
-func DecodeImage(o *Object) (*wavelet.DecodeResult, error) {
-	if o.Kind != KindImage || o.Format != FormatEZW {
-		return nil, fmt.Errorf("%w: %s", ErrBadInput, o)
-	}
-	return wavelet.Decode(o.Data)
 }
 
 // isProgressiveImage reports whether o holds an embedded wavelet
@@ -243,16 +233,4 @@ func (SpeechToText) Transform(in *Object) (*Object, error) {
 	}
 	text := string(in.Data[8 : 8+n])
 	return &Object{Kind: KindText, Format: FormatText, Data: []byte(text), Description: in.Description}, nil
-}
-
-// NewText builds a text object.
-func NewText(s string) *Object {
-	return &Object{Kind: KindText, Format: FormatText, Data: []byte(s), Description: firstLine(s)}
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

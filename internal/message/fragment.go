@@ -72,11 +72,6 @@ func Split(msgID uint64, payload []byte, mtu int) ([]Fragment, error) {
 	return frags, nil
 }
 
-// Marshal encodes the fragment (header + chunk).
-func (f *Fragment) Marshal() []byte {
-	return f.AppendMarshal(make([]byte, 0, fragHeaderLen+len(f.Chunk)))
-}
-
 // AppendMarshal encodes the fragment, appending to dst and returning
 // the extended slice.  The envelope path marshals straight into each
 // outbound datagram buffer, avoiding an intermediate allocation per
@@ -117,12 +112,6 @@ func parseFragment(frame []byte) (Fragment, error) {
 
 // Reassembler collects fragments for any number of concurrent messages
 // and yields complete payloads.  It is safe for concurrent use.
-//
-// The progressive-image receive path intentionally consumes prefixes:
-// PartialPayload returns the contiguous prefix received so far, which
-// for prefix-decodable encodings (the wavelet coder) is directly
-// renderable — the mechanism behind "the resolution threshold
-// determines the number of image packets to be received".
 type Reassembler struct {
 	mu      sync.Mutex
 	pending map[uint64]*pendingMsg
@@ -190,42 +179,6 @@ func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 	}
 	delete(r.pending, f.MsgID)
 	return out, true, nil
-}
-
-// PartialPayload returns the contiguous prefix (fragments 0..k-1)
-// received so far for msgID and the number k of contiguous fragments.
-func (r *Reassembler) PartialPayload(msgID uint64) ([]byte, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	pm, ok := r.pending[msgID]
-	if !ok {
-		return nil, 0
-	}
-	var out []byte
-	k := 0
-	for i := uint16(0); i < pm.count; i++ {
-		c, ok := pm.chunks[i]
-		if !ok {
-			break
-		}
-		out = append(out, c...)
-		k++
-	}
-	return out, k
-}
-
-// Pending returns the number of incomplete messages being tracked.
-func (r *Reassembler) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.pending)
-}
-
-// Discard drops any partial state for msgID.
-func (r *Reassembler) Discard(msgID uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.pending, msgID)
 }
 
 // evictLocked drops the least-complete pending message to bound memory

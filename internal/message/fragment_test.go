@@ -24,8 +24,8 @@ func TestSplitBasic(t *testing.T) {
 		if f.MsgID != 7 || int(f.Index) != i || int(f.Count) != wantCount {
 			t.Errorf("fragment %d header: %+v", i, f)
 		}
-		if len(f.Marshal()) > 128 {
-			t.Errorf("fragment %d exceeds MTU: %d", i, len(f.Marshal()))
+		if len(f.AppendMarshal(nil)) > 128 {
+			t.Errorf("fragment %d exceeds MTU: %d", i, len(f.AppendMarshal(nil)))
 		}
 		total += len(f.Chunk)
 	}
@@ -55,7 +55,7 @@ func TestSplitEdgeCases(t *testing.T) {
 
 func TestFragmentMarshalRoundTrip(t *testing.T) {
 	f := Fragment{MsgID: 123456789, Index: 3, Count: 9, Chunk: []byte("hello")}
-	got, err := parseFragment(f.Marshal())
+	got, err := parseFragment(f.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +67,12 @@ func TestFragmentMarshalRoundTrip(t *testing.T) {
 	if _, err := parseFragment(nil); !errors.Is(err, ErrFragHeader) {
 		t.Errorf("nil frame: %v", err)
 	}
-	frame := f.Marshal()
+	frame := f.AppendMarshal(nil)
 	if _, err := parseFragment(frame[:len(frame)-1]); !errors.Is(err, ErrFragHeader) {
 		t.Errorf("short frame: %v", err)
 	}
 	bad := Fragment{MsgID: 1, Index: 5, Count: 5, Chunk: nil} // index >= count
-	if _, err := parseFragment(bad.Marshal()); !errors.Is(err, ErrFragHeader) {
+	if _, err := parseFragment(bad.AppendMarshal(nil)); !errors.Is(err, ErrFragHeader) {
 		t.Errorf("bad index: %v", err)
 	}
 }
@@ -96,8 +96,8 @@ func TestReassemblerInOrder(t *testing.T) {
 			}
 		}
 	}
-	if r.Pending() != 0 {
-		t.Errorf("pending = %d after completion", r.Pending())
+	if len(r.pending) != 0 {
+		t.Errorf("pending = %d after completion", len(r.pending))
 	}
 }
 
@@ -131,37 +131,6 @@ func TestReassemblerReorderAndDuplicates(t *testing.T) {
 	}
 }
 
-func TestReassemblerPartialPrefix(t *testing.T) {
-	payload := []byte("AAAABBBBCCCCDDDD")
-	frags, _ := Split(4, payload, fragHeaderLen+4)
-	if len(frags) != 4 {
-		t.Fatalf("want 4 fragments, got %d", len(frags))
-	}
-	r := NewReassembler()
-	r.Add(frags[0])
-	r.Add(frags[2]) // gap at 1: prefix stops after fragment 0
-
-	prefix, k := r.PartialPayload(4)
-	if k != 1 || string(prefix) != "AAAA" {
-		t.Errorf("prefix = %q (k=%d), want AAAA (k=1)", prefix, k)
-	}
-
-	r.Add(frags[1])
-	prefix, k = r.PartialPayload(4)
-	if k != 3 || string(prefix) != "AAAABBBBCCCC" {
-		t.Errorf("prefix = %q (k=%d), want 3 fragments", prefix, k)
-	}
-
-	if p, k := r.PartialPayload(999); p != nil || k != 0 {
-		t.Error("unknown msgID should yield empty prefix")
-	}
-
-	r.Discard(4)
-	if r.Pending() != 0 {
-		t.Error("Discard did not release state")
-	}
-}
-
 func TestReassemblerMismatchAndValidation(t *testing.T) {
 	r := NewReassembler()
 	r.Add(Fragment{MsgID: 1, Index: 0, Count: 3, Chunk: []byte("a")})
@@ -185,18 +154,18 @@ func TestReassemblerEviction(t *testing.T) {
 			r.Add(Fragment{MsgID: id, Index: i, Count: 10, Chunk: []byte{byte(id)}})
 		}
 	}
-	if r.Pending() != 4 {
-		t.Fatalf("pending = %d", r.Pending())
+	if len(r.pending) != 4 {
+		t.Fatalf("pending = %d", len(r.pending))
 	}
 	// A fifth message forces eviction of the least-complete (msg 1).
 	r.Add(Fragment{MsgID: 5, Index: 0, Count: 2, Chunk: []byte("x")})
-	if r.Pending() != 4 {
-		t.Fatalf("pending after eviction = %d", r.Pending())
+	if len(r.pending) != 4 {
+		t.Fatalf("pending after eviction = %d", len(r.pending))
 	}
-	if _, k := r.PartialPayload(1); k != 0 {
+	if r.pending[1] != nil {
 		t.Error("least-complete message should have been evicted")
 	}
-	if _, k := r.PartialPayload(4); k == 0 {
+	if r.pending[4] == nil {
 		t.Error("most-complete message should survive eviction")
 	}
 }
@@ -247,7 +216,7 @@ func TestQuickFragmentMarshalRoundTrip(t *testing.T) {
 			Count: count,
 			Chunk: randBytes(r, 300),
 		}
-		got, err := parseFragment(fr.Marshal())
+		got, err := parseFragment(fr.AppendMarshal(nil))
 		return err == nil && got.MsgID == fr.MsgID && got.Index == fr.Index &&
 			got.Count == fr.Count && bytes.Equal(got.Chunk, fr.Chunk)
 	}

@@ -127,14 +127,6 @@ func (m *Message) Attr(name string) (selector.Value, bool) {
 	return v, ok
 }
 
-// Clone returns a deep copy of the message.
-func (m *Message) Clone() *Message {
-	c := *m
-	c.Attrs = m.Attrs.Clone()
-	c.Body = append([]byte(nil), m.Body...)
-	return &c
-}
-
 // String renders a compact description for logs.
 func (m *Message) String() string {
 	return fmt.Sprintf("msg(%s from=%s seq=%d sel=%q attrs=%s body=%dB)",
@@ -146,12 +138,8 @@ const (
 	// AttrMedia is the media type: "text", "image", "sketch", "speech",
 	// "video", "stroke", ...
 	AttrMedia = "media"
-	// AttrEncoding is the content encoding (e.g. "MPEG2", "JPEG", "ezw").
-	AttrEncoding = "encoding"
 	// AttrSize is the full content size in bytes.
 	AttrSize = "size"
-	// AttrColor marks color (vs. monochrome) visual content.
-	AttrColor = "color"
 	// AttrApp is the originating application ("chat", "whiteboard",
 	// "imageviewer").
 	AttrApp = "app"
@@ -160,6 +148,4 @@ const (
 	// AttrLevel is the progressive refinement level of a data fragment
 	// (0 = sketch/base layer).
 	AttrLevel = "level"
-	// AttrSession names the collaboration session/group.
-	AttrSession = "session"
 )

@@ -300,7 +300,8 @@ func TestMessageBodyAliasesFrame(t *testing.T) {
 	}
 	in := new(Interner)
 	m := v.Message(in)
-	want := m.Clone()
+	want := *m
+	want.Attrs, want.Body = m.Attrs.Clone(), bytes.Clone(m.Body)
 	if !within(m.Body, frame) || cap(m.Body) != len(m.Body) {
 		t.Fatalf("body (len %d, cap %d) is not a clipped slice of the frame", len(m.Body), cap(m.Body))
 	}
@@ -316,7 +317,7 @@ func TestMessageBodyAliasesFrame(t *testing.T) {
 		t.Error("body did not alias the frame")
 	}
 	m.Body = want.Body // everything but the body must have survived the scribble
-	if !sameMessage(m, want) || m.Sender != "wired-0" || m.Attrs[AttrApp].Str() != "chat" {
+	if !sameMessage(m, &want) || m.Sender != "wired-0" || m.Attrs[AttrApp].Str() != "chat" {
 		t.Errorf("message changed with the frame it was made from: %v", m)
 	}
 	if again := in.String([]byte("wired-0")); again != "wired-0" {

@@ -1,9 +1,6 @@
 package metrics
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,22 +76,6 @@ func (s *CounterSet) Snapshot() map[string]uint64 {
 		out[name] = c.Load()
 	}
 	return out
-}
-
-// Render writes the counters as "name value" lines in sorted order.
-func (s *CounterSet) Render(w io.Writer) error {
-	snap := s.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&sb, "%s %d\n", name, snap[name])
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
 }
 
 // defaultCounters is the process-global registry the substrate's fast

@@ -26,19 +26,6 @@ func (s *Series) Add(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// Len returns the sample count.
-func (s *Series) Len() int { return len(s.X) }
-
-// YAt returns the y value for the first sample at x (NaN if absent).
-func (s *Series) YAt(x float64) float64 {
-	for i, xv := range s.X {
-		if xv == x {
-			return s.Y[i]
-		}
-	}
-	return math.NaN()
-}
-
 // xIndex builds a map from x value to the index of its first sample.
 // Renderers build this once per series per render so each cell lookup
 // is O(1) instead of a linear scan over the series.
@@ -50,53 +37,6 @@ func (s *Series) xIndex() map[float64]int {
 		}
 	}
 	return idx
-}
-
-// Summary describes a series' y values.
-type Summary struct {
-	Count          int
-	Min, Max, Mean float64
-}
-
-// Summarize computes a summary of the series' y values.
-func (s *Series) Summarize() Summary {
-	if len(s.Y) == 0 {
-		return Summary{}
-	}
-	out := Summary{Count: len(s.Y), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, y := range s.Y {
-		if y < out.Min {
-			out.Min = y
-		}
-		if y > out.Max {
-			out.Max = y
-		}
-		sum += y
-	}
-	out.Mean = sum / float64(len(s.Y))
-	return out
-}
-
-// MonotoneNonIncreasing reports whether y never rises along the series
-// (within tolerance eps) — the shape check used for the Fig 6/7 curves.
-func (s *Series) MonotoneNonIncreasing(eps float64) bool {
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] > s.Y[i-1]+eps {
-			return false
-		}
-	}
-	return true
-}
-
-// MonotoneNonDecreasing reports whether y never falls along the series.
-func (s *Series) MonotoneNonDecreasing(eps float64) bool {
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] < s.Y[i-1]-eps {
-			return false
-		}
-	}
-	return true
 }
 
 // Table collects series sharing an x axis and renders them as an
@@ -129,17 +69,6 @@ func (t *Table) Series(name string) *Series {
 // Add appends y under the named series at x.
 func (t *Table) Add(name string, x, y float64) {
 	t.Series(name).Add(x, y)
-}
-
-// SeriesNames lists the series in insertion order.
-func (t *Table) SeriesNames() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, len(t.series))
-	for i, s := range t.series {
-		names[i] = s.Name
-	}
-	return names
 }
 
 // axisLocked returns the distinct x values in ascending order plus one

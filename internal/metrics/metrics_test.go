@@ -11,34 +11,11 @@ func TestSeries(t *testing.T) {
 	s.Add(1, 10)
 	s.Add(2, 8)
 	s.Add(3, 8)
-	if s.Len() != 3 {
-		t.Errorf("len = %d", s.Len())
+	if len(s.X) != 3 || len(s.Y) != 3 || s.X[1] != 2 || s.Y[1] != 8 {
+		t.Errorf("samples: %v %v", s.X, s.Y)
 	}
-	if s.YAt(2) != 8 {
-		t.Errorf("YAt(2) = %g", s.YAt(2))
-	}
-	if !math.IsNaN(s.YAt(99)) {
-		t.Error("missing x should be NaN")
-	}
-	sum := s.Summarize()
-	if sum.Count != 3 || sum.Min != 8 || sum.Max != 10 || math.Abs(sum.Mean-26.0/3) > 1e-9 {
-		t.Errorf("summary: %+v", sum)
-	}
-	if !s.MonotoneNonIncreasing(0) {
-		t.Error("series is non-increasing")
-	}
-	if s.MonotoneNonDecreasing(0) {
-		t.Error("series is not non-decreasing")
-	}
-	s.Add(4, 9)
-	if s.MonotoneNonIncreasing(0) {
-		t.Error("rise should break monotonicity")
-	}
-	if !s.MonotoneNonIncreasing(1.5) {
-		t.Error("rise within eps should pass")
-	}
-	if (&Series{}).Summarize().Count != 0 {
-		t.Error("empty summary")
+	if idx := s.xIndex(); idx[3] != 2 || len(idx) != 3 {
+		t.Errorf("xIndex: %v", idx)
 	}
 }
 
@@ -66,19 +43,18 @@ func TestTableRender(t *testing.T) {
 		t.Errorf("row 100: %q", lines[2])
 	}
 
-	names := tb.SeriesNames()
-	if len(names) != 3 || names[0] != "packets" || names[2] != "cr" {
-		t.Errorf("names: %v", names)
+	if len(tb.series) != 3 || tb.series[0].Name != "packets" || tb.series[2].Name != "cr" {
+		t.Errorf("series order: %v", tb.series)
 	}
 	// Series identity: same name returns same series.
 	tb.Series("packets").Add(50, 8)
-	if tb.Series("packets").Len() != 3 {
+	if len(tb.Series("packets").X) != 3 {
 		t.Error("Series should return the same instance")
 	}
 }
 
-// Rendering must agree with YAt semantics (first sample at x wins) now
-// that renderers use a per-series x→index map instead of scanning.
+// The first sample at an x wins when rendering (renderers use a
+// per-series x→index map).
 func TestRenderMatchesYAt(t *testing.T) {
 	tb := NewTable("x")
 	s := tb.Series("dup")
@@ -109,7 +85,7 @@ func TestRenderMatchesYAt(t *testing.T) {
 }
 
 // Large-table render should scale linearly in rows; this is a sanity
-// bound, not a benchmark — quadratic YAt scans blew well past it.
+// bound, not a benchmark — quadratic per-cell scans blew well past it.
 func TestRenderLargeTable(t *testing.T) {
 	tb := NewTable("x")
 	const rows = 2000

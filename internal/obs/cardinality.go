@@ -22,17 +22,6 @@ var gaugeCardLimit atomic.Int64
 // gaugeDropped counts sets/lookups folded into an overflow aggregate.
 var gaugeDropped = metrics.C(metrics.CtrGaugeCardinalityDropped)
 
-// SetGaugeCardinalityLimit changes the per-family labeled-gauge cap;
-// n <= 0 removes the cap.  Lowering the limit does not evict gauges
-// already registered — it only stops new label sets from registering.
-func SetGaugeCardinalityLimit(n int) {
-	if n <= 0 {
-		gaugeCardLimit.Store(-1)
-		return
-	}
-	gaugeCardLimit.Store(int64(n))
-}
-
 // GaugeCardinalityLimit reports the active per-family cap (0 when
 // uncapped).
 func GaugeCardinalityLimit() int {

@@ -16,18 +16,6 @@ var clk atomic.Pointer[clockBox]
 
 type clockBox struct{ c clock.Clock }
 
-// SetClock pins all obs timestamps (spans, events, hops, recorder
-// headers, collector samples) to c; nil restores the wall clock.
-// Like SetEnabled, it is a process-wide switch intended for startup or
-// simulation harnesses, not per-request use.
-func SetClock(c clock.Clock) {
-	if c == nil {
-		clk.Store(nil)
-		return
-	}
-	clk.Store(&clockBox{c: c})
-}
-
 // nowNS is the single timestamp source for the package.
 func nowNS() int64 {
 	if b := clk.Load(); b != nil {

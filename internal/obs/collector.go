@@ -41,19 +41,6 @@ func (c *Collector) Register(fn SamplerFunc) {
 	c.samplers = append(c.samplers, fn)
 }
 
-// SetInterval changes the sampling cadence (d <= 0 means 1s).  Safe
-// while running: the loop re-arms its timer with the current interval
-// after every fire, so the change takes effect from the next tick
-// without a restart.
-func (c *Collector) SetInterval(d time.Duration) {
-	if d <= 0 {
-		d = time.Second
-	}
-	c.mu.Lock()
-	c.interval = d
-	c.mu.Unlock()
-}
-
 // Interval reports the current sampling cadence.
 func (c *Collector) Interval() time.Duration {
 	c.mu.Lock()

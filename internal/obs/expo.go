@@ -362,9 +362,6 @@ const serveReadHeaderTimeout = 5 * time.Second
 // shutdownGrace bounds how long Close waits for in-flight scrapes.
 const shutdownGrace = 2 * time.Second
 
-// Addr returns the listener's address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
 // Close shuts the endpoint down gracefully: the listener stops
 // accepting, in-flight responses get shutdownGrace to complete, then
 // remaining connections are torn down.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // numBuckets covers the full uint64 nanosecond range in powers of two:
@@ -55,9 +54,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[bucketIndex(uint64(v))].Add(1)
 	h.sum.Add(uint64(v))
 }
-
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {

@@ -91,22 +91,6 @@ func H(name string) *Histogram {
 	return h
 }
 
-// G returns (creating on demand) the named gauge.  Labeled names
-// (`slo_state{client="w0"}`) count against their family's cardinality
-// cap: past the cap the returned gauge is detached — callers keep a
-// working handle, but its values are never exposed (the family's
-// _overflow aggregates carry the spread instead).
-func G(name string) *Gauge {
-	reg.mu.Lock()
-	g, _ := gaugeForLocked(name)
-	reg.mu.Unlock()
-	if g == nil {
-		gaugeDropped.Inc()
-		g = &Gauge{}
-	}
-	return g
-}
-
 // gaugeForLocked resolves name to a registered gauge, creating it on
 // demand within the family cardinality cap.  Past the cap it returns
 // (nil, family) so the caller can fold the value into the family's

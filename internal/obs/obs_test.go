@@ -150,7 +150,7 @@ func TestRingOverwriteOldest(t *testing.T) {
 
 func TestGaugesAndRegistry(t *testing.T) {
 	SetGauge(`test_gauge{x="1"}`, 2.5)
-	if got := G(`test_gauge{x="1"}`).Load(); got != 2.5 {
+	if got := Gauges()[`test_gauge{x="1"}`]; got != 2.5 {
 		t.Errorf("gauge = %g", got)
 	}
 	all := Gauges()
@@ -158,7 +158,7 @@ func TestGaugesAndRegistry(t *testing.T) {
 		t.Errorf("Gauges() = %v", all)
 	}
 	// Same name returns the same instance.
-	if G("same") != G("same") || H("same-h") != H("same-h") {
+	if H("same-h") != H("same-h") {
 		t.Error("registry should intern by name")
 	}
 	H("same-h").Observe(5)
@@ -178,7 +178,7 @@ func TestCollector(t *testing.T) {
 		set("collector_test_gauge", 9)
 	})
 	c.SampleOnce()
-	if G("collector_test_gauge").Load() != 9 {
+	if Gauges()["collector_test_gauge"] != 9 {
 		t.Fatal("SampleOnce did not run the sampler")
 	}
 	c.Start()

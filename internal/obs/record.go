@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -279,11 +278,6 @@ func StopRecording() error {
 // /debug/trace queries spell it: 16 lowercase hex digits.
 func TraceHex(id uint64) string {
 	return fmt.Sprintf("%016x", id)
-}
-
-// ParseTraceHex reverses TraceHex.
-func ParseTraceHex(s string) (uint64, error) {
-	return strconv.ParseUint(s, 16, 64)
 }
 
 // Session is a loaded session record.

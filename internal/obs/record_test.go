@@ -54,8 +54,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 			t.Errorf("count[%s] = %d, want 1", typ, counts[typ])
 		}
 	}
-	if id, err := ParseTraceHex(sess.Events[0].Msg); err != nil || id != 0xabc {
-		t.Errorf("trace id round trip = %x, %v", id, err)
+	if got := sess.Events[0].Msg; got != TraceHex(0xabc) {
+		t.Errorf("recorded trace id = %q, want %q", got, TraceHex(0xabc))
 	}
 }
 

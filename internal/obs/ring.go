@@ -78,15 +78,6 @@ func (r *eventRing) snapshot(max int) []Event {
 	return out
 }
 
-func (r *eventRing) reset() {
-	r.mu.Lock()
-	r.next = 0
-	r.mu.Unlock()
-}
-
 // Events returns up to max most-recent trace events, oldest first
 // (max <= 0 returns every retained event).
 func Events(max int) []Event { return events.snapshot(max) }
-
-// ResetEvents clears the trace log (tests, debugging sessions).
-func ResetEvents() { events.reset() }

@@ -19,7 +19,7 @@ func TestServeAndGracefulClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	base := "http://" + srv.Addr()
+	base := "http://" + srv.ln.Addr().String()
 
 	resp, err := http.Get(base + "/debug")
 	if err != nil {

@@ -44,11 +44,15 @@ func TestManagerMatchesUsesMemoizedFlat(t *testing.T) {
 	m := NewManager("c1")
 	m.SetInterest("media", selector.S("image"))
 	sel := selector.MustCompile(`media == "image" and client == "c1"`)
-	if !m.Matches(sel) {
+	matches := func() bool { // as the receive kernel evaluates a frame's selector
+		flat, _ := m.FlatSnapshot()
+		return sel.Matches(flat)
+	}
+	if !matches() {
 		t.Fatal("expected match")
 	}
 	m.SetInterest("media", selector.S("text"))
-	if m.Matches(sel) {
+	if matches() {
 		t.Fatal("match survived an interest change")
 	}
 }
@@ -88,8 +92,8 @@ func TestManagerFlatSnapshotConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Version() != 4*300 {
-		t.Errorf("version = %d, want %d", m.Version(), 4*300)
+	if v := m.Snapshot().Version; v != 4*300 {
+		t.Errorf("version = %d, want %d", v, 4*300)
 	}
 }
 
@@ -108,23 +112,23 @@ func TestRegistryFlatSnapshot(t *testing.T) {
 		t.Error("repeated FlatSnapshot rebuilt the flattened view")
 	}
 
-	// UpdateState with a new value invalidates; equal value does not.
-	if _, err := r.UpdateState("a", "sir", selector.N(9)); err != nil {
+	// UpdateStates with a new value invalidates; equal value does not.
+	if _, err := r.UpdateStates("a", []StateKV{{Name: "sir", V: selector.N(9)}}); err != nil {
 		t.Fatal(err)
 	}
 	flat3, v3, _ := r.FlatSnapshot("a")
 	if v3 <= v1 || flat3["state.sir"].Num() != 9 {
 		t.Fatalf("post-update snapshot: v=%d flat=%v", v3, flat3)
 	}
-	if _, err := r.UpdateState("a", "sir", selector.N(9)); err != nil {
+	if _, err := r.UpdateStates("a", []StateKV{{Name: "sir", V: selector.N(9)}}); err != nil {
 		t.Fatal(err)
 	}
 	flat4, v4, _ := r.FlatSnapshot("a")
 	if v4 != v3 {
-		t.Error("equal-value UpdateState bumped the version")
+		t.Error("equal-value UpdateStates bumped the version")
 	}
 	if fmt.Sprintf("%p", flat3) != fmt.Sprintf("%p", flat4) {
-		t.Error("equal-value UpdateState invalidated the flattened view")
+		t.Error("equal-value UpdateStates invalidated the flattened view")
 	}
 
 	if _, _, ok := r.FlatSnapshot("missing"); ok {
@@ -136,7 +140,7 @@ func TestRegistryFlatSnapshot(t *testing.T) {
 	}
 }
 
-// Concurrent registry writers (UpdateState/Put) and flat readers must
+// Concurrent registry writers (UpdateStates/Put) and flat readers must
 // be race-free (run under -race).
 func TestRegistryFlatSnapshotConcurrent(t *testing.T) {
 	r := NewRegistry()
@@ -151,7 +155,7 @@ func TestRegistryFlatSnapshotConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := ids[(w+i)%len(ids)]
-				if _, err := r.UpdateState(id, "sir", selector.N(float64(i%7))); err != nil {
+				if _, err := r.UpdateStates(id, []StateKV{{Name: "sir", V: selector.N(float64(i % 7))}}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -17,7 +17,7 @@ var (
 )
 
 // Manager owns a client's profile, serializes mutations, assigns
-// monotonically increasing versions, and notifies watchers of changes.
+// monotonically increasing versions.
 // The profile is dynamic: it changes locally to reflect changes in the
 // client (interests, preferences) or in the observed system state.
 //
@@ -25,16 +25,14 @@ var (
 // (copy-on-write): Flatten is rebuilt at most once per mutation, not
 // once per delivered message.  See FlatSnapshot.
 type Manager struct {
-	mu       sync.RWMutex
-	p        *Profile
-	flat     selector.Attributes // memoized p.Flatten(); nil = stale
-	watchers map[int]chan *Profile
-	nextID   int
+	mu   sync.RWMutex
+	p    *Profile
+	flat selector.Attributes // memoized p.Flatten(); nil = stale
 }
 
 // NewManager creates a manager owning a fresh profile for id.
 func NewManager(id string) *Manager {
-	return &Manager{p: New(id), watchers: make(map[int]chan *Profile)}
+	return &Manager{p: New(id)}
 }
 
 // Snapshot returns an immutable deep copy of the current profile.
@@ -42,13 +40,6 @@ func (m *Manager) Snapshot() *Profile {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.p.Clone()
-}
-
-// Version returns the current profile version.
-func (m *Manager) Version() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.p.Version
 }
 
 // FlatSnapshot returns the flattened attribute view of the current
@@ -83,8 +74,8 @@ func (m *Manager) FlatSnapshot() (selector.Attributes, uint64) {
 }
 
 // Update applies fn to a copy of the profile under the manager's lock,
-// bumps the version, installs the result and notifies watchers.  fn
-// must not retain the profile.
+// bumps the version and installs the result.  fn must not retain the
+// profile.
 func (m *Manager) Update(fn func(*Profile)) *Profile {
 	m.mu.Lock()
 	next := m.p.Clone()
@@ -94,20 +85,7 @@ func (m *Manager) Update(fn func(*Profile)) *Profile {
 	m.p = next
 	m.flat = nil // stale; rebuilt lazily (readers keep the old map)
 	snap := next.Clone()
-	watchers := make([]chan *Profile, 0, len(m.watchers))
-	for _, ch := range m.watchers {
-		watchers = append(watchers, ch)
-	}
 	m.mu.Unlock()
-
-	for _, ch := range watchers {
-		// Non-blocking: a slow watcher drops intermediate versions and
-		// will observe the latest state on its next receive.
-		select {
-		case ch <- snap:
-		default:
-		}
-	}
 	return snap
 }
 
@@ -125,37 +103,6 @@ func (m *Manager) SetPreference(name string, v selector.Value) *Profile {
 // SetInterest updates a single interest attribute.
 func (m *Manager) SetInterest(name string, v selector.Value) *Profile {
 	return m.Update(func(p *Profile) { p.Interests[name] = v })
-}
-
-// Watch registers a watcher channel that receives profile snapshots
-// after each update.  The returned cancel function unregisters it and
-// closes the channel.  Snapshots may be dropped for slow receivers but
-// the last delivered snapshot is always at least as new as any dropped
-// one at the time of delivery.
-func (m *Manager) Watch() (<-chan *Profile, func()) {
-	m.mu.Lock()
-	id := m.nextID
-	m.nextID++
-	ch := make(chan *Profile, 4)
-	m.watchers[id] = ch
-	m.mu.Unlock()
-
-	cancel := func() {
-		m.mu.Lock()
-		if _, ok := m.watchers[id]; ok {
-			delete(m.watchers, id)
-			close(ch)
-		}
-		m.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-// Matches evaluates sel against the current profile using the memoized
-// flattened view.
-func (m *Manager) Matches(sel *selector.Selector) bool {
-	flat, _ := m.FlatSnapshot()
-	return sel.Matches(flat)
 }
 
 // Registry is a thread-safe collection of profiles indexed by client
@@ -181,11 +128,19 @@ func NewRegistry() *Registry {
 	return &Registry{profiles: make(map[string]*regEntry)}
 }
 
-// Put installs (or replaces) a profile snapshot.
+// Put installs (or replaces) a profile snapshot.  A profile built as a
+// literal may leave sections nil; the stored copy gets empty ones, so
+// state updates and holders of a Get copy can write into them.
 func (r *Registry) Put(p *Profile) {
+	c := p.Clone()
+	for _, section := range []*selector.Attributes{&c.Interests, &c.Preferences, &c.Capabilities, &c.State} {
+		if *section == nil {
+			*section = make(selector.Attributes)
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.profiles[p.ID] = &regEntry{p: p.Clone()}
+	r.profiles[p.ID] = &regEntry{p: c}
 }
 
 // Get returns a copy of the profile for id.
@@ -264,31 +219,10 @@ func (r *Registry) AppendIDs(dst []string) []string {
 	return dst
 }
 
-// MatchAll returns copies of every profile satisfying sel, evaluated
-// against the memoized flattened views.
-func (r *Registry) MatchAll(sel *selector.Selector) []*Profile {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []*Profile
-	for _, e := range r.profiles {
-		if e.flat == nil {
-			e.flat = e.p.Flatten()
-			ctrFlattenBuild.Inc()
-		} else {
-			ctrFlattenReuse.Inc()
-		}
-		if sel.Matches(e.flat) {
-			out = append(out, e.p.Clone())
-		}
-	}
-	return out
-}
-
 // MatchIDs returns the IDs of every profile satisfying sel, evaluated
-// against the memoized flattened views.  It is MatchAll without the
-// per-profile deep copy: the dispatch hot path only needs the IDs (and
-// resolves attributes through FlatSnapshot), so matching must not pay
-// a profile clone per matching client.
+// against the memoized flattened views.  IDs only: the dispatch hot
+// path resolves attributes through FlatSnapshot, so matching must not
+// pay a profile clone per matching client.
 func (r *Registry) MatchIDs(sel *selector.Selector) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -307,8 +241,7 @@ func (r *Registry) MatchIDs(sel *selector.Selector) []string {
 	return out
 }
 
-// StateKV pairs one state attribute with the value to install; the
-// batch form of UpdateState takes a slice of them.
+// StateKV pairs one state attribute with the value to install.
 type StateKV struct {
 	Name string
 	V    selector.Value
@@ -318,8 +251,9 @@ type StateKV struct {
 // profile in one lock pass, bumping the version at most once.  Values
 // equal to the stored ones are skipped; when every value is unchanged
 // the call is a no-op and the memoized flattened view stays valid —
-// the same cache-friendly contract as UpdateState, paid for with one
-// lock acquisition instead of len(kvs).  The returned bool reports
+// which keeps the relay fast path (Assess refreshes sir/distance/power
+// on every packet) cache-friendly when the radio geometry is
+// unchanged.  The returned bool reports
 // whether the profile actually changed (and so whether any derived
 // view — like the sharded registry's match index — must reindex it).
 func (r *Registry) UpdateStates(id string, kvs []StateKV) (bool, error) {
@@ -352,36 +286,4 @@ func (r *Registry) UpdateStates(id string, kvs []StateKV) (bool, error) {
 	}
 	r.profiles[id] = &regEntry{p: next}
 	return true, nil
-}
-
-// UpdateState mutates one state attribute of a registered profile in
-// place (bumping its version) and returns the new snapshot.  Writing a
-// value equal to the stored one is a no-op: the version does not bump
-// and the memoized flattened view stays valid, which keeps the relay
-// fast path (Assess refreshes sir/distance/power on every packet)
-// cache-friendly when the radio geometry is unchanged.
-func (r *Registry) UpdateState(id, name string, v selector.Value) (*Profile, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.profiles[id]
-	if !ok {
-		return nil, fmt.Errorf("profile: unknown client %q", id)
-	}
-	if old, ok := e.p.State[name]; ok && old.Equal(v) {
-		return e.p.Clone(), nil
-	}
-	// Copy-on-write on the State section only: the other sections are
-	// never mutated through the registry, so the new entry can share
-	// them with the one it replaces (Get/MatchAll hand out deep copies).
-	next := &Profile{
-		ID:           e.p.ID,
-		Interests:    e.p.Interests,
-		Preferences:  e.p.Preferences,
-		Capabilities: e.p.Capabilities,
-		State:        e.p.State.Clone(),
-		Version:      e.p.Version + 1,
-	}
-	next.State[name] = v
-	r.profiles[id] = &regEntry{p: next}
-	return next.Clone(), nil
 }

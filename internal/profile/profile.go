@@ -15,8 +15,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"adaptiveqos/internal/selector"
 )
@@ -111,53 +109,6 @@ func (p *Profile) Flatten() selector.Attributes {
 // Matches reports whether the selector is satisfied by this profile.
 func (p *Profile) Matches(sel *selector.Selector) bool {
 	return sel.Matches(p.Flatten())
-}
-
-// TransformCapabilityKey returns the capability attribute name that
-// advertises an available from→to transformation, e.g.
-// "transform.MPEG2.JPEG" or "transform.image.text".
-func TransformCapabilityKey(from, to string) string {
-	return "transform." + from + "." + to
-}
-
-// CanTransform reports whether the profile advertises a from→to
-// transformation capability.
-func (p *Profile) CanTransform(from, to string) bool {
-	v, ok := p.Capabilities[TransformCapabilityKey(from, to)]
-	return ok && (v.Kind() != selector.KindBool || v.Bool())
-}
-
-// SetTransform advertises (or revokes) a from→to transformation
-// capability on the profile.
-func (p *Profile) SetTransform(from, to string, ok bool) {
-	key := TransformCapabilityKey(from, to)
-	if ok {
-		p.Capabilities[key] = selector.B(true)
-	} else {
-		delete(p.Capabilities, key)
-	}
-}
-
-// ReachableFormats returns from plus every format the profile can reach
-// from it through a single advertised transformation, sorted.
-func (p *Profile) ReachableFormats(from string) []string {
-	set := map[string]bool{from: true}
-	prefix := "transform." + from + "."
-	for k, v := range p.Capabilities {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if v.Kind() == selector.KindBool && !v.Bool() {
-			continue
-		}
-		set[strings.TrimPrefix(k, prefix)] = true
-	}
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String renders the profile compactly for logs.

@@ -42,41 +42,6 @@ func TestFlattenAndMatch(t *testing.T) {
 	}
 }
 
-func TestTransformCapabilities(t *testing.T) {
-	p := New("c")
-	if p.CanTransform("MPEG2", "JPEG") {
-		t.Error("fresh profile should have no transforms")
-	}
-	p.SetTransform("MPEG2", "JPEG", true)
-	p.SetTransform("image", "text", true)
-	p.SetTransform("image", "speech", true)
-	if !p.CanTransform("MPEG2", "JPEG") {
-		t.Error("transform MPEG2->JPEG should be advertised")
-	}
-	if p.CanTransform("JPEG", "MPEG2") {
-		t.Error("transforms are directional")
-	}
-	got := p.ReachableFormats("image")
-	want := []string{"image", "speech", "text"}
-	if len(got) != len(want) {
-		t.Fatalf("ReachableFormats = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ReachableFormats = %v, want %v", got, want)
-		}
-	}
-	p.SetTransform("image", "speech", false)
-	if p.CanTransform("image", "speech") {
-		t.Error("revoked transform should be gone")
-	}
-
-	// The flattened capability is visible to selectors too.
-	if !p.Matches(selector.MustCompile(`cap.transform.MPEG2.JPEG == true`)) {
-		t.Error("transform capability should be selectable")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	p := New("c")
 	p.State.SetNumber("x", 1)
@@ -93,19 +58,16 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestManagerUpdateVersioningAndWatch(t *testing.T) {
 	m := NewManager("c1")
-	if m.Version() != 0 {
-		t.Fatalf("initial version = %d", m.Version())
+	if v := m.Snapshot().Version; v != 0 {
+		t.Fatalf("initial version = %d", v)
 	}
-	ch, cancel := m.Watch()
-	defer cancel()
 
-	m.SetState("cpu-load", selector.N(80))
-	snap := <-ch
+	snap := m.SetState("cpu-load", selector.N(80))
 	if snap.Version != 1 {
-		t.Errorf("watched version = %d, want 1", snap.Version)
+		t.Errorf("version after one update = %d, want 1", snap.Version)
 	}
 	if snap.State["cpu-load"].Num() != 80 {
-		t.Errorf("watched state = %v", snap.State)
+		t.Errorf("state after update = %v", snap.State)
 	}
 
 	// Identity cannot be mutated through Update.
@@ -120,46 +82,8 @@ func TestManagerUpdateVersioningAndWatch(t *testing.T) {
 	if final.Version != 4 {
 		t.Errorf("version = %d, want 4", final.Version)
 	}
-	if !m.Matches(selector.MustCompile(`media == "image" and modality == "text"`)) {
+	if flat, _ := m.FlatSnapshot(); !selector.MustCompile(`media == "image" and modality == "text"`).Matches(flat) {
 		t.Error("manager should match after updates")
-	}
-
-	cancel()
-	cancel() // double-cancel must be safe
-	if _, open := <-ch; open {
-		// drain at most buffered snapshots; the channel must eventually close
-		for range ch {
-		}
-	}
-}
-
-func TestManagerWatchDropsWhenSlow(t *testing.T) {
-	m := NewManager("c")
-	ch, cancel := m.Watch()
-	defer cancel()
-	// Overflow the watcher's buffer; Update must never block.
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 100; i++ {
-			m.SetState("x", selector.N(float64(i)))
-		}
-		close(done)
-	}()
-	<-done
-	if m.Version() != 100 {
-		t.Errorf("version = %d, want 100", m.Version())
-	}
-	// The last retrievable snapshot (after draining the small buffer)
-	// reflects some prefix of the update sequence, never a torn value.
-	for {
-		select {
-		case p := <-ch:
-			if p.State["x"].Num() < 0 || p.State["x"].Num() > 99 {
-				t.Fatalf("torn snapshot: %v", p.State)
-			}
-		default:
-			return
-		}
 	}
 }
 
@@ -177,7 +101,7 @@ func TestManagerConcurrentUpdates(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := m.Version(); got != writers*perWriter {
+	if got := m.Snapshot().Version; got != writers*perWriter {
 		t.Errorf("version = %d, want %d (lost updates)", got, writers*perWriter)
 	}
 }
@@ -207,20 +131,20 @@ func TestRegistry(t *testing.T) {
 		t.Error("Get must return an independent copy")
 	}
 
-	matched := r.MatchAll(selector.MustCompile(`media == "image"`))
-	if len(matched) != 1 || matched[0].ID != "a" {
-		t.Errorf("MatchAll = %v", matched)
+	matched := r.MatchIDs(selector.MustCompile(`media == "image"`))
+	if len(matched) != 1 || matched[0] != "a" {
+		t.Errorf("MatchIDs = %v", matched)
 	}
 
-	if _, err := r.UpdateState("a", "sir", selector.N(7.5)); err != nil {
+	if _, err := r.UpdateStates("a", []StateKV{{Name: "sir", V: selector.N(7.5)}}); err != nil {
 		t.Fatal(err)
 	}
 	p, _ := r.Get("a")
 	if p.State["sir"].Num() != 7.5 || p.Version != 1 {
-		t.Errorf("UpdateState result: %v", p)
+		t.Errorf("UpdateStates result: %v", p)
 	}
-	if _, err := r.UpdateState("missing", "x", selector.N(0)); err == nil {
-		t.Error("UpdateState on unknown client should fail")
+	if _, err := r.UpdateStates("missing", []StateKV{{Name: "x", V: selector.N(0)}}); err == nil {
+		t.Error("UpdateStates on unknown client should fail")
 	}
 
 	ids := r.IDs()
@@ -232,5 +156,20 @@ func TestRegistry(t *testing.T) {
 	}
 	if r.Len() != 1 {
 		t.Errorf("Len after remove = %d", r.Len())
+	}
+}
+
+// TestRegistryPutLiteralProfile: a profile built as a literal leaves its
+// sections nil; the registry must still be able to write state into it.
+func TestRegistryPutLiteralProfile(t *testing.T) {
+	r := NewRegistry()
+	r.Put(&Profile{ID: "thin"})
+	if changed, err := r.UpdateStates("thin", []StateKV{{Name: "sir", V: selector.N(3)}}); err != nil || !changed {
+		t.Fatalf("UpdateStates on a literal profile: changed=%v err=%v", changed, err)
+	}
+	p, _ := r.Get("thin")
+	p.Interests["media"] = selector.S("text") // Get hands out writable sections
+	if p.State["sir"].Num() != 3 {
+		t.Errorf("state = %v", p.State)
 	}
 }

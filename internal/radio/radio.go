@@ -197,17 +197,6 @@ func (c *Channel) Get(id string) (Client, error) {
 	return *cl, nil
 }
 
-// Gain returns the path gain for a client at its current distance.
-func (c *Channel) Gain(id string) (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cl, ok := c.clients[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownClient, id)
-	}
-	return c.gainLocked(cl), nil
-}
-
 func (c *Channel) gainLocked(cl *Client) float64 {
 	d := cl.Distance
 	if d < c.params.MinDistance {

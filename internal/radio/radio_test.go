@@ -55,18 +55,19 @@ func TestJoinLeave(t *testing.T) {
 func TestGainFollowsPathLoss(t *testing.T) {
 	c := NewChannel(Params{PathLossExponent: 2, RefGain: 1})
 	c.Join("a", 10, 1)
-	g10, _ := c.Gain("a")
+	gain := func() float64 { return c.gainLocked(c.clients["a"]) }
+	g10 := gain()
 	c.SetDistance("a", 20)
-	g20, _ := c.Gain("a")
+	g20 := gain()
 	// α = 2: doubling distance quarters the gain.
 	if math.Abs(g10/g20-4) > 1e-9 {
 		t.Errorf("gain ratio = %g, want 4", g10/g20)
 	}
 	// MinDistance clamps.
 	c.SetDistance("a", 0)
-	g0, _ := c.Gain("a")
+	g0 := gain()
 	c.SetDistance("a", 1)
-	g1, _ := c.Gain("a")
+	g1 := gain()
 	if g0 != g1 {
 		t.Errorf("distance clamp: %g vs %g", g0, g1)
 	}

@@ -31,8 +31,8 @@ func TestMatchIDsIndexAgreesWithBrute(t *testing.T) {
 	brute := NewWithIndex(8, false)
 	populate(indexed, 200, 25)
 	populate(brute, 200, 25)
-	if !indexed.Indexed() || brute.Indexed() {
-		t.Fatal("Indexed() wiring")
+	if indexed.idx == nil || brute.idx != nil {
+		t.Fatal("NewWithIndex wiring")
 	}
 
 	for _, src := range []string{
@@ -150,7 +150,7 @@ func TestMatchIDsConcurrentChurn(t *testing.T) {
 					p.Interests.SetNumber("region", float64(i%8))
 					r.Put(p)
 				default:
-					_, _ = r.UpdateState(id, "sir", selector.N(float64(i%7)))
+					_ = r.UpdateStates(id, []profile.StateKV{{Name: "sir", V: selector.N(float64(i % 7))}})
 				}
 			}
 		}(g)

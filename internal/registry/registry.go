@@ -57,7 +57,7 @@ func fnv32a(s string) uint32 {
 //
 // Unless constructed with NewWithIndex(shards, false), each profile
 // shard is paired with an inverted predicate index shard
-// (matchindex.Shard, routed by the same hash) so MatchIDs/MatchAll
+// (matchindex.Shard, routed by the same hash) so MatchIDs'
 // cost scales with the matching subset rather than the population.
 // Mutations invalidate lazily: they record the client in the paired
 // index shard's dirty set and the next match re-reads its flattened
@@ -78,8 +78,8 @@ type Registry struct {
 func New(shards int) *Registry { return NewWithIndex(shards, true) }
 
 // NewWithIndex is New with the match index explicitly enabled or
-// disabled; disabled, MatchIDs and MatchAll scan every profile
-// brute-force (the pre-index behavior, kept for A/B benchmarking).
+// disabled; disabled, MatchIDs scans every profile brute-force — the
+// oracle of the index equivalence harnesses and TestFlatMatchGuard.
 func NewWithIndex(shards int, indexed bool) *Registry {
 	if shards <= 0 {
 		shards = DefaultShards
@@ -100,12 +100,6 @@ func NewWithIndex(shards int, indexed bool) *Registry {
 	}
 	return r
 }
-
-// Indexed reports whether the match index is enabled.
-func (r *Registry) Indexed() bool { return r.idx != nil }
-
-// Shards returns the shard count (diagnostics, benchmarks).
-func (r *Registry) Shards() int { return len(r.shards) }
 
 func (r *Registry) shard(id string) *profile.Registry {
 	return r.shards[fnv32a(id)&r.mask]
@@ -169,19 +163,6 @@ func (r *Registry) FlatSnapshot(id string) (selector.Attributes, uint64, bool) {
 	return r.shard(id).FlatSnapshot(id)
 }
 
-// UpdateState mutates one state attribute of a registered profile.
-func (r *Registry) UpdateState(id, name string, v selector.Value) (*profile.Profile, error) {
-	p, err := r.shard(id).UpdateState(id, name, v)
-	if err == nil {
-		if ix := r.idxShard(id); ix != nil {
-			// Equal-value writes do not bump the version; the dirty
-			// drain's generation check turns those into one map lookup.
-			ix.MarkDirty(id)
-		}
-	}
-	return p, err
-}
-
 // MatchIDs returns the IDs of every registered profile satisfying sel,
 // in unspecified order.  With the index enabled the selector is
 // decomposed into an index plan and answered by each shard's counting
@@ -217,28 +198,6 @@ func (r *Registry) MatchIDs(sel *selector.Selector) []string {
 	return out
 }
 
-// MatchAll returns copies of every profile satisfying sel.  With the
-// index enabled, candidates come from MatchIDs and only the matching
-// profiles pay the deep copy; otherwise every shard scans brute-force.
-func (r *Registry) MatchAll(sel *selector.Selector) []*profile.Profile {
-	if r.idx == nil {
-		ctrMatchFallback.Add(uint64(r.Len()))
-		var out []*profile.Profile
-		for _, s := range r.shards {
-			out = append(out, s.MatchAll(sel)...)
-		}
-		return out
-	}
-	ids := r.MatchIDs(sel)
-	out := make([]*profile.Profile, 0, len(ids))
-	for _, id := range ids {
-		if p, ok := r.Get(id); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Assessment is the per-client radio state the broker folds into the
 // registry after assessing a client: received signal quality and the
 // power-control geometry it was derived from.  The service tier is
@@ -250,22 +209,28 @@ type Assessment struct {
 	Distance float64
 }
 
-// PutAssessment folds a client's service assessment into its stored
-// profile state (one lock pass; no version bump when the radio
-// geometry is unchanged, keeping the memoized flattened view valid).
-// Only an actual change dirties the match index — the per-frame
-// steady state (unchanged geometry re-assessed on every delivery)
-// must not grow the dirty set the next match has to drain.
-func (r *Registry) PutAssessment(id string, a Assessment) error {
-	changed, err := r.shard(id).UpdateStates(id, []profile.StateKV{
-		{Name: StateSIR, V: selector.N(a.SIRdB)},
-		{Name: StatePower, V: selector.N(a.Power)},
-		{Name: StateDistance, V: selector.N(a.Distance)},
-	})
+// UpdateStates installs state attributes on a registered profile (one
+// lock pass; no version bump when every value is unchanged, keeping the
+// memoized flattened view valid).  Only an actual change dirties the
+// match index — the per-frame steady state (unchanged geometry
+// re-assessed on every delivery) must not grow the dirty set the next
+// match has to drain.
+func (r *Registry) UpdateStates(id string, kvs []profile.StateKV) error {
+	changed, err := r.shard(id).UpdateStates(id, kvs)
 	if changed {
 		if ix := r.idxShard(id); ix != nil {
 			ix.MarkDirty(id)
 		}
 	}
 	return err
+}
+
+// PutAssessment folds a client's service assessment into its stored
+// profile state.
+func (r *Registry) PutAssessment(id string, a Assessment) error {
+	return r.UpdateStates(id, []profile.StateKV{
+		{Name: StateSIR, V: selector.N(a.SIRdB)},
+		{Name: StatePower, V: selector.N(a.Power)},
+		{Name: StateDistance, V: selector.N(a.Distance)},
+	})
 }

@@ -14,8 +14,8 @@ func TestShardRoundingAndRouting(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		if got := New(tc.in).Shards(); got != tc.want {
-			t.Errorf("New(%d).Shards() = %d, want %d", tc.in, got, tc.want)
+		if got := len(New(tc.in).shards); got != tc.want {
+			t.Errorf("New(%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 
@@ -38,7 +38,7 @@ func TestShardRoundingAndRouting(t *testing.T) {
 	if !ok || p.ID != "client-42" {
 		t.Fatalf("Get: %v %v", p, ok)
 	}
-	if _, err := r.UpdateState("client-42", "sir", selector.N(3.5)); err != nil {
+	if err := r.UpdateStates("client-42", []profile.StateKV{{Name: "sir", V: selector.N(3.5)}}); err != nil {
 		t.Fatal(err)
 	}
 	flat, _, ok := r.FlatSnapshot("client-42")
@@ -103,8 +103,8 @@ func TestMatchAllAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(r.MatchAll(sel)); got != 20 {
-		t.Fatalf("MatchAll = %d, want 20", got)
+	if got := len(r.MatchIDs(sel)); got != 20 {
+		t.Fatalf("MatchIDs = %d, want 20", got)
 	}
 }
 

@@ -170,13 +170,6 @@ func (e *Engine) Watch(name string, s Stream) {
 	e.streams[name] = &streamState{src: s, waitingFor: w}
 }
 
-// Unwatch removes a monitored stream.
-func (e *Engine) Unwatch(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.streams, name)
-}
-
 // Interval returns the gap-poll cadence: how often the owner should
 // call Poll.
 func (e *Engine) Interval() time.Duration { return e.cfg.Interval }

@@ -211,18 +211,3 @@ func TestJitterSpreadsBackoffDeterministically(t *testing.T) {
 		}
 	}
 }
-
-func TestUnwatchStopsRepair(t *testing.T) {
-	rec := &recorder{}
-	e := newTestEngine(rec, Config{StallTimeout: 10 * time.Millisecond, JitterFrac: -1})
-	s := &fakeStream{wait: 4, parked: 1}
-	e.Watch("a", s)
-	e.Unwatch("a")
-	base := time.Unix(1000, 0)
-	for i := 0; i < 20; i++ {
-		e.Poll(base.Add(time.Duration(i) * 10 * time.Millisecond))
-	}
-	if len(rec.requests) != 0 {
-		t.Fatalf("unwatched stream still repaired: %d requests", len(rec.requests))
-	}
-}

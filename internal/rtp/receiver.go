@@ -52,18 +52,23 @@ type Receiver struct {
 	uniqPrev     uint64
 
 	// lostSeqs remembers sequence numbers declared lost by a window
-	// skip or flush, so a late arrival of one of them is recognized as
-	// a unique (recovered) packet rather than a duplicate.  Bounded by
-	// maxLostTracked.
+	// skip, so a late arrival of one of them is recognized as a unique
+	// (recovered) packet rather than a duplicate.  lostRing holds the
+	// last maxLostTracked declarations in order, the next slot to
+	// overwrite at lostNext: a declaration that old leaves the set.
 	lostSeqs map[uint16]struct{}
+	lostRing []uint16
+	lostNext int
 
 	// clk stamps held; nil means wall time (virtual under simulation).
 	clk clock.Clock
 }
 
 // maxLostTracked bounds the declared-lost set; past it the oldest
-// entries give way (an extremely late recovery then counts as a
-// duplicate, slightly overstating loss — the safe direction).
+// declarations give way (an extremely late recovery then counts as a
+// duplicate, slightly overstating loss — the safe direction).  Oldest
+// first, not whichever key map iteration yields: two runs over the same
+// stream must report the same loss.
 const maxLostTracked = 4096
 
 // NewReceiver creates a receiver with the given reorder window
@@ -179,31 +184,6 @@ func (r *Receiver) observeReleaseLocked(seq uint16) {
 	}
 }
 
-// Flush releases every buffered packet in sequence order, counting the
-// gaps as lost.  Use at end of stream.
-func (r *Receiver) Flush() []Packet {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return nil
-	}
-	seqs := make([]uint16, 0, len(r.buf))
-	for s := range r.buf {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return SeqLess(seqs[i], seqs[j]) })
-	out := make([]Packet, 0, len(seqs))
-	for _, s := range seqs {
-		r.lost += uint64(SeqDiff(r.next, s))
-		r.noteLostLocked(r.next, s)
-		out = append(out, r.buf[s])
-		delete(r.buf, s)
-		r.observeReleaseLocked(s)
-		r.next = s + 1
-	}
-	return out
-}
-
 // noteLostLocked records [from, to) as declared lost so late arrivals
 // of those seqs are recognized as recoveries, not duplicates.
 func (r *Receiver) noteLostLocked(from, to uint16) {
@@ -211,11 +191,12 @@ func (r *Receiver) noteLostLocked(from, to uint16) {
 		r.lostSeqs = make(map[uint16]struct{})
 	}
 	for s := from; s != to; s++ {
-		if len(r.lostSeqs) >= maxLostTracked {
-			for old := range r.lostSeqs {
-				delete(r.lostSeqs, old)
-				break
-			}
+		if len(r.lostRing) < maxLostTracked {
+			r.lostRing = append(r.lostRing, s)
+		} else {
+			delete(r.lostSeqs, r.lostRing[r.lostNext]) // no-op if it was recovered since
+			r.lostRing[r.lostNext] = s
+			r.lostNext = (r.lostNext + 1) % maxLostTracked
 		}
 		r.lostSeqs[s] = struct{}{}
 	}
@@ -250,7 +231,7 @@ type Stats struct {
 	// recoveries of declared-lost packets included) — the RFC 3550
 	// "received" figure the expected/received loss math needs.
 	Unique     uint64
-	Lost       uint64 // declared lost by window skips/flush
+	Lost       uint64 // declared lost by window skips
 	Duplicates uint64
 	Late       uint64
 	Buffered   int

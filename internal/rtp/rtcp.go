@@ -1,43 +1,8 @@
 package rtp
 
-import (
-	"encoding/binary"
-	"errors"
-	"math"
-)
-
-// RTCP report types.
-const (
-	typeSenderReport   = 200
-	typeReceiverReport = 201
-)
-
-// RTCP errors.
-var ErrBadReport = errors.New("rtp: malformed RTCP report")
-
-// SenderReport summarizes a sender's output, announced periodically so
-// receivers can compute loss against what was actually sent.
-type SenderReport struct {
-	SSRC        uint32
-	Timestamp   uint32 // media clock at report time
-	PacketCount uint32
-	OctetCount  uint32
-}
-
-// Marshal encodes the sender report.
-func (sr *SenderReport) Marshal() []byte {
-	buf := make([]byte, 2+4*4)
-	buf[0] = Version << 6
-	buf[1] = typeSenderReport
-	binary.BigEndian.PutUint32(buf[2:], sr.SSRC)
-	binary.BigEndian.PutUint32(buf[6:], sr.Timestamp)
-	binary.BigEndian.PutUint32(buf[10:], sr.PacketCount)
-	binary.BigEndian.PutUint32(buf[14:], sr.OctetCount)
-	return buf
-}
-
 // ReceiverReport is one reception report block: how a receiver
-// experienced a sender's stream.
+// experienced a sender's stream.  It travels as control-message
+// attributes (internal/core/rtcp.go), not in RTCP's binary form.
 type ReceiverReport struct {
 	// SSRC of the stream this report describes.
 	SSRC uint32
@@ -51,77 +16,14 @@ type ReceiverReport struct {
 	Jitter uint32
 }
 
-// Marshal encodes the receiver report.  FractionLost is carried as the
-// RFC 3550 8-bit fixed-point fraction; CumLost saturates at 2^24-1.
-func (rr *ReceiverReport) Marshal() []byte {
-	buf := make([]byte, 2+4+4+4+4+4)
-	buf[0] = Version << 6
-	buf[1] = typeReceiverReport
-	binary.BigEndian.PutUint32(buf[2:], rr.SSRC)
-	frac := rr.FractionLost
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	cum := rr.CumLost
-	if cum < 0 {
-		cum = 0
-	}
-	if cum > (1<<24)-1 {
-		cum = (1 << 24) - 1
-	}
-	binary.BigEndian.PutUint32(buf[6:], uint32(math.Round(frac*255))<<24|uint32(cum))
-	binary.BigEndian.PutUint32(buf[10:], rr.HighestSeq)
-	binary.BigEndian.PutUint32(buf[14:], rr.Jitter)
-	return buf
-}
-
-// UnmarshalReport decodes an RTCP frame into a SenderReport or
-// ReceiverReport (returned as any).
-func UnmarshalReport(frame []byte) (any, error) {
-	if len(frame) < 2 || frame[0]>>6 != Version {
-		return nil, ErrBadReport
-	}
-	switch frame[1] {
-	case typeSenderReport:
-		if len(frame) < 2+16 {
-			return nil, ErrBadReport
-		}
-		return &SenderReport{
-			SSRC:        binary.BigEndian.Uint32(frame[2:]),
-			Timestamp:   binary.BigEndian.Uint32(frame[6:]),
-			PacketCount: binary.BigEndian.Uint32(frame[10:]),
-			OctetCount:  binary.BigEndian.Uint32(frame[14:]),
-		}, nil
-	case typeReceiverReport:
-		if len(frame) < 2+20 {
-			return nil, ErrBadReport
-		}
-		word := binary.BigEndian.Uint32(frame[6:])
-		return &ReceiverReport{
-			SSRC:         binary.BigEndian.Uint32(frame[2:]),
-			FractionLost: float64(word>>24) / 255,
-			CumLost:      int64(word & 0xFFFFFF),
-			HighestSeq:   binary.BigEndian.Uint32(frame[10:]),
-			Jitter:       binary.BigEndian.Uint32(frame[14:]),
-		}, nil
-	default:
-		return nil, ErrBadReport
-	}
-}
-
 // Sender tracks outbound stream state: it stamps packets with
-// monotonically increasing sequence numbers and counts output for
-// sender reports.  It is not safe for concurrent use; wrap it if the
-// application sends from multiple goroutines.
+// monotonically increasing sequence numbers.  It is not safe for
+// concurrent use; wrap it if the application sends from multiple
+// goroutines.
 type Sender struct {
 	ssrc    uint32
 	payload uint8
 	seq     uint16
-	packets uint32
-	octets  uint32
 }
 
 // NewSender creates a sender for one stream.
@@ -140,17 +42,5 @@ func (s *Sender) Next(timestamp uint32, marker bool, payload []byte) Packet {
 		Payload:     payload,
 	}
 	s.seq++
-	s.packets++
-	s.octets += uint32(len(payload))
 	return p
-}
-
-// Report builds the current sender report.
-func (s *Sender) Report(timestamp uint32) SenderReport {
-	return SenderReport{
-		SSRC:        s.ssrc,
-		Timestamp:   timestamp,
-		PacketCount: s.packets,
-		OctetCount:  s.octets,
-	}
 }

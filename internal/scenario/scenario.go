@@ -40,9 +40,6 @@ const (
 	Diurnal     Kind = "diurnal" // sinusoidal publish rate over the day
 )
 
-// Kinds lists every generator.
-func Kinds() []Kind { return []Kind{FlashCrowd, LectureHall, Churn, Diurnal} }
-
 // Config parameterizes one scenario run.
 type Config struct {
 	Kind Kind
@@ -144,13 +141,6 @@ type Result struct {
 	// WallMS is the real time the run took; excluded from determinism
 	// comparisons.
 	WallMS int64 `json:"wall_ms"`
-}
-
-// Deterministic returns a copy with the wall-clock field cleared, for
-// run-to-run comparison.
-func (r Result) Deterministic() Result {
-	r.WallMS = 0
-	return r
 }
 
 // run carries one executing scenario's state.  All mutation happens on

@@ -2,7 +2,6 @@ package selector
 
 import (
 	"path"
-	"sort"
 	"strings"
 )
 
@@ -39,24 +38,6 @@ func (o Op) String() string {
 	}
 }
 
-// negate returns the complementary operator.
-func (o Op) negate() Op {
-	switch o {
-	case OpEq:
-		return OpNe
-	case OpNe:
-		return OpEq
-	case OpLt:
-		return OpGe
-	case OpLe:
-		return OpGt
-	case OpGt:
-		return OpLe
-	default: // OpGe
-		return OpLt
-	}
-}
-
 // Expr is a node of the selector abstract syntax tree.  Eval reports
 // whether the expression is satisfied by the attribute set; missing
 // attributes make comparisons unsatisfied (use Exists to test presence).
@@ -65,8 +46,6 @@ type Expr interface {
 	Eval(attrs Attributes) bool
 	// append renders the expression in canonical source form.
 	append(sb *strings.Builder)
-	// Attrs adds every attribute name referenced by the expression to set.
-	Attrs(set map[string]bool)
 }
 
 // BoolLit is the constant true or false.
@@ -82,9 +61,6 @@ func (b *BoolLit) append(sb *strings.Builder) {
 		sb.WriteString("false")
 	}
 }
-
-// Attrs implements Expr.
-func (b *BoolLit) Attrs(map[string]bool) {}
 
 // Cmp compares an attribute against a literal value.
 type Cmp struct {
@@ -135,9 +111,6 @@ func (c *Cmp) append(sb *strings.Builder) {
 	sb.WriteString(c.Lit.String())
 }
 
-// Attrs implements Expr.
-func (c *Cmp) Attrs(set map[string]bool) { set[c.Attr] = true }
-
 // In tests whether an attribute equals any member of a literal list.
 type In struct {
 	Attr string
@@ -170,9 +143,6 @@ func (in *In) append(sb *strings.Builder) {
 	sb.WriteByte(']')
 }
 
-// Attrs implements Expr.
-func (in *In) Attrs(set map[string]bool) { set[in.Attr] = true }
-
 // Like matches a string attribute against a glob pattern with the
 // syntax of path.Match ('*', '?', character classes).
 type Like struct {
@@ -196,9 +166,6 @@ func (lk *Like) append(sb *strings.Builder) {
 	sb.WriteString(S(lk.Pattern).String())
 }
 
-// Attrs implements Expr.
-func (lk *Like) Attrs(set map[string]bool) { set[lk.Attr] = true }
-
 // Exists tests whether an attribute is present, regardless of value.
 type Exists struct{ Attr string }
 
@@ -213,9 +180,6 @@ func (e *Exists) append(sb *strings.Builder) {
 	sb.WriteString(e.Attr)
 	sb.WriteByte(')')
 }
-
-// Attrs implements Expr.
-func (e *Exists) Attrs(set map[string]bool) { set[e.Attr] = true }
 
 // Not negates its operand.
 type Not struct{ X Expr }
@@ -234,9 +198,6 @@ func (n *Not) append(sb *strings.Builder) {
 	}
 }
 
-// Attrs implements Expr.
-func (n *Not) Attrs(set map[string]bool) { n.X.Attrs(set) }
-
 // And is the conjunction of its operands.
 type And struct{ X, Y Expr }
 
@@ -249,9 +210,6 @@ func (a *And) append(sb *strings.Builder) {
 	appendOperand(sb, a.Y, true)
 }
 
-// Attrs implements Expr.
-func (a *And) Attrs(set map[string]bool) { a.X.Attrs(set); a.Y.Attrs(set) }
-
 // Or is the disjunction of its operands.
 type Or struct{ X, Y Expr }
 
@@ -263,9 +221,6 @@ func (o *Or) append(sb *strings.Builder) {
 	sb.WriteString(" or ")
 	appendOperand(sb, o.Y, false)
 }
-
-// Attrs implements Expr.
-func (o *Or) Attrs(set map[string]bool) { o.X.Attrs(set); o.Y.Attrs(set) }
 
 // needsParens reports whether x must be parenthesized when it appears
 // as the operand of a unary not.
@@ -295,17 +250,4 @@ func Format(e Expr) string {
 	var sb strings.Builder
 	e.append(&sb)
 	return sb.String()
-}
-
-// ReferencedAttrs returns the sorted set of attribute names the
-// expression depends on.
-func ReferencedAttrs(e Expr) []string {
-	set := make(map[string]bool)
-	e.Attrs(set)
-	names := make([]string, 0, len(set))
-	for k := range set {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -156,18 +156,6 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// Purge empties the cache (tests and long-lived processes rotating
-// selector vocabularies).
-func (c *Cache) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.entries = make(map[string]*list.Element)
-		sh.order.Init()
-		sh.mu.Unlock()
-	}
-}
-
 var (
 	ctrCacheHit  = metrics.C(metrics.CtrSelectorCacheHit)
 	ctrCacheMiss = metrics.C(metrics.CtrSelectorCacheMiss)

@@ -61,23 +61,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestCachePurge(t *testing.T) {
-	c := NewCache(64)
-	if _, err := c.Compile(`true`); err != nil {
-		t.Fatal(err)
-	}
-	c.Purge()
-	if st := c.Stats(); st.Entries != 0 {
-		t.Errorf("entries after purge = %d", st.Entries)
-	}
-	if _, err := c.Compile(`true`); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want re-parse after purge", st.Misses)
-	}
-}
-
 // Many goroutines compiling a mix of shared and distinct selectors must
 // be race-free and always receive a working selector (run under -race).
 func TestCacheConcurrentCompile(t *testing.T) {

@@ -71,7 +71,7 @@ func TestEval(t *testing.T) {
 		{`not (a == 1 and b == 2)`, attrs("a", 1), true},
 	}
 	for _, tc := range cases {
-		e := MustParse(tc.src)
+		e := mustParse(tc.src)
 		if got := e.Eval(tc.attrs); got != tc.want {
 			t.Errorf("Eval(%q, %v) = %v, want %v", tc.src, tc.attrs, got, tc.want)
 		}
@@ -128,7 +128,7 @@ func TestValueSemantics(t *testing.T) {
 	if !B(true).Equal(B(true)) || B(true).Equal(B(false)) {
 		t.Error("bool equality broken")
 	}
-	if v := (Value{}); v.Valid() {
+	if v := (Value{}); v.Kind() != KindInvalid {
 		t.Error("zero Value should be invalid")
 	}
 	if _, err := S("a").Compare(N(1)); err == nil {
@@ -162,11 +162,8 @@ func TestAttributesHelpers(t *testing.T) {
 	a.SetNumber("n", 3.5)
 	a.SetBool("b", true)
 
-	if v, ok := a.Get("s"); !ok || v.Str() != "v" {
-		t.Error("Get(s) failed")
-	}
-	if _, ok := a.Get("missing"); ok {
-		t.Error("Get(missing) should not be ok")
+	if v, ok := a["s"]; !ok || v.Str() != "v" {
+		t.Error("SetString(s) failed")
 	}
 	names := a.Names()
 	if len(names) != 3 || names[0] != "b" || names[1] != "n" || names[2] != "s" {

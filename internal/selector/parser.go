@@ -35,16 +35,6 @@ func Parse(src string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse that panics on error; intended for selectors that
-// are compile-time constants of the program.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type parser struct {
 	lex lexer
 	tok token

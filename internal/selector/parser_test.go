@@ -123,29 +123,6 @@ func TestSyntaxErrorPosition(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse on invalid input did not panic")
-		}
-	}()
-	MustParse(`a ==`)
-}
-
-func TestReferencedAttrs(t *testing.T) {
-	e := MustParse(`a == 1 and (b in [2] or not exists(c)) and d like "*" and a > 0`)
-	got := ReferencedAttrs(e)
-	want := []string{"a", "b", "c", "d"}
-	if len(got) != len(want) {
-		t.Fatalf("ReferencedAttrs = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ReferencedAttrs = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCompileAndSelectorAPI(t *testing.T) {
 	s, err := Compile(`media == "image"`)
 	if err != nil {
@@ -163,10 +140,13 @@ func TestCompileAndSelectorAPI(t *testing.T) {
 	if _, err := Compile(`bad ==`); err == nil {
 		t.Error("Compile of invalid source should fail")
 	}
-	if !All().Matches(nil) {
-		t.Error("All should match empty profile")
+}
+
+// mustParse is Parse for sources the tests spell themselves.
+func mustParse(src string) Expr {
+	e, err := Parse(src)
+	if err != nil {
+		panic(err)
 	}
-	if None().Matches(Attributes{"x": N(1)}) {
-		t.Error("None should never match")
-	}
+	return e
 }

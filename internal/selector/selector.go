@@ -45,9 +45,3 @@ func (s *Selector) Matches(attrs Attributes) bool {
 
 // String returns the source text.
 func (s *Selector) String() string { return s.src }
-
-// All is the selector satisfied by every profile.
-func All() *Selector { return &Selector{src: "true", expr: &BoolLit{Val: true}} }
-
-// None is the selector satisfied by no profile.
-func None() *Selector { return &Selector{src: "false", expr: &BoolLit{Val: false}} }

@@ -67,9 +67,6 @@ func B(b bool) Value { return Value{kind: KindBool, b: b} }
 // Kind reports the dynamic type of the value.
 func (v Value) Kind() Kind { return v.kind }
 
-// Valid reports whether the value holds data of any kind.
-func (v Value) Valid() bool { return v.kind != KindInvalid }
-
 // Str returns the string payload; it is "" for non-string values.
 func (v Value) Str() string { return v.str }
 
@@ -153,12 +150,6 @@ func (a Attributes) Clone() Attributes {
 		c[k] = v
 	}
 	return c
-}
-
-// Get returns the value for name and whether it is present.
-func (a Attributes) Get(name string) (Value, bool) {
-	v, ok := a[name]
-	return v, ok
 }
 
 // SetString stores a string attribute.

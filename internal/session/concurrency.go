@@ -19,10 +19,9 @@ import (
 
 // Concurrency errors.
 var (
-	ErrLockHeld   = errors.New("session: object lock held by another client")
-	ErrNotHolder  = errors.New("session: client does not hold the lock")
-	ErrStale      = errors.New("session: update based on a stale version")
-	ErrNoSuchLock = errors.New("session: no such object lock state")
+	ErrLockHeld  = errors.New("session: object lock held by another client")
+	ErrNotHolder = errors.New("session: client does not hold the lock")
+	ErrStale     = errors.New("session: update based on a stale version")
 )
 
 // ObjectLocks arbitrates exclusive access to named shared objects.
@@ -97,45 +96,6 @@ func (l *ObjectLocks) Holder(object string) string {
 	return ""
 }
 
-// QueueLen reports the number of waiters on an object.
-func (l *ObjectLocks) QueueLen(object string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if st, ok := l.locks[object]; ok {
-		return len(st.waiters)
-	}
-	return 0
-}
-
-// Drop removes a client from every lock and wait queue (departure
-// handling) and returns the objects whose lock passed to a waiter,
-// keyed by object name with the new holder as value.
-func (l *ObjectLocks) Drop(client string) map[string]string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	promoted := make(map[string]string)
-	for object, st := range l.locks {
-		// Remove from waiters.
-		keep := st.waiters[:0]
-		for _, w := range st.waiters {
-			if w != client {
-				keep = append(keep, w)
-			}
-		}
-		st.waiters = keep
-		if st.holder == client {
-			if len(st.waiters) > 0 {
-				st.holder = st.waiters[0]
-				st.waiters = st.waiters[1:]
-				promoted[object] = st.holder
-			} else {
-				delete(l.locks, object)
-			}
-		}
-	}
-	return promoted
-}
-
 // VersionedObject is the stored state of one shared object under
 // optimistic control.
 type VersionedObject struct {
@@ -184,11 +144,4 @@ func (v *VersionStore) Update(object, client string, baseVersion uint64, data []
 	}
 	v.objects[object] = next
 	return next, nil
-}
-
-// Objects returns the number of objects with at least one version.
-func (v *VersionStore) Objects() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.objects)
 }

@@ -74,13 +74,6 @@ func (b *OrderBuffer) SetLimit(n int, onEvict func(Event)) {
 	b.onEvict = onEvict
 }
 
-// Overflow returns the number of events evicted by the SetLimit bound.
-func (b *OrderBuffer) Overflow() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.overflow
-}
-
 // Push ingests an event and returns the events now releasable in
 // order.  Duplicates and already-released events are ignored.
 func (b *OrderBuffer) Push(ev Event) []Event {

@@ -33,7 +33,7 @@ func TestOrderBufferLimitEvictsFarthest(t *testing.T) {
 	if len(evicted) != 2 || evicted[1] != 100 {
 		t.Fatalf("evicted = %v, want [9 100]", evicted)
 	}
-	if got := b.Overflow(); got != 2 {
+	if got := b.overflow; got != 2 {
 		t.Errorf("overflow = %d, want 2", got)
 	}
 	// The gap stays visible and, once filled, the survivors release:
@@ -52,11 +52,11 @@ func TestOrderBufferLimitEvictsFarthest(t *testing.T) {
 		}
 	}
 	// Duplicates of parked events never trigger eviction.
-	before := b.Overflow()
+	before := b.overflow
 	b.Push(ev(5))
 	b.Push(ev(5))
 	b.Push(ev(5))
-	if b.Overflow() != before {
+	if b.overflow != before {
 		t.Error("duplicate of a parked event counted as overflow")
 	}
 }

@@ -111,17 +111,6 @@ func (s *Session) Join(p *profile.Profile) error {
 	return nil
 }
 
-// Leave removes a client.
-func (s *Session) Leave(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.members[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotMember, id)
-	}
-	delete(s.members, id)
-	return nil
-}
-
 // IsMember reports membership.
 func (s *Session) IsMember(id string) bool {
 	s.mu.RLock()
@@ -135,31 +124,6 @@ func (s *Session) Members() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.members)
-}
-
-// UpdateProfile refreshes a member's stored profile snapshot.
-func (s *Session) UpdateProfile(p *profile.Profile) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.members[p.ID]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotMember, p.ID)
-	}
-	s.members[p.ID] = p.Clone()
-	return nil
-}
-
-// MatchMembers returns the IDs of members whose profile satisfies sel,
-// sorted is not guaranteed.
-func (s *Session) MatchMembers(sel *selector.Selector) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for id, p := range s.members {
-		if p.Matches(sel) {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Commit assigns the next global sequence number to an event from a

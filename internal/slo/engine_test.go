@@ -293,18 +293,6 @@ func TestViolationAttachesTimelineCurves(t *testing.T) {
 	}
 }
 
-func TestRegisterResetsAndSpecPerClient(t *testing.T) {
-	e := NewEngine(testSpec())
-	base := time.Unix(1000, 0)
-	feed(e, "c1", base, 0.5, 8)
-	// Re-register: prior window state is discarded.
-	e.Register("c1", SpecForClass("bulk"))
-	e.Poll(base.Add(200 * time.Millisecond))
-	if st := status(e, "c1"); st.State != StateConforming || st.Class != "bulk" {
-		t.Fatalf("after re-register: %+v", st)
-	}
-}
-
 func TestTransitionLogBounded(t *testing.T) {
 	e := NewEngine(testSpec())
 	base := time.Unix(1000, 0)

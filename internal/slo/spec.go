@@ -32,15 +32,6 @@ func (o Objective) String() string {
 	return "objective(?)"
 }
 
-// Objectives lists every objective in order.
-func Objectives() []Objective {
-	out := make([]Objective, numObjectives)
-	for i := range out {
-		out[i] = Objective(i)
-	}
-	return out
-}
-
 // Spec is one client's declarative SLO: per-objective targets, the
 // evaluation windows, and the state-machine thresholds.  Zero-valued
 // objective targets disable that objective; zero-valued machinery

@@ -95,7 +95,7 @@ func TestSpecPresetsAndClassification(t *testing.T) {
 		if sp.Class != class {
 			t.Errorf("SpecForClass(%q).Class = %q", class, sp.Class)
 		}
-		for _, o := range Objectives() {
+		for o := Objective(0); o < numObjectives; o++ {
 			if _, enabled := sp.budget(o); !enabled {
 				t.Errorf("%s: objective %s disabled in preset", class, o)
 			}

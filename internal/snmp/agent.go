@@ -3,7 +3,6 @@ package snmp
 import (
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 )
 
@@ -28,15 +27,6 @@ type Agent struct {
 func NewAgent(mib *MIB) *Agent {
 	return &Agent{mib: mib}
 }
-
-// MIB returns the agent's MIB for registration.
-func (a *Agent) MIB() *MIB { return a.mib }
-
-// Requests returns the number of PDUs processed.
-func (a *Agent) Requests() uint64 { return a.requests.Load() }
-
-// AuthFailures returns the number of community-check failures.
-func (a *Agent) AuthFailures() uint64 { return a.authFail.Load() }
 
 // HandleFrame decodes a request frame, processes it and returns the
 // encoded response frame.  A nil response with nil error means the
@@ -228,57 +218,4 @@ func (a *Agent) ServeUDP(conn *net.UDPConn) error {
 			return fmt.Errorf("snmp: agent reply: %w", err)
 		}
 	}
-}
-
-// TrapSink receives traps emitted by a Notifier.
-type TrapSink interface {
-	// Trap delivers an encoded SNMPv2-Trap message frame.
-	Trap(frame []byte)
-}
-
-// Notifier emits SNMPv2 traps to registered sinks, used by the host
-// agent to push threshold-crossing alerts without polling.
-type Notifier struct {
-	mu        sync.Mutex
-	sinks     []TrapSink
-	community string
-	nextReqID int32
-}
-
-// NewNotifier creates a notifier stamping traps with community.
-func NewNotifier(community string) *Notifier {
-	return &Notifier{community: community}
-}
-
-// AddSink registers a trap destination.
-func (n *Notifier) AddSink(s TrapSink) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.sinks = append(n.sinks, s)
-}
-
-// Notify builds and fans out an SNMPv2-Trap carrying the varbinds.
-func (n *Notifier) Notify(varbinds []VarBind) error {
-	n.mu.Lock()
-	n.nextReqID++
-	msg := &Message{
-		Version:   V2c,
-		Community: n.community,
-		PDU: PDU{
-			Type:      TrapV2,
-			RequestID: n.nextReqID,
-			VarBinds:  varbinds,
-		},
-	}
-	sinks := append([]TrapSink(nil), n.sinks...)
-	n.mu.Unlock()
-
-	frame, err := EncodeMessage(msg)
-	if err != nil {
-		return err
-	}
-	for _, s := range sinks {
-		s.Trap(frame)
-	}
-	return nil
 }

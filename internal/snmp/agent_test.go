@@ -39,8 +39,8 @@ func testMIB(t *testing.T) (*MIB, *atomic.Int64) {
 
 func TestMIBBasics(t *testing.T) {
 	mib, _ := testMIB(t)
-	if mib.Len() != 5 {
-		t.Fatalf("Len = %d", mib.Len())
+	if len(mib.objects) != 5 {
+		t.Fatalf("%d objects", len(mib.objects))
 	}
 	v, err := mib.Get(MustOID("1.3.6.1.2.1.1.1.0"))
 	if err != nil || string(v.Bytes) != "sim host" {
@@ -72,32 +72,6 @@ func TestMIBBasics(t *testing.T) {
 	// Past the end.
 	if _, _, ok := mib.Next(MustOID("1.3.7")); ok {
 		t.Error("Next past end should report !ok")
-	}
-
-	var walked []string
-	mib.Walk(MustOID("1.3.6.1.4.1.9999"), func(o OID, v Value) bool {
-		walked = append(walked, o.String())
-		return true
-	})
-	if len(walked) != 3 {
-		t.Errorf("Walk = %v", walked)
-	}
-
-	// Early stop.
-	count := 0
-	mib.Walk(MustOID("1.3"), func(OID, Value) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Errorf("early-stop walk visited %d", count)
-	}
-
-	if !mib.Unregister(MustOID("1.3.6.1.2.1.1.1.0")) {
-		t.Error("Unregister existing failed")
-	}
-	if mib.Unregister(MustOID("1.3.6.1.2.1.1.1.0")) {
-		t.Error("Unregister missing succeeded")
-	}
-	if mib.Len() != 4 {
-		t.Errorf("Len after unregister = %d", mib.Len())
 	}
 }
 
@@ -141,8 +115,8 @@ func TestAgentGetV2c(t *testing.T) {
 	if resp.PDU.VarBinds[1].Value.Type != TypeNoSuchInstance {
 		t.Errorf("missing object: %v", resp.PDU.VarBinds[1].Value)
 	}
-	if a.Requests() != 1 {
-		t.Errorf("requests = %d", a.Requests())
+	if n := a.requests.Load(); n != 1 {
+		t.Errorf("requests = %d", n)
 	}
 }
 
@@ -303,8 +277,8 @@ func TestAgentCommunityAuth(t *testing.T) {
 	if resp != nil {
 		t.Error("bad community should be dropped")
 	}
-	if a.AuthFailures() != 1 {
-		t.Errorf("auth failures = %d", a.AuthFailures())
+	if n := a.authFail.Load(); n != 1 {
+		t.Errorf("auth failures = %d", n)
 	}
 
 	// Read community cannot write.
@@ -345,35 +319,6 @@ func TestAgentIgnoresNonRequests(t *testing.T) {
 	}
 }
 
-type sinkFunc func([]byte)
-
-func (f sinkFunc) Trap(frame []byte) { f(frame) }
-
-func TestNotifier(t *testing.T) {
-	n := NewNotifier("traps")
-	var got [][]byte
-	n.AddSink(sinkFunc(func(f []byte) { got = append(got, f) }))
-	n.AddSink(sinkFunc(func(f []byte) { got = append(got, f) }))
-
-	err := n.Notify([]VarBind{{OID: MustOID("1.3.6.1.4.1.9999.2.1"), Value: Gauge32(95)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("sinks received %d traps", len(got))
-	}
-	msg, err := DecodeMessage(got[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.PDU.Type != TrapV2 || msg.Community != "traps" {
-		t.Errorf("trap message: %+v", msg)
-	}
-	if msg.PDU.VarBinds[0].Value.Uint != 95 {
-		t.Errorf("trap varbind: %v", msg.PDU.VarBinds[0])
-	}
-}
-
 func TestAgentOverUDP(t *testing.T) {
 	mib, _ := testMIB(t)
 	a := NewAgent(mib)
@@ -391,12 +336,12 @@ func TestAgentOverUDP(t *testing.T) {
 	defer rt.Close()
 	client := NewClient(rt, V2c, "any")
 
-	v, err := client.GetNumber(MustOID("1.3.6.1.4.1.9999.1.1.0"))
+	v, err := getOne(client, MustOID("1.3.6.1.4.1.9999.1.1.0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 55 {
-		t.Errorf("cpu over UDP = %g", v)
+	if v.Uint != 55 {
+		t.Errorf("cpu over UDP = %v", v)
 	}
 
 	var walked int
@@ -426,7 +371,7 @@ func TestUDPRoundTripperTimeout(t *testing.T) {
 	defer rt.Close()
 	client := NewClient(rt, V2c, "any")
 	start := time.Now()
-	_, err = client.GetOne(MustOID("1.3.6.1.2.1.1.1.0"))
+	_, err = getOne(client, MustOID("1.3.6.1.2.1.1.1.0"))
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("expected timeout, got %v", err)
 	}

@@ -25,7 +25,6 @@ const (
 	tagGetNext      = 0xA1
 	tagGetResponse  = 0xA2
 	tagSetRequest   = 0xA3
-	tagTrapV1       = 0xA4
 	tagGetBulk      = 0xA5
 	tagInform       = 0xA6
 	tagTrapV2       = 0xA7

@@ -18,15 +18,15 @@ func Example() {
 	agent.ReadCommunity = "public"
 
 	client := snmp.NewClient(&snmp.AgentRoundTripper{Agent: agent}, snmp.V2c, "public")
-	v, err := client.GetNumber(snmp.MustOID("1.3.6.1.4.1.54321.1.1.0"))
+	vbs, err := client.Get(snmp.MustOID("1.3.6.1.4.1.54321.1.1.0"))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("cpu-load = %.0f%%\n", v)
+	fmt.Printf("cpu-load = %d%%\n", vbs[0].Value.Uint)
 
 	cpuLoad = 87
-	v, _ = client.GetNumber(snmp.MustOID("1.3.6.1.4.1.54321.1.1.0"))
-	fmt.Printf("cpu-load = %.0f%%\n", v)
+	vbs, _ = client.Get(snmp.MustOID("1.3.6.1.4.1.54321.1.1.0"))
+	fmt.Printf("cpu-load = %d%%\n", vbs[0].Value.Uint)
 	// Output:
 	// cpu-load = 42%
 	// cpu-load = 87%

@@ -86,33 +86,6 @@ func (c *Client) Get(oids ...OID) ([]VarBind, error) {
 	return resp.PDU.VarBinds, nil
 }
 
-// GetOne fetches a single OID's value.
-func (c *Client) GetOne(oid OID) (Value, error) {
-	vbs, err := c.Get(oid)
-	if err != nil {
-		return Value{}, err
-	}
-	return vbs[0].Value, nil
-}
-
-// GetNumber fetches a single OID and converts it to float64; v2c
-// exception values and non-numeric types yield an error.  This is the
-// primary entry point for the QoS inference engine.
-func (c *Client) GetNumber(oid OID) (float64, error) {
-	v, err := c.GetOne(oid)
-	if err != nil {
-		return 0, err
-	}
-	if v.IsException() {
-		return 0, fmt.Errorf("%w: %s: %s", ErrNoObject, oid, v.Type)
-	}
-	n, ok := v.Number()
-	if !ok {
-		return 0, fmt.Errorf("snmp: %s has non-numeric type %s", oid, v.Type)
-	}
-	return n, nil
-}
-
 // GetNext fetches the lexicographic successors of the given OIDs.
 func (c *Client) GetNext(oids ...OID) ([]VarBind, error) {
 	vbs := make([]VarBind, len(oids))
@@ -170,15 +143,6 @@ func (c *Client) GetBulk(nonRepeaters, maxRepetitions int, oids ...OID) ([]VarBi
 		ErrorIndex:  maxRepetitions,
 		VarBinds:    vbs,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.PDU.VarBinds, nil
-}
-
-// Set writes values at the given varbinds.
-func (c *Client) Set(vbs ...VarBind) ([]VarBind, error) {
-	resp, err := c.exchange(PDU{Type: SetRequest, VarBinds: vbs})
 	if err != nil {
 		return nil, err
 	}

@@ -64,31 +64,6 @@ func (m *MIB) RegisterScalar(oid OID, get func() Value) error {
 	return m.Register(oid.Append(0), Object{Get: get})
 }
 
-// Unregister removes the object at oid, reporting whether it existed.
-func (m *MIB) Unregister(oid OID) bool {
-	key := oid.String()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.objects[key]; !ok {
-		return false
-	}
-	delete(m.objects, key)
-	for i, o := range m.order {
-		if o.Equal(oid) {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Len returns the number of registered instances.
-func (m *MIB) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.objects)
-}
-
 func (m *MIB) sortLocked() {
 	if m.dirty {
 		sort.Slice(m.order, func(i, j int) bool { return m.order[i].Compare(m.order[j]) < 0 })
@@ -137,20 +112,4 @@ func (m *MIB) Next(oid OID) (OID, Value, bool) {
 	obj := m.objects[next.String()]
 	m.mu.Unlock()
 	return next, obj.Get(), true
-}
-
-// Walk visits every registered instance under prefix in order.  The
-// visit function returns false to stop early.
-func (m *MIB) Walk(prefix OID, visit func(OID, Value) bool) {
-	cur := prefix.Clone()
-	for {
-		next, v, ok := m.Next(cur)
-		if !ok || !next.HasPrefix(prefix) {
-			return
-		}
-		if !visit(next, v) {
-			return
-		}
-		cur = next
-	}
 }

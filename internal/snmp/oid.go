@@ -101,9 +101,6 @@ func (o OID) Compare(p OID) int {
 	}
 }
 
-// Equal reports arc-for-arc equality.
-func (o OID) Equal(p OID) bool { return o.Compare(p) == 0 }
-
 // HasPrefix reports whether o starts with prefix.
 func (o OID) HasPrefix(prefix OID) bool {
 	if len(prefix) > len(o) {

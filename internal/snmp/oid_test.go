@@ -3,6 +3,7 @@ package snmp
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -114,7 +115,7 @@ func TestOIDEncodeDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decodeOID(%s): %v", s, err)
 		}
-		if !dec.Equal(oid) {
+		if !slices.Equal(dec, oid) {
 			t.Errorf("round trip %s -> %s", oid, dec)
 		}
 	}
@@ -161,7 +162,7 @@ func TestQuickOIDRoundTrip(t *testing.T) {
 			t.Logf("seed %d: decode(%x): %v", seed, enc, err)
 			return false
 		}
-		return dec.Equal(oid)
+		return slices.Equal(dec, oid)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -187,7 +188,7 @@ func TestQuickOIDCompareTotalOrder(t *testing.T) {
 		if a.Compare(b) != -b.Compare(a) {
 			return false
 		}
-		if (a.Compare(b) == 0) != a.Equal(b) {
+		if (a.Compare(b) == 0) != slices.Equal(a, b) {
 			return false
 		}
 		if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,7 +114,7 @@ func valuesEqual(a, b Value) bool {
 	case TypeOctetString, TypeOpaque:
 		return bytes.Equal(a.Bytes, b.Bytes)
 	case TypeObjectIdentifier:
-		return a.OID.Equal(b.OID)
+		return slices.Equal(a.OID, b.OID)
 	case TypeIPAddress:
 		return a.IP == b.IP
 	case TypeCounter32, TypeGauge32, TypeTimeTicks, TypeCounter64:
@@ -150,7 +151,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	for i, vb := range msg.PDU.VarBinds {
 		g := got.PDU.VarBinds[i]
-		if !g.OID.Equal(vb.OID) || !valuesEqual(g.Value, vb.Value) {
+		if !slices.Equal(g.OID, vb.OID) || !valuesEqual(g.Value, vb.Value) {
 			t.Errorf("varbind %d: %v=%v vs %v=%v", i, g.OID, g.Value, vb.OID, vb.Value)
 		}
 	}
@@ -332,7 +333,7 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range msg.PDU.VarBinds {
-			if !got.PDU.VarBinds[i].OID.Equal(msg.PDU.VarBinds[i].OID) ||
+			if !slices.Equal(got.PDU.VarBinds[i].OID, msg.PDU.VarBinds[i].OID) ||
 				!valuesEqual(got.PDU.VarBinds[i].Value, msg.PDU.VarBinds[i].Value) {
 				return false
 			}

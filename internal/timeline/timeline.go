@@ -166,24 +166,6 @@ func (t *Timeline) WindowCount() int {
 	return t.filled
 }
 
-// SeriesCount reports how many series are tracked.
-func (t *Timeline) SeriesCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.series)
-}
-
-// Names returns the tracked series names, sorted.
-func (t *Timeline) Names() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.series))
-	for i, s := range t.series {
-		out[i] = s.name
-	}
-	return out
-}
-
 // TrackCounter samples c's per-window delta under name.  The first
 // registration of a name wins; duplicates are ignored.  Series
 // registered mid-run show zeros for windows closed before they joined.

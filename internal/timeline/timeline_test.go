@@ -149,11 +149,11 @@ func TestTrackAllRescan(t *testing.T) {
 	// close (with that window zeroed — deltas flow from the next one, so
 	// pre-tracking history never dumps into a single window).
 	c := metrics.C("timeline.test.rescan")
-	g := obs.G("timeline_test_rescan_gauge")
+	obs.SetGauge("timeline_test_rescan_gauge", 0)
 	h := obs.H("timeline_test_rescan_hist")
 	clk.Advance(time.Second) // close 1: rescan adopts the new series
 	c.Add(2)
-	g.Set(9)
+	obs.SetGauge("timeline_test_rescan_gauge", 9)
 	h.Observe(50)
 	clk.Advance(time.Second) // close 2: first window with their deltas
 
@@ -265,8 +265,8 @@ func TestDuplicateTrackIgnored(t *testing.T) {
 	tl.TrackCounter("dup", &c2) // first wins
 	var g obs.Gauge
 	tl.TrackGauge("dup", &g) // cross-kind duplicate too
-	if tl.SeriesCount() != 1 {
-		t.Fatalf("SeriesCount = %d, want 1", tl.SeriesCount())
+	if len(tl.series) != 1 {
+		t.Fatalf("%d series, want 1", len(tl.series))
 	}
 	c1.Add(5)
 	tl.SampleNow()

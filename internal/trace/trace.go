@@ -160,13 +160,3 @@ func (g *Generator) sentence() string {
 	}
 	return string(out)
 }
-
-// Corpus returns the standard image corpus for rate/quality sweeps.
-func Corpus(size int) map[string]*wavelet.Image {
-	return map[string]*wavelet.Image{
-		"gradient": wavelet.Gradient(size, size),
-		"circles":  wavelet.Circles(size, size),
-		"blocks":   wavelet.Blocks(size, size, size/8, 41),
-		"medical":  wavelet.Medical(size, size, 42),
-	}
-}

@@ -78,15 +78,3 @@ func TestGeneratorDeterministicMix(t *testing.T) {
 		g.Next()
 	}
 }
-
-func TestCorpus(t *testing.T) {
-	c := Corpus(32)
-	if len(c) != 4 {
-		t.Fatalf("corpus size = %d", len(c))
-	}
-	for name, im := range c {
-		if im.W != 32 || im.H != 32 {
-			t.Errorf("%s: %dx%d", name, im.W, im.H)
-		}
-	}
-}

@@ -42,11 +42,11 @@ func TestVirtualMulticastAllocs(t *testing.T) {
 	// handle.
 	pinAllocs(t, "virtual Give to 16 handlers", 3*allocFanOut, func() {
 		src.Give("", frame)
-		n.Clock().Advance(time.Millisecond)
+		n.virt.Advance(time.Millisecond)
 	})
 	pinAllocs(t, "virtual Multicast to 16 handlers", 1+3*allocFanOut, func() {
 		src.Multicast(frame)
-		n.Clock().Advance(time.Millisecond)
+		n.virt.Advance(time.Millisecond)
 	})
 }
 

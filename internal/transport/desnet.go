@@ -59,10 +59,6 @@ func NewDESNet(cfg DESNetConfig) *DESNet {
 	return n
 }
 
-// Clock returns the virtual clock deliveries are scheduled on; drive
-// it (Advance/AdvanceTo/Step) to make the network move.
-func (n *DESNet) Clock() *clock.Virtual { return n.virt }
-
 // AttachHandler joins a handler-mode node: h runs inline on the
 // driving goroutine for every delivered packet, and may itself send.
 func (n *DESNet) AttachHandler(id string, h func(Packet)) (Conn, error) {

@@ -25,15 +25,15 @@ func TestDESNetHandlerDelivery(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatal("delivery before the clock advanced")
 	}
-	n.Clock().Advance(4 * time.Millisecond)
+	n.virt.Advance(4 * time.Millisecond)
 	if len(got) != 0 {
 		t.Fatal("delivery before the link delay elapsed")
 	}
-	n.Clock().Advance(2 * time.Millisecond)
+	n.virt.Advance(2 * time.Millisecond)
 	if len(got) != 1 || string(got[0].Data) != "hi" || got[0].From != "b" || !got[0].Unicast {
 		t.Fatalf("got %+v", got)
 	}
-	wantAt := n.Clock().Now().Add(-time.Millisecond)
+	wantAt := n.virt.Now().Add(-time.Millisecond)
 	if !got[0].At.Equal(wantAt) {
 		t.Fatalf("arrival stamped %v, want %v", got[0].At, wantAt)
 	}
@@ -103,7 +103,7 @@ func TestDESNetChannelModeCompat(t *testing.T) {
 	if len(rx.Recv()) != 0 {
 		t.Fatal("delivery before the clock was driven")
 	}
-	n.Clock().Advance(0)
+	n.virt.Advance(0)
 	select {
 	case p := <-rx.Recv():
 		if string(p.Data) != "ch" || p.From != "tx" {
@@ -145,7 +145,7 @@ func traceHash(seed int64) [32]byte {
 	for round := 0; round < 20; round++ {
 		src := conns[round%len(conns)]
 		_ = src.Multicast([]byte(fmt.Sprintf("round-%d-payload", round)))
-		n.Clock().Advance(10 * time.Millisecond)
+		n.virt.Advance(10 * time.Millisecond)
 	}
 	var out [32]byte
 	copy(out[:], h.Sum(nil))

@@ -173,13 +173,6 @@ func (n *engine) SetLinkBoth(a, b string, l Link) {
 	n.SetLink(b, a, l)
 }
 
-// SetDefaultLink replaces the default link characteristics.
-func (n *engine) SetDefaultLink(l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.def = l
-}
-
 // Partition takes the directed links between two nodes down or up.
 func (n *engine) Partition(a, b string, down bool) {
 	n.mu.Lock()

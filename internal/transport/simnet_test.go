@@ -19,7 +19,7 @@ var netDrivers = []struct {
 	{"virtual", func(cfg SimNetConfig) (*engine, func(time.Duration)) {
 		n := NewDESNet(DESNetConfig{Seed: cfg.Seed, DefaultLink: cfg.DefaultLink,
 			MTU: cfg.MTU, InboxDepth: cfg.InboxDepth})
-		return &n.engine, func(d time.Duration) { n.Clock().Advance(d) }
+		return &n.engine, func(d time.Duration) { n.virt.Advance(d) }
 	}},
 }
 

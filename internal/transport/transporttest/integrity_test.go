@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/transport"
 )
@@ -62,9 +63,10 @@ func exchanges(t *testing.T, tb testing.TB, f func(t *testing.T, g *Integrity, x
 		f(t, Watch(tb, n), x)
 	})
 	t.Run("DESNet", func(t *testing.T) {
-		n := transport.NewDESNet(transport.DESNetConfig{})
+		clk := clock.NewVirtual(time.Time{})
+		n := transport.NewDESNet(transport.DESNetConfig{Clock: clk})
 		defer n.Close()
-		x := &exchange{step: func() { n.Clock().Advance(time.Millisecond) }}
+		x := &exchange{step: func() { clk.Advance(time.Millisecond) }}
 		attach(t, n, x)
 		f(t, Watch(tb, n), x)
 	})

@@ -46,17 +46,6 @@ func (t *UDPTransport) RemovePeer(id string) {
 	delete(t.peers, id)
 }
 
-// Peers returns the registered peer IDs.
-func (t *UDPTransport) Peers() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids := make([]string, 0, len(t.peers))
-	for id := range t.peers {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // Listen opens a UDP socket bound to addr (e.g. "127.0.0.1:0") for the
 // node id and registers its own address as a peer so other nodes added
 // to the same UDPTransport value can reach it.

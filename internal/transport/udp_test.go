@@ -26,7 +26,7 @@ func TestUDPTransportMulticastAndUnicast(t *testing.T) {
 	}
 	defer c.Close()
 
-	if got := len(tr.Peers()); got != 3 {
+	if got := len(tr.peers); got != 3 {
 		t.Fatalf("peers = %d, want 3", got)
 	}
 
@@ -96,7 +96,7 @@ func TestUDPTransportClose(t *testing.T) {
 	if err := b.Unicast("a", []byte("x")); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("unicast to closed peer: %v", err)
 	}
-	if got := len(tr.Peers()); got != 1 {
+	if got := len(tr.peers); got != 1 {
 		t.Errorf("peers after close = %d, want 1", got)
 	}
 }

@@ -48,9 +48,6 @@ func (w *bitWriter) bytes() []byte {
 	return out
 }
 
-// bitLen returns the number of bits written so far.
-func (w *bitWriter) bitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
 // bitReader consumes bits MSB-first from a byte slice.  Reads past the
 // end return io.ErrUnexpectedEOF, which the progressive decoder treats
 // as "stream truncated here".

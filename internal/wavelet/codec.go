@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"math"
 )
 
 // Stream header: magic(4) | W uint16 | H uint16 | levels uint8 |
@@ -271,44 +269,4 @@ decode:
 		Lossless:      !truncated && lastPlane == 0,
 		PlanesDecoded: planesDone,
 	}, nil
-}
-
-// Metrics quantifies a coded representation of an image.
-type Metrics struct {
-	// Bytes is the coded size in bytes.
-	Bytes int
-	// BPP is bits per pixel of the coded representation.
-	BPP float64
-	// CompressionRatio is original (8 bpp) size over coded size.
-	CompressionRatio float64
-	// PSNR is reconstruction quality in dB (+Inf when lossless).
-	PSNR float64
-}
-
-// MeasurePrefix decodes the first n bytes of stream (clamped to at
-// least the header and at most the whole stream) against the original
-// image and reports rate/quality metrics.
-func MeasurePrefix(original *Image, stream []byte, n int) (Metrics, error) {
-	if n < headerLen {
-		n = headerLen
-	}
-	if n > len(stream) {
-		n = len(stream)
-	}
-	res, err := Decode(stream[:n])
-	if err != nil {
-		return Metrics{}, err
-	}
-	psnr, err := PSNR(original, res.Image)
-	if err != nil {
-		return Metrics{}, err
-	}
-	pixels := float64(original.W * original.H)
-	codeBytes := n
-	bpp := float64(codeBytes*8) / pixels
-	cr := math.Inf(1)
-	if codeBytes > 0 {
-		cr = pixels * 8 / float64(codeBytes*8)
-	}
-	return Metrics{Bytes: codeBytes, BPP: bpp, CompressionRatio: cr, PSNR: psnr}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -33,12 +32,6 @@ func NewColorImage(w, h int) *ColorImage {
 func (c *ColorImage) SetRGB(x, y int, r, g, b int32) {
 	i := y*c.W + x
 	c.R[i], c.G[i], c.B[i] = r, g, b
-}
-
-// AtRGB reads one pixel.
-func (c *ColorImage) AtRGB(x, y int) (r, g, b int32) {
-	i := y*c.W + x
-	return c.R[i], c.G[i], c.B[i]
 }
 
 // Equal reports pixel-exact equality.
@@ -167,25 +160,6 @@ func DecodeColor(stream []byte) (*ColorDecodeResult, error) {
 	clamp(img.G)
 	clamp(img.B)
 	return &ColorDecodeResult{Image: img, Lossless: lossless, PlanesPresent: si.PlanesPresent}, nil
-}
-
-// ColorPSNR averages the per-channel PSNR (dB); +Inf when identical.
-func ColorPSNR(a, b *ColorImage) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, errors.New("wavelet: ColorPSNR of differently sized images")
-	}
-	var sum float64
-	for _, pair := range [][2][]int32{{a.R, b.R}, {a.G, b.G}, {a.B, b.B}} {
-		for i := range pair[0] {
-			d := float64(pair[0][i] - pair[1][i])
-			sum += d * d
-		}
-	}
-	mse := sum / float64(3*a.W*a.H)
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(255*255/mse), nil
 }
 
 // ColorScene renders a synthetic color test scene: a sky gradient,

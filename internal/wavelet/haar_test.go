@@ -58,12 +58,8 @@ func TestEncodeFilterHaarRoundTrip(t *testing.T) {
 	}
 
 	// Prefix decoding works with the haar filter too.
-	m, err := MeasurePrefix(im, stream, len(stream)/4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.PSNR <= 10 {
-		t.Errorf("haar quarter-prefix PSNR = %.1f", m.PSNR)
+	if psnr := prefixPSNR(t, im, stream, len(stream)/4); psnr <= 10 {
+		t.Errorf("haar quarter-prefix PSNR = %.1f", psnr)
 	}
 
 	// Unknown filter rejected.

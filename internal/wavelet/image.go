@@ -40,13 +40,6 @@ func (im *Image) At(x, y int) int32 { return im.Pix[y*im.W+x] }
 // Set writes the pixel at (x, y).
 func (im *Image) Set(x, y int, v int32) { im.Pix[y*im.W+x] = v }
 
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	c := NewImage(im.W, im.H)
-	copy(c.Pix, im.Pix)
-	return c
-}
-
 // Clamp8 limits every pixel to [0, 255].
 func (im *Image) Clamp8() {
 	for i, v := range im.Pix {
@@ -98,17 +91,6 @@ func PSNR(a, b *Image) (float64, error) {
 }
 
 // --- Synthetic image generators (the reproduction's image corpus) ---
-
-// Gradient renders a diagonal luminance ramp.
-func Gradient(w, h int) *Image {
-	im := NewImage(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			im.Set(x, y, int32((x+y)*255/(w+h-2+1)))
-		}
-	}
-	return im
-}
 
 // Circles renders concentric rings, a classic compression test target
 // with strong edges at all orientations.
@@ -170,16 +152,6 @@ func Medical(w, h int, seed int64) *Image {
 			}
 			im.Set(x, y, int32(math.Max(0, math.Min(255, v))))
 		}
-	}
-	return im
-}
-
-// Noise renders uniform noise (worst case for transform coding).
-func Noise(w, h int, seed int64) *Image {
-	r := rand.New(rand.NewSource(seed))
-	im := NewImage(w, h)
-	for i := range im.Pix {
-		im.Pix[i] = int32(r.Intn(256))
 	}
 	return im
 }

@@ -109,20 +109,6 @@ func MaxLevels(w, h int) int {
 	return levels
 }
 
-// Forward computes a levels-deep 2-D transform of the image with the
-// default 5/3 filter.  levels is clamped to the maximum the image size
-// supports (and to ≥ 0).
-func Forward(im *Image, levels int) *Coeffs {
-	return ForwardFilter(im, levels, Filter53)
-}
-
-// Inverse reconstructs the image from the decomposition.
-func Inverse(c *Coeffs) *Image {
-	d := *c
-	d.Data = append([]int32(nil), c.Data...)
-	return d.invert()
-}
-
 // invert undoes the transform in place: c.Data becomes the raster of
 // the returned image and no longer holds coefficients.
 func (c *Coeffs) invert() *Image {

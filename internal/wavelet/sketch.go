@@ -186,19 +186,3 @@ func (s *Sketch) EdgeCount() int {
 	}
 	return n
 }
-
-// Render expands the sketch to an image of the given size for display:
-// edge pixels white on black, nearest-neighbour upsampling.
-func (s *Sketch) Render(w, h int) *Image {
-	im := NewImage(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			sx := x * s.W / w
-			sy := y * s.H / h
-			if s.Edges[sy*s.W+sx] {
-				im.Set(x, y, 255)
-			}
-		}
-	}
-	return im
-}
