@@ -100,17 +100,17 @@ fi
 
 # Buffer ownership (DESIGN.md §7.1): a received datagram is immutable
 # and is retained, not copied — by the message body, the fragment
-# reassembler (one copy, at completion), the image viewer, the parked
-# collections and the coordinator's archive — and the simulated network
-# has one send path that copies nothing (the copying calls clone, then
-# give).  The per-hand-off copies must not quietly come back; the
+# reassembler (one copy, at completion), the image viewer (collected
+# and parked chunks alike) and the coordinator's archive — and the
+# simulated network has one send path that copies nothing (the copying
+# calls clone, then give).  The per-hand-off copies must not quietly come back; the
 # frame-integrity harness (transporttest.Integrity, inside the
 # differential, chaos, relay and replay tests above) is what makes
 # sharing safe.
 copies='append\(\[\]byte\(nil\)|bytes\.Clone\('
 viol=$(grep -nE "$copies" \
 	internal/message/view.go internal/message/fragment.go internal/apps/imageviewer.go \
-	internal/core/coordkernel.go internal/registry/collections.go || true)
+	internal/core/coordkernel.go || true)
 if [ -n "$viol" ]; then
 	echo "OWNERSHIP VIOLATION: a receive-path hand-off copies the bytes it is given again:" >&2
 	echo "$viol" >&2
@@ -146,6 +146,10 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/message/
 # header inspector accepts without decoding it, so the inspector is held
 # to the decoders it fronts (DESIGN.md §17).
 go test -run '^$' -fuzz '^FuzzInspect$' -fuzztime 5s ./internal/wavelet/
+# And the two payloads the station decodes off the wire before any of
+# that: the image announce and the media object a member uplinks.
+go test -run '^$' -fuzz '^FuzzDecodeImageMeta$' -fuzztime 5s ./internal/apps/
+go test -run '^$' -fuzz '^FuzzDecodeMediaObject$' -fuzztime 5s ./internal/apps/
 
 # Virtual-time gates (DESIGN.md §14).
 #

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/wavelet"
 )
 
@@ -18,6 +20,14 @@ import (
 // the inference engine set for the current system state; the accepted
 // prefix decodes to an image whose bits-per-pixel and compression
 // ratio are the Fig 6/Fig 7 quantities.
+//
+// It is the one collector of a share, for a client and for the base
+// station alike: the substrate orders nothing across messages, so
+// chunks that overtake their announce are parked here until it lands;
+// a sender that cut its share short says so with the RTP marker on the
+// last chunk it sent, which ends the share there; and every share
+// carries the instant of its last activity, so Sweep can drop what a
+// crashed sender or a lossy segment left unfinished.
 
 // ImageViewer errors.
 var (
@@ -136,23 +146,54 @@ type ImageStats struct {
 	CompressionRatio float64
 }
 
+// Parking bounds: how many not-yet-announced objects may hold parked
+// chunks, and how many each may hold.  Past them an early chunk is
+// dropped (announce-then-data retransmits nothing, so parking is best
+// effort), and unannounced traffic cannot pin memory.
+const (
+	maxParkedObjects   = 32
+	maxParkedPerObject = 64
+)
+
+// chunk is one packet of a share; marker is its sender's "the stream
+// stops here".
+type chunk struct {
+	idx    int
+	data   []byte
+	marker bool
+}
+
 type sharedImage struct {
-	meta     ImageMeta
+	meta     ImageMeta // as announced
+	total    int       // where the share ends: meta.TotalPackets until a marker lowers it
 	received map[int][]byte
 	accepted int // contiguous prefix packets accepted
 	budget   int
+	touched  time.Time
+}
+
+// parkedChunks are the chunks of an object whose announce is still on
+// its way, in arrival order.
+type parkedChunks struct {
+	chunks  []chunk
+	touched time.Time
 }
 
 // ImageViewer tracks shared images and applies the packet budget.
 type ImageViewer struct {
 	mu     sync.RWMutex
 	images map[string]*sharedImage
+	parked map[string]*parkedChunks
 	budget int // default budget for new shares; <0 = unlimited
 }
 
 // NewImageViewer returns an empty viewer with an unlimited budget.
 func NewImageViewer() *ImageViewer {
-	return &ImageViewer{images: make(map[string]*sharedImage), budget: -1}
+	return &ImageViewer{
+		images: make(map[string]*sharedImage),
+		parked: make(map[string]*parkedChunks),
+		budget: -1,
+	}
 }
 
 // SetBudget sets the packet budget applied to shares: the number of
@@ -167,15 +208,38 @@ func (v *ImageViewer) SetBudget(n int) {
 	}
 }
 
-// Announce registers a new shared image.
-func (v *ImageViewer) Announce(meta ImageMeta) {
+// Announce registers a shared image whose packets the caller adds
+// itself (a sender's own copy): AnnounceAt with no activity instant.
+func (v *ImageViewer) Announce(meta ImageMeta) { v.AnnounceAt(meta, time.Time{}) }
+
+// AnnounceAt registers a shared image announced at instant now and
+// adopts, in arrival order, the chunks that overtook the announce; it
+// returns how many of them joined the share.  An announce repeating
+// the metadata of a share already held is a duplicate delivery and
+// keeps what was collected; other metadata starts the share afresh.
+func (v *ImageViewer) AnnounceAt(meta ImageMeta, now time.Time) (adopted int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.images[meta.Object] = &sharedImage{
-		meta:     meta,
-		received: make(map[int][]byte),
-		budget:   v.budget,
+	si := v.images[meta.Object]
+	if si == nil || si.meta != meta {
+		si = &sharedImage{
+			meta:     meta,
+			total:    meta.TotalPackets,
+			received: make(map[int][]byte),
+			budget:   v.budget,
+		}
+		v.images[meta.Object] = si
 	}
+	si.touched = now
+	if p := v.parked[meta.Object]; p != nil {
+		delete(v.parked, meta.Object)
+		for _, c := range p.chunks {
+			if si.add(c) == nil {
+				adopted++
+			}
+		}
+	}
+	return adopted
 }
 
 // AddPacket ingests packet idx of a shared image.  Packets beyond the
@@ -191,42 +255,81 @@ func (v *ImageViewer) AddPacket(object string, idx int, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownImage, object)
 	}
-	if idx < 0 || idx >= si.meta.TotalPackets {
-		return fmt.Errorf("%w: %d of %d", ErrBadPacket, idx, si.meta.TotalPackets)
+	return si.add(chunk{idx: idx, data: data})
+}
+
+// AddChunk ingests chunk idx of a share as it came off the wire at
+// instant now, retaining pkt.Payload as AddPacket retains data.  A
+// chunk of an announced share joins it (joined is true; a duplicate is
+// a no-op that still joins), and a marker on it ends the share at
+// idx+1.  A chunk that overtook its announce is parked, marker and
+// all, within the parking bounds and joins when AnnounceAt adopts it.
+func (v *ImageViewer) AddChunk(object string, idx int, pkt rtp.Packet, now time.Time) (joined bool, err error) {
+	c := chunk{idx: idx, data: pkt.Payload, marker: pkt.Marker}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	si, ok := v.images[object]
+	if !ok {
+		v.park(object, c, now)
+		return false, nil
 	}
-	if _, dup := si.received[idx]; dup {
-		return nil
+	if err := si.add(c); err != nil {
+		return false, err
 	}
-	si.received[idx] = data
-	// Advance the accepted prefix under the budget.
-	for {
-		limit := si.meta.TotalPackets
+	si.touched = now
+	return true, nil
+}
+
+func (v *ImageViewer) park(object string, c chunk, now time.Time) {
+	p := v.parked[object]
+	if p == nil {
+		if len(v.parked) >= maxParkedObjects {
+			return
+		}
+		p = &parkedChunks{}
+		v.parked[object] = p
+	}
+	if len(p.chunks) >= maxParkedPerObject {
+		return
+	}
+	p.chunks = append(p.chunks, c)
+	p.touched = now
+}
+
+func (si *sharedImage) add(c chunk) error {
+	if c.idx < 0 || c.idx >= si.total {
+		return fmt.Errorf("%w: %d of %d", ErrBadPacket, c.idx, si.total)
+	}
+	if _, dup := si.received[c.idx]; !dup {
+		si.received[c.idx] = c.data
+		// Advance the accepted prefix under the budget.
+		limit := si.total
 		if si.budget >= 0 && si.budget < limit {
 			limit = si.budget
 		}
-		if si.accepted >= limit {
-			break
+		for si.accepted < limit {
+			if _, ok := si.received[si.accepted]; !ok {
+				break
+			}
+			si.accepted++
 		}
-		if _, ok := si.received[si.accepted]; !ok {
-			break
-		}
-		si.accepted++
+	}
+	if c.marker {
+		si.endAt(c.idx + 1)
 	}
 	return nil
 }
 
-// EndAt lowers a share's packet count to total: the sender's marker
-// said the stream stops there (it truncated the share itself).  The
-// count is never raised and never cut below what is already accepted;
-// packets at or past it are out of range from then on.
-func (v *ImageViewer) EndAt(object string, total int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	si, ok := v.images[object]
-	if !ok || total >= si.meta.TotalPackets || total < si.accepted || total < 1 {
+// endAt lowers the share's packet count to total: the sender's marker
+// said the stream stops there (it truncated the share itself), so the
+// prefix completes instead of waiting for packets that were never
+// sent.  The count is never raised and never cut below what is already
+// accepted; packets at or past it are out of range from then on.
+func (si *sharedImage) endAt(total int) {
+	if total >= si.total || total < si.accepted || total < 1 {
 		return
 	}
-	si.meta.TotalPackets = total
+	si.total = total
 	for idx := range si.received {
 		if idx >= total {
 			delete(si.received, idx)
@@ -234,13 +337,47 @@ func (v *ImageViewer) EndAt(object string, total int) {
 	}
 }
 
+// Sweep forgets every share still missing packets and every parked
+// object that has seen no activity for longer than ttl at instant now,
+// and returns their IDs: a sender that crashed mid-transfer or a lossy
+// segment that ate the tail must not pin buffers for ever.  Shares
+// that hold all their packets stay until Forget.
+func (v *ImageViewer) Sweep(now time.Time, ttl time.Duration) []string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var evicted []string
+	for object, si := range v.images {
+		if len(si.received) < si.total && now.Sub(si.touched) > ttl {
+			delete(v.images, object)
+			evicted = append(evicted, object)
+		}
+	}
+	for object, p := range v.parked {
+		if now.Sub(p.touched) > ttl {
+			delete(v.parked, object)
+			evicted = append(evicted, object)
+		}
+	}
+	return evicted
+}
+
 // Forget drops all state for a shared image (a completed collection
-// that has been rendered and delivered, or one evicted by a TTL
-// sweep).  Unknown objects are a no-op.
+// that has been rendered and delivered).  Unknown objects are a no-op.
 func (v *ImageViewer) Forget(object string) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	delete(v.images, object)
+}
+
+// Meta returns a shared image's metadata as announced.
+func (v *ImageViewer) Meta(object string) (ImageMeta, bool) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	si, ok := v.images[object]
+	if !ok {
+		return ImageMeta{}, false
+	}
+	return si.meta, true
 }
 
 // Objects returns the shared-object IDs known to the viewer.
@@ -265,7 +402,7 @@ func (v *ImageViewer) Stats(object string) (ImageStats, error) {
 	st := ImageStats{
 		PacketsReceived: len(si.received),
 		PacketsAccepted: si.accepted,
-		TotalPackets:    si.meta.TotalPackets,
+		TotalPackets:    si.total,
 	}
 	for i := 0; i < si.accepted; i++ {
 		st.AcceptedBytes += len(si.received[i])

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/media"
@@ -62,7 +61,6 @@ func collectedRelayBytes(t *testing.T, tiers ...radio.Tier) uint64 {
 	var total uint64
 	for run := 0; run <= runs; run++ {
 		r.bs.collect.Announce(meta)
-		r.bs.collections.Announce(meta.Object, meta, time.Now())
 		for i, p := range packets {
 			if err := r.bs.collect.AddPacket(meta.Object, i, p); err != nil {
 				t.Fatal(err)

@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/clock"
@@ -59,10 +58,6 @@ type Config struct {
 	// delivery work is hashed over this many single-worker queues.
 	// 0 means GOMAXPROCS; 1 forces the inline sequential path.
 	FanOutWorkers int
-	// CollectTTL bounds how long an incomplete wired-side image
-	// collection may sit idle before the sweeper evicts it (default
-	// 60s; < 0 disables the sweep).
-	CollectTTL time.Duration
 	// Clock timestamps relayed frames and drives the collection
 	// sweeper (nil = wall clock).
 	Clock clock.Clock
@@ -80,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FanOutWorkers <= 0 {
 		c.FanOutWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.CollectTTL == 0 {
-		c.CollectTTL = time.Minute
 	}
 	return c
 }
@@ -142,10 +134,8 @@ type BaseStation struct {
 	seq atomic.Uint32
 
 	// collect reassembles wired-side image shares so the BS can
-	// transform them per wireless client; collections tracks announce
-	// metadata, parked early packets and TTL eviction.
-	collect     *apps.ImageViewer
-	collections *registry.Collections[apps.ImageMeta]
+	// transform them per wireless client.
+	collect *apps.ImageViewer
 
 	stats struct {
 		uplinkEvents, uplinkDropped          atomic.Uint64
@@ -166,20 +156,19 @@ type BaseStation struct {
 func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg Config) *BaseStation {
 	cfg = cfg.withDefaults()
 	bs := &BaseStation{
-		id:          id,
-		clk:         clock.Or(cfg.Clock),
-		wired:       wired,
-		wireless:    wireless,
-		cfg:         cfg,
-		channel:     channel,
-		reg:         registry.New(registry.DefaultShards),
-		unwrap:      message.NewUnwrapper(),
-		collect:     apps.NewImageViewer(),
-		collections: registry.NewCollections[apps.ImageMeta](cfg.CollectTTL),
-		wiredDone:   make(chan struct{}),
-		rfDone:      make(chan struct{}),
-		sweepStop:   make(chan struct{}),
-		sweepDone:   make(chan struct{}),
+		id:        id,
+		clk:       clock.Or(cfg.Clock),
+		wired:     wired,
+		wireless:  wireless,
+		cfg:       cfg,
+		channel:   channel,
+		reg:       registry.New(registry.DefaultShards),
+		unwrap:    message.NewUnwrapper(),
+		collect:   apps.NewImageViewer(),
+		wiredDone: make(chan struct{}),
+		rfDone:    make(chan struct{}),
+		sweepStop: make(chan struct{}),
+		sweepDone: make(chan struct{}),
 	}
 	bs.env.Node = id
 	bs.unwrap.Node = id
@@ -192,10 +181,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		Workers: cfg.FanOutWorkers,
 	})
 	bs.eventPipe = dispatch.NewPipeline(
-		dispatch.Match(func(id string) (selector.Attributes, bool) {
-			flat, _, ok := bs.reg.FlatSnapshot(id)
-			return flat, ok
-		}),
+		dispatch.Match(bs.flatOf),
 		bs.tierGate(radio.TierText),
 		dispatch.Transmit,
 	)
@@ -350,25 +336,9 @@ func (bs *BaseStation) UplinkShare(sender, object, sel string, obj *media.Object
 		bs.stats.fwdText.Add(1)
 	}
 
-	// Unicast to the other wireless clients at min(uplink tier, their
-	// own tier), each peer assessed and served by the dispatch pool.
-	if err := bs.pool.Each(0, bs.reg.IDs(), func(id string) error {
-		if id == sender {
-			return nil
-		}
-		peerAssess, err := bs.Assess(id)
-		if err != nil {
-			return nil
-		}
-		tier := peerAssess.Tier
-		if assess.Tier < tier {
-			tier = assess.Tier
-		}
-		if tier == radio.TierNone {
-			return nil
-		}
-		return bs.forwardTiered(rs, tier, bs.rfTx, id)
-	}); err != nil {
+	// The other wireless clients get it no richer than the uplink
+	// admitted.
+	if err := bs.relayShare(rs, assess.Tier, sender); err != nil {
 		return err
 	}
 	bs.stats.uplinkEvents.Add(1)

@@ -279,9 +279,8 @@ func TestDownlinkTieredDelivery(t *testing.T) {
 }
 
 func TestDownlinkHonorsModalityPreference(t *testing.T) {
-	r := newRig(t, Config{})
-	w := r.joinWireless(t, "w1", 20, 1) // excellent channel
-	_ = w
+	r := newRig(t, Config{Thresholds: tierThresholds})
+	w := r.joinWireless(t, "w1", tierDistances[radio.TierImage][0], 1) // excellent channel
 	// The client switches to text mode (battery conservation): the BS
 	// must deliver text even though the SIR admits the full image.
 	p := profile.New("w1")
@@ -292,16 +291,34 @@ func TestDownlinkHonorsModalityPreference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.wired.ShareImage("d-1", obj, ""); err != nil {
+	// The same goes for a share another member uplinks at the image tier.
+	r.joinWireless(t, "w2", tierDistances[radio.TierImage][1], 1)
+	for _, id := range []string{"w1", "w2"} {
+		if a, err := r.bs.Assess(id); err != nil || a.Tier != radio.TierImage {
+			t.Fatalf("%s assessed %s at %.1f dB (%v)", id, a.Tier, a.SIRdB, err)
+		}
+	}
+	shares := []func() error{
+		func() error { return r.wired.ShareImage("d-1", obj, "") },
+		func() error { return r.bs.UplinkShare("w2", "d-2", "", obj) },
+	}
+	for i, share := range shares {
+		if err := share(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "text delivery", func() bool { return w.Inbox().Len() == i+1 })
+		got, _ := w.Inbox().Latest()
+		if got.Object.Kind != media.KindText || string(got.Object.Data) != "diagram" {
+			t.Errorf("share %d: preference ignored: got %s %q", i+1, got.Object.Kind, got.Object.Data)
+		}
+	}
+	// Sent after d-2's packets would have been: no image came with it.
+	if err := r.bs.UplinkEvent("w2", apps.AppChat, "", apps.EncodeSay("done")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "text delivery", func() bool { return w.Inbox().Len() >= 1 })
-	got, _ := w.Inbox().Latest()
-	if got.Object.Kind != media.KindText {
-		t.Errorf("preference ignored: got %s", got.Object.Kind)
-	}
-	if string(got.Object.Data) != "diagram" {
-		t.Errorf("text content: %q", got.Object.Data)
+	waitFor(t, "chat after the shares", func() bool { return w.Chat().Len() == 1 })
+	if got := w.Viewer().Objects(); len(got) != 0 || w.Inbox().Len() != 2 {
+		t.Errorf("text-mode member holds images %v and %d inbox items, want none and 2", got, w.Inbox().Len())
 	}
 }
 

@@ -127,7 +127,7 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 				t.Errorf("%s: %s got text %q", name, c.ID(), txt.Data)
 			}
 		}
-		waitFor(t, name+": collection purge", func() bool { return tr.bs.collections.Len() == 0 })
+		waitFor(t, name+": collection purge", func() bool { return len(tr.bs.collect.Objects()) == 0 })
 		if _, err := tr.bs.collect.Stats(meta.Object); err == nil {
 			t.Errorf("%s: viewer still tracks the delivered prefix", name)
 		}
@@ -139,6 +139,12 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 		"ctrl": selector.S("rtcp-rr"), "subject": selector.S(tr.wired.ID()), "fraction-lost": selector.N(0.5),
 	}})
 	waitFor(t, "reception report at the wired client", func() bool { return tr.wired.WorstPeerLoss() > 0 })
+	peerConn, err := tr.wiredNet.Attach("wired-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := core.NewClient(peerConn, core.Config{})
+	defer peer.Close()
 	share++
 	if err := tr.wired.ShareImage("cut-by-client", obj, ""); err != nil {
 		t.Fatal(err)
@@ -154,6 +160,24 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 			t.Errorf("%s holds %d B of the client's %d B stream, want a proper prefix (err %v)", c.ID(), len(got), len(sent), err)
 		}
 	}
+	// A wired receiver reads the same marker: its share is the k packets
+	// that were sent, whole, not k of the 16 announced for ever.
+	relayed, _ := tr.clients[radio.TierImage][0].Viewer().AcceptedStream("cut-by-client")
+	_, split, _ := apps.ShareImage("cut-by-client", obj, 16)
+	cut := 0
+	for n := 0; n < len(relayed); cut++ {
+		n += len(split[cut])
+	}
+	waitFor(t, "the cut share whole at the wired receiver", func() bool {
+		st, err := peer.Viewer().Stats("cut-by-client")
+		return err == nil && st.TotalPackets == cut && st.PacketsAccepted == cut
+	})
+	if got, _ := peer.Viewer().AcceptedStream("cut-by-client"); !bytes.Equal(got, relayed) {
+		t.Errorf("wired receiver holds %d B, the station collected %d B", len(got), len(relayed))
+	}
+	if _, err := peer.Viewer().Render("cut-by-client"); err != nil {
+		t.Errorf("wired receiver cannot render the cut share: %v", err)
+	}
 
 	// A marker that overtakes its own announce is parked with it.
 	meta, packets, err := apps.ShareImage("cut-early", obj, 16)
@@ -164,7 +188,7 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 	in.announce(meta.Object, meta)
 	in.data(meta.Object, 0, packets[0])
 	tr.awaitShare(t, meta.Object, share+1, nil)
-	waitFor(t, "early marker: collection purge", func() bool { return tr.bs.collections.Len() == 0 })
+	waitFor(t, "early marker: collection purge", func() bool { return len(tr.bs.collect.Objects()) == 0 })
 }
 
 // TestCollectedRelayMatchesReference is the differential for the
@@ -293,7 +317,7 @@ func TestCollectedRelayMatchesReference(t *testing.T) {
 	if lumaOnly == 0 {
 		t.Error("no colour prefix stopped short of the chroma headers: the luma-only relay went untested")
 	}
-	waitFor(t, "collections drained", func() bool { return tr.bs.collections.Len() == 0 })
+	waitFor(t, "collections drained", func() bool { return len(tr.bs.collect.Objects()) == 0 })
 }
 
 // TestHostileCollectedStreamDropped: a collected stream whose headers
@@ -340,7 +364,7 @@ func TestHostileCollectedStreamDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.awaitShare(t, "good", 1, nil)
-	waitFor(t, "hostile collections purged", func() bool { return tr.bs.collections.Len() == 0 })
+	waitFor(t, "hostile collections purged", func() bool { return len(tr.bs.collect.Objects()) == 0 })
 	for name := range hostile {
 		if _, err := tr.bs.collect.Stats(name); err == nil {
 			t.Errorf("%s: viewer still tracks the refused stream", name)

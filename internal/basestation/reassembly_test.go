@@ -6,10 +6,14 @@ import (
 	"time"
 
 	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
+	"adaptiveqos/internal/wavelet"
 )
 
 // wiredInjector crafts raw wired-session frames (announce / data) so
@@ -82,10 +86,8 @@ func (in *wiredInjector) dataMarked(object string, idx int, chunk []byte, marker
 }
 
 // TestReassemblyStateReleasedAfterDelivery: once a wired-side image is
-// fully collected and forwarded, the broker must drop ALL reassembly
-// state — the collection tracker entry and the viewer's buffers — so
-// long sessions do not accumulate per-image memory (the leak this
-// refactor fixes).
+// fully collected and forwarded, the broker must drop its reassembly
+// state so long sessions do not accumulate per-image memory.
 func TestReassemblyStateReleasedAfterDelivery(t *testing.T) {
 	r := newRig(t, Config{})
 	w := r.joinWireless(t, "w1", 20, 1)
@@ -101,19 +103,68 @@ func TestReassemblyStateReleasedAfterDelivery(t *testing.T) {
 		return w.Inbox().Len() > 0
 	})
 	waitFor(t, "collection state purge", func() bool {
-		return r.bs.collections.Len() == 0
+		return len(r.bs.collect.Objects()) == 0
 	})
-	if _, err := r.bs.collect.Stats("rel-1"); err == nil {
-		t.Error("viewer still tracks the delivered image")
+}
+
+// TestDuplicatedAnnounceKeepsCollection: the wired segment delivers the
+// announce a second time halfway through the packets, and every packet
+// twice.  The second announce is the first one again: the collection
+// goes on, completes and is relayed, instead of starting over with the
+// first half gone and waiting out the TTL.
+func TestDuplicatedAnnounceKeepsCollection(t *testing.T) {
+	r := newRig(t, Config{Thresholds: tierThresholds})
+	w := r.joinWireless(t, "w1", tierDistances[radio.TierImage][0], 1)
+	in := newWiredInjector(t, r, "pub")
+
+	im := wavelet.Medical(64, 64, 1)
+	obj, err := media.EncodeImage(im, "field photo")
+	if err != nil {
+		t.Fatal(err)
 	}
+	meta, packets, err := apps.ShareImage("twice", obj, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.announce(meta.Object, meta)
+	for i, p := range packets {
+		if i == len(packets)/2 {
+			in.announce(meta.Object, meta)
+		}
+		in.data(meta.Object, i, p)
+		in.data(meta.Object, i, p)
+	}
+	waitFor(t, "relay of the whole image", func() bool {
+		st, err := w.Viewer().Stats("twice")
+		return err == nil && st.PacketsAccepted == st.TotalPackets
+	})
+	if res, err := w.Viewer().Render("twice"); err != nil || !res.Lossless || !res.Image.Equal(im) {
+		t.Errorf("the member renders something other than the shared image (err %v)", err)
+	}
+	waitFor(t, "collection state purge", func() bool {
+		return len(r.bs.collect.Objects()) == 0
+	})
+}
+
+// pastTTL advances the rig's virtual clock a sweep interval at a time
+// until cond holds: the sweeper's ticker drops ticks it is too slow
+// for, so one long step could skip the tick that evicts.
+func pastTTL(t *testing.T, vclk *clock.Virtual, what string, cond func() bool) {
+	t.Helper()
+	waitFor(t, what, func() bool {
+		vclk.Advance(collectTTL / 4)
+		return cond()
+	})
 }
 
 // TestReassemblySweepEvictsIncomplete: an announced transfer whose
-// sender disappears mid-stream is TTL-evicted — tracker entry, viewer
-// buffers and parked orphan packets all released.
+// sender disappears mid-stream is TTL-evicted — viewer buffers and
+// parked orphan packets all released, and counted.
 func TestReassemblySweepEvictsIncomplete(t *testing.T) {
-	r := newRig(t, Config{CollectTTL: 80 * time.Millisecond})
+	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
+	r := newRig(t, Config{Clock: vclk})
 	in := newWiredInjector(t, r, "crasher")
+	evictions := ctrCollectEvictions.Load()
 
 	obj := testImageObject(t)
 	meta, packets, err := apps.ShareImage("halfway", obj, 8)
@@ -124,18 +175,30 @@ func TestReassemblySweepEvictsIncomplete(t *testing.T) {
 	in.data("halfway", 0, packets[0]) // ... and the sender crashes here
 
 	// An orphan data packet whose announce never arrives parks in the
-	// tracker and must age out the same way.
+	// viewer and must age out the same way.
 	in.data("orphan", 0, packets[1])
 
 	waitFor(t, "partial transfer registered", func() bool {
 		st, err := r.bs.collect.Stats("halfway")
-		return err == nil && st.PacketsAccepted == 1 && r.bs.collections.Len() == 2
+		return err == nil && st.PacketsAccepted == 1
 	})
-	waitFor(t, "TTL eviction", func() bool {
-		return r.bs.collections.Len() == 0
+	// The wired loop handles frames in order: the orphan, sent before
+	// this sentinel, is parked by the time the sentinel is collected.
+	sentinel := meta
+	sentinel.Object = "sentinel"
+	in.announce(sentinel.Object, sentinel)
+	waitFor(t, "orphan parked", func() bool {
+		_, ok := r.bs.collect.Meta("sentinel")
+		return ok
 	})
-	if _, err := r.bs.collect.Stats("halfway"); err == nil {
-		t.Error("viewer still tracks the expired transfer")
+	if got := ctrCollectEvictions.Load(); got != evictions {
+		t.Fatalf("%d evictions before the TTL", got-evictions)
+	}
+	pastTTL(t, vclk, "TTL eviction", func() bool {
+		return ctrCollectEvictions.Load() == evictions+3
+	})
+	if got := r.bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("viewer still tracks expired transfers: %v", got)
 	}
 
 	// The broker still accepts a fresh, complete transfer of the same
@@ -149,16 +212,19 @@ func TestReassemblySweepEvictsIncomplete(t *testing.T) {
 		in.data("halfway", i, p)
 	}
 	waitFor(t, "retransfer completes and purges", func() bool {
-		_, err := r.bs.collect.Stats("halfway")
-		return r.bs.collections.Len() == 0 && err != nil
+		return len(r.bs.collect.Objects()) == 0
 	})
+	if got := ctrCollectEvictions.Load(); got != evictions+3 {
+		t.Errorf("a completed transfer counted as an eviction: %d", got-evictions)
+	}
 }
 
 // TestReassemblyJoinLeaveMidTransfer: clients joining and leaving while
 // transfers are in flight must not wedge delivery or leak collection
 // state.
 func TestReassemblyJoinLeaveMidTransfer(t *testing.T) {
-	r := newRig(t, Config{CollectTTL: 500 * time.Millisecond})
+	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
+	r := newRig(t, Config{Clock: vclk})
 	r.joinWireless(t, "w1", 30, 1)
 
 	done := make(chan error, 1)
@@ -190,7 +256,7 @@ func TestReassemblyJoinLeaveMidTransfer(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "all collections drained after churn", func() bool {
-		return r.bs.collections.Len() == 0
+	pastTTL(t, vclk, "all collections drained after churn", func() bool {
+		return len(r.bs.collect.Objects()) == 0
 	})
 }

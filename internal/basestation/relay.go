@@ -4,11 +4,10 @@ package basestation
 // (radio segment → session) and the wired-side image reassembly path.
 // Per-client delivery is expressed as dispatch pipelines/batches over
 // the transmit adapters; membership state comes from the sharded
-// registry; reassembly bookkeeping (announce metadata, parked early
-// packets, TTL eviction) lives in the registry's collection tracker.
+// registry; reassembly (announce metadata, parked early packets, the
+// marker rule, idle eviction) is the image viewer's, as at a client.
 
 import (
-	"errors"
 	"time"
 
 	"adaptiveqos/internal/apps"
@@ -24,16 +23,6 @@ import (
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
 )
-
-// fnv32 hashes a string to an RTP SSRC.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
 
 // tierGate returns the infer-tier pipeline stage: assess the client
 // and skip it (with a recorded drop) when its service tier is below
@@ -126,62 +115,32 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 		if err != nil {
 			return
 		}
-		bs.collect.Announce(meta)
-		parked := bs.collections.Announce(meta.Object, meta, bs.clk.Now())
-		for _, p := range parked {
-			bs.collectPacket(meta.Object, p.Idx, p.Data)
-		}
+		bs.collect.AnnounceAt(meta, bs.clk.Now())
 		bs.maybeDeliver(m.Sender, meta.Object, m.Selector)
 	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:
 		object, ok1 := m.Attr(message.AttrObject)
 		level, ok2 := m.Attr(message.AttrLevel)
-		if !ok1 || !ok2 {
+		pkt, err := rtp.Unmarshal(m.Body)
+		if !ok1 || !ok2 || err != nil {
 			return
 		}
-		if err := bs.collectPacket(object.Str(), int(level.Num()), m.Body); err != nil {
-			if errors.Is(err, apps.ErrUnknownImage) {
-				// The packet overtook its announce; park it (bounded),
-				// RTP header and all, so its marker survives the wait.
-				bs.collections.Park(object.Str(), int(level.Num()), m.Body, bs.clk.Now())
-			}
-			return
+		if joined, _ := bs.collect.AddChunk(object.Str(), int(level.Num()), pkt, bs.clk.Now()); joined {
+			bs.maybeDeliver(m.Sender, object.Str(), m.Selector)
 		}
-		bs.collections.Touch(object.Str(), bs.clk.Now())
-		bs.maybeDeliver(m.Sender, object.Str(), m.Selector)
 	}
-}
-
-// collectPacket adds one RTP-framed chunk to its collection.  A sender
-// that truncates a share itself (core.Client.ShareImage under reported
-// loss) announces the full packet count and sets the marker on the last
-// packet it does send: the marker ends the collection there, so the
-// prefix is delivered instead of waiting out the TTL for packets that
-// were never sent.
-func (bs *BaseStation) collectPacket(object string, idx int, frame []byte) error {
-	pkt, err := rtp.Unmarshal(frame)
-	if err != nil {
-		return err
-	}
-	if err := bs.collect.AddPacket(object, idx, pkt.Payload); err != nil {
-		return err
-	}
-	if pkt.Marker {
-		bs.collect.EndAt(object, idx+1)
-	}
-	return nil
 }
 
 // maybeDeliver forwards a wired-side image to the wireless clients
-// once every packet has been collected, then purges the collection
-// state (reassembly buffers, announce metadata) — completed transfers
-// must not accumulate in the broker.
+// once every packet has been collected — all that were announced, or
+// all up to the marker of a sender that cut its share short — then
+// forgets the collection: completed transfers must not accumulate in
+// the broker.
 func (bs *BaseStation) maybeDeliver(sender, object, sel string) {
 	st, err := bs.collect.Stats(object)
 	if err != nil || st.PacketsAccepted != st.TotalPackets {
 		return
 	}
 	bs.deliverCollectedImage(sender, object, sel)
-	bs.collections.Purge(object)
 	bs.collect.Forget(object)
 }
 
@@ -191,7 +150,7 @@ func (bs *BaseStation) maybeDeliver(sender, object, sel string) {
 // checks it is re-split and relayed, not decoded and coded again, and
 // the lower tiers are derived from it only if somebody sits in them.
 func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
-	meta, _ := bs.collections.Meta(object)
+	meta, _ := bs.collect.Meta(object)
 	stream, err := bs.collect.AcceptedStream(object)
 	if err != nil {
 		return
@@ -218,74 +177,71 @@ func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
 			}
 		}
 	}
-	rs := &renditions{bs: bs, sender: sender, object: object, sel: sel, obj: obj}
-	// Per-client pipeline: resolve the flattened profile, infer the
-	// tier, clamp to the client's declared modality preference, then
-	// frame + transmit that tier's rendition through forwardTiered.
+	// Nobody upstream to tell: a member that could not be served is in
+	// the dispatch pool's counters and the flight recorder.
+	_ = bs.relayShare(&renditions{bs: bs, sender: sender, object: object, sel: sel, obj: obj}, radio.TierImage, "")
+}
+
+// flatOf is the match stage's lookup: a member's flattened profile.
+func (bs *BaseStation) flatOf(id string) (selector.Attributes, bool) {
+	flat, _, ok := bs.reg.FlatSnapshot(id)
+	return flat, ok
+}
+
+// relayShare serves a share to every member but skip, each at the
+// richest tier that its SIR supports, its declared modality admits and
+// limit allows: resolve the flattened profile, infer the tier, clamp,
+// then frame + transmit that tier's rendition through forwardTiered.
+func (bs *BaseStation) relayShare(rs *renditions, limit radio.Tier, skip string) error {
 	pipe := dispatch.NewPipeline(
-		dispatch.Match(func(id string) (selector.Attributes, bool) {
-			flat, _, ok := bs.reg.FlatSnapshot(id)
-			return flat, ok
-		}),
+		dispatch.Match(bs.flatOf),
+		bs.tierGate(radio.TierText),
 		func(t *dispatch.Task) error {
-			a, err := bs.Assess(t.To)
-			if err != nil || a.Tier == radio.TierNone {
-				if obs.Enabled() {
-					obs.Drop(0, obs.StageDeliver,
-						"bs "+bs.id+": collected image "+object+" not deliverable to "+t.To)
-				}
-				return dispatch.ErrSkip
-			}
+			tier := min(radio.Tier(t.Tier), limit)
 			// Respect the client's preferred modality when declared
 			// (e.g. a battery-saving client that switched to text mode).
-			tier := a.Tier
 			if pref, ok := t.Flat[profile.SectionPreference+".modality"]; ok {
 				switch media.Kind(pref.Str()) {
 				case media.KindText:
 					tier = radio.TierText
 				case media.KindSketch:
-					if tier > radio.TierSketch {
-						tier = radio.TierSketch
-					}
+					tier = min(tier, radio.TierSketch)
 				}
 			}
-			t.Tier = int(tier)
-			return nil
-		},
-		func(t *dispatch.Task) error {
-			bs.forwardTiered(rs, radio.Tier(t.Tier), bs.rfTx, t.To)
-			return nil
+			return bs.forwardTiered(rs, tier, bs.rfTx, t.To)
 		},
 	)
-	bs.pool.Each(0, bs.reg.IDs(), func(id string) error {
+	return bs.pool.Each(0, bs.reg.IDs(), func(id string) error {
+		if id == skip {
+			return nil
+		}
 		return bs.runTask(pipe, dispatch.Task{To: id, Node: bs.id})
 	})
 }
+
+// collectTTL bounds how long an incomplete wired-side collection, or
+// packets parked for an announce that never came, may sit idle before
+// the sweeper evicts them.
+const collectTTL = time.Minute
+
+var ctrCollectEvictions = metrics.C(metrics.CtrCollectEvictions)
 
 // sweepLoop periodically evicts idle, never-completed collections:
 // a wired sender crashing mid-transfer or a lossy segment eating tail
 // packets must not leak reassembly buffers and announce metadata.
 func (bs *BaseStation) sweepLoop() {
 	defer close(bs.sweepDone)
-	ttl := bs.collections.TTL()
-	if ttl <= 0 {
-		<-bs.sweepStop
-		return
-	}
-	interval := ttl / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := bs.clk.NewTicker(interval)
+	ticker := bs.clk.NewTicker(collectTTL / 4)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-bs.sweepStop:
 			return
 		case now := <-ticker.C():
-			for _, object := range bs.collections.Sweep(now) {
-				bs.collect.Forget(object)
-				if obs.Enabled() {
+			evicted := bs.collect.Sweep(now, collectTTL)
+			ctrCollectEvictions.Add(uint64(len(evicted)))
+			if obs.Enabled() {
+				for _, object := range evicted {
 					obs.Drop(0, obs.StageDeliver,
 						"bs "+bs.id+": incomplete collection "+object+" expired")
 				}

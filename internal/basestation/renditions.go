@@ -73,7 +73,7 @@ func (rs *renditions) imageTier() *rendition {
 			payload:     apps.EncodeImageMeta(meta),
 			packets:     packets,
 			packetAttrs: make([]selector.Attributes, len(packets)),
-			ssrc:        fnv32(rs.bs.id + "/" + rs.object),
+			ssrc:        rtp.SSRCOf(rs.bs.id + "/" + rs.object),
 		}
 		for i := range packets {
 			rs.image.packetAttrs[i] = viewer.Merge(selector.Attributes{message.AttrLevel: selector.N(float64(i))})

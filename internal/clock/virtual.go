@@ -186,8 +186,9 @@ func (v *Virtual) AdvanceTo(t time.Time) int {
 			v.nowNS = e.atNS
 		}
 		now := time.Unix(0, v.nowNS)
+		stopped := e.stopped // a Stop that loses the race to the pop writes it under v.mu
 		v.mu.Unlock()
-		if !e.stopped {
+		if !stopped {
 			e.ev.Fire(now)
 			fired++
 		}
@@ -210,8 +211,9 @@ func (v *Virtual) Step() bool {
 			v.nowNS = e.atNS
 		}
 		now := time.Unix(0, v.nowNS)
+		stopped := e.stopped
 		v.mu.Unlock()
-		if e.stopped {
+		if stopped {
 			continue
 		}
 		e.ev.Fire(now)

@@ -11,7 +11,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -162,12 +161,6 @@ type Client struct {
 	mu           sync.RWMutex
 	lastDecision inference.Decision
 
-	// pendingData parks image packets that arrive before their
-	// announce event (the substrate does not guarantee ordering across
-	// messages); flushed when the announce lands.
-	pendingMu   sync.Mutex
-	pendingData map[string][]pendingPacket
-
 	stats struct {
 		received, data, errors atomic.Uint64
 		reports, truncated     atomic.Uint64
@@ -184,21 +177,20 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 	cfg = cfg.withDefaults()
 	cfg.Clock = clock.Or(cfg.Clock)
 	c := &Client{
-		cfg:         cfg,
-		clk:         cfg.Clock,
-		conn:        conn,
-		k:           NewKernel(conn, cfg),
-		engine:      inference.New(cfg.Contract),
-		chat:        apps.NewChatArea(),
-		wb:          apps.NewWhiteboard(),
-		viewer:      apps.NewImageViewer(),
-		inbox:       apps.NewMediaInbox(),
-		locks:       newLockTable(),
-		reports:     newReportState(cfg.Clock),
-		rtpSend:     rtp.NewSender(fnv32(conn.ID()), 96, 0),
-		rtpRecv:     make(map[string]*rtp.Receiver),
-		pendingData: make(map[string][]pendingPacket),
-		done:        make(chan struct{}),
+		cfg:     cfg,
+		clk:     cfg.Clock,
+		conn:    conn,
+		k:       NewKernel(conn, cfg),
+		engine:  inference.New(cfg.Contract),
+		chat:    apps.NewChatArea(),
+		wb:      apps.NewWhiteboard(),
+		viewer:  apps.NewImageViewer(),
+		inbox:   apps.NewMediaInbox(),
+		locks:   newLockTable(),
+		reports: newReportState(cfg.Clock),
+		rtpSend: rtp.NewSender(rtp.SSRCOf(conn.ID()), 96, 0),
+		rtpRecv: make(map[string]*rtp.Receiver),
+		done:    make(chan struct{}),
 	}
 	c.k.Deliver = c.deliver
 	c.k.Control = c.control
@@ -223,15 +215,6 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 		go c.repairLoop(interval)
 	}
 	return c
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // ID returns the client's substrate identifier.
@@ -536,8 +519,9 @@ func (c *Client) handleEvent(m *message.Message) {
 			c.stats.errors.Add(1)
 			return
 		}
-		c.viewer.Announce(meta)
-		c.flushPending(meta.Object)
+		// Chunks that overtook the announce were parked in the viewer
+		// and count now that they join an announced share.
+		c.stats.data.Add(uint64(c.viewer.AnnounceAt(meta, c.clk.Now())))
 	case apps.AppMedia:
 		if err := c.inbox.Apply(m.Sender, m.Body); err != nil {
 			c.stats.errors.Add(1)
@@ -586,64 +570,22 @@ func (c *Client) handleData(m *message.Message) {
 		c.rtpRecv[m.Sender] = recv
 	}
 	c.rtpMu.Unlock()
-	recv.Push(pkt, uint32(c.clk.Now().UnixMilli()))
+	now := c.clk.Now()
+	recv.Push(pkt, uint32(now.UnixMilli()))
 
-	if err := c.viewer.AddPacket(object.Str(), int(level.Num()), pkt.Payload); err != nil {
-		if errors.Is(err, apps.ErrUnknownImage) {
-			// The packet overtook its announce; park it.
-			if obs.Enabled() {
-				obs.Note(obs.MsgID(m.Sender, m.Seq), obs.StageReorder,
-					c.ID()+": packet overtook announce of "+object.Str())
-			}
-			c.parkPacket(object.Str(), int(level.Num()), pkt.Payload)
-			return
-		}
+	joined, err := c.viewer.AddChunk(object.Str(), int(level.Num()), pkt, now)
+	switch {
+	case err != nil:
 		c.stats.errors.Add(1)
 		if obs.Enabled() {
 			obs.Drop(obs.MsgID(m.Sender, m.Seq), obs.StageDeliver,
 				c.ID()+": data packet rejected: "+err.Error())
 		}
-		return
-	}
-	c.stats.data.Add(1)
-}
-
-// pendingPacket is one parked early-arriving image packet.
-type pendingPacket struct {
-	idx  int
-	data []byte
-}
-
-// Bounds on parked state so unannounced traffic cannot pin memory.
-const (
-	maxPendingObjects = 32
-	maxPendingPerObj  = 64
-)
-
-func (c *Client) parkPacket(object string, idx int, data []byte) {
-	c.pendingMu.Lock()
-	defer c.pendingMu.Unlock()
-	if _, ok := c.pendingData[object]; !ok && len(c.pendingData) >= maxPendingObjects {
-		return // drop: too many unannounced objects
-	}
-	q := c.pendingData[object]
-	if len(q) >= maxPendingPerObj {
-		return
-	}
-	c.pendingData[object] = append(q, pendingPacket{idx: idx, data: data}) // the message body's bytes: never written
-}
-
-func (c *Client) flushPending(object string) {
-	c.pendingMu.Lock()
-	q := c.pendingData[object]
-	delete(c.pendingData, object)
-	c.pendingMu.Unlock()
-	for _, p := range q {
-		if err := c.viewer.AddPacket(object, p.idx, p.data); err != nil {
-			c.stats.errors.Add(1)
-			continue
-		}
+	case joined:
 		c.stats.data.Add(1)
+	case obs.Enabled(): // parked in the viewer, or dropped at its parking bounds
+		obs.Note(obs.MsgID(m.Sender, m.Seq), obs.StageReorder,
+			c.ID()+": packet overtook announce of "+object.Str())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/transport"
+	"adaptiveqos/internal/transport/transporttest"
 	"adaptiveqos/internal/wavelet"
 )
 
@@ -63,6 +64,46 @@ func TestImageShareOverLossyLink(t *testing.T) {
 	}
 	if !lostSomething {
 		t.Log("note: no loss observed this run (seed-dependent); prefix path untested here")
+	}
+}
+
+// TestShareOverDuplicatingLink: a link that loses nothing but delivers
+// every frame twice, jittered, costs the receiver nothing.  A second
+// delivery of the announce is the same announce, not a new share: what
+// was collected by then stays collected, and duplicate packets are
+// no-ops, so all 16 packets are there and the render is lossless.
+func TestShareOverDuplicatingLink(t *testing.T) {
+	im := wavelet.Medical(64, 64, 3)
+	obj, err := media.EncodeImage(im, "scan, twice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		net := transport.NewSimNet(transport.SimNetConfig{Seed: seed})
+		transporttest.Watch(t, net)
+		ca, _ := net.Attach("alice")
+		cb, _ := net.Attach("bob")
+		net.SetLink("alice", "bob", transport.Link{
+			Duplicate: 1, Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond,
+		})
+		a := NewClient(ca, Config{})
+		b := NewClient(cb, Config{})
+		if err := a.ShareImage("twice", obj, ""); err != nil {
+			t.Fatal(err)
+		}
+		// Every frame arrives twice: 2 announces, 32 packets.
+		waitFor(t, fmt.Sprintf("seed %d: both copies of every frame", seed), func() bool {
+			st := b.Stats()
+			return st.EventsReceived == 2 && st.DataPackets == 32
+		})
+		if st, err := b.Viewer().Stats("twice"); err != nil || st.PacketsAccepted != 16 || st.PacketsReceived != 16 {
+			t.Errorf("seed %d: receiver holds %+v (err %v), want 16/16", seed, st, err)
+		} else if res, err := b.Viewer().Render("twice"); err != nil || !res.Lossless || !res.Image.Equal(im) {
+			t.Errorf("seed %d: render is not the image that was shared (err %v)", seed, err)
+		}
+		a.Close()
+		b.Close()
+		net.Close()
 	}
 }
 

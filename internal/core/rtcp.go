@@ -81,7 +81,7 @@ func (c *Client) SendReceptionReports() error {
 	}
 	reps := make([]rep, 0, len(c.rtpRecv))
 	for sender, recv := range c.rtpRecv {
-		reps = append(reps, rep{subject: sender, rr: recv.Report(fnv32(sender))})
+		reps = append(reps, rep{subject: sender, rr: recv.Report(rtp.SSRCOf(sender))})
 	}
 	c.rtpMu.Unlock()
 

@@ -17,16 +17,13 @@ var ErrSkip = errors.New("dispatch: skip client")
 // Task is one per-client delivery in flight: the message being
 // relayed, the client it is for, and the state the stages accumulate
 // on the way to the transmit adapter.  Tier is broker policy expressed
-// as an opaque ordinal here (the radio layer owns its meaning); Obj
-// carries stage-specific payload (e.g. the media object a transform
-// stage degrades) without this package depending on media types.
+// as an opaque ordinal here (the radio layer owns its meaning).
 type Task struct {
 	MsgID uint64
 	To    string
 	Msg   *message.Message
 	Flat  selector.Attributes
 	Tier  int
-	Obj   any
 	// Fan is the message enveloped for everyone it is relayed to; the
 	// Transmit stage sends this client its datagrams.
 	Fan *Fanout

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/selector"
@@ -170,94 +169,5 @@ func TestConcurrentChurnAndAssess(t *testing.T) {
 	}
 	if r.Len() != want {
 		t.Fatalf("Len after churn = %d, want %d", r.Len(), want)
-	}
-}
-
-func TestCollectionsLifecycle(t *testing.T) {
-	type meta struct{ Object string }
-	c := NewCollections[meta](time.Minute)
-	now := time.Now()
-
-	// Packets parked before the announce come back with it, in order.
-	if !c.Park("img", 2, []byte{2}, now) || !c.Park("img", 0, []byte{0}, now) {
-		t.Fatal("parking rejected")
-	}
-	parked := c.Announce("img", meta{"img"}, now)
-	if len(parked) != 2 || parked[0].Idx != 2 || parked[1].Idx != 0 {
-		t.Fatalf("parked = %v", parked)
-	}
-	if m, ok := c.Meta("img"); !ok || m.Object != "img" {
-		t.Fatalf("meta = %v %v", m, ok)
-	}
-	if _, ok := c.Meta("ghost"); ok {
-		t.Fatal("ghost meta")
-	}
-	if !c.Purge("img") || c.Purge("img") {
-		t.Fatal("purge semantics")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("len after purge = %d", c.Len())
-	}
-
-	// Parking bounds: per-object and across objects.
-	for i := 0; i < 100; i++ {
-		c.Park("one", i, []byte{byte(i)}, now)
-	}
-	if got := len(c.Announce("one", meta{}, now)); got != 64 {
-		t.Fatalf("per-object bound: kept %d", got)
-	}
-	for i := 0; i < 100; i++ {
-		c.Park(fmt.Sprintf("obj-%d", i), 0, nil, now)
-	}
-	kept := 0
-	for i := 0; i < 100; i++ {
-		if len(c.Announce(fmt.Sprintf("obj-%d", i), meta{}, now)) > 0 {
-			kept++
-		}
-	}
-	if kept != 32 {
-		t.Fatalf("object bound: %d objects parked", kept)
-	}
-}
-
-func TestCollectionsSweep(t *testing.T) {
-	type meta struct{}
-	c := NewCollections[meta](100 * time.Millisecond)
-	t0 := time.Now()
-	c.Announce("old", meta{}, t0)
-	c.Park("parked-old", 0, nil, t0)
-	c.Announce("fresh", meta{}, t0.Add(90*time.Millisecond))
-
-	// Activity refreshes the clock: a touched transfer survives.
-	c.Announce("busy", meta{}, t0)
-	c.Touch("busy", t0.Add(95*time.Millisecond))
-
-	evicted := c.Sweep(t0.Add(150 * time.Millisecond))
-	if len(evicted) != 2 {
-		t.Fatalf("evicted %v", evicted)
-	}
-	got := map[string]bool{}
-	for _, o := range evicted {
-		got[o] = true
-	}
-	if !got["old"] || !got["parked-old"] {
-		t.Fatalf("evicted %v", evicted)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len after sweep = %d", c.Len())
-	}
-
-	// After eviction the parked-object budget is released.
-	for i := 0; i < 32; i++ {
-		if !c.Park(fmt.Sprintf("p%d", i), 0, nil, t0.Add(200*time.Millisecond)) {
-			t.Fatalf("budget not released at %d", i)
-		}
-	}
-
-	// TTL <= 0 disables the sweep.
-	d := NewCollections[meta](0)
-	d.Announce("x", meta{}, t0)
-	if ev := d.Sweep(t0.Add(time.Hour)); ev != nil {
-		t.Fatalf("disabled sweep evicted %v", ev)
 	}
 }

@@ -26,6 +26,17 @@ type Sender struct {
 	seq     uint16
 }
 
+// SSRCOf derives a stream's synchronization source from its sender's
+// name (FNV-1a).
+func SSRCOf(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h ^= uint32(name[i])
+		h *= 16777619
+	}
+	return h
+}
+
 // NewSender creates a sender for one stream.
 func NewSender(ssrc uint32, payloadType uint8, firstSeq uint16) *Sender {
 	return &Sender{ssrc: ssrc, payload: payloadType, seq: firstSeq}
