@@ -153,14 +153,17 @@ go test -run '^$' -fuzz '^FuzzDecodeMediaObject$' -fuzztime 5s ./internal/apps/
 
 # Virtual-time gates (DESIGN.md §14).
 #
-# Clock purity: internal/clock is the bottom of the dependency graph —
-# it must import nothing from this module, so every layer can take an
-# injected clock without cycles.
-if go list -deps adaptiveqos/internal/clock | grep -x 'adaptiveqos/.*' | grep -qvx 'adaptiveqos/internal/clock'; then
-	echo "BOUNDARY VIOLATION: internal/clock imports repo packages:" >&2
-	go list -deps adaptiveqos/internal/clock | grep -x 'adaptiveqos/.*' >&2
-	exit 1
-fi
+# Leaf purity: internal/clock and internal/metrics (the one metric
+# registry, DESIGN.md §8) are the bottom of the dependency graph — they
+# must import nothing from this module, so every layer can take an
+# injected clock and report into the registry without cycles.
+for pkg in adaptiveqos/internal/clock adaptiveqos/internal/metrics; do
+	if go list -deps "$pkg" | grep -x 'adaptiveqos/.*' | grep -qvx "$pkg"; then
+		echo "BOUNDARY VIOLATION: $pkg imports repo packages:" >&2
+		go list -deps "$pkg" | grep -x 'adaptiveqos/.*' >&2
+		exit 1
+	fi
+done
 
 # Scheduling ban: no production package outside internal/clock may call
 # the stdlib scheduling primitives directly — everything goes through an

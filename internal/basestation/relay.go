@@ -54,27 +54,6 @@ func (bs *BaseStation) runTask(pipe dispatch.Pipeline, task dispatch.Task) error
 	return err
 }
 
-// parse unwraps one datagram from peer and validates the frame it
-// completes, if it completes one.  What cannot be read is counted.
-func (bs *BaseStation) parse(peer string, datagram []byte) (message.View, bool) {
-	frame, err := bs.unwrap.Unwrap(peer, datagram)
-	if err != nil {
-		ctrDecodeErrors.Inc()
-		return message.View{}, false
-	}
-	if frame == nil {
-		return message.View{}, false // a fragment, its message still incomplete
-	}
-	v, err := message.Parse(frame)
-	if err != nil {
-		ctrDecodeErrors.Inc()
-		return message.View{}, false
-	}
-	return v, true
-}
-
-var ctrDecodeErrors = metrics.C(metrics.CtrDecodeErrors)
-
 // --- Downlink (session → wireless clients) ---
 
 func (bs *BaseStation) wiredLoop() {
@@ -87,8 +66,8 @@ func (bs *BaseStation) wiredLoop() {
 // handleWired relays wired-session traffic to the wireless clients,
 // degrading content to each client's tier.
 func (bs *BaseStation) handleWired(pkt transport.Packet) {
-	v, ok := bs.parse(pkt.From, pkt.Data)
-	if !ok || string(v.Sender()) == bs.id {
+	frame, v, _ := bs.unwrap.Read(pkt.From, pkt.Data) // Read counts what it cannot read
+	if frame == nil || string(v.Sender()) == bs.id {
 		return
 	}
 	m := v.Message(&bs.wiredIntern)
@@ -263,8 +242,8 @@ func (bs *BaseStation) wirelessLoop() {
 }
 
 func (bs *BaseStation) handleWireless(pkt transport.Packet) {
-	v, ok := bs.parse("rf:"+pkt.From, pkt.Data)
-	if !ok {
+	frame, v, _ := bs.unwrap.Read("rf:"+pkt.From, pkt.Data) // counted inside Read
+	if frame == nil {
 		return
 	}
 	m := v.Message(&bs.rfIntern)

@@ -125,17 +125,8 @@ func (k *CoordinatorKernel) ArchivedEvents() int { return len(k.frames) }
 // requests are answered with unicast replays, lock requests are
 // arbitrated.  Malformed input is counted and dropped.
 func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
-	frame, err := k.unwrap.Unwrap(pkt.From, pkt.Data)
-	if err != nil {
-		ctrDecodeErrors.Inc()
-		return
-	}
+	frame, v, _ := k.unwrap.Read(pkt.From, pkt.Data) // Read counts what it cannot read
 	if frame == nil {
-		return
-	}
-	v, err := message.Parse(frame)
-	if err != nil {
-		ctrDecodeErrors.Inc()
 		return
 	}
 	switch v.Kind() {

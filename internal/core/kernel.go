@@ -8,7 +8,6 @@ import (
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/message"
-	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/repair"
@@ -106,21 +105,16 @@ func (k *Kernel) ID() string { return k.conn.ID() }
 // the validation and nothing else.  Malformed input is counted, never
 // returned or panicked on.
 func (k *Kernel) HandlePacket(pkt transport.Packet) {
-	frame, err := k.unwrap.Unwrap(pkt.From, pkt.Data)
+	frame, v, err := k.unwrap.Read(pkt.From, pkt.Data)
 	if err != nil {
-		k.countDecodeError()
+		k.decodeErrors.Add(1)
+		if obs.Enabled() {
+			obs.Drop(0, obs.StageMatch, k.ID()+": undecodable datagram from "+pkt.From)
+		}
 		return
 	}
 	if frame == nil {
 		return // fragment of a larger message, not yet complete
-	}
-	v, err := message.Parse(frame)
-	if err != nil {
-		k.countDecodeError()
-		if obs.Enabled() {
-			obs.Drop(0, obs.StageMatch, k.ID()+": undecodable frame from "+pkt.From)
-		}
-		return
 	}
 	if string(v.Sender()) == k.ID() {
 		return // self-delivery via relays
@@ -135,15 +129,6 @@ func (k *Kernel) HandlePacket(pkt transport.Packet) {
 	}
 	k.process(v)
 }
-
-func (k *Kernel) countDecodeError() {
-	k.decodeErrors.Add(1)
-	ctrDecodeErrors.Inc()
-}
-
-// ctrDecodeErrors counts datagrams either kernel could not unwrap or
-// parse, process-wide (Kernel.decodeErrors is this endpoint's share).
-var ctrDecodeErrors = metrics.C(metrics.CtrDecodeErrors)
 
 // Poll advances the repair engine to now: stalled gaps are NACKed on
 // their backoff schedule and, once the retry budget is spent,

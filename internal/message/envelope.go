@@ -202,6 +202,23 @@ func NewUnwrapper() *Unwrapper {
 	return &Unwrapper{peers: make(map[string]*Reassembler)}
 }
 
+// Read is the receive paths' one entry point: it unwraps a datagram
+// from peer and returns the frame it completes with the validated view
+// of it.  frame is nil for a fragment whose message is still incomplete
+// and for a datagram that cannot be unwrapped or parsed; the latter is
+// returned as err and counted in message.decode.errors.
+func (u *Unwrapper) Read(peer string, datagram []byte) (frame []byte, v View, err error) {
+	frame, err = u.Unwrap(peer, datagram)
+	if err == nil && frame != nil {
+		v, err = Parse(frame)
+	}
+	if err != nil {
+		metrics.C(metrics.CtrDecodeErrors).Inc() // only a malformed datagram pays the lookup
+		return nil, View{}, err
+	}
+	return frame, v, nil
+}
+
 // Unwrap ingests one datagram from a peer.  It returns the completed
 // message frame when one is available (a whole frame immediately, a
 // fragmented one when its last piece arrives), or nil.

@@ -2,13 +2,12 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
 // Counter is a monotonically increasing event counter, safe for
 // concurrent use.  Hot paths hold a *Counter and pay one atomic add per
-// event; the registry is only consulted at lookup time.
+// event; the registry (registry.go) is only consulted at lookup time.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -24,78 +23,6 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Reset zeroes the counter (benchmarks measuring deltas).
 func (c *Counter) Reset() { c.v.Store(0) }
-
-// CounterSet is a registry of named counters.
-type CounterSet struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-}
-
-// NewCounterSet returns an empty registry.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{counters: make(map[string]*Counter)}
-}
-
-// Counter returns (creating on demand) the named counter.
-func (s *CounterSet) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Each calls fn for every registered counter.  The set's lock is held
-// for the duration, so fn must not call back into the registry; hot
-// consumers (the timeline sampler) grab handles here once and read
-// them lock-free afterwards.  Iteration order is unspecified.
-func (s *CounterSet) Each(fn func(name string, c *Counter)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, c := range s.counters {
-		fn(name, c)
-	}
-}
-
-// Len reports the number of registered counters.
-func (s *CounterSet) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.counters)
-}
-
-// Snapshot returns the current value of every registered counter.
-func (s *CounterSet) Snapshot() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.counters))
-	for name, c := range s.counters {
-		out[name] = c.Load()
-	}
-	return out
-}
-
-// defaultCounters is the process-global registry the substrate's fast
-// paths report into (selector cache hits, flatten reuse, pooled-buffer
-// reuse, fan-out activity).
-var defaultCounters = NewCounterSet()
-
-// C returns the named counter from the process-global registry.
-func C(name string) *Counter { return defaultCounters.Counter(name) }
-
-// Counters returns the process-global counter snapshot.
-func Counters() map[string]uint64 { return defaultCounters.Snapshot() }
-
-// EachCounter iterates the process-global registry (see CounterSet.Each
-// for the locking contract).
-func EachCounter(fn func(name string, c *Counter)) { defaultCounters.Each(fn) }
-
-// NumCounters reports the process-global registry's size — a cheap
-// change detector for consumers that cache handle lists.
-func NumCounters() int { return defaultCounters.Len() }
 
 // Names of the dispatch fast-path counters (see DESIGN.md "Dispatch
 // fast path").  Declared here so instrumented packages and tools agree
@@ -159,7 +86,7 @@ const (
 	// the bounded buffer was full.
 	CtrRecordAppended = "record.appended"
 	CtrRecordDropped  = "record.dropped"
-	// Gauge-cardinality cap (internal/obs, DESIGN.md §16): sets against
+	// Gauge-cardinality cap (cardinality.go, DESIGN.md §8): sets against
 	// a labeled gauge family already at its child limit, folded into the
 	// family's min/mean/max overflow aggregate instead of registering.
 	CtrGaugeCardinalityDropped = "gauge.cardinality.dropped"
@@ -245,10 +172,10 @@ func UnescapeLabel(v string) string {
 }
 
 // defaultCounterNames lists every unlabeled counter family declared
-// above.  TouchDefaults registers them all, so each aqos_* counter is
-// present (at zero) in /metrics from process start instead of
-// appearing only after its first event.  Keep in sync with the
-// constants; TestDefaultCounterFamiliesPreTouched guards the list.
+// above.  init registers them all, so each aqos_* counter is present
+// (at zero) in /metrics from process start instead of appearing only
+// after its first event.  Keep in sync with the constants;
+// TestDefaultCounterFamiliesPreTouched guards the list.
 var defaultCounterNames = []string{
 	CtrSelectorCacheHit, CtrSelectorCacheMiss,
 	CtrFlattenReuse, CtrFlattenBuild,
@@ -265,13 +192,8 @@ var defaultCounterNames = []string{
 	CtrGaugeCardinalityDropped,
 }
 
-// TouchDefaults pre-registers every declared counter family in the
-// process-global registry.  It runs at init (so exposition always
-// shows complete families) and is idempotent.
-func TouchDefaults() {
+func init() {
 	for _, name := range defaultCounterNames {
-		defaultCounters.Counter(name)
+		C(name)
 	}
 }
-
-func init() { TouchDefaults() }

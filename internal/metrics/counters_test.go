@@ -5,21 +5,22 @@ import (
 	"testing"
 )
 
-func TestCounterSetBasics(t *testing.T) {
-	s := NewCounterSet()
-	c := s.Counter("x")
+func TestCounterBasics(t *testing.T) {
+	c := C("test.basics.x")
+	c.Reset() // -count=2 reruns see the process-global value
+	C("test.basics.y").Reset()
 	c.Inc()
 	c.Add(4)
 	if c.Load() != 5 {
 		t.Errorf("count = %d", c.Load())
 	}
-	if s.Counter("x") != c {
+	if C("test.basics.x") != c {
 		t.Error("same name must return the same counter")
 	}
-	s.Counter("y").Inc()
-	snap := s.Snapshot()
-	if snap["x"] != 5 || snap["y"] != 1 {
-		t.Errorf("snapshot = %v", snap)
+	C("test.basics.y").Inc()
+	snap := Counters()
+	if snap["test.basics.x"] != 5 || snap["test.basics.y"] != 1 {
+		t.Errorf("snapshot x=%d y=%d, want 5 and 1", snap["test.basics.x"], snap["test.basics.y"])
 	}
 	c.Reset()
 	if c.Load() != 0 {
@@ -28,19 +29,19 @@ func TestCounterSetBasics(t *testing.T) {
 }
 
 func TestCounterConcurrent(t *testing.T) {
-	s := NewCounterSet()
+	C("test.concurrent.shared").Reset()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				s.Counter("shared").Inc()
+				C("test.concurrent.shared").Inc()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := s.Counter("shared").Load(); got != 8000 {
+	if got := C("test.concurrent.shared").Load(); got != 8000 {
 		t.Errorf("shared = %d", got)
 	}
 }

@@ -1,7 +1,9 @@
-// Package metrics provides the experiment instrumentation used by the
-// benchmark harness: named series, summaries and fixed-width table
-// rendering so each bench prints the rows/curves the paper's figures
-// plot.
+// Package metrics is the process's one metric registry — counters,
+// gauges and log-bucketed histograms in a single name table
+// (registry.go) that /metrics, /debug/qos and the timeline read — plus
+// the experiment tables (named series and fixed-width rendering) the
+// paper's figures are printed from.  It imports nothing from this
+// module.
 package metrics
 
 import (

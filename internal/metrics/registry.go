@@ -1,0 +1,137 @@
+package metrics
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+)
+
+// Gauge is a last-value metric, safe for concurrent use.
+type Gauge struct {
+	bits atomic.Uint64
+}
+
+// Set stores v.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+// Load returns the current value (0 before the first Set).
+func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// table is the process-global registry: one name→metric map under one
+// mutex, where a name holds exactly one kind — a *Counter, *Gauge or
+// *Histogram.  Hot paths hold handles; the map is only consulted at
+// registration and exposition time.  famCount and overflow are the
+// gauge cardinality cap's bookkeeping (cardinality.go).
+var table = struct {
+	mu       sync.Mutex
+	m        map[string]any
+	famCount map[string]int
+	overflow map[string]*overflowAgg
+}{
+	m:        make(map[string]any),
+	famCount: make(map[string]int),
+	overflow: make(map[string]*overflowAgg),
+}
+
+// getLocked returns (creating on demand) the metric of kind T named
+// name.  A name registered as another kind is a programming error and
+// panics.  Caller holds table.mu.
+func getLocked[T Counter | Gauge | Histogram](name string) *T {
+	m, ok := table.m[name]
+	if !ok {
+		t := new(T)
+		table.m[name] = t
+		return t
+	}
+	t, ok := m.(*T)
+	if !ok {
+		panic(fmt.Sprintf("metrics: %q is registered as %T, asked for as %T", name, m, t))
+	}
+	return t
+}
+
+func get[T Counter | Gauge | Histogram](name string) *T {
+	table.mu.Lock()
+	defer table.mu.Unlock()
+	return getLocked[T](name)
+}
+
+// C returns (creating on demand) the named counter.
+func C(name string) *Counter { return get[Counter](name) }
+
+// H returns (creating on demand) the named histogram.  Names may carry
+// Prometheus-style labels: `stage_latency_ns{stage="match"}`.
+func H(name string) *Histogram { return get[Histogram](name) }
+
+// gaugeLocked returns (creating on demand) the named gauge, or nil when
+// name would be a new child of a labeled family already at
+// GaugeCardinalityLimit.  Caller holds table.mu.
+func gaugeLocked(name string) *Gauge {
+	if _, ok := table.m[name]; !ok {
+		if fam, _, labeled := strings.Cut(name, "{"); labeled {
+			if table.famCount[fam] >= GaugeCardinalityLimit {
+				return nil
+			}
+			table.famCount[fam]++
+		}
+	}
+	return getLocked[Gauge](name)
+}
+
+// SetGauge sets the named gauge.  Sets against a labeled family past its
+// cardinality cap fold into the family's min/mean/max overflow
+// aggregate and bump aqos_gauge_cardinality_dropped instead.
+func SetGauge(name string, v float64) {
+	table.mu.Lock()
+	defer table.mu.Unlock()
+	if g := gaugeLocked(name); g != nil {
+		g.Set(v)
+		return
+	}
+	fam, _, _ := strings.Cut(name, "{")
+	overflowObserveLocked(fam, v)
+	getLocked[Counter](CtrGaugeCardinalityDropped).Inc()
+}
+
+// Each calls fn for every registered metric in name order; m is its
+// *Counter, *Gauge or *Histogram.  fn runs on a snapshot of the table,
+// outside its lock; handle-caching readers (the timeline sampler) keep
+// the handles and read them lock-free afterwards.
+func Each(fn func(name string, m any)) {
+	type entry struct {
+		name string
+		m    any
+	}
+	table.mu.Lock()
+	all := make([]entry, 0, len(table.m))
+	for name, m := range table.m {
+		all = append(all, entry{name, m})
+	}
+	table.mu.Unlock()
+	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
+	for _, e := range all {
+		fn(e.name, e.m)
+	}
+}
+
+// Len reports how many metrics are registered — a cheap change
+// detector for readers that cache handles.
+func Len() int {
+	table.mu.Lock()
+	defer table.mu.Unlock()
+	return len(table.m)
+}
+
+// Counters returns the current value of every registered counter.
+func Counters() map[string]uint64 {
+	out := make(map[string]uint64)
+	Each(func(name string, m any) {
+		if c, ok := m.(*Counter); ok {
+			out[name] = c.Load()
+		}
+	})
+	return out
+}

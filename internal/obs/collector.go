@@ -3,6 +3,8 @@ package obs
 import (
 	"sync"
 	"time"
+
+	"adaptiveqos/internal/metrics"
 )
 
 // SamplerFunc feeds one component's QoS telemetry into named gauges.
@@ -13,18 +15,20 @@ import (
 type SamplerFunc func(set func(name string, value float64))
 
 // Collector periodically samples registered components into the
-// process-global gauges: per-client SIR, service tier and
-// power-control state from base stations, RTCP loss/jitter from
-// clients, and host parameters from host agents.
+// registry's gauges: per-client SIR, service tier and power-control
+// state from base stations, RTCP loss/jitter from clients, and host
+// parameters from host agents.
 type Collector struct {
+	interval time.Duration // fixed at NewCollector
+
 	mu       sync.Mutex
-	interval time.Duration
 	samplers []SamplerFunc
 	stop     chan struct{}
 	done     chan struct{}
 }
 
-// NewCollector creates a collector; interval <= 0 defaults to 1s.
+// NewCollector creates a collector sampling every interval; interval
+// <= 0 means 1s.
 func NewCollector(interval time.Duration) *Collector {
 	if interval <= 0 {
 		interval = time.Second
@@ -41,13 +45,6 @@ func (c *Collector) Register(fn SamplerFunc) {
 	c.samplers = append(c.samplers, fn)
 }
 
-// Interval reports the current sampling cadence.
-func (c *Collector) Interval() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.interval
-}
-
 // SampleOnce runs every sampler immediately (deterministic snapshots
 // for tests and debug dumps).  When a session recorder is installed,
 // each sampled gauge is also appended to the record as a qos event.
@@ -58,12 +55,12 @@ func (c *Collector) SampleOnce() {
 	c.mu.Unlock()
 	// Each sampling round re-bases the gauge-overflow aggregates, so the
 	// capped families' min/mean/max describe this round's spread.
-	StartGaugeOverflowRound()
-	set := SetGauge
+	metrics.StartGaugeOverflowRound()
+	set := metrics.SetGauge
 	if r := rec.Load(); r != nil {
 		at := nowNS()
 		set = func(name string, value float64) {
-			SetGauge(name, value)
+			metrics.SetGauge(name, value)
 			r.Append(RecEvent{Type: RecTypeQoS, AtNS: at, Name: name, Value: value})
 		}
 	}
@@ -84,18 +81,16 @@ func (c *Collector) Start() {
 	c.done = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		// A timer re-armed with the current interval after each fire
-		// (rather than a fixed ticker) lets SetInterval take effect from
-		// the next tick.  Re-arm before sampling so the next fire is
-		// already scheduled when samplers observe this one.
-		timer := clockOrWall().NewTimer(c.Interval())
+		// Re-arm before sampling so the next fire is already scheduled
+		// when samplers observe this one.
+		timer := clockOrWall().NewTimer(c.interval)
 		defer timer.Stop()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-timer.C():
-				timer.Reset(c.Interval())
+				timer.Reset(c.interval)
 				c.SampleOnce()
 			}
 		}

@@ -10,9 +10,8 @@ import (
 
 // TestCollectorVirtualClock pins the collector's scheduling to the
 // clock seam: with a virtual clock installed the loop fires exactly
-// when virtual time crosses the interval, SetInterval takes effect
-// from the next re-arm, and samplers registered after Start join the
-// next tick.
+// when virtual time crosses the interval, and samplers registered
+// after Start join the next tick.
 func TestCollectorVirtualClock(t *testing.T) {
 	virt := clock.NewVirtual(clock.DefaultEpoch)
 	SetClock(virt)
@@ -53,35 +52,22 @@ func TestCollectorVirtualClock(t *testing.T) {
 	}
 	waitFor("re-arm 2", armed)
 
-	// The tick pending now was armed with the old 100ms interval; the
-	// new 200ms cadence applies from the re-arm after it fires.
-	c.SetInterval(200 * time.Millisecond)
-	if c.Interval() != 200*time.Millisecond {
-		t.Fatalf("Interval = %v, want 200ms", c.Interval())
+	virt.Advance(50 * time.Millisecond) // half the interval: no fire
+	if got := samples.Load(); got != 2 {
+		t.Errorf("samples after half-interval advance = %d, want 2", got)
 	}
-	virt.Advance(100 * time.Millisecond)
+	virt.Advance(50 * time.Millisecond)
 	waitFor("sample 3", func() bool { return samples.Load() == 3 })
-	waitFor("re-arm 3", armed)
-
-	virt.Advance(100 * time.Millisecond) // half the new interval: no fire
-	if got := samples.Load(); got != 3 {
-		t.Errorf("samples after half-interval advance = %d, want 3", got)
-	}
-	virt.Advance(100 * time.Millisecond)
-	waitFor("sample 4", func() bool { return samples.Load() == 4 })
 }
 
 func TestCollectorSetIntervalDefaults(t *testing.T) {
-	c := NewCollector(0)
-	if c.Interval() != time.Second {
-		t.Errorf("NewCollector(0) interval = %v, want 1s", c.Interval())
+	if c := NewCollector(0); c.interval != time.Second {
+		t.Errorf("NewCollector(0) interval = %v, want 1s", c.interval)
 	}
-	c.SetInterval(250 * time.Millisecond)
-	if c.Interval() != 250*time.Millisecond {
-		t.Errorf("Interval = %v, want 250ms", c.Interval())
+	if c := NewCollector(-1); c.interval != time.Second {
+		t.Errorf("NewCollector(-1) interval = %v, want 1s", c.interval)
 	}
-	c.SetInterval(-1)
-	if c.Interval() != time.Second {
-		t.Errorf("SetInterval(-1) interval = %v, want 1s", c.Interval())
+	if c := NewCollector(250 * time.Millisecond); c.interval != 250*time.Millisecond {
+		t.Errorf("NewCollector(250ms) interval = %v", c.interval)
 	}
 }

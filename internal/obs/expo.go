@@ -75,8 +75,9 @@ func family(name string) string {
 	return name
 }
 
-// WriteMetrics renders every counter (internal/metrics), gauge and
-// histogram in Prometheus text exposition format.
+// WriteMetrics renders every registered counter, gauge and histogram
+// (internal/metrics) in Prometheus text exposition format, in name
+// order.
 func WriteMetrics(w io.Writer) error {
 	var sb strings.Builder
 	typed := make(map[string]bool)
@@ -86,46 +87,35 @@ func WriteMetrics(w io.Writer) error {
 			fmt.Fprintf(&sb, "# TYPE %s %s\n", fam, kind)
 		}
 	}
-
-	counters := metrics.Counters()
-	for _, name := range sortedKeys(counters) {
+	metrics.Each(func(name string, m any) {
 		exp := sanitizeName(name)
-		declare(exp, "counter")
-		fmt.Fprintf(&sb, "%s %d\n", exp, counters[name])
-	}
-
-	gauges := Gauges()
-	for _, name := range sortedKeys(gauges) {
-		exp := sanitizeName(name)
-		declare(exp, "gauge")
-		fmt.Fprintf(&sb, "%s %g\n", exp, gauges[name])
-	}
-
-	hists := Histograms()
-	for _, name := range sortedKeys(hists) {
-		s := hists[name]
-		exp := sanitizeName(name)
-		bucket := suffixed(exp, "_bucket")
-		declare(exp, "histogram")
-		var cum uint64
-		for i, c := range s.Buckets {
-			cum += c
-			if c == 0 && i != numBuckets-1 {
-				continue // only emit occupied buckets plus +Inf
+		switch m := m.(type) {
+		case *metrics.Counter:
+			declare(exp, "counter")
+			fmt.Fprintf(&sb, "%s %d\n", exp, m.Load())
+		case *metrics.Gauge:
+			declare(exp, "gauge")
+			fmt.Fprintf(&sb, "%s %g\n", exp, m.Load())
+		case *metrics.Histogram:
+			declare(exp, "histogram")
+			s := m.Snapshot()
+			bucket := suffixed(exp, "_bucket")
+			// Occupied finite buckets, cumulatively; the last bucket is
+			// unbounded, so it is the +Inf sample, written once.
+			last := len(s.Buckets) - 1
+			var cum uint64
+			for i, c := range s.Buckets[:last] {
+				if c == 0 {
+					continue
+				}
+				cum += c
+				le := strconv.FormatUint(metrics.BucketUpper(i), 10)
+				fmt.Fprintf(&sb, "%s %d\n", withLabel(bucket, "le", le), cum)
 			}
-			le := fmt.Sprintf("%d", BucketUpper(i))
-			if i == numBuckets-1 {
-				le = "+Inf"
-			}
-			fmt.Fprintf(&sb, "%s %d\n", withLabel(bucket, "le", le), cum)
+			fmt.Fprintf(&sb, "%s %d\n%s %d\n%s %d\n", withLabel(bucket, "le", "+Inf"), s.Count,
+				suffixed(exp, "_sum"), s.Sum, suffixed(exp, "_count"), s.Count)
 		}
-		if s.Buckets[numBuckets-1] == 0 {
-			fmt.Fprintf(&sb, "%s %d\n", withLabel(bucket, "le", "+Inf"), cum)
-		}
-		fmt.Fprintf(&sb, "%s %d\n%s %d\n",
-			suffixed(exp, "_sum"), s.Sum, suffixed(exp, "_count"), s.Count)
-	}
-
+	})
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
@@ -146,20 +136,20 @@ func WriteQoSDebug(w io.Writer, maxEvents int) error {
 			st, s.Count, s.Mean(), s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99))
 	}
 
-	gauges := Gauges()
-	if len(gauges) > 0 {
-		fmt.Fprintf(&sb, "\nqos gauges:\n")
-		for _, name := range sortedKeys(gauges) {
-			fmt.Fprintf(&sb, "  %-48s %g\n", name, gauges[name])
+	var gauges, counters strings.Builder
+	metrics.Each(func(name string, m any) {
+		switch m := m.(type) {
+		case *metrics.Gauge:
+			fmt.Fprintf(&gauges, "  %-48s %g\n", name, m.Load())
+		case *metrics.Counter:
+			fmt.Fprintf(&counters, "  %-48s %d\n", name, m.Load())
 		}
+	})
+	if gauges.Len() > 0 {
+		fmt.Fprintf(&sb, "\nqos gauges:\n%s", gauges.String())
 	}
-
-	counters := metrics.Counters()
-	if len(counters) > 0 {
-		fmt.Fprintf(&sb, "\ncounters:\n")
-		for _, name := range sortedKeys(counters) {
-			fmt.Fprintf(&sb, "  %-48s %d\n", name, counters[name])
-		}
+	if counters.Len() > 0 {
+		fmt.Fprintf(&sb, "\ncounters:\n%s", counters.String())
 	}
 
 	evs := Events(maxEvents)
@@ -291,7 +281,7 @@ func Handler() http.Handler {
 	mux.HandleFunc("/debug", index)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		SampleRuntime(SetGauge)
+		SampleRuntime(metrics.SetGauge)
 		WriteMetrics(w)
 	})
 	mux.HandleFunc("/debug/qos", func(w http.ResponseWriter, r *http.Request) {

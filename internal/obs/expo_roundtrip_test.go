@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +17,24 @@ type expoSample struct {
 	name   string
 	labels map[string]string
 	value  float64
+}
+
+// series identifies the sample's time series — its name and label set,
+// whatever order the labels were written in — with the named labels
+// left out.
+func (s expoSample) series(omit ...string) string {
+	keys := make([]string, 0, len(s.labels))
+	for k := range s.labels {
+		if !slices.Contains(omit, k) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	id := s.name
+	for _, k := range keys {
+		id += fmt.Sprintf(",%s=%q", k, s.labels[k])
+	}
+	return id
 }
 
 // parseExpoLine parses `name{k="v",...} value` per the Prometheus text
@@ -82,8 +102,9 @@ func parseExpoLine(line string) (expoSample, error) {
 // TestExpositionParserRoundTrip is the satellite guard for label
 // escaping: hostile label values seeded through the real name
 // constructors must survive a full render-and-parse cycle byte for
-// byte, every emitted line must parse, and every counter family
-// declared in internal/metrics must surface as an aqos_ family.
+// byte, every emitted line must parse, no series may be written twice,
+// and every counter family declared in internal/metrics must surface as
+// an aqos_ family.
 func TestExpositionParserRoundTrip(t *testing.T) {
 	SetEnabled(true)
 	t.Cleanup(func() { SetEnabled(false) })
@@ -91,8 +112,8 @@ func TestExpositionParserRoundTrip(t *testing.T) {
 	hostile := "wire\"d\\client\n0"
 	metrics.C(metrics.SLOClientViolations(hostile)).Inc()
 	metrics.C(metrics.RuleFired(hostile)).Inc()
-	SetGauge(`slo_burn_short{client="`+metrics.EscapeLabel(hostile)+`"}`, 2.25)
-	H("slo_time_to_recover_ns").Observe(1_500_000)
+	metrics.SetGauge(`slo_burn_short{client="`+metrics.EscapeLabel(hostile)+`"}`, 2.25)
+	metrics.H("slo_time_to_recover_ns").Observe(1_500_000)
 
 	var buf bytes.Buffer
 	if err := WriteMetrics(&buf); err != nil {
@@ -101,6 +122,7 @@ func TestExpositionParserRoundTrip(t *testing.T) {
 
 	families := map[string]string{} // family -> declared type
 	var samples []expoSample
+	seen := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
 			parts := strings.Fields(line)
@@ -117,6 +139,11 @@ func TestExpositionParserRoundTrip(t *testing.T) {
 		if !strings.HasPrefix(sm.name, "aqos_") {
 			t.Errorf("sample %q escapes the aqos_ namespace", sm.name)
 		}
+		id := sm.series()
+		if seen[id] {
+			t.Errorf("series %s written twice", id)
+		}
+		seen[id] = true
 		samples = append(samples, sm)
 	}
 
@@ -151,18 +178,25 @@ func TestExpositionParserRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Histogram series must be internally consistent: the +Inf bucket
-	// equals the count.
-	hist := map[string]float64{}
+	// Histogram series must be internally consistent: every histogram's
+	// +Inf bucket equals its count.
+	inf, count := map[string]float64{}, map[string]float64{}
 	for _, sm := range samples {
 		switch {
-		case sm.name == "aqos_slo_time_to_recover_ns_bucket" && sm.labels["le"] == "+Inf":
-			hist["inf"] = sm.value
-		case sm.name == "aqos_slo_time_to_recover_ns_count":
-			hist["count"] = sm.value
+		case strings.HasSuffix(sm.name, "_bucket") && sm.labels["le"] == "+Inf":
+			sm.name = strings.TrimSuffix(sm.name, "_bucket")
+			inf[sm.series("le")] = sm.value
+		case strings.HasSuffix(sm.name, "_count") && families[strings.TrimSuffix(sm.name, "_count")] == "histogram":
+			sm.name = strings.TrimSuffix(sm.name, "_count")
+			count[sm.series()] = sm.value
 		}
 	}
-	if hist["count"] == 0 || hist["inf"] != hist["count"] {
-		t.Errorf("histogram series inconsistent: +Inf %g vs count %g", hist["inf"], hist["count"])
+	if c := count["aqos_slo_time_to_recover_ns"]; c == 0 {
+		t.Errorf("aqos_slo_time_to_recover_ns_count = %g, want the observation counted", c)
+	}
+	for id, c := range count {
+		if v, ok := inf[id]; !ok || v != c {
+			t.Errorf("histogram %s: +Inf bucket %g (present %v) vs count %g", id, v, ok, c)
+		}
 	}
 }

@@ -24,8 +24,8 @@ func TestExpositionEndToEnd(t *testing.T) {
 		sp.End()
 		sp = StartStage(MsgID("wired-0", 2), StageMatch)
 		sp.EndErr("filtered by profile")
-		SetGauge(`client_sir_db{bs="bs",client="w0"}`, 17.25)
-		SetGauge(`rtp_loss_fraction{client="w0",sender="wired-0"}`, 0.125)
+		metrics.SetGauge(`client_sir_db{bs="bs",client="w0"}`, 17.25)
+		metrics.SetGauge(`rtp_loss_fraction{client="w0",sender="wired-0"}`, 0.125)
 		metrics.C("obs_expo_test_counter").Inc()
 
 		srv := httptest.NewServer(Handler())
@@ -132,7 +132,8 @@ func histName(name, suffix string) string {
 }
 
 // parseExposition reads Prometheus text format into name→value plus
-// name→declared-type maps, failing the test on malformed lines.
+// name→declared-type maps, failing the test on malformed lines and on a
+// series (name plus label set) written twice, which a scraper rejects.
 func parseExposition(t *testing.T, r io.Reader) (samples map[string]float64, types map[string]string) {
 	t.Helper()
 	samples = make(map[string]float64)
@@ -164,6 +165,9 @@ func parseExposition(t *testing.T, r io.Reader) (samples map[string]float64, typ
 		v, err := strconv.ParseFloat(valText, 64)
 		if err != nil {
 			t.Fatalf("bad value in %q: %v", line, err)
+		}
+		if _, dup := samples[name]; dup {
+			t.Fatalf("series %s written twice", name)
 		}
 		samples[name] = v
 	}

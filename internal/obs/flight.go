@@ -114,9 +114,9 @@ func (s *flightStore) getOrCreateLocked(id uint64, origin int64) *flightEntry {
 
 // e2e cross-hop histograms, registered up front like the stage set.
 var (
-	e2eDeliverHist   = H(`e2e_latency_ns{path="publish_to_deliver"}`)
-	e2eTransformHist = H(`e2e_latency_ns{path="publish_to_transform"}`)
-	e2eHopCountHist  = H(`e2e_hop_count`)
+	e2eDeliverHist   = metrics.H(`e2e_latency_ns{path="publish_to_deliver"}`)
+	e2eTransformHist = metrics.H(`e2e_latency_ns{path="publish_to_transform"}`)
+	e2eHopCountHist  = metrics.H(`e2e_hop_count`)
 )
 
 // AppendHop records that node reached stage for trace id.  No-op (and

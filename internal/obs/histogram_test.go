@@ -4,13 +4,34 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"adaptiveqos/internal/metrics"
 )
+
+// The histogram lives in internal/metrics; these tests hold it to its
+// contract through the public API.
+
+// numBuckets is the histogram's bucket count.
+const numBuckets = len(metrics.HistogramSnapshot{}.Buckets)
+
+// bucketIndex observes v into a fresh histogram and reports the bucket
+// it landed in.
+func bucketIndex(v int64) int {
+	var h Histogram
+	h.Observe(v)
+	for i, c := range h.Snapshot().Buckets {
+		if c != 0 {
+			return i
+		}
+	}
+	return -1
+}
 
 // TestBucketBoundaries pins the power-of-two bucketing scheme: bucket
 // 0 holds the value 0, bucket i holds [2^(i-1), 2^i).
 func TestBucketBoundaries(t *testing.T) {
 	cases := []struct {
-		v    uint64
+		v    int64
 		want int
 	}{
 		{0, 0},
@@ -20,7 +41,8 @@ func TestBucketBoundaries(t *testing.T) {
 		{8, 4}, {15, 4},
 		{1 << 10, 11}, {(1 << 11) - 1, 11},
 		{1 << 62, 63},
-		{math.MaxUint64, 63}, // top-bit values clamp into the last bucket
+		{math.MaxInt64, 63}, // the largest observable value is in the last bucket
+		{-5, 0},             // negative observations clamp to zero
 	}
 	for _, tc := range cases {
 		if got := bucketIndex(tc.v); got != tc.want {
@@ -31,7 +53,7 @@ func TestBucketBoundaries(t *testing.T) {
 	// Every boundary value 2^i must land in bucket i+1 while 2^i - 1
 	// stays in bucket i (for i >= 1).
 	for i := 1; i < 62; i++ {
-		v := uint64(1) << uint(i)
+		v := int64(1) << uint(i)
 		if got := bucketIndex(v); got != i+1 {
 			t.Errorf("bucketIndex(2^%d) = %d, want %d", i, got, i+1)
 		}
@@ -42,22 +64,22 @@ func TestBucketBoundaries(t *testing.T) {
 }
 
 func TestBucketUpper(t *testing.T) {
-	if BucketUpper(0) != 1 {
-		t.Errorf("BucketUpper(0) = %d", BucketUpper(0))
+	if metrics.BucketUpper(0) != 1 {
+		t.Errorf("BucketUpper(0) = %d", metrics.BucketUpper(0))
 	}
-	if BucketUpper(-3) != 1 {
-		t.Errorf("BucketUpper(-3) = %d", BucketUpper(-3))
+	if metrics.BucketUpper(-3) != 1 {
+		t.Errorf("BucketUpper(-3) = %d", metrics.BucketUpper(-3))
 	}
-	if BucketUpper(5) != 32 {
-		t.Errorf("BucketUpper(5) = %d", BucketUpper(5))
+	if metrics.BucketUpper(5) != 32 {
+		t.Errorf("BucketUpper(5) = %d", metrics.BucketUpper(5))
 	}
-	if BucketUpper(numBuckets-1) != math.MaxUint64 {
+	if metrics.BucketUpper(numBuckets-1) != math.MaxUint64 {
 		t.Errorf("last bucket must be unbounded")
 	}
 	// Each value must be < BucketUpper(bucketIndex(v)): the bound is
 	// exclusive.
-	for _, v := range []uint64{0, 1, 2, 3, 4, 100, 1 << 20, 1 << 40} {
-		if up := BucketUpper(bucketIndex(v)); v >= up {
+	for _, v := range []int64{0, 1, 2, 3, 4, 100, 1 << 20, 1 << 40} {
+		if up := metrics.BucketUpper(bucketIndex(v)); uint64(v) >= up {
 			t.Errorf("value %d >= BucketUpper(its bucket) = %d", v, up)
 		}
 	}

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"adaptiveqos/internal/metrics"
 )
 
 // withInstrumentation runs the body with the global flag on and
@@ -149,21 +152,17 @@ func TestRingOverwriteOldest(t *testing.T) {
 }
 
 func TestGaugesAndRegistry(t *testing.T) {
-	SetGauge(`test_gauge{x="1"}`, 2.5)
-	if got := Gauges()[`test_gauge{x="1"}`]; got != 2.5 {
+	metrics.SetGauge(`test_gauge{x="1"}`, 2.5)
+	if got := gauges()[`test_gauge{x="1"}`]; got != 2.5 {
 		t.Errorf("gauge = %g", got)
 	}
-	all := Gauges()
-	if all[`test_gauge{x="1"}`] != 2.5 {
-		t.Errorf("Gauges() = %v", all)
-	}
 	// Same name returns the same instance.
-	if H("same-h") != H("same-h") {
+	if metrics.H("same-h") != metrics.H("same-h") {
 		t.Error("registry should intern by name")
 	}
-	H("same-h").Observe(5)
-	if s := Histograms()["same-h"]; s.Count != 1 {
-		t.Errorf("Histograms() missing observation: %+v", s)
+	metrics.H("same-h").Observe(5)
+	if s := metrics.H("same-h").Snapshot(); s.Count != 1 {
+		t.Errorf("histogram missing observation: %+v", s)
 	}
 }
 
@@ -178,7 +177,7 @@ func TestCollector(t *testing.T) {
 		set("collector_test_gauge", 9)
 	})
 	c.SampleOnce()
-	if Gauges()["collector_test_gauge"] != 9 {
+	if gauges()["collector_test_gauge"] != 9 {
 		t.Fatal("SampleOnce did not run the sampler")
 	}
 	c.Start()
@@ -219,7 +218,7 @@ func TestConcurrentSpans(t *testing.T) {
 					}
 					if i%31 == 0 {
 						_ = Events(8)
-						_ = Histograms()
+						_ = WriteMetrics(io.Discard)
 					}
 				}
 			}(w)

@@ -1,5 +1,7 @@
 package obs
 
+import "adaptiveqos/internal/metrics"
+
 // Stage identifies one pipeline stage of a message's journey from
 // publisher to client delivery.  The set mirrors the delivery path:
 // publish → dispatch-queue wait → selector match → capability
@@ -55,16 +57,16 @@ func Stages() []Stage {
 
 // stageHists are the per-stage latency histograms, registered up
 // front so the disabled path never touches the registry mutex.
-var stageHists = func() [numStages]*Histogram {
-	var hs [numStages]*Histogram
+var stageHists = func() [numStages]*metrics.Histogram {
+	var hs [numStages]*metrics.Histogram
 	for i := Stage(0); i < numStages; i++ {
-		hs[i] = H(`pipeline_stage_latency_ns{stage="` + i.String() + `"}`)
+		hs[i] = metrics.H(`pipeline_stage_latency_ns{stage="` + i.String() + `"}`)
 	}
 	return hs
 }()
 
 // StageHistogram returns the latency histogram for one stage.
-func StageHistogram(s Stage) *Histogram { return stageHists[s] }
+func StageHistogram(s Stage) *metrics.Histogram { return stageHists[s] }
 
 // Span measures one stage of one message.  It is a value type: the
 // disabled path returns the zero Span (one atomic flag load, no

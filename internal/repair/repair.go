@@ -149,9 +149,9 @@ type Engine struct {
 // (gaps then stall until repaired, with abandonment only counted).
 func New(cfg Config, request Requester, abandon Abandoner) *Engine {
 	cfg = cfg.withDefaults()
-	// (Counter families are pre-touched by metrics.TouchDefaults at
-	// init, so aqos_repair_* expose at zero without any per-engine
-	// registration here.)
+	// (Counter families are registered by internal/metrics at init, so
+	// aqos_repair_* expose at zero without any per-engine registration
+	// here.)
 	return &Engine{
 		cfg:     cfg,
 		request: request,

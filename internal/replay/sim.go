@@ -7,7 +7,7 @@ import (
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/message"
-	"adaptiveqos/internal/obs"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/timeline"
@@ -133,9 +133,9 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 	// events are scheduled before any workload event, so window closes
 	// deterministically precede same-instant traffic.
 	var tl *timeline.Timeline
-	var lat *obs.Histogram
+	var lat *metrics.Histogram
 	if cfg.CurveWindows > 0 {
-		lat = &obs.Histogram{}
+		lat = &metrics.Histogram{}
 		span := time.Duration(w.EndNS - w.StartNS)
 		window := span / time.Duration(cfg.CurveWindows)
 		if window <= 0 {

@@ -24,7 +24,6 @@ import (
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/metrics"
-	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/timeline"
 	"adaptiveqos/internal/transport"
 )
@@ -166,7 +165,7 @@ type run struct {
 	joins     uint64
 	leaves    uint64
 
-	overall obs.Histogram
+	overall metrics.Histogram
 	tl      *timeline.Timeline
 
 	pubs []transport.Conn

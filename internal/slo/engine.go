@@ -240,9 +240,9 @@ func (e *Engine) pollClient(client string, cs *clientState, nowNS int64) {
 	}
 
 	label := `{client="` + metrics.EscapeLabel(client) + `"}`
-	obs.SetGauge("slo_state"+label, float64(cs.state))
-	obs.SetGauge("slo_burn_short"+label, cs.burnShort)
-	obs.SetGauge("slo_burn_long"+label, cs.burnLong)
+	metrics.SetGauge("slo_state"+label, float64(cs.state))
+	metrics.SetGauge("slo_burn_short"+label, cs.burnShort)
+	metrics.SetGauge("slo_burn_long"+label, cs.burnLong)
 }
 
 // setState performs one transition with all its side effects: the
@@ -289,7 +289,7 @@ func (e *Engine) setState(client string, cs *clientState, to State, nowNS int64)
 	case StateRecovered:
 		if from == StateViolated {
 			ttr := nowNS - cs.violatedAtNS
-			obs.H("slo_time_to_recover_ns").Observe(ttr)
+			metrics.H("slo_time_to_recover_ns").Observe(ttr)
 			metrics.C(metrics.CtrSLORecoveries).Inc()
 			if !cs.deadlineScored {
 				metrics.C(metrics.CtrAdaptationEffective).Inc()

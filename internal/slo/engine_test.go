@@ -237,9 +237,9 @@ func TestViolationAttributionBundle(t *testing.T) {
 func TestViolationAttachesTimelineCurves(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(990, 0))
 	tl := timeline.New(timeline.Config{Window: time.Second, Retention: 32, Clock: clk})
-	var lossG obs.Gauge
-	var lat obs.Histogram
-	var cpu obs.Gauge
+	var lossG metrics.Gauge
+	var lat metrics.Histogram
+	var cpu metrics.Gauge
 	tl.TrackGauge(`rtp_loss_fraction{client="c1"}`, &lossG)
 	tl.TrackHistogram("e2e_latency_ns", &lat)
 	tl.TrackGauge("cpu_load", &cpu) // unrelated: must not attach

@@ -20,8 +20,8 @@ func buildExportFixture(t *testing.T) []byte {
 	clk := clock.NewVirtual(clock.DefaultEpoch)
 	tl := New(Config{Window: 250 * time.Millisecond, Retention: 32, Clock: clk})
 	var sent metrics.Counter
-	var depth obs.Gauge
-	var lat obs.Histogram
+	var depth metrics.Gauge
+	var lat metrics.Histogram
 	tl.TrackCounter("sent", &sent)
 	tl.TrackGauge("depth", &depth)
 	tl.TrackHistogram("lat", &lat)
@@ -79,7 +79,7 @@ func TestWriteCSVShape(t *testing.T) {
 	clk := clock.NewVirtual(clock.DefaultEpoch)
 	tl := New(Config{Window: time.Second, Retention: 8, Clock: clk})
 	var sent metrics.Counter
-	var lat obs.Histogram
+	var lat metrics.Histogram
 	tl.TrackCounter("sent", &sent)
 	tl.TrackHistogram("lat", &lat)
 	tl.Start()

@@ -6,7 +6,6 @@ import (
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/metrics"
-	"adaptiveqos/internal/obs"
 )
 
 // TestDisabledPathZeroAllocs pins the house rule for call sites: with
@@ -34,12 +33,12 @@ func populateGuardTimeline(tl *Timeline) {
 		var c metrics.Counter
 		c.Add(12345)
 		tl.TrackCounter("ctr."+n, &c)
-		var g obs.Gauge
+		var g metrics.Gauge
 		g.Set(3.25)
 		tl.TrackGauge("gauge."+n, &g)
 	}
 	for _, n := range names[:4] {
-		h := &obs.Histogram{}
+		h := &metrics.Histogram{}
 		for i := 0; i < 100; i++ {
 			h.Observe(int64(1000 * (i + 1)))
 		}
@@ -84,7 +83,7 @@ func TestTimelineOverheadGuard(t *testing.T) {
 	}
 
 	var c metrics.Counter
-	var h obs.Histogram
+	var h metrics.Histogram
 	const iters = 200_000
 	const rounds = 7
 

@@ -30,7 +30,6 @@ import (
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/metrics"
-	"adaptiveqos/internal/obs"
 )
 
 // Defaults for Config.
@@ -103,12 +102,12 @@ type series struct {
 	kind Kind
 
 	ctr   *metrics.Counter
-	gauge *obs.Gauge
-	hist  *obs.Histogram
+	gauge *metrics.Gauge
+	hist  *metrics.Histogram
 	fn    func() float64
 
-	prevCount uint64                // counter value at the last window close
-	prevSnap  obs.HistogramSnapshot // histogram state at the last window close
+	prevCount uint64                    // counter value at the last window close
+	prevSnap  metrics.HistogramSnapshot // histogram state at the last window close
 
 	vals []float64    // counter deltas / gauge values / derived values
 	hws  []histWindow // histogram windows
@@ -128,7 +127,7 @@ type Timeline struct {
 	series   []*series
 	byName   map[string]*series
 	trackAll bool
-	regSizes [3]int // counter/gauge/histogram registry sizes at last rescan
+	regSize  int // registry size (metrics.Len) at the last rescan
 
 	bounds  []winBound
 	head    int   // next ring slot to write
@@ -177,7 +176,7 @@ func (t *Timeline) TrackCounter(name string, c *metrics.Counter) {
 }
 
 // TrackGauge samples g's value at each window close under name.
-func (t *Timeline) TrackGauge(name string, g *obs.Gauge) {
+func (t *Timeline) TrackGauge(name string, g *metrics.Gauge) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.trackGaugeLocked(name, g)
@@ -186,7 +185,7 @@ func (t *Timeline) TrackGauge(name string, g *obs.Gauge) {
 
 // TrackHistogram samples h's per-window observation delta and windowed
 // p50/p90/p99 under name.
-func (t *Timeline) TrackHistogram(name string, h *obs.Histogram) {
+func (t *Timeline) TrackHistogram(name string, h *metrics.Histogram) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.trackHistogramLocked(name, h)
@@ -209,10 +208,10 @@ func (t *Timeline) TrackFunc(name string, fn func() float64) {
 }
 
 // TrackAll tracks the entire registered metrics surface: every
-// process-global counter (internal/metrics), gauge and histogram
-// (internal/obs).  The registries are rescanned whenever their sizes
-// change, so metrics registered after TrackAll are picked up on the
-// next window close; the steady-state sample stays allocation-free.
+// counter, gauge and histogram in the internal/metrics registry.  The
+// registry is rescanned whenever its size changes, so metrics
+// registered after TrackAll are picked up on the next window close;
+// the steady-state sample stays allocation-free.
 func (t *Timeline) TrackAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -229,7 +228,7 @@ func (t *Timeline) trackCounterLocked(name string, c *metrics.Counter) {
 	t.addLocked(s)
 }
 
-func (t *Timeline) trackGaugeLocked(name string, g *obs.Gauge) {
+func (t *Timeline) trackGaugeLocked(name string, g *metrics.Gauge) {
 	if _, dup := t.byName[name]; dup || g == nil {
 		return
 	}
@@ -237,7 +236,7 @@ func (t *Timeline) trackGaugeLocked(name string, g *obs.Gauge) {
 	t.addLocked(s)
 }
 
-func (t *Timeline) trackHistogramLocked(name string, h *obs.Histogram) {
+func (t *Timeline) trackHistogramLocked(name string, h *metrics.Histogram) {
 	if _, dup := t.byName[name]; dup || h == nil {
 		return
 	}
@@ -257,12 +256,21 @@ func (t *Timeline) sortLocked() {
 	sort.Slice(t.series, func(i, j int) bool { return t.series[i].name < t.series[j].name })
 }
 
-// rescanLocked syncs the tracked set with the global registries.
+// rescanLocked syncs the tracked set with the registry.  The size is
+// read first, so a metric registered during the walk moves it again and
+// is adopted on the next window close.
 func (t *Timeline) rescanLocked() {
-	metrics.EachCounter(func(name string, c *metrics.Counter) { t.trackCounterLocked(name, c) })
-	obs.EachGauge(func(name string, g *obs.Gauge) { t.trackGaugeLocked(name, g) })
-	obs.EachHistogram(func(name string, h *obs.Histogram) { t.trackHistogramLocked(name, h) })
-	t.regSizes = [3]int{metrics.NumCounters(), obs.NumGauges(), obs.NumHistograms()}
+	t.regSize = metrics.Len()
+	metrics.Each(func(name string, m any) {
+		switch m := m.(type) {
+		case *metrics.Counter:
+			t.trackCounterLocked(name, m)
+		case *metrics.Gauge:
+			t.trackGaugeLocked(name, m)
+		case *metrics.Histogram:
+			t.trackHistogramLocked(name, m)
+		}
+	})
 	t.sortLocked()
 }
 
@@ -340,12 +348,10 @@ func (t *Timeline) Flush() {
 // sampleLocked closes the open window [lastNS, nowNS) into the ring.
 // Zero allocations in steady state: rings are preallocated, histogram
 // snapshots and deltas live on the stack, and the TrackAll rescan only
-// runs when a registry size changed.
+// runs when the registry's size changed.
 func (t *Timeline) sampleLocked(nowNS int64) {
-	if t.trackAll {
-		if t.regSizes != [3]int{metrics.NumCounters(), obs.NumGauges(), obs.NumHistograms()} {
-			t.rescanLocked()
-		}
+	if t.trackAll && t.regSize != metrics.Len() {
+		t.rescanLocked()
 	}
 	slot := t.head
 	t.bounds[slot] = winBound{startNS: t.lastNS, endNS: nowNS}
@@ -361,7 +367,7 @@ func (t *Timeline) sampleLocked(nowNS int64) {
 			s.vals[slot] = s.fn()
 		case KindHistogram:
 			snap := s.hist.Snapshot()
-			var d obs.HistogramSnapshot
+			var d metrics.HistogramSnapshot
 			d.Count = snap.Count - s.prevSnap.Count
 			d.Sum = snap.Sum - s.prevSnap.Sum
 			for i := range snap.Buckets {

@@ -8,7 +8,6 @@ import (
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/metrics"
-	"adaptiveqos/internal/obs"
 )
 
 // newVirtualTimeline builds a timeline on a fresh virtual clock with a
@@ -60,7 +59,7 @@ func TestCounterWindows(t *testing.T) {
 
 func TestGaugeAndDerivedWindows(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 8)
-	var g obs.Gauge
+	var g metrics.Gauge
 	var level float64
 	tl.TrackGauge("depth", &g)
 	tl.TrackFunc("level", func() float64 { return level })
@@ -94,7 +93,7 @@ func TestGaugeAndDerivedWindows(t *testing.T) {
 
 func TestHistogramWindowedQuantiles(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 8)
-	var h obs.Histogram
+	var h metrics.Histogram
 	tl.TrackHistogram("lat", &h)
 	tl.Start()
 
@@ -149,11 +148,19 @@ func TestTrackAllRescan(t *testing.T) {
 	// close (with that window zeroed — deltas flow from the next one, so
 	// pre-tracking history never dumps into a single window).
 	c := metrics.C("timeline.test.rescan")
-	obs.SetGauge("timeline_test_rescan_gauge", 0)
-	h := obs.H("timeline_test_rescan_hist")
-	clk.Advance(time.Second) // close 1: rescan adopts the new series
+	metrics.SetGauge("timeline_test_rescan_gauge", 0)
+	h := metrics.H("timeline_test_rescan_hist")
+	clk.Advance(time.Second) // close 1: one rescan adopts all three kinds
+	kinds := map[string]string{}
+	for _, sd := range tl.Query(Query{Contains: []string{"rescan"}}) {
+		kinds[sd.Name] = sd.Kind
+	}
+	if kinds["timeline.test.rescan"] != "counter" || kinds["timeline_test_rescan_gauge"] != "gauge" ||
+		kinds["timeline_test_rescan_hist"] != "histogram" {
+		t.Fatalf("after one window close the rescan adopted %v, want the counter, gauge and histogram", kinds)
+	}
 	c.Add(2)
-	obs.SetGauge("timeline_test_rescan_gauge", 9)
+	metrics.SetGauge("timeline_test_rescan_gauge", 9)
 	h.Observe(50)
 	clk.Advance(time.Second) // close 2: first window with their deltas
 
@@ -263,7 +270,7 @@ func TestDuplicateTrackIgnored(t *testing.T) {
 	var c1, c2 metrics.Counter
 	tl.TrackCounter("dup", &c1)
 	tl.TrackCounter("dup", &c2) // first wins
-	var g obs.Gauge
+	var g metrics.Gauge
 	tl.TrackGauge("dup", &g) // cross-kind duplicate too
 	if len(tl.series) != 1 {
 		t.Fatalf("%d series, want 1", len(tl.series))
