@@ -106,7 +106,7 @@ func main() {
 
 	// Exclusive arbitration: only the lock holder may edit the lot's
 	// description document.
-	locks := session.NewObjectLocks()
+	var locks session.ObjectLocks
 	if err := locks.TryAcquire("lot-42-descr", "alice"); err != nil {
 		log.Fatal(err)
 	}

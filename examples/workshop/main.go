@@ -78,8 +78,7 @@ func main() {
 	must(ana.Say("budget figures attached", `role == "finance"`))
 
 	time.Sleep(150 * time.Millisecond)
-	fmt.Printf("\narchived events so far: %d (seq %d)\n",
-		coord.ArchivedEvents(), coord.Session().LastSeq())
+	fmt.Printf("\narchived events so far: %d\n", coord.ArchivedEvents())
 
 	// --- Late joiner catch-up -----------------------------------------
 	fmt.Println("\n== late joiner ==")

@@ -33,9 +33,12 @@ type Coordinator struct {
 }
 
 // NewCoordinator attaches an archiving coordinator to the substrate.
-// group describes the session being archived (used for metadata only;
-// the coordinator does not enforce admission — it archives what the
-// multicast group carries).
+// group describes the session being archived.  Its filter decides,
+// once per sender, whether that sender's frames are archived: the
+// filter is matched against a profile that carries only the sender's
+// ID.  A rejected sender's frames are dropped unarchived.  Nothing else
+// is enforced: the coordinator archives what the multicast group
+// carries.
 func NewCoordinator(conn transport.Conn, group session.Group) *Coordinator {
 	return NewCoordinatorClock(conn, group, nil)
 }
@@ -54,9 +57,6 @@ func NewCoordinatorClock(conn transport.Conn, group session.Group, clk clock.Clo
 
 // ID returns the coordinator's substrate identifier.
 func (c *Coordinator) ID() string { return c.conn.ID() }
-
-// Session exposes the archive (membership, history, sequence state).
-func (c *Coordinator) Session() *session.Session { return c.k.sess }
 
 // ArchivedEvents returns the number of archived events.
 func (c *Coordinator) ArchivedEvents() int {

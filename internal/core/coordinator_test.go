@@ -37,11 +37,8 @@ func TestCoordinatorArchivesAndReplays(t *testing.T) {
 		}
 	}
 	waitFor(t, "archive", func() bool { return coord.ArchivedEvents() == 3 })
-	if coord.Session().LastSeq() != 3 {
-		t.Errorf("session seq = %d", coord.Session().LastSeq())
-	}
-	if !coord.Session().IsMember("alice") {
-		t.Error("coordinator should auto-register observed senders")
+	if got := coord.lastSeq(); got != 3 {
+		t.Errorf("session seq = %d", got)
 	}
 
 	// A late joiner requests the history and absorbs it.
@@ -152,7 +149,13 @@ func TestCoordinatorArchiveCap(t *testing.T) {
 		}
 	}
 	waitFor(t, "archive fill", func() bool { return coord.ArchivedEvents() == 10 })
+	// A cap lowered on a full archive takes hold at the next frame,
+	// which trims everything past it at once.
 	coord.setArchiveCap(4)
+	if err := a.Say("m10", ""); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "trimmed archive", func() bool { return coord.lastSeq() == 11 })
 	if got := coord.ArchivedEvents(); got != 4 {
 		t.Errorf("frames after cap = %d, want 4", got)
 	}
@@ -164,7 +167,7 @@ func TestCoordinatorArchiveCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "capped replay", func() bool { return b.Chat().Len() == 4 })
-	if b.Chat().Lines()[0].Text != "m6" {
+	if b.Chat().Lines()[0].Text != "m7" {
 		t.Errorf("oldest retained line: %+v", b.Chat().Lines()[0])
 	}
 }
@@ -211,7 +214,7 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "all ten sequenced", func() bool { return coord.Session().LastSeq() == 10 })
+	waitFor(t, "all ten sequenced", func() bool { return coord.lastSeq() == 10 })
 	if got := coord.ArchivedEvents(); got != 4 {
 		t.Errorf("frames held after ten events under cap 4 = %d, want 4", got)
 	}
@@ -230,10 +233,9 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReplayWalksLongArchive: replay reads the archive a
-// page at a time; a catch-up and a sender-scoped NACK over an archive
-// several pages long still replay exactly the frames asked for, in
-// archive order.
+// TestCoordinatorReplayWalksLongArchive: a catch-up and a sender-scoped
+// NACK over a long, interleaved archive replay exactly the frames asked
+// for, in archive order.
 func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	net, coord := newCoordinatedNet(t)
 	ca, _ := net.Attach("alice")
@@ -242,7 +244,7 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	defer a.Close()
 	defer c.Close()
 
-	const each = 100 // 200 archived events: three pages and a bit
+	const each = 100 // 200 archived events
 	for i := 1; i <= each; i++ {
 		if err := a.Say(fmt.Sprintf("a%d", i), ""); err != nil {
 			t.Fatal(err)
@@ -288,9 +290,16 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	}
 }
 
-// setArchiveCap bounds the running coordinator's archive.
+// setArchiveCap lowers the running coordinator's archive bound.
 func (c *Coordinator) setArchiveCap(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.k.SetArchiveCap(n)
+	c.k.archiveCap = n
+}
+
+// lastSeq is the session seq of the newest archived frame.
+func (c *Coordinator) lastSeq() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.k.first + uint64(len(c.k.log)) - 1
 }

@@ -22,29 +22,40 @@ import (
 // runs unchanged under core.Coordinator's receive loop and under the
 // replay simulator's discrete-event net.
 type CoordinatorKernel struct {
-	conn transport.Conn
-	clk  clock.Clock
-	sess *session.Session
+	conn  transport.Conn
+	clk   clock.Clock
+	group session.Group // its filter decides, once per sender, whose frames are archived
 
 	env    message.Enveloper
 	tx     dispatch.Unicaster // enveloped unicast of the kernel's own messages
 	unwrap *message.Unwrapper
-	intern message.Interner // the strings control messages and archived events repeat
+	intern message.Interner // the strings control messages repeat
 
-	frames     map[uint64]archivedFrame // session seq → original frame + sender seq
-	archiveCap int                      // retained events (0 = unlimited)
-	streams    map[string]*senderStream // per-sender arrival reordering and archive index
-	locks      *session.ObjectLocks     // distributed lock arbitration
+	// log is the archive in session order: log[i] is the frame with
+	// session seq first+i.  Frames leave from the front only, so first
+	// never moves back.
+	log        []archivedFrame
+	first      uint64
+	archiveCap int                      // retained frames: maxArchived, lower in tests
+	streams    map[string]*senderStream // per sender: arrival order and archive index; nil if the group filter rejects it
+	locks      session.ObjectLocks      // distributed lock arbitration
 }
 
 // archivedFrame is one archived original frame plus where its sender's
 // index lists it, so the frame and its index entry leave together when
-// the archive cap trims the event.
+// the log is trimmed.
 type archivedFrame struct {
 	data      []byte
 	senderSeq uint32
 	stream    *senderStream
 }
+
+// maxArchived bounds the archive: past it the oldest frames leave the
+// log, index entries with them.  No session in this repository comes
+// near it (the benchmark's lossy chat archives about 25k frames); it
+// bounds a coordinator that runs for ever, as maxRepairFrames bounds
+// one answer.
+const maxArchived = 1 << 16
 
 // Control-message vocabulary for the history protocol.
 const (
@@ -68,17 +79,17 @@ const (
 const maxRepairFrames = 256
 
 // NewCoordinatorKernel builds the coordinator kernel for the endpoint
-// attached as conn.  group describes the session being archived; clk
-// (required) timestamps lock notifications.
+// attached as conn.  group's filter decides whose frames are archived;
+// clk (required) timestamps lock notifications.
 func NewCoordinatorKernel(conn transport.Conn, group session.Group, clk clock.Clock) *CoordinatorKernel {
 	k := &CoordinatorKernel{
-		conn:    conn,
-		clk:     clk,
-		sess:    session.New(group),
-		unwrap:  message.NewUnwrapper(),
-		frames:  make(map[uint64]archivedFrame),
-		streams: make(map[string]*senderStream),
-		locks:   session.NewObjectLocks(),
+		conn:       conn,
+		clk:        clk,
+		group:      group,
+		unwrap:     message.NewUnwrapper(),
+		first:      1,
+		archiveCap: maxArchived,
+		streams:    make(map[string]*senderStream),
 	}
 	k.env.Node = conn.ID()
 	k.tx = dispatch.Unicaster{Env: &k.env, Conn: conn}
@@ -89,41 +100,14 @@ func NewCoordinatorKernel(conn transport.Conn, group session.Group, clk clock.Cl
 // ID returns the coordinator's substrate identifier.
 func (k *CoordinatorKernel) ID() string { return k.conn.ID() }
 
-// SetArchiveCap bounds retained history to the most recent n events
-// (0 = unlimited), now and as later events are archived.
-func (k *CoordinatorKernel) SetArchiveCap(n int) {
-	k.sess.SetArchiveCap(n)
-	k.archiveCap = n
-	if n <= 0 {
-		return
-	}
-	// Drop frames the session no longer remembers: session seqs are
-	// contiguous, so frames holds the run ending at last and what
-	// survives is its last n.  Oldest first, which is the cheap end of
-	// each sender's index.
-	last := k.sess.LastSeq()
-	for seq := last - uint64(len(k.frames)) + 1; seq+uint64(n) <= last; seq++ {
-		k.evict(seq)
-	}
-}
-
-// evict forgets the frame of a session event the archive cap trimmed.
-func (k *CoordinatorKernel) evict(sessionSeq uint64) {
-	if f, ok := k.frames[sessionSeq]; ok {
-		delete(k.frames, sessionSeq)
-		f.stream.unindex(f.senderSeq)
-	}
-}
-
 // ArchivedEvents returns the number of archived events.
-func (k *CoordinatorKernel) ArchivedEvents() int { return len(k.frames) }
+func (k *CoordinatorKernel) ArchivedEvents() int { return len(k.log) }
 
 // HandlePacket ingests one datagram: event and data frames are put in
-// their sender's order and archived straight from the validated frame
-// (the archive keeps the bytes; the session event needs only sender,
-// seq, app and object); control frames are materialised — history
-// requests are answered with unicast replays, lock requests are
-// arbitrated.  Malformed input is counted and dropped.
+// their sender's order and archived straight from the validated frame;
+// control frames are materialised — history requests are answered with
+// unicast replays, lock requests are arbitrated.  Malformed input is
+// counted and dropped.
 func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 	frame, v, _ := k.unwrap.Read(pkt.From, pkt.Data) // Read counts what it cannot read
 	if frame == nil {
@@ -132,11 +116,10 @@ func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 	switch v.Kind() {
 	case message.KindEvent, message.KindData:
 		// The substrate may reorder frames; the archive must reflect
-		// each sender's causal order, so frames pass through a
-		// per-sender reorder stage keyed on the sender sequence number.
-		st, ordered := k.reorder(v, frame)
-		for _, f := range ordered {
-			k.archive(st, f)
+		// each sender's causal order, so frames pass through their
+		// sender's order buffer, keyed on the sender sequence number.
+		if st := k.stream(v.Sender()); st != nil {
+			k.order(st, uint64(v.Seq()), frame)
 		}
 	case message.KindControl:
 		m := v.Message(&k.intern)
@@ -206,26 +189,17 @@ func (k *CoordinatorKernel) notifyLock(to, ctrl, object, holder string) {
 	})
 }
 
-// orderedFrame is one frame on its way into the archive: its bytes
-// (read-only, shared with the datagram they arrived in) and what its
-// session event records of it.
-type orderedFrame struct {
-	seq         uint32
-	app, object string
-	frame       []byte
-}
-
 // senderStream restores one sender's frame order and indexes what was
 // archived of it.
 type senderStream struct {
-	sender  string
-	next    uint32
-	pending map[uint32]orderedFrame
-	// missing records sequence numbers the flush path skipped past
-	// without archiving: a straggler carrying one of them is genuine
-	// lost history and archives once; any other seq below next is a
-	// duplicate delivery of an already-archived frame and is dropped.
-	missing map[uint32]struct{}
+	sender string
+	buf    *session.OrderBuffer // frames waiting behind a gap, each in its Event.Payload
+	// missing lists, ascending, the seqs the flush path skipped past
+	// without archiving — the newest maxStreamMissing of them: a
+	// straggler carrying one is genuine lost history and archives once;
+	// any other seq below the buffer's next is a duplicate delivery of an
+	// already-archived frame and is dropped.
+	missing []uint32
 	// archived lists the sender's frames still in the archive, ascending
 	// by sender seq: what a NACK is answered from.  Frames are archived
 	// in sender order but for stragglers and leave oldest first, so it
@@ -272,135 +246,108 @@ const maxStreamPending = 64
 // straggler is treated as a duplicate — the archive-safe direction.
 const maxStreamMissing = 1024
 
-// noteMissing records [from, to) as skipped without archiving.
-func (st *senderStream) noteMissing(from, to uint32) {
-	for s := from; s < to; s++ {
-		if len(st.missing) >= maxStreamMissing {
-			oldest, have := uint32(0), false
-			for m := range st.missing {
-				if !have || m < oldest {
-					oldest, have = m, true
-				}
-			}
-			delete(st.missing, oldest)
-		}
-		st.missing[s] = struct{}{}
+// noteMissing records [from, to) as skipped without archiving.  Only
+// the last maxStreamMissing seqs of the range can survive, so only
+// those are written, and older entries leave from the front: a sender
+// that jumps four billion seqs ahead costs what one that jumps a
+// thousand does.
+func (st *senderStream) noteMissing(from, to uint64) {
+	for s := max(from, to-min(to, maxStreamMissing)); s < to; s++ {
+		st.missing = append(st.missing, uint32(s))
+	}
+	if drop := len(st.missing) - maxStreamMissing; drop > 0 {
+		st.missing = st.missing[drop:]
 	}
 }
 
-// keep takes what the archive retains of a frame it is not dropping.
-// frame aliases the datagram (or is the reassembler's fresh buffer),
-// which nobody writes again: the archive keeps those bytes and resend
-// only reads them.
-func (k *CoordinatorKernel) keep(v message.View, frame []byte) orderedFrame {
-	app, _ := v.Attr(message.AttrApp, &k.intern)
-	object, _ := v.Attr(message.AttrObject, &k.intern)
-	return orderedFrame{seq: v.Seq(), app: app.Str(), object: object.Str(), frame: frame}
+// stream returns the sender's stream, or nil if the group filter
+// rejects the sender: the filter is read once per sender, against a
+// profile that carries only its ID, and its frames are then archived
+// or dropped for good.
+func (k *CoordinatorKernel) stream(sender []byte) *senderStream {
+	st, ok := k.streams[string(sender)]
+	if ok {
+		return st
+	}
+	if k.group.Admits(profile.New(string(sender))) {
+		// A coordinator attaching mid-session catches up through the
+		// flush path.
+		st = &senderStream{sender: string(sender), buf: newSenderBuffer(k.clk)}
+	}
+	k.streams[string(sender)] = st
+	return st
 }
 
-// reorder returns the frame's sender stream and the frames now
-// releasable in that sender's order.
-func (k *CoordinatorKernel) reorder(v message.View, frame []byte) (*senderStream, []orderedFrame) {
-	st, ok := k.streams[string(v.Sender())]
-	if !ok {
-		// Framework clients number their messages from 1, so a fresh
-		// stream anchors there; a coordinator attaching mid-session
-		// catches up through the flush path below.
-		st = &senderStream{
-			sender:  string(v.Sender()),
-			next:    1,
-			pending: make(map[uint32]orderedFrame),
-			missing: make(map[uint32]struct{}),
-		}
-		k.streams[st.sender] = st
-	}
-	seq := v.Seq()
-	if seq < st.next {
-		if _, lost := st.missing[seq]; lost {
+// order puts one frame of st in its sender's order and archives what
+// that releases.  frame aliases the datagram (or is the reassembler's
+// fresh buffer), which nobody writes again: the archive keeps those
+// bytes and resend only reads them.
+func (k *CoordinatorKernel) order(st *senderStream, seq uint64, frame []byte) {
+	if next, _ := st.buf.Gap(); seq < next {
+		if i, lost := slices.BinarySearch(st.missing, uint32(seq)); lost {
 			// A straggler the flush path skipped past: genuine lost
 			// history, archive it now (exactly once).
-			delete(st.missing, seq)
-			return st, []orderedFrame{k.keep(v, frame)}
+			st.missing = slices.Delete(st.missing, i, i+1)
+			k.archive(st, seq, frame)
+			return
 		}
-		// Duplicate delivery of an already-archived frame: committing
-		// it again would mint a second session event.
+		// Duplicate delivery of an already-archived frame: archiving it
+		// again would mint a second session event.
 		metrics.C(metrics.CtrArchiveDupDrops).Inc()
 		if obs.Enabled() {
-			obs.Drop(obs.MsgID(st.sender, seq), obs.StageReorder,
+			obs.Drop(obs.MsgID(st.sender, uint32(seq)), obs.StageReorder,
 				k.ID()+": duplicate frame from "+st.sender+" dropped before archive")
 		}
-		return st, nil
-	}
-	st.pending[seq] = k.keep(v, frame)
-
-	var out []orderedFrame
-	for {
-		f, ok := st.pending[st.next]
-		if !ok {
-			break
-		}
-		delete(st.pending, st.next)
-		out = append(out, f)
-		st.next++
-	}
-	if len(st.pending) > maxStreamPending {
-		// Flush: a frame was probably lost.  Release in ascending
-		// order, remembering the skipped seqs as repairable holes.
-		seqs := make([]uint32, 0, len(st.pending))
-		for s := range st.pending {
-			seqs = append(seqs, s)
-		}
-		for i := 1; i < len(seqs); i++ { // insertion sort, tiny n
-			for j := i; j > 0 && seqs[j] < seqs[j-1]; j-- {
-				seqs[j], seqs[j-1] = seqs[j-1], seqs[j]
-			}
-		}
-		for _, s := range seqs {
-			out = append(out, st.pending[s])
-			delete(st.pending, s)
-			st.noteMissing(st.next, s)
-			st.next = s + 1
-		}
-	}
-	return st, out
-}
-
-// archive commits one ordered frame of st as the next session event
-// and keeps its bytes.
-func (k *CoordinatorKernel) archive(st *senderStream, f orderedFrame) {
-	// The session requires membership for Commit; the coordinator
-	// auto-registers senders it hears (they are in the multicast group
-	// by construction).
-	if !k.sess.IsMember(st.sender) {
-		if err := k.sess.Join(profile.New(st.sender)); err != nil {
-			return // filtered by the group: not archived
-		}
-	}
-	ev, err := k.sess.Commit(st.sender, f.app, f.object, nil)
-	if err != nil {
 		return
 	}
-	obs.AppendHop(obs.MsgID(st.sender, f.seq), k.ID(), obs.StageArchive)
-	k.frames[ev.Seq] = archivedFrame{data: f.frame, senderSeq: f.seq, stream: st}
-	st.index(f.seq, ev.Seq)
-	if n := uint64(k.archiveCap); n > 0 && ev.Seq > n {
-		// The event this commit trimmed is exactly n back; its frame
-		// goes with it.
-		k.evict(ev.Seq - n)
+	for _, ev := range st.buf.Push(session.Event{Seq: seq, Payload: frame}) {
+		k.archive(st, ev.Seq, ev.Payload)
+	}
+	if _, parked := st.buf.Gap(); parked > maxStreamPending {
+		// Flush: a frame was probably lost.  Skip gap after gap until
+		// nothing is parked, remembering the skipped seqs as repairable
+		// holes.
+		for parked > 0 {
+			released, from, to := st.buf.Skip()
+			st.noteMissing(from, to)
+			for _, ev := range released {
+				k.archive(st, ev.Seq, ev.Payload)
+			}
+			_, parked = st.buf.Gap()
+		}
+	}
+}
+
+// archive appends one frame of st to the log as the next session event
+// and indexes it.  Past the cap the oldest frames leave, index entries
+// with them.
+func (k *CoordinatorKernel) archive(st *senderStream, seq uint64, frame []byte) {
+	obs.AppendHop(obs.MsgID(st.sender, uint32(seq)), k.ID(), obs.StageArchive)
+	st.index(uint32(seq), k.first+uint64(len(k.log)))
+	k.log = append(k.log, archivedFrame{data: frame, senderSeq: uint32(seq), stream: st})
+	if drop := len(k.log) - k.archiveCap; drop > 0 {
+		// Slide the window instead of copying it: the cut frames are
+		// cleared so their bytes are not retained, and append moves the
+		// survivors only when the backing array runs out.
+		for _, f := range k.log[:drop] {
+			f.stream.unindex(f.senderSeq)
+		}
+		clear(k.log[:drop])
+		k.log = k.log[drop:]
+		k.first += uint64(drop)
 	}
 }
 
 // replay is a late joiner's catch-up: every archived frame whose
-// session seq exceeds after is unicast to the peer, in archive order,
-// the archive read a page at a time.
+// session seq exceeds after is unicast to the peer, in session order.
 func (k *CoordinatorKernel) replay(to string, after uint64) {
-	var page [64]session.Event
-	for n := k.sess.HistoryPage(after, page[:]); n > 0; n = k.sess.HistoryPage(after, page[:]) {
-		after = page[n-1].Seq
-		for _, ev := range page[:n] {
-			if f, ok := k.frames[ev.Seq]; ok && !k.resend(to, ev.Sender, f) {
-				return
-			}
+	from := 0
+	if after >= k.first {
+		from = int(min(after-k.first+1, uint64(len(k.log))))
+	}
+	for _, f := range k.log[from:] {
+		if !k.resend(to, f) {
+			return
 		}
 	}
 }
@@ -416,8 +363,8 @@ func (k *CoordinatorKernel) replay(to string, after uint64) {
 // discards what it has already applied — so nothing is remembered
 // between requests.
 func (k *CoordinatorKernel) repair(to, sender string, want []session.SeqRange) {
-	st, ok := k.streams[sender]
-	if !ok {
+	st := k.streams[sender]
+	if st == nil {
 		return
 	}
 	sent := 0
@@ -427,7 +374,7 @@ serve:
 			if uint64(e.senderSeq) > r.To {
 				break
 			}
-			if sent == maxRepairFrames || !k.resend(to, sender, k.frames[e.sessionSeq]) {
+			if sent == maxRepairFrames || !k.resend(to, k.log[e.sessionSeq-k.first]) {
 				break serve
 			}
 			sent++
@@ -440,8 +387,8 @@ serve:
 // The frame continues its original trace with a repair hop and carries
 // the trace extension again, so the requester sees the replay on the
 // message's own timeline.
-func (k *CoordinatorKernel) resend(to, sender string, f archivedFrame) bool {
-	traceID := obs.MsgID(sender, f.senderSeq)
+func (k *CoordinatorKernel) resend(to string, f archivedFrame) bool {
+	traceID := obs.MsgID(f.stream.sender, f.senderSeq)
 	obs.AppendHop(traceID, k.ID(), obs.StageRepair)
 	datagrams, err := k.env.WrapTraced(f.data, traceID) // plain Wrap while tracing is off
 	return err == nil && k.tx.Send(to, datagrams) == nil

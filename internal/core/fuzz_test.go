@@ -87,17 +87,20 @@ func FuzzKernelHandlePacket(f *testing.F) {
 // FuzzCoordinatorHandlePacket feeds one arbitrary datagram to a
 // coordinator whose archive has every shape a NACK can ask about: a
 // prefix the cap evicted, a seq that never arrived, a second sender,
-// and more live frames than one request may be answered with.  The
-// hole list is a parser on a trust boundary, so whatever the bytes the
-// coordinator must not panic, must answer a sender-scoped request with
-// exactly the frames a brute-force reading of it selects — in sender
-// order, none twice, never more than maxRepairFrames — and must keep
-// its index and its archive in step.
+// and more live frames than one request may be answered with — plus a
+// third sender parked exactly at the flush threshold, so one frame of
+// its can push the stream through the flush path.  The hole list is a
+// parser on a trust boundary, so whatever the bytes the coordinator
+// must not panic, must answer a sender-scoped request with exactly the
+// frames a brute-force reading of it selects — in sender order, none
+// twice, never more than maxRepairFrames — must keep its index and its
+// archive in step, and must never archive a frame twice.
 //
 // The seed corpus (testdata/fuzz/FuzzCoordinatorHandlePacket) is real
 // output of Enveloper.WrapMessage: an after-seq NACK, a hole-list NACK,
 // one whose body stops inside a varint, one asking for a
-// four-billion-wide range, and a lock request.
+// four-billion-wide range, a lock request, and an event from the parked
+// sender at seq 2³²−1 (u@0xffffffff).
 func FuzzCoordinatorHandlePacket(f *testing.F) {
 	const (
 		live       = 300 // s's seqs 1..live, but for never
@@ -120,30 +123,47 @@ func FuzzCoordinatorHandlePacket(f *testing.F) {
 		if seq != never {
 			event("s", seq)
 		}
+		if seq >= 2 && seq <= maxStreamPending+1 {
+			event("u", seq) // u's seq 1 never comes: 2..65 wait behind it
+		}
+	}
+	key := func(f archivedFrame) string { return fmt.Sprintf("%s/%d", f.stream.sender, f.senderSeq) }
+	// Every frame the prefix archives, the ones the cap evicts included.
+	prefix := make(map[string]bool)
+	ref := NewCoordinatorKernel(nullConn("reference"), session.Group{Objective: "fuzz"}, clock.NewVirtual(time.Unix(100, 0)))
+	for _, d := range archive {
+		ref.HandlePacket(transport.Packet{From: "p", Data: d})
+	}
+	for _, f := range ref.log {
+		prefix[key(f)] = true
 	}
 	f.Fuzz(func(t *testing.T, datagram []byte) {
 		conn := &captureConn{nullConn: "coordinator"}
 		k := NewCoordinatorKernel(conn, session.Group{Objective: "fuzz"}, clock.NewVirtual(time.Unix(100, 0)))
-		k.SetArchiveCap(archiveCap)
+		k.archiveCap = archiveCap
 		for _, d := range archive {
 			k.HandlePacket(transport.Packet{From: "p", Data: d})
 		}
 		held := make(map[string][]uint64) // sender → archived seqs, ascending
-		for _, f := range k.frames {
-			for sender, st := range k.streams {
-				if st == f.stream {
-					held[sender] = append(held[sender], uint64(f.senderSeq))
-				}
-			}
+		for _, f := range k.log {
+			held[f.stream.sender] = append(held[f.stream.sender], uint64(f.senderSeq))
 		}
 		for _, seqs := range held {
 			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		}
+		prefixEnd := k.first + uint64(len(k.log)) // session seq of the first frame past the prefix
 
 		k.HandlePacket(transport.Packet{From: "r", Data: datagram})
 
 		if k.ArchivedEvents() != indexed(k) || k.ArchivedEvents() > archiveCap {
 			t.Errorf("%d frames archived, %d indexed, cap %d", k.ArchivedEvents(), indexed(k), archiveCap)
+		}
+		seen := make(map[string]bool)
+		for i, f := range k.log {
+			if seen[key(f)] || (k.first+uint64(i) >= prefixEnd && prefix[key(f)]) {
+				t.Errorf("%s archived twice", key(f))
+			}
+			seen[key(f)] = true
 		}
 		frames, other := conn.sentSeqs(t)
 		m := &message.Message{} // what the datagram says, read independently; nothing if unreadable

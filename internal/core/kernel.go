@@ -209,6 +209,15 @@ type senderOrder struct {
 	parked map[uint64]message.View
 }
 
+// newSenderBuffer is one sender's order buffer, at a replica or the
+// coordinator alike: framework clients number their messages from 1,
+// and held frames are stamped on the kernel's clock.
+func newSenderBuffer(clk clock.Clock) *session.OrderBuffer {
+	b := session.NewOrderBuffer(0)
+	b.SetClock(clk)
+	return b
+}
+
 // defaultMaxPending bounds each sender's order buffer when
 // RepairOptions.MaxPending is zero.
 const defaultMaxPending = 512
@@ -222,10 +231,9 @@ func (k *Kernel) ingestOrdered(v message.View) {
 	if !ok {
 		so = &senderOrder{
 			sender: string(v.Sender()),
-			buf:    session.NewOrderBuffer(0),
+			buf:    newSenderBuffer(k.clk),
 			parked: make(map[uint64]message.View),
 		}
-		so.buf.SetClock(k.clk)
 		// Overflow evicts the farthest-ahead frame from the buffer;
 		// drop its parked view too (runs under the buffer's lock).
 		so.buf.SetLimit(k.maxPending, func(ev session.Event) { delete(so.parked, ev.Seq) })

@@ -136,8 +136,8 @@ func (r *repairRig) lost() (n uint64) {
 // archived returns the publisher's seqs in the order the coordinator
 // archived them.
 func (r *repairRig) archived() (out []uint32) {
-	for _, ev := range r.coord.sess.History(0) {
-		out = append(out, r.coord.frames[ev.Seq].senderSeq)
+	for _, f := range r.coord.log {
+		out = append(out, f.senderSeq)
 	}
 	return out
 }
@@ -339,14 +339,16 @@ func TestCoordinatorNeverAnswersTheGroup(t *testing.T) {
 // indexed is how many frames the per-sender indexes list.
 func indexed(k *CoordinatorKernel) (n int) {
 	for _, st := range k.streams {
-		n += len(st.archived)
+		if st != nil { // nil: a sender the group filter rejects
+			n += len(st.archived)
+		}
 	}
 	return n
 }
 
 // TestCoordinatorIndexFollowsArchiveCap: the per-sender index holds
-// exactly the frames the archive holds — when the cap is set on a full
-// archive, as later events push old ones out, and for a straggler
+// exactly the frames the archive holds — when the cap is lowered on a
+// full archive, as later events push old ones out, and for a straggler
 // archived out of its sender's order.
 func TestCoordinatorIndexFollowsArchiveCap(t *testing.T) {
 	conn := &captureConn{nullConn: "coordinator"}
@@ -362,10 +364,11 @@ func TestCoordinatorIndexFollowsArchiveCap(t *testing.T) {
 		feed(t, k, "alice", seq)
 		feed(t, k, "bob", seq-1)
 	}
-	agree("uncapped", 2*69)
-	k.SetArchiveCap(40)
-	agree("after SetArchiveCap", 40)
-	for seq := uint32(71); seq <= 90; seq++ {
+	agree("under the default cap", 2*69)
+	k.archiveCap = 40 // takes hold at the next frame
+	feed(t, k, "alice", 71)
+	agree("after lowering the cap", 40)
+	for seq := uint32(72); seq <= 90; seq++ {
 		feed(t, k, "alice", seq)
 		agree("as events arrive", 40)
 	}

@@ -4,41 +4,39 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
-	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/session"
 )
 
-// reorderSeq feeds the reorder stage sender "s"'s frame seq, the way
-// HandlePacket does, and returns the seqs it releases.
+// newTestCoordinator is a coordinator kernel on a conn that goes
+// nowhere.
+func newTestCoordinator() *CoordinatorKernel {
+	return NewCoordinatorKernel(nullConn("coordinator"), session.Group{Objective: "quick"}, clock.NewVirtual(time.Unix(0, 0)))
+}
+
+// reorderSeq feeds the coordinator sender "s"'s frame seq and returns
+// the seqs that archives.
 func reorderSeq(t *testing.T, c *CoordinatorKernel, seq uint32) []uint32 {
 	t.Helper()
-	frame, err := message.Encode(&message.Message{Kind: message.KindEvent, Sender: "s", Seq: seq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := message.Parse(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := len(c.log)
+	feed(t, c, "s", seq)
 	var released []uint32
-	_, ordered := c.reorder(v, frame)
-	for _, of := range ordered {
-		released = append(released, of.seq)
+	for _, f := range c.log[before:] {
+		released = append(released, f.senderSeq)
 	}
 	return released
 }
 
 // TestQuickCoordinatorReorder: for any permutation of a sender's
-// sequence numbers (starting at 1), the reorder stage releases them
+// sequence numbers (starting at 1), the coordinator archives them
 // exactly once, in order.
 func TestQuickCoordinatorReorder(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60) // stay under the flush threshold
-		c := &CoordinatorKernel{
-			frames:  make(map[uint64]archivedFrame),
-			streams: make(map[string]*senderStream),
-		}
+		c := newTestCoordinator()
 		perm := r.Perm(n)
 		var released []uint32
 		for _, i := range perm {
@@ -62,15 +60,12 @@ func TestQuickCoordinatorReorder(t *testing.T) {
 }
 
 // TestQuickCoordinatorReorderWithLoss: when sequence numbers are
-// missing (lost frames), the flush path still releases everything that
+// missing (lost frames), the flush path still archives everything that
 // arrived, in ascending order, once the pending buffer overflows.
 func TestQuickCoordinatorReorderWithLoss(t *testing.T) {
 	f := func(seed int64) bool {
 		_ = seed // the scenario is deterministic; quick just repeats it
-		c := &CoordinatorKernel{
-			frames:  make(map[uint64]archivedFrame),
-			streams: make(map[string]*senderStream),
-		}
+		c := newTestCoordinator()
 		// Lose seq 1 so everything buffers until the flush threshold.
 		n := maxStreamPending + 10
 		var released []uint32

@@ -141,24 +141,6 @@ func (v View) Matches(flat selector.Attributes) bool {
 	return v.sel == nil || v.sel.Matches(flat)
 }
 
-// Attr returns a content attribute, as Message(in).Attr would.
-func (v View) Attr(name string, in *Interner) (selector.Value, bool) {
-	var kind selector.Kind
-	var raw []byte
-	found := false
-	d := decoder{buf: v.attrs}
-	for i := 0; i < v.nattrs; i++ {
-		n, k, r, _ := d.attr()
-		if string(n) == name {
-			kind, raw, found = k, r, true // a repeated name: the last entry wins, as in Message's map
-		}
-	}
-	if !found {
-		return selector.Value{}, false
-	}
-	return attrValue(kind, raw, in), true
-}
-
 // Message materialises the view as a message whose Body is the frame's
 // own body bytes and which shares nothing else with the frame.  The
 // body is not copied: it stays valid, and may be retained, for as long

@@ -24,7 +24,8 @@ var (
 	ErrStale     = errors.New("session: update based on a stale version")
 )
 
-// ObjectLocks arbitrates exclusive access to named shared objects.
+// ObjectLocks arbitrates exclusive access to named shared objects.  The
+// zero value is an empty lock table.
 type ObjectLocks struct {
 	mu    sync.Mutex
 	locks map[string]*lockState
@@ -33,11 +34,6 @@ type ObjectLocks struct {
 type lockState struct {
 	holder  string
 	waiters []string
-}
-
-// NewObjectLocks returns an empty lock table.
-func NewObjectLocks() *ObjectLocks {
-	return &ObjectLocks{locks: make(map[string]*lockState)}
 }
 
 // TryAcquire attempts to take the lock on object for client.  If the
@@ -49,6 +45,9 @@ func (l *ObjectLocks) TryAcquire(object, client string) error {
 	defer l.mu.Unlock()
 	st, ok := l.locks[object]
 	if !ok {
+		if l.locks == nil {
+			l.locks = make(map[string]*lockState)
+		}
 		l.locks[object] = &lockState{holder: client}
 		return nil
 	}

@@ -10,12 +10,13 @@ import (
 	"adaptiveqos/internal/obs"
 )
 
-// OrderBuffer restores the session's total event order at a replica:
-// events arrive over the multicast substrate in arbitrary order (per
-// sender) but carry the coordinator-assigned sequence number; the
-// buffer releases them strictly in sequence.  Unlike the RTP reorder
-// buffer there is no skipping — session events are not loss-tolerant,
-// and the replica instead requests history for persistent gaps.
+// OrderBuffer restores one sender's event order: events arrive over
+// the multicast substrate in arbitrary order but carry the sender's
+// sequence number, and the buffer releases them strictly in sequence.
+// Unlike the RTP reorder buffer it skips nothing by itself — session
+// events are not loss-tolerant, so a replica requests history for a
+// persistent gap and only its owner decides, through Skip, to give a
+// gap up.
 type OrderBuffer struct {
 	mu   sync.Mutex
 	next uint64
@@ -48,8 +49,7 @@ type OrderBuffer struct {
 type SeqRange struct{ From, To uint64 }
 
 // NewOrderBuffer creates a buffer expecting sequence numbers starting
-// at afterSeq+1 (pass a session's LastSeq at join time, or 0 for a
-// fresh session).
+// at afterSeq+1 (0 for a stream numbered from 1).
 func NewOrderBuffer(afterSeq uint64) *OrderBuffer {
 	return &OrderBuffer{next: afterSeq + 1}
 }

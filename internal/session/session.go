@@ -1,13 +1,14 @@
-// Package session implements collaboration sessions: group formation
-// around an objective and result space, membership tracking, total
-// event ordering, concurrency control for shared objects, and session
-// archival so late joiners can catch up with history.
+// Package session holds the building blocks of a collaboration
+// session: group formation around an objective and result space,
+// per-stream event ordering (the order buffer every replica and the
+// archiving coordinator run), concurrency control for shared objects,
+// and an in-process Session for an arbiter that lives in one process.
+// The networked archiving coordinator is core.CoordinatorKernel.
 package session
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"adaptiveqos/internal/profile"
@@ -53,9 +54,10 @@ func (g *Group) Offers(result string) bool {
 	return false
 }
 
-// Event is one archived session event.
+// Event is one sequenced session event.
 type Event struct {
-	// Seq is the global sequence number assigned by the session.
+	// Seq is the sequence number: assigned by the session, or the
+	// sender's own in an order buffer.
 	Seq uint64
 	// Sender is the originating client.
 	Sender string
@@ -67,34 +69,22 @@ type Event struct {
 	Payload []byte
 }
 
-// Session is one collaboration session: membership plus a totally
-// ordered, archived event history.  The session plays the role of the
-// central coordinator where one exists (the base station for wireless
-// legs); wired peers each hold a replica that converges because events
-// carry the coordinator-assigned sequence.
+// Session is one collaboration session held in a single process:
+// membership plus a totally ordered event history, every event
+// numbered by Commit.  It suits an arbiter whose members call it
+// directly (examples/auction); on the wire, the archiving coordinator
+// numbers and keeps frames itself.
 type Session struct {
 	Group Group
 
 	mu      sync.RWMutex
 	members map[string]*profile.Profile
-	nextSeq uint64
-	archive []Event
-	// archiveCap bounds history; 0 = unlimited.
-	archiveCap int
+	archive []Event // archive[i] has Seq i+1
 }
 
 // New creates an empty session for the group.
 func New(g Group) *Session {
 	return &Session{Group: g, members: make(map[string]*profile.Profile)}
-}
-
-// SetArchiveCap bounds the archived history to the most recent n
-// events (0 = unlimited).
-func (s *Session) SetArchiveCap(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.archiveCap = n
-	s.trimLocked()
 }
 
 // Join admits a client; its profile must satisfy the group filter.
@@ -109,14 +99,6 @@ func (s *Session) Join(p *profile.Profile) error {
 	}
 	s.members[p.ID] = p.Clone()
 	return nil
-}
-
-// IsMember reports membership.
-func (s *Session) IsMember(id string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.members[id]
-	return ok
 }
 
 // Members returns the current member count.
@@ -134,34 +116,15 @@ func (s *Session) Commit(sender, app, object string, payload []byte) (Event, err
 	if _, ok := s.members[sender]; !ok {
 		return Event{}, fmt.Errorf("%w: %s", ErrNotMember, sender)
 	}
-	s.nextSeq++
 	ev := Event{
-		Seq:     s.nextSeq,
+		Seq:     uint64(len(s.archive)) + 1,
 		Sender:  sender,
 		App:     app,
 		Object:  object,
 		Payload: append([]byte(nil), payload...),
 	}
 	s.archive = append(s.archive, ev)
-	s.trimLocked()
 	return ev, nil
-}
-
-func (s *Session) trimLocked() {
-	if drop := len(s.archive) - s.archiveCap; s.archiveCap > 0 && drop > 0 {
-		// Slide the window instead of copying it: the cut events are
-		// cleared so their payloads are not retained, and append moves
-		// the survivors only when the backing array runs out.
-		clear(s.archive[:drop])
-		s.archive = s.archive[drop:]
-	}
-}
-
-// afterLocked returns the archived events with Seq > afterSeq (the
-// archive is ordered by Seq).  The caller holds the lock.
-func (s *Session) afterLocked(afterSeq uint64) []Event {
-	i := sort.Search(len(s.archive), func(i int) bool { return s.archive[i].Seq > afterSeq })
-	return s.archive[i:]
 }
 
 // History returns archived events with Seq > afterSeq, in order — the
@@ -169,23 +132,5 @@ func (s *Session) afterLocked(afterSeq uint64) []Event {
 func (s *Session) History(afterSeq uint64) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]Event(nil), s.afterLocked(afterSeq)...)
-}
-
-// HistoryPage is History in bounded pieces: it copies the first
-// len(buf) archived events with Seq > afterSeq into buf and returns
-// how many it copied.  A caller that walks a long archive passes the
-// last Seq it saw as the next afterSeq and never materialises the
-// whole history.
-func (s *Session) HistoryPage(afterSeq uint64, buf []Event) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return copy(buf, s.afterLocked(afterSeq))
-}
-
-// LastSeq returns the highest assigned sequence number.
-func (s *Session) LastSeq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nextSeq
+	return append([]Event(nil), s.archive[min(afterSeq, uint64(len(s.archive))):]...)
 }

@@ -51,7 +51,7 @@ func TestSessionMembership(t *testing.T) {
 	if err := s.Join(member("b", "video")); !errors.Is(err, ErrNotAdmitted) {
 		t.Errorf("filtered join: %v", err)
 	}
-	if !s.IsMember("a") || s.IsMember("b") || s.Members() != 1 {
+	if s.Members() != 1 {
 		t.Error("membership state")
 	}
 }
@@ -78,11 +78,8 @@ func TestCommitAndHistory(t *testing.T) {
 	if len(hist) != 2 || hist[0].Seq != 1 || string(hist[1].Payload) != "line" {
 		t.Errorf("history: %v", hist)
 	}
-	if len(s.History(1)) != 1 {
+	if len(s.History(1)) != 1 || len(s.History(2)) != 0 || len(s.History(9)) != 0 {
 		t.Error("partial history")
-	}
-	if s.LastSeq() != 2 {
-		t.Errorf("LastSeq = %d", s.LastSeq())
 	}
 
 	// Payload isolation.
@@ -94,56 +91,8 @@ func TestCommitAndHistory(t *testing.T) {
 	}
 }
 
-func TestArchiveCap(t *testing.T) {
-	s := New(Group{Objective: "o"})
-	s.Join(member("a", "x"))
-	s.SetArchiveCap(3)
-	for i := 0; i < 10; i++ {
-		s.Commit("a", "chat", "", []byte{byte(i)})
-	}
-	hist := s.History(0)
-	if len(hist) != 3 || hist[0].Seq != 8 || hist[2].Seq != 10 {
-		t.Errorf("capped history: %v", hist)
-	}
-	// The window slides without copying; History shows the newest cap
-	// events whatever afterSeq asks for, and the paged walk visits the
-	// same events in the same order.
-	for i := 10; i < 500; i++ {
-		s.Commit("a", "chat", "", []byte{byte(i)})
-		last := uint64(i + 1)
-		if h := s.History(0); len(h) != 3 || h[0].Seq != last-2 || h[2].Seq != last {
-			t.Fatalf("after commit %d history is %v", last, h)
-		}
-		if h := s.History(last - 1); len(h) != 1 || h[0].Seq != last {
-			t.Fatalf("History(%d) = %v", last-1, h)
-		}
-	}
-	s.SetArchiveCap(0)
-	for i := 0; i < 7; i++ {
-		s.Commit("a", "chat", "", nil)
-	}
-	for _, after := range []uint64{0, 498, 500, 503, 507, 900} {
-		var walked []Event
-		var page [4]Event
-		next := after
-		for n := s.HistoryPage(next, page[:]); n > 0; n = s.HistoryPage(next, page[:]) {
-			walked = append(walked, page[:n]...)
-			next = page[n-1].Seq
-		}
-		want := s.History(after)
-		if len(walked) != len(want) {
-			t.Fatalf("paged walk after %d visits %d events, History has %d", after, len(walked), len(want))
-		}
-		for i := range want {
-			if walked[i].Seq != want[i].Seq {
-				t.Errorf("paged walk after %d: event %d is seq %d, want %d", after, i, walked[i].Seq, want[i].Seq)
-			}
-		}
-	}
-}
-
 func TestObjectLocks(t *testing.T) {
-	l := NewObjectLocks()
+	var l ObjectLocks
 	if err := l.TryAcquire("img-1", "a"); err != nil {
 		t.Fatal(err)
 	}
