@@ -29,8 +29,9 @@ census:
 bench:
 	$(GO) run -C bench .
 
-# The gate a PR must pass: vet, census, the full suite with and without
-# the race detector, boundary greps, fuzz and command smokes (see ci.sh).
+# The gate a PR must pass: vet, the census (unreached declarations and
+# the architecture rules), the full suite with and without the race
+# detector, fuzz and command smokes (see ci.sh).
 ci:
 	./ci.sh
 

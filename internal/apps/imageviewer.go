@@ -110,6 +110,11 @@ func SplitStream(stream []byte, n int) [][]byte {
 	return out
 }
 
+// SharePackets is the paper's packetization of a shared image: every
+// sender, the base station and the figure experiments split a share
+// into 16 prefix-extending packets.
+const SharePackets = 16
+
 // ShareImage prepares an image object for sharing: the announce
 // metadata plus the packetized stream.
 func ShareImage(object string, obj *media.Object, totalPackets int) (ImageMeta, [][]byte, error) {

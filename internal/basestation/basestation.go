@@ -51,9 +51,6 @@ type Config struct {
 	Thresholds radio.Thresholds
 	// Registry supplies modality transformers (default DefaultRegistry).
 	Registry *media.Registry
-	// TotalPackets is the packet count used when relaying full images
-	// to the multicast session (default 16).
-	TotalPackets int
 	// FanOutWorkers is the dispatch pool's shard count: per-client
 	// delivery work is hashed over this many single-worker queues.
 	// 0 means GOMAXPROCS; 1 forces the inline sequential path.
@@ -69,9 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = media.DefaultRegistry()
-	}
-	if c.TotalPackets <= 0 {
-		c.TotalPackets = 16
 	}
 	if c.FanOutWorkers <= 0 {
 		c.FanOutWorkers = runtime.GOMAXPROCS(0)
@@ -131,7 +125,16 @@ type BaseStation struct {
 	// Each receive loop owns the interner its frames decode through.
 	wiredIntern, rfIntern message.Interner
 
-	seq atomic.Uint32
+	// What the station multicasts to the session is numbered per
+	// originating member, contiguous from 1 (sessionSeq, under seqMu),
+	// as a wired peer numbers its own frames: wired receivers order and
+	// repair a member's stream like any sender's.  An entry outlives
+	// the member, so one that leaves and rejoins continues its stream
+	// instead of replaying seqs receivers discard.  Radio-leg unicasts
+	// draw from the station-wide seq.
+	seqMu      sync.Mutex
+	sessionSeq map[string]uint32
+	seq        atomic.Uint32
 
 	// collect reassembles wired-side image shares so the BS can
 	// transform them per wireless client.
@@ -171,6 +174,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		sweepDone: make(chan struct{}),
 	}
 	bs.env.Node = id
+	bs.sessionSeq = map[string]uint32{}
 	bs.unwrap.Node = id
 	bs.tasks.New = func() any { return new(dispatch.Task) }
 	bs.wiredTx = &dispatch.Multicaster{Env: &bs.env, Conn: wired}
@@ -234,11 +238,22 @@ func (bs *BaseStation) Close() error {
 // --- Uplink (wireless client → session) ---
 // (Membership and radio control plane: membership.go.)
 
-func (bs *BaseStation) newMessage(kind message.Kind, sender, sel string, attrs selector.Attributes, body []byte) *message.Message {
+// newMessage mints a frame from sender for to: the session when to is
+// "", else one member.
+func (bs *BaseStation) newMessage(kind message.Kind, sender, to, sel string, attrs selector.Attributes, body []byte) *message.Message {
+	var seq uint32
+	if to == "" {
+		bs.seqMu.Lock()
+		bs.sessionSeq[sender]++
+		seq = bs.sessionSeq[sender]
+		bs.seqMu.Unlock()
+	} else {
+		seq = bs.seq.Add(1)
+	}
 	return &message.Message{
 		Kind:      kind,
 		Sender:    sender,
-		Seq:       bs.seq.Add(1),
+		Seq:       seq,
 		Timestamp: bs.clk.Now(),
 		Selector:  sel,
 		Attrs:     attrs,
@@ -269,7 +284,7 @@ func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) erro
 	attrs := selector.Attributes{
 		message.AttrApp: selector.S(app),
 	}
-	m := bs.newMessage(message.KindEvent, sender, sel, attrs, payload)
+	m := bs.newMessage(message.KindEvent, sender, "", sel, attrs, payload)
 	msgID := obs.MsgID(m.Sender, m.Seq)
 	obs.AppendHop(msgID, bs.id, obs.StagePublish)
 	sp := obs.StartStage(msgID, obs.StagePublish)

@@ -59,7 +59,7 @@ func (rs *renditions) mediaEvent(o *media.Object) rendition {
 // other object goes as it is.
 func (rs *renditions) imageTier() *rendition {
 	rs.imageOnce.Do(func() {
-		meta, packets, err := apps.ShareImage(rs.object, rs.obj, rs.bs.cfg.TotalPackets)
+		meta, packets, err := apps.ShareImage(rs.object, rs.obj, apps.SharePackets)
 		if err != nil {
 			rs.image = rs.mediaEvent(rs.obj)
 			return
@@ -134,7 +134,7 @@ func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatc
 	if r.err != nil {
 		return r.err
 	}
-	m := bs.newMessage(message.KindEvent, rs.sender, rs.sel, r.attrs, r.payload)
+	m := bs.newMessage(message.KindEvent, rs.sender, to, rs.sel, r.attrs, r.payload)
 	if tier != radio.TierImage {
 		// The relayed message is minted here, so the transform hop can
 		// only be attributed once its trace identity exists.
@@ -153,7 +153,7 @@ func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatc
 			SSRC:        r.ssrc,
 			Payload:     p,
 		}
-		if err := tx.Deliver(to, bs.newMessage(message.KindData, rs.sender, rs.sel, r.packetAttrs[i], rp.Marshal())); err != nil {
+		if err := tx.Deliver(to, bs.newMessage(message.KindData, rs.sender, to, rs.sel, r.packetAttrs[i], rp.Marshal())); err != nil {
 			return err
 		}
 	}

@@ -51,7 +51,7 @@ func TestRenditionsMatchPerClientDerivation(t *testing.T) {
 			}
 			tr.awaitShare(t, object, shares, skip)
 
-			_, packets, err := apps.ShareImage(object, obj, tr.bs.cfg.TotalPackets)
+			_, packets, err := apps.ShareImage(object, obj, apps.SharePackets)
 			if err != nil {
 				t.Fatal(err)
 			}

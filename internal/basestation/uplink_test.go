@@ -1,0 +1,103 @@
+package basestation
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/core"
+	"adaptiveqos/internal/metrics"
+	"adaptiveqos/internal/session"
+)
+
+// TestUplinkNumberedPerSender: what the station multicasts for a member
+// is that member's stream, numbered contiguously from 1, so a
+// repair-enabled wired receiver holds two members' alternating chat
+// lines and a share once and in order without a single NACK on a
+// lossless link.  Numbered from one station-wide counter, each member's
+// stream had a hole wherever the other spoke: NACKs the coordinator
+// could not serve, then abandoned gaps.  Then both members uplink at
+// once, from a goroutine each: the numbering is shared state.
+func TestUplinkNumberedPerSender(t *testing.T) {
+	r := newRig(t, Config{})
+	coordConn, err := r.wiredNet.Attach("coordinator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := core.NewCoordinator(coordConn, session.Group{Objective: "uplink"})
+	t.Cleanup(func() { coord.Close() })
+	conn, err := r.wiredNet.Attach("replica")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stall = 20 * time.Millisecond
+	replica := core.NewClient(conn, core.Config{Repair: &core.RepairOptions{
+		Coordinator: "coordinator", StallTimeout: stall, MaxRetries: 2,
+	}})
+	t.Cleanup(func() { replica.Close() })
+	members := []string{"w1", "w2"}
+	for _, id := range members {
+		r.joinWireless(t, id, 30, 1)
+	}
+
+	ctrs := metrics.Counters()
+	requests0, abandoned0 := ctrs[metrics.CtrRepairRequests], ctrs[metrics.CtrRepairAbandoned]
+	for i := 0; i < 6; i++ {
+		from := members[i%2]
+		if err := r.bs.UplinkEvent(from, apps.AppChat, "", apps.EncodeSay(fmt.Sprintf("%s line %d", from, i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			if err := r.bs.UplinkShare("w1", "w1-photo", "", testImageObject(t)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, from := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 6; i < 26; i++ {
+				if err := r.bs.UplinkEvent(from, apps.AppChat, "", apps.EncodeSay(fmt.Sprintf("%s line %d", from, i))); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "every line and the share at the replica", func() bool {
+		return replica.Chat().Len() == 46 && len(replica.Viewer().Objects())+replica.Inbox().Len() == 1
+	})
+	time.Sleep(8 * stall) // long past the first stall a hole would have raised
+
+	var got []string
+	perMember := map[string][]string{}
+	for _, l := range replica.Chat().Lines() {
+		got = append(got, l.Text)
+		from := strings.Fields(l.Text)[0]
+		perMember[from] = append(perMember[from], l.Text)
+	}
+	if want := []string{"w1 line 0", "w2 line 1", "w1 line 2", "w2 line 3", "w1 line 4", "w2 line 5"}; fmt.Sprint(got[:6]) != fmt.Sprint(want) {
+		t.Errorf("replica chat starts %q, want %q", got[:6], want)
+	}
+	for _, from := range members {
+		var want []string
+		for i := 6; i < 26; i++ {
+			want = append(want, fmt.Sprintf("%s line %d", from, i))
+		}
+		if lines := perMember[from][3:]; fmt.Sprint(lines) != fmt.Sprint(want) {
+			t.Errorf("replica holds %s's concurrent lines as %q, want %q", from, lines, want)
+		}
+	}
+	ctrs = metrics.Counters()
+	if n := ctrs[metrics.CtrRepairRequests] - requests0; n != 0 {
+		t.Errorf("%d repair requests on a lossless link, want 0", n)
+	}
+	if n := ctrs[metrics.CtrRepairAbandoned] - abandoned0; n != 0 {
+		t.Errorf("%d gaps abandoned on a lossless link, want 0", n)
+	}
+}

@@ -1,23 +1,22 @@
-// Command census is the surface gate (DESIGN.md §3): every top-level
-// declaration under internal/ must be reachable from a main package —
-// cmd/, examples/, bench/ — or stand in allow.txt with its reason.
+// Command census is the repository's one static checker (DESIGN.md §3):
+// every file keeps the architecture rules of rules.go, and every
+// top-level declaration under internal/ is reachable from a main package
+// — cmd/, examples/, bench/ — or stands in allow.txt with its reason.
 //
 //	go run ./internal/census
 //
-// It loads the root module and the bench module (go list -deps -export:
-// the standard library comes from export data, this repository from
-// source), type-checks with go/types and walks the reference graph from
-// every function of every main package plus every init.  A method is
-// reached when it is named directly, or when its receiver type is
-// reached and a method of that name is called through an interface from
-// code that is itself reached (or a standard-library interface the type
-// implements carries it: the library's own calls are not visible).
-// Test files are not loaded: a declaration only tests use is
-// unreachable, which is the point.
+// It loads the root and bench modules (go list -deps -export: the
+// standard library from export data, this repository from source),
+// type-checks them and walks the reference graph from every function of
+// every main package plus every init.  A method is reached when it is
+// named directly, or when its receiver type is reached and a method of
+// that name is called through an interface from reached code (or a
+// standard-library interface the type implements carries it).  Test
+// files are not loaded: a declaration only tests use is unreachable.
 //
-// It prints "file:line pkg.Name (lines)" per unreached declaration and
-// exits 1 on any, on an allowlist entry that is reachable without the
-// list or names nothing (stale), and on more than maxAllowed entries.
+// It prints "file:line rule: what" per violation and "file:line
+// pkg.Name (lines)" per unreached declaration, and exits 1 on any, on a
+// stale allowlist entry and on more than maxAllowed entries.
 package main
 
 import (
@@ -31,6 +30,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,14 +60,19 @@ func run(dir string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	unreached, err := census(dir, allow)
+	unreached, broken, err := census(dir, allow)
+	for _, v := range broken {
+		fmt.Fprintln(out, v)
+	}
 	for _, d := range unreached {
 		fmt.Fprintf(out, "%s:%d %s (%d)\n", d.file, d.line, d.name, d.lines)
 	}
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
-	}
-	if len(unreached) > 0 {
+	case len(broken) > 0:
+		return fmt.Errorf("%d architecture rule violations (rules.go gives each rule's reason)", len(broken))
+	case len(unreached) > 0:
 		return fmt.Errorf("%d declarations under internal/ are reached by no program and not allowlisted", len(unreached))
 	}
 	return nil
@@ -146,6 +151,10 @@ func goList(dir string) ([]listed, error) {
 // package, and what has been reached so far.
 type graph struct {
 	fset    *token.FileSet
+	root    string
+	rel     map[string]string          // import path → slash path from root, for source packages
+	deps    map[string]map[string]bool // import path → the slash paths of it and every source package it imports
+	broken  []string                   // rule violations, "file:line rule: what"
 	decls   map[types.Object]*decl
 	order   []*decl // load order, for stable reports
 	methods map[*types.TypeName][]*decl
@@ -156,19 +165,9 @@ type graph struct {
 	ifaceCalls map[string]bool // method names called through an interface from reached code
 }
 
-// srcImporter serves source-checked packages first and export data for
-// the rest.
-type srcImporter struct {
-	src map[string]*types.Package
-	gc  types.Importer
-}
+type importerFunc func(path string) (*types.Package, error)
 
-func (i srcImporter) Import(path string) (*types.Package, error) {
-	if p := i.src[path]; p != nil {
-		return p, nil
-	}
-	return i.gc.Import(path)
-}
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // load type-checks the module at dir and, if there is one, the bench
 // module beside it.
@@ -191,15 +190,24 @@ func load(dir string) (*graph, error) {
 
 	g := &graph{
 		fset:       token.NewFileSet(),
+		root:       abs,
+		rel:        map[string]string{},
+		deps:       map[string]map[string]bool{},
 		decls:      map[types.Object]*decl{},
 		methods:    map[*types.TypeName][]*decl{},
 		reached:    map[*decl]bool{},
 		ifaceCalls: map[string]bool{},
 	}
 	exports := map[string]string{}
-	imp := srcImporter{src: map[string]*types.Package{}}
-	imp.gc = importer.ForCompiler(g.fset, "gc", func(path string) (io.ReadCloser, error) {
+	src := map[string]*types.Package{} // source-checked, served before export data
+	gc := importer.ForCompiler(g.fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(exports[path])
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := src[path]; p != nil {
+			return p, nil
+		}
+		return gc.Import(path)
 	})
 	stdSeen := map[string]bool{}
 	for _, p := range pkgs {
@@ -207,7 +215,7 @@ func load(dir string) (*graph, error) {
 			exports[p.ImportPath] = p.Export
 			continue
 		}
-		if imp.src[p.ImportPath] != nil {
+		if src[p.ImportPath] != nil {
 			continue // listed by both modules
 		}
 		var files []*ast.File
@@ -219,36 +227,45 @@ func load(dir string) (*graph, error) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{}, // for the rules
 		}
 		tp, err := (&types.Config{Importer: imp}).Check(p.ImportPath, g.fset, files, info)
 		if err != nil {
 			return nil, err
 		}
-		imp.src[p.ImportPath] = tp
+		src[p.ImportPath] = tp
+		rel, _ := filepath.Rel(abs, p.Dir)
+		g.rel[p.ImportPath] = filepath.ToSlash(rel)
+		deps := map[string]bool{g.rel[p.ImportPath]: true}
 		for _, dep := range tp.Imports() {
-			if imp.src[dep.Path()] == nil && !stdSeen[dep.Path()] {
+			if src[dep.Path()] == nil && !stdSeen[dep.Path()] {
 				stdSeen[dep.Path()] = true
 				g.addStdInterfaces(dep)
 			}
+			maps.Copy(deps, g.deps[dep.Path()])
 		}
-		rel, _ := filepath.Rel(abs, p.Dir)
+		g.deps[p.ImportPath] = deps
+		g.check(tp, files, info)
 		g.addDecls(p, filepath.ToSlash(rel), files, info)
 	}
 	g.std = append(g.std, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	return g, nil
 }
 
+// path is the slash path from the root of the file holding pos.
+func (g *graph) path(pos token.Pos) string {
+	rel, _ := filepath.Rel(g.root, g.fset.Position(pos).Filename)
+	return filepath.ToSlash(rel)
+}
+
 func (g *graph) addStdInterfaces(p *types.Package) {
-	scope := p.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
-			g.std = append(g.std, it)
+	for _, name := range p.Scope().Names() {
+		if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
+				g.std = append(g.std, it)
+			}
 		}
 	}
 }
@@ -288,11 +305,8 @@ func (g *graph) addDecls(p listed, rel string, files []*ast.File, info *types.In
 			case *ast.FuncDecl:
 				if top.Recv == nil {
 					add(top.Name, top, "")
-					continue
-				}
-				tn := receiverName(top.Recv.List[0].Type)
-				if d := add(top.Name, top, tn.Name+"."); d != nil {
-					if owner, ok := info.Uses[tn].(*types.TypeName); ok {
+				} else if d := add(top.Name, top, recvName(top)+"."); d != nil {
+					if owner, ok := d.obj.Pkg().Scope().Lookup(recvName(top)).(*types.TypeName); ok {
 						g.methods[owner] = append(g.methods[owner], d)
 					}
 				}
@@ -324,23 +338,10 @@ func (g *graph) addDecls(p listed, rel string, files []*ast.File, info *types.In
 	}
 }
 
-func receiverName(e ast.Expr) *ast.Ident {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.Ident:
-			return t
-		default:
-			return &ast.Ident{Name: "?"}
-		}
-	}
+// recvName is the name of the type a method is declared on.
+func recvName(fd *ast.FuncDecl) string {
+	name, _, _ := strings.Cut(strings.Trim(types.ExprString(fd.Recv.List[0].Type), "*()"), "[")
+	return name
 }
 
 func usesIota(spec *ast.ValueSpec) bool {
@@ -403,14 +404,8 @@ func (g *graph) viaStd(owner *types.TypeName, method string) bool {
 	}
 	generic := named.TypeParams().Len() > 0
 	for _, it := range g.std {
-		has := false
-		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == method {
-				has = true
-				break
-			}
-		}
-		if has && (generic || types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+		if m, _, _ := types.LookupFieldOrMethod(it, false, nil, method); m != nil &&
+			(generic || types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
 			return true
 		}
 	}
@@ -442,12 +437,13 @@ func (g *graph) settle() {
 }
 
 // census returns the censused declarations no program reaches once the
-// allowlisted ones are taken as extra roots, in load order.  A stale
-// allowlist entry is an error; the list is still returned.
-func census(dir string, allow []string) ([]*decl, error) {
+// allowlisted ones are taken as extra roots, in load order, and the rule
+// violations.  A stale allowlist entry is an error; the lists are still
+// returned.
+func census(dir string, allow []string) ([]*decl, []string, error) {
 	g, err := load(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, d := range g.order {
 		if fn, ok := d.node.(*ast.FuncDecl); ok && (d.inMain || fn.Recv == nil && fn.Name.Name == "init") {
@@ -485,7 +481,7 @@ func census(dir string, allow []string) ([]*decl, error) {
 	}
 	if len(stale) > 0 {
 		sort.Strings(stale)
-		return unreached, fmt.Errorf("stale allowlist entries:\n  %s", strings.Join(stale, "\n  "))
+		return unreached, g.broken, fmt.Errorf("stale allowlist entries:\n  %s", strings.Join(stale, "\n  "))
 	}
-	return unreached, nil
+	return unreached, g.broken, nil
 }

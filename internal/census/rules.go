@@ -1,0 +1,189 @@
+package main
+
+import (
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+// A rule is one architecture invariant (DESIGN.md §3) over the files
+// under in but not under except (slash paths from the root, a directory
+// ending in "/", "file:Recv.Name" for one method): broken says what a
+// node breaks, "" for nothing, given what an identifier uses.
+type rule struct {
+	name, reason string
+	in, except   []string
+	broken       func(s *scope, n ast.Node, uses types.Object) string
+}
+
+var rules = []rule{
+	{"boundary", "the registry and the dispatch pipeline know nothing of media formats or radio physics (§9)",
+		[]string{"internal/registry/", "internal/dispatch/"}, nil, noDeps("internal/media", "internal/radio")},
+	{"leaf", "every layer takes an injected clock and reports into the one registry without a cycle (§8, §14)",
+		[]string{"internal/clock/", "internal/metrics/"}, nil, noDeps()},
+	{"fidelity", "replay runs the real kernels, not a private frame codec, order tracker or coordinator (§15)",
+		[]string{"internal/replay/"}, nil,
+		runsOn("internal/core", "encodeData", "decodeData", "encodeNack", "tracker", "coordHandler")},
+	{"kernel-purity", "the sans-IO kernels and the frame view they read through start, wait on and read nothing (§3, §7)",
+		[]string{"internal/core/kernel.go", "internal/core/coordkernel.go", "internal/core/nack.go",
+			"internal/message/view.go", "internal/message/intern.go"}, nil, kernelPure},
+	{"ownership", "a received frame is retained, not copied; the network copies only what a caller keeps (§7.1)",
+		[]string{"internal/message/view.go", "internal/message/fragment.go", "internal/apps/imageviewer.go",
+			"internal/core/coordkernel.go", "internal/transport/engine.go"},
+		[]string{"internal/transport/engine.go:node.Multicast", "internal/transport/engine.go:node.Unicast"}, noCopies},
+	{"scheduling", "everything waits on an injected clock.Clock, so a run reproduces on clock.Virtual (§14)",
+		[]string{"internal/", "cmd/"}, []string{"internal/clock/"},
+		uses("time", "After", "AfterFunc", "NewTicker", "NewTimer", "Sleep", "Tick")},
+	{"clock-seam", "a raw wall-clock read de-synchronizes a recorded session from its replay (§14)",
+		[]string{"internal/", "cmd/"}, []string{"internal/clock/", "internal/obs/clock.go"},
+		uses("time", "Now", "Since", "Until")},
+}
+
+// A scope is one package a rule covers files of.
+type scope struct {
+	g     *graph
+	pkg   *types.Package
+	info  *types.Info
+	first *ast.File // the first covered file
+}
+
+// check holds the files of one loaded package to every rule.
+func (g *graph) check(pkg *types.Package, files []*ast.File, info *types.Info) {
+	under := func(list []string, path string) bool {
+		return slices.ContainsFunc(list, func(e string) bool {
+			return e == path || strings.HasSuffix(e, "/") && strings.HasPrefix(path, e)
+		})
+	}
+	for _, r := range rules {
+		s := &scope{g: g, pkg: pkg, info: info}
+		for _, f := range files {
+			if path := g.path(f.Pos()); !under(r.in, path) || under(r.except, path) {
+				continue
+			} else if s.first == nil {
+				s.first = f
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				fd, _ := n.(*ast.FuncDecl)
+				if n == nil || fd != nil && fd.Recv != nil && slices.Contains(r.except, g.path(n.Pos())+":"+recvName(fd)+"."+fd.Name.Name) {
+					return false
+				}
+				id, _ := n.(*ast.Ident)
+				if what := r.broken(s, n, info.Uses[id]); what != "" {
+					g.broken = append(g.broken, fmt.Sprintf("%s:%d %s: %s", g.path(n.Pos()), g.fset.Position(n.Pos()).Line, r.name, what))
+				}
+				return true
+			})
+		}
+	}
+}
+
+// is reports whether obj is one of the named package-level objects of
+// the package at key: its import path, or its slash path from the root.
+func (g *graph) is(obj types.Object, key string, names ...string) bool {
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Scope().Lookup(obj.Name()) == obj &&
+		slices.Contains(names, obj.Name()) && (g.rel[obj.Pkg().Path()] == key || obj.Pkg().Path() == key)
+}
+
+// noDeps flags an import of a package that is or depends on one of
+// banned — or, with none given, any import from this module.
+func noDeps(banned ...string) func(*scope, ast.Node, types.Object) string {
+	return func(s *scope, n ast.Node, _ types.Object) string {
+		spec, ok := n.(*ast.ImportSpec)
+		if !ok {
+			return ""
+		}
+		path, _ := strconv.Unquote(spec.Path.Value)
+		deps, local := s.g.deps[path]
+		for _, b := range banned {
+			if deps[b] {
+				return "depends on " + b + " (import " + s.g.rel[path] + ")"
+			}
+		}
+		if local && len(banned) == 0 {
+			return "imports " + s.g.rel[path]
+		}
+		return ""
+	}
+}
+
+// runsOn requires the package to depend on dep and to declare none of
+// names at package level.
+func runsOn(dep string, names ...string) func(*scope, ast.Node, types.Object) string {
+	return func(s *scope, n ast.Node, _ types.Object) string {
+		id, _ := n.(*ast.Ident)
+		if n == s.first && !s.g.deps[s.pkg.Path()][dep] {
+			return "does not depend on " + dep
+		} else if id != nil && slices.Contains(names, id.Name) && s.pkg.Scope().Lookup(id.Name) == s.info.Defs[id] {
+			return "declares " + id.Name
+		}
+		return ""
+	}
+}
+
+func kernelPure(s *scope, n ast.Node, obj types.Object) string {
+	switch n := n.(type) {
+	case *ast.GoStmt:
+		return "go statement"
+	case *ast.SelectStmt:
+		return "select statement"
+	case *ast.SendStmt:
+		return "send statement"
+	case *ast.ChanType:
+		return "channel type"
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return "receive"
+		}
+	case ast.Expr:
+		if t := s.info.Types[n].Type; t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				return "channel-typed " + types.ExprString(n)
+			}
+		}
+	}
+	if s.g.is(obj, "internal/clock", "Wall", "Or") {
+		return "uses clock." + obj.Name()
+	}
+	return ""
+}
+
+// noCopies flags a call that returns a fresh copy of a byte slice.
+func noCopies(s *scope, n ast.Node, _ types.Object) string {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 || s.info.Types[call].Type == nil ||
+		!types.Identical(s.info.Types[call].Type.Underlying(), types.NewSlice(types.Typ[types.Byte])) {
+		return ""
+	}
+	fun := call.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok {
+		fun = ix.X // slices.Clone[[]byte]
+	}
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	id, _ := fun.(*ast.Ident)
+	conv, _ := call.Args[0].(*ast.CallExpr) // append([]byte(nil), b...)
+	switch obj := s.info.Uses[id]; {
+	case s.g.is(obj, "bytes", "Clone"), s.g.is(obj, "slices", "Clone"):
+		return "copies with " + obj.Pkg().Name() + ".Clone"
+	case obj == types.Universe.Lookup("append") && conv != nil && len(conv.Args) == 1 &&
+		s.info.Types[conv.Fun].IsType() && s.info.Types[conv.Args[0]].IsNil():
+		return "copies with append onto a nil []byte"
+	}
+	return ""
+}
+
+// uses flags a use of one of the named package-level objects of pkg,
+// however the import is spelled and whether called or taken as a value.
+func uses(pkg string, names ...string) func(*scope, ast.Node, types.Object) string {
+	return func(s *scope, _ ast.Node, obj types.Object) string {
+		if s.g.is(obj, pkg, names...) {
+			return "uses " + pkg + "." + obj.Name()
+		}
+		return ""
+	}
+}

@@ -34,9 +34,6 @@ import (
 
 // Config parameterizes a client.
 type Config struct {
-	// TotalPackets is the packet count for shared images (default 16,
-	// the paper's value).
-	TotalPackets int
 	// Contract is the client's QoS contract (nil = empty contract).
 	Contract *profile.Contract
 	// Registry supplies modality transformers (nil = DefaultRegistry).
@@ -47,15 +44,9 @@ type Config struct {
 	// MonitorParams are the parameters sampled from Monitor (default
 	// cpu-load and page-faults).
 	MonitorParams []string
-	// MaxPackets is the budget ceiling used by the default policy
-	// (default TotalPackets).
-	MaxPackets int
-	// SketchBps and TextBps are the default policy's bandwidth tiers
-	// (defaults 64 kbit/s and 16 kbit/s).
-	SketchBps, TextBps float64
-	// Policy overrides the full default-policy parameter set (nil =
-	// derived from MaxPackets/SketchBps/TextBps).  The replay harness
-	// injects swept candidates here instead of editing constants.
+	// Policy overrides the standard policy's parameters (nil = the
+	// paper's, inference.Params{}).  The replay harness injects swept
+	// candidates here instead of editing constants.
 	Policy *inference.Params
 	// MTU bounds each wire datagram; larger message frames are
 	// fragmented transparently (default 8 KiB).
@@ -90,23 +81,11 @@ type RepairOptions struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TotalPackets <= 0 {
-		c.TotalPackets = 16
-	}
 	if c.Registry == nil {
 		c.Registry = media.DefaultRegistry()
 	}
 	if len(c.MonitorParams) == 0 {
 		c.MonitorParams = []string{hostagent.ParamCPULoad, hostagent.ParamPageFaults}
-	}
-	if c.MaxPackets <= 0 {
-		c.MaxPackets = c.TotalPackets
-	}
-	if c.SketchBps == 0 {
-		c.SketchBps = 64_000
-	}
-	if c.TextBps == 0 {
-		c.TextBps = 16_000
 	}
 	return c
 }
@@ -196,9 +175,7 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 	c.k.Control = c.control
 	c.engine.SetOwner(conn.ID())
 	c.engine.SetClock(cfg.Clock)
-	pol := inference.Params{
-		MaxPackets: cfg.MaxPackets, SketchBps: cfg.SketchBps, TextBps: cfg.TextBps,
-	}
+	var pol inference.Params
 	if cfg.Policy != nil {
 		pol = *cfg.Policy
 	}
@@ -341,7 +318,7 @@ func (c *Client) Draw(s apps.Stroke, sel string) error {
 }
 
 // ShareImage publishes a progressive image: an announce event followed
-// by TotalPackets data packets, each a prefix-extending slice of the
+// by apps.SharePackets data packets, each a prefix-extending slice of the
 // embedded stream.  Receivers accept packets up to their own inferred
 // budget.
 //
@@ -350,7 +327,7 @@ func (c *Client) Draw(s apps.Stroke, sel string) error {
 // rendition sets already assume of a media.Object.  A caller that wants
 // to reuse the buffer shares a Clone.
 func (c *Client) ShareImage(object string, obj *media.Object, sel string) error {
-	meta, packets, err := apps.ShareImage(object, obj, c.cfg.TotalPackets)
+	meta, packets, err := apps.ShareImage(object, obj, apps.SharePackets)
 	if err != nil {
 		return err
 	}
@@ -702,7 +679,7 @@ func (c *Client) AdaptOnce() (inference.Decision, error) {
 	})
 
 	d := c.engine.Decide(state)
-	c.viewer.SetBudget(d.EffectiveBudget(c.cfg.TotalPackets))
+	c.viewer.SetBudget(d.EffectiveBudget(apps.SharePackets))
 	if d.Modality != "" {
 		c.k.pm.SetPreference("modality", selector.S(string(d.Modality)))
 	}

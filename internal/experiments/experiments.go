@@ -33,9 +33,6 @@ import (
 	"adaptiveqos/internal/wavelet"
 )
 
-// TotalPackets is the paper's image packetization (16 packets).
-const TotalPackets = 16
-
 // viewerPipeline is the wired-client measurement rig shared by the
 // Fig 6 and Fig 7 sweeps.
 type viewerPipeline struct {
@@ -57,7 +54,7 @@ func newViewerPipeline(imageSize int) (*viewerPipeline, error) {
 		profile.Constraint{Param: inference.StateCPULoad, Min: 0, Max: 90, Hard: true},
 		profile.Constraint{Param: inference.StatePageFaults, Min: 0, Max: 95},
 	))
-	if err := inference.DefaultPolicy(engine, TotalPackets, 64_000, 16_000); err != nil {
+	if err := inference.InstallPolicy(engine, inference.Params{}); err != nil {
 		return nil, err
 	}
 
@@ -66,7 +63,7 @@ func newViewerPipeline(imageSize int) (*viewerPipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta, packets, err := apps.ShareImage("exp-img", obj, TotalPackets)
+	meta, packets, err := apps.ShareImage("exp-img", obj, apps.SharePackets)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +91,7 @@ func (p *viewerPipeline) measure() (apps.ImageStats, float64, error) {
 	d := p.engine.Decide(state)
 
 	viewer := apps.NewImageViewer()
-	viewer.SetBudget(d.EffectiveBudget(TotalPackets))
+	viewer.SetBudget(d.EffectiveBudget(apps.SharePackets))
 	viewer.Announce(p.meta)
 	for i, pkt := range p.packets {
 		if err := viewer.AddPacket(p.meta.Object, i, pkt); err != nil {

@@ -13,7 +13,7 @@ import (
 func auditTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New(nil)
-	if err := DefaultPolicy(e, 16, 64_000, 16_000); err != nil {
+	if err := InstallPolicy(e, Params{}); err != nil {
 		t.Fatal(err)
 	}
 	return e

@@ -427,11 +427,3 @@ func InstallPolicy(e *Engine, p Params) error {
 	}
 	return nil
 }
-
-// DefaultPolicy installs the standard rules with the paper's
-// parameters (wrapper over InstallPolicy for existing callers).
-func DefaultPolicy(e *Engine, maxPackets int, sketchBps, textBps float64) error {
-	return InstallPolicy(e, Params{
-		MaxPackets: maxPackets, SketchBps: sketchBps, TextBps: textBps,
-	})
-}

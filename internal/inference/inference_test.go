@@ -111,7 +111,7 @@ func TestEngineDefaultPolicy(t *testing.T) {
 	contract := profile.MustContract("qos",
 		profile.Constraint{Param: StateCPULoad, Min: 0, Max: 90, Hard: true})
 	e := New(contract)
-	if err := DefaultPolicy(e, 16, 64_000, 16_000); err != nil {
+	if err := InstallPolicy(e, Params{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.rules) != 6 {
@@ -227,7 +227,7 @@ func TestQuickBudgetMonotone(t *testing.T) {
 // decisions.
 func TestQuickDecideDeterministic(t *testing.T) {
 	e := New(nil)
-	if err := DefaultPolicy(e, 16, 64_000, 16_000); err != nil {
+	if err := InstallPolicy(e, Params{}); err != nil {
 		t.Fatal(err)
 	}
 	f := func(cpu, pf, bw float64) bool {

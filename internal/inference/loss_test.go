@@ -40,7 +40,7 @@ func TestPacketsFromLoss(t *testing.T) {
 
 func TestLossRules(t *testing.T) {
 	e := New(nil)
-	if err := DefaultPolicy(e, 16, 64_000, 16_000); err != nil {
+	if err := InstallPolicy(e, Params{}); err != nil {
 		t.Fatal(err)
 	}
 

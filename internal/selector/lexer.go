@@ -249,22 +249,26 @@ func (l *lexer) scanString() (token, error) {
 			l.pos++
 			return token{kind: tokString, text: sb.String(), pos: start}, nil
 		case '\\':
-			l.pos++
-			if l.pos >= len(l.src) {
+			if l.pos+1 >= len(l.src) {
 				return token{}, l.errorf(start, "unterminated string literal")
 			}
-			esc := l.src[l.pos]
-			switch esc {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case '\\', '"', '\'':
-				sb.WriteByte(esc)
-			default:
-				return token{}, l.errorf(l.pos, "unknown escape '\\%c'", esc)
+			if l.src[l.pos+1] == '\'' {
+				sb.WriteByte('\'')
+				l.pos += 2
+				continue
 			}
-			l.pos++
+			// Every escape Go's double-quoted strings have: Format writes
+			// literals with strconv.Quote, and must read back.
+			r, multibyte, tail, err := strconv.UnquoteChar(l.src[l.pos:], '"')
+			if err != nil {
+				return token{}, l.errorf(l.pos+1, "unknown escape '\\%c'", l.src[l.pos+1])
+			}
+			if multibyte {
+				sb.WriteRune(r)
+			} else {
+				sb.WriteByte(byte(r))
+			}
+			l.pos = len(l.src) - len(tail)
 		default:
 			sb.WriteByte(c)
 			l.pos++

@@ -36,6 +36,7 @@ func TestParseValid(t *testing.T) {
 		{`cpu-load > 30`, `cpu-load > 30`},
 		{`x == 'single quoted'`, `x == "single quoted"`},
 		{`x == "esc\"aped\n"`, `x == "esc\"aped\n"`},
+		{`x == "\x01é\'"`, `x == "\x01é'"`}, // the escapes Format writes read back
 		{`x == 1e3`, `x == 1000`},
 		{`x == 2.5e-2`, `x == 0.025`},
 		{`AND.or.not == 1`, `AND.or.not == 1`}, // dotted name, not keywords
