@@ -26,10 +26,13 @@ go test -race -count=1 ./...
 go -C bench vet ./...
 go -C bench build -o /dev/null ./...
 
-# Fuzz smokes, one per parser of untrusted bytes: the NACK hole list
-# (§10), every frame (§7), every relayed image stream (§17), the image
-# announce and media object a member uplinks, and every selector.
-for t in core:FuzzCoordinatorHandlePacket message:FuzzParse wavelet:FuzzInspect \
+# Fuzz smokes, 5 s each, one per target: the NACK hole list (§10), the
+# client kernel's whole receive path and every frame (§7), the RTP
+# header of every data body, every relayed image stream and both of its
+# decoders (§17), the image announce and media object a member uplinks,
+# and every selector.
+for t in core:FuzzCoordinatorHandlePacket core:FuzzKernelHandlePacket message:FuzzParse \
+	rtp:FuzzRTPUnmarshal wavelet:FuzzInspect wavelet:FuzzDecode wavelet:FuzzDecodeColor \
 	apps:FuzzDecodeImageMeta apps:FuzzDecodeMediaObject selector:FuzzSelectorParse; do
 	go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done

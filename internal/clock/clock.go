@@ -5,12 +5,16 @@
 // shared event heap (virtual.go) for discrete-event simulation.
 //
 // The package deliberately imports nothing from this repository (the
-// CI boundary gate enforces it): every layer may depend on the seam,
+// census leaf rule enforces it): every layer may depend on the seam,
 // the seam depends on no layer.  Conversely, no package outside this
 // one may call time.Sleep / time.After / time.AfterFunc / time.Tick /
 // time.NewTicker / time.NewTimer directly — scheduling goes through an
-// injected Clock, so an entire session can run on virtual time.
-// (time.Now for wall-stamping and time formatting remain allowed.)
+// injected Clock, so an entire session can run on virtual time (the
+// census scheduling rule).  Nor may it read the wall clock with
+// time.Now / time.Since / time.Until: outside this package and
+// internal/obs/clock.go the census clock-seam rule forbids those too,
+// so a recorded session replays on its own clock.  Formatting and
+// arithmetic on time values stay free.
 package clock
 
 import "time"

@@ -25,6 +25,7 @@ const Version = 2
 var (
 	ErrShort   = errors.New("rtp: packet shorter than header")
 	ErrVersion = errors.New("rtp: unsupported version")
+	ErrHeader  = errors.New("rtp: padding, extension or CSRC list in header")
 )
 
 // Packet is an RTP-style data packet.
@@ -70,12 +71,17 @@ func (p *Packet) Marshal() []byte {
 
 // Unmarshal decodes a packet frame.  Payload aliases frame rather than
 // copying it: a caller that reuses frame's buffer copies what it keeps.
+// It accepts exactly what Marshal writes: a frame with the padding or
+// extension bit or a CSRC count set is refused, not read as payload.
 func Unmarshal(frame []byte) (Packet, error) {
 	if len(frame) < HeaderLen {
 		return Packet{}, ErrShort
 	}
 	if frame[0]>>6 != Version {
 		return Packet{}, ErrVersion
+	}
+	if frame[0]&0x3F != 0 {
+		return Packet{}, ErrHeader
 	}
 	return Packet{
 		PayloadType: frame[1] & 0x7F,

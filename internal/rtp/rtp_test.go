@@ -1,7 +1,6 @@
 package rtp
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -21,9 +20,7 @@ func TestPacketMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PayloadType != p.PayloadType || got.Marker != p.Marker ||
-		got.Seq != p.Seq || got.Timestamp != p.Timestamp ||
-		got.SSRC != p.SSRC || !bytes.Equal(got.Payload, p.Payload) {
+	if !samePacket(got, p) {
 		t.Errorf("round trip: %+v vs %+v", got, p)
 	}
 }
@@ -53,6 +50,14 @@ func TestUnmarshalErrors(t *testing.T) {
 	bad[0] = 0 // version 0
 	if _, err := Unmarshal(bad); !errors.Is(err, ErrVersion) {
 		t.Errorf("version: %v", err)
+	}
+	// Padding, extension, a CSRC count: none is written by Marshal, and a
+	// CSRC list taken for payload would corrupt the stream.
+	for _, b0 := range []byte{0xA0, 0x90, 0x81, 0x8F} {
+		bad[0] = b0
+		if _, err := Unmarshal(bad); !errors.Is(err, ErrHeader) {
+			t.Errorf("first byte %#x: %v", b0, err)
+		}
 	}
 }
 
@@ -322,9 +327,7 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 			Payload:     payload,
 		}
 		got, err := Unmarshal(p.Marshal())
-		return err == nil && got.PayloadType == p.PayloadType && got.Marker == p.Marker &&
-			got.Seq == p.Seq && got.Timestamp == p.Timestamp && got.SSRC == p.SSRC &&
-			bytes.Equal(got.Payload, p.Payload)
+		return err == nil && samePacket(got, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

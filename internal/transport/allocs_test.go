@@ -91,3 +91,50 @@ func TestWallZeroDelayAllocs(t *testing.T) {
 		drain()
 	})
 }
+
+// TestWallDelayedAllocs: a delayed delivery is an entry held by value in
+// the engine's deadline queue, so it costs what the zero-delay path
+// costs, less the list of synchronous deliveries a group send grows.
+// Each send is drained through the queue and the dispatcher, so what
+// they allocate is counted too.
+func TestWallDelayedAllocs(t *testing.T) {
+	n := NewSimNet(SimNetConfig{InboxDepth: 4, DefaultLink: Link{Delay: time.Microsecond}})
+	defer n.Close()
+	src, err := n.Attach("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := make([]Conn, allocFanOut)
+	for i := range dsts {
+		if dsts[i], err = n.Attach(fmt.Sprintf("dst-%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wait := n.drainer()
+	drain := func() {
+		wait()
+		for _, d := range dsts {
+			for len(d.Recv()) > 0 {
+				<-d.Recv()
+			}
+		}
+	}
+	frame := make([]byte, 64)
+
+	pinAllocs(t, "wall delayed Give to one inbox", 0, func() {
+		src.Give("dst-00", frame)
+		drain()
+	})
+	pinAllocs(t, "wall delayed Unicast", 1, func() {
+		src.Unicast("dst-00", frame)
+		drain()
+	})
+	pinAllocs(t, "wall delayed Give to 16 inboxes", 0, func() {
+		src.Give("", frame)
+		drain()
+	})
+	pinAllocs(t, "wall delayed Multicast to 16 inboxes", 1, func() {
+		src.Multicast(frame)
+		drain()
+	})
+}

@@ -9,11 +9,12 @@ import (
 
 // DESNet is the simulated broadcast network on a clock.Virtual (see
 // engine for the model it shares with SimNet): every delivery is an
-// event on the virtual heap instead of a wall-clock timer.  No
-// goroutine ever sleeps: a driver advances the clock and deliveries
-// fire inline, so one box can push a 100k-client session through
-// simulated minutes in wall-clock seconds, deterministically — the
-// same seed replays byte-identical event sequences.
+// event on the virtual heap instead of an entry in SimNet's wall-clock
+// deadline queue.  No goroutine ever sleeps: a driver advances the
+// clock and deliveries fire inline, so one box can push a 100k-client
+// session through simulated minutes in wall-clock seconds,
+// deterministically — the same seed replays byte-identical event
+// sequences.
 //
 // Two attachment modes:
 //

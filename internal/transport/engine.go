@@ -24,13 +24,16 @@ import (
 // read-only.  Multicast and Unicast clone their frame and give the
 // clone, which is the only copy this file makes.
 //
-// The two exported faces differ only in the scheduling step at the
-// bottom of sendAll.  With virt set, every delivery — zero-delay
-// included — is a clock.Event on the virtual heap and fires on
-// whichever goroutine drives the clock.  With virt nil, zero-delay
+// The two exported faces differ only in which queue receives a
+// delivery at the bottom of sendAll.  With virt set, every delivery —
+// zero-delay included — is a clock.Event on the virtual heap and fires
+// on whichever goroutine drives the clock.  With virt nil, zero-delay
 // deliveries happen synchronously in the sender's goroutine once the
-// engine lock is released, and delayed ones ride wall-clock timers
-// that Close waits for.
+// engine lock is released, and delayed ones wait in the engine's own
+// deadline queue: a min-heap on (deadline, schedule order) that one
+// clock.Timer and one dispatcher goroutine carry, both started by the
+// first delayed send.  Equal delays therefore arrive in the order sent,
+// and a delayed delivery costs no allocation of its own.
 type engine struct {
 	clk  clock.Clock
 	virt *clock.Virtual // nil = wall scheduling
@@ -46,12 +49,18 @@ type engine struct {
 	depth    int
 	closed   bool
 
+	// The wall scheduler's delayed deliveries (see queueLocked).
+	due   []dueDelivery // min-heap on (at, seq)
+	seq   uint64        // schedule order, the tiebreak for equal deadlines
+	timer clock.Timer   // armed for the head; nil until the first delayed send
+	quit  chan struct{} // closed by Close to stop the dispatcher
+
 	// trace is read on every delivery, so it lives outside mu: a send's
 	// fan-out holds mu, and its deliveries must not queue behind it for
 	// a hook that is usually nil.
 	trace atomic.Pointer[func(TraceEvent)]
 
-	wg sync.WaitGroup // wall-clock timers in flight
+	wg sync.WaitGroup // the dispatcher
 }
 
 // TraceKind labels one network trace event.
@@ -95,9 +104,9 @@ type TraceEvent struct {
 // SetTrace installs a hook that observes every delivery, drop and
 // overflow (nil removes it); it may be called while traffic flows.
 // The hook runs on whichever goroutine delivers — the clock's driver
-// on a DESNet, senders and timers concurrently on a SimNet — or on the
-// sender's for drops decided at send time, and must not call back into
-// the network.
+// on a DESNet, senders and the dispatcher concurrently on a SimNet —
+// or on the sender's for drops decided at send time, and must not call
+// back into the network.
 func (n *engine) SetTrace(f func(TraceEvent)) {
 	if f == nil {
 		n.trace.Store(nil)
@@ -212,8 +221,10 @@ func (n *engine) Stats(id string) Stats {
 	return c.stats
 }
 
-// Close detaches every node and waits for wall-clock timers still in
-// flight.  Deliveries pending on a virtual heap become no-ops.
+// Close detaches every node.  Deliveries still queued — on the wall
+// scheduler's deadline queue or a virtual heap — would reach only
+// closed nodes, so the queue is dropped and Close waits for nothing
+// but the dispatcher goroutine to return, never for a link's delay.
 func (n *engine) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -221,6 +232,11 @@ func (n *engine) Close() {
 		return
 	}
 	n.closed = true
+	n.due = nil
+	if n.timer != nil {
+		n.timer.Stop()
+		close(n.quit)
+	}
 	// Highest ID first, so each detach trims the tail of order.
 	conns := make([]*node, 0, len(n.order))
 	for i := len(n.order) - 1; i >= 0; i-- {
@@ -233,8 +249,10 @@ func (n *engine) Close() {
 	n.wg.Wait()
 }
 
-// delivery is one packet arrival scheduled on the virtual heap — a
-// clock.Event implemented directly so each costs a single allocation.
+// delivery is one scheduled packet arrival.  On the virtual heap it is
+// a clock.Event implemented directly, so each costs a single
+// allocation; on the wall scheduler's deadline queue it is held by
+// value and costs none.
 type delivery struct {
 	dst     *node
 	from    string
@@ -247,16 +265,111 @@ func (d *delivery) Fire(now time.Time) {
 	d.dst.deliver(d.from, d.data, d.unicast, now)
 }
 
+// dueDelivery is one entry of the wall scheduler's deadline queue.
+type dueDelivery struct {
+	at  time.Time // deadline on clk
+	seq uint64
+	delivery
+}
+
+func (a *dueDelivery) before(b *dueDelivery) bool {
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
+	}
+	return a.seq < b.seq
+}
+
+// queueLocked puts d on the deadline queue, due at at, and re-arms the
+// timer if d became the head.  The first call creates the timer and
+// starts the dispatcher.  The heap is sifted by hand: container/heap's
+// Push(any) would box every entry.  Caller holds mu.
+func (n *engine) queueLocked(at, now time.Time, d delivery) {
+	n.seq++
+	n.due = append(n.due, dueDelivery{at: at, seq: n.seq, delivery: d})
+	h, i := n.due, len(n.due)-1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	if i > 0 {
+		return
+	}
+	if n.timer == nil {
+		n.timer = n.clk.NewTimer(at.Sub(now))
+		n.quit = make(chan struct{})
+		n.wg.Add(1)
+		go n.dispatch(n.timer.C(), n.quit)
+		return
+	}
+	n.timer.Reset(at.Sub(now))
+}
+
+// popLocked removes and returns the head of the deadline queue.
+// Caller holds mu.
+func (n *engine) popLocked() delivery {
+	h := n.due
+	d, last := h[0].delivery, len(h)-1
+	h[0], h[last] = h[last], dueDelivery{}
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	n.due = h
+	return d
+}
+
+// dispatch is the wall scheduler's one goroutine.  On each wake it pops
+// every delivery now due, re-arms the timer for the new head and then
+// delivers, in deadline order, with no lock held.  A wake means "look
+// at the head", never "the head is due": under the go 1.22 timer
+// semantics this module builds with, a Reset can leave a stale tick.
+func (n *engine) dispatch(tick <-chan time.Time, quit <-chan struct{}) {
+	defer n.wg.Done()
+	var batch []delivery
+	for {
+		select {
+		case <-quit:
+			return
+		case <-tick:
+		}
+		n.mu.Lock()
+		now := n.clk.Now()
+		for len(n.due) > 0 && !n.due[0].at.After(now) {
+			batch = append(batch, n.popLocked())
+		}
+		if len(n.due) > 0 {
+			n.timer.Reset(n.due[0].at.Sub(now))
+		}
+		n.mu.Unlock()
+		for i := range batch {
+			batch[i].Fire(now)
+			batch[i] = delivery{}
+		}
+		batch = batch[:0]
+	}
+}
+
 // sendAll applies the link model to one frame from src — toward the
 // node named to for a unicast, else (to == "") toward every other node
 // in sorted order — and schedules the resulting deliveries, every one
 // of them holding data itself: nobody writes those bytes again.  It
 // reports false for a unicast to an unknown node.  Caller holds no
 // locks.
-//
-// data is never reassigned here: the wall scheduler's timer closure
-// captures it, and a second assignment would make that a capture by
-// reference — the variable moved to the heap on every call.
 func (n *engine) sendAll(src *node, to string, data []byte) bool {
 	unicast := to != ""
 	// What has to wait for the lock to drop: drop traces, and the wall
@@ -317,11 +430,7 @@ func (n *engine) sendAll(src *node, to string, data []byte) bool {
 				// inboxes are non-blocking so this cannot deadlock.
 				after = append(after, pending{dst, false})
 			default:
-				n.wg.Add(1)
-				n.clk.AfterFunc(plan.delay, func() {
-					defer n.wg.Done()
-					dst.deliver(src.id, data, unicast, n.clk.Now())
-				})
+				n.queueLocked(now.Add(plan.delay), now, delivery{dst: dst, from: src.id, data: data, unicast: unicast})
 			}
 		}
 	}

@@ -11,7 +11,10 @@ import (
 type Link struct {
 	// BandwidthBps is the link bandwidth in bits/s; 0 means unlimited.
 	BandwidthBps float64
-	// Delay is the fixed propagation delay.
+	// Delay is the fixed propagation delay.  Without Jitter a link is
+	// FIFO on either scheduler: one sender's frames arrive in the order
+	// sent, since deliveries due at the same instant leave in the order
+	// they were scheduled.
 	Delay time.Duration
 	// Jitter adds a uniformly distributed random delay in [0, Jitter].
 	Jitter time.Duration

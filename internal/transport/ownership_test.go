@@ -10,7 +10,7 @@ import (
 
 // The two send contracts of Conn, held on both schedulers and on both
 // of the wall scheduler's delivery paths (inside the send on a
-// zero-delay link, on a timer behind a delayed one).
+// zero-delay link, from the deadline queue behind a delayed one).
 
 var ownershipLinks = []struct {
 	name string
@@ -38,10 +38,9 @@ func TestCopyingSendsLeaveFrameWithCaller(t *testing.T) {
 					t.Fatal(err)
 				}
 				frame[0] = 'z'
-				// Two wall timers of equal delay may fire in either order.
 				atA := n.collect(a, 2, 50*time.Millisecond)
-				if got := []string{string(atA[0].Data), string(atA[1].Data)}; !slices.Contains(got, "x") || !slices.Contains(got, "y") {
-					t.Errorf("a reads %q after the sender reused its buffer, want x and y", got)
+				if got := []string{string(atA[0].Data), string(atA[1].Data)}; !slices.Equal(got, []string{"x", "y"}) {
+					t.Errorf("a reads %q after the sender reused its buffer, want x then y", got)
 				}
 				if got := n.collect(b, 1, 50*time.Millisecond)[0].Data; string(got) != "x" {
 					t.Errorf("b reads %q after the sender reused its buffer, want x", got)
@@ -136,9 +135,19 @@ func TestGiveChecksWhatTheCopyingSendsCheck(t *testing.T) {
 
 // TestSetTraceWhileSending installs and removes the hook while two
 // senders run; under -race this is the check that the hook needs no
-// engine lock to be read.
+// engine lock to be read — by the senders, and on a delayed link by the
+// dispatcher that the two senders' frames queue up for.
 func TestSetTraceWhileSending(t *testing.T) {
-	n := NewSimNet(SimNetConfig{DefaultLink: Link{Loss: 0.2}}) // drops trace from the send side too
+	for _, l := range ownershipLinks {
+		t.Run(l.name, func(t *testing.T) {
+			link := l.link
+			link.Loss = 0.2 // drops trace from the send side too
+			setTraceWhileSending(t, NewSimNet(SimNetConfig{DefaultLink: link}))
+		})
+	}
+}
+
+func setTraceWhileSending(t *testing.T, n *SimNet) {
 	defer n.Close()
 	var seen sync.Map
 	if _, err := n.attach("rx", func(Packet) {}); err != nil {

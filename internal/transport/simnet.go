@@ -3,8 +3,9 @@ package transport
 // SimNet is the simulated broadcast network on the wall clock (see
 // engine for the model it shares with DESNet).  Zero-delay links
 // deliver synchronously in the sender's goroutine, preserving
-// per-sender FIFO order; delayed frames ride real timers, so a Link's
-// Delay, Jitter and serialization time are real elapsed time.
+// per-sender FIFO order; delayed frames wait in one deadline queue
+// behind one real timer, so a Link's Delay, Jitter and serialization
+// time are real elapsed time.
 //
 // The seeded generator makes the loss/jitter/duplication draws of a
 // single sending goroutine reproducible run to run; concurrent senders

@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -369,6 +371,38 @@ func TestSimNetLinkBusyPurgedOnClose(t *testing.T) {
 	})
 }
 
+// TestSimNetFixedDelayFIFO: a jitter-free delayed link delivers one
+// sender's frames in the order sent, with deliveries falling due while
+// sending goes on.  (On the wall scheduler it failed while every
+// delayed frame fired on a timer of its own: at GOMAXPROCS=2 about one
+// frame in eight arrived right behind a later one.)
+func TestSimNetFixedDelayFIFO(t *testing.T) {
+	const frames = 4000
+	onEachDriver(t, SimNetConfig{InboxDepth: frames}, func(t *testing.T, n *testNet) {
+		c := n.attach("a", "b")
+		n.SetLink("a", "b", Link{Delay: 2 * time.Millisecond})
+		for i := 0; i < frames; i++ {
+			if err := c[0].Unicast("b", []byte{byte(i >> 8), byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+			if i%50 == 49 {
+				n.pass(100 * time.Microsecond)
+			}
+		}
+		inverted, prev := 0, -1
+		for _, p := range n.collect(c[1], frames, 5*time.Second) {
+			i := int(p.Data[0])<<8 | int(p.Data[1])
+			if i < prev {
+				inverted++
+			}
+			prev = i
+		}
+		if inverted > 0 {
+			t.Errorf("%d of %d frames arrived right behind a frame sent after them on a fixed-delay link", inverted, frames)
+		}
+	})
+}
+
 // The tests below pin what only the wall scheduler does.
 
 func TestSimNetDelayAndJitter(t *testing.T) {
@@ -387,6 +421,45 @@ func TestSimNetDelayAndJitter(t *testing.T) {
 	}
 	if elapsed > 500*time.Millisecond {
 		t.Errorf("delivery after %v, far beyond delay+jitter", elapsed)
+	}
+}
+
+// TestSimNetCloseWithFramesInFlight: Close drops what is still queued
+// rather than waiting out the links' delay, delivers none of it later,
+// and leaves no goroutine behind.
+func TestSimNetCloseWithFramesInFlight(t *testing.T) {
+	const delay = time.Second
+	baseline := runtime.NumGoroutine()
+	net := NewSimNet(SimNetConfig{DefaultLink: Link{Delay: delay}})
+	var delivered atomic.Int64
+	net.SetTrace(func(ev TraceEvent) {
+		if ev.Kind == TraceDeliver {
+			delivered.Add(1)
+		}
+	})
+	conns := make([]Conn, 4)
+	for i := range conns {
+		conns[i], _ = net.Attach(fmt.Sprintf("n%d", i))
+	}
+	start := time.Now()
+	for i := 0; i < 100; i++ {
+		if err := conns[i%len(conns)].Multicast([]byte("late")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Close()
+	atClose := delivered.Load()
+	if took := time.Since(start); took > delay/5 {
+		t.Errorf("Close with frames in flight returned after %v, want well under the %v delay", took, delay)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the network", runtime.NumGoroutine(), baseline)
+		}
+	}
+	time.Sleep(time.Until(start.Add(delay + delay/5)))
+	if got := delivered.Load() - atClose; got != 0 {
+		t.Errorf("%d frames delivered after Close returned", got)
 	}
 }
 
@@ -435,7 +508,7 @@ func TestSimNetSeededFanOutReproducible(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		net.wg.Wait() // jittered deliveries still on timers
+		net.drainer()() // jittered deliveries still queued
 		stats := make(map[string]Stats)
 		for _, id := range net.NodeIDs() {
 			stats[id] = net.Stats(id)
