@@ -30,10 +30,11 @@ go -C bench build -o /dev/null ./...
 # client kernel's whole receive path and every frame (§7), the RTP
 # header of every data body, every relayed image stream and both of its
 # decoders (§17), the image announce and media object a member uplinks,
-# and every selector.
+# every selector, and the replay policy grid.
 for t in core:FuzzCoordinatorHandlePacket core:FuzzKernelHandlePacket message:FuzzParse \
 	rtp:FuzzRTPUnmarshal wavelet:FuzzInspect wavelet:FuzzDecode wavelet:FuzzDecodeColor \
-	apps:FuzzDecodeImageMeta apps:FuzzDecodeMediaObject selector:FuzzSelectorParse; do
+	apps:FuzzDecodeImageMeta apps:FuzzDecodeMediaObject selector:FuzzSelectorParse \
+	replay:FuzzLoadGrid; do
 	go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done
 

@@ -83,9 +83,10 @@ func (rs *renditions) imageTier() *rendition {
 }
 
 // transformed derives a lower tier through the configured registry,
-// under one transform span per share.  The stock sketch path decodes
-// one luma plane (media.ImageToSketch): the one plane pass a share
-// costs, and only when somebody sits in the sketch tier.
+// under one transform span per share.  The stock sketch path
+// (media.ImageToSketch) parses the luma code once and inverts only its
+// ≤32×32 LL band: no plane is built, and only when somebody sits in the
+// sketch tier.
 func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
 	sp := obs.StartStage(0, obs.StageTransform)
 	o, err := rs.bs.cfg.Registry.Transmode(rs.obj, to)

@@ -193,8 +193,9 @@ func TestGradateColor(t *testing.T) {
 }
 
 // TestColorSketchSkipsTheGrayscaleRoundTrip: the sketch of a colour
-// object, whole or truncated, is byte for byte what the old route —
-// ToGrayscale (re-encode the luma) then DecodeImage — extracted.
+// object, whole or truncated, is byte for byte the sketch of its luma
+// plane's own byte range — ToGrayscale, then the same LL-band decode —
+// so the chroma planes change nothing.
 func TestColorSketchSkipsTheGrayscaleRoundTrip(t *testing.T) {
 	full := testColorObject(t)
 	for _, n := range []int{len(full.Data), len(full.Data) / 2, len(full.Data) / 6} {
@@ -210,7 +211,7 @@ func TestColorSketchSkipsTheGrayscaleRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := decodeImage(gray)
+		res, err := wavelet.DecodeLuma(gray.Data, wavelet.SketchMaxDim)
 		if err != nil {
 			t.Fatal(err)
 		}

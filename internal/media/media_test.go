@@ -129,6 +129,54 @@ func TestImageToSketchToText(t *testing.T) {
 	}
 }
 
+// TestImageToSketchFromLLBand holds the coded-stream sketch to the
+// claims ExtractSketch makes of a raster: a 512×512 scan's sketch is
+// ≥500× smaller than the original, a flat image has no edges, and a
+// stream coded with too few levels to reach SketchMaxDim still yields
+// a sketch that fits it.
+func TestImageToSketchFromLLBand(t *testing.T) {
+	scan := wavelet.Medical(512, 512, 4)
+	obj, err := EncodeImage(scan, "chest scan, lesion upper-left quadrant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ImageToSketch{}.Transform(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(scan.W*scan.H) / float64(sk.Size()); ratio < 500 {
+		t.Errorf("sketch ratio %.0fx (%d B), want >= 500x", ratio, sk.Size())
+	}
+	if s, err := wavelet.UnmarshalSketch(sk.Data); err != nil || s.EdgeCount() == 0 {
+		t.Errorf("scan sketch has no edges (err %v)", err)
+	}
+
+	flat, err := EncodeImage(wavelet.NewImage(100, 100), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsk, err := ImageToSketch{}.Transform(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := wavelet.UnmarshalSketch(fsk.Data); err != nil || s.EdgeCount() != 0 {
+		t.Errorf("flat image sketch: %v", err)
+	}
+
+	stream, err := wavelet.EncodeFilter(scan, 2, wavelet.Filter53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shallow := &Object{Kind: KindImage, Format: FormatEZW, Data: stream, Width: scan.W, Height: scan.H}
+	ssk, err := ImageToSketch{}.Transform(shallow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ssk.Width > wavelet.SketchMaxDim || ssk.Height > wavelet.SketchMaxDim || ssk.Width < 1 || ssk.Height < 1 {
+		t.Errorf("two-level stream: sketch %dx%d, want within %d", ssk.Width, ssk.Height, wavelet.SketchMaxDim)
+	}
+}
+
 func TestSpeechRoundTrip(t *testing.T) {
 	reg := DefaultRegistry()
 	in := newText("share the northeast quadrant of the site map")

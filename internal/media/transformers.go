@@ -81,13 +81,15 @@ func (ImageToSketch) From() Kind { return KindImage }
 func (ImageToSketch) To() Kind { return KindSketch }
 
 // Transform implements Transformer.  The sketch is drawn from the luma
-// alone, so a colour object costs one plane pass like a gray one: its
-// chroma planes are never decoded.
+// plane's coarse wavelet band: the decoder parses the luma code alone
+// (a colour object's chroma planes are never touched) and stops the
+// inverse transform at the finest LL band that fits SketchMaxDim, so
+// no full-resolution raster is ever built.
 func (ImageToSketch) Transform(in *Object) (*Object, error) {
 	if !isProgressiveImage(in) {
 		return nil, fmt.Errorf("%w: %s", ErrBadInput, in)
 	}
-	res, err := wavelet.DecodeLuma(in.Data)
+	res, err := wavelet.DecodeLuma(in.Data, wavelet.SketchMaxDim)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +97,8 @@ func (ImageToSketch) Transform(in *Object) (*Object, error) {
 }
 
 // SketchFromRaster builds the sketch object of a gray raster — what
-// ImageToSketch yields for an image object whose luma decodes to it.
+// ImageToSketch yields for an image object whose luma LL band (the
+// DecodeLuma result at SketchMaxDim) is that raster.
 func SketchFromRaster(gray *wavelet.Image, description string) (*Object, error) {
 	sk := wavelet.ExtractSketch(gray, description)
 	data, err := sk.Marshal()

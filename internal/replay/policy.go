@@ -19,6 +19,26 @@ type RepairPolicy struct {
 	MaxRetries     int   `json:"max_retries,omitempty"`
 }
 
+// Bounds on a loaded repair policy.  Past them a value is no candidate
+// anyone sweeps, and unchecked it overflows StallTimeout's Duration or
+// spins abandonSpan's retry loop.
+const (
+	maxStallTimeoutMS = 60_000
+	maxRepairRetries  = 100
+)
+
+// validate rejects repair values outside [0, bound]; zero selects the
+// default.
+func (r RepairPolicy) validate() error {
+	if r.StallTimeoutMS < 0 || r.StallTimeoutMS > maxStallTimeoutMS {
+		return fmt.Errorf("stall_timeout_ms %d outside [0, %d]", r.StallTimeoutMS, maxStallTimeoutMS)
+	}
+	if r.MaxRetries < 0 || r.MaxRetries > maxRepairRetries {
+		return fmt.Errorf("max_retries %d outside [0, %d]", r.MaxRetries, maxRepairRetries)
+	}
+	return nil
+}
+
 // StallTimeout returns the stall timeout as a duration (default 200ms,
 // matching repair.Config).
 func (r RepairPolicy) StallTimeout() time.Duration {
@@ -94,7 +114,8 @@ func DefaultGrid() []Policy {
 }
 
 // LoadGrid reads a JSON policy grid: either a bare array of Policy or
-// an object {"policies": [...]}.
+// an object {"policies": [...]}.  Names must be unique and repair
+// values within their bounds.
 func LoadGrid(r io.Reader) ([]Policy, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -115,6 +136,9 @@ func LoadGrid(r io.Reader) ([]Policy, error) {
 	}
 	seen := make(map[string]bool, len(grid))
 	for i := range grid {
+		if err := grid[i].Repair.validate(); err != nil {
+			return nil, fmt.Errorf("replay: policy %d repair: %w", i, err)
+		}
 		grid[i] = grid[i].withDefaults()
 		if seen[grid[i].Name] {
 			return nil, fmt.Errorf("replay: duplicate policy name %q", grid[i].Name)

@@ -196,4 +196,16 @@ func TestDefaultGridAndLoadGrid(t *testing.T) {
 	if _, err := LoadGrid(bytes.NewReader([]byte(`[]`))); err == nil {
 		t.Error("empty grid must be rejected")
 	}
+	// A timeout that overflowed StallTimeout's Duration into a negative
+	// one loaded until range checks came in.
+	for _, bad := range []string{
+		`[{"repair":{"enabled":true,"stall_timeout_ms":10000000000000}}]`,
+		`[{"repair":{"enabled":true,"stall_timeout_ms":-5}}]`,
+		`[{"repair":{"enabled":true,"max_retries":-1}}]`,
+		`{"policies":[{"repair":{"enabled":true,"max_retries":1000000000}}]}`,
+	} {
+		if _, err := LoadGrid(bytes.NewReader([]byte(bad))); err == nil {
+			t.Errorf("out-of-range repair values must be rejected: %s", bad)
+		}
+	}
 }

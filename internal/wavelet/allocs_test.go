@@ -43,3 +43,35 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Decode allocates %d B per call, limit %d", got, 280<<10)
 	}
 }
+
+// TestSketchDecodeSteadyStateAllocs pins the sketch tier's decode of the
+// same 256×256 stream: DecodeLuma stopped at SketchMaxDim keeps
+// magnitudes for the 32×32 scan prefix only and inverts nothing above
+// it, so what escapes is the 4 KB band and the inverse transform's line
+// buffers, not the 256 KB plane TestDecodeSteadyStateAllocs pins.
+func TestSketchDecodeSteadyStateAllocs(t *testing.T) {
+	stream, err := Encode(Medical(256, 256, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		if _, err := DecodeLuma(stream, SketchMaxDim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // warm
+	if got := testing.AllocsPerRun(20, decode); got > 12 {
+		t.Errorf("DecodeLuma(stream, SketchMaxDim) allocates %.0f times per call, limit 12", got)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // see TestDecodeSteadyStateAllocs
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 8<<10 {
+		t.Errorf("DecodeLuma(stream, SketchMaxDim) allocates %d B per call, limit %d", got, 8<<10)
+	}
+}

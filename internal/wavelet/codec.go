@@ -19,9 +19,9 @@ var (
 	ErrImageSize    = errors.New("wavelet: image dimensions unsupported")
 )
 
-// maxDim bounds W and H (uint16 on the wire); maxPixels (scratch.go)
+// maxSide bounds W and H (uint16 on the wire); maxPixels (scratch.go)
 // bounds their product.
-const maxDim = 1 << 15
+const maxSide = 1 << 15
 
 // Encode produces the full embedded stream for the image: a
 // coarse-to-fine bit-plane code of its wavelet coefficients.  Decoding
@@ -65,7 +65,7 @@ func EncodeFilter(im *Image, levels int, filter Filter) ([]byte, error) {
 
 	// insig holds positions (into order) still insignificant, compacted
 	// each plane so zero runs shorten as coefficients become significant.
-	sc := getScratch(len(order), false)
+	sc := getScratch(len(order), -1)
 	defer scratchPool.Put(sc)
 	significant, insig, refine := sc.significant, sc.insig, sc.refine
 	w := &bitWriter{buf: sc.code}
@@ -158,27 +158,49 @@ type DecodeResult struct {
 // an Encode stream, clamping pixels to the 8-bit display range.  At
 // minimum the header must be present.
 func Decode(stream []byte) (*DecodeResult, error) {
-	return decode(stream, true)
+	return decode(stream, true, 0)
 }
 
 // DecodeSigned is Decode without the 8-bit clamp, for planes whose
 // sample range is signed (the chroma planes of a color stream).
 func DecodeSigned(stream []byte) (*DecodeResult, error) {
-	return decode(stream, false)
+	return decode(stream, false, 0)
 }
 
-func decode(stream []byte, clamp bool) (*DecodeResult, error) {
+// llLevel returns how many levels of a w×h, levels-deep decomposition
+// to leave uninverted so that the LL band left fits maxDim on both
+// sides — the finest such band, or the deepest the stream has — and
+// that band's size.  maxDim ≤ 0 asks for the full plane.
+func llLevel(w, h, levels, maxDim int) (skip, sw, sh int) {
+	sw, sh = w, h
+	for maxDim > 0 && skip < levels && (sw > maxDim || sh > maxDim) {
+		sw, sh = (sw+1)/2, (sh+1)/2
+		skip++
+	}
+	return skip, sw, sh
+}
+
+// decode reconstructs the LL band llLevel picks for maxDim; with
+// maxDim ≤ 0 that is the whole plane.  The band at level k, with the
+// detail bands of every level deeper than k, is the top-left sw×sh
+// corner of the Mallat layout and the first sw·sh entries of the scan
+// order, so the decoder keeps magnitudes for that scan prefix only and
+// inverts the levels below k.  The bit-plane code is plane-major, so
+// the parse still reads every bit of the prefix it was given.
+func decode(stream []byte, clamp bool, maxDim int) (*DecodeResult, error) {
 	hd, ok := parseHeader(stream)
 	if !ok {
 		return nil, ErrStreamHeader
 	}
 	w, h, levels, maxPlane := hd.w, hd.h, hd.levels, hd.maxPlane
+	skip, sw, sh := llLevel(w, h, levels, maxDim)
+	kept := sw * sh
 
-	c := &Coeffs{W: w, H: h, Levels: levels, Filter: hd.filter, Data: make([]int32, w*h)}
+	c := &Coeffs{W: sw, H: sh, Levels: levels - skip, Filter: hd.filter, Data: make([]int32, kept)}
 	order := scanTable(w, h, levels)
 	r := &bitReader{buf: stream[headerLen:]}
 
-	sc := getScratch(len(order), true)
+	sc := getScratch(len(order), kept)
 	defer scratchPool.Put(sc)
 	mag, sign, significant, insig, refine := sc.mag, sc.sign, sc.significant, sc.insig, sc.refine
 
@@ -197,7 +219,7 @@ decode:
 				truncated = true
 				break decode
 			}
-			if b == 1 {
+			if b == 1 && int(pos) < kept {
 				mag[pos] |= t
 			}
 		}
@@ -220,11 +242,13 @@ decode:
 				break decode
 			}
 			p := insig[pos]
-			mag[p] = t
-			if sb == 1 {
-				sign[p] = -1
-			} else {
-				sign[p] = 1
+			if int(p) < kept {
+				mag[p] = t
+				if sb == 1 {
+					sign[p] = -1
+				} else {
+					sign[p] = 1
+				}
 			}
 			significant[p] = true
 			newSig = append(newSig, p)
@@ -248,13 +272,16 @@ decode:
 	if truncated || lastPlane > 0 {
 		half = (int32(1) << uint(lastPlane)) >> 1
 	}
-	for i, p := range order {
+	for i, p := range order[:kept] {
 		if sign[i] == 0 {
 			continue
 		}
 		v := mag[i] + half
 		if sign[i] < 0 {
 			v = -v
+		}
+		if sw != w {
+			p = p/int32(w)*int32(sw) + p%int32(w)
 		}
 		c.Data[p] = v
 	}

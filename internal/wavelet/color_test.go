@@ -203,7 +203,7 @@ func TestInspectEveryPrefix(t *testing.T) {
 			}
 			at = sp.End
 		}
-		luma, err := DecodeLuma(prefix)
+		luma, err := DecodeLuma(prefix, 0)
 		want, werr := Decode(prefix[si.Planes[0].Start:si.Planes[0].End])
 		if err != nil || werr != nil || !luma.Image.Equal(want.Image) || luma.Lossless != want.Lossless {
 			t.Fatalf("%d B: DecodeLuma is not the decode of the luma range (err %v, %v)", n, err, werr)
@@ -212,7 +212,7 @@ func TestInspectEveryPrefix(t *testing.T) {
 	if !seen[1] || !seen[2] || !seen[3] {
 		t.Errorf("prefixes covered plane counts %v, want 1, 2 and 3", seen)
 	}
-	luma, err := DecodeLuma(stream)
+	luma, err := DecodeLuma(stream, 0)
 	want := im.Luma()
 	if err != nil || !luma.Lossless || !luma.Image.Equal(want) {
 		t.Errorf("DecodeLuma of the whole stream is not the image's luma (err %v)", err)

@@ -77,13 +77,17 @@ func FuzzDecodeColor(f *testing.F) {
 // accept exactly what the decoder of that magic accepts, fail with the
 // same sentinel, and report the geometry and plane count the decoder
 // finds.  The plane ranges it hands out must lie inside the input, and
-// DecodeLuma — the one plane pass a sketch costs — must agree with the
-// full decoders.  The seed corpus is FuzzDecode's and FuzzDecodeColor's,
-// plus colour containers whose chroma header is hostile or empty.
+// DecodeLuma must agree with the full decoders.  Stopped early at
+// SketchMaxDim — the one plane pass a sketch costs — it must fail with
+// the same sentinel, parse the same bits, and never return a raster
+// larger than the header's plane.  The seed corpus is FuzzDecode's and
+// FuzzDecodeColor's, plus colour containers whose chroma header is
+// hostile or empty.
 func FuzzInspect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		si, err := Inspect(stream)
-		lres, lerr := DecodeLuma(stream)
+		lres, lerr := DecodeLuma(stream, 0)
+		sres, serr := DecodeLuma(stream, SketchMaxDim)
 
 		color := len(stream) >= 4 && [4]byte(stream[:4]) == colorMagic
 		sentinel := ErrStreamHeader
@@ -103,15 +107,16 @@ func FuzzInspect(f *testing.F) {
 		}
 
 		if derr != nil {
-			for _, e := range []error{derr, err, lerr} {
+			for _, e := range []error{derr, err, lerr, serr} {
 				if !errors.Is(e, sentinel) {
-					t.Fatalf("decoder said %v, Inspect %v, DecodeLuma %v; want %v from all three", derr, err, lerr, sentinel)
+					t.Fatalf("decoder said %v, Inspect %v, DecodeLuma %v, stopped early %v; want %v from all four",
+						derr, err, lerr, serr, sentinel)
 				}
 			}
 			return
 		}
-		if err != nil || lerr != nil {
-			t.Fatalf("the decoder accepts what Inspect (%v) or DecodeLuma (%v) rejects", err, lerr)
+		if err != nil || lerr != nil || serr != nil {
+			t.Fatalf("the decoder accepts what Inspect (%v) or DecodeLuma (%v, stopped early %v) rejects", err, lerr, serr)
 		}
 		if si.Color != color || si.W != w || si.H != h || si.PlanesPresent != present {
 			t.Fatalf("Inspect says colour=%v %dx%d with %d planes, the decoder colour=%v %dx%d with %d",
@@ -128,6 +133,14 @@ func FuzzInspect(f *testing.F) {
 		luma := lres.Image
 		if luma.W != w || luma.H != h || len(luma.Pix) != w*h {
 			t.Fatalf("DecodeLuma gave %dx%d with %d pixels, want %dx%d", luma.W, luma.H, len(luma.Pix), w, h)
+		}
+		band := sres.Image
+		if band.W < 1 || band.H < 1 || band.W > w || band.H > h || len(band.Pix) != band.W*band.H {
+			t.Fatalf("DecodeLuma stopped early gave %dx%d with %d pixels from a %dx%d plane", band.W, band.H, len(band.Pix), w, h)
+		}
+		if sres.BitsUsed != lres.BitsUsed || sres.Lossless != lres.Lossless || sres.PlanesDecoded != lres.PlanesDecoded {
+			t.Fatalf("stopping early changed the parse: %d bits, %d planes, lossless %v; full %d, %d, %v",
+				sres.BitsUsed, sres.PlanesDecoded, sres.Lossless, lres.BitsUsed, lres.PlanesDecoded, lres.Lossless)
 		}
 		if !color {
 			if !luma.Equal(gres.Image) {
@@ -146,7 +159,7 @@ func FuzzInspect(f *testing.F) {
 		}
 		want := cres.Image.Luma()
 		want.Clamp8()
-		if got, err := DecodeLuma(again); err != nil || !got.Lossless || !got.Image.Equal(want) {
+		if got, err := DecodeLuma(again, 0); err != nil || !got.Lossless || !got.Image.Equal(want) {
 			t.Fatalf("DecodeLuma(complete colour stream) != DecodeColor(...).Image.Luma() (err %v)", err)
 		}
 	})

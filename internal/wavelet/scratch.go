@@ -19,7 +19,7 @@ const maxPixels = 1 << 22
 
 // checkGeometry reports whether a w×h plane is one the coder accepts.
 func checkGeometry(w, h int) bool {
-	return w >= 1 && h >= 1 && w <= maxDim && h <= maxDim && w*h <= maxPixels
+	return w >= 1 && h >= 1 && w <= maxSide && h <= maxSide && w*h <= maxPixels
 }
 
 // scratch is one coder call's working set.  Indices are positions in
@@ -48,8 +48,10 @@ func grow[T any](s []T, n int) []T {
 
 // getScratch returns a working set for n coefficients: everything
 // insignificant, refine empty with room for all n.  The decoder also
-// gets zeroed mag and sign; the encoder an empty code buffer.
-func getScratch(n int, decoding bool) *scratch {
+// gets zeroed mag and sign for the first kept positions of the scan,
+// the only ones it reconstructs; the encoder (kept < 0) an empty code
+// buffer.
+func getScratch(n, kept int) *scratch {
 	s := scratchPool.Get().(*scratch)
 	s.significant = grow(s.significant, n)
 	s.insig = grow(s.insig, n)
@@ -58,8 +60,8 @@ func getScratch(n int, decoding bool) *scratch {
 	for i := range s.insig {
 		s.insig[i] = int32(i)
 	}
-	if decoding {
-		s.mag, s.sign = grow(s.mag, n), grow(s.sign, n)
+	if kept >= 0 {
+		s.mag, s.sign = grow(s.mag, kept), grow(s.sign, kept)
 		clear(s.mag)
 		clear(s.sign)
 	} else {

@@ -142,7 +142,7 @@ func header(w, h, levels, maxPlane int) []byte {
 // anything is sized by it, a plane whose sides fit the wire but whose
 // area does not.
 func TestPixelBound(t *testing.T) {
-	for _, g := range [][2]int{{maxDim, maxDim}, {maxDim, maxPixels/maxDim + 1}, {2049, 2048}} {
+	for _, g := range [][2]int{{maxSide, maxSide}, {maxSide, maxPixels/maxSide + 1}, {2049, 2048}} {
 		if _, err := Decode(header(g[0], g[1], 8, 31)); !errors.Is(err, ErrStreamHeader) {
 			t.Errorf("decode %dx%d header: %v, want ErrStreamHeader", g[0], g[1], err)
 		}
@@ -152,7 +152,7 @@ func TestPixelBound(t *testing.T) {
 		}
 	}
 	// The largest admitted strip still decodes (to a blank raster).
-	res, err := Decode(header(maxDim, maxPixels/maxDim, 7, 0))
+	res, err := Decode(header(maxSide, maxPixels/maxSide, 7, 0))
 	if err != nil || len(res.Image.Pix) != maxPixels {
 		t.Errorf("decode at the bound: %v", err)
 	}

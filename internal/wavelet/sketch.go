@@ -12,8 +12,11 @@ import (
 // verbal description so minimal-capability clients (text-only wireless
 // participants) can still follow the session.
 
-// SketchMaxDim is the maximum sketch raster dimension; the image is
-// downsampled until both dimensions fit.
+// SketchMaxDim is the maximum sketch raster dimension.  The media path
+// asks DecodeLuma for the LL band that fits it, so the raster reaching
+// ExtractSketch is already that small; ExtractSketch box-averages only
+// what is still larger (a stream coded with too few levels, or a raster
+// handed in directly).
 const SketchMaxDim = 32
 
 // Sketch is the compact structural summary of an image.
