@@ -22,19 +22,24 @@ go test -count=1 ./...
 go test -race -count=1 ./...
 
 # The benchmark is a module of its own: vet and build it here so an API
-# change that breaks it fails CI, not the benchmark run.
+# change that breaks it fails CI, not the benchmark run, and run its own
+# tests: the spec-table checks and a smoke run of every workload's
+# oracles (sim-lecture's repeatable event hash and conservation law
+# among them).
 go -C bench vet ./...
 go -C bench build -o /dev/null ./...
+go test -C bench -count=1 .
 
 # Fuzz smokes, 5 s each, one per target: the NACK hole list (§10), the
 # client kernel's whole receive path and every frame (§7), the RTP
 # header of every data body, every relayed image stream and both of its
 # decoders (§17), the image announce and media object a member uplinks,
-# every selector, and the replay policy grid.
+# every selector, the replay policy grid, and the SNMP agent's BER
+# decoder (cmd/snmpd reads it off a socket).
 for t in core:FuzzCoordinatorHandlePacket core:FuzzKernelHandlePacket message:FuzzParse \
 	rtp:FuzzRTPUnmarshal wavelet:FuzzInspect wavelet:FuzzDecode wavelet:FuzzDecodeColor \
 	apps:FuzzDecodeImageMeta apps:FuzzDecodeMediaObject selector:FuzzSelectorParse \
-	replay:FuzzLoadGrid; do
+	replay:FuzzLoadGrid snmp:FuzzDecodeMessage; do
 	go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done
 

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -258,4 +260,78 @@ func TestVirtualConcurrentScheduleRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	v.Advance(time.Second)
+}
+
+// TestVirtualAfterFuncReset: like time.AfterFunc's, a virtual AfterFunc
+// timer runs its function again after Reset — whether it had fired or
+// was stopped first.
+func TestVirtualAfterFuncReset(t *testing.T) {
+	v := NewVirtual(time.Time{})
+	count := 0
+	tm := v.AfterFunc(time.Second, func() { count++ })
+	v.Advance(time.Second)
+	if tm.Reset(time.Second) {
+		t.Fatal("Reset after firing should report false")
+	}
+	v.Advance(time.Second)
+	if count != 2 {
+		t.Fatalf("fire then Reset: count = %d, want 2", count)
+	}
+	tm.Reset(time.Second)
+	if !tm.Stop() {
+		t.Fatal("Stop on an armed timer should report true")
+	}
+	if tm.Reset(time.Second) {
+		t.Fatal("Reset after Stop should report false")
+	}
+	v.Advance(time.Second)
+	if count != 3 {
+		t.Fatalf("Stop then Reset: count = %d, want 3", count)
+	}
+}
+
+type batchLog struct {
+	log *[]string
+	tag string
+}
+
+func (b batchLog) FireItem(i int, now time.Time) {
+	*b.log = append(*b.log, fmt.Sprintf("%s%d@%v", b.tag, i, now.Sub(DefaultEpoch)))
+}
+
+// TestVirtualBatchOrder: a batch's items fire as separate Schedule calls
+// in index order would — by instant, ties in index order, and before an
+// event scheduled after the batch at the same instant — and every
+// counter (Len, Step, RunUntilIdle, AdvanceTo) sees each item as one
+// event.
+func TestVirtualBatchOrder(t *testing.T) {
+	const ms = time.Millisecond
+	v := NewVirtual(time.Time{})
+	var log []string
+	note := func(what string) func(time.Time) {
+		return func(now time.Time) { log = append(log, fmt.Sprintf("%s@%v", what, now.Sub(DefaultEpoch))) }
+	}
+	v.ScheduleFunc(2*ms, note("before"))
+	delays := []time.Duration{3 * ms, 2 * ms, -ms, 2 * ms}
+	v.ScheduleBatch(delays, batchLog{&log, "a"})
+	delays[0] = time.Hour // the clock copied the delays
+	v.ScheduleFunc(2*ms, note("after"))
+	v.ScheduleBatch([]time.Duration{ms, 3 * ms}, batchLog{&log, "b"})
+	v.ScheduleBatch(nil, batchLog{&log, "empty"})
+	if n := v.Len(); n != 8 {
+		t.Fatalf("Len = %d, want 8: each batch item counts", n)
+	}
+	if !v.Step() || v.Len() != 7 {
+		t.Fatalf("Step fired %v, Len now %d, want 7", log, v.Len())
+	}
+	if n := v.RunUntilIdle(2); n != 2 || v.Len() != 5 {
+		t.Fatalf("RunUntilIdle(2) = %d, Len %d; want 2, 5", n, v.Len())
+	}
+	if n := v.AdvanceTo(DefaultEpoch.Add(10 * ms)); n != 5 || v.Len() != 0 {
+		t.Fatalf("AdvanceTo = %d, Len %d; want 5, 0", n, v.Len())
+	}
+	want := []string{"a2@0s", "b0@1ms", "before@2ms", "a1@2ms", "a3@2ms", "after@2ms", "a0@3ms", "b1@3ms"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("fired %v, want %v", log, want)
+	}
 }

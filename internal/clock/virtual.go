@@ -1,20 +1,31 @@
 package clock
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Event is work scheduled on a Virtual clock's heap.  Implementing it
-// directly (rather than going through ScheduleFunc's closure) lets hot
-// schedulers — the discrete-event network's per-delivery records — pay
-// one allocation per event instead of two.
+// directly (rather than going through ScheduleFunc's closure) saves the
+// closure's allocation; work that fans out to many instants at once —
+// the discrete-event network's sends — is a BatchEvent instead.
 type Event interface {
 	// Fire runs the event at its scheduled instant.  It executes on the
 	// goroutine driving Advance/AdvanceTo/Step, with no clock locks
 	// held, so it may schedule further events freely.
 	Fire(now time.Time)
+}
+
+// BatchEvent is n items scheduled by one ScheduleBatch call.  The batch
+// holds one heap entry however large n is, yet each item fires at its
+// own instant, in the order n separate Schedule calls would give.
+type BatchEvent interface {
+	// FireItem runs item i (its index in the delays passed to
+	// ScheduleBatch) at its instant, under the same rules as Event.Fire.
+	FireItem(i int, now time.Time)
 }
 
 // DefaultEpoch anchors a zero-configured Virtual clock.  A fixed,
@@ -40,6 +51,9 @@ type Virtual struct {
 	nowNS int64
 	heap  eventHeap
 	seq   uint64 // schedule-order tiebreak for identical instants
+	// behind counts the batch items waiting behind their batch's heap
+	// entry, so Len counts every item as one event.
+	behind int
 
 	advMu sync.Mutex // serializes drivers
 }
@@ -121,6 +135,85 @@ func (v *Virtual) scheduleLocked(d time.Duration, ev Event) *Scheduled {
 	return &Scheduled{v: v, e: e}
 }
 
+// ScheduleBatch enqueues item i of ev to fire once the clock has
+// advanced by delays[i] (clamped at 0, like Schedule), for every i.  It
+// fires them exactly as len(delays) Schedule calls in index order
+// would: the items take consecutive schedule orders, so they interleave
+// with other events by (instant, schedule order), and an event
+// scheduled after the call at an equal instant fires after every item.
+// The whole batch is one heap entry, re-keyed to its next item as each
+// one fires, and no handle is returned: a batch cannot be stopped.
+// delays is copied; the caller may reuse it.
+func (v *Virtual) ScheduleBatch(delays []time.Duration, ev BatchEvent) {
+	if len(delays) == 0 {
+		return
+	}
+	b := &batch{ev: ev, items: make([]batchItem, len(delays))}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for i, d := range delays {
+		b.items[i] = batchItem{atNS: v.nowNS + int64(max(d, 0)), i: i}
+	}
+	// slices.SortFunc, not sort.Slice: the latter's reflect swapper
+	// allocates on every call.
+	slices.SortFunc(b.items, func(x, y batchItem) int {
+		if c := cmp.Compare(x.atNS, y.atNS); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	b.seq0 = v.seq
+	v.seq += uint64(len(delays))
+	b.entry = vevent{atNS: b.items[0].atNS, seq: b.seq0 + uint64(b.items[0].i), ev: b}
+	heap.Push(&v.heap, &b.entry)
+	v.behind += len(delays) - 1
+}
+
+// batch is one ScheduleBatch call on the heap: its entry is keyed by
+// the next item to fire, at that item's instant and reserved schedule
+// order seq0+i.
+type batch struct {
+	entry vevent
+	ev    BatchEvent
+	seq0  uint64
+	items []batchItem // sorted by (atNS, i); items[next:] are pending
+	next  int
+}
+
+type batchItem struct {
+	atNS int64
+	i    int
+}
+
+// Fire implements Event for the batch's heap entry: it fires the item
+// the driver's last pop took off the batch (popLocked advanced next).
+// Only the driver pops and fires, so next is not read concurrently.
+func (b *batch) Fire(now time.Time) {
+	b.ev.FireItem(b.items[b.next-1].i, now)
+}
+
+// popLocked takes the earliest pending event off the heap, moving time
+// to its instant.  A batch gives up one item per pop: its entry stays
+// on the heap, re-keyed in place to the next item, until the last item
+// pops.  Caller holds mu; the heap is non-empty.
+func (v *Virtual) popLocked() *vevent {
+	e := v.heap[0]
+	if e.atNS > v.nowNS {
+		v.nowNS = e.atNS
+	}
+	if b, ok := e.ev.(*batch); ok {
+		if b.next++; b.next < len(b.items) {
+			it := b.items[b.next]
+			e.atNS, e.seq = it.atNS, b.seq0+uint64(it.i)
+			heap.Fix(&v.heap, 0)
+			v.behind--
+			return e
+		}
+	}
+	heap.Pop(&v.heap)
+	return e
+}
+
 // ScheduleFunc is Schedule for a plain func.
 func (v *Virtual) ScheduleFunc(d time.Duration, f func(now time.Time)) *Scheduled {
 	return v.Schedule(d, funcEvent(f))
@@ -149,11 +242,12 @@ func (s *Scheduled) Stop() bool {
 	return true
 }
 
-// Len reports the number of pending events.
+// Len reports the number of pending events, counting each pending item
+// of a batch as one.
 func (v *Virtual) Len() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return len(v.heap)
+	return len(v.heap) + v.behind
 }
 
 // Advance moves the clock forward by d, firing every event scheduled
@@ -181,10 +275,7 @@ func (v *Virtual) AdvanceTo(t time.Time) int {
 			v.mu.Unlock()
 			return fired
 		}
-		e := heap.Pop(&v.heap).(*vevent)
-		if e.atNS > v.nowNS {
-			v.nowNS = e.atNS
-		}
+		e := v.popLocked()
 		now := time.Unix(0, v.nowNS)
 		stopped := e.stopped // a Stop that loses the race to the pop writes it under v.mu
 		v.mu.Unlock()
@@ -206,10 +297,7 @@ func (v *Virtual) Step() bool {
 			v.mu.Unlock()
 			return false
 		}
-		e := heap.Pop(&v.heap).(*vevent)
-		if e.atNS > v.nowNS {
-			v.nowNS = e.atNS
-		}
+		e := v.popLocked()
 		now := time.Unix(0, v.nowNS)
 		stopped := e.stopped
 		v.mu.Unlock()
@@ -251,32 +339,25 @@ func (v *Virtual) Sleep(d time.Duration) {
 
 // AfterFunc implements Clock.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	t := &virtualTimer{v: v}
-	t.s = v.ScheduleFunc(d, func(time.Time) {
-		t.mu.Lock()
-		t.fired = true
-		t.mu.Unlock()
-		f()
-	})
+	t := &virtualTimer{v: v, f: f}
+	t.s = v.Schedule(d, t)
 	return t
 }
 
 // NewTimer implements Clock.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
-	ch := make(chan time.Time, 1)
-	t := &virtualTimer{v: v, ch: ch}
-	t.s = v.ScheduleFunc(d, func(now time.Time) {
-		t.mu.Lock()
-		t.fired = true
-		t.mu.Unlock()
-		ch <- now
-	})
+	t := &virtualTimer{v: v, ch: make(chan time.Time, 1)}
+	t.s = v.Schedule(d, t)
 	return t
 }
 
+// virtualTimer is both faces of Timer: an AfterFunc timer runs f, a
+// NewTimer timer sends on ch.  Each arming schedules the timer itself,
+// so a Reset re-arms whichever it is.
 type virtualTimer struct {
 	v  *Virtual
-	ch chan time.Time
+	ch chan time.Time // nil for AfterFunc timers
+	f  func()         // nil for NewTimer timers
 
 	mu    sync.Mutex
 	s     *Scheduled
@@ -284,6 +365,22 @@ type virtualTimer struct {
 }
 
 func (t *virtualTimer) C() <-chan time.Time { return t.ch }
+
+// Fire implements Event.  Like time.Timer, a send finding the channel
+// full (an earlier fire nobody read) drops the tick.
+func (t *virtualTimer) Fire(now time.Time) {
+	t.mu.Lock()
+	t.fired = true
+	t.mu.Unlock()
+	if t.f != nil {
+		t.f()
+		return
+	}
+	select {
+	case t.ch <- now:
+	default:
+	}
+}
 
 func (t *virtualTimer) Stop() bool {
 	t.mu.Lock()
@@ -299,18 +396,7 @@ func (t *virtualTimer) Reset(d time.Duration) bool {
 	defer t.mu.Unlock()
 	active := !t.fired && t.s.Stop()
 	t.fired = false
-	t.s = t.v.ScheduleFunc(d, func(now time.Time) {
-		t.mu.Lock()
-		t.fired = true
-		ch := t.ch
-		t.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- now:
-			default:
-			}
-		}
-	})
+	t.s = t.v.Schedule(d, t)
 	return active
 }
 

@@ -169,6 +169,9 @@ type run struct {
 	tl      *timeline.Timeline
 
 	pubs []transport.Conn
+	// deliver is r.onDeliver bound once: a method value allocates each
+	// time it is taken, and every join attaches one.
+	deliver func(transport.Packet)
 }
 
 const (
@@ -269,6 +272,7 @@ func RunWithTimeline(cfg Config) (Result, *timeline.Timeline, error) {
 		endNS:   clk.Now().Add(cfg.Duration).UnixNano(),
 		hash:    fnvOffset,
 	}
+	r.deliver = r.onDeliver
 	// Window-boundary events must be scheduled before any workload event
 	// so boundary bucketing is deterministic (see setupTimeline).
 	r.setupTimeline()
@@ -304,7 +308,7 @@ func RunWithTimeline(cfg Config) (Result, *timeline.Timeline, error) {
 	var joinErr error
 	joinClient := func(i int) {
 		id := fmt.Sprintf("sub%06d", i)
-		_, err := net.AttachHandler(id, r.onDeliver)
+		_, err := net.AttachHandler(id, r.deliver)
 		if err != nil && joinErr == nil {
 			joinErr = fmt.Errorf("scenario: join %s: %w", id, err)
 		}
@@ -456,7 +460,7 @@ func (r *run) churnClient(i int) {
 	var conn transport.Conn
 	var cycle func(now time.Time)
 	joinNow := func() {
-		c, err := r.net.AttachHandler(id, r.onDeliver)
+		c, err := r.net.AttachHandler(id, r.deliver)
 		if err == nil {
 			conn = c
 			r.joins++

@@ -14,6 +14,7 @@ package snmp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -141,6 +142,10 @@ func encodeOID(o OID) ([]byte, error) {
 	return out, nil
 }
 
+// maxSubID is the largest subidentifier an OID of 32-bit arcs encodes:
+// the first, which packs 2.(2^32-1) as 80+arc.
+const maxSubID = 80 + math.MaxUint32
+
 // decodeOID parses BER OID content bytes.
 func decodeOID(b []byte) (OID, error) {
 	if len(b) == 0 {
@@ -149,10 +154,11 @@ func decodeOID(b []byte) (OID, error) {
 	var arcs []uint64
 	var cur uint64
 	for i, c := range b {
-		if cur > (1 << 57) { // would overflow with 7 more bits
+		// Checked every octet, so the shift never overflows and no
+		// subidentifier can wrap into a smaller one.
+		if cur = cur<<7 | uint64(c&0x7F); cur > maxSubID {
 			return nil, fmt.Errorf("%w: arc overflow", ErrBadOID)
 		}
-		cur = cur<<7 | uint64(c&0x7F)
 		if c&0x80 == 0 {
 			arcs = append(arcs, cur)
 			cur = 0

@@ -136,6 +136,18 @@ func TestOIDEncodeDecode(t *testing.T) {
 	if _, err := decodeOID([]byte{0x2B, 0x90, 0x80, 0x80, 0x80, 0x00}); !errors.Is(err, ErrBadOID) {
 		t.Errorf("oversized arc: %v", err)
 	}
+	// Subidentifiers that used to wrap into smaller arcs: 2.(2^32) as the
+	// first, and 2^57 followed by one more octet (shifted past 2^64).
+	wraps := append([]byte{0x2B}, appendBase128(nil, 1<<57)...)
+	wraps[len(wraps)-1] |= 0x80
+	for _, bad := range [][]byte{appendBase128(nil, 1<<32+80), append(wraps, 0x01)} {
+		if o, err := decodeOID(bad); !errors.Is(err, ErrBadOID) {
+			t.Errorf("decodeOID(%x) = %v, %v; want ErrBadOID", bad, o, err)
+		}
+	}
+	if o, err := decodeOID(appendBase128(nil, 1<<32+79)); err != nil || !slices.Equal(o, OID{2, 1<<32 - 1}) {
+		t.Errorf("largest first subidentifier: %v, %v", o, err)
+	}
 }
 
 // TestQuickOIDRoundTrip: random valid OIDs survive encode/decode.

@@ -3,6 +3,7 @@ package snmp
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Version selects the SNMP protocol version.
@@ -223,6 +224,9 @@ func DecodeMessage(frame []byte) (*Message, error) {
 	reqID, err := parseInt(reqContent)
 	if err != nil {
 		return nil, fmt.Errorf("%w: request-id: %v", ErrBadMessage, err)
+	}
+	if reqID < math.MinInt32 || reqID > math.MaxInt32 { // RFC 3416's range; wider would wrap
+		return nil, fmt.Errorf("%w: request-id %d out of range", ErrBadMessage, reqID)
 	}
 	m.PDU.RequestID = int32(reqID)
 

@@ -251,6 +251,14 @@ func TestDecodeMessageErrors(t *testing.T) {
 		t.Errorf("bad version decode: %v", err)
 	}
 
+	// A request-id wider than 32 bits is refused, not wrapped.
+	wide := bytes.Replace(frame, []byte{tagInteger, 1, 0, tagInteger}, []byte{tagInteger, 5, 2, 0, 0, 0, 0, tagInteger}, 1)
+	wide[1] += 4
+	wide[bytes.IndexByte(wide, byte(GetRequest))+1] += 4
+	if _, err := DecodeMessage(wide); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("5-byte request-id: %v", err)
+	}
+
 	// Unknown PDU tag.
 	idx := bytes.IndexByte(frame, byte(GetRequest))
 	bad = append([]byte(nil), frame...)
@@ -326,19 +334,7 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 			t.Logf("seed %d: decode: %v", seed, err)
 			return false
 		}
-		if got.Version != msg.Version || got.Community != msg.Community ||
-			got.PDU.Type != msg.PDU.Type || got.PDU.RequestID != msg.PDU.RequestID ||
-			got.PDU.ErrorStatus != msg.PDU.ErrorStatus || got.PDU.ErrorIndex != msg.PDU.ErrorIndex ||
-			len(got.PDU.VarBinds) != len(msg.PDU.VarBinds) {
-			return false
-		}
-		for i := range msg.PDU.VarBinds {
-			if !slices.Equal(got.PDU.VarBinds[i].OID, msg.PDU.VarBinds[i].OID) ||
-				!valuesEqual(got.PDU.VarBinds[i].Value, msg.PDU.VarBinds[i].Value) {
-				return false
-			}
-		}
-		return true
+		return sameMessage(got, msg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

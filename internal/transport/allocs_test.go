@@ -25,29 +25,33 @@ func pinAllocs(t *testing.T, what string, want float64, send func()) {
 	}
 }
 
+// TestVirtualMulticastAllocs: a virtual send is one batch on the clock,
+// so it costs the same at any fan-out.
 func TestVirtualMulticastAllocs(t *testing.T) {
-	n := NewDESNet(DESNetConfig{})
-	defer n.Close()
-	src, err := n.AttachHandler("src", func(Packet) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < allocFanOut; i++ {
-		if _, err := n.AttachHandler(fmt.Sprintf("dst-%02d", i), func(Packet) {}); err != nil {
+	for _, fan := range []int{allocFanOut, 256} {
+		n := NewDESNet(DESNetConfig{})
+		defer n.Close()
+		src, err := n.AttachHandler("src", func(Packet) {})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < fan; i++ {
+			if _, err := n.AttachHandler(fmt.Sprintf("dst-%03d", i), func(Packet) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame := make([]byte, 64)
+		// Four per send: the fanout record, its recipient list, the
+		// clock's batch and the batch's item list.
+		pinAllocs(t, fmt.Sprintf("virtual Give to %d handlers", fan), 4, func() {
+			src.Give("", frame)
+			n.virt.Advance(time.Millisecond)
+		})
+		pinAllocs(t, fmt.Sprintf("virtual Multicast to %d handlers", fan), 5, func() {
+			src.Multicast(frame)
+			n.virt.Advance(time.Millisecond)
+		})
 	}
-	frame := make([]byte, 64)
-	// Three per delivery: the event, its heap entry, its Scheduled
-	// handle.
-	pinAllocs(t, "virtual Give to 16 handlers", 3*allocFanOut, func() {
-		src.Give("", frame)
-		n.virt.Advance(time.Millisecond)
-	})
-	pinAllocs(t, "virtual Multicast to 16 handlers", 1+3*allocFanOut, func() {
-		src.Multicast(frame)
-		n.virt.Advance(time.Millisecond)
-	})
 }
 
 func TestWallZeroDelayAllocs(t *testing.T) {

@@ -8,9 +8,10 @@ import (
 )
 
 // DESNet is the simulated broadcast network on a clock.Virtual (see
-// engine for the model it shares with SimNet): every delivery is an
-// event on the virtual heap instead of an entry in SimNet's wall-clock
-// deadline queue.  No goroutine ever sleeps: a driver advances the
+// engine for the model it shares with SimNet): every send is one batch
+// on the virtual heap, each copy firing at its own instant, instead of
+// entries in SimNet's wall-clock deadline queue.  No goroutine ever
+// sleeps: a driver advances the
 // clock and deliveries fire inline, so one box can push a 100k-client
 // session through simulated minutes in wall-clock seconds,
 // deterministically — the same seed replays byte-identical event

@@ -3,7 +3,10 @@ package transport
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -152,12 +155,121 @@ func traceHash(seed int64) [32]byte {
 	return out
 }
 
+// traceHash42 is traceHash(42) as it stood when every virtual delivery
+// was its own heap entry: scheduling a send's copies as one batch must
+// not move a single delivery.
+const traceHash42 = "a20b76c8133f7ced310a0df485756ff85757183602056e0f1654bae3a44437fd"
+
 func TestDESNetDeterministicTrace(t *testing.T) {
 	a, b := traceHash(42), traceHash(42)
 	if a != b {
 		t.Fatal("same seed produced different trace streams")
 	}
+	if got := hex.EncodeToString(a[:]); got != traceHash42 {
+		t.Fatalf("traceHash(42) = %s, pinned at %s", got, traceHash42)
+	}
 	if c := traceHash(43); c == a {
 		t.Fatal("different seeds produced identical trace streams (rng unused?)")
+	}
+}
+
+// TestDESNetTiedDeliveryOrder: deliveries fire in (instant, schedule
+// order) even where everything ties.  Two senders multicast at one
+// instant over jitter-free links that duplicate every frame; an event
+// scheduled between the two sends falls due with them; and every
+// delivery schedules a follow-up at zero delay.  The delivery log must
+// equal a plain model that lists every event with its instant and
+// schedule order and fires them sorted by both.
+func TestDESNetTiedDeliveryOrder(t *testing.T) {
+	const ms = time.Millisecond
+	link := func(d time.Duration) Link { return Link{Delay: d, Duplicate: 1} }
+	n := NewDESNet(DESNetConfig{DefaultLink: link(2 * ms)})
+	// Two links off the common delay, so a batch's items fire out of
+	// their schedule order.
+	n.SetLink("a", "d0", link(3*ms))
+	n.SetLink("b", "d2", link(ms))
+
+	start := n.virt.Now()
+	var log []string
+	ids := []string{"a", "b", "d0", "d1", "d2"}
+	conns := map[string]Conn{}
+	for _, id := range ids {
+		c, err := n.AttachHandler(id, func(p Packet) {
+			what := fmt.Sprintf("%s<%s@%v", id, p.From, p.At.Sub(start))
+			log = append(log, what)
+			n.virt.ScheduleFunc(0, func(now time.Time) {
+				log = append(log, fmt.Sprintf("after %s@%v", what, now.Sub(start)))
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[id] = c
+	}
+	if err := conns["a"].Multicast([]byte("A")); err != nil {
+		t.Fatal(err)
+	}
+	n.virt.ScheduleFunc(2*ms, func(now time.Time) {
+		log = append(log, fmt.Sprintf("between@%v", now.Sub(start)))
+	})
+	if err := conns["b"].Multicast([]byte("B")); err != nil {
+		t.Fatal(err)
+	}
+	n.virt.Advance(10 * ms)
+
+	// The model: each send's copies in fan-out (sorted-ID) order, two per
+	// recipient, then the event between the sends, then the second send;
+	// each delivery appends its follow-up at its own instant with the
+	// next schedule order.
+	type entry struct {
+		at       time.Duration
+		seq      int
+		what     string
+		delivery bool // not a follow-up: firing it schedules one
+		fired    bool
+	}
+	var pending []entry
+	add := func(at time.Duration, what string, delivery bool) {
+		pending = append(pending, entry{at: at, seq: len(pending), what: what, delivery: delivery})
+	}
+	delay := map[[2]string]time.Duration{{"a", "d0"}: 3 * ms, {"b", "d2"}: ms}
+	send := func(from string) {
+		for _, to := range ids {
+			if to == from {
+				continue
+			}
+			d, ok := delay[[2]string{from, to}]
+			if !ok {
+				d = 2 * ms
+			}
+			for copy := 0; copy < 2; copy++ {
+				add(d, fmt.Sprintf("%s<%s@%v", to, from, d), true)
+			}
+		}
+	}
+	send("a")
+	add(2*ms, fmt.Sprintf("between@%v", 2*ms), false)
+	send("b")
+	var want []string
+	for {
+		next := -1
+		for i, e := range pending {
+			if !e.fired && (next < 0 || e.at < pending[next].at || e.at == pending[next].at && e.seq < pending[next].seq) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break
+		}
+		pending[next].fired = true
+		e := pending[next]
+		want = append(want, e.what)
+		if e.delivery {
+			add(e.at, fmt.Sprintf("after %s@%v", e.what, e.at), false)
+		}
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("delivery log\n  %s\nwant (instant, schedule order)\n  %s",
+			strings.Join(log, "\n  "), strings.Join(want, "\n  "))
 	}
 }

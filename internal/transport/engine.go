@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,14 +27,16 @@ import (
 //
 // The two exported faces differ only in which queue receives a
 // delivery at the bottom of sendAll.  With virt set, every delivery —
-// zero-delay included — is a clock.Event on the virtual heap and fires
-// on whichever goroutine drives the clock.  With virt nil, zero-delay
-// deliveries happen synchronously in the sender's goroutine once the
-// engine lock is released, and delayed ones wait in the engine's own
-// deadline queue: a min-heap on (deadline, schedule order) that one
-// clock.Timer and one dispatcher goroutine carry, both started by the
-// first delayed send.  Equal delays therefore arrive in the order sent,
-// and a delayed delivery costs no allocation of its own.
+// zero-delay included — goes onto the virtual heap and fires on
+// whichever goroutine drives the clock: one send's copies are one
+// clock.BatchEvent, one heap entry however wide the fan-out, firing
+// each copy at its own instant in schedule order.  With virt nil,
+// zero-delay deliveries happen synchronously in the sender's goroutine
+// once the engine lock is released, and delayed ones wait in the
+// engine's own deadline queue: a min-heap on (deadline, schedule order)
+// that one clock.Timer and one dispatcher goroutine carry, both started
+// by the first delayed send.  Equal delays therefore arrive in the order
+// sent, and a delayed delivery costs no allocation of its own.
 type engine struct {
 	clk  clock.Clock
 	virt *clock.Virtual // nil = wall scheduling
@@ -54,6 +57,12 @@ type engine struct {
 	seq   uint64        // schedule order, the tiebreak for equal deadlines
 	timer clock.Timer   // armed for the head; nil until the first delayed send
 	quit  chan struct{} // closed by Close to stop the dispatcher
+
+	// The virtual scheduler's scratch for one send's fan-out (see
+	// sendAll), reused under mu: the clock copies the delays, the
+	// recipients are cloned into the send's fanout record.
+	vdsts   []*node
+	vdelays []time.Duration
 
 	// trace is read on every delivery, so it lives outside mu: a send's
 	// fan-out holds mu, and its deliveries must not queue behind it for
@@ -249,10 +258,8 @@ func (n *engine) Close() {
 	n.wg.Wait()
 }
 
-// delivery is one scheduled packet arrival.  On the virtual heap it is
-// a clock.Event implemented directly, so each costs a single
-// allocation; on the wall scheduler's deadline queue it is held by
-// value and costs none.
+// delivery is one packet arrival waiting in the wall scheduler's
+// deadline queue, held there by value.
 type delivery struct {
 	dst     *node
 	from    string
@@ -260,9 +267,25 @@ type delivery struct {
 	unicast bool
 }
 
-// Fire implements clock.Event.
+// Fire hands the packet to its recipient at now.
 func (d *delivery) Fire(now time.Time) {
 	d.dst.deliver(d.from, d.data, d.unicast, now)
+}
+
+// fanout is one send's copies on a virtual clock: item i of the batch
+// is the copy to dsts[i].  The record, its recipient list and the
+// clock's batch are the send's only allocations, whatever its fan-out,
+// and all of them are garbage once the last copy has fired.
+type fanout struct {
+	from    string
+	data    []byte
+	unicast bool
+	dsts    []*node
+}
+
+// FireItem implements clock.BatchEvent.
+func (f *fanout) FireItem(i int, now time.Time) {
+	f.dsts[i].deliver(f.from, f.data, f.unicast, now)
 }
 
 // dueDelivery is one entry of the wall scheduler's deadline queue.
@@ -422,8 +445,10 @@ func (n *engine) sendAll(src *node, to string, data []byte) bool {
 				// Every virtual delivery goes through the heap —
 				// zero-delay links included — so arrival order is always
 				// (instant, schedule order), never a recursion into the
-				// recipient mid-send.
-				n.virt.Schedule(plan.delay, &delivery{dst: dst, from: src.id, data: data, unicast: unicast})
+				// recipient mid-send.  The copies are collected here and
+				// scheduled as one batch below.
+				n.vdsts = append(n.vdsts, dst)
+				n.vdelays = append(n.vdelays, plan.delay)
 			case plan.delay <= 0:
 				// Zero-delay wall links deliver synchronously,
 				// preserving per-sender FIFO order like a real loopback;
@@ -433,6 +458,11 @@ func (n *engine) sendAll(src *node, to string, data []byte) bool {
 				n.queueLocked(now.Add(plan.delay), now, delivery{dst: dst, from: src.id, data: data, unicast: unicast})
 			}
 		}
+	}
+	if len(n.vdsts) > 0 {
+		n.virt.ScheduleBatch(n.vdelays, &fanout{from: src.id, data: data, unicast: unicast, dsts: slices.Clone(n.vdsts)})
+		clear(n.vdsts) // no detached node stays reachable from the scratch
+		n.vdsts, n.vdelays = n.vdsts[:0], n.vdelays[:0]
 	}
 	n.mu.Unlock()
 
