@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -169,13 +171,21 @@ type chunk struct {
 }
 
 type sharedImage struct {
-	meta     ImageMeta // as announced
-	total    int       // where the share ends: meta.TotalPackets until a marker lowers it
-	received map[int][]byte
+	meta  ImageMeta // as announced
+	total int       // where the share ends: meta.TotalPackets until a marker lowers it
+	// received holds the distinct chunks in index order, so the first
+	// accepted of them are packets 0…accepted-1.  It starts with room for
+	// min(TotalPackets, receivedChunks) and grows with what arrives, not
+	// with the count an announce claims.
+	received []chunk
 	accepted int // contiguous prefix packets accepted
 	budget   int
 	touched  time.Time
 }
+
+// receivedChunks is the capacity a new share's chunk list starts with:
+// a share of SharePackets never grows it.
+const receivedChunks = SharePackets
 
 // parkedChunks are the chunks of an object whose announce is still on
 // its way, in arrival order.
@@ -230,7 +240,7 @@ func (v *ImageViewer) AnnounceAt(meta ImageMeta, now time.Time) (adopted int) {
 		si = &sharedImage{
 			meta:     meta,
 			total:    meta.TotalPackets,
-			received: make(map[int][]byte),
+			received: make([]chunk, 0, min(meta.TotalPackets, receivedChunks)),
 			budget:   v.budget,
 		}
 		v.images[meta.Object] = si
@@ -305,17 +315,16 @@ func (si *sharedImage) add(c chunk) error {
 	if c.idx < 0 || c.idx >= si.total {
 		return fmt.Errorf("%w: %d of %d", ErrBadPacket, c.idx, si.total)
 	}
-	if _, dup := si.received[c.idx]; !dup {
-		si.received[c.idx] = c.data
-		// Advance the accepted prefix under the budget.
+	i, dup := slices.BinarySearchFunc(si.received, c.idx, func(r chunk, idx int) int { return cmp.Compare(r.idx, idx) })
+	if !dup {
+		si.received = slices.Insert(si.received, i, c)
+		// Advance the accepted prefix under the budget: the leading run of
+		// chunks whose index is their position.
 		limit := si.total
 		if si.budget >= 0 && si.budget < limit {
 			limit = si.budget
 		}
-		for si.accepted < limit {
-			if _, ok := si.received[si.accepted]; !ok {
-				break
-			}
+		for si.accepted < limit && si.accepted < len(si.received) && si.received[si.accepted].idx == si.accepted {
 			si.accepted++
 		}
 	}
@@ -335,11 +344,7 @@ func (si *sharedImage) endAt(total int) {
 		return
 	}
 	si.total = total
-	for idx := range si.received {
-		if idx >= total {
-			delete(si.received, idx)
-		}
-	}
+	si.received = slices.DeleteFunc(si.received, func(c chunk) bool { return c.idx >= total })
 }
 
 // Sweep forgets every share still missing packets and every parked
@@ -409,8 +414,8 @@ func (v *ImageViewer) Stats(object string) (ImageStats, error) {
 		PacketsAccepted: si.accepted,
 		TotalPackets:    si.total,
 	}
-	for i := 0; i < si.accepted; i++ {
-		st.AcceptedBytes += len(si.received[i])
+	for _, c := range si.received[:si.accepted] {
+		st.AcceptedBytes += len(c.data)
 	}
 	pixels := float64(si.meta.Width * si.meta.Height)
 	st.BPP = float64(st.AcceptedBytes*8) / pixels
@@ -437,12 +442,12 @@ func (v *ImageViewer) prefix(object string) ([]byte, ImageMeta, error) {
 		return nil, ImageMeta{}, fmt.Errorf("%w: %q", ErrUnknownImage, object)
 	}
 	n := 0
-	for i := 0; i < si.accepted; i++ {
-		n += len(si.received[i])
+	for _, c := range si.received[:si.accepted] {
+		n += len(c.data)
 	}
 	stream := make([]byte, 0, n)
-	for i := 0; i < si.accepted; i++ {
-		stream = append(stream, si.received[i]...)
+	for _, c := range si.received[:si.accepted] {
+		stream = append(stream, c.data...)
 	}
 	return stream, si.meta, nil
 }

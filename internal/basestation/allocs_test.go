@@ -9,6 +9,7 @@ import (
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/transport"
@@ -90,23 +91,71 @@ func collectedRelayBytes(t *testing.T, tiers ...radio.Tier) uint64 {
 // TestCollectedRelayPlanePasses pins the collected-image relay's plane
 // passes by what it allocates (DESIGN.md §17).  A cell with only image-
 // and text-tier members is served without a raster ever existing: the
-// relay stays under a sixth of one w·h·4 plane — the collected stream
-// gathered into one buffer, then RTP framing and an envelope per packet
-// for each of two image-tier members, every datagram given to the
-// substrate and not copied into it (39.7 KB measured).  Seating members
-// in the sketch tier costs one luma parse per share, however many they
-// are, and no plane: the decode stops at the 32×32 LL band, so what the
-// tier adds is the parse's band, the sketch and its fan-out (16.8 KB
-// measured; 279 KB while the luma plane was rebuilt and box-averaged).
+// relay stays under a seventh of one w·h·4 plane — the collected stream
+// gathered into one buffer, RTP-framed once into another, then an
+// envelope per packet for each of two image-tier members, every
+// datagram given to the substrate and not copied into it (36.2 KB
+// measured; 39.7 KB while each member's packets were framed for it).
+// Seating members in the sketch tier costs one luma parse per share,
+// however many they are, and no plane: the decode stops at the 32×32
+// LL band, so what the tier adds is the parse's band, the sketch and
+// its fan-out (16.8 KB measured; 279 KB while the luma plane was
+// rebuilt and box-averaged).
 func TestCollectedRelayPlanePasses(t *testing.T) {
 	const plane = 256 * 256 * 4
 	flat := collectedRelayBytes(t, radio.TierImage, radio.TierText)
-	if flat > plane/6 {
-		t.Errorf("image+text cell: the relay allocates %d B per share, limit %d (a sixth of a plane)", flat, plane/6)
+	if flat > plane/7 {
+		t.Errorf("image+text cell: the relay allocates %d B per share, limit %d (a seventh of a plane)", flat, plane/7)
 	}
 	sketched := collectedRelayBytes(t, radio.TierImage, radio.TierSketch, radio.TierText)
 	if cost := sketched - flat; sketched < flat || cost > 40<<10 {
 		t.Errorf("two sketch-tier members cost %d B per share (%d → %d), limit %d",
 			cost, flat, sketched, 40<<10)
+	}
+}
+
+// discardTx takes the messages it is handed and sends none.
+type discardTx struct{}
+
+func (discardTx) Deliver(string, *message.Message) error { return nil }
+
+// memberImageBytes measures what forwardTiered allocates per member of
+// the image tier for a w×w share, envelope and substrate left out: the
+// rendition is built before counting, and the transmit adapter drops
+// the messages it is handed.  It also returns the share's mean packet
+// size.
+func memberImageBytes(t *testing.T, w int) (perMember uint64, packetBytes int) {
+	t.Helper()
+	c := newBareCell(t, 1, 0, 0)
+	obj, err := media.EncodeImage(wavelet.Medical(w, w, 4), "scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &renditions{bs: c.bs, sender: "pub", object: "pin", obj: obj}
+	if err := c.bs.forwardTiered(rs, radio.TierImage, discardTx{}, "m"); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		c.bs.forwardTiered(rs, radio.TierImage, discardTx{}, "m")
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs, len(obj.Data) / apps.SharePackets
+}
+
+// TestImageTierMemberCostFlat: an image-tier member costs the station
+// its messages, not a copy of the share — RTP framing is done once per
+// rendition — so what a member costs does not grow with packet size.
+func TestImageTierMemberCostFlat(t *testing.T) {
+	small, smallPkt := memberImageBytes(t, 64)
+	large, largePkt := memberImageBytes(t, 256)
+	if largePkt < 8*smallPkt {
+		t.Fatalf("packets of %d and %d B are too close to tell", smallPkt, largePkt)
+	}
+	if large > small+256 {
+		t.Errorf("a member costs %d B for %d-byte packets and %d B for %d-byte ones: framing is paid per member",
+			small, smallPkt, large, largePkt)
 	}
 }

@@ -3,8 +3,9 @@ package basestation
 // The per-share rendition set (DESIGN.md §17).  The SIR thresholds put
 // every recipient of a share in one of three tiers, so adapting the
 // share costs one derivation per occupied tier however many clients
-// sit in it; what remains per client is framing: sequence number,
-// timestamp, RTP header, unicast.
+// sit in it, RTP framing included; what remains per client is the
+// message around each frame: sequence number, timestamp, envelope,
+// unicast.
 
 import (
 	"sync"
@@ -24,11 +25,11 @@ type rendition struct {
 	attrs   selector.Attributes
 	payload []byte
 	// packets, on a progressive image's full tier, is the split stream
-	// that follows the announce (attrs + payload); packetAttrs[i]
-	// travels with packets[i], RTP-framed under ssrc.
+	// that follows the announce (attrs + payload), each packet already
+	// RTP-framed; packetAttrs[i] travels with packets[i].  The frames
+	// are frozen: every member of the tier is handed the same bytes.
 	packets     [][]byte
 	packetAttrs []selector.Attributes
-	ssrc        uint32
 	err         error
 }
 
@@ -71,15 +72,45 @@ func (rs *renditions) imageTier() *rendition {
 		rs.image = rendition{
 			attrs:       rs.obj.Attrs().Merge(viewer),
 			payload:     apps.EncodeImageMeta(meta),
-			packets:     packets,
+			packets:     rs.frame(packets),
 			packetAttrs: make([]selector.Attributes, len(packets)),
-			ssrc:        rtp.SSRCOf(rs.bs.id + "/" + rs.object),
 		}
 		for i := range packets {
 			rs.image.packetAttrs[i] = viewer.Merge(selector.Attributes{message.AttrLevel: selector.N(float64(i))})
 		}
 	})
 	return &rs.image
+}
+
+// frame RTP-frames a share's packets once for every member of the tier,
+// like core clients' data packets: one exact-size buffer holds them all,
+// and each frame is a sub-slice whose capacity ends where it does, so
+// no append can run into the next.  The share is one image and so one
+// media instant, taken now: every packet of it carries the same
+// timestamp, as RFC 3550 gives every packet of one video frame.
+func (rs *renditions) frame(packets [][]byte) [][]byte {
+	n := 0
+	for _, p := range packets {
+		n += rtp.HeaderLen + len(p)
+	}
+	buf := make([]byte, 0, n)
+	frames := make([][]byte, len(packets))
+	ts := uint32(rs.bs.clk.Now().UnixMilli())
+	ssrc := rtp.SSRCOf(rs.bs.id + "/" + rs.object)
+	for i, p := range packets {
+		rp := rtp.Packet{
+			PayloadType: 96,
+			Marker:      i == len(packets)-1,
+			Seq:         uint16(i),
+			Timestamp:   ts,
+			SSRC:        ssrc,
+			Payload:     p,
+		}
+		lo := len(buf)
+		buf = rp.AppendMarshal(buf)
+		frames[i] = buf[lo:len(buf):len(buf)]
+	}
+	return frames
 }
 
 // transformed derives a lower tier through the configured registry,
@@ -114,8 +145,9 @@ func (rs *renditions) textTier() *rendition {
 	return &rs.text
 }
 
-// forwardTiered frames the share's rendition for the given tier and
-// emits it through the transmit adapter (to is ignored by the
+// forwardTiered mints the messages of the share's rendition for the
+// given tier — the announce or media event, then each RTP frame — and
+// emits them through the transmit adapter (to is ignored by the
 // multicast adapter).
 func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatch.Deliverer, to string) error {
 	var r *rendition
@@ -145,16 +177,7 @@ func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatc
 		return err
 	}
 	for i, p := range r.packets {
-		// RTP-framed like core clients' data packets.
-		rp := rtp.Packet{
-			PayloadType: 96,
-			Marker:      i == len(r.packets)-1,
-			Seq:         uint16(i),
-			Timestamp:   uint32(bs.clk.Now().UnixMilli()),
-			SSRC:        r.ssrc,
-			Payload:     p,
-		}
-		if err := tx.Deliver(to, bs.newMessage(message.KindData, rs.sender, to, rs.sel, r.packetAttrs[i], rp.Marshal())); err != nil {
+		if err := tx.Deliver(to, bs.newMessage(message.KindData, rs.sender, to, rs.sel, r.packetAttrs[i], p)); err != nil {
 			return err
 		}
 	}

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/radio"
+	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/wavelet"
 )
 
@@ -240,6 +243,66 @@ func TestUnsketchableFallsBackToText(t *testing.T) {
 		waitFor(t, "note at "+c.ID(), func() bool { return c.Inbox().Len() == 1 })
 		if d, _ := c.Inbox().Latest(); d.Object.Kind != media.KindText || !bytes.Equal(d.Object.Data, note.Data) {
 			t.Errorf("%s got %s, want the text note", c.ID(), d.Object)
+		}
+	}
+}
+
+// TestImageTierFramesSharedByMembers: the image tier's RTP frames are
+// built once per share, so both of its members receive byte-identical
+// data bodies — one timestamp for the whole image, sequence numbers
+// 0…15, the marker on the last — whose payloads are ShareImage's split.
+func TestImageTierFramesSharedByMembers(t *testing.T) {
+	c := newBareCell(t, 4, 0, 3)
+	obj := testImageObject(t)
+	_, packets, err := apps.ShareImage("scan", obj, apps.SharePackets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.bs.UplinkShare("m00", "scan", "", obj); err != nil {
+		t.Fatal(err)
+	}
+	var bodies [2][][]byte
+	for i, conn := range c.members[1:] {
+		u := message.NewUnwrapper()
+		for frames := 0; frames < 1+len(packets); {
+			select {
+			case pkt := <-conn.Recv():
+				frame, err := u.Unwrap(pkt.From, pkt.Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if frame == nil {
+					continue
+				}
+				frames++
+				m, err := message.Decode(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Kind == message.KindData {
+					bodies[i] = append(bodies[i], m.Body)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s: %d of %d frames arrived", conn.ID(), frames, 1+len(packets))
+			}
+		}
+	}
+	if len(bodies[0]) != len(packets) || len(bodies[1]) != len(packets) {
+		t.Fatalf("members hold %d and %d data bodies, want %d", len(bodies[0]), len(bodies[1]), len(packets))
+	}
+	for i, body := range bodies[0] {
+		if !bytes.Equal(body, bodies[1][i]) {
+			t.Errorf("packet %d: the members' RTP bodies differ", i)
+		}
+		p, err := rtp.Unmarshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _ := rtp.Unmarshal(bodies[0][0])
+		if p.Seq != uint16(i) || p.Timestamp != first.Timestamp || p.SSRC != first.SSRC ||
+			p.Marker != (i == len(packets)-1) || !bytes.Equal(p.Payload, packets[i]) {
+			t.Errorf("packet %d: seq %d ts %d marker %v, %d B; want seq %d, the share's one timestamp %d, %d B",
+				i, p.Seq, p.Timestamp, p.Marker, len(p.Payload), i, first.Timestamp, len(packets[i]))
 		}
 	}
 }

@@ -369,6 +369,14 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 	}
 	obs.AppendHop(shareID, c.ID(), obs.StageRTP)
 	rsp := obs.StartStage(shareID, obs.StageRTP)
+	// Every packet is framed into one scratch buffer: multicast envelopes
+	// the body by copying it into the datagrams, and nothing keeps m.Body
+	// once it returns (the session record keeps only its length).
+	largest := 0
+	for _, p := range packets {
+		largest = max(largest, len(p))
+	}
+	scratch := make([]byte, 0, rtp.HeaderLen+largest)
 	for i, p := range packets {
 		pkt := c.rtpSend.Next(uint32(c.clk.Now().UnixMilli()), i == len(packets)-1, p)
 		attrs := selector.Attributes{
@@ -377,7 +385,7 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 			message.AttrMedia:  selector.S(string(media.KindImage)),
 			message.AttrLevel:  selector.N(float64(i)),
 		}
-		if err := c.multicast(c.newMessage(message.KindData, sel, attrs, pkt.Marshal())); err != nil {
+		if err := c.multicast(c.newMessage(message.KindData, sel, attrs, pkt.AppendMarshal(scratch[:0]))); err != nil {
 			if rsp.Active() {
 				rsp.EndErr("rtp send: " + err.Error())
 			}

@@ -28,9 +28,11 @@ type Multicaster struct {
 	Conn transport.Conn
 }
 
-// Deliver envelopes m and multicasts its datagrams.
+// Deliver envelopes m and multicasts its datagrams.  The datagram list
+// of a message that fits one datagram lives on the stack.
 func (mc *Multicaster) Deliver(_ string, m *message.Message) error {
-	datagrams, err := mc.Env.WrapMessage(m)
+	var one [1][]byte
+	datagrams, err := mc.Env.AppendWrapMessage(one[:0], m)
 	if err != nil {
 		return err
 	}
@@ -53,9 +55,11 @@ type Unicaster struct {
 	OnSend func(to string)
 }
 
-// Deliver envelopes m and unicasts its datagrams to to.
+// Deliver envelopes m and unicasts its datagrams to to, the list on the
+// stack as Multicaster.Deliver's is.
 func (uc *Unicaster) Deliver(to string, m *message.Message) error {
-	datagrams, err := uc.Env.WrapMessage(m)
+	var one [1][]byte
+	datagrams, err := uc.Env.AppendWrapMessage(one[:0], m)
 	if err != nil {
 		return err
 	}

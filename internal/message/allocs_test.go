@@ -4,6 +4,7 @@ package message
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"adaptiveqos/internal/selector"
@@ -67,5 +68,71 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { AppendEncode(buf, m) }); n != 0 {
 		t.Errorf("AppendEncode of 16 attributes allocates %g times, want 0", n)
+	}
+}
+
+// A two-fragment message costs two allocations at the receiver: its
+// reassembly state and the frame it completes into.  A duplicate
+// fragment costs none.
+func TestReassemblyAllocs(t *testing.T) {
+	env := &Enveloper{MTU: 128}
+	const runs = 200
+	msgs := make([][][]byte, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range msgs {
+		d, err := env.Wrap(make([]byte, 200))
+		if err != nil || len(d) != 2 {
+			t.Fatalf("%d datagrams, %v", len(d), err)
+		}
+		msgs[i] = d
+	}
+	u := NewUnwrapper()
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		d := msgs[next]
+		next++
+		u.Unwrap("peer", d[0])
+		if frame, _ := u.Unwrap("peer", d[1]); frame == nil {
+			t.Fatal("two fragments did not complete their message")
+		}
+	})
+	if n != 2 {
+		t.Errorf("a two-fragment message allocates %g times at the receiver, want 2 (state + frame)", n)
+	}
+	u.Unwrap("peer", msgs[0][0])
+	if n := testing.AllocsPerRun(runs, func() { u.Unwrap("peer", msgs[0][0]) }); n != 0 {
+		t.Errorf("a duplicate fragment allocates %g times, want 0", n)
+	}
+}
+
+// TestReassemblyClaimedCountBounded: reassembly state follows the
+// fragments that arrived, not the count a datagram claims.  A 17-byte
+// fragment claiming 65 535 siblings used to reserve room for all of
+// them (≈5 MB, held until eviction); now it costs under 4 KB, and the
+// 64 such messages a peer may hold pending cost under 1 MB together.
+func TestReassemblyClaimedCountBounded(t *testing.T) {
+	const held = 64 // Reassembler.MaxPending's default
+	datagrams := make([][]byte, 2*held)
+	for i := range datagrams {
+		f := Fragment{MsgID: uint64(i + 1), Count: MaxFragments, Chunk: []byte{0xAB}}
+		datagrams[i] = f.AppendMarshal([]byte{envFragment})
+	}
+	u := NewUnwrapper()
+	feed := func(ds [][]byte) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, d := range ds {
+			if frame, err := u.Unwrap("peer", d); frame != nil || err != nil {
+				t.Fatalf("one fragment of %d: frame %v, err %v", MaxFragments, frame, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if b := feed(datagrams[:held]); b >= 1<<20 {
+		t.Errorf("%d pending one-fragment messages claiming %d fragments hold %d B, want < 1 MB", held, MaxFragments, b)
+	}
+	// Past the bound each message evicts one: what it costs is its own.
+	if b := feed(datagrams[held:]) / held; b >= 4<<10 {
+		t.Errorf("a fragment claiming %d siblings allocates %d B, want < 4 KB", MaxFragments, b)
 	}
 }

@@ -2,6 +2,7 @@ package message
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,26 +54,41 @@ func (e *Enveloper) mtu() int {
 	return e.MTU
 }
 
-// Wrap converts one encoded message frame into wire datagrams.  The
-// frame bytes are copied into the returned datagrams, so the caller may
-// reuse frame's backing array immediately (see WrapMessage).
-func (e *Enveloper) Wrap(frame []byte) ([][]byte, error) {
-	if len(frame)+1 <= e.mtu() {
-		out := make([]byte, 0, len(frame)+1)
-		out = append(out, envWhole)
-		return [][]byte{append(out, frame...)}, nil
+// appendWrap envelopes one encoded message frame, appending its wire
+// datagrams to dst: one whole datagram when it fits the MTU, else one
+// per fragment.  A non-empty blob is the flight recorder's trace
+// extension and selects the traced tags.  Every datagram is one
+// exact-size buffer with the frame's bytes copied in, so the caller may
+// reuse frame's backing array immediately (see AppendWrapMessage).
+func (e *Enveloper) appendWrap(dst [][]byte, frame, blob []byte) ([][]byte, error) {
+	whole, fragment, overhead := byte(envWhole), byte(envFragment), 1
+	if len(blob) > 0 {
+		whole, fragment, overhead = envWholeTraced, envFragmentTraced, 1+traceLenBytes+len(blob)
 	}
-	frags, err := Split(e.nextID.Add(1), frame, e.mtu()-1)
+	if len(frame)+overhead <= e.mtu() {
+		out := appendHead(make([]byte, 0, overhead+len(frame)), whole, blob)
+		return append(dst, append(out, frame...)), nil
+	}
+	frags, err := Split(e.nextID.Add(1), frame, e.mtu()-overhead)
 	if err != nil {
-		return nil, fmt.Errorf("message: envelope: %w", err)
+		return dst, fmt.Errorf("message: envelope: %w", err)
 	}
-	out := make([][]byte, len(frags))
+	dst = slices.Grow(dst, len(frags))
 	for i := range frags {
-		buf := make([]byte, 0, 1+fragHeaderLen+len(frags[i].Chunk))
-		buf = append(buf, envFragment)
-		out[i] = frags[i].AppendMarshal(buf)
+		buf := appendHead(make([]byte, 0, overhead+fragHeaderLen+len(frags[i].Chunk)), fragment, blob)
+		dst = append(dst, frags[i].AppendMarshal(buf))
 	}
-	return out, nil
+	return dst, nil
+}
+
+// appendHead writes a datagram's tag and, on the traced forms, its
+// trace extension.
+func appendHead(dst []byte, tag byte, blob []byte) []byte {
+	dst = append(dst, tag)
+	if len(blob) > 0 {
+		dst = appendTraceBlob(dst, blob)
+	}
+	return dst
 }
 
 // Encode-buffer pool for the send/relay hot path.  Buffers above
@@ -87,12 +103,17 @@ var (
 	ctrEncBufAlloc = metrics.C(metrics.CtrEncodeBufAlloc)
 )
 
-// WrapMessage encodes m into a pooled scratch buffer and wraps the
-// frame into wire datagrams.  Because Wrap copies the frame into the
-// datagrams, the scratch buffer is recycled before returning — the
-// per-message frame allocation that Encode+Wrap pays disappears from
-// the send and relay paths.
-func (e *Enveloper) WrapMessage(m *Message) ([][]byte, error) {
+// WrapMessage encodes m and wraps the frame into fresh wire datagrams:
+// AppendWrapMessage onto nothing.
+func (e *Enveloper) WrapMessage(m *Message) ([][]byte, error) { return e.AppendWrapMessage(nil, m) }
+
+// AppendWrapMessage encodes m into a pooled scratch buffer and appends
+// the frame's wire datagrams to dst.  Because the datagrams are copies
+// of the frame, the scratch buffer is recycled before returning — no
+// frame is allocated on the send and relay paths — and a caller that
+// sends at once can pass a stack array for dst, so a one-datagram
+// message costs its datagram and nothing else.
+func (e *Enveloper) AppendWrapMessage(dst [][]byte, m *Message) ([][]byte, error) {
 	sp := obs.StartStage(obs.MsgID(m.Sender, m.Seq), obs.StageFragment)
 	bp := encBufPool.Get().(*[]byte)
 	if cap(*bp) > 0 {
@@ -106,57 +127,33 @@ func (e *Enveloper) WrapMessage(m *Message) ([][]byte, error) {
 		if sp.Active() {
 			sp.EndErr("encode: " + err.Error())
 		}
-		return nil, err
+		return dst, err
 	}
 	*bp = frame[:0]
-	var out [][]byte
-	var werr error
+	var blob []byte
 	if obs.TraceEnabled() {
 		id := obs.MsgID(m.Sender, m.Seq)
 		if e.Node != "" {
 			obs.AppendHop(id, e.Node, obs.StageFragment)
 		}
-		out, werr = e.WrapTraced(frame, id)
-	} else {
-		out, werr = e.Wrap(frame)
+		blob = obs.AppendWireTrace(nil, id)
 	}
+	dst, err = e.appendWrap(dst, frame, blob)
 	if cap(frame) <= maxPooledBuf {
 		encBufPool.Put(bp)
 	}
 	sp.End()
-	return out, werr
+	return dst, err
 }
 
-// WrapTraced wraps frame like Wrap, attaching the flight recorder's
+// WrapTraced envelopes an encoded frame, attaching the flight recorder's
 // accumulated hop records for trace id as the envelope's trace
 // extension.  Fragmented frames carry the extension on every datagram,
 // so the trace context survives loss of any subset that repair later
 // fills (the merge path deduplicates).  With the recorder off, or no
-// hops recorded for id, it degrades to the untraced Wrap.
+// hops recorded for id, it degrades to the untraced form.
 func (e *Enveloper) WrapTraced(frame []byte, id uint64) ([][]byte, error) {
-	blob := obs.AppendWireTrace(nil, id)
-	if len(blob) == 0 {
-		return e.Wrap(frame)
-	}
-	overhead := 1 + traceLenBytes + len(blob)
-	if len(frame)+overhead <= e.mtu() {
-		out := make([]byte, 0, len(frame)+overhead)
-		out = append(out, envWholeTraced)
-		out = appendTraceBlob(out, blob)
-		return [][]byte{append(out, frame...)}, nil
-	}
-	frags, err := Split(e.nextID.Add(1), frame, e.mtu()-overhead)
-	if err != nil {
-		return nil, fmt.Errorf("message: envelope: %w", err)
-	}
-	out := make([][]byte, len(frags))
-	for i := range frags {
-		buf := make([]byte, 0, overhead+fragHeaderLen+len(frags[i].Chunk))
-		buf = append(buf, envFragmentTraced)
-		buf = appendTraceBlob(buf, blob)
-		out[i] = frags[i].AppendMarshal(buf)
-	}
-	return out, nil
+	return e.appendWrap(nil, frame, obs.AppendWireTrace(nil, id))
 }
 
 func appendTraceBlob(dst, blob []byte) []byte {
@@ -178,7 +175,7 @@ func splitTraceBlob(body []byte) (blob, payload []byte, err error) {
 }
 
 // WrapWhole envelopes a frame known to fit one datagram (test and
-// tooling convenience; Enveloper.Wrap is the general path).
+// tooling convenience; Enveloper.AppendWrapMessage is the general path).
 func WrapWhole(frame []byte) []byte {
 	out := make([]byte, 0, len(frame)+1)
 	out = append(out, envWhole)

@@ -163,8 +163,8 @@ func TestUnwrapFragmentAliasesUntilComplete(t *testing.T) {
 		msgID = id
 	}
 	for i, d := range datagrams[:last] {
-		chunk := u.peers["peer"].pending[msgID].chunks[uint16(i)]
-		if len(chunk) == 0 || &chunk[0] != &d[1+fragHeaderLen] {
+		c := u.peers["peer"].pending[msgID].chunks[i]
+		if c.index != uint16(i) || len(c.data) == 0 || &c.data[0] != &d[1+fragHeaderLen] {
 			t.Fatalf("pending chunk %d is not its datagram's bytes", i)
 		}
 	}

@@ -1,10 +1,11 @@
 package message
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -114,19 +115,31 @@ func parseFragment(frame []byte) (Fragment, error) {
 // and yields complete payloads.  It is safe for concurrent use.
 type Reassembler struct {
 	mu      sync.Mutex
-	pending map[uint64]*pendingMsg
+	pending map[uint64]pendingMsg
 	// MaxPending bounds distinct in-flight messages; 0 means 64.
 	MaxPending int
 }
 
+// pendingMsg is one message's fragments so far, in index order: its
+// only allocation is the chunks slice, and that grows with the
+// fragments that arrived, not with the count a datagram claims.
 type pendingMsg struct {
 	count  uint16
-	chunks map[uint16][]byte // aliases of the fragments' own datagrams
+	chunks []fragChunk
 }
+
+// fragChunk is one received fragment; data aliases its datagram.
+type fragChunk struct {
+	index uint16
+	data  []byte
+}
+
+// pendingChunks is the capacity a new message's chunk list starts with.
+const pendingChunks = 16
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{pending: make(map[uint64]*pendingMsg)}
+	return &Reassembler{pending: make(map[uint64]pendingMsg)}
 }
 
 func (r *Reassembler) maxPending() int {
@@ -155,27 +168,30 @@ func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 		if len(r.pending) >= r.maxPending() {
 			r.evictLocked()
 		}
-		pm = &pendingMsg{count: f.Count, chunks: make(map[uint16][]byte, f.Count)}
-		r.pending[f.MsgID] = pm
-	}
-	if pm.count != f.Count {
+		pm = pendingMsg{count: f.Count, chunks: make([]fragChunk, 0, min(int(f.Count), pendingChunks))}
+	} else if pm.count != f.Count {
 		return nil, false, fmt.Errorf("%w: count %d vs %d for msg %d",
 			ErrFragMismatch, f.Count, pm.count, f.MsgID)
 	}
-	if _, dup := pm.chunks[f.Index]; !dup {
-		pm.chunks[f.Index] = f.Chunk
+	i, dup := slices.BinarySearchFunc(pm.chunks, f.Index, func(c fragChunk, idx uint16) int {
+		return cmp.Compare(c.index, idx)
+	})
+	if dup {
+		return nil, false, nil
 	}
+	pm.chunks = slices.Insert(pm.chunks, i, fragChunk{f.Index, f.Chunk})
 	if len(pm.chunks) < int(pm.count) {
+		r.pending[f.MsgID] = pm
 		return nil, false, nil
 	}
 
 	total := 0
 	for _, c := range pm.chunks {
-		total += len(c)
+		total += len(c.data)
 	}
 	out := make([]byte, 0, total)
-	for i := uint16(0); i < pm.count; i++ {
-		out = append(out, pm.chunks[i]...)
+	for _, c := range pm.chunks {
+		out = append(out, c.data...)
 	}
 	delete(r.pending, f.MsgID)
 	return out, true, nil
@@ -184,23 +200,20 @@ func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 // evictLocked drops the least-complete pending message to bound memory
 // under loss (fragments of abandoned messages would otherwise pin
 // buffers forever).  Ties break on smaller msgID (older senders' IDs
-// are typically smaller).
+// are typically smaller).  Completeness is compared by cross-multiplying
+// held/count, so the one pass picks exactly the victim a sort by the
+// fraction would.
 func (r *Reassembler) evictLocked() {
-	type cand struct {
-		id       uint64
-		fraction float64
-	}
-	cands := make([]cand, 0, len(r.pending))
+	var victim uint64
+	var vm pendingMsg
+	found := false
 	for id, pm := range r.pending {
-		cands = append(cands, cand{id, float64(len(pm.chunks)) / float64(pm.count)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].fraction != cands[j].fraction {
-			return cands[i].fraction < cands[j].fraction
+		a, b := len(pm.chunks)*int(vm.count), len(vm.chunks)*int(pm.count)
+		if !found || a < b || (a == b && id < victim) {
+			victim, vm, found = id, pm, true
 		}
-		return cands[i].id < cands[j].id
-	})
-	if len(cands) > 0 {
-		delete(r.pending, cands[0].id)
+	}
+	if found {
+		delete(r.pending, victim)
 	}
 }

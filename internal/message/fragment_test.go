@@ -162,10 +162,10 @@ func TestReassemblerEviction(t *testing.T) {
 	if len(r.pending) != 4 {
 		t.Fatalf("pending after eviction = %d", len(r.pending))
 	}
-	if r.pending[1] != nil {
+	if _, ok := r.pending[1]; ok {
 		t.Error("least-complete message should have been evicted")
 	}
-	if r.pending[4] == nil {
+	if _, ok := r.pending[4]; !ok {
 		t.Error("most-complete message should survive eviction")
 	}
 }

@@ -55,18 +55,21 @@ type Packet struct {
 //	bytes 2-3: sequence number
 //	bytes 4-7: timestamp
 //	bytes 8-11: SSRC
-func (p *Packet) Marshal() []byte {
-	buf := make([]byte, HeaderLen+len(p.Payload))
-	buf[0] = Version << 6
-	buf[1] = p.PayloadType & 0x7F
+func (p *Packet) Marshal() []byte { return p.AppendMarshal(make([]byte, 0, HeaderLen+len(p.Payload))) }
+
+// AppendMarshal encodes the packet as Marshal does, appending it to dst
+// and returning the extended slice: a sender frames into a buffer it
+// already holds instead of a fresh one per packet.
+func (p *Packet) AppendMarshal(dst []byte) []byte {
+	b1 := p.PayloadType & 0x7F
 	if p.Marker {
-		buf[1] |= 0x80
+		b1 |= 0x80
 	}
-	binary.BigEndian.PutUint16(buf[2:], p.Seq)
-	binary.BigEndian.PutUint32(buf[4:], p.Timestamp)
-	binary.BigEndian.PutUint32(buf[8:], p.SSRC)
-	copy(buf[HeaderLen:], p.Payload)
-	return buf
+	dst = append(dst, Version<<6, b1)
+	dst = binary.BigEndian.AppendUint16(dst, p.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, p.Timestamp)
+	dst = binary.BigEndian.AppendUint32(dst, p.SSRC)
+	return append(dst, p.Payload...)
 }
 
 // Unmarshal decodes a packet frame.  Payload aliases frame rather than

@@ -25,6 +25,26 @@ func TestPacketMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalExtends: AppendMarshal leaves what dst holds in
+// place and appends exactly Marshal's bytes, which decode back to the
+// packet.
+func TestAppendMarshalExtends(t *testing.T) {
+	p := Packet{PayloadType: 96, Marker: true, Seq: 7, Timestamp: 99, SSRC: 0xCAFE, Payload: []byte("chunk")}
+	prefix := []byte("held")
+	out := p.AppendMarshal(append([]byte(nil), prefix...))
+	if string(out[:len(prefix)]) != string(prefix) {
+		t.Fatalf("prefix overwritten: %q", out[:len(prefix)])
+	}
+	frame := out[len(prefix):]
+	if string(frame) != string(p.Marshal()) {
+		t.Fatalf("appended %x, Marshal %x", frame, p.Marshal())
+	}
+	got, err := Unmarshal(frame)
+	if err != nil || !samePacket(got, p) {
+		t.Errorf("round trip: %+v (%v) vs %+v", got, err, p)
+	}
+}
+
 // TestUnmarshalAliasesFrame: the payload is a view of the frame, not a
 // copy of it — receivers copy what they keep, once.
 func TestUnmarshalAliasesFrame(t *testing.T) {
