@@ -35,12 +35,12 @@ go test -C bench -count=1 .
 # fragment reassembly (§7), the RTP header of every data body, every
 # relayed image stream and both of its decoders (§17), the image
 # announce and media object a member uplinks, every selector, the replay
-# policy grid, and the SNMP agent's BER decoder (cmd/snmpd reads it off
-# a socket).
+# policy grid and session record (cmd/qosreplay reads both), and the
+# SNMP agent's BER decoder (cmd/snmpd reads it off a socket).
 for t in core:FuzzCoordinatorHandlePacket core:FuzzKernelHandlePacket message:FuzzParse \
 	message:FuzzUnwrap rtp:FuzzRTPUnmarshal wavelet:FuzzInspect wavelet:FuzzDecode wavelet:FuzzDecodeColor \
 	apps:FuzzDecodeImageMeta apps:FuzzDecodeMediaObject selector:FuzzSelectorParse \
-	replay:FuzzLoadGrid snmp:FuzzDecodeMessage; do
+	replay:FuzzLoadGrid replay:FuzzLoadRecord snmp:FuzzDecodeMessage; do
 	go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done
 

@@ -9,8 +9,7 @@
 //	collab [-wired 2] [-wireless 2] [-events 40] [-seed 1]
 //	       [-loss 0] [-repair-timeout 250ms] [-repair-retries 6]
 //	       [-obs-addr :9090] [-obs-hold 0s] [-trace]
-//	       [-record out.jsonl] [-slo]
-//	       [-timeline tl.jsonl] [-timeline-window 250ms]
+//	       [-record out.jsonl] [-slo] [-timeline tl.jsonl]
 //
 // With -obs-addr, pipeline instrumentation is enabled and the
 // observability endpoint serves Prometheus-style /metrics and the
@@ -43,11 +42,15 @@
 // violated under chaos and recover as gap repair converges.
 //
 // With -timeline <path>, a windowed telemetry timeline samples every
-// tracked metric each -timeline-window (DESIGN.md §16): per-window
-// counter deltas and rates, gauge values and windowed histogram
-// quantiles are kept in a bounded ring, served live at
-// /debug/timeline, attached to SLO violation attributions, and
-// exported to the file at exit (.csv = CSV, else JSONL).
+// tracked metric each 100 ms (DESIGN.md §16): per-window counter deltas
+// and rates, gauge values and windowed histogram quantiles are kept in
+// a bounded ring, served live at /debug/timeline, attached to SLO
+// violation attributions, and exported to the file at exit (.csv = CSV,
+// else JSONL).
+//
+// One 100 ms ticker drives all telemetry: each tick samples the QoS
+// collector, closes a timeline window over those samples and polls the
+// SLO engine at the same instant.
 //
 // After every image share each receiver multicasts a reception report
 // (loss fraction, jitter) about the senders it hears; a sender whose
@@ -67,6 +70,7 @@ import (
 	"log"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"adaptiveqos/internal/apps"
@@ -86,6 +90,44 @@ import (
 	"adaptiveqos/internal/trace"
 	"adaptiveqos/internal/transport"
 )
+
+// telemetryTick is the one telemetry period: the collector's sampling
+// round, the timeline's window and the width of collab's SLO buckets
+// (LongWindow/16).
+const telemetryTick = 100 * time.Millisecond
+
+// tickTelemetry starts the one telemetry loop: every telemetryTick it
+// samples the collector, closes a timeline window over those samples and
+// polls the SLO engine at the tick's instant, skipping nil parts.  The
+// returned stop ends the loop and waits for it to exit.
+func tickTelemetry(collector *obs.Collector, tl *timeline.Timeline, sloEng *slo.Engine) (stop func()) {
+	ticker := clock.Wall.NewTicker(telemetryTick)
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			case now := <-ticker.C():
+				if collector != nil {
+					collector.SampleOnce()
+				}
+				if tl != nil {
+					tl.SampleNow()
+				}
+				if sloEng != nil {
+					sloEng.Poll(now)
+				}
+			}
+		}
+	}()
+	return func() {
+		ticker.Stop()
+		close(quit)
+		<-done
+	}
+}
 
 // exportTimeline writes the run's per-window series to path — CSV when
 // the extension says so, JSONL otherwise.
@@ -124,7 +166,6 @@ func run(args []string, out io.Writer) error {
 	recordPath := fs.String("record", "", "stream a JSONL session record to this file (enables instrumentation)")
 	sloFlag := fs.Bool("slo", true, "monitor per-client SLO conformance and print the summary")
 	tlPath := fs.String("timeline", "", "export the run's per-window metric timeline to this file (.csv = CSV, else JSONL; enables instrumentation)")
-	tlWindow := fs.Duration("timeline-window", 250*time.Millisecond, "timeline sampling window")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -149,21 +190,18 @@ func run(args []string, out io.Writer) error {
 	}
 	if *obsAddr != "" || *recordPath != "" || *tlPath != "" {
 		obs.SetEnabled(true)
-		collector = obs.NewCollector(100 * time.Millisecond)
-		collector.Start()
-		defer collector.Stop()
+		collector = obs.NewCollector()
 	}
 
 	// Windowed telemetry timeline: snapshot every tracked counter, gauge
-	// and histogram each -timeline-window into the bounded ring, publish
-	// it process-globally (SLO attributions attach curves, /debug/timeline
+	// and histogram each telemetry tick into the bounded ring, publish it
+	// process-globally (SLO attributions attach curves, /debug/timeline
 	// serves it) and export the windows at exit.
 	var tl *timeline.Timeline
 	if *tlPath != "" {
-		tl = timeline.New(timeline.Config{Window: *tlWindow})
+		tl = timeline.New(timeline.Config{Window: telemetryTick})
 		tl.TrackAll()
 		timeline.Enable(tl)
-		tl.Start()
 		defer timeline.Disable()
 	}
 	if *recordPath != "" {
@@ -190,9 +228,9 @@ func run(args []string, out io.Writer) error {
 		sloSpec.RecoveryDeadline = 2 * time.Second
 		sloEng = slo.Default()
 		sloEng.SetDefaultSpec(sloSpec)
-		sloEng.Run(50 * time.Millisecond)
-		defer sloEng.Stop()
 	}
+	stopTelemetry := sync.OnceFunc(tickTelemetry(collector, tl, sloEng))
+	defer stopTelemetry()
 
 	wiredNet := transport.NewSimNet(transport.SimNetConfig{
 		Seed:        *seed,
@@ -358,9 +396,6 @@ func run(args []string, out io.Writer) error {
 		// pinned down by unrepaired loss stays violated, honestly).
 		deadline := clock.Wall.Now().Add(4 * time.Second)
 		for clock.Wall.Now().Before(deadline) {
-			if collector != nil {
-				collector.SampleOnce()
-			}
 			violated := false
 			for _, st := range sloEng.Status() {
 				if st.State == slo.StateViolated {
@@ -371,9 +406,10 @@ func run(args []string, out io.Writer) error {
 			if !violated {
 				break
 			}
-			clock.Wall.Sleep(100 * time.Millisecond)
+			clock.Wall.Sleep(telemetryTick)
 		}
 	}
+	stopTelemetry()
 
 	fmt.Fprintln(out, "\n--- session summary ---")
 	for _, c := range wired {
@@ -447,7 +483,6 @@ func run(args []string, out io.Writer) error {
 		if tl != nil {
 			// Close the partial tail window after the final sample so the
 			// export covers the whole run, then write by extension.
-			tl.Stop()
 			tl.Flush()
 			if err := exportTimeline(*tlPath, tl); err != nil {
 				return fmt.Errorf("timeline export: %w", err)

@@ -2,11 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
+	"adaptiveqos/internal/timeline"
 	"adaptiveqos/internal/trace"
 )
 
@@ -71,5 +78,77 @@ func TestReceptionReportsCloseTheLoop(t *testing.T) {
 	}
 	if clean["wireless-0.images"] != shares {
 		t.Errorf("lossless: %d of %d shares reached wireless-0", clean["wireless-0.images"], shares)
+	}
+}
+
+// TestTelemetryTick runs a lossy session with SLO monitoring (on by
+// default), a session record and a timeline export, all three fed by the
+// one telemetry ticker: the record verifies, the SLO section prints,
+// the exported windows are contiguous and one tick long, and the
+// ticker's goroutine is gone once run returns.
+func TestTelemetryTick(t *testing.T) {
+	dir := t.TempDir()
+	record, tlPath := filepath.Join(dir, "s.jsonl"), filepath.Join(dir, "tl.jsonl")
+	before := runtime.NumGoroutine()
+	var out bytes.Buffer
+	if err := run([]string{"-events", "20", "-loss", "0.2", "-record", record, "-timeline", tlPath}, &out); err != nil {
+		t.Fatalf("collab: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"record verified", "--- slo conformance ---"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary lacks %q:\n%s", want, out.String())
+		}
+	}
+
+	// One series' windows are every series' windows.
+	data, err := os.ReadFile(tlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	var meta timeline.Meta
+	if err := json.Unmarshal([]byte(lines[0]), &meta); err != nil {
+		t.Fatalf("meta line: %v", err)
+	}
+	if meta.WindowMS != telemetryTick.Milliseconds() {
+		t.Errorf("exported window = %d ms, want %d", meta.WindowMS, telemetryTick.Milliseconds())
+	}
+	var windows []timeline.Point
+	var first string
+	for _, line := range lines[1:] {
+		var rec struct {
+			Series string `json:"series"`
+			timeline.Point
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("body line: %v", err)
+		}
+		if first == "" {
+			first = rec.Series
+		}
+		if rec.Series == first {
+			windows = append(windows, rec.Point)
+		}
+	}
+	if len(windows) < 2 {
+		t.Fatalf("%d windows exported, want two or more", len(windows))
+	}
+	// Every window but the flushed tail spans one tick, give or take the
+	// ticker's scheduling delay.
+	for i, w := range windows {
+		if i > 0 && w.StartNS != windows[i-1].EndNS {
+			t.Errorf("window %d starts at %d, the previous one ended at %d", i, w.StartNS, windows[i-1].EndNS)
+		}
+		if width := time.Duration(w.EndNS - w.StartNS); i < len(windows)-1 && (width < telemetryTick/2 || width > telemetryTick*3/2) {
+			t.Errorf("window %d is %v long, want about %v", i, width, telemetryTick)
+		}
+	}
+
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1s after run returned, %d before it", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

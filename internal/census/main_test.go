@@ -51,6 +51,7 @@ func TestCensusOverFixture(t *testing.T) {
 		"internal/core/kernel.go:14 kernel-purity: uses clock.Or",
 		"internal/core/coordkernel.go:4 ownership: copies with append onto a nil []byte",
 		"internal/obs/stamp.go:7 clock-seam: uses time.Now",
+		"internal/obs/loop.go:11 passive-telemetry: uses clock.Clock.NewTicker",
 		"internal/registry/registry.go:5 boundary: depends on internal/media (import internal/apps)",
 		"internal/replay/replay.go:3 fidelity: does not depend on internal/core",
 		"internal/replay/replay.go:5 fidelity: declares encodeData",

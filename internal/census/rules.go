@@ -39,8 +39,11 @@ var rules = []rule{
 		[]string{"internal/", "cmd/"}, []string{"internal/clock/"},
 		uses("time", "After", "AfterFunc", "NewTicker", "NewTimer", "Sleep", "Tick")},
 	{"clock-seam", "a raw wall-clock read de-synchronizes a recorded session from its replay (§14)",
-		[]string{"internal/", "cmd/"}, []string{"internal/clock/", "internal/obs/clock.go"},
+		[]string{"internal/", "cmd/"}, []string{"internal/clock/"},
 		uses("time", "Now", "Since", "Until")},
+	{"passive-telemetry", "telemetry is ticked by its owner, so one ticker closes windows over one round of samples (§8, §16)",
+		[]string{"internal/obs/", "internal/slo/", "internal/timeline/"}, nil,
+		waits("NewTicker", "NewTimer", "AfterFunc", "Sleep")},
 }
 
 // A scope is one package a rule covers files of.
@@ -175,6 +178,23 @@ func noCopies(s *scope, n ast.Node, _ types.Object) string {
 		return "copies with append onto a nil []byte"
 	}
 	return ""
+}
+
+// waits flags a use of one of the named methods of a type the clock
+// package declares — the Clock interface, and so clock.Wall, or a
+// concrete clock — called or taken as a value.
+func waits(names ...string) func(*scope, ast.Node, types.Object) string {
+	return func(s *scope, _ ast.Node, obj types.Object) string {
+		fn, ok := obj.(*types.Func)
+		if !ok || !slices.Contains(names, fn.Name()) || s.g.rel[fn.Pkg().Path()] != "internal/clock" {
+			return ""
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return ""
+		}
+		return "uses " + types.TypeString(recv.Type(), (*types.Package).Name) + "." + fn.Name()
+	}
 }
 
 // uses flags a use of one of the named package-level objects of pkg,

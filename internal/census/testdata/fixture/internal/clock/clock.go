@@ -22,3 +22,8 @@ func Or(now func() time.Time) func() time.Time {
 	}
 	return now
 }
+
+// Clock is the seam's scheduling surface, which telemetry may not use.
+type Clock interface {
+	NewTicker(d time.Duration) <-chan time.Time
+}

@@ -1,7 +1,7 @@
-// Package obs may read the wall clock in this one file.
+// Package obs reads the wall clock through the clock seam.
 package obs
 
-import "time"
+import "fixture/internal/clock"
 
 // NowNS is the wall clock's default.
-func NowNS() int64 { return time.Now().UnixNano() }
+func NowNS() int64 { return clock.Wall().UnixNano() }

@@ -11,9 +11,9 @@
 // time.NewTicker / time.NewTimer directly — scheduling goes through an
 // injected Clock, so an entire session can run on virtual time (the
 // census scheduling rule).  Nor may it read the wall clock with
-// time.Now / time.Since / time.Until: outside this package and
-// internal/obs/clock.go the census clock-seam rule forbids those too,
-// so a recorded session replays on its own clock.  Formatting and
+// time.Now / time.Since / time.Until: outside this package the census
+// clock-seam rule forbids those too, so a recorded session replays on
+// its own clock.  Formatting and
 // arithmetic on time values stay free.
 package clock
 

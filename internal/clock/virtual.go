@@ -242,14 +242,6 @@ func (s *Scheduled) Stop() bool {
 	return true
 }
 
-// Len reports the number of pending events, counting each pending item
-// of a batch as one.
-func (v *Virtual) Len() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.heap) + v.behind
-}
-
 // Advance moves the clock forward by d, firing every event scheduled
 // in (now, now+d] in deterministic (instant, schedule-order) order.
 // Events fired may schedule further events; those whose instants also

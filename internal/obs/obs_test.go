@@ -167,29 +167,22 @@ func TestGaugesAndRegistry(t *testing.T) {
 }
 
 func TestCollector(t *testing.T) {
-	c := NewCollector(time.Millisecond)
-	var mu sync.Mutex
+	c := NewCollector()
 	calls := 0
 	c.Register(func(set func(string, float64)) {
-		mu.Lock()
 		calls++
-		mu.Unlock()
 		set("collector_test_gauge", 9)
 	})
 	c.SampleOnce()
 	if gauges()["collector_test_gauge"] != 9 {
 		t.Fatal("SampleOnce did not run the sampler")
 	}
-	c.Start()
-	c.Start() // second Start is a no-op
-	time.Sleep(20 * time.Millisecond)
-	c.Stop()
-	c.Stop() // second Stop is a no-op
-	mu.Lock()
-	n := calls
-	mu.Unlock()
-	if n < 2 {
-		t.Errorf("periodic sampler ran %d times, want >= 2", n)
+	// A sampler registered between rounds joins the next one.
+	late := 0
+	c.Register(func(set func(string, float64)) { late++ })
+	c.SampleOnce()
+	if calls != 2 || late != 1 {
+		t.Errorf("after two rounds: first sampler ran %d times, late one %d, want 2 and 1", calls, late)
 	}
 }
 

@@ -149,8 +149,13 @@ func ExtractWorkload(s *obs.Session) (*Workload, error) {
 					continue
 				}
 				receivers[labels["client"]] = true
-				lossSum += ev.Value
-				lossN++
+				// A loss fraction outside [0, 1] is a corrupt sample:
+				// clamped, so neither it nor a sum of them can carry the
+				// mean out of range or to +Inf.
+				if !math.IsNaN(ev.Value) {
+					lossSum += min(max(ev.Value, 0), 1)
+					lossN++
+				}
 			}
 		}
 	}
@@ -159,9 +164,6 @@ func ExtractWorkload(s *obs.Session) (*Workload, error) {
 	}
 	if lossN > 0 {
 		w.MeanLoss = lossSum / float64(lossN)
-	}
-	if math.IsNaN(w.MeanLoss) || w.MeanLoss < 0 {
-		w.MeanLoss = 0
 	}
 
 	sort.Slice(w.Publishes, func(i, j int) bool {

@@ -24,6 +24,7 @@ import (
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/metrics"
+	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/timeline"
 	"adaptiveqos/internal/transport"
 )
@@ -195,17 +196,8 @@ func (r *run) hashEvent(ev transport.TraceEvent) {
 	if ev.Unicast {
 		buf[13] = 1
 	}
-	binary.LittleEndian.PutUint32(buf[14:], fnv32(ev.From)^fnv32(ev.To))
+	binary.LittleEndian.PutUint32(buf[14:], rtp.SSRCOf(ev.From)^rtp.SSRCOf(ev.To))
 	r.hashBytes(buf[:])
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // setupTimeline creates the run's curve store and schedules one

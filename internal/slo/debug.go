@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 // by /debug/slo and collab's session summary.
 func (e *Engine) WriteSummary(w io.Writer, client string) {
 	status := e.Status()
-	sort.Slice(status, func(i, j int) bool { return status[i].Client < status[j].Client })
 
 	fmt.Fprintf(w, "slo conformance (%d clients, monitoring %s); filter with ?client=<id>\n\n",
 		len(status), onOff(Enabled()))

@@ -17,9 +17,8 @@ import (
 func TestDebugSLOEndpoint(t *testing.T) {
 	base := time.Unix(2000, 0)
 	d := Default()
-	d.mu.Lock() // bind the client to the test spec, as a first Observe binds the default
-	d.clients["http-c1"] = newClientState(testSpec(), base.UnixNano())
-	d.mu.Unlock()
+	d.SetDefaultSpec(testSpec()) // the first Observe binds http-c1 to it
+	defer d.SetDefaultSpec(Spec{})
 	feed(d, "http-c1", base, 0.5, 8)
 	d.Poll(base.Add(200 * time.Millisecond))
 

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -86,12 +87,13 @@ type ClientStatus struct {
 }
 
 // Engine evaluates per-client SLO specs over sliding windows and runs
-// the conformance state machine.  All methods are safe for concurrent
-// use.
+// the conformance state machine.  It schedules nothing: its owner calls
+// Poll.  All methods are safe for concurrent use.
 type Engine struct {
 	mu          sync.Mutex
 	defaultSpec Spec
 	clients     map[string]*clientState
+	ids         []string // the keys of clients, ascending: Poll and Status walk them
 	transitions []Transition
 	sources     []RadioSource
 
@@ -100,9 +102,6 @@ type Engine struct {
 	// unchanged time is pure waste, so Poll short-circuits it.
 	polled     bool
 	lastPollNS int64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewEngine creates an engine whose unregistered clients get spec
@@ -166,16 +165,20 @@ func (e *Engine) observeAt(client string, o Objective, v float64, nowNS int64) {
 	if !ok {
 		cs = newClientState(e.defaultSpec, nowNS)
 		e.clients[client] = cs
+		i, _ := slices.BinarySearch(e.ids, client)
+		e.ids = slices.Insert(e.ids, i, client)
 	}
 	cs.series[o].observe(nowNS, v, cs.spec.bad(o, v))
 	e.mu.Unlock()
 }
 
 // Poll evaluates every client's windows at now and advances the
-// conformance state machine.  Deterministic: tests drive it with
-// synthetic clocks.  Idempotent per instant: a repeat Poll at exactly
-// the time of the previous one (common when a virtual clock hasn't
-// advanced between drive iterations) is a no-op.
+// conformance state machine, client by client in ID order, so the
+// transitions of one poll reach the log, the counters and the session
+// record in the same order every run.  Deterministic: tests drive it
+// with synthetic clocks.  Idempotent per instant: a repeat Poll at
+// exactly the time of the previous one (common when a virtual clock
+// hasn't advanced between drive iterations) is a no-op.
 func (e *Engine) Poll(now time.Time) {
 	nowNS := now.UnixNano()
 	e.mu.Lock()
@@ -184,8 +187,8 @@ func (e *Engine) Poll(now time.Time) {
 		return
 	}
 	e.polled, e.lastPollNS = true, nowNS
-	for client, cs := range e.clients {
-		e.pollClient(client, cs, nowNS)
+	for _, client := range e.ids {
+		e.pollClient(client, e.clients[client], nowNS)
 	}
 }
 
@@ -307,12 +310,14 @@ func (e *Engine) setState(client string, cs *clientState, to State, nowNS int64)
 	})
 }
 
-// Status returns every tracked client's conformance summary.
+// Status returns every tracked client's conformance summary in client
+// ID order.
 func (e *Engine) Status() []ClientStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]ClientStatus, 0, len(e.clients))
-	for client, cs := range e.clients {
+	out := make([]ClientStatus, 0, len(e.ids))
+	for _, client := range e.ids {
+		cs := e.clients[client]
 		st := ClientStatus{
 			Client:     client,
 			Class:      cs.spec.Class,
@@ -351,46 +356,4 @@ func (e *Engine) Attributions(client string) []Attribution {
 		return nil
 	}
 	return append([]Attribution(nil), cs.attributions...)
-}
-
-// Run launches the periodic Poll loop (interval <= 0 defaults to 1s).
-// A second Run without an intervening Stop is a no-op.
-func (e *Engine) Run(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stop != nil {
-		return
-	}
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-	clk := clock.Wall
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		ticker := clk.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C():
-				e.Poll(clk.Now())
-			}
-		}
-	}(e.stop, e.done)
-}
-
-// Stop halts the Poll loop and waits for it to exit.
-func (e *Engine) Stop() {
-	e.mu.Lock()
-	stop, done := e.stop, e.done
-	e.stop, e.done = nil, nil
-	e.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -243,11 +243,11 @@ func TestViolationAttachesTimelineCurves(t *testing.T) {
 	tl.TrackGauge(`rtp_loss_fraction{client="c1"}`, &lossG)
 	tl.TrackHistogram("e2e_latency_ns", &lat)
 	tl.TrackGauge("cpu_load", &cpu) // unrelated: must not attach
-	tl.Start()
 	for i := 0; i < 5; i++ {
 		lossG.Set(0.1 * float64(i))
 		lat.Observe(int64(time.Millisecond))
 		clk.Advance(time.Second)
+		tl.SampleNow()
 	}
 	timeline.Enable(tl)
 	defer timeline.Disable()
@@ -331,6 +331,48 @@ func TestWriteSummaryRendersStateAndTransitions(t *testing.T) {
 	e.WriteSummary(&sb, "c2")
 	if strings.Contains(sb.String(), "conforming -> violated") {
 		t.Errorf("filtered summary leaked c1 transitions:\n%s", sb.String())
+	}
+}
+
+// TestPollTransitionsInClientOrder pins Poll's walk to client ID order:
+// two clients violating in one poll reach the transition log and the
+// session record as a then b on every fresh engine, whatever order they
+// were first observed in.
+func TestPollTransitionsInClientOrder(t *testing.T) {
+	base := time.Unix(1000, 0)
+	for run := 0; run < 32; run++ {
+		var buf bytes.Buffer
+		r := obs.NewRecorder(&buf, "test", 0)
+		prev := obs.InstallRecorder(r)
+		e := NewEngine(testSpec())
+		feed(e, "b", base, 0.5, 8)
+		feed(e, "a", base, 0.5, 8)
+		e.Poll(base.Add(200 * time.Millisecond))
+		obs.InstallRecorder(prev)
+		if err := r.Close(); err != nil {
+			t.Fatalf("recorder close: %v", err)
+		}
+
+		var logged []string
+		for _, tr := range e.Transitions(0) {
+			logged = append(logged, tr.Client+":"+tr.To.String())
+		}
+		sess, err := obs.LoadSession(&buf)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		var recorded []string
+		for _, ev := range sess.Events {
+			if ev.Type == obs.RecTypeSLO {
+				recorded = append(recorded, ev.Client+":"+ev.Detail)
+			}
+		}
+		if want := "a:violated b:violated"; strings.Join(logged, " ") != want {
+			t.Fatalf("run %d: transition log %v, want %s", run, logged, want)
+		}
+		if want := "a:conforming->violated b:conforming->violated"; strings.Join(recorded, " ") != want {
+			t.Fatalf("run %d: recorded slo events %v, want %s", run, recorded, want)
+		}
 	}
 }
 

@@ -25,12 +25,11 @@ func buildExportFixture(t *testing.T) []byte {
 	tl.TrackCounter("sent", &sent)
 	tl.TrackGauge("depth", &depth)
 	tl.TrackHistogram("lat", &lat)
-	tl.Start()
 	for i := 0; i < 10; i++ {
 		sent.Add(uint64(3 * i))
 		depth.Set(float64(i % 4))
 		lat.Observe(int64(1000 * (i + 1)))
-		clk.Advance(250 * time.Millisecond)
+		advance(tl, clk, 250*time.Millisecond)
 	}
 	var buf bytes.Buffer
 	if err := tl.WriteJSONL(&buf, Query{}); err != nil {
@@ -82,11 +81,10 @@ func TestWriteCSVShape(t *testing.T) {
 	var lat metrics.Histogram
 	tl.TrackCounter("sent", &sent)
 	tl.TrackHistogram("lat", &lat)
-	tl.Start()
 	for i := 0; i < 3; i++ {
 		sent.Inc()
 		lat.Observe(1000)
-		clk.Advance(time.Second)
+		advance(tl, clk, time.Second)
 	}
 	var buf bytes.Buffer
 	if err := tl.WriteCSV(&buf, Query{}); err != nil {
@@ -125,9 +123,8 @@ func TestDebugEndpoint(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 8)
 	var c metrics.Counter
 	tl.TrackCounter("dbg.sent", &c)
-	tl.Start()
 	c.Add(6)
-	clk.Advance(time.Second)
+	advance(tl, clk, time.Second)
 	Enable(tl)
 	defer Disable()
 

@@ -1,6 +1,6 @@
-// Package timeline is the windowed telemetry store: it periodically
-// snapshots tracked metrics — counters, gauges, histograms, derived
-// functions — on the clock.Clock seam into a bounded ring of per-window
+// Package timeline is the windowed telemetry store: each time its owner
+// closes a window, it snapshots tracked metrics — counters, gauges,
+// histograms, derived functions — into a bounded ring of per-window
 // deltas, so observability gains a time axis without unbounded memory.
 // Counter windows carry deltas (and rates); histogram windows carry
 // *windowed* p50/p90/p99 computed from bucket deltas, not the lifetime
@@ -9,11 +9,10 @@
 // The store is exposed three ways: the /debug/timeline endpoint
 // (debug.go), JSONL/CSV/text exporters for EXPERIMENTS.md figures
 // (export.go), and the typed Query API (query.go) the SLO attribution
-// bundle consumes.  On a clock.Virtual the sampler is driven by the
-// event heap, so qossim and qosreplay produce byte-deterministic
-// per-window curves; discrete-event callers that need exact window
-// boundaries call SampleNow from their own scheduled events instead of
-// Start's fixed cadence.
+// bundle consumes.  The store schedules nothing: cmd/collab calls
+// SampleNow from its telemetry ticker, and on a clock.Virtual the
+// scenario and replay engines schedule SampleNow as their own events, so
+// qossim and qosreplay produce byte-deterministic per-window curves.
 //
 // House rules: the disabled path (timeline.Active() == nil) is one
 // atomic load and zero allocations; an enabled steady-state sample is
@@ -40,14 +39,13 @@ const (
 
 // Config parameterizes a Timeline.
 type Config struct {
-	// Window is the sampling period Start uses (default 1s).  Callers
-	// driving SampleNow themselves may ignore it.
+	// Window is the window length the owner closes windows at, recorded
+	// in exports (default 1s).
 	Window time.Duration
 	// Retention is how many closed windows the ring keeps (default 600
 	// — ten minutes of 1s windows).
 	Retention int
-	// Clock schedules the sampler (default clock.Wall).  On a
-	// clock.Virtual the ticks ride the event heap deterministically.
+	// Clock stamps window bounds (default clock.Wall).
 	Clock clock.Clock
 }
 
@@ -129,17 +127,14 @@ type Timeline struct {
 	trackAll bool
 	regSize  int // registry size (metrics.Len) at the last rescan
 
-	bounds  []winBound
-	head    int   // next ring slot to write
-	filled  int   // closed windows retained (<= Retention)
-	lastNS  int64 // start of the currently open window
-	timer   clock.Timer
-	running bool
+	bounds []winBound
+	head   int   // next ring slot to write
+	filled int   // closed windows retained (<= Retention)
+	lastNS int64 // start of the currently open window
 }
 
 // New creates a timeline.  The open window starts at the clock's
-// current instant; nothing is sampled until a tick (Start) or an
-// explicit SampleNow.
+// current instant; nothing is sampled until the owner calls SampleNow.
 func New(cfg Config) *Timeline {
 	cfg = cfg.withDefaults()
 	t := &Timeline{
@@ -152,7 +147,7 @@ func New(cfg Config) *Timeline {
 	return t
 }
 
-// Window reports the configured sampling period.
+// Window reports the configured window length.
 func (t *Timeline) Window() time.Duration { return t.cfg.Window }
 
 // Retention reports the ring capacity in windows.
@@ -274,61 +269,7 @@ func (t *Timeline) rescanLocked() {
 	t.sortLocked()
 }
 
-// Start launches the periodic sampler: every Window on the configured
-// clock the open window closes into the ring.  A second Start without
-// an intervening Stop is a no-op.  On a clock.Virtual the first tick
-// is scheduled immediately, so schedule-order determinism holds when
-// Start runs before the workload is scheduled.
-func (t *Timeline) Start() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.running {
-		return
-	}
-	t.running = true
-	t.lastNS = t.clk.Now().UnixNano()
-	t.armLocked()
-}
-
-// armLocked schedules the next tick.  AfterFunc rather than NewTicker:
-// a Virtual ticker delivers through a channel consumed by an arbitrary
-// goroutine (and drops ticks at depth 1), while an AfterFunc fires on
-// the goroutine driving the event heap — the determinism contract.
-func (t *Timeline) armLocked() {
-	t.timer = t.clk.AfterFunc(t.cfg.Window, t.tick)
-}
-
-func (t *Timeline) tick() {
-	t.mu.Lock()
-	if !t.running {
-		t.mu.Unlock()
-		return
-	}
-	t.sampleLocked(t.clk.Now().UnixNano())
-	t.armLocked()
-	t.mu.Unlock()
-}
-
-// Stop halts the periodic sampler; the ring and the open window remain
-// queryable.  Stop does not close the open window — call Flush for
-// that.
-func (t *Timeline) Stop() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.running {
-		return
-	}
-	t.running = false
-	if t.timer != nil {
-		t.timer.Stop()
-		t.timer = nil
-	}
-}
-
-// SampleNow closes the open window at the clock's current instant,
-// regardless of Start state.  Discrete-event callers (the scenario and
-// replay engines) schedule this from their own virtual-clock events to
-// get exact window boundaries instead of Start's fixed cadence.
+// SampleNow closes the open window at the clock's current instant.
 func (t *Timeline) SampleNow() {
 	t.mu.Lock()
 	t.sampleLocked(t.clk.Now().UnixNano())

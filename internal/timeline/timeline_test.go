@@ -17,18 +17,24 @@ func newVirtualTimeline(window time.Duration, retention int) (*Timeline, *clock.
 	return New(Config{Window: window, Retention: retention, Clock: clk}), clk
 }
 
+// advance moves clk on by d and closes the window there, as an owner's
+// tick does.
+func advance(tl *Timeline, clk *clock.Virtual, d time.Duration) {
+	clk.Advance(d)
+	tl.SampleNow()
+}
+
 func TestCounterWindows(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 8)
 	var c metrics.Counter
 	c.Add(7) // pre-track activity must not leak into the first window
 	tl.TrackCounter("reqs", &c)
-	tl.Start()
 
 	c.Add(3)
-	clk.Advance(time.Second) // closes [0s,1s): delta 3
+	advance(tl, clk, time.Second) // closes [0s,1s): delta 3
 	c.Add(5)
-	clk.Advance(time.Second) // closes [1s,2s): delta 5
-	clk.Advance(time.Second) // closes [2s,3s): delta 0
+	advance(tl, clk, time.Second) // closes [1s,2s): delta 5
+	advance(tl, clk, time.Second) // closes [2s,3s): delta 0
 
 	got := tl.Query(Query{Series: []string{"reqs"}})
 	if len(got) != 1 {
@@ -63,14 +69,13 @@ func TestGaugeAndDerivedWindows(t *testing.T) {
 	var level float64
 	tl.TrackGauge("depth", &g)
 	tl.TrackFunc("level", func() float64 { return level })
-	tl.Start()
 
 	g.Set(4.5)
 	level = 1
-	clk.Advance(time.Second)
+	advance(tl, clk, time.Second)
 	g.Set(2.25)
 	level = 2
-	clk.Advance(time.Second)
+	advance(tl, clk, time.Second)
 
 	got := tl.Query(Query{})
 	if len(got) != 2 {
@@ -95,19 +100,18 @@ func TestHistogramWindowedQuantiles(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 8)
 	var h metrics.Histogram
 	tl.TrackHistogram("lat", &h)
-	tl.Start()
 
 	// Window 1: fast observations.  Window 2: slow ones.  The windowed
 	// p99 must track each window, not the lifetime distribution.
 	for i := 0; i < 100; i++ {
 		h.Observe(1_000)
 	}
-	clk.Advance(time.Second)
+	advance(tl, clk, time.Second)
 	for i := 0; i < 100; i++ {
 		h.Observe(1_000_000)
 	}
-	clk.Advance(time.Second)
-	clk.Advance(time.Second) // empty window
+	advance(tl, clk, time.Second)
+	advance(tl, clk, time.Second) // empty window
 
 	got := tl.Query(Query{Series: []string{"lat"}})
 	pts := got[0].Points
@@ -142,7 +146,6 @@ func TestHistogramWindowedQuantiles(t *testing.T) {
 func TestTrackAllRescan(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 8)
 	tl.TrackAll()
-	tl.Start()
 
 	// Metrics registered after TrackAll are picked up at the next window
 	// close (with that window zeroed — deltas flow from the next one, so
@@ -150,7 +153,7 @@ func TestTrackAllRescan(t *testing.T) {
 	c := metrics.C("timeline.test.rescan")
 	metrics.SetGauge("timeline_test_rescan_gauge", 0)
 	h := metrics.H("timeline_test_rescan_hist")
-	clk.Advance(time.Second) // close 1: one rescan adopts all three kinds
+	advance(tl, clk, time.Second) // close 1: one rescan adopts all three kinds
 	kinds := map[string]string{}
 	for _, sd := range tl.Query(Query{Contains: []string{"rescan"}}) {
 		kinds[sd.Name] = sd.Kind
@@ -162,7 +165,7 @@ func TestTrackAllRescan(t *testing.T) {
 	c.Add(2)
 	metrics.SetGauge("timeline_test_rescan_gauge", 9)
 	h.Observe(50)
-	clk.Advance(time.Second) // close 2: first window with their deltas
+	advance(tl, clk, time.Second) // close 2: first window with their deltas
 
 	byName := make(map[string]SeriesData)
 	for _, sd := range tl.Query(Query{Contains: []string{"rescan"}}) {
@@ -183,10 +186,9 @@ func TestRingWrapAround(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 4)
 	var c metrics.Counter
 	tl.TrackCounter("c", &c)
-	tl.Start()
 	for i := 1; i <= 6; i++ {
 		c.Add(uint64(i))
-		clk.Advance(time.Second)
+		advance(tl, clk, time.Second)
 	}
 	if tl.WindowCount() != 4 {
 		t.Fatalf("WindowCount = %d, want 4 (retention)", tl.WindowCount())
@@ -200,24 +202,6 @@ func TestRingWrapAround(t *testing.T) {
 		if pts[i].Value != want {
 			t.Errorf("window %d delta = %v, want %v", i, pts[i].Value, want)
 		}
-	}
-}
-
-func TestStopHaltsSampling(t *testing.T) {
-	tl, clk := newVirtualTimeline(time.Second, 8)
-	var c metrics.Counter
-	tl.TrackCounter("c", &c)
-	tl.Start()
-	clk.Advance(2 * time.Second)
-	tl.Stop()
-	clk.Advance(5 * time.Second)
-	if tl.WindowCount() != 2 {
-		t.Errorf("WindowCount after Stop = %d, want 2", tl.WindowCount())
-	}
-	tl.Start() // restartable
-	clk.Advance(time.Second)
-	if tl.WindowCount() != 3 {
-		t.Errorf("WindowCount after restart = %d, want 3", tl.WindowCount())
 	}
 }
 
@@ -245,15 +229,14 @@ func TestFlushClosesPartialWindow(t *testing.T) {
 	}
 }
 
-func TestSampleNowIgnoresStartState(t *testing.T) {
+func TestSampleNowClosesOwnerWindows(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 8)
 	var c metrics.Counter
 	tl.TrackCounter("c", &c)
-	// Discrete-event callers drive window closes themselves.
+	// The owner decides where windows close, whatever Config.Window says.
 	for i := 0; i < 3; i++ {
 		c.Inc()
-		clk.Advance(250 * time.Millisecond)
-		tl.SampleNow()
+		advance(tl, clk, 250*time.Millisecond)
 	}
 	if tl.WindowCount() != 3 {
 		t.Fatalf("WindowCount = %d, want 3", tl.WindowCount())
@@ -288,9 +271,8 @@ func TestQueryFilters(t *testing.T) {
 	tl.TrackCounter("alpha.sent", &a)
 	tl.TrackCounter("beta.sent", &b)
 	tl.TrackCounter("gamma.drop", &c)
-	tl.Start()
 	for i := 0; i < 5; i++ {
-		clk.Advance(time.Second)
+		advance(tl, clk, time.Second)
 	}
 
 	if got := tl.Query(Query{Series: []string{"beta.sent"}}); len(got) != 1 || got[0].Name != "beta.sent" {
@@ -345,10 +327,9 @@ func TestWriteTextRendersSparklines(t *testing.T) {
 	tl, clk := newVirtualTimeline(time.Second, 8)
 	var c metrics.Counter
 	tl.TrackCounter("sent", &c)
-	tl.Start()
 	for i := 0; i < 4; i++ {
 		c.Add(uint64(i * i))
-		clk.Advance(time.Second)
+		advance(tl, clk, time.Second)
 	}
 	var buf bytes.Buffer
 	if err := tl.WriteText(&buf, Query{}); err != nil {
