@@ -1,0 +1,83 @@
+package basestation
+
+import (
+	"fmt"
+	"testing"
+
+	"adaptiveqos/internal/core"
+	"adaptiveqos/internal/radio"
+	"adaptiveqos/internal/rtp"
+	"adaptiveqos/internal/transport"
+)
+
+// TestRelayedShareReceptionStats: the station frames every share it
+// relays under its own SSRC with seqs 0..15; a receiver that took the
+// second share of a sender as 16 late repeats of the first would freeze
+// that sender's loss figure after share one — the figure the member's
+// rtp_loss_fraction gauge and AdaptOnce read.  Each share must count as
+// a stream of its own, on the downlink and on the uplink alike.
+func TestRelayedShareReceptionStats(t *testing.T) {
+	obj := testImageObject(t)
+	report := func(c *core.Client, sender string) rtp.Stats {
+		st, _ := c.ReceptionReport(sender)
+		return st
+	}
+
+	t.Run("downlink", func(t *testing.T) {
+		r := newRig(t, Config{})
+		w1 := r.joinWireless(t, "w1", 30, 1)
+		if a, _ := r.bs.Assess("w1"); a.Tier != radio.TierImage {
+			t.Fatalf("lone member tier = %s, want image", a.Tier)
+		}
+		for i := 1; i <= 3; i++ {
+			if err := r.wired.ShareImage(fmt.Sprintf("img-%d", i), obj, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "48 relayed data packets", func() bool { return report(w1, "wired-1").Received == 48 })
+		if st := report(w1, "wired-1"); st.Unique != 48 || st.ExpectedTotal != 48 || st.Late != 0 || st.Duplicates != 0 {
+			t.Errorf("three relayed shares: %+v, want unique 48 expected 48 late 0 dups 0", st)
+		}
+	})
+
+	t.Run("uplink", func(t *testing.T) {
+		r := newRig(t, Config{})
+		r.joinWireless(t, "w1", 30, 1)
+		for i := 1; i <= 2; i++ {
+			if err := r.bs.UplinkShare("w1", fmt.Sprintf("up-%d", i), "", obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "32 uplinked data packets", func() bool { return report(r.wired, "w1").Received == 32 })
+		if st := report(r.wired, "w1"); st.ExpectedTotal != 32 || st.Unique != 32 {
+			t.Errorf("two uplinked shares: %+v, want expected 32 unique 32", st)
+		}
+	})
+
+	t.Run("lossy", func(t *testing.T) {
+		r := newRig(t, Config{})
+		w1 := r.joinWireless(t, "w1", 30, 1)
+		if err := r.wired.ShareImage("img-1", obj, ""); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "share 1", func() bool { return report(w1, "wired-1").Received == 16 })
+		lossOf := func() (frac float64) {
+			w1.SampleQoS(func(name string, v float64) {
+				if name == `rtp_loss_fraction{client="w1",sender="wired-1"}` {
+					frac = v
+				}
+			})
+			return frac
+		}
+		if f := lossOf(); f != 0 {
+			t.Fatalf("loss after a lossless share = %g", f)
+		}
+		r.radioNet.SetLink("bs", "w1", transport.Link{Loss: 0.5})
+		for i := 2; i <= 3; i++ {
+			if err := r.wired.ShareImage(fmt.Sprintf("img-%d", i), obj, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "loss on shares 2-3 in rtp_loss_fraction", func() bool { return lossOf() > 0 })
+	})
+}

@@ -16,7 +16,9 @@
 //
 // It prints "file:line rule: what" per violation and "file:line
 // pkg.Name (lines)" per unreached declaration, and exits 1 on any, on a
-// stale allowlist entry and on more than maxAllowed entries.
+// stale entry in allow.txt or globals.txt (the package state the
+// global-state rule lets stand) and on more than maxAllowed allow.txt
+// entries.  On success it prints how many globals.txt lists.
 package main
 
 import (
@@ -49,18 +51,17 @@ func main() {
 	}
 }
 
-// run censuses the repository rooted at dir against its own allowlist.
+// run censuses the repository rooted at dir against its own lists.
 func run(dir string, out io.Writer) error {
-	f, err := os.Open(filepath.Join(dir, "internal", "census", "allow.txt"))
+	allow, err := readList(dir, "allow.txt", maxAllowed)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	allow, err := parseAllow(f)
+	globals, err := readList(dir, "globals.txt", 0)
 	if err != nil {
 		return err
 	}
-	unreached, broken, err := census(dir, allow)
+	unreached, broken, err := census(dir, allow, globals)
 	for _, v := range broken {
 		fmt.Fprintln(out, v)
 	}
@@ -75,12 +76,24 @@ func run(dir string, out io.Writer) error {
 	case len(unreached) > 0:
 		return fmt.Errorf("%d declarations under internal/ are reached by no program and not allowlisted", len(unreached))
 	}
+	fmt.Fprintf(out, "global-state: %d package-level vars hold shared state, each listed in globals.txt\n", len(globals))
 	return nil
 }
 
-// parseAllow reads "pkg.Name — reason" lines; blank lines and # comments
-// are skipped, a missing reason is an error.
-func parseAllow(r io.Reader) ([]string, error) {
+// readList reads the census list name beside this file.
+func readList(dir, name string, max int) ([]string, error) {
+	f, err := os.Open(filepath.Join(dir, "internal", "census", name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return parseList(f, name, max)
+}
+
+// parseList reads the list file as "pkg.Name — reason" lines; blank
+// lines and # comments are skipped, a missing reason is an error, and
+// so are more than max entries when max > 0.
+func parseList(r io.Reader, file string, max int) ([]string, error) {
 	var names []string
 	sc := bufio.NewScanner(r)
 	for n := 1; sc.Scan(); n++ {
@@ -90,15 +103,15 @@ func parseAllow(r io.Reader) ([]string, error) {
 		}
 		name, reason, ok := strings.Cut(line, " — ")
 		if !ok || strings.TrimSpace(reason) == "" {
-			return nil, fmt.Errorf("allow.txt:%d: want \"pkg.Name — reason\"", n)
+			return nil, fmt.Errorf("%s:%d: want \"pkg.Name — reason\"", file, n)
 		}
 		names = append(names, strings.TrimSpace(name))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(names) > maxAllowed {
-		return nil, fmt.Errorf("allow.txt holds %d declarations, at most %d", len(names), maxAllowed)
+	if max > 0 && len(names) > max {
+		return nil, fmt.Errorf("%s holds %d declarations, at most %d", file, len(names), max)
 	}
 	return names, nil
 }
@@ -163,6 +176,7 @@ type graph struct {
 	reached    map[*decl]bool
 	work       []*decl
 	ifaceCalls map[string]bool // method names called through an interface from reached code
+	globals    map[string]bool // listed package vars → whether the global-state rule found one
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -170,8 +184,9 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // load type-checks the module at dir and, if there is one, the bench
-// module beside it.
-func load(dir string) (*graph, error) {
+// module beside it; globals are the package vars the global-state rule
+// lets hold shared state.
+func load(dir string, globals []string) (*graph, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -197,6 +212,10 @@ func load(dir string) (*graph, error) {
 		methods:    map[*types.TypeName][]*decl{},
 		reached:    map[*decl]bool{},
 		ifaceCalls: map[string]bool{},
+		globals:    map[string]bool{},
+	}
+	for _, name := range globals {
+		g.globals[name] = false
 	}
 	exports := map[string]string{}
 	src := map[string]*types.Package{} // source-checked, served before export data
@@ -438,10 +457,10 @@ func (g *graph) settle() {
 
 // census returns the censused declarations no program reaches once the
 // allowlisted ones are taken as extra roots, in load order, and the rule
-// violations.  A stale allowlist entry is an error; the lists are still
-// returned.
-func census(dir string, allow []string) ([]*decl, []string, error) {
-	g, err := load(dir)
+// violations.  A stale entry of either list is an error; the results
+// are still returned.
+func census(dir string, allow, globals []string) ([]*decl, []string, error) {
+	g, err := load(dir, globals)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -468,6 +487,11 @@ func census(dir string, allow []string) ([]*decl, []string, error) {
 			stale = append(stale, name+" (reachable without the allowlist)")
 		}
 	}
+	for _, name := range globals {
+		if !g.globals[name] {
+			stale = append(stale, name+" (holds no package state)")
+		}
+	}
 	for _, name := range allow {
 		g.mark(byName[name])
 	}
@@ -481,7 +505,7 @@ func census(dir string, allow []string) ([]*decl, []string, error) {
 	}
 	if len(stale) > 0 {
 		sort.Strings(stale)
-		return unreached, g.broken, fmt.Errorf("stale allowlist entries:\n  %s", strings.Join(stale, "\n  "))
+		return unreached, g.broken, fmt.Errorf("stale list entries:\n  %s", strings.Join(stale, "\n  "))
 	}
 	return unreached, g.broken, nil
 }

@@ -43,7 +43,9 @@ var rules = []rule{
 		uses("time", "Now", "Since", "Until")},
 	{"passive-telemetry", "telemetry is ticked by its owner, so one ticker closes windows over one round of samples (§8, §16)",
 		[]string{"internal/obs/", "internal/slo/", "internal/timeline/"}, nil,
-		waits("NewTicker", "NewTimer", "AfterFunc", "Sleep")},
+		waits("NewTicker", "NewTimer", "Sleep")},
+	{"global-state", "package state is shared by every session in a process, so each holder says why in globals.txt (ROADMAP item 2)",
+		[]string{"internal/", "cmd/"}, nil, globalState},
 }
 
 // A scope is one package a rule covers files of.
@@ -206,4 +208,58 @@ func uses(pkg string, names ...string) func(*scope, ast.Node, types.Object) stri
 		}
 		return ""
 	}
+}
+
+// globalState flags a package-level var that can hold shared mutable
+// state — its type is a map, slice, pointer or channel, a sync or
+// sync/atomic type, or a struct or array holding one — unless
+// globals.txt lists it.
+func globalState(s *scope, n ast.Node, _ types.Object) string {
+	id, _ := n.(*ast.Ident)
+	v, _ := s.info.Defs[id].(*types.Var)
+	if v == nil || v.Name() == "_" || v.Parent() != s.pkg.Scope() {
+		return ""
+	}
+	what := holds(v.Type(), map[types.Type]bool{})
+	if what == "" {
+		return ""
+	}
+	name := strings.TrimPrefix(s.g.rel[s.pkg.Path()], "internal/") + "." + v.Name()
+	if _, listed := s.g.globals[name]; listed {
+		s.g.globals[name] = true
+		return ""
+	}
+	return "var " + v.Name() + " holds " + what
+}
+
+// holds names the first thing in t that makes it shared state, or "".
+func holds(t types.Type, seen map[types.Type]bool) string {
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+		if p := n.Obj().Pkg(); p.Path() == "sync" || p.Path() == "sync/atomic" {
+			return p.Name() + "." + n.Obj().Name()
+		}
+	}
+	if seen[t] {
+		return ""
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Map:
+		return "a map"
+	case *types.Slice:
+		return "a slice"
+	case *types.Pointer:
+		return "a pointer"
+	case *types.Chan:
+		return "a channel"
+	case *types.Array:
+		return holds(u.Elem(), seen)
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if what := holds(u.Field(i).Type(), seen); what != "" {
+				return what
+			}
+		}
+	}
+	return ""
 }

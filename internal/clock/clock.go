@@ -25,9 +25,6 @@ type Clock interface {
 	Now() time.Time
 	// Sleep blocks until the clock has advanced by d.
 	Sleep(d time.Duration)
-	// AfterFunc runs f once the clock has advanced by d.  On a Virtual
-	// clock f runs on the goroutine driving the event heap.
-	AfterFunc(d time.Duration, f func()) Timer
 	// NewTimer returns a timer that fires once after d.
 	NewTimer(d time.Duration) Timer
 	// NewTicker returns a ticker firing every d (d must be > 0).
@@ -38,7 +35,7 @@ type Clock interface {
 
 // Timer is the clock-agnostic *time.Timer shape.
 type Timer interface {
-	// C returns the timer's delivery channel (nil for AfterFunc timers).
+	// C returns the timer's delivery channel.
 	C() <-chan time.Time
 	// Stop cancels the timer, reporting whether it was still pending.
 	Stop() bool
@@ -72,25 +69,12 @@ func (wallClock) Now() time.Time                  { return time.Now() }
 func (wallClock) Sleep(d time.Duration)           { time.Sleep(d) }
 func (wallClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
-func (wallClock) AfterFunc(d time.Duration, f func()) Timer {
-	return wallTimer{t: time.AfterFunc(d, f)}
-}
+func (wallClock) NewTimer(d time.Duration) Timer   { return wallTimer{t: time.NewTimer(d)} }
+func (wallClock) NewTicker(d time.Duration) Ticker { return wallTicker{t: time.NewTicker(d)} }
 
-func (wallClock) NewTimer(d time.Duration) Timer {
-	t := time.NewTimer(d)
-	return wallTimer{t: t, c: t.C}
-}
+type wallTimer struct{ t *time.Timer }
 
-func (wallClock) NewTicker(d time.Duration) Ticker {
-	return wallTicker{t: time.NewTicker(d)}
-}
-
-type wallTimer struct {
-	t *time.Timer
-	c <-chan time.Time
-}
-
-func (w wallTimer) C() <-chan time.Time        { return w.c }
+func (w wallTimer) C() <-chan time.Time        { return w.t.C }
 func (w wallTimer) Stop() bool                 { return w.t.Stop() }
 func (w wallTimer) Reset(d time.Duration) bool { return w.t.Reset(d) }
 

@@ -37,13 +37,6 @@ func TestWallBasics(t *testing.T) {
 		t.Fatal("wall ticker never fired")
 	}
 	tk.Stop()
-	done := make(chan struct{})
-	Wall.AfterFunc(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("wall AfterFunc never fired")
-	}
 }
 
 func TestVirtualEpochAndNow(t *testing.T) {
@@ -183,30 +176,6 @@ func TestVirtualTimerAndTicker(t *testing.T) {
 	}
 }
 
-func TestVirtualAfterFuncTicksOnDrive(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	var mu sync.Mutex
-	count := 0
-	v.AfterFunc(time.Second, func() {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	})
-	v.Advance(500 * time.Millisecond)
-	mu.Lock()
-	if count != 0 {
-		mu.Unlock()
-		t.Fatal("AfterFunc fired early")
-	}
-	mu.Unlock()
-	v.Advance(time.Second)
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 1 {
-		t.Fatalf("AfterFunc count = %d, want 1", count)
-	}
-}
-
 func TestVirtualSleepWakesOnAdvance(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	v.Sleep(-time.Second) // returns immediately
@@ -262,20 +231,30 @@ func TestVirtualConcurrentScheduleRace(t *testing.T) {
 	v.Advance(time.Second)
 }
 
-// TestVirtualAfterFuncReset: like time.AfterFunc's, a virtual AfterFunc
-// timer runs its function again after Reset — whether it had fired or
-// was stopped first.
+// TestVirtualAfterFuncReset: like time.AfterFunc's and time.Timer's, a
+// virtual timer fires again after Reset — whether it had fired or was
+// stopped first.
 func TestVirtualAfterFuncReset(t *testing.T) {
 	v := NewVirtual(time.Time{})
-	count := 0
-	tm := v.AfterFunc(time.Second, func() { count++ })
+	tm := v.NewTimer(time.Second)
+	fired := func() bool {
+		select {
+		case <-tm.C():
+			return true
+		default:
+			return false
+		}
+	}
 	v.Advance(time.Second)
+	if !fired() {
+		t.Fatal("timer did not fire")
+	}
 	if tm.Reset(time.Second) {
 		t.Fatal("Reset after firing should report false")
 	}
 	v.Advance(time.Second)
-	if count != 2 {
-		t.Fatalf("fire then Reset: count = %d, want 2", count)
+	if !fired() {
+		t.Fatal("fire then Reset: timer did not fire again")
 	}
 	tm.Reset(time.Second)
 	if !tm.Stop() {
@@ -285,8 +264,8 @@ func TestVirtualAfterFuncReset(t *testing.T) {
 		t.Fatal("Reset after Stop should report false")
 	}
 	v.Advance(time.Second)
-	if count != 3 {
-		t.Fatalf("Stop then Reset: count = %d, want 3", count)
+	if !fired() {
+		t.Fatal("Stop then Reset: timer did not fire again")
 	}
 }
 

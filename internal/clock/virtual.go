@@ -37,8 +37,8 @@ var DefaultEpoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 // Virtual is a deterministic discrete-event clock: time advances only
 // when the driving goroutine says so, and all scheduled work runs on
 // that goroutine in (instant, schedule-order) order — no real sleeping
-// anywhere.  Concurrent use of the scheduling surface (Now, After,
-// AfterFunc, timers, tickers, Sleep) is safe; Advance/AdvanceTo/Step
+// anywhere.  Concurrent use of the scheduling surface (Now, Schedule,
+// timers, tickers, Sleep) is safe; Advance/AdvanceTo/Step
 // must be driven by one goroutine at a time (a second driver blocks).
 //
 // Goroutines blocked in Sleep or on timer channels wake when the
@@ -315,7 +315,7 @@ func (v *Virtual) RunUntilIdle(max int) int {
 	return fired
 }
 
-// --- Clock interface: Sleep / After / timers / tickers ---
+// --- Clock interface: Sleep / timers / tickers ---
 
 // Sleep implements Clock: it blocks the calling goroutine until the
 // driver advances the clock by d.  Sleeping on a Virtual clock nobody
@@ -329,13 +329,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 	<-ch
 }
 
-// AfterFunc implements Clock.
-func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	t := &virtualTimer{v: v, f: f}
-	t.s = v.Schedule(d, t)
-	return t
-}
-
 // NewTimer implements Clock.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
 	t := &virtualTimer{v: v, ch: make(chan time.Time, 1)}
@@ -343,13 +336,11 @@ func (v *Virtual) NewTimer(d time.Duration) Timer {
 	return t
 }
 
-// virtualTimer is both faces of Timer: an AfterFunc timer runs f, a
-// NewTimer timer sends on ch.  Each arming schedules the timer itself,
-// so a Reset re-arms whichever it is.
+// virtualTimer sends on ch when it fires.  Each arming schedules the
+// timer itself, so a Reset re-arms it whether it fired or was stopped.
 type virtualTimer struct {
 	v  *Virtual
-	ch chan time.Time // nil for AfterFunc timers
-	f  func()         // nil for NewTimer timers
+	ch chan time.Time
 
 	mu    sync.Mutex
 	s     *Scheduled
@@ -364,10 +355,6 @@ func (t *virtualTimer) Fire(now time.Time) {
 	t.mu.Lock()
 	t.fired = true
 	t.mu.Unlock()
-	if t.f != nil {
-		t.f()
-		return
-	}
 	select {
 	case t.ch <- now:
 	default:

@@ -36,8 +36,6 @@ import (
 type Config struct {
 	// Contract is the client's QoS contract (nil = empty contract).
 	Contract *profile.Contract
-	// Registry supplies modality transformers (nil = DefaultRegistry).
-	Registry *media.Registry
 	// Monitor, when set, is polled by AdaptOnce for system state; when
 	// nil the profile's existing state attributes are used directly.
 	Monitor *hostagent.Monitor
@@ -57,9 +55,9 @@ type Config struct {
 	Repair *RepairOptions
 	// Clock schedules and timestamps everything the client does (nil =
 	// wall clock).  A simulation injects a clock.Virtual here and the
-	// whole client — message timestamps, RTP arrival stamps, reorder
-	// holds, RTCP report TTLs, repair backoff, adaptation ticks — runs
-	// on virtual time.
+	// whole client — message timestamps, RTP arrival stamps, RTCP
+	// report TTLs, repair backoff, adaptation ticks — runs on virtual
+	// time.
 	Clock clock.Clock
 }
 
@@ -81,9 +79,6 @@ type RepairOptions struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Registry == nil {
-		c.Registry = media.DefaultRegistry()
-	}
 	if len(c.MonitorParams) == 0 {
 		c.MonitorParams = []string{hostagent.ParamCPULoad, hostagent.ParamPageFaults}
 	}
@@ -130,7 +125,7 @@ type Client struct {
 	clk     clock.Clock // injected time source (clock.Wall by default)
 	rtpSend *rtp.Sender
 	rtpMu   sync.Mutex
-	rtpRecv map[string]*rtp.Receiver // per-sender reorder/loss state
+	rtpRecv map[string]*rtp.Receiver // per-sender reception statistics
 
 	// seq numbers event/data frames (gapless per sender: archive
 	// coordinators reorder on it); control frames are numbered by the
@@ -551,7 +546,6 @@ func (c *Client) handleData(m *message.Message) {
 	recv, okR := c.rtpRecv[m.Sender]
 	if !okR {
 		recv = rtp.NewReceiver(64)
-		recv.SetClock(c.clk)
 		c.rtpRecv[m.Sender] = recv
 	}
 	c.rtpMu.Unlock()

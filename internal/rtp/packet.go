@@ -1,13 +1,15 @@
-// Package rtp implements the thin RTP/RTCP-style layer the framework
-// builds on top of UDP multicast to provide limited in-order delivery
-// assurance: sequence numbers and timestamps on data packets, a
-// reordering receiver with bounded buffering, and RTCP-style sender
-// and receiver reports carrying loss fraction and interarrival jitter.
+// Package rtp is the thin RTP/RTCP-style layer the framework builds on
+// UDP multicast: sequence numbers and timestamps on data packets, a
+// per-sender Receiver that counts expected, unique, duplicate and late
+// packets and estimates interarrival jitter, and RTCP-style receiver
+// reports carrying loss fraction and jitter, so the QoS machinery can
+// adapt.  Nothing is retransmitted: collaboration is real-time, and
+// late data is stale data.
 //
-// Reliable, ordered delivery of image packets is critical for
-// successful reconstruction at remote clients; this layer restores
-// ordering and surfaces loss so the QoS machinery can adapt, without
-// retransmission (collaboration is real-time: late data is stale data).
+// The layer's "limited in-order delivery assurance" lives where the
+// data is used: an image viewer accepts a share's packets as an
+// index-ordered prefix (internal/apps), and a client kernel releases
+// events through a per-sender order buffer (internal/session).
 package rtp
 
 import (
