@@ -68,3 +68,11 @@ for i in 1 2; do
 	"$tmp/qossim" -scenario lecture -clients 1000 -sim-duration 30s -timeline "$tmp/tl-$i.jsonl" >/dev/null
 done
 cmp "$tmp/tl-1.jsonl" "$tmp/tl-2.jsonl" >&2 || fail "TIMELINE DETERMINISM REGRESSION: same-seed runs exported different timelines"
+
+# Replay determinism: the jittered replay of the recorded session, run
+# twice, prints the same JSON, so a repair walk in map order (or any
+# other unseeded choice) shows up as a diff.
+for i in 1 2; do
+	"$tmp/qosreplay" -in internal/replay/testdata/collab-loss35.jsonl -jitter 2ms -json >"$tmp/replay-$i.json"
+done
+cmp "$tmp/replay-1.json" "$tmp/replay-2.json" >&2 || fail "REPLAY DETERMINISM REGRESSION: same-seed replays printed different results"

@@ -42,10 +42,6 @@ type Config struct {
 	// MonitorParams are the parameters sampled from Monitor (default
 	// cpu-load and page-faults).
 	MonitorParams []string
-	// Policy overrides the standard policy's parameters (nil = the
-	// paper's, inference.Params{}).  The replay harness injects swept
-	// candidates here instead of editing constants.
-	Policy *inference.Params
 	// MTU bounds each wire datagram; larger message frames are
 	// fragmented transparently (default 8 KiB).
 	MTU int
@@ -65,17 +61,35 @@ type Config struct {
 type RepairOptions struct {
 	// Coordinator is the archiving coordinator NACKed for replays.
 	Coordinator string
-	// StallTimeout, MaxRetries, Interval and Seed parameterize the
-	// retry schedule; zero values take the repair package defaults
-	// (the backoff starts at StallTimeout and doubles to 16× that).
+	// StallTimeout is how long a gap must hold parked events before the
+	// first NACK (default 200ms); the backoff starts there and doubles
+	// to 16× that, and the kernel is polled every quarter of it.
 	StallTimeout time.Duration
-	MaxRetries   int
-	Interval     time.Duration
-	Seed         int64
+	// MaxRetries is the NACK budget per gap; after that many and one
+	// more backoff without progress the gap is abandoned (default 6).
+	MaxRetries int
+	// Seed makes the backoff jitter reproducible (0 means 1).
+	Seed int64
 	// MaxPending bounds each sender's order buffer (default 512);
 	// overflow evicts the farthest-ahead frame so a corrupt sequence
 	// number cannot pin memory.
 	MaxPending int
+}
+
+func (r RepairOptions) withDefaults() RepairOptions {
+	if r.StallTimeout <= 0 {
+		r.StallTimeout = 200 * time.Millisecond
+	}
+	if r.MaxRetries < 1 {
+		r.MaxRetries = 6
+	}
+	if r.Seed == 0 {
+		r.Seed = 1
+	}
+	if r.MaxPending <= 0 {
+		r.MaxPending = 512
+	}
+	return r
 }
 
 func (c Config) withDefaults() Config {
@@ -170,11 +184,7 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 	c.k.Control = c.control
 	c.engine.SetOwner(conn.ID())
 	c.engine.SetClock(cfg.Clock)
-	var pol inference.Params
-	if cfg.Policy != nil {
-		pol = *cfg.Policy
-	}
-	if err := inference.InstallPolicy(c.engine, pol); err != nil {
+	if err := inference.InstallPolicy(c.engine, inference.Params{}); err != nil {
 		// The default policy is static; failure means a programming error.
 		panic(fmt.Sprintf("core: default policy: %v", err))
 	}
@@ -431,7 +441,7 @@ func (c *Client) recvLoop() {
 	}
 }
 
-// repairLoop ticks the kernel's repair engine until Close.
+// repairLoop ticks the kernel's gap repair until Close.
 func (c *Client) repairLoop(interval time.Duration) {
 	defer c.loops.Done()
 	ticker := c.clk.NewTicker(interval)

@@ -9,7 +9,6 @@ import (
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/metrics"
-	"adaptiveqos/internal/repair"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/snmp"
@@ -282,7 +281,7 @@ func profileMatches(c *Client, src string) bool {
 }
 
 // repairStatus snapshots c's per-sender gap-repair state.
-func repairStatus(c *Client) map[string]repair.StreamStatus {
+func repairStatus(c *Client) map[string]RepairStatus {
 	c.kmu.Lock()
 	defer c.kmu.Unlock()
 	return c.k.RepairStatus()

@@ -9,7 +9,6 @@ import (
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
-	"adaptiveqos/internal/repair"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/transport/transporttest"
@@ -40,8 +39,7 @@ func diffText(pub string, i int) string { return fmt.Sprintf("%s-%d", pub, i) }
 func diffRepair(i int) *RepairOptions {
 	return &RepairOptions{
 		Coordinator:  diffCoord,
-		StallTimeout: 30 * time.Millisecond,
-		Interval:     8 * time.Millisecond,
+		StallTimeout: 32 * time.Millisecond, // polled every 8ms
 		MaxRetries:   10,
 		Seed:         int64(900 + i),
 	}
@@ -86,7 +84,7 @@ type diffResult struct {
 	abandoned uint64
 }
 
-func (r *diffResult) collect(recv string, chat *apps.ChatArea, st map[string]repair.StreamStatus) {
+func (r *diffResult) collect(recv string, chat *apps.ChatArea, st map[string]RepairStatus) {
 	bySender := make(map[string][]string)
 	for _, l := range chat.Lines() {
 		bySender[l.Sender] = append(bySender[l.Sender], l.Text)

@@ -68,7 +68,7 @@ func FuzzKernelHandlePacket(f *testing.F) {
 		if got := k.decodeErrors.Load(); got != wantErrors {
 			t.Errorf("decode errors = %d, want %d", got, wantErrors)
 		}
-		// Two polls a stall timeout apart walk the repair engine through
+		// Two polls a stall timeout apart walk the gap repair through
 		// its NACK send as well.
 		k.Poll(clk.Now())
 		clk.Advance(time.Second)

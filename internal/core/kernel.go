@@ -2,17 +2,22 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/profile"
-	"adaptiveqos/internal/repair"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
+	"adaptiveqos/internal/slo"
 	"adaptiveqos/internal/transport"
 )
 
@@ -46,13 +51,14 @@ type Kernel struct {
 	// sequence, so they never leave gaps in it.
 	ctrlSeq atomic.Uint32
 
-	// Gap repair (Config.Repair != nil): per-sender order buffers
-	// restore each sender's gapless event/data sequence before
-	// delivery; the repair engine NACKs the coordinator for persistent
-	// gaps.  order == nil means repair is off.
-	maxPending int
-	order      map[string]*senderOrder
-	rep        *repair.Engine
+	// Gap repair (Config.Repair != nil): per-sender streams restore
+	// each sender's gapless event/data sequence before delivery, and
+	// Poll NACKs the coordinator for their persistent gaps.  order ==
+	// nil means repair is off.
+	repair  RepairOptions // Config.Repair with its defaults
+	order   map[string]*senderOrder
+	streams []*senderOrder // order's streams sorted by sender: what Poll walks
+	jitter  *rand.Rand     // seeded by RepairOptions.Seed
 
 	// intern shares the strings every frame repeats (sender, attribute
 	// names, short values) among the messages this kernel materialises.
@@ -75,21 +81,10 @@ func NewKernel(conn transport.Conn, cfg Config) *Kernel {
 	}
 	k.unwrap.Node = conn.ID()
 	k.tx = dispatch.Unicaster{Env: &k.env, Conn: conn}
-	if r := cfg.Repair; r != nil {
-		k.maxPending = r.MaxPending
-		if k.maxPending <= 0 {
-			k.maxPending = defaultMaxPending
-		}
+	if cfg.Repair != nil {
+		k.repair = cfg.Repair.withDefaults()
 		k.order = make(map[string]*senderOrder)
-		k.rep = repair.New(repair.Config{
-			StallTimeout: r.StallTimeout,
-			MaxRetries:   r.MaxRetries,
-			Interval:     r.Interval,
-			Seed:         r.Seed,
-			Owner:        conn.ID(),
-		}, func(stream string, _ uint64, _ int) error {
-			return k.nack(r.Coordinator, stream)
-		}, k.repairAbandon)
+		k.jitter = rand.New(rand.NewSource(k.repair.Seed))
 	}
 	return k
 }
@@ -130,31 +125,46 @@ func (k *Kernel) HandlePacket(pkt transport.Packet) {
 	k.process(v)
 }
 
-// Poll advances the repair engine to now: stalled gaps are NACKed on
-// their backoff schedule and, once the retry budget is spent,
-// abandoned.  A no-op with repair off.
-func (k *Kernel) Poll(now time.Time) {
-	if k.rep != nil {
-		k.rep.Poll(now)
-	}
-}
-
-// PollInterval is how often the owner should call Poll (0 with repair
-// off: never).
+// PollInterval is how often the owner should call Poll: a quarter of
+// the stall timeout (0 with repair off: never).
 func (k *Kernel) PollInterval() time.Duration {
-	if k.rep == nil {
+	if k.order == nil {
 		return 0
 	}
-	return k.rep.Interval()
+	if iv := k.repair.StallTimeout / 4; iv > 0 {
+		return iv
+	}
+	return time.Millisecond
+}
+
+// RepairStatus is one sender stream's gap-repair state.
+type RepairStatus struct {
+	WaitingFor uint64 // first missing seq the stream is stalled on
+	Parked     int    // events held behind the gap
+	Attempts   int    // requests issued for the current gap
+	Requests   uint64 // total requests issued for this stream
+	Repaired   uint64 // gaps closed after at least one request
+	Abandoned  uint64 // gaps given up on
+	// LastRepair is the first-request-to-observed-fill latency of the
+	// most recently repaired gap (what the repair SLO is fed).
+	LastRepair time.Duration
 }
 
 // RepairStatus snapshots the per-sender gap-repair state (nil when
 // repair is disabled).
-func (k *Kernel) RepairStatus() map[string]repair.StreamStatus {
-	if k.rep == nil {
+func (k *Kernel) RepairStatus() map[string]RepairStatus {
+	if k.order == nil {
 		return nil
 	}
-	return k.rep.Status()
+	out := make(map[string]RepairStatus, len(k.streams))
+	for _, so := range k.streams {
+		w, parked := so.buf.Gap()
+		out[so.sender] = RepairStatus{
+			WaitingFor: w, Parked: parked, Attempts: so.attempts, Requests: so.requests,
+			Repaired: so.repaired, Abandoned: so.abandoned, LastRepair: so.lastRepair,
+		}
+	}
+	return out
 }
 
 // process interprets one validated, ordered (or orderless-mode) frame:
@@ -179,8 +189,13 @@ func (k *Kernel) process(v message.View) {
 	msp.End()
 	obs.AppendHop(msgID, k.ID(), obs.StageMatch)
 	m := v.Message(&k.intern)
+	// A stamp off the wire is witnessed only if it is a whole number a
+	// float64 counts exactly: the conversion of anything else would set
+	// the clock wherever it lands (uint64(-1.0) wraps it to 0).
 	if lam, ok := m.Attrs["lamport"]; ok {
-		k.lamport.Witness(uint64(lam.Num()))
+		if n := lam.Num(); n >= 0 && n <= 1<<53 && n == math.Trunc(n) {
+			k.lamport.Witness(uint64(n))
+		}
 	}
 
 	switch m.Kind {
@@ -199,14 +214,23 @@ func (k *Kernel) process(v message.View) {
 }
 
 // senderOrder restores one sender's gapless event/data sequence at a
-// replica: the order buffer tracks sequence state (and is what the
-// repair engine watches), parked holds the frames waiting behind a gap
-// until release — as views, so a frame that turns out to be filtered,
-// evicted or abandoned was never decoded.
+// replica: the order buffer tracks sequence state, parked holds the
+// frames waiting behind a gap until release — as views, so a frame that
+// turns out to be filtered, evicted or abandoned was never decoded —
+// and the rest is the gap's repair state, which Poll advances.
 type senderOrder struct {
 	sender string
 	buf    *session.OrderBuffer
 	parked map[uint64]message.View
+
+	waitingFor   uint64    // gap seq as of the last poll
+	parkedSince  time.Time // when the current gap first held parked events
+	attempts     int       // requests issued for the current gap
+	nextAction   time.Time // when to retry or abandon
+	firstRequest time.Time // start of the repair-latency measurement
+
+	requests, repaired, abandoned uint64
+	lastRepair                    time.Duration
 }
 
 // newSenderBuffer is one sender's order buffer, at a replica or the
@@ -217,10 +241,6 @@ func newSenderBuffer(clk clock.Clock) *session.OrderBuffer {
 	b.SetClock(clk)
 	return b
 }
-
-// defaultMaxPending bounds each sender's order buffer when
-// RepairOptions.MaxPending is zero.
-const defaultMaxPending = 512
 
 // ingestOrdered pushes an event/data frame through its sender's order
 // buffer and processes whatever becomes releasable, in order.
@@ -236,9 +256,13 @@ func (k *Kernel) ingestOrdered(v message.View) {
 		}
 		// Overflow evicts the farthest-ahead frame from the buffer;
 		// drop its parked view too (runs under the buffer's lock).
-		so.buf.SetLimit(k.maxPending, func(ev session.Event) { delete(so.parked, ev.Seq) })
+		so.buf.SetLimit(k.repair.MaxPending, func(ev session.Event) { delete(so.parked, ev.Seq) })
+		so.waitingFor, _ = so.buf.Gap()
 		k.order[so.sender] = so
-		k.rep.Watch(so.sender, so.buf)
+		i, _ := slices.BinarySearchFunc(k.streams, so.sender, func(s *senderOrder, name string) int {
+			return strings.Compare(s.sender, name)
+		})
+		k.streams = slices.Insert(k.streams, i, so)
 	}
 	seq := uint64(v.Seq())
 	if w, _ := so.buf.Gap(); seq < w {
@@ -259,18 +283,112 @@ func (k *Kernel) release(so *senderOrder, released []session.Event) {
 	}
 }
 
-// repairAbandon is the engine's budget-exhausted callback: skip the
-// stream past the unrepairable gap so delivery resumes, noting what
-// was given up.
-func (k *Kernel) repairAbandon(stream string, waitingFor uint64) {
-	so, ok := k.order[stream]
-	if !ok {
-		return
+// Repair schedule constants (DESIGN.md §10).  The first NACK waits
+// for StallTimeout, and so does the first retry; each later wait
+// doubles up to maxBackoffFactor × StallTimeout, and every wait is
+// spread uniformly over ±backoffJitter of itself so replicas repairing
+// the same loss don't synchronize their NACKs.
+const (
+	maxBackoffFactor = 16
+	backoffJitter    = 0.2
+)
+
+// Poll advances every sender stream's gap to now, in sender order, so a
+// rerun draws the jitter and sends the NACKs the same way: a gap that
+// has held parked events for StallTimeout is NACKed, retried on its
+// backoff, and abandoned — skipped, liveness over completeness — once
+// MaxRetries requests went unanswered.  A no-op with repair off.
+func (k *Kernel) Poll(now time.Time) {
+	for _, so := range k.streams {
+		w, parked := so.buf.Gap()
+		switch {
+		case w != so.waitingFor:
+			// Delivery progressed.  If we had asked for help, a replay
+			// closed this gap: count it and record stall-to-fill latency.
+			if so.attempts > 0 {
+				k.repaired(so, now)
+			}
+			so.waitingFor, so.attempts, so.parkedSince = w, 0, time.Time{}
+			if parked > 0 {
+				so.parkedSince = now
+			}
+		case parked == 0:
+			// Idle at the stream tail: nothing is missing that we can
+			// see (tail loss is invisible until a later event parks).
+			so.parkedSince, so.attempts = time.Time{}, 0
+		case so.parkedSince.IsZero():
+			so.parkedSince = now
+		case so.attempts == 0:
+			if now.Sub(so.parkedSince) >= k.repair.StallTimeout {
+				so.firstRequest = now
+				k.request(so, now)
+			}
+		case now.Before(so.nextAction):
+			// Backing off.
+		case so.attempts >= k.repair.MaxRetries:
+			k.abandon(so, w)
+		default:
+			k.request(so, now)
+		}
+	}
+}
+
+// repaired counts a gap a replay closed after so.attempts requests.
+func (k *Kernel) repaired(so *senderOrder, now time.Time) {
+	so.repaired++
+	so.lastRepair = now.Sub(so.firstRequest)
+	metrics.C(metrics.CtrRepairSuccess).Inc()
+	obs.StageHistogram(obs.StageRepair).Observe(so.lastRepair.Nanoseconds())
+	if k.ID() != "" {
+		slo.ObserveRepair(k.ID(), so.lastRepair)
+	}
+	if obs.Enabled() {
+		obs.Note(0, obs.StageRepair, fmt.Sprintf(
+			"stream %s: gap at %d repaired after %d request(s)", so.sender, so.waitingFor, so.attempts))
+	}
+}
+
+// request NACKs so's gap once more and schedules what follows.  A failed
+// send is only noted: it retries on the backoff either way, since a
+// failed send and a lost reply look the same from here.
+func (k *Kernel) request(so *senderOrder, now time.Time) {
+	so.attempts++
+	so.requests++
+	so.nextAction = now.Add(k.backoff(so.attempts))
+	metrics.C(metrics.CtrRepairRequests).Inc()
+	if err := k.nack(so); err != nil && obs.Enabled() {
+		obs.Note(0, obs.StageRepair, fmt.Sprintf(
+			"stream %s: repair request %d failed: %v", so.sender, so.attempts, err))
+	}
+}
+
+// backoff returns the wait after request attempt: StallTimeout doubled
+// per earlier attempt, capped, then jittered.
+func (k *Kernel) backoff(attempt int) time.Duration {
+	limit := maxBackoffFactor * k.repair.StallTimeout
+	d := k.repair.StallTimeout
+	for i := 1; i < attempt && d < limit; i++ {
+		d *= 2
+	}
+	d = min(d, limit)
+	j := 1 + backoffJitter*(2*k.jitter.Float64()-1)
+	return max(time.Duration(float64(d)*j), time.Millisecond)
+}
+
+// abandon gives up on the gap at waitingFor: skip the stream past it so
+// delivery resumes, noting what was given up.
+func (k *Kernel) abandon(so *senderOrder, waitingFor uint64) {
+	so.abandoned++
+	so.attempts, so.parkedSince = 0, time.Time{}
+	metrics.C(metrics.CtrRepairAbandoned).Inc()
+	if obs.Enabled() {
+		obs.Note(0, obs.StageRepair, fmt.Sprintf(
+			"stream %s: gap at %d abandoned after %d requests, skipping", so.sender, waitingFor, k.repair.MaxRetries))
 	}
 	released, from, to := so.buf.Skip()
 	if to > from && obs.Enabled() {
 		obs.Drop(0, obs.StageRepair, fmt.Sprintf(
-			"%s: abandoned seqs [%d,%d) from %s", k.ID(), from, to, stream))
+			"%s: abandoned seqs [%d,%d) from %s", k.ID(), from, to, so.sender))
 	}
 	k.release(so, released)
 }
@@ -280,16 +398,12 @@ func (k *Kernel) repairAbandon(stream string, waitingFor uint64) {
 // of them), then everything past the highest frame it holds — the one
 // part of the request the receiver cannot bound, and what recovers the
 // lost tail of a burst without waiting for a later frame to expose it.
-func (k *Kernel) nack(coordinator, stream string) error {
-	so, ok := k.order[stream]
-	if !ok {
-		return nil
-	}
+func (k *Kernel) nack(so *senderOrder) error {
 	var ranges [maxNackHoles]session.SeqRange
 	holes, past := so.buf.Holes(ranges[:0], maxNackHoles)
-	return k.sendHistoryRequest(coordinator, selector.Attributes{
+	return k.sendHistoryRequest(k.repair.Coordinator, selector.Attributes{
 		attrCtrl:      selector.S(ctrlHistoryReq),
-		attrForSender: selector.S(stream),
+		attrForSender: selector.S(so.sender),
 	}, appendHoles(nil, holes, past))
 }
 

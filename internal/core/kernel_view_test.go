@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestParkedFrameMatchedAsOfRelease(t *testing.T) {
 
 // A frame the profile rejects still consumes its sequence number: the
 // frames after it are delivered, nothing is parked behind it and no
-// gap is left for the repair engine to chase.
+// gap is left for repair to chase.
 func TestFilteredFrameConsumesItsSeq(t *testing.T) {
 	r := newViewRig(t, "recv", true)
 	r.k.pm.SetInterest("topic", selector.S("a"))
@@ -114,5 +115,37 @@ func TestKernelsShareNoInternTable(t *testing.T) {
 	}
 	if b.k.intern != (message.Interner{}) {
 		t.Error("an idle kernel's intern table was written to")
+	}
+}
+
+// A Lamport stamp off the wire is witnessed only if it is a whole
+// number a float64 counts exactly: anything else would set the clock
+// to whatever the conversion makes of it (uint64(-1.0) wraps it to 0).
+func TestLamportIgnoresUnrepresentableStamps(t *testing.T) {
+	for _, tc := range []struct {
+		stamp float64
+		next  uint64 // the Tick after five ticks and the stamp
+	}{
+		{-1, 6}, {math.NaN(), 6}, {math.Inf(1), 6}, {math.Inf(-1), 6}, {1e300, 6},
+		{1<<53 + 2, 6}, {7.5, 6}, {9, 11}, {1 << 53, 1<<53 + 2},
+	} {
+		r := newViewRig(t, "recv", false)
+		for i := 0; i < 5; i++ {
+			r.k.lamport.Tick()
+		}
+		d, err := r.env.WrapMessage(&message.Message{
+			Kind: message.KindEvent, Sender: "pub", Seq: 1,
+			Attrs: selector.Attributes{"lamport": selector.N(tc.stamp)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.k.HandlePacket(transport.Packet{From: "pub", Data: d[0]})
+		if len(r.applied) != 1 {
+			t.Fatalf("stamp %v: delivered %v", tc.stamp, r.applied)
+		}
+		if got := r.k.lamport.Tick(); got != tc.next {
+			t.Errorf("stamp %v: next Tick = %d, want %d", tc.stamp, got, tc.next)
+		}
 	}
 }

@@ -66,8 +66,7 @@ func newRepairRig(t *testing.T, seed int64, receivers int) *repairRig {
 		conn := attach(rigRecv(i), func(p transport.Packet) { r.recvs[i].HandlePacket(p) })
 		r.recvs[i] = NewKernel(conn, Config{Clock: r.clk, Repair: &RepairOptions{
 			Coordinator:  rigCoord,
-			StallTimeout: 30 * time.Millisecond,
-			Interval:     8 * time.Millisecond,
+			StallTimeout: 32 * time.Millisecond, // polled every 8ms
 			MaxRetries:   4,
 			Seed:         seed + int64(i),
 		}})

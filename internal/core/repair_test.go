@@ -56,8 +56,7 @@ func newChaosNet(t *testing.T, seed int64, nSenders, nReplicas int, link transpo
 		}
 		r := NewClient(c, Config{Repair: &RepairOptions{
 			Coordinator:  "coordinator",
-			StallTimeout: 30 * time.Millisecond,
-			Interval:     8 * time.Millisecond,
+			StallTimeout: 32 * time.Millisecond, // polled every 8ms
 			MaxRetries:   10,
 			Seed:         seed + int64(i),
 		}})
@@ -262,7 +261,6 @@ func TestRepairAbandonsUnrepairableGap(t *testing.T) {
 	replica := NewClient(rc, Config{Repair: &RepairOptions{
 		Coordinator:  "coordinator",
 		StallTimeout: 20 * time.Millisecond,
-		Interval:     5 * time.Millisecond,
 		MaxRetries:   2,
 		Seed:         300,
 	}})

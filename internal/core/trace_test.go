@@ -136,8 +136,7 @@ func TestRepairReplayAppendsRepairHop(t *testing.T) {
 		}
 		replica := NewClient(rc, Config{Repair: &RepairOptions{
 			Coordinator:  "coordinator",
-			StallTimeout: 30 * time.Millisecond,
-			Interval:     8 * time.Millisecond,
+			StallTimeout: 32 * time.Millisecond, // polled every 8ms
 			MaxRetries:   10,
 			Seed:         172,
 		}})

@@ -45,7 +45,7 @@ const (
 	CtrDispatchQueueDrops = "dispatch.queue.drops"
 	// Collection-tracker counters (image reassembly bookkeeping).
 	CtrCollectEvictions = "registry.collect.evictions"
-	// Gap-repair counters (internal/repair, DESIGN.md §10): NACK-style
+	// Gap-repair counters (core.Kernel.Poll, DESIGN.md §10): NACK-style
 	// history requests issued, gaps closed by a replay, and gaps
 	// abandoned after the retry budget (exposed as aqos_repair_*).
 	CtrRepairRequests  = "repair.requests"

@@ -11,8 +11,8 @@ import (
 )
 
 // RepairPolicy is the gap-repair candidate: off, or on with a stall
-// timeout and a retry budget (repair.Config's two load-bearing knobs;
-// backoff and jitter keep their defaults relative to the timeout).
+// timeout and a retry budget (core.RepairOptions' two schedule knobs;
+// the backoff and its jitter follow from the timeout).
 type RepairPolicy struct {
 	Enabled        bool  `json:"enabled"`
 	StallTimeoutMS int64 `json:"stall_timeout_ms,omitempty"`
@@ -40,7 +40,7 @@ func (r RepairPolicy) validate() error {
 }
 
 // StallTimeout returns the stall timeout as a duration (default 200ms,
-// matching repair.Config).
+// matching core.RepairOptions).
 func (r RepairPolicy) StallTimeout() time.Duration {
 	if r.StallTimeoutMS <= 0 {
 		return 200 * time.Millisecond

@@ -89,8 +89,8 @@ type Outcome struct {
 
 	// DeliveryNS holds every delivery latency (publish to Deliver
 	// effect, virtual ns), sorted; ConvergeNS every repaired gap's
-	// first-NACK-to-observed-fill latency as the repair engine measures
-	// it (the figure the live repair SLO is fed), sorted.
+	// first-NACK-to-observed-fill latency as the kernel's gap repair
+	// measures it (the figure the live repair SLO is fed), sorted.
 	DeliveryNS []int64 `json:"-"`
 	ConvergeNS []int64 `json:"-"`
 
@@ -292,7 +292,7 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 	// Repair poll ticks: one recurring event polls every kernel, in
 	// receiver order, from the driving goroutine — Poll itself scans
 	// streams sorted, so the whole control loop is deterministic.  The
-	// engines' counters move only inside Poll, so the tick is also
+	// kernels' repair counters move only inside Poll, so the tick is also
 	// where the outcome reads them.
 	end := time.Unix(0, w.EndNS)
 	drain := 500 * time.Millisecond
