@@ -71,8 +71,13 @@ cmp "$tmp/tl-1.jsonl" "$tmp/tl-2.jsonl" >&2 || fail "TIMELINE DETERMINISM REGRES
 
 # Replay determinism: the jittered replay of the recorded session, run
 # twice, prints the same JSON, so a repair walk in map order (or any
-# other unseeded choice) shows up as a diff.
+# other unseeded choice) shows up as a diff; and each run prints the
+# checked-in golden, so a change that moves a decision shows as drift.
 for i in 1 2; do
 	"$tmp/qosreplay" -in internal/replay/testdata/collab-loss35.jsonl -jitter 2ms -json >"$tmp/replay-$i.json"
 done
 cmp "$tmp/replay-1.json" "$tmp/replay-2.json" >&2 || fail "REPLAY DETERMINISM REGRESSION: same-seed replays printed different results"
+for i in 1 2; do
+	cmp internal/replay/testdata/collab-loss35-jitter2ms.golden.json "$tmp/replay-$i.json" >&2 ||
+		fail "REPLAY DRIFT: run $i differs from internal/replay/testdata/collab-loss35-jitter2ms.golden.json"
+done

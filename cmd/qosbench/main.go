@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 
 	"adaptiveqos/internal/experiments"
-	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 )
 
@@ -40,77 +40,20 @@ func main() {
 		log.Printf("qosbench: serving /metrics and /debug/qos on %s", *obsAddr)
 	}
 
-	printTable := func(title string, t *metrics.Table) error {
-		if *csv {
-			return t.RenderCSV(os.Stdout)
-		}
-		fmt.Println(title)
-		fmt.Print(t)
-		return nil
-	}
-
-	runners := map[string]func() error{
-		"fig6": func() error {
-			table, err := experiments.Fig6(*steps)
-			if err != nil {
-				return err
-			}
-			return printTable("Figure 6 — image viewer parameters vs host page faults", table)
-		},
-		"fig7": func() error {
-			table, err := experiments.Fig7(*steps)
-			if err != nil {
-				return err
-			}
-			return printTable("Figure 7 — image viewer parameters vs CPU load", table)
-		},
-		"fig8": func() error {
-			table, err := experiments.Fig8()
-			if err != nil {
-				return err
-			}
-			return printTable("Figure 8 — two wireless clients, varying distance of client A", table)
-		},
-		"fig9": func() error {
-			table, err := experiments.Fig9()
-			if err != nil {
-				return err
-			}
-			return printTable("Figure 9 — two wireless clients, varying power of client A", table)
-		},
-		"fig10": func() error {
-			res, err := experiments.Fig10()
-			if err != nil {
-				return err
-			}
-			if err := printTable("Figure 10 — three wireless clients, varying distance and power", res.Table); err != nil {
-				return err
-			}
-			if !*csv {
-				fmt.Printf("\nSIR drop when client 2 joined: %.0f%% (paper: ~90%%)\n", res.DropOnSecondJoin*100)
-				fmt.Printf("further drop when client 3 joined: %.0f%% (paper: ~23%%)\n", res.DropOnThirdJoin*100)
-				fmt.Printf("estimated session limit at text threshold: %d equal clients\n", res.AdmissionLimit)
-			}
-			return nil
-		},
-	}
-
 	order := []string{"fig6", "fig7", "fig8", "fig9", "fig10"}
-	var todo []string
-	if *exp == "all" {
-		todo = order
-	} else if _, ok := runners[*exp]; ok {
+	todo := order
+	if *exp != "all" {
+		if !slices.Contains(order, *exp) {
+			fmt.Fprintf(os.Stderr, "qosbench: unknown experiment %q (want fig6..fig10 or all)\n", *exp)
+			os.Exit(2)
+		}
 		todo = []string{*exp}
-	} else {
-		fmt.Fprintf(os.Stderr, "qosbench: unknown experiment %q (want fig6..fig10 or all)\n", *exp)
-		os.Exit(2)
 	}
-
 	for i, name := range todo {
 		if i > 0 {
 			fmt.Println()
 		}
-		if err := runners[name](); err != nil {
+		if err := experiments.Write(os.Stdout, name, *steps, *csv); err != nil {
 			fmt.Fprintf(os.Stderr, "qosbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}

@@ -169,7 +169,7 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 		clk:     cfg.Clock,
 		conn:    conn,
 		k:       NewKernel(conn, cfg),
-		engine:  inference.New(cfg.Contract),
+		engine:  inference.New(conn.ID(), cfg.Contract, cfg.Clock),
 		chat:    apps.NewChatArea(),
 		wb:      apps.NewWhiteboard(),
 		viewer:  apps.NewImageViewer(),
@@ -182,12 +182,6 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 	}
 	c.k.Deliver = c.deliver
 	c.k.Control = c.control
-	c.engine.SetOwner(conn.ID())
-	c.engine.SetClock(cfg.Clock)
-	if err := inference.InstallPolicy(c.engine, inference.Params{}); err != nil {
-		// The default policy is static; failure means a programming error.
-		panic(fmt.Sprintf("core: default policy: %v", err))
-	}
 	c.lastDecision = inference.Decision{PacketBudget: inference.Unlimited}
 	c.txMulti = &dispatch.Multicaster{Env: &c.k.env, Conn: conn}
 	c.loops.Add(1)
@@ -205,7 +199,8 @@ func (c *Client) ID() string { return c.conn.ID() }
 // Profile returns the client's profile manager.
 func (c *Client) Profile() *profile.Manager { return c.k.pm }
 
-// Engine returns the client's inference engine for custom policies.
+// Engine returns the client's inference engine, the one AdaptOnce
+// decides through.
 func (c *Client) Engine() *inference.Engine { return c.engine }
 
 // Chat returns the chat application state.

@@ -382,3 +382,31 @@ func TestGapJitterSpreadAndDeterministic(t *testing.T) {
 		t.Errorf("first backoffs over 20 seeds span only [%v, %v]", lo, hi)
 	}
 }
+
+// An unrepairable gap is abandoned within RepairOptions.AbandonSpan of
+// opening, for every retry budget and stall timeout the replay grid
+// sweeps and across jitter draws.  Polls run on the kernel's own grid
+// from one interval after the gap opened, the latest a poll can first
+// see it.
+func TestGapAbandonedWithinAbandonSpan(t *testing.T) {
+	for _, retries := range []int{1, 2, 6} {
+		for _, stall := range []time.Duration{100 * time.Millisecond, 250 * time.Millisecond} {
+			span := RepairOptions{StallTimeout: stall, MaxRetries: retries}.AbandonSpan()
+			var latest time.Duration
+			for seed := int64(1); seed <= 8; seed++ {
+				r := newGapRig(t, RepairOptions{StallTimeout: stall, MaxRetries: retries, Seed: seed})
+				r.push(1, 3) // 2 is never replayed
+				interval := r.k.PollInterval()
+				at := interval
+				for ; at <= span && r.status().Abandoned == 0; at += interval {
+					r.poll(at)
+				}
+				if r.status().Abandoned != 1 {
+					t.Fatalf("retries %d, stall %v, seed %d: gap not abandoned within %v", retries, stall, seed, span)
+				}
+				latest = max(latest, at-interval)
+			}
+			t.Logf("retries %d, stall %v: abandoned by %v of AbandonSpan %v", retries, stall, latest, span)
+		}
+	}
+}

@@ -293,6 +293,22 @@ const (
 	backoffJitter    = 0.2
 )
 
+// AbandonSpan bounds how long a gap can stall before the kernel
+// abandons it: the stall timeout plus every backoff at its cap-limited
+// nominal length, plus half again as a margin for the ±backoffJitter
+// spread and the poll grid.
+func (r RepairOptions) AbandonSpan() time.Duration {
+	r = r.withDefaults()
+	span, backoff := r.StallTimeout, r.StallTimeout
+	for range r.MaxRetries {
+		span += backoff
+		if backoff < maxBackoffFactor*r.StallTimeout {
+			backoff *= 2
+		}
+	}
+	return span + span/2
+}
+
 // Poll advances every sender stream's gap to now, in sender order, so a
 // rerun draws the jitter and sends the NACKs the same way: a gap that
 // has held parked events for StallTimeout is NACKed, retried on its

@@ -159,7 +159,8 @@ func (c *Client) sendBudget(total int) int {
 	if worst <= 0 {
 		return total
 	}
-	budget := inference.PacketsFromLoss(worst, total)
+	state := selector.Attributes{inference.StateLoss: selector.N(worst)}
+	budget := inference.Params{MaxPackets: total}.Decide(state).EffectiveBudget(total)
 	if budget < 1 {
 		budget = 1 // always send at least the base layer
 	}

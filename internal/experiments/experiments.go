@@ -19,6 +19,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/hostagent"
@@ -50,13 +51,10 @@ func newViewerPipeline(imageSize int) (*viewerPipeline, error) {
 	monitor := &hostagent.Monitor{
 		Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: agent}, snmp.V2c, "public"),
 	}
-	engine := inference.New(profile.MustContract("fig67",
+	engine := inference.New("", profile.MustContract("fig67",
 		profile.Constraint{Param: inference.StateCPULoad, Min: 0, Max: 90, Hard: true},
 		profile.Constraint{Param: inference.StatePageFaults, Min: 0, Max: 95},
-	))
-	if err := inference.InstallPolicy(engine, inference.Params{}); err != nil {
-		return nil, err
-	}
+	), nil)
 
 	im := wavelet.Medical(imageSize, imageSize, 7)
 	obj, err := media.EncodeImage(im, "experiment image")
@@ -327,4 +325,53 @@ func Fig10() (*Fig10Result, error) {
 		DropOnThirdJoin:  (sirWith2 - sirWith3) / sirWith2,
 		AdmissionLimit:   ch.AdmissionLimit(60, 1, th.TextDB),
 	}, nil
+}
+
+// Write runs one experiment, "fig6" … "fig10", and prints it to w as
+// cmd/qosbench shows it: titled and aligned (Fig 10 followed by its
+// headline drops), or as bare CSV.
+func Write(w io.Writer, name string, steps int, csv bool) error {
+	var (
+		title string
+		table *metrics.Table
+		fig10 *Fig10Result
+		err   error
+	)
+	switch name {
+	case "fig6":
+		title = "Figure 6 — image viewer parameters vs host page faults"
+		table, err = Fig6(steps)
+	case "fig7":
+		title = "Figure 7 — image viewer parameters vs CPU load"
+		table, err = Fig7(steps)
+	case "fig8":
+		title = "Figure 8 — two wireless clients, varying distance of client A"
+		table, err = Fig8()
+	case "fig9":
+		title = "Figure 9 — two wireless clients, varying power of client A"
+		table, err = Fig9()
+	case "fig10":
+		title = "Figure 10 — three wireless clients, varying distance and power"
+		if fig10, err = Fig10(); err == nil {
+			table = fig10.Table
+		}
+	default:
+		return fmt.Errorf("unknown experiment %q", name)
+	}
+	if err != nil {
+		return err
+	}
+	if csv {
+		return table.RenderCSV(w)
+	}
+	fmt.Fprintln(w, title)
+	if err := table.Render(w); err != nil {
+		return err
+	}
+	if fig10 != nil {
+		fmt.Fprintf(w, "\nSIR drop when client 2 joined: %.0f%% (paper: ~90%%)\n", fig10.DropOnSecondJoin*100)
+		fmt.Fprintf(w, "further drop when client 3 joined: %.0f%% (paper: ~23%%)\n", fig10.DropOnThirdJoin*100)
+		fmt.Fprintf(w, "estimated session limit at text threshold: %d equal clients\n", fig10.AdmissionLimit)
+	}
+	return nil
 }

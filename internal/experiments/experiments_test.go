@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"testing"
 
 	"adaptiveqos/internal/metrics"
@@ -257,4 +259,30 @@ func nonDecreasing(s *metrics.Series, eps float64) bool {
 		}
 	}
 	return true
+}
+
+// TestFiguresGolden pins every figure, as `qosbench -exp all` prints
+// it, byte for byte to testdata/figures.golden: the sweeps run the real
+// host → SNMP → inference → wavelet pipeline, so a change that moves
+// any decision or coded byte shows here.  Regenerate, when a figure is
+// meant to move, with
+//
+//	go run ./cmd/qosbench -exp all > internal/experiments/testdata/figures.golden
+func TestFiguresGolden(t *testing.T) {
+	var got bytes.Buffer
+	for i, name := range []string{"fig6", "fig7", "fig8", "fig9", "fig10"} {
+		if i > 0 {
+			got.WriteByte('\n')
+		}
+		if err := Write(&got, name, 8, false); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	want, err := os.ReadFile("testdata/figures.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("figures moved from testdata/figures.golden; now:\n%s", got.String())
+	}
 }

@@ -5,10 +5,10 @@
 // aqos_inference_rule_fired{rule="..."}.
 //
 // Rule-firing counters are always live (one atomic add per firing;
-// the family is pre-touched per rule at AddRule so /metrics shows
-// every installed rule at zero).  The audit ring only records when the
-// obs instrumentation flag is on, keeping the disabled Decide path
-// free of ring-buffer work and attribute formatting.
+// New registers every rule's counter so /metrics shows each at zero).
+// The audit ring only records when the obs instrumentation flag is on,
+// keeping the disabled Decide path free of ring-buffer work and
+// attribute formatting.
 package inference
 
 import (
@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/selector"
 )
@@ -159,11 +158,4 @@ func init() {
 		}
 		WriteDecisions(w, q.Get("client"), max)
 	})
-}
-
-// touchRuleCounter returns (registering if new) the rule's firing
-// counter; pre-touching at AddRule time means /metrics lists every
-// installed rule's family at zero before any firing.
-func touchRuleCounter(name string) *metrics.Counter {
-	return metrics.C(metrics.RuleFired(name))
 }

@@ -10,17 +10,8 @@ import (
 	"adaptiveqos/internal/selector"
 )
 
-func auditTestEngine(t *testing.T) *Engine {
-	t.Helper()
-	e := New(nil)
-	if err := InstallPolicy(e, Params{}); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 func TestDecideCountsRuleFirings(t *testing.T) {
-	e := auditTestEngine(t)
+	e := New("", nil, nil)
 	ctr := metrics.C(metrics.RuleFired("cpu-load-budget"))
 	before := ctr.Load()
 	e.Decide(selector.Attributes{StateCPULoad: selector.N(80)})
@@ -28,10 +19,10 @@ func TestDecideCountsRuleFirings(t *testing.T) {
 	if got := ctr.Load(); got != before+2 {
 		t.Errorf("rule counter %d -> %d, want +2", before, got)
 	}
-	// Installed-but-silent rules are pre-touched: family present at
-	// registration, not first firing.
+	// Silent rules are pre-touched: family present once an engine
+	// exists, not at first firing.
 	if _, ok := metrics.Counters()[metrics.RuleFired("page-fault-budget")]; !ok {
-		t.Error("page-fault-budget counter not pre-touched at AddRule")
+		t.Error("page-fault-budget counter not pre-touched at New")
 	}
 }
 
@@ -43,15 +34,13 @@ func TestDecideRecordsAudit(t *testing.T) {
 		ResetAudits()
 	})
 
-	e := auditTestEngine(t)
-	e.SetOwner("wired-0")
+	e := New("wired-0", nil, nil)
 	e.Decide(selector.Attributes{
 		StateCPULoad:   selector.N(80),
 		StateBandwidth: selector.N(20_000),
 	})
 
-	e2 := auditTestEngine(t)
-	e2.SetOwner("wired-1")
+	e2 := New("wired-1", nil, nil)
 	e2.Decide(selector.Attributes{StatePageFaults: selector.N(120)})
 
 	all := Audits("", 0)
@@ -93,8 +82,7 @@ func TestDecideRecordsAudit(t *testing.T) {
 func TestDecideAuditDisabledByObsFlag(t *testing.T) {
 	ResetAudits()
 	obs.SetEnabled(false)
-	e := auditTestEngine(t)
-	e.SetOwner("silent")
+	e := New("silent", nil, nil)
 	e.Decide(selector.Attributes{StateCPULoad: selector.N(50)})
 	if got := Audits("", 0); len(got) != 0 {
 		t.Errorf("disabled instrumentation recorded %d audits", len(got))
@@ -129,8 +117,7 @@ func TestDebugDecisionsEndpoint(t *testing.T) {
 		obs.SetEnabled(false)
 		ResetAudits()
 	})
-	e := auditTestEngine(t)
-	e.SetOwner("wired-0")
+	e := New("wired-0", nil, nil)
 	e.Decide(selector.Attributes{StateCPULoad: selector.N(95)})
 
 	h := obs.Handler() // /debug/decisions is registered by this package's init

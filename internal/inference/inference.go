@@ -1,24 +1,20 @@
-// Package inference implements the inference engine: a policy database
-// that combines the client profile (interests, preferences,
-// capabilities), the QoS contract, and the current system/network
-// state into concrete adaptation decisions — how many image packets to
-// accept, which resolution threshold to apply, and which modality to
-// deliver.
+// Package inference implements the inference engine: it combines the
+// client profile's QoS contract and the current system/network state
+// into concrete adaptation decisions — how many image packets to
+// accept and which modality to deliver.
 //
-// Policies are rules: a semantic-selector condition over the state
-// attributes plus an action that refines the decision.  Rules fire in
-// priority order; actions compose by tightening (a later rule can
-// lower the packet budget but the engine keeps the minimum, so the
-// most constrained resource governs — the paper's behaviour where
-// either page faults or CPU load can throttle the image viewer).
+// The policy is code, not a rule database: Params.Decide applies the
+// paper's mappings in one fixed order and composes them by tightening
+// (each budget mapping can only lower the packet budget, so the most
+// constrained resource governs — the paper's behaviour where either
+// page faults or CPU load can throttle the image viewer).  The live
+// clients, the figure sweeps and the counterfactual replay all decide
+// through it.
 package inference
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
@@ -46,8 +42,8 @@ type Decision struct {
 	Fired []string
 }
 
-// ConstrainPackets lowers the budget to at most n (composing by min).
-func (d *Decision) ConstrainPackets(n int) {
+// constrain lowers the budget to at most n (composing by min).
+func (d *Decision) constrain(n int) {
 	if n < 0 {
 		n = 0
 	}
@@ -64,120 +60,48 @@ func (d Decision) EffectiveBudget(total int) int {
 	return d.PacketBudget
 }
 
-// Rule is one policy: when the condition matches the state, the action
-// refines the decision.
-type Rule struct {
-	// Name identifies the rule in Decision.Fired and logs.
-	Name string
-	// When guards the action; a nil selector always fires.
-	When *selector.Selector
-	// Then applies the rule's effect.  It must not retain state.
-	Then func(state selector.Attributes, d *Decision)
-	// Priority orders evaluation (higher first; ties keep insertion
-	// order).
-	Priority int
-
-	// fired counts this rule's firings (pre-touched at AddRule so the
-	// aqos_inference_rule_fired family lists every installed rule).
-	fired *metrics.Counter
-}
-
-// Engine evaluates the policy database against observed state.
-// It is safe for concurrent use.
+// Engine decides for one client: the paper's policy at its default
+// parameters plus the client's QoS contract.  Each decision bumps the
+// aqos_inference_rule_fired counter of every rule that fired and, when
+// obs instrumentation is on, lands in the decision audit
+// (/debug/decisions) and the session record.  An Engine is immutable
+// and safe for concurrent use.
 type Engine struct {
-	mu       sync.RWMutex
-	rules    []Rule
-	seq      int
-	order    []int // insertion sequence parallel to rules
-	contract *profile.Contract
 	owner    string
-	clk      clock.Clock // stamps audit entries; nil = wall
+	contract *profile.Contract
+	clk      clock.Clock
+	fired    map[string]*metrics.Counter
 }
 
-// New creates an engine bound to a QoS contract (nil means an empty,
-// always-satisfied contract).
-func New(contract *profile.Contract) *Engine {
+// New creates the engine deciding for owner (the name labelling its
+// audit entries) under contract (nil means an empty, always-satisfied
+// contract), stamping audit entries from clk (nil means wall time).
+// Every rule's counter is registered here, so /metrics lists each rule
+// at zero before it first fires.
+func New(owner string, contract *profile.Contract, clk clock.Clock) *Engine {
 	if contract == nil {
 		contract = profile.MustContract("empty")
 	}
-	return &Engine{contract: contract}
+	e := &Engine{owner: owner, contract: contract, clk: clock.Or(clk),
+		fired: make(map[string]*metrics.Counter, len(ruleNames))}
+	for _, name := range ruleNames {
+		e.fired[name] = metrics.C(metrics.RuleFired(name))
+	}
+	return e
 }
 
-// SetOwner names the client this engine decides for; the name labels
-// the engine's entries in the decision audit (/debug/decisions).
-func (e *Engine) SetOwner(name string) {
-	e.mu.Lock()
-	e.owner = name
-	e.mu.Unlock()
-}
-
-// SetClock pins audit timestamps to c (nil restores wall time).
-func (e *Engine) SetClock(c clock.Clock) {
-	e.mu.Lock()
-	e.clk = c
-	e.mu.Unlock()
-}
-
-// AddRule installs a policy rule.
-func (e *Engine) AddRule(r Rule) error {
-	if r.Name == "" {
-		return fmt.Errorf("inference: rule without a name")
-	}
-	if r.Then == nil {
-		return fmt.Errorf("inference: rule %q without an action", r.Name)
-	}
-	r.fired = touchRuleCounter(r.Name)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rules = append(e.rules, r)
-	e.order = append(e.order, e.seq)
-	e.seq++
-	// Stable priority-descending order.
-	idx := make([]int, len(e.rules))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if e.rules[idx[a]].Priority != e.rules[idx[b]].Priority {
-			return e.rules[idx[a]].Priority > e.rules[idx[b]].Priority
-		}
-		return e.order[idx[a]] < e.order[idx[b]]
-	})
-	rules := make([]Rule, len(e.rules))
-	order := make([]int, len(e.rules))
-	for i, j := range idx {
-		rules[i], order[i] = e.rules[j], e.order[j]
-	}
-	e.rules, e.order = rules, order
-	return nil
-}
-
-// Decide evaluates the contract and every matching rule against the
-// state and returns the composed decision.  Each firing rule bumps its
-// aqos_inference_rule_fired counter; when obs instrumentation is on,
-// the decision is also recorded into the audit ring
-// (/debug/decisions) with its input attributes and firing list.
+// Decide evaluates the contract and the policy against the state.
 func (e *Engine) Decide(state selector.Attributes) Decision {
-	e.mu.RLock()
-	rules := e.rules
-	owner := e.owner
-	clk := e.clk
-	e.mu.RUnlock()
-
-	d := Decision{PacketBudget: Unlimited, Contract: e.contract.Evaluate(state)}
-	for _, r := range rules {
-		if r.When != nil && !r.When.Matches(state) {
-			continue
-		}
-		r.Then(state, &d)
-		d.Fired = append(d.Fired, r.Name)
-		r.fired.Inc()
+	d := Params{}.Decide(state)
+	d.Contract = e.contract.Evaluate(state)
+	for _, name := range d.Fired {
+		e.fired[name].Inc()
 	}
 	if obs.Enabled() {
-		at := clock.Or(clk).Now().UnixNano()
+		at := e.clk.Now().UnixNano()
 		recordAudit(AuditEntry{
 			At:         at,
-			Client:     owner,
+			Client:     e.owner,
 			State:      formatState(state),
 			Fired:      append([]string(nil), d.Fired...),
 			Budget:     d.PacketBudget,
@@ -189,7 +113,7 @@ func (e *Engine) Decide(state selector.Attributes) Decision {
 			obs.RecordEvent(obs.RecEvent{
 				Type:   obs.RecTypeDecision,
 				AtNS:   at,
-				Client: owner,
+				Client: e.owner,
 				Name:   strings.Join(d.Fired, ","),
 				Value:  float64(d.PacketBudget),
 				Detail: string(d.Modality),
@@ -201,13 +125,13 @@ func (e *Engine) Decide(state selector.Attributes) Decision {
 
 // --- The paper's adaptation mappings (Figs 6 and 7) ---
 
-// Params parameterizes the standard policy's adaptation mappings.  The
-// seed hard-coded the paper's numbers (budget breakpoints at 30 and
-// 100, bandwidth tiers at 64/16 kbit/s); making them an injectable
-// struct lets the counterfactual replay harness (DESIGN.md §15) sweep
-// candidate policies against a recorded session instead of rebuilding
-// the engine around new constants.  Zero-valued fields take the
-// paper's defaults, so Params{} behaves exactly like the seed.
+// Params parameterizes the policy's adaptation mappings.  The seed
+// hard-coded the paper's numbers (budget breakpoints at 30 and 100,
+// bandwidth tiers at 64/16 kbit/s); making them an injectable struct
+// lets the counterfactual replay harness (DESIGN.md §15) sweep
+// candidate policies against a recorded session through the same
+// Decide the live engine runs.  Zero-valued fields take the paper's
+// defaults, so Params{} behaves exactly like the seed.
 type Params struct {
 	// MaxPackets is the budget ceiling every mapping tops out at
 	// (default 16, the paper's image packet count).
@@ -260,14 +184,15 @@ func (p Params) WithDefaults() Params {
 
 // PacketsFromPageFaults maps the observed page-fault rate to an image
 // packet budget (Fig 6): full budget at ≤PageFaultLo faults, halving
-// in powers of two down to 1 packet at ≥PageFaultHi.
+// in powers of two down to 1 packet at ≥PageFaultHi.  A MaxPackets
+// that is no power of two caps the ladder of the nearest one.
 func (p Params) PacketsFromPageFaults(pageFaults float64) int {
 	p = p.WithDefaults()
 	maxExp := int(math.Round(math.Log2(float64(p.MaxPackets))))
 	lo, hi := p.PageFaultLo, p.PageFaultHi
 	switch {
 	case pageFaults <= lo:
-		return 1 << uint(maxExp)
+		return min(1<<uint(maxExp), p.MaxPackets)
 	case pageFaults >= hi:
 		return 1
 	}
@@ -276,7 +201,7 @@ func (p Params) PacketsFromPageFaults(pageFaults float64) int {
 	if exp < 0 {
 		exp = 0
 	}
-	return 1 << uint(exp)
+	return min(1<<uint(exp), p.MaxPackets)
 }
 
 // PacketsFromCPULoad maps CPU load (percent) to an image packet budget
@@ -295,7 +220,10 @@ func (p Params) PacketsFromCPULoad(cpuLoad float64) int {
 }
 
 // PacketsFromLoss maps an observed loss fraction to a packet budget:
-// the budget shrinks proportionally to the expected usable prefix.
+// accepting a long stream over a lossy path wastes the sender's
+// bandwidth on packets whose predecessors were dropped (prefix
+// decoding stalls at the first gap), so the budget shrinks
+// proportionally to the expected usable prefix.
 func (p Params) PacketsFromLoss(loss float64) int {
 	p = p.WithDefaults()
 	if loss <= 0 {
@@ -307,33 +235,8 @@ func (p Params) PacketsFromLoss(loss float64) int {
 	return int(math.Floor(float64(p.MaxPackets) * (1 - loss)))
 }
 
-// Budget composes the three packet mappings by minimum — the engine's
-// tightening semantics without building an Engine.  NaN inputs mark an
-// unobserved parameter and leave that mapping unconstrained.  The
-// replay harness evaluates candidate Params against recorded host
-// state through this single entry point.
-func (p Params) Budget(cpuLoad, pageFaults, loss float64) int {
-	p = p.WithDefaults()
-	budget := p.MaxPackets
-	min := func(n int) {
-		if n < budget {
-			budget = n
-		}
-	}
-	if !math.IsNaN(pageFaults) {
-		min(p.PacketsFromPageFaults(pageFaults))
-	}
-	if !math.IsNaN(cpuLoad) {
-		min(p.PacketsFromCPULoad(cpuLoad))
-	}
-	if !math.IsNaN(loss) {
-		min(p.PacketsFromLoss(loss))
-	}
-	return budget
-}
-
-// StateKey names the state attributes the default policy consumes.
-// They match the hostagent parameter vocabulary.
+// StateKey names the state attributes the policy consumes.  They match
+// the hostagent parameter vocabulary.
 const (
 	StatePageFaults = "page-faults"
 	StateCPULoad    = "cpu-load"
@@ -343,87 +246,86 @@ const (
 	StateLoss = "loss-fraction"
 )
 
-// PacketsFromLoss maps an observed loss fraction to a packet budget:
-// accepting a long stream over a lossy path wastes the sender's
-// bandwidth on packets whose predecessors were dropped (prefix
-// decoding stalls at the first gap), so the budget shrinks
-// proportionally to the expected usable prefix (wrapper over Params).
-func PacketsFromLoss(loss float64, maxPackets int) int {
-	return Params{MaxPackets: maxPackets}.PacketsFromLoss(loss)
+// The policy's rules, in firing order: the index into ruleNames, whose
+// entries label Decision.Fired, the audit and the rule counters.
+const (
+	pageFaultBudget = iota
+	cpuLoadBudget
+	lossBudget
+	lowBandwidthSketch
+	lowBandwidthText
+	heavyLossSketch
+)
+
+var ruleNames = [...]string{
+	pageFaultBudget:    "page-fault-budget",
+	cpuLoadBudget:      "cpu-load-budget",
+	lossBudget:         "loss-budget",
+	lowBandwidthSketch: "low-bandwidth-sketch",
+	lowBandwidthText:   "low-bandwidth-text",
+	heavyLossSketch:    "heavy-loss-sketch",
 }
 
-// InstallPolicy installs the standard rule set on the engine with the
-// given parameters:
+// Decide applies the policy to state and returns the packet budget,
+// the modality and the rules that fired, in this order (Contract is
+// left to the Engine):
 //
-//   - "page-fault-budget": Fig 6 mapping, fires when page-faults is
-//     observed.
-//   - "cpu-load-budget": Fig 7 mapping, fires when cpu-load is
-//     observed.  Budgets compose by minimum.
-//   - "low-bandwidth-sketch": below SketchBps the modality degrades to
-//     sketch; below TextBps, to text (the wired-client analogue of the
-//     base station's SIR tiers).
-//   - "loss-budget" and "heavy-loss-sketch": observed data loss
-//     shrinks the budget and, past HeavyLossSketch, the modality.
-func InstallPolicy(e *Engine, p Params) error {
+//   - page-fault-budget, cpu-load-budget, loss-budget: the Fig 6, Fig 7
+//     and loss mappings, each when its key is present, of any kind (a
+//     non-number reads as 0).  Budgets compose by minimum.
+//   - low-bandwidth-sketch, low-bandwidth-text: a bandwidth number
+//     below SketchBps degrades the modality to sketch, below TextBps to
+//     text (the wired-client analogue of the base station's SIR
+//     tiers); text wins when both fire.
+//   - heavy-loss-sketch: a loss-fraction number at or above
+//     HeavyLossSketch degrades a kept modality to sketch.
+//
+// A NaN is unobserved: no rule fires on it.
+func (p Params) Decide(state selector.Attributes) Decision {
 	p = p.WithDefaults()
-	rules := []Rule{
-		{
-			Name:     "page-fault-budget",
-			When:     selector.MustCompile("exists(" + StatePageFaults + ")"),
-			Priority: 10,
-			Then: func(state selector.Attributes, d *Decision) {
-				d.ConstrainPackets(p.PacketsFromPageFaults(state[StatePageFaults].Num()))
-			},
-		},
-		{
-			Name:     "cpu-load-budget",
-			When:     selector.MustCompile("exists(" + StateCPULoad + ")"),
-			Priority: 10,
-			Then: func(state selector.Attributes, d *Decision) {
-				d.ConstrainPackets(p.PacketsFromCPULoad(state[StateCPULoad].Num()))
-			},
-		},
-		{
-			Name:     "low-bandwidth-sketch",
-			When:     selector.MustCompile(fmt.Sprintf("%s < %g", StateBandwidth, p.SketchBps)),
-			Priority: 5,
-			Then: func(state selector.Attributes, d *Decision) {
-				if d.Modality == "" || d.Modality == media.KindImage {
-					d.Modality = media.KindSketch
-				}
-			},
-		},
-		{
-			Name:     "low-bandwidth-text",
-			When:     selector.MustCompile(fmt.Sprintf("%s < %g", StateBandwidth, p.TextBps)),
-			Priority: 4, // after the sketch rule so text wins when both fire
-			Then: func(state selector.Attributes, d *Decision) {
-				d.Modality = media.KindText
-			},
-		},
-		{
-			Name:     "loss-budget",
-			When:     selector.MustCompile("exists(" + StateLoss + ")"),
-			Priority: 9,
-			Then: func(state selector.Attributes, d *Decision) {
-				d.ConstrainPackets(p.PacketsFromLoss(state[StateLoss].Num()))
-			},
-		},
-		{
-			Name:     "heavy-loss-sketch",
-			When:     selector.MustCompile(fmt.Sprintf("%s >= %g", StateLoss, p.HeavyLossSketch)),
-			Priority: 3,
-			Then: func(state selector.Attributes, d *Decision) {
-				if d.Modality == "" || d.Modality == media.KindImage {
-					d.Modality = media.KindSketch
-				}
-			},
-		},
+	d := Decision{PacketBudget: Unlimited}
+	// observed reads a key as a budget rule does, number only as a
+	// threshold rule does; both report NaN for a key no rule may fire on.
+	observed := func(key string) float64 {
+		if v, ok := state[key]; ok {
+			return v.Num()
+		}
+		return math.NaN()
 	}
-	for _, r := range rules {
-		if err := e.AddRule(r); err != nil {
-			return err
+	number := func(key string) float64 {
+		if v := state[key]; v.Kind() == selector.KindNumber {
+			return v.Num()
+		}
+		return math.NaN()
+	}
+	fire := func(rule int) { d.Fired = append(d.Fired, ruleNames[rule]) }
+
+	if pf := observed(StatePageFaults); !math.IsNaN(pf) {
+		fire(pageFaultBudget)
+		d.constrain(p.PacketsFromPageFaults(pf))
+	}
+	if cpu := observed(StateCPULoad); !math.IsNaN(cpu) {
+		fire(cpuLoadBudget)
+		d.constrain(p.PacketsFromCPULoad(cpu))
+	}
+	if loss := observed(StateLoss); !math.IsNaN(loss) {
+		fire(lossBudget)
+		d.constrain(p.PacketsFromLoss(loss))
+	}
+	bw := number(StateBandwidth)
+	if bw < p.SketchBps {
+		fire(lowBandwidthSketch)
+		d.Modality = media.KindSketch
+	}
+	if bw < p.TextBps {
+		fire(lowBandwidthText)
+		d.Modality = media.KindText
+	}
+	if number(StateLoss) >= p.HeavyLossSketch {
+		fire(heavyLossSketch)
+		if d.Modality == "" {
+			d.Modality = media.KindSketch
 		}
 	}
-	return nil
+	return d
 }

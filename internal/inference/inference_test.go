@@ -2,6 +2,7 @@ package inference
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -92,12 +93,12 @@ func TestDecisionComposition(t *testing.T) {
 	if d.EffectiveBudget(16) != 16 {
 		t.Error("unlimited effective budget")
 	}
-	d.ConstrainPackets(8)
-	d.ConstrainPackets(12) // higher: keeps 8
+	d.constrain(8)
+	d.constrain(12) // higher: keeps 8
 	if d.PacketBudget != 8 {
 		t.Errorf("budget = %d, want 8", d.PacketBudget)
 	}
-	d.ConstrainPackets(-3) // clamps to 0
+	d.constrain(-3) // clamps to 0
 	if d.PacketBudget != 0 {
 		t.Errorf("budget = %d, want 0", d.PacketBudget)
 	}
@@ -110,12 +111,9 @@ func TestDecisionComposition(t *testing.T) {
 func TestEngineDefaultPolicy(t *testing.T) {
 	contract := profile.MustContract("qos",
 		profile.Constraint{Param: StateCPULoad, Min: 0, Max: 90, Hard: true})
-	e := New(contract)
-	if err := InstallPolicy(e, Params{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.rules) != 6 {
-		t.Fatalf("rules: %d", len(e.rules))
+	e := New("", contract, nil)
+	if New("", nil, nil).contract == nil {
+		t.Error("nil contract should default to empty contract")
 	}
 
 	// Light load: everything passes.
@@ -167,38 +165,6 @@ func TestEngineDefaultPolicy(t *testing.T) {
 	}
 }
 
-func TestEnginePriorityAndValidation(t *testing.T) {
-	e := New(nil)
-	var orderSeen []string
-	mk := func(name string, prio int) Rule {
-		return Rule{Name: name, Priority: prio, Then: func(_ selector.Attributes, d *Decision) {
-			orderSeen = append(orderSeen, name)
-		}}
-	}
-	e.AddRule(mk("low", 1))
-	e.AddRule(mk("high", 10))
-	e.AddRule(mk("mid-a", 5))
-	e.AddRule(mk("mid-b", 5)) // same priority: insertion order preserved
-
-	e.Decide(nil)
-	want := []string{"high", "mid-a", "mid-b", "low"}
-	for i, n := range want {
-		if orderSeen[i] != n {
-			t.Fatalf("firing order %v, want %v", orderSeen, want)
-		}
-	}
-
-	if err := e.AddRule(Rule{Then: func(selector.Attributes, *Decision) {}}); err == nil {
-		t.Error("nameless rule accepted")
-	}
-	if err := e.AddRule(Rule{Name: "x"}); err == nil {
-		t.Error("actionless rule accepted")
-	}
-	if New(nil).contract == nil {
-		t.Error("nil contract should default to empty contract")
-	}
-}
-
 // TestQuickBudgetMonotone: both paper mappings are monotone
 // non-increasing in their driving parameter, for any maxPackets.
 func TestQuickBudgetMonotone(t *testing.T) {
@@ -226,10 +192,7 @@ func TestQuickBudgetMonotone(t *testing.T) {
 // TestQuickDecideDeterministic: identical state yields identical
 // decisions.
 func TestQuickDecideDeterministic(t *testing.T) {
-	e := New(nil)
-	if err := InstallPolicy(e, Params{}); err != nil {
-		t.Fatal(err)
-	}
+	e := New("", nil, nil)
 	f := func(cpu, pf, bw float64) bool {
 		if math.IsNaN(cpu) || math.IsNaN(pf) || math.IsNaN(bw) {
 			return true
@@ -244,5 +207,48 @@ func TestQuickDecideDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickMappingsWithinMaxPackets: every mapping stays in
+// [0, MaxPackets] for every MaxPackets in 1..64 — the Fig 6 ladder of
+// a MaxPackets that is no power of two must not round up past it.
+func TestQuickMappingsWithinMaxPackets(t *testing.T) {
+	f := func(x float64) bool {
+		for m := 1; m <= 64; m++ {
+			p := Params{MaxPackets: m}
+			for _, in := range []float64{x, math.Mod(math.Abs(x), 120), math.Mod(math.Abs(x), 1.2), math.Inf(-1)} {
+				for _, n := range []int{p.PacketsFromPageFaults(in), p.PacketsFromCPULoad(in), p.PacketsFromLoss(in)} {
+					if n < 0 || n > m {
+						t.Logf("MaxPackets %d, input %g: budget %d", m, in, n)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNaNIsUnobserved: a NaN state value fires no rule, through the
+// policy and through the engine alike, so the key reads as absent.
+func TestNaNIsUnobserved(t *testing.T) {
+	e := New("", nil, nil)
+	for _, key := range []string{StatePageFaults, StateCPULoad, StateLoss, StateBandwidth} {
+		nan := st(StateCPULoad, 50, key, math.NaN())
+		absent := st(StateCPULoad, 50)
+		if key == StateCPULoad {
+			absent = st()
+		}
+		want := Params{}.Decide(absent)
+		for name, got := range map[string]Decision{"Params.Decide": Params{}.Decide(nan), "Engine.Decide": e.Decide(nan)} {
+			got.Contract = profile.Evaluation{}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s with NaN %s = %+v, want %+v as if absent", name, key, got, want)
+			}
+		}
 	}
 }

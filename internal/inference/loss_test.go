@@ -20,17 +20,17 @@ func TestPacketsFromLoss(t *testing.T) {
 		{1.5, 0},
 	}
 	for _, tc := range cases {
-		if got := PacketsFromLoss(tc.loss, 16); got != tc.want {
+		if got := (Params{MaxPackets: 16}).PacketsFromLoss(tc.loss); got != tc.want {
 			t.Errorf("PacketsFromLoss(%g) = %d, want %d", tc.loss, got, tc.want)
 		}
 	}
-	if PacketsFromLoss(0, 0) != 16 {
+	if (Params{}).PacketsFromLoss(0) != 16 {
 		t.Error("default maxPackets")
 	}
 	// Monotone non-increasing.
 	prev := 17
 	for l := 0.0; l <= 1.0; l += 0.05 {
-		got := PacketsFromLoss(l, 16)
+		got := (Params{MaxPackets: 16}).PacketsFromLoss(l)
 		if got > prev {
 			t.Fatalf("loss %g: budget rose %d -> %d", l, prev, got)
 		}
@@ -39,10 +39,7 @@ func TestPacketsFromLoss(t *testing.T) {
 }
 
 func TestLossRules(t *testing.T) {
-	e := New(nil)
-	if err := InstallPolicy(e, Params{}); err != nil {
-		t.Fatal(err)
-	}
+	e := New("", nil, nil)
 
 	// Moderate loss constrains the budget without changing modality.
 	d := e.Decide(st(StateLoss, 0.25))

@@ -100,8 +100,8 @@ func SLOClientViolations(client string) string {
 }
 
 // RuleFired names the per-rule inference firing counter (exposed as
-// aqos_inference_rule_fired{rule="..."}); the label-bearing family is
-// pre-touched per rule at AddRule time, not here.
+// aqos_inference_rule_fired{rule="..."}); inference.New pre-touches
+// the family for every rule, not here.
 func RuleFired(rule string) string {
 	return `inference.rule.fired{rule="` + EscapeLabel(rule) + `"}`
 }

@@ -2,7 +2,9 @@ package replay
 
 import (
 	"bytes"
+	"os"
 	"testing"
+	"time"
 
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/slo"
@@ -94,5 +96,29 @@ func TestFixtureSweepByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("same record + grid + seed must produce byte-identical rankings")
+	}
+}
+
+// TestFixtureJitterSweepGolden pins the jittered sweep over the
+// recorded session, as `qosreplay -jitter 2ms -json` prints it, byte
+// for byte to testdata/collab-loss35-jitter2ms.golden.json: every
+// candidate's budget decisions, repair schedule and score.  ci.sh holds
+// the command's own output to the same file.  Regenerate, when the
+// ranking is meant to move, with
+//
+//	go run ./cmd/qosreplay -in internal/replay/testdata/collab-loss35.jsonl -jitter 2ms -json \
+//	    > internal/replay/testdata/collab-loss35-jitter2ms.golden.json
+func TestFixtureJitterSweepGolden(t *testing.T) {
+	cfg := SimConfig{Seed: 1, Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond, Loss: -1}
+	var got bytes.Buffer
+	if err := WriteJSON(&got, Sweep(loadFixture(t), DefaultGrid(), cfg, slo.SpecForClass("interactive"))); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/collab-loss35-jitter2ms.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Error("jittered sweep moved from testdata/collab-loss35-jitter2ms.golden.json")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/inference"
 	"adaptiveqos/internal/radio"
 )
@@ -21,7 +22,7 @@ type RepairPolicy struct {
 
 // Bounds on a loaded repair policy.  Past them a value is no candidate
 // anyone sweeps, and unchecked it overflows StallTimeout's Duration or
-// spins abandonSpan's retry loop.
+// spins core.RepairOptions.AbandonSpan's retry loop.
 const (
 	maxStallTimeoutMS = 60_000
 	maxRepairRetries  = 100
@@ -48,9 +49,14 @@ func (r RepairPolicy) StallTimeout() time.Duration {
 	return time.Duration(r.StallTimeoutMS) * time.Millisecond
 }
 
+// options returns the kernel repair options the policy stands for.
+func (r RepairPolicy) options() core.RepairOptions {
+	return core.RepairOptions{StallTimeout: r.StallTimeout(), MaxRetries: r.MaxRetries}
+}
+
 // Policy is one candidate configuration swept by the replay: the
-// repair knobs, the full inference rule-set parameters and the radio
-// tier thresholds.  The zero value of each component means "that
+// repair knobs, the inference policy's parameters and the radio tier
+// thresholds.  The zero value of each component means "that
 // subsystem's defaults".
 type Policy struct {
 	Name      string           `json:"name"`

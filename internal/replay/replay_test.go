@@ -209,3 +209,31 @@ func TestDefaultGridAndLoadGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestAbandonSpanMatchesDefaultGrid: the drain the replay gives a
+// repair candidate is the kernel's AbandonSpan, and for every default
+// candidate that is the span the replay computed on its own before the
+// schedule moved into core.
+func TestAbandonSpanMatchesDefaultGrid(t *testing.T) {
+	previous := func(r RepairPolicy) time.Duration {
+		base := r.StallTimeout()
+		span := base
+		backoff := base
+		max := 16 * base
+		for i := 0; i < r.MaxRetries; i++ {
+			span += backoff
+			if backoff < max {
+				backoff *= 2
+			}
+		}
+		return span + span/2
+	}
+	for _, pol := range DefaultGrid() {
+		if !pol.Repair.Enabled {
+			continue // no repair, no abandon: the drain is fixed
+		}
+		if got, want := pol.Repair.options().AbandonSpan(), previous(pol.Repair); got != want {
+			t.Errorf("%s: AbandonSpan %v, want %v", pol.Name, got, want)
+		}
+	}
+}

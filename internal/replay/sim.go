@@ -6,6 +6,7 @@ import (
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/core"
+	"adaptiveqos/internal/inference"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/selector"
@@ -215,12 +216,9 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 		})
 		kcfg := core.Config{Clock: clk}
 		if pol.Repair.Enabled {
-			kcfg.Repair = &core.RepairOptions{
-				Coordinator:  coordID,
-				StallTimeout: pol.Repair.StallTimeout(),
-				MaxRetries:   pol.Repair.MaxRetries,
-				Seed:         cfg.Seed + int64(i) + 1,
-			}
+			opts := pol.Repair.options()
+			opts.Coordinator, opts.Seed = coordID, cfg.Seed+int64(i)+1
+			kcfg.Repair = &opts
 		}
 		kernels[i] = core.NewKernel(conns[id], kcfg)
 		kernels[i].Deliver = deliver
@@ -255,10 +253,11 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 			kind := message.KindEvent
 			if pub.Kind == "data" {
 				kind = message.KindData
-				budget := pol.Inference.Budget(
-					w.hostValueAt("cpu-load", pub.AtNS),
-					w.hostValueAt("page-faults", pub.AtNS),
-					cfg.Loss)
+				budget := pol.Inference.Decide(selector.Attributes{
+					inference.StateCPULoad:    selector.N(w.hostValueAt("cpu-load", pub.AtNS)),
+					inference.StatePageFaults: selector.N(w.hostValueAt("page-faults", pub.AtNS)),
+					inference.StateLoss:       selector.N(cfg.Loss),
+				}).EffectiveBudget(pol.Inference.MaxPackets)
 				if pub.Level >= budget {
 					out.Truncated++
 					return
@@ -297,7 +296,7 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 	end := time.Unix(0, w.EndNS)
 	drain := 500 * time.Millisecond
 	if pol.Repair.Enabled && len(kernels) > 0 {
-		drain = abandonSpan(pol.Repair) + time.Second
+		drain = pol.Repair.options().AbandonSpan() + time.Second
 		interval := kernels[0].PollInterval()
 		stopAt := end.Add(drain)
 		repaired := make(map[[2]string]uint64) // (receiver, stream) → repairs harvested
@@ -346,22 +345,6 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 	out.DeliveryP99 = time.Duration(p99(out.DeliveryNS))
 	out.ConvergeP99 = time.Duration(p99(out.ConvergeNS))
 	return out
-}
-
-// abandonSpan bounds one full stall→retries→abandon cycle: stall
-// timeout plus every backoff at maximum jitter.
-func abandonSpan(r RepairPolicy) time.Duration {
-	base := r.StallTimeout()
-	span := base
-	backoff := base
-	max := 16 * base
-	for i := 0; i < r.MaxRetries; i++ {
-		span += backoff
-		if backoff < max {
-			backoff *= 2
-		}
-	}
-	return span + span/2 // +50%: jitter margin and poll-grid slack
 }
 
 // p99 returns the 99th-percentile of a sorted sample (0 when empty).
