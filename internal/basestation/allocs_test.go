@@ -3,6 +3,7 @@
 package basestation
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -157,5 +158,25 @@ func TestImageTierMemberCostFlat(t *testing.T) {
 	if large > small+256 {
 		t.Errorf("a member costs %d B for %d-byte packets and %d B for %d-byte ones: framing is paid per member",
 			small, smallPkt, large, largePkt)
+	}
+}
+
+// TestUplinkMembershipCopiesNoProfile: a member's uplink asks the
+// registry whether the sender has joined without copying its profile
+// (six allocations per event while the relay cloned the profile and
+// its attribute maps only to test the lookup).  The member is
+// alone in a cell with no wired client, so what is counted is the
+// station's own relay work.
+func TestUplinkMembershipCopiesNoProfile(t *testing.T) {
+	c := newBareCell(t, 1, 0, 1)
+	body := []byte("hello")
+	if err := c.bs.UplinkEvent("m00", apps.AppChat, "", body); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { c.bs.UplinkEvent("m00", apps.AppChat, "", body) }); n > 9 {
+		t.Errorf("a member's uplink event allocates %g times, want <= 9", n)
+	}
+	if err := c.bs.UplinkEvent("stranger", apps.AppChat, "", body); !errors.Is(err, ErrNotJoined) {
+		t.Errorf("uplink event from a non-member: %v, want ErrNotJoined", err)
 	}
 }

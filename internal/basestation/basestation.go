@@ -265,7 +265,7 @@ func (bs *BaseStation) newMessage(kind message.Kind, sender, to, sel string, att
 // a wireless client: multicast to the session, unicast to the other
 // wireless clients.  The uplink must meet at least the text tier.
 func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) error {
-	if _, ok := bs.reg.Get(sender); !ok {
+	if !bs.reg.Has(sender) {
 		return fmt.Errorf("%w: %s", ErrNotJoined, sender)
 	}
 	assess, err := bs.Assess(sender)
@@ -319,7 +319,7 @@ func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) erro
 // session; each other wireless client receives the richest modality
 // its own SIR supports (never richer than what the uplink admitted).
 func (bs *BaseStation) UplinkShare(sender, object, sel string, obj *media.Object) error {
-	if _, ok := bs.reg.Get(sender); !ok {
+	if !bs.reg.Has(sender) {
 		return fmt.Errorf("%w: %s", ErrNotJoined, sender)
 	}
 	assess, err := bs.Assess(sender)

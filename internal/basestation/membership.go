@@ -21,7 +21,7 @@ import (
 // considering the noise effect of the other wireless clients — and
 // returns the basic service assessment.
 func (bs *BaseStation) Join(p *profile.Profile, distance, power float64) (Assessment, error) {
-	if _, ok := bs.reg.Get(p.ID); ok {
+	if bs.reg.Has(p.ID) {
 		return Assessment{}, fmt.Errorf("%w: %s", ErrAlreadyJoined, p.ID)
 	}
 	if err := bs.channel.Join(p.ID, distance, power); err != nil {

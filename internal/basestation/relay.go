@@ -247,7 +247,7 @@ func (bs *BaseStation) handleWireless(pkt transport.Packet) {
 		return
 	}
 	m := v.Message(&bs.rfIntern)
-	if _, ok := bs.reg.Get(m.Sender); !ok {
+	if !bs.reg.Has(m.Sender) {
 		return // not joined: ignore
 	}
 	app, _ := m.Attr(message.AttrApp)
@@ -277,13 +277,13 @@ func (bs *BaseStation) applyProfileUpdate(m *message.Message) {
 	}
 	intPrefix := profile.SectionInterest + "."
 	prefPrefix := profile.SectionPreference + "."
-	for k, v := range m.Attrs {
+	m.EachAttr(func(k string, v selector.Value) {
 		switch {
 		case len(k) > len(intPrefix) && k[:len(intPrefix)] == intPrefix:
 			p.Interests[k[len(intPrefix):]] = v
 		case len(k) > len(prefPrefix) && k[:len(prefPrefix)] == prefPrefix:
 			p.Preferences[k[len(prefPrefix):]] = v
 		}
-	}
+	})
 	bs.reg.Put(p)
 }

@@ -37,11 +37,11 @@ func TestCensusOverFixture(t *testing.T) {
 		t.Errorf("lib.Describe reported at %s:%d (%d lines)", d.file, d.line, d.lines)
 	}
 
-	// Each rule is broken once or more, at the line named.  Four of these
+	// Each rule is broken once or more, at the line named.  Five of these
 	// a text match gets wrong: the aliased time import calling Sleep, the
 	// method value time.Now and the var whose struct type holds a mutex
 	// are caught, and the kernel's comment naming go, select, chan and <-
-	// is not flagged.
+	// is not flagged, nor is a store into Message.Attrs.
 	wantBroken := []string{
 		"cmd/app/wait.go:7 scheduling: uses time.Sleep",
 		"internal/apps/imageviewer.go:17 ownership: copies with slices.Clone",
@@ -52,6 +52,9 @@ func TestCensusOverFixture(t *testing.T) {
 		"internal/core/kernel.go:13 kernel-purity: channel-typed out",
 		"internal/core/kernel.go:14 kernel-purity: uses clock.Or",
 		"internal/core/coordkernel.go:4 ownership: copies with append onto a nil []byte",
+		"internal/core/attrs.go:10 received-attrs: takes len of m.Attrs",
+		"internal/core/attrs.go:10 received-attrs: indexes m.Attrs",
+		"internal/core/attrs.go:11 received-attrs: ranges over m.Attrs",
 		"internal/obs/stamp.go:7 clock-seam: uses time.Now",
 		"internal/obs/loop.go:11 passive-telemetry: uses clock.Clock.NewTicker",
 		"internal/obs/state.go:12 global-state: var hits holds sync.Mutex",

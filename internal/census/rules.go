@@ -46,14 +46,17 @@ var rules = []rule{
 		waits("NewTicker", "NewTimer", "Sleep")},
 	{"global-state", "package state is shared by every session in a process, so each holder says why in globals.txt (ROADMAP item 2)",
 		[]string{"internal/", "cmd/"}, nil, globalState},
+	{"received-attrs", "a received message keeps its attributes outside Message.Attrs, which is nil there: read them through Attr, NumAttrs or EachAttr (§7)",
+		[]string{"internal/", "cmd/"}, []string{"internal/message/"}, readsAttrs},
 }
 
 // A scope is one package a rule covers files of.
 type scope struct {
-	g     *graph
-	pkg   *types.Package
-	info  *types.Info
-	first *ast.File // the first covered file
+	g       *graph
+	pkg     *types.Package
+	info    *types.Info
+	first   *ast.File         // the first covered file
+	written map[ast.Expr]bool // index expressions assigned to, seen before themselves
 }
 
 // check holds the files of one loaded package to every rule.
@@ -208,6 +211,41 @@ func uses(pkg string, names ...string) func(*scope, ast.Node, types.Object) stri
 		}
 		return ""
 	}
+}
+
+// readsAttrs flags a read of the Attrs field of message.Message by
+// index, range or len; storing into it, and setting it, are not reads.
+func readsAttrs(s *scope, n ast.Node, _ types.Object) string {
+	isAttrs := func(e ast.Expr) bool {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		v, _ := s.info.Uses[sel.Sel].(*types.Var)
+		return v != nil && v.IsField() && v.Name() == "Attrs" && s.g.rel[v.Pkg().Path()] == "internal/message"
+	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		if s.written == nil {
+			s.written = map[ast.Expr]bool{}
+		}
+		for _, lhs := range n.Lhs {
+			s.written[ast.Unparen(lhs)] = true
+		}
+	case *ast.IndexExpr:
+		if !s.written[n] && isAttrs(n.X) {
+			return "indexes " + types.ExprString(n.X)
+		}
+	case *ast.RangeStmt:
+		if isAttrs(n.X) {
+			return "ranges over " + types.ExprString(n.X)
+		}
+	case *ast.CallExpr:
+		if id, _ := ast.Unparen(n.Fun).(*ast.Ident); id != nil && s.info.Uses[id] == types.Universe.Lookup("len") && isAttrs(n.Args[0]) {
+			return "takes len of " + types.ExprString(n.Args[0])
+		}
+	}
+	return ""
 }
 
 // globalState flags a package-level var that can hold shared mutable

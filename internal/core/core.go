@@ -267,9 +267,10 @@ func (c *Client) multicast(m *message.Message) error {
 	// frames consume the gapless per-sender sequence; control traffic
 	// is not workload.
 	if obs.Recording() && (m.Kind == message.KindEvent || m.Kind == message.KindData) {
+		mediaType, _ := m.Attr(message.AttrMedia)
+		level, _ := m.Attr(message.AttrLevel)
 		obs.RecordPublish(m.Timestamp.UnixNano(), m.Sender, uint64(m.Seq),
-			m.Kind.String(), m.Attrs[message.AttrMedia].Str(),
-			int(m.Attrs[message.AttrLevel].Num()), len(m.Body))
+			m.Kind.String(), mediaType.Str(), int(level.Num()), len(m.Body))
 	}
 	return c.txMulti.Deliver("", m)
 }

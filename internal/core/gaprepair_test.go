@@ -247,7 +247,8 @@ func (r *gapRig) nack(i int) (stream string, ranges []session.SeqRange) {
 	if !ok {
 		r.t.Fatalf("NACK %d body %x malformed", i, m.Body)
 	}
-	return m.Attrs[attrForSender].Str(), ranges
+	forSender, _ := m.Attr(attrForSender)
+	return forSender.Str(), ranges
 }
 
 // within reports whether d is inside ±20% of nominal, plus slack for a

@@ -192,7 +192,7 @@ func (k *Kernel) process(v message.View) {
 	// A stamp off the wire is witnessed only if it is a whole number a
 	// float64 counts exactly: the conversion of anything else would set
 	// the clock wherever it lands (uint64(-1.0) wraps it to 0).
-	if lam, ok := m.Attrs["lamport"]; ok {
+	if lam, ok := m.Attr("lamport"); ok {
 		if n := lam.Num(); n >= 0 && n <= 1<<53 && n == math.Trunc(n) {
 			k.lamport.Witness(uint64(n))
 		}

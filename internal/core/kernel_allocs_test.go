@@ -14,8 +14,8 @@ import (
 // receives every frame, so a frame an endpoint rejects — filtered by
 // its profile, its own echo, a duplicate the order buffer has already
 // released — must cost it no allocation at all, and one it admits only
-// the message handed to Deliver (message, attribute map ×2; its body is
-// the datagram's).
+// the message handed to Deliver (one allocation holding the message and
+// its attributes; its body is the datagram's).
 // Excluded under -race: the detector's instrumentation allocates.
 func TestKernelReceiveAllocs(t *testing.T) {
 	pin := func(name string, r *viewRig, pkt transport.Packet, max float64) {
@@ -33,7 +33,7 @@ func TestKernelReceiveAllocs(t *testing.T) {
 	r.k.pm.SetInterest("topic", selector.S("a"))
 	pin("filtered", r, r.say("pub", 1, `topic == "b"`), 0)
 	pin("self-delivery", r, r.say("recv", 1, ""), 0)
-	pin("admitted Say", r, r.say("pub", 1, `topic == "a"`), 3)
+	pin("admitted Say", r, r.say("pub", 1, `topic == "a"`), 1)
 
 	rep := newViewRig(t, "recv", true)
 	rep.k.Deliver = nil

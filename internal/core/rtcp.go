@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -118,8 +119,8 @@ func (c *Client) handleRTCPReport(m *message.Message) bool {
 		return true // a report about someone else: consumed, ignored
 	}
 	frac, ok := m.Attr(attrFracLost)
-	if !ok {
-		return true
+	if !ok || math.IsNaN(frac.Num()) {
+		return true // unobserved: the peer's last real report stands
 	}
 	f := frac.Num()
 	if f < 0 {

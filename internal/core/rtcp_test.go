@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
 )
@@ -124,6 +127,40 @@ func TestReportStateExpiry(t *testing.T) {
 	rs.record("p3", 0.4)
 	if rs.worst() != 0.6 {
 		t.Errorf("worst = %g, want 0.6", rs.worst())
+	}
+}
+
+// TestRTCPNaNLossIsUnobserved: a report whose loss fraction is NaN
+// says nothing, so it leaves the peer's last real report in force.  It
+// used to overwrite it, and worst() skips a NaN, so a peer that
+// reported 0.5 and then NaN un-throttled the sender.
+func TestRTCPNaNLossIsUnobserved(t *testing.T) {
+	net := transport.NewSimNet(transport.SimNetConfig{Seed: 124})
+	defer net.Close()
+	ca, _ := net.Attach("alice")
+	a := NewClient(ca, Config{})
+	defer a.Close()
+
+	for _, loss := range []float64{0.5, math.NaN()} {
+		frame, err := message.Encode(&message.Message{Kind: message.KindControl, Sender: "bob",
+			Attrs: selector.Attributes{
+				attrCtrl:     selector.S(ctrlRTCPReport),
+				attrSubject:  selector.S("alice"),
+				attrFracLost: selector.N(loss),
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := message.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.handleRTCPReport(m) {
+			t.Fatalf("report with fraction-lost %g not consumed", loss)
+		}
+	}
+	if got := a.WorstPeerLoss(); got != 0.5 {
+		t.Errorf("WorstPeerLoss after 0.5 then NaN = %g, want 0.5", got)
 	}
 }
 

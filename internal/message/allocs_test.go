@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"adaptiveqos/internal/selector"
 )
@@ -34,25 +35,59 @@ func TestParseZeroAllocs(t *testing.T) {
 	}
 }
 
-// A materialised chat line is the message and its attribute map (two
-// allocations); the body is the frame's and every string in it is
-// interned.  Without an interner the eight strings come back.
+// A materialised message holds its attributes in its own allocation up
+// to eight of them, and in one slice beside it above that; the body is
+// the frame's and every string in it is interned.  Without an interner
+// the strings come back: a chat line's sender, four names and two
+// values.
 func TestMessageAllocs(t *testing.T) {
+	for _, n := range attrCounts[:len(attrCounts)-1] { // MaxAttrs names overflow the interner
+		m := &Message{Kind: KindEvent, Sender: "wired-0", Attrs: make(selector.Attributes, n)}
+		for i := 0; i < n; i++ {
+			m.Attrs[fmt.Sprintf("a%04d", i)] = selector.N(float64(i))
+		}
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := Parse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1.0
+		if n > 8 {
+			want = 2
+		}
+		in := new(Interner)
+		v.Message(in)
+		if got := testing.AllocsPerRun(100, func() { v.Message(in) }); got != want {
+			t.Errorf("%d attributes: Message through a warm interner allocates %g times, want %g", n, got, want)
+		}
+	}
 	frame, err := Encode(wireSamples()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Parse(frame)
-	if err != nil {
-		t.Fatal(err)
+	if n := testing.AllocsPerRun(200, func() { Decode(frame) }); n > 8 {
+		t.Errorf("Decode allocates %g times, want <= 8", n)
 	}
-	in := new(Interner)
-	v.Message(in)
-	if n := testing.AllocsPerRun(200, func() { v.Message(in) }); n > 3 {
-		t.Errorf("Message through a warm interner allocates %g times, want <= 3", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { Decode(frame) }); n > 11 {
-		t.Errorf("Decode allocates %g times, want <= 11", n)
+}
+
+// TestReceivedMessageSizes pins the layout View.Message allocates: the
+// message, and the message with four or eight attributes, each fill an
+// allocator size class exactly.
+func TestReceivedMessageSizes(t *testing.T) {
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"Message", unsafe.Sizeof(Message{}), 128},
+		{"message4", unsafe.Sizeof(message4{}), 320},
+		{"message8", unsafe.Sizeof(message8{}), 512},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.what, c.got, c.want)
+		}
 	}
 }
 

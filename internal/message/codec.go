@@ -58,7 +58,7 @@ func Encode(m *Message) ([]byte, error) {
 // encodedSizeHint estimates the frame size so a single allocation (or a
 // pooled buffer of typical capacity) holds the whole encoding.
 func encodedSizeHint(m *Message) int {
-	return 64 + len(m.Sender) + len(m.Selector) + len(m.Body) + 32*len(m.Attrs)
+	return 64 + len(m.Sender) + len(m.Selector) + len(m.Body) + 32*m.NumAttrs()
 }
 
 // AppendEncode serializes the message, appending the frame to dst and
@@ -72,7 +72,8 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	if len(m.Sender) > MaxStringLen || len(m.Selector) > MaxStringLen {
 		return nil, ErrTooLarge
 	}
-	if len(m.Attrs) > MaxAttrs {
+	nattrs := m.NumAttrs()
+	if nattrs > MaxAttrs {
 		return nil, ErrTooLarge
 	}
 	if len(m.Body) > MaxBodyLen {
@@ -88,43 +89,33 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	buf = appendString(buf, m.Sender)
 	buf = appendString(buf, m.Selector)
 
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Attrs)))
-	// Names go out sorted, so a message has one encoding.  The usual
-	// handful is sorted in a stack array; only a message with more
-	// attributes than that pays for Names' slice.
-	var few [16]string
-	names := few[:0]
-	if len(m.Attrs) > len(few) {
-		names = m.Attrs.Names()
+	buf = binary.BigEndian.AppendUint16(buf, uint16(nattrs))
+	var err error
+	if m.Attrs == nil {
+		// A received message's attributes are already in name order.
+		for _, a := range m.attrs {
+			if buf, err = appendAttr(buf, a.Name, a.Value); err != nil {
+				return nil, err
+			}
+		}
 	} else {
-		for name := range m.Attrs {
-			names = append(names, name)
-		}
-		slices.Sort(names)
-	}
-	for _, name := range names {
-		if len(name) > MaxStringLen {
-			return nil, ErrTooLarge
-		}
-		v := m.Attrs[name]
-		buf = appendString(buf, name)
-		buf = append(buf, byte(v.Kind()))
-		switch v.Kind() {
-		case selector.KindString:
-			if len(v.Str()) > MaxStringLen {
-				return nil, ErrTooLarge
+		// Names go out sorted, so a message has one encoding.  The usual
+		// handful is sorted in a stack array; only a message with more
+		// attributes than that pays for Names' slice.
+		var few [16]string
+		names := few[:0]
+		if len(m.Attrs) > len(few) {
+			names = m.Attrs.Names()
+		} else {
+			for name := range m.Attrs {
+				names = append(names, name)
 			}
-			buf = appendString(buf, v.Str())
-		case selector.KindNumber:
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.Num()))
-		case selector.KindBool:
-			if v.Bool() {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
+			slices.Sort(names)
+		}
+		for _, name := range names {
+			if buf, err = appendAttr(buf, name, m.Attrs[name]); err != nil {
+				return nil, err
 			}
-		default:
-			return nil, fmt.Errorf("%w: attribute %q has invalid value", ErrBadAttr, name)
 		}
 	}
 
@@ -146,6 +137,33 @@ func Decode(frame []byte) (*Message, error) {
 		return nil, err
 	}
 	return v.Message(nil), nil
+}
+
+// appendAttr appends one attribute entry.
+func appendAttr(buf []byte, name string, v selector.Value) ([]byte, error) {
+	if len(name) > MaxStringLen {
+		return nil, ErrTooLarge
+	}
+	buf = appendString(buf, name)
+	buf = append(buf, byte(v.Kind()))
+	switch v.Kind() {
+	case selector.KindString:
+		if len(v.Str()) > MaxStringLen {
+			return nil, ErrTooLarge
+		}
+		buf = appendString(buf, v.Str())
+	case selector.KindNumber:
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.Num()))
+	case selector.KindBool:
+		if v.Bool() {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	default:
+		return nil, fmt.Errorf("%w: attribute %q has invalid value", ErrBadAttr, name)
+	}
+	return buf, nil
 }
 
 func appendString(buf []byte, s string) []byte {

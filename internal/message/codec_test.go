@@ -49,12 +49,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Selector != m.Selector {
 		t.Errorf("selector %q != %q", got.Selector, m.Selector)
 	}
-	if len(got.Attrs) != len(m.Attrs) {
-		t.Fatalf("attrs %v != %v", got.Attrs, m.Attrs)
+	gotAttrs := attrMap(got)
+	if len(gotAttrs) != len(m.Attrs) {
+		t.Fatalf("attrs %v != %v", gotAttrs, m.Attrs)
 	}
 	for k, v := range m.Attrs {
-		if !got.Attrs[k].Equal(v) {
-			t.Errorf("attr %q: %v != %v", k, got.Attrs[k], v)
+		if !gotAttrs[k].Equal(v) {
+			t.Errorf("attr %q: %v != %v", k, gotAttrs[k], v)
 		}
 	}
 	if string(got.Body) != string(m.Body) {
@@ -72,7 +73,7 @@ func TestEncodeDecodeEmptyFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sender != "" || got.Selector != "" || len(got.Attrs) != 0 || len(got.Body) != 0 {
+	if got.Sender != "" || got.Selector != "" || got.NumAttrs() != 0 || len(got.Body) != 0 {
 		t.Errorf("empty message did not round-trip: %+v", got)
 	}
 }
@@ -244,11 +245,11 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		}
 		if got.Kind != m.Kind || got.Sender != m.Sender || got.Seq != m.Seq ||
 			!got.Timestamp.Equal(m.Timestamp) || got.Selector != m.Selector ||
-			string(got.Body) != string(m.Body) || len(got.Attrs) != len(m.Attrs) {
+			string(got.Body) != string(m.Body) || got.NumAttrs() != len(m.Attrs) {
 			return false
 		}
 		for k, v := range m.Attrs {
-			if !got.Attrs[k].Equal(v) {
+			if w, _ := got.Attr(k); !w.Equal(v) {
 				return false
 			}
 		}
@@ -256,6 +257,55 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// attrCounts straddle each size a received message keeps its
+// attributes in: none, the four-slot allocation, the eight-slot one,
+// and a slice of its own.
+var attrCounts = []int{0, 1, 4, 5, 8, 9, 17, MaxAttrs}
+
+// TestQuickReceivedReencodes: a received message, which holds its
+// attributes in a name-ordered slice instead of a map, encodes to the
+// frame it came from, at every attribute count.
+func TestQuickReceivedReencodes(t *testing.T) {
+	for _, n := range attrCounts {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			m := &Message{Kind: KindEvent, Sender: randStr(r, 8), Attrs: make(selector.Attributes, n)}
+			for len(m.Attrs) < n {
+				name := randStr(r, 12)
+				switch r.Intn(3) {
+				case 0:
+					m.Attrs[name] = selector.S(randStr(r, 40))
+				case 1:
+					m.Attrs[name] = selector.N(math.Float64frombits(r.Uint64()))
+				default:
+					m.Attrs[name] = selector.B(r.Intn(2) == 0)
+				}
+			}
+			frame, err := Encode(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := Encode(got)
+			if err != nil || got.NumAttrs() != n || string(again) != string(frame) {
+				t.Logf("%d attributes, seed %d: %d decoded, re-encoding %d B of %d (%v)", n, seed, got.NumAttrs(), len(again), len(frame), err)
+				return false
+			}
+			return true
+		}
+		runs := 50
+		if n == MaxAttrs {
+			runs = 3
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: runs}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -12,6 +12,8 @@ package message
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"adaptiveqos/internal/selector"
@@ -60,18 +62,23 @@ func (k Kind) valid() bool { return k >= KindEvent && k <= KindControl }
 type Message struct {
 	// Kind classifies the message.
 	Kind Kind
+	// Seq is a sender-scoped sequence number.
+	Seq uint32
 	// Sender is the originating client ID (diagnostics and unicast
 	// relay bookkeeping; never used for matching).
 	Sender string
-	// Seq is a sender-scoped sequence number.
-	Seq uint32
 	// Timestamp is the send time.
 	Timestamp time.Time
 	// Selector is the semantic selector source specifying receiver
 	// profiles.  Empty means "all" (equivalent to "true").
 	Selector string
 	// Attrs describes the content itself; receivers use these for
-	// interpretation and transformation decisions.
+	// interpretation and transformation decisions.  It is the sender's
+	// field: a received message (View.Message, Decode) leaves it nil
+	// and holds its attributes in name order inside the message, so
+	// read attributes through Attr, NumAttrs and EachAttr, which see
+	// either form.  Setting Attrs on a received message replaces the
+	// attributes it arrived with.
 	Attrs selector.Attributes
 	// Body is the payload.  On a received message (View.Message,
 	// Decode) it aliases the frame the message was parsed from and is
@@ -84,6 +91,15 @@ type Message struct {
 	// without going back to the selector cache.  It is used only while
 	// its source still equals Selector.
 	sel *selector.Selector
+	// attrs are a received message's attributes, strictly increasing by
+	// name; read only while Attrs is nil.
+	attrs []Attr
+}
+
+// Attr is one attribute of a received message.
+type Attr struct {
+	Name  string
+	Value selector.Value
 }
 
 // MatchProfile reports whether the message's selector admits the given
@@ -121,16 +137,56 @@ func (m *Message) CompiledSelector() (*selector.Selector, error) {
 	return selector.CompileCached(m.Selector)
 }
 
-// Attr returns a content attribute.
+// Attr returns the content attribute called name, from Attrs when it
+// is set and otherwise from the attributes the message arrived with.
 func (m *Message) Attr(name string) (selector.Value, bool) {
-	v, ok := m.Attrs[name]
-	return v, ok
+	if m.Attrs != nil {
+		v, ok := m.Attrs[name]
+		return v, ok
+	}
+	i, ok := slices.BinarySearchFunc(m.attrs, name, func(a Attr, name string) int {
+		return strings.Compare(a.Name, name)
+	})
+	if !ok {
+		return selector.Value{}, false
+	}
+	return m.attrs[i].Value, true
+}
+
+// NumAttrs returns how many content attributes the message has.
+func (m *Message) NumAttrs() int {
+	if m.Attrs != nil {
+		return len(m.Attrs)
+	}
+	return len(m.attrs)
+}
+
+// EachAttr calls fn with every content attribute, in name order.
+func (m *Message) EachAttr(fn func(name string, v selector.Value)) {
+	if m.Attrs != nil {
+		for _, name := range m.Attrs.Names() {
+			fn(name, m.Attrs[name])
+		}
+		return
+	}
+	for _, a := range m.attrs {
+		fn(a.Name, a.Value)
+	}
 }
 
 // String renders a compact description for logs.
 func (m *Message) String() string {
+	var attrs strings.Builder
+	attrs.WriteByte('{')
+	m.EachAttr(func(name string, v selector.Value) {
+		if attrs.Len() > 1 {
+			attrs.WriteString(", ")
+		}
+		fmt.Fprintf(&attrs, "%s=%s", name, v)
+	})
+	attrs.WriteByte('}')
 	return fmt.Sprintf("msg(%s from=%s seq=%d sel=%q attrs=%s body=%dB)",
-		m.Kind, m.Sender, m.Seq, m.Selector, m.Attrs, len(m.Body))
+		m.Kind, m.Sender, m.Seq, m.Selector, attrs.String(), len(m.Body))
 }
 
 // Well-known content attribute names shared by senders and receivers.

@@ -102,20 +102,28 @@ func TestWireGolden(t *testing.T) {
 }
 
 // sameMessage reports whether two messages agree in every public
-// field, down to nil against empty and with NaN equal to itself.
+// field and every attribute, whichever form either holds them in, the
+// body down to nil against empty and with NaN equal to itself.
 func sameMessage(a, b *Message) bool {
 	if a.Kind != b.Kind || a.Sender != b.Sender || a.Seq != b.Seq || a.Selector != b.Selector ||
-		a.Timestamp.UnixNano() != b.Timestamp.UnixNano() ||
-		(a.Attrs == nil) != (b.Attrs == nil) || len(a.Attrs) != len(b.Attrs) ||
+		a.Timestamp.UnixNano() != b.Timestamp.UnixNano() || a.NumAttrs() != b.NumAttrs() ||
 		(a.Body == nil) != (b.Body == nil) || !bytes.Equal(a.Body, b.Body) {
 		return false
 	}
-	for name, v := range a.Attrs {
-		if w, ok := b.Attrs[name]; !ok || !v.Equal(w) {
-			return false
+	same := true
+	a.EachAttr(func(name string, v selector.Value) {
+		if w, ok := b.Attr(name); !ok || !v.Equal(w) {
+			same = false
 		}
-	}
-	return true
+	})
+	return same
+}
+
+// attrMap copies a message's attributes, in either form, into a map.
+func attrMap(m *Message) selector.Attributes {
+	attrs := make(selector.Attributes, m.NumAttrs())
+	m.EachAttr(func(name string, v selector.Value) { attrs[name] = v })
+	return attrs
 }
 
 var codecSentinels = []error{ErrBadMagic, ErrTruncated, ErrChecksum, ErrBadKind, ErrTooLarge, ErrBadAttr, ErrTrailing, ErrBadSelector}
@@ -158,8 +166,8 @@ func TestRepeatedAttributeLastWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := v.Message(nil); len(m.Attrs) != 1 || !m.Attrs[AttrApp].Equal(selector.B(true)) {
-		t.Errorf("message attributes %v, want app = true only", m.Attrs)
+	if m := v.Message(nil); m.NumAttrs() != 1 || !attrMap(m)[AttrApp].Equal(selector.B(true)) {
+		t.Errorf("message attributes %v, want app = true only", attrMap(m))
 	}
 }
 
@@ -233,6 +241,7 @@ func checkParse(t *testing.T, frame []byte) {
 		if !within(m.Body, frame) || cap(m.Body) != len(m.Body) {
 			t.Fatalf("materialised body (len %d, cap %d) is not a clipped slice of the input frame", len(m.Body), cap(m.Body))
 		}
+		checkAttrs(t, m, ref.Attrs)
 	}
 	for _, p := range append(fuzzProfiles[:len(fuzzProfiles):len(fuzzProfiles)], ref.Attrs) {
 		if got, want := v.Matches(p), ref.MatchProfile(p); got != want {
@@ -253,6 +262,43 @@ func checkParse(t *testing.T, frame []byte) {
 	}
 	if again, err := Decode(enc); encErr == nil && (err != nil || !sameMessage(again, ref)) {
 		t.Fatalf("re-encoded frame decodes to %v, %v", again, err)
+	}
+}
+
+// checkAttrs holds a received message's attributes to the reference
+// decoder's map: the message keeps no map of its own, EachAttr visits
+// names strictly increasing, and NumAttrs, Attr and EachAttr each agree
+// with the map, for names present and absent.
+func checkAttrs(t *testing.T, m *Message, want selector.Attributes) {
+	t.Helper()
+	if m.Attrs != nil {
+		t.Fatalf("a received message holds an attribute map: %v", m.Attrs)
+	}
+	if m.NumAttrs() != len(want) {
+		t.Fatalf("NumAttrs = %d, reference has %d attributes", m.NumAttrs(), len(want))
+	}
+	seen, prev := 0, ""
+	m.EachAttr(func(name string, v selector.Value) {
+		if seen > 0 && name <= prev {
+			t.Fatalf("EachAttr visits %q after %q", name, prev)
+		}
+		if w, ok := want[name]; !ok || !v.Equal(w) {
+			t.Fatalf("EachAttr: %s = %v, reference %v (present %v)", name, v, w, ok)
+		}
+		seen, prev = seen+1, name
+	})
+	if seen != len(want) {
+		t.Fatalf("EachAttr visited %d attributes, reference has %d", seen, len(want))
+	}
+	for name, w := range want {
+		if v, ok := m.Attr(name); !ok || !v.Equal(w) {
+			t.Fatalf("Attr(%q) = %v, %v; reference %v", name, v, ok, w)
+		}
+		for _, near := range []string{name + "\x00", name[:len(name)/2]} {
+			if _, ok := m.Attr(near); ok != (want[near].Kind() != selector.KindInvalid) {
+				t.Fatalf("Attr(%q) reports present = %v, reference disagrees", near, ok)
+			}
+		}
 	}
 }
 
@@ -291,7 +337,7 @@ func TestMessageBodyAliasesFrame(t *testing.T) {
 	in := new(Interner)
 	m := v.Message(in)
 	want := *m
-	want.Attrs, want.Body = m.Attrs.Clone(), bytes.Clone(m.Body)
+	want.Attrs, want.Body = attrMap(m), bytes.Clone(m.Body)
 	if !within(m.Body, frame) || cap(m.Body) != len(m.Body) {
 		t.Fatalf("body (len %d, cap %d) is not a clipped slice of the frame", len(m.Body), cap(m.Body))
 	}
@@ -307,7 +353,7 @@ func TestMessageBodyAliasesFrame(t *testing.T) {
 		t.Error("body did not alias the frame")
 	}
 	m.Body = want.Body // everything but the body must have survived the scribble
-	if !sameMessage(m, &want) || m.Sender != "wired-0" || m.Attrs[AttrApp].Str() != "chat" {
+	if !sameMessage(m, &want) || m.Sender != "wired-0" || attrMap(m)[AttrApp].Str() != "chat" {
 		t.Errorf("message changed with the frame it was made from: %v", m)
 	}
 	if again := in.String([]byte("wired-0")); again != "wired-0" {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"adaptiveqos/internal/selector"
@@ -151,17 +153,23 @@ func (v View) Matches(flat selector.Attributes) bool {
 // values come out of in (nil: each is a fresh string); the selector
 // source is the compiled selector's own copy, and the message remembers
 // that selector, so matching it later costs no cache lookup.
+//
+// The attributes are kept in name order inside the message (Attrs stays
+// nil), and a message with at most eight of them is one allocation.
+// Encode writes names strictly increasing and such entries are kept as
+// they are read; any other frame's are sorted, and of a name the frame
+// repeats the later entry wins.
 func (v View) Message(in *Interner) *Message {
 	var body []byte
 	if len(v.body) > 0 {
 		body = v.body[:len(v.body):len(v.body)]
 	}
-	m := &Message{
+	m, attrs := newMessage(v.nattrs)
+	*m = Message{
 		Kind:      v.kind,
 		Sender:    in.String(v.sender),
 		Seq:       v.seq,
 		Timestamp: time.Unix(0, v.ts),
-		Attrs:     make(selector.Attributes, v.nattrs),
 		Body:      body,
 		sel:       v.sel,
 	}
@@ -169,11 +177,65 @@ func (v View) Message(in *Interner) *Message {
 		m.Selector = v.sel.Source()
 	}
 	d := decoder{buf: v.attrs}
+	canonical := true
 	for i := 0; i < v.nattrs; i++ {
 		name, kind, raw, _ := d.attr()
-		m.Attrs[in.String(name)] = attrValue(kind, raw, in)
+		a := Attr{Name: in.String(name), Value: attrValue(kind, raw, in)}
+		if n := len(attrs); n > 0 && attrs[n-1].Name >= a.Name {
+			canonical = false
+		}
+		attrs = append(attrs, a)
 	}
+	if !canonical {
+		attrs = lastWins(attrs)
+	}
+	m.attrs = attrs
 	return m
+}
+
+// A received message and its attributes share one allocation when they
+// fit one of these.  A Message is 128 bytes (Kind and Seq share a word)
+// and an Attr 48, so they are 320 and 512 bytes: allocator size classes,
+// with nothing rounded up.
+type (
+	message4 struct {
+		m     Message
+		attrs [4]Attr
+	}
+	message8 struct {
+		m     Message
+		attrs [8]Attr
+	}
+)
+
+// newMessage allocates a message and room for n attributes.
+func newMessage(n int) (*Message, []Attr) {
+	switch {
+	case n == 0:
+		return new(Message), nil
+	case n <= 4:
+		p := new(message4)
+		return &p.m, p.attrs[:0]
+	case n <= 8:
+		p := new(message8)
+		return &p.m, p.attrs[:0]
+	default:
+		return new(Message), make([]Attr, 0, n)
+	}
+}
+
+// lastWins sorts attribute entries by name, in place, keeping of a
+// repeated name the entry that came last.
+func lastWins(attrs []Attr) []Attr {
+	slices.SortStableFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Name, b.Name) })
+	out := attrs[:0]
+	for i, a := range attrs {
+		if i+1 < len(attrs) && attrs[i+1].Name == a.Name {
+			continue
+		}
+		out = append(out, a)
+	}
+	return out
 }
 
 // attrValue builds the value of an attribute entry decoder.attr read.

@@ -154,6 +154,14 @@ func (r *Registry) Get(id string) (*Profile, bool) {
 	return e.p.Clone(), true
 }
 
+// Has reports whether a profile is registered for id, copying nothing.
+func (r *Registry) Has(id string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.profiles[id]
+	return ok
+}
+
 // FlatSnapshot returns the memoized flattened attribute view of the
 // profile for id and its version.  The returned map is shared and
 // immutable by contract: callers MUST NOT mutate it.  It is rebuilt at

@@ -129,6 +129,12 @@ func (r *Registry) Get(id string) (*profile.Profile, bool) {
 	return r.shard(id).Get(id)
 }
 
+// Has reports whether a profile is registered for id: a membership
+// test that, unlike Get, copies no profile.
+func (r *Registry) Has(id string) bool {
+	return r.shard(id).Has(id)
+}
+
 // Remove deletes the profile for id, reporting whether it was present.
 func (r *Registry) Remove(id string) bool {
 	ok := r.shard(id).Remove(id)

@@ -3,6 +3,7 @@ package selector
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func attrs(pairs ...any) Attributes {
@@ -153,6 +154,15 @@ func TestValueSemantics(t *testing.T) {
 		if k.String() == "" {
 			t.Errorf("Kind(%d).String() empty", k)
 		}
+	}
+}
+
+// TestValueSize pins the field order that packs Value's kind and bool
+// payload into one word: every attribute map group and every received
+// message's attribute slice holds Values.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
 	}
 }
 

@@ -48,10 +48,13 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed attribute value: a string, a number
 // (float64) or a boolean.  The zero Value is invalid.
+//
+// The one-byte fields come last and share a word: a Value is 32 bytes,
+// not 40, in every attribute map and slice.
 type Value struct {
-	kind Kind
 	str  string
 	num  float64
+	kind Kind
 	b    bool
 }
 
