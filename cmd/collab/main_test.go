@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -150,5 +151,46 @@ func TestTelemetryTick(t *testing.T) {
 			t.Fatalf("%d goroutines 1s after run returned, %d before it", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSummaryGolden holds a lossless session's summary to
+// testdata/summary.golden byte for byte: every count in it (chat,
+// strokes, images, relays, reports, the archive, the SLO table) is
+// fixed by the seed.  The log on stderr carries timestamps and is not
+// compared.  The session runs in a child process, because the SLO
+// engine and the flight recorder are process-global and the other
+// tests here leave them populated.  Regenerate, when the summary is
+// meant to move, with
+//
+//	go run ./cmd/collab -wired 2 -wireless 3 -events 40 2>/dev/null > cmd/collab/testdata/summary.golden
+func TestSummaryGolden(t *testing.T) {
+	if path := os.Getenv("COLLAB_SUMMARY_OUT"); path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := run([]string{"-wired", "2", "-wireless", "3", "-events", "40"}, f); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	path := filepath.Join(t.TempDir(), "summary")
+	child := exec.Command(os.Args[0], "-test.run=^TestSummaryGolden$")
+	child.Env = append(os.Environ(), "COLLAB_SUMMARY_OUT="+path)
+	if out, err := child.CombinedOutput(); err != nil {
+		t.Fatalf("collab: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/summary.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("summary moved from testdata/summary.golden; now:\n%s", got)
 	}
 }
