@@ -31,14 +31,15 @@ go -C bench build -o /dev/null ./...
 go test -C bench -count=1 .
 
 # Fuzz smokes, 5 s each, one per target: the NACK hole list (§10), the
-# client kernel's whole receive path, every frame and the envelope's
-# fragment reassembly (§7), the RTP header of every data body and the
-# sequence numbers and SSRCs the reception statistics count, every
-# relayed image stream and both of its decoders (§17), the image
-# announce and media object a member uplinks, every selector, the replay
-# policy grid and session record (cmd/qosreplay reads both), and the
-# SNMP agent's BER decoder (cmd/snmpd reads it off a socket).
-for t in core:FuzzCoordinatorHandlePacket core:FuzzKernelHandlePacket message:FuzzParse \
+# client kernel's whole receive path and the whole client's past it
+# (reception reports, lock notices, the applications), every frame and
+# the envelope's fragment reassembly (§7), the RTP header of every data
+# body and the sequence numbers and SSRCs the reception statistics
+# count, every relayed image stream and both of its decoders (§17), the
+# image announce and media object a member uplinks, every selector, the
+# replay policy grid and session record (cmd/qosreplay reads both), and
+# the SNMP agent's BER decoder (cmd/snmpd reads it off a socket).
+for t in core:FuzzCoordinatorHandlePacket core:FuzzKernelHandlePacket core:FuzzClientHandlePacket message:FuzzParse \
 	message:FuzzUnwrap rtp:FuzzRTPUnmarshal rtp:FuzzReceiver wavelet:FuzzInspect wavelet:FuzzDecode wavelet:FuzzDecodeColor \
 	apps:FuzzDecodeImageMeta apps:FuzzDecodeMediaObject selector:FuzzSelectorParse \
 	replay:FuzzLoadGrid replay:FuzzLoadRecord snmp:FuzzDecodeMessage; do

@@ -3,7 +3,8 @@
 // client and a consulting physician on a degraded one.  Both receive
 // the same semantic content at the fidelity their resources admit, and
 // the session's semantic filters keep administrative chatter away from
-// the clinical channel.
+// the clinical channel.  The session runs in virtual time:
+// transport.Serve runs every client inline whenever the clock is driven.
 //
 // Run with: go run ./examples/telediagnosis
 package main
@@ -13,6 +14,7 @@ import (
 	"log"
 	"time"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/media"
@@ -23,19 +25,21 @@ import (
 )
 
 func main() {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 7})
+	clk := clock.NewVirtual(time.Time{})
+	net := transport.NewDESNet(transport.DESNetConfig{Seed: 7, Clock: clk})
 	defer net.Close()
 
-	attach := func(id string) *core.Client {
+	attach := func(id string, cfg core.Config) *core.Client {
 		conn, err := net.Attach(id)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return core.NewClient(conn, core.Config{})
+		cfg.Clock = clk
+		return core.NewClient(conn, cfg)
 	}
 
-	hospital := attach("hospital")
-	specialist := attach("specialist")
+	hospital := attach("hospital", core.Config{})
+	specialist := attach("specialist", core.Config{})
 	defer hospital.Close()
 	defer specialist.Close()
 
@@ -48,11 +52,7 @@ func main() {
 		Client: snmp.NewClient(
 			&snmp.AgentRoundTripper{Agent: hostagent.NewAgent(laptopHost)}, snmp.V2c, "public"),
 	}
-	consultConn, err := net.Attach("consultant")
-	if err != nil {
-		log.Fatal(err)
-	}
-	consultant := core.NewClient(consultConn, core.Config{Monitor: consultMonitor})
+	consultant := attach("consultant", core.Config{Monitor: consultMonitor})
 	defer consultant.Close()
 
 	// Profiles: clinical staff subscribe to the case topic; the ward
@@ -61,11 +61,7 @@ func main() {
 		c.Profile().SetInterest("topic", selector.S("case-1142"))
 		c.Profile().SetInterest("role", selector.S("clinical"))
 	}
-	clerkConn, err := net.Attach("ward-clerk")
-	if err != nil {
-		log.Fatal(err)
-	}
-	clerk := core.NewClient(clerkConn, core.Config{})
+	clerk := attach("ward-clerk", core.Config{})
 	defer clerk.Close()
 	clerk.Profile().SetInterest("role", selector.S("admin"))
 
@@ -93,7 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	time.Sleep(300 * time.Millisecond) // drain the simulated network
+	clk.RunUntilIdle(0) // deliver everything in flight
 
 	report := func(c *core.Client) {
 		st, err := c.Viewer().Stats("ct-1142-42")

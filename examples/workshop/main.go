@@ -2,7 +2,8 @@
 // coordinator.  Early participants chat and annotate a shared diagram
 // under exclusive edit locks; a late joiner requests the archived
 // session history and catches up — receiving only what its profile
-// admits.
+// admits.  The session runs in virtual time: transport.Serve runs every
+// node inline whenever the clock is driven, so nothing here waits.
 //
 // Run with: go run ./examples/workshop
 package main
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/selector"
@@ -22,17 +24,18 @@ import (
 )
 
 func main() {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 9})
+	clk := clock.NewVirtual(time.Time{})
+	net := transport.NewDESNet(transport.DESNetConfig{Seed: 9, Clock: clk})
 	defer net.Close()
 
 	coordConn, err := net.Attach("coordinator")
 	if err != nil {
 		log.Fatal(err)
 	}
-	coord := core.NewCoordinator(coordConn, session.Group{
+	coord := core.NewCoordinatorClock(coordConn, session.Group{
 		Objective:   "design-review:bridge-deck",
 		ResultSpace: []string{"comments", "annotations", "images"},
-	})
+	}, clk)
 	defer coord.Close()
 
 	attach := func(id string) *core.Client {
@@ -40,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return core.NewClient(conn, core.Config{})
+		return core.NewClient(conn, core.Config{Clock: clk})
 	}
 	ana := attach("ana")
 	raj := attach("raj")
@@ -50,18 +53,18 @@ func main() {
 	// --- Locked whiteboard editing -----------------------------------
 	fmt.Println("== exclusive editing ==")
 	must(ana.RequestLock("coordinator", "diagram"))
-	waitLock(ana, "diagram", core.LockGranted)
+	waitLock(clk, ana, "diagram", core.LockGranted)
 	fmt.Println("ana holds the diagram lock")
 
 	must(raj.RequestLock("coordinator", "diagram"))
-	waitLock(raj, "diagram", core.LockWaiting)
+	waitLock(clk, raj, "diagram", core.LockWaiting)
 	fmt.Println("raj queues behind ana")
 
 	must(ana.Draw(apps.Stroke{ID: 1, Color: 1, Width: 2,
 		Points: []apps.Point{{X: 0, Y: 0}, {X: 40, Y: 12}}}, ""))
 	must(ana.Say("marked the stress point", ""))
 	must(ana.ReleaseLock("coordinator", "diagram"))
-	waitLock(raj, "diagram", core.LockGranted)
+	waitLock(clk, raj, "diagram", core.LockGranted)
 	fmt.Println("lock passed to raj")
 	must(raj.Draw(apps.Stroke{ID: 2, Color: 2, Width: 1,
 		Points: []apps.Point{{X: 40, Y: 12}, {X: 80, Y: 3}}}, ""))
@@ -77,7 +80,7 @@ func main() {
 	must(ana.ShareImage("deck-rev-c", obj, ""))
 	must(ana.Say("budget figures attached", `role == "finance"`))
 
-	time.Sleep(150 * time.Millisecond)
+	clk.RunUntilIdle(0)
 	fmt.Printf("\narchived events so far: %d\n", coord.ArchivedEvents())
 
 	// --- Late joiner catch-up -----------------------------------------
@@ -87,14 +90,7 @@ func main() {
 	lena.Profile().SetInterest("role", selector.S("engineering"))
 
 	must(lena.RequestHistory("coordinator", 0))
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := lena.Viewer().Stats("deck-rev-c")
-		if err == nil && st.PacketsAccepted == st.TotalPackets && lena.Chat().Len() >= 2 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	clk.RunUntilIdle(0)
 
 	fmt.Printf("lena caught up: chat=%d strokes=%d filtered=%d\n",
 		lena.Chat().Len(), lena.Whiteboard().Len(), lena.Stats().EventsFiltered)
@@ -115,13 +111,10 @@ func must(err error) {
 	}
 }
 
-func waitLock(c *core.Client, object string, want core.LockStatus) {
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.LockState(object) == want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+// waitLock delivers everything in flight and checks c's standing on
+// the lock.
+func waitLock(clk *clock.Virtual, c *core.Client, object string, want core.LockStatus) {
+	if clk.RunUntilIdle(0); c.LockState(object) != want {
+		log.Fatalf("%s: %s on %s, want %s", c.ID(), c.LockState(object), object, want)
 	}
-	log.Fatalf("%s: timed out waiting for %s on %s", c.ID(), want, object)
 }

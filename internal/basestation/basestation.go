@@ -55,8 +55,8 @@ type Config struct {
 	// delivery work is hashed over this many single-worker queues.
 	// 0 means GOMAXPROCS; 1 forces the inline sequential path.
 	FanOutWorkers int
-	// Clock timestamps relayed frames and drives the collection
-	// sweeper (nil = wall clock).
+	// Clock timestamps relayed frames and schedules the collection
+	// sweep (nil = wall clock).
 	Clock clock.Clock
 }
 
@@ -99,7 +99,9 @@ type Stats struct {
 // (profiles + radio state), the dispatch pool/pipeline (per-client
 // delivery), and the transmit adapters (wired multicast, wireless
 // unicast); what remains here is the uplink protocol and the radio
-// control plane.
+// control plane.  Like a client it is a handler: transport.Serve drives
+// its two segments, so it starts no goroutine of its own (the dispatch
+// pool's workers are the pool's).
 type BaseStation struct {
 	id       string
 	clk      clock.Clock
@@ -122,7 +124,7 @@ type BaseStation struct {
 
 	env    message.Enveloper
 	unwrap *message.Unwrapper
-	// Each receive loop owns the interner its frames decode through.
+	// Each segment owns the interner its frames decode through.
 	wiredIntern, rfIntern message.Interner
 
 	// What the station multicasts to the session is numbered per
@@ -145,33 +147,26 @@ type BaseStation struct {
 		fwdImage, fwdSketch, fwdText, downlk atomic.Uint64
 	}
 
-	closeOnce     sync.Once
-	wiredDone     chan struct{}
-	rfDone        chan struct{}
-	sweepStop     chan struct{}
-	sweepDone     chan struct{}
+	stops         [2]func() // end transport.Serve's driving of each segment
 	unregRadioSrc func()
 }
 
 // New creates a base station bridging the wired multicast session and
-// the wireless segment, using channel as the radio model.  It starts
-// relay loops on both connections and the collection sweeper.
+// the wireless segment, using channel as the radio model, and has
+// transport.Serve drive both: the wired side with the collection sweep
+// as its poll.
 func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg Config) *BaseStation {
 	cfg = cfg.withDefaults()
 	bs := &BaseStation{
-		id:        id,
-		clk:       clock.Or(cfg.Clock),
-		wired:     wired,
-		wireless:  wireless,
-		cfg:       cfg,
-		channel:   channel,
-		reg:       registry.New(registry.DefaultShards),
-		unwrap:    message.NewUnwrapper(),
-		collect:   apps.NewImageViewer(),
-		wiredDone: make(chan struct{}),
-		rfDone:    make(chan struct{}),
-		sweepStop: make(chan struct{}),
-		sweepDone: make(chan struct{}),
+		id:       id,
+		clk:      clock.Or(cfg.Clock),
+		wired:    wired,
+		wireless: wireless,
+		cfg:      cfg,
+		channel:  channel,
+		reg:      registry.New(registry.DefaultShards),
+		unwrap:   message.NewUnwrapper(),
+		collect:  apps.NewImageViewer(),
 	}
 	bs.env.Node = id
 	bs.sessionSeq = map[string]uint32{}
@@ -192,9 +187,10 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	// SLO violation attributions get the client's radio picture from
 	// here (Close unregisters).
 	bs.unregRadioSrc = slo.Default().RegisterRadioSource(bs.RadioSnapshot)
-	go bs.wiredLoop()
-	go bs.wirelessLoop()
-	go bs.sweepLoop()
+	bs.stops = [2]func(){
+		transport.Serve(wired, bs.clk, collectTTL/4, bs.handleWired, bs.sweep),
+		transport.Serve(wireless, bs.clk, 0, bs.handleWireless, nil),
+	}
 	return bs
 }
 
@@ -213,26 +209,18 @@ func (bs *BaseStation) Stats() Stats {
 	}
 }
 
-// Close stops the relay loops, the sweeper and the dispatch pool, and
-// detaches both connections.
+// Close detaches both connections, waits until nothing drives them and
+// stops the dispatch pool.  Safe to call more than once.
 func (bs *BaseStation) Close() error {
-	var err error
-	bs.closeOnce.Do(func() {
-		bs.unregRadioSrc()
-		e1 := bs.wired.Close()
-		e2 := bs.wireless.Close()
-		close(bs.sweepStop)
-		<-bs.wiredDone
-		<-bs.rfDone
-		<-bs.sweepDone
-		bs.pool.Close()
-		if e1 != nil {
-			err = e1
-		} else {
-			err = e2
-		}
-	})
-	return err
+	bs.unregRadioSrc()
+	e1, e2 := bs.wired.Close(), bs.wireless.Close()
+	bs.stops[0]()
+	bs.stops[1]()
+	bs.pool.Close()
+	if e1 != nil {
+		return e1
+	}
+	return e2
 }
 
 // --- Uplink (wireless client → session) ---

@@ -56,13 +56,6 @@ func (bs *BaseStation) runTask(pipe dispatch.Pipeline, task dispatch.Task) error
 
 // --- Downlink (session → wireless clients) ---
 
-func (bs *BaseStation) wiredLoop() {
-	defer close(bs.wiredDone)
-	for pkt := range bs.wired.Recv() {
-		bs.handleWired(pkt)
-	}
-}
-
 // handleWired relays wired-session traffic to the wireless clients,
 // degrading content to each client's tier.
 func (bs *BaseStation) handleWired(pkt transport.Packet) {
@@ -200,47 +193,31 @@ func (bs *BaseStation) relayShare(rs *renditions, limit radio.Tier, skip string)
 
 // collectTTL bounds how long an incomplete wired-side collection, or
 // packets parked for an announce that never came, may sit idle before
-// the sweeper evicts them.
+// sweep evicts them.
 const collectTTL = time.Minute
 
 var ctrCollectEvictions = metrics.C(metrics.CtrCollectEvictions)
 
-// sweepLoop periodically evicts idle, never-completed collections:
-// a wired sender crashing mid-transfer or a lossy segment eating tail
-// packets must not leak reassembly buffers and announce metadata.
-func (bs *BaseStation) sweepLoop() {
-	defer close(bs.sweepDone)
-	ticker := bs.clk.NewTicker(collectTTL / 4)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-bs.sweepStop:
-			return
-		case now := <-ticker.C():
-			evicted := bs.collect.Sweep(now, collectTTL)
-			ctrCollectEvictions.Add(uint64(len(evicted)))
-			if obs.Enabled() {
-				for _, object := range evicted {
-					obs.Drop(0, obs.StageDeliver,
-						"bs "+bs.id+": incomplete collection "+object+" expired")
-				}
-			}
+// sweep evicts idle, never-completed collections, every quarter
+// collectTTL: a wired sender crashing mid-transfer or a lossy segment
+// eating tail packets must not leak reassembly buffers and announce
+// metadata.
+func (bs *BaseStation) sweep(now time.Time) {
+	evicted := bs.collect.Sweep(now, collectTTL)
+	ctrCollectEvictions.Add(uint64(len(evicted)))
+	if obs.Enabled() {
+		for _, object := range evicted {
+			obs.Drop(0, obs.StageDeliver,
+				"bs "+bs.id+": incomplete collection "+object+" expired")
 		}
 	}
 }
 
 // --- Uplink frame handling (wireless segment → relays) ---
 
-// wirelessLoop receives uplink frames from wireless clients over the
+// handleWireless takes uplink frames from wireless clients over the
 // radio segment: clients transmit framework messages; the BS relays
 // them as if the client had called UplinkEvent/UplinkShare.
-func (bs *BaseStation) wirelessLoop() {
-	defer close(bs.rfDone)
-	for pkt := range bs.wireless.Recv() {
-		bs.handleWireless(pkt)
-	}
-}
-
 func (bs *BaseStation) handleWireless(pkt transport.Packet) {
 	frame, v, _ := bs.unwrap.Read("rf:"+pkt.From, pkt.Data) // counted inside Read
 	if frame == nil {

@@ -41,7 +41,9 @@ func TestCensusOverFixture(t *testing.T) {
 	// a text match gets wrong: the aliased time import calling Sleep, the
 	// method value time.Now and the var whose struct type holds a mutex
 	// are caught, and the kernel's comment naming go, select, chan and <-
-	// is not flagged, nor is a store into Message.Attrs.
+	// is not flagged, nor is a store into Message.Attrs.  A node may not
+	// drive itself: the go statement planted in a core file breaks
+	// passive-nodes, as the kernel's does.
 	wantBroken := []string{
 		"cmd/app/wait.go:7 scheduling: uses time.Sleep",
 		"internal/apps/imageviewer.go:17 ownership: copies with slices.Clone",
@@ -52,6 +54,10 @@ func TestCensusOverFixture(t *testing.T) {
 		"internal/core/kernel.go:13 kernel-purity: channel-typed out",
 		"internal/core/kernel.go:14 kernel-purity: uses clock.Or",
 		"internal/core/coordkernel.go:4 ownership: copies with append onto a nil []byte",
+		"internal/core/client.go:7 passive-nodes: go statement",
+		"internal/core/client.go:8 passive-nodes: select statement",
+		"internal/core/client.go:9 passive-nodes: uses clock.Clock.NewTicker",
+		"internal/core/kernel.go:12 passive-nodes: go statement",
 		"internal/core/attrs.go:10 received-attrs: takes len of m.Attrs",
 		"internal/core/attrs.go:10 received-attrs: indexes m.Attrs",
 		"internal/core/attrs.go:11 received-attrs: ranges over m.Attrs",

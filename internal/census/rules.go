@@ -44,6 +44,8 @@ var rules = []rule{
 	{"passive-telemetry", "telemetry is ticked by its owner, so one ticker closes windows over one round of samples (§8, §16)",
 		[]string{"internal/obs/", "internal/slo/", "internal/timeline/"}, nil,
 		waits("NewTicker", "NewTimer", "Sleep")},
+	{"passive-nodes", "a node is a handler that transport.Serve drives, so it runs inline on a DESNet's virtual time (§3, §14)",
+		[]string{"internal/core/", "internal/basestation/"}, nil, drivesItself},
 	{"global-state", "package state is shared by every session in a process, so each holder says why in globals.txt (ROADMAP item 2)",
 		[]string{"internal/", "cmd/"}, nil, globalState},
 	{"received-attrs", "a received message keeps its attributes outside Message.Attrs, which is nil there: read them through Attr, NumAttrs or EachAttr (§7)",
@@ -200,6 +202,17 @@ func waits(names ...string) func(*scope, ast.Node, types.Object) string {
 		}
 		return "uses " + types.TypeString(recv.Type(), (*types.Package).Name) + "." + fn.Name()
 	}
+}
+
+// drivesItself flags a go or select statement, or a wait on a clock.
+func drivesItself(s *scope, n ast.Node, obj types.Object) string {
+	switch n.(type) {
+	case *ast.GoStmt:
+		return "go statement"
+	case *ast.SelectStmt:
+		return "select statement"
+	}
+	return waits("NewTicker", "NewTimer", "Sleep")(s, n, obj)
 }
 
 // uses flags a use of one of the named package-level objects of pkg,

@@ -3,8 +3,8 @@ package core
 
 import c "fixture/internal/clock"
 
-// A Kernel takes packets and time.  Its shell may go, select, chan and
-// <- as it likes; this comment mentions them and breaks no rule.
+// A Kernel takes packets and time.  This comment names go, select,
+// chan and <-, and breaks no rule by it.
 type Kernel struct{ n int }
 
 // Start breaks kernel purity five ways.

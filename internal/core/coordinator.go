@@ -19,17 +19,14 @@ import (
 // semantic filtering still applies: it only absorbs the history its
 // profile admits.
 //
-// Coordinator is the goroutine shell: the archive, reorder, replay and
-// lock arbitration all live in the CoordinatorKernel it feeds from
-// conn.Recv() under mu.
+// Coordinator is a handler: the archive, reorder, replay and lock
+// arbitration all live in the CoordinatorKernel, which transport.Serve
+// feeds packets under mu.
 type Coordinator struct {
-	conn transport.Conn
-
 	mu sync.Mutex // serializes every kernel call
 	k  *CoordinatorKernel
 
-	closeOnce sync.Once
-	loopDone  chan struct{}
+	stop func() // ends transport.Serve's driving
 }
 
 // NewCoordinator attaches an archiving coordinator to the substrate.
@@ -46,17 +43,13 @@ func NewCoordinator(conn transport.Conn, group session.Group) *Coordinator {
 // NewCoordinatorClock is NewCoordinator with an injected clock (nil =
 // wall) timestamping replies and replay notifications.
 func NewCoordinatorClock(conn transport.Conn, group session.Group, clk clock.Clock) *Coordinator {
-	c := &Coordinator{
-		conn:     conn,
-		k:        NewCoordinatorKernel(conn, group, clock.Or(clk)),
-		loopDone: make(chan struct{}),
-	}
-	go c.loop()
+	c := &Coordinator{k: NewCoordinatorKernel(conn, group, clock.Or(clk))}
+	c.stop = transport.Serve(conn, clk, 0, c.handle, nil)
 	return c
 }
 
 // ID returns the coordinator's substrate identifier.
-func (c *Coordinator) ID() string { return c.conn.ID() }
+func (c *Coordinator) ID() string { return c.k.ID() }
 
 // ArchivedEvents returns the number of archived events.
 func (c *Coordinator) ArchivedEvents() int {
@@ -65,23 +58,17 @@ func (c *Coordinator) ArchivedEvents() int {
 	return c.k.ArchivedEvents()
 }
 
-// Close detaches the coordinator.
+// Close detaches the coordinator and waits until nothing drives it.
 func (c *Coordinator) Close() error {
-	var err error
-	c.closeOnce.Do(func() {
-		err = c.conn.Close()
-		<-c.loopDone
-	})
+	err := c.k.conn.Close()
+	c.stop()
 	return err
 }
 
-func (c *Coordinator) loop() {
-	defer close(c.loopDone)
-	for pkt := range c.conn.Recv() {
-		c.mu.Lock()
-		c.k.HandlePacket(pkt)
-		c.mu.Unlock()
-	}
+func (c *Coordinator) handle(pkt transport.Packet) {
+	c.mu.Lock()
+	c.k.HandlePacket(pkt)
+	c.mu.Unlock()
 }
 
 // RequestHistory asks the coordinator to replay the session history

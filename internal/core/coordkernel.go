@@ -19,8 +19,8 @@ import (
 // out, the counterpart of Kernel: datagrams in through HandlePacket,
 // replays and lock notifications out on the conn it was given.  Like
 // Kernel it is single-threaded (the owner serializes every call) and
-// runs unchanged under core.Coordinator's receive loop and under the
-// replay simulator's discrete-event net.
+// runs unchanged under core.Coordinator and under the replay
+// simulator's discrete-event net.
 type CoordinatorKernel struct {
 	conn  transport.Conn
 	clk   clock.Clock

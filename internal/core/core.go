@@ -12,6 +12,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,18 +111,19 @@ type Stats struct {
 	Truncated      uint64 // own image shares cut short because receivers reported loss
 }
 
-// Client is one collaborating endpoint: the goroutine shell around a
-// receive Kernel (DESIGN.md §3).  The shell owns the receive loop, the
-// repair ticker, the send side and the applications; unwrap, decode,
+// Client is one collaborating endpoint around a receive Kernel
+// (DESIGN.md §3).  It is a handler: it starts no goroutine and owns no
+// ticker.  transport.Serve feeds it packets (HandlePacket) and time
+// (Poll) on whatever substrate it is attached to, inline on a DESNet.
+// The client owns the send side and the applications; unwrap, decode,
 // per-sender ordering, gap repair and the profile match live in the
-// kernel, whose Deliver and Control effects the shell applies.
+// kernel, whose Deliver and Control effects the client applies.
 type Client struct {
 	cfg    Config
-	conn   transport.Conn
 	engine *inference.Engine
 
-	// kmu serializes the kernel: the receive loop and the repair ticker
-	// both enter it, and effects run with it held.
+	// kmu serializes the kernel: HandlePacket and Poll both enter it,
+	// and effects run with it held.
 	kmu sync.Mutex
 	k   *Kernel
 
@@ -154,20 +157,17 @@ type Client struct {
 		reports, truncated     atomic.Uint64
 	}
 
-	closeOnce sync.Once
-	done      chan struct{}
-	loops     sync.WaitGroup // receive loop + repair ticker
+	stop func() // ends transport.Serve's driving
 }
 
-// NewClient attaches a client to the substrate and starts its receive
-// loop.  Callers configure interests/capabilities through Profile().
+// NewClient attaches a client to the substrate and has transport.Serve
+// drive it.  Callers configure interests/capabilities through Profile().
 func NewClient(conn transport.Conn, cfg Config) *Client {
 	cfg = cfg.withDefaults()
 	cfg.Clock = clock.Or(cfg.Clock)
 	c := &Client{
 		cfg:     cfg,
 		clk:     cfg.Clock,
-		conn:    conn,
 		k:       NewKernel(conn, cfg),
 		engine:  inference.New(conn.ID(), cfg.Contract, cfg.Clock),
 		chat:    apps.NewChatArea(),
@@ -178,23 +178,17 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 		reports: newReportState(cfg.Clock),
 		rtpSend: rtp.NewSender(rtp.SSRCOf(conn.ID()), 96, 0),
 		rtpRecv: make(map[string]*rtp.Receiver),
-		done:    make(chan struct{}),
 	}
 	c.k.Deliver = c.deliver
 	c.k.Control = c.control
 	c.lastDecision = inference.Decision{PacketBudget: inference.Unlimited}
 	c.txMulti = &dispatch.Multicaster{Env: &c.k.env, Conn: conn}
-	c.loops.Add(1)
-	go c.recvLoop()
-	if interval := c.k.PollInterval(); interval > 0 {
-		c.loops.Add(1)
-		go c.repairLoop(interval)
-	}
+	c.stop = transport.Serve(conn, c.clk, c.k.PollInterval(), c.HandlePacket, c.Poll)
 	return c
 }
 
 // ID returns the client's substrate identifier.
-func (c *Client) ID() string { return c.conn.ID() }
+func (c *Client) ID() string { return c.k.ID() }
 
 // Profile returns the client's profile manager.
 func (c *Client) Profile() *profile.Manager { return c.k.pm }
@@ -235,14 +229,10 @@ func (c *Client) LastDecision() inference.Decision {
 	return c.lastDecision
 }
 
-// Close detaches the client and stops its loops.
+// Close detaches the client and waits until nothing drives it.
 func (c *Client) Close() error {
-	var err error
-	c.closeOnce.Do(func() {
-		close(c.done)
-		err = c.conn.Close()
-		c.loops.Wait()
-	})
+	err := c.k.conn.Close()
+	c.stop()
 	return err
 }
 
@@ -427,31 +417,21 @@ func (c *Client) AnnounceProfile(to string) error {
 
 // --- Receiving ---
 
-// recvLoop feeds the kernel from the substrate until the conn closes.
-func (c *Client) recvLoop() {
-	defer c.loops.Done()
-	for pkt := range c.conn.Recv() {
-		c.kmu.Lock()
-		c.k.HandlePacket(pkt)
-		c.kmu.Unlock()
-	}
+// HandlePacket takes one datagram off the substrate: the kernel
+// unwraps, orders and matches it, and what it delivers reaches the
+// applications.
+func (c *Client) HandlePacket(pkt transport.Packet) {
+	c.kmu.Lock()
+	c.k.HandlePacket(pkt)
+	c.kmu.Unlock()
 }
 
-// repairLoop ticks the kernel's gap repair until Close.
-func (c *Client) repairLoop(interval time.Duration) {
-	defer c.loops.Done()
-	ticker := c.clk.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case now := <-ticker.C():
-			c.kmu.Lock()
-			c.k.Poll(now)
-			c.kmu.Unlock()
-		}
-	}
+// Poll runs the client's timers at now: gap repair's NACKs and
+// abandons, every Kernel.PollInterval.
+func (c *Client) Poll(now time.Time) {
+	c.kmu.Lock()
+	c.k.Poll(now)
+	c.kmu.Unlock()
 }
 
 // deliver is the kernel's Deliver effect: apply one admitted, ordered
@@ -574,26 +554,46 @@ func (c *Client) handleData(m *message.Message) {
 	}
 }
 
-// observedLoss aggregates the data-packet loss fraction across every
-// sender's RTP reception statistics — expected versus unique received
-// packets, so duplicate deliveries cannot deflate the figure.  ok is
-// false when no data packets have been seen at all.
-func (c *Client) observedLoss() (float64, bool) {
+// streamStats is one sender's data stream as this client receives it.
+type streamStats struct {
+	sender string
+	recv   *rtp.Receiver
+	rtp.Stats
+}
+
+// receptionStats snapshots every sender's reception statistics in
+// sender order, so what is summed or sent from them does not depend on
+// map order.
+func (c *Client) receptionStats() []streamStats {
 	c.rtpMu.Lock()
 	defer c.rtpMu.Unlock()
-	var expected, uniq uint64
-	for _, r := range c.rtpRecv {
-		s := r.Snapshot()
-		expected += s.ExpectedTotal
-		uniq += s.Unique
+	streams := make([]streamStats, 0, len(c.rtpRecv))
+	for sender, r := range c.rtpRecv {
+		streams = append(streams, streamStats{sender, r, r.Snapshot()})
 	}
-	if expected == 0 {
-		return 0, false
-	}
+	slices.SortFunc(streams, func(a, b streamStats) int { return strings.Compare(a.sender, b.sender) })
+	return streams
+}
+
+// lossFraction is the share of expected packets not received, counting
+// unique packets so duplicate deliveries cannot deflate it.
+func lossFraction(expected, uniq uint64) float64 {
 	if uniq >= expected {
-		return 0, true
+		return 0
 	}
-	return float64(expected-uniq) / float64(expected), true
+	return float64(expected-uniq) / float64(expected)
+}
+
+// observedLoss aggregates the data-packet loss fraction across every
+// sender's RTP reception statistics.  ok is false when no data packets
+// have been seen at all.
+func (c *Client) observedLoss() (float64, bool) {
+	var expected, uniq uint64
+	for _, st := range c.receptionStats() {
+		expected += st.ExpectedTotal
+		uniq += st.Unique
+	}
+	return lossFraction(expected, uniq), expected > 0
 }
 
 // SampleQoS feeds the client's transport-level reception quality into
@@ -602,33 +602,16 @@ func (c *Client) observedLoss() (float64, bool) {
 // engine adapts to.  The signature matches obs.SamplerFunc so the
 // telemetry collector can register the client directly.
 func (c *Client) SampleQoS(set func(name string, value float64)) {
-	type senderStats struct {
-		sender string
-		s      rtp.Stats
-	}
-	c.rtpMu.Lock()
-	snaps := make([]senderStats, 0, len(c.rtpRecv))
-	for sender, r := range c.rtpRecv {
-		snaps = append(snaps, senderStats{sender, r.Snapshot()})
-	}
-	c.rtpMu.Unlock()
 	var expected, uniq uint64
-	for _, sn := range snaps {
-		label := `{client="` + metrics.EscapeLabel(c.ID()) + `",sender="` + metrics.EscapeLabel(sn.sender) + `"}`
-		var frac float64
-		if exp := sn.s.ExpectedTotal; exp > sn.s.Unique {
-			frac = float64(exp-sn.s.Unique) / float64(exp)
-		}
-		set("rtp_loss_fraction"+label, frac)
-		set("rtp_jitter"+label, sn.s.Jitter)
-		expected += sn.s.ExpectedTotal
-		uniq += sn.s.Unique
+	for _, st := range c.receptionStats() {
+		label := `{client="` + metrics.EscapeLabel(c.ID()) + `",sender="` + metrics.EscapeLabel(st.sender) + `"}`
+		set("rtp_loss_fraction"+label, lossFraction(st.ExpectedTotal, st.Unique))
+		set("rtp_jitter"+label, st.Jitter)
+		expected += st.ExpectedTotal
+		uniq += st.Unique
 	}
 	if expected > 0 {
-		var frac float64
-		if expected > uniq {
-			frac = float64(expected-uniq) / float64(expected)
-		}
+		frac := lossFraction(expected, uniq)
 		set(`client_loss_fraction{client="`+metrics.EscapeLabel(c.ID())+`"}`, frac)
 		slo.ObserveLoss(c.ID(), frac)
 	}

@@ -17,9 +17,10 @@ import (
 // The differential oracle (ROADMAP item 2): one seeded chat workload —
 // two publishers, 200 events each, three repair-enabled receivers, one
 // coordinator, 10% loss plus jitter on every publisher→receiver link —
-// is driven once through core.Client shells on a wall-clock SimNet and
-// once through bare kernels in handler mode on a virtual-time DESNet.
-// Both must end with every receiver holding every sender's exact
+// is driven through core.Client and core.Coordinator on a wall-clock
+// SimNet and on a virtual-time DESNet, where transport.Serve runs them
+// inline, and through bare kernels in handler mode on a DESNet.  Every
+// run must end with every receiver holding every sender's exact
 // sequence: no duplicate, no reorder, nothing abandoned.
 
 const (
@@ -49,6 +50,8 @@ func diffRepair(i int) *RepairOptions {
 type diffNet interface {
 	Attach(id string) (transport.Conn, error)
 	SetLink(from, to string, l transport.Link)
+	SetTrace(func(transport.TraceEvent))
+	Close()
 }
 
 // setDiffLinks configures every publisher→receiver link; the links
@@ -110,46 +113,67 @@ func attachPublishers(t *testing.T, net diffNet, clk clock.Clock) []*Client {
 }
 
 // runShells drives the workload through core.Client and
-// core.Coordinator on SimNet in wall time.
-func runShells(t *testing.T) diffResult {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 77})
+// core.Coordinator: in wall time on a SimNet when clk is nil, else on a
+// DESNet on clk, publishing at scheduled virtual instants.  On the
+// DESNet it also returns the network trace, one line per event.
+func runShells(t *testing.T, clk *clock.Virtual) (diffResult, []string) {
+	var net diffNet = transport.NewSimNet(transport.SimNetConfig{Seed: 77})
+	var nodeClk clock.Clock // nil: the wall clock
+	if clk != nil {
+		net, nodeClk = transport.NewDESNet(transport.DESNetConfig{Seed: 77, Clock: clk}), clk
+	}
 	t.Cleanup(net.Close)
-	transporttest.Watch(t, net)
+	integrity := transporttest.Watch(t, net)
+	var log []string
+	if clk != nil {
+		net.SetTrace(func(e transport.TraceEvent) {
+			integrity.Observe(e)
+			log = append(log, fmt.Sprintf("%d %s>%s %s %d %t", e.AtNS, e.From, e.To, e.Kind, e.Size, e.Unicast))
+		})
+	}
 	cconn, err := net.Attach(diffCoord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(cconn, session.Group{Objective: "differential"})
+	coord := NewCoordinatorClock(cconn, session.Group{Objective: "differential"}, nodeClk)
 	t.Cleanup(func() { coord.Close() })
-	pubs := attachPublishers(t, net, nil)
+	pubs := attachPublishers(t, net, nodeClk)
 	var recvs []*Client
 	for i, id := range diffReceivers {
 		conn, err := net.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := NewClient(conn, Config{Repair: diffRepair(i)})
+		r := NewClient(conn, Config{Clock: nodeClk, Repair: diffRepair(i)})
 		t.Cleanup(func() { r.Close() })
 		recvs = append(recvs, r)
 	}
 	setDiffLinks(net, diffLossy)
 
-	for i := 0; i < diffEvents; i++ {
-		diffPublish(t, net, pubs, i)
-		time.Sleep(diffPublishGap)
-	}
-	// Quiescence: every receiver has applied every line.
-	for _, r := range recvs {
-		r := r
-		waitFor(t, r.ID()+" applying every line", func() bool {
-			return r.Chat().Len() >= len(diffPublishers)*diffEvents
-		})
+	if clk != nil {
+		for i := 0; i < diffEvents; i++ {
+			i := i
+			clk.ScheduleFunc(time.Duration(i)*diffPublishGap, func(time.Time) { diffPublish(t, net, pubs, i) })
+		}
+		clk.AdvanceTo(time.Unix(0, 0).Add(diffEvents*diffPublishGap + 5*time.Second))
+	} else {
+		for i := 0; i < diffEvents; i++ {
+			diffPublish(t, net, pubs, i)
+			time.Sleep(diffPublishGap)
+		}
+		// Quiescence: every receiver has applied every line.
+		for _, r := range recvs {
+			r := r
+			waitFor(t, r.ID()+" applying every line", func() bool {
+				return r.Chat().Len() >= len(diffPublishers)*diffEvents
+			})
+		}
 	}
 	res := diffResult{delivered: make(map[string]map[string][]string)}
 	for _, r := range recvs {
 		res.collect(r.ID(), r.Chat(), repairStatus(r))
 	}
-	return res
+	return res, log
 }
 
 // runKernels drives the same workload through bare kernels attached in
@@ -186,8 +210,9 @@ func runKernels(t *testing.T) (diffResult, []string) {
 			}
 		}
 	}
-	// The publish side is not kernel code: real clients say the lines,
-	// from the driving goroutine at scheduled virtual instants.
+	// The publish side is not kernel code: real clients, which
+	// transport.Serve runs inline, say the lines from the driving
+	// goroutine at scheduled virtual instants.
 	pubs := attachPublishers(t, net, clk)
 	setDiffLinks(net, diffLossy)
 
@@ -240,12 +265,17 @@ func TestDifferentialShellVsKernel(t *testing.T) {
 		}
 	}
 
-	shells := runShells(t)
+	shells, _ := runShells(t, nil)
+	virtualShells, trace1 := runShells(t, clock.NewVirtual(time.Unix(0, 0)))
 	kernels, log1 := runKernels(t)
 	check("shells on SimNet", shells)
+	check("shells on DESNet", virtualShells)
 	check("kernels on DESNet", kernels)
-	if !reflect.DeepEqual(shells.delivered, kernels.delivered) {
+	if !reflect.DeepEqual(shells.delivered, kernels.delivered) || !reflect.DeepEqual(virtualShells.delivered, kernels.delivered) {
 		t.Error("shell and kernel runs delivered different sequences")
+	}
+	if _, trace2 := runShells(t, clock.NewVirtual(time.Unix(0, 0))); len(trace1) == 0 || !reflect.DeepEqual(trace1, trace2) {
+		t.Error("shell run on DESNet is not event-for-event reproducible")
 	}
 
 	_, log2 := runKernels(t)

@@ -8,10 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/rtp"
+	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
+	"adaptiveqos/internal/wavelet"
 )
 
 // nullConn is a substrate attachment that goes nowhere.
@@ -245,4 +250,85 @@ func referenceWants(m *message.Message, seq uint64) bool {
 		next = to + 1
 	}
 	return wanted
+}
+
+// FuzzClientHandlePacket feeds one arbitrary datagram, twice, to a
+// whole Client — kernel, reception-report feedback, lock table,
+// applications and the RTP receiver — attached alone to a DESNet,
+// where transport.Serve runs it inline, then lets a second of repair
+// polls pass.  The client has already taken the announce of an image
+// share from the same peer, so a data packet has a share to join.
+// Whatever the bytes, the client must not panic, the loss a peer
+// reports must stay a fraction, and no counter may go down.
+//
+// The seeds are real frames: a reception report about the client, a
+// lock grant, a chat line and the share's first data packet.
+func FuzzClientHandlePacket(f *testing.F) {
+	var env message.Enveloper
+	wrap := func(m *message.Message) []byte {
+		d, err := env.WrapMessage(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return d[0]
+	}
+	obj, err := media.EncodeImage(wavelet.Medical(32, 32, 1), "scan")
+	if err != nil {
+		f.Fatal(err)
+	}
+	meta, packets, err := apps.ShareImage("scan", obj, apps.SharePackets)
+	if err != nil {
+		f.Fatal(err)
+	}
+	image := func(kind message.Kind, seq uint32, attrs selector.Attributes, body []byte) *message.Message {
+		attrs[message.AttrApp] = selector.S(apps.AppImageViewer)
+		attrs[message.AttrObject] = selector.S("scan")
+		return &message.Message{Kind: kind, Sender: "peer", Seq: seq, Attrs: attrs, Body: body}
+	}
+	announce := wrap(image(message.KindEvent, 1, selector.Attributes{}, apps.EncodeImageMeta(meta)))
+	f.Add(wrap(&message.Message{Kind: message.KindControl, Sender: "peer", Seq: 1, Attrs: selector.Attributes{
+		attrCtrl: selector.S(ctrlRTCPReport), attrSubject: selector.S("fuzz"),
+		attrFracLost: selector.N(0.25), attrJitterMs: selector.N(3),
+	}}))
+	f.Add(wrap(&message.Message{Kind: message.KindControl, Sender: "coord", Seq: 1, Attrs: selector.Attributes{
+		attrCtrl: selector.S(ctrlLockGrant), attrObject: selector.S("diagram"),
+	}}))
+	f.Add(wrap(&message.Message{Kind: message.KindEvent, Sender: "peer", Seq: 2, Attrs: selector.Attributes{
+		message.AttrApp: selector.S(apps.AppChat), message.AttrMedia: selector.S("text"),
+	}, Body: apps.EncodeSay("hello")}))
+	pkt := rtp.NewSender(rtp.SSRCOf("peer"), 96, 0).Next(0, false, packets[0])
+	f.Add(wrap(image(message.KindData, 2, selector.Attributes{message.AttrLevel: selector.N(0)}, pkt.Marshal())))
+
+	f.Fuzz(func(t *testing.T, datagram []byte) {
+		clk := clock.NewVirtual(time.Unix(100, 0))
+		net := transport.NewDESNet(transport.DESNetConfig{Clock: clk})
+		defer net.Close()
+		conn, err := net.Attach("fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(conn, Config{Clock: clk, Repair: &RepairOptions{Coordinator: "coord"}})
+		defer c.Close()
+		c.HandlePacket(transport.Packet{From: "peer", Data: announce})
+
+		last := c.Stats()
+		for _, step := range []func(){
+			func() { c.HandlePacket(transport.Packet{From: "peer", Data: datagram}) },
+			func() { c.HandlePacket(transport.Packet{From: "peer", Data: datagram}) },
+			func() { clk.Advance(time.Second) },
+		} {
+			step()
+			if loss := c.WorstPeerLoss(); !(loss >= 0 && loss <= 1) {
+				t.Fatalf("worst peer loss %v is not a fraction", loss)
+			}
+			now := c.Stats()
+			was, is := reflect.ValueOf(last), reflect.ValueOf(now)
+			for i := 0; i < is.NumField(); i++ {
+				if is.Field(i).Uint() < was.Field(i).Uint() {
+					t.Fatalf("%s went down: %+v, then %+v", is.Type().Field(i).Name, last, now)
+				}
+			}
+			last = now
+		}
+	})
 }

@@ -26,9 +26,9 @@ import (
 // comes in through Poll, and what the endpoint decides goes out as the
 // Deliver and Control effects and as repair requests sent on the conn
 // it was given.  It starts nothing, waits on nothing and reads no time
-// source but the injected one, so the code that runs under
-// core.Client's receive loop is the code the replay simulator attaches
-// to a discrete-event net in handler mode.
+// source but the injected one, so the code core.Client feeds is the
+// code the replay simulator attaches to a discrete-event net in handler
+// mode.
 //
 // A kernel is single-threaded: its owner serializes HandlePacket, Poll
 // and RepairStatus.

@@ -72,21 +72,11 @@ func (rs *reportState) worst() float64 {
 }
 
 // SendReceptionReports multicasts one RTCP-style receiver report per
-// sender this client has received data from.  Call periodically (or
+// sender this client has received data from, in sender order.  Call periodically (or
 // after image receptions) so senders can adapt their transmissions.
 func (c *Client) SendReceptionReports() error {
-	c.rtpMu.Lock()
-	type rep struct {
-		subject string
-		rr      rtp.ReceiverReport
-	}
-	reps := make([]rep, 0, len(c.rtpRecv))
-	for sender, recv := range c.rtpRecv {
-		reps = append(reps, rep{subject: sender, rr: recv.Report(rtp.SSRCOf(sender))})
-	}
-	c.rtpMu.Unlock()
-
-	for _, r := range reps {
+	for _, st := range c.receptionStats() {
+		rr := st.recv.Report(rtp.SSRCOf(st.sender))
 		m := &message.Message{
 			Kind:      message.KindControl,
 			Sender:    c.ID(),
@@ -94,9 +84,9 @@ func (c *Client) SendReceptionReports() error {
 			Timestamp: c.clk.Now(),
 			Attrs: selector.Attributes{
 				attrCtrl:     selector.S(ctrlRTCPReport),
-				attrSubject:  selector.S(r.subject),
-				attrFracLost: selector.N(r.rr.FractionLost),
-				attrJitterMs: selector.N(float64(r.rr.Jitter)),
+				attrSubject:  selector.S(st.sender),
+				attrFracLost: selector.N(rr.FractionLost),
+				attrJitterMs: selector.N(float64(rr.Jitter)),
 			},
 		}
 		if err := c.multicast(m); err != nil {
@@ -141,16 +131,15 @@ func (c *Client) WorstPeerLoss() float64 { return c.reports.worst() }
 // sender this client receives data from, in the arrival clock's units
 // (milliseconds here).  ok is false with no data streams.
 func (c *Client) observedJitter() (float64, bool) {
-	c.rtpMu.Lock()
-	defer c.rtpMu.Unlock()
-	if len(c.rtpRecv) == 0 {
+	streams := c.receptionStats()
+	if len(streams) == 0 {
 		return 0, false
 	}
 	var sum float64
-	for _, r := range c.rtpRecv {
-		sum += r.Snapshot().Jitter
+	for _, st := range streams {
+		sum += st.Jitter
 	}
-	return sum / float64(len(c.rtpRecv)), true
+	return sum / float64(len(streams)), true
 }
 
 // sendBudget resolves how many of total packets to actually transmit,

@@ -10,7 +10,7 @@ package message
 // most maxInternLen bytes each, so what it holds is bounded whatever
 // arrives: a peer minting fresh names evicts entries (and costs the
 // allocation each string would have cost anyway) but cannot grow it.
-// An Interner has a single owner — a kernel, a receive loop — and is
+// An Interner has a single owner — a kernel, a node's segment — and is
 // not safe for concurrent use; the strings it returns are ordinary
 // immutable strings and may go anywhere.  The zero value is ready, and
 // a nil *Interner interns nothing.

@@ -9,27 +9,16 @@ import (
 
 // DESNet is the simulated broadcast network on a clock.Virtual (see
 // engine for the model it shares with SimNet): every send is one batch
-// on the virtual heap, each copy firing at its own instant, instead of
-// entries in SimNet's wall-clock deadline queue.  No goroutine ever
-// sleeps: a driver advances the
-// clock and deliveries fire inline, so one box can push a 100k-client
-// session through simulated minutes in wall-clock seconds,
-// deterministically — the same seed replays byte-identical event
-// sequences.
+// on the virtual heap, each copy firing at its own instant.  No
+// goroutine ever sleeps: a driver advances the clock and deliveries fire
+// inline, so one box can push a 100k-client session through simulated
+// minutes in wall-clock seconds, deterministically — the same seed
+// replays byte-identical event sequences.
 //
-// Two attachment modes:
-//
-//   - Attach returns a channel-mode Conn identical in shape to
-//     SimNet's (an inbox drained by the node's own goroutine).  It
-//     exists for compatibility — core.Client, Coordinator and the base
-//     station run unmodified on it — but crossing goroutines forfeits
-//     the determinism guarantee: the consumer races the driver.
-//
-//   - AttachHandler registers a function invoked inline, on the
-//     driving goroutine, for each delivered packet.  All client logic
-//     runs inside the event callbacks, the run is single-threaded from
-//     the scheduler's point of view, and determinism is total.  The
-//     scenario package and cmd/qossim use this mode.
+// A node runs inline on the driving goroutine, keeping the run
+// deterministic, when it attaches with AttachHandler or when Serve
+// drives it, as it drives core.Client, Coordinator and the base station.
+// One attached with Attach and read through Recv races the driver.
 type DESNet struct{ engine }
 
 // DESNetConfig configures a discrete-event network.

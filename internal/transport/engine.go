@@ -492,9 +492,9 @@ type node struct {
 // ID implements Conn.
 func (c *node) ID() string { return c.id }
 
-// Recv implements Conn.  Handler-mode nodes return nil: their packets
-// go to the handler, and ranging over a nil channel blocks forever —
-// do not start a receive loop on a handler-mode Conn.
+// Recv implements Conn.  A handler-mode node's packets go to its
+// handler: it returns nil, or for a node Serve runs inline an inbox
+// nothing reaches any more, so do not start a receive loop on it.
 func (c *node) Recv() <-chan Packet { return c.inbox }
 
 // Multicast implements Conn: a private copy of frame, given.

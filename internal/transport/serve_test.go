@@ -1,0 +1,84 @@
+package transport
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"adaptiveqos/internal/clock"
+)
+
+// TestServeDESNetInline: a node served on a DESNet runs on the goroutine
+// driving the clock — a packet that reached its inbox before Serve
+// first, then each delivery as it fires — and polls on the virtual
+// heap until its conn closes, after which the heap drains.
+func TestServeDESNetInline(t *testing.T) {
+	n := NewDESNet(DESNetConfig{})
+	defer n.Close()
+	a, _ := n.Attach("a")
+	b, _ := n.Attach("b")
+	if err := b.Unicast("a", []byte("early")); err != nil {
+		t.Fatal(err)
+	}
+	n.virt.Advance(0) // delivered into a's inbox: nobody serves a yet
+
+	var log []string
+	stop := Serve(a, nil, 10*time.Millisecond,
+		func(p Packet) { log = append(log, "handle "+string(p.Data)) },
+		func(now time.Time) { log = append(log, "poll "+now.Sub(clock.DefaultEpoch).String()) })
+	if err := b.Unicast("a", []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	n.virt.Advance(25 * time.Millisecond)
+	want := []string{"handle early", "handle late", "poll 10ms", "poll 20ms"}
+	if len(log) != len(want) {
+		t.Fatalf("log = %q, want %q", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %q, want %q", log, want)
+		}
+	}
+
+	a.Close()
+	stop()
+	if fired := n.virt.RunUntilIdle(10); fired > 1 {
+		t.Errorf("%d events fired after the conn closed, want at most the pending poll", fired)
+	}
+	if len(log) != len(want) {
+		t.Errorf("ran after Close: %q", log[len(want):])
+	}
+}
+
+// TestServeWall: on a SimNet Serve reads on its own goroutine and polls
+// on clk's ticker, and stop, once the conn is closed, leaves neither
+// goroutine behind.
+func TestServeWall(t *testing.T) {
+	n := NewSimNet(SimNetConfig{})
+	defer n.Close()
+	a, _ := n.Attach("a")
+	b, _ := n.Attach("b")
+	before := runtime.NumGoroutine()
+	vclk := clock.NewVirtual(time.Time{})
+	got, polled := make(chan string, 1), make(chan time.Time, 1)
+	stop := Serve(a, vclk, time.Second, func(p Packet) { got <- string(p.Data) }, func(now time.Time) { polled <- now })
+	if err := b.Multicast([]byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	if s := <-got; s != "hi" {
+		t.Fatalf("handled %q", s)
+	}
+	vclk.Advance(time.Second)
+	if now := <-polled; !now.Equal(clock.DefaultEpoch.Add(time.Second)) {
+		t.Fatalf("polled at %v", now)
+	}
+	a.Close()
+	stop()
+	stop()
+	// A goroutine that has returned may be counted a moment longer.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after stop, %d before Serve", runtime.NumGoroutine(), before)
+		}
+	}
+}
