@@ -21,6 +21,10 @@ go run ./internal/census
 go test -count=1 ./...
 go test -race -count=1 ./...
 
+# The examples' byte goldens at several GOMAXPROCS: an ordering bug
+# between goroutines can hide at one P and show only at two or more.
+go test -count=1 -cpu 1,2,4 ./examples/...
+
 # The benchmark is a module of its own: vet and build it here so an API
 # change that breaks it fails CI, not the benchmark run, and run its own
 # tests: the spec-table checks and a smoke run of every workload's

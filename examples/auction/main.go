@@ -1,128 +1,143 @@
-// Auction: the paper's electronic-trading scenario, exercising group
-// formation (objective + result space + interest filters) and
-// concurrency control.  Bidders with closer interests form a
-// sub-group; concurrent bids on the same lot are arbitrated by
-// optimistic versioning so no bid is silently lost.
+// Auction: the paper's electronic-trading scenario on the wire,
+// exercising the three session features.  Group formation: every bid
+// is addressed to clients interested in modems, so a bidder's own
+// profile decides whether it hears the auction.  Concurrency control:
+// a bidder bids only while it holds the lot's lock at the coordinator,
+// over the last price it has received, so no bid is lost and the price
+// only moves forward.  Archival: a late joiner replays the
+// coordinator's archive and sees the bids in the order the bidders
+// did.  The session runs in virtual time: transport.Serve runs every
+// node inline whenever the clock is driven, so nothing here waits.
 //
 // Run with: go run ./examples/auction
 package main
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"log"
-	"sync"
+	"slices"
+	"time"
 
-	"adaptiveqos/internal/profile"
+	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
+	"adaptiveqos/internal/transport"
+)
+
+const (
+	coordinator = "coordinator"
+	lot         = "lot-42"
+	opening     = 100
+	// modems addresses a bid to the sub-group with closer interests,
+	// avoiding the "coarse granularity" problem the paper describes.
+	modems = `interest.category == "modems"`
 )
 
 func main() {
-	// Group formation: the session's objective is selling computer
-	// peripherals; the result space supports comments and documents;
-	// the filter narrows to clients interested in modems, avoiding the
-	// "coarse granularity" problem the paper describes.
-	lotGroup := session.Group{
+	clk := clock.NewVirtual(time.Time{})
+	net := transport.NewDESNet(transport.DESNetConfig{Seed: 42, Clock: clk})
+	defer net.Close()
+
+	// The session's objective is selling computer peripherals; the
+	// result space supports comments, documents and bids.
+	group := session.Group{
 		Objective:   "auction:computer-peripherals:modems",
 		ResultSpace: []string{"comments", "documents", "bids"},
-		Filter:      selector.MustCompile(`interest.category == "modems"`),
 	}
-	s := session.New(lotGroup)
-
-	join := func(id, category string) *profile.Profile {
-		p := profile.New(id)
-		p.Interests.SetString("category", category)
-		if err := s.Join(p); err != nil {
-			fmt.Printf("%-8s (%s): %v\n", id, category, err)
-			return nil
+	attach := func(id string) transport.Conn {
+		conn, err := net.Attach(id)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("%-8s (%s): joined\n", id, category)
-		return p
+		return conn
 	}
-	join("alice", "modems")
-	join("bob", "modems")
-	join("carol", "monitors") // filtered: wrong interests
-	join("dave", "modems")
+	coord := core.NewCoordinatorClock(attach(coordinator), group, clk)
+	defer coord.Close()
 
-	fmt.Printf("\nsession %q has %d members; offers bids: %v\n\n",
-		s.Group.Objective, s.Members(), s.Group.Offers("bids"))
+	join := func(id, category string) *core.Client {
+		c := core.NewClient(attach(id), core.Config{Clock: clk})
+		c.Profile().SetInterest("category", selector.S(category))
+		fmt.Printf("%-6s (%s): joined\n", id, category)
+		return c
+	}
+	alice := join("alice", "modems")
+	bob := join("bob", "modems")
+	carol := join("carol", "monitors")
+	dave := join("dave", "modems")
+	members := []*core.Client{alice, bob, carol, dave}
+	for _, c := range members {
+		defer c.Close()
+	}
+	fmt.Printf("\nsession %q offers bids: %v; every bid is addressed to %s\n\n",
+		group.Objective, group.Offers("bids"), modems)
 
-	// Concurrency control: the lot's current price is a shared object
-	// under optimistic versioning.  Three bidders race; every accepted
-	// bid is based on the version it outbids, so no bid is lost and the
-	// price only moves forward.
-	store := session.NewVersionStore()
-	store.Update("lot-42", "auctioneer", 0, priceBytes(100))
+	// Concurrency control: each bidder queues for the lot's lock, bids
+	// its increment over the last price it has received while it holds
+	// the lock, then releases it and queues again.
+	type bidder struct {
+		c               *core.Client
+		increment, left int
+	}
+	bidders := []*bidder{{alice, 5, 10}, {bob, 7, 10}, {dave, 3, 10}}
+	for _, b := range bidders {
+		must(b.c.RequestLock(coordinator, lot))
+	}
+	clk.RunUntilIdle(0)
+	fmt.Printf("lock on %s: alice %s, bob %s, dave %s\n", lot, alice.LockState(lot), bob.LockState(lot), dave.LockState(lot))
 
-	var wg sync.WaitGroup
-	bid := func(bidder string, increment uint32, rounds int) {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			for {
-				cur := store.Get("lot-42")
-				next := price(cur.Data) + increment
-				_, err := store.Update("lot-42", bidder, cur.Version, priceBytes(next))
-				if err == nil {
-					if _, err := s.Commit(bidder, "auction", "lot-42", priceBytes(next)); err != nil {
-						log.Fatal(err)
-					}
-					break
-				}
-				if !errors.Is(err, session.ErrStale) {
-					log.Fatal(err)
-				}
-				// Outbid while composing: rebase on the new price.
-			}
+	var b *bidder
+	for bids := 0; bids < 30; bids++ {
+		i := slices.IndexFunc(bidders, func(x *bidder) bool { return x.c.LockState(lot) == core.LockGranted })
+		if i < 0 {
+			log.Fatal("no bidder holds the lot's lock")
+		}
+		b = bidders[i]
+		must(b.c.Say(fmt.Sprintf("bid %d", lastPrice(b.c)+b.increment), modems))
+		must(b.c.ReleaseLock(coordinator, lot))
+		if b.left--; b.left > 0 {
+			must(b.c.RequestLock(coordinator, lot))
+		}
+		clk.RunUntilIdle(0)
+	}
+	fmt.Printf("after 30 bids under the %s lock: price=%d, last bidder=%s\n", lot, lastPrice(alice), b.c.ID())
+	for _, c := range members {
+		fmt.Printf("  %-6s holds %2d bids, filtered %2d\n", c.ID(), c.Chat().Len(), c.Stats().EventsFiltered)
+	}
+
+	// Archival: a late joiner replays the coordinator's archive.
+	erin := join("erin", "modems")
+	defer erin.Close()
+	must(erin.RequestHistory(coordinator, 0))
+	clk.RunUntilIdle(0)
+	replayed, live := prices(erin), prices(alice)
+	fmt.Printf("\nerin replayed %d archived bids (archive holds %d)\n", len(replayed), coord.ArchivedEvents())
+	fmt.Printf("price non-decreasing across erin's replay: %v\n", slices.IsSorted(replayed))
+	fmt.Printf("erin's replay equals alice's live order: %v\n", slices.Equal(replayed, live))
+}
+
+// prices reads the bids c holds, in the order it applied them.
+func prices(c *core.Client) []int {
+	var out []int
+	for _, l := range c.Chat().Lines() {
+		var p int
+		if _, err := fmt.Sscanf(l.Text, "bid %d", &p); err == nil {
+			out = append(out, p)
 		}
 	}
-	wg.Add(3)
-	go bid("alice", 5, 10)
-	go bid("bob", 7, 10)
-	go bid("dave", 3, 10)
-	wg.Wait()
+	return out
+}
 
-	final := store.Get("lot-42")
-	fmt.Printf("after 30 concurrent bids: price=%d, version=%d, last bidder=%s\n",
-		price(final.Data), final.Version, final.Writer)
-	if final.Version != 31 { // 1 opening + 30 bids, none lost
-		log.Fatalf("expected version 31, got %d", final.Version)
+// lastPrice is the last bid c has received, or the opening price.
+func lastPrice(c *core.Client) int {
+	if p := prices(c); len(p) > 0 {
+		return p[len(p)-1]
 	}
+	return opening
+}
 
-	// The archive orders every bid; a late joiner replays it.
-	history := s.History(0)
-	fmt.Printf("archived events: %d (strictly ordered)\n", len(history))
-	prev := uint32(0)
-	monotone := true
-	for _, ev := range history {
-		p := price(ev.Payload)
-		if p < prev {
-			monotone = false
-		}
-		prev = p
-	}
-	fmt.Printf("price strictly non-decreasing across history: %v\n", monotone)
-
-	// Exclusive arbitration: only the lock holder may edit the lot's
-	// description document.
-	var locks session.ObjectLocks
-	if err := locks.TryAcquire("lot-42-descr", "alice"); err != nil {
+func must(err error) {
+	if err != nil {
 		log.Fatal(err)
 	}
-	err := locks.TryAcquire("lot-42-descr", "bob")
-	fmt.Printf("\nbob tries to edit while alice holds the lock: %v\n", err)
-	next, _ := locks.Release("lot-42-descr", "alice")
-	fmt.Printf("alice releases; the lock passes to: %s\n", next)
-}
-
-func priceBytes(v uint32) []byte {
-	return binary.BigEndian.AppendUint32(nil, v)
-}
-
-func price(b []byte) uint32 {
-	if len(b) < 4 {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
 }

@@ -40,7 +40,7 @@ func (bs *BaseStation) Leave(id string) error {
 	return nil
 }
 
-// Clients returns the joined wireless client IDs.
+// Clients returns the joined wireless client IDs in ascending order.
 func (bs *BaseStation) Clients() []string { return bs.reg.IDs() }
 
 // Registry exposes the sharded membership registry (experiments,

@@ -22,7 +22,7 @@ const virtualLines = 40 // chat lines per wired sender
 
 var (
 	virtualWired    = []string{"wired-0", "wired-1"}
-	virtualWireless = []string{"wireless-0", "wireless-1"}
+	virtualWireless = []string{"wireless-0", "wireless-1", "wireless-2", "handheld-0", "handheld-1", "handheld-2"}
 	virtualLossy    = transport.Link{Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond, Loss: 0.10}
 )
 
@@ -34,8 +34,9 @@ type virtualRun struct {
 
 // runVirtualSession runs real nodes on two DESNets sharing one
 // clock.Virtual: two wired clients with gap repair, the archiving
-// coordinator, and a base station (one dispatch shard) serving two
-// wireless clients.  transport.Serve drives every node inline on the
+// coordinator, and a base station (one dispatch shard) serving six
+// wireless clients, two pairs of them sharing a registry shard, so the
+// station's send order is the registry's member order.  transport.Serve drives every node inline on the
 // clock's goroutine.  The links between the wired clients lose 10% of
 // frames; the links into the coordinator and the station stay clean,
 // as in the live deployment.  Each wired client says virtualLines
@@ -79,8 +80,10 @@ func runVirtualSession(t *testing.T) virtualRun {
 			Seed:         int64(i + 1),
 		}}))
 	}
+	// Six members interfere: thresholds below the defaults keep every
+	// one of them in service, at the image, sketch and text tiers.
 	bs := New("bs", attach(wiredNet, "bs"), attach(radioNet, "bs"), radio.NewChannel(radio.Params{}),
-		Config{FanOutWorkers: 1, Clock: clk})
+		Config{FanOutWorkers: 1, Clock: clk, Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
 	var wireless []*core.Client
 	for i, id := range virtualWireless {
 		wireless = append(wireless, core.NewClient(attach(radioNet, id), core.Config{Clock: clk}))

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
@@ -67,6 +69,116 @@ func TestCoordinatorArchivesAndReplays(t *testing.T) {
 	waitFor(t, "partial history", func() bool { return c.Chat().Len() == 1 })
 	if c.Chat().Lines()[0].Text != "history line 2" {
 		t.Errorf("partial replay: %+v", c.Chat().Lines())
+	}
+}
+
+// TestLateJoinerMatchesLiveUnderLoss: on a virtual-time DESNet whose
+// links between members lose 10% of frames, three publishers chat while
+// a live member repairs its gaps from the coordinator.  Once the
+// session is quiet, a late joiner's replayed history holds, per
+// sender, exactly what the live member delivered: every line once and
+// in order.  The links into and out of the coordinator reorder but do
+// not lose, as in the live deployment.
+func TestLateJoinerMatchesLiveUnderLoss(t *testing.T) {
+	const lines = 30
+	publishers := []string{"pub-0", "pub-1", "pub-2"}
+	members := append([]string{"live"}, publishers...)
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	net := transport.NewDESNet(transport.DESNetConfig{Seed: 38, Clock: clk})
+	t.Cleanup(net.Close)
+	drops := 0
+	net.SetTrace(func(e transport.TraceEvent) {
+		if e.Kind == transport.TraceDrop {
+			drops++
+		}
+	})
+	attach := func(id string) transport.Conn {
+		conn, err := net.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	coord := NewCoordinatorClock(attach("coordinator"), session.Group{Objective: "late-joiner"}, clk)
+	t.Cleanup(func() { coord.Close() })
+	client := func(id string, seed int64) *Client {
+		c := NewClient(attach(id), Config{Clock: clk, Repair: &RepairOptions{
+			Coordinator:  "coordinator",
+			StallTimeout: 32 * time.Millisecond,
+			MaxRetries:   10,
+			Seed:         seed,
+		}})
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	var live *Client
+	var pubs []*Client
+	for i, id := range members {
+		c := client(id, int64(i+1))
+		if id == "live" {
+			live = c
+		} else {
+			pubs = append(pubs, c)
+		}
+	}
+	lossy := transport.Link{Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond, Loss: 0.10}
+	setLinks := func(l transport.Link) {
+		for i, a := range members {
+			for _, b := range members[i+1:] {
+				net.SetLinkBoth(a, b, l)
+			}
+		}
+	}
+	setLinks(lossy)
+	for _, id := range members {
+		net.SetLinkBoth(id, "coordinator", transport.Link{Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond})
+	}
+
+	// The last round goes out over healed links, so a trailing loss
+	// shows as a gap rather than as a line nobody knows is missing.
+	const gap = 2 * time.Millisecond
+	for i := 0; i < lines; i++ {
+		i := i
+		clk.ScheduleFunc(time.Duration(i)*gap, func(time.Time) {
+			if i == lines-1 {
+				setLinks(transport.Link{})
+			}
+			for _, p := range pubs {
+				if err := p.Say(fmt.Sprintf("%s-%d", p.ID(), i), ""); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	clk.AdvanceTo(time.Unix(0, 0).Add(lines*gap + 5*time.Second))
+	if drops == 0 {
+		t.Fatal("no frame was lost: the run did not exercise repair")
+	}
+
+	late := client("late", int64(len(members)+1))
+	if err := late.RequestHistory("coordinator", 0); err != nil {
+		t.Fatal(err)
+	}
+	clk.AdvanceTo(clk.Now().Add(5 * time.Second))
+
+	bySender := func(c *Client) map[string][]string {
+		out := map[string][]string{}
+		for _, l := range c.Chat().Lines() {
+			out[l.Sender] = append(out[l.Sender], l.Text)
+		}
+		return out
+	}
+	want := map[string][]string{}
+	for _, id := range publishers {
+		for i := 0; i < lines; i++ {
+			want[id] = append(want[id], fmt.Sprintf("%s-%d", id, i))
+		}
+	}
+	if got := bySender(live); !reflect.DeepEqual(got, want) {
+		t.Errorf("live member delivered %v, want every line once and in order", got)
+	}
+	if got := bySender(late); !reflect.DeepEqual(got, bySender(live)) {
+		t.Errorf("late joiner replayed %v, want what the live member delivered", got)
 	}
 }
 

@@ -165,11 +165,8 @@ func (k *CoordinatorKernel) handleLock(sender, ctrl, object string) {
 		}
 		k.notifyLock(sender, ctrlLockGrant, object, sender)
 	case ctrlLockRelease:
-		next, err := k.locks.Release(object, sender)
-		if err != nil {
-			return // not the holder: ignore
-		}
-		if next != "" {
+		// A release from neither the holder nor a waiter changes nothing.
+		if next, err := k.locks.Release(object, sender); err == nil && next != "" {
 			k.notifyLock(next, ctrlLockGrant, object, next)
 		}
 	}

@@ -131,7 +131,7 @@ type Client struct {
 	wb      *apps.Whiteboard
 	viewer  *apps.ImageViewer
 	inbox   *apps.MediaInbox
-	locks   *lockTable
+	locks   lockTable
 	reports *reportState
 
 	// txMulti is the shared multicast transmit adapter (the same seam
@@ -174,7 +174,7 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 		wb:      apps.NewWhiteboard(),
 		viewer:  apps.NewImageViewer(),
 		inbox:   apps.NewMediaInbox(),
-		locks:   newLockTable(),
+		locks:   lockTable{states: make(map[string]LockStatus)},
 		reports: newReportState(cfg.Clock),
 		rtpSend: rtp.NewSender(rtp.SSRCOf(conn.ID()), 96, 0),
 		rtpRecv: make(map[string]*rtp.Receiver),

@@ -44,16 +44,23 @@ type lockTable struct {
 	states map[string]LockStatus
 }
 
-func newLockTable() *lockTable {
-	return &lockTable{states: make(map[string]LockStatus)}
-}
-
 func (lt *lockTable) set(object string, st LockStatus) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	if st == LockNone {
 		delete(lt.states, object)
 	} else {
+		lt.states[object] = st
+	}
+}
+
+// notice installs a coordinator's notice, unless this client holds no
+// claim on the object: a notice that reaches it after it released or
+// withdrew is stale.
+func (lt *lockTable) notice(object string, st LockStatus) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if _, ok := lt.states[object]; ok {
 		lt.states[object] = st
 	}
 }
@@ -91,8 +98,8 @@ func (c *Client) RequestLock(coordinator, object string) error {
 	return c.sendLockControl(coordinator, ctrlLockRequest, object)
 }
 
-// ReleaseLock gives the lock back; the coordinator promotes the first
-// waiter, if any.
+// ReleaseLock gives the lock back, or withdraws this client from the
+// queue; the coordinator promotes the first waiter, if any.
 func (c *Client) ReleaseLock(coordinator, object string) error {
 	c.locks.set(object, LockNone)
 	return c.sendLockControl(coordinator, ctrlLockRelease, object)
@@ -107,10 +114,10 @@ func (c *Client) handleLockControl(m *message.Message) bool {
 	object, _ := m.Attr(attrObject)
 	switch ctrl.Str() {
 	case ctrlLockGrant:
-		c.locks.set(object.Str(), LockGranted)
+		c.locks.notice(object.Str(), LockGranted)
 		return true
 	case ctrlLockWait:
-		c.locks.set(object.Str(), LockWaiting)
+		c.locks.notice(object.Str(), LockWaiting)
 		return true
 	default:
 		return false

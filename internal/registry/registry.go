@@ -11,6 +11,7 @@
 package registry
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"adaptiveqos/internal/matchindex"
@@ -153,12 +154,14 @@ func (r *Registry) Len() int {
 	return n
 }
 
-// IDs returns the registered client IDs in unspecified order.
+// IDs returns the registered client IDs in ascending order, so a
+// fan-out over them sends in the same order on every run.
 func (r *Registry) IDs() []string {
 	ids := make([]string, 0, r.Len())
 	for _, s := range r.shards {
 		ids = s.AppendIDs(ids)
 	}
+	slices.Sort(ids)
 	return ids
 }
 
@@ -170,7 +173,7 @@ func (r *Registry) FlatSnapshot(id string) (selector.Attributes, uint64, bool) {
 }
 
 // MatchIDs returns the IDs of every registered profile satisfying sel,
-// in unspecified order.  With the index enabled the selector is
+// in ascending order, as IDs does.  With the index enabled the selector is
 // decomposed into an index plan and answered by each shard's counting
 // match; plans the index cannot answer (match-all, or a disjunct with
 // no indexable predicate) and disabled indexes fall back to the
@@ -190,6 +193,7 @@ func (r *Registry) MatchIDs(sel *selector.Selector) []string {
 				out = r.idx[i].Match(plan, s.FlatSnapshot, out)
 			}
 			r.matched.Store(int64(len(out)))
+			slices.Sort(out)
 			return out
 		}
 		if len(plan.Branches) == 0 && !plan.FullScan {
@@ -201,6 +205,7 @@ func (r *Registry) MatchIDs(sel *selector.Selector) []string {
 	for _, s := range r.shards {
 		out = append(out, s.MatchIDs(sel)...)
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -3,25 +3,19 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
-// Concurrency control: arbitration and consistency maintenance when
-// multiple clients concurrently manipulate the same set of shared
-// objects.  Two complementary mechanisms are provided, matching
-// centralized and optimistic styles:
-//
-//   - ObjectLocks: explicit arbitration.  A client acquires the lock
-//     on an object before mutating it; competing clients queue FIFO.
-//   - VersionStore: optimistic control.  Updates carry the base
-//     version they were computed against; a stale base is rejected and
-//     the client rebases, so no concurrent update is silently lost.
+// Concurrency control: arbitration when multiple clients concurrently
+// manipulate the same set of shared objects.  A client acquires the
+// lock on an object before mutating it; competing clients queue FIFO,
+// so no concurrent update is silently lost.
 
 // Concurrency errors.
 var (
 	ErrLockHeld  = errors.New("session: object lock held by another client")
 	ErrNotHolder = errors.New("session: client does not hold the lock")
-	ErrStale     = errors.New("session: update based on a stale version")
 )
 
 // ObjectLocks arbitrates exclusive access to named shared objects.  The
@@ -58,23 +52,29 @@ func (l *ObjectLocks) TryAcquire(object, client string) error {
 	if st.holder == client {
 		return nil // re-entrant
 	}
-	for _, w := range st.waiters {
-		if w == client {
-			return fmt.Errorf("%w: %q (queued)", ErrLockHeld, st.holder)
-		}
+	if !slices.Contains(st.waiters, client) {
+		st.waiters = append(st.waiters, client)
 	}
-	st.waiters = append(st.waiters, client)
 	return fmt.Errorf("%w: %q (queued)", ErrLockHeld, st.holder)
 }
 
 // Release gives up the lock; the first waiter (if any) becomes the new
-// holder, and its ID is returned so the arbiter can notify it.
+// holder, and its ID is returned so the arbiter can notify it.  A
+// queued waiter that releases withdraws from the queue, and next is "".
 func (l *ObjectLocks) Release(object, client string) (next string, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st, ok := l.locks[object]
-	if !ok || st.holder != client {
+	if !ok {
 		return "", fmt.Errorf("%w: %s/%s", ErrNotHolder, object, client)
+	}
+	if st.holder != client {
+		i := slices.Index(st.waiters, client)
+		if i < 0 {
+			return "", fmt.Errorf("%w: %s/%s", ErrNotHolder, object, client)
+		}
+		st.waiters = slices.Delete(st.waiters, i, i+1)
+		return "", nil
 	}
 	if len(st.waiters) > 0 {
 		st.holder = st.waiters[0]
@@ -93,54 +93,4 @@ func (l *ObjectLocks) Holder(object string) string {
 		return st.holder
 	}
 	return ""
-}
-
-// VersionedObject is the stored state of one shared object under
-// optimistic control.
-type VersionedObject struct {
-	Version uint64
-	Data    []byte
-	Writer  string // client that wrote this version
-}
-
-// VersionStore applies optimistic concurrency control to shared
-// objects: an update is accepted only when computed against the
-// current version, so two users selecting information for sharing at
-// the same time cannot silently overwrite each other — the loser is
-// told to rebase, and no information is lost.
-type VersionStore struct {
-	mu      sync.RWMutex
-	objects map[string]VersionedObject
-}
-
-// NewVersionStore returns an empty store.
-func NewVersionStore() *VersionStore {
-	return &VersionStore{objects: make(map[string]VersionedObject)}
-}
-
-// Get returns the current state of an object (zero-version empty
-// object if never written).
-func (v *VersionStore) Get(object string) VersionedObject {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.objects[object]
-}
-
-// Update installs new data computed against baseVersion.  It returns
-// the new version, or ErrStale (with the current state) when another
-// client committed in between.
-func (v *VersionStore) Update(object, client string, baseVersion uint64, data []byte) (VersionedObject, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	cur := v.objects[object]
-	if cur.Version != baseVersion {
-		return cur, fmt.Errorf("%w: %s at v%d, update based on v%d", ErrStale, object, cur.Version, baseVersion)
-	}
-	next := VersionedObject{
-		Version: cur.Version + 1,
-		Data:    append([]byte(nil), data...),
-		Writer:  client,
-	}
-	v.objects[object] = next
-	return next, nil
 }
