@@ -35,3 +35,26 @@ func TestAnnounceClaimedCountBounded(t *testing.T) {
 		t.Errorf("an announce claiming %d packets allocates %d B, want < 4 KB", metas[0].TotalPackets, per)
 	}
 }
+
+var encoded []byte
+
+// TestEncodersAllocateOnce: a chat line and a stroke are encoded into
+// one buffer of exactly their length — no growth while appending, and
+// no spare capacity a later append could write into.
+func TestEncodersAllocateOnce(t *testing.T) {
+	stroke := Stroke{ID: 7, Color: 2, Width: 3, Points: []Point{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11, 12}, {13, 14}}}
+	for _, tc := range []struct {
+		name   string
+		encode func() []byte
+	}{
+		{"EncodeSay", func() []byte { return EncodeSay("a line of chat, longer than a few bytes") }},
+		{"EncodeStroke", func() []byte { return EncodeStroke(stroke) }},
+	} {
+		if n := testing.AllocsPerRun(100, func() { encoded = tc.encode() }); n != 1 {
+			t.Errorf("%s: %g allocations, want 1", tc.name, n)
+		}
+		if out := tc.encode(); cap(out) != len(out) {
+			t.Errorf("%s: cap %d, len %d: want no spare capacity", tc.name, cap(out), len(out))
+		}
+	}
+}

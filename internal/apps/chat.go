@@ -43,9 +43,10 @@ type ChatArea struct {
 // NewChatArea returns an empty chat area.
 func NewChatArea() *ChatArea { return &ChatArea{} }
 
-// EncodeSay builds the event payload for a chat line.
+// EncodeSay builds the event payload for a chat line, in one
+// allocation of exactly its length.
 func EncodeSay(text string) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(text)))
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(text)), uint32(len(text)))
 	return append(out, text...)
 }
 

@@ -37,9 +37,10 @@ func NewWhiteboard() *Whiteboard {
 	return &Whiteboard{strokes: make(map[uint32]Stroke)}
 }
 
-// EncodeStroke builds the event payload adding a stroke.
+// EncodeStroke builds the event payload adding a stroke, in one
+// allocation of exactly its length.
 func EncodeStroke(s Stroke) []byte {
-	out := []byte{wbOpStroke, s.Color, s.Width}
+	out := append(make([]byte, 0, 9+4*len(s.Points)), wbOpStroke, s.Color, s.Width)
 	out = binary.BigEndian.AppendUint32(out, s.ID)
 	out = binary.BigEndian.AppendUint16(out, uint16(len(s.Points)))
 	for _, p := range s.Points {

@@ -13,6 +13,7 @@ import (
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
+	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
 )
@@ -178,5 +179,57 @@ func TestUplinkMembershipCopiesNoProfile(t *testing.T) {
 	}
 	if err := c.bs.UplinkEvent("stranger", apps.AppChat, "", body); !errors.Is(err, ErrNotJoined) {
 		t.Errorf("uplink event from a non-member: %v, want ErrNotJoined", err)
+	}
+}
+
+// TestRelayedEventAllocs pins what relaying one chat event from the
+// wired session to the cell costs the station, with the dispatch pool
+// inline.  The frame is decoded into the wired segment's own message,
+// lent to the relay for the call, so what is counted is the fan-out:
+// the candidate list, the Fanout and the closure the pool runs, and the
+// one datagram every member is given, with the list that holds it.  The
+// nets are untraced, so nothing counted is the test's.
+func TestRelayedEventAllocs(t *testing.T) {
+	r := newRig(t, Config{FanOutWorkers: 1, Thresholds: radio.Thresholds{TextDB: -1000, SketchDB: -900, ImageDB: -800}})
+	r.wiredNet.SetTrace(nil)
+	r.radioNet.SetTrace(nil)
+	members := make([]transport.Conn, 4)
+	for i := range members {
+		id := fmt.Sprintf("m%02d", i)
+		conn, err := r.radioNet.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[i] = conn
+		if _, err := r.bs.Join(profile.New(id), 30, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var env message.Enveloper
+	d, err := env.WrapMessage(&message.Message{
+		Kind: message.KindEvent, Sender: "pub", Seq: 1,
+		Attrs: selector.Attributes{message.AttrApp: selector.S(apps.AppChat), message.AttrMedia: selector.S("text")},
+		Body:  apps.EncodeSay("to the cell"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := transport.Packet{From: "pub", Data: d[0]}
+	relay := func() {
+		r.bs.handleWired(pkt)
+		for i, conn := range members {
+			select {
+			case <-conn.Recv():
+			default:
+				t.Fatalf("member %d: nothing relayed", i)
+			}
+		}
+	}
+	relay() // warm: selector cache, flat profiles, intern table, encode buffers
+	const pinned = 5
+	n := testing.AllocsPerRun(200, relay)
+	t.Logf("%g allocations per relayed event", n)
+	if n > pinned {
+		t.Errorf("a relayed chat event allocates %g times at the station, want <= %d", n, pinned)
 	}
 }

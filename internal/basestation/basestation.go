@@ -124,8 +124,12 @@ type BaseStation struct {
 
 	env    message.Enveloper
 	unwrap *message.Unwrapper
-	// Each segment owns the interner its frames decode through.
+	// Each segment owns the interner its frames decode through and the
+	// message they decode into, refilled per frame: a segment handles
+	// one frame at a time, and the dispatch pool's workers read the
+	// wired one only while handleWired waits for them in Pool.Each.
 	wiredIntern, rfIntern message.Interner
+	wiredMsg, rfMsg       message.Message
 
 	// What the station multicasts to the session is numbered per
 	// originating member, contiguous from 1 (sessionSeq, under seqMu),

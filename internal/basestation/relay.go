@@ -63,7 +63,8 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 	if frame == nil || string(v.Sender()) == bs.id {
 		return
 	}
-	m := v.Message(&bs.wiredIntern)
+	m := &bs.wiredMsg
+	v.MessageInto(m, &bs.wiredIntern)
 	app, _ := m.Attr(message.AttrApp)
 	switch {
 	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard || app.Str() == apps.AppMedia):
@@ -223,7 +224,8 @@ func (bs *BaseStation) handleWireless(pkt transport.Packet) {
 	if frame == nil {
 		return
 	}
-	m := v.Message(&bs.rfIntern)
+	m := &bs.rfMsg
+	v.MessageInto(m, &bs.rfIntern)
 	if !bs.reg.Has(m.Sender) {
 		return // not joined: ignore
 	}

@@ -66,6 +66,20 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 					}
 				}
 			}
+			// unicasts reads DownlinkUnicasts once it has reached want, or
+			// after a deadline.  The station counts a unicast after handing
+			// its datagram to the substrate, so with a pool worker sending,
+			// a member can hold the datagram before it is counted.
+			unicasts := func(want uint64) uint64 {
+				deadline := time.Now().Add(2 * time.Second)
+				for {
+					n := bs.Stats().DownlinkUnicasts
+					if n >= want || time.Now().After(deadline) {
+						return n
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
 			var env message.Enveloper
 			publish := func(seq uint32, sel string) {
 				t.Helper()
@@ -98,7 +112,7 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 			if got := wraps() - base - 2; got != 1 {
 				t.Errorf("one downlink to nobody and one to %d members took %d wraps at the base station, want 1", blue, got)
 			}
-			if got := bs.Stats().DownlinkUnicasts; got != blue {
+			if got := unicasts(blue); got != blue {
 				t.Errorf("DownlinkUnicasts = %d, want %d", got, blue)
 			}
 			idle("after the downlinks")
@@ -118,7 +132,7 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 					t.Errorf("member %d got different bytes from member 1", i)
 				}
 			}
-			if got := bs.Stats().DownlinkUnicasts; got != blue+members-1 {
+			if got := unicasts(blue + members - 1); got != blue+members-1 {
 				t.Errorf("DownlinkUnicasts = %d, want %d", got, blue+members-1)
 			}
 			idle("after the uplink")

@@ -30,6 +30,7 @@ type CoordinatorKernel struct {
 	tx     dispatch.Unicaster // enveloped unicast of the kernel's own messages
 	unwrap *message.Unwrapper
 	intern message.Interner // the strings control messages repeat
+	msg    message.Message  // the control message being handled, refilled per frame
 
 	// log is the archive in session order: log[i] is the frame with
 	// session seq first+i.  Frames leave from the front only, so first
@@ -122,7 +123,8 @@ func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 			k.order(st, uint64(v.Seq()), frame)
 		}
 	case message.KindControl:
-		m := v.Message(&k.intern)
+		m := &k.msg
+		v.MessageInto(m, &k.intern)
 		ctrl, ok := m.Attr(attrCtrl)
 		if !ok {
 			return

@@ -37,6 +37,12 @@ type Kernel struct {
 	// profile admits: once, and in its sender's order when repair is on
 	// (a gap is either filled first or explicitly abandoned).  Control
 	// receives every admitted control message.  Either may be nil.
+	//
+	// The message is lent, not given: it is the kernel's own, refilled
+	// for the next frame, so it and its attributes are valid only until
+	// the callback returns.  What it points to may be kept — its strings
+	// are ordinary immutable strings and its Body aliases the datagram,
+	// which nobody writes — but not the *Message itself.
 	Deliver func(*message.Message)
 	Control func(*message.Message)
 
@@ -61,8 +67,11 @@ type Kernel struct {
 	jitter  *rand.Rand     // seeded by RepairOptions.Seed
 
 	// intern shares the strings every frame repeats (sender, attribute
-	// names, short values) among the messages this kernel materialises.
+	// names, short values) among the messages this kernel materialises,
+	// and msg is the one message it materialises them into: what
+	// Deliver and Control are lent.
 	intern message.Interner
+	msg    message.Message
 
 	// Counters are atomic so an owner may read them from any goroutine.
 	filtered, decodeErrors atomic.Uint64
@@ -188,7 +197,8 @@ func (k *Kernel) process(v message.View) {
 	}
 	msp.End()
 	obs.AppendHop(msgID, k.ID(), obs.StageMatch)
-	m := v.Message(&k.intern)
+	m := &k.msg
+	v.MessageInto(m, &k.intern)
 	// A stamp off the wire is witnessed only if it is a whole number a
 	// float64 counts exactly: the conversion of anything else would set
 	// the clock wherever it lands (uint64(-1.0) wraps it to 0).

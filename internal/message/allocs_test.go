@@ -37,9 +37,10 @@ func TestParseZeroAllocs(t *testing.T) {
 
 // A materialised message holds its attributes in its own allocation up
 // to eight of them, and in one slice beside it above that; the body is
-// the frame's and every string in it is interned.  Without an interner
-// the strings come back: a chat line's sender, four names and two
-// values.
+// the frame's and every string in it is interned.  Materialised into a
+// message that already has room, it allocates nothing.  Without an
+// interner the strings come back: a chat line's sender, four names and
+// two values.
 func TestMessageAllocs(t *testing.T) {
 	for _, n := range attrCounts[:len(attrCounts)-1] { // MaxAttrs names overflow the interner
 		m := &Message{Kind: KindEvent, Sender: "wired-0", Attrs: make(selector.Attributes, n)}
@@ -62,6 +63,11 @@ func TestMessageAllocs(t *testing.T) {
 		v.Message(in)
 		if got := testing.AllocsPerRun(100, func() { v.Message(in) }); got != want {
 			t.Errorf("%d attributes: Message through a warm interner allocates %g times, want %g", n, got, want)
+		}
+		var lent Message
+		v.MessageInto(&lent, in)
+		if got := testing.AllocsPerRun(100, func() { v.MessageInto(&lent, in) }); got != 0 {
+			t.Errorf("%d attributes: MessageInto a used message allocates %g times, want 0", n, got)
 		}
 	}
 	frame, err := Encode(wireSamples()[0])

@@ -8,9 +8,12 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 	"unsafe"
 
@@ -171,12 +174,75 @@ func TestRepeatedAttributeLastWins(t *testing.T) {
 	}
 }
 
+// TestMessageIntoReuse: random frames of 0–12 attributes, some with a
+// name repeated, are materialised one after another into one message,
+// and each time it is the message View.Message makes of the same frame
+// — nothing of the frame before shows through, an attribute only that
+// frame had included.
+func TestMessageIntoReuse(t *testing.T) {
+	selectors := []string{"", "true", `media == "image"`, `size <= 1048576 and exists(cap.display)`}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var lent Message
+		in := new(Interner)
+		var prev []Attr
+		for step := 0; step < 20; step++ {
+			var frame []byte
+			if r.Intn(8) == 0 {
+				frame = rawFrame(2, repeatedAttr, nil)
+			} else {
+				m := &Message{
+					Kind: Kind(1 + r.Intn(4)), Sender: randStr(r, 8), Seq: r.Uint32(),
+					Timestamp: time.Unix(0, r.Int63()), Selector: selectors[r.Intn(len(selectors))],
+					Attrs: make(selector.Attributes), Body: randBytes(r, 40),
+				}
+				for n := r.Intn(13); len(m.Attrs) < n; {
+					name := string(rune('a' + r.Intn(16)))
+					switch r.Intn(3) {
+					case 0:
+						m.Attrs[name] = selector.S(randStr(r, 40))
+					case 1:
+						m.Attrs[name] = selector.N(float64(r.Intn(100)))
+					default:
+						m.Attrs[name] = selector.B(r.Intn(2) == 0)
+					}
+				}
+				frame = mustEncode(t, m)
+			}
+			v, err := Parse(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.MessageInto(&lent, in)
+			fresh := v.Message(nil)
+			if !sameReceived(&lent, fresh) {
+				t.Logf("seed %d step %d: materialised into a used message\n %v\nfresh\n %v", seed, step, &lent, fresh)
+				return false
+			}
+			for _, a := range prev {
+				if _, was := fresh.Attr(a.Name); !was {
+					if got, ok := lent.Attr(a.Name); ok {
+						t.Logf("seed %d step %d: %s = %v survives from the previous frame", seed, step, a.Name, got)
+						return false
+					}
+				}
+			}
+			prev = attrList(fresh)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzParse holds the split codec to the one-pass decoder it replaced
 // (referenceDecode): for any bytes, Parse accepts exactly when the
 // reference does and fails with the same sentinel; the message a view
 // materialises — with and without an interner, the interner carried
 // across inputs so that stale entries would show — equals the
-// reference's; the view answers kind, sender, seq and selector matches
+// reference's, and so does the view materialised into a message that
+// held another frame; the view answers kind, sender, seq and selector matches
 // as the reference message does; and a frame in
 // canonical form re-encodes to itself.
 func FuzzParse(f *testing.F) {
@@ -208,6 +274,38 @@ func FuzzParse(f *testing.F) {
 			checkParse(t, mended)
 		}
 	})
+}
+
+// heldView is an eight-attribute frame, what a lent message held before
+// the frame under test.
+var heldView = func() View {
+	m := &Message{Kind: KindEvent, Sender: "held", Attrs: selector.Attributes{}}
+	for _, name := range []string{AttrApp, AttrLevel, AttrMedia, AttrObject, AttrSize, "ctrl", "lamport", "zz"} {
+		m.Attrs[name] = selector.S("held-" + name)
+	}
+	frame, err := Encode(m)
+	if err != nil {
+		panic(err)
+	}
+	v, err := Parse(frame)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}()
+
+// sameReceived reports whether two received messages agree in every
+// public field and in their attributes, visited in the same order.
+func sameReceived(a, b *Message) bool {
+	return sameMessage(a, b) && slices.EqualFunc(attrList(a), attrList(b), func(x, y Attr) bool {
+		return x.Name == y.Name && x.Value.Equal(y.Value)
+	})
+}
+
+// attrList lists a message's attributes in EachAttr's order.
+func attrList(m *Message) (out []Attr) {
+	m.EachAttr(func(name string, v selector.Value) { out = append(out, Attr{name, v}) })
+	return out
 }
 
 var (
@@ -249,6 +347,21 @@ func checkParse(t *testing.T, frame []byte) {
 		}
 	}
 	m := v.Message(nil)
+	// Lent: materialised into a message that held an eight-attribute
+	// frame, it is the same message, and none of that frame's
+	// attributes survive.
+	var lent Message
+	heldView.MessageInto(&lent, nil)
+	v.MessageInto(&lent, fuzzInterner)
+	if !sameReceived(&lent, m) {
+		t.Fatalf("materialised into a used message\n %v\nfresh\n %v", &lent, m)
+	}
+	checkAttrs(t, &lent, ref.Attrs)
+	heldView.Message(nil).EachAttr(func(name string, _ selector.Value) {
+		if _, ok := lent.Attr(name); ok != (ref.Attrs[name].Kind() != selector.KindInvalid) {
+			t.Fatalf("Attr(%q) of the previous frame reports present = %v, reference disagrees", name, ok)
+		}
+	})
 	if sel, err := m.CompiledSelector(); err != nil || (sel == nil) != (m.Selector == "") {
 		t.Errorf("decoded message's compiled selector: %v, %v for %q", sel, err, m.Selector)
 	}

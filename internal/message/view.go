@@ -143,16 +143,16 @@ func (v View) Matches(flat selector.Attributes) bool {
 	return v.sel == nil || v.sel.Matches(flat)
 }
 
-// Message materialises the view as a message whose Body is the frame's
-// own body bytes and which shares nothing else with the frame.  The
-// body is not copied: it stays valid, and may be retained, for as long
-// as the frame is not modified (transport.Packet.Data never is), and it
-// is read-only — its capacity is clipped to its length, so appending to
-// it reallocates instead of writing into a frame other receivers hold.
-// An empty body is nil.  Sender, attribute names and short string
-// values come out of in (nil: each is a fresh string); the selector
-// source is the compiled selector's own copy, and the message remembers
-// that selector, so matching it later costs no cache lookup.
+// Message materialises the view as a new message whose Body is the
+// frame's own body bytes and which shares nothing else with the frame.
+// The body is not copied: it stays valid, and may be retained, for as
+// long as the frame is not modified (transport.Packet.Data never is),
+// and it is read-only — its capacity is clipped to its length, so
+// appending to it reallocates instead of writing into a frame other
+// receivers hold.  An empty body is nil.  Sender, attribute names and
+// short string values come out of in (nil: each is a fresh string); the
+// selector source is the compiled selector's own copy, and the message
+// remembers that selector, so matching it later costs no cache lookup.
 //
 // The attributes are kept in name order inside the message (Attrs stays
 // nil), and a message with at most eight of them is one allocation.
@@ -160,11 +160,34 @@ func (v View) Matches(flat selector.Attributes) bool {
 // they are read; any other frame's are sorted, and of a name the frame
 // repeats the later entry wins.
 func (v View) Message(in *Interner) *Message {
+	m, attrs := newMessage(v.nattrs)
+	v.fill(m, attrs, in)
+	return m
+}
+
+// MessageInto materialises the view into m, as Message would into a
+// new one, overwriting every field of m.  It is how a receive loop
+// lends one message to each frame it admits in turn: m's attribute
+// storage is reused when it has room for the frame's (a fresh one
+// holds at least eight), so in the steady state it allocates nothing.
+// What m held before is overwritten, its attributes included; the
+// strings and the body it pointed to are not touched, so whoever kept
+// those may go on using them.
+func (v View) MessageInto(m *Message, in *Interner) {
+	attrs := m.attrs[:0]
+	if cap(attrs) < v.nattrs {
+		attrs = make([]Attr, 0, max(v.nattrs, 8))
+	}
+	v.fill(m, attrs, in)
+}
+
+// fill writes the view into m, appending its attributes to attrs (empty,
+// with room for them).
+func (v View) fill(m *Message, attrs []Attr, in *Interner) {
 	var body []byte
 	if len(v.body) > 0 {
 		body = v.body[:len(v.body):len(v.body)]
 	}
-	m, attrs := newMessage(v.nattrs)
 	*m = Message{
 		Kind:      v.kind,
 		Sender:    in.String(v.sender),
@@ -190,7 +213,6 @@ func (v View) Message(in *Interner) *Message {
 		attrs = lastWins(attrs)
 	}
 	m.attrs = attrs
-	return m
 }
 
 // A received message and its attributes share one allocation when they

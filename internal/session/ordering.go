@@ -26,6 +26,10 @@ type OrderBuffer struct {
 	// nearest and farthest parked event, and the holes between them,
 	// readable without a scan or a sort.
 	parked []Event
+	// released is what the last Push or Skip returned, reused by the
+	// next: the events of one release, with the rest of the array
+	// cleared.
+	released []Event
 
 	// limit bounds parked (0 = unlimited): a corrupt or far-future
 	// sequence number must not park events forever, so overflow evicts
@@ -75,7 +79,9 @@ func (b *OrderBuffer) SetLimit(n int, onEvict func(Event)) {
 }
 
 // Push ingests an event and returns the events now releasable in
-// order.  Duplicates and already-released events are ignored.
+// order.  Duplicates and already-released events are ignored.  The
+// returned slice is the buffer's own and valid only until the next
+// Push or Skip: consume it first.
 func (b *OrderBuffer) Push(ev Event) []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -132,8 +138,12 @@ func (b *OrderBuffer) releaseLocked() []Event {
 	if run == 0 {
 		return nil
 	}
-	out := make([]Event, run)
-	copy(out, b.parked)
+	last := len(b.released)
+	out := append(b.released[:0], b.parked[:run]...)
+	if run < last {
+		clear(out[run:last]) // the previous release's events must not stay reachable
+	}
+	b.released = out
 	if b.held != nil {
 		now := clock.Or(b.clk).Now().UnixNano()
 		for _, ev := range out {
@@ -155,7 +165,7 @@ func (b *OrderBuffer) releaseLocked() []Event {
 // releasable in order, plus the skipped range [from, to).  With
 // nothing parked it is a no-op (from == to).  Repair loops call this
 // when their retry budget is exhausted, trading the lost events for
-// liveness.
+// liveness.  released is the buffer's own slice, as Push's is.
 func (b *OrderBuffer) Skip() (released []Event, from, to uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

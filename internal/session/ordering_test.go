@@ -228,3 +228,31 @@ func TestQuickOrderBufferMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOrderBufferReleaseReusesSlice: Push and Skip hand back the
+// buffer's own slice, and a shorter release clears what a longer one
+// left past its end, so a released event's payload does not stay
+// reachable from the buffer.
+func TestOrderBufferReleaseReusesSlice(t *testing.T) {
+	b := NewOrderBuffer(0)
+	ev := func(seq uint64) Event { return Event{Seq: seq, Payload: []byte{byte(seq)}} }
+	b.Push(ev(2))
+	b.Push(ev(3))
+	three := b.Push(ev(1))
+	if len(three) != 3 {
+		t.Fatalf("released %d events, want 3", len(three))
+	}
+	b.Push(ev(6))
+	one, from, to := b.Skip() // gives up 4 and 5
+	if len(one) != 1 || one[0].Seq != 6 || from != 4 || to != 6 {
+		t.Fatalf("skip released %v [%d,%d), want seq 6 [4,6)", one, from, to)
+	}
+	if &one[0] != &three[0] {
+		t.Fatal("the skip's release is a new slice, want the buffer's own")
+	}
+	for i, e := range one[1:3] {
+		if e.Seq != 0 || e.Payload != nil {
+			t.Errorf("slot %d past the release still holds seq %d", i+1, e.Seq)
+		}
+	}
+}
