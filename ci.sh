@@ -20,8 +20,9 @@ go run ./internal/census
 # only in the first pass (files tagged !race, or raceDetectorEnabled).
 go test -count=1 ./...
 go test -race -count=1 ./...
-# At 4 Ps too: receive loops lend one message per frame, which pool workers read.
-go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session
+# At 4 Ps too: receive loops lend one message per frame, which pool workers
+# read, and the registry takes a shard lock and then a member's lock.
+go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

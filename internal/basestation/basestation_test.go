@@ -107,8 +107,7 @@ func TestJoinAssessLeave(t *testing.T) {
 		t.Errorf("assessment geometry: %+v", a)
 	}
 	// The SIR is folded into the stored profile.
-	p, _ := r.bs.reg.Get("w1")
-	if p.State["sir"].Num() != a.SIRdB {
+	if flat, _, _ := r.bs.reg.FlatSnapshot("w1"); flat["state.sir"].Num() != a.SIRdB {
 		t.Error("SIR not in profile state")
 	}
 

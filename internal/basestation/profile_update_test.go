@@ -1,13 +1,17 @@
 package basestation
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/profile"
+	"adaptiveqos/internal/registry"
 	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
 )
 
@@ -29,8 +33,8 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 	}
 	// The announcement lands in the BS registry.
 	waitFor(t, "preference at BS", func() bool {
-		p, ok := r.bs.reg.Get("w1")
-		return ok && p.Preferences["modality"].Str() == "text"
+		flat, _, _ := r.bs.reg.FlatSnapshot("w1")
+		return flat[profile.SectionPreference+".modality"].Str() == "text"
 	})
 
 	// A wired share now arrives as text.
@@ -82,7 +86,83 @@ func TestLiteralProfileJoinsAndUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "interest at BS", func() bool {
-		p, ok := r.bs.reg.Get("thin")
-		return ok && p.Interests["x"].Str() == "y"
+		flat, _, _ := r.bs.reg.FlatSnapshot("thin")
+		return flat[profile.SectionInterest+".x"].Str() == "y"
 	})
+}
+
+// TestAnnouncementRacingAssessment: a member's profile announcement
+// (the radio segment's goroutine) and its re-assessment (a dispatch
+// worker, here a goroutine alternating SetDistance and Assess) write
+// the same stored profile.  Both go through the member's one Manager,
+// so neither reinstalls what the other replaced: the version a reader
+// sees never goes backwards, and the last announced interest and the
+// last assessed distance both survive.
+func TestAnnouncementRacingAssessment(t *testing.T) {
+	bs := newBareCell(t, 1, 0, 1).bs
+	const rounds = 2000
+	frames := make([][]byte, rounds)
+	var env message.Enveloper
+	for i := range frames {
+		d, err := env.WrapMessage(&message.Message{
+			Kind: message.KindProfile, Sender: "m00", Seq: uint32(i + 1),
+			Attrs: selector.Attributes{profile.SectionInterest + ".n": selector.N(float64(i))},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = d[0]
+	}
+
+	var writers, reader sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < rounds; i++ {
+			if err := bs.SetDistance("m00", 30+float64(i%2)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := bs.Assess("m00"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for _, f := range frames {
+			bs.handleWireless(transport.Packet{From: "m00", Data: f})
+		}
+	}()
+	done := make(chan struct{})
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var last uint64
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			_, ver, _ := bs.reg.FlatSnapshot("m00")
+			if ver < last {
+				t.Errorf("version went backwards: %d → %d", last, ver)
+				return
+			}
+			last = ver
+		}
+	}()
+	writers.Wait()
+	close(done)
+	reader.Wait()
+
+	flat, _, _ := bs.reg.FlatSnapshot("m00")
+	if n := flat[profile.SectionInterest+".n"].Num(); n != rounds-1 {
+		t.Errorf("announced interest = %g, want %d", n, rounds-1)
+	}
+	if d := flat[profile.SectionState+"."+registry.StateDistance].Num(); d != 31 {
+		t.Errorf("stored distance = %g, want the last assessed 31", d)
+	}
 }

@@ -2,6 +2,7 @@ package basestation
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
@@ -259,4 +261,39 @@ func TestReassemblyJoinLeaveMidTransfer(t *testing.T) {
 	pastTTL(t, vclk, "all collections drained after churn", func() bool {
 		return len(r.bs.collect.Objects()) == 0
 	})
+}
+
+// TestCollectedLevelMustBeWhole: a wired-side data packet whose level
+// is not a whole number counts as a decode error and joins no
+// collection: a level of 0.5 must not land as chunk 0.
+func TestCollectedLevelMustBeWhole(t *testing.T) {
+	bs := newBareCell(t, 1, 0, 1).bs
+	meta, packets, err := apps.ShareImage("scan", testImageObject(t), apps.SharePackets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint32(0)
+	send := func(kind message.Kind, attrs selector.Attributes, body []byte) {
+		seq++
+		attrs[message.AttrApp] = selector.S(apps.AppImageViewer)
+		attrs[message.AttrObject] = selector.S("scan")
+		frame, err := message.Encode(&message.Message{Kind: kind, Sender: "pub", Seq: seq, Attrs: attrs, Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs.handleWired(transport.Packet{From: "pub", Data: message.WrapWhole(frame)})
+	}
+	send(message.KindEvent, selector.Attributes{}, apps.EncodeImageMeta(meta))
+	errs := metrics.C(metrics.CtrDecodeErrors)
+	for _, level := range []float64{0.5, 1.5, -1, math.NaN(), math.Inf(1), 1e300} {
+		before := errs.Load()
+		rp := rtp.Packet{PayloadType: 96, SSRC: 1, Payload: packets[0]}
+		send(message.KindData, selector.Attributes{message.AttrLevel: selector.N(level)}, rp.Marshal())
+		if got := errs.Load(); got != before+1 {
+			t.Errorf("level %v: decode errors %d → %d, want one more", level, before, got)
+		}
+	}
+	if st, err := bs.collect.Stats("scan"); err != nil || st.PacketsReceived != 0 {
+		t.Fatalf("after bad levels: %+v %v, want nothing collected", st, err)
+	}
 }

@@ -92,12 +92,14 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 		bs.maybeDeliver(m.Sender, meta.Object, m.Selector)
 	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:
 		object, ok1 := m.Attr(message.AttrObject)
-		level, ok2 := m.Attr(message.AttrLevel)
+		level, _ := m.Attr(message.AttrLevel)
+		chunk, ok2 := level.Whole()
 		pkt, err := rtp.Unmarshal(m.Body)
 		if !ok1 || !ok2 || err != nil {
+			metrics.C(metrics.CtrDecodeErrors).Inc() // only an unreadable frame pays the lookup
 			return
 		}
-		if joined, _ := bs.collect.AddChunk(object.Str(), int(level.Num()), pkt, bs.clk.Now()); joined {
+		if joined, _ := bs.collect.AddChunk(object.Str(), int(chunk), pkt, bs.clk.Now()); joined {
 			bs.maybeDeliver(m.Sender, object.Str(), m.Selector)
 		}
 	}
@@ -250,19 +252,16 @@ func (bs *BaseStation) handleWireless(pkt transport.Packet) {
 // preference" path (e.g. a client switching to text mode to conserve
 // battery).
 func (bs *BaseStation) applyProfileUpdate(m *message.Message) {
-	p, ok := bs.reg.Get(m.Sender)
-	if !ok {
-		return
-	}
 	intPrefix := profile.SectionInterest + "."
 	prefPrefix := profile.SectionPreference + "."
-	m.EachAttr(func(k string, v selector.Value) {
-		switch {
-		case len(k) > len(intPrefix) && k[:len(intPrefix)] == intPrefix:
-			p.Interests[k[len(intPrefix):]] = v
-		case len(k) > len(prefPrefix) && k[:len(prefPrefix)] == prefPrefix:
-			p.Preferences[k[len(prefPrefix):]] = v
-		}
+	bs.reg.Update(m.Sender, func(p *profile.Profile) {
+		m.EachAttr(func(k string, v selector.Value) {
+			switch {
+			case len(k) > len(intPrefix) && k[:len(intPrefix)] == intPrefix:
+				p.Interests[k[len(intPrefix):]] = v
+			case len(k) > len(prefPrefix) && k[:len(prefPrefix)] == prefPrefix:
+				p.Preferences[k[len(prefPrefix):]] = v
+			}
+		})
 	})
-	bs.reg.Put(p)
 }

@@ -10,6 +10,7 @@ import (
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
+	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/selector"
 )
 
@@ -41,9 +42,7 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 			cell := newBareCell(t, workers, 0, members)
 			bs, pub, conns := cell.bs, cell.pub, cell.members
 			for _, conn := range conns[:blue] {
-				p, _ := bs.reg.Get(conn.ID())
-				p.Interests.SetString("team", "blue")
-				bs.reg.Put(p)
+				bs.reg.Update(conn.ID(), func(p *profile.Profile) { p.Interests.SetString("team", "blue") })
 			}
 			// recv takes the one datagram a member is owed, or reports
 			// that none came.

@@ -133,7 +133,9 @@ func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 		case ctrlHistoryReq:
 			after := uint64(0)
 			if v, ok := m.Attr(attrAfterSeq); ok {
-				after = uint64(v.Num())
+				if after, ok = v.Whole(); !ok {
+					return // not a sequence number: ignore the request
+				}
 			}
 			forSender, _ := m.Attr(attrForSender)
 			if forSender.Str() == "" {

@@ -515,7 +515,8 @@ func (c *Client) handleData(m *message.Message) {
 		c.stats.errors.Add(1)
 		return
 	}
-	level, ok := m.Attr(message.AttrLevel)
+	level, _ := m.Attr(message.AttrLevel)
+	chunk, ok := level.Whole()
 	if !ok {
 		c.stats.errors.Add(1)
 		return
@@ -538,7 +539,7 @@ func (c *Client) handleData(m *message.Message) {
 	now := c.clk.Now()
 	recv.Push(pkt, uint32(now.UnixMilli()))
 
-	joined, err := c.viewer.AddChunk(object.Str(), int(level.Num()), pkt, now)
+	joined, err := c.viewer.AddChunk(object.Str(), int(chunk), pkt, now)
 	switch {
 	case err != nil:
 		c.stats.errors.Add(1)

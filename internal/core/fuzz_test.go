@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -104,8 +105,9 @@ func FuzzKernelHandlePacket(f *testing.F) {
 // The seed corpus (testdata/fuzz/FuzzCoordinatorHandlePacket) is real
 // output of Enveloper.WrapMessage: an after-seq NACK, a hole-list NACK,
 // one whose body stops inside a varint, one asking for a
-// four-billion-wide range, a lock request, and an event from the parked
-// sender at seq 2³²−1 (u@0xffffffff).
+// four-billion-wide range, a lock request, an event from the parked
+// sender at seq 2³²−1 (u@0xffffffff), and requests whose after-seq is
+// not a whole number (a NACK after 1.5, a catch-up after −1).
 func FuzzCoordinatorHandlePacket(f *testing.F) {
 	const (
 		live       = 300 // s's seqs 1..live, but for never
@@ -213,13 +215,18 @@ func FuzzCoordinatorHandlePacket(f *testing.F) {
 
 // referenceWants reads a sender-scoped history request the slow way —
 // every varint of the body first, then range by range — and reports
-// whether it asks for seq.  A body it cannot read asks for nothing.
+// whether it asks for seq.  A body it cannot read, or an after-seq that
+// is not a whole number a float64 counts exactly, asks for nothing.
 func referenceWants(m *message.Message, seq uint64) bool {
-	if len(m.Body) == 0 {
-		after := uint64(0)
-		if v, ok := m.Attr(attrAfterSeq); ok {
-			after = uint64(v.Num())
+	after := uint64(0)
+	if v, ok := m.Attr(attrAfterSeq); ok {
+		n := v.Num()
+		if v.Kind() != selector.KindNumber || !(n >= 0 && n <= 1<<53) || n != math.Trunc(n) {
+			return false
 		}
+		after = uint64(n)
+	}
+	if len(m.Body) == 0 {
 		return seq >= after+1
 	}
 	var vals []uint64
@@ -262,7 +269,8 @@ func referenceWants(m *message.Message, seq uint64) bool {
 // reports must stay a fraction, and no counter may go down.
 //
 // The seeds are real frames: a reception report about the client, a
-// lock grant, a chat line and the share's first data packet.
+// lock grant, a chat line and the share's first data packet, at level
+// 0 and at two levels that are not chunk indexes (0.5 and -1).
 func FuzzClientHandlePacket(f *testing.F) {
 	var env message.Enveloper
 	wrap := func(m *message.Message) []byte {
@@ -298,6 +306,8 @@ func FuzzClientHandlePacket(f *testing.F) {
 	}, Body: apps.EncodeSay("hello")}))
 	pkt := rtp.NewSender(rtp.SSRCOf("peer"), 96, 0).Next(0, false, packets[0])
 	f.Add(wrap(image(message.KindData, 2, selector.Attributes{message.AttrLevel: selector.N(0)}, pkt.Marshal())))
+	f.Add(wrap(image(message.KindData, 2, selector.Attributes{message.AttrLevel: selector.N(0.5)}, pkt.Marshal())))
+	f.Add(wrap(image(message.KindData, 2, selector.Attributes{message.AttrLevel: selector.N(-1)}, pkt.Marshal())))
 
 	f.Fuzz(func(t *testing.T, datagram []byte) {
 		clk := clock.NewVirtual(time.Unix(100, 0))

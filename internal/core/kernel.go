@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -203,8 +202,8 @@ func (k *Kernel) process(v message.View) {
 	// float64 counts exactly: the conversion of anything else would set
 	// the clock wherever it lands (uint64(-1.0) wraps it to 0).
 	if lam, ok := m.Attr("lamport"); ok {
-		if n := lam.Num(); n >= 0 && n <= 1<<53 && n == math.Trunc(n) {
-			k.lamport.Witness(uint64(n))
+		if n, ok := lam.Whole(); ok {
+			k.lamport.Witness(n)
 		}
 	}
 

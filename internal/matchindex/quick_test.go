@@ -172,8 +172,7 @@ func TestQuickIndexEquivalence(t *testing.T) {
 				if err := brute.UpdateStates(id, []profile.StateKV{{Name: "sir", V: v}}); err != nil {
 					continue
 				}
-				p, _ := indexed.Get(id)
-				flats[id] = p.Flatten()
+				flats[id], _, _ = indexed.FlatSnapshot(id)
 			}
 		}
 

@@ -96,85 +96,3 @@ func TestManagerFlatSnapshotConcurrent(t *testing.T) {
 		t.Errorf("version = %d, want %d", v, 4*300)
 	}
 }
-
-func TestRegistryFlatSnapshot(t *testing.T) {
-	r := NewRegistry()
-	p := New("a")
-	p.Interests.SetString("media", "image")
-	r.Put(p)
-
-	flat1, v1, ok := r.FlatSnapshot("a")
-	if !ok || flat1["media"].Str() != "image" {
-		t.Fatalf("FlatSnapshot = %v %d %v", flat1, v1, ok)
-	}
-	flat2, _, _ := r.FlatSnapshot("a")
-	if fmt.Sprintf("%p", flat1) != fmt.Sprintf("%p", flat2) {
-		t.Error("repeated FlatSnapshot rebuilt the flattened view")
-	}
-
-	// UpdateStates with a new value invalidates; equal value does not.
-	if _, err := r.UpdateStates("a", []StateKV{{Name: "sir", V: selector.N(9)}}); err != nil {
-		t.Fatal(err)
-	}
-	flat3, v3, _ := r.FlatSnapshot("a")
-	if v3 <= v1 || flat3["state.sir"].Num() != 9 {
-		t.Fatalf("post-update snapshot: v=%d flat=%v", v3, flat3)
-	}
-	if _, err := r.UpdateStates("a", []StateKV{{Name: "sir", V: selector.N(9)}}); err != nil {
-		t.Fatal(err)
-	}
-	flat4, v4, _ := r.FlatSnapshot("a")
-	if v4 != v3 {
-		t.Error("equal-value UpdateStates bumped the version")
-	}
-	if fmt.Sprintf("%p", flat3) != fmt.Sprintf("%p", flat4) {
-		t.Error("equal-value UpdateStates invalidated the flattened view")
-	}
-
-	if _, _, ok := r.FlatSnapshot("missing"); ok {
-		t.Error("FlatSnapshot of unknown client reported ok")
-	}
-	r.Remove("a")
-	if _, _, ok := r.FlatSnapshot("a"); ok {
-		t.Error("FlatSnapshot after Remove reported ok")
-	}
-}
-
-// Concurrent registry writers (UpdateStates/Put) and flat readers must
-// be race-free (run under -race).
-func TestRegistryFlatSnapshotConcurrent(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < 8; i++ {
-		r.Put(New(fmt.Sprintf("c%d", i)))
-	}
-	ids := r.IDs()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := ids[(w+i)%len(ids)]
-				if _, err := r.UpdateStates(id, []StateKV{{Name: "sir", V: selector.N(float64(i % 7))}}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := ids[(w+i)%len(ids)]
-				flat, _, ok := r.FlatSnapshot(id)
-				if !ok || flat["client"].Str() != id {
-					t.Errorf("inconsistent snapshot for %s", id)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}

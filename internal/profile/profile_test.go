@@ -105,71 +105,3 @@ func TestManagerConcurrentUpdates(t *testing.T) {
 		t.Errorf("version = %d, want %d (lost updates)", got, writers*perWriter)
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if r.Len() != 0 {
-		t.Fatal("fresh registry not empty")
-	}
-	a := New("a")
-	a.Interests.SetString("media", "image")
-	b := New("b")
-	b.Interests.SetString("media", "text")
-	r.Put(a)
-	r.Put(b)
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-
-	got, ok := r.Get("a")
-	if !ok || got.ID != "a" {
-		t.Fatal("Get(a) failed")
-	}
-	got.Interests.SetString("media", "hacked")
-	again, _ := r.Get("a")
-	if again.Interests["media"].Str() != "image" {
-		t.Error("Get must return an independent copy")
-	}
-
-	matched := r.MatchIDs(selector.MustCompile(`media == "image"`))
-	if len(matched) != 1 || matched[0] != "a" {
-		t.Errorf("MatchIDs = %v", matched)
-	}
-
-	if _, err := r.UpdateStates("a", []StateKV{{Name: "sir", V: selector.N(7.5)}}); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := r.Get("a")
-	if p.State["sir"].Num() != 7.5 || p.Version != 1 {
-		t.Errorf("UpdateStates result: %v", p)
-	}
-	if _, err := r.UpdateStates("missing", []StateKV{{Name: "x", V: selector.N(0)}}); err == nil {
-		t.Error("UpdateStates on unknown client should fail")
-	}
-
-	ids := r.IDs()
-	if len(ids) != 2 {
-		t.Errorf("IDs = %v", ids)
-	}
-	if !r.Remove("a") || r.Remove("a") {
-		t.Error("Remove semantics broken")
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len after remove = %d", r.Len())
-	}
-}
-
-// TestRegistryPutLiteralProfile: a profile built as a literal leaves its
-// sections nil; the registry must still be able to write state into it.
-func TestRegistryPutLiteralProfile(t *testing.T) {
-	r := NewRegistry()
-	r.Put(&Profile{ID: "thin"})
-	if changed, err := r.UpdateStates("thin", []StateKV{{Name: "sir", V: selector.N(3)}}); err != nil || !changed {
-		t.Fatalf("UpdateStates on a literal profile: changed=%v err=%v", changed, err)
-	}
-	p, _ := r.Get("thin")
-	p.Interests["media"] = selector.S("text") // Get hands out writable sections
-	if p.State["sir"].Num() != 3 {
-		t.Errorf("state = %v", p.State)
-	}
-}

@@ -31,7 +31,7 @@ func TestMatchIDsIndexAgreesWithBrute(t *testing.T) {
 	brute := NewWithIndex(8, false)
 	populate(indexed, 200, 25)
 	populate(brute, 200, 25)
-	if indexed.idx == nil || brute.idx != nil {
+	if indexed.shards[0].idx == nil || brute.shards[0].idx != nil {
 		t.Fatal("NewWithIndex wiring")
 	}
 
@@ -95,8 +95,10 @@ func TestMatchIDsSeesMutations(t *testing.T) {
 
 	// A wholesale Put with different interests under the same version
 	// must be re-observed (Invalidate, not generation-checked).
-	p, _ := r.Get("w5")
+	_, ver, _ := r.FlatSnapshot("w5")
+	p := profile.New("w5")
 	p.Interests.SetString("media", "replaced")
+	p.Version = ver
 	r.Put(p)
 	if got := r.MatchIDs(selector.MustCompile(`media == "replaced"`)); len(got) != 1 || got[0] != "w5" {
 		t.Fatalf("after Put: %v", got)
@@ -138,10 +140,7 @@ func TestMatchIDsConcurrentChurn(t *testing.T) {
 				case 0:
 					_ = r.PutAssessment(id, Assessment{SIRdB: float64(i%9 - 4), Power: 1, Distance: 50})
 				case 1:
-					if p, ok := r.Get(id); ok {
-						p.Interests.SetNumber("region", float64(i%8))
-						r.Put(p)
-					}
+					r.Update(id, func(p *profile.Profile) { p.Interests.SetNumber("region", float64(i%8)) })
 				case 2:
 					r.Remove(id)
 				case 3:

@@ -11,7 +11,9 @@
 package registry
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"adaptiveqos/internal/matchindex"
@@ -52,25 +54,33 @@ func fnv32a(s string) uint32 {
 }
 
 // Registry is a sharded collection of client profiles.  Each shard is
-// an independent profile.Registry (with its own lock and memoized
-// flattened views); a client's shard is fixed by the FNV-1a hash of
-// its ID.  All methods are safe for concurrent use.
+// one lock over a map of profile.Managers — each member's profile with
+// its memoized flattened view — and a client's shard is fixed by the
+// FNV-1a hash of its ID.  All methods are safe for concurrent use.
 //
-// Unless constructed with NewWithIndex(shards, false), each profile
-// shard is paired with an inverted predicate index shard
-// (matchindex.Shard, routed by the same hash) so MatchIDs'
-// cost scales with the matching subset rather than the population.
-// Mutations invalidate lazily: they record the client in the paired
-// index shard's dirty set and the next match re-reads its flattened
-// view, skipping the rebuild when the profile generation counter is
-// unchanged.
+// Unless constructed with NewWithIndex(shards, false), each shard
+// also holds an inverted predicate index over its members
+// (matchindex.Shard) so MatchIDs' cost scales with the matching subset
+// rather than the population.  Mutations invalidate lazily: they
+// record the client in the index shard's dirty set and the next match
+// re-reads its flattened view, skipping the rebuild when the profile
+// generation counter is unchanged.
 type Registry struct {
-	shards []*profile.Registry
-	idx    []*matchindex.Shard // nil when the index is disabled
+	shards []shard
 	mask   uint32
 	// matched is the size of the last indexed match: the next one's
 	// result starts at that capacity instead of growing by doubling.
 	matched atomic.Int64
+}
+
+// shard is one lock over the members whose ID hashes to it.  The lock
+// guards the map only: each member's profile sits behind its Manager's
+// own lock, which is taken with this one held or with none, never the
+// other way round.
+type shard struct {
+	mu      sync.RWMutex
+	members map[string]*profile.Manager
+	idx     *matchindex.Shard // nil when the index is disabled
 }
 
 // New returns a registry with the given shard count, rounded up to a
@@ -89,67 +99,89 @@ func NewWithIndex(shards int, indexed bool) *Registry {
 	for n < shards {
 		n <<= 1
 	}
-	r := &Registry{shards: make([]*profile.Registry, n), mask: uint32(n - 1)}
+	r := &Registry{shards: make([]shard, n), mask: uint32(n - 1)}
 	for i := range r.shards {
-		r.shards[i] = profile.NewRegistry()
-	}
-	if indexed {
-		r.idx = make([]*matchindex.Shard, n)
-		for i := range r.idx {
-			r.idx[i] = matchindex.NewShard()
+		r.shards[i].members = make(map[string]*profile.Manager)
+		if indexed {
+			r.shards[i].idx = matchindex.NewShard()
 		}
 	}
 	return r
 }
 
-func (r *Registry) shard(id string) *profile.Registry {
-	return r.shards[fnv32a(id)&r.mask]
+func (r *Registry) shard(id string) *shard {
+	return &r.shards[fnv32a(id)&r.mask]
 }
 
-// idxShard returns the index shard paired with id's profile shard, or
-// nil when the index is disabled.
-func (r *Registry) idxShard(id string) *matchindex.Shard {
-	if r.idx == nil {
-		return nil
+// member returns id's manager, or nil when id is not registered.
+func (s *shard) member(id string) *profile.Manager {
+	s.mu.RLock()
+	m := s.members[id]
+	s.mu.RUnlock()
+	return m
+}
+
+// FlatSnapshot is the shard's matchindex.Lookup: id's memoized
+// flattened view and its version.
+func (s *shard) FlatSnapshot(id string) (selector.Attributes, uint64, bool) {
+	m := s.member(id)
+	if m == nil {
+		return nil, 0, false
 	}
-	return r.idx[fnv32a(id)&r.mask]
+	flat, ver := m.FlatSnapshot()
+	return flat, ver, true
 }
 
-// Put installs (or replaces) a profile snapshot.  A Put may install
-// arbitrary attributes under an unchanged version, so the index entry
-// is invalidated outright rather than generation-checked.
+// markDirty has the index re-read id's flattened view on the next
+// match; invalidate also drops its postings now.
+func (s *shard) markDirty(id string) {
+	if s.idx != nil {
+		s.idx.MarkDirty(id)
+	}
+}
+
+func (s *shard) invalidate(id string) {
+	if s.idx != nil {
+		s.idx.Invalidate(id)
+	}
+}
+
+// Put installs (or replaces) a copy of p, its nil sections filled.  A
+// Put may install arbitrary attributes under an unchanged version, so
+// the index entry is invalidated outright rather than
+// generation-checked.
 func (r *Registry) Put(p *profile.Profile) {
-	r.shard(p.ID).Put(p)
-	if ix := r.idxShard(p.ID); ix != nil {
-		ix.Invalidate(p.ID)
-	}
+	s, m := r.shard(p.ID), profile.ManagerOf(p)
+	s.mu.Lock()
+	s.members[p.ID] = m
+	s.mu.Unlock()
+	s.invalidate(p.ID)
 }
 
-// Get returns a copy of the profile for id.
-func (r *Registry) Get(id string) (*profile.Profile, bool) {
-	return r.shard(id).Get(id)
-}
-
-// Has reports whether a profile is registered for id: a membership
-// test that, unlike Get, copies no profile.
+// Has reports whether a profile is registered for id.
 func (r *Registry) Has(id string) bool {
-	return r.shard(id).Has(id)
+	return r.shard(id).member(id) != nil
 }
 
 // Remove deletes the profile for id, reporting whether it was present.
 func (r *Registry) Remove(id string) bool {
-	ok := r.shard(id).Remove(id)
-	if ix := r.idxShard(id); ix != nil {
-		ix.Invalidate(id)
-	}
+	s := r.shard(id)
+	s.mu.Lock()
+	_, ok := s.members[id]
+	delete(s.members, id)
+	s.mu.Unlock()
+	s.invalidate(id)
 	return ok
 }
 
 // Len returns the number of registered profiles across all shards.
 func (r *Registry) Len() int {
 	n := 0
-	for _, s := range r.shards {
-		n += s.Len()
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.RLock()
+		n += len(s.members)
+		s.mu.RUnlock()
 	}
 	return n
 }
@@ -158,8 +190,13 @@ func (r *Registry) Len() int {
 // fan-out over them sends in the same order on every run.
 func (r *Registry) IDs() []string {
 	ids := make([]string, 0, r.Len())
-	for _, s := range r.shards {
-		ids = s.AppendIDs(ids)
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.RLock()
+		for id := range s.members {
+			ids = append(ids, id)
+		}
+		s.mu.RUnlock()
 	}
 	slices.Sort(ids)
 	return ids
@@ -182,15 +219,16 @@ func (r *Registry) MatchIDs(sel *selector.Selector) []string {
 	if sel == nil {
 		return r.IDs()
 	}
-	if r.idx != nil {
+	if r.shards[0].idx != nil {
 		plan := matchindex.PlanSelector(sel)
 		if plan.MatchAll {
 			return r.IDs()
 		}
 		if plan.Indexable() {
 			out := make([]string, 0, r.matched.Load())
-			for i, s := range r.shards {
-				out = r.idx[i].Match(plan, s.FlatSnapshot, out)
+			for i := range r.shards {
+				s := &r.shards[i]
+				out = s.idx.Match(plan, s.FlatSnapshot, out)
 			}
 			r.matched.Store(int64(len(out)))
 			slices.Sort(out)
@@ -202,11 +240,33 @@ func (r *Registry) MatchIDs(sel *selector.Selector) []string {
 	}
 	ctrMatchFallback.Add(uint64(r.Len()))
 	var out []string
-	for _, s := range r.shards {
-		out = append(out, s.MatchIDs(sel)...)
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.RLock()
+		for id, m := range s.members {
+			if flat, _ := m.FlatSnapshot(); sel.Matches(flat) {
+				out = append(out, id)
+			}
+		}
+		s.mu.RUnlock()
 	}
 	slices.Sort(out)
 	return out
+}
+
+// Update applies fn to a copy of id's profile through its Manager —
+// serialized with every other mutation of that profile, the version
+// bumped — and reports whether id is registered.  fn must not retain
+// the profile or call back into the registry.
+func (r *Registry) Update(id string, fn func(*profile.Profile)) bool {
+	s := r.shard(id)
+	m := s.member(id)
+	if m == nil {
+		return false
+	}
+	m.Update(fn)
+	s.markDirty(id)
+	return true
 }
 
 // Assessment is the per-client radio state the broker folds into the
@@ -220,20 +280,22 @@ type Assessment struct {
 	Distance float64
 }
 
-// UpdateStates installs state attributes on a registered profile (one
-// lock pass; no version bump when every value is unchanged, keeping the
-// memoized flattened view valid).  Only an actual change dirties the
-// match index — the per-frame steady state (unchanged geometry
-// re-assessed on every delivery) must not grow the dirty set the next
-// match has to drain.
+// UpdateStates installs state attributes on a registered profile
+// (Manager.UpdateStates: no version bump when every value is
+// unchanged, keeping the memoized flattened view valid).  Only an
+// actual change dirties the match index — the per-frame steady state
+// (unchanged geometry re-assessed on every delivery) must not grow the
+// dirty set the next match has to drain.
 func (r *Registry) UpdateStates(id string, kvs []profile.StateKV) error {
-	changed, err := r.shard(id).UpdateStates(id, kvs)
-	if changed {
-		if ix := r.idxShard(id); ix != nil {
-			ix.MarkDirty(id)
-		}
+	s := r.shard(id)
+	m := s.member(id)
+	if m == nil {
+		return fmt.Errorf("registry: unknown client %q", id)
 	}
-	return err
+	if m.UpdateStates(kvs) {
+		s.markDirty(id)
+	}
+	return nil
 }
 
 // PutAssessment folds a client's service assessment into its stored

@@ -19,7 +19,7 @@ func TestShardRoundingAndRouting(t *testing.T) {
 	}
 
 	// A client's operations must all land on one shard: install via
-	// Put, read via Get/FlatSnapshot, mutate via UpdateState.
+	// Put, read via Has/FlatSnapshot, mutate via UpdateStates.
 	r := New(8)
 	for i := 0; i < 100; i++ {
 		id := fmt.Sprintf("client-%d", i)
@@ -33,9 +33,8 @@ func TestShardRoundingAndRouting(t *testing.T) {
 	if len(r.IDs()) != 100 {
 		t.Fatalf("IDs = %d entries", len(r.IDs()))
 	}
-	p, ok := r.Get("client-42")
-	if !ok || p.ID != "client-42" {
-		t.Fatalf("Get: %v %v", p, ok)
+	if !r.Has("client-42") || r.Has("client-100") {
+		t.Fatal("Has")
 	}
 	if err := r.UpdateStates("client-42", []profile.StateKV{{Name: "sir", V: selector.N(3.5)}}); err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestConcurrentChurnAndAssess(t *testing.T) {
 				}
 				for _, id := range r.IDs() {
 					r.FlatSnapshot(id)
-					r.Get(id)
+					r.Has(id)
 				}
 				r.Len()
 			}

@@ -205,3 +205,20 @@ func TestAttributesHelpers(t *testing.T) {
 		t.Error("Merge on nil receiver failed")
 	}
 }
+
+func TestWhole(t *testing.T) {
+	for _, tc := range []struct {
+		v    Value
+		want uint64
+		ok   bool
+	}{
+		{N(0), 0, true}, {N(7), 7, true}, {N(1 << 53), 1 << 53, true}, {N(math.Copysign(0, -1)), 0, true},
+		{N(0.5), 0, false}, {N(-1), 0, false}, {N(1<<53 + 2), 0, false}, {N(1e300), 0, false},
+		{N(math.NaN()), 0, false}, {N(math.Inf(1)), 0, false}, {N(math.Inf(-1)), 0, false},
+		{S("7"), 0, false}, {B(true), 0, false}, {Value{}, 0, false},
+	} {
+		if got, ok := tc.v.Whole(); got != tc.want || ok != tc.ok {
+			t.Errorf("%v.Whole() = %d, %v; want %d, %v", tc.v, got, ok, tc.want, tc.ok)
+		}
+	}
+}

@@ -76,6 +76,20 @@ func (v Value) Str() string { return v.str }
 // Num returns the numeric payload; it is 0 for non-number values.
 func (v Value) Num() float64 { return v.num }
 
+// Whole returns the value as an unsigned integer if it is a whole
+// number in [0, 2^53] — where a float64 counts every integer exactly —
+// and reports whether it is.  A count, index or sequence number read
+// off the wire goes through Whole, never a bare conversion: Go leaves
+// uint64(v.Num()) implementation-defined for NaN, negatives and
+// out-of-range values, and would truncate a fraction.
+func (v Value) Whole() (uint64, bool) {
+	n := v.num
+	if v.kind != KindNumber || !(n >= 0 && n <= 1<<53) || n != math.Trunc(n) {
+		return 0, false
+	}
+	return uint64(n), true
+}
+
 // Bool returns the boolean payload; it is false for non-bool values.
 func (v Value) Bool() bool { return v.b }
 

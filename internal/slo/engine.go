@@ -210,19 +210,19 @@ func (e *Engine) pollClient(client string, cs *clientState, nowNS int64) {
 
 	// Multi-window rule: the short window reacts, the long window
 	// confirms — a violation needs both burning.
-	violate := cs.burnShort >= sp.ViolateBurn && cs.burnLong >= sp.AtRiskBurn
+	violate := cs.burnShort >= violateBurn && cs.burnLong >= atRiskBurn
 
 	switch cs.state {
 	case StateConforming:
 		if violate {
 			e.setState(client, cs, StateViolated, nowNS)
-		} else if cs.burnShort >= sp.AtRiskBurn {
+		} else if cs.burnShort >= atRiskBurn {
 			e.setState(client, cs, StateAtRisk, nowNS)
 		}
 	case StateAtRisk:
 		if violate {
 			e.setState(client, cs, StateViolated, nowNS)
-		} else if cs.burnShort < sp.RecoverBurn {
+		} else if cs.burnShort < recoverBurn {
 			e.setState(client, cs, StateConforming, nowNS)
 		}
 	case StateViolated:
@@ -231,13 +231,13 @@ func (e *Engine) pollClient(client string, cs *clientState, nowNS int64) {
 			cs.deadlineScored = true
 			metrics.C(metrics.CtrAdaptationIneffective).Inc()
 		}
-		if cs.burnShort < sp.RecoverBurn {
+		if cs.burnShort < recoverBurn {
 			e.setState(client, cs, StateRecovered, nowNS)
 		}
 	case StateRecovered:
 		if violate {
 			e.setState(client, cs, StateViolated, nowNS)
-		} else if cs.burnShort < sp.AtRiskBurn && nowNS-cs.sinceNS >= sp.HoldDown.Nanoseconds() {
+		} else if cs.burnShort < atRiskBurn && nowNS-cs.sinceNS >= sp.HoldDown.Nanoseconds() {
 			e.setState(client, cs, StateConforming, nowNS)
 		}
 	}

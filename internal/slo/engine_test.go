@@ -125,7 +125,7 @@ func TestAtRiskRelaxesWithoutViolation(t *testing.T) {
 	if st := status(e, "c1"); st.State != StateAtRisk {
 		t.Fatalf("state = %s, want at-risk", st.State)
 	}
-	// Burn drains below RecoverBurn with no violation in between: back
+	// Burn drains below recoverBurn with no violation in between: back
 	// to conforming directly, never through recovered.
 	e.Poll(base.Add(3 * time.Second))
 	if st := status(e, "c1"); st.State != StateConforming {

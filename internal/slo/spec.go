@@ -13,7 +13,7 @@ const (
 	// ObjLoss bounds the mean sampled loss fraction by Spec.LossMax.
 	ObjLoss
 	// ObjRepair bounds gap-repair convergence: at most
-	// Spec.RepairSlowFrac of repairs may take longer than
+	// repairSlowFrac of repairs may take longer than
 	// Spec.RepairConverge.
 	ObjRepair
 	// ObjTier is the tier-residency floor: the client must sit at or
@@ -47,10 +47,9 @@ type Spec struct {
 	// LossMax is the loss-fraction budget: the mean sampled loss over
 	// a window may not exceed it (0 disables).
 	LossMax float64
-	// RepairConverge bounds repair convergence latency; RepairSlowFrac
-	// is the tolerated fraction of slower repairs (default 0.1).
+	// RepairConverge bounds repair convergence latency; a fraction
+	// repairSlowFrac of slower repairs is tolerated.
 	RepairConverge time.Duration
-	RepairSlowFrac float64
 	// TierFloor is the minimum acceptable service tier ordinal;
 	// TierResidency is the required fraction of samples at or above it
 	// (default 0.9).  TierFloor 0 disables the objective.
@@ -62,12 +61,6 @@ type Spec struct {
 	// long window confirms: violation requires both to burn.
 	ShortWindow, LongWindow time.Duration
 
-	// Burn-rate thresholds: at-risk when shortBurn >= AtRiskBurn
-	// (default 1), violated when shortBurn >= ViolateBurn (default 2)
-	// AND longBurn >= AtRiskBurn, recovered when shortBurn falls below
-	// RecoverBurn (default 0.5).
-	AtRiskBurn, ViolateBurn, RecoverBurn float64
-
 	// HoldDown is how long a recovered client must stay clean before
 	// it is conforming again (default ShortWindow).
 	HoldDown time.Duration
@@ -78,12 +71,21 @@ type Spec struct {
 	RecoveryDeadline time.Duration
 }
 
+// The conformance state machine's burn-rate thresholds: at-risk when
+// shortBurn >= atRiskBurn, violated when shortBurn >= violateBurn AND
+// longBurn >= atRiskBurn, recovered when shortBurn falls below
+// recoverBurn.  repairSlowFrac is ObjRepair's error budget, the
+// tolerated fraction of repairs slower than Spec.RepairConverge.
+const (
+	atRiskBurn     = 1
+	violateBurn    = 2
+	recoverBurn    = 0.5
+	repairSlowFrac = 0.1
+)
+
 func (s Spec) withDefaults() Spec {
 	if s.Class == "" {
 		s.Class = "interactive"
-	}
-	if s.RepairSlowFrac <= 0 || s.RepairSlowFrac > 1 {
-		s.RepairSlowFrac = 0.1
 	}
 	if s.TierResidency <= 0 || s.TierResidency >= 1 {
 		s.TierResidency = 0.9
@@ -93,15 +95,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.LongWindow < s.ShortWindow {
 		s.LongWindow = 4 * s.ShortWindow
-	}
-	if s.AtRiskBurn <= 0 {
-		s.AtRiskBurn = 1
-	}
-	if s.ViolateBurn <= 0 {
-		s.ViolateBurn = 2
-	}
-	if s.RecoverBurn <= 0 {
-		s.RecoverBurn = 0.5
 	}
 	if s.HoldDown <= 0 {
 		s.HoldDown = s.ShortWindow
@@ -122,7 +115,7 @@ func (s Spec) budget(o Objective) (float64, bool) {
 	case ObjLoss:
 		return s.LossMax, s.LossMax > 0
 	case ObjRepair:
-		return s.RepairSlowFrac, s.RepairConverge > 0
+		return repairSlowFrac, s.RepairConverge > 0
 	case ObjTier:
 		return 1 - s.TierResidency, s.TierFloor > 0
 	}

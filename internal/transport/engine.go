@@ -493,8 +493,8 @@ type node struct {
 func (c *node) ID() string { return c.id }
 
 // Recv implements Conn.  A handler-mode node's packets go to its
-// handler: it returns nil, or for a node Serve runs inline an inbox
-// nothing reaches any more, so do not start a receive loop on it.
+// handler, and so do a node's that Serve runs inline: for both it
+// returns nil.  Call Serve before anything receives on the node.
 func (c *node) Recv() <-chan Packet { return c.inbox }
 
 // Multicast implements Conn: a private copy of frame, given.
@@ -576,6 +576,7 @@ func (c *node) Close() error {
 		return nil
 	}
 	c.closed = true
+	inbox := c.inbox
 	c.mu.Unlock()
 
 	n := c.net
@@ -593,8 +594,8 @@ func (c *node) Close() error {
 		}
 	}
 	n.mu.Unlock()
-	if c.inbox != nil {
-		close(c.inbox)
+	if inbox != nil {
+		close(inbox)
 	}
 	return nil
 }

@@ -69,12 +69,17 @@ func Serve(conn Conn, clk clock.Clock, every time.Duration, handle func(Packet),
 }
 
 // serveInline turns c into a handler-mode node run by h.  Packets that
-// reached its inbox before are handed to h first, in arrival order.
+// reached its inbox before are handed to h first, in arrival order;
+// then the inbox, which nothing reaches any more, is let go.
 func (c *node) serveInline(h func(Packet)) {
 	c.mu.Lock()
 	c.handler = h
+	inbox := c.inbox
 	c.mu.Unlock()
-	for len(c.inbox) > 0 {
-		h(<-c.inbox)
+	for len(inbox) > 0 {
+		h(<-inbox)
 	}
+	c.mu.Lock()
+	c.inbox = nil
+	c.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,6 +48,49 @@ func TestServeDESNetInline(t *testing.T) {
 	}
 	if len(log) != len(want) {
 		t.Errorf("ran after Close: %q", log[len(want):])
+	}
+}
+
+// TestServeDESNetReleasesInbox: once Serve runs a DESNet node inline
+// it lets the node's inbox go, since nothing reaches it any more.  The
+// node still hands every packet to its handler, counts in Stats exactly
+// as a channel-mode node hearing the same traffic, and closes cleanly.
+func TestServeDESNetReleasesInbox(t *testing.T) {
+	n := NewDESNet(DESNetConfig{})
+	defer n.Close()
+	a, _ := n.Attach("a")
+	b, _ := n.Attach("b")
+	ref, _ := n.Attach("ref")
+	send := func(s string) {
+		t.Helper()
+		if err := b.Multicast([]byte(s)); err != nil {
+			t.Fatal(err)
+		}
+		n.virt.Advance(0)
+	}
+	send("early")
+	var got []string
+	Serve(a, nil, 0, func(p Packet) { got = append(got, string(p.Data)) }, nil)
+	if a.Recv() != nil {
+		t.Error("a node served inline kept its inbox")
+	}
+	send("one")
+	send("two")
+	if want := []string{"early", "one", "two"}; !slices.Equal(got, want) {
+		t.Fatalf("handled %q, want %q", got, want)
+	}
+	if sa, sr := n.Stats("a"), n.Stats("ref"); sa != sr || sa.Delivered != 3 || len(ref.Recv()) != 3 {
+		t.Errorf("served node's stats %+v, channel-mode node's %+v", sa, sr)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	send("after")
+	if len(got) != 3 {
+		t.Errorf("handled after Close: %q", got[3:])
 	}
 }
 
