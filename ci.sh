@@ -16,6 +16,15 @@ go build ./...
 # the architecture rules of internal/census/rules.go.
 go run ./internal/census
 
+# Core and base-station tests run on virtual time (DESIGN.md §14): no
+# polling, sleep, wall SimNet or wall deadline outside the two
+# wall_test.go files.  The census does not load test files, so the
+# check is a grep.
+if grep -nE 'waitFor|time\.Sleep|NewSimNet|time\.Now\(' internal/core/*_test.go internal/basestation/*_test.go | grep -v '/wall_test\.go:'; then
+	echo "WALL TIME OUTSIDE wall_test.go (drive the test's clock.Virtual instead):" >&2
+	exit 1
+fi
+
 # The allocation and overhead guards the race runtime would distort run
 # only in the first pass (files tagged !race, or raceDetectorEnabled).
 go test -count=1 ./...

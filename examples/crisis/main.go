@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"adaptiveqos/internal/basestation"
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/profile"
@@ -26,8 +27,13 @@ import (
 )
 
 func main() {
-	wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 3})
-	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 4})
+	// Both segments run on one virtual clock, and every node inline on
+	// this goroutine as the clock advances: the run is deterministic.
+	// The base station's sweep reschedules itself, so the clock's heap
+	// never drains; each step advances it by a fixed 200 ms instead.
+	clk := clock.NewVirtual(time.Time{})
+	wiredNet := transport.NewDESNet(transport.DESNetConfig{Seed: 3, Clock: clk})
+	radioNet := transport.NewDESNet(transport.DESNetConfig{Seed: 4, Clock: clk})
 	defer wiredNet.Close()
 	defer radioNet.Close()
 
@@ -36,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	commandPost := core.NewClient(cpConn, core.Config{})
+	commandPost := core.NewClient(cpConn, core.Config{Clock: clk})
 	defer commandPost.Close()
 
 	// Base station bridging the field radio segment.
@@ -48,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bs := basestation.New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}), basestation.Config{})
+	bs := basestation.New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}), basestation.Config{Clock: clk})
 	defer bs.Close()
 
 	// Field responders join at staggered ranges.
@@ -63,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := core.NewClient(conn, core.Config{})
+		c := core.NewClient(conn, core.Config{Clock: clk})
 		defer c.Close()
 		assess, err := bs.Join(profile.New(id), d, 1)
 		if err != nil {
@@ -84,7 +90,7 @@ func main() {
 	if err := bs.UplinkShare("responder-1", "site-photo-1", "", obj); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond)
+	clk.Advance(200 * time.Millisecond)
 
 	fmt.Printf("\ncommand post received: images=%d inbox=%d\n",
 		len(commandPost.Viewer().Objects()), commandPost.Inbox().Len())
@@ -118,7 +124,7 @@ func main() {
 		if err := commandPost.ShareImage(object, plan, ""); err != nil {
 			log.Fatal(err)
 		}
-		time.Sleep(200 * time.Millisecond)
+		clk.Advance(200 * time.Millisecond)
 	}
 	fmt.Println("\ncommand post shares the site map; responder-1 then asks for text only:")
 	share("site-map-1")
@@ -128,7 +134,7 @@ func main() {
 	if err := r1.AnnounceProfile("bs"); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	clk.Advance(200 * time.Millisecond)
 	share("site-map-2")
 	fmt.Printf("  after the announce:  responder-1 holds images=%d inbox=%d\n",
 		len(r1.Viewer().Objects()), r1.Inbox().Len())

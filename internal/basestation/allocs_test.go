@@ -11,7 +11,6 @@ import (
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
-	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
@@ -25,20 +24,12 @@ import (
 // the base station's own relay work.
 func collectedRelayBytes(t *testing.T, tiers ...radio.Tier) uint64 {
 	t.Helper()
-	r := newRig(t, Config{FanOutWorkers: 1, Thresholds: tierThresholds})
-	r.radioNet.SetTrace(nil) // the rig's integrity harness copies every frame it sees
+	r := newWallCell(t, Config{FanOutWorkers: 1, Thresholds: tierThresholds})
+	r.radioNet.SetTrace(nil) // the cell's integrity harness copies every frame it sees
 	var conns []transport.Conn
 	for _, tier := range tiers {
 		for i, d := range tierDistances[tier] {
-			id := fmt.Sprintf("%s-%d", tier, i)
-			conn, err := r.radioNet.Attach(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns = append(conns, conn)
-			if _, err := r.bs.Join(profile.New(id), d, 1); err != nil {
-				t.Fatal(err)
-			}
+			conns = append(conns, r.join(t, fmt.Sprintf("%s-%d", tier, i), d))
 		}
 	}
 	for _, tier := range tiers {
@@ -169,7 +160,9 @@ func TestImageTierMemberCostFlat(t *testing.T) {
 // alone in a cell with no wired client, so what is counted is the
 // station's own relay work.
 func TestUplinkMembershipCopiesNoProfile(t *testing.T) {
-	c := newBareCell(t, 1, 0, 1)
+	c := newWallCell(t, Config{FanOutWorkers: 1, Thresholds: bareThresholds})
+	attach(t, c.wiredNet, "pub")
+	c.join(t, "m00", 30)
 	body := []byte("hello")
 	if err := c.bs.UplinkEvent("m00", apps.AppChat, "", body); err != nil {
 		t.Fatal(err)
@@ -190,20 +183,12 @@ func TestUplinkMembershipCopiesNoProfile(t *testing.T) {
 // one datagram every member is given, with the list that holds it.  The
 // nets are untraced, so nothing counted is the test's.
 func TestRelayedEventAllocs(t *testing.T) {
-	r := newRig(t, Config{FanOutWorkers: 1, Thresholds: radio.Thresholds{TextDB: -1000, SketchDB: -900, ImageDB: -800}})
+	r := newWallCell(t, Config{FanOutWorkers: 1, Thresholds: bareThresholds})
 	r.wiredNet.SetTrace(nil)
 	r.radioNet.SetTrace(nil)
 	members := make([]transport.Conn, 4)
 	for i := range members {
-		id := fmt.Sprintf("m%02d", i)
-		conn, err := r.radioNet.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members[i] = conn
-		if _, err := r.bs.Join(profile.New(id), 30, 1); err != nil {
-			t.Fatal(err)
-		}
+		members[i] = r.join(t, fmt.Sprintf("m%02d", i), 30)
 	}
 	var env message.Enveloper
 	d, err := env.WrapMessage(&message.Message{

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/profile"
@@ -17,70 +18,79 @@ import (
 
 // rig is a complete test topology: a wired multicast net with one wired
 // framework client and a base station, plus a radio segment carrying
-// the base station and wireless client endpoints.
+// the base station and wireless client endpoints.  Both segments are
+// DESNets on one virtual clock and every node runs inline on the
+// goroutine that drives it.  The station's sweep reschedules itself,
+// so the clock's heap never drains: a test acts, settles (advances the
+// clock) and asserts once.
 type rig struct {
-	wiredNet *transport.SimNet
-	radioNet *transport.SimNet
+	clk      *clock.Virtual
+	wiredNet *transport.DESNet
+	radioNet *transport.DESNet
 	bs       *BaseStation
 	wired    *core.Client
 }
 
+// newNets returns the wired and radio segments on a fresh virtual
+// clock.  Every test on them doubles as a frame-integrity test:
+// collected image chunks, parked packets and relayed bodies all alias
+// datagrams.
+func newNets(t *testing.T) (clk *clock.Virtual, wiredNet, radioNet *transport.DESNet) {
+	t.Helper()
+	clk = clock.NewVirtual(time.Unix(0, 0))
+	wiredNet = transport.NewDESNet(transport.DESNetConfig{Seed: 1, Clock: clk})
+	radioNet = transport.NewDESNet(transport.DESNetConfig{Seed: 2, Clock: clk})
+	t.Cleanup(func() { wiredNet.Close(); radioNet.Close() })
+	transporttest.Watch(t, wiredNet, radioNet)
+	return clk, wiredNet, radioNet
+}
+
+// attach joins id to net, a DESNet or a SimNet.
+func attach(t *testing.T, net interface {
+	Attach(string) (transport.Conn, error)
+}, id string) transport.Conn {
+	t.Helper()
+	conn, err := net.Attach(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
-	wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 1})
-	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 2})
-	t.Cleanup(func() { wiredNet.Close(); radioNet.Close() })
-	// Every rig test doubles as a frame-integrity test: collected image
-	// chunks, parked packets and relayed bodies all alias datagrams.
-	transporttest.Watch(t, wiredNet, radioNet)
-
-	bsWired, err := wiredNet.Attach("bs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsRF, err := radioNet.Attach("bs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wiredConn, err := wiredNet.Attach("wired-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bs := New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}), cfg)
-	wc := core.NewClient(wiredConn, core.Config{})
-	t.Cleanup(func() { bs.Close(); wc.Close() })
-	return &rig{wiredNet: wiredNet, radioNet: radioNet, bs: bs, wired: wc}
+	r := &rig{}
+	r.clk, r.wiredNet, r.radioNet = newNets(t)
+	cfg.Clock = r.clk
+	r.bs = New("bs", attach(t, r.wiredNet, "bs"), attach(t, r.radioNet, "bs"), radio.NewChannel(radio.Params{}), cfg)
+	r.wired = r.client(t, r.wiredNet, "wired-1")
+	t.Cleanup(func() { r.bs.Close() })
+	return r
 }
+
+// client seats a framework client on net until the test ends.
+func (r *rig) client(t *testing.T, net *transport.DESNet, id string) *core.Client {
+	t.Helper()
+	c := core.NewClient(attach(t, net, id), core.Config{Clock: r.clk})
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// settle runs the rig for a virtual second: every delivery in flight
+// lands and every reaction to it with it.
+func (r *rig) settle() { r.clk.Advance(time.Second) }
 
 // joinWireless attaches a wireless endpoint (a plain framework client
 // on the radio segment) and registers it at the base station.
 func (r *rig) joinWireless(t *testing.T, id string, distance, power float64) *core.Client {
 	t.Helper()
-	conn, err := r.radioNet.Attach(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := core.NewClient(conn, core.Config{})
-	t.Cleanup(func() { c.Close() })
+	c := r.client(t, r.radioNet, id)
 	p := profile.New(id)
 	p.Interests.SetString("media", "any")
 	if _, err := r.bs.Join(p, distance, power); err != nil {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
 }
 
 func testImageObject(t *testing.T) *media.Object {
@@ -90,6 +100,20 @@ func testImageObject(t *testing.T) *media.Object {
 		t.Fatal(err)
 	}
 	return obj
+}
+
+// holdsFullImage reports whether c holds object as a full image: on
+// the packet path, every packet accepted, or as a media object.
+func holdsFullImage(c *core.Client, object string) bool {
+	if st, err := c.Viewer().Stats(object); err == nil && st.PacketsAccepted == st.TotalPackets {
+		return true
+	}
+	for _, d := range c.Inbox().Items() {
+		if d.Object.Kind == media.KindImage {
+			return true
+		}
+	}
+	return false
 }
 
 func TestJoinAssessLeave(t *testing.T) {
@@ -135,13 +159,15 @@ func TestUplinkEventRelay(t *testing.T) {
 	if err := r.bs.UplinkEvent("w1", apps.AppChat, "", apps.EncodeSay("from the field")); err != nil {
 		t.Fatal(err)
 	}
+	r.settle()
 	// The wired client sees it via multicast.
-	waitFor(t, "wired chat", func() bool { return r.wired.Chat().Len() == 1 })
-	if r.wired.Chat().Lines()[0].Sender != "w1" {
-		t.Errorf("wired line: %+v", r.wired.Chat().Lines())
+	if r.wired.Chat().Len() != 1 || r.wired.Chat().Lines()[0].Sender != "w1" {
+		t.Errorf("wired lines: %+v", r.wired.Chat().Lines())
 	}
 	// The other wireless client gets a unicast copy.
-	waitFor(t, "wireless chat", func() bool { return w2.Chat().Len() == 1 })
+	if w2.Chat().Len() != 1 {
+		t.Errorf("w2 holds %d lines, want 1", w2.Chat().Len())
+	}
 
 	if err := r.bs.UplinkEvent("ghost", apps.AppChat, "", nil); !errors.Is(err, ErrNotJoined) {
 		t.Errorf("uplink from stranger: %v", err)
@@ -159,10 +185,10 @@ func TestUplinkShareFullImageTier(t *testing.T) {
 	if err := r.bs.UplinkShare("w1", "img-1", "", obj); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "wired image", func() bool {
-		st, err := r.wired.Viewer().Stats("img-1")
-		return err == nil && st.PacketsAccepted == 16
-	})
+	r.settle()
+	if st, err := r.wired.Viewer().Stats("img-1"); err != nil || st.PacketsAccepted != 16 {
+		t.Fatalf("wired client holds img-1 as %+v (%v), want 16 packets accepted", st, err)
+	}
 	res, err := r.wired.Viewer().Render("img-1")
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +220,10 @@ func TestUplinkShareDegradesWithInterference(t *testing.T) {
 	}
 	// The wired session receives degraded content via the media inbox,
 	// not the progressive image path.
-	waitFor(t, "degraded delivery", func() bool { return r.wired.Inbox().Len() == 1 })
+	r.settle()
+	if n := r.wired.Inbox().Len(); n != 1 {
+		t.Fatalf("wired inbox holds %d items, want 1", n)
+	}
 	got, _ := r.wired.Inbox().Latest()
 	if got.Object.Kind == media.KindImage {
 		t.Errorf("crowded uplink forwarded kind %s", got.Object.Kind)
@@ -203,7 +232,9 @@ func TestUplinkShareDegradesWithInterference(t *testing.T) {
 		t.Errorf("semantic content lost: %+v", got.Object)
 	}
 	// Peer wireless client receives its own tiered copy.
-	waitFor(t, "peer delivery", func() bool { return w2.Inbox().Len() == 1 })
+	if n := w2.Inbox().Len(); n != 1 {
+		t.Errorf("w2's inbox holds %d items, want 1", n)
+	}
 
 	st := r.bs.Stats()
 	if st.ForwardFullImage != 0 || st.ForwardSketch+st.ForwardText != 1 {
@@ -218,7 +249,7 @@ func TestUplinkBelowServiceDropped(t *testing.T) {
 
 	a, _ := r.bs.Assess("w1")
 	if a.Tier != radio.TierNone {
-		t.Skipf("geometry did not produce TierNone (SIR %.1f dB)", a.SIRdB)
+		t.Fatalf("geometry did not produce TierNone (SIR %.1f dB)", a.SIRdB)
 	}
 	err := r.bs.UplinkShare("w1", "img-x", "", testImageObject(t))
 	if !errors.Is(err, ErrNoService) {
@@ -233,17 +264,14 @@ func TestUplinkBelowServiceDropped(t *testing.T) {
 }
 
 func TestDownlinkTieredDelivery(t *testing.T) {
-	r := newRig(t, Config{})
-	wNear := r.joinWireless(t, "near", 20, 1)  // strong: full image
-	wFar := r.joinWireless(t, "far", 300, 0.2) // weak: degraded
+	r := newRig(t, Config{Thresholds: tierThresholds})
+	wNear := r.joinWireless(t, "near", 20, 1) // strong: full image
+	wFar := r.joinWireless(t, "far", 40, 1)   // weaker: degraded
 
 	near, _ := r.bs.Assess("near")
 	far, _ := r.bs.Assess("far")
-	if near.Tier != radio.TierImage {
-		t.Skipf("near tier = %s", near.Tier)
-	}
-	if far.Tier >= radio.TierImage || far.Tier == radio.TierNone {
-		t.Skipf("far tier = %s", far.Tier)
+	if near.Tier != radio.TierImage || far.Tier >= radio.TierImage || far.Tier == radio.TierNone {
+		t.Fatalf("tiers: near=%s far=%s, want image and a degraded one", near.Tier, far.Tier)
 	}
 
 	// A wired client shares an image into the session.
@@ -256,17 +284,17 @@ func TestDownlinkTieredDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The near client receives the full image object.
-	waitFor(t, "near delivery", func() bool {
-		for _, d := range wNear.Inbox().Items() {
-			if d.Object.Kind == media.KindImage {
-				return true
-			}
-		}
-		return false
-	})
+	r.settle()
+
+	// The near client receives the full image: on the packet path, or
+	// as a media object.
+	if !holdsFullImage(wNear, "map-1") {
+		t.Error("near client holds no full image")
+	}
 	// The far client receives degraded content only.
-	waitFor(t, "far delivery", func() bool { return wFar.Inbox().Len() >= 1 })
+	if wFar.Inbox().Len() == 0 {
+		t.Error("far client received nothing")
+	}
 	for _, d := range wFar.Inbox().Items() {
 		if d.Object.Kind == media.KindImage {
 			t.Errorf("far client received full image at tier %s", far.Tier)
@@ -305,7 +333,10 @@ func TestDownlinkHonorsModalityPreference(t *testing.T) {
 		if err := share(); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "text delivery", func() bool { return w.Inbox().Len() == i+1 })
+		r.settle()
+		if n := w.Inbox().Len(); n != i+1 {
+			t.Fatalf("share %d: inbox holds %d items, want %d", i+1, n, i+1)
+		}
 		got, _ := w.Inbox().Latest()
 		if got.Object.Kind != media.KindText || string(got.Object.Data) != "diagram" {
 			t.Errorf("share %d: preference ignored: got %s %q", i+1, got.Object.Kind, got.Object.Data)
@@ -315,7 +346,10 @@ func TestDownlinkHonorsModalityPreference(t *testing.T) {
 	if err := r.bs.UplinkEvent("w2", apps.AppChat, "", apps.EncodeSay("done")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "chat after the shares", func() bool { return w.Chat().Len() == 1 })
+	r.settle()
+	if w.Chat().Len() != 1 {
+		t.Errorf("w1 holds %d chat lines, want 1", w.Chat().Len())
+	}
 	if got := w.Viewer().Objects(); len(got) != 0 || w.Inbox().Len() != 2 {
 		t.Errorf("text-mode member holds images %v and %d inbox items, want none and 2", got, w.Inbox().Len())
 	}
@@ -330,8 +364,8 @@ func TestWirelessUplinkOverRF(t *testing.T) {
 	if err := w.Say("over the air", ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "relayed chat", func() bool { return r.wired.Chat().Len() == 1 })
-	if r.wired.Chat().Lines()[0].Sender != "w1" {
+	r.settle()
+	if r.wired.Chat().Len() != 1 || r.wired.Chat().Lines()[0].Sender != "w1" {
 		t.Errorf("relayed sender: %+v", r.wired.Chat().Lines())
 	}
 }
@@ -391,7 +425,10 @@ func TestChurnDuringTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "pre-churn relay", func() bool { return r.wired.Chat().Len() == 5 })
+	r.settle()
+	if n := r.wired.Chat().Len(); n != 5 {
+		t.Fatalf("wired client holds %d lines before the churn, want 5", n)
+	}
 
 	// w2 departs mid-session.
 	if err := r.bs.Leave("w2"); err != nil {
@@ -412,9 +449,12 @@ func TestChurnDuringTraffic(t *testing.T) {
 	if err := r.bs.UplinkEvent("w1", apps.AppChat, "", apps.EncodeSay("after churn")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "post-churn relay", func() bool { return r.wired.Chat().Len() == 6 })
-	if got := w2.Chat().Len(); got > 5 {
-		t.Errorf("departed client received post-churn traffic: %d", got)
+	r.settle()
+	if n := r.wired.Chat().Len(); n != 6 {
+		t.Errorf("wired client holds %d lines after the churn, want 6", n)
+	}
+	if got := w2.Chat().Len(); got != 5 {
+		t.Errorf("departed client holds %d lines, want the 5 from before it left", got)
 	}
 
 	// A fresh client can take the departed one's place.

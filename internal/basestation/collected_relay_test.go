@@ -107,7 +107,7 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		sendPrefix(in, meta, packets, k, order)
-		tr.awaitShare(t, meta.Object, share, nil)
+		tr.checkShare(t, meta.Object, share, nil)
 
 		want, err := wavelet.Decode(bytes.Join(packets[:k], nil))
 		if err != nil {
@@ -127,7 +127,9 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 				t.Errorf("%s: %s got text %q", name, c.ID(), txt.Data)
 			}
 		}
-		waitFor(t, name+": collection purge", func() bool { return len(tr.bs.collect.Objects()) == 0 })
+		if got := tr.bs.collect.Objects(); len(got) != 0 {
+			t.Errorf("%s: the station still collects %v", name, got)
+		}
 		if _, err := tr.bs.collect.Stats(meta.Object); err == nil {
 			t.Errorf("%s: viewer still tracks the delivered prefix", name)
 		}
@@ -138,18 +140,16 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 	in.send(&message.Message{Kind: message.KindControl, Attrs: selector.Attributes{
 		"ctrl": selector.S("rtcp-rr"), "subject": selector.S(tr.wired.ID()), "fraction-lost": selector.N(0.5),
 	}})
-	waitFor(t, "reception report at the wired client", func() bool { return tr.wired.WorstPeerLoss() > 0 })
-	peerConn, err := tr.wiredNet.Attach("wired-2")
-	if err != nil {
-		t.Fatal(err)
+	tr.settle()
+	if tr.wired.WorstPeerLoss() <= 0 {
+		t.Fatal("the reception report did not reach the wired client")
 	}
-	peer := core.NewClient(peerConn, core.Config{})
-	defer peer.Close()
+	peer := tr.client(t, tr.wiredNet, "wired-2")
 	share++
 	if err := tr.wired.ShareImage("cut-by-client", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	tr.awaitShare(t, "cut-by-client", share, nil)
+	tr.checkShare(t, "cut-by-client", share, nil)
 	sent, err := tr.wired.Viewer().AcceptedStream("cut-by-client")
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +168,9 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 	for n := 0; n < len(relayed); cut++ {
 		n += len(split[cut])
 	}
-	waitFor(t, "the cut share whole at the wired receiver", func() bool {
-		st, err := peer.Viewer().Stats("cut-by-client")
-		return err == nil && st.TotalPackets == cut && st.PacketsAccepted == cut
-	})
+	if st, err := peer.Viewer().Stats("cut-by-client"); err != nil || st.TotalPackets != cut || st.PacketsAccepted != cut {
+		t.Errorf("wired receiver holds the cut share as %+v (%v), want %d of %d", st, err, cut, cut)
+	}
 	if got, _ := peer.Viewer().AcceptedStream("cut-by-client"); !bytes.Equal(got, relayed) {
 		t.Errorf("wired receiver holds %d B, the station collected %d B", len(got), len(relayed))
 	}
@@ -187,8 +186,10 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 	in.dataMarked(meta.Object, 1, packets[1], true)
 	in.announce(meta.Object, meta)
 	in.data(meta.Object, 0, packets[0])
-	tr.awaitShare(t, meta.Object, share+1, nil)
-	waitFor(t, "early marker: collection purge", func() bool { return len(tr.bs.collect.Objects()) == 0 })
+	tr.checkShare(t, meta.Object, share+1, nil)
+	if got := tr.bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("early marker: the station still collects %v", got)
+	}
 }
 
 // TestCollectedRelayMatchesReference is the differential for the
@@ -250,7 +251,7 @@ func TestCollectedRelayMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		sendPrefix(in, meta, packets, sh.k, ascending(sh.k))
-		tr.awaitShare(t, id, n+1, nil)
+		tr.checkShare(t, id, n+1, nil)
 
 		ref := referenceCollected(t, meta, packets[:sh.k])
 		refView := viewerOf(meta, [][]byte{ref.Data})
@@ -324,7 +325,9 @@ func TestCollectedRelayMatchesReference(t *testing.T) {
 	if lumaOnly == 0 {
 		t.Error("no colour prefix stopped short of the chroma headers: the luma-only relay went untested")
 	}
-	waitFor(t, "collections drained", func() bool { return len(tr.bs.collect.Objects()) == 0 })
+	if got := tr.bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("the station still collects %v", got)
+	}
 }
 
 // TestHostileCollectedStreamDropped: a collected stream whose headers
@@ -370,8 +373,10 @@ func TestHostileCollectedStreamDropped(t *testing.T) {
 	if err := shareVia(in, "good", good); err != nil {
 		t.Fatal(err)
 	}
-	tr.awaitShare(t, "good", 1, nil)
-	waitFor(t, "hostile collections purged", func() bool { return len(tr.bs.collect.Objects()) == 0 })
+	tr.checkShare(t, "good", 1, nil)
+	if got := tr.bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("the station still collects %v", got)
+	}
 	for name := range hostile {
 		if _, err := tr.bs.collect.Stats(name); err == nil {
 			t.Errorf("%s: viewer still tracks the refused stream", name)

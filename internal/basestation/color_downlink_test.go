@@ -12,14 +12,14 @@ import (
 // wired session reaches a full-image-tier wireless client in color;
 // a degraded client gets the monochrome/text chain instead.
 func TestColorPreservedOnFullTierDownlink(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t, Config{Thresholds: tierThresholds})
 	wNear := r.joinWireless(t, "near", 20, 1)
-	wFar := r.joinWireless(t, "far", 300, 0.2)
+	wFar := r.joinWireless(t, "far", 40, 1)
 
 	near, _ := r.bs.Assess("near")
 	far, _ := r.bs.Assess("far")
 	if near.Tier != radio.TierImage || far.Tier >= radio.TierImage || far.Tier == radio.TierNone {
-		t.Skipf("tiers: near=%s far=%s", near.Tier, far.Tier)
+		t.Fatalf("tiers: near=%s far=%s, want image and a degraded one", near.Tier, far.Tier)
 	}
 
 	im := wavelet.ColorScene(48, 48, 21)
@@ -31,19 +31,17 @@ func TestColorPreservedOnFullTierDownlink(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	r.settle()
+
 	// Near client: full color, either via the packets path (viewer) or
 	// a direct media event.
-	waitFor(t, "near color delivery", func() bool {
-		if st, err := wNear.Viewer().Stats("cmap-1"); err == nil && st.PacketsAccepted == st.TotalPackets {
-			return true
-		}
-		for _, d := range wNear.Inbox().Items() {
-			if media.IsColor(d.Object) {
-				return true
-			}
-		}
-		return false
-	})
+	colour := false
+	for _, d := range wNear.Inbox().Items() {
+		colour = colour || media.IsColor(d.Object)
+	}
+	if st, err := wNear.Viewer().Stats("cmap-1"); !colour && (err != nil || st.PacketsAccepted != st.TotalPackets) {
+		t.Fatalf("near client holds no colour image: %+v (%v)", st, err)
+	}
 	if st, err := wNear.Viewer().Stats("cmap-1"); err == nil && st.PacketsAccepted == st.TotalPackets {
 		cres, err := wNear.Viewer().RenderColor("cmap-1")
 		if err != nil {
@@ -55,7 +53,9 @@ func TestColorPreservedOnFullTierDownlink(t *testing.T) {
 	}
 
 	// Far client: degraded content only, never the color stream.
-	waitFor(t, "far delivery", func() bool { return wFar.Inbox().Len() >= 1 })
+	if wFar.Inbox().Len() == 0 {
+		t.Error("far client received nothing")
+	}
 	for _, d := range wFar.Inbox().Items() {
 		if media.IsColor(d.Object) {
 			t.Errorf("far client received color at tier %s", far.Tier)

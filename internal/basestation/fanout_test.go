@@ -6,29 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"adaptiveqos/internal/radio"
-	"adaptiveqos/internal/transport"
 )
-
-func fanOutFixture(t *testing.T, workers int) *BaseStation {
-	t.Helper()
-	wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 1})
-	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 2})
-	t.Cleanup(func() { wiredNet.Close(); radioNet.Close() })
-	bsWired, err := wiredNet.Attach("bs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsRF, err := radioNet.Attach("bs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}),
-		Config{FanOutWorkers: workers})
-	t.Cleanup(func() { bs.Close() })
-	return bs
-}
 
 // The dispatch pool (which replaced the bespoke fanOut) must call fn
 // exactly once per ID regardless of worker count, and must report the
@@ -36,7 +14,7 @@ func fanOutFixture(t *testing.T, workers int) *BaseStation {
 func TestFanOutCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 64} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			bs := fanOutFixture(t, workers)
+			bs := newBareCell(t, workers, 0, 0).bs
 			ids := make([]string, 100)
 			for i := range ids {
 				ids[i] = fmt.Sprintf("c%d", i)
@@ -65,7 +43,7 @@ func TestFanOutCoverage(t *testing.T) {
 }
 
 func TestFanOutErrorDoesNotStarvePeers(t *testing.T) {
-	bs := fanOutFixture(t, 4)
+	bs := newBareCell(t, 4, 0, 0).bs
 	ids := []string{"a", "b", "c", "d", "e", "f"}
 	boom := errors.New("boom")
 	var handled atomic.Int64
@@ -85,7 +63,7 @@ func TestFanOutErrorDoesNotStarvePeers(t *testing.T) {
 }
 
 func TestFanOutEmpty(t *testing.T) {
-	bs := fanOutFixture(t, 4)
+	bs := newBareCell(t, 4, 0, 0).bs
 	if err := bs.pool.Each(0, nil, func(string) error {
 		t.Error("fn called for empty id set")
 		return nil

@@ -3,7 +3,6 @@ package basestation
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/profile"
@@ -15,12 +14,7 @@ import (
 // selector can split the population.
 func (r *rig) joinWithMedia(t *testing.T, id, media string) *core.Client {
 	t.Helper()
-	conn, err := r.radioNet.Attach(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := core.NewClient(conn, core.Config{})
-	t.Cleanup(func() { c.Close() })
+	c := r.client(t, r.radioNet, id)
 	// The receiving endpoint filters by its own local profile too, so
 	// the interest must live on both sides.
 	c.Profile().SetInterest("media", selector.S(media))
@@ -52,12 +46,11 @@ func TestRelaySelectorDeliveryIndexModes(t *testing.T) {
 			if err := r.wired.Say("field update", `media == "video"`); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "video chat", func() bool {
-				return video1.Chat().Len() == 1 && video2.Chat().Len() == 1
-			})
-			// The non-matching client must stay silent; give any stray
-			// delivery time to land before asserting.
-			time.Sleep(20 * time.Millisecond)
+			r.settle()
+			if video1.Chat().Len() != 1 || video2.Chat().Len() != 1 {
+				t.Errorf("video members hold %d and %d lines, want 1 each", video1.Chat().Len(), video2.Chat().Len())
+			}
+			// The non-matching client stays silent.
 			if n := audio.Chat().Len(); n != 0 {
 				t.Errorf("non-matching client received %d chat lines", n)
 			}
@@ -66,9 +59,11 @@ func TestRelaySelectorDeliveryIndexModes(t *testing.T) {
 			if err := r.wired.Say("to all", ""); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "broadcast chat", func() bool {
-				return video1.Chat().Len() == 2 && video2.Chat().Len() == 2 && audio.Chat().Len() == 1
-			})
+			r.settle()
+			if video1.Chat().Len() != 2 || video2.Chat().Len() != 2 || audio.Chat().Len() != 1 {
+				t.Errorf("members hold %d, %d and %d lines, want 2, 2 and 1",
+					video1.Chat().Len(), video2.Chat().Len(), audio.Chat().Len())
+			}
 		})
 	}
 }

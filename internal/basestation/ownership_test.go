@@ -8,48 +8,42 @@ import (
 	"time"
 
 	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
-	"adaptiveqos/internal/transport/transporttest"
 )
 
 // bareCell is a base station whose members and wired peers are bare
 // attachments: what arrives in their inboxes is exactly what the
 // substrate was handed.
 type bareCell struct {
+	clk     *clock.Virtual
 	bs      *BaseStation
 	pub     transport.Conn
 	wired   []transport.Conn
 	members []transport.Conn
 }
 
+// Every member of a bare cell clears every tier: its tests are about
+// buffers.
+var bareThresholds = radio.Thresholds{TextDB: -1000, SketchDB: -900, ImageDB: -800}
+
 func newBareCell(t *testing.T, workers, wired, members int) *bareCell {
 	t.Helper()
-	wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 1})
-	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 2})
-	t.Cleanup(func() { wiredNet.Close(); radioNet.Close() })
-	transporttest.Watch(t, wiredNet, radioNet)
-	attach := func(net *transport.SimNet, id string) transport.Conn {
-		conn, err := net.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn
-	}
-	c := &bareCell{pub: attach(wiredNet, "pub")}
-	// Every member clears every tier: these tests are about buffers.
-	c.bs = New("bs", attach(wiredNet, "bs"), attach(radioNet, "bs"), radio.NewChannel(radio.Params{}),
-		Config{FanOutWorkers: workers, Thresholds: radio.Thresholds{TextDB: -1000, SketchDB: -900, ImageDB: -800}})
+	clk, wiredNet, radioNet := newNets(t)
+	c := &bareCell{clk: clk, pub: attach(t, wiredNet, "pub")}
+	c.bs = New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}),
+		Config{FanOutWorkers: workers, Clock: clk, Thresholds: bareThresholds})
 	t.Cleanup(func() { c.bs.Close() })
 	for i := 0; i < wired; i++ {
-		c.wired = append(c.wired, attach(wiredNet, fmt.Sprintf("w%02d", i)))
+		c.wired = append(c.wired, attach(t, wiredNet, fmt.Sprintf("w%02d", i)))
 	}
 	for i := 0; i < members; i++ {
 		id := fmt.Sprintf("m%02d", i)
-		c.members = append(c.members, attach(radioNet, id))
+		c.members = append(c.members, attach(t, radioNet, id))
 		if _, err := c.bs.Join(profile.New(id), 30, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -57,23 +51,35 @@ func newBareCell(t *testing.T, workers, wired, members int) *bareCell {
 	return c
 }
 
-// takeShared returns the one datagram each conn is owed and requires
-// that they are one buffer, not equal copies.
-func takeShared(t *testing.T, what string, conns []transport.Conn) []byte {
+// settle runs the cell for a virtual second: what was sent waits in
+// its receivers' inboxes.
+func (c *bareCell) settle() { c.clk.Advance(time.Second) }
+
+// take returns the next datagram waiting for conn.
+func take(t *testing.T, what string, conn transport.Conn) []byte {
 	t.Helper()
+	select {
+	case pkt := <-conn.Recv():
+		return pkt.Data
+	default:
+		t.Fatalf("%s: nothing reached %s", what, conn.ID())
+		return nil
+	}
+}
+
+// takeShared settles the cell, returns the one datagram each conn is
+// owed and requires that they are one buffer, not equal copies.
+func (c *bareCell) takeShared(t *testing.T, what string, conns []transport.Conn) []byte {
+	t.Helper()
+	c.settle()
 	var first []byte
 	for i, conn := range conns {
-		select {
-		case pkt := <-conn.Recv():
-			switch {
-			case i == 0:
-				first = pkt.Data
-			case &pkt.Data[0] != &first[0] || len(pkt.Data) != len(first):
-				t.Errorf("%s: %s holds its own copy (equal bytes: %v), want the buffer %s holds",
-					what, conn.ID(), bytes.Equal(pkt.Data, first), conns[0].ID())
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("%s: nothing reached %s", what, conn.ID())
+		switch d := take(t, what, conn); {
+		case i == 0:
+			first = d
+		case &d[0] != &first[0] || len(d) != len(first):
+			t.Errorf("%s: %s holds its own copy (equal bytes: %v), want the buffer %s holds",
+				what, conn.ID(), bytes.Equal(d, first), conns[0].ID())
 		}
 	}
 	return first
@@ -91,8 +97,8 @@ func TestFanoutSharesOneBuffer(t *testing.T) {
 			if err := c.bs.UplinkEvent("m00", apps.AppChat, "", apps.EncodeSay("from the field")); err != nil {
 				t.Fatal(err)
 			}
-			takeShared(t, "uplink, wired multicast", append(c.wired, c.pub))
-			takeShared(t, "uplink, radio fan-out", c.members[1:])
+			c.takeShared(t, "uplink, wired multicast", append(c.wired, c.pub))
+			c.takeShared(t, "uplink, radio fan-out", c.members[1:])
 
 			// Downlink.  The publisher uses the copying call and then
 			// reuses its buffer: what the members share is the base
@@ -112,8 +118,8 @@ func TestFanoutSharesOneBuffer(t *testing.T) {
 			for i := range d[0] {
 				d[0][i] = 'y'
 			}
-			takeShared(t, "downlink, wired peers", c.wired)
-			relayed := takeShared(t, "downlink, relayed to the cell", c.members)
+			c.takeShared(t, "downlink, wired peers", c.wired)
+			relayed := c.takeShared(t, "downlink, relayed to the cell", c.members)
 			frame, err := message.NewUnwrapper().Unwrap("bs", relayed)
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +147,7 @@ func TestDownlinkUnicastsCountsDeliveries(t *testing.T) {
 				t.Errorf("uplink fan-out past a detached member: %v, want ErrUnknownNode", err)
 			}
 			served := []transport.Conn{c.members[1], c.members[3], c.members[4], c.members[5]}
-			takeShared(t, "fan-out past a detached member", served)
+			c.takeShared(t, "fan-out past a detached member", served)
 			if got := c.bs.Stats().DownlinkUnicasts; got != uint64(len(served)) {
 				t.Errorf("DownlinkUnicasts = %d, want %d: the members reached, each once", got, len(served))
 			}

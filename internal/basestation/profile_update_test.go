@@ -1,14 +1,14 @@
 package basestation
 
 import (
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
-	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/profile"
+	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/registry"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
@@ -22,8 +22,8 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 	r := newRig(t, Config{})
 	w := r.joinWireless(t, "w1", 20, 1) // SIR admits the full image
 
-	if a, _ := r.bs.Assess("w1"); a.Tier < 3 {
-		t.Skipf("tier = %s", a.Tier)
+	if a, _ := r.bs.Assess("w1"); a.Tier != radio.TierImage {
+		t.Fatalf("tier = %s, want image", a.Tier)
 	}
 
 	// The client flips to text mode and announces it to its BS.
@@ -32,10 +32,10 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The announcement lands in the BS registry.
-	waitFor(t, "preference at BS", func() bool {
-		flat, _, _ := r.bs.reg.FlatSnapshot("w1")
-		return flat[profile.SectionPreference+".modality"].Str() == "text"
-	})
+	r.settle()
+	if flat, _, _ := r.bs.reg.FlatSnapshot("w1"); flat[profile.SectionPreference+".modality"].Str() != "text" {
+		t.Fatalf("the station holds modality %v for w1, want text", flat[profile.SectionPreference+".modality"])
+	}
 
 	// A wired share now arrives as text.
 	obj, err := media.EncodeImage(wavelet.Circles(48, 48), "site chart")
@@ -45,7 +45,10 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 	if err := r.wired.ShareImage("chart-1", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "text downlink", func() bool { return w.Inbox().Len() >= 1 })
+	r.settle()
+	if n := w.Inbox().Len(); n != 1 {
+		t.Fatalf("w1's inbox holds %d items, want the text rendition", n)
+	}
 	got, _ := w.Inbox().Latest()
 	if got.Object.Kind != media.KindText {
 		t.Errorf("downlink kind = %s, want text", got.Object.Kind)
@@ -55,15 +58,15 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 	}
 
 	// Announcements from strangers are ignored.
-	stranger, err := r.radioNet.Attach("stranger-2")
-	if err != nil {
+	stranger := r.client(t, r.radioNet, "stranger-2")
+	stranger.Profile().SetPreference("modality", selector.S("text"))
+	if err := stranger.AnnounceProfile("bs"); err != nil {
 		t.Fatal(err)
 	}
-	_ = stranger
-	before := len(r.bs.reg.IDs())
-	time.Sleep(20 * time.Millisecond)
-	if len(r.bs.reg.IDs()) != before {
-		t.Error("stranger changed the registry")
+	before := r.bs.reg.IDs()
+	r.settle()
+	if got := r.bs.reg.IDs(); !slices.Equal(got, before) {
+		t.Errorf("stranger changed the registry: %v, then %v", before, got)
 	}
 }
 
@@ -72,12 +75,7 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 // can install an interest on it — neither may find a nil map.
 func TestLiteralProfileJoinsAndUpdates(t *testing.T) {
 	r := newRig(t, Config{})
-	conn, err := r.radioNet.Attach("thin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := core.NewClient(conn, core.Config{})
-	t.Cleanup(func() { w.Close() })
+	w := r.client(t, r.radioNet, "thin")
 	if _, err := r.bs.Join(&profile.Profile{ID: "thin"}, 20, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +83,10 @@ func TestLiteralProfileJoinsAndUpdates(t *testing.T) {
 	if err := w.AnnounceProfile("bs"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "interest at BS", func() bool {
-		flat, _, _ := r.bs.reg.FlatSnapshot("thin")
-		return flat[profile.SectionInterest+".x"].Str() == "y"
-	})
+	r.settle()
+	if flat, _, _ := r.bs.reg.FlatSnapshot("thin"); flat[profile.SectionInterest+".x"].Str() != "y" {
+		t.Errorf("the station holds interest x = %v for thin, want y", flat[profile.SectionInterest+".x"])
+	}
 }
 
 // TestAnnouncementRacingAssessment: a member's profile announcement

@@ -23,17 +23,14 @@ import (
 // always complete.
 type wiredInjector struct {
 	t    *testing.T
+	clk  *clock.Virtual
 	conn transport.Conn
 	seq  uint32
 }
 
 func newWiredInjector(t *testing.T, r *rig, id string) *wiredInjector {
 	t.Helper()
-	conn, err := r.wiredNet.Attach(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &wiredInjector{t: t, conn: conn}
+	return &wiredInjector{t: t, clk: r.clk, conn: attach(t, r.wiredNet, id)}
 }
 
 func (in *wiredInjector) send(m *message.Message) {
@@ -41,7 +38,7 @@ func (in *wiredInjector) send(m *message.Message) {
 	in.seq++
 	m.Sender = in.conn.ID()
 	m.Seq = in.seq
-	m.Timestamp = time.Now()
+	m.Timestamp = in.clk.Now()
 	frame, err := message.Encode(m)
 	if err != nil {
 		in.t.Fatal(err)
@@ -98,15 +95,13 @@ func TestReassemblyStateReleasedAfterDelivery(t *testing.T) {
 	if err := r.wired.ShareImage("rel-1", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "delivery to wireless client", func() bool {
-		if st, err := w.Viewer().Stats("rel-1"); err == nil && st.PacketsAccepted == st.TotalPackets {
-			return true
-		}
-		return w.Inbox().Len() > 0
-	})
-	waitFor(t, "collection state purge", func() bool {
-		return len(r.bs.collect.Objects()) == 0
-	})
+	r.settle()
+	if !holdsFullImage(w, "rel-1") && w.Inbox().Len() == 0 {
+		t.Error("nothing reached the wireless client")
+	}
+	if got := r.bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("the station still collects %v", got)
+	}
 }
 
 // TestDuplicatedAnnounceKeepsCollection: the wired segment delivers the
@@ -136,35 +131,27 @@ func TestDuplicatedAnnounceKeepsCollection(t *testing.T) {
 		in.data(meta.Object, i, p)
 		in.data(meta.Object, i, p)
 	}
-	waitFor(t, "relay of the whole image", func() bool {
-		st, err := w.Viewer().Stats("twice")
-		return err == nil && st.PacketsAccepted == st.TotalPackets
-	})
+	r.settle()
+	if st, err := w.Viewer().Stats("twice"); err != nil || st.PacketsAccepted != st.TotalPackets {
+		t.Fatalf("the member holds %+v (%v), want the whole image", st, err)
+	}
 	if res, err := w.Viewer().Render("twice"); err != nil || !res.Lossless || !res.Image.Equal(im) {
 		t.Errorf("the member renders something other than the shared image (err %v)", err)
 	}
-	waitFor(t, "collection state purge", func() bool {
-		return len(r.bs.collect.Objects()) == 0
-	})
+	if got := r.bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("the station still collects %v", got)
+	}
 }
 
-// pastTTL advances the rig's virtual clock a sweep interval at a time
-// until cond holds: the sweeper's ticker drops ticks it is too slow
-// for, so one long step could skip the tick that evicts.
-func pastTTL(t *testing.T, vclk *clock.Virtual, what string, cond func() bool) {
-	t.Helper()
-	waitFor(t, what, func() bool {
-		vclk.Advance(collectTTL / 4)
-		return cond()
-	})
-}
+// pastTTL advances the rig's clock until every collection started by
+// now has come due at a sweep.
+func (r *rig) pastTTL() { r.clk.Advance(collectTTL + collectTTL/4) }
 
 // TestReassemblySweepEvictsIncomplete: an announced transfer whose
 // sender disappears mid-stream is TTL-evicted — viewer buffers and
 // parked orphan packets all released, and counted.
 func TestReassemblySweepEvictsIncomplete(t *testing.T) {
-	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
-	r := newRig(t, Config{Clock: vclk})
+	r := newRig(t, Config{})
 	in := newWiredInjector(t, r, "crasher")
 	evictions := ctrCollectEvictions.Load()
 
@@ -180,25 +167,24 @@ func TestReassemblySweepEvictsIncomplete(t *testing.T) {
 	// viewer and must age out the same way.
 	in.data("orphan", 0, packets[1])
 
-	waitFor(t, "partial transfer registered", func() bool {
-		st, err := r.bs.collect.Stats("halfway")
-		return err == nil && st.PacketsAccepted == 1
-	})
-	// The wired loop handles frames in order: the orphan, sent before
-	// this sentinel, is parked by the time the sentinel is collected.
+	// A third collection, which never completes either.
 	sentinel := meta
 	sentinel.Object = "sentinel"
 	in.announce(sentinel.Object, sentinel)
-	waitFor(t, "orphan parked", func() bool {
-		_, ok := r.bs.collect.Meta("sentinel")
-		return ok
-	})
+	r.settle()
+	if st, err := r.bs.collect.Stats("halfway"); err != nil || st.PacketsAccepted != 1 {
+		t.Fatalf("partial transfer: %+v (%v), want one packet accepted", st, err)
+	}
+	if _, ok := r.bs.collect.Meta("sentinel"); !ok {
+		t.Fatal("the sentinel's announce was not collected")
+	}
 	if got := ctrCollectEvictions.Load(); got != evictions {
 		t.Fatalf("%d evictions before the TTL", got-evictions)
 	}
-	pastTTL(t, vclk, "TTL eviction", func() bool {
-		return ctrCollectEvictions.Load() == evictions+3
-	})
+	r.pastTTL()
+	if got := ctrCollectEvictions.Load(); got != evictions+3 {
+		t.Errorf("%d evictions past the TTL, want 3", got-evictions)
+	}
 	if got := r.bs.collect.Objects(); len(got) != 0 {
 		t.Errorf("viewer still tracks expired transfers: %v", got)
 	}
@@ -213,9 +199,10 @@ func TestReassemblySweepEvictsIncomplete(t *testing.T) {
 	for i, p := range packets2 {
 		in.data("halfway", i, p)
 	}
-	waitFor(t, "retransfer completes and purges", func() bool {
-		return len(r.bs.collect.Objects()) == 0
-	})
+	r.settle()
+	if got := r.bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("the retransfer left %v collected", got)
+	}
 	if got := ctrCollectEvictions.Load(); got != evictions+3 {
 		t.Errorf("a completed transfer counted as an eviction: %d", got-evictions)
 	}
@@ -223,22 +210,17 @@ func TestReassemblySweepEvictsIncomplete(t *testing.T) {
 
 // TestReassemblyJoinLeaveMidTransfer: clients joining and leaving while
 // transfers are in flight must not wedge delivery or leak collection
-// state.
+// state.  A 1 Mbit/s link into the station spreads the shares' frames
+// over virtual time, so the churn lands between them.
 func TestReassemblyJoinLeaveMidTransfer(t *testing.T) {
-	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
-	r := newRig(t, Config{Clock: vclk})
+	r := newRig(t, Config{})
 	r.joinWireless(t, "w1", 30, 1)
-
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < 4; i++ {
-			if err := r.wired.ShareImage(fmt.Sprintf("churn-%d", i), testImageObject(t), ""); err != nil {
-				done <- err
-				return
-			}
+	r.wiredNet.SetLink("wired-1", "bs", transport.Link{BandwidthBps: 1e6})
+	for i := 0; i < 4; i++ {
+		if err := r.wired.ShareImage(fmt.Sprintf("churn-%d", i), testImageObject(t), ""); err != nil {
+			t.Fatal(err)
 		}
-		done <- nil
-	}()
+	}
 
 	// Churn membership while the packets stream through the broker.
 	for i := 0; i < 6; i++ {
@@ -249,18 +231,18 @@ func TestReassemblyJoinLeaveMidTransfer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		r.clk.Advance(2 * time.Millisecond)
+	}
+	if len(r.bs.collect.Objects()) == 0 {
+		t.Fatal("no share was in flight during the churn")
 	}
 	if err := r.bs.Leave("w1"); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	r.pastTTL()
+	if got := r.bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("collections left after the churn: %v", got)
 	}
-	pastTTL(t, vclk, "all collections drained after churn", func() bool {
-		return len(r.bs.collect.Objects()) == 0
-	})
 }
 
 // TestCollectedLevelMustBeWhole: a wired-side data packet whose level

@@ -34,9 +34,9 @@ func TestRelayedShareReceptionStats(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitFor(t, "48 relayed data packets", func() bool { return report(w1, "wired-1").Received == 48 })
-		if st := report(w1, "wired-1"); st.Unique != 48 || st.ExpectedTotal != 48 || st.Late != 0 || st.Duplicates != 0 {
-			t.Errorf("three relayed shares: %+v, want unique 48 expected 48 late 0 dups 0", st)
+		r.settle()
+		if st := report(w1, "wired-1"); st.Received != 48 || st.Unique != 48 || st.ExpectedTotal != 48 || st.Late != 0 || st.Duplicates != 0 {
+			t.Errorf("three relayed shares: %+v, want received 48 unique 48 expected 48 late 0 dups 0", st)
 		}
 	})
 
@@ -48,9 +48,9 @@ func TestRelayedShareReceptionStats(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitFor(t, "32 uplinked data packets", func() bool { return report(r.wired, "w1").Received == 32 })
-		if st := report(r.wired, "w1"); st.ExpectedTotal != 32 || st.Unique != 32 {
-			t.Errorf("two uplinked shares: %+v, want expected 32 unique 32", st)
+		r.settle()
+		if st := report(r.wired, "w1"); st.Received != 32 || st.ExpectedTotal != 32 || st.Unique != 32 {
+			t.Errorf("two uplinked shares: %+v, want received 32 expected 32 unique 32", st)
 		}
 	})
 
@@ -60,7 +60,10 @@ func TestRelayedShareReceptionStats(t *testing.T) {
 		if err := r.wired.ShareImage("img-1", obj, ""); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "share 1", func() bool { return report(w1, "wired-1").Received == 16 })
+		r.settle()
+		if got := report(w1, "wired-1").Received; got != 16 {
+			t.Fatalf("share 1: %d packets received, want 16", got)
+		}
 		lossOf := func() (frac float64) {
 			w1.SampleQoS(func(name string, v float64) {
 				if name == `rtp_loss_fraction{client="w1",sender="wired-1"}` {
@@ -78,6 +81,9 @@ func TestRelayedShareReceptionStats(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitFor(t, "loss on shares 2-3 in rtp_loss_fraction", func() bool { return lossOf() > 0 })
+		r.settle()
+		if f := lossOf(); f <= 0 {
+			t.Errorf("loss on shares 2-3 is not in rtp_loss_fraction: %g", f)
+		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/message"
@@ -44,17 +43,8 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 			for _, conn := range conns[:blue] {
 				bs.reg.Update(conn.ID(), func(p *profile.Profile) { p.Interests.SetString("team", "blue") })
 			}
-			// recv takes the one datagram a member is owed, or reports
-			// that none came.
-			recv := func(i int) []byte {
-				select {
-				case pkt := <-conns[i].Recv():
-					return pkt.Data
-				case <-time.After(2 * time.Second):
-					t.Fatalf("member %d: no unicast", i)
-					return nil
-				}
-			}
+			// recv takes the one datagram a member is owed.
+			recv := func(i int) []byte { return take(t, "unicast", conns[i]) }
 			idle := func(what string) {
 				t.Helper()
 				for i, c := range conns {
@@ -63,20 +53,6 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 						t.Errorf("%s: member %d got an unexpected %d-byte unicast", what, i, len(pkt.Data))
 					default:
 					}
-				}
-			}
-			// unicasts reads DownlinkUnicasts once it has reached want, or
-			// after a deadline.  The station counts a unicast after handing
-			// its datagram to the substrate, so with a pool worker sending,
-			// a member can hold the datagram before it is counted.
-			unicasts := func(want uint64) uint64 {
-				deadline := time.Now().Add(2 * time.Second)
-				for {
-					n := bs.Stats().DownlinkUnicasts
-					if n >= want || time.Now().After(deadline) {
-						return n
-					}
-					time.Sleep(time.Millisecond)
 				}
 			}
 			var env message.Enveloper
@@ -95,12 +71,11 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 				}
 			}
 
-			// Downlink: nobody admitted, then five of twelve.  The relay
-			// loop handles frames one at a time, so once the second
-			// event's unicasts are in, the first has been dealt with.
+			// Downlink: nobody admitted, then five of twelve.
 			base := wraps()
 			publish(1, `team == "red"`)
 			publish(2, `team == "blue"`)
+			cell.settle()
 			first := recv(0)
 			for i := 1; i < blue; i++ {
 				if d := recv(i); !bytes.Equal(d, first) {
@@ -111,7 +86,7 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 			if got := wraps() - base - 2; got != 1 {
 				t.Errorf("one downlink to nobody and one to %d members took %d wraps at the base station, want 1", blue, got)
 			}
-			if got := unicasts(blue); got != blue {
+			if got := bs.Stats().DownlinkUnicasts; got != blue {
 				t.Errorf("DownlinkUnicasts = %d, want %d", got, blue)
 			}
 			idle("after the downlinks")
@@ -125,13 +100,14 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 			if got := wraps() - base; got != 2 {
 				t.Errorf("uplink to %d members took %d wraps, want 2 (multicast + one fan-out)", members-1, got)
 			}
+			cell.settle()
 			first = recv(1)
 			for i := 2; i < members; i++ {
 				if d := recv(i); !bytes.Equal(d, first) {
 					t.Errorf("member %d got different bytes from member 1", i)
 				}
 			}
-			if got := unicasts(blue + members - 1); got != blue+members-1 {
+			if got := bs.Stats().DownlinkUnicasts; got != blue+members-1 {
 				t.Errorf("DownlinkUnicasts = %d, want %d", got, blue+members-1)
 			}
 			idle("after the uplink")
@@ -143,6 +119,7 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 			obs.ResetFlight()
 			t.Cleanup(func() { obs.SetTraceEnabled(false); obs.ResetFlight() })
 			publish(3, `team == "blue"`)
+			cell.settle()
 			first = recv(0)
 			for i := 1; i < blue; i++ {
 				if d := recv(i); !bytes.Equal(d, first) {
@@ -169,14 +146,7 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 // shows in the process-wide decode-error family instead of vanishing.
 func TestUndecodableFramesCounted(t *testing.T) {
 	r := newRig(t, Config{})
-	wiredRaw, err := r.wiredNet.Attach("raw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rfRaw, err := r.radioNet.Attach("raw")
-	if err != nil {
-		t.Fatal(err)
-	}
+	wiredRaw, rfRaw := attach(t, r.wiredNet, "raw"), attach(t, r.radioNet, "raw")
 	ctr := metrics.C(metrics.CtrDecodeErrors)
 	base := ctr.Load()
 	// An unknown envelope tag on the wired side (the rig's wired client
@@ -185,9 +155,15 @@ func TestUndecodableFramesCounted(t *testing.T) {
 	if err := wiredRaw.Multicast([]byte("not a message")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "wired loop and wired client counting", func() bool { return ctr.Load() == base+2 })
+	r.settle()
+	if got := ctr.Load() - base; got != 2 {
+		t.Errorf("the wired loop and the wired client counted %d decode errors, want 2", got)
+	}
 	if err := rfRaw.Unicast("bs", message.WrapWhole([]byte("enveloped, still not a message"))); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "radio loop counting", func() bool { return ctr.Load() == base+3 })
+	r.settle()
+	if got := ctr.Load() - base; got != 3 {
+		t.Errorf("with the radio loop's, %d decode errors counted, want 3", got)
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/core"
@@ -52,7 +51,7 @@ func TestRenditionsMatchPerClientDerivation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr.awaitShare(t, object, shares, skip)
+			tr.checkShare(t, object, shares, skip)
 
 			_, packets, err := apps.ShareImage(object, obj, apps.SharePackets)
 			if err != nil {
@@ -141,23 +140,22 @@ func (tr *tierRig) place(t *testing.T, cfg Config, tiers ...radio.Tier) {
 	}
 }
 
-// awaitShare waits until every client holds its rendition of share n
-// (1-based; lower tiers get one inbox item per share).
-func (tr *tierRig) awaitShare(t *testing.T, object string, n int, skip *core.Client) {
+// checkShare settles the rig and checks that every client but skip
+// holds its rendition of share n (1-based; lower tiers get one inbox
+// item per share).
+func (tr *tierRig) checkShare(t *testing.T, object string, n int, skip *core.Client) {
 	t.Helper()
+	tr.settle()
 	for tier, clients := range tr.clients {
 		for _, c := range clients {
-			if c == skip {
-				continue
-			}
-			c := c
-			if tier == radio.TierImage {
-				waitFor(t, "image packets at "+c.ID(), func() bool {
-					st, err := c.Viewer().Stats(object)
-					return err == nil && st.PacketsAccepted == st.TotalPackets
-				})
-			} else {
-				waitFor(t, "rendition at "+c.ID(), func() bool { return c.Inbox().Len() >= n })
+			switch {
+			case c == skip:
+			case tier == radio.TierImage:
+				if st, err := c.Viewer().Stats(object); err != nil || st.PacketsAccepted != st.TotalPackets {
+					t.Fatalf("%s holds %s as %+v (%v), want every packet", c.ID(), object, st, err)
+				}
+			case c.Inbox().Len() != n:
+				t.Fatalf("%s holds %d renditions after share %d", c.ID(), c.Inbox().Len(), n)
 			}
 		}
 	}
@@ -179,7 +177,7 @@ func TestOneDerivationPerOccupiedTier(t *testing.T) {
 		if err := tr.wired.ShareImage(object, obj, ""); err != nil {
 			t.Fatal(err)
 		}
-		tr.awaitShare(t, object, i+1, nil)
+		tr.checkShare(t, object, i+1, nil)
 		if s, x := tr.sketches.Load(), tr.texts.Load(); s != int64(i+1) || x != int64(i+1) {
 			t.Fatalf("collected share %d: %d sketch and %d text derivations so far, want %d each", i, s, x, i+1)
 		}
@@ -199,7 +197,7 @@ func TestOneDerivationPerOccupiedTier(t *testing.T) {
 	if err := tr.bs.UplinkShare(sender.ID(), "uplinked", "", grayObj); err != nil {
 		t.Fatal(err)
 	}
-	tr.awaitShare(t, "uplinked", 3, sender)
+	tr.checkShare(t, "uplinked", 3, sender)
 	if s, x := tr.sketches.Load(), tr.texts.Load(); s != 3 || x != 3 {
 		t.Errorf("uplink share: %d sketch and %d text derivations in total, want 3 each", s, x)
 	}
@@ -209,7 +207,7 @@ func TestOneDerivationPerOccupiedTier(t *testing.T) {
 	if err := tr.wired.ShareImage("no-sketch", grayObj, ""); err != nil {
 		t.Fatal(err)
 	}
-	tr.awaitShare(t, "no-sketch", 1, nil)
+	tr.checkShare(t, "no-sketch", 1, nil)
 	if err := tr.bs.UplinkShare(tr.clients[radio.TierImage][0].ID(), "no-sketch-up", "", colorObj); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +220,7 @@ func TestOneDerivationPerOccupiedTier(t *testing.T) {
 	if err := tr.wired.ShareImage("image-only", colorObj, ""); err != nil {
 		t.Fatal(err)
 	}
-	tr.awaitShare(t, "image-only", 1, nil)
+	tr.checkShare(t, "image-only", 1, nil)
 	if s, x := tr.sketches.Load(), tr.texts.Load(); s != 0 || x != 0 {
 		t.Errorf("image tier only: %d sketch and %d text derivations, want none", s, x)
 	}
@@ -238,10 +236,11 @@ func TestUnsketchableFallsBackToText(t *testing.T) {
 	if err := tr.bs.UplinkShare(sender.ID(), "note", "", note); err != nil {
 		t.Fatal(err)
 	}
+	tr.settle()
 	for _, c := range append(tr.clients[radio.TierSketch], tr.clients[radio.TierImage][1], tr.wired) {
-		c := c
-		waitFor(t, "note at "+c.ID(), func() bool { return c.Inbox().Len() == 1 })
-		if d, _ := c.Inbox().Latest(); d.Object.Kind != media.KindText || !bytes.Equal(d.Object.Data, note.Data) {
+		if c.Inbox().Len() != 1 {
+			t.Errorf("%s holds %d inbox items, want the note", c.ID(), c.Inbox().Len())
+		} else if d, _ := c.Inbox().Latest(); d.Object.Kind != media.KindText || !bytes.Equal(d.Object.Data, note.Data) {
 			t.Errorf("%s got %s, want the text note", c.ID(), d.Object)
 		}
 	}
@@ -261,29 +260,25 @@ func TestImageTierFramesSharedByMembers(t *testing.T) {
 	if err := c.bs.UplinkShare("m00", "scan", "", obj); err != nil {
 		t.Fatal(err)
 	}
+	c.settle()
 	var bodies [2][][]byte
 	for i, conn := range c.members[1:] {
 		u := message.NewUnwrapper()
 		for frames := 0; frames < 1+len(packets); {
-			select {
-			case pkt := <-conn.Recv():
-				frame, err := u.Unwrap(pkt.From, pkt.Data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if frame == nil {
-					continue
-				}
-				frames++
-				m, err := message.Decode(frame)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.Kind == message.KindData {
-					bodies[i] = append(bodies[i], m.Body)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatalf("%s: %d of %d frames arrived", conn.ID(), frames, 1+len(packets))
+			frame, err := u.Unwrap("bs", take(t, fmt.Sprintf("frame %d of %d", frames+1, 1+len(packets)), conn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frame == nil {
+				continue
+			}
+			frames++
+			m, err := message.Decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Kind == message.KindData {
+				bodies[i] = append(bodies[i], m.Body)
 			}
 		}
 	}

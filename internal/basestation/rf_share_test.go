@@ -2,7 +2,6 @@ package basestation
 
 import (
 	"testing"
-	"time"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/message"
@@ -27,7 +26,7 @@ func TestWirelessMediaShareOverRF(t *testing.T) {
 		Kind:      message.KindEvent,
 		Sender:    "w1",
 		Seq:       1,
-		Timestamp: time.Now(),
+		Timestamp: r.clk.Now(),
 		Attrs: selector.Attributes{
 			message.AttrApp:    selector.S(apps.AppMedia),
 			message.AttrObject: selector.S("rf-img-1"),
@@ -46,10 +45,10 @@ func TestWirelessMediaShareOverRF(t *testing.T) {
 	}
 
 	// The wired session receives the full image via the viewer path.
-	waitFor(t, "relayed image", func() bool {
-		st, err := r.wired.Viewer().Stats("rf-img-1")
-		return err == nil && st.PacketsAccepted == 16
-	})
+	r.settle()
+	if st, err := r.wired.Viewer().Stats("rf-img-1"); err != nil || st.PacketsAccepted != 16 {
+		t.Fatalf("wired client holds rf-img-1 as %+v (%v), want 16 packets accepted", st, err)
+	}
 	res, err := r.wired.Viewer().Render("rf-img-1")
 	if err != nil || !res.Lossless {
 		t.Errorf("relayed render: %v lossless=%v", err, res != nil && res.Lossless)
@@ -63,15 +62,12 @@ func TestWirelessMediaShareOverRF(t *testing.T) {
 // never joined are dropped.
 func TestWirelessUnjoinedSenderIgnored(t *testing.T) {
 	r := newRig(t, Config{})
-	conn, err := r.radioNet.Attach("stranger")
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := attach(t, r.radioNet, "stranger")
 	m := &message.Message{
 		Kind:      message.KindEvent,
 		Sender:    "stranger",
 		Seq:       1,
-		Timestamp: time.Now(),
+		Timestamp: r.clk.Now(),
 		Attrs:     selector.Attributes{message.AttrApp: selector.S(apps.AppChat)},
 		Body:      apps.EncodeSay("let me in"),
 	}
@@ -79,7 +75,7 @@ func TestWirelessUnjoinedSenderIgnored(t *testing.T) {
 	if err := conn.Unicast("bs", message.WrapWhole(frame)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	r.settle()
 	if r.wired.Chat().Len() != 0 {
 		t.Error("unjoined sender's chat was relayed")
 	}
@@ -97,7 +93,7 @@ func TestDegradedRFShare(t *testing.T) {
 	r.joinWireless(t, "w3", 50, 1)
 
 	if a, _ := r.bs.Assess("w1"); a.Tier >= radio.TierImage {
-		t.Skipf("tier = %s, want degraded", a.Tier)
+		t.Fatalf("tier = %s, want degraded", a.Tier)
 	}
 	obj := testImageObject(t)
 	payload, err := apps.EncodeMediaObject(obj)
@@ -108,7 +104,7 @@ func TestDegradedRFShare(t *testing.T) {
 		Kind:      message.KindEvent,
 		Sender:    "w1",
 		Seq:       1,
-		Timestamp: time.Now(),
+		Timestamp: r.clk.Now(),
 		Attrs: selector.Attributes{
 			message.AttrApp:    selector.S(apps.AppMedia),
 			message.AttrObject: selector.S("rf-img-2"),
@@ -119,7 +115,10 @@ func TestDegradedRFShare(t *testing.T) {
 	if err := wConn(t, r, w1.ID()).Unicast("bs", message.WrapWhole(frame)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "degraded relay", func() bool { return r.wired.Inbox().Len() == 1 })
+	r.settle()
+	if n := r.wired.Inbox().Len(); n != 1 {
+		t.Fatalf("wired inbox holds %d items, want the degraded share", n)
+	}
 	got, _ := r.wired.Inbox().Latest()
 	if got.Object.Kind == "image" {
 		t.Errorf("degraded share forwarded as image")
@@ -132,11 +131,7 @@ func wConn(t *testing.T, r *rig, id string) interface {
 	Unicast(string, []byte) error
 } {
 	t.Helper()
-	conn, err := r.radioNet.Attach(id + "-raw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return spoofConn{conn: conn}
+	return spoofConn{conn: attach(t, r.radioNet, id+"-raw")}
 }
 
 // spoofConn relays unicast through a sibling attachment; the message's

@@ -14,7 +14,6 @@ import (
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/snmp"
 	"adaptiveqos/internal/trace"
-	"adaptiveqos/internal/transport"
 )
 
 // TestFullSystemSession runs the paper's operational overview end to
@@ -24,14 +23,10 @@ import (
 // joiner catching up from the archive.  The assertions are global
 // consistency properties rather than any single feature.
 func TestFullSystemSession(t *testing.T) {
-	wiredNet := transport.NewSimNet(transport.SimNetConfig{Seed: 101})
-	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: 102})
-	defer wiredNet.Close()
-	defer radioNet.Close()
+	clk, wiredNet, radioNet := newNets(t)
 
 	// Coordinator archives the session.
-	coordConn, _ := wiredNet.Attach("coordinator")
-	coord := core.NewCoordinator(coordConn, session.Group{Objective: "system-test"})
+	coord := core.NewCoordinatorClock(attach(t, wiredNet, "coordinator"), session.Group{Objective: "system-test"}, clk)
 	defer coord.Close()
 
 	// Wired clients; the first is monitored via SNMP.
@@ -43,32 +38,22 @@ func TestFullSystemSession(t *testing.T) {
 	}
 	var wired []*core.Client
 	for i := 0; i < 3; i++ {
-		conn, err := wiredNet.Attach(fmt.Sprintf("wired-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := core.Config{}
+		cfg := core.Config{Clock: clk}
 		if i == 0 {
 			cfg.Monitor = monitor
 		}
-		c := core.NewClient(conn, cfg)
+		c := core.NewClient(attach(t, wiredNet, fmt.Sprintf("wired-%d", i)), cfg)
 		defer c.Close()
 		wired = append(wired, c)
 	}
 
 	// Base station + wireless clients.
-	bsWired, _ := wiredNet.Attach("bs")
-	bsRF, _ := radioNet.Attach("bs")
-	bs := New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}), Config{})
+	bs := New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}), Config{Clock: clk})
 	defer bs.Close()
 	var wireless []*core.Client
 	for i := 0; i < 2; i++ {
 		id := fmt.Sprintf("wireless-%d", i)
-		conn, err := radioNet.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := core.NewClient(conn, core.Config{})
+		c := core.NewClient(attach(t, radioNet, id), core.Config{Clock: clk})
 		defer c.Close()
 		if _, err := bs.Join(profile.New(id), 45+float64(i)*8, 1); err != nil {
 			t.Fatal(err)
@@ -113,7 +98,7 @@ func TestFullSystemSession(t *testing.T) {
 			}
 		}
 	}
-	time.Sleep(300 * time.Millisecond)
+	clk.Advance(time.Second)
 
 	// --- Global consistency -------------------------------------------
 
@@ -171,20 +156,20 @@ func TestFullSystemSession(t *testing.T) {
 	}
 
 	// A late joiner reconstructs the whole session from the archive.
-	lateConn, _ := wiredNet.Attach("late")
-	late := core.NewClient(lateConn, core.Config{})
+	late := core.NewClient(attach(t, wiredNet, "late"), core.Config{Clock: clk})
 	defer late.Close()
 	if err := late.RequestHistory("coordinator", 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "late joiner catch-up", func() bool {
-		return late.Chat().Len() == chats && late.Whiteboard().Len() == strokes
-	})
+	clk.Advance(time.Second)
+	if late.Chat().Len() != chats || late.Whiteboard().Len() != strokes {
+		t.Errorf("late joiner caught up %d lines and %d strokes, want %d and %d",
+			late.Chat().Len(), late.Whiteboard().Len(), chats, strokes)
+	}
 	for i := 1; i <= images; i++ {
 		object := fmt.Sprintf("sys-img-%d", i)
-		waitFor(t, object+" replay", func() bool {
-			st, err := late.Viewer().Stats(object)
-			return err == nil && st.PacketsAccepted == st.TotalPackets
-		})
+		if st, err := late.Viewer().Stats(object); err != nil || st.PacketsAccepted != st.TotalPackets {
+			t.Errorf("late joiner holds %s as %+v (%v), want every packet", object, st, err)
+		}
 	}
 }

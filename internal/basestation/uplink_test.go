@@ -23,19 +23,10 @@ import (
 // once, from a goroutine each: the numbering is shared state.
 func TestUplinkNumberedPerSender(t *testing.T) {
 	r := newRig(t, Config{})
-	coordConn, err := r.wiredNet.Attach("coordinator")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := core.NewCoordinator(coordConn, session.Group{Objective: "uplink"})
+	coord := core.NewCoordinatorClock(attach(t, r.wiredNet, "coordinator"), session.Group{Objective: "uplink"}, r.clk)
 	t.Cleanup(func() { coord.Close() })
-	conn, err := r.wiredNet.Attach("replica")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const stall = 20 * time.Millisecond
-	replica := core.NewClient(conn, core.Config{Repair: &core.RepairOptions{
-		Coordinator: "coordinator", StallTimeout: stall, MaxRetries: 2,
+	replica := core.NewClient(attach(t, r.wiredNet, "replica"), core.Config{Clock: r.clk, Repair: &core.RepairOptions{
+		Coordinator: "coordinator", StallTimeout: 20 * time.Millisecond, MaxRetries: 2,
 	}})
 	t.Cleanup(func() { replica.Close() })
 	members := []string{"w1", "w2"}
@@ -69,10 +60,10 @@ func TestUplinkNumberedPerSender(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	waitFor(t, "every line and the share at the replica", func() bool {
-		return replica.Chat().Len() == 46 && len(replica.Viewer().Objects())+replica.Inbox().Len() == 1
-	})
-	time.Sleep(8 * stall) // long past the first stall a hole would have raised
+	r.settle() // long past the first stall a hole would have raised
+	if n, shares := replica.Chat().Len(), len(replica.Viewer().Objects())+replica.Inbox().Len(); n != 46 || shares != 1 {
+		t.Fatalf("replica holds %d lines and %d shares, want 46 and 1", n, shares)
+	}
 
 	var got []string
 	perMember := map[string][]string{}

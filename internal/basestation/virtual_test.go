@@ -62,18 +62,10 @@ func runVirtualSession(t *testing.T) virtualRun {
 			fmt.Fprintf(&trace, "%s %d %s>%s %s %d %t %016x\n", name, e.AtNS, e.From, e.To, e.Kind, e.Size, e.Unicast, h.Sum64())
 		})
 	}
-	attach := func(net *transport.DESNet, id string) transport.Conn {
-		conn, err := net.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn
-	}
-
-	coord := core.NewCoordinatorClock(attach(wiredNet, "coordinator"), session.Group{Objective: "virtual"}, clk)
+	coord := core.NewCoordinatorClock(attach(t, wiredNet, "coordinator"), session.Group{Objective: "virtual"}, clk)
 	var wired []*core.Client
 	for i, id := range virtualWired {
-		wired = append(wired, core.NewClient(attach(wiredNet, id), core.Config{Clock: clk, Repair: &core.RepairOptions{
+		wired = append(wired, core.NewClient(attach(t, wiredNet, id), core.Config{Clock: clk, Repair: &core.RepairOptions{
 			Coordinator:  "coordinator",
 			StallTimeout: 32 * time.Millisecond,
 			MaxRetries:   10,
@@ -82,11 +74,11 @@ func runVirtualSession(t *testing.T) virtualRun {
 	}
 	// Six members interfere: thresholds below the defaults keep every
 	// one of them in service, at the image, sketch and text tiers.
-	bs := New("bs", attach(wiredNet, "bs"), attach(radioNet, "bs"), radio.NewChannel(radio.Params{}),
+	bs := New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}),
 		Config{FanOutWorkers: 1, Clock: clk, Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
 	var wireless []*core.Client
 	for i, id := range virtualWireless {
-		wireless = append(wireless, core.NewClient(attach(radioNet, id), core.Config{Clock: clk}))
+		wireless = append(wireless, core.NewClient(attach(t, radioNet, id), core.Config{Clock: clk}))
 		p := profile.New(id)
 		p.Interests.SetString("media", "any")
 		if _, err := bs.Join(p, 50+float64(i)*6, 1); err != nil {

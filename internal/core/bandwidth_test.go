@@ -6,7 +6,6 @@ import (
 	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/snmp"
-	"adaptiveqos/internal/transport"
 )
 
 // TestBandwidthTiersDriveModality: the SNMP-observed bandwidth selects
@@ -18,14 +17,10 @@ func TestBandwidthTiersDriveModality(t *testing.T) {
 	monitor := &hostagent.Monitor{
 		Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: hostagent.NewAgent(host)}, snmp.V2c, ""),
 	}
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 91})
-	defer net.Close()
-	conn, _ := net.Attach("c")
-	c := NewClient(conn, Config{
+	c := newVNet(t, 91).client("c", Config{
 		Monitor:       monitor,
 		MonitorParams: []string{hostagent.ParamCPULoad, hostagent.ParamBandwidth},
 	})
-	defer c.Close()
 	host.Set(hostagent.ParamCPULoad, 10)
 
 	cases := []struct {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
@@ -14,60 +13,50 @@ import (
 	"adaptiveqos/internal/wavelet"
 )
 
-func newCoordinatedNet(t *testing.T) (*transport.SimNet, *Coordinator) {
+func newCoordinatedNet(t *testing.T) (*vnet, *Coordinator) {
 	t.Helper()
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 51})
-	t.Cleanup(net.Close)
-	conn, err := net.Attach("coordinator")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := NewCoordinator(conn, session.Group{Objective: "test-session"})
-	t.Cleanup(func() { coord.Close() })
-	return net, coord
+	n := newVNet(t, 51)
+	return n, n.coordinator(session.Group{Objective: "test-session"})
 }
 
 func TestCoordinatorArchivesAndReplays(t *testing.T) {
-	net, coord := newCoordinatedNet(t)
-	ca, _ := net.Attach("alice")
-	a := NewClient(ca, Config{})
-	defer a.Close()
+	n, coord := newCoordinatedNet(t)
+	a := n.client("alice", Config{})
 
 	for i := 0; i < 3; i++ {
 		if err := a.Say(fmt.Sprintf("history line %d", i), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "archive", func() bool { return coord.ArchivedEvents() == 3 })
+	n.clk.RunUntilIdle(0)
+	if got := coord.ArchivedEvents(); got != 3 {
+		t.Errorf("archived %d events, want 3", got)
+	}
 	if got := coord.lastSeq(); got != 3 {
 		t.Errorf("session seq = %d", got)
 	}
 
 	// A late joiner requests the history and absorbs it.
-	cb, _ := net.Attach("late-bob")
-	b := NewClient(cb, Config{})
-	defer b.Close()
+	b := n.client("late-bob", Config{})
 	if b.Chat().Len() != 0 {
 		t.Fatal("late joiner should start empty")
 	}
 	if err := b.RequestHistory("coordinator", 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "replayed history", func() bool { return b.Chat().Len() == 3 })
+	n.clk.RunUntilIdle(0)
 	lines := b.Chat().Lines()
-	if lines[0].Sender != "alice" || lines[0].Text != "history line 0" {
-		t.Errorf("replayed line: %+v", lines[0])
+	if len(lines) != 3 || lines[0].Sender != "alice" || lines[0].Text != "history line 0" {
+		t.Fatalf("replayed history: %+v", lines)
 	}
 
 	// Partial catch-up: only events after seq 2.
-	cc, _ := net.Attach("later-carol")
-	c := NewClient(cc, Config{})
-	defer c.Close()
+	c := n.client("later-carol", Config{})
 	if err := c.RequestHistory("coordinator", 2); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "partial history", func() bool { return c.Chat().Len() == 1 })
-	if c.Chat().Lines()[0].Text != "history line 2" {
+	n.clk.RunUntilIdle(0)
+	if c.Chat().Len() != 1 || c.Chat().Lines()[0].Text != "history line 2" {
 		t.Errorf("partial replay: %+v", c.Chat().Lines())
 	}
 }
@@ -83,33 +72,22 @@ func TestLateJoinerMatchesLiveUnderLoss(t *testing.T) {
 	const lines = 30
 	publishers := []string{"pub-0", "pub-1", "pub-2"}
 	members := append([]string{"live"}, publishers...)
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	net := transport.NewDESNet(transport.DESNetConfig{Seed: 38, Clock: clk})
-	t.Cleanup(net.Close)
+	net := newVNet(t, 38)
+	clk := net.clk
 	drops := 0
 	net.SetTrace(func(e transport.TraceEvent) {
 		if e.Kind == transport.TraceDrop {
 			drops++
 		}
 	})
-	attach := func(id string) transport.Conn {
-		conn, err := net.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn
-	}
-	coord := NewCoordinatorClock(attach("coordinator"), session.Group{Objective: "late-joiner"}, clk)
-	t.Cleanup(func() { coord.Close() })
+	net.coordinator(session.Group{Objective: "late-joiner"})
 	client := func(id string, seed int64) *Client {
-		c := NewClient(attach(id), Config{Clock: clk, Repair: &RepairOptions{
+		return net.client(id, Config{Repair: &RepairOptions{
 			Coordinator:  "coordinator",
 			StallTimeout: 32 * time.Millisecond,
 			MaxRetries:   10,
 			Seed:         seed,
 		}})
-		t.Cleanup(func() { c.Close() })
-		return c
 	}
 	var live *Client
 	var pubs []*Client
@@ -183,10 +161,8 @@ func TestLateJoinerMatchesLiveUnderLoss(t *testing.T) {
 }
 
 func TestCoordinatorReplayRespectsSemanticFilter(t *testing.T) {
-	net, coord := newCoordinatedNet(t)
-	ca, _ := net.Attach("alice")
-	a := NewClient(ca, Config{})
-	defer a.Close()
+	n, coord := newCoordinatedNet(t)
+	a := n.client("alice", Config{})
 
 	if err := a.Say("for medics", `team == "medical"`); err != nil {
 		t.Fatal(err)
@@ -194,29 +170,30 @@ func TestCoordinatorReplayRespectsSemanticFilter(t *testing.T) {
 	if err := a.Say("for everyone", ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "archive", func() bool { return coord.ArchivedEvents() == 2 })
+	n.clk.RunUntilIdle(0)
+	if got := coord.ArchivedEvents(); got != 2 {
+		t.Errorf("archived %d events, want 2", got)
+	}
 
 	// The late joiner is on the logistics team: the medical line is
 	// filtered out of its replayed history by its own profile.
-	cb, _ := net.Attach("bob")
-	b := NewClient(cb, Config{})
-	defer b.Close()
+	b := n.client("bob", Config{})
 	b.Profile().SetInterest("team", selector.S("logistics"))
 	if err := b.RequestHistory("coordinator", 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "filtered replay", func() bool { return b.Stats().EventsFiltered >= 1 })
-	time.Sleep(30 * time.Millisecond)
+	n.clk.RunUntilIdle(0)
+	if got := b.Stats().EventsFiltered; got != 1 {
+		t.Errorf("bob filtered %d replayed events, want 1", got)
+	}
 	if b.Chat().Len() != 1 || b.Chat().Lines()[0].Text != "for everyone" {
 		t.Errorf("filtered history: %+v", b.Chat().Lines())
 	}
 }
 
 func TestCoordinatorArchivesImageShares(t *testing.T) {
-	net, coord := newCoordinatedNet(t)
-	ca, _ := net.Attach("alice")
-	a := NewClient(ca, Config{})
-	defer a.Close()
+	n, coord := newCoordinatedNet(t)
+	a := n.client("alice", Config{})
 
 	im := wavelet.Circles(32, 32)
 	obj, err := media.EncodeImage(im, "archived diagram")
@@ -227,19 +204,20 @@ func TestCoordinatorArchivesImageShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 announce + 16 data packets.
-	waitFor(t, "image archive", func() bool { return coord.ArchivedEvents() == 17 })
+	n.clk.RunUntilIdle(0)
+	if got := coord.ArchivedEvents(); got != 17 {
+		t.Errorf("archived %d frames, want 17", got)
+	}
 
 	// Late joiner recovers the full image from the archive.
-	cb, _ := net.Attach("bob")
-	b := NewClient(cb, Config{})
-	defer b.Close()
+	b := n.client("bob", Config{})
 	if err := b.RequestHistory("coordinator", 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "replayed image", func() bool {
-		st, err := b.Viewer().Stats("arch-1")
-		return err == nil && st.PacketsAccepted == 16
-	})
+	n.clk.RunUntilIdle(0)
+	if st, err := b.Viewer().Stats("arch-1"); err != nil || st.PacketsAccepted != 16 {
+		t.Fatalf("replayed image: %+v (%v), want 16 packets accepted", st, err)
+	}
 	res, err := b.Viewer().Render("arch-1")
 	if err != nil {
 		t.Fatal(err)
@@ -250,61 +228,54 @@ func TestCoordinatorArchivesImageShares(t *testing.T) {
 }
 
 func TestCoordinatorArchiveCap(t *testing.T) {
-	net, coord := newCoordinatedNet(t)
-	ca, _ := net.Attach("alice")
-	a := NewClient(ca, Config{})
-	defer a.Close()
+	n, coord := newCoordinatedNet(t)
+	a := n.client("alice", Config{})
 
 	for i := 0; i < 10; i++ {
 		if err := a.Say(fmt.Sprintf("m%d", i), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "archive fill", func() bool { return coord.ArchivedEvents() == 10 })
+	n.clk.RunUntilIdle(0)
+	if got := coord.ArchivedEvents(); got != 10 {
+		t.Fatalf("archived %d events, want 10", got)
+	}
 	// A cap lowered on a full archive takes hold at the next frame,
 	// which trims everything past it at once.
 	coord.setArchiveCap(4)
 	if err := a.Say("m10", ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "trimmed archive", func() bool { return coord.lastSeq() == 11 })
+	n.clk.RunUntilIdle(0)
+	if got := coord.lastSeq(); got != 11 {
+		t.Errorf("session seq = %d, want 11", got)
+	}
 	if got := coord.ArchivedEvents(); got != 4 {
 		t.Errorf("frames after cap = %d, want 4", got)
 	}
 
-	cb, _ := net.Attach("bob")
-	b := NewClient(cb, Config{})
-	defer b.Close()
+	b := n.client("bob", Config{})
 	if err := b.RequestHistory("coordinator", 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "capped replay", func() bool { return b.Chat().Len() == 4 })
-	if b.Chat().Lines()[0].Text != "m7" {
-		t.Errorf("oldest retained line: %+v", b.Chat().Lines()[0])
+	n.clk.RunUntilIdle(0)
+	if b.Chat().Len() != 4 || b.Chat().Lines()[0].Text != "m7" {
+		t.Errorf("capped replay: %+v, want m7..m10", b.Chat().Lines())
 	}
 }
 
 func TestCoordinatorGroupFilterSkipsArchival(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 52})
-	defer net.Close()
-	conn, _ := net.Attach("coordinator")
-	coord := NewCoordinator(conn, session.Group{
+	n := newVNet(t, 52)
+	coord := n.coordinator(session.Group{
 		Objective: "clinical-only",
 		Filter:    selector.MustCompile(`client == "alice"`),
 	})
-	defer coord.Close()
-
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("mallory")
-	a := NewClient(ca, Config{})
-	m := NewClient(cb, Config{})
-	defer a.Close()
-	defer m.Close()
+	a := n.client("alice", Config{})
+	m := n.client("mallory", Config{})
 
 	a.Say("kept", "")
 	m.Say("not archived", "")
-	waitFor(t, "selective archive", func() bool { return coord.ArchivedEvents() >= 1 })
-	time.Sleep(30 * time.Millisecond)
+	n.clk.RunUntilIdle(0)
 	if got := coord.ArchivedEvents(); got != 1 {
 		t.Errorf("archived %d events, want 1 (group filter)", got)
 	}
@@ -315,10 +286,8 @@ func TestCoordinatorGroupFilterSkipsArchival(t *testing.T) {
 // afterwards must be dropped together with the session events the cap
 // trims, and a late joiner still gets the newest cap-many.
 func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
-	net, coord := newCoordinatedNet(t)
-	ca, _ := net.Attach("alice")
-	a := NewClient(ca, Config{})
-	defer a.Close()
+	n, coord := newCoordinatedNet(t)
+	a := n.client("alice", Config{})
 
 	coord.setArchiveCap(4)
 	for i := 0; i < 10; i++ {
@@ -326,18 +295,22 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "all ten sequenced", func() bool { return coord.lastSeq() == 10 })
+	n.clk.RunUntilIdle(0)
+	if got := coord.lastSeq(); got != 10 {
+		t.Errorf("session seq = %d, want 10", got)
+	}
 	if got := coord.ArchivedEvents(); got != 4 {
 		t.Errorf("frames held after ten events under cap 4 = %d, want 4", got)
 	}
 
-	cb, _ := net.Attach("bob")
-	b := NewClient(cb, Config{})
-	defer b.Close()
+	b := n.client("bob", Config{})
 	if err := b.RequestHistory("coordinator", 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "capped replay", func() bool { return b.Chat().Len() == 4 })
+	n.clk.RunUntilIdle(0)
+	if b.Chat().Len() != 4 {
+		t.Errorf("capped replay holds %d lines, want 4", b.Chat().Len())
+	}
 	for i, l := range b.Chat().Lines() {
 		if want := fmt.Sprintf("m%d", 6+i); l.Text != want {
 			t.Errorf("replayed line %d = %q, want %q", i, l.Text, want)
@@ -349,12 +322,8 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 // NACK over a long, interleaved archive replay exactly the frames asked
 // for, in archive order.
 func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
-	net, coord := newCoordinatedNet(t)
-	ca, _ := net.Attach("alice")
-	cc, _ := net.Attach("carol")
-	a, c := NewClient(ca, Config{}), NewClient(cc, Config{})
-	defer a.Close()
-	defer c.Close()
+	n, coord := newCoordinatedNet(t)
+	a, c := n.client("alice", Config{}), n.client("carol", Config{})
 
 	const each = 100 // 200 archived events
 	for i := 1; i <= each; i++ {
@@ -364,32 +333,38 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 		if err := c.Say(fmt.Sprintf("c%d", i), ""); err != nil {
 			t.Fatal(err)
 		}
-		// Keep the archive order known: alice's i-th, then carol's.
-		waitFor(t, "archived in turn", func() bool { return coord.ArchivedEvents() == 2*i })
+	}
+	// Zero-delay deliveries fire in send order: alice's i-th, then
+	// carol's.
+	n.clk.RunUntilIdle(0)
+	if got := coord.ArchivedEvents(); got != 2*each {
+		t.Fatalf("archived %d events, want %d", got, 2*each)
 	}
 
-	cb, _ := net.Attach("bob")
-	b := NewClient(cb, Config{})
-	defer b.Close()
+	b := n.client("bob", Config{})
 	// NACK form: alice's frames after her seq 30, nothing of carol's.
 	if err := b.k.requestHistory("coordinator", "alice", 30); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "sender-scoped replay", func() bool { return b.Chat().Len() == each-30 })
+	n.clk.RunUntilIdle(0)
+	if b.Chat().Len() != each-30 {
+		t.Errorf("sender-scoped replay holds %d lines, want %d", b.Chat().Len(), each-30)
+	}
 	for i, l := range b.Chat().Lines() {
 		if want := fmt.Sprintf("a%d", 31+i); l.Sender != "alice" || l.Text != want {
 			t.Fatalf("replayed line %d is %s %q, want alice %q", i, l.Sender, l.Text, want)
 		}
 	}
 
-	cd, _ := net.Attach("dave")
-	d := NewClient(cd, Config{})
-	defer d.Close()
+	d := n.client("dave", Config{})
 	// Catch-up form: everything after session seq 70.
 	if err := d.RequestHistory("coordinator", 70); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "catch-up replay", func() bool { return d.Chat().Len() == 2*each-70 })
+	n.clk.RunUntilIdle(0)
+	if d.Chat().Len() != 2*each-70 {
+		t.Errorf("catch-up replay holds %d lines, want %d", d.Chat().Len(), 2*each-70)
+	}
 	for i, l := range d.Chat().Lines() {
 		n := 36 + i/2 // session seq 71 is alice's 36th
 		want := fmt.Sprintf("a%d", n)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
@@ -16,49 +17,82 @@ import (
 	"adaptiveqos/internal/wavelet"
 )
 
-// waitFor polls cond until it is true or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
+// vnet is a discrete-event network on its own virtual clock.  The
+// clients and coordinators seated on it run inline on the goroutine
+// that drives clk, so a test acts, drives the clock once and asserts
+// once: clk.RunUntilIdle(0) while no node ticks, clk.Advance(d) once a
+// repair loop is seated, since its poll reschedules itself and the heap
+// never drains.
+type vnet struct {
+	*transport.DESNet
+	t   testing.TB
+	clk *clock.Virtual
 }
 
-func newPair(t *testing.T) (*Client, *Client, *transport.SimNet) {
+func newVNet(t testing.TB, seed int64) *vnet {
 	t.Helper()
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 1})
-	t.Cleanup(net.Close)
-	ca, err := net.Attach("alice")
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	n := &vnet{DESNet: transport.NewDESNet(transport.DESNetConfig{Seed: seed, Clock: clk}), t: t, clk: clk}
+	t.Cleanup(n.Close)
+	return n
+}
+
+// attach joins id as a channel-mode node.
+func (n *vnet) attach(id string) transport.Conn {
+	n.t.Helper()
+	conn, err := n.Attach(id)
 	if err != nil {
-		t.Fatal(err)
+		n.t.Fatal(err)
 	}
-	cb, err := net.Attach("bob")
+	return conn
+}
+
+// handler joins id as a handler-mode node: h runs for every delivery.
+func (n *vnet) handler(id string, h func(transport.Packet)) transport.Conn {
+	n.t.Helper()
+	conn, err := n.AttachHandler(id, h)
 	if err != nil {
-		t.Fatal(err)
+		n.t.Fatal(err)
 	}
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b, net
+	return conn
+}
+
+// client seats a client on the network's clock until the test ends.
+func (n *vnet) client(id string, cfg Config) *Client {
+	n.t.Helper()
+	cfg.Clock = n.clk
+	c := NewClient(n.attach(id), cfg)
+	n.t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// coordinator seats the archiving coordinator as "coordinator".
+func (n *vnet) coordinator(group session.Group) *Coordinator {
+	n.t.Helper()
+	c := NewCoordinatorClock(n.attach("coordinator"), group, n.clk)
+	n.t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// newPair seats alice and bob on a fresh network.
+func newPair(t *testing.T) (*Client, *Client, *vnet) {
+	t.Helper()
+	n := newVNet(t, 1)
+	return n.client("alice", Config{}), n.client("bob", Config{}), n
 }
 
 func TestChatExchange(t *testing.T) {
-	a, b, _ := newPair(t)
+	a, b, n := newPair(t)
 	// Bob is interested in text.
 	b.Profile().SetInterest("media", selector.S("text"))
 
 	if err := a.Say("hello collaboration", ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "bob's chat line", func() bool { return b.Chat().Len() == 1 })
+	n.clk.RunUntilIdle(0)
 	lines := b.Chat().Lines()
-	if lines[0].Sender != "alice" || lines[0].Text != "hello collaboration" {
-		t.Errorf("line: %+v", lines[0])
+	if len(lines) != 1 || lines[0].Sender != "alice" || lines[0].Text != "hello collaboration" {
+		t.Errorf("bob's chat: %+v", lines)
 	}
 	// The sender's own repository has it too.
 	if a.Chat().Len() != 1 {
@@ -67,7 +101,7 @@ func TestChatExchange(t *testing.T) {
 }
 
 func TestSemanticFiltering(t *testing.T) {
-	a, b, _ := newPair(t)
+	a, b, n := newPair(t)
 	b.Profile().SetInterest("media", selector.S("text"))
 	b.Profile().SetInterest("topic", selector.S("logistics"))
 
@@ -79,23 +113,26 @@ func TestSemanticFiltering(t *testing.T) {
 	if err := a.Say("trucks at gate 4", `topic == "logistics"`); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "filtered + accepted", func() bool {
-		st := b.Stats()
-		return st.EventsFiltered == 1 && st.EventsReceived == 1
-	})
+	n.clk.RunUntilIdle(0)
+	if st := b.Stats(); st.EventsFiltered != 1 || st.EventsReceived != 1 {
+		t.Errorf("bob filtered %d and received %d events, want 1 and 1", st.EventsFiltered, st.EventsReceived)
+	}
 	if b.Chat().Len() != 1 || b.Chat().Lines()[0].Text != "trucks at gate 4" {
 		t.Errorf("chat: %+v", b.Chat().Lines())
 	}
 }
 
 func TestWhiteboardExchange(t *testing.T) {
-	a, b, _ := newPair(t)
+	a, b, n := newPair(t)
 	s := apps.Stroke{ID: 1, Color: 2, Width: 3,
 		Points: []apps.Point{{X: 0, Y: 0}, {X: 5, Y: 5}}}
 	if err := a.Draw(s, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "bob's stroke", func() bool { return b.Whiteboard().Len() == 1 })
+	n.clk.RunUntilIdle(0)
+	if b.Whiteboard().Len() != 1 {
+		t.Fatalf("bob holds %d strokes, want 1", b.Whiteboard().Len())
+	}
 	got := b.Whiteboard().Strokes()[0]
 	if got.ID != 1 || len(got.Points) != 2 {
 		t.Errorf("stroke: %+v", got)
@@ -103,7 +140,7 @@ func TestWhiteboardExchange(t *testing.T) {
 }
 
 func TestImageShareFullQuality(t *testing.T) {
-	a, b, _ := newPair(t)
+	a, b, n := newPair(t)
 	im := wavelet.Medical(64, 64, 3)
 	obj, err := media.EncodeImage(im, "chest scan")
 	if err != nil {
@@ -112,10 +149,10 @@ func TestImageShareFullQuality(t *testing.T) {
 	if err := a.ShareImage("img-1", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "all packets", func() bool {
-		st, err := b.Viewer().Stats("img-1")
-		return err == nil && st.PacketsAccepted == 16
-	})
+	n.clk.RunUntilIdle(0)
+	if st, err := b.Viewer().Stats("img-1"); err != nil || st.PacketsAccepted != 16 {
+		t.Fatalf("bob holds img-1 as %+v (%v), want 16 packets accepted", st, err)
+	}
 	res, err := b.Viewer().Render("img-1")
 	if err != nil {
 		t.Fatal(err)
@@ -141,14 +178,9 @@ func TestAdaptationLoopAgainstSNMP(t *testing.T) {
 		Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: agent}, snmp.V2c, "public"),
 	}
 
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 2})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{Monitor: mon})
-	defer a.Close()
-	defer b.Close()
+	n := newVNet(t, 2)
+	a := n.client("alice", Config{})
+	b := n.client("bob", Config{Monitor: mon})
 
 	im := wavelet.Medical(64, 64, 5)
 	obj, err := media.EncodeImage(im, "scan")
@@ -169,13 +201,9 @@ func TestAdaptationLoopAgainstSNMP(t *testing.T) {
 	if err := a.ShareImage("img-light", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "light-load image", func() bool {
-		st, err := b.Viewer().Stats("img-light")
-		return err == nil && st.PacketsReceived == 16
-	})
-	st, _ := b.Viewer().Stats("img-light")
-	if st.PacketsAccepted != 16 {
-		t.Errorf("light-load accepted = %d", st.PacketsAccepted)
+	n.clk.RunUntilIdle(0)
+	if st, err := b.Viewer().Stats("img-light"); err != nil || st.PacketsReceived != 16 || st.PacketsAccepted != 16 {
+		t.Errorf("light-load image: %+v (%v), want 16 received and accepted", st, err)
 	}
 
 	// Heavy load: the budget collapses and the viewer accepts less.
@@ -192,13 +220,9 @@ func TestAdaptationLoopAgainstSNMP(t *testing.T) {
 	if err := a.ShareImage("img-heavy", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "heavy-load image", func() bool {
-		st, err := b.Viewer().Stats("img-heavy")
-		return err == nil && st.PacketsReceived == 16
-	})
-	st, _ = b.Viewer().Stats("img-heavy")
-	if st.PacketsAccepted != heavy {
-		t.Errorf("heavy-load accepted = %d, want %d", st.PacketsAccepted, heavy)
+	n.clk.RunUntilIdle(0)
+	if st, err := b.Viewer().Stats("img-heavy"); err != nil || st.PacketsReceived != 16 || st.PacketsAccepted != heavy {
+		t.Errorf("heavy-load image: %+v (%v), want 16 received and %d accepted", st, err, heavy)
 	}
 	// Quality degraded but the image still renders.
 	res, err := b.Viewer().Render("img-heavy")
@@ -219,23 +243,23 @@ func TestAdaptationLoopAgainstSNMP(t *testing.T) {
 }
 
 func TestLamportClockAdvancesOnReceive(t *testing.T) {
-	a, b, _ := newPair(t)
+	a, b, n := newPair(t)
 	for i := 0; i < 5; i++ {
 		if err := a.Say("tick", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "bob receives", func() bool { return b.Chat().Len() == 5 })
+	n.clk.RunUntilIdle(0)
+	if b.Chat().Len() != 5 {
+		t.Fatalf("bob holds %d lines, want 5", b.Chat().Len())
+	}
 	if b.k.lamport.Now() < 5 {
 		t.Errorf("bob's clock = %d, want >= 5", b.k.lamport.Now())
 	}
 }
 
 func TestCloseSemantics(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 4})
-	defer net.Close()
-	conn, _ := net.Attach("x")
-	c := NewClient(conn, Config{})
+	c := NewClient(newVNet(t, 4).attach("x"), Config{})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,16 +272,10 @@ func TestCloseSemantics(t *testing.T) {
 }
 
 func TestMalformedTrafficCounted(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 5})
-	defer net.Close()
-	raw, _ := net.Attach("raw")
-	conn, _ := net.Attach("c")
-	c := NewClient(conn, Config{})
-	defer c.Close()
-
-	cconn, _ := net.Attach("coordinator")
-	coord := NewCoordinator(cconn, session.Group{Objective: "malformed"})
-	defer coord.Close()
+	n := newVNet(t, 5)
+	raw := n.attach("raw")
+	c := n.client("c", Config{})
+	n.coordinator(session.Group{Objective: "malformed"})
 
 	// Both receive kernels report what they cannot read into the one
 	// process-wide family: an unknown envelope tag, then a whole-frame
@@ -265,13 +283,21 @@ func TestMalformedTrafficCounted(t *testing.T) {
 	ctr := metrics.C(metrics.CtrDecodeErrors)
 	base := ctr.Load()
 	raw.Multicast([]byte("not a message"))
-	waitFor(t, "decode error counted", func() bool { return c.Stats().DecodeErrors == 1 })
+	n.clk.RunUntilIdle(0)
+	if got := c.Stats().DecodeErrors; got != 1 {
+		t.Errorf("decode errors after the bad tag = %d, want 1", got)
+	}
 	raw.Multicast(message.WrapWhole([]byte("enveloped, still not a message")))
-	waitFor(t, "second decode error counted", func() bool { return c.Stats().DecodeErrors == 2 })
+	n.clk.RunUntilIdle(0)
+	if got := c.Stats().DecodeErrors; got != 2 {
+		t.Errorf("decode errors after the empty envelope = %d, want 2", got)
+	}
 	if c.Stats().EventsReceived != 0 {
 		t.Error("garbage counted as event")
 	}
-	waitFor(t, "client and coordinator counting in "+metrics.CtrDecodeErrors, func() bool { return ctr.Load() == base+4 })
+	if got := ctr.Load() - base; got != 4 {
+		t.Errorf("client and coordinator counted %d in %s, want 4", got, metrics.CtrDecodeErrors)
+	}
 }
 
 // profileMatches evaluates a selector against c's current profile.

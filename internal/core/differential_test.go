@@ -17,11 +17,11 @@ import (
 // The differential oracle (ROADMAP item 2): one seeded chat workload —
 // two publishers, 200 events each, three repair-enabled receivers, one
 // coordinator, 10% loss plus jitter on every publisher→receiver link —
-// is driven through core.Client and core.Coordinator on a wall-clock
-// SimNet and on a virtual-time DESNet, where transport.Serve runs them
-// inline, and through bare kernels in handler mode on a DESNet.  Every
-// run must end with every receiver holding every sender's exact
-// sequence: no duplicate, no reorder, nothing abandoned.
+// is driven through core.Client and core.Coordinator on a virtual-time
+// DESNet, where transport.Serve runs them inline, and on a wall-clock
+// SimNet (wall_test.go), and through bare kernels in handler mode on a
+// DESNet.  Every run must end with every receiver holding every
+// sender's exact sequence: no duplicate, no reorder, nothing abandoned.
 
 const (
 	diffEvents     = 200
@@ -112,97 +112,78 @@ func attachPublishers(t *testing.T, net diffNet, clk clock.Clock) []*Client {
 	return pubs
 }
 
-// runShells drives the workload through core.Client and
-// core.Coordinator: in wall time on a SimNet when clk is nil, else on a
-// DESNet on clk, publishing at scheduled virtual instants.  On the
-// DESNet it also returns the network trace, one line per event.
-func runShells(t *testing.T, clk *clock.Virtual) (diffResult, []string) {
-	var net diffNet = transport.NewSimNet(transport.SimNetConfig{Seed: 77})
-	var nodeClk clock.Clock // nil: the wall clock
-	if clk != nil {
-		net, nodeClk = transport.NewDESNet(transport.DESNetConfig{Seed: 77, Clock: clk}), clk
-	}
-	t.Cleanup(net.Close)
-	integrity := transporttest.Watch(t, net)
-	var log []string
-	if clk != nil {
-		net.SetTrace(func(e transport.TraceEvent) {
-			integrity.Observe(e)
-			log = append(log, fmt.Sprintf("%d %s>%s %s %d %t", e.AtNS, e.From, e.To, e.Kind, e.Size, e.Unicast))
-		})
-	}
+// seatShells seats the workload's coordinator, publishers and
+// repair-enabled receivers on net, on clk (nil: the wall clock), and
+// makes every publisher→receiver link lossy.
+func seatShells(t *testing.T, net diffNet, clk clock.Clock) (pubs, recvs []*Client) {
 	cconn, err := net.Attach(diffCoord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinatorClock(cconn, session.Group{Objective: "differential"}, nodeClk)
+	coord := NewCoordinatorClock(cconn, session.Group{Objective: "differential"}, clk)
 	t.Cleanup(func() { coord.Close() })
-	pubs := attachPublishers(t, net, nodeClk)
-	var recvs []*Client
+	pubs = attachPublishers(t, net, clk)
 	for i, id := range diffReceivers {
 		conn, err := net.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := NewClient(conn, Config{Clock: nodeClk, Repair: diffRepair(i)})
+		r := NewClient(conn, Config{Clock: clk, Repair: diffRepair(i)})
 		t.Cleanup(func() { r.Close() })
 		recvs = append(recvs, r)
 	}
 	setDiffLinks(net, diffLossy)
+	return pubs, recvs
+}
 
-	if clk != nil {
-		for i := 0; i < diffEvents; i++ {
-			i := i
-			clk.ScheduleFunc(time.Duration(i)*diffPublishGap, func(time.Time) { diffPublish(t, net, pubs, i) })
-		}
-		clk.AdvanceTo(time.Unix(0, 0).Add(diffEvents*diffPublishGap + 5*time.Second))
-	} else {
-		for i := 0; i < diffEvents; i++ {
-			diffPublish(t, net, pubs, i)
-			time.Sleep(diffPublishGap)
-		}
-		// Quiescence: every receiver has applied every line.
-		for _, r := range recvs {
-			r := r
-			waitFor(t, r.ID()+" applying every line", func() bool {
-				return r.Chat().Len() >= len(diffPublishers)*diffEvents
-			})
-		}
-	}
+// shellResult is what the receivers delivered.
+func shellResult(recvs []*Client) diffResult {
 	res := diffResult{delivered: make(map[string]map[string][]string)}
 	for _, r := range recvs {
 		res.collect(r.ID(), r.Chat(), repairStatus(r))
 	}
-	return res, log
+	return res
+}
+
+// runShells drives the workload through core.Client and
+// core.Coordinator on a DESNet, publishing at scheduled virtual
+// instants.  It also returns the network trace, one line per event.
+func runShells(t *testing.T) (diffResult, []string) {
+	net := newVNet(t, 77)
+	integrity := transporttest.Watch(t, net)
+	var log []string
+	net.SetTrace(func(e transport.TraceEvent) {
+		integrity.Observe(e)
+		log = append(log, fmt.Sprintf("%d %s>%s %s %d %t", e.AtNS, e.From, e.To, e.Kind, e.Size, e.Unicast))
+	})
+	pubs, recvs := seatShells(t, net, net.clk)
+	for i := 0; i < diffEvents; i++ {
+		i := i
+		net.clk.ScheduleFunc(time.Duration(i)*diffPublishGap, func(time.Time) { diffPublish(t, net, pubs, i) })
+	}
+	net.clk.AdvanceTo(time.Unix(0, 0).Add(diffEvents*diffPublishGap + 5*time.Second))
+	return shellResult(recvs), log
 }
 
 // runKernels drives the same workload through bare kernels attached in
 // handler mode to a DESNet on a virtual clock, single-threaded.  It
 // also returns the event log: one line per Deliver effect, in order.
 func runKernels(t *testing.T) (diffResult, []string) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	net := transport.NewDESNet(transport.DESNetConfig{Seed: 77, Clock: clk})
-	defer net.Close()
+	net := newVNet(t, 77)
+	clk := net.clk
 	transporttest.Watch(t, net)
 
 	var coord *CoordinatorKernel
-	cconn, err := net.AttachHandler(diffCoord, func(p transport.Packet) { coord.HandlePacket(p) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord = NewCoordinatorKernel(cconn, session.Group{Objective: "differential"}, clk)
+	coord = NewCoordinatorKernel(net.handler(diffCoord, func(p transport.Packet) { coord.HandlePacket(p) }),
+		session.Group{Objective: "differential"}, clk)
 
 	var log []string
 	kernels := make([]*Kernel, len(diffReceivers))
 	chats := make([]*apps.ChatArea, len(diffReceivers))
 	for i, id := range diffReceivers {
 		i, id := i, id
-		conn, err := net.AttachHandler(id, func(p transport.Packet) { kernels[i].HandlePacket(p) })
-		if err != nil {
-			t.Fatal(err)
-		}
 		chats[i] = apps.NewChatArea()
-		kernels[i] = NewKernel(conn, Config{Clock: clk, Repair: diffRepair(i)})
+		kernels[i] = NewKernel(net.handler(id, func(p transport.Packet) { kernels[i].HandlePacket(p) }), Config{Clock: clk, Repair: diffRepair(i)})
 		kernels[i].Deliver = func(m *message.Message) {
 			log = append(log, fmt.Sprintf("%d %s %s %d", clk.Now().UnixNano(), id, m.Sender, m.Seq))
 			if err := chats[i].Apply(m.Sender, m.Body); err != nil {
@@ -240,7 +221,8 @@ func runKernels(t *testing.T) (diffResult, []string) {
 	return res, log
 }
 
-func TestDifferentialShellVsKernel(t *testing.T) {
+// diffWant is every receiver holding every publisher's exact sequence.
+func diffWant() map[string]map[string][]string {
 	want := make(map[string]map[string][]string)
 	for _, r := range diffReceivers {
 		want[r] = make(map[string][]string)
@@ -250,31 +232,35 @@ func TestDifferentialShellVsKernel(t *testing.T) {
 			}
 		}
 	}
-	check := func(name string, got diffResult) {
-		t.Helper()
-		if got.abandoned != 0 {
-			t.Errorf("%s: %d gaps abandoned, want 0", name, got.abandoned)
-		}
-		for _, r := range diffReceivers {
-			for _, p := range diffPublishers {
-				if !reflect.DeepEqual(got.delivered[r][p], want[r][p]) {
-					t.Errorf("%s: %s delivered %d lines from %s, not the exact sequence 0..%d: %v",
-						name, r, len(got.delivered[r][p]), p, diffEvents-1, got.delivered[r][p])
-				}
+	return want
+}
+
+// checkDiff fails t unless got is the exact workload, nothing abandoned.
+func checkDiff(t *testing.T, name string, got diffResult) {
+	t.Helper()
+	if got.abandoned != 0 {
+		t.Errorf("%s: %d gaps abandoned, want 0", name, got.abandoned)
+	}
+	want := diffWant()
+	for _, r := range diffReceivers {
+		for _, p := range diffPublishers {
+			if !reflect.DeepEqual(got.delivered[r][p], want[r][p]) {
+				t.Errorf("%s: %s delivered %d lines from %s, not the exact sequence 0..%d: %v",
+					name, r, len(got.delivered[r][p]), p, diffEvents-1, got.delivered[r][p])
 			}
 		}
 	}
+}
 
-	shells, _ := runShells(t, nil)
-	virtualShells, trace1 := runShells(t, clock.NewVirtual(time.Unix(0, 0)))
+func TestDifferentialShellVsKernel(t *testing.T) {
+	virtualShells, trace1 := runShells(t)
 	kernels, log1 := runKernels(t)
-	check("shells on SimNet", shells)
-	check("shells on DESNet", virtualShells)
-	check("kernels on DESNet", kernels)
-	if !reflect.DeepEqual(shells.delivered, kernels.delivered) || !reflect.DeepEqual(virtualShells.delivered, kernels.delivered) {
+	checkDiff(t, "shells on DESNet", virtualShells)
+	checkDiff(t, "kernels on DESNet", kernels)
+	if !reflect.DeepEqual(virtualShells.delivered, kernels.delivered) {
 		t.Error("shell and kernel runs delivered different sequences")
 	}
-	if _, trace2 := runShells(t, clock.NewVirtual(time.Unix(0, 0))); len(trace1) == 0 || !reflect.DeepEqual(trace1, trace2) {
+	if _, trace2 := runShells(t); len(trace1) == 0 || !reflect.DeepEqual(trace1, trace2) {
 		t.Error("shell run on DESNet is not event-for-event reproducible")
 	}
 

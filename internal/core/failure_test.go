@@ -15,16 +15,9 @@ import (
 // renders a usable image from whatever contiguous prefix survived —
 // the progressive stream's whole point.
 func TestImageShareOverLossyLink(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 21})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
+	net := newVNet(t, 21)
+	a, b := net.client("alice", Config{}), net.client("bob", Config{})
 	net.SetLink("alice", "bob", transport.Link{Loss: 0.2})
-
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	defer a.Close()
-	defer b.Close()
 
 	im := wavelet.Medical(64, 64, 2)
 	obj, err := media.EncodeImage(im, "lossy scan")
@@ -38,7 +31,7 @@ func TestImageShareOverLossyLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(300 * time.Millisecond)
+	net.clk.RunUntilIdle(0)
 
 	rendered := 0
 	var lostSomething bool
@@ -63,7 +56,7 @@ func TestImageShareOverLossyLink(t *testing.T) {
 		t.Fatal("nothing rendered at all")
 	}
 	if !lostSomething {
-		t.Log("note: no loss observed this run (seed-dependent); prefix path untested here")
+		t.Error("no share lost a packet: the prefix path went untested")
 	}
 }
 
@@ -79,31 +72,26 @@ func TestShareOverDuplicatingLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		net := transport.NewSimNet(transport.SimNetConfig{Seed: seed})
+		net := newVNet(t, seed)
 		transporttest.Watch(t, net)
-		ca, _ := net.Attach("alice")
-		cb, _ := net.Attach("bob")
+		a, b := net.client("alice", Config{}), net.client("bob", Config{})
 		net.SetLink("alice", "bob", transport.Link{
 			Duplicate: 1, Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond,
 		})
-		a := NewClient(ca, Config{})
-		b := NewClient(cb, Config{})
 		if err := a.ShareImage("twice", obj, ""); err != nil {
 			t.Fatal(err)
 		}
 		// Every frame arrives twice: 2 announces, 32 packets.
-		waitFor(t, fmt.Sprintf("seed %d: both copies of every frame", seed), func() bool {
-			st := b.Stats()
-			return st.EventsReceived == 2 && st.DataPackets == 32
-		})
+		net.clk.RunUntilIdle(0)
+		if st := b.Stats(); st.EventsReceived != 2 || st.DataPackets != 32 {
+			t.Errorf("seed %d: bob took %d events and %d packets, want both copies of every frame (2 and 32)",
+				seed, st.EventsReceived, st.DataPackets)
+		}
 		if st, err := b.Viewer().Stats("twice"); err != nil || st.PacketsAccepted != 16 || st.PacketsReceived != 16 {
 			t.Errorf("seed %d: receiver holds %+v (err %v), want 16/16", seed, st, err)
 		} else if res, err := b.Viewer().Render("twice"); err != nil || !res.Lossless || !res.Image.Equal(im) {
 			t.Errorf("seed %d: render is not the image that was shared (err %v)", seed, err)
 		}
-		a.Close()
-		b.Close()
-		net.Close()
 	}
 }
 
@@ -113,19 +101,12 @@ func TestShareOverDuplicatingLink(t *testing.T) {
 // so the assertion is that nothing crashes and ordering state stays
 // sane under duplication + jitter.
 func TestChatOverDuplicatingReorderingLink(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 22})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
+	net := newVNet(t, 22)
+	a, b := net.client("alice", Config{}), net.client("bob", Config{})
 	net.SetLink("alice", "bob", transport.Link{
 		Duplicate: 0.5,
 		Jitter:    3 * time.Millisecond,
 	})
-
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	defer a.Close()
-	defer b.Close()
 
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -133,7 +114,7 @@ func TestChatOverDuplicatingReorderingLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(200 * time.Millisecond)
+	net.clk.RunUntilIdle(0)
 	got := b.Chat().Len()
 	if got < n {
 		t.Errorf("received %d of %d lines", got, n)
@@ -150,11 +131,7 @@ func TestChatOverDuplicatingReorderingLink(t *testing.T) {
 // decision rather than flailing.
 func TestAdaptOnceSurvivesSNMPTimeouts(t *testing.T) {
 	host := newFlakyHost(t)
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 23})
-	defer net.Close()
-	conn, _ := net.Attach("c")
-	c := NewClient(conn, Config{Monitor: host.monitor})
-	defer c.Close()
+	c := newVNet(t, 23).client("c", Config{Monitor: host.monitor})
 
 	// First sample succeeds and constrains the budget.
 	host.dropNext(0)
@@ -182,20 +159,13 @@ func TestAdaptOnceSurvivesSNMPTimeouts(t *testing.T) {
 // gone (no retransmission — real-time collaboration), but traffic
 // after the heal flows again.
 func TestImageShareAcrossPartitionHeal(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 24})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	defer a.Close()
-	defer b.Close()
+	a, b, net := newPair(t)
 
 	net.Partition("alice", "bob", true)
 	if err := a.Say("into the void", ""); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	net.clk.RunUntilIdle(0)
 	if b.Chat().Len() != 0 {
 		t.Fatal("message crossed a partition")
 	}
@@ -204,8 +174,8 @@ func TestImageShareAcrossPartitionHeal(t *testing.T) {
 	if err := a.Say("after heal", ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "post-heal delivery", func() bool { return b.Chat().Len() == 1 })
-	if b.Chat().Lines()[0].Text != "after heal" {
+	net.clk.RunUntilIdle(0)
+	if b.Chat().Len() != 1 || b.Chat().Lines()[0].Text != "after heal" {
 		t.Errorf("post-heal line: %+v", b.Chat().Lines())
 	}
 }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/selector"
-	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
 )
 
@@ -18,22 +16,11 @@ import (
 // transformation capability accepts it and renders the grayscale
 // rendition; the client with neither never sees it.
 func TestFigure3OverTheWire(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 141})
-	defer net.Close()
-
-	attach := func(id string) *Client {
-		conn, err := net.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewClient(conn, Config{})
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	sender := attach("sender")
-	colorClient := attach("color-client")
-	bwTransform := attach("bw-transform-client")
-	bwOnly := attach("bw-only-client")
+	net := newVNet(t, 141)
+	sender := net.client("sender", Config{})
+	colorClient := net.client("color-client", Config{})
+	bwTransform := net.client("bw-transform-client", Config{})
+	bwOnly := net.client("bw-only-client", Config{})
 
 	// Profiles, as in Figure 3.
 	colorClient.Profile().SetInterest("accepts-color", selector.B(true))
@@ -55,11 +42,12 @@ func TestFigure3OverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	net.clk.RunUntilIdle(0)
+
 	// Client 1: accepts directly and renders in color.
-	waitFor(t, "color client delivery", func() bool {
-		st, err := colorClient.Viewer().Stats("fig3")
-		return err == nil && st.PacketsAccepted == 16
-	})
+	if st, err := colorClient.Viewer().Stats("fig3"); err != nil || st.PacketsAccepted != 16 {
+		t.Fatalf("color client holds %+v (%v), want 16 packets accepted", st, err)
+	}
 	cres, err := colorClient.Viewer().RenderColor("fig3")
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +57,9 @@ func TestFigure3OverTheWire(t *testing.T) {
 	}
 
 	// Client 3: accepts with a transformation (grayscale rendition).
-	waitFor(t, "transform client delivery", func() bool {
-		st, err := bwTransform.Viewer().Stats("fig3")
-		return err == nil && st.PacketsAccepted == 16
-	})
+	if st, err := bwTransform.Viewer().Stats("fig3"); err != nil || st.PacketsAccepted != 16 {
+		t.Fatalf("transform client holds %+v (%v), want 16 packets accepted", st, err)
+	}
 	gres, err := bwTransform.Viewer().Render("fig3")
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +71,6 @@ func TestFigure3OverTheWire(t *testing.T) {
 	}
 
 	// Client 2: rejects — never receives anything.
-	time.Sleep(50 * time.Millisecond)
 	if _, err := bwOnly.Viewer().Stats("fig3"); err == nil {
 		t.Error("B/W-only client received the color stream")
 	}

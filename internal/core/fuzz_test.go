@@ -310,22 +310,15 @@ func FuzzClientHandlePacket(f *testing.F) {
 	f.Add(wrap(image(message.KindData, 2, selector.Attributes{message.AttrLevel: selector.N(-1)}, pkt.Marshal())))
 
 	f.Fuzz(func(t *testing.T, datagram []byte) {
-		clk := clock.NewVirtual(time.Unix(100, 0))
-		net := transport.NewDESNet(transport.DESNetConfig{Clock: clk})
-		defer net.Close()
-		conn, err := net.Attach("fuzz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewClient(conn, Config{Clock: clk, Repair: &RepairOptions{Coordinator: "coord"}})
-		defer c.Close()
+		net := newVNet(t, 0)
+		c := net.client("fuzz", Config{Repair: &RepairOptions{Coordinator: "coord"}})
 		c.HandlePacket(transport.Packet{From: "peer", Data: announce})
 
 		last := c.Stats()
 		for _, step := range []func(){
 			func() { c.HandlePacket(transport.Packet{From: "peer", Data: datagram}) },
 			func() { c.HandlePacket(transport.Packet{From: "peer", Data: datagram}) },
-			func() { clk.Advance(time.Second) },
+			func() { net.clk.Advance(time.Second) },
 		} {
 			step()
 			if loss := c.WorstPeerLoss(); !(loss >= 0 && loss <= 1) {

@@ -48,22 +48,14 @@ func TestRepairSchedulePinned(t *testing.T) {
 		senders, receivers = 3, 3
 		coordID            = "coordinator"
 	)
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	net := transport.NewDESNet(transport.DESNetConfig{Seed: 34, Clock: clk})
-	t.Cleanup(net.Close)
-	attach := func(id string, h func(transport.Packet)) transport.Conn {
-		conn, err := net.AttachHandler(id, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn
-	}
+	net := newVNet(t, 34)
+	clk := net.clk
 	h := sha256.New()
 	var nacks, abandons, delivered int
 	ns := func() int64 { return clk.Now().UnixNano() }
 
 	var coord *CoordinatorKernel
-	coord = NewCoordinatorKernel(attach(coordID, func(p transport.Packet) { coord.HandlePacket(p) }),
+	coord = NewCoordinatorKernel(net.handler(coordID, func(p transport.Packet) { coord.HandlePacket(p) }),
 		session.Group{Objective: "schedule"}, clk)
 
 	type pub struct {
@@ -74,12 +66,12 @@ func TestRepairSchedulePinned(t *testing.T) {
 	pubs := make([]*pub, senders)
 	for i := range pubs {
 		id := fmt.Sprintf("pub-%d", i)
-		pubs[i] = &pub{conn: attach(id, func(transport.Packet) {}), env: message.Enveloper{Node: id}}
+		pubs[i] = &pub{conn: net.handler(id, func(transport.Packet) {}), env: message.Enveloper{Node: id}}
 	}
 	recvs := make([]*Kernel, receivers)
 	for i := range recvs {
 		i, id := i, fmt.Sprintf("recv-%d", i)
-		conn := nackTap{Conn: attach(id, func(p transport.Packet) { recvs[i].HandlePacket(p) }),
+		conn := nackTap{Conn: net.handler(id, func(p transport.Packet) { recvs[i].HandlePacket(p) }),
 			give: func(to string, d []byte) {
 				nacks++
 				fmt.Fprintf(h, "nack %d %s %s %x\n", ns(), id, to, d)

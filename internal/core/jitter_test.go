@@ -16,17 +16,11 @@ func TestJitterEntersContractEvaluation(t *testing.T) {
 	contract := profile.MustContract("strict",
 		profile.Constraint{Param: "jitter", Min: 0, Max: 1000, Hard: true})
 
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 131})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
+	net := newVNet(t, 131)
+	a := net.client("alice", Config{})
+	b := net.client("bob", Config{Contract: contract})
 	// Jittery link so arrival spacing varies.
 	net.SetLink("alice", "bob", transport.Link{Jitter: 15 * time.Millisecond})
-
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{Contract: contract})
-	defer a.Close()
-	defer b.Close()
 
 	obj, err := media.EncodeImage(wavelet.Medical(64, 64, 17), "x")
 	if err != nil {
@@ -35,7 +29,10 @@ func TestJitterEntersContractEvaluation(t *testing.T) {
 	if err := a.ShareImage("jittery", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "packets", func() bool { return b.Stats().DataPackets >= 14 })
+	net.clk.RunUntilIdle(0)
+	if got := b.Stats().DataPackets; got != 16 {
+		t.Fatalf("bob took %d data packets, want 16", got)
+	}
 
 	d, err := b.AdaptOnce()
 	if err != nil {
@@ -54,10 +51,7 @@ func TestJitterEntersContractEvaluation(t *testing.T) {
 
 	// With no data streams at all the parameter is missing and a hard
 	// jitter contract is unsatisfied (fail-closed).
-	cc, _ := net.Attach("carol")
-	c := NewClient(cc, Config{Contract: contract})
-	defer c.Close()
-	d, err = c.AdaptOnce()
+	d, err = net.client("carol", Config{Contract: contract}).AdaptOnce()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,83 +2,67 @@ package core
 
 import (
 	"testing"
-	"time"
 
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
-	"adaptiveqos/internal/transport"
 )
 
-func lockRig(t *testing.T) (*Coordinator, *Client, *Client) {
+// lockRig seats the coordinator, alice and bob; step delivers what a
+// lock call sent and everything it set off.
+func lockRig(t *testing.T) (coord *Coordinator, a, b *Client, step func(error)) {
 	t.Helper()
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 61})
-	t.Cleanup(net.Close)
-	cc, _ := net.Attach("coordinator")
-	coord := NewCoordinator(cc, session.Group{Objective: "locks"})
-	t.Cleanup(func() { coord.Close() })
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return coord, a, b
+	net := newVNet(t, 61)
+	coord = net.coordinator(session.Group{Objective: "locks"})
+	a, b = net.client("alice", Config{}), net.client("bob", Config{})
+	return coord, a, b, func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.clk.RunUntilIdle(0)
+	}
 }
 
-func waitLock(t *testing.T, c *Client, object string, want LockStatus) {
+func checkLock(t *testing.T, c *Client, object string, want LockStatus) {
 	t.Helper()
-	waitFor(t, string(want)+" on "+object, func() bool {
-		return c.LockState(object) == want
-	})
+	if got := c.LockState(object); got != want {
+		t.Fatalf("%s sees %q on %s, want %q", c.ID(), got, object, want)
+	}
 }
 
 func TestDistributedLockGrantAndQueue(t *testing.T) {
-	_, a, b := lockRig(t)
+	_, a, b, step := lockRig(t)
 
-	if a.LockState("img-1") != LockNone {
-		t.Fatal("fresh state should be none")
-	}
-	if err := a.RequestLock("coordinator", "img-1"); err != nil {
-		t.Fatal(err)
-	}
-	waitLock(t, a, "img-1", LockGranted)
+	checkLock(t, a, "img-1", LockNone)
+	step(a.RequestLock("coordinator", "img-1"))
+	checkLock(t, a, "img-1", LockGranted)
 
 	// Contention: bob queues behind alice.
-	if err := b.RequestLock("coordinator", "img-1"); err != nil {
-		t.Fatal(err)
-	}
-	waitLock(t, b, "img-1", LockWaiting)
+	step(b.RequestLock("coordinator", "img-1"))
+	checkLock(t, b, "img-1", LockWaiting)
 
 	// Release promotes bob.
-	if err := a.ReleaseLock("coordinator", "img-1"); err != nil {
-		t.Fatal(err)
-	}
-	waitLock(t, b, "img-1", LockGranted)
-	if a.LockState("img-1") != LockNone {
-		t.Errorf("alice still sees %q", a.LockState("img-1"))
-	}
+	step(a.ReleaseLock("coordinator", "img-1"))
+	checkLock(t, b, "img-1", LockGranted)
+	checkLock(t, a, "img-1", LockNone)
 
 	// Independent object: no contention.
-	if err := a.RequestLock("coordinator", "img-2"); err != nil {
-		t.Fatal(err)
-	}
-	waitLock(t, a, "img-2", LockGranted)
+	step(a.RequestLock("coordinator", "img-2"))
+	checkLock(t, a, "img-2", LockGranted)
 }
 
 func TestReleaseByNonHolderIgnored(t *testing.T) {
-	coord, a, b := lockRig(t)
-	a.RequestLock("coordinator", "x")
-	waitLock(t, a, "x", LockGranted)
+	coord, a, b, step := lockRig(t)
+	step(a.RequestLock("coordinator", "x"))
+	checkLock(t, a, "x", LockGranted)
 
 	// Bob releasing a lock he does not hold changes nothing at the
 	// coordinator.
-	if err := b.ReleaseLock("coordinator", "x"); err != nil {
-		t.Fatal(err)
+	step(b.ReleaseLock("coordinator", "x"))
+	if h := coord.k.locks.Holder("x"); h != "alice" {
+		t.Errorf("coordinator sees %q holding x, want alice", h)
 	}
-	waitFor(t, "coordinator still sees alice", func() bool {
-		return coord.k.locks.Holder("x") == "alice"
-	})
 }
 
 // TestWithdrawnWaiterIsNotGranted: a queued client that gives up leaves
@@ -86,27 +70,7 @@ func TestReleaseByNonHolderIgnored(t *testing.T) {
 // rather than handing it to a client that will never release it; and a
 // grant that reaches a client holding no claim is stale and ignored.
 func TestWithdrawnWaiterIsNotGranted(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	net := transport.NewDESNet(transport.DESNetConfig{Seed: 61, Clock: clk})
-	t.Cleanup(net.Close)
-	attach := func(id string) transport.Conn {
-		conn, err := net.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn
-	}
-	coord := NewCoordinatorClock(attach("coordinator"), session.Group{Objective: "locks"}, clk)
-	a := NewClient(attach("alice"), Config{Clock: clk})
-	b := NewClient(attach("bob"), Config{Clock: clk})
-	t.Cleanup(func() { a.Close(); b.Close(); coord.Close() })
-	step := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		clk.RunUntilIdle(0)
-	}
+	coord, a, b, step := lockRig(t)
 
 	step(a.RequestLock("coordinator", "x"))
 	step(b.RequestLock("coordinator", "x"))

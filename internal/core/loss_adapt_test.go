@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
-	"adaptiveqos/internal/inference"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
@@ -14,17 +12,10 @@ import (
 // TestLossFeedsAdaptation: observed RTP data loss constrains the next
 // adaptation decision even when host metrics look healthy.
 func TestLossFeedsAdaptation(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 31})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
+	net := newVNet(t, 31)
+	a, b := net.client("alice", Config{}), net.client("bob", Config{})
 	// Heavy loss toward bob.
 	net.SetLink("alice", "bob", transport.Link{Loss: 0.5})
-
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	defer a.Close()
-	defer b.Close()
 
 	obj, err := media.EncodeImage(wavelet.Circles(64, 64), "x")
 	if err != nil {
@@ -36,14 +27,14 @@ func TestLossFeedsAdaptation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(300 * time.Millisecond)
+	net.clk.RunUntilIdle(0)
 
 	loss, ok := b.observedLoss()
 	if !ok {
 		t.Fatal("no data packets observed at all")
 	}
 	if loss <= 0 {
-		t.Skip("no losses registered this run (reorder window still holding gaps)")
+		t.Fatal("no losses registered")
 	}
 
 	d, err := b.AdaptOnce()
@@ -62,13 +53,12 @@ func TestLossFeedsAdaptation(t *testing.T) {
 	if !found {
 		t.Errorf("loss-budget rule did not fire: %v", d.Fired)
 	}
-	_ = inference.StateLoss
 }
 
 // TestNoLossNoConstraint: a clean link leaves the budget unconstrained
 // by the loss rule.
 func TestNoLossNoConstraint(t *testing.T) {
-	a, b, _ := newPair(t)
+	a, b, net := newPair(t)
 	obj, err := media.EncodeImage(wavelet.Circles(32, 32), "x")
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +66,10 @@ func TestNoLossNoConstraint(t *testing.T) {
 	if err := a.ShareImage("clean", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "clean delivery", func() bool {
-		st, err := b.Viewer().Stats("clean")
-		return err == nil && st.PacketsReceived == 16
-	})
+	net.clk.RunUntilIdle(0)
+	if st, err := b.Viewer().Stats("clean"); err != nil || st.PacketsReceived != 16 {
+		t.Fatalf("bob holds the clean share as %+v (%v), want 16 packets", st, err)
+	}
 	d, err := b.AdaptOnce()
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"adaptiveqos/internal/media"
-	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
 )
 
@@ -13,23 +12,18 @@ import (
 // configured MTU crosses the substrate transparently via envelope
 // fragmentation.
 func TestLargeEventFragmentsAcrossMTU(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 111})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
+	net := newVNet(t, 111)
 	// Tiny MTU forces fragmentation of nearly everything.
-	a := NewClient(ca, Config{MTU: 256})
-	b := NewClient(cb, Config{MTU: 256})
-	defer a.Close()
-	defer b.Close()
+	a := net.client("alice", Config{MTU: 256})
+	b := net.client("bob", Config{MTU: 256})
 
 	// A chat line bigger than the MTU.
 	long := strings.Repeat("the quick brown fox ", 200) // ~4 KB
 	if err := a.Say(long, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "fragmented chat", func() bool { return b.Chat().Len() == 1 })
-	if b.Chat().Lines()[0].Text != long {
+	net.clk.RunUntilIdle(0)
+	if b.Chat().Len() != 1 || b.Chat().Lines()[0].Text != long {
 		t.Error("fragmented chat line corrupted")
 	}
 
@@ -42,10 +36,10 @@ func TestLargeEventFragmentsAcrossMTU(t *testing.T) {
 	if err := a.ShareImage("big-1", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "fragmented image", func() bool {
-		st, err := b.Viewer().Stats("big-1")
-		return err == nil && st.PacketsAccepted == 16
-	})
+	net.clk.RunUntilIdle(0)
+	if st, err := b.Viewer().Stats("big-1"); err != nil || st.PacketsAccepted != 16 {
+		t.Fatalf("bob holds big-1 as %+v (%v), want 16 packets accepted", st, err)
+	}
 	res, err := b.Viewer().Render("big-1")
 	if err != nil {
 		t.Fatal(err)

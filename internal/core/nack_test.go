@@ -21,9 +21,7 @@ import (
 // coordinator kernel in handler mode on a DESNet, everything driven
 // from the test goroutine.
 type repairRig struct {
-	t     *testing.T
-	clk   *clock.Virtual
-	net   *transport.DESNet
+	*vnet
 	coord *CoordinatorKernel
 	pub   transport.Conn
 	env   message.Enveloper
@@ -46,24 +44,15 @@ func rigRecv(i int) string { return fmt.Sprintf("recv-%d", i) }
 
 func newRepairRig(t *testing.T, seed int64, receivers int) *repairRig {
 	t.Helper()
-	r := &repairRig{t: t, clk: clock.NewVirtual(time.Unix(0, 0))}
-	r.net = transport.NewDESNet(transport.DESNetConfig{Seed: seed, Clock: r.clk})
-	t.Cleanup(r.net.Close)
-	attach := func(id string, h func(transport.Packet)) transport.Conn {
-		conn, err := r.net.AttachHandler(id, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn
-	}
-	r.coord = NewCoordinatorKernel(attach(rigCoord, func(p transport.Packet) { r.coord.HandlePacket(p) }),
+	r := &repairRig{vnet: newVNet(t, seed)}
+	r.coord = NewCoordinatorKernel(r.handler(rigCoord, func(p transport.Packet) { r.coord.HandlePacket(p) }),
 		session.Group{Objective: "repair-rig"}, r.clk)
-	r.pub = attach(rigPub, func(transport.Packet) {})
+	r.pub = r.handler(rigPub, func(transport.Packet) {})
 	r.recvs = make([]*Kernel, receivers)
 	r.applied = make([][]uint32, receivers)
 	for i := range r.recvs {
 		i := i
-		conn := attach(rigRecv(i), func(p transport.Packet) { r.recvs[i].HandlePacket(p) })
+		conn := r.handler(rigRecv(i), func(p transport.Packet) { r.recvs[i].HandlePacket(p) })
 		r.recvs[i] = NewKernel(conn, Config{Clock: r.clk, Repair: &RepairOptions{
 			Coordinator:  rigCoord,
 			StallTimeout: 32 * time.Millisecond, // polled every 8ms
@@ -81,7 +70,7 @@ func newRepairRig(t *testing.T, seed int64, receivers int) *repairRig {
 // arrive.
 func (r *repairRig) setLinks(l transport.Link) {
 	for i := range r.recvs {
-		r.net.SetLink(rigPub, rigRecv(i), l)
+		r.SetLink(rigPub, rigRecv(i), l)
 	}
 }
 
@@ -123,11 +112,11 @@ func (r *repairRig) run(d time.Duration) {
 	r.clk.AdvanceTo(end)
 }
 
-func (r *repairRig) replayed() uint64 { return r.net.Stats(rigCoord).Sent }
+func (r *repairRig) replayed() uint64 { return r.Stats(rigCoord).Sent }
 
 func (r *repairRig) lost() (n uint64) {
 	for i := range r.recvs {
-		n += r.net.Stats(rigRecv(i)).Dropped
+		n += r.Stats(rigRecv(i)).Dropped
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,49 +20,30 @@ import (
 // coordinator stay clean (the archive must hear everything to answer
 // NACKs) as do the replay links back out.
 type chaosNet struct {
-	net      *transport.SimNet
+	*vnet
 	coord    *Coordinator
 	senders  []*Client
 	replicas []*Client
+	sent     map[string][]string // per sender: the lines it said, in order
 }
 
 func newChaosNet(t *testing.T, seed int64, nSenders, nReplicas int, link transport.Link) *chaosNet {
 	t.Helper()
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: seed})
-	t.Cleanup(net.Close)
+	net := newVNet(t, seed)
 	// Lost, duplicated, reordered, replayed from the archive: a frame is
 	// still the bytes it was when the network first carried it.
 	transporttest.Watch(t, net)
-	conn, err := net.Attach("coordinator")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := NewCoordinator(conn, session.Group{Objective: "chaos-session"})
-	t.Cleanup(func() { coord.Close() })
-
-	cn := &chaosNet{net: net, coord: coord}
+	cn := &chaosNet{vnet: net, coord: net.coordinator(session.Group{Objective: "chaos-session"}), sent: map[string][]string{}}
 	for i := 0; i < nSenders; i++ {
-		c, err := net.Attach(fmt.Sprintf("sender-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewClient(c, Config{})
-		t.Cleanup(func() { s.Close() })
-		cn.senders = append(cn.senders, s)
+		cn.senders = append(cn.senders, net.client(fmt.Sprintf("sender-%d", i), Config{}))
 	}
 	for i := 0; i < nReplicas; i++ {
-		c, err := net.Attach(fmt.Sprintf("replica-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := NewClient(c, Config{Repair: &RepairOptions{
+		cn.replicas = append(cn.replicas, net.client(fmt.Sprintf("replica-%d", i), Config{Repair: &RepairOptions{
 			Coordinator:  "coordinator",
 			StallTimeout: 32 * time.Millisecond, // polled every 8ms
 			MaxRetries:   10,
 			Seed:         seed + int64(i),
-		}})
-		t.Cleanup(func() { r.Close() })
-		cn.replicas = append(cn.replicas, r)
+		}}))
 	}
 	cn.setSenderReplicaLinks(link)
 	return cn
@@ -72,9 +54,19 @@ func newChaosNet(t *testing.T, seed int64, nSenders, nReplicas int, link transpo
 func (cn *chaosNet) setSenderReplicaLinks(link transport.Link) {
 	for _, s := range cn.senders {
 		for _, r := range cn.replicas {
-			cn.net.SetLink(s.ID(), r.ID(), link)
+			cn.SetLink(s.ID(), r.ID(), link)
 		}
 	}
+}
+
+// say has sender j say text, and notes it as sent.
+func (cn *chaosNet) say(j int, text string) {
+	cn.t.Helper()
+	s := cn.senders[j]
+	if err := s.Say(text, ""); err != nil {
+		cn.t.Fatal(err)
+	}
+	cn.sent[s.ID()] = append(cn.sent[s.ID()], text)
 }
 
 // senderLines extracts the texts a replica applied from one sender, in
@@ -89,37 +81,31 @@ func senderLines(r *Client, sender string) []string {
 	return out
 }
 
-// assertConverged waits until every replica's applied per-sender chat
+// assertConverged checks that every replica's applied per-sender chat
 // sequence equals exactly what that sender sent — same order, zero
 // gaps, zero duplicates — i.e. the replica converged to the
-// coordinator's archive.
-func assertConverged(t *testing.T, cn *chaosNet, want map[string][]string) {
-	t.Helper()
-	equal := func(a, b []string) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+// coordinator's archive, and that the archive holds every line once.
+func (cn *chaosNet) assertConverged() {
+	cn.t.Helper()
+	total := 0
+	for sender, lines := range cn.sent {
+		total += len(lines)
+		for _, r := range cn.replicas {
+			if got := senderLines(r, sender); !slices.Equal(got, lines) {
+				cn.t.Errorf("%s holds %s's lines as %q, want %q", r.ID(), sender, got, lines)
 			}
 		}
-		return true
 	}
-	for _, r := range cn.replicas {
-		for sender, lines := range want {
-			r, sender, lines := r, sender, lines
-			waitFor(t, fmt.Sprintf("%s converging on %s", r.ID(), sender), func() bool {
-				return equal(senderLines(r, sender), lines)
-			})
-		}
+	if got := cn.coord.ArchivedEvents(); got != total {
+		cn.t.Errorf("coordinator archived %d events, want %d", got, total)
 	}
 }
 
 // TestRepairChaosMatrix drives the gap-repair loop through the fault
 // matrix: loss, duplication, jitter-induced reordering, and their
-// combination, each on a seeded SimNet.  Every replica must converge
-// to each sender's exact event sequence.
+// combination, each on a seeded DESNet.  Five virtual seconds after
+// the last line every replica holds each sender's exact event
+// sequence.
 func TestRepairChaosMatrix(t *testing.T) {
 	cases := []struct {
 		name string
@@ -136,86 +122,56 @@ func TestRepairChaosMatrix(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cn := newChaosNet(t, tc.seed, 2, 2, tc.link)
-			want := make(map[string][]string)
 			for i := 0; i < nMsgs; i++ {
-				for j, s := range cn.senders {
-					text := fmt.Sprintf("%s-s%d-%d", tc.name, j, i)
-					if err := s.Say(text, ""); err != nil {
-						t.Fatal(err)
-					}
-					want[s.ID()] = append(want[s.ID()], text)
+				for j := range cn.senders {
+					cn.say(j, fmt.Sprintf("%s-s%d-%d", tc.name, j, i))
 				}
-				time.Sleep(2 * time.Millisecond)
+				cn.clk.Advance(2 * time.Millisecond)
 			}
 			// Heal, then send a marker per sender: tail loss is invisible
 			// until a later event parks behind the gap, so the marker is
 			// what lets the repair loop see (and close) trailing gaps.
 			cn.setSenderReplicaLinks(transport.Link{})
-			for j, s := range cn.senders {
-				text := fmt.Sprintf("%s-s%d-done", tc.name, j)
-				if err := s.Say(text, ""); err != nil {
-					t.Fatal(err)
-				}
-				want[s.ID()] = append(want[s.ID()], text)
+			for j := range cn.senders {
+				cn.say(j, fmt.Sprintf("%s-s%d-done", tc.name, j))
 			}
-
-			assertConverged(t, cn, want)
-			waitFor(t, "coordinator archive", func() bool {
-				return cn.coord.ArchivedEvents() == len(cn.senders)*(nMsgs+1)
-			})
+			cn.clk.Advance(5 * time.Second)
+			cn.assertConverged()
 		})
 	}
 }
 
 // TestRepairHealedPartition is the acceptance scenario: Loss=0.3 on
 // the sender→replica links plus a 2s partition of sender-0 from both
-// replicas.  After the partition heals, every replica converges to the
-// coordinator's archive, and the repair counters appear in the
-// /metrics exposition.
+// replicas.  Five virtual seconds after the partition heals, every
+// replica has converged to the coordinator's archive, and the repair
+// counters appear in the /metrics exposition.
 func TestRepairHealedPartition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("2s partition window")
-	}
 	before := metrics.Counters()
 
 	cn := newChaosNet(t, 200, 2, 2, transport.Link{Loss: 0.3})
 	for _, r := range cn.replicas {
-		cn.net.Partition(cn.senders[0].ID(), r.ID(), true)
+		cn.Partition(cn.senders[0].ID(), r.ID(), true)
 	}
 
-	want := make(map[string][]string)
-	say := func(j int, text string) {
-		t.Helper()
-		if err := cn.senders[j].Say(text, ""); err != nil {
-			t.Fatal(err)
-		}
-		want[cn.senders[j].ID()] = append(want[cn.senders[j].ID()], text)
-	}
-	// ~2s of traffic while sender-0 is partitioned from the replicas
+	// 2s of traffic while sender-0 is partitioned from the replicas
 	// (the coordinator still hears everything).
 	const nMsgs = 25
-	start := time.Now()
 	for i := 0; i < nMsgs; i++ {
-		say(0, fmt.Sprintf("part-s0-%d", i))
-		say(1, fmt.Sprintf("part-s1-%d", i))
-		time.Sleep(80 * time.Millisecond)
-	}
-	if elapsed := time.Since(start); elapsed < 2*time.Second {
-		time.Sleep(2*time.Second - elapsed)
+		cn.say(0, fmt.Sprintf("part-s0-%d", i))
+		cn.say(1, fmt.Sprintf("part-s1-%d", i))
+		cn.clk.Advance(80 * time.Millisecond)
 	}
 
 	// Heal everything and mark the stream tails.
 	for _, r := range cn.replicas {
-		cn.net.Partition(cn.senders[0].ID(), r.ID(), false)
+		cn.Partition(cn.senders[0].ID(), r.ID(), false)
 	}
 	cn.setSenderReplicaLinks(transport.Link{})
-	say(0, "part-s0-done")
-	say(1, "part-s1-done")
-
-	assertConverged(t, cn, want)
-	waitFor(t, "coordinator archive", func() bool {
-		return cn.coord.ArchivedEvents() == 2*(nMsgs+1)
-	})
+	cn.say(0, "part-s0-done")
+	cn.say(1, "part-s1-done")
+	cn.clk.Advance(5 * time.Second)
+	cn.assertConverged()
 
 	after := metrics.Counters()
 	if after[metrics.CtrRepairRequests] <= before[metrics.CtrRepairRequests] {
@@ -241,30 +197,18 @@ func TestRepairHealedPartition(t *testing.T) {
 // with no coordinator to answer NACKs, a deterministic gap exhausts
 // the retry budget, is skipped, and delivery resumes.
 func TestRepairAbandonsUnrepairableGap(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 300})
-	t.Cleanup(net.Close)
+	net := newVNet(t, 300)
 	before := metrics.Counters()
 
-	sc, err := net.Attach("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender := NewClient(sc, Config{})
-	defer sender.Close()
-
-	rc, err := net.Attach("replica")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sender := net.client("alice", Config{})
 	// The configured coordinator does not exist: every repair request
 	// fails, so the gap can only be abandoned.
-	replica := NewClient(rc, Config{Repair: &RepairOptions{
+	replica := net.client("replica", Config{Repair: &RepairOptions{
 		Coordinator:  "coordinator",
 		StallTimeout: 20 * time.Millisecond,
 		MaxRetries:   2,
 		Seed:         300,
 	}})
-	defer replica.Close()
 
 	// Deterministic gap: the first message is sent into a down link.
 	net.SetLink("alice", "replica", transport.Link{Down: true})
@@ -278,11 +222,9 @@ func TestRepairAbandonsUnrepairableGap(t *testing.T) {
 
 	// The second message parks, the repair loop burns its budget, the
 	// gap is abandoned and delivery resumes.
-	waitFor(t, "abandoned gap released", func() bool {
-		return replica.Chat().Len() == 1
-	})
-	if got := replica.Chat().Lines()[0].Text; got != "parked behind the gap" {
-		t.Errorf("released line = %q", got)
+	net.clk.Advance(time.Second)
+	if lines := senderLines(replica, "alice"); !slices.Equal(lines, []string{"parked behind the gap"}) {
+		t.Fatalf("replica released %q, want the parked line", lines)
 	}
 	st := repairStatus(replica)["alice"]
 	if st.Abandoned != 1 {
@@ -300,9 +242,10 @@ func TestRepairAbandonsUnrepairableGap(t *testing.T) {
 	if err := sender.Say("life goes on", ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "post-abandon delivery", func() bool {
-		return replica.Chat().Len() == 2
-	})
+	net.clk.Advance(time.Second)
+	if got := replica.Chat().Len(); got != 2 {
+		t.Errorf("replica holds %d lines after the abandon, want 2", got)
+	}
 }
 
 // TestCoordinatorDuplicateArchiveRegression injects heavy frame
@@ -312,12 +255,7 @@ func TestRepairAbandonsUnrepairableGap(t *testing.T) {
 func TestCoordinatorDuplicateArchiveRegression(t *testing.T) {
 	net, coord := newCoordinatedNet(t)
 	before := metrics.Counters()
-	ca, err := net.Attach("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewClient(ca, Config{})
-	defer a.Close()
+	a := net.client("alice", Config{})
 	net.SetLink("alice", "coordinator", transport.Link{Duplicate: 1})
 
 	const n = 20
@@ -326,10 +264,8 @@ func TestCoordinatorDuplicateArchiveRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "archive", func() bool { return coord.ArchivedEvents() == n })
-	// Let the duplicate copies land too, then re-check: the count must
-	// not keep growing.
-	time.Sleep(100 * time.Millisecond)
+	// Every copy, duplicates included, has landed.
+	net.clk.RunUntilIdle(0)
 	if got := coord.ArchivedEvents(); got != n {
 		t.Errorf("archived = %d after duplicates, want %d", got, n)
 	}

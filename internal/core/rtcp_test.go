@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/selector"
@@ -15,18 +16,12 @@ import (
 
 // TestSenderAdaptsToReceiverReports: after a receiver reports heavy
 // loss, the sender transmits fewer packets per share — reducing the
-// information transferred rather than wasting the path.
+// information transferred rather than wasting the path.  Round 2 goes
+// out over a healed link, so what bob receives is what alice sent.
 func TestSenderAdaptsToReceiverReports(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 121})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
+	net := newVNet(t, 121)
+	a, b := net.client("alice", Config{}), net.client("bob", Config{})
 	net.SetLink("alice", "bob", transport.Link{Loss: 0.5})
-
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	defer a.Close()
-	defer b.Close()
 
 	obj, err := media.EncodeImage(wavelet.Medical(64, 64, 13), "x")
 	if err != nil {
@@ -39,20 +34,17 @@ func TestSenderAdaptsToReceiverReports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(200 * time.Millisecond)
+	net.clk.RunUntilIdle(0)
 
-	// Bob reports his reception quality (the report itself crosses the
-	// lossy link; retry until it lands).
-	deadline := time.Now().Add(3 * time.Second)
-	for a.WorstPeerLoss() == 0 && time.Now().Before(deadline) {
-		if err := b.SendReceptionReports(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Bob reports his reception quality; the report crosses the link
+	// back to alice, which loses nothing.
+	if err := b.SendReceptionReports(); err != nil {
+		t.Fatal(err)
 	}
+	net.clk.RunUntilIdle(0)
 	worst := a.WorstPeerLoss()
 	if worst <= 0 {
-		t.Skip("no loss registered in reports this run")
+		t.Fatal("no loss registered in bob's reports")
 	}
 
 	// Round 2: alice truncates her transmissions.
@@ -60,15 +52,16 @@ func TestSenderAdaptsToReceiverReports(t *testing.T) {
 	if budget >= 16 {
 		t.Fatalf("send budget %d despite %.0f%% reported loss", budget, worst*100)
 	}
+	net.SetLink("alice", "bob", transport.Link{})
 	if err := a.ShareImage("r2", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	net.clk.RunUntilIdle(0)
 	st, err := b.Viewer().Stats("r2")
 	if err != nil {
-		t.Skip("announce lost this run")
+		t.Fatalf("bob holds no r2 over the healed link: %v", err)
 	}
-	if st.PacketsReceived > budget {
+	if st.PacketsReceived != budget {
 		t.Errorf("bob received %d packets, sender budget was %d", st.PacketsReceived, budget)
 	}
 	// The sender's own local viewer still has everything.
@@ -81,14 +74,7 @@ func TestSenderAdaptsToReceiverReports(t *testing.T) {
 // TestSenderAdaptationCanBeDisabled: send-side adaptation is driven by
 // reports alone — a sender nobody reports to transmits every packet.
 func TestSenderAdaptationCanBeDisabled(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 122})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	defer a.Close()
-	defer b.Close()
+	a, b, net := newPair(t)
 
 	if got := a.sendBudget(16); got != 16 {
 		t.Errorf("budget with no reports = %d, want 16", got)
@@ -101,23 +87,25 @@ func TestSenderAdaptationCanBeDisabled(t *testing.T) {
 	if err := a.ShareImage("full", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "full delivery", func() bool {
-		st, err := b.Viewer().Stats("full")
-		return err == nil && st.PacketsReceived == 16
-	})
+	net.clk.RunUntilIdle(0)
+	if st, err := b.Viewer().Stats("full"); err != nil || st.PacketsReceived != 16 {
+		t.Errorf("bob holds the share as %+v (%v), want all 16 packets", st, err)
+	}
 }
 
 // TestReportStateExpiry: stale reports stop throttling the sender.
 func TestReportStateExpiry(t *testing.T) {
-	rs := newReportState(nil)
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	rs := newReportState(clk)
 	rs.record("p", 0.8)
 	if rs.worst() != 0.8 {
 		t.Fatalf("worst = %g", rs.worst())
 	}
-	// Force expiry.
-	rs.mu.Lock()
-	rs.expires["p"] = time.Now().Add(-time.Second)
-	rs.mu.Unlock()
+	clk.Advance(reportTTL)
+	if rs.worst() != 0.8 {
+		t.Errorf("report gone at its TTL: %g", rs.worst())
+	}
+	clk.Advance(time.Nanosecond)
 	if rs.worst() != 0 {
 		t.Errorf("expired report still counted: %g", rs.worst())
 	}
@@ -135,11 +123,7 @@ func TestReportStateExpiry(t *testing.T) {
 // used to overwrite it, and worst() skips a NaN, so a peer that
 // reported 0.5 and then NaN un-throttled the sender.
 func TestRTCPNaNLossIsUnobserved(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 124})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	a := NewClient(ca, Config{})
-	defer a.Close()
+	a := newVNet(t, 124).client("alice", Config{})
 
 	for _, loss := range []float64{0.5, math.NaN()} {
 		frame, err := message.Encode(&message.Message{Kind: message.KindControl, Sender: "bob",
@@ -167,17 +151,8 @@ func TestRTCPNaNLossIsUnobserved(t *testing.T) {
 // TestRTCPReportAboutOthersIgnored: a report about a different sender
 // does not throttle this client.
 func TestRTCPReportAboutOthersIgnored(t *testing.T) {
-	net := transport.NewSimNet(transport.SimNetConfig{Seed: 123})
-	defer net.Close()
-	ca, _ := net.Attach("alice")
-	cb, _ := net.Attach("bob")
-	cc, _ := net.Attach("carol")
-	a := NewClient(ca, Config{})
-	b := NewClient(cb, Config{})
-	c := NewClient(cc, Config{})
-	defer a.Close()
-	defer b.Close()
-	defer c.Close()
+	net := newVNet(t, 123)
+	a, b, c := net.client("alice", Config{}), net.client("bob", Config{}), net.client("carol", Config{})
 
 	obj, err := media.EncodeImage(wavelet.Circles(32, 32), "x")
 	if err != nil {
@@ -190,11 +165,14 @@ func TestRTCPReportAboutOthersIgnored(t *testing.T) {
 	if err := b.ShareImage("ib", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "carol's data", func() bool { return c.Stats().DataPackets == 32 })
+	net.clk.RunUntilIdle(0)
+	if got := c.Stats().DataPackets; got != 32 {
+		t.Fatalf("carol took %d data packets, want 32", got)
+	}
 	if err := c.SendReceptionReports(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	net.clk.RunUntilIdle(0)
 	// Clean links: zero loss reported either way.
 	if a.WorstPeerLoss() != 0 || b.WorstPeerLoss() != 0 {
 		t.Errorf("clean links reported loss: %g, %g", a.WorstPeerLoss(), b.WorstPeerLoss())

@@ -81,15 +81,7 @@ func TestImageLevelMustBeWhole(t *testing.T) {
 		}
 		return d[0]
 	}
-	clk := clock.NewVirtual(time.Unix(100, 0))
-	net := transport.NewDESNet(transport.DESNetConfig{Clock: clk})
-	defer net.Close()
-	conn, err := net.Attach("recv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(conn, Config{Clock: clk})
-	defer c.Close()
+	c := newVNet(t, 0).client("recv", Config{})
 	c.HandlePacket(transport.Packet{From: "peer", Data: image(message.KindEvent, selector.Value{}, apps.EncodeImageMeta(meta))})
 
 	snd := rtp.NewSender(rtp.SSRCOf("peer"), 96, 0)
