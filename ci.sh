@@ -30,8 +30,11 @@ fi
 go test -count=1 ./...
 go test -race -count=1 ./...
 # At 4 Ps too: receive loops lend one message per frame, which pool workers
-# read, and the registry takes a shard lock and then a member's lock.
-go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile
+# read, and the registry takes a shard lock and then a member's lock; the
+# virtual clock takes events from any goroutine while one drives it, and
+# the wall network's dispatcher and Serve's goroutine own a wall timer
+# and ticker.
+go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

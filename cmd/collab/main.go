@@ -109,7 +109,7 @@ func tickTelemetry(collector *obs.Collector, tl *timeline.Timeline, sloEng *slo.
 			select {
 			case <-quit:
 				return
-			case now := <-ticker.C():
+			case now := <-ticker.C:
 				if collector != nil {
 					collector.SampleOnce()
 				}

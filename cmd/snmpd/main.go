@@ -90,7 +90,7 @@ func main() {
 	go func() {
 		ticker := clock.Wall.NewTicker(*tick)
 		defer ticker.Stop()
-		for range ticker.C() {
+		for range ticker.C {
 			step := host.Step()
 			log.Printf("snmpd: step %d: cpu=%.0f%% faults=%.0f/s",
 				step, host.Get(hostagent.ParamCPULoad), host.Get(hostagent.ParamPageFaults))

@@ -105,7 +105,7 @@ func TestWhiteboard(t *testing.T) {
 	}
 
 	w.Apply(encodeClear())
-	if w.Len() != 0 || len(w.IDs()) != 0 {
+	if w.Len() != 0 || len(w.Strokes()) != 0 {
 		t.Error("clear")
 	}
 

@@ -3,7 +3,6 @@ package apps
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -125,16 +124,4 @@ func (w *Whiteboard) Len() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return len(w.strokes)
-}
-
-// IDs returns the stroke IDs, sorted (for deterministic tests/logs).
-func (w *Whiteboard) IDs() []uint32 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	out := make([]uint32, 0, len(w.strokes))
-	for id := range w.strokes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

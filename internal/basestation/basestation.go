@@ -55,8 +55,9 @@ type Config struct {
 	// delivery work is hashed over this many single-worker queues.
 	// 0 means GOMAXPROCS; 1 forces the inline sequential path.
 	FanOutWorkers int
-	// Clock timestamps relayed frames and schedules the collection
-	// sweep (nil = wall clock).
+	// Clock timestamps relayed frames and ages collections (nil = wall
+	// clock).  The collection sweep runs on the wired conn's substrate:
+	// the DESNet's heap, or a wall ticker.
 	Clock clock.Clock
 }
 
@@ -192,14 +193,11 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	// here (Close unregisters).
 	bs.unregRadioSrc = slo.Default().RegisterRadioSource(bs.RadioSnapshot)
 	bs.stops = [2]func(){
-		transport.Serve(wired, bs.clk, collectTTL/4, bs.handleWired, bs.sweep),
-		transport.Serve(wireless, bs.clk, 0, bs.handleWireless, nil),
+		transport.Serve(wired, collectTTL/4, bs.handleWired, bs.sweep),
+		transport.Serve(wireless, 0, bs.handleWireless, nil),
 	}
 	return bs
 }
-
-// ID returns the base station's identifier.
-func (bs *BaseStation) ID() string { return bs.id }
 
 // Stats returns a snapshot of the relay counters.
 func (bs *BaseStation) Stats() Stats {

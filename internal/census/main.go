@@ -9,10 +9,10 @@
 // standard library from export data, this repository from source),
 // type-checks them and walks the reference graph from every function of
 // every main package plus every init.  A method is reached when it is
-// named directly, or when its receiver type is reached and a method of
-// that name is called through an interface from reached code (or a
-// standard-library interface the type implements carries it).  Test
-// files are not loaded: a declaration only tests use is unreachable.
+// named directly, or when its receiver type is reached and implements an
+// interface that declares the method and that reached code calls it
+// through (or that the standard library declares).  Test files are not
+// loaded: a declaration only tests use is unreachable.
 //
 // It prints "file:line rule: what" per violation and "file:line
 // pkg.Name (lines)" per unreached declaration, and exits 1 on any, on a
@@ -171,11 +171,13 @@ type graph struct {
 	decls   map[types.Object]*decl
 	order   []*decl // load order, for stable reports
 	methods map[*types.TypeName][]*decl
-	std     []*types.Interface // the standard library's named interfaces
 
-	reached    map[*decl]bool
-	work       []*decl
-	ifaceCalls map[string]bool // method names called through an interface from reached code
+	reached map[*decl]bool
+	work    []*decl
+	// ifaceCalls maps a method name to the interfaces declaring it that
+	// reached code calls it through, and to every standard-library
+	// interface declaring it: the standard library calls those itself.
+	ifaceCalls map[string]map[*types.Interface]bool
 	globals    map[string]bool // listed package vars → whether the global-state rule found one
 }
 
@@ -211,7 +213,7 @@ func load(dir string, globals []string) (*graph, error) {
 		decls:      map[types.Object]*decl{},
 		methods:    map[*types.TypeName][]*decl{},
 		reached:    map[*decl]bool{},
-		ifaceCalls: map[string]bool{},
+		ifaceCalls: map[string]map[*types.Interface]bool{},
 		globals:    map[string]bool{},
 	}
 	for _, name := range globals {
@@ -269,7 +271,7 @@ func load(dir string, globals []string) (*graph, error) {
 		g.check(tp, files, info)
 		g.addDecls(p, filepath.ToSlash(rel), files, info)
 	}
-	g.std = append(g.std, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	g.callVia(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	return g, nil
 }
 
@@ -282,8 +284,8 @@ func (g *graph) path(pos token.Pos) string {
 func (g *graph) addStdInterfaces(p *types.Package) {
 	for _, name := range p.Scope().Names() {
 		if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
-				g.std = append(g.std, it)
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.IsMethodSet() {
+				g.callVia(it)
 			}
 		}
 	}
@@ -400,7 +402,7 @@ func (g *graph) scan(d *decl) {
 		}
 		if fn, ok := obj.(*types.Func); ok {
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				g.ifaceCalls[fn.Name()] = true
+				g.callVia(recv.Type().Underlying().(*types.Interface), fn.Name())
 				return true
 			}
 			obj = fn.Origin() // a method of an instantiated generic type → its declaration
@@ -410,9 +412,26 @@ func (g *graph) scan(d *decl) {
 	})
 }
 
-// viaStd reports whether a standard-library interface that the method's
-// receiver type implements declares a method of its name.
-func (g *graph) viaStd(owner *types.TypeName, method string) bool {
+// callVia records that the named methods of it, or all of them when
+// none are named, are called through it.
+func (g *graph) callVia(it *types.Interface, names ...string) {
+	if len(names) == 0 {
+		for i := range it.NumMethods() {
+			names = append(names, it.Method(i).Name())
+		}
+	}
+	for _, name := range names {
+		if g.ifaceCalls[name] == nil {
+			g.ifaceCalls[name] = map[*types.Interface]bool{}
+		}
+		g.ifaceCalls[name][it] = true
+	}
+}
+
+// viaIface reports whether the method of owner named method is called
+// through an interface that owner, or a pointer to it, implements.  A
+// generic type is taken to implement any interface declaring the name.
+func (g *graph) viaIface(owner *types.TypeName, method string) bool {
 	switch method {
 	case "Unwrap", "Is", "As", "Timeout", "Temporary", "Format", "GoString":
 		return true // looked for by errors, net and fmt through unexported interfaces
@@ -422,9 +441,8 @@ func (g *graph) viaStd(owner *types.TypeName, method string) bool {
 		return false
 	}
 	generic := named.TypeParams().Len() > 0
-	for _, it := range g.std {
-		if m, _, _ := types.LookupFieldOrMethod(it, false, nil, method); m != nil &&
-			(generic || types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+	for it := range g.ifaceCalls[method] {
+		if generic || types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
 			return true
 		}
 	}
@@ -444,7 +462,7 @@ func (g *graph) settle() {
 				continue
 			}
 			for _, m := range ms {
-				if !g.reached[m] && (g.ifaceCalls[m.obj.Name()] || g.viaStd(owner, m.obj.Name())) {
+				if !g.reached[m] && g.viaIface(owner, m.obj.Name()) {
 					g.mark(m)
 				}
 			}

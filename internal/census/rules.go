@@ -35,7 +35,7 @@ var rules = []rule{
 		[]string{"internal/message/view.go", "internal/message/fragment.go", "internal/apps/imageviewer.go",
 			"internal/core/coordkernel.go", "internal/transport/engine.go"},
 		[]string{"internal/transport/engine.go:node.Multicast", "internal/transport/engine.go:node.Unicast"}, noCopies},
-	{"scheduling", "everything waits on an injected clock.Clock, so a run reproduces on clock.Virtual (§14)",
+	{"scheduling", "a wait goes through clock.Wall and virtual-time work is a clock.Virtual heap event, so a run reproduces on clock.Virtual (§14)",
 		[]string{"internal/", "cmd/"}, []string{"internal/clock/"},
 		uses("time", "After", "AfterFunc", "NewTicker", "NewTimer", "Sleep", "Tick")},
 	{"clock-seam", "a raw wall-clock read de-synchronizes a recorded session from its replay (§14)",
@@ -188,8 +188,8 @@ func noCopies(s *scope, n ast.Node, _ types.Object) string {
 }
 
 // waits flags a use of one of the named methods of a type the clock
-// package declares — the Clock interface, and so clock.Wall, or a
-// concrete clock — called or taken as a value.
+// package declares — clock.Wall's, the one clock that waits — called
+// or taken as a value.
 func waits(names ...string) func(*scope, ast.Node, types.Object) string {
 	return func(s *scope, _ ast.Node, obj types.Object) string {
 		fn, ok := obj.(*types.Func)

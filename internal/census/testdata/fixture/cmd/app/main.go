@@ -6,4 +6,5 @@ import "fixture/internal/lib"
 
 func main() {
 	println(lib.Total([]lib.Shape{lib.Square{S: 2}}))
+	println(lib.Circle{R: 1}.R)
 }

@@ -34,3 +34,10 @@ func Spare() int { return spareValue }
 
 // spareValue is reached only through Spare.
 const spareValue = 1
+
+// Circle is reached: main builds one.
+type Circle struct{ R float64 }
+
+// Area is not: Circle has no Name, so it is no Shape, and Total's call
+// through Shape cannot reach it.
+func (c Circle) Area() float64 { return 3 * c.R * c.R }

@@ -26,13 +26,13 @@ func TestWallBasics(t *testing.T) {
 	}
 	tm := Wall.NewTimer(time.Millisecond)
 	select {
-	case <-tm.C():
+	case <-tm.C:
 	case <-time.After(5 * time.Second):
 		t.Fatal("wall timer never fired")
 	}
 	tk := Wall.NewTicker(time.Millisecond)
 	select {
-	case <-tk.C():
+	case <-tk.C:
 	case <-time.After(5 * time.Second):
 		t.Fatal("wall ticker never fired")
 	}
@@ -93,21 +93,8 @@ func TestVirtualEventSeesItsInstant(t *testing.T) {
 	}
 }
 
-func TestVirtualStopAndStep(t *testing.T) {
+func TestVirtualStep(t *testing.T) {
 	v := NewVirtual(time.Time{})
-	var fired bool
-	s := v.ScheduleFunc(time.Second, func(time.Time) { fired = true })
-	if !s.Stop() {
-		t.Fatal("Stop on pending event should report true")
-	}
-	if s.Stop() {
-		t.Fatal("second Stop should report false")
-	}
-	v.Advance(2 * time.Second)
-	if fired {
-		t.Fatal("stopped event fired")
-	}
-
 	v.ScheduleFunc(time.Second, func(time.Time) {})
 	v.ScheduleFunc(2*time.Second, func(time.Time) {})
 	if n := v.Len(); n != 2 {
@@ -118,84 +105,6 @@ func TestVirtualStopAndStep(t *testing.T) {
 	}
 	if v.Step() {
 		t.Fatal("Step on empty heap should report false")
-	}
-}
-
-func TestVirtualTimerAndTicker(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	tm := v.NewTimer(10 * time.Millisecond)
-	v.Advance(5 * time.Millisecond)
-	select {
-	case <-tm.C():
-		t.Fatal("timer fired early")
-	default:
-	}
-	v.Advance(5 * time.Millisecond)
-	select {
-	case now := <-tm.C():
-		if want := DefaultEpoch.Add(10 * time.Millisecond); !now.Equal(want) {
-			t.Fatalf("timer delivered %v, want %v", now, want)
-		}
-	default:
-		t.Fatal("timer did not fire at its deadline")
-	}
-	if tm.Stop() {
-		t.Fatal("Stop after firing should report false")
-	}
-	if tm.Reset(3 * time.Millisecond) {
-		t.Fatal("Reset after firing should report false")
-	}
-	v.Advance(3 * time.Millisecond)
-	select {
-	case <-tm.C():
-	default:
-		t.Fatal("reset timer did not fire")
-	}
-
-	tk := v.NewTicker(time.Second)
-	v.Advance(3500 * time.Millisecond)
-	// Depth-1 channel: only the latest undelivered tick is retained.
-	ticks := 0
-	for {
-		select {
-		case <-tk.C():
-			ticks++
-			continue
-		default:
-		}
-		break
-	}
-	if ticks != 1 {
-		t.Fatalf("buffered ticks = %d, want 1 (depth-1 channel)", ticks)
-	}
-	tk.Stop()
-	before := v.Len()
-	v.Advance(10 * time.Second)
-	if v.Len() > before {
-		t.Fatal("stopped ticker kept rescheduling")
-	}
-}
-
-func TestVirtualSleepWakesOnAdvance(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	v.Sleep(-time.Second) // returns immediately
-	done := make(chan struct{})
-	ready := make(chan struct{})
-	go func() {
-		close(ready)
-		v.Sleep(time.Second)
-		close(done)
-	}()
-	<-ready
-	// Wait for the sleeper's event to land on the heap before driving.
-	for v.Len() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	v.Advance(2 * time.Second)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Sleep never woke after Advance past its deadline")
 	}
 }
 
@@ -215,10 +124,7 @@ func TestVirtualConcurrentScheduleRace(t *testing.T) {
 					return
 				default:
 				}
-				s := v.ScheduleFunc(time.Duration(i%7)*time.Millisecond, func(time.Time) {})
-				if i%3 == 0 {
-					s.Stop()
-				}
+				v.ScheduleFunc(time.Duration(i%7)*time.Millisecond, func(time.Time) {})
 				v.Now()
 			}
 		}(g)
@@ -231,44 +137,6 @@ func TestVirtualConcurrentScheduleRace(t *testing.T) {
 	v.Advance(time.Second)
 }
 
-// TestVirtualAfterFuncReset: like time.AfterFunc's and time.Timer's, a
-// virtual timer fires again after Reset — whether it had fired or was
-// stopped first.
-func TestVirtualAfterFuncReset(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	tm := v.NewTimer(time.Second)
-	fired := func() bool {
-		select {
-		case <-tm.C():
-			return true
-		default:
-			return false
-		}
-	}
-	v.Advance(time.Second)
-	if !fired() {
-		t.Fatal("timer did not fire")
-	}
-	if tm.Reset(time.Second) {
-		t.Fatal("Reset after firing should report false")
-	}
-	v.Advance(time.Second)
-	if !fired() {
-		t.Fatal("fire then Reset: timer did not fire again")
-	}
-	tm.Reset(time.Second)
-	if !tm.Stop() {
-		t.Fatal("Stop on an armed timer should report true")
-	}
-	if tm.Reset(time.Second) {
-		t.Fatal("Reset after Stop should report false")
-	}
-	v.Advance(time.Second)
-	if !fired() {
-		t.Fatal("Stop then Reset: timer did not fire again")
-	}
-}
-
 type batchLog struct {
 	log *[]string
 	tag string
@@ -278,7 +146,7 @@ func (b batchLog) FireItem(i int, now time.Time) {
 	*b.log = append(*b.log, fmt.Sprintf("%s%d@%v", b.tag, i, now.Sub(DefaultEpoch)))
 }
 
-// TestVirtualBatchOrder: a batch's items fire as separate Schedule calls
+// TestVirtualBatchOrder: a batch's items fire as separate ScheduleFunc calls
 // in index order would — by instant, ties in index order, and before an
 // event scheduled after the batch at the same instant — and every
 // counter (Len, Step, RunUntilIdle, AdvanceTo) sees each item as one

@@ -1,8 +1,7 @@
 package clock
 
 // Len reports the number of pending events, counting each pending item
-// of a batch as one: tests wait on it for a timer to be armed before
-// advancing.
+// of a batch as one.
 func (v *Virtual) Len() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -44,12 +44,9 @@ func NewCoordinator(conn transport.Conn, group session.Group) *Coordinator {
 // wall) timestamping replies and replay notifications.
 func NewCoordinatorClock(conn transport.Conn, group session.Group, clk clock.Clock) *Coordinator {
 	c := &Coordinator{k: NewCoordinatorKernel(conn, group, clock.Or(clk))}
-	c.stop = transport.Serve(conn, clk, 0, c.handle, nil)
+	c.stop = transport.Serve(conn, 0, c.handle, nil)
 	return c
 }
-
-// ID returns the coordinator's substrate identifier.
-func (c *Coordinator) ID() string { return c.k.ID() }
 
 // ArchivedEvents returns the number of archived events.
 func (c *Coordinator) ArchivedEvents() int {

@@ -51,11 +51,11 @@ type Config struct {
 	// frames pass through per-sender order buffers, and a repair loop
 	// NACKs the named coordinator for persistent gaps (DESIGN.md §10).
 	Repair *RepairOptions
-	// Clock schedules and timestamps everything the client does (nil =
-	// wall clock).  A simulation injects a clock.Virtual here and the
-	// whole client — message timestamps, RTP arrival stamps, RTCP
-	// report TTLs, repair backoff, adaptation ticks — runs on virtual
-	// time.
+	// Clock timestamps everything the client does (nil = wall clock).
+	// A simulation injects its DESNet's clock.Virtual here and the whole
+	// client — message timestamps, RTP arrival stamps, RTCP report
+	// TTLs, repair backoff, adaptation ticks — runs on virtual time:
+	// transport.Serve polls it on that network's heap.
 	Clock clock.Clock
 }
 
@@ -183,7 +183,7 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 	c.k.Control = c.control
 	c.lastDecision = inference.Decision{PacketBudget: inference.Unlimited}
 	c.txMulti = &dispatch.Multicaster{Env: &c.k.env, Conn: conn}
-	c.stop = transport.Serve(conn, c.clk, c.k.PollInterval(), c.HandlePacket, c.Poll)
+	c.stop = transport.Serve(conn, c.k.PollInterval(), c.HandlePacket, c.Poll)
 	return c
 }
 

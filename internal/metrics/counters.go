@@ -21,9 +21,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Reset zeroes the counter (benchmarks measuring deltas).
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Names of the dispatch fast-path counters (see DESIGN.md "Dispatch
 // fast path").  Declared here so instrumented packages and tools agree
 // on spelling.

@@ -183,9 +183,6 @@ type UDPRoundTripper struct {
 	Timeout time.Duration
 	// Retries is the number of additional attempts (default 2).
 	Retries int
-	// Clock anchors read deadlines (nil = wall clock; real sockets only
-	// make sense on wall time, but the seam keeps deadline math uniform).
-	Clock clock.Clock
 
 	mu   sync.Mutex
 	conn *net.UDPConn
@@ -242,7 +239,7 @@ func (t *UDPRoundTripper) RoundTrip(request []byte) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		if err := conn.SetReadDeadline(clock.Or(t.Clock).Now().Add(timeout)); err != nil {
+		if err := conn.SetReadDeadline(clock.Wall.Now().Add(timeout)); err != nil {
 			return nil, err
 		}
 		n, err := conn.Read(buf)

@@ -34,8 +34,8 @@ type DESNetConfig struct {
 	InboxDepth int
 	// Clock is the virtual clock deliveries are scheduled on; nil
 	// creates one at clock.DefaultEpoch.  Share one clock between the
-	// network and the rest of the simulated system (SLO pollers,
-	// repair tickers) so everything moves together.
+	// network and the rest of the simulated system (SLO polls, nodes'
+	// repair polls) so everything moves together.
 	Clock *clock.Virtual
 }
 

@@ -34,7 +34,7 @@ import (
 // zero-delay deliveries happen synchronously in the sender's goroutine
 // once the engine lock is released, and delayed ones wait in the
 // engine's own deadline queue: a min-heap on (deadline, schedule order)
-// that one clock.Timer and one dispatcher goroutine carry, both started
+// that one wall timer and one dispatcher goroutine carry, both started
 // by the first delayed send.  Equal delays therefore arrive in the order
 // sent, and a delayed delivery costs no allocation of its own.
 type engine struct {
@@ -55,7 +55,7 @@ type engine struct {
 	// The wall scheduler's delayed deliveries (see queueLocked).
 	due   []dueDelivery // min-heap on (at, seq)
 	seq   uint64        // schedule order, the tiebreak for equal deadlines
-	timer clock.Timer   // armed for the head; nil until the first delayed send
+	timer *time.Timer   // armed for the head; nil until the first delayed send
 	quit  chan struct{} // closed by Close to stop the dispatcher
 
 	// The virtual scheduler's scratch for one send's fan-out (see
@@ -322,10 +322,10 @@ func (n *engine) queueLocked(at, now time.Time, d delivery) {
 		return
 	}
 	if n.timer == nil {
-		n.timer = n.clk.NewTimer(at.Sub(now))
+		n.timer = clock.Wall.NewTimer(at.Sub(now))
 		n.quit = make(chan struct{})
 		n.wg.Add(1)
-		go n.dispatch(n.timer.C(), n.quit)
+		go n.dispatch(n.timer.C, n.quit)
 		return
 	}
 	n.timer.Reset(at.Sub(now))

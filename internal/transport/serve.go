@@ -13,17 +13,18 @@ import (
 //
 //   - A node on a DESNet runs inline: handle is installed as its
 //     handler, on the goroutine driving the network's clock.Virtual, and
-//     poll is scheduled on that clock, which should be clk too.  Nothing
-//     is started, so the run is as deterministic as the network.  Once
-//     the conn closes neither runs again, and the pending poll leaves
-//     the clock's heap the next time it comes due.
+//     poll is a heap event on that clock.  Nothing is started, so the
+//     run is as deterministic as the network.  Once the conn closes
+//     neither runs again, and the pending poll leaves the clock's heap
+//     the next time it comes due.
 //   - On a wall substrate (SimNet, UDP) one goroutine calls handle for
 //     each packet off conn.Recv and poll on each tick of
-//     clk.NewTicker(every), one call at a time, until the conn closes.
+//     clock.Wall.NewTicker(every), one call at a time, until the conn
+//     closes.
 //
 // Close conn before calling stop: stop waits until neither handle nor
 // poll runs again.  It is safe to call more than once.
-func Serve(conn Conn, clk clock.Clock, every time.Duration, handle func(Packet), poll func(time.Time)) (stop func()) {
+func Serve(conn Conn, every time.Duration, handle func(Packet), poll func(time.Time)) (stop func()) {
 	if n, ok := conn.(*node); ok && n.net.virt != nil {
 		n.serveInline(handle)
 		var tick func(time.Time)
@@ -42,10 +43,10 @@ func Serve(conn Conn, clk clock.Clock, every time.Duration, handle func(Packet),
 		return func() {}
 	}
 	var tick <-chan time.Time // nil: never ready
-	var ticker clock.Ticker
+	var ticker *time.Ticker
 	if every > 0 {
-		ticker = clock.Or(clk).NewTicker(every)
-		tick = ticker.C()
+		ticker = clock.Wall.NewTicker(every)
+		tick = ticker.C
 	}
 	done := make(chan struct{})
 	go func() {

@@ -24,7 +24,7 @@ func TestServeDESNetInline(t *testing.T) {
 	n.virt.Advance(0) // delivered into a's inbox: nobody serves a yet
 
 	var log []string
-	stop := Serve(a, nil, 10*time.Millisecond,
+	stop := Serve(a, 10*time.Millisecond,
 		func(p Packet) { log = append(log, "handle "+string(p.Data)) },
 		func(now time.Time) { log = append(log, "poll "+now.Sub(clock.DefaultEpoch).String()) })
 	if err := b.Unicast("a", []byte("late")); err != nil {
@@ -70,7 +70,7 @@ func TestServeDESNetReleasesInbox(t *testing.T) {
 	}
 	send("early")
 	var got []string
-	Serve(a, nil, 0, func(p Packet) { got = append(got, string(p.Data)) }, nil)
+	Serve(a, 0, func(p Packet) { got = append(got, string(p.Data)) }, nil)
 	if a.Recv() != nil {
 		t.Error("a node served inline kept its inbox")
 	}
@@ -95,7 +95,7 @@ func TestServeDESNetReleasesInbox(t *testing.T) {
 }
 
 // TestServeWall: on a SimNet Serve reads on its own goroutine and polls
-// on clk's ticker, and stop, once the conn is closed, leaves neither
+// on a wall ticker, and stop, once the conn is closed, leaves neither
 // goroutine behind.
 func TestServeWall(t *testing.T) {
 	n := NewSimNet(SimNetConfig{})
@@ -103,18 +103,22 @@ func TestServeWall(t *testing.T) {
 	a, _ := n.Attach("a")
 	b, _ := n.Attach("b")
 	before := runtime.NumGoroutine()
-	vclk := clock.NewVirtual(time.Time{})
 	got, polled := make(chan string, 1), make(chan time.Time, 1)
-	stop := Serve(a, vclk, time.Second, func(p Packet) { got <- string(p.Data) }, func(now time.Time) { polled <- now })
+	served := time.Now()
+	stop := Serve(a, time.Millisecond, func(p Packet) { got <- string(p.Data) }, func(now time.Time) {
+		select {
+		case polled <- now:
+		default: // an earlier tick is still unread
+		}
+	})
 	if err := b.Multicast([]byte("hi")); err != nil {
 		t.Fatal(err)
 	}
 	if s := <-got; s != "hi" {
 		t.Fatalf("handled %q", s)
 	}
-	vclk.Advance(time.Second)
-	if now := <-polled; !now.Equal(clock.DefaultEpoch.Add(time.Second)) {
-		t.Fatalf("polled at %v", now)
+	if now := <-polled; now.Before(served) {
+		t.Fatalf("polled at %v, before Serve was called at %v", now, served)
 	}
 	a.Close()
 	stop()
