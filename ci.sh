@@ -16,12 +16,13 @@ go build ./...
 # the architecture rules of internal/census/rules.go.
 go run ./internal/census
 
-# Core and base-station tests run on virtual time (DESIGN.md §14): no
-# polling, sleep, wall SimNet or wall deadline outside the two
-# wall_test.go files.  The census does not load test files, so the
-# check is a grep.
-if grep -nE 'waitFor|time\.Sleep|NewSimNet|time\.Now\(' internal/core/*_test.go internal/basestation/*_test.go | grep -v '/wall_test\.go:'; then
-	echo "WALL TIME OUTSIDE wall_test.go (drive the test's clock.Virtual instead):" >&2
+# Core and base-station tests and the examples run on virtual time
+# (DESIGN.md §14): no polling, sleep, wall SimNet or wall deadline
+# outside the two wall_test.go files.  The census neither loads test
+# files nor holds the examples to its clock rules, so the check is a
+# grep.
+if grep -nE 'waitFor|time\.Sleep|NewSimNet|time\.Now\(' internal/core/*_test.go internal/basestation/*_test.go examples/*/main.go | grep -v '/wall_test\.go:'; then
+	echo "WALL TIME OUTSIDE wall_test.go (drive the test's or example's clock.Virtual instead):" >&2
 	exit 1
 fi
 

@@ -52,11 +52,11 @@ func main() {
 		}
 		return conn
 	}
-	coord := core.NewCoordinatorClock(attach(coordinator), group, clk)
+	coord := core.NewCoordinator(attach(coordinator), group)
 	defer coord.Close()
 
 	join := func(id, category string) *core.Client {
-		c := core.NewClient(attach(id), core.Config{Clock: clk})
+		c := core.NewClient(attach(id), core.Config{})
 		c.Profile().SetInterest("category", selector.S(category))
 		fmt.Printf("%-6s (%s): joined\n", id, category)
 		return c

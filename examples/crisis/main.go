@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	commandPost := core.NewClient(cpConn, core.Config{Clock: clk})
+	commandPost := core.NewClient(cpConn, core.Config{})
 	defer commandPost.Close()
 
 	// Base station bridging the field radio segment.
@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bs := basestation.New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}), basestation.Config{Clock: clk})
+	bs := basestation.New("bs", bsWired, bsRF, radio.NewChannel(radio.Params{}), basestation.Config{})
 	defer bs.Close()
 
 	// Field responders join at staggered ranges.
@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := core.NewClient(conn, core.Config{Clock: clk})
+		c := core.NewClient(conn, core.Config{})
 		defer c.Close()
 		assess, err := bs.Join(profile.New(id), d, 1)
 		if err != nil {

@@ -76,8 +76,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sender := core.NewClient(connA, core.Config{Clock: clk})
-	receiver := core.NewClient(connB, core.Config{Monitor: monitor, Clock: clk})
+	sender := core.NewClient(connA, core.Config{})
+	receiver := core.NewClient(connB, core.Config{Monitor: monitor})
 	defer sender.Close()
 	defer receiver.Close()
 

@@ -32,10 +32,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	coord := core.NewCoordinatorClock(coordConn, session.Group{
+	coord := core.NewCoordinator(coordConn, session.Group{
 		Objective:   "design-review:bridge-deck",
 		ResultSpace: []string{"comments", "annotations", "images"},
-	}, clk)
+	})
 	defer coord.Close()
 
 	attach := func(id string) *core.Client {
@@ -43,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return core.NewClient(conn, core.Config{Clock: clk})
+		return core.NewClient(conn, core.Config{})
 	}
 	ana := attach("ana")
 	raj := attach("raj")

@@ -45,28 +45,28 @@ var (
 	ErrNoService     = errors.New("basestation: SIR below any service tier")
 )
 
-// Config parameterizes a base station.
+// Config parameterizes a base station.  The station stamps frames and
+// ages collections on its wired conn's clock (transport.Conn.Clock),
+// the clock its collection sweep is polled on.
 type Config struct {
 	// Thresholds gate forwarded modalities (default DefaultThresholds).
 	Thresholds radio.Thresholds
-	// Registry supplies modality transformers (default DefaultRegistry).
-	Registry *media.Registry
 	// FanOutWorkers is the dispatch pool's shard count: per-client
 	// delivery work is hashed over this many single-worker queues.
 	// 0 means GOMAXPROCS; 1 forces the inline sequential path.
 	FanOutWorkers int
-	// Clock timestamps relayed frames and ages collections (nil = wall
-	// clock).  The collection sweep runs on the wired conn's substrate:
-	// the DESNet's heap, or a wall ticker.
-	Clock clock.Clock
+
+	// registry supplies modality transformers (default
+	// media.DefaultRegistry); the package's tests substitute one.
+	registry *media.Registry
 }
 
 func (c Config) withDefaults() Config {
 	if c.Thresholds == (radio.Thresholds{}) {
 		c.Thresholds = radio.DefaultThresholds()
 	}
-	if c.Registry == nil {
-		c.Registry = media.DefaultRegistry()
+	if c.registry == nil {
+		c.registry = media.DefaultRegistry()
 	}
 	if c.FanOutWorkers <= 0 {
 		c.FanOutWorkers = runtime.GOMAXPROCS(0)
@@ -105,7 +105,7 @@ type Stats struct {
 // pool's workers are the pool's).
 type BaseStation struct {
 	id       string
-	clk      clock.Clock
+	clk      clock.Clock    // the wired conn's
 	wired    transport.Conn // multicast session peer
 	wireless transport.Conn // radio-segment endpoint (unicast to clients)
 	cfg      Config
@@ -164,7 +164,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	cfg = cfg.withDefaults()
 	bs := &BaseStation{
 		id:       id,
-		clk:      clock.Or(cfg.Clock),
+		clk:      wired.Clock(),
 		wired:    wired,
 		wireless: wireless,
 		cfg:      cfg,

@@ -61,7 +61,6 @@ func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	r := &rig{}
 	r.clk, r.wiredNet, r.radioNet = newNets(t)
-	cfg.Clock = r.clk
 	r.bs = New("bs", attach(t, r.wiredNet, "bs"), attach(t, r.radioNet, "bs"), radio.NewChannel(radio.Params{}), cfg)
 	r.wired = r.client(t, r.wiredNet, "wired-1")
 	t.Cleanup(func() { r.bs.Close() })
@@ -71,7 +70,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 // client seats a framework client on net until the test ends.
 func (r *rig) client(t *testing.T, net *transport.DESNet, id string) *core.Client {
 	t.Helper()
-	c := core.NewClient(attach(t, net, id), core.Config{Clock: r.clk})
+	c := core.NewClient(attach(t, net, id), core.Config{})
 	t.Cleanup(func() { c.Close() })
 	return c
 }

@@ -208,6 +208,31 @@ func TestReassemblySweepEvictsIncomplete(t *testing.T) {
 	}
 }
 
+// TestStationAgesCollectionsOnItsNetworksClock: a station seated on two
+// DESNets with an empty Config stamps collections on the networks'
+// virtual clock, the one its sweep polls on, so an incomplete
+// collection is evicted once collectTTL passes.
+func TestStationAgesCollectionsOnItsNetworksClock(t *testing.T) {
+	clk, wiredNet, radioNet := newNets(t)
+	bs := New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}), Config{})
+	t.Cleanup(func() { bs.Close() })
+	in := &wiredInjector{t: t, clk: clk, conn: attach(t, wiredNet, "crasher")}
+	meta, packets, err := apps.ShareImage("halfway", testImageObject(t), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.announce("halfway", meta)
+	in.data("halfway", 0, packets[0])
+	clk.Advance(time.Second)
+	if got := bs.collect.Objects(); len(got) != 1 {
+		t.Fatalf("collecting %v, want the one incomplete share", got)
+	}
+	clk.Advance(collectTTL + collectTTL/4)
+	if got := bs.collect.Objects(); len(got) != 0 {
+		t.Errorf("incomplete collection never expires: %v", got)
+	}
+}
+
 // TestReassemblyJoinLeaveMidTransfer: clients joining and leaving while
 // transfers are in flight must not wedge delivery or leak collection
 // state.  A 1 Mbit/s link into the station spreads the shares' frames

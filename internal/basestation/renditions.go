@@ -120,7 +120,7 @@ func (rs *renditions) frame(packets [][]byte) [][]byte {
 // sketch tier.
 func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
 	sp := obs.StartStage(0, obs.StageTransform)
-	o, err := rs.bs.cfg.Registry.Transmode(rs.obj, to)
+	o, err := rs.bs.cfg.registry.Transmode(rs.obj, to)
 	if err != nil {
 		if sp.Active() {
 			sp.EndErr("bs " + rs.bs.id + ": " + rs.object + onFail)

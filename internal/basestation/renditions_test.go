@@ -106,7 +106,7 @@ func newTierRig(t *testing.T, tiers ...radio.Tier) *tierRig {
 	reg := media.NewRegistry()
 	reg.Register(counted{media.ImageToSketch{}, &tr.sketches})
 	reg.Register(counted{media.ImageToText{}, &tr.texts})
-	tr.place(t, Config{Registry: reg}, tiers...)
+	tr.place(t, Config{registry: reg}, tiers...)
 	return tr
 }
 

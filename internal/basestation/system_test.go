@@ -26,7 +26,7 @@ func TestFullSystemSession(t *testing.T) {
 	clk, wiredNet, radioNet := newNets(t)
 
 	// Coordinator archives the session.
-	coord := core.NewCoordinatorClock(attach(t, wiredNet, "coordinator"), session.Group{Objective: "system-test"}, clk)
+	coord := core.NewCoordinator(attach(t, wiredNet, "coordinator"), session.Group{Objective: "system-test"})
 	defer coord.Close()
 
 	// Wired clients; the first is monitored via SNMP.
@@ -38,7 +38,7 @@ func TestFullSystemSession(t *testing.T) {
 	}
 	var wired []*core.Client
 	for i := 0; i < 3; i++ {
-		cfg := core.Config{Clock: clk}
+		cfg := core.Config{}
 		if i == 0 {
 			cfg.Monitor = monitor
 		}
@@ -48,12 +48,12 @@ func TestFullSystemSession(t *testing.T) {
 	}
 
 	// Base station + wireless clients.
-	bs := New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}), Config{Clock: clk})
+	bs := New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}), Config{})
 	defer bs.Close()
 	var wireless []*core.Client
 	for i := 0; i < 2; i++ {
 		id := fmt.Sprintf("wireless-%d", i)
-		c := core.NewClient(attach(t, radioNet, id), core.Config{Clock: clk})
+		c := core.NewClient(attach(t, radioNet, id), core.Config{})
 		defer c.Close()
 		if _, err := bs.Join(profile.New(id), 45+float64(i)*8, 1); err != nil {
 			t.Fatal(err)
@@ -156,7 +156,7 @@ func TestFullSystemSession(t *testing.T) {
 	}
 
 	// A late joiner reconstructs the whole session from the archive.
-	late := core.NewClient(attach(t, wiredNet, "late"), core.Config{Clock: clk})
+	late := core.NewClient(attach(t, wiredNet, "late"), core.Config{})
 	defer late.Close()
 	if err := late.RequestHistory("coordinator", 0); err != nil {
 		t.Fatal(err)

@@ -23,9 +23,9 @@ import (
 // once, from a goroutine each: the numbering is shared state.
 func TestUplinkNumberedPerSender(t *testing.T) {
 	r := newRig(t, Config{})
-	coord := core.NewCoordinatorClock(attach(t, r.wiredNet, "coordinator"), session.Group{Objective: "uplink"}, r.clk)
+	coord := core.NewCoordinator(attach(t, r.wiredNet, "coordinator"), session.Group{Objective: "uplink"})
 	t.Cleanup(func() { coord.Close() })
-	replica := core.NewClient(attach(t, r.wiredNet, "replica"), core.Config{Clock: r.clk, Repair: &core.RepairOptions{
+	replica := core.NewClient(attach(t, r.wiredNet, "replica"), core.Config{Repair: &core.RepairOptions{
 		Coordinator: "coordinator", StallTimeout: 20 * time.Millisecond, MaxRetries: 2,
 	}})
 	t.Cleanup(func() { replica.Close() })

@@ -62,10 +62,10 @@ func runVirtualSession(t *testing.T) virtualRun {
 			fmt.Fprintf(&trace, "%s %d %s>%s %s %d %t %016x\n", name, e.AtNS, e.From, e.To, e.Kind, e.Size, e.Unicast, h.Sum64())
 		})
 	}
-	coord := core.NewCoordinatorClock(attach(t, wiredNet, "coordinator"), session.Group{Objective: "virtual"}, clk)
+	coord := core.NewCoordinator(attach(t, wiredNet, "coordinator"), session.Group{Objective: "virtual"})
 	var wired []*core.Client
 	for i, id := range virtualWired {
-		wired = append(wired, core.NewClient(attach(t, wiredNet, id), core.Config{Clock: clk, Repair: &core.RepairOptions{
+		wired = append(wired, core.NewClient(attach(t, wiredNet, id), core.Config{Repair: &core.RepairOptions{
 			Coordinator:  "coordinator",
 			StallTimeout: 32 * time.Millisecond,
 			MaxRetries:   10,
@@ -75,10 +75,10 @@ func runVirtualSession(t *testing.T) virtualRun {
 	// Six members interfere: thresholds below the defaults keep every
 	// one of them in service, at the image, sketch and text tiers.
 	bs := New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}),
-		Config{FanOutWorkers: 1, Clock: clk, Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
+		Config{FanOutWorkers: 1, Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
 	var wireless []*core.Client
 	for i, id := range virtualWireless {
-		wireless = append(wireless, core.NewClient(attach(t, radioNet, id), core.Config{Clock: clk}))
+		wireless = append(wireless, core.NewClient(attach(t, radioNet, id), core.Config{}))
 		p := profile.New(id)
 		p.Interests.SetString("media", "any")
 		if _, err := bs.Join(p, 50+float64(i)*6, 1); err != nil {

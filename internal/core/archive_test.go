@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
@@ -131,9 +130,8 @@ func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 	key := func(sender string, seq uint64) string { return fmt.Sprintf("%s/%d", sender, seq) }
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		conn := &captureConn{nullConn: "coordinator"}
-		k := NewCoordinatorKernel(conn, session.Group{Objective: "model", Filter: selector.MustCompile(`client != "m"`)},
-			clock.NewVirtual(time.Unix(0, 0)))
+		conn := newCaptureConn("coordinator", time.Unix(0, 0))
+		k := NewCoordinatorKernel(conn, session.Group{Objective: "model", Filter: selector.MustCompile(`client != "m"`)})
 		k.archiveCap = 300 + r.Intn(400)
 		m := &archiveModel{streams: map[string]*modelStream{}}
 		var ever []string // what the kernel archived, in session order

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
 )
@@ -37,13 +36,7 @@ type Coordinator struct {
 // is enforced: the coordinator archives what the multicast group
 // carries.
 func NewCoordinator(conn transport.Conn, group session.Group) *Coordinator {
-	return NewCoordinatorClock(conn, group, nil)
-}
-
-// NewCoordinatorClock is NewCoordinator with an injected clock (nil =
-// wall) timestamping replies and replay notifications.
-func NewCoordinatorClock(conn transport.Conn, group session.Group, clk clock.Clock) *Coordinator {
-	c := &Coordinator{k: NewCoordinatorKernel(conn, group, clock.Or(clk))}
+	c := &Coordinator{k: NewCoordinatorKernel(conn, group)}
 	c.stop = transport.Serve(conn, 0, c.handle, nil)
 	return c
 }

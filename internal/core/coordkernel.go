@@ -81,11 +81,11 @@ const maxRepairFrames = 256
 
 // NewCoordinatorKernel builds the coordinator kernel for the endpoint
 // attached as conn.  group's filter decides whose frames are archived;
-// clk (required) timestamps lock notifications.
-func NewCoordinatorKernel(conn transport.Conn, group session.Group, clk clock.Clock) *CoordinatorKernel {
+// conn's clock timestamps lock notifications and held frames.
+func NewCoordinatorKernel(conn transport.Conn, group session.Group) *CoordinatorKernel {
 	k := &CoordinatorKernel{
 		conn:       conn,
-		clk:        clk,
+		clk:        conn.Clock(),
 		group:      group,
 		unwrap:     message.NewUnwrapper(),
 		first:      1,

@@ -34,7 +34,9 @@ import (
 	"adaptiveqos/internal/transport"
 )
 
-// Config parameterizes a client.
+// Config parameterizes a client.  The client keeps time on its conn's
+// clock (transport.Conn.Clock), so on a DESNet all of it runs on the
+// network's virtual time.
 type Config struct {
 	// Contract is the client's QoS contract (nil = empty contract).
 	Contract *profile.Contract
@@ -51,12 +53,6 @@ type Config struct {
 	// frames pass through per-sender order buffers, and a repair loop
 	// NACKs the named coordinator for persistent gaps (DESIGN.md §10).
 	Repair *RepairOptions
-	// Clock timestamps everything the client does (nil = wall clock).
-	// A simulation injects its DESNet's clock.Virtual here and the whole
-	// client — message timestamps, RTP arrival stamps, RTCP report
-	// TTLs, repair backoff, adaptation ticks — runs on virtual time:
-	// transport.Serve polls it on that network's heap.
-	Clock clock.Clock
 }
 
 // RepairOptions configures the client's automatic gap-repair loop.
@@ -139,7 +135,7 @@ type Client struct {
 	// through the kernel's adapter so both share one enveloper.
 	txMulti dispatch.Deliverer
 
-	clk     clock.Clock // injected time source (clock.Wall by default)
+	clk     clock.Clock // the conn's
 	rtpSend *rtp.Sender
 	rtpMu   sync.Mutex
 	rtpRecv map[string]*rtp.Receiver // per-sender reception statistics
@@ -164,18 +160,17 @@ type Client struct {
 // drive it.  Callers configure interests/capabilities through Profile().
 func NewClient(conn transport.Conn, cfg Config) *Client {
 	cfg = cfg.withDefaults()
-	cfg.Clock = clock.Or(cfg.Clock)
 	c := &Client{
 		cfg:     cfg,
-		clk:     cfg.Clock,
+		clk:     conn.Clock(),
 		k:       NewKernel(conn, cfg),
-		engine:  inference.New(conn.ID(), cfg.Contract, cfg.Clock),
+		engine:  inference.New(conn.ID(), cfg.Contract, conn.Clock()),
 		chat:    apps.NewChatArea(),
 		wb:      apps.NewWhiteboard(),
 		viewer:  apps.NewImageViewer(),
 		inbox:   apps.NewMediaInbox(),
 		locks:   lockTable{states: make(map[string]LockStatus)},
-		reports: newReportState(cfg.Clock),
+		reports: newReportState(conn.Clock()),
 		rtpSend: rtp.NewSender(rtp.SSRCOf(conn.ID()), 96, 0),
 		rtpRecv: make(map[string]*rtp.Receiver),
 	}

@@ -57,10 +57,9 @@ func (n *vnet) handler(id string, h func(transport.Packet)) transport.Conn {
 	return conn
 }
 
-// client seats a client on the network's clock until the test ends.
+// client seats a client until the test ends.
 func (n *vnet) client(id string, cfg Config) *Client {
 	n.t.Helper()
-	cfg.Clock = n.clk
 	c := NewClient(n.attach(id), cfg)
 	n.t.Cleanup(func() { c.Close() })
 	return c
@@ -69,7 +68,7 @@ func (n *vnet) client(id string, cfg Config) *Client {
 // coordinator seats the archiving coordinator as "coordinator".
 func (n *vnet) coordinator(group session.Group) *Coordinator {
 	n.t.Helper()
-	c := NewCoordinatorClock(n.attach("coordinator"), group, n.clk)
+	c := NewCoordinator(n.attach("coordinator"), group)
 	n.t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -79,6 +78,37 @@ func newPair(t *testing.T) (*Client, *Client, *vnet) {
 	t.Helper()
 	n := newVNet(t, 1)
 	return n.client("alice", Config{}), n.client("bob", Config{}), n
+}
+
+// TestClientStampsOnItsNetworksClock: a client built with an empty
+// Config on a DESNet stamps what it sends with the network's virtual
+// now, the clock its receivers measure delivery latency on.
+func TestClientStampsOnItsNetworksClock(t *testing.T) {
+	n := newVNet(t, 1)
+	var stamps []time.Time
+	un := message.NewUnwrapper()
+	n.handler("listener", func(p transport.Packet) {
+		frame, err := un.Unwrap(p.From, p.Data)
+		if err != nil || frame == nil {
+			t.Fatalf("unreadable datagram: %v", err)
+		}
+		m, err := message.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamps = append(stamps, m.Timestamp)
+	})
+	c := NewClient(n.attach("speaker"), Config{})
+	t.Cleanup(func() { c.Close() })
+	n.clk.Advance(42 * time.Second)
+	want := n.clk.Now()
+	if err := c.Say("stamp me", ""); err != nil {
+		t.Fatal(err)
+	}
+	n.clk.RunUntilIdle(0)
+	if len(stamps) != 1 || !stamps[0].Equal(want) {
+		t.Errorf("stamps %v, want one at the network's now %v", stamps, want)
+	}
 }
 
 func TestChatExchange(t *testing.T) {

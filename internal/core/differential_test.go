@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"adaptiveqos/internal/apps"
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
@@ -98,14 +97,14 @@ func (r *diffResult) collect(recv string, chat *apps.ChatArea, st map[string]Rep
 	}
 }
 
-func attachPublishers(t *testing.T, net diffNet, clk clock.Clock) []*Client {
+func attachPublishers(t *testing.T, net diffNet) []*Client {
 	var pubs []*Client
 	for _, id := range diffPublishers {
 		conn, err := net.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewClient(conn, Config{Clock: clk})
+		p := NewClient(conn, Config{})
 		t.Cleanup(func() { p.Close() })
 		pubs = append(pubs, p)
 	}
@@ -113,22 +112,22 @@ func attachPublishers(t *testing.T, net diffNet, clk clock.Clock) []*Client {
 }
 
 // seatShells seats the workload's coordinator, publishers and
-// repair-enabled receivers on net, on clk (nil: the wall clock), and
-// makes every publisher→receiver link lossy.
-func seatShells(t *testing.T, net diffNet, clk clock.Clock) (pubs, recvs []*Client) {
+// repair-enabled receivers on net, and makes every publisher→receiver
+// link lossy.
+func seatShells(t *testing.T, net diffNet) (pubs, recvs []*Client) {
 	cconn, err := net.Attach(diffCoord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinatorClock(cconn, session.Group{Objective: "differential"}, clk)
+	coord := NewCoordinator(cconn, session.Group{Objective: "differential"})
 	t.Cleanup(func() { coord.Close() })
-	pubs = attachPublishers(t, net, clk)
+	pubs = attachPublishers(t, net)
 	for i, id := range diffReceivers {
 		conn, err := net.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := NewClient(conn, Config{Clock: clk, Repair: diffRepair(i)})
+		r := NewClient(conn, Config{Repair: diffRepair(i)})
 		t.Cleanup(func() { r.Close() })
 		recvs = append(recvs, r)
 	}
@@ -156,7 +155,7 @@ func runShells(t *testing.T) (diffResult, []string) {
 		integrity.Observe(e)
 		log = append(log, fmt.Sprintf("%d %s>%s %s %d %t", e.AtNS, e.From, e.To, e.Kind, e.Size, e.Unicast))
 	})
-	pubs, recvs := seatShells(t, net, net.clk)
+	pubs, recvs := seatShells(t, net)
 	for i := 0; i < diffEvents; i++ {
 		i := i
 		net.clk.ScheduleFunc(time.Duration(i)*diffPublishGap, func(time.Time) { diffPublish(t, net, pubs, i) })
@@ -175,7 +174,7 @@ func runKernels(t *testing.T) (diffResult, []string) {
 
 	var coord *CoordinatorKernel
 	coord = NewCoordinatorKernel(net.handler(diffCoord, func(p transport.Packet) { coord.HandlePacket(p) }),
-		session.Group{Objective: "differential"}, clk)
+		session.Group{Objective: "differential"})
 
 	var log []string
 	kernels := make([]*Kernel, len(diffReceivers))
@@ -183,7 +182,7 @@ func runKernels(t *testing.T) (diffResult, []string) {
 	for i, id := range diffReceivers {
 		i, id := i, id
 		chats[i] = apps.NewChatArea()
-		kernels[i] = NewKernel(net.handler(id, func(p transport.Packet) { kernels[i].HandlePacket(p) }), Config{Clock: clk, Repair: diffRepair(i)})
+		kernels[i] = NewKernel(net.handler(id, func(p transport.Packet) { kernels[i].HandlePacket(p) }), Config{Repair: diffRepair(i)})
 		kernels[i].Deliver = func(m *message.Message) {
 			log = append(log, fmt.Sprintf("%d %s %s %d", clk.Now().UnixNano(), id, m.Sender, m.Seq))
 			if err := chats[i].Apply(m.Sender, m.Body); err != nil {
@@ -194,7 +193,7 @@ func runKernels(t *testing.T) (diffResult, []string) {
 	// The publish side is not kernel code: real clients, which
 	// transport.Serve runs inline, say the lines from the driving
 	// goroutine at scheduled virtual instants.
-	pubs := attachPublishers(t, net, clk)
+	pubs := attachPublishers(t, net)
 	setDiffLinks(net, diffLossy)
 
 	for i := 0; i < diffEvents; i++ {

@@ -20,10 +20,15 @@ import (
 	"adaptiveqos/internal/wavelet"
 )
 
-// nullConn is a substrate attachment that goes nowhere.
-type nullConn string
+// nullConn is a substrate attachment that goes nowhere, on the clock
+// its test drives.
+type nullConn struct {
+	id  string
+	clk clock.Clock
+}
 
-func (c nullConn) ID() string                  { return string(c) }
+func (c nullConn) ID() string                  { return c.id }
+func (c nullConn) Clock() clock.Clock          { return c.clk }
 func (nullConn) Multicast([]byte) error        { return nil }
 func (nullConn) Unicast(string, []byte) error  { return nil }
 func (nullConn) Give(string, []byte) error     { return nil }
@@ -48,7 +53,7 @@ func FuzzKernelHandlePacket(f *testing.F) {
 	var env message.Enveloper
 	f.Fuzz(func(t *testing.T, datagram []byte) {
 		clk := clock.NewVirtual(time.Unix(100, 0))
-		k := NewKernel(nullConn("fuzz"), Config{Clock: clk, Repair: &RepairOptions{
+		k := NewKernel(nullConn{"fuzz", clk}, Config{Repair: &RepairOptions{
 			Coordinator: "coord", StallTimeout: time.Millisecond, MaxPending: maxPending,
 		}})
 		k.Deliver = func(*message.Message) {}
@@ -137,7 +142,7 @@ func FuzzCoordinatorHandlePacket(f *testing.F) {
 	key := func(f archivedFrame) string { return fmt.Sprintf("%s/%d", f.stream.sender, f.senderSeq) }
 	// Every frame the prefix archives, the ones the cap evicts included.
 	prefix := make(map[string]bool)
-	ref := NewCoordinatorKernel(nullConn("reference"), session.Group{Objective: "fuzz"}, clock.NewVirtual(time.Unix(100, 0)))
+	ref := NewCoordinatorKernel(nullConn{"reference", clock.NewVirtual(time.Unix(100, 0))}, session.Group{Objective: "fuzz"})
 	for _, d := range archive {
 		ref.HandlePacket(transport.Packet{From: "p", Data: d})
 	}
@@ -145,8 +150,8 @@ func FuzzCoordinatorHandlePacket(f *testing.F) {
 		prefix[key(f)] = true
 	}
 	f.Fuzz(func(t *testing.T, datagram []byte) {
-		conn := &captureConn{nullConn: "coordinator"}
-		k := NewCoordinatorKernel(conn, session.Group{Objective: "fuzz"}, clock.NewVirtual(time.Unix(100, 0)))
+		conn := newCaptureConn("coordinator", time.Unix(100, 0))
+		k := NewCoordinatorKernel(conn, session.Group{Objective: "fuzz"})
 		k.archiveCap = archiveCap
 		for _, d := range archive {
 			k.HandlePacket(transport.Packet{From: "p", Data: d})

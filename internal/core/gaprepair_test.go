@@ -56,7 +56,7 @@ func TestRepairSchedulePinned(t *testing.T) {
 
 	var coord *CoordinatorKernel
 	coord = NewCoordinatorKernel(net.handler(coordID, func(p transport.Packet) { coord.HandlePacket(p) }),
-		session.Group{Objective: "schedule"}, clk)
+		session.Group{Objective: "schedule"})
 
 	type pub struct {
 		conn transport.Conn
@@ -76,7 +76,7 @@ func TestRepairSchedulePinned(t *testing.T) {
 				nacks++
 				fmt.Fprintf(h, "nack %d %s %s %x\n", ns(), id, to, d)
 			}}
-		recvs[i] = NewKernel(conn, Config{Clock: clk, Repair: &RepairOptions{
+		recvs[i] = NewKernel(conn, Config{Repair: &RepairOptions{
 			Coordinator: coordID, StallTimeout: 32 * time.Millisecond, MaxRetries: 2, Seed: int64(40 + i),
 		}})
 		recvs[i].Deliver = func(m *message.Message) {
@@ -205,9 +205,10 @@ type gapRig struct {
 
 func newGapRig(t *testing.T, opts RepairOptions) *gapRig {
 	t.Helper()
-	r := &gapRig{viewRig: &viewRig{t: t}, conn: &captureConn{nullConn: "recv"}, base: time.Unix(1000, 0)}
+	r := &gapRig{viewRig: &viewRig{t: t}, base: time.Unix(1000, 0)}
+	r.conn = newCaptureConn("recv", r.base)
 	opts.Coordinator = "coordinator"
-	r.k = NewKernel(r.conn, Config{Clock: clock.NewVirtual(r.base), Repair: &opts})
+	r.k = NewKernel(r.conn, Config{Repair: &opts})
 	r.k.Deliver = func(m *message.Message) { r.applied = append(r.applied, fmt.Sprintf("%s/%d", m.Sender, m.Seq)) }
 	return r
 }
@@ -348,8 +349,8 @@ func TestGapProgressResetsAttempts(t *testing.T) {
 func TestGapJitterSpreadAndDeterministic(t *testing.T) {
 	const stall = 100 * time.Millisecond
 	schedule := func(seed int64) (out []time.Duration) {
-		k := NewKernel(nullConn("recv"), Config{Clock: clock.NewVirtual(time.Unix(0, 0)),
-			Repair: &RepairOptions{StallTimeout: stall, Seed: seed}})
+		k := NewKernel(nullConn{"recv", clock.NewVirtual(time.Unix(0, 0))},
+			Config{Repair: &RepairOptions{StallTimeout: stall, Seed: seed}})
 		for i := 1; i <= 6; i++ {
 			out = append(out, k.backoff(i))
 		}

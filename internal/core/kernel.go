@@ -77,12 +77,12 @@ type Kernel struct {
 }
 
 // NewKernel builds the receive kernel for the endpoint attached as
-// conn.  It reads cfg.MTU, cfg.Repair and cfg.Clock; cfg.Clock must be
-// set — a kernel never falls back to the wall clock on its own.
+// conn.  It reads cfg.MTU and cfg.Repair, and keeps time on conn's
+// clock: the one its packets arrive on.
 func NewKernel(conn transport.Conn, cfg Config) *Kernel {
 	k := &Kernel{
 		conn:   conn,
-		clk:    cfg.Clock,
+		clk:    conn.Clock(),
 		pm:     profile.NewManager(conn.ID()),
 		env:    message.Enveloper{MTU: cfg.MTU, Node: conn.ID()},
 		unwrap: message.NewUnwrapper(),
@@ -246,9 +246,7 @@ type senderOrder struct {
 // coordinator alike: framework clients number their messages from 1,
 // and held frames are stamped on the kernel's clock.
 func newSenderBuffer(clk clock.Clock) *session.OrderBuffer {
-	b := session.NewOrderBuffer(0)
-	b.SetClock(clk)
-	return b
+	return session.NewOrderBuffer(0, clk)
 }
 
 // ingestOrdered pushes an event/data frame through its sender's order

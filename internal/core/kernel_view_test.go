@@ -26,11 +26,11 @@ type viewRig struct {
 func newViewRig(t *testing.T, id string, repair bool) *viewRig {
 	t.Helper()
 	r := &viewRig{t: t}
-	cfg := Config{Clock: clock.NewVirtual(time.Unix(100, 0))}
+	var cfg Config
 	if repair {
 		cfg.Repair = &RepairOptions{Coordinator: "coordinator", StallTimeout: time.Second}
 	}
-	r.k = NewKernel(nullConn(id), cfg)
+	r.k = NewKernel(nullConn{id, clock.NewVirtual(time.Unix(100, 0))}, cfg)
 	r.k.Deliver = func(m *message.Message) {
 		r.applied = append(r.applied, fmt.Sprintf("%s/%d", m.Sender, m.Seq))
 	}

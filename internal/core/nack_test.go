@@ -46,14 +46,14 @@ func newRepairRig(t *testing.T, seed int64, receivers int) *repairRig {
 	t.Helper()
 	r := &repairRig{vnet: newVNet(t, seed)}
 	r.coord = NewCoordinatorKernel(r.handler(rigCoord, func(p transport.Packet) { r.coord.HandlePacket(p) }),
-		session.Group{Objective: "repair-rig"}, r.clk)
+		session.Group{Objective: "repair-rig"})
 	r.pub = r.handler(rigPub, func(transport.Packet) {})
 	r.recvs = make([]*Kernel, receivers)
 	r.applied = make([][]uint32, receivers)
 	for i := range r.recvs {
 		i := i
 		conn := r.handler(rigRecv(i), func(p transport.Packet) { r.recvs[i].HandlePacket(p) })
-		r.recvs[i] = NewKernel(conn, Config{Clock: r.clk, Repair: &RepairOptions{
+		r.recvs[i] = NewKernel(conn, Config{Repair: &RepairOptions{
 			Coordinator:  rigCoord,
 			StallTimeout: 32 * time.Millisecond, // polled every 8ms
 			MaxRetries:   4,
@@ -249,6 +249,12 @@ type captureConn struct {
 	sent [][]byte
 }
 
+// newCaptureConn is id's capturing attachment on a virtual clock
+// standing at now.
+func newCaptureConn(id string, now time.Time) *captureConn {
+	return &captureConn{nullConn: nullConn{id, clock.NewVirtual(now)}}
+}
+
 func (c *captureConn) Give(_ string, d []byte) error {
 	c.sent = append(c.sent, d)
 	return nil
@@ -308,8 +314,8 @@ func nackDatagram(t testing.TB, from, sender string, body []byte) []byte {
 // history request that names nobody must be answered to nobody — not
 // with the archive multicast to the session.
 func TestCoordinatorNeverAnswersTheGroup(t *testing.T) {
-	conn := &captureConn{nullConn: "coordinator"}
-	k := NewCoordinatorKernel(conn, session.Group{Objective: "anon"}, clock.NewVirtual(time.Unix(0, 0)))
+	conn := newCaptureConn("coordinator", time.Unix(0, 0))
+	k := NewCoordinatorKernel(conn, session.Group{Objective: "anon"})
 	for seq := uint32(1); seq <= 3; seq++ {
 		feed(t, k, "alice", seq)
 	}
@@ -339,8 +345,8 @@ func indexed(k *CoordinatorKernel) (n int) {
 // full archive, as later events push old ones out, and for a straggler
 // archived out of its sender's order.
 func TestCoordinatorIndexFollowsArchiveCap(t *testing.T) {
-	conn := &captureConn{nullConn: "coordinator"}
-	k := NewCoordinatorKernel(conn, session.Group{Objective: "cap"}, clock.NewVirtual(time.Unix(0, 0)))
+	conn := newCaptureConn("coordinator", time.Unix(0, 0))
+	k := NewCoordinatorKernel(conn, session.Group{Objective: "cap"})
 	agree := func(when string, want int) {
 		t.Helper()
 		if k.ArchivedEvents() != want || indexed(k) != want {

@@ -13,7 +13,7 @@ import (
 // newTestCoordinator is a coordinator kernel on a conn that goes
 // nowhere.
 func newTestCoordinator() *CoordinatorKernel {
-	return NewCoordinatorKernel(nullConn("coordinator"), session.Group{Objective: "quick"}, clock.NewVirtual(time.Unix(0, 0)))
+	return NewCoordinatorKernel(nullConn{"coordinator", clock.NewVirtual(time.Unix(0, 0))}, session.Group{Objective: "quick"})
 }
 
 // reorderSeq feeds the coordinator sender "s"'s frame seq and returns

@@ -36,7 +36,7 @@ type reportState struct {
 
 func newReportState(clk clock.Clock) *reportState {
 	return &reportState{
-		clk:     clock.Or(clk),
+		clk:     clk,
 		byPeer:  make(map[string]float64),
 		expires: make(map[string]time.Time),
 	}

@@ -93,7 +93,7 @@ func TestDifferentialShellsOnSimNet(t *testing.T) {
 	net := transport.NewSimNet(transport.SimNetConfig{Seed: 77})
 	t.Cleanup(net.Close)
 	transporttest.Watch(t, net)
-	pubs, recvs := seatShells(t, net, nil)
+	pubs, recvs := seatShells(t, net)
 	for i := 0; i < diffEvents; i++ {
 		diffPublish(t, net, pubs, i)
 		time.Sleep(diffPublishGap)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"adaptiveqos/internal/apps"
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/rtp"
@@ -24,8 +23,8 @@ var badWholes = []float64{1.5, 0.5, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1
 // after-seq is not a whole number is ignored, not rounded: an after-seq
 // of 1.5 must not replay from seq 2.
 func TestHistoryRequestAfterSeqMustBeWhole(t *testing.T) {
-	conn := &captureConn{nullConn: "coordinator"}
-	k := NewCoordinatorKernel(conn, session.Group{Objective: "wire"}, clock.NewVirtual(time.Unix(100, 0)))
+	conn := newCaptureConn("coordinator", time.Unix(100, 0))
+	k := NewCoordinatorKernel(conn, session.Group{Objective: "wire"})
 	for seq := uint32(1); seq <= 3; seq++ {
 		feed(t, k, "s", seq)
 	}

@@ -5,6 +5,7 @@ package dispatch
 import (
 	"testing"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/transport"
 )
@@ -14,6 +15,7 @@ import (
 type sinkConn struct{ given int }
 
 func (*sinkConn) ID() string                    { return "sink" }
+func (*sinkConn) Clock() clock.Clock            { return clock.Wall }
 func (*sinkConn) Multicast([]byte) error        { return nil }
 func (*sinkConn) Unicast(string, []byte) error  { return nil }
 func (c *sinkConn) Give(string, []byte) error   { c.given++; return nil }

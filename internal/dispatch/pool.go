@@ -39,17 +39,18 @@ type PoolConfig struct {
 	// hashes to the same shard) is executed in submission order.
 	// <= 1 runs every batch inline on the caller's goroutine.
 	Workers int
-	// QueueDepth bounds each shard's queue (default 256).  A full
-	// queue sheds work: see ErrQueueFull.
-	QueueDepth int
+
+	// queueDepth bounds each shard's queue (default 256); the package's
+	// tests lower it.  A full queue sheds work: see ErrQueueFull.
+	queueDepth int
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.Name == "" {
 		c.Name = "dispatch"
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
+	if c.queueDepth <= 0 {
+		c.queueDepth = 256
 	}
 	return c
 }
@@ -98,7 +99,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Workers > 1 {
 		p.shards = make([]chan job, cfg.Workers)
 		for i := range p.shards {
-			p.shards[i] = make(chan job, cfg.QueueDepth)
+			p.shards[i] = make(chan job, cfg.queueDepth)
 			p.wg.Add(1)
 			go p.worker(p.shards[i])
 		}

@@ -111,7 +111,7 @@ func TestEachBackpressureDropRecorded(t *testing.T) {
 	drops := metrics.C(metrics.CtrDispatchQueueDrops)
 	dropsBefore := drops.Load()
 
-	p := NewPool(PoolConfig{Name: "bp-test", Workers: 2, QueueDepth: 1})
+	p := NewPool(PoolConfig{Name: "bp-test", Workers: 2, queueDepth: 1})
 	defer p.Close()
 
 	// All IDs hash to whatever shard they hash to; with one worker per
@@ -190,7 +190,7 @@ func TestPoolCloseSafety(t *testing.T) {
 // Concurrent batches from many goroutines must stay race-clean and
 // fully covered (exercised under -race in CI).
 func TestEachConcurrentBatches(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 4, QueueDepth: 1024})
+	p := NewPool(PoolConfig{Workers: 4, queueDepth: 1024})
 	defer p.Close()
 	ids := make([]string, 32)
 	for i := range ids {

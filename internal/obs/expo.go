@@ -298,7 +298,7 @@ func Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		q := r.URL.Query()
 		if sender := q.Get("sender"); sender != "" {
-			seq, err := parsePositive(q.Get("seq"))
+			seq, err := strconv.ParseUint(q.Get("seq"), 10, 32)
 			if err != nil {
 				http.Error(w, "obs: ?sender= needs a numeric ?seq=", http.StatusBadRequest)
 				return

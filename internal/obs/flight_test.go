@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -259,6 +261,30 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?msg=0000000000000001", nil))
 		if body := rec.Body.String(); !strings.Contains(body, "not retained") {
 			t.Errorf("unknown trace = %q", body)
+		}
+	})
+}
+
+// TestDebugTraceTakesEverySeq: ?seq= is a sender's uint32 sequence
+// number, so the whole range looks a trace up, and anything that is
+// not one answers 400.
+func TestDebugTraceTakesEverySeq(t *testing.T) {
+	withTracing(t, func() {
+		h := Handler()
+		for _, seq := range []uint32{1<<20 + 1, math.MaxUint32} {
+			AppendHop(MsgID("wired-0", seq), "wired-0", StagePublish)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/debug/trace?sender=wired-0&seq=%d", seq), nil))
+			if rec.Code != 200 || !strings.Contains(rec.Body.String(), "publish") {
+				t.Errorf("seq %d: %d %q", seq, rec.Code, rec.Body.String())
+			}
+		}
+		for _, seq := range []string{"", "x", "-1", "4294967296"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?sender=wired-0&seq="+seq, nil))
+			if rec.Code != 400 {
+				t.Errorf("seq %q answered %d, want 400", seq, rec.Code)
+			}
 		}
 	})
 }

@@ -190,7 +190,7 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 			out.NackBytes += uint64(len(p.Data))
 		}
 		coord.HandlePacket(p)
-	}), session.Group{Objective: "replay"}, clk)
+	}), session.Group{Objective: "replay"})
 
 	// Receivers (publishers included — multicast excludes self): the
 	// real receive kernel each, with the candidate's repair knobs.  An
@@ -214,7 +214,7 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 			}
 			kernels[i].HandlePacket(p)
 		})
-		kcfg := core.Config{Clock: clk}
+		var kcfg core.Config
 		if pol.Repair.Enabled {
 			opts := pol.Repair.options()
 			opts.Coordinator, opts.Seed = coordID, cfg.Seed+int64(i)+1

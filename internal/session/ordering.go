@@ -43,9 +43,9 @@ type OrderBuffer struct {
 	// histogram so gap-induced session stalls are visible.
 	held map[uint64]int64
 
-	// clk stamps held; nil means wall time.  Under a virtual clock the
-	// reorder-latency histogram measures simulated stall time, not the
-	// (meaningless) wall time of the driving loop.
+	// clk stamps held.  Under a virtual clock the reorder-latency
+	// histogram measures simulated stall time, not the (meaningless)
+	// wall time of the driving loop.
 	clk clock.Clock
 }
 
@@ -53,16 +53,15 @@ type OrderBuffer struct {
 type SeqRange struct{ From, To uint64 }
 
 // NewOrderBuffer creates a buffer expecting sequence numbers starting
-// at afterSeq+1 (0 for a stream numbered from 1).
-func NewOrderBuffer(afterSeq uint64) *OrderBuffer {
-	return &OrderBuffer{next: afterSeq + 1}
-}
-
-// SetClock pins held-event timestamps to c (nil restores wall time).
-func (b *OrderBuffer) SetClock(c clock.Clock) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.clk = c
+// at afterSeq+1 (0 for a stream numbered from 1).  It stamps held
+// events on clk, the clock of the node it serves; a buffer given none
+// stamps them on the wall clock.
+func NewOrderBuffer(afterSeq uint64, clk ...clock.Clock) *OrderBuffer {
+	b := &OrderBuffer{next: afterSeq + 1, clk: clock.Wall}
+	if len(clk) > 0 {
+		b.clk = clk[0]
+	}
+	return b
 }
 
 // SetLimit bounds the parked-event count to n (0 = unlimited).  When a
@@ -124,7 +123,7 @@ func (b *OrderBuffer) Push(ev Event) []Event {
 		if b.held == nil {
 			b.held = make(map[uint64]int64)
 		}
-		b.held[ev.Seq] = clock.Or(b.clk).Now().UnixNano()
+		b.held[ev.Seq] = b.clk.Now().UnixNano()
 	}
 	return b.releaseLocked()
 }
@@ -145,7 +144,7 @@ func (b *OrderBuffer) releaseLocked() []Event {
 	}
 	b.released = out
 	if b.held != nil {
-		now := clock.Or(b.clk).Now().UnixNano()
+		now := b.clk.Now().UnixNano()
 		for _, ev := range out {
 			if t, ok := b.held[ev.Seq]; ok {
 				obs.StageHistogram(obs.StageReorder).Observe(now - t)

@@ -33,9 +33,10 @@ type DESNetConfig struct {
 	// 1024.  Handler-mode nodes have no buffer.
 	InboxDepth int
 	// Clock is the virtual clock deliveries are scheduled on; nil
-	// creates one at clock.DefaultEpoch.  Share one clock between the
-	// network and the rest of the simulated system (SLO polls, nodes'
-	// repair polls) so everything moves together.
+	// creates one at clock.DefaultEpoch.  Every node attached reads it
+	// through its conn (Conn.Clock).  Share one clock between networks
+	// and the rest of the simulated system (timeline windows, SLO
+	// polls) so everything moves together.
 	Clock *clock.Virtual
 }
 

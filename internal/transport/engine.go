@@ -492,6 +492,9 @@ type node struct {
 // ID implements Conn.
 func (c *node) ID() string { return c.id }
 
+// Clock implements Conn: the network's clock.
+func (c *node) Clock() clock.Clock { return c.net.clk }
+
 // Recv implements Conn.  A handler-mode node's packets go to its
 // handler, and so do a node's that Serve runs inline: for both it
 // returns nil.  Call Serve before anything receives on the node.

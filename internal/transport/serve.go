@@ -9,15 +9,16 @@ import (
 // Serve drives one node on its substrate: handle gets every packet conn
 // receives and, when every > 0, poll runs every that often.  The nodes
 // themselves (core.Client, core.Coordinator, basestation.BaseStation)
-// start nothing; how they are scheduled is decided here, once.
+// start nothing; how they are scheduled is decided here, once, from
+// conn.Clock().
 //
-//   - A node on a DESNet runs inline: handle is installed as its
-//     handler, on the goroutine driving the network's clock.Virtual, and
-//     poll is a heap event on that clock.  Nothing is started, so the
-//     run is as deterministic as the network.  Once the conn closes
-//     neither runs again, and the pending poll leaves the clock's heap
-//     the next time it comes due.
-//   - On a wall substrate (SimNet, UDP) one goroutine calls handle for
+//   - A conn on a clock.Virtual — a DESNet node, the only kind that
+//     carries one — runs inline: handle is installed as its handler, on
+//     the goroutine driving that clock, and poll is a heap event on it.
+//     Nothing is started, so the run is as deterministic as the
+//     network.  Once the conn closes neither runs again, and the
+//     pending poll leaves the clock's heap the next time it comes due.
+//   - On the wall clock (SimNet, UDP) one goroutine calls handle for
 //     each packet off conn.Recv and poll on each tick of
 //     clock.Wall.NewTicker(every), one call at a time, until the conn
 //     closes.
@@ -25,7 +26,8 @@ import (
 // Close conn before calling stop: stop waits until neither handle nor
 // poll runs again.  It is safe to call more than once.
 func Serve(conn Conn, every time.Duration, handle func(Packet), poll func(time.Time)) (stop func()) {
-	if n, ok := conn.(*node); ok && n.net.virt != nil {
+	if virt, ok := conn.Clock().(*clock.Virtual); ok {
+		n := conn.(*node)
 		n.serveInline(handle)
 		var tick func(time.Time)
 		tick = func(now time.Time) {
@@ -34,11 +36,11 @@ func Serve(conn Conn, every time.Duration, handle func(Packet), poll func(time.T
 			n.mu.Unlock()
 			if !closed {
 				poll(now)
-				n.net.virt.ScheduleFunc(every, tick)
+				virt.ScheduleFunc(every, tick)
 			}
 		}
 		if every > 0 {
-			n.net.virt.ScheduleFunc(every, tick)
+			virt.ScheduleFunc(every, tick)
 		}
 		return func() {}
 	}

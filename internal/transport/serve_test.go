@@ -9,6 +9,47 @@ import (
 	"adaptiveqos/internal/clock"
 )
 
+// TestConnClock: every conn reports its substrate's clock — a DESNet
+// node the network's Virtual, whether the network was handed one or
+// made its own, and a SimNet node or a UDP socket the wall clock — so a
+// node built on a conn reads the time its packets arrive on.
+func TestConnClock(t *testing.T) {
+	given := clock.NewVirtual(time.Unix(100, 0))
+	handed := NewDESNet(DESNetConfig{Clock: given})
+	defer handed.Close()
+	own := NewDESNet(DESNetConfig{})
+	defer own.Close()
+	sim := NewSimNet(SimNetConfig{})
+	defer sim.Close()
+	attach := func(n interface{ Attach(string) (Conn, error) }) Conn {
+		t.Helper()
+		c, err := n.Attach("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	udp, err := NewUDPTransport().Listen("a", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	for _, tc := range []struct {
+		name string
+		conn Conn
+		want clock.Clock
+	}{
+		{"DESNet given a clock", attach(handed), given},
+		{"DESNet on its own clock", attach(own), own.virt},
+		{"SimNet", attach(sim), clock.Wall},
+		{"UDP", udp, clock.Wall},
+	} {
+		if got := tc.conn.Clock(); got != tc.want {
+			t.Errorf("%s: Clock() is a %T that is not the substrate's %T", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestServeDESNetInline: a node served on a DESNet runs on the goroutine
 // driving the clock — a packet that reached its inbox before Serve
 // first, then each delivery as it fires — and polls on the virtual

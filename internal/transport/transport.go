@@ -13,6 +13,8 @@ package transport
 import (
 	"errors"
 	"time"
+
+	"adaptiveqos/internal/clock"
 )
 
 // Packet is a received frame.
@@ -45,9 +47,16 @@ type Packet struct {
 // buffer serves every recipient of every Give of it.  A sender that has
 // just built a datagram nobody else writes — an Enveloper's output, an
 // archived frame — gives it.
+//
+// A conn also carries its substrate's clock, and a node built on it
+// reads time from there and nowhere else, so what it stamps and what
+// its network hands it (Packet.At, Serve's polls) are on one clock.
 type Conn interface {
 	// ID returns the node's identifier on the substrate.
 	ID() string
+	// Clock returns the substrate's clock: a DESNet's *clock.Virtual,
+	// or clock.Wall on SimNet and UDP.
+	Clock() clock.Clock
 	// Multicast sends a copy of the frame to every other node in the
 	// group.
 	Multicast(frame []byte) error

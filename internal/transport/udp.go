@@ -18,11 +18,6 @@ import (
 // Each datagram carries a small header naming the logical sender and a
 // unicast flag, so receivers see the same Packet shape as on SimNet.
 type UDPTransport struct {
-	// Clock stamps received packets (nil = wall clock).  Set before
-	// Listen; like SimNet and DESNet, arrival timestamps go through the
-	// seam so recorded and replayed sessions see consistent time.
-	Clock clock.Clock
-
 	mu    sync.Mutex
 	peers map[string]*net.UDPAddr
 }
@@ -61,7 +56,6 @@ func (t *UDPTransport) Listen(id, addr string) (Conn, error) {
 	c := &udpConn{
 		t:     t,
 		id:    id,
-		clk:   clock.Or(t.Clock),
 		sock:  sock,
 		inbox: make(chan Packet, 1024),
 		done:  make(chan struct{}),
@@ -75,7 +69,6 @@ func (t *UDPTransport) Listen(id, addr string) (Conn, error) {
 type udpConn struct {
 	t     *UDPTransport
 	id    string
-	clk   clock.Clock
 	sock  *net.UDPConn
 	inbox chan Packet
 
@@ -113,6 +106,9 @@ func decodeDatagram(dgram []byte) (sender string, unicast bool, frame []byte, ok
 
 // ID implements Conn.
 func (c *udpConn) ID() string { return c.id }
+
+// Clock implements Conn: real sockets run on the wall clock.
+func (c *udpConn) Clock() clock.Clock { return clock.Wall }
 
 // Recv implements Conn.
 func (c *udpConn) Recv() <-chan Packet { return c.inbox }
@@ -207,7 +203,7 @@ func (c *udpConn) readLoop() {
 			From:    sender,
 			Data:    append([]byte(nil), frame...),
 			Unicast: unicast,
-			At:      c.clk.Now(),
+			At:      clock.Wall.Now(),
 		}
 		select {
 		case c.inbox <- p:

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"adaptiveqos/internal/clock"
 )
 
 func TestUDPTransportMulticastAndUnicast(t *testing.T) {
@@ -98,31 +96,6 @@ func TestUDPTransportClose(t *testing.T) {
 	}
 	if got := len(tr.peers); got != 1 {
 		t.Errorf("peers after close = %d, want 1", got)
-	}
-}
-
-func TestUDPTransportClockSeam(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(100, 0))
-	tr := NewUDPTransport()
-	tr.Clock = clk
-	a, err := tr.Listen("a", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := tr.Listen("b", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	clk.Advance(42 * time.Second)
-	if err := a.Multicast([]byte("stamp-me")); err != nil {
-		t.Fatal(err)
-	}
-	p := collect(t, b.Recv(), 1, 2*time.Second)[0]
-	if want := time.Unix(142, 0); !p.At.Equal(want) {
-		t.Errorf("packet At = %v, want virtual now %v", p.At, want)
 	}
 }
 
