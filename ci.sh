@@ -32,10 +32,11 @@ go test -count=1 ./...
 go test -race -count=1 ./...
 # At 4 Ps too: receive loops lend one message per frame, which pool workers
 # read, and the registry takes a shard lock and then a member's lock; the
-# virtual clock takes events from any goroutine while one drives it, and
-# the wall network's dispatcher and Serve's goroutine own a wall timer
-# and ticker.
-go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport
+# virtual clock takes events from any goroutine while one drives it, the
+# wall network's dispatcher and Serve's goroutine own a wall timer and
+# ticker, and the wavelet coder's free list of working sets is shared by
+# a publisher and the station's dispatch workers.
+go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

@@ -4,6 +4,7 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -141,4 +142,74 @@ func TestWallDelayedAllocs(t *testing.T) {
 		src.Multicast(frame)
 		drain()
 	})
+}
+
+// TestWallServedAllocs: Serve's wall loop takes each batch in exchange
+// for the last one it emptied, so a group send to served nodes costs
+// what it costs to inboxes read through Recv.
+func TestWallServedAllocs(t *testing.T) {
+	n := NewSimNet(SimNetConfig{InboxDepth: 4})
+	defer n.Close()
+	src, err := n.Attach("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	handled := make(chan struct{}, allocFanOut)
+	for i := 0; i < allocFanOut; i++ {
+		d, err := n.Attach(fmt.Sprintf("dst-%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := Serve(d, 0, func(Packet) { handled <- struct{}{} }, nil)
+		defer stop()
+		defer d.Close()
+	}
+	frame := make([]byte, 64)
+	send := func(give bool) func() {
+		return func() {
+			if give {
+				src.Give("", frame)
+			} else {
+				src.Multicast(frame)
+			}
+			for i := 0; i < allocFanOut; i++ {
+				<-handled
+			}
+		}
+	}
+	// The first two sends grow each node's queue and its spare.
+	send(true)()
+	send(true)()
+	pinAllocs(t, "wall zero-delay Give to 16 served nodes", 1, send(true))
+	pinAllocs(t, "wall zero-delay Multicast to 16 served nodes", 2, send(false))
+}
+
+// TestIdleNodeHeap: an inbox costs what it holds, not its depth.  A
+// served node that has received nothing holds the node, its mailbox and
+// Serve's goroutine; the chan Packet of InboxDepth slots it was once
+// given at attach was 295 KB at a depth of 4096.
+func TestIdleNodeHeap(t *testing.T) {
+	const nodes = 64
+	n := NewSimNet(SimNetConfig{InboxDepth: 4096})
+	defer n.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	stops := make([]func(), nodes)
+	for i := range stops {
+		c, err := n.Attach(fmt.Sprintf("n%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stops[i] = Serve(c, 0, func(Packet) {}, nil)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / nodes; perNode > 4<<10 {
+		t.Errorf("%d B of live heap per idle served node, want under 4 KB", perNode)
+	}
+	n.Close()
+	for _, stop := range stops {
+		stop()
+	}
 }

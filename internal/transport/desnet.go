@@ -29,8 +29,9 @@ type DESNetConfig struct {
 	DefaultLink Link
 	// MTU bounds frame size; 0 means 64 KiB.
 	MTU int
-	// InboxDepth is each channel-mode node's receive buffer; 0 means
-	// 1024.  Handler-mode nodes have no buffer.
+	// InboxDepth is the most packets the inbox of a node read through
+	// Recv holds, which grows to that as needed; 0 means 1024.
+	// Handler-mode and served nodes have no inbox.
 	InboxDepth int
 	// Clock is the virtual clock deliveries are scheduled on; nil
 	// creates one at clock.DefaultEpoch.  Every node attached reads it

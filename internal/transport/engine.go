@@ -79,7 +79,7 @@ type TraceKind uint8
 const (
 	TraceDeliver  TraceKind = iota // packet handed to the recipient
 	TraceDrop                      // lost on the link (loss or partition)
-	TraceOverflow                  // recipient inbox full (channel mode)
+	TraceOverflow                  // recipient inbox full
 )
 
 func (k TraceKind) String() string {
@@ -149,14 +149,14 @@ func (n *engine) init(seed int64, def Link, mtu, depth int, virt *clock.Virtual)
 	n.def, n.mtu, n.depth = def, mtu, depth
 }
 
-// Attach joins a channel-mode node: deliveries land in an inbox the
-// node's own goroutine drains via Recv.
+// Attach joins a node whose deliveries wait in its inbox (a mailbox)
+// until Serve or a reader of Recv takes them.
 func (n *engine) Attach(id string) (Conn, error) {
 	return n.attach(id, nil)
 }
 
 // attach joins a node; a non-nil h makes it handler-mode (h runs
-// inline for every delivered packet, and the node has no inbox).
+// inline for every delivered packet, and the node has no mailbox).
 func (n *engine) attach(id string, h func(Packet)) (Conn, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -168,7 +168,7 @@ func (n *engine) attach(id string, h func(Packet)) (Conn, error) {
 	}
 	c := &node{net: n, id: id, handler: h}
 	if h == nil {
-		c.inbox = make(chan Packet, n.depth)
+		c.box = &mailbox{mu: &c.mu, depth: n.depth, wake: make(chan struct{}, 1)}
 	}
 	n.nodes[id] = c
 	i := sort.SearchStrings(n.order, id)
@@ -481,8 +481,8 @@ func (n *engine) sendAll(src *node, to string, data []byte) bool {
 type node struct {
 	net     *engine
 	id      string
-	handler func(Packet) // nil = channel mode
-	inbox   chan Packet  // nil = handler mode
+	handler func(Packet) // nil = its arrivals wait in box
+	box     *mailbox     // nil = handler mode
 
 	mu     sync.Mutex
 	closed bool
@@ -498,7 +498,9 @@ func (c *node) Clock() clock.Clock { return c.net.clk }
 // Recv implements Conn.  A handler-mode node's packets go to its
 // handler, and so do a node's that Serve runs inline: for both it
 // returns nil.  Call Serve before anything receives on the node.
-func (c *node) Recv() <-chan Packet { return c.inbox }
+func (c *node) Recv() <-chan Packet { return c.box.recv() }
+
+func (c *node) mailbox() *mailbox { return c.box }
 
 // Multicast implements Conn: a private copy of frame, given.
 func (c *node) Multicast(frame []byte) error { return c.Give("", bytes.Clone(frame)) }
@@ -536,8 +538,8 @@ func (c *node) checkSend(frame []byte) error {
 	return nil
 }
 
-// deliver hands a packet arriving at instant at to the node: into the
-// inbox (dropping on overflow) or, after the bookkeeping, to the
+// deliver hands a packet arriving at instant at to the node: into its
+// mailbox (dropping on overflow) or, after the bookkeeping, to the
 // handler.
 func (c *node) deliver(from string, data []byte, unicast bool, at time.Time) {
 	p := Packet{From: from, Data: data, Unicast: unicast, At: at}
@@ -548,18 +550,12 @@ func (c *node) deliver(from string, data []byte, unicast bool, at time.Time) {
 	}
 	h := c.handler
 	kind := TraceDeliver
-	if h != nil {
+	if h != nil || c.box.putLocked(p) {
 		c.stats.Delivered++
 		c.stats.Bytes += uint64(len(p.Data))
 	} else {
-		select {
-		case c.inbox <- p:
-			c.stats.Delivered++
-			c.stats.Bytes += uint64(len(p.Data))
-		default:
-			c.stats.Overflow++
-			kind = TraceOverflow
-		}
+		c.stats.Overflow++
+		kind = TraceOverflow
 	}
 	c.mu.Unlock()
 	if trace := c.net.trace.Load(); trace != nil {
@@ -579,7 +575,7 @@ func (c *node) Close() error {
 		return nil
 	}
 	c.closed = true
-	inbox := c.inbox
+	c.box.closeLocked()
 	c.mu.Unlock()
 
 	n := c.net
@@ -597,8 +593,5 @@ func (c *node) Close() error {
 		}
 	}
 	n.mu.Unlock()
-	if inbox != nil {
-		close(inbox)
-	}
 	return nil
 }

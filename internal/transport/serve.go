@@ -18,11 +18,12 @@ import (
 //     Nothing is started, so the run is as deterministic as the
 //     network.  Once the conn closes neither runs again, and the
 //     pending poll leaves the clock's heap the next time it comes due.
-//   - On the wall clock (SimNet, UDP) one goroutine calls handle for
-//     each packet off conn.Recv and poll on each tick of
-//     clock.Wall.NewTicker(every), one call at a time, until the conn
-//     closes.
+//   - On the wall clock (SimNet, UDP) one goroutine hands handle the
+//     packets queued in the conn's mailbox, a batch at a time, and
+//     calls poll on each tick of clock.Wall.NewTicker(every), one call
+//     at a time, until the conn closes and what it queued is handled.
 //
+// conn must be this package's, and nothing may read its Recv.
 // Close conn before calling stop: stop waits until neither handle nor
 // poll runs again.  It is safe to call more than once.
 func Serve(conn Conn, every time.Duration, handle func(Packet), poll func(time.Time)) (stop func()) {
@@ -44,6 +45,7 @@ func Serve(conn Conn, every time.Duration, handle func(Packet), poll func(time.T
 		}
 		return func() {}
 	}
+	box := conn.(interface{ mailbox() *mailbox }).mailbox()
 	var tick <-chan time.Time // nil: never ready
 	var ticker *time.Ticker
 	if every > 0 {
@@ -53,16 +55,25 @@ func Serve(conn Conn, every time.Duration, handle func(Packet), poll func(time.T
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		var spare []Packet // the last batch, emptied: the next take's queue
 		for {
 			select {
-			case pkt, ok := <-conn.Recv():
-				if !ok {
+			case <-box.wake:
+				box.mu.Lock()
+				batch, closed := box.queue, box.closed
+				box.queue = spare
+				box.mu.Unlock()
+				for i := range batch {
+					handle(batch[i])
+				}
+				clear(batch)
+				spare = batch[:0]
+				if closed {
 					if ticker != nil {
 						ticker.Stop()
 					}
 					return
 				}
-				handle(pkt)
 			case now := <-tick:
 				poll(now)
 			}
@@ -72,17 +83,17 @@ func Serve(conn Conn, every time.Duration, handle func(Packet), poll func(time.T
 }
 
 // serveInline turns c into a handler-mode node run by h.  Packets that
-// reached its inbox before are handed to h first, in arrival order;
-// then the inbox, which nothing reaches any more, is let go.
+// reached its mailbox before are handed to h first, in arrival order,
+// and the mailbox, which nothing reaches any more, is let go.
 func (c *node) serveInline(h func(Packet)) {
 	c.mu.Lock()
 	c.handler = h
-	inbox := c.inbox
+	box := c.box
+	c.box = nil
 	c.mu.Unlock()
-	for len(inbox) > 0 {
-		h(<-inbox)
+	if box != nil {
+		for _, p := range box.queue {
+			h(p)
+		}
 	}
-	c.mu.Lock()
-	c.inbox = nil
-	c.mu.Unlock()
 }

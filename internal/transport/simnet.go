@@ -21,7 +21,8 @@ type SimNetConfig struct {
 	DefaultLink Link
 	// MTU bounds frame size; 0 means 64 KiB.
 	MTU int
-	// InboxDepth is each node's receive buffer; 0 means 1024.
+	// InboxDepth is the most packets a node's inbox holds, which grows
+	// to that as needed; 0 means 1024.
 	InboxDepth int
 }
 

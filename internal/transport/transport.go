@@ -67,8 +67,9 @@ type Conn interface {
 	// may keep reading frame and may give it again; nobody may write
 	// to it.
 	Give(to string, frame []byte) error
-	// Recv returns the channel of inbound packets.  It is closed when
-	// the connection closes.
+	// Recv returns the channel of inbound packets, made by the first
+	// call with those that arrived before.  It is closed when the
+	// connection closes.  Serve's nodes are not read through Recv.
 	Recv() <-chan Packet
 	// Close detaches the node.  Safe to call more than once.
 	Close() error

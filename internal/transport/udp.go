@@ -53,13 +53,8 @@ func (t *UDPTransport) Listen(id, addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
-	c := &udpConn{
-		t:     t,
-		id:    id,
-		sock:  sock,
-		inbox: make(chan Packet, 1024),
-		done:  make(chan struct{}),
-	}
+	c := &udpConn{t: t, id: id, sock: sock, done: make(chan struct{})}
+	c.box = &mailbox{mu: &c.mu, depth: 1024, wake: make(chan struct{}, 1)}
 	t.AddPeer(id, sock.LocalAddr().(*net.UDPAddr))
 	go c.readLoop()
 	return c, nil
@@ -67,14 +62,18 @@ func (t *UDPTransport) Listen(id, addr string) (Conn, error) {
 
 // udpConn is a node's UDP attachment.
 type udpConn struct {
-	t     *UDPTransport
-	id    string
-	sock  *net.UDPConn
-	inbox chan Packet
+	t    *UDPTransport
+	id   string
+	sock *net.UDPConn
+	mu   sync.Mutex // guards box, whose closed is the conn's
+	box  *mailbox
+	done chan struct{}
+}
 
-	mu     sync.Mutex
-	closed bool
-	done   chan struct{}
+func (c *udpConn) closed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.box.closed
 }
 
 // Datagram header: senderLen uint16 | sender | flags uint8 (bit0 = unicast).
@@ -111,16 +110,15 @@ func (c *udpConn) ID() string { return c.id }
 func (c *udpConn) Clock() clock.Clock { return clock.Wall }
 
 // Recv implements Conn.
-func (c *udpConn) Recv() <-chan Packet { return c.inbox }
+func (c *udpConn) Recv() <-chan Packet { return c.box.recv() }
+
+func (c *udpConn) mailbox() *mailbox { return c.box }
 
 // Multicast implements Conn.
 func (c *udpConn) Multicast(frame []byte) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed() {
 		return ErrClosed
 	}
-	c.mu.Unlock()
 	dgram := encodeDatagram(c.id, false, frame)
 
 	c.t.mu.Lock()
@@ -143,12 +141,9 @@ func (c *udpConn) Multicast(frame []byte) error {
 
 // Unicast implements Conn.
 func (c *udpConn) Unicast(to string, frame []byte) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed() {
 		return ErrClosed
 	}
-	c.mu.Unlock()
 
 	c.t.mu.Lock()
 	addr, ok := c.t.peers[to]
@@ -173,17 +168,16 @@ func (c *udpConn) Give(to string, frame []byte) error {
 // Close implements Conn.
 func (c *udpConn) Close() error {
 	c.mu.Lock()
-	if c.closed {
+	if c.box.closed {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
+	c.box.closeLocked()
 	c.mu.Unlock()
 
 	c.t.RemovePeer(c.id)
 	err := c.sock.Close()
-	<-c.done // wait for readLoop to finish before closing inbox
-	close(c.inbox)
+	<-c.done // wait for readLoop to finish
 	return err
 }
 
@@ -205,9 +199,8 @@ func (c *udpConn) readLoop() {
 			Unicast: unicast,
 			At:      clock.Wall.Now(),
 		}
-		select {
-		case c.inbox <- p:
-		default: // receiver too slow: drop, as UDP would
-		}
+		c.mu.Lock()
+		c.box.putLocked(p) // a full or closed inbox drops it, as UDP would
+		c.mu.Unlock()
 	}
 }

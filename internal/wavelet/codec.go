@@ -66,7 +66,7 @@ func EncodeFilter(im *Image, levels int, filter Filter) ([]byte, error) {
 	// insig holds positions (into order) still insignificant, compacted
 	// each plane so zero runs shorten as coefficients become significant.
 	sc := getScratch(len(order), -1)
-	defer scratchPool.Put(sc)
+	defer putScratch(sc)
 	significant, insig, refine := sc.significant, sc.insig, sc.refine
 	w := &bitWriter{buf: sc.code}
 
@@ -201,7 +201,7 @@ func decode(stream []byte, clamp bool, maxDim int) (*DecodeResult, error) {
 	r := &bitReader{buf: stream[headerLen:]}
 
 	sc := getScratch(len(order), kept)
-	defer scratchPool.Put(sc)
+	defer putScratch(sc)
 	mag, sign, significant, insig, refine := sc.mag, sc.sign, sc.significant, sc.insig, sc.refine
 
 	planesDone := 0

@@ -1,10 +1,13 @@
 package wavelet
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // The coder's working set.  A bit-plane pass needs five w*h-sized
 // tables that die when the call returns, plus a scan table that is a
-// pure function of the geometry.  The tables are pooled and the scan
+// pure function of the geometry.  The tables are kept and the scan
 // tables cached, so a steady stream of same-sized images allocates
 // only what escapes to the caller.  Both are only ever sized by a
 // geometry that passed checkGeometry: nothing here is reachable from
@@ -33,9 +36,12 @@ type scratch struct {
 	code        []byte  // encoder: the bit writer's buffer
 }
 
-// scratchPool holds idle working sets.  The GC empties it, so there is
-// no retention size to tune.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratchFree keeps idle working sets (~1 MB each), one per P at most:
+// a sync.Pool would drop them at every GC, to be grown again.
+var scratchFree struct {
+	sync.Mutex
+	sets []*scratch
+}
 
 // grow returns s resliced to n elements, reallocating when it is too
 // small.  The contents are unspecified.
@@ -52,7 +58,15 @@ func grow[T any](s []T, n int) []T {
 // the only ones it reconstructs; the encoder (kept < 0) an empty code
 // buffer.
 func getScratch(n, kept int) *scratch {
-	s := scratchPool.Get().(*scratch)
+	f := &scratchFree
+	f.Lock()
+	if len(f.sets) == 0 {
+		f.sets = append(f.sets, new(scratch))
+	}
+	k := len(f.sets) - 1
+	s := f.sets[k]
+	f.sets[k], f.sets = nil, f.sets[:k]
+	f.Unlock()
 	s.significant = grow(s.significant, n)
 	s.insig = grow(s.insig, n)
 	s.refine = grow(s.refine, n)[:0]
@@ -68,6 +82,16 @@ func getScratch(n, kept int) *scratch {
 		s.code = grow(s.code, n)[:0]
 	}
 	return s
+}
+
+// putScratch keeps s for a later call, or leaves it to the GC.
+func putScratch(s *scratch) {
+	f := &scratchFree
+	f.Lock()
+	if len(f.sets) < runtime.GOMAXPROCS(0) {
+		f.sets = append(f.sets, s)
+	}
+	f.Unlock()
 }
 
 // Scan tables.  scanCacheTables and scanCacheCoeffs bound what the
