@@ -24,7 +24,7 @@ import (
 // the base station's own relay work.
 func collectedRelayBytes(t *testing.T, tiers ...radio.Tier) uint64 {
 	t.Helper()
-	r := newWallCell(t, Config{FanOutWorkers: 1, Thresholds: tierThresholds})
+	r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: tierThresholds})
 	r.radioNet.SetTrace(nil) // the cell's integrity harness copies every frame it sees
 	var conns []transport.Conn
 	for _, tier := range tiers {
@@ -160,7 +160,7 @@ func TestImageTierMemberCostFlat(t *testing.T) {
 // alone in a cell with no wired client, so what is counted is the
 // station's own relay work.
 func TestUplinkMembershipCopiesNoProfile(t *testing.T) {
-	c := newWallCell(t, Config{FanOutWorkers: 1, Thresholds: bareThresholds})
+	c := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
 	attach(t, c.wiredNet, "pub")
 	c.join(t, "m00", 30)
 	body := []byte("hello")
@@ -183,7 +183,7 @@ func TestUplinkMembershipCopiesNoProfile(t *testing.T) {
 // one datagram every member is given, with the list that holds it.  The
 // nets are untraced, so nothing counted is the test's.
 func TestRelayedEventAllocs(t *testing.T) {
-	r := newWallCell(t, Config{FanOutWorkers: 1, Thresholds: bareThresholds})
+	r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
 	r.wiredNet.SetTrace(nil)
 	r.radioNet.SetTrace(nil)
 	members := make([]transport.Conn, 4)

@@ -51,14 +51,15 @@ var (
 type Config struct {
 	// Thresholds gate forwarded modalities (default DefaultThresholds).
 	Thresholds radio.Thresholds
-	// FanOutWorkers is the dispatch pool's shard count: per-client
-	// delivery work is hashed over this many single-worker queues.
-	// 0 means GOMAXPROCS; 1 forces the inline sequential path.
-	FanOutWorkers int
 
 	// registry supplies modality transformers (default
 	// media.DefaultRegistry); the package's tests substitute one.
 	registry *media.Registry
+	// fanOutWorkers is the dispatch pool's shard count: per-client
+	// delivery work is hashed over this many single-worker queues.
+	// 0 means GOMAXPROCS; 1 forces the inline sequential path, which
+	// the package's tests choose.
+	fanOutWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -68,8 +69,8 @@ func (c Config) withDefaults() Config {
 	if c.registry == nil {
 		c.registry = media.DefaultRegistry()
 	}
-	if c.FanOutWorkers <= 0 {
-		c.FanOutWorkers = runtime.GOMAXPROCS(0)
+	if c.fanOutWorkers <= 0 {
+		c.fanOutWorkers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -182,7 +183,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		OnSend: func(string) { bs.stats.downlk.Add(1) }}
 	bs.pool = dispatch.NewPool(dispatch.PoolConfig{
 		Name:    "bs-" + id,
-		Workers: cfg.FanOutWorkers,
+		Workers: cfg.fanOutWorkers,
 	})
 	bs.eventPipe = dispatch.NewPipeline(
 		dispatch.Match(bs.flatOf),

@@ -79,6 +79,7 @@ func (bs *BaseStation) Assess(id string) (Assessment, error) {
 // the telemetry collector can register the base station directly.
 func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 	ids := bs.reg.IDs()
+	now := bs.clk.Now()
 	set(`bs_clients{bs="`+metrics.EscapeLabel(bs.id)+`"}`, float64(len(ids)))
 	for _, id := range ids {
 		db, err := bs.channel.SIRdB(id)
@@ -95,7 +96,7 @@ func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 		set("client_tier"+label, float64(tier))
 		set("client_power"+label, cl.Power)
 		set("client_distance"+label, cl.Distance)
-		slo.ObserveTier(id, int(tier))
+		slo.ObserveTier(id, int(tier), now)
 	}
 	bs.pool.SampleQoS(set)
 }

@@ -36,7 +36,7 @@ func newBareCell(t *testing.T, workers, wired, members int) *bareCell {
 	clk, wiredNet, radioNet := newNets(t)
 	c := &bareCell{clk: clk, pub: attach(t, wiredNet, "pub")}
 	c.bs = New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}),
-		Config{FanOutWorkers: workers, Thresholds: bareThresholds})
+		Config{fanOutWorkers: workers, Thresholds: bareThresholds})
 	t.Cleanup(func() { c.bs.Close() })
 	for i := 0; i < wired; i++ {
 		c.wired = append(c.wired, attach(t, wiredNet, fmt.Sprintf("w%02d", i)))

@@ -122,7 +122,7 @@ var (
 func (tr *tierRig) place(t *testing.T, cfg Config, tiers ...radio.Tier) {
 	t.Helper()
 	// Several shards, so the once-guards are met from several goroutines.
-	cfg.FanOutWorkers = 4
+	cfg.fanOutWorkers = 4
 	cfg.Thresholds = tierThresholds
 	tr.rig = newRig(t, cfg)
 	tr.clients = make(map[radio.Tier][]*core.Client)

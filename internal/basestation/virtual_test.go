@@ -75,7 +75,7 @@ func runVirtualSession(t *testing.T) virtualRun {
 	// Six members interfere: thresholds below the defaults keep every
 	// one of them in service, at the image, sketch and text tiers.
 	bs := New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}),
-		Config{FanOutWorkers: 1, Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
+		Config{fanOutWorkers: 1, Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
 	var wireless []*core.Client
 	for i, id := range virtualWireless {
 		wireless = append(wireless, core.NewClient(attach(t, radioNet, id), core.Config{}))

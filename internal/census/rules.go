@@ -28,9 +28,9 @@ var rules = []rule{
 	{"fidelity", "replay runs the real kernels, not a private frame codec, order tracker or coordinator (§15)",
 		[]string{"internal/replay/"}, nil,
 		runsOn("internal/core", "encodeData", "decodeData", "encodeNack", "tracker", "coordHandler")},
-	{"kernel-purity", "the sans-IO kernels and the frame view they read through start, wait on and read nothing (§3, §7)",
+	{"kernel-purity", "the sans-IO kernels, the frame view they read through and the order buffer they run start, wait on and read nothing (§3, §7)",
 		[]string{"internal/core/kernel.go", "internal/core/coordkernel.go", "internal/core/nack.go",
-			"internal/message/view.go", "internal/message/intern.go"}, nil, kernelPure},
+			"internal/message/view.go", "internal/message/intern.go", "internal/session/ordering.go"}, nil, kernelPure},
 	{"ownership", "a received frame is retained, not copied; the network copies only what a caller keeps (§7.1)",
 		[]string{"internal/message/view.go", "internal/message/fragment.go", "internal/apps/imageviewer.go",
 			"internal/core/coordkernel.go", "internal/transport/engine.go"},

@@ -26,8 +26,6 @@ import "time"
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// Since is shorthand for Now().Sub(t).
-	Since(t time.Time) time.Duration
 }
 
 // Wall is the process's real-time clock: the zero-config default for
@@ -46,7 +44,9 @@ func Or(c Clock) Clock {
 
 type wallClock struct{}
 
-func (wallClock) Now() time.Time                  { return time.Now() }
+func (wallClock) Now() time.Time { return time.Now() }
+
+// Since is shorthand for Now().Sub(t).
 func (wallClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // Sleep blocks the calling goroutine for d.

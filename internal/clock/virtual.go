@@ -97,9 +97,6 @@ func (v *Virtual) Now() time.Time {
 	return time.Unix(0, v.nowNS)
 }
 
-// Since implements Clock.
-func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
-
 // ScheduleFunc enqueues f to run once the clock has advanced by d
 // (d <= 0 runs it on the next Advance/Step, before time moves).  Once
 // scheduled it runs: there is no handle to cancel it.

@@ -19,7 +19,7 @@ func TestBandwidthTiersDriveModality(t *testing.T) {
 	}
 	c := newVNet(t, 91).client("c", Config{
 		Monitor:       monitor,
-		MonitorParams: []string{hostagent.ParamCPULoad, hostagent.ParamBandwidth},
+		monitorParams: []string{hostagent.ParamCPULoad, hostagent.ParamBandwidth},
 	})
 	host.Set(hostagent.ParamCPULoad, 10)
 

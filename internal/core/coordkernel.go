@@ -81,7 +81,7 @@ const maxRepairFrames = 256
 
 // NewCoordinatorKernel builds the coordinator kernel for the endpoint
 // attached as conn.  group's filter decides whose frames are archived;
-// conn's clock timestamps lock notifications and held frames.
+// conn's clock timestamps lock notifications and parked frames.
 func NewCoordinatorKernel(conn transport.Conn, group session.Group) *CoordinatorKernel {
 	k := &CoordinatorKernel{
 		conn:       conn,
@@ -273,7 +273,7 @@ func (k *CoordinatorKernel) stream(sender []byte) *senderStream {
 	if k.group.Admits(profile.New(string(sender))) {
 		// A coordinator attaching mid-session catches up through the
 		// flush path.
-		st = &senderStream{sender: string(sender), buf: newSenderBuffer(k.clk)}
+		st = &senderStream{sender: string(sender), buf: session.NewOrderBuffer(0)}
 	}
 	k.streams[string(sender)] = st
 	return st
@@ -301,7 +301,9 @@ func (k *CoordinatorKernel) order(st *senderStream, seq uint64, frame []byte) {
 		}
 		return
 	}
-	for _, ev := range st.buf.Push(session.Event{Seq: seq, Payload: frame}) {
+	released := st.buf.Push(session.Event{Seq: seq, Payload: frame, At: arrivedAt(k.clk)})
+	observeWaits(k.clk, released)
+	for _, ev := range released {
 		k.archive(st, ev.Seq, ev.Payload)
 	}
 	if _, parked := st.buf.Gap(); parked > maxStreamPending {
@@ -311,6 +313,7 @@ func (k *CoordinatorKernel) order(st *senderStream, seq uint64, frame []byte) {
 		for parked > 0 {
 			released, from, to := st.buf.Skip()
 			st.noteMissing(from, to)
+			observeWaits(k.clk, released)
 			for _, ev := range released {
 				k.archive(st, ev.Seq, ev.Payload)
 			}

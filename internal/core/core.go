@@ -43,9 +43,6 @@ type Config struct {
 	// Monitor, when set, is polled by AdaptOnce for system state; when
 	// nil the profile's existing state attributes are used directly.
 	Monitor *hostagent.Monitor
-	// MonitorParams are the parameters sampled from Monitor (default
-	// cpu-load and page-faults).
-	MonitorParams []string
 	// MTU bounds each wire datagram; larger message frames are
 	// fragmented transparently (default 8 KiB).
 	MTU int
@@ -53,6 +50,10 @@ type Config struct {
 	// frames pass through per-sender order buffers, and a repair loop
 	// NACKs the named coordinator for persistent gaps (DESIGN.md §10).
 	Repair *RepairOptions
+
+	// monitorParams are the parameters sampled from Monitor (default
+	// cpu-load and page-faults); the package's tests substitute others.
+	monitorParams []string
 }
 
 // RepairOptions configures the client's automatic gap-repair loop.
@@ -91,8 +92,8 @@ func (r RepairOptions) withDefaults() RepairOptions {
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.MonitorParams) == 0 {
-		c.MonitorParams = []string{hostagent.ParamCPULoad, hostagent.ParamPageFaults}
+	if len(c.monitorParams) == 0 {
+		c.monitorParams = []string{hostagent.ParamCPULoad, hostagent.ParamPageFaults}
 	}
 	return c
 }
@@ -267,7 +268,6 @@ func (c *Client) Say(text, sel string) error {
 		message.AttrApp:   selector.S(apps.AppChat),
 		message.AttrMedia: selector.S(string(media.KindText)),
 		message.AttrSize:  selector.N(float64(len(text))),
-		"lamport":         selector.N(float64(c.k.lamport.Tick())),
 	}
 	// The local state repository reflects the local action immediately
 	// (Apply and the codec only read the bytes, so one encoding serves
@@ -290,7 +290,6 @@ func (c *Client) Draw(s apps.Stroke, sel string) error {
 	attrs := selector.Attributes{
 		message.AttrApp:   selector.S(apps.AppWhiteboard),
 		message.AttrMedia: selector.S("stroke"),
-		"lamport":         selector.N(float64(c.k.lamport.Tick())),
 	}
 	if err := c.wb.Apply(payload); err != nil {
 		return err
@@ -328,7 +327,6 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 	announceAttrs := obj.Attrs().Merge(selector.Attributes{
 		message.AttrApp:    selector.S(apps.AppImageViewer),
 		message.AttrObject: selector.S(object),
-		"lamport":          selector.N(float64(c.k.lamport.Tick())),
 	})
 	announce := c.newMessage(message.KindEvent, sel, announceAttrs, apps.EncodeImageMeta(meta))
 	shareID := obs.MsgID(announce.Sender, announce.Seq)
@@ -458,7 +456,8 @@ func (c *Client) observeDeliverySLO(m *message.Message) {
 	if !slo.Enabled() || m.Timestamp.IsZero() {
 		return
 	}
-	slo.ObserveDelivery(c.ID(), c.clk.Since(m.Timestamp))
+	now := c.clk.Now()
+	slo.ObserveDelivery(c.ID(), now.Sub(m.Timestamp), now)
 }
 
 func (c *Client) handleEvent(m *message.Message) {
@@ -609,7 +608,7 @@ func (c *Client) SampleQoS(set func(name string, value float64)) {
 	if expected > 0 {
 		frac := lossFraction(expected, uniq)
 		set(`client_loss_fraction{client="`+metrics.EscapeLabel(c.ID())+`"}`, frac)
-		slo.ObserveLoss(c.ID(), frac)
+		slo.ObserveLoss(c.ID(), frac, c.clk.Now())
 	}
 }
 
@@ -634,7 +633,7 @@ func (c *Client) ReceptionReport(sender string) (rtp.Stats, bool) {
 func (c *Client) AdaptOnce() (inference.Decision, error) {
 	state := make(selector.Attributes)
 	if c.cfg.Monitor != nil {
-		sample, err := c.cfg.Monitor.Sample(c.cfg.MonitorParams...)
+		sample, err := c.cfg.Monitor.Sample(c.cfg.monitorParams...)
 		if err != nil {
 			return inference.Decision{}, fmt.Errorf("core: state sample: %w", err)
 		}
@@ -651,7 +650,7 @@ func (c *Client) AdaptOnce() (inference.Decision, error) {
 	// (and the QoS contract) adapts to.
 	if loss, ok := c.observedLoss(); ok {
 		state.SetNumber(inference.StateLoss, loss)
-		slo.ObserveLoss(c.ID(), loss)
+		slo.ObserveLoss(c.ID(), loss, c.clk.Now())
 	}
 	if jitter, ok := c.observedJitter(); ok {
 		state.SetNumber("jitter", jitter)

@@ -45,13 +45,12 @@ type Kernel struct {
 	Deliver func(*message.Message)
 	Control func(*message.Message)
 
-	conn    transport.Conn
-	clk     clock.Clock
-	pm      *profile.Manager
-	env     message.Enveloper
-	tx      dispatch.Unicaster // enveloped unicast on conn (shared with the owner's sends)
-	unwrap  *message.Unwrapper
-	lamport session.LamportClock
+	conn   transport.Conn
+	clk    clock.Clock
+	pm     *profile.Manager
+	env    message.Enveloper
+	tx     dispatch.Unicaster // enveloped unicast on conn (shared with the owner's sends)
+	unwrap *message.Unwrapper
 	// ctrlSeq numbers control frames apart from the event/data
 	// sequence, so they never leave gaps in it.
 	ctrlSeq atomic.Uint32
@@ -127,7 +126,7 @@ func (k *Kernel) HandlePacket(pkt transport.Packet) {
 		// they pass through the sender's order buffer first; profile
 		// filtering happens on release (a filtered frame still
 		// consumes its sequence number — it is not a gap).
-		k.ingestOrdered(v)
+		k.ingestOrdered(frame, v)
 		return
 	}
 	k.process(v)
@@ -177,7 +176,7 @@ func (k *Kernel) RepairStatus() map[string]RepairStatus {
 
 // process interprets one validated, ordered (or orderless-mode) frame:
 // semantic profile match, then — for a frame the profile admits — the
-// message, its Lamport witness and the effect.
+// message and the effect.
 func (k *Kernel) process(v message.View) {
 	msgID := obs.MsgID(v.Sender(), v.Seq())
 	// Semantic interpretation: the frame's selector is evaluated
@@ -198,14 +197,6 @@ func (k *Kernel) process(v message.View) {
 	obs.AppendHop(msgID, k.ID(), obs.StageMatch)
 	m := &k.msg
 	v.MessageInto(m, &k.intern)
-	// A stamp off the wire is witnessed only if it is a whole number a
-	// float64 counts exactly: the conversion of anything else would set
-	// the clock wherever it lands (uint64(-1.0) wraps it to 0).
-	if lam, ok := m.Attr("lamport"); ok {
-		if n, ok := lam.Whole(); ok {
-			k.lamport.Witness(n)
-		}
-	}
 
 	switch m.Kind {
 	case message.KindEvent, message.KindData:
@@ -223,14 +214,13 @@ func (k *Kernel) process(v message.View) {
 }
 
 // senderOrder restores one sender's gapless event/data sequence at a
-// replica: the order buffer tracks sequence state, parked holds the
-// frames waiting behind a gap until release — as views, so a frame that
-// turns out to be filtered, evicted or abandoned was never decoded —
-// and the rest is the gap's repair state, which Poll advances.
+// replica: the order buffer holds the frames waiting behind a gap until
+// release — undecoded, so a frame that turns out to be filtered,
+// evicted or abandoned never was — and the rest is the gap's repair
+// state, which Poll advances.
 type senderOrder struct {
 	sender string
 	buf    *session.OrderBuffer
-	parked map[uint64]message.View
 
 	waitingFor   uint64    // gap seq as of the last poll
 	parkedSince  time.Time // when the current gap first held parked events
@@ -242,28 +232,16 @@ type senderOrder struct {
 	lastRepair                    time.Duration
 }
 
-// newSenderBuffer is one sender's order buffer, at a replica or the
-// coordinator alike: framework clients number their messages from 1,
-// and held frames are stamped on the kernel's clock.
-func newSenderBuffer(clk clock.Clock) *session.OrderBuffer {
-	return session.NewOrderBuffer(0, clk)
-}
-
 // ingestOrdered pushes an event/data frame through its sender's order
-// buffer and processes whatever becomes releasable, in order.
-// Duplicates — replayed frames already applied, or substrate
-// duplicate deliveries — are discarded here.
-func (k *Kernel) ingestOrdered(v message.View) {
+// buffer, parked in the event's Payload, and processes whatever becomes
+// releasable, in order.  Duplicates — replayed frames already applied,
+// or substrate duplicate deliveries — are discarded by the buffer.
+func (k *Kernel) ingestOrdered(frame []byte, v message.View) {
 	so, ok := k.order[string(v.Sender())]
 	if !ok {
-		so = &senderOrder{
-			sender: string(v.Sender()),
-			buf:    newSenderBuffer(k.clk),
-			parked: make(map[uint64]message.View),
-		}
-		// Overflow evicts the farthest-ahead frame from the buffer;
-		// drop its parked view too (runs under the buffer's lock).
-		so.buf.SetLimit(k.repair.MaxPending, func(ev session.Event) { delete(so.parked, ev.Seq) })
+		// Framework clients number their messages from 1.
+		so = &senderOrder{sender: string(v.Sender()), buf: session.NewOrderBuffer(0)}
+		so.buf.SetLimit(k.repair.MaxPending)
 		so.waitingFor, _ = so.buf.Gap()
 		k.order[so.sender] = so
 		i, _ := slices.BinarySearchFunc(k.streams, so.sender, func(s *senderOrder, name string) int {
@@ -271,22 +249,48 @@ func (k *Kernel) ingestOrdered(v message.View) {
 		})
 		k.streams = slices.Insert(k.streams, i, so)
 	}
-	seq := uint64(v.Seq())
-	if w, _ := so.buf.Gap(); seq < w {
-		return // already applied (or skipped): a duplicate or replay echo
-	}
-	so.parked[seq] = v
-	k.release(so, so.buf.Push(session.Event{Seq: seq, Sender: so.sender}))
+	ev := session.Event{Seq: uint64(v.Seq()), Payload: frame, At: arrivedAt(k.clk)}
+	k.release(so.buf.Push(ev), v)
 }
 
-// release processes released events in order.
-func (k *Kernel) release(so *senderOrder, released []session.Event) {
+// release processes released events in order.  arrived is the frame
+// just pushed, which keeps its view (the zero View, whose seq 0 no
+// sender uses, when nothing was); a frame that waited is parsed again,
+// which cannot fail: Unwrapper.Read validated it before it parked.
+func (k *Kernel) release(released []session.Event, arrived message.View) {
+	observeWaits(k.clk, released)
 	for _, ev := range released {
-		if v, ok := so.parked[ev.Seq]; ok {
-			delete(so.parked, ev.Seq)
-			obs.AppendHop(obs.MsgID(v.Sender(), v.Seq()), k.ID(), obs.StageReorder)
-			k.process(v)
+		v := arrived
+		if ev.Seq != uint64(arrived.Seq()) {
+			v, _ = message.Parse(ev.Payload)
 		}
+		obs.AppendHop(obs.MsgID(v.Sender(), v.Seq()), k.ID(), obs.StageReorder)
+		k.process(v)
+	}
+}
+
+// arrivedAt stamps an event pushed into an order buffer: the instant on
+// clk while instrumentation is on, else 0 (not stamped).
+func arrivedAt(clk clock.Clock) int64 {
+	if obs.Enabled() {
+		return clk.Now().UnixNano()
+	}
+	return 0
+}
+
+// observeWaits feeds the reorder-stage histogram how long each stamped
+// event of one release waited in its order buffer, on clk: both
+// kernels call it on every release, so a gap's stall is visible.
+func observeWaits(clk clock.Clock, released []session.Event) {
+	var now int64
+	for _, ev := range released {
+		if ev.At == 0 {
+			continue
+		}
+		if now == 0 {
+			now = clk.Now().UnixNano()
+		}
+		obs.StageHistogram(obs.StageReorder).Observe(now - ev.At)
 	}
 }
 
@@ -363,7 +367,7 @@ func (k *Kernel) repaired(so *senderOrder, now time.Time) {
 	metrics.C(metrics.CtrRepairSuccess).Inc()
 	obs.StageHistogram(obs.StageRepair).Observe(so.lastRepair.Nanoseconds())
 	if k.ID() != "" {
-		slo.ObserveRepair(k.ID(), so.lastRepair)
+		slo.ObserveRepair(k.ID(), so.lastRepair, now)
 	}
 	if obs.Enabled() {
 		obs.Note(0, obs.StageRepair, fmt.Sprintf(
@@ -413,7 +417,7 @@ func (k *Kernel) abandon(so *senderOrder, waitingFor uint64) {
 		obs.Drop(0, obs.StageRepair, fmt.Sprintf(
 			"%s: abandoned seqs [%d,%d) from %s", k.ID(), from, to, so.sender))
 	}
-	k.release(so, released)
+	k.release(released, message.View{})
 }
 
 // nack asks the coordinator for exactly what the stalled stream is

@@ -2,14 +2,15 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/selector"
+	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
 )
 
@@ -46,7 +47,6 @@ func (r *viewRig) say(sender string, seq uint32, sel string) transport.Packet {
 			message.AttrApp:   selector.S("chat"),
 			message.AttrMedia: selector.S("text"),
 			message.AttrSize:  selector.N(5),
-			"lamport":         selector.N(float64(seq)),
 		},
 		Body: []byte{0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o'},
 	})
@@ -91,8 +91,8 @@ func TestFilteredFrameConsumesItsSeq(t *testing.T) {
 		t.Errorf("delivered %v, want %v", r.applied, want)
 	}
 	so := r.k.order["pub"]
-	if next, parked := so.buf.Gap(); next != 4 || parked != 0 || len(so.parked) != 0 {
-		t.Errorf("waiting for %d with %d parked (%d views held), want 4, 0, 0", next, parked, len(so.parked))
+	if next, parked := so.buf.Gap(); next != 4 || parked != 0 {
+		t.Errorf("waiting for %d with %d parked, want 4, 0", next, parked)
 	}
 	if got := r.k.filtered.Load(); got != 1 {
 		t.Errorf("filtered = %d, want 1", got)
@@ -118,34 +118,39 @@ func TestKernelsShareNoInternTable(t *testing.T) {
 	}
 }
 
-// A Lamport stamp off the wire is witnessed only if it is a whole
-// number a float64 counts exactly: anything else would set the clock
-// to whatever the conversion makes of it (uint64(-1.0) wraps it to 0).
-func TestLamportIgnoresUnrepresentableStamps(t *testing.T) {
+// With instrumentation on, a frame that waits in its sender's order
+// buffer is timed on the kernel's clock: on virtual time, seq 2 held
+// 30 ms for seq 1 records exactly 30 ms in the reorder-stage histogram,
+// and seq 1, released on arrival, records 0.  Both kernels order frames,
+// so both are held to it.
+func TestReorderStageTimesTheWaitOnVirtualTime(t *testing.T) {
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(false) })
+	const wait = 30 * time.Millisecond
 	for _, tc := range []struct {
-		stamp float64
-		next  uint64 // the Tick after five ticks and the stamp
+		name   string
+		handle func(conn nullConn) func(transport.Packet)
 	}{
-		{-1, 6}, {math.NaN(), 6}, {math.Inf(1), 6}, {math.Inf(-1), 6}, {1e300, 6},
-		{1<<53 + 2, 6}, {7.5, 6}, {9, 11}, {1 << 53, 1<<53 + 2},
+		{"client", func(conn nullConn) func(transport.Packet) {
+			k := NewKernel(conn, Config{Repair: &RepairOptions{Coordinator: "coordinator", StallTimeout: time.Second}})
+			return k.HandlePacket
+		}},
+		{"coordinator", func(conn nullConn) func(transport.Packet) {
+			return NewCoordinatorKernel(conn, session.Group{Objective: "reorder"}).HandlePacket
+		}},
 	} {
-		r := newViewRig(t, "recv", false)
-		for i := 0; i < 5; i++ {
-			r.k.lamport.Tick()
-		}
-		d, err := r.env.WrapMessage(&message.Message{
-			Kind: message.KindEvent, Sender: "pub", Seq: 1,
-			Attrs: selector.Attributes{"lamport": selector.N(tc.stamp)},
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewVirtual(time.Unix(100, 0))
+			handle := tc.handle(nullConn{"recv", clk})
+			r := &viewRig{t: t}
+			before := obs.StageHistogram(obs.StageReorder).Snapshot()
+			handle(r.say("pub", 2, ""))
+			clk.Advance(wait)
+			handle(r.say("pub", 1, ""))
+			after := obs.StageHistogram(obs.StageReorder).Snapshot()
+			if n, sum := after.Count-before.Count, after.Sum-before.Sum; n != 2 || sum != uint64(wait) {
+				t.Errorf("reorder stage recorded %d waits totalling %v, want 2 totalling %v", n, time.Duration(sum), wait)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.k.HandlePacket(transport.Packet{From: "pub", Data: d[0]})
-		if len(r.applied) != 1 {
-			t.Fatalf("stamp %v: delivered %v", tc.stamp, r.applied)
-		}
-		if got := r.k.lamport.Tick(); got != tc.next {
-			t.Errorf("stamp %v: next Tick = %d, want %d", tc.stamp, got, tc.next)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/obs"
 )
 
@@ -33,48 +32,27 @@ type OrderBuffer struct {
 
 	// limit bounds parked (0 = unlimited): a corrupt or far-future
 	// sequence number must not park events forever, so overflow evicts
-	// the farthest-ahead event and counts the eviction.
-	limit    int
-	overflow uint64
-	onEvict  func(Event)
-
-	// held stamps parked events' arrival (UnixNano on clk) while
-	// instrumentation is on; releases feed the pipeline reorder-stage
-	// histogram so gap-induced session stalls are visible.
-	held map[uint64]int64
-
-	// clk stamps held.  Under a virtual clock the reorder-latency
-	// histogram measures simulated stall time, not the (meaningless)
-	// wall time of the driving loop.
-	clk clock.Clock
+	// the farthest-ahead event.
+	limit int
 }
 
 // SeqRange is an inclusive range of sequence numbers.
 type SeqRange struct{ From, To uint64 }
 
 // NewOrderBuffer creates a buffer expecting sequence numbers starting
-// at afterSeq+1 (0 for a stream numbered from 1).  It stamps held
-// events on clk, the clock of the node it serves; a buffer given none
-// stamps them on the wall clock.
-func NewOrderBuffer(afterSeq uint64, clk ...clock.Clock) *OrderBuffer {
-	b := &OrderBuffer{next: afterSeq + 1, clk: clock.Wall}
-	if len(clk) > 0 {
-		b.clk = clk[0]
-	}
-	return b
+// at afterSeq+1 (0 for a stream numbered from 1).
+func NewOrderBuffer(afterSeq uint64) *OrderBuffer {
+	return &OrderBuffer{next: afterSeq + 1}
 }
 
 // SetLimit bounds the parked-event count to n (0 = unlimited).  When a
-// Push would exceed the bound, the farthest-ahead event is evicted:
-// onEvict (optional) observes it, Overflow counts it, and the gap the
-// buffer is stalled on stays visible through Gap so a repair loop can
-// act.  onEvict runs with the buffer lock held and must not call back
-// into the buffer.
-func (b *OrderBuffer) SetLimit(n int, onEvict func(Event)) {
+// Push would exceed the bound, the farthest-ahead event is evicted and
+// the gap the buffer is stalled on stays visible through Gap, so a
+// repair loop can act.
+func (b *OrderBuffer) SetLimit(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.limit = n
-	b.onEvict = onEvict
 }
 
 // Push ingests an event and returns the events now releasable in
@@ -103,27 +81,16 @@ func (b *OrderBuffer) Push(ev Event) []Event {
 			evicted = b.parked[n-1]
 			copy(b.parked[at+1:], b.parked[at:n-1])
 			b.parked[at] = ev
-			delete(b.held, evicted.Seq)
 		}
-		b.overflow++
 		if obs.Enabled() {
 			obs.Note(0, obs.StageReorder,
 				fmt.Sprintf("order buffer overflow: evicting seq %d (limit %d, waiting for %d)", evicted.Seq, b.limit, b.next))
-		}
-		if b.onEvict != nil {
-			b.onEvict(evicted)
 		}
 		if at == n {
 			return nil
 		}
 	default:
 		b.parked = slices.Insert(b.parked, at, ev)
-	}
-	if obs.Enabled() {
-		if b.held == nil {
-			b.held = make(map[uint64]int64)
-		}
-		b.held[ev.Seq] = b.clk.Now().UnixNano()
 	}
 	return b.releaseLocked()
 }
@@ -143,15 +110,6 @@ func (b *OrderBuffer) releaseLocked() []Event {
 		clear(out[run:last]) // the previous release's events must not stay reachable
 	}
 	b.released = out
-	if b.held != nil {
-		now := b.clk.Now().UnixNano()
-		for _, ev := range out {
-			if t, ok := b.held[ev.Seq]; ok {
-				obs.StageHistogram(obs.StageReorder).Observe(now - t)
-				delete(b.held, ev.Seq)
-			}
-		}
-	}
 	rest := copy(b.parked, b.parked[run:])
 	clear(b.parked[rest:]) // released events must not stay reachable
 	b.parked = b.parked[:rest]
@@ -203,38 +161,4 @@ func (b *OrderBuffer) Holes(dst []SeqRange, max int) (holes []SeqRange, past uin
 		past = ev.Seq + 1
 	}
 	return dst, past
-}
-
-// LamportClock provides causal timestamps for the distributed (peer)
-// configuration, where no single coordinator assigns sequence numbers.
-type LamportClock struct {
-	mu   sync.Mutex
-	time uint64
-}
-
-// Tick advances the clock for a local event and returns its timestamp.
-func (c *LamportClock) Tick() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.time++
-	return c.time
-}
-
-// Witness merges a remote timestamp (receive rule) and returns the
-// updated local time.
-func (c *LamportClock) Witness(remote uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if remote > c.time {
-		c.time = remote
-	}
-	c.time++
-	return c.time
-}
-
-// Now returns the current time without advancing it.
-func (c *LamportClock) Now() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.time
 }

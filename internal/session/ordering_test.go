@@ -9,9 +9,18 @@ import (
 
 func TestOrderBufferLimitEvictsFarthest(t *testing.T) {
 	b := NewOrderBuffer(0)
-	var evicted []uint64
-	b.SetLimit(3, func(ev Event) { evicted = append(evicted, ev.Seq) })
+	b.SetLimit(3)
 	ev := func(seq uint64) Event { return Event{Seq: seq} }
+	// What the buffer holds, read through Holes and Gap: the holes
+	// below the farthest parked event, the seq past it, and the count.
+	holds := func(wantHoles []SeqRange, wantPast uint64, wantParked int) {
+		t.Helper()
+		holes, past := b.Holes(nil, 4)
+		if _, parked := b.Gap(); !reflect.DeepEqual(holes, wantHoles) || past != wantPast || parked != wantParked {
+			t.Fatalf("holes %v past %d with %d parked, want %v past %d with %d",
+				holes, past, parked, wantHoles, wantPast, wantParked)
+		}
+	}
 
 	// Seq 1 is missing; park 3 far-ahead events to fill the bound.
 	for _, s := range []uint64{5, 3, 9} {
@@ -19,28 +28,23 @@ func TestOrderBufferLimitEvictsFarthest(t *testing.T) {
 			t.Fatalf("seq %d released across the gap", s)
 		}
 	}
+	holds([]SeqRange{{1, 2}, {4, 4}, {6, 8}}, 10, 3)
 	// A nearer event displaces the farthest parked one (9).
 	if out := b.Push(ev(2)); out != nil {
 		t.Fatal("2 released while 1 is missing")
 	}
-	if len(evicted) != 1 || evicted[0] != 9 {
-		t.Fatalf("evicted = %v, want [9]", evicted)
-	}
+	holds([]SeqRange{{1, 1}, {4, 4}}, 6, 3)
 	// A farther-than-everything event is rejected outright.
 	if out := b.Push(ev(100)); out != nil {
 		t.Fatal("100 released")
 	}
-	if len(evicted) != 2 || evicted[1] != 100 {
-		t.Fatalf("evicted = %v, want [9 100]", evicted)
-	}
-	if got := b.overflow; got != 2 {
-		t.Errorf("overflow = %d, want 2", got)
-	}
-	// The gap stays visible and, once filled, the survivors release:
-	// near-gap events were kept, so 1..3 and 5 come out in order.
-	if w, parked := b.Gap(); w != 1 || parked != 3 {
-		t.Fatalf("gap = %d/%d, want 1/3", w, parked)
-	}
+	holds([]SeqRange{{1, 1}, {4, 4}}, 6, 3)
+	// Duplicates of parked events never evict, not even when full.
+	b.Push(ev(5))
+	b.Push(ev(3))
+	holds([]SeqRange{{1, 1}, {4, 4}}, 6, 3)
+	// The missing seq is nearer than everything parked, so it too
+	// evicts the farthest (5), and 1..3 come out in order.
 	out := b.Push(ev(1))
 	want := []uint64{1, 2, 3}
 	if len(out) != len(want) {
@@ -51,14 +55,7 @@ func TestOrderBufferLimitEvictsFarthest(t *testing.T) {
 			t.Errorf("release[%d] = %d, want %d", i, ev.Seq, want[i])
 		}
 	}
-	// Duplicates of parked events never trigger eviction.
-	before := b.overflow
-	b.Push(ev(5))
-	b.Push(ev(5))
-	b.Push(ev(5))
-	if b.overflow != before {
-		t.Error("duplicate of a parked event counted as overflow")
-	}
+	holds(nil, 4, 0)
 }
 
 func TestOrderBufferSkip(t *testing.T) {
@@ -114,21 +111,21 @@ func (m *orderModel) release() (out []uint64) {
 	return out
 }
 
-// push returns the released seqs and the evicted one (0 = none).
-func (m *orderModel) push(seq uint64) (released []uint64, evicted uint64) {
+// push returns the released seqs; a full model evicts the farthest of
+// its parked seqs and seq.
+func (m *orderModel) push(seq uint64) (released []uint64) {
 	if seq < m.next {
-		return nil, 0
+		return nil
 	}
 	if !m.parked[seq] && len(m.parked) >= m.limit {
-		if far := m.farthest(); far > seq {
-			delete(m.parked, far)
-			evicted = far
-		} else {
-			return nil, seq
+		far := m.farthest()
+		if far < seq {
+			return nil
 		}
+		delete(m.parked, far)
 	}
 	m.parked[seq] = true
-	return m.release(), evicted
+	return m.release()
 }
 
 func (m *orderModel) skip() (released []uint64, from, to uint64) {
@@ -167,7 +164,9 @@ func (m *orderModel) holes(max int) (holes []SeqRange, past uint64) {
 // TestQuickOrderBufferMatchesModel drives a limited buffer and the
 // brute-force model through the same random pushes (in-order, ahead,
 // duplicate, stale, far ahead so the limit evicts) and skips, and
-// compares every release, eviction, gap and hole list.
+// compares every release, gap and hole list.  The whole hole list, the
+// bound past it and the parked count pin down which seqs are parked, so
+// an eviction of the wrong seq shows there.
 func TestQuickOrderBufferMatchesModel(t *testing.T) {
 	seqsOf := func(evs []Event) (out []uint64) {
 		for _, ev := range evs {
@@ -179,8 +178,7 @@ func TestQuickOrderBufferMatchesModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		limit := 1 + r.Intn(12)
 		b := NewOrderBuffer(0)
-		var evicted uint64
-		b.SetLimit(limit, func(ev Event) { evicted = ev.Seq })
+		b.SetLimit(limit)
 		m := &orderModel{next: 1, parked: map[uint64]bool{}, limit: limit}
 		for step := 0; step < 400; step++ {
 			if r.Intn(10) == 0 {
@@ -200,12 +198,9 @@ func TestQuickOrderBufferMatchesModel(t *testing.T) {
 				case 1:
 					seq = m.next + uint64(r.Intn(1000))
 				}
-				evicted = 0
 				rel := b.Push(Event{Seq: seq})
-				wantRel, wantEvicted := m.push(seq)
-				if !reflect.DeepEqual(seqsOf(rel), wantRel) || evicted != wantEvicted {
-					t.Logf("seed %d step %d: push %d = %v evicting %d, model %v evicting %d",
-						seed, step, seq, seqsOf(rel), evicted, wantRel, wantEvicted)
+				if wantRel := m.push(seq); !reflect.DeepEqual(seqsOf(rel), wantRel) {
+					t.Logf("seed %d step %d: push %d = %v, model %v", seed, step, seq, seqsOf(rel), wantRel)
 					return false
 				}
 			}
@@ -213,13 +208,16 @@ func TestQuickOrderBufferMatchesModel(t *testing.T) {
 				t.Logf("seed %d step %d: gap = %d/%d, model %d/%d", seed, step, w, parked, m.next, len(m.parked))
 				return false
 			}
-			max := r.Intn(limit + 2)
-			holes, past := b.Holes(nil, max)
-			wantHoles, wantPast := m.holes(max)
-			if !reflect.DeepEqual(holes, wantHoles) || past != wantPast {
-				t.Logf("seed %d step %d: holes(%d) = %v past %d, model %v past %d",
-					seed, step, max, holes, past, wantHoles, wantPast)
-				return false
+			// Every parked seq but the farthest closes a hole, so limit
+			// holes are all of them.
+			for _, max := range []int{r.Intn(limit + 2), limit} {
+				holes, past := b.Holes(nil, max)
+				wantHoles, wantPast := m.holes(max)
+				if !reflect.DeepEqual(holes, wantHoles) || past != wantPast {
+					t.Logf("seed %d step %d: holes(%d) = %v past %d, model %v past %d",
+						seed, step, max, holes, past, wantHoles, wantPast)
+					return false
+				}
 			}
 		}
 		return true

@@ -123,22 +123,6 @@ func TestOrderBuffer(t *testing.T) {
 	}
 }
 
-func TestLamportClock(t *testing.T) {
-	var c LamportClock
-	if c.Tick() != 1 || c.Tick() != 2 {
-		t.Error("tick")
-	}
-	if got := c.Witness(10); got != 11 {
-		t.Errorf("witness ahead = %d", got)
-	}
-	if got := c.Witness(3); got != 12 {
-		t.Errorf("witness behind = %d", got)
-	}
-	if c.Now() != 12 {
-		t.Error("now")
-	}
-}
-
 // TestQuickOrderBufferTotalOrder: any permutation of a sequence is
 // released exactly once, in order.
 func TestQuickOrderBufferTotalOrder(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 )
@@ -149,17 +148,14 @@ func newClientState(spec Spec, nowNS int64) *clientState {
 }
 
 // Observe records one observation for (client, objective) at the
-// current time, auto-registering unknown clients with the default
-// spec.  Classification against the spec target happens here; the
-// window ring stores only counts.
-func (e *Engine) Observe(client string, o Objective, v float64) {
-	e.observeAt(client, o, v, clock.Wall.Now().UnixNano())
-}
-
-func (e *Engine) observeAt(client string, o Objective, v float64, nowNS int64) {
+// instant at, on the clock Poll is driven by, auto-registering unknown
+// clients with the default spec.  Classification against the spec
+// target happens here; the window ring stores only counts.
+func (e *Engine) Observe(client string, o Objective, v float64, at time.Time) {
 	if o >= numObjectives {
 		return
 	}
+	nowNS := at.UnixNano()
 	e.mu.Lock()
 	cs, ok := e.clients[client]
 	if !ok {

@@ -33,7 +33,7 @@ func counterDelta(t *testing.T, name string, before map[string]uint64) uint64 {
 // feed observes n loss samples of value v spread over the bucket at t.
 func feed(e *Engine, client string, at time.Time, v float64, n int) {
 	for i := 0; i < n; i++ {
-		e.observeAt(client, ObjLoss, v, at.UnixNano())
+		e.Observe(client, ObjLoss, v, at)
 	}
 }
 

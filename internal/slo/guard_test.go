@@ -21,11 +21,12 @@ func guardWorkload(buf []byte, seed uint64) uint64 {
 // atomic load and allocates nothing.
 func TestDisabledObserveZeroAllocs(t *testing.T) {
 	SetEnabled(false)
+	at := time.Unix(1000, 0)
 	if n := testing.AllocsPerRun(1000, func() {
-		ObserveDelivery("c", 10*time.Millisecond)
-		ObserveLoss("c", 0.01)
-		ObserveRepair("c", 100*time.Millisecond)
-		ObserveTier("c", 2)
+		ObserveDelivery("c", 10*time.Millisecond, at)
+		ObserveLoss("c", 0.01, at)
+		ObserveRepair("c", 100*time.Millisecond, at)
+		ObserveTier("c", 2, at)
 	}); n != 0 {
 		t.Fatalf("disabled Observe* allocates %.1f per run, want 0", n)
 	}
@@ -36,10 +37,11 @@ func TestDisabledObserveZeroAllocs(t *testing.T) {
 // bucket update — no allocation.
 func TestEnabledObserveSteadyStateZeroAllocs(t *testing.T) {
 	e := NewEngine(SpecForClass("interactive"))
-	e.Observe("c", ObjLoss, 0.01) // allocate the client state once
+	at := time.Unix(1000, 0)
+	e.Observe("c", ObjLoss, 0.01, at) // allocate the client state once
 	if n := testing.AllocsPerRun(1000, func() {
-		e.Observe("c", ObjLoss, 0.01)
-		e.Observe("c", ObjDelivery, float64(10*time.Millisecond))
+		e.Observe("c", ObjLoss, 0.01, at)
+		e.Observe("c", ObjDelivery, float64(10*time.Millisecond), at)
 	}); n != 0 {
 		t.Fatalf("steady-state Observe allocates %.1f per run, want 0", n)
 	}
@@ -57,7 +59,7 @@ func TestEnabledObserveOverheadGuard(t *testing.T) {
 	}
 
 	e := NewEngine(SpecForClass("interactive"))
-	e.Observe("guard-client", ObjDelivery, float64(time.Millisecond))
+	e.Observe("guard-client", ObjDelivery, float64(time.Millisecond), time.Now())
 
 	buf := make([]byte, 8192)
 	for i := range buf {
@@ -75,7 +77,7 @@ func TestEnabledObserveOverheadGuard(t *testing.T) {
 	observed := func() {
 		for i := 0; i < iters; i++ {
 			sink += guardWorkload(buf, uint64(i))
-			e.Observe("guard-client", ObjDelivery, float64(time.Millisecond))
+			e.Observe("guard-client", ObjDelivery, float64(time.Millisecond), time.Now())
 		}
 	}
 
@@ -124,7 +126,7 @@ func TestConcurrentObservePoll(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			client := []string{"a", "b"}[g%2]
 			for i := 0; i < 2000; i++ {
-				e.Observe(client, Objective(i%int(numObjectives)), 0.5)
+				e.Observe(client, Objective(i%int(numObjectives)), 0.5, time.Now())
 			}
 		}(g)
 	}

@@ -51,39 +51,42 @@ var defaultEngine = NewEngine(Spec{})
 // debug views).
 func Default() *Engine { return defaultEngine }
 
-// ObserveDelivery records one message-delivery latency for client —
-// publish timestamp to application apply, the user-visible delay the
-// delivery objective bounds.  No-op (one atomic load, zero
-// allocations) while monitoring is off.
-func ObserveDelivery(client string, latency time.Duration) {
+// ObserveDelivery records one message-delivery latency for client at
+// the instant at, on the caller's clock — publish timestamp to
+// application apply, the user-visible delay the delivery objective
+// bounds.  No-op (one atomic load, zero allocations) while monitoring
+// is off.
+func ObserveDelivery(client string, latency time.Duration, at time.Time) {
 	if !on.Load() {
 		return
 	}
-	defaultEngine.Observe(client, ObjDelivery, float64(latency.Nanoseconds()))
+	defaultEngine.Observe(client, ObjDelivery, float64(latency.Nanoseconds()), at)
 }
 
-// ObserveLoss records one sampled loss fraction (0..1) for client.
-func ObserveLoss(client string, fraction float64) {
+// ObserveLoss records one sampled loss fraction (0..1) for client at
+// the instant at.
+func ObserveLoss(client string, fraction float64, at time.Time) {
 	if !on.Load() {
 		return
 	}
-	defaultEngine.Observe(client, ObjLoss, fraction)
+	defaultEngine.Observe(client, ObjLoss, fraction, at)
 }
 
 // ObserveRepair records one gap-repair convergence latency (first
-// NACK to gap filled) for client.
-func ObserveRepair(client string, converge time.Duration) {
+// NACK to gap filled) for client at the instant at.
+func ObserveRepair(client string, converge time.Duration, at time.Time) {
 	if !on.Load() {
 		return
 	}
-	defaultEngine.Observe(client, ObjRepair, float64(converge.Nanoseconds()))
+	defaultEngine.Observe(client, ObjRepair, float64(converge.Nanoseconds()), at)
 }
 
 // ObserveTier records one sampled service tier for client (the
-// radio.Tier ordinal: 0 none, 1 text, 2 sketch, 3 image).
-func ObserveTier(client string, tier int) {
+// radio.Tier ordinal: 0 none, 1 text, 2 sketch, 3 image) at the
+// instant at.
+func ObserveTier(client string, tier int, at time.Time) {
 	if !on.Load() {
 		return
 	}
-	defaultEngine.Observe(client, ObjTier, float64(tier))
+	defaultEngine.Observe(client, ObjTier, float64(tier), at)
 }
