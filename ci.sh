@@ -35,8 +35,11 @@ go test -race -count=1 ./...
 # virtual clock takes events from any goroutine while one drives it, the
 # wall network's dispatcher and Serve's goroutine own a wall timer and
 # ticker, and the wavelet coder's free list of working sets is shared by
-# a publisher and the station's dispatch workers.
-go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet
+# a publisher and the station's dispatch workers; the dispatch workers
+# read the radio channel while the control plane moves members, and
+# Serve goroutines apply to the chat area and whiteboard while readers
+# call Lines and Strokes.
+go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

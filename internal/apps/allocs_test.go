@@ -4,7 +4,9 @@ package apps
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -56,5 +58,72 @@ func TestEncodersAllocateOnce(t *testing.T) {
 		if out := tc.encode(); cap(out) != len(out) {
 			t.Errorf("%s: cap %d, len %d: want no spare capacity", tc.name, cap(out), len(out))
 		}
+	}
+}
+
+// mallocs counts the heap allocations of runs calls of f at one P.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestWarmChatApplyAllocatesNothing: once its arena and line records
+// have grown to the window's size, a bounded chat area applies a line
+// by reclaiming its cut prefix, never by allocating.
+func TestWarmChatApplyAllocatesNothing(t *testing.T) {
+	payloads := make([][]byte, 97)
+	for i := range payloads {
+		payloads[i] = EncodeSay(strings.Repeat("w", i*37%161))
+	}
+	c := NewChatArea()
+	c.MaxLines = 256
+	next := 0
+	apply := func() {
+		c.Apply("pub", payloads[next%len(payloads)])
+		next++
+	}
+	for i := 0; i < 16*256; i++ {
+		apply()
+	}
+	if n := mallocs(10000, apply); n != 0 {
+		t.Errorf("10000 warm applies allocated %d times, want 0", n)
+	}
+}
+
+// TestUnboundedChatAllocatesLogarithmically: unlimited history grows
+// the arena and the records by append, O(log n) allocations for n
+// lines rather than one a line.
+func TestUnboundedChatAllocatesLogarithmically(t *testing.T) {
+	const lines = 10000
+	payload := EncodeSay("a line of chat about as long as the benchmark's, eighty bytes or so, give or take")
+	c := NewChatArea()
+	n := mallocs(lines, func() { c.Apply("pub", payload) })
+	if limit := uint64(8 * bits.Len(lines)); n > limit {
+		t.Errorf("%d lines allocated %d times, want at most %d", lines, n, limit)
+	}
+	if c.Len() != lines {
+		t.Errorf("kept %d lines, want %d", c.Len(), lines)
+	}
+}
+
+// TestStrokeRedrawAllocatesNothing: a stroke redrawn under its ID with
+// no more points than it has decodes into its own points.
+func TestStrokeRedrawAllocatesNothing(t *testing.T) {
+	w := NewWhiteboard()
+	pts := make([]Point, 16)
+	for i := range pts {
+		pts[i] = Point{int16(i), int16(-i)}
+	}
+	w.Apply(EncodeStroke(Stroke{ID: 7, Points: pts}))
+	redraws := [][]byte{EncodeStroke(Stroke{ID: 7, Color: 1, Points: pts[:9]}), EncodeStroke(Stroke{ID: 7, Color: 2, Points: pts})}
+	next := 0
+	if n := mallocs(1000, func() { w.Apply(redraws[next%2]); next++ }); n != 0 {
+		t.Errorf("1000 redraws allocated %d times, want 0", n)
 	}
 }

@@ -3,6 +3,7 @@ package apps
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -65,17 +66,23 @@ func (w *Whiteboard) Apply(payload []byte) error {
 		if len(payload) != 9+4*n {
 			return fmt.Errorf("%w: stroke points %d vs payload %d", ErrBadEvent, n, len(payload))
 		}
-		s.Points = make([]Point, n)
-		for i := 0; i < n; i++ {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		old, dup := w.strokes[s.ID]
+		if !dup {
+			w.zorder = append(w.zorder, s.ID)
+		}
+		// A redrawn stroke decodes into its own points: no reader holds
+		// them, as Strokes hands out copies.
+		if s.Points = old.Points; cap(s.Points) < n {
+			s.Points = make([]Point, n)
+		}
+		s.Points = s.Points[:n]
+		for i := range s.Points {
 			s.Points[i].X = int16(binary.BigEndian.Uint16(payload[9+4*i:]))
 			s.Points[i].Y = int16(binary.BigEndian.Uint16(payload[11+4*i:]))
 		}
-		w.mu.Lock()
-		if _, dup := w.strokes[s.ID]; !dup {
-			w.zorder = append(w.zorder, s.ID)
-		}
 		w.strokes[s.ID] = s
-		w.mu.Unlock()
 		return nil
 	case wbOpErase:
 		if len(payload) != 5 {
@@ -108,13 +115,15 @@ func (w *Whiteboard) Apply(payload []byte) error {
 	}
 }
 
-// Strokes returns the strokes in z-order.
+// Strokes returns a deep copy of the strokes in z-order.
 func (w *Whiteboard) Strokes() []Stroke {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	out := make([]Stroke, 0, len(w.zorder))
 	for _, id := range w.zorder {
-		out = append(out, w.strokes[id])
+		s := w.strokes[id]
+		s.Points = slices.Clone(s.Points)
+		out = append(out, s)
 	}
 	return out
 }

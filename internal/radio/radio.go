@@ -77,6 +77,8 @@ type Client struct {
 	// hasBattery is set (see Channel.SetBattery).
 	Battery    float64
 	hasBattery bool
+	// gain is RefGain·Distance^−α, set with Distance.
+	gain float64
 }
 
 // Channel is the interference-limited uplink shared by the wireless
@@ -90,11 +92,14 @@ type Channel struct {
 	// ranging over the map would let an SIR wander in its last bits
 	// from call to call.
 	members []*Client
+	// noiseDiv is 10^NoiseExp.
+	noiseDiv float64
 }
 
 // NewChannel creates a channel with the given parameters.
 func NewChannel(p Params) *Channel {
-	return &Channel{params: p.withDefaults(), clients: make(map[string]*Client)}
+	p = p.withDefaults()
+	return &Channel{params: p, clients: make(map[string]*Client), noiseDiv: math.Pow(10, p.NoiseExp)}
 }
 
 // Params returns the channel parameters.
@@ -114,7 +119,8 @@ func (c *Channel) Join(id string, distance, power float64) error {
 	if _, ok := c.clients[id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicate, id)
 	}
-	cl := &Client{ID: id, Distance: distance, Power: power}
+	cl := &Client{ID: id, Power: power}
+	c.setDistanceLocked(cl, distance)
 	c.clients[id] = cl
 	c.members = slices.Insert(c.members, c.memberIndexLocked(id), cl)
 	return nil
@@ -167,7 +173,7 @@ func (c *Channel) SetDistance(id string, d float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownClient, id)
 	}
-	cl.Distance = d
+	c.setDistanceLocked(cl, d)
 	return nil
 }
 
@@ -197,12 +203,13 @@ func (c *Channel) Get(id string) (Client, error) {
 	return *cl, nil
 }
 
-func (c *Channel) gainLocked(cl *Client) float64 {
-	d := cl.Distance
-	if d < c.params.MinDistance {
-		d = c.params.MinDistance
-	}
-	return c.params.RefGain * math.Pow(d, -c.params.PathLossExponent)
+// setDistanceLocked places cl at d and caches its path gain, so an SIR
+// reads the gains rather than raising every member's distance to a
+// power.
+func (c *Channel) setDistanceLocked(cl *Client, d float64) {
+	cl.Distance = d
+	d = max(d, c.params.MinDistance)
+	cl.gain = c.params.RefGain * math.Pow(d, -c.params.PathLossExponent)
 }
 
 // SIR returns the linear signal-to-interference ratio for a client per
@@ -218,14 +225,14 @@ func (c *Channel) SIR(id string) (float64, error) {
 }
 
 func (c *Channel) sirLocked(cl *Client) float64 {
-	signal := cl.Power * c.gainLocked(cl)
+	signal := cl.Power * cl.gain
 	var interference float64
 	for _, other := range c.members {
 		if other != cl {
-			interference += other.Power * c.gainLocked(other)
+			interference += other.Power * other.gain
 		}
 	}
-	noise := c.params.NoiseFloor + cl.Power/math.Pow(10, c.params.NoiseExp)
+	noise := c.params.NoiseFloor + cl.Power/c.noiseDiv
 	return signal / (interference + noise)
 }
 

@@ -2,8 +2,10 @@ package radio
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -55,7 +57,7 @@ func TestJoinLeave(t *testing.T) {
 func TestGainFollowsPathLoss(t *testing.T) {
 	c := NewChannel(Params{PathLossExponent: 2, RefGain: 1})
 	c.Join("a", 10, 1)
-	gain := func() float64 { return c.gainLocked(c.clients["a"]) }
+	gain := func() float64 { return c.clients["a"].gain }
 	g10 := gain()
 	c.SetDistance("a", 20)
 	g20 := gain()
@@ -451,5 +453,113 @@ func TestSIRBitIdenticalAcrossCalls(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { a.SIR(who) }); n != 0 {
 		t.Errorf("SIR allocates %v times per call", n)
+	}
+}
+
+// eq1 is the paper's eq. 1 for client id, computed straight from the
+// channel's public state with math.Pow, summing the interference in ID
+// order as the channel does.
+func eq1(t *testing.T, c *Channel, id string) float64 {
+	t.Helper()
+	p := c.Params()
+	gain := func(d float64) float64 {
+		if d < p.MinDistance {
+			d = p.MinDistance
+		}
+		return p.RefGain * math.Pow(d, -p.PathLossExponent)
+	}
+	me, err := c.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var interference float64
+	for _, other := range c.IDs() {
+		if other != id {
+			cl, _ := c.Get(other)
+			interference += cl.Power * gain(cl.Distance)
+		}
+	}
+	noise := p.NoiseFloor + me.Power/math.Pow(10, p.NoiseExp)
+	return me.Power * gain(me.Distance) / (interference + noise)
+}
+
+// TestSIRMatchesEquationBitForBit: the gains cached at each geometry
+// change give every SIR the bits eq. 1 computed afresh gives, over
+// random cells and after every kind of change to them.
+func TestSIRMatchesEquationBitForBit(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		params := Params{PathLossExponent: 2 + 2*r.Float64(), RefGain: 0.5 + r.Float64(), NoiseExp: 5 + 7*r.Float64()}
+		if r.Intn(2) == 0 {
+			params.NoiseFloor = 1e-12 * r.Float64()
+			params.MinDistance = 0.5 + 5*r.Float64()
+		}
+		c := NewChannel(params)
+		ids := make([]string, 2+r.Intn(40))
+		for i := range ids {
+			ids[i] = fmt.Sprintf("c%02d", i)
+			if err := c.Join(ids[i], 300*r.Float64(), 0.01+2*r.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; step < 40; step++ {
+			id := ids[r.Intn(len(ids))]
+			switch r.Intn(5) {
+			case 0:
+				c.SetDistance(id, 300*r.Float64())
+			case 1:
+				c.SetPower(id, 0.01+2*r.Float64())
+			case 2:
+				c.ScaleAllPowers(0.2 + 2*r.Float64())
+			case 3:
+				if c.Len() > 1 {
+					c.Leave(id)
+				}
+			case 4:
+				c.Join(id, 300*r.Float64(), 0.01+2*r.Float64())
+			}
+			for _, id := range c.IDs() {
+				got, err := c.SIR(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := eq1(t, c, id); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d step %d: SIR(%s) = %x, eq. 1 gives %x", seed, step, id, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestMoveWhileReadingSIR: the control plane moves members while the
+// dispatch workers read their SIRs; under -race this is where a gain
+// written outside the lock would show.
+func TestMoveWhileReadingSIR(t *testing.T) {
+	c := newTestChannel(t)
+	const members = 16
+	for i := 0; i < members; i++ {
+		c.Join(fmt.Sprint("m", i), 20+10*float64(i), 1)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 2000; k++ {
+				id := fmt.Sprint("m", (w+k)%members)
+				if w == 0 {
+					c.SetDistance(id, 5+float64(k%300))
+				} else if db, err := c.SIRdB(id); err != nil || math.IsNaN(db) {
+					t.Errorf("SIRdB(%s) = %g, %v", id, db, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, id := range c.IDs() {
+		if got, _ := c.SIR(id); math.Float64bits(got) != math.Float64bits(eq1(t, c, id)) {
+			t.Errorf("SIR(%s) after the moves is not eq. 1's", id)
+		}
 	}
 }
