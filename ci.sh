@@ -3,6 +3,7 @@
 # tests without and then with the race detector, fuzz and command smokes.
 # -count=1 so a cached result never masks a fresh race or nondeterminism.
 set -eu
+fail() { echo "$*" >&2; exit 1; }
 
 if [ -n "$(gofmt -l .)" ]; then
 	echo "UNFORMATTED (run gofmt -w):" $(gofmt -l .) >&2
@@ -15,6 +16,19 @@ go build ./...
 # a program or stands in internal/census/allow.txt, and every file keeps
 # the architecture rules of internal/census/rules.go.
 go run ./internal/census
+
+# Every fuzz target under internal/ has its 5 s smoke below: the list is
+# kept by hand, so a new target that is not on it fails here, by name.
+fuzz="core:FuzzCoordinatorHandlePacket core:FuzzKernelHandlePacket core:FuzzClientHandlePacket message:FuzzParse
+	message:FuzzUnwrap rtp:FuzzRTPUnmarshal rtp:FuzzReceiver wavelet:FuzzInspect wavelet:FuzzDecode wavelet:FuzzDecodeColor
+	apps:FuzzDecodeImageMeta apps:FuzzDecodeMediaObject selector:FuzzSelectorParse
+	replay:FuzzLoadGrid replay:FuzzLoadRecord snmp:FuzzDecodeMessage"
+for t in $(grep -rnoE --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' internal | sed -E 's#^internal/(.+)/[^/]+:[0-9]+:func #\1:#'); do
+	case " $(echo $fuzz) " in
+	*" $t "*) ;;
+	*) fail "FUZZ TARGET WITHOUT A SMOKE: $t is not on ci.sh's fuzz list" ;;
+	esac
+done
 
 # Core and base-station tests and the examples run on virtual time
 # (DESIGN.md §14): no polling, sleep, wall SimNet or wall deadline
@@ -63,10 +77,7 @@ go test -C bench -count=1 .
 # image announce and media object a member uplinks, every selector, the
 # replay policy grid and session record (cmd/qosreplay reads both), and
 # the SNMP agent's BER decoder (cmd/snmpd reads it off a socket).
-for t in core:FuzzCoordinatorHandlePacket core:FuzzKernelHandlePacket core:FuzzClientHandlePacket message:FuzzParse \
-	message:FuzzUnwrap rtp:FuzzRTPUnmarshal rtp:FuzzReceiver wavelet:FuzzInspect wavelet:FuzzDecode wavelet:FuzzDecodeColor \
-	apps:FuzzDecodeImageMeta apps:FuzzDecodeMediaObject selector:FuzzSelectorParse \
-	replay:FuzzLoadGrid replay:FuzzLoadRecord snmp:FuzzDecodeMessage; do
+for t in $fuzz; do
 	go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done
 
@@ -78,7 +89,6 @@ done
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp" ./cmd/qossim ./cmd/qosreplay
-fail() { echo "$*" >&2; exit 1; }
 t0=$(date +%s)
 "$tmp/qossim" -scenario lecture -clients 10000 -sim-duration 60s >/dev/null
 [ $(($(date +%s) - t0)) -le 30 ] || fail "SCALE REGRESSION: 10k-client simulated minute took over 30s"

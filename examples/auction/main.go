@@ -108,7 +108,7 @@ func main() {
 	// Archival: a late joiner replays the coordinator's archive.
 	erin := join("erin", "modems")
 	defer erin.Close()
-	must(erin.RequestHistory(coordinator, 0))
+	must(erin.RequestHistory(coordinator))
 	clk.RunUntilIdle(0)
 	replayed, live := prices(erin), prices(alice)
 	fmt.Printf("\nerin replayed %d archived bids (archive holds %d)\n", len(replayed), coord.ArchivedEvents())

@@ -89,7 +89,7 @@ func main() {
 	defer lena.Close()
 	lena.Profile().SetInterest("role", selector.S("engineering"))
 
-	must(lena.RequestHistory("coordinator", 0))
+	must(lena.RequestHistory("coordinator"))
 	clk.RunUntilIdle(0)
 
 	fmt.Printf("lena caught up: chat=%d strokes=%d filtered=%d\n",

@@ -158,7 +158,7 @@ func TestFullSystemSession(t *testing.T) {
 	// A late joiner reconstructs the whole session from the archive.
 	late := core.NewClient(attach(t, wiredNet, "late"), core.Config{})
 	defer late.Close()
-	if err := late.RequestHistory("coordinator", 0); err != nil {
+	if err := late.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)

@@ -10,20 +10,26 @@ import (
 	"testing/quick"
 	"time"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
 )
 
-// TestCoordinatorFarAheadSeqDoesNotStall: 64 frames parked behind a
-// lost seq 1, then one frame four billion seqs ahead, push the stream
-// through the flush path.  Only the newest maxStreamMissing skipped
-// seqs can be remembered, so the datagram is handled at once, every
-// frame that arrived is archived and the missing set stays bounded.
+// newTestCoordinator is a coordinator kernel on a conn that goes
+// nowhere.
+func newTestCoordinator() *CoordinatorKernel {
+	return NewCoordinatorKernel(nullConn{"coordinator", clock.NewVirtual(time.Unix(0, 0))}, session.Group{Objective: "quick"})
+}
+
+// TestCoordinatorFarAheadSeqDoesNotStall: 64 frames heard past a lost
+// seq 1, then one frame four billion seqs ahead: the datagram is
+// handled at once and every frame that arrived is archived.
 func TestCoordinatorFarAheadSeqDoesNotStall(t *testing.T) {
 	k := newTestCoordinator()
-	for seq := uint32(2); seq <= maxStreamPending+1; seq++ {
+	for seq := uint32(2); seq <= 65; seq++ {
 		feed(t, k, "u", seq)
 	}
 	var env message.Enveloper
@@ -41,86 +47,49 @@ func TestCoordinatorFarAheadSeqDoesNotStall(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("HandlePacket still running 2 s after a far-ahead frame")
 	}
-	if got := k.ArchivedEvents(); got != maxStreamPending+1 {
-		t.Errorf("%d frames archived, want all %d that arrived", got, maxStreamPending+1)
-	}
-	if n := len(k.streams["u"].missing); n > maxStreamMissing {
-		t.Errorf("%d skipped seqs remembered, bound %d", n, maxStreamMissing)
+	if got := k.ArchivedEvents(); got != 65 {
+		t.Errorf("%d frames archived, want all 65 that arrived", got)
 	}
 }
 
 // archiveModel is the plain reference for the coordinator's archive:
-// per sender a next seq, a set of parked seqs and a set of skipped ones,
-// every question answered by scanning them; log lists every archived
-// frame in session order, the ones the cap trimmed included.
+// each (sender, seq) is archived the first time it is heard, unless its
+// seq is at or below its sender's floor, the newest seq the cap has
+// trimmed of that sender.  log lists every archived frame in session
+// order, the ones the cap trimmed included; log[:trimmed] are those.
 type archiveModel struct {
-	streams map[string]*modelStream
-	log     []string // "sender/seq"; log[i] has session seq i+1
+	heard   map[string]bool // "sender/seq" ever archived
+	floor   map[string]uint64
+	log     []string
+	seqs    []uint64 // seqs[i] is log[i]'s seq
+	trimmed int
+	drops   int
 }
 
-type modelStream struct {
-	next            uint64
-	parked, missing map[uint64]bool
-}
-
-func (m *archiveModel) push(sender string, seq uint64) {
-	st := m.streams[sender]
-	if st == nil {
-		st = &modelStream{next: 1, parked: map[uint64]bool{}, missing: map[uint64]bool{}}
-		m.streams[sender] = st
-	}
-	if seq < st.next {
-		if st.missing[seq] {
-			delete(st.missing, seq)
-			m.log = append(m.log, fmt.Sprintf("%s/%d", sender, seq))
-		}
+func (m *archiveModel) push(sender string, seq uint64, limit int) {
+	kf := fmt.Sprintf("%s/%d", sender, seq)
+	if m.heard[kf] || seq <= m.floor[sender] {
+		m.drops++
 		return
 	}
-	st.parked[seq] = true
-	m.release(sender, st)
-	if len(st.parked) <= maxStreamPending {
-		return
-	}
-	for len(st.parked) > 0 { // flush: one gap at a time until nothing is parked
-		low := uint64(math.MaxUint64)
-		for s := range st.parked {
-			low = min(low, s)
-		}
-		// Only the newest maxStreamMissing skipped seqs are remembered;
-		// anything older would be evicted by them anyway.
-		for s := max(st.next, low-min(low, maxStreamMissing)); s < low; s++ {
-			st.missing[s] = true
-		}
-		for len(st.missing) > maxStreamMissing {
-			oldest := low
-			for s := range st.missing {
-				oldest = min(oldest, s)
-			}
-			delete(st.missing, oldest)
-		}
-		st.next = low
-		m.release(sender, st)
-	}
-}
-
-func (m *archiveModel) release(sender string, st *modelStream) {
-	for st.parked[st.next] {
-		delete(st.parked, st.next)
-		m.log = append(m.log, fmt.Sprintf("%s/%d", sender, st.next))
-		st.next++
+	m.heard[kf] = true
+	m.log, m.seqs = append(m.log, kf), append(m.seqs, seq)
+	for ; len(m.log)-m.trimmed > limit; m.trimmed++ {
+		s := m.log[m.trimmed][:1]
+		m.floor[s] = max(m.floor[s], m.seqs[m.trimmed])
 	}
 }
 
 // TestQuickCoordinatorArchiveMatchesModel feeds three senders' frames
 // (and a fourth's the group filter rejects) in random order, with
-// duplicates, drops and one frame far ahead, to a coordinator with a
-// small cap, then drains every stream and re-sends what was dropped.
-// The kernel must archive exactly the model's frames in the model's
-// order — each admitted (sender, seq) at most once, and exactly once
-// if it arrived, unless it is one the far-ahead jump pushed out of the
-// missing set — keep archived == indexed ≤ cap throughout, answer a
-// catch-up with the retained frames in session order, and answer a
-// NACK with held ∩ wanted in sender order, maxRepairFrames at most.
+// duplicates and one frame far ahead, to a coordinator whose cap is
+// lowered mid-run; the frames it never heard arrive last, as
+// stragglers.  The kernel must archive exactly the model's frames in
+// the model's order and count exactly its duplicates, keep archived ==
+// indexed ≤ cap throughout, keep each sender's index the sorted seqs
+// the archive holds of it, answer a catch-up with the retained frames
+// in session order, and answer a NACK with held ∩ wanted in sender
+// order, maxRepairFrames at most.
 func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 	type frame struct {
 		sender string
@@ -133,15 +102,14 @@ func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 		conn := newCaptureConn("coordinator", time.Unix(0, 0))
 		k := NewCoordinatorKernel(conn, session.Group{Objective: "model", Filter: selector.MustCompile(`client != "m"`)})
 		k.archiveCap = 300 + r.Intn(400)
-		m := &archiveModel{streams: map[string]*modelStream{}}
+		m := &archiveModel{heard: map[string]bool{}, floor: map[string]uint64{}}
+		drops := metrics.C(metrics.CtrArchiveDupDrops).Load()
 		var ever []string // what the kernel archived, in session order
-		arrived := map[string]bool{}
 		send := func(sender string, seq uint64) bool {
-			arrived[key(sender, seq)] = true
 			next := k.first + uint64(len(k.log))
 			feed(t, k, sender, uint32(seq))
 			if sender != "m" {
-				m.push(sender, seq)
+				m.push(sender, seq, k.archiveCap)
 			}
 			if next < k.first {
 				t.Logf("seed %d: one frame trimmed frames it archived", seed)
@@ -150,7 +118,9 @@ func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 			for _, f := range k.log[next-k.first:] {
 				ever = append(ever, key(f.stream.sender, uint64(f.senderSeq)))
 			}
-			if k.ArchivedEvents() != indexed(k) || k.ArchivedEvents() > k.archiveCap {
+			// A lowered cap takes hold at the next frame archived.
+			capped := k.first+uint64(len(k.log)) == next || k.ArchivedEvents() <= k.archiveCap
+			if k.ArchivedEvents() != indexed(k) || !capped {
 				t.Logf("seed %d: %d archived, %d indexed, cap %d", seed, k.ArchivedEvents(), indexed(k), k.archiveCap)
 				return false
 			}
@@ -158,11 +128,11 @@ func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 		}
 
 		// Each sender's seqs spread over one timeline and jittered by up
-		// to window, a tenth dropped and a tenth duplicated; c also sends
-		// one frame far ahead.
-		var frames, dropped []frame
-		top := map[string]uint64{}
-		window := []float64{1, 16, 400}[r.Intn(3)]
+		// to window (the widest is a random permutation), a tenth never
+		// heard until the end and a tenth duplicated; c also sends one
+		// frame far ahead.
+		var frames, late []frame
+		window := []float64{1, 16, 400, 1e6}[r.Intn(4)]
 		for _, s := range []struct {
 			sender string
 			n      int
@@ -171,7 +141,7 @@ func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 				fr := frame{s.sender, seq, 1000*float64(seq)/float64(s.n) + r.Float64()*window}
 				switch r.Intn(10) {
 				case 0:
-					dropped = append(dropped, fr)
+					late = append(late, fr)
 					continue
 				case 1:
 					dup := fr
@@ -180,29 +150,20 @@ func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 				}
 				frames = append(frames, fr)
 			}
-			top[s.sender] = uint64(s.n)
 		}
-		far := uint64(1<<31 + r.Intn(1<<20))
-		frames = append(frames, frame{"c", far, 1000 * r.Float64()})
-		top["c"] = far
+		frames = append(frames, frame{"c", uint64(1<<31 + r.Intn(1<<20)), 1000 * r.Float64()})
 		sort.Slice(frames, func(i, j int) bool { return frames[i].at < frames[j].at })
-		for _, fr := range frames {
+		lower := r.Intn(len(frames)) // where the cap drops to a third
+		for i, fr := range frames {
+			if i == lower {
+				k.archiveCap /= 3
+			}
 			if !send(fr.sender, fr.seq) {
 				return false
 			}
 		}
-		// Drain: 65 frames past a lost one flush whatever is parked.  a
-		// goes last, so it often holds more than one NACK may return.
-		for _, sender := range []string{"m", "c", "b", "a"} {
-			for seq := top[sender] + 2; seq <= top[sender]+maxStreamPending+2; seq++ {
-				if !send(sender, seq) {
-					return false
-				}
-			}
-		}
-		// The drops arrive last, as stragglers.
-		r.Shuffle(len(dropped), func(i, j int) { dropped[i], dropped[j] = dropped[j], dropped[i] })
-		for _, fr := range dropped {
+		r.Shuffle(len(late), func(i, j int) { late[i], late[j] = late[j], late[i] })
+		for _, fr := range late {
 			if !send(fr.sender, fr.seq) {
 				return false
 			}
@@ -212,43 +173,44 @@ func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 			t.Logf("seed %d: kernel archived %d frames, model %d, or in another order", seed, len(ever), len(m.log))
 			return false
 		}
-		archived := map[string]bool{}
-		for _, kf := range ever {
-			if archived[kf] || !arrived[kf] || kf[0] == 'm' {
-				t.Logf("seed %d: %s archived twice, without arriving, or past the group filter", seed, kf)
-				return false
-			}
-			archived[kf] = true
+		if got := metrics.C(metrics.CtrArchiveDupDrops).Load() - drops; got != uint64(m.drops) {
+			t.Logf("seed %d: %d duplicates counted, model %d", seed, got, m.drops)
+			return false
 		}
-		for kf := range arrived {
-			var sender string
-			var seq uint64
-			fmt.Sscanf(kf, "%1s/%d", &sender, &seq)
-			if !archived[kf] && sender != "m" && !(sender == "c" && seq < far-maxStreamMissing) {
-				t.Logf("seed %d: %s arrived and was never archived", seed, kf)
+
+		// What the archive still holds: the model's untrimmed frames.
+		held := m.log[m.trimmed:]
+		for _, sender := range []string{"a", "b", "c"} {
+			var want, got []uint64
+			for i, kf := range held {
+				if kf[:1] == sender {
+					want = append(want, m.seqs[m.trimmed+i])
+				}
+			}
+			slices.Sort(want)
+			for _, e := range k.streams[sender].archived {
+				if f := k.log[e.sessionSeq-k.first]; f.stream.sender != sender || f.senderSeq != e.senderSeq {
+					t.Logf("seed %d: %s's index points seq %d at %s/%d", seed, sender, e.senderSeq, f.stream.sender, f.senderSeq)
+					return false
+				}
+				got = append(got, uint64(e.senderSeq))
+			}
+			if !slices.Equal(got, want) {
+				t.Logf("seed %d: %s's index holds %d seqs, want the %d held, sorted", seed, sender, len(got), len(want))
 				return false
 			}
 		}
 
-		// What the archive still holds: the model's last cap frames.
-		lo := max(0, len(m.log)-k.archiveCap) // held[i] has session seq lo+i+1
-		held := m.log[lo:]
-		after := uint64(r.Intn(len(m.log) + 5))
-		if r.Intn(2) == 0 {
-			after = uint64(lo + r.Intn(3)) // at the trimmed edge
-		}
 		conn.sent = nil
 		var env message.Enveloper
 		d, err := env.WrapMessage(&message.Message{Kind: message.KindControl, Sender: "late", Seq: 1,
-			Attrs: selector.Attributes{attrCtrl: selector.S(ctrlHistoryReq), attrAfterSeq: selector.N(float64(after))}})
+			Attrs: selector.Attributes{attrCtrl: selector.S(ctrlHistoryReq)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		k.HandlePacket(transport.Packet{From: "late", Data: d[0]})
-		got, other := conn.sentSeqs(t)
-		want := held[min(max(after, uint64(lo))-uint64(lo), uint64(len(held))):]
-		if !slices.Equal(got, want) || other != 0 {
-			t.Logf("seed %d: catch-up after %d answered with %d frames (+%d other), want %d", seed, after, len(got), other, len(want))
+		if got, other := conn.sentSeqs(t); !slices.Equal(got, held) || other != 0 {
+			t.Logf("seed %d: catch-up answered with %d frames (+%d other), want %d", seed, len(got), other, len(held))
 			return false
 		}
 
@@ -270,11 +232,8 @@ func TestQuickCoordinatorArchiveMatchesModel(t *testing.T) {
 				return seq >= past
 			}
 			var seqs []uint64
-			for _, kf := range held {
-				var s string
-				var seq uint64
-				fmt.Sscanf(kf, "%1s/%d", &s, &seq)
-				if s == sender && wanted(seq) {
+			for i, kf := range held {
+				if seq := m.seqs[m.trimmed+i]; kf[:1] == sender && wanted(seq) {
 					seqs = append(seqs, seq)
 				}
 			}

@@ -61,10 +61,10 @@ func (c *Coordinator) handle(pkt transport.Packet) {
 	c.mu.Unlock()
 }
 
-// RequestHistory asks the coordinator to replay the session history
-// with sequence numbers greater than afterSeq.  Replayed events arrive
-// through the normal receive path, subject to this client's semantic
-// filtering.
-func (c *Client) RequestHistory(coordinator string, afterSeq uint64) error {
-	return c.k.requestHistory(coordinator, "", afterSeq)
+// RequestHistory asks the coordinator to replay the whole session
+// history it holds.  Replayed events arrive through the normal receive
+// path, which puts each sender's frames in order, subject to this
+// client's semantic filtering.
+func (c *Client) RequestHistory(coordinator string) error {
+	return c.k.requestHistory(coordinator)
 }

@@ -41,23 +41,13 @@ func TestCoordinatorArchivesAndReplays(t *testing.T) {
 	if b.Chat().Len() != 0 {
 		t.Fatal("late joiner should start empty")
 	}
-	if err := b.RequestHistory("coordinator", 0); err != nil {
+	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
 	n.clk.RunUntilIdle(0)
 	lines := b.Chat().Lines()
 	if len(lines) != 3 || lines[0].Sender != "alice" || lines[0].Text != "history line 0" {
 		t.Fatalf("replayed history: %+v", lines)
-	}
-
-	// Partial catch-up: only events after seq 2.
-	c := n.client("later-carol", Config{})
-	if err := c.RequestHistory("coordinator", 2); err != nil {
-		t.Fatal(err)
-	}
-	n.clk.RunUntilIdle(0)
-	if c.Chat().Len() != 1 || c.Chat().Lines()[0].Text != "history line 2" {
-		t.Errorf("partial replay: %+v", c.Chat().Lines())
 	}
 }
 
@@ -67,7 +57,9 @@ func TestCoordinatorArchivesAndReplays(t *testing.T) {
 // session is quiet, a late joiner's replayed history holds, per
 // sender, exactly what the live member delivered: every line once and
 // in order.  The links into and out of the coordinator reorder but do
-// not lose, as in the live deployment.
+// not lose, as in the live deployment; the coordinator archives frames
+// as it hears them, so the joiner's own kernel restores each sender's
+// order.
 func TestLateJoinerMatchesLiveUnderLoss(t *testing.T) {
 	const lines = 30
 	publishers := []string{"pub-0", "pub-1", "pub-2"}
@@ -134,7 +126,7 @@ func TestLateJoinerMatchesLiveUnderLoss(t *testing.T) {
 	}
 
 	late := client("late", int64(len(members)+1))
-	if err := late.RequestHistory("coordinator", 0); err != nil {
+	if err := late.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
 	clk.AdvanceTo(clk.Now().Add(5 * time.Second))
@@ -179,7 +171,7 @@ func TestCoordinatorReplayRespectsSemanticFilter(t *testing.T) {
 	// filtered out of its replayed history by its own profile.
 	b := n.client("bob", Config{})
 	b.Profile().SetInterest("team", selector.S("logistics"))
-	if err := b.RequestHistory("coordinator", 0); err != nil {
+	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
 	n.clk.RunUntilIdle(0)
@@ -211,7 +203,7 @@ func TestCoordinatorArchivesImageShares(t *testing.T) {
 
 	// Late joiner recovers the full image from the archive.
 	b := n.client("bob", Config{})
-	if err := b.RequestHistory("coordinator", 0); err != nil {
+	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
 	n.clk.RunUntilIdle(0)
@@ -255,7 +247,7 @@ func TestCoordinatorArchiveCap(t *testing.T) {
 	}
 
 	b := n.client("bob", Config{})
-	if err := b.RequestHistory("coordinator", 0); err != nil {
+	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
 	n.clk.RunUntilIdle(0)
@@ -304,7 +296,7 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 	}
 
 	b := n.client("bob", Config{})
-	if err := b.RequestHistory("coordinator", 0); err != nil {
+	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
 	n.clk.RunUntilIdle(0)
@@ -342,8 +334,11 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	}
 
 	b := n.client("bob", Config{})
-	// NACK form: alice's frames after her seq 30, nothing of carol's.
-	if err := b.k.requestHistory("coordinator", "alice", 30); err != nil {
+	// NACK: alice's frames from her seq 31 on, nothing of carol's.
+	if err := b.k.sendHistoryRequest("coordinator", selector.Attributes{
+		attrCtrl:      selector.S(ctrlHistoryReq),
+		attrForSender: selector.S("alice"),
+	}, appendHoles(nil, nil, 31)); err != nil {
 		t.Fatal(err)
 	}
 	n.clk.RunUntilIdle(0)
@@ -357,16 +352,16 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	}
 
 	d := n.client("dave", Config{})
-	// Catch-up form: everything after session seq 70.
-	if err := d.RequestHistory("coordinator", 70); err != nil {
+	// Catch-up: the whole archive, in session order.
+	if err := d.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
 	n.clk.RunUntilIdle(0)
-	if d.Chat().Len() != 2*each-70 {
-		t.Errorf("catch-up replay holds %d lines, want %d", d.Chat().Len(), 2*each-70)
+	if d.Chat().Len() != 2*each {
+		t.Errorf("catch-up replay holds %d lines, want %d", d.Chat().Len(), 2*each)
 	}
 	for i, l := range d.Chat().Lines() {
-		n := 36 + i/2 // session seq 71 is alice's 36th
+		n := 1 + i/2
 		want := fmt.Sprintf("a%d", n)
 		if i%2 == 1 {
 			want = fmt.Sprintf("c%d", n)

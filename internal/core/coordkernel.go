@@ -17,10 +17,12 @@ import (
 
 // CoordinatorKernel is the archiving coordinator with the I/O taken
 // out, the counterpart of Kernel: datagrams in through HandlePacket,
-// replays and lock notifications out on the conn it was given.  Like
-// Kernel it is single-threaded (the owner serializes every call) and
-// runs unchanged under core.Coordinator and under the replay
-// simulator's discrete-event net.
+// replays and lock notifications out on the conn it was given.  It
+// archives each frame the first time it hears it, in the order it hears
+// them, and orders nothing: per-sender order is restored in one place,
+// the receiving Kernel.  Like Kernel it is single-threaded (the owner
+// serializes every call) and runs unchanged under core.Coordinator and
+// under the replay simulator's discrete-event net.
 type CoordinatorKernel struct {
 	conn  transport.Conn
 	clk   clock.Clock
@@ -32,13 +34,13 @@ type CoordinatorKernel struct {
 	intern message.Interner // the strings control messages repeat
 	msg    message.Message  // the control message being handled, refilled per frame
 
-	// log is the archive in session order: log[i] is the frame with
-	// session seq first+i.  Frames leave from the front only, so first
-	// never moves back.
+	// log is the archive in session order, the order the frames were
+	// heard: log[i] is the frame with session seq first+i.  Frames leave
+	// from the front only, so first never moves back.
 	log        []archivedFrame
 	first      uint64
 	archiveCap int                      // retained frames: maxArchived, lower in tests
-	streams    map[string]*senderStream // per sender: arrival order and archive index; nil if the group filter rejects it
+	streams    map[string]*senderStream // per sender: archive index; nil if the group filter rejects it
 	locks      session.ObjectLocks      // distributed lock arbitration
 }
 
@@ -62,12 +64,9 @@ const maxArchived = 1 << 16
 const (
 	attrCtrl       = "ctrl"
 	ctrlHistoryReq = "history-request"
-	attrAfterSeq   = "after-seq"
 	// attrForSender scopes a history request to one sender's frames —
-	// the NACK a gap-repair loop issues.  The message body then lists
-	// the sender sequence numbers wanted (nack.go); without a body it
-	// is everything past attrAfterSeq, counted in that sender's own
-	// sequence space.
+	// the NACK a gap-repair loop issues.  The message body lists the
+	// sender sequence numbers wanted (nack.go).
 	attrForSender = "for-sender"
 )
 
@@ -81,7 +80,7 @@ const maxRepairFrames = 256
 
 // NewCoordinatorKernel builds the coordinator kernel for the endpoint
 // attached as conn.  group's filter decides whose frames are archived;
-// conn's clock timestamps lock notifications and parked frames.
+// conn's clock timestamps lock notifications.
 func NewCoordinatorKernel(conn transport.Conn, group session.Group) *CoordinatorKernel {
 	k := &CoordinatorKernel{
 		conn:       conn,
@@ -104,11 +103,11 @@ func (k *CoordinatorKernel) ID() string { return k.conn.ID() }
 // ArchivedEvents returns the number of archived events.
 func (k *CoordinatorKernel) ArchivedEvents() int { return len(k.log) }
 
-// HandlePacket ingests one datagram: event and data frames are put in
-// their sender's order and archived straight from the validated frame;
-// control frames are materialised — history requests are answered with
-// unicast replays, lock requests are arbitrated.  Malformed input is
-// counted and dropped.
+// HandlePacket ingests one datagram: an event or data frame is archived
+// straight from the validated frame the first time it is heard, and a
+// duplicate is dropped; control frames are materialised — history
+// requests are answered with unicast replays, lock requests are
+// arbitrated.  Malformed input is counted and dropped.
 func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 	frame, v, _ := k.unwrap.Read(pkt.From, pkt.Data) // Read counts what it cannot read
 	if frame == nil {
@@ -116,11 +115,8 @@ func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 	}
 	switch v.Kind() {
 	case message.KindEvent, message.KindData:
-		// The substrate may reorder frames; the archive must reflect
-		// each sender's causal order, so frames pass through their
-		// sender's order buffer, keyed on the sender sequence number.
 		if st := k.stream(v.Sender()); st != nil {
-			k.order(st, uint64(v.Seq()), frame)
+			k.archive(st, v.Seq(), frame)
 		}
 	case message.KindControl:
 		m := &k.msg
@@ -131,23 +127,13 @@ func (k *CoordinatorKernel) HandlePacket(pkt transport.Packet) {
 		}
 		switch ctrl.Str() {
 		case ctrlHistoryReq:
-			after := uint64(0)
-			if v, ok := m.Attr(attrAfterSeq); ok {
-				if after, ok = v.Whole(); !ok {
-					return // not a sequence number: ignore the request
-				}
-			}
 			forSender, _ := m.Attr(attrForSender)
 			if forSender.Str() == "" {
-				k.replay(m.Sender, after)
+				k.replay(m.Sender)
 				return
 			}
 			var ranges [maxNackHoles + 1]session.SeqRange
-			want, ok := parseHoles(m.Body, ranges[:0])
-			if len(m.Body) == 0 {
-				want = append(want, session.SeqRange{From: after + 1, To: maxSenderSeq})
-			}
-			if ok {
+			if want, ok := parseHoles(m.Body, ranges[:0]); ok {
 				k.repair(m.Sender, forSender.Str(), want)
 			}
 		case ctrlLockRequest, ctrlLockRelease:
@@ -190,22 +176,18 @@ func (k *CoordinatorKernel) notifyLock(to, ctrl, object, holder string) {
 	})
 }
 
-// senderStream restores one sender's frame order and indexes what was
-// archived of it.
+// senderStream indexes what the archive holds of one sender.
 type senderStream struct {
 	sender string
-	buf    *session.OrderBuffer // frames waiting behind a gap, each in its Event.Payload
-	// missing lists, ascending, the seqs the flush path skipped past
-	// without archiving — the newest maxStreamMissing of them: a
-	// straggler carrying one is genuine lost history and archives once;
-	// any other seq below the buffer's next is a duplicate delivery of an
-	// already-archived frame and is dropped.
-	missing []uint32
 	// archived lists the sender's frames still in the archive, ascending
-	// by sender seq: what a NACK is answered from.  Frames are archived
-	// in sender order but for stragglers and leave oldest first, so it
-	// grows at the tail and shrinks at the head.
+	// by sender seq: what a NACK is answered from, and what tells a
+	// duplicate.  Frames are mostly heard in sender order, so it grows
+	// mostly at the tail; they leave in the order they were heard.
 	archived []indexEntry
+	// floor is the newest sender seq the archive cap has trimmed: a frame
+	// at or below it is trimmed history heard again, or a straggler too
+	// late to keep, and is dropped as a duplicate.
+	floor uint32
 }
 
 // indexEntry locates one archived frame by its sender seq.
@@ -219,45 +201,32 @@ func (st *senderStream) find(senderSeq uint64) int {
 	return sort.Search(len(st.archived), func(i int) bool { return uint64(st.archived[i].senderSeq) >= senderSeq })
 }
 
-func (st *senderStream) index(senderSeq uint32, sessionSeq uint64) {
+// index lists senderSeq at sessionSeq and reports whether it was new: a
+// seq the index already holds, or one at or below the floor, is a
+// duplicate and is not listed.
+func (st *senderStream) index(senderSeq uint32, sessionSeq uint64) bool {
+	if senderSeq <= st.floor {
+		return false
+	}
 	at := len(st.archived)
 	if at > 0 && st.archived[at-1].senderSeq >= senderSeq {
-		at = st.find(uint64(senderSeq)) // a straggler: keep the order
+		at = st.find(uint64(senderSeq)) // heard out of order: keep the index sorted
+		if st.archived[at].senderSeq == senderSeq {
+			return false
+		}
 	}
 	st.archived = slices.Insert(st.archived, at, indexEntry{senderSeq, sessionSeq})
+	return true
 }
 
 func (st *senderStream) unindex(senderSeq uint32) {
+	st.floor = max(st.floor, senderSeq)
 	if len(st.archived) > 0 && st.archived[0].senderSeq == senderSeq {
 		st.archived = st.archived[1:]
 		return
 	}
 	if at := st.find(uint64(senderSeq)); at < len(st.archived) && st.archived[at].senderSeq == senderSeq {
 		st.archived = slices.Delete(st.archived, at, at+1)
-	}
-}
-
-// maxStreamPending bounds per-sender buffering; past it the stream
-// flushes in ascending order (archive completeness beats a perfect
-// order when the substrate genuinely lost a frame).
-const maxStreamPending = 64
-
-// maxStreamMissing bounds the skipped-seq memory per sender; past it
-// the oldest (smallest) entries give way and an extremely late
-// straggler is treated as a duplicate — the archive-safe direction.
-const maxStreamMissing = 1024
-
-// noteMissing records [from, to) as skipped without archiving.  Only
-// the last maxStreamMissing seqs of the range can survive, so only
-// those are written, and older entries leave from the front: a sender
-// that jumps four billion seqs ahead costs what one that jumps a
-// thousand does.
-func (st *senderStream) noteMissing(from, to uint64) {
-	for s := max(from, to-min(to, maxStreamMissing)); s < to; s++ {
-		st.missing = append(st.missing, uint32(s))
-	}
-	if drop := len(st.missing) - maxStreamMissing; drop > 0 {
-		st.missing = st.missing[drop:]
 	}
 }
 
@@ -271,64 +240,30 @@ func (k *CoordinatorKernel) stream(sender []byte) *senderStream {
 		return st
 	}
 	if k.group.Admits(profile.New(string(sender))) {
-		// A coordinator attaching mid-session catches up through the
-		// flush path.
-		st = &senderStream{sender: string(sender), buf: session.NewOrderBuffer(0)}
+		st = &senderStream{sender: string(sender)}
 	}
 	k.streams[string(sender)] = st
 	return st
 }
 
-// order puts one frame of st in its sender's order and archives what
-// that releases.  frame aliases the datagram (or is the reassembler's
-// fresh buffer), which nobody writes again: the archive keeps those
-// bytes and resend only reads them.
-func (k *CoordinatorKernel) order(st *senderStream, seq uint64, frame []byte) {
-	if next, _ := st.buf.Gap(); seq < next {
-		if i, lost := slices.BinarySearch(st.missing, uint32(seq)); lost {
-			// A straggler the flush path skipped past: genuine lost
-			// history, archive it now (exactly once).
-			st.missing = slices.Delete(st.missing, i, i+1)
-			k.archive(st, seq, frame)
-			return
-		}
-		// Duplicate delivery of an already-archived frame: archiving it
-		// again would mint a second session event.
+// archive appends one frame of st to the log as the next session event
+// and indexes it, the first time it is heard; a duplicate is counted and
+// dropped, since archiving it again would mint a second session event.
+// frame aliases the datagram (or is the reassembler's fresh buffer),
+// which nobody writes again: the archive keeps those bytes and resend
+// only reads them.  Past the cap the oldest frames leave, index entries
+// with them.
+func (k *CoordinatorKernel) archive(st *senderStream, seq uint32, frame []byte) {
+	if !st.index(seq, k.first+uint64(len(k.log))) {
 		metrics.C(metrics.CtrArchiveDupDrops).Inc()
 		if obs.Enabled() {
-			obs.Drop(obs.MsgID(st.sender, uint32(seq)), obs.StageReorder,
+			obs.Drop(obs.MsgID(st.sender, seq), obs.StageArchive,
 				k.ID()+": duplicate frame from "+st.sender+" dropped before archive")
 		}
 		return
 	}
-	released := st.buf.Push(session.Event{Seq: seq, Payload: frame, At: arrivedAt(k.clk)})
-	observeWaits(k.clk, released)
-	for _, ev := range released {
-		k.archive(st, ev.Seq, ev.Payload)
-	}
-	if _, parked := st.buf.Gap(); parked > maxStreamPending {
-		// Flush: a frame was probably lost.  Skip gap after gap until
-		// nothing is parked, remembering the skipped seqs as repairable
-		// holes.
-		for parked > 0 {
-			released, from, to := st.buf.Skip()
-			st.noteMissing(from, to)
-			observeWaits(k.clk, released)
-			for _, ev := range released {
-				k.archive(st, ev.Seq, ev.Payload)
-			}
-			_, parked = st.buf.Gap()
-		}
-	}
-}
-
-// archive appends one frame of st to the log as the next session event
-// and indexes it.  Past the cap the oldest frames leave, index entries
-// with them.
-func (k *CoordinatorKernel) archive(st *senderStream, seq uint64, frame []byte) {
-	obs.AppendHop(obs.MsgID(st.sender, uint32(seq)), k.ID(), obs.StageArchive)
-	st.index(uint32(seq), k.first+uint64(len(k.log)))
-	k.log = append(k.log, archivedFrame{data: frame, senderSeq: uint32(seq), stream: st})
+	obs.AppendHop(obs.MsgID(st.sender, seq), k.ID(), obs.StageArchive)
+	k.log = append(k.log, archivedFrame{data: frame, senderSeq: seq, stream: st})
 	if drop := len(k.log) - k.archiveCap; drop > 0 {
 		// Slide the window instead of copying it: the cut frames are
 		// cleared so their bytes are not retained, and append moves the
@@ -342,14 +277,11 @@ func (k *CoordinatorKernel) archive(st *senderStream, seq uint64, frame []byte) 
 	}
 }
 
-// replay is a late joiner's catch-up: every archived frame whose
-// session seq exceeds after is unicast to the peer, in session order.
-func (k *CoordinatorKernel) replay(to string, after uint64) {
-	from := 0
-	if after >= k.first {
-		from = int(min(after-k.first+1, uint64(len(k.log))))
-	}
-	for _, f := range k.log[from:] {
+// replay is a late joiner's catch-up: every archived frame is unicast
+// to the peer, in session order — the order the coordinator heard them.
+// The joiner's own kernel puts each sender's frames back in order.
+func (k *CoordinatorKernel) replay(to string) {
+	for _, f := range k.log {
 		if !k.resend(to, f) {
 			return
 		}

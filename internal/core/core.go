@@ -141,9 +141,10 @@ type Client struct {
 	rtpMu   sync.Mutex
 	rtpRecv map[string]*rtp.Receiver // per-sender reception statistics
 
-	// seq numbers event/data frames (gapless per sender: archive
-	// coordinators reorder on it); control frames are numbered by the
-	// kernel's separate sequence.
+	// seq numbers event/data frames (gapless per sender: receivers
+	// order and repair on it, the coordinator indexes its archive by
+	// it); control frames are numbered by the kernel's separate
+	// sequence.
 	seq atomic.Uint32
 
 	mu           sync.RWMutex

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -44,8 +43,9 @@ func (nullConn) Close() error                  { return nil }
 //
 // The seed corpus (testdata/fuzz/FuzzKernelHandlePacket) is real
 // output of Enveloper.WrapMessage: a chat event, an RTP data packet
-// under a selector, a NACK control frame in its after-seq and its
-// hole-list form, the first fragment of a 3 KB event at MTU 1024, and
+// under a selector, a NACK control frame with no body (carrying an
+// after-seq attribute nothing reads) and one with a hole list, the
+// first fragment of a 3 KB event at MTU 1024, and
 // the traced (0x02/0x03) envelope forms of a whole frame and of a
 // fragment.
 func FuzzKernelHandlePacket(f *testing.F) {
@@ -97,8 +97,7 @@ func FuzzKernelHandlePacket(f *testing.F) {
 // coordinator whose archive has every shape a NACK can ask about: a
 // prefix the cap evicted, a seq that never arrived, a second sender,
 // and more live frames than one request may be answered with — plus a
-// third sender parked exactly at the flush threshold, so one frame of
-// its can push the stream through the flush path.  The hole list is a
+// third sender heard only past its lost seq 1.  The hole list is a
 // parser on a trust boundary, so whatever the bytes the coordinator
 // must not panic, must answer a sender-scoped request with exactly the
 // frames a brute-force reading of it selects — in sender order, none
@@ -106,11 +105,12 @@ func FuzzKernelHandlePacket(f *testing.F) {
 // archive in step, and must never archive a frame twice.
 //
 // The seed corpus (testdata/fuzz/FuzzCoordinatorHandlePacket) is real
-// output of Enveloper.WrapMessage: an after-seq NACK, a hole-list NACK,
-// one whose body stops inside a varint, one asking for a
-// four-billion-wide range, a lock request, an event from the parked
-// sender at seq 2³²−1 (u@0xffffffff), and requests whose after-seq is
-// not a whole number (a NACK after 1.5, a catch-up after −1).
+// output of Enveloper.WrapMessage: a NACK with no body, a hole-list
+// NACK, one whose body stops inside a varint, one asking for a
+// four-billion-wide range, a lock request, an event from the third
+// sender at seq 2³²−1 (u@0xffffffff), and requests carrying an
+// after-seq attribute the coordinator does not read (a NACK after 1.5,
+// a catch-up after −1).
 func FuzzCoordinatorHandlePacket(f *testing.F) {
 	const (
 		live       = 300 // s's seqs 1..live, but for never
@@ -133,8 +133,8 @@ func FuzzCoordinatorHandlePacket(f *testing.F) {
 		if seq != never {
 			event("s", seq)
 		}
-		if seq >= 2 && seq <= maxStreamPending+1 {
-			event("u", seq) // u's seq 1 never comes: 2..65 wait behind it
+		if seq >= 2 && seq <= 65 {
+			event("u", seq) // u's seq 1 never comes
 		}
 	}
 	key := func(f archivedFrame) string { return fmt.Sprintf("%s/%d", f.stream.sender, f.senderSeq) }
@@ -218,20 +218,9 @@ func FuzzCoordinatorHandlePacket(f *testing.F) {
 
 // referenceWants reads a sender-scoped history request the slow way —
 // every varint of the body first, then range by range — and reports
-// whether it asks for seq.  A body it cannot read, or an after-seq that
-// is not a whole number a float64 counts exactly, asks for nothing.
+// whether it asks for seq.  A body it cannot read, or no body, asks for
+// nothing.
 func referenceWants(m *message.Message, seq uint64) bool {
-	after := uint64(0)
-	if v, ok := m.Attr(attrAfterSeq); ok {
-		n := v.Num()
-		if v.Kind() != selector.KindNumber || !(n >= 0 && n <= 1<<53) || n != math.Trunc(n) {
-			return false
-		}
-		after = uint64(n)
-	}
-	if len(m.Body) == 0 {
-		return seq >= after+1
-	}
 	var vals []uint64
 	for body := m.Body; len(body) > 0; {
 		v, n := binary.Uvarint(body)

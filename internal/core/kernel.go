@@ -269,8 +269,8 @@ func (k *Kernel) release(released []session.Event, arrived message.View) {
 	}
 }
 
-// arrivedAt stamps an event pushed into an order buffer: the instant on
-// clk while instrumentation is on, else 0 (not stamped).
+// arrivedAt stamps an event pushed into a sender's order buffer: the
+// instant on clk while instrumentation is on, else 0 (not stamped).
 func arrivedAt(clk clock.Clock) int64 {
 	if obs.Enabled() {
 		return clk.Now().UnixNano()
@@ -279,8 +279,9 @@ func arrivedAt(clk clock.Clock) int64 {
 }
 
 // observeWaits feeds the reorder-stage histogram how long each stamped
-// event of one release waited in its order buffer, on clk: both
-// kernels call it on every release, so a gap's stall is visible.
+// event of one release waited in its order buffer, on clk: the kernel
+// calls it on every release, so a gap's stall is visible.  The
+// coordinator holds nothing back, so it times nothing.
 func observeWaits(clk clock.Clock, released []session.Event) {
 	var now int64
 	for _, ev := range released {
@@ -434,21 +435,12 @@ func (k *Kernel) nack(so *senderOrder) error {
 	}, appendHoles(nil, holes, past))
 }
 
-// requestHistory unicasts a history request to the coordinator: the
-// whole session past session-seq afterSeq, or with forSender set that
-// sender's frames past its own seq afterSeq (a NACK with no hole list:
-// one open range).  It touches only the atomic control sequence, the
-// enveloper and the conn, so unlike the rest of the kernel it may be
-// called from any goroutine.
-func (k *Kernel) requestHistory(coordinator, forSender string, afterSeq uint64) error {
-	attrs := selector.Attributes{
-		attrCtrl:     selector.S(ctrlHistoryReq),
-		attrAfterSeq: selector.N(float64(afterSeq)),
-	}
-	if forSender != "" {
-		attrs[attrForSender] = selector.S(forSender)
-	}
-	return k.sendHistoryRequest(coordinator, attrs, nil)
+// requestHistory unicasts a late joiner's catch-up request to the
+// coordinator: the whole archive, in session order.  It touches only
+// the atomic control sequence, the enveloper and the conn, so unlike
+// the rest of the kernel it may be called from any goroutine.
+func (k *Kernel) requestHistory(coordinator string) error {
+	return k.sendHistoryRequest(coordinator, selector.Attributes{attrCtrl: selector.S(ctrlHistoryReq)}, nil)
 }
 
 func (k *Kernel) sendHistoryRequest(coordinator string, attrs selector.Attributes, body []byte) error {

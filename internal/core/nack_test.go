@@ -319,12 +319,12 @@ func TestCoordinatorNeverAnswersTheGroup(t *testing.T) {
 	for seq := uint32(1); seq <= 3; seq++ {
 		feed(t, k, "alice", seq)
 	}
-	k.HandlePacket(transport.Packet{From: "x", Data: nackDatagram(t, "", "alice", nil)})
+	k.HandlePacket(transport.Packet{From: "x", Data: nackDatagram(t, "", "alice", appendHoles(nil, nil, 1))})
 	k.HandlePacket(transport.Packet{From: "x", Data: nackDatagram(t, "", "", nil)}) // the late-join form
 	if len(conn.sent) != 0 {
 		t.Fatalf("a request from %q was answered with %d datagrams", "", len(conn.sent))
 	}
-	k.HandlePacket(transport.Packet{From: "x", Data: nackDatagram(t, "bob", "alice", nil)})
+	k.HandlePacket(transport.Packet{From: "x", Data: nackDatagram(t, "bob", "alice", appendHoles(nil, nil, 1))})
 	if frames, _ := conn.sentSeqs(t); len(frames) != 3 {
 		t.Fatalf("a request from bob was answered with %v, want alice's three frames", frames)
 	}
@@ -340,10 +340,28 @@ func indexed(k *CoordinatorKernel) (n int) {
 	return n
 }
 
+// TestCoordinatorAnswersPastAMissedFrame: a coordinator that never
+// heard s's seq 1 archives 2..4 as they come, so a NACK for [1, ∞) is
+// answered with all three at once, not after a later flush.
+func TestCoordinatorAnswersPastAMissedFrame(t *testing.T) {
+	conn := newCaptureConn("coordinator", time.Unix(0, 0))
+	k := NewCoordinatorKernel(conn, session.Group{Objective: "missed"})
+	for seq := uint32(2); seq <= 4; seq++ {
+		feed(t, k, "s", seq)
+	}
+	k.HandlePacket(transport.Packet{From: "r", Data: nackDatagram(t, "r", "s", appendHoles(nil, nil, 1))})
+	frames, other := conn.sentSeqs(t)
+	if want := []string{"s/2", "s/3", "s/4"}; !reflect.DeepEqual(frames, want) || other != 0 {
+		t.Errorf("NACK answered with %v (+%d other), want %v", frames, other, want)
+	}
+}
+
 // TestCoordinatorIndexFollowsArchiveCap: the per-sender index holds
-// exactly the frames the archive holds — when the cap is lowered on a
-// full archive, as later events push old ones out, and for a straggler
-// archived out of its sender's order.
+// exactly the frames the archive holds — for a straggler archived out
+// of its sender's order, when the cap is lowered on a full archive, and
+// as later events push old ones out — and a straggler at or below its
+// sender's floor, the newest seq the cap trimmed, is dropped and
+// counted.
 func TestCoordinatorIndexFollowsArchiveCap(t *testing.T) {
 	conn := newCaptureConn("coordinator", time.Unix(0, 0))
 	k := NewCoordinatorKernel(conn, session.Group{Objective: "cap"})
@@ -353,12 +371,20 @@ func TestCoordinatorIndexFollowsArchiveCap(t *testing.T) {
 			t.Fatalf("%s: %d frames archived, %d indexed, want %d of each", when, k.ArchivedEvents(), indexed(k), want)
 		}
 	}
-	// alice's seq 1 goes missing: 2..70 flush past it.
+	// alice's seqs 1 and 30 are late: 2..70 but 30 archive as they come.
 	for seq := uint32(2); seq <= 70; seq++ {
-		feed(t, k, "alice", seq)
+		if seq != 30 {
+			feed(t, k, "alice", seq)
+		}
 		feed(t, k, "bob", seq-1)
 	}
-	agree("under the default cap", 2*69)
+	agree("under the default cap", 2*69-1)
+	// The straggler is archived last but indexed first.
+	feed(t, k, "alice", 1)
+	agree("after the straggler", 2*69)
+	if got := k.streams["alice"].archived[0].senderSeq; got != 1 {
+		t.Errorf("alice's index starts at seq %d, want the straggler's 1", got)
+	}
 	k.archiveCap = 40 // takes hold at the next frame
 	feed(t, k, "alice", 71)
 	agree("after lowering the cap", 40)
@@ -366,16 +392,17 @@ func TestCoordinatorIndexFollowsArchiveCap(t *testing.T) {
 		feed(t, k, "alice", seq)
 		agree("as events arrive", 40)
 	}
-	// The straggler is archived last but indexed first.
-	feed(t, k, "alice", 1)
-	agree("after the straggler", 40)
-	if got := k.streams["alice"].archived[0].senderSeq; got != 1 {
-		t.Errorf("alice's index starts at seq %d, want the straggler's 1", got)
+	// The cap trimmed alice past 30: her seq 30 is too late to keep.
+	drops := metrics.C(metrics.CtrArchiveDupDrops).Load()
+	feed(t, k, "alice", 30)
+	agree("after a straggler below the floor", 40)
+	if got := metrics.C(metrics.CtrArchiveDupDrops).Load() - drops; got != 1 {
+		t.Errorf("%d duplicate drops counted for the straggler below the floor, want 1", got)
 	}
 
 	// A NACK for evicted, never-archived and live seqs gets the live ones.
 	k.HandlePacket(transport.Packet{From: "r", Data: nackDatagram(t, "r", "alice",
-		appendHoles(nil, []session.SeqRange{{From: 1, To: 3}, {From: 80, To: 81}}, 90))})
+		appendHoles(nil, []session.SeqRange{{From: 1, To: 3}, {From: 30, To: 30}, {From: 80, To: 81}}, 90))})
 	frames, other := conn.sentSeqs(t)
 	if want := []string{"alice/1", "alice/80", "alice/81", "alice/90"}; !reflect.DeepEqual(frames, want) || other != 0 {
 		t.Errorf("NACK answered with %v (+%d other), want %v", frames, other, want)

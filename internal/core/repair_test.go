@@ -250,8 +250,8 @@ func TestRepairAbandonsUnrepairableGap(t *testing.T) {
 
 // TestCoordinatorDuplicateArchiveRegression injects heavy frame
 // duplication on the sender→coordinator link: every event must be
-// archived exactly once (the straggler path must not re-archive
-// duplicates of already-sequenced frames).
+// archived exactly once (the archive's index must drop duplicates of
+// frames it already holds).
 func TestCoordinatorDuplicateArchiveRegression(t *testing.T) {
 	net, coord := newCoordinatedNet(t)
 	before := metrics.Counters()

@@ -3,14 +3,12 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
-	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
 	"adaptiveqos/internal/wavelet"
 )
@@ -18,41 +16,6 @@ import (
 // badWholes are wire numbers no count or index may be read from: a
 // fraction, a negative, NaN, infinities and values past 2^53.
 var badWholes = []float64{1.5, 0.5, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 1<<53 + 2}
-
-// TestHistoryRequestAfterSeqMustBeWhole: a catch-up request whose
-// after-seq is not a whole number is ignored, not rounded: an after-seq
-// of 1.5 must not replay from seq 2.
-func TestHistoryRequestAfterSeqMustBeWhole(t *testing.T) {
-	conn := newCaptureConn("coordinator", time.Unix(100, 0))
-	k := NewCoordinatorKernel(conn, session.Group{Objective: "wire"})
-	for seq := uint32(1); seq <= 3; seq++ {
-		feed(t, k, "s", seq)
-	}
-	ask := func(after float64) []string {
-		t.Helper()
-		conn.sent = nil
-		var env message.Enveloper
-		d, err := env.WrapMessage(&message.Message{Kind: message.KindControl, Sender: "late", Seq: 1,
-			Attrs: selector.Attributes{attrCtrl: selector.S(ctrlHistoryReq), attrAfterSeq: selector.N(after)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		k.HandlePacket(transport.Packet{From: "late", Data: d[0]})
-		frames, other := conn.sentSeqs(t)
-		if other != 0 {
-			t.Errorf("after-seq %v: %d non-event datagrams", after, other)
-		}
-		return frames
-	}
-	if got := ask(1); len(got) != 2 {
-		t.Fatalf("after-seq 1 replayed %v, want seqs 2 and 3", got)
-	}
-	for _, after := range badWholes {
-		if got := ask(after); len(got) != 0 {
-			t.Errorf("after-seq %v replayed %v, want the request ignored", after, got)
-		}
-	}
-}
 
 // TestImageLevelMustBeWhole: a data packet whose level is not a whole
 // number counts as a decode error and joins no share: a level of 0.5

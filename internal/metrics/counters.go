@@ -53,7 +53,8 @@ const (
 	// amplification (1 = every replayed frame was a lost one).
 	CtrRepairReplayedFrames = "repair.replayed.frames"
 	// Duplicate frames dropped before the session archive instead of
-	// being committed as second events (coordinator straggler path).
+	// being committed as second events: a frame the coordinator's index
+	// already holds, or one at or below what the cap has trimmed.
 	CtrArchiveDupDrops = "archive.duplicate.drops"
 	// Flight-recorder counters (DESIGN.md §11): hops dropped past the
 	// per-trace cap, wire trace extensions merged on receive, and

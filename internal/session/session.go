@@ -44,12 +44,12 @@ type Event struct {
 	Seq uint64
 	// Sender is the originating client.
 	Sender string
-	// Payload is the event's bytes; both core kernels park the whole
-	// received frame here.
+	// Payload is the event's bytes; the core receive kernel parks the
+	// whole received frame here.
 	Payload []byte
 	// At is when the event reached its order buffer, in UnixNano on
 	// the clock of the node that pushed it, or 0 if it was not stamped.
-	// The buffer only carries it: the node reads it off the released
-	// event to time the reorder stage.
+	// The buffer only carries it: the receive kernel reads it off the
+	// released event to time the reorder stage.
 	At int64
 }

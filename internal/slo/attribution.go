@@ -81,7 +81,7 @@ type Attribution struct {
 // captureAttribution assembles the bundle for a freshly violated
 // client.  The engine calls it under its own lock, so sources must not
 // call back into the engine (see RegisterRadioSource).
-func captureAttribution(client string, worst Objective, burnShort, burnLong float64, nowNS int64, sources []RadioSource) Attribution {
+func captureAttribution(client string, worst Objective, burnShort, burnLong float64, nowNS int64, sources []*RadioSource) Attribution {
 	a := Attribution{
 		AtNS:      nowNS,
 		Client:    client,
@@ -123,10 +123,7 @@ func captureAttribution(client string, worst Objective, burnShort, burnLong floa
 	}
 
 	for _, src := range sources {
-		if src == nil {
-			continue
-		}
-		if snap, ok := src(client); ok {
+		if snap, ok := (*src)(client); ok {
 			a.Radio = snap
 			a.RadioOK = true
 			break

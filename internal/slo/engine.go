@@ -94,7 +94,7 @@ type Engine struct {
 	clients     map[string]*clientState
 	ids         []string // the keys of clients, ascending: Poll and Status walk them
 	transitions []Transition
-	sources     []RadioSource
+	sources     []*RadioSource // one per registration, in registration order
 
 	// Poll idempotence: on a virtual clock many drive iterations can
 	// land on the same instant; re-evaluating the state machine at an
@@ -124,17 +124,18 @@ func (e *Engine) SetDefaultSpec(spec Spec) {
 // RegisterRadioSource adds a radio-snapshot provider consulted when a
 // violation attribution is captured.  Sources are called with the
 // engine lock held and must not call back into the engine.  The
-// returned function unregisters.
+// returned function unregisters: it removes this registration and
+// keeps the others in order.
 func (e *Engine) RegisterRadioSource(src RadioSource) func() {
+	entry := &src
 	e.mu.Lock()
-	e.sources = append(e.sources, src)
-	idx := len(e.sources) - 1
+	e.sources = append(e.sources, entry)
 	e.mu.Unlock()
 	return func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if idx < len(e.sources) {
-			e.sources[idx] = nil
+		if i := slices.Index(e.sources, entry); i >= 0 {
+			e.sources = slices.Delete(e.sources, i, i+1)
 		}
 	}
 }

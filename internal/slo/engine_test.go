@@ -172,6 +172,35 @@ func TestBlownRecoveryDeadlineScoresIneffective(t *testing.T) {
 	}
 }
 
+// TestRadioSourceUnregisterFreesItsSlot: every base station registers
+// a radio source with the process's engine and unregisters it when it
+// closes, so a register/unregister pair must leave nothing behind, and
+// must not disturb the sources still registered.
+func TestRadioSourceUnregisterFreesItsSlot(t *testing.T) {
+	e := NewEngine(testSpec())
+	dropFirst := e.RegisterRadioSource(func(string) (RadioSnapshot, bool) { return RadioSnapshot{BS: "gone"}, true })
+	keep := e.RegisterRadioSource(func(client string) (RadioSnapshot, bool) {
+		return RadioSnapshot{BS: "kept", SIRdB: 3}, client == "c1"
+	})
+	defer keep()
+	dropFirst()
+	for i := 0; i < 1000; i++ {
+		e.RegisterRadioSource(func(string) (RadioSnapshot, bool) { return RadioSnapshot{BS: "gone"}, true })()
+	}
+	dropFirst() // a second call changes nothing
+	if n := len(e.sources); n != 1 {
+		t.Fatalf("%d sources registered after 1001 register/unregister pairs, want the 1 kept", n)
+	}
+
+	base := time.Unix(1000, 0)
+	feed(e, "c1", base, 0.5, 8)
+	e.Poll(base.Add(200 * time.Millisecond))
+	atts := e.Attributions("c1")
+	if len(atts) != 1 || !atts[0].RadioOK || atts[0].Radio.BS != "kept" {
+		t.Fatalf("attributions %+v, want one with the kept source's radio snapshot", atts)
+	}
+}
+
 func TestViolationAttributionBundle(t *testing.T) {
 	e := NewEngine(testSpec())
 	unreg := e.RegisterRadioSource(func(client string) (RadioSnapshot, bool) {
