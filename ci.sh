@@ -30,13 +30,13 @@ for t in $(grep -rnoE --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' internal |
 	esac
 done
 
-# Core and base-station tests and the examples run on virtual time
-# (DESIGN.md §14): no polling, sleep, wall SimNet or wall deadline
-# outside the two wall_test.go files.  The census neither loads test
-# files nor holds the examples to its clock rules, so the check is a
-# grep.
-if grep -nE 'waitFor|time\.Sleep|NewSimNet|time\.Now\(' internal/core/*_test.go internal/basestation/*_test.go examples/*/main.go | grep -v '/wall_test\.go:'; then
-	echo "WALL TIME OUTSIDE wall_test.go (drive the test's or example's clock.Virtual instead):" >&2
+# Core and base-station tests, the examples and cmd/collab with its
+# tests run on virtual time (DESIGN.md §14): no polling, sleep, wall
+# SimNet or wall deadline outside the two wall_test.go files.  The census
+# neither loads test files nor holds programs to its clock rules, so the
+# check is a grep.
+if grep -nE 'waitFor|time\.Sleep|NewSimNet|time\.Now\(' internal/core/*_test.go internal/basestation/*_test.go examples/*/main.go cmd/collab/*.go | grep -v '/wall_test\.go:'; then
+	echo "WALL TIME OUTSIDE wall_test.go (drive the test's, example's or command's clock.Virtual instead):" >&2
 	exit 1
 fi
 

@@ -13,8 +13,9 @@
 //
 // With -obs-addr, pipeline instrumentation is enabled and the
 // observability endpoint serves Prometheus-style /metrics and the
-// human /debug index for the duration of the run (-obs-hold keeps
-// the process serving after the scenario completes, for scraping).
+// human /debug index.  The session runs on virtual time and is over in
+// a fraction of a second, so -obs-hold keeps the process serving its
+// final state after the scenario completes, for scraping.
 //
 // With -trace, the cross-node flight recorder is enabled: every frame
 // carries the wire trace extension, each node appends per-stage hops,
@@ -44,13 +45,21 @@
 // With -timeline <path>, a windowed telemetry timeline samples every
 // tracked metric each 100 ms (DESIGN.md §16): per-window counter deltas
 // and rates, gauge values and windowed histogram quantiles are kept in
-// a bounded ring, served live at /debug/timeline, attached to SLO
+// a bounded ring, served at /debug/timeline, attached to SLO
 // violation attributions, and exported to the file at exit (.csv = CSV,
 // else JSONL).
 //
-// One 100 ms ticker drives all telemetry: each tick samples the QoS
-// collector, closes a timeline window over those samples and polls the
-// SLO engine at the same instant.
+// The whole session runs on one virtual clock (DESIGN.md §14): both
+// network segments are discrete-event networks on it, every node runs
+// inline as it advances, and the workload's pacing and drains are
+// advances of it, so two runs with the same flags print the same
+// summary (the -trace timeline and the recorded span and note events,
+// which time in-process work on the wall clock, excepted).
+//
+// One 100 ms telemetry tick, an event on that clock, drives all
+// telemetry: each tick samples every component's QoS gauges, closes a
+// timeline window over those samples and polls the SLO engine at the
+// same instant.
 //
 // After every image share each receiver multicasts a reception report
 // (loss fraction, jitter) about the senders it hears; a sender whose
@@ -70,7 +79,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"adaptiveqos/internal/apps"
@@ -91,42 +99,29 @@ import (
 	"adaptiveqos/internal/transport"
 )
 
-// telemetryTick is the one telemetry period: the collector's sampling
-// round, the timeline's window and the width of collab's SLO buckets
+// telemetryTick is the one telemetry period: the QoS sampling round,
+// the timeline's window and the width of collab's SLO buckets
 // (LongWindow/16).
 const telemetryTick = 100 * time.Millisecond
 
-// tickTelemetry starts the one telemetry loop: every telemetryTick it
-// samples the collector, closes a timeline window over those samples and
-// polls the SLO engine at the tick's instant, skipping nil parts.  The
-// returned stop ends the loop and waits for it to exit.
-func tickTelemetry(collector *obs.Collector, tl *timeline.Timeline, sloEng *slo.Engine) (stop func()) {
-	ticker := clock.Wall.NewTicker(telemetryTick)
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-quit:
-				return
-			case now := <-ticker.C:
-				if collector != nil {
-					collector.SampleOnce()
-				}
-				if tl != nil {
-					tl.SampleNow()
-				}
-				if sloEng != nil {
-					sloEng.Poll(now)
-				}
-			}
+// tickTelemetry schedules the one telemetry event on clk: every
+// telemetryTick it runs samplers, closes a timeline window over those
+// samples and polls the SLO engine at the tick's instant, skipping nil
+// parts, then schedules itself again.  It fires only while the clock
+// is advanced.
+func tickTelemetry(clk *clock.Virtual, samplers []obs.SamplerFunc, tl *timeline.Timeline, sloEng *slo.Engine) {
+	var tick func(now time.Time)
+	tick = func(now time.Time) {
+		obs.Sample(now, samplers...)
+		if tl != nil {
+			tl.SampleNow()
 		}
-	}()
-	return func() {
-		ticker.Stop()
-		close(quit)
-		<-done
+		if sloEng != nil {
+			sloEng.Poll(now)
+		}
+		clk.ScheduleFunc(telemetryTick, tick)
 	}
+	clk.ScheduleFunc(telemetryTick, tick)
 }
 
 // exportTimeline writes the run's per-window series to path — CSV when
@@ -179,7 +174,9 @@ func run(args []string, out io.Writer) error {
 		obs.SetTraceEnabled(true)
 	}
 
-	var collector *obs.Collector
+	// Every node and the telemetry run on clk, a wall-independent
+	// instant that only the workload loop below moves.
+	clk := clock.NewVirtual(time.Time{})
 	if *obsAddr != "" {
 		srv, err := obs.Serve(*obsAddr)
 		if err != nil {
@@ -188,9 +185,9 @@ func run(args []string, out io.Writer) error {
 		defer srv.Close()
 		log.Printf("collab: serving /metrics and the /debug index on %s", *obsAddr)
 	}
-	if *obsAddr != "" || *recordPath != "" || *tlPath != "" {
+	instrument := *obsAddr != "" || *recordPath != "" || *tlPath != ""
+	if instrument {
 		obs.SetEnabled(true)
-		collector = obs.NewCollector()
 	}
 
 	// Windowed telemetry timeline: snapshot every tracked counter, gauge
@@ -199,11 +196,14 @@ func run(args []string, out io.Writer) error {
 	// serves it) and export the windows at exit.
 	var tl *timeline.Timeline
 	if *tlPath != "" {
-		tl = timeline.New(timeline.Config{Window: telemetryTick})
+		tl = timeline.New(timeline.Config{Window: telemetryTick, Clock: clk})
 		tl.TrackAll()
 		timeline.Enable(tl)
 		defer timeline.Disable()
 	}
+	// The record counters are process-wide: verification compares this
+	// run's share of them.
+	recordBase := metrics.Counters()
 	if *recordPath != "" {
 		if _, err := obs.StartRecording(*recordPath, "collab"); err != nil {
 			return fmt.Errorf("session record: %w", err)
@@ -229,14 +229,13 @@ func run(args []string, out io.Writer) error {
 		sloEng = slo.Default()
 		sloEng.SetDefaultSpec(sloSpec)
 	}
-	stopTelemetry := sync.OnceFunc(tickTelemetry(collector, tl, sloEng))
-	defer stopTelemetry()
 
-	wiredNet := transport.NewSimNet(transport.SimNetConfig{
+	wiredNet := transport.NewDESNet(transport.DESNetConfig{
 		Seed:        *seed,
 		DefaultLink: transport.Link{Loss: *loss},
+		Clock:       clk,
 	})
-	radioNet := transport.NewSimNet(transport.SimNetConfig{Seed: *seed + 1})
+	radioNet := transport.NewDESNet(transport.DESNetConfig{Seed: *seed + 1, Clock: clk})
 	defer wiredNet.Close()
 	defer radioNet.Close()
 
@@ -268,9 +267,7 @@ func run(args []string, out io.Writer) error {
 	monitor := &hostagent.Monitor{
 		Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: hostagent.NewAgent(host)}, snmp.V2c, "public"),
 	}
-	if collector != nil {
-		collector.Register(host.SampleQoS)
-	}
+	samplers := []obs.SamplerFunc{host.SampleQoS}
 
 	var wired []*core.Client
 	var senders []string
@@ -289,9 +286,7 @@ func run(args []string, out io.Writer) error {
 		}
 		c := core.NewClient(conn, cfg)
 		defer c.Close()
-		if collector != nil {
-			collector.Register(c.SampleQoS)
-		}
+		samplers = append(samplers, c.SampleQoS)
 		wired = append(wired, c)
 		senders = append(senders, id)
 	}
@@ -310,9 +305,7 @@ func run(args []string, out io.Writer) error {
 	if coord != nil {
 		wiredNet.SetLinkBoth("bs", "coordinator", transport.Link{})
 	}
-	if collector != nil {
-		collector.Register(bs.SampleQoS)
-	}
+	samplers = append(samplers, bs.SampleQoS)
 
 	var wireless []*core.Client
 	for i := 0; i < *nWireless; i++ {
@@ -323,9 +316,7 @@ func run(args []string, out io.Writer) error {
 		}
 		c := core.NewClient(conn, core.Config{})
 		defer c.Close()
-		if collector != nil {
-			collector.Register(c.SampleQoS)
-		}
+		samplers = append(samplers, c.SampleQoS)
 		p := profile.New(id)
 		assess, err := bs.Join(p, 50+float64(i)*6, 1)
 		if err != nil {
@@ -342,6 +333,10 @@ func run(args []string, out io.Writer) error {
 	// reception quality once a share has had time to arrive, so a
 	// sender whose receivers see loss truncates its next share.
 	receivers := append(append([]*core.Client(nil), wired...), wireless...)
+	if !instrument {
+		samplers = nil
+	}
+	tickTelemetry(clk, samplers, tl, sloEng)
 
 	gen := trace.NewGenerator(*seed, senders[:*nWired], trace.DefaultMix())
 	imgCount := 0
@@ -375,7 +370,7 @@ func run(args []string, out io.Writer) error {
 				log.Printf("collab: share: %v", err)
 			}
 		}
-		clock.Wall.Sleep(5 * time.Millisecond)
+		clk.Advance(5 * time.Millisecond)
 		if ev.Kind == trace.EventImageShare {
 			for _, c := range receivers {
 				if err := c.SendReceptionReports(); err != nil {
@@ -384,18 +379,18 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	clock.Wall.Sleep(200 * time.Millisecond) // drain in-flight deliveries
+	clk.Advance(200 * time.Millisecond) // drain in-flight deliveries
 	if coord != nil && *loss > 0 {
 		// Give the repair loop time to detect stalls, NACK the
 		// coordinator and absorb the replays before the summary.
-		clock.Wall.Sleep(4**repairTimeout + 500*time.Millisecond)
+		clk.Advance(4**repairTimeout + 500*time.Millisecond)
 	}
 	if sloEng != nil {
 		// Let the SLO windows drain post-traffic so violated clients can
 		// walk to recovered before the summary (bounded wait: a client
 		// pinned down by unrepaired loss stays violated, honestly).
-		deadline := clock.Wall.Now().Add(4 * time.Second)
-		for clock.Wall.Now().Before(deadline) {
+		deadline := clk.Now().Add(4 * time.Second)
+		for clk.Now().Before(deadline) {
 			violated := false
 			for _, st := range sloEng.Status() {
 				if st.State == slo.StateViolated {
@@ -406,10 +401,9 @@ func run(args []string, out io.Writer) error {
 			if !violated {
 				break
 			}
-			clock.Wall.Sleep(telemetryTick)
+			clk.Advance(telemetryTick)
 		}
 	}
-	stopTelemetry()
 
 	fmt.Fprintln(out, "\n--- session summary ---")
 	for _, c := range wired {
@@ -471,13 +465,13 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if sloEng != nil {
-		sloEng.Poll(clock.Wall.Now())
+		sloEng.Poll(clk.Now())
 		fmt.Fprintln(out, "\n--- slo conformance ---")
 		sloEng.WriteSummary(out, "")
 	}
 
-	if collector != nil {
-		collector.SampleOnce()
+	if instrument {
+		obs.Sample(clk.Now(), samplers...)
 		fmt.Fprintln(out, "\n--- qos telemetry ---")
 		obs.WriteQoSDebug(out, 16)
 		if tl != nil {
@@ -504,7 +498,8 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("session record load: %w", err)
 		}
 		ctrs := metrics.Counters()
-		appended := ctrs[metrics.CtrRecordAppended]
+		appended := ctrs[metrics.CtrRecordAppended] - recordBase[metrics.CtrRecordAppended]
+		dropped := ctrs[metrics.CtrRecordDropped] - recordBase[metrics.CtrRecordDropped]
 		fmt.Fprintln(out, "\n--- session record ---")
 		fmt.Fprintf(out, "%s: schema %s v%d, node %s, truncated=%v\n",
 			*recordPath, sess.Header.Schema, sess.Header.Version, sess.Header.Node, sess.Truncated)
@@ -516,10 +511,10 @@ func run(args []string, out io.Writer) error {
 		}
 		if uint64(len(sess.Events)) != appended {
 			return fmt.Errorf("record verification FAILED: loaded %d events, aqos_record_appended=%d (dropped=%d)",
-				len(sess.Events), appended, ctrs[metrics.CtrRecordDropped])
+				len(sess.Events), appended, dropped)
 		}
 		fmt.Fprintf(out, "record verified: %d loaded events match aqos_record_appended (dropped=%d)\n",
-			len(sess.Events), ctrs[metrics.CtrRecordDropped])
+			len(sess.Events), dropped)
 	}
 	return nil
 }

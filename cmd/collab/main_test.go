@@ -8,12 +8,14 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/obs"
+	"adaptiveqos/internal/replay"
 	"adaptiveqos/internal/timeline"
 	"adaptiveqos/internal/trace"
 )
@@ -84,13 +86,12 @@ func TestReceptionReportsCloseTheLoop(t *testing.T) {
 
 // TestTelemetryTick runs a lossy session with SLO monitoring (on by
 // default), a session record and a timeline export, all three fed by the
-// one telemetry ticker: the record verifies, the SLO section prints,
-// the exported windows are contiguous and one tick long, and the
-// ticker's goroutine is gone once run returns.
+// one telemetry tick: the record verifies, the SLO section prints, and
+// the exported windows are contiguous and, on the virtual clock,
+// exactly one tick long.
 func TestTelemetryTick(t *testing.T) {
 	dir := t.TempDir()
 	record, tlPath := filepath.Join(dir, "s.jsonl"), filepath.Join(dir, "tl.jsonl")
-	before := runtime.NumGoroutine()
 	var out bytes.Buffer
 	if err := run([]string{"-events", "20", "-loss", "0.2", "-record", record, "-timeline", tlPath}, &out); err != nil {
 		t.Fatalf("collab: %v\n%s", err, out.String())
@@ -134,63 +135,105 @@ func TestTelemetryTick(t *testing.T) {
 	if len(windows) < 2 {
 		t.Fatalf("%d windows exported, want two or more", len(windows))
 	}
-	// Every window but the flushed tail spans one tick, give or take the
-	// ticker's scheduling delay.
+	// Every window but the flushed tail spans exactly one tick.
 	for i, w := range windows {
 		if i > 0 && w.StartNS != windows[i-1].EndNS {
 			t.Errorf("window %d starts at %d, the previous one ended at %d", i, w.StartNS, windows[i-1].EndNS)
 		}
-		if width := time.Duration(w.EndNS - w.StartNS); i < len(windows)-1 && (width < telemetryTick/2 || width > telemetryTick*3/2) {
-			t.Errorf("window %d is %v long, want about %v", i, width, telemetryTick)
+		if width := time.Duration(w.EndNS - w.StartNS); i < len(windows)-1 && width != telemetryTick {
+			t.Errorf("window %d is %v long, want %v", i, width, telemetryTick)
 		}
-	}
-
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines 1s after run returned, %d before it", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestSummaryGolden holds a lossless session's summary to
-// testdata/summary.golden byte for byte: every count in it (chat,
-// strokes, images, relays, reports, the archive, the SLO table) is
-// fixed by the seed.  The log on stderr carries timestamps and is not
-// compared.  The session runs in a child process, because the SLO
-// engine and the flight recorder are process-global and the other
-// tests here leave them populated.  Regenerate, when the summary is
-// meant to move, with
+// TestRecordReplays records a lossy session and hands the record to
+// the counterfactual replay, as cmd/qosreplay does: the workload lies
+// within the run's virtual length, the clock its publishes and QoS
+// samples are stamped on, and one simulation of it finishes.
+func TestRecordReplays(t *testing.T) {
+	const events, repairTimeout = 20, 250 * time.Millisecond
+	record := filepath.Join(t.TempDir(), "s.jsonl")
+	var out bytes.Buffer
+	if err := run([]string{"-events", fmt.Sprint(events), "-loss", "0.35",
+		"-repair-timeout", repairTimeout.String(), "-record", record}, &out); err != nil {
+		t.Fatalf("collab: %v\n%s", err, out.String())
+	}
+	sess, err := obs.LoadSessionFile(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := replay.ExtractWorkload(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The longest the run can be: the workload's pacing, the drain, the
+	// repair wait and the whole SLO drain.
+	longest := events*5*time.Millisecond + 200*time.Millisecond + 4*repairTimeout + 500*time.Millisecond + 4*time.Second
+	epoch := clock.DefaultEpoch.UnixNano()
+	if w.StartNS < epoch || time.Duration(w.EndNS-epoch) > longest {
+		t.Fatalf("workload spans [%v, %v] after the epoch, want within [0, %v]",
+			time.Duration(w.StartNS-epoch), time.Duration(w.EndNS-epoch), longest)
+	}
+	o := replay.Simulate(w, replay.Policy{}, replay.SimConfig{Seed: 1, Loss: -1})
+	if o.Delivered == 0 {
+		t.Errorf("the replay of %d publishes delivered none", len(w.Publishes))
+	}
+}
+
+// TestSummaryGolden holds two sessions' summaries to goldens under
+// testdata byte for byte: a lossless one, where every count in it
+// (chat, strokes, images, relays, reports, the archive, the SLO table)
+// is fixed by the seed, and a lossy one whose SLO section walks clients
+// to violated and back, instants and all.  The session runs on one
+// virtual clock, so both are fixed by their flags.  The log on stderr
+// carries timestamps and is not compared.  Each session runs in a child
+// process, because the SLO engine and the flight recorder are
+// process-global and the other tests here leave them populated, and in
+// a zone other than UTC, because the summary's instants must not move
+// with the machine's zone.  Regenerate, when a summary is meant to
+// move, with
 //
 //	go run ./cmd/collab -wired 2 -wireless 3 -events 40 2>/dev/null > cmd/collab/testdata/summary.golden
+//	go run ./cmd/collab -events 30 -loss 0.3 -seed 5 2>/dev/null > cmd/collab/testdata/lossy-slo.golden
 func TestSummaryGolden(t *testing.T) {
 	if path := os.Getenv("COLLAB_SUMMARY_OUT"); path != "" {
+		if _, offset := time.Unix(0, 0).Zone(); offset == 0 {
+			// No zone database on this machine: TZ fell back to UTC.
+			time.Local = time.FixedZone("UTC-5", -5*60*60)
+		}
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if err := run([]string{"-wired", "2", "-wireless", "3", "-events", "40"}, f); err != nil {
+		if err := run(strings.Fields(os.Getenv("COLLAB_SUMMARY_ARGS")), f); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	path := filepath.Join(t.TempDir(), "summary")
-	child := exec.Command(os.Args[0], "-test.run=^TestSummaryGolden$")
-	child.Env = append(os.Environ(), "COLLAB_SUMMARY_OUT="+path)
-	if out, err := child.CombinedOutput(); err != nil {
-		t.Fatalf("collab: %v\n%s", err, out)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("testdata/summary.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("summary moved from testdata/summary.golden; now:\n%s", got)
+	for golden, args := range map[string]string{
+		"summary.golden":   "-wired 2 -wireless 3 -events 40",
+		"lossy-slo.golden": "-events 30 -loss 0.3 -seed 5",
+	} {
+		t.Run(golden, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "summary")
+			child := exec.Command(os.Args[0], "-test.run=^TestSummaryGolden$")
+			child.Env = append(os.Environ(), "COLLAB_SUMMARY_OUT="+path,
+				"COLLAB_SUMMARY_ARGS="+args, "TZ=America/New_York")
+			if out, err := child.CombinedOutput(); err != nil {
+				t.Fatalf("collab %s: %v\n%s", args, err, out)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("collab %s moved from testdata/%s; now:\n%s", args, golden, got)
+			}
+		})
 	}
 }

@@ -76,7 +76,7 @@ func (bs *BaseStation) Assess(id string) (Assessment, error) {
 // set: per-client SIR, service tier and power-control state (transmit
 // power, distance), the population size, and the dispatch pool's
 // per-shard queue depths.  The signature matches obs.SamplerFunc so
-// the telemetry collector can register the base station directly.
+// the telemetry tick can sample the base station directly.
 func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 	ids := bs.reg.IDs()
 	now := bs.clk.Now()

@@ -53,7 +53,7 @@ func TestCensusOverFixture(t *testing.T) {
 		"internal/core/kernel.go:12 kernel-purity: go statement",
 		"internal/core/kernel.go:13 kernel-purity: send statement",
 		"internal/core/kernel.go:13 kernel-purity: channel-typed out",
-		"internal/core/kernel.go:14 kernel-purity: uses clock.Or",
+		"internal/core/kernel.go:14 kernel-purity: uses clock.Wall",
 		"internal/core/coordkernel.go:4 ownership: copies with append onto a nil []byte",
 		"internal/core/client.go:7 passive-nodes: go statement",
 		"internal/core/client.go:8 passive-nodes: select statement",

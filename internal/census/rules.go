@@ -155,7 +155,7 @@ func kernelPure(s *scope, n ast.Node, obj types.Object) string {
 			}
 		}
 	}
-	if s.g.is(obj, "internal/clock", "Wall", "Or") {
+	if s.g.is(obj, "internal/clock", "Wall") {
 		return "uses clock." + obj.Name()
 	}
 	return ""

@@ -13,14 +13,10 @@ import (
 // Wall is what a kernel may not reach for.
 var Wall = time.Now
 
-// Or is Wall's nil default, which a kernel may not reach for either.
-func Or(now func() time.Time) func() time.Time {
+// Sleep waits on the wall clock and counts the wait.
+func Sleep(d time.Duration) {
 	metrics.Reads++
-	time.Sleep(0)
-	if now == nil {
-		return Wall
-	}
-	return now
+	time.Sleep(d)
 }
 
 // Clock is the seam's scheduling surface, which telemetry may not use.

@@ -11,7 +11,7 @@ type Kernel struct{ n int }
 func (k *Kernel) Start(out chan<- int) {
 	go k.Poll()
 	out <- k.n
-	c.Or(nil)
+	c.Wall()
 }
 
 // Poll is pure.

@@ -33,15 +33,6 @@ type Clock interface {
 // goroutine can sleep, time out or tick on.
 var Wall = wallClock{}
 
-// Or returns c, or Wall when c is nil — the one-line default every
-// config field uses.
-func Or(c Clock) Clock {
-	if c == nil {
-		return Wall
-	}
-	return c
-}
-
 type wallClock struct{}
 
 func (wallClock) Now() time.Time { return time.Now() }

@@ -9,13 +9,6 @@ import (
 )
 
 func TestWallBasics(t *testing.T) {
-	if got := Or(nil); got != Wall {
-		t.Fatalf("Or(nil) = %v, want Wall", got)
-	}
-	v := NewVirtual(time.Time{})
-	if got := Or(v); got != Clock(v) {
-		t.Fatalf("Or(v) = %v, want v", got)
-	}
 	before := time.Now()
 	now := Wall.Now()
 	if now.Before(before) {

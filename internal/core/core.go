@@ -596,7 +596,7 @@ func (c *Client) observedLoss() (float64, bool) {
 // the QoS gauge set: per-sender RTCP-style loss fraction and
 // interarrival jitter, plus the aggregate loss fraction the inference
 // engine adapts to.  The signature matches obs.SamplerFunc so the
-// telemetry collector can register the client directly.
+// telemetry tick can sample the client directly.
 func (c *Client) SampleQoS(set func(name string, value float64)) {
 	var expected, uniq uint64
 	for _, st := range c.receptionStats() {

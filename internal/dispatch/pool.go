@@ -207,8 +207,8 @@ func (p *Pool) Each(msgID uint64, ids []string, fn func(id string) error) error 
 }
 
 // SampleQoS feeds per-shard queue depths into the gauge set; the
-// signature matches obs.SamplerFunc so the telemetry collector (or a
-// broker embedding the pool) can wire it directly.
+// signature matches obs.SamplerFunc so the telemetry tick (or a
+// broker embedding the pool) can sample it directly.
 func (p *Pool) SampleQoS(set func(name string, value float64)) {
 	for i, sh := range p.shards {
 		set(`dispatch_queue_depth{pool="`+metrics.EscapeLabel(p.cfg.Name)+`",shard="`+shardLabel(i)+`"}`, float64(len(sh)))

@@ -22,6 +22,7 @@ import (
 	"io"
 
 	"adaptiveqos/internal/apps"
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/inference"
 	"adaptiveqos/internal/media"
@@ -54,7 +55,7 @@ func newViewerPipeline(imageSize int) (*viewerPipeline, error) {
 	engine := inference.New("", profile.MustContract("fig67",
 		profile.Constraint{Param: inference.StateCPULoad, Min: 0, Max: 90, Hard: true},
 		profile.Constraint{Param: inference.StatePageFaults, Min: 0, Max: 95},
-	), nil)
+	), clock.Wall)
 
 	im := wavelet.Medical(imageSize, imageSize, 7)
 	obj, err := media.EncodeImage(im, "experiment image")

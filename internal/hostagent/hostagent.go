@@ -165,7 +165,7 @@ func (h *Host) Get(param string) float64 {
 // SampleQoS feeds every current host parameter into the QoS gauge
 // set (the system-state side of the telemetry the contract adapts
 // to).  The signature matches obs.SamplerFunc so the telemetry
-// collector can register the host directly.
+// tick can sample the host directly.
 func (h *Host) SampleQoS(set func(name string, value float64)) {
 	h.mu.RLock()
 	params := make(map[string]float64, len(h.values))

@@ -120,7 +120,7 @@ func WriteDecisions(w http.ResponseWriter, client string, max int) {
 	}
 	sb.WriteString("); filter with ?client=<id>, bound with ?max=<n>\n\n")
 	for _, e := range entries {
-		t := time.Unix(0, e.At).Format("15:04:05.000")
+		t := time.Unix(0, e.At).UTC().Format("15:04:05.000")
 		budget := fmt.Sprintf("%d", e.Budget)
 		if e.Budget == Unlimited {
 			budget = "unlimited"

@@ -5,13 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/selector"
 )
 
 func TestDecideCountsRuleFirings(t *testing.T) {
-	e := New("", nil, nil)
+	e := New("", nil, clock.Wall)
 	ctr := metrics.C(metrics.RuleFired("cpu-load-budget"))
 	before := ctr.Load()
 	e.Decide(selector.Attributes{StateCPULoad: selector.N(80)})
@@ -34,13 +35,13 @@ func TestDecideRecordsAudit(t *testing.T) {
 		ResetAudits()
 	})
 
-	e := New("wired-0", nil, nil)
+	e := New("wired-0", nil, clock.Wall)
 	e.Decide(selector.Attributes{
 		StateCPULoad:   selector.N(80),
 		StateBandwidth: selector.N(20_000),
 	})
 
-	e2 := New("wired-1", nil, nil)
+	e2 := New("wired-1", nil, clock.Wall)
 	e2.Decide(selector.Attributes{StatePageFaults: selector.N(120)})
 
 	all := Audits("", 0)
@@ -82,7 +83,7 @@ func TestDecideRecordsAudit(t *testing.T) {
 func TestDecideAuditDisabledByObsFlag(t *testing.T) {
 	ResetAudits()
 	obs.SetEnabled(false)
-	e := New("silent", nil, nil)
+	e := New("silent", nil, clock.Wall)
 	e.Decide(selector.Attributes{StateCPULoad: selector.N(50)})
 	if got := Audits("", 0); len(got) != 0 {
 		t.Errorf("disabled instrumentation recorded %d audits", len(got))
@@ -117,7 +118,7 @@ func TestDebugDecisionsEndpoint(t *testing.T) {
 		obs.SetEnabled(false)
 		ResetAudits()
 	})
-	e := New("wired-0", nil, nil)
+	e := New("wired-0", nil, clock.Wall)
 	e.Decide(selector.Attributes{StateCPULoad: selector.N(95)})
 
 	h := obs.Handler() // /debug/decisions is registered by this package's init

@@ -75,14 +75,14 @@ type Engine struct {
 
 // New creates the engine deciding for owner (the name labelling its
 // audit entries) under contract (nil means an empty, always-satisfied
-// contract), stamping audit entries from clk (nil means wall time).
+// contract), stamping audit entries from clk.
 // Every rule's counter is registered here, so /metrics lists each rule
 // at zero before it first fires.
 func New(owner string, contract *profile.Contract, clk clock.Clock) *Engine {
 	if contract == nil {
 		contract = profile.MustContract("empty")
 	}
-	e := &Engine{owner: owner, contract: contract, clk: clock.Or(clk),
+	e := &Engine{owner: owner, contract: contract, clk: clk,
 		fired: make(map[string]*metrics.Counter, len(ruleNames))}
 	for _, name := range ruleNames {
 		e.fired[name] = metrics.C(metrics.RuleFired(name))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/selector"
@@ -111,8 +112,8 @@ func TestDecisionComposition(t *testing.T) {
 func TestEngineDefaultPolicy(t *testing.T) {
 	contract := profile.MustContract("qos",
 		profile.Constraint{Param: StateCPULoad, Min: 0, Max: 90, Hard: true})
-	e := New("", contract, nil)
-	if New("", nil, nil).contract == nil {
+	e := New("", contract, clock.Wall)
+	if New("", nil, clock.Wall).contract == nil {
 		t.Error("nil contract should default to empty contract")
 	}
 
@@ -192,7 +193,7 @@ func TestQuickBudgetMonotone(t *testing.T) {
 // TestQuickDecideDeterministic: identical state yields identical
 // decisions.
 func TestQuickDecideDeterministic(t *testing.T) {
-	e := New("", nil, nil)
+	e := New("", nil, clock.Wall)
 	f := func(cpu, pf, bw float64) bool {
 		if math.IsNaN(cpu) || math.IsNaN(pf) || math.IsNaN(bw) {
 			return true
@@ -236,7 +237,7 @@ func TestQuickMappingsWithinMaxPackets(t *testing.T) {
 // TestNaNIsUnobserved: a NaN state value fires no rule, through the
 // policy and through the engine alike, so the key reads as absent.
 func TestNaNIsUnobserved(t *testing.T) {
-	e := New("", nil, nil)
+	e := New("", nil, clock.Wall)
 	for _, key := range []string{StatePageFaults, StateCPULoad, StateLoss, StateBandwidth} {
 		nan := st(StateCPULoad, 50, key, math.NaN())
 		absent := st(StateCPULoad, 50)

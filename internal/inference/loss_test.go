@@ -3,6 +3,7 @@ package inference
 import (
 	"testing"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
 )
 
@@ -39,7 +40,7 @@ func TestPacketsFromLoss(t *testing.T) {
 }
 
 func TestLossRules(t *testing.T) {
-	e := New("", nil, nil)
+	e := New("", nil, clock.Wall)
 
 	// Moderate loss constrains the budget without changing modality.
 	d := e.Decide(st(StateLoss, 0.25))

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/selector"
@@ -183,7 +184,7 @@ func TestDecideMatchesRuleEngine(t *testing.T) {
 	)
 	oracle := &oracleEngine{contract: contract}
 	oracleInstall(oracle, Params{})
-	e := New("oracle", contract, nil)
+	e := New("oracle", contract, clock.Wall)
 	f := func(s oracleState) bool {
 		state := selector.Attributes(s)
 		want, got := oracle.Decide(state), e.Decide(state)

@@ -14,9 +14,9 @@ const GaugeCardinalityLimit = 256
 // overflowRound versions the aggregates: bumping it (one atomic, no
 // locks) lazily resets every family's min/mean/max on its next
 // over-cap set, so each sampling round reports that round's spread
-// rather than all-time extremes.  The obs Collector bumps it on each
-// SampleOnce its owner calls; without a collector the aggregates
-// accumulate since the last bump.
+// rather than all-time extremes.  obs.Sample bumps it at the start of
+// each round; with nothing sampling, the aggregates accumulate since
+// the last bump.
 var overflowRound atomic.Uint64
 
 // StartGaugeOverflowRound begins a new overflow aggregation round.

@@ -9,7 +9,7 @@ import (
 )
 
 // The gauge cardinality cap lives with the registry in internal/metrics;
-// these tests drive it through the collector's entry points.
+// these tests drive it through the gauge set Sample feeds.
 
 func TestGaugeCardinalityCap(t *testing.T) {
 	const limit = metrics.GaugeCardinalityLimit

@@ -1,7 +1,7 @@
 // Package obs is the runtime observability layer threaded through the
 // delivery pipeline: per-message pipeline stage spans feeding per-stage
 // histograms in the internal/metrics registry and a ring-buffer event
-// log, a QoS telemetry collector its owner ticks, and a text exposition
+// log, a QoS telemetry sampler its owner ticks, and a text exposition
 // endpoint (Prometheus-style /metrics plus a human /debug/qos dump).
 //
 // Instrumentation is near-free when disabled: hot paths check one

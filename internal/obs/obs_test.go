@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"sync"
@@ -166,23 +167,33 @@ func TestGaugesAndRegistry(t *testing.T) {
 	}
 }
 
-func TestCollector(t *testing.T) {
-	c := NewCollector()
+// TestSample runs every sampler into the gauge set and, with a
+// recorder installed, stamps each recorded qos event with the instant
+// the caller passed, not the wall clock's.
+func TestSample(t *testing.T) {
+	var buf bytes.Buffer
+	prev := InstallRecorder(NewRecorder(&buf, "sample-node", 0))
+	at := time.Unix(946_684_800, 400_000_000) // a virtual clock's instant
 	calls := 0
-	c.Register(func(set func(string, float64)) {
-		calls++
-		set("collector_test_gauge", 9)
-	})
-	c.SampleOnce()
-	if gauges()["collector_test_gauge"] != 9 {
-		t.Fatal("SampleOnce did not run the sampler")
+	Sample(at,
+		func(set func(string, float64)) { calls++; set("sample_test_gauge", 9) },
+		func(set func(string, float64)) { calls++ })
+	if err := InstallRecorder(prev).Close(); err != nil {
+		t.Fatal(err)
 	}
-	// A sampler registered between rounds joins the next one.
-	late := 0
-	c.Register(func(set func(string, float64)) { late++ })
-	c.SampleOnce()
-	if calls != 2 || late != 1 {
-		t.Errorf("after two rounds: first sampler ran %d times, late one %d, want 2 and 1", calls, late)
+	if calls != 2 {
+		t.Errorf("%d samplers ran, want 2", calls)
+	}
+	if gauges()["sample_test_gauge"] != 9 {
+		t.Error("Sample did not set the sampler's gauge")
+	}
+	sess, err := LoadSession(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RecEvent{Type: RecTypeQoS, AtNS: at.UnixNano(), Name: "sample_test_gauge", Value: 9}
+	if len(sess.Events) != 1 || sess.Events[0] != want {
+		t.Errorf("recorded %+v, want [%+v]", sess.Events, want)
 	}
 }
 

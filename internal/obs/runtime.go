@@ -8,9 +8,9 @@ import (
 // SampleRuntime feeds process-health gauges into the gauge set:
 // goroutine count, heap bytes in use, GC cycle count and the p99 GC
 // pause over the runtime's retained pause ring.  The signature matches
-// SamplerFunc so a collector can register it; the /metrics handler
+// SamplerFunc so an owner can pass it to Sample; the /metrics handler
 // also calls it on every scrape so the gauges are fresh without a
-// collector (ReadMemStats is scrape-time work, not hot-path work).
+// sampling owner (ReadMemStats is scrape-time work, not hot-path work).
 func SampleRuntime(set func(name string, value float64)) {
 	set("runtime_goroutines", float64(runtime.NumGoroutine()))
 	var ms runtime.MemStats

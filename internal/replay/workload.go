@@ -58,7 +58,7 @@ type SIRSample struct {
 // Workload is everything the replay needs from a recorded session.
 type Workload struct {
 	StartNS int64 // header start (virtual epoch of the rerun)
-	EndNS   int64 // last interesting event instant
+	EndNS   int64 // last publish or qos event instant
 
 	// Publishes, sorted by (AtNS, Sender, Seq): the offered load.
 	Publishes []Publish
@@ -93,7 +93,10 @@ func (w *Workload) Span() int64 { return w.EndNS - w.StartNS }
 
 // ExtractWorkload reduces a loaded session record to its replayable
 // workload.  Records without publish events are rejected with
-// ErrNoWorkload: there is nothing to rerun.
+// ErrNoWorkload: there is nothing to rerun.  The workload's span ends at
+// the last publish or qos event, the two the rerun replays: span and
+// note events time in-process work on the wall clock, which a session
+// run on a virtual clock does not share.
 func ExtractWorkload(s *obs.Session) (*Workload, error) {
 	w := &Workload{
 		StartNS:   s.Header.StartNS,
@@ -107,7 +110,7 @@ func ExtractWorkload(s *obs.Session) (*Workload, error) {
 
 	for i := range s.Events {
 		ev := &s.Events[i]
-		if ev.AtNS > w.EndNS {
+		if (ev.Type == obs.RecTypePublish || ev.Type == obs.RecTypeQoS) && ev.AtNS > w.EndNS {
 			w.EndNS = ev.AtNS
 		}
 		switch ev.Type {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/obs"
@@ -112,6 +113,27 @@ func TestExtractWorkload(t *testing.T) {
 	}
 	if v := w.hostValueAt("cpu-load", 1000); !math.IsNaN(v) {
 		t.Errorf("hostValueAt before first sample = %v, want NaN", v)
+	}
+}
+
+// A session run on a virtual clock stamps its publishes and QoS samples
+// on that clock and its spans and notes on the wall, decades later: the
+// workload spans only the events the rerun replays.
+func TestExtractWorkloadSpansPublishesAndQoS(t *testing.T) {
+	const wall = int64(56 * 365 * 24 * time.Hour) // about 2026 on the Unix epoch
+	s := recordSession(t, func() {
+		obs.RecordPublish(1000, "alice", 1, "event", "", 0, 64)
+		obs.RecordEvent(obs.RecEvent{Type: obs.RecTypeSpan, AtNS: wall, Stage: "deliver", NS: 250})
+		obs.RecordEvent(obs.RecEvent{Type: obs.RecTypeQoS, AtNS: 4000,
+			Name: `rtp_loss_fraction{client="bob",sender="alice"}`, Value: 0.1})
+		obs.RecordEvent(obs.RecEvent{Type: obs.RecTypeNote, AtNS: wall + 1, Detail: "repair"})
+	})
+	w, err := ExtractWorkload(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.StartNS != 1000 || w.EndNS != 4000 {
+		t.Errorf("span = [%d, %d], want [1000, 4000]", w.StartNS, w.EndNS)
 	}
 }
 

@@ -45,7 +45,7 @@ func (e *Engine) WriteSummary(w io.Writer, client string) {
 			continue
 		}
 		fmt.Fprintf(w, "  %s %-12s %s -> %s  (worst=%s burn=%.2f/%.2f)\n",
-			time.Unix(0, tr.AtNS).Format("15:04:05.000"),
+			timeOfDay(tr.AtNS),
 			tr.Client, tr.From, tr.To, tr.Objective, tr.BurnShort, tr.BurnLong)
 	}
 
@@ -59,9 +59,14 @@ func (e *Engine) WriteSummary(w io.Writer, client string) {
 	}
 }
 
+// timeOfDay formats an instant in UTC, so a summary reads the same in
+// every zone (a virtual clock's instants print as offsets from its
+// epoch's midnight).
+func timeOfDay(ns int64) string { return time.Unix(0, ns).UTC().Format("15:04:05.000") }
+
 func writeAttribution(w io.Writer, a Attribution) {
 	fmt.Fprintf(w, "\nviolation %s client=%s objective=%s burn=%.2f/%.2f\n",
-		time.Unix(0, a.AtNS).Format("15:04:05.000"),
+		timeOfDay(a.AtNS),
 		a.Client, a.Objective, a.BurnShort, a.BurnLong)
 	if len(a.Traces) == 0 {
 		fmt.Fprintf(w, "  worst traces: (none retained)\n")
@@ -80,7 +85,7 @@ func writeAttribution(w io.Writer, a Attribution) {
 			contract = "violated"
 		}
 		fmt.Fprintf(w, "  decision %s budget=%d modality=%s %s fired=%s\n",
-			time.Unix(0, d.At).Format("15:04:05.000"), d.Budget, orKeep(d.Modality), contract, fired)
+			timeOfDay(d.At), d.Budget, orKeep(d.Modality), contract, fired)
 	}
 	if a.RadioOK {
 		fmt.Fprintf(w, "  radio bs=%s sir=%.1fdB power=%.2f distance=%.0fm tier=%d\n",

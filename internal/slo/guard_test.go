@@ -81,16 +81,21 @@ func TestEnabledObserveOverheadGuard(t *testing.T) {
 		}
 	}
 
-	minTime := func(fn func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
+	timed := func(fn func()) time.Duration {
+		start := time.Now()
+		fn()
+		return time.Since(start)
+	}
+	// bestOf alternates the two paths round by round and keeps each
+	// one's fastest round, so a burst of load on a shared host slows
+	// rounds of both, not only the path that happened to be timing.
+	bestOf := func() (bareBest, obsBest time.Duration) {
+		bareBest, obsBest = time.Duration(1<<63-1), time.Duration(1<<63-1)
 		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); d < best {
-				best = d
-			}
+			bareBest = min(bareBest, timed(bare))
+			obsBest = min(obsBest, timed(observed))
 		}
-		return best
+		return bareBest, obsBest
 	}
 
 	// Warm both paths, then interleave; a shared CI host can steal the
@@ -101,8 +106,7 @@ func TestEnabledObserveOverheadGuard(t *testing.T) {
 	const attempts = 3
 	var overhead float64
 	for a := 1; a <= attempts; a++ {
-		bareBest := minTime(bare)
-		obsBest := minTime(observed)
+		bareBest, obsBest := bestOf()
 		if sink == 0 {
 			t.Fatal("workload optimized away")
 		}

@@ -106,7 +106,7 @@ func TestTimelineOverheadGuard(t *testing.T) {
 		return best
 	}
 
-	tl := New(Config{Window: time.Millisecond, Retention: 128})
+	tl := New(Config{Window: time.Millisecond, Retention: 128, Clock: clock.Wall})
 	tl.TrackCounter("guard.ctr", &c)
 	tl.TrackHistogram("guard.hist", &h)
 	sampled := func() time.Duration {

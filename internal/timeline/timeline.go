@@ -9,10 +9,11 @@
 // The store is exposed three ways: the /debug/timeline endpoint
 // (debug.go), JSONL/CSV/text exporters for EXPERIMENTS.md figures
 // (export.go), and the typed Query API (query.go) the SLO attribution
-// bundle consumes.  The store schedules nothing: cmd/collab calls
-// SampleNow from its telemetry ticker, and on a clock.Virtual the
-// scenario and replay engines schedule SampleNow as their own events, so
-// qossim and qosreplay produce byte-deterministic per-window curves.
+// bundle consumes.  The store schedules nothing: on a clock.Virtual
+// its owners schedule SampleNow as their own events (cmd/collab's
+// telemetry tick, the scenario and replay engines' window closes), so
+// collab, qossim and qosreplay produce byte-deterministic per-window
+// curves.
 //
 // House rules: the disabled path (timeline.Active() == nil) is one
 // atomic load and zero allocations; an enabled steady-state sample is
@@ -45,7 +46,8 @@ type Config struct {
 	// Retention is how many closed windows the ring keeps (default 600
 	// — ten minutes of 1s windows).
 	Retention int
-	// Clock stamps window bounds (default clock.Wall).
+	// Clock stamps window bounds (required: clock.Wall for a live
+	// process, the simulation's clock.Virtual under simulation).
 	Clock clock.Clock
 }
 
@@ -56,7 +58,6 @@ func (c Config) withDefaults() Config {
 	if c.Retention <= 0 {
 		c.Retention = DefaultRetention
 	}
-	c.Clock = clock.Or(c.Clock)
 	return c
 }
 
