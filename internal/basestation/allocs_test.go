@@ -112,12 +112,12 @@ type discardTx struct{}
 
 func (discardTx) Deliver(string, *message.Message) error { return nil }
 
-// memberImageBytes measures what forwardTiered allocates per member of
+// memberImageCost measures what forwardTiered allocates per member of
 // the image tier for a w×w share, envelope and substrate left out: the
 // rendition is built before counting, and the transmit adapter drops
-// the messages it is handed.  It also returns the share's mean packet
-// size.
-func memberImageBytes(t *testing.T, w int) (perMember uint64, packetBytes int) {
+// the messages it is handed.  It returns the bytes and the allocations
+// per member and the share's mean packet size.
+func memberImageCost(t *testing.T, w int) (perMember, allocs uint64, packetBytes int) {
 	t.Helper()
 	c := newBareCell(t, 1, 0, 0)
 	obj, err := media.EncodeImage(wavelet.Medical(w, w, 4), "scan")
@@ -135,15 +135,19 @@ func memberImageBytes(t *testing.T, w int) (perMember uint64, packetBytes int) {
 		c.bs.forwardTiered(rs, radio.TierImage, discardTx{}, "m")
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / runs, len(obj.Data) / apps.SharePackets
+	return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs, len(obj.Data) / apps.SharePackets
 }
 
 // TestImageTierMemberCostFlat: an image-tier member costs the station
-// its messages, not a copy of the share — RTP framing is done once per
-// rendition — so what a member costs does not grow with packet size.
+// one message, rewritten for every frame, not a copy of the share — RTP
+// framing is done once per rendition — so what a member costs does not
+// grow with packet size or count.
 func TestImageTierMemberCostFlat(t *testing.T) {
-	small, smallPkt := memberImageBytes(t, 64)
-	large, largePkt := memberImageBytes(t, 256)
+	small, smallAllocs, smallPkt := memberImageCost(t, 64)
+	large, largeAllocs, largePkt := memberImageCost(t, 256)
+	if smallAllocs > 1 || largeAllocs > 1 {
+		t.Errorf("a member costs %d and %d allocations per share, want <= 1 (its message)", smallAllocs, largeAllocs)
+	}
 	if largePkt < 8*smallPkt {
 		t.Fatalf("packets of %d and %d B are too close to tell", smallPkt, largePkt)
 	}

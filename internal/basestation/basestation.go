@@ -232,24 +232,28 @@ func (bs *BaseStation) Close() error {
 // newMessage mints a frame from sender for to: the session when to is
 // "", else one member.
 func (bs *BaseStation) newMessage(kind message.Kind, sender, to, sel string, attrs selector.Attributes, body []byte) *message.Message {
-	var seq uint32
-	if to == "" {
-		bs.seqMu.Lock()
-		bs.sessionSeq[sender]++
-		seq = bs.sessionSeq[sender]
-		bs.seqMu.Unlock()
-	} else {
-		seq = bs.seq.Add(1)
-	}
 	return &message.Message{
 		Kind:      kind,
 		Sender:    sender,
-		Seq:       seq,
+		Seq:       bs.nextSeq(sender, to),
 		Timestamp: bs.clk.Now(),
 		Selector:  sel,
 		Attrs:     attrs,
 		Body:      body,
 	}
+}
+
+// nextSeq numbers the next frame the station sends from sender to to:
+// per sender from 1 on the session multicast (to == ""), station-wide
+// on the radio leg.
+func (bs *BaseStation) nextSeq(sender, to string) uint32 {
+	if to != "" {
+		return bs.seq.Add(1)
+	}
+	bs.seqMu.Lock()
+	defer bs.seqMu.Unlock()
+	bs.sessionSeq[sender]++
+	return bs.sessionSeq[sender]
 }
 
 // UplinkEvent relays a plain event (chat line, whiteboard stroke) from

@@ -3,9 +3,9 @@ package basestation
 // The per-share rendition set (DESIGN.md §17).  The SIR thresholds put
 // every recipient of a share in one of three tiers, so adapting the
 // share costs one derivation per occupied tier however many clients
-// sit in it, RTP framing included; what remains per client is the
-// message around each frame: sequence number, timestamp, envelope,
-// unicast.
+// sit in it, RTP framing included; what remains per client is one
+// message, rewritten around each frame (sequence number, timestamp),
+// and each frame's envelope and unicast.
 
 import (
 	"sync"
@@ -145,10 +145,11 @@ func (rs *renditions) textTier() *rendition {
 	return &rs.text
 }
 
-// forwardTiered mints the messages of the share's rendition for the
-// given tier — the announce or media event, then each RTP frame — and
-// emits them through the transmit adapter (to is ignored by the
-// multicast adapter).
+// forwardTiered sends the share's rendition for the given tier — the
+// announce or media event, then each RTP frame — through the transmit
+// adapter (to is ignored by the multicast adapter).  It mints one
+// message per call and rewrites it for each frame: the adapter keeps
+// none of it once Deliver returns.
 func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatch.Deliverer, to string) error {
 	var r *rendition
 	switch tier {
@@ -176,8 +177,10 @@ func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatc
 	if err := tx.Deliver(to, m); err != nil {
 		return err
 	}
+	m.Kind = message.KindData
 	for i, p := range r.packets {
-		if err := tx.Deliver(to, bs.newMessage(message.KindData, rs.sender, to, rs.sel, r.packetAttrs[i], p)); err != nil {
+		m.Seq, m.Timestamp, m.Attrs, m.Body = bs.nextSeq(rs.sender, to), bs.clk.Now(), r.packetAttrs[i], p
+		if err := tx.Deliver(to, m); err != nil {
 			return err
 		}
 	}

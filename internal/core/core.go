@@ -354,23 +354,27 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 	}
 	obs.AppendHop(shareID, c.ID(), obs.StageRTP)
 	rsp := obs.StartStage(shareID, obs.StageRTP)
-	// Every packet is framed into one scratch buffer: multicast envelopes
-	// the body by copying it into the datagrams, and nothing keeps m.Body
-	// once it returns (the session record keeps only its length).
+	// Every packet is framed into one scratch buffer and sent as the
+	// announce's message with one attribute map, rewritten per packet:
+	// multicast envelopes the message by copying it into the datagrams,
+	// and nothing keeps m, m.Attrs or m.Body once it returns (the
+	// session record keeps only scalars).
 	largest := 0
 	for _, p := range packets {
 		largest = max(largest, len(p))
 	}
 	scratch := make([]byte, 0, rtp.HeaderLen+largest)
+	m := announce
+	m.Kind, m.Attrs = message.KindData, selector.Attributes{
+		message.AttrApp:    selector.S(apps.AppImageViewer),
+		message.AttrObject: selector.S(object),
+		message.AttrMedia:  selector.S(string(media.KindImage)),
+	}
 	for i, p := range packets {
 		pkt := c.rtpSend.Next(uint32(c.clk.Now().UnixMilli()), i == len(packets)-1, p)
-		attrs := selector.Attributes{
-			message.AttrApp:    selector.S(apps.AppImageViewer),
-			message.AttrObject: selector.S(object),
-			message.AttrMedia:  selector.S(string(media.KindImage)),
-			message.AttrLevel:  selector.N(float64(i)),
-		}
-		if err := c.multicast(c.newMessage(message.KindData, sel, attrs, pkt.AppendMarshal(scratch[:0]))); err != nil {
+		m.Attrs[message.AttrLevel] = selector.N(float64(i))
+		m.Seq, m.Timestamp, m.Body = c.seq.Add(1), c.clk.Now(), pkt.AppendMarshal(scratch[:0])
+		if err := c.multicast(m); err != nil {
 			if rsp.Active() {
 				rsp.EndErr("rtp send: " + err.Error())
 			}

@@ -13,6 +13,11 @@ import (
 // per-client wireless unicast paths, the core client's session sends
 // and test doubles all implement it, so pipelines and relay code
 // program against one seam regardless of segment.
+//
+// Deliver must not keep m, m.Attrs or m.Body once it returns: the
+// adapters envelope m before returning, so a sender may rewrite one
+// message for its next frame (the base station's tier forwarding and
+// the core client's image packets do).
 type Deliverer interface {
 	Deliver(to string, m *message.Message) error
 }
@@ -28,11 +33,16 @@ type Multicaster struct {
 	Conn transport.Conn
 }
 
+// stackDatagrams is how many datagrams an adapter's list holds on the
+// stack: enough for a whole message and for a fragmented one the size
+// of an image packet.
+const stackDatagrams = 16
+
 // Deliver envelopes m and multicasts its datagrams.  The datagram list
-// of a message that fits one datagram lives on the stack.
+// of a message of up to stackDatagrams datagrams lives on the stack.
 func (mc *Multicaster) Deliver(_ string, m *message.Message) error {
-	var one [1][]byte
-	datagrams, err := mc.Env.AppendWrapMessage(one[:0], m)
+	var stack [stackDatagrams][]byte
+	datagrams, err := mc.Env.AppendWrapMessage(stack[:0], m)
 	if err != nil {
 		return err
 	}
@@ -58,8 +68,8 @@ type Unicaster struct {
 // Deliver envelopes m and unicasts its datagrams to to, the list on the
 // stack as Multicaster.Deliver's is.
 func (uc *Unicaster) Deliver(to string, m *message.Message) error {
-	var one [1][]byte
-	datagrams, err := uc.Env.AppendWrapMessage(one[:0], m)
+	var stack [stackDatagrams][]byte
+	datagrams, err := uc.Env.AppendWrapMessage(stack[:0], m)
 	if err != nil {
 		return err
 	}

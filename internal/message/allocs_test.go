@@ -112,9 +112,10 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 	}
 }
 
-// A two-fragment message costs two allocations at the receiver: its
-// reassembly state and the frame it completes into.  A duplicate
-// fragment costs none.
+// A two-fragment message costs one allocation at the receiver: the
+// frame it completes into.  Its reassembly state is the last message's,
+// recycled, and a duplicate fragment costs nothing.  So is the state of
+// a message that evicts an abandoned one: it takes the victim's.
 func TestReassemblyAllocs(t *testing.T) {
 	env := &Enveloper{MTU: 128}
 	const runs = 200
@@ -136,12 +137,24 @@ func TestReassemblyAllocs(t *testing.T) {
 			t.Fatal("two fragments did not complete their message")
 		}
 	})
-	if n != 2 {
-		t.Errorf("a two-fragment message allocates %g times at the receiver, want 2 (state + frame)", n)
+	if n != 1 {
+		t.Errorf("a two-fragment message allocates %g times at the receiver, want 1 (the frame)", n)
 	}
 	u.Unwrap("peer", msgs[0][0])
 	if n := testing.AllocsPerRun(runs, func() { u.Unwrap("peer", msgs[0][0]) }); n != 0 {
 		t.Errorf("a duplicate fragment allocates %g times, want 0", n)
+	}
+
+	r := NewReassembler()
+	r.MaxPending = 1
+	id, chunk := uint64(0), []byte{1}
+	if n := testing.AllocsPerRun(runs, func() {
+		id++ // a new message each run, evicting the last one's first fragment
+		if _, done, err := r.Add(Fragment{MsgID: id, Count: 2, Chunk: chunk}); done || err != nil {
+			t.Fatalf("one fragment of two: done %v, %v", done, err)
+		}
+	}); n != 0 {
+		t.Errorf("a message that evicts an abandoned one allocates %g times, want 0", n)
 	}
 }
 

@@ -56,27 +56,38 @@ func (e *Enveloper) mtu() int {
 
 // appendWrap envelopes one encoded message frame, appending its wire
 // datagrams to dst: one whole datagram when it fits the MTU, else one
-// per fragment.  A non-empty blob is the flight recorder's trace
-// extension and selects the traced tags.  Every datagram is one
-// exact-size buffer with the frame's bytes copied in, so the caller may
-// reuse frame's backing array immediately (see AppendWrapMessage).
+// per fragment, every fragment datagram carved from one exact-size
+// buffer and capped where its bytes end, so an append to one cannot run
+// into the next.  A non-empty blob is the flight recorder's trace
+// extension and selects the traced tags.  The frame's bytes are copied
+// in, so the caller may reuse frame's backing array immediately (see
+// AppendWrapMessage).
 func (e *Enveloper) appendWrap(dst [][]byte, frame, blob []byte) ([][]byte, error) {
 	whole, fragment, overhead := byte(envWhole), byte(envFragment), 1
 	if len(blob) > 0 {
 		whole, fragment, overhead = envWholeTraced, envFragmentTraced, 1+traceLenBytes+len(blob)
 	}
-	if len(frame)+overhead <= e.mtu() {
+	room := e.mtu() - overhead
+	if len(frame) <= room {
 		out := appendHead(make([]byte, 0, overhead+len(frame)), whole, blob)
 		return append(dst, append(out, frame...)), nil
 	}
-	frags, err := Split(e.nextID.Add(1), frame, e.mtu()-overhead)
-	if err != nil {
-		return dst, fmt.Errorf("message: envelope: %w", err)
+	id := e.nextID.Add(1)
+	chunk := room - fragHeaderLen
+	if chunk <= 0 {
+		return dst, fmt.Errorf("message: envelope: %w: mtu %d", ErrFragMTU, room)
 	}
-	dst = slices.Grow(dst, len(frags))
-	for i := range frags {
-		buf := appendHead(make([]byte, 0, overhead+fragHeaderLen+len(frags[i].Chunk)), fragment, blob)
-		dst = append(dst, frags[i].AppendMarshal(buf))
+	n := (len(frame) + chunk - 1) / chunk // the frame did not fit, so n >= 1
+	if n > MaxFragments {
+		return dst, fmt.Errorf("message: envelope: %w: %d fragments at mtu %d", ErrFragTooMany, n, room)
+	}
+	buf := make([]byte, 0, n*(overhead+fragHeaderLen)+len(frame))
+	dst = slices.Grow(dst, n)
+	for i, lo := 0, 0; i < n; i++ {
+		f := Fragment{MsgID: id, Index: uint16(i), Count: uint16(n), Chunk: frame[i*chunk : min((i+1)*chunk, len(frame))]}
+		hi := lo + overhead + fragHeaderLen + len(f.Chunk)
+		dst = append(dst, f.AppendMarshal(appendHead(buf[lo:lo:hi], fragment, blob)))
+		lo = hi
 	}
 	return dst, nil
 }
@@ -111,8 +122,8 @@ func (e *Enveloper) WrapMessage(m *Message) ([][]byte, error) { return e.AppendW
 // the frame's wire datagrams to dst.  Because the datagrams are copies
 // of the frame, the scratch buffer is recycled before returning — no
 // frame is allocated on the send and relay paths — and a caller that
-// sends at once can pass a stack array for dst, so a one-datagram
-// message costs its datagram and nothing else.
+// sends at once can pass a stack array for dst, so a message costs one
+// buffer, its datagram or all its fragment datagrams, and nothing else.
 func (e *Enveloper) AppendWrapMessage(dst [][]byte, m *Message) ([][]byte, error) {
 	sp := obs.StartStage(obs.MsgID(m.Sender, m.Seq), obs.StageFragment)
 	bp := encBufPool.Get().(*[]byte)

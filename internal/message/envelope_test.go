@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,61 @@ func TestEnvelopeFragmentsLargeFrame(t *testing.T) {
 	}
 	if !bytes.Equal(got, frame) {
 		t.Fatal("reassembled frame differs")
+	}
+}
+
+// TestEnvelopeFragmentHeaders: a frame too large for one datagram goes
+// as fragments of one message ID, indexed in order, each datagram within
+// the MTU and each but the last full, their chunks adding up to the
+// frame.
+func TestEnvelopeFragmentHeaders(t *testing.T) {
+	const mtu = 128
+	frame := bytes.Repeat([]byte("abcdefgh"), 100) // 800 bytes
+	e := &Enveloper{MTU: mtu}
+	e.Wrap(frame) // message ID 1; this frame's is 2
+	dgs, err := e.Wrap(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := mtu - 1 - fragHeaderLen
+	want := (len(frame) + chunk - 1) / chunk
+	if len(dgs) != want {
+		t.Fatalf("got %d fragments, want %d", len(dgs), want)
+	}
+	var total []byte
+	for i, d := range dgs {
+		if len(d) > mtu || (i < want-1 && len(d) != mtu) {
+			t.Errorf("datagram %d is %d bytes at MTU %d", i, len(d), mtu)
+		}
+		f, err := parseFragment(d[1:])
+		if err != nil || d[0] != envFragment || f.MsgID != 2 || int(f.Index) != i || int(f.Count) != want {
+			t.Errorf("datagram %d: tag 0x%02X, fragment %+v, %v", i, d[0], f, err)
+		}
+		total = append(total, f.Chunk...)
+	}
+	if !bytes.Equal(total, frame) {
+		t.Errorf("chunks hold %d bytes, not the %d-byte frame", len(total), len(frame))
+	}
+}
+
+// TestEnvelopeFragmentEdgeCases: an MTU with no room for a chunk and a
+// frame needing more fragments than the header can count are errors;
+// an empty frame is one datagram, and a frame of exactly two chunks is
+// two full datagrams.
+func TestEnvelopeFragmentEdgeCases(t *testing.T) {
+	if _, err := (&Enveloper{MTU: 1 + fragHeaderLen}).Wrap(make([]byte, 100)); !errors.Is(err, ErrFragMTU) {
+		t.Errorf("MTU below the fragment header: %v", err)
+	}
+	if _, err := (&Enveloper{MTU: 2 + fragHeaderLen}).Wrap(make([]byte, MaxFragments+1)); !errors.Is(err, ErrFragTooMany) {
+		t.Errorf("more than %d fragments: %v", MaxFragments, err)
+	}
+	if dgs, err := (&Enveloper{MTU: 64}).Wrap(nil); err != nil || len(dgs) != 1 || !bytes.Equal(dgs[0], []byte{envWhole}) {
+		t.Errorf("empty frame: %v, %v", dgs, err)
+	}
+	const chunk = 48
+	dgs, err := (&Enveloper{MTU: 1 + fragHeaderLen + chunk}).Wrap(make([]byte, 2*chunk))
+	if err != nil || len(dgs) != 2 || len(dgs[0]) != len(dgs[1]) || len(dgs[1]) != 1+fragHeaderLen+chunk {
+		t.Errorf("two exact chunks: %d datagrams, %v", len(dgs), err)
 	}
 }
 
@@ -135,6 +191,53 @@ func TestQuickEnvelopeRoundTrip(t *testing.T) {
 		return bytes.Equal(got, frame)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickWrapUnwrapIdentity: for arbitrary frames, MTUs and delivery
+// orders with duplicates, traced and untraced, unwrapping gives back
+// the frame byte for byte, and every fragment datagram's capacity ends
+// where its bytes do, so an append to one cannot write into the next
+// one carved from the same buffer.
+func TestQuickWrapUnwrapIdentity(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		frame := randBytes(r, 4096)
+		var blob []byte
+		if r.Intn(2) == 0 {
+			blob = randBytes(r, 64)
+		}
+		overhead := 1
+		if len(blob) > 0 {
+			overhead += traceLenBytes + len(blob)
+		}
+		e := &Enveloper{MTU: overhead + fragHeaderLen + 1 + r.Intn(512)}
+		dgs, err := e.appendWrap(nil, frame, blob)
+		if err != nil {
+			return false
+		}
+		for _, d := range dgs {
+			if len(dgs) > 1 && cap(d) != len(d) {
+				return false
+			}
+		}
+		u := NewUnwrapper()
+		var out []byte
+		for _, i := range r.Perm(len(dgs)) {
+			for reps := 1 + r.Intn(2); reps > 0; reps-- {
+				o, err := u.Unwrap("p", dgs[i])
+				if err != nil {
+					return false
+				}
+				if out == nil {
+					out = o // a duplicate after completion starts a new message
+				}
+			}
+		}
+		return out != nil && bytes.Equal(out, frame)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

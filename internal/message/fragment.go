@@ -10,8 +10,8 @@ import (
 )
 
 // Data messages containing information such as images are of high
-// volume and must be carried in several packets.  Split breaks a
-// payload into fragments that fit a transport MTU; Reassembler
+// volume and must be carried in several packets.  The Enveloper breaks
+// a frame into fragments that fit a transport MTU; Reassembler
 // collects fragments (tolerating duplication and reordering) and
 // reports completion.  Each fragment body is prefixed with a small
 // header identifying the parent message and the fragment's position.
@@ -40,43 +40,9 @@ type Fragment struct {
 	Chunk []byte
 }
 
-// Split breaks payload into fragments whose encoded size (header +
-// chunk) does not exceed mtu.  A nil/empty payload yields a single
-// empty fragment so that zero-length messages still traverse the
-// fragment path uniformly.
-func Split(msgID uint64, payload []byte, mtu int) ([]Fragment, error) {
-	chunkSize := mtu - fragHeaderLen
-	if chunkSize <= 0 {
-		return nil, fmt.Errorf("%w: mtu %d", ErrFragMTU, mtu)
-	}
-	n := (len(payload) + chunkSize - 1) / chunkSize
-	if n == 0 {
-		n = 1
-	}
-	if n > MaxFragments {
-		return nil, fmt.Errorf("%w: %d fragments at mtu %d", ErrFragTooMany, n, mtu)
-	}
-	frags := make([]Fragment, 0, n)
-	for i := 0; i < n; i++ {
-		lo := i * chunkSize
-		hi := lo + chunkSize
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		frags = append(frags, Fragment{
-			MsgID: msgID,
-			Index: uint16(i),
-			Count: uint16(n),
-			Chunk: payload[lo:hi],
-		})
-	}
-	return frags, nil
-}
-
 // AppendMarshal encodes the fragment, appending to dst and returning
 // the extended slice.  The envelope path marshals straight into each
-// outbound datagram buffer, avoiding an intermediate allocation per
-// fragment.
+// outbound datagram, carved from the message's one buffer.
 func (f *Fragment) AppendMarshal(dst []byte) []byte {
 	var hdr [fragHeaderLen]byte
 	binary.BigEndian.PutUint64(hdr[:], f.MsgID)
@@ -116,6 +82,9 @@ func parseFragment(frame []byte) (Fragment, error) {
 type Reassembler struct {
 	mu      sync.Mutex
 	pending map[uint64]pendingMsg
+	// free holds the chunk lists of completed and evicted messages,
+	// cleared, for the next messages to start in.
+	free [][]fragChunk
 	// MaxPending bounds distinct in-flight messages; 0 means 64.
 	MaxPending int
 }
@@ -134,8 +103,12 @@ type fragChunk struct {
 	data  []byte
 }
 
-// pendingChunks is the capacity a new message's chunk list starts with.
+// pendingChunks is the capacity a new message's chunk list starts with
+// at most, and the largest a list may have to be kept for reuse.
 const pendingChunks = 16
+
+// freeLists bounds the chunk lists a reassembler keeps for reuse.
+const freeLists = 8
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
@@ -168,7 +141,12 @@ func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 		if len(r.pending) >= r.maxPending() {
 			r.evictLocked()
 		}
-		pm = pendingMsg{count: f.Count, chunks: make([]fragChunk, 0, min(int(f.Count), pendingChunks))}
+		pm = pendingMsg{count: f.Count}
+		if k := len(r.free); k > 0 {
+			pm.chunks, r.free = r.free[k-1], r.free[:k-1]
+		} else {
+			pm.chunks = make([]fragChunk, 0, min(int(f.Count), pendingChunks))
+		}
 	} else if pm.count != f.Count {
 		return nil, false, fmt.Errorf("%w: count %d vs %d for msg %d",
 			ErrFragMismatch, f.Count, pm.count, f.MsgID)
@@ -194,7 +172,17 @@ func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 		out = append(out, c.data...)
 	}
 	delete(r.pending, f.MsgID)
+	r.recycleLocked(pm.chunks)
 	return out, true, nil
+}
+
+// recycleLocked keeps a released message's chunk list for reuse,
+// cleared so that it pins no datagram.
+func (r *Reassembler) recycleLocked(chunks []fragChunk) {
+	if cap(chunks) <= pendingChunks && len(r.free) < freeLists {
+		clear(chunks)
+		r.free = append(r.free, chunks[:0])
+	}
 }
 
 // evictLocked drops the least-complete pending message to bound memory
@@ -215,5 +203,6 @@ func (r *Reassembler) evictLocked() {
 	}
 	if found {
 		delete(r.pending, victim)
+		r.recycleLocked(vm.chunks)
 	}
 }

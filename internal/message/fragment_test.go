@@ -8,49 +8,25 @@ import (
 	"testing/quick"
 )
 
-func TestSplitBasic(t *testing.T) {
-	payload := bytes.Repeat([]byte("abcdefgh"), 100) // 800 bytes
-	frags, err := Split(7, payload, 128)
+// fragmentsOf wraps payload at an MTU that leaves chunk bytes per
+// fragment and parses the fragments back off the datagrams: the
+// reassembler's input, as the envelope makes it.
+func fragmentsOf(t *testing.T, payload []byte, chunk int) []Fragment {
+	t.Helper()
+	dgs, err := (&Enveloper{MTU: 1 + fragHeaderLen + chunk}).Wrap(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := 128 - fragHeaderLen
-	wantCount := (len(payload) + chunk - 1) / chunk
-	if len(frags) != wantCount {
-		t.Fatalf("got %d fragments, want %d", len(frags), wantCount)
-	}
-	var total int
-	for i, f := range frags {
-		if f.MsgID != 7 || int(f.Index) != i || int(f.Count) != wantCount {
-			t.Errorf("fragment %d header: %+v", i, f)
+	frags := make([]Fragment, len(dgs))
+	for i, d := range dgs {
+		if d[0] != envFragment {
+			t.Fatalf("datagram %d has tag 0x%02X, want a fragment", i, d[0])
 		}
-		if len(f.AppendMarshal(nil)) > 128 {
-			t.Errorf("fragment %d exceeds MTU: %d", i, len(f.AppendMarshal(nil)))
+		if frags[i], err = parseFragment(d[1:]); err != nil {
+			t.Fatal(err)
 		}
-		total += len(f.Chunk)
 	}
-	if total != len(payload) {
-		t.Errorf("chunks total %d, want %d", total, len(payload))
-	}
-}
-
-func TestSplitEdgeCases(t *testing.T) {
-	if _, err := Split(1, []byte("x"), fragHeaderLen); !errors.Is(err, ErrFragMTU) {
-		t.Errorf("tiny MTU: %v", err)
-	}
-	frags, err := Split(1, nil, 64)
-	if err != nil || len(frags) != 1 || len(frags[0].Chunk) != 0 {
-		t.Errorf("empty payload: %v, %v", frags, err)
-	}
-	// Exactly one chunk.
-	frags, err = Split(1, make([]byte, 48), 48+fragHeaderLen)
-	if err != nil || len(frags) != 1 {
-		t.Errorf("exact fit: %d frags, %v", len(frags), err)
-	}
-	// Too many fragments for the header.
-	if _, err := Split(1, make([]byte, (MaxFragments+1)*1), fragHeaderLen+1); !errors.Is(err, ErrFragTooMany) {
-		t.Errorf("too many fragments: %v", err)
-	}
+	return frags
 }
 
 func TestFragmentMarshalRoundTrip(t *testing.T) {
@@ -79,7 +55,7 @@ func TestFragmentMarshalRoundTrip(t *testing.T) {
 
 func TestReassemblerInOrder(t *testing.T) {
 	payload := []byte("0123456789abcdefghij")
-	frags, _ := Split(1, payload, fragHeaderLen+4)
+	frags := fragmentsOf(t, payload, 3)
 	r := NewReassembler()
 	for i, f := range frags {
 		out, done, err := r.Add(f)
@@ -99,11 +75,20 @@ func TestReassemblerInOrder(t *testing.T) {
 	if len(r.pending) != 0 {
 		t.Errorf("pending = %d after completion", len(r.pending))
 	}
+	// The state is kept for the next message, holding no datagram.
+	if len(r.free) != 1 {
+		t.Fatalf("%d chunk lists kept for reuse, want 1", len(r.free))
+	}
+	for i, c := range r.free[0][:cap(r.free[0])] {
+		if c.data != nil {
+			t.Errorf("a recycled chunk list still holds fragment %d's bytes", i)
+		}
+	}
 }
 
 func TestReassemblerReorderAndDuplicates(t *testing.T) {
 	payload := bytes.Repeat([]byte("xyz"), 50)
-	frags, _ := Split(9, payload, fragHeaderLen+7)
+	frags := fragmentsOf(t, payload, 7)
 	r := NewReassembler()
 	order := rand.New(rand.NewSource(1)).Perm(len(frags))
 	var got []byte
@@ -167,40 +152,6 @@ func TestReassemblerEviction(t *testing.T) {
 	}
 	if _, ok := r.pending[4]; !ok {
 		t.Error("most-complete message should survive eviction")
-	}
-}
-
-// TestQuickSplitReassembleIdentity: for arbitrary payloads, MTUs and
-// delivery orders (with duplication), reassembly reproduces the
-// payload exactly.
-func TestQuickSplitReassembleIdentity(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		payload := randBytes(r, 4096)
-		mtu := fragHeaderLen + 1 + r.Intn(512)
-		frags, err := Split(uint64(seed), payload, mtu)
-		if err != nil {
-			return false
-		}
-		ra := NewReassembler()
-		order := r.Perm(len(frags))
-		var out []byte
-		var done bool
-		for _, idx := range order {
-			for reps := 1 + r.Intn(2); reps > 0; reps-- {
-				o, d, err := ra.Add(frags[idx])
-				if err != nil {
-					return false
-				}
-				if d {
-					out, done = o, true
-				}
-			}
-		}
-		return done && bytes.Equal(out, payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
