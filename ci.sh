@@ -39,6 +39,13 @@ if grep -nE 'waitFor|time\.Sleep|NewSimNet|time\.Now\(' internal/core/*_test.go 
 	echo "WALL TIME OUTSIDE wall_test.go (drive the test's, example's or command's clock.Virtual instead):" >&2
 	exit 1
 fi
+# Every client ticks (core.AdaptInterval), so a virtual clock with one
+# on it never drains, and RunUntilIdle(0) there would run until go
+# test's timeout: drive a bounded Advance.
+if grep -nE 'RunUntilIdle\(0\)' internal/core/*_test.go internal/basestation/*_test.go examples/*/main.go cmd/collab/*.go; then
+	echo "RunUntilIdle(0) WHERE CLIENTS TICK (the heap never drains: Advance a bounded span instead):" >&2
+	exit 1
+fi
 
 # The allocation and overhead guards the race runtime would distort run
 # only in the first pass (files tagged !race, or raceDetectorEnabled).

@@ -61,12 +61,13 @@
 // timeline window over those samples and polls the SLO engine at the
 // same instant.
 //
-// After every image share each receiver multicasts a reception report
-// (loss fraction, jitter) about the senders it hears; a sender whose
+// Every client adapts and reports on its own tick, once per
+// core.AdaptInterval of that clock (the default 40 events span four):
+// it decides its image budget, shown on its summary line, and reports
+// its loss and jitter about each sender it hears.  A sender whose
 // receivers report loss truncates its next share and marks the last
-// packet it does send, which ends the collection at the base station.
-// The summary's feedback line counts the reports and the truncated
-// shares (none on a lossless run).
+// packet it does send, which ends the collection at the base station;
+// the feedback line counts reports and truncated shares.
 //
 // -loss accepts either a probability (0.2) or a percentage (20).
 package main
@@ -78,6 +79,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -103,6 +105,9 @@ import (
 // the timeline's window and the width of collab's SLO buckets
 // (LongWindow/16).
 const telemetryTick = 100 * time.Millisecond
+
+// eventGap is the virtual time between two workload events.
+const eventGap = core.AdaptInterval / 10
 
 // tickTelemetry schedules the one telemetry event on clk: every
 // telemetryTick it runs samplers, closes a timeline window over those
@@ -328,11 +333,6 @@ func run(args []string, out io.Writer) error {
 		senders = append(senders, id)
 	}
 
-	// Every receiver of image data — the wired peers from each other,
-	// the wireless clients from the base station — reports its
-	// reception quality once a share has had time to arrive, so a
-	// sender whose receivers see loss truncates its next share.
-	receivers := append(append([]*core.Client(nil), wired...), wireless...)
 	if !instrument {
 		samplers = nil
 	}
@@ -342,12 +342,8 @@ func run(args []string, out io.Writer) error {
 	imgCount := 0
 	for i := 0; i < *nEvents; i++ {
 		host.Step()
-		if d, err := wired[0].AdaptOnce(); err == nil && i%10 == 0 {
-			log.Printf("collab: wired-0 adaptation: budget %d/16 (cpu %.0f%%)",
-				d.EffectiveBudget(16), host.Get(hostagent.ParamCPULoad))
-		}
 		ev := gen.Next()
-		sender := wired[indexOf(senders, ev.Sender)]
+		sender := wired[slices.Index(senders, ev.Sender)]
 		switch ev.Kind {
 		case trace.EventChat:
 			if err := sender.Say(ev.Text, ""); err != nil {
@@ -370,14 +366,7 @@ func run(args []string, out io.Writer) error {
 				log.Printf("collab: share: %v", err)
 			}
 		}
-		clk.Advance(5 * time.Millisecond)
-		if ev.Kind == trace.EventImageShare {
-			for _, c := range receivers {
-				if err := c.SendReceptionReports(); err != nil {
-					log.Printf("collab: reception report: %v", err)
-				}
-			}
-		}
+		clk.Advance(eventGap)
 	}
 	clk.Advance(200 * time.Millisecond) // drain in-flight deliveries
 	if coord != nil && *loss > 0 {
@@ -389,50 +378,42 @@ func run(args []string, out io.Writer) error {
 		// Let the SLO windows drain post-traffic so violated clients can
 		// walk to recovered before the summary (bounded wait: a client
 		// pinned down by unrepaired loss stays violated, honestly).
-		deadline := clk.Now().Add(4 * time.Second)
-		for clk.Now().Before(deadline) {
-			violated := false
-			for _, st := range sloEng.Status() {
-				if st.State == slo.StateViolated {
-					violated = true
-					break
-				}
-			}
-			if !violated {
-				break
-			}
+		violated := func(st slo.ClientStatus) bool { return st.State == slo.StateViolated }
+		for deadline := clk.Now().Add(4 * time.Second); clk.Now().Before(deadline) && slices.ContainsFunc(sloEng.Status(), violated); {
 			clk.Advance(telemetryTick)
 		}
 	}
 
+	// Each client's line ends with its last decision: the image budget
+	// and the rules that set it.
+	decision := func(c *core.Client) string {
+		d := c.LastDecision()
+		return fmt.Sprintf("budget=%d/%d rules=%v", d.EffectiveBudget(apps.SharePackets), apps.SharePackets, d.Fired)
+	}
 	fmt.Fprintln(out, "\n--- session summary ---")
 	for _, c := range wired {
 		st := c.Stats()
-		fmt.Fprintf(out, "%-12s chat=%d strokes=%d images=%d events=%d data=%d filtered=%d\n",
+		fmt.Fprintf(out, "%-12s chat=%d strokes=%d images=%d events=%d data=%d filtered=%d %s\n",
 			c.ID(), c.Chat().Len(), c.Whiteboard().Len(), len(c.Viewer().Objects()),
-			st.EventsReceived, st.DataPackets, st.EventsFiltered)
+			st.EventsReceived, st.DataPackets, st.EventsFiltered, decision(c))
 	}
 	for _, c := range wireless {
 		st := c.Stats()
-		fmt.Fprintf(out, "%-12s chat=%d images=%d inbox=%d events=%d data=%d\n",
+		fmt.Fprintf(out, "%-12s chat=%d images=%d inbox=%d events=%d data=%d %s\n",
 			c.ID(), c.Chat().Len(), len(c.Viewer().Objects()), c.Inbox().Len(),
-			st.EventsReceived, st.DataPackets)
+			st.EventsReceived, st.DataPackets, decision(c))
 	}
 	bsStats := bs.Stats()
 	fmt.Fprintf(out, "%-12s uplink=%d dropped=%d full=%d sketch=%d text=%d downlink=%d\n",
 		"bs", bsStats.UplinkEvents, bsStats.UplinkDropped, bsStats.ForwardFullImage,
 		bsStats.ForwardSketch, bsStats.ForwardText, bsStats.DownlinkUnicasts)
 	var reports, truncated uint64
-	for _, c := range receivers {
+	for _, c := range append(wired, wireless...) {
 		st := c.Stats()
 		reports += st.ReportsSent
 		truncated += st.Truncated
 	}
 	fmt.Fprintf(out, "%-12s reports=%d truncated-shares=%d\n", "feedback", reports, truncated)
-	if d := wired[0].LastDecision(); true {
-		fmt.Fprintf(out, "final wired-0 budget: %d/16 packets (rules: %v)\n",
-			d.EffectiveBudget(16), d.Fired)
-	}
 	if coord != nil {
 		ctrs := metrics.Counters()
 		fmt.Fprintf(out, "%-12s archived=%d repair: requests=%d repaired=%d abandoned=%d replayed=%d\n",
@@ -517,13 +498,4 @@ func run(args []string, out io.Writer) error {
 			len(sess.Events), dropped)
 	}
 	return nil
-}
-
-func indexOf(ss []string, s string) int {
-	for i, v := range ss {
-		if v == s {
-			return i
-		}
-	}
-	return 0
 }

@@ -41,17 +41,20 @@ func summary(t *testing.T, args ...string) map[string]int {
 }
 
 // TestReceptionReportsCloseTheLoop drives the closing half of the
-// adaptation loop in the command itself: receivers report after every
-// image share, so on lossy wired links senders truncate later shares,
-// and a truncated share — ended by its RTP marker at the base station —
-// still reaches the wireless member as an image.  Lossless, the same
-// session truncates nothing.
+// adaptation loop in the command itself: receivers report on their
+// tick, once a core.AdaptInterval, so on lossy wired links senders
+// truncate later shares, and a truncated share — ended by its RTP
+// marker at the base station — still reaches the wireless member as an
+// image.  Lossless, the same session truncates nothing.
 func TestReceptionReportsCloseTheLoop(t *testing.T) {
 	// Repair off: every wired send then comes from the workload loop, so
 	// the seeded loss pattern repeats.  10% loss: a 20%-loss prefix of
 	// ~12 packets plus its announce completes at the station about one
-	// time in twenty, too rarely to assert on.
-	const events, seed = 80, 2
+	// time in twenty, too rarely to assert on.  Shares sent before the
+	// first report, and after a report of no loss, go whole; 320 events
+	// (32 ticks) truncate enough shares that those reaching the member
+	// outnumber the whole ones.
+	const events, seed = 320, 2
 	args := []string{"-wired", "2", "-wireless", "1", "-events", fmt.Sprint(events),
 		"-seed", fmt.Sprint(seed), "-slo=false", "-repair-timeout", "0"}
 
@@ -168,7 +171,7 @@ func TestRecordReplays(t *testing.T) {
 	}
 	// The longest the run can be: the workload's pacing, the drain, the
 	// repair wait and the whole SLO drain.
-	longest := events*5*time.Millisecond + 200*time.Millisecond + 4*repairTimeout + 500*time.Millisecond + 4*time.Second
+	longest := events*eventGap + 200*time.Millisecond + 4*repairTimeout + 500*time.Millisecond + 4*time.Second
 	epoch := clock.DefaultEpoch.UnixNano()
 	if w.StartNS < epoch || time.Duration(w.EndNS-epoch) > longest {
 		t.Fatalf("workload spans [%v, %v] after the epoch, want within [0, %v]",

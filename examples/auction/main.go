@@ -83,7 +83,7 @@ func main() {
 	for _, b := range bidders {
 		must(b.c.RequestLock(coordinator, lot))
 	}
-	clk.RunUntilIdle(0)
+	clk.Advance(time.Millisecond) // deliver what is in flight
 	fmt.Printf("lock on %s: alice %s, bob %s, dave %s\n", lot, alice.LockState(lot), bob.LockState(lot), dave.LockState(lot))
 
 	var b *bidder
@@ -98,7 +98,7 @@ func main() {
 		if b.left--; b.left > 0 {
 			must(b.c.RequestLock(coordinator, lot))
 		}
-		clk.RunUntilIdle(0)
+		clk.Advance(time.Millisecond)
 	}
 	fmt.Printf("after 30 bids under the %s lock: price=%d, last bidder=%s\n", lot, lastPrice(alice), b.c.ID())
 	for _, c := range members {
@@ -109,7 +109,7 @@ func main() {
 	erin := join("erin", "modems")
 	defer erin.Close()
 	must(erin.RequestHistory(coordinator))
-	clk.RunUntilIdle(0)
+	clk.Advance(time.Millisecond) // deliver what is in flight
 	replayed, live := prices(erin), prices(alice)
 	fmt.Printf("\nerin replayed %d archived bids (archive holds %d)\n", len(replayed), coord.ArchivedEvents())
 	fmt.Printf("price non-decreasing across erin's replay: %v\n", slices.IsSorted(replayed))

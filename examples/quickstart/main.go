@@ -5,7 +5,8 @@
 //  2. Adaptive QoS — a host under rising load accepts fewer and fewer
 //     image packets, trading quality for feasibility.  The clients run
 //     in virtual time: transport.Serve runs them inline whenever the
-//     clock is driven.
+//     clock is driven, and each adapts to its host once every
+//     core.AdaptInterval of it.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -90,15 +91,13 @@ func main() {
 	for i, load := range []float64{20, 60, 85, 99} {
 		host.Set(hostagent.ParamCPULoad, load)
 		host.Set(hostagent.ParamPageFaults, 10)
-		decision, err := receiver.AdaptOnce()
-		if err != nil {
-			log.Fatal(err)
-		}
+		clk.Advance(core.AdaptInterval) // the receiver's next tick samples the host
+		decision := receiver.LastDecision()
 		object := fmt.Sprintf("scan-%d", i)
 		if err := sender.ShareImage(object, obj, ""); err != nil {
 			log.Fatal(err)
 		}
-		clk.RunUntilIdle(0) // deliver the share
+		clk.Advance(time.Millisecond) // deliver the share
 
 		st, err := receiver.Viewer().Stats(object)
 		if err != nil {

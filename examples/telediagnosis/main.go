@@ -4,7 +4,8 @@
 // the same semantic content at the fidelity their resources admit, and
 // the session's semantic filters keep administrative chatter away from
 // the clinical channel.  The session runs in virtual time:
-// transport.Serve runs every client inline whenever the clock is driven.
+// transport.Serve runs every client inline whenever the clock is driven,
+// and each client adapts once every core.AdaptInterval of it.
 //
 // Run with: go run ./examples/telediagnosis
 package main
@@ -64,11 +65,10 @@ func main() {
 	defer clerk.Close()
 	clerk.Profile().SetInterest("role", selector.S("admin"))
 
-	// Adaptation: the consultant's engine sees the thrashing laptop.
-	decision, err := consultant.AdaptOnce()
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Adaptation: the consultant's engine sees the thrashing laptop on
+	// its next tick.
+	clk.Advance(core.AdaptInterval)
+	decision := consultant.LastDecision()
 	fmt.Printf("consultant adaptation: %d/16 packets (rules %v)\n",
 		decision.EffectiveBudget(16), decision.Fired)
 
@@ -88,7 +88,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	clk.RunUntilIdle(0) // deliver everything in flight
+	clk.Advance(time.Millisecond) // deliver everything in flight
 
 	report := func(c *core.Client) {
 		st, err := c.Viewer().Stats("ct-1142-42")

@@ -80,7 +80,7 @@ func main() {
 	must(ana.ShareImage("deck-rev-c", obj, ""))
 	must(ana.Say("budget figures attached", `role == "finance"`))
 
-	clk.RunUntilIdle(0)
+	clk.Advance(time.Millisecond) // deliver what is in flight
 	fmt.Printf("\narchived events so far: %d\n", coord.ArchivedEvents())
 
 	// --- Late joiner catch-up -----------------------------------------
@@ -90,7 +90,7 @@ func main() {
 	lena.Profile().SetInterest("role", selector.S("engineering"))
 
 	must(lena.RequestHistory("coordinator"))
-	clk.RunUntilIdle(0)
+	clk.Advance(time.Millisecond) // deliver what is in flight
 
 	fmt.Printf("lena caught up: chat=%d strokes=%d filtered=%d\n",
 		lena.Chat().Len(), lena.Whiteboard().Len(), lena.Stats().EventsFiltered)
@@ -114,7 +114,7 @@ func must(err error) {
 // waitLock delivers everything in flight and checks c's standing on
 // the lock.
 func waitLock(clk *clock.Virtual, c *core.Client, object string, want core.LockStatus) {
-	if clk.RunUntilIdle(0); c.LockState(object) != want {
+	if clk.Advance(time.Millisecond); c.LockState(object) != want {
 		log.Fatalf("%s: %s on %s, want %s", c.ID(), c.LockState(object), object, want)
 	}
 }

@@ -61,6 +61,19 @@ func TestEncodersAllocateOnce(t *testing.T) {
 	}
 }
 
+// TestStatsMissAllocatesNothing: asking a viewer about a share it does
+// not hold costs no allocation; the error is ErrUnknownImage as is.
+func TestStatsMissAllocatesNothing(t *testing.T) {
+	v := NewImageViewer()
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, err = v.Stats("ghost") }); n != 0 {
+		t.Errorf("a Stats miss: %g allocations, want 0", n)
+	}
+	if err != ErrUnknownImage {
+		t.Errorf("a Stats miss returned %v, want ErrUnknownImage", err)
+	}
+}
+
 // mallocs counts the heap allocations of runs calls of f at one P.
 func mallocs(runs int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -407,7 +407,9 @@ func (v *ImageViewer) Stats(object string) (ImageStats, error) {
 	defer v.mu.RUnlock()
 	si, ok := v.images[object]
 	if !ok {
-		return ImageStats{}, fmt.Errorf("%w: %q", ErrUnknownImage, object)
+		// As is: a miss is an answer callers poll for (a share that has
+		// not arrived), so it costs no allocation.
+		return ImageStats{}, ErrUnknownImage
 	}
 	st := ImageStats{
 		PacketsReceived: len(si.received),

@@ -76,7 +76,8 @@ func (r *rig) client(t *testing.T, net *transport.DESNet, id string) *core.Clien
 }
 
 // settle runs the rig for a virtual second: every delivery in flight
-// lands and every reaction to it with it.
+// lands and every reaction to it with it, and each client ticks once
+// (core.AdaptInterval).
 func (r *rig) settle() { r.clk.Advance(time.Second) }
 
 // joinWireless attaches a wireless endpoint (a plain framework client

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaptiveqos/internal/core"
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/transport"
@@ -14,7 +15,7 @@ import (
 // relays under its own SSRC with seqs 0..15; a receiver that took the
 // second share of a sender as 16 late repeats of the first would freeze
 // that sender's loss figure after share one — the figure the member's
-// rtp_loss_fraction gauge and AdaptOnce read.  Each share must count as
+// rtp_loss_fraction gauge and adaptation read.  Each share must count as
 // a stream of its own, on the downlink and on the uplink alike.
 func TestRelayedShareReceptionStats(t *testing.T) {
 	obj := testImageObject(t)
@@ -86,4 +87,59 @@ func TestRelayedShareReceptionStats(t *testing.T) {
 			t.Errorf("loss on shares 2-3 is not in rtp_loss_fraction: %g", f)
 		}
 	})
+}
+
+// TestLosslessMemberReportsNoLoss: a full-tier wireless member hears
+// every share the station relays, each under an SSRC of its own, and
+// on its tick reports no loss about the sender; the sender, told of no
+// loss by anyone, cuts none of its later shares short.
+func TestLosslessMemberReportsNoLoss(t *testing.T) {
+	obj := testImageObject(t)
+	r := newRig(t, Config{})
+	w1 := r.joinWireless(t, "w1", 30, 1)
+	if a, _ := r.bs.Assess("w1"); a.Tier != radio.TierImage {
+		t.Fatalf("lone member tier = %s, want image", a.Tier)
+	}
+	// A listener on the radio segment reads the member's reports.
+	var fracs []float64
+	un := message.NewUnwrapper()
+	if _, err := r.radioNet.AttachHandler("listener", func(p transport.Packet) {
+		frame, err := un.Unwrap(p.From, p.Data)
+		if err != nil || frame == nil {
+			return
+		}
+		m, err := message.Decode(frame)
+		if err != nil || m.Sender != "w1" {
+			return
+		}
+		if ctrl, _ := m.Attr("ctrl"); ctrl.Str() == "rtcp-rr" {
+			frac, _ := m.Attr("fraction-lost")
+			fracs = append(fracs, frac.Num())
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 1; round <= 3; round++ {
+		for i := 1; i <= 2; i++ {
+			if err := r.wired.ShareImage(fmt.Sprintf("img-%d-%d", round, i), obj, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.clk.Advance(core.AdaptInterval)
+	}
+	if got := w1.Stats().DataPackets; got != 6*16 {
+		t.Fatalf("w1 took %d data packets, want all %d", got, 6*16)
+	}
+	if len(fracs) != 3 {
+		t.Fatalf("w1 sent %d reports over three intervals of shares, want 3", len(fracs))
+	}
+	for i, f := range fracs {
+		if f != 0 {
+			t.Errorf("report %d: fraction lost %g on a lossless downlink", i, f)
+		}
+	}
+	if st := r.wired.Stats(); st.Truncated != 0 || r.wired.WorstPeerLoss() != 0 {
+		t.Errorf("sender truncated %d shares (worst peer loss %g), want none", st.Truncated, r.wired.WorstPeerLoss())
+	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/media"
-	"adaptiveqos/internal/snmp"
 )
 
 // TestBandwidthTiersDriveModality: the SNMP-observed bandwidth selects
@@ -13,10 +12,7 @@ import (
 // sketch tier → sketch; below the text tier → text.  The preference is
 // folded into the profile, where a base station (or peer) can see it.
 func TestBandwidthTiersDriveModality(t *testing.T) {
-	host := hostagent.NewHost("h")
-	monitor := &hostagent.Monitor{
-		Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: hostagent.NewAgent(host)}, snmp.V2c, ""),
-	}
+	host, monitor := monitoredHost("h")
 	c := newVNet(t, 91).client("c", Config{
 		Monitor:       monitor,
 		monitorParams: []string{hostagent.ParamCPULoad, hostagent.ParamBandwidth},

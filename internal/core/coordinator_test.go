@@ -28,7 +28,7 @@ func TestCoordinatorArchivesAndReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := coord.ArchivedEvents(); got != 3 {
 		t.Errorf("archived %d events, want 3", got)
 	}
@@ -44,7 +44,7 @@ func TestCoordinatorArchivesAndReplays(t *testing.T) {
 	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	lines := b.Chat().Lines()
 	if len(lines) != 3 || lines[0].Sender != "alice" || lines[0].Text != "history line 0" {
 		t.Fatalf("replayed history: %+v", lines)
@@ -162,7 +162,7 @@ func TestCoordinatorReplayRespectsSemanticFilter(t *testing.T) {
 	if err := a.Say("for everyone", ""); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := coord.ArchivedEvents(); got != 2 {
 		t.Errorf("archived %d events, want 2", got)
 	}
@@ -174,7 +174,7 @@ func TestCoordinatorReplayRespectsSemanticFilter(t *testing.T) {
 	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := b.Stats().EventsFiltered; got != 1 {
 		t.Errorf("bob filtered %d replayed events, want 1", got)
 	}
@@ -196,7 +196,7 @@ func TestCoordinatorArchivesImageShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 announce + 16 data packets.
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := coord.ArchivedEvents(); got != 17 {
 		t.Errorf("archived %d frames, want 17", got)
 	}
@@ -206,7 +206,7 @@ func TestCoordinatorArchivesImageShares(t *testing.T) {
 	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if st, err := b.Viewer().Stats("arch-1"); err != nil || st.PacketsAccepted != 16 {
 		t.Fatalf("replayed image: %+v (%v), want 16 packets accepted", st, err)
 	}
@@ -228,7 +228,7 @@ func TestCoordinatorArchiveCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := coord.ArchivedEvents(); got != 10 {
 		t.Fatalf("archived %d events, want 10", got)
 	}
@@ -238,7 +238,7 @@ func TestCoordinatorArchiveCap(t *testing.T) {
 	if err := a.Say("m10", ""); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := coord.lastSeq(); got != 11 {
 		t.Errorf("session seq = %d, want 11", got)
 	}
@@ -250,7 +250,7 @@ func TestCoordinatorArchiveCap(t *testing.T) {
 	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if b.Chat().Len() != 4 || b.Chat().Lines()[0].Text != "m7" {
 		t.Errorf("capped replay: %+v, want m7..m10", b.Chat().Lines())
 	}
@@ -267,7 +267,7 @@ func TestCoordinatorGroupFilterSkipsArchival(t *testing.T) {
 
 	a.Say("kept", "")
 	m.Say("not archived", "")
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := coord.ArchivedEvents(); got != 1 {
 		t.Errorf("archived %d events, want 1 (group filter)", got)
 	}
@@ -287,7 +287,7 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := coord.lastSeq(); got != 10 {
 		t.Errorf("session seq = %d, want 10", got)
 	}
@@ -299,7 +299,7 @@ func TestCoordinatorArchiveCapHoldsAsEventsArrive(t *testing.T) {
 	if err := b.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if b.Chat().Len() != 4 {
 		t.Errorf("capped replay holds %d lines, want 4", b.Chat().Len())
 	}
@@ -328,7 +328,7 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	}
 	// Zero-delay deliveries fire in send order: alice's i-th, then
 	// carol's.
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := coord.ArchivedEvents(); got != 2*each {
 		t.Fatalf("archived %d events, want %d", got, 2*each)
 	}
@@ -341,7 +341,7 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	}, appendHoles(nil, nil, 31)); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if b.Chat().Len() != each-30 {
 		t.Errorf("sender-scoped replay holds %d lines, want %d", b.Chat().Len(), each-30)
 	}
@@ -356,7 +356,7 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 	if err := d.RequestHistory("coordinator"); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if d.Chat().Len() != 2*each {
 		t.Errorf("catch-up replay holds %d lines, want %d", d.Chat().Len(), 2*each)
 	}

@@ -40,8 +40,8 @@ import (
 type Config struct {
 	// Contract is the client's QoS contract (nil = empty contract).
 	Contract *profile.Contract
-	// Monitor, when set, is polled by AdaptOnce for system state; when
-	// nil the profile's existing state attributes are used directly.
+	// Monitor, when set, is sampled for system state every
+	// AdaptInterval; when nil the profile's state attributes are used.
 	Monitor *hostagent.Monitor
 	// MTU bounds each wire datagram; larger message frames are
 	// fragmented transparently (default 8 KiB).
@@ -104,9 +104,15 @@ type Stats struct {
 	EventsFiltered uint64 // messages rejected by the profile
 	DataPackets    uint64 // image data packets ingested
 	DecodeErrors   uint64 // undecodable frames or payloads
-	ReportsSent    uint64 // reception reports multicast (SendReceptionReports)
+	ReportsSent    uint64 // reception reports multicast, one per data stream each AdaptInterval
 	Truncated      uint64 // own image shares cut short because receivers reported loss
+	SampleErrors   uint64 // state samples that failed; the previous decision stood
 }
+
+// AdaptInterval is how often Poll adapts and sends reception reports
+// (DESIGN.md §3): RFC 3550 §6.2's reduced report minimum, 360 / (session
+// kb/s), for an image session of 360 kb/s or more.  Not a knob.
+const AdaptInterval = time.Second
 
 // Client is one collaborating endpoint around a receive Kernel
 // (DESIGN.md §3).  It is a handler: it starts no goroutine and owns no
@@ -150,9 +156,15 @@ type Client struct {
 	mu           sync.RWMutex
 	lastDecision inference.Decision
 
+	// Poll's alone (Serve calls it one at a time): when it next adapts,
+	// and each sender's Received count at its last report.
+	nextAdapt time.Time
+	reported  map[string]uint64
+
 	stats struct {
 		received, data, errors atomic.Uint64
 		reports, truncated     atomic.Uint64
+		sampleErrors           atomic.Uint64
 	}
 
 	stop func() // ends transport.Serve's driving
@@ -163,24 +175,30 @@ type Client struct {
 func NewClient(conn transport.Conn, cfg Config) *Client {
 	cfg = cfg.withDefaults()
 	c := &Client{
-		cfg:     cfg,
-		clk:     conn.Clock(),
-		k:       NewKernel(conn, cfg),
-		engine:  inference.New(conn.ID(), cfg.Contract, conn.Clock()),
-		chat:    apps.NewChatArea(),
-		wb:      apps.NewWhiteboard(),
-		viewer:  apps.NewImageViewer(),
-		inbox:   apps.NewMediaInbox(),
-		locks:   lockTable{states: make(map[string]LockStatus)},
-		reports: newReportState(conn.Clock()),
-		rtpSend: rtp.NewSender(rtp.SSRCOf(conn.ID()), 96, 0),
-		rtpRecv: make(map[string]*rtp.Receiver),
+		cfg:      cfg,
+		clk:      conn.Clock(),
+		k:        NewKernel(conn, cfg),
+		engine:   inference.New(conn.ID(), cfg.Contract, conn.Clock()),
+		chat:     apps.NewChatArea(),
+		wb:       apps.NewWhiteboard(),
+		viewer:   apps.NewImageViewer(),
+		inbox:    apps.NewMediaInbox(),
+		locks:    lockTable{states: make(map[string]LockStatus)},
+		reports:  newReportState(conn.Clock()),
+		rtpSend:  rtp.NewSender(rtp.SSRCOf(conn.ID()), 96, 0),
+		rtpRecv:  make(map[string]*rtp.Receiver),
+		reported: make(map[string]uint64),
 	}
 	c.k.Deliver = c.deliver
 	c.k.Control = c.control
 	c.lastDecision = inference.Decision{PacketBudget: inference.Unlimited}
 	c.txMulti = &dispatch.Multicaster{Env: &c.k.env, Conn: conn}
-	c.stop = transport.Serve(conn, c.k.PollInterval(), c.HandlePacket, c.Poll)
+	c.nextAdapt = c.clk.Now().Add(AdaptInterval)
+	every := AdaptInterval
+	if iv := c.k.PollInterval(); iv > 0 && iv < every {
+		every = iv
+	}
+	c.stop = transport.Serve(conn, every, c.HandlePacket, c.Poll)
 	return c
 }
 
@@ -190,8 +208,8 @@ func (c *Client) ID() string { return c.k.ID() }
 // Profile returns the client's profile manager.
 func (c *Client) Profile() *profile.Manager { return c.k.pm }
 
-// Engine returns the client's inference engine, the one AdaptOnce
-// decides through.
+// Engine returns the client's inference engine, the one every
+// adaptation decides through.
 func (c *Client) Engine() *inference.Engine { return c.engine }
 
 // Chat returns the chat application state.
@@ -216,6 +234,7 @@ func (c *Client) Stats() Stats {
 		DecodeErrors:   c.stats.errors.Load() + c.k.decodeErrors.Load(),
 		ReportsSent:    c.stats.reports.Load(),
 		Truncated:      c.stats.truncated.Load(),
+		SampleErrors:   c.stats.sampleErrors.Load(),
 	}
 }
 
@@ -424,12 +443,22 @@ func (c *Client) HandlePacket(pkt transport.Packet) {
 	c.kmu.Unlock()
 }
 
-// Poll runs the client's timers at now: gap repair's NACKs and
-// abandons, every Kernel.PollInterval.
+// Poll runs the client's timers at now: gap repair's NACKs and abandons
+// under kmu and, once per AdaptInterval, outside it, one adaptation and
+// the reception reports, both from one snapshot of the statistics.
 func (c *Client) Poll(now time.Time) {
 	c.kmu.Lock()
 	c.k.Poll(now)
 	c.kmu.Unlock()
+	if now.Before(c.nextAdapt) {
+		return
+	}
+	if c.nextAdapt = c.nextAdapt.Add(AdaptInterval); !c.nextAdapt.After(now) {
+		c.nextAdapt = now.Add(AdaptInterval)
+	}
+	streams := c.receptionStats()
+	_, _ = c.adapt(streams) // a failed sample counts in Stats.SampleErrors
+	c.sendReceptionReports(streams)
 }
 
 // deliver is the kernel's Deliver effect: apply one admitted, ordered
@@ -584,16 +613,21 @@ func lossFraction(expected, uniq uint64) float64 {
 	return float64(expected-uniq) / float64(expected)
 }
 
-// observedLoss aggregates the data-packet loss fraction across every
-// sender's RTP reception statistics.  ok is false when no data packets
-// have been seen at all.
-func (c *Client) observedLoss() (float64, bool) {
+// receptionQuality reads the network state the engine adapts to off
+// one snapshot of the streams: the data-packet loss fraction across
+// every sender and their mean RTP interarrival jitter, in the arrival
+// clock's units (milliseconds here).  ok is false with no data streams.
+func receptionQuality(streams []streamStats) (loss, jitter float64, ok bool) {
+	if len(streams) == 0 {
+		return 0, 0, false
+	}
 	var expected, uniq uint64
-	for _, st := range c.receptionStats() {
+	for _, st := range streams {
 		expected += st.ExpectedTotal
 		uniq += st.Unique
+		jitter += st.Jitter
 	}
-	return lossFraction(expected, uniq), expected > 0
+	return lossFraction(expected, uniq), jitter / float64(len(streams)), true
 }
 
 // SampleQoS feeds the client's transport-level reception quality into
@@ -602,18 +636,15 @@ func (c *Client) observedLoss() (float64, bool) {
 // engine adapts to.  The signature matches obs.SamplerFunc so the
 // telemetry tick can sample the client directly.
 func (c *Client) SampleQoS(set func(name string, value float64)) {
-	var expected, uniq uint64
-	for _, st := range c.receptionStats() {
+	streams := c.receptionStats()
+	for _, st := range streams {
 		label := `{client="` + metrics.EscapeLabel(c.ID()) + `",sender="` + metrics.EscapeLabel(st.sender) + `"}`
 		set("rtp_loss_fraction"+label, lossFraction(st.ExpectedTotal, st.Unique))
 		set("rtp_jitter"+label, st.Jitter)
-		expected += st.ExpectedTotal
-		uniq += st.Unique
 	}
-	if expected > 0 {
-		frac := lossFraction(expected, uniq)
-		set(`client_loss_fraction{client="`+metrics.EscapeLabel(c.ID())+`"}`, frac)
-		slo.ObserveLoss(c.ID(), frac, c.clk.Now())
+	if loss, _, ok := receptionQuality(streams); ok {
+		set(`client_loss_fraction{client="`+metrics.EscapeLabel(c.ID())+`"}`, loss)
+		slo.ObserveLoss(c.ID(), loss, c.clk.Now())
 	}
 }
 
@@ -631,48 +662,56 @@ func (c *Client) ReceptionReport(sender string) (rtp.Stats, bool) {
 
 // --- Adaptation ---
 
-// AdaptOnce runs one adaptation cycle: sample system state (via the
-// SNMP monitor when configured), fold it into the profile, run the
-// inference engine, and configure the applications accordingly.  It
-// returns the decision taken.
+// AdaptOnce runs one adaptation cycle now, as Poll does every
+// AdaptInterval, and returns the decision taken.
 func (c *Client) AdaptOnce() (inference.Decision, error) {
-	state := make(selector.Attributes)
+	return c.adapt(c.receptionStats())
+}
+
+// adapt samples system state (via the SNMP monitor when configured),
+// folds it and the streams' reception quality into the profile (state
+// equal to the profile's leaves it untouched), decides through the
+// engine and configures the viewer.  A failed sample keeps the previous
+// decision and counts in Stats.SampleErrors.
+func (c *Client) adapt(streams []streamStats) (inference.Decision, error) {
+	var state selector.Attributes
 	if c.cfg.Monitor != nil {
 		sample, err := c.cfg.Monitor.Sample(c.cfg.monitorParams...)
 		if err != nil {
+			c.stats.sampleErrors.Add(1)
 			return inference.Decision{}, fmt.Errorf("core: state sample: %w", err)
 		}
+		state = make(selector.Attributes, len(sample)+2)
 		for k, v := range sample {
 			state.SetNumber(k, v)
 		}
 	} else {
-		for k, v := range c.k.pm.Snapshot().State {
-			state[k] = v
-		}
+		state = c.k.pm.Snapshot().State // a deep copy: ours to extend
 	}
 	// Fold in transport-level reception quality: the RTP layer's loss
 	// and jitter accounting is part of the network state the engine
 	// (and the QoS contract) adapts to.
-	if loss, ok := c.observedLoss(); ok {
+	if loss, jitter, ok := receptionQuality(streams); ok {
 		state.SetNumber(inference.StateLoss, loss)
-		slo.ObserveLoss(c.ID(), loss, c.clk.Now())
-	}
-	if jitter, ok := c.observedJitter(); ok {
 		state.SetNumber("jitter", jitter)
+		slo.ObserveLoss(c.ID(), loss, c.clk.Now())
 	}
 
 	// Fold the observed state into the profile (it is part of the
 	// client's selectable identity).
-	c.k.pm.Update(func(p *profile.Profile) {
-		for k, v := range state {
-			p.State[k] = v
-		}
-	})
+	kvs := make([]profile.StateKV, 0, len(state))
+	for k, v := range state {
+		kvs = append(kvs, profile.StateKV{Name: k, V: v})
+	}
+	c.k.pm.UpdateStates(kvs)
 
 	d := c.engine.Decide(state)
 	c.viewer.SetBudget(d.EffectiveBudget(apps.SharePackets))
 	if d.Modality != "" {
-		c.k.pm.SetPreference("modality", selector.S(string(d.Modality)))
+		modality := selector.S(string(d.Modality))
+		if flat, _ := c.k.pm.FlatSnapshot(); !flat[profile.SectionPreference+".modality"].Equal(modality) {
+			c.k.pm.SetPreference("modality", modality)
+		}
 	}
 
 	c.mu.Lock()

@@ -20,15 +20,21 @@ import (
 
 // vnet is a discrete-event network on its own virtual clock.  The
 // clients and coordinators seated on it run inline on the goroutine
-// that drives clk, so a test acts, drives the clock once and asserts
-// once: clk.RunUntilIdle(0) while no node ticks, clk.Advance(d) once a
-// repair loop is seated, since its poll reschedules itself and the heap
-// never drains.
+// that drives clk, so a test acts, drives the clock once (settle, or
+// clk.Advance(d)) and asserts once.  Every client ticks (AdaptInterval,
+// or its repair poll), so the heap never drains: each drive is bounded.
 type vnet struct {
 	*transport.DESNet
 	t   testing.TB
 	clk *clock.Virtual
 }
+
+// settleTime outlasts every link delay in these tests (15 ms at most)
+// and is well short of AdaptInterval.
+const settleTime = 100 * time.Millisecond
+
+// settle delivers what is in flight.
+func (n *vnet) settle() { n.clk.Advance(settleTime) }
 
 func newVNet(t testing.TB, seed int64) *vnet {
 	t.Helper()
@@ -74,6 +80,15 @@ func (n *vnet) coordinator(group session.Group) *Coordinator {
 	return c
 }
 
+// monitoredHost is a simulated host and the Monitor a client samples it
+// through, over the embedded SNMP agent.
+func monitoredHost(id string) (*hostagent.Host, *hostagent.Monitor) {
+	host := hostagent.NewHost(id)
+	return host, &hostagent.Monitor{
+		Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: hostagent.NewAgent(host)}, snmp.V2c, "public"),
+	}
+}
+
 // newPair seats alice and bob on a fresh network.
 func newPair(t *testing.T) (*Client, *Client, *vnet) {
 	t.Helper()
@@ -106,7 +121,7 @@ func TestClientStampsOnItsNetworksClock(t *testing.T) {
 	if err := c.Say("stamp me", ""); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if len(stamps) != 1 || !stamps[0].Equal(want) {
 		t.Errorf("stamps %v, want one at the network's now %v", stamps, want)
 	}
@@ -134,7 +149,7 @@ func TestDeliverySLOOnVirtualTime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clk.RunUntilIdle(0)
+	n.settle()
 	if b.Chat().Len() != 20 {
 		t.Fatalf("bob holds %d lines, want 20", b.Chat().Len())
 	}
@@ -158,7 +173,7 @@ func TestChatExchange(t *testing.T) {
 	if err := a.Say("hello collaboration", ""); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	lines := b.Chat().Lines()
 	if len(lines) != 1 || lines[0].Sender != "alice" || lines[0].Text != "hello collaboration" {
 		t.Errorf("bob's chat: %+v", lines)
@@ -182,7 +197,7 @@ func TestSemanticFiltering(t *testing.T) {
 	if err := a.Say("trucks at gate 4", `topic == "logistics"`); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if st := b.Stats(); st.EventsFiltered != 1 || st.EventsReceived != 1 {
 		t.Errorf("bob filtered %d and received %d events, want 1 and 1", st.EventsFiltered, st.EventsReceived)
 	}
@@ -198,7 +213,7 @@ func TestWhiteboardExchange(t *testing.T) {
 	if err := a.Draw(s, ""); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if b.Whiteboard().Len() != 1 {
 		t.Fatalf("bob holds %d strokes, want 1", b.Whiteboard().Len())
 	}
@@ -218,7 +233,7 @@ func TestImageShareFullQuality(t *testing.T) {
 	if err := a.ShareImage("img-1", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if st, err := b.Viewer().Stats("img-1"); err != nil || st.PacketsAccepted != 16 {
 		t.Fatalf("bob holds img-1 as %+v (%v), want 16 packets accepted", st, err)
 	}
@@ -239,14 +254,10 @@ func TestImageShareFullQuality(t *testing.T) {
 
 // TestAdaptationLoopAgainstSNMP runs the full wired-client pipeline of
 // the paper's first experiments: host workload → embedded SNMP agent →
-// monitor → inference → image-viewer budget.
+// monitor → inference → image-viewer budget.  Nobody calls AdaptOnce:
+// the client adapts to each load within one AdaptInterval, on its tick.
 func TestAdaptationLoopAgainstSNMP(t *testing.T) {
-	host := hostagent.NewHost("wired-host")
-	agent := hostagent.NewAgent(host)
-	mon := &hostagent.Monitor{
-		Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: agent}, snmp.V2c, "public"),
-	}
-
+	host, mon := monitoredHost("wired-host")
 	n := newVNet(t, 2)
 	a := n.client("alice", Config{})
 	b := n.client("bob", Config{Monitor: mon})
@@ -260,17 +271,14 @@ func TestAdaptationLoopAgainstSNMP(t *testing.T) {
 	// Low load: everything accepted.
 	host.Set(hostagent.ParamCPULoad, 20)
 	host.Set(hostagent.ParamPageFaults, 10)
-	d, err := b.AdaptOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.EffectiveBudget(16) != 16 {
-		t.Fatalf("light-load budget = %d", d.EffectiveBudget(16))
+	n.clk.Advance(AdaptInterval)
+	if d := b.LastDecision(); d.EffectiveBudget(16) != 16 || len(d.Fired) == 0 {
+		t.Fatalf("light-load budget = %d, rules %v; want 16 from a sampled host", d.EffectiveBudget(16), d.Fired)
 	}
 	if err := a.ShareImage("img-light", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if st, err := b.Viewer().Stats("img-light"); err != nil || st.PacketsReceived != 16 || st.PacketsAccepted != 16 {
 		t.Errorf("light-load image: %+v (%v), want 16 received and accepted", st, err)
 	}
@@ -278,18 +286,15 @@ func TestAdaptationLoopAgainstSNMP(t *testing.T) {
 	// Heavy load: the budget collapses and the viewer accepts less.
 	host.Set(hostagent.ParamCPULoad, 95)
 	host.Set(hostagent.ParamPageFaults, 90)
-	d, err = b.AdaptOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	heavy := d.EffectiveBudget(16)
+	n.clk.Advance(AdaptInterval)
+	heavy := b.LastDecision().EffectiveBudget(16)
 	if heavy >= 4 {
 		t.Fatalf("heavy-load budget = %d, want small", heavy)
 	}
 	if err := a.ShareImage("img-heavy", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if st, err := b.Viewer().Stats("img-heavy"); err != nil || st.PacketsReceived != 16 || st.PacketsAccepted != heavy {
 		t.Errorf("heavy-load image: %+v (%v), want 16 received and %d accepted", st, err, heavy)
 	}
@@ -305,7 +310,7 @@ func TestAdaptationLoopAgainstSNMP(t *testing.T) {
 	if !profileMatches(b, `state.cpu-load >= 95`) {
 		t.Error("state not folded into profile")
 	}
-	if d.Contract.Satisfied {
+	if b.LastDecision().Contract.Satisfied {
 		// The default config has an empty contract; add one and re-check.
 		t.Log("empty contract is always satisfied (expected)")
 	}
@@ -336,12 +341,12 @@ func TestMalformedTrafficCounted(t *testing.T) {
 	ctr := metrics.C(metrics.CtrDecodeErrors)
 	base := ctr.Load()
 	raw.Multicast([]byte("not a message"))
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := c.Stats().DecodeErrors; got != 1 {
 		t.Errorf("decode errors after the bad tag = %d, want 1", got)
 	}
 	raw.Multicast(message.WrapWhole([]byte("enveloped, still not a message")))
-	n.clk.RunUntilIdle(0)
+	n.settle()
 	if got := c.Stats().DecodeErrors; got != 2 {
 		t.Errorf("decode errors after the empty envelope = %d, want 2", got)
 	}

@@ -31,7 +31,7 @@ func TestImageShareOverLossyLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 
 	rendered := 0
 	var lostSomething bool
@@ -82,7 +82,7 @@ func TestShareOverDuplicatingLink(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every frame arrives twice: 2 announces, 32 packets.
-		net.clk.RunUntilIdle(0)
+		net.settle()
 		if st := b.Stats(); st.EventsReceived != 2 || st.DataPackets != 32 {
 			t.Errorf("seed %d: bob took %d events and %d packets, want both copies of every frame (2 and 32)",
 				seed, st.EventsReceived, st.DataPackets)
@@ -114,7 +114,7 @@ func TestChatOverDuplicatingReorderingLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	got := b.Chat().Len()
 	if got < n {
 		t.Errorf("received %d of %d lines", got, n)
@@ -128,10 +128,12 @@ func TestChatOverDuplicatingReorderingLink(t *testing.T) {
 
 // TestAdaptOnceSurvivesSNMPTimeouts: a flaky agent (dropped requests)
 // produces an error from AdaptOnce, and the client keeps its previous
-// decision rather than flailing.
+// decision rather than flailing; its tick meets the failure the same
+// way and, returning nothing, counts it.
 func TestAdaptOnceSurvivesSNMPTimeouts(t *testing.T) {
 	host := newFlakyHost(t)
-	c := newVNet(t, 23).client("c", Config{Monitor: host.monitor})
+	n := newVNet(t, 23)
+	c := n.client("c", Config{Monitor: host.monitor})
 
 	// First sample succeeds and constrains the budget.
 	host.dropNext(0)
@@ -145,13 +147,22 @@ func TestAdaptOnceSurvivesSNMPTimeouts(t *testing.T) {
 		t.Fatalf("budget = %d, want constrained", constrained)
 	}
 
-	// Now the agent goes dark: AdaptOnce errors, decision unchanged.
+	// Now the agent goes dark as the host recovers: AdaptOnce errors,
+	// decision unchanged, and so does the tick.
 	host.dropNext(1000)
+	host.set(10, 10)
 	if _, err := c.AdaptOnce(); err == nil {
 		t.Fatal("expected sampling error")
 	}
 	if got := c.LastDecision().EffectiveBudget(16); got != constrained {
 		t.Errorf("decision changed on failed sample: %d -> %d", constrained, got)
+	}
+	n.clk.Advance(AdaptInterval)
+	if got := c.LastDecision().EffectiveBudget(16); got != constrained {
+		t.Errorf("decision changed on a failed tick: %d -> %d", constrained, got)
+	}
+	if got := c.Stats().SampleErrors; got != 2 {
+		t.Errorf("SampleErrors = %d after a failed AdaptOnce and a failed tick, want 2", got)
 	}
 }
 
@@ -165,7 +176,7 @@ func TestImageShareAcrossPartitionHeal(t *testing.T) {
 	if err := a.Say("into the void", ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if b.Chat().Len() != 0 {
 		t.Fatal("message crossed a partition")
 	}
@@ -174,7 +185,7 @@ func TestImageShareAcrossPartitionHeal(t *testing.T) {
 	if err := a.Say("after heal", ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if b.Chat().Len() != 1 || b.Chat().Lines()[0].Text != "after heal" {
 		t.Errorf("post-heal line: %+v", b.Chat().Lines())
 	}

@@ -42,7 +42,7 @@ func TestFigure3OverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	net.clk.RunUntilIdle(0)
+	net.settle()
 
 	// Client 1: accepts directly and renders in color.
 	if st, err := colorClient.Viewer().Stats("fig3"); err != nil || st.PacketsAccepted != 16 {

@@ -29,7 +29,7 @@ func TestJitterEntersContractEvaluation(t *testing.T) {
 	if err := a.ShareImage("jittery", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if got := b.Stats().DataPackets; got != 16 {
 		t.Fatalf("bob took %d data packets, want 16", got)
 	}
@@ -45,7 +45,7 @@ func TestJitterEntersContractEvaluation(t *testing.T) {
 			t.Fatalf("jitter not observed: %+v", d.Contract)
 		}
 	}
-	if _, ok := b.observedJitter(); !ok {
+	if _, _, ok := receptionQuality(b.receptionStats()); !ok {
 		t.Fatal("no jitter observation despite received data")
 	}
 

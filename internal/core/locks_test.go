@@ -20,7 +20,7 @@ func lockRig(t *testing.T) (coord *Coordinator, a, b *Client, step func(error)) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.clk.RunUntilIdle(0)
+		net.settle()
 	}
 }
 

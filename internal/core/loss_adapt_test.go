@@ -27,9 +27,9 @@ func TestLossFeedsAdaptation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 
-	loss, ok := b.observedLoss()
+	loss, _, ok := receptionQuality(b.receptionStats())
 	if !ok {
 		t.Fatal("no data packets observed at all")
 	}
@@ -66,7 +66,7 @@ func TestNoLossNoConstraint(t *testing.T) {
 	if err := a.ShareImage("clean", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if st, err := b.Viewer().Stats("clean"); err != nil || st.PacketsReceived != 16 {
 		t.Fatalf("bob holds the clean share as %+v (%v), want 16 packets", st, err)
 	}

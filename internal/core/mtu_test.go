@@ -22,7 +22,7 @@ func TestLargeEventFragmentsAcrossMTU(t *testing.T) {
 	if err := a.Say(long, ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if b.Chat().Len() != 1 || b.Chat().Lines()[0].Text != long {
 		t.Error("fragmented chat line corrupted")
 	}
@@ -36,7 +36,7 @@ func TestLargeEventFragmentsAcrossMTU(t *testing.T) {
 	if err := a.ShareImage("big-1", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if st, err := b.Viewer().Stats("big-1"); err != nil || st.PacketsAccepted != 16 {
 		t.Fatalf("bob holds big-1 as %+v (%v), want 16 packets accepted", st, err)
 	}

@@ -265,7 +265,7 @@ func TestCoordinatorDuplicateArchiveRegression(t *testing.T) {
 		}
 	}
 	// Every copy, duplicates included, has landed.
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if got := coord.ArchivedEvents(); got != n {
 		t.Errorf("archived = %d after duplicates, want %d", got, n)
 	}

@@ -28,18 +28,19 @@ const (
 // reportState aggregates inbound reception reports about this client's
 // own data streams.
 type reportState struct {
-	clk     clock.Clock
-	mu      sync.Mutex
-	byPeer  map[string]float64 // reporter → last fraction lost
-	expires map[string]time.Time
+	clk    clock.Clock
+	mu     sync.Mutex
+	byPeer map[string]peerReport
+}
+
+// peerReport is a reporter's last fraction lost and when it goes stale.
+type peerReport struct {
+	fracLost float64
+	expires  time.Time
 }
 
 func newReportState(clk clock.Clock) *reportState {
-	return &reportState{
-		clk:     clk,
-		byPeer:  make(map[string]float64),
-		expires: make(map[string]time.Time),
-	}
+	return &reportState{clk: clk, byPeer: make(map[string]peerReport)}
 }
 
 // reportTTL bounds how long a stale report keeps throttling a sender.
@@ -48,8 +49,7 @@ const reportTTL = 30 * time.Second
 func (rs *reportState) record(reporter string, fracLost float64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	rs.byPeer[reporter] = fracLost
-	rs.expires[reporter] = rs.clk.Now().Add(reportTTL)
+	rs.byPeer[reporter] = peerReport{fracLost, rs.clk.Now().Add(reportTTL)}
 }
 
 // worst returns the highest live loss fraction reported by any peer.
@@ -58,24 +58,26 @@ func (rs *reportState) worst() float64 {
 	defer rs.mu.Unlock()
 	now := rs.clk.Now()
 	var worst float64
-	for peer, f := range rs.byPeer {
-		if now.After(rs.expires[peer]) {
+	for peer, r := range rs.byPeer {
+		if now.After(r.expires) {
 			delete(rs.byPeer, peer)
-			delete(rs.expires, peer)
 			continue
 		}
-		if f > worst {
-			worst = f
-		}
+		worst = max(worst, r.fracLost)
 	}
 	return worst
 }
 
-// SendReceptionReports multicasts one RTCP-style receiver report per
-// sender this client has received data from, in sender order.  Call periodically (or
-// after image receptions) so senders can adapt their transmissions.
-func (c *Client) SendReceptionReports() error {
-	for _, st := range c.receptionStats() {
+// sendReceptionReports multicasts, in sender order, one RTCP-style
+// receiver report per stream heard since its last report (RFC 3550
+// §6.4: a silent stream's empty interval would read as no loss and
+// lift the sender's throttle).  The first send that fails ends it.
+func (c *Client) sendReceptionReports(streams []streamStats) {
+	for _, st := range streams {
+		if c.reported[st.sender] == st.Received {
+			continue
+		}
+		c.reported[st.sender] = st.Received
 		rr := st.recv.Report(rtp.SSRCOf(st.sender))
 		m := &message.Message{
 			Kind:      message.KindControl,
@@ -89,12 +91,11 @@ func (c *Client) SendReceptionReports() error {
 				attrJitterMs: selector.N(float64(rr.Jitter)),
 			},
 		}
-		if err := c.multicast(m); err != nil {
-			return err
+		if c.multicast(m) != nil {
+			return
 		}
 		c.stats.reports.Add(1)
 	}
-	return nil
 }
 
 // handleRTCPReport records a reception report that concerns this
@@ -126,21 +127,6 @@ func (c *Client) handleRTCPReport(m *message.Message) bool {
 // WorstPeerLoss returns the highest loss fraction any receiver has
 // recently reported for this client's data streams.
 func (c *Client) WorstPeerLoss() float64 { return c.reports.worst() }
-
-// observedJitter returns the mean RTP interarrival jitter across every
-// sender this client receives data from, in the arrival clock's units
-// (milliseconds here).  ok is false with no data streams.
-func (c *Client) observedJitter() (float64, bool) {
-	streams := c.receptionStats()
-	if len(streams) == 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, st := range streams {
-		sum += st.Jitter
-	}
-	return sum / float64(len(streams)), true
-}
 
 // sendBudget resolves how many of total packets to actually transmit,
 // given receiver feedback.  With no reports everything is sent.

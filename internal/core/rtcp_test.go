@@ -34,14 +34,11 @@ func TestSenderAdaptsToReceiverReports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 
-	// Bob reports his reception quality; the report crosses the link
-	// back to alice, which loses nothing.
-	if err := b.SendReceptionReports(); err != nil {
-		t.Fatal(err)
-	}
-	net.clk.RunUntilIdle(0)
+	// Bob's tick reports his reception quality; the report crosses the
+	// link back to alice, which loses nothing.
+	net.clk.Advance(AdaptInterval)
 	worst := a.WorstPeerLoss()
 	if worst <= 0 {
 		t.Fatal("no loss registered in bob's reports")
@@ -56,7 +53,7 @@ func TestSenderAdaptsToReceiverReports(t *testing.T) {
 	if err := a.ShareImage("r2", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	st, err := b.Viewer().Stats("r2")
 	if err != nil {
 		t.Fatalf("bob holds no r2 over the healed link: %v", err)
@@ -87,7 +84,7 @@ func TestSenderAdaptationCanBeDisabled(t *testing.T) {
 	if err := a.ShareImage("full", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if st, err := b.Viewer().Stats("full"); err != nil || st.PacketsReceived != 16 {
 		t.Errorf("bob holds the share as %+v (%v), want all 16 packets", st, err)
 	}
@@ -165,14 +162,14 @@ func TestRTCPReportAboutOthersIgnored(t *testing.T) {
 	if err := b.ShareImage("ib", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	net.clk.RunUntilIdle(0)
+	net.settle()
 	if got := c.Stats().DataPackets; got != 32 {
 		t.Fatalf("carol took %d data packets, want 32", got)
 	}
-	if err := c.SendReceptionReports(); err != nil {
-		t.Fatal(err)
+	net.clk.Advance(AdaptInterval) // carol's tick reports
+	if c.Stats().ReportsSent != 2 {
+		t.Fatalf("carol sent %d reports, want one per sender", c.Stats().ReportsSent)
 	}
-	net.clk.RunUntilIdle(0)
 	// Clean links: zero loss reported either way.
 	if a.WorstPeerLoss() != 0 || b.WorstPeerLoss() != 0 {
 		t.Errorf("clean links reported loss: %g, %g", a.WorstPeerLoss(), b.WorstPeerLoss())

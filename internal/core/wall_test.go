@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveqos/internal/hostagent"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/selector"
@@ -107,6 +108,62 @@ func TestDifferentialShellsOnSimNet(t *testing.T) {
 	checkDiff(t, "shells on SimNet", shells)
 	if kernels, _ := runKernels(t); !reflect.DeepEqual(shells.delivered, kernels.delivered) {
 		t.Error("shell and kernel runs delivered different sequences")
+	}
+}
+
+// TestAdaptOnceWhileServeTicks: a caller adapts a client by hand, as the
+// benchmark's image workload does, while the client's own Serve
+// goroutine adapts and reports on its tick; both decide from the same
+// host, so they agree, and -race sees the two goroutines share the
+// decision, the profile, the viewer and the reception statistics.
+func TestAdaptOnceWhileServeTicks(t *testing.T) {
+	net := transport.NewSimNet(transport.SimNetConfig{Seed: 3})
+	t.Cleanup(net.Close)
+	transporttest.Watch(t, net)
+	host, mon := monitoredHost("wall-host")
+	host.Set(hostagent.ParamCPULoad, 65)
+	host.Set(hostagent.ParamPageFaults, 10)
+	var pair []*Client
+	for i, id := range []string{"alice", "bob"} {
+		conn, err := net.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{}
+		if i == 1 {
+			cfg.Monitor = mon
+		}
+		c := NewClient(conn, cfg)
+		t.Cleanup(func() { c.Close() })
+		pair = append(pair, c)
+	}
+	alice, bob := pair[0], pair[1]
+	obj, err := media.EncodeImage(wavelet.Medical(64, 64, 9), "scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.ShareImage("scan", obj, ""); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "bob taking the share", func() bool { return bob.Stats().DataPackets == 16 })
+	want, err := bob.AdaptOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only bob's tick sends reports: once one has gone, the tick ran
+	// while this goroutine was adapting.
+	eventually(t, "bob's tick", func() bool {
+		d, err := bob.AdaptOnce()
+		if err != nil || d.EffectiveBudget(16) != want.EffectiveBudget(16) {
+			t.Fatalf("hand adaptation gave %d (%v), want %d", d.EffectiveBudget(16), err, want.EffectiveBudget(16))
+		}
+		return bob.Stats().ReportsSent > 0
+	})
+	if got := bob.LastDecision().EffectiveBudget(16); got != want.EffectiveBudget(16) {
+		t.Errorf("budget after the tick = %d, want %d", got, want.EffectiveBudget(16))
+	}
+	if bob.Stats().SampleErrors != 0 {
+		t.Errorf("%d failed samples", bob.Stats().SampleErrors)
 	}
 }
 
