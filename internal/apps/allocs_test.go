@@ -61,6 +61,22 @@ func TestEncodersAllocateOnce(t *testing.T) {
 	}
 }
 
+// TestDecodeImageMetaAllocs: decoding an announce allocates its two
+// strings whether or not it carries a sketch — the object name, and one
+// string holding the description and the sketch after it.
+func TestDecodeImageMetaAllocs(t *testing.T) {
+	m := ImageMeta{Object: "img-7", Width: 256, Height: 256, TotalPackets: 16, StreamBytes: 30000,
+		Description: "gray scene 3", Sketch: strings.Repeat("s", 170)}
+	for _, sketch := range []string{"", m.Sketch} {
+		m.Sketch = sketch
+		payload := EncodeImageMeta(m)
+		var got ImageMeta
+		if n := testing.AllocsPerRun(100, func() { got, _ = DecodeImageMeta(payload) }); n != 2 || got != m {
+			t.Errorf("sketch of %d B: %g allocations (decoded %+v), want 2", len(sketch), n, got)
+		}
+	}
+}
+
 // TestStatsMissAllocatesNothing: asking a viewer about a share it does
 // not hold costs no allocation; the error is ErrUnknownImage as is.
 func TestStatsMissAllocatesNothing(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,64 @@ func TestImageMetaRoundTrip(t *testing.T) {
 	zero.TotalPackets = 0
 	if _, err := DecodeImageMeta(EncodeImageMeta(zero)); err == nil {
 		t.Error("zero packets accepted")
+	}
+
+	// The sketch trailer: present, it round-trips; a payload without
+	// it is an announce from before sketches travelled.
+	plain := EncodeImageMeta(m)
+	m.Sketch = "SK01\x02\x02\x00\x00\xa0"
+	got, err = DecodeImageMeta(EncodeImageMeta(m))
+	if err != nil || got != m {
+		t.Errorf("round trip with a sketch: %+v vs %+v (err %v)", got, m, err)
+	}
+	if want := len(plain) + 2 + len(m.Sketch); len(EncodeImageMeta(m)) != want {
+		t.Errorf("announce with a sketch is %d B, want %d", len(EncodeImageMeta(m)), want)
+	}
+	sketched := EncodeImageMeta(m)
+	for name, bad := range map[string][]byte{
+		"empty sketch":     append(append([]byte(nil), plain...), 0, 0),
+		"sketch cut short": sketched[:len(sketched)-1],
+		"length cut short": sketched[:len(plain)+1],
+		"length too short": append(append(append([]byte(nil), plain...), 0, 1), m.Sketch...),
+		"trailing bytes":   append(append([]byte(nil), sketched...), 0),
+	} {
+		if _, err := DecodeImageMeta(bad); !errors.Is(err, ErrBadEvent) {
+			t.Errorf("%s: decoded (err %v)", name, err)
+		}
+	}
+}
+
+// TestShareImageRejectsOverlongFields: a name, description or sketch
+// longer than the announce's u16 length fields is refused with
+// ErrBadEvent; encoding it would wrap the length, and every receiver
+// would reject the announce.
+func TestShareImageRejectsOverlongFields(t *testing.T) {
+	obj, err := media.EncodeImage(wavelet.Medical(16, 16, 1), "scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", 1<<16)
+	for name, share := range map[string]func() error{
+		"object": func() error { _, _, err := ShareImage(long, obj, 4); return err },
+		"description": func() error {
+			o := obj.Clone()
+			o.Description = long
+			_, _, err := ShareImage("img", o, 4)
+			return err
+		},
+		"sketch": func() error {
+			o := obj.Clone()
+			o.Sketch = long
+			_, _, err := ShareImage("img", o, 4)
+			return err
+		},
+	} {
+		if err := share(); !errors.Is(err, ErrBadEvent) {
+			t.Errorf("%s of %d B: ShareImage returned %v, want ErrBadEvent", name, len(long), err)
+		}
+	}
+	if _, _, err := ShareImage(long[:1<<16-1], obj, 4); err != nil {
+		t.Errorf("a name of %d B, the longest that fits, refused: %v", 1<<16-1, err)
 	}
 }
 

@@ -49,9 +49,18 @@ type ImageMeta struct {
 	StreamBytes int
 	// Description is the verbal tag.
 	Description string
+	// Sketch is the image's marshaled robust sketch (media.Object's);
+	// "" when the share carries none.
+	Sketch string
 }
 
-// EncodeImageMeta builds the announce event payload.
+// EncodeImageMeta builds the announce event payload:
+//
+//	width u16 | height u16 | packets u16 | streamBytes u32 |
+//	objLen u16 | object | descLen u16 | desc [| sketchLen u16 | sketch]
+//
+// The sketch trailer is there only when the share carries a sketch, so
+// an announce without one reads as it did before sketches travelled.
 func EncodeImageMeta(m ImageMeta) []byte {
 	out := binary.BigEndian.AppendUint16(nil, uint16(m.Width))
 	out = binary.BigEndian.AppendUint16(out, uint16(m.Height))
@@ -60,7 +69,32 @@ func EncodeImageMeta(m ImageMeta) []byte {
 	out = binary.BigEndian.AppendUint16(out, uint16(len(m.Object)))
 	out = append(out, m.Object...)
 	out = binary.BigEndian.AppendUint16(out, uint16(len(m.Description)))
-	return append(out, m.Description...)
+	out = append(out, m.Description...)
+	return appendSketch(out, m.Sketch)
+}
+
+// appendSketch appends the optional sketch trailer of an announce or a
+// media object.
+func appendSketch(out []byte, sketch string) []byte {
+	if sketch == "" {
+		return out
+	}
+	out = binary.BigEndian.AppendUint16(out, uint16(len(sketch)))
+	return append(out, sketch...)
+}
+
+// sketchTrailer checks what follows a payload's last mandatory field:
+// nothing, or a sketch trailer holding a non-empty sketch and ending
+// the payload.  It returns the sketch's length.
+func sketchTrailer(rest []byte) (int, bool) {
+	if len(rest) == 0 {
+		return 0, true
+	}
+	if len(rest) < 2 {
+		return 0, false
+	}
+	n := int(binary.BigEndian.Uint16(rest))
+	return n, n > 0 && len(rest) == 2+n
 }
 
 // DecodeImageMeta parses an announce payload.
@@ -84,10 +118,16 @@ func DecodeImageMeta(payload []byte) (ImageMeta, error) {
 	off += n
 	d := int(binary.BigEndian.Uint16(payload[off:]))
 	off += 2
-	if len(payload) != off+d {
+	if len(payload) < off+d {
 		return ImageMeta{}, fmt.Errorf("%w: image meta description", ErrBadEvent)
 	}
-	m.Description = string(payload[off:])
+	n, ok := sketchTrailer(payload[off+d:])
+	if !ok {
+		return ImageMeta{}, fmt.Errorf("%w: image meta sketch", ErrBadEvent)
+	}
+	// One string holds the description and the sketch after it.
+	rest := string(payload[off:])
+	m.Description, m.Sketch = rest[:d], rest[len(rest)-n:]
 	if m.Width < 1 || m.Height < 1 || m.TotalPackets < 1 {
 		return ImageMeta{}, fmt.Errorf("%w: image meta values", ErrBadEvent)
 	}
@@ -118,11 +158,16 @@ func SplitStream(stream []byte, n int) [][]byte {
 const SharePackets = 16
 
 // ShareImage prepares an image object for sharing: the announce
-// metadata plus the packetized stream.
+// metadata, carrying the object's sketch, plus the packetized stream.
+// A name, description or sketch too long for the announce's length
+// fields is an error, not a share every receiver would reject.
 func ShareImage(object string, obj *media.Object, totalPackets int) (ImageMeta, [][]byte, error) {
 	if obj.Kind != media.KindImage ||
 		(obj.Format != media.FormatEZW && obj.Format != media.FormatEZWColor) {
 		return ImageMeta{}, nil, fmt.Errorf("%w: %s", media.ErrBadInput, obj)
+	}
+	if len(object) > 1<<16-1 || len(obj.Description) > 1<<16-1 || len(obj.Sketch) > 1<<16-1 {
+		return ImageMeta{}, nil, fmt.Errorf("%w: image meta fields too long", ErrBadEvent)
 	}
 	packets := SplitStream(obj.Data, totalPackets)
 	meta := ImageMeta{
@@ -132,6 +177,7 @@ func ShareImage(object string, obj *media.Object, totalPackets int) (ImageMeta, 
 		TotalPackets: len(packets),
 		StreamBytes:  len(obj.Data),
 		Description:  obj.Description,
+		Sketch:       obj.Sketch,
 	}
 	return meta, packets, nil
 }

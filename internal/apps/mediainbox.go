@@ -16,9 +16,11 @@ const AppMedia = "media"
 // EncodeMediaObject serializes a media object as an event payload:
 //
 //	kindLen u8 | kind | fmtLen u8 | format | descLen u16 | desc |
-//	width u16 | height u16 | dataLen u32 | data
+//	width u16 | height u16 | dataLen u32 | data [| sketchLen u16 | sketch]
+//
+// The sketch trailer is there only when the object carries a sketch.
 func EncodeMediaObject(o *media.Object) ([]byte, error) {
-	if len(o.Kind) > 255 || len(o.Format) > 255 || len(o.Description) > 1<<16-1 {
+	if len(o.Kind) > 255 || len(o.Format) > 255 || len(o.Description) > 1<<16-1 || len(o.Sketch) > 1<<16-1 {
 		return nil, fmt.Errorf("%w: media object fields too long", ErrBadEvent)
 	}
 	out := []byte{byte(len(o.Kind))}
@@ -30,7 +32,7 @@ func EncodeMediaObject(o *media.Object) ([]byte, error) {
 	out = binary.BigEndian.AppendUint16(out, uint16(o.Width))
 	out = binary.BigEndian.AppendUint16(out, uint16(o.Height))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(o.Data)))
-	return append(out, o.Data...), nil
+	return appendSketch(append(out, o.Data...), o.Sketch), nil
 }
 
 // DecodeMediaObject parses an EncodeMediaObject payload.  The object's
@@ -70,8 +72,13 @@ func DecodeMediaObject(payload []byte) (*media.Object, error) {
 	h := int(binary.BigEndian.Uint16(payload[off+2:]))
 	dataLen := int(binary.BigEndian.Uint32(payload[off+4:]))
 	off += 8
-	if len(payload) != off+dataLen {
+	if len(payload) < off+dataLen {
 		return fail("data length")
+	}
+	end := off + dataLen
+	n, ok := sketchTrailer(payload[end:])
+	if !ok {
+		return fail("sketch")
 	}
 	return &media.Object{
 		Kind:        kind,
@@ -79,7 +86,8 @@ func DecodeMediaObject(payload []byte) (*media.Object, error) {
 		Description: desc,
 		Width:       w,
 		Height:      h,
-		Data:        payload[off:len(payload):len(payload)],
+		Data:        payload[off:end:end],
+		Sketch:      string(payload[len(payload)-n:]),
 	}, nil
 }
 

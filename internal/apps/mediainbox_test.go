@@ -33,7 +33,7 @@ func TestMediaObjectCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", o, err)
 		}
 		if got.Kind != o.Kind || got.Format != o.Format || got.Description != o.Description ||
-			got.Width != o.Width || got.Height != o.Height || string(got.Data) != string(o.Data) {
+			got.Width != o.Width || got.Height != o.Height || string(got.Data) != string(o.Data) || got.Sketch != o.Sketch {
 			t.Errorf("round trip: %+v vs %+v", got, o)
 		}
 	}
@@ -52,12 +52,23 @@ func TestMediaObjectCodecRejects(t *testing.T) {
 		t.Errorf("long description: %v", err)
 	}
 
+	if _, err := EncodeMediaObject(&media.Object{Kind: "t",
+		Sketch: strings.Repeat("s", 1<<16)}); !errors.Is(err, ErrBadEvent) {
+		t.Errorf("long sketch: %v", err)
+	}
+
 	good, _ := EncodeMediaObject(textObject("ok"))
+	sketched := textObject("ok")
+	sketched.Sketch = "SK01"
+	withSketch, _ := EncodeMediaObject(sketched)
 	for _, bad := range [][]byte{
 		nil,
 		good[:3],
 		good[:len(good)-1],
 		append(append([]byte(nil), good...), 0xFF),
+		append(append([]byte(nil), good...), 0, 0),      // an empty sketch
+		withSketch[:len(withSketch)-1],                  // a sketch cut short
+		append(append([]byte(nil), good...), 0, 3, 'S'), // a length that lies
 	} {
 		if _, err := DecodeMediaObject(bad); !errors.Is(err, ErrBadEvent) {
 			t.Errorf("bad payload %v decoded: %v", bad, err)
@@ -121,6 +132,7 @@ func TestQuickMediaObjectRoundTrip(t *testing.T) {
 			Width:       r.Intn(1 << 16),
 			Height:      r.Intn(1 << 16),
 			Data:        make([]byte, r.Intn(500)),
+			Sketch:      randChars(r, 200),
 		}
 		r.Read(o.Data)
 		payload, err := EncodeMediaObject(o)
@@ -130,7 +142,7 @@ func TestQuickMediaObjectRoundTrip(t *testing.T) {
 		got, err := DecodeMediaObject(payload)
 		return err == nil && got.Kind == o.Kind && got.Format == o.Format &&
 			got.Description == o.Description && got.Width == o.Width &&
-			got.Height == o.Height && string(got.Data) == string(o.Data)
+			got.Height == o.Height && string(got.Data) == string(o.Data) && got.Sketch == o.Sketch
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -87,13 +87,13 @@ func collectedRelayBytes(t *testing.T, tiers ...radio.Tier) uint64 {
 // relay stays under a seventh of one w·h·4 plane — the collected stream
 // gathered into one buffer, RTP-framed once into another, then an
 // envelope per packet for each of two image-tier members, every
-// datagram given to the substrate and not copied into it (36.2 KB
-// measured; 39.7 KB while each member's packets were framed for it).
-// Seating members in the sketch tier costs one luma parse per share,
-// however many they are, and no plane: the decode stops at the 32×32
-// LL band, so what the tier adds is the parse's band, the sketch and
-// its fan-out (16.8 KB measured; 279 KB while the luma plane was
-// rebuilt and box-averaged).
+// datagram given to the substrate and not copied into it (31.7 KB
+// measured, the announce carrying the sketch; 39.7 KB while each
+// member's packets were framed for it).  Seating members in the sketch
+// tier decodes nothing: what the tier adds is the sketch the announce
+// carried, wrapped once per share, and its fan-out (2.3 KB measured;
+// 16.7 KB while the station decoded the 32×32 LL band of every share,
+// 279 KB while it rebuilt the luma plane and box-averaged it).
 func TestCollectedRelayPlanePasses(t *testing.T) {
 	const plane = 256 * 256 * 4
 	flat := collectedRelayBytes(t, radio.TierImage, radio.TierText)
@@ -101,9 +101,9 @@ func TestCollectedRelayPlanePasses(t *testing.T) {
 		t.Errorf("image+text cell: the relay allocates %d B per share, limit %d (a seventh of a plane)", flat, plane/7)
 	}
 	sketched := collectedRelayBytes(t, radio.TierImage, radio.TierSketch, radio.TierText)
-	if cost := sketched - flat; sketched < flat || cost > 40<<10 {
+	if cost := sketched - flat; sketched < flat || cost > 8<<10 {
 		t.Errorf("two sketch-tier members cost %d B per share (%d → %d), limit %d",
-			cost, flat, sketched, 40<<10)
+			cost, flat, sketched, 8<<10)
 	}
 }
 

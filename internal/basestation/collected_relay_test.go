@@ -205,8 +205,9 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 // the reference codes the raster again with the 5/3 filter: same
 // pixels, other bytes — and, since a sketch is drawn from the coded
 // stream's own LL band and that band depends on the filter, another
-// sketch, so the Haar share's lower-tier reference is the sketch of the
-// stream as relayed.  And a colour prefix that holds the Co header
+// sketch.  The sketch tier holds the sketch the share carried, cut
+// short or not; on a complete 5/3 share that is the reference's too.
+// And a colour prefix that holds the Co header
 // but not the Cg one goes out as its luma plane, where the reference
 // took the luma of an RGB raster rebuilt from half the chroma and
 // clamped: there the relayed image is the exact luma, and differs from
@@ -220,12 +221,16 @@ func TestCollectedRelayMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	haarStream, err := wavelet.EncodeFilter(wavelet.Circles(40, 40), 0, wavelet.FilterHaar)
+	haarStream, band, err := wavelet.EncodeBand(wavelet.Circles(40, 40), 0, wavelet.FilterHaar, wavelet.SketchMaxDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	haarSketch, err := media.SketchFromRaster(band, "haar rings")
 	if err != nil {
 		t.Fatal(err)
 	}
 	haar := &media.Object{Kind: media.KindImage, Format: media.FormatEZW, Data: haarStream,
-		Description: "haar rings", Width: 40, Height: 40}
+		Description: "haar rings", Width: 40, Height: 40, Sketch: haarSketch}
 
 	type share struct {
 		name string
@@ -286,7 +291,7 @@ func TestCollectedRelayMatchesReference(t *testing.T) {
 			res, err := c.Viewer().Render(id)
 			want, werr := refView.Render(id)
 			if halfChroma {
-				want, werr = wavelet.DecodeLuma(prefix, 0)
+				want, werr = wavelet.Decode(prefix[pinfo.Planes[0].Start:pinfo.Planes[0].End])
 			}
 			if err != nil || werr != nil || !res.Image.Equal(want.Image) {
 				t.Errorf("%s: %s gray view differs from the reference's (err %v, %v)", id, c.ID(), err, werr)
@@ -306,14 +311,13 @@ func TestCollectedRelayMatchesReference(t *testing.T) {
 		}
 		for _, c := range tr.clients[radio.TierSketch] {
 			sk := latestFrom(t, c, media.KindSketch)
-			if !complete {
+			if sk.Sketch != "" || string(sk.Data) != sh.obj.Sketch {
+				t.Errorf("%s: %s holds a sketch other than the one the share carried", id, c.ID())
+			}
+			if !complete || sh.obj == haar {
 				continue
 			}
-			src := ref
-			if sh.obj == haar {
-				src = sh.obj // complete: the stream as relayed
-			}
-			want, err := reg.Transmode(src, media.KindSketch)
+			want, err := reg.Transmode(ref, media.KindSketch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -123,7 +123,7 @@ func (bs *BaseStation) maybeDeliver(sender, object, sel string) {
 // wireless client at its own tier.  The collected stream is the image
 // tier as it stands (DESIGN.md §17): once its headers pass the coder's
 // checks it is re-split and relayed, not decoded and coded again, and
-// the lower tiers are derived from it only if somebody sits in them.
+// the sketch tier is the sketch its announce carried.
 func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
 	meta, _ := bs.collect.Meta(object)
 	stream, err := bs.collect.AcceptedStream(object)
@@ -141,6 +141,7 @@ func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
 		Description: meta.Description,
 		Width:       info.W,
 		Height:      info.H,
+		Sketch:      meta.Sketch,
 	}
 	if info.Color {
 		obj.Format = media.FormatEZWColor

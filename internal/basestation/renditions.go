@@ -14,6 +14,7 @@ import (
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/rtp"
@@ -115,9 +116,8 @@ func (rs *renditions) frame(packets [][]byte) [][]byte {
 
 // transformed derives a lower tier through the configured registry,
 // under one transform span per share.  The stock sketch path
-// (media.ImageToSketch) parses the luma code once and inverts only its
-// ≤32×32 LL band: no plane is built, and only when somebody sits in the
-// sketch tier.
+// (media.ImageToSketch) takes the sketch the share carries: nothing is
+// decoded.
 func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
 	sp := obs.StartStage(0, obs.StageTransform)
 	o, err := rs.bs.cfg.registry.Transmode(rs.obj, to)
@@ -133,7 +133,10 @@ func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
 
 func (rs *renditions) sketchTier() *rendition {
 	rs.sketchOnce.Do(func() {
-		rs.sketch = rs.transformed(media.KindSketch, " cannot sketch, falling back to text")
+		rs.sketch = rs.transformed(media.KindSketch, " carries no valid sketch, falling back to text")
+		if rs.sketch.err != nil {
+			metrics.C(metrics.CtrSketchFallbacks).Inc()
+		}
 	})
 	return &rs.sketch
 }
@@ -157,7 +160,7 @@ func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatc
 		r = rs.imageTier()
 	case radio.TierSketch:
 		if r = rs.sketchTier(); r.err != nil {
-			// Non-image content cannot be sketched; fall back to text.
+			// Non-image content, or an image that carries no sketch.
 			r = rs.textTier()
 		}
 	case radio.TierText:

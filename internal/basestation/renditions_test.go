@@ -10,8 +10,10 @@ import (
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/rtp"
+	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/wavelet"
 )
 
@@ -243,6 +245,80 @@ func TestUnsketchableFallsBackToText(t *testing.T) {
 		} else if d, _ := c.Inbox().Latest(); d.Object.Kind != media.KindText || !bytes.Equal(d.Object.Data, note.Data) {
 			t.Errorf("%s got %s, want the text note", c.ID(), d.Object)
 		}
+	}
+}
+
+// TestSketchTierServesTheCarriedSketch: the sketch tier of a collected
+// share and of one a member uplinks over the radio is the sketch the
+// share carries, byte for byte — here one drawn from another image than
+// the stream, which no derivation from the stream yields, so nothing
+// was decoded.  A share that carries no sketch, or one that fails its
+// header check, reaches sketch-tier members as its text and counts once
+// on the fallback counter.
+func TestSketchTierServesTheCarriedSketch(t *testing.T) {
+	tr := newTierRig(t, radio.TierImage, radio.TierSketch)
+	in := newWiredInjector(t, tr.rig, "pub")
+	uplinker := tr.clients[radio.TierImage][0]
+	foreign, err := media.EncodeImage(wavelet.Blocks(64, 64, 8, 9), "field photo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := testImageObject(t)
+	if obj.Sketch == foreign.Sketch {
+		t.Fatal("the two images draw the same sketch")
+	}
+	fallbacks := metrics.C(metrics.CtrSketchFallbacks)
+	before := fallbacks.Load()
+	rf := wConn(t, tr.rig, uplinker.ID())
+
+	shares := 0
+	for _, sketch := range []string{foreign.Sketch, "", "SK01\x00\x07\x00\x00", foreign.Sketch[:7]} {
+		o := obj.Clone()
+		o.Sketch = sketch
+		for _, uplink := range []bool{false, true} {
+			shares++
+			object := fmt.Sprintf("share-%d", shares)
+			skip := (*core.Client)(nil)
+			if uplink {
+				skip = uplinker
+				uplinkRF(t, tr.rig, rf, uplinker.ID(), object, o)
+			} else if err := shareVia(in, object, o); err != nil {
+				t.Fatal(err)
+			}
+			tr.checkShare(t, object, shares, skip)
+			kind, want := media.KindSketch, foreign.Sketch
+			if sketch != foreign.Sketch {
+				kind, want = media.KindText, obj.Description
+			}
+			for _, c := range tr.clients[radio.TierSketch] {
+				if got := latestFrom(t, c, kind); string(got.Data) != want {
+					t.Errorf("%s (uplink %v, sketch %q): %s holds %q, want %q", object, uplink, sketch, c.ID(), got.Data, want)
+				}
+			}
+		}
+	}
+	if got := fallbacks.Load() - before; got != 6 {
+		t.Errorf("%d sketch-tier fallbacks, want one per share without a valid sketch, 6", got)
+	}
+}
+
+// uplinkRF has a member transmit obj as a media event over the radio
+// segment (rf, a wConn), as a wireless client does.
+func uplinkRF(t *testing.T, r *rig, rf interface{ Unicast(string, []byte) error }, sender, object string, obj *media.Object) {
+	t.Helper()
+	payload, err := apps.EncodeMediaObject(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := message.Encode(&message.Message{
+		Kind: message.KindEvent, Sender: sender, Seq: 1, Timestamp: r.clk.Now(), Body: payload,
+		Attrs: selector.Attributes{message.AttrApp: selector.S(apps.AppMedia), message.AttrObject: selector.S(object)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rf.Unicast("bs", message.WrapWhole(frame)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -48,6 +48,9 @@ var rules = []rule{
 		[]string{"internal/core/", "internal/basestation/"}, nil, drivesItself},
 	{"global-state", "package state is shared by every session in a process, so each holder says why in globals.txt (ROADMAP item 2)",
 		[]string{"internal/", "cmd/"}, nil, globalState},
+	{"carried-sketch", "the station serves the sketch a share carries; a decode there is the cost the carried sketch removed (§17)",
+		[]string{"internal/basestation/", "internal/media/transformers.go"}, nil,
+		uses("internal/wavelet", "Decode", "DecodeLuma", "DecodeColor")},
 	{"received-attrs", "a received message keeps its attributes outside Message.Attrs, which is nil there: read them through Attr, NumAttrs or EachAttr (§7)",
 		[]string{"internal/", "cmd/"}, []string{"internal/message/"}, readsAttrs},
 }

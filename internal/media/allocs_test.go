@@ -1,0 +1,29 @@
+//go:build !race
+
+package media
+
+import (
+	"testing"
+
+	"adaptiveqos/internal/wavelet"
+)
+
+// TestSketchTierAllocs: serving the sketch tier of a 256×256 share is
+// the carried sketch wrapped as an object — its bytes and the object,
+// two allocations — where the LL-band decode it replaced took 24.
+// Excluded under -race: the detector's instrumentation allocates.
+func TestSketchTierAllocs(t *testing.T) {
+	gray, err := EncodeImage(wavelet.Medical(256, 256, 1), "gray scene")
+	if err != nil {
+		t.Fatal(err)
+	}
+	colour, err := EncodeColorImage(wavelet.ColorScene(256, 256, 6), "colour scene")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range []*Object{gray, colour} {
+		if n := testing.AllocsPerRun(50, func() { ImageToSketch{}.Transform(obj) }); n != 2 {
+			t.Errorf("%s: the sketch tier allocates %g times, want 2", obj, n)
+		}
+	}
+}

@@ -14,18 +14,11 @@ const FormatEZWColor = "ezc"
 // EncodeColorImage wraps a color raster as a progressive media object.
 // Its "color" attribute is true — the Figure 3 negotiation attribute.
 func EncodeColorImage(im *wavelet.ColorImage, description string) (*Object, error) {
-	stream, err := wavelet.EncodeColor(im, 0, wavelet.Filter53)
+	stream, band, err := wavelet.EncodeColorBand(im, 0, wavelet.Filter53, wavelet.SketchMaxDim)
 	if err != nil {
 		return nil, err
 	}
-	return &Object{
-		Kind:        KindImage,
-		Format:      FormatEZWColor,
-		Data:        stream,
-		Description: description,
-		Width:       im.W,
-		Height:      im.H,
-	}, nil
+	return imageObject(FormatEZWColor, stream, band, im.W, im.H, description)
 }
 
 // IsColor reports whether an object carries color visual content.
@@ -38,7 +31,8 @@ func IsColor(o *Object) bool {
 // client advertises in Figure 3.  The colour container codes its luma
 // plane as a gray stream of its own, so the conversion is a copy of
 // that byte range, no decode: on a truncated object, the truncated luma
-// plane itself.  Grayscale objects pass through unchanged (as a copy).
+// plane itself.  The carried sketch, drawn from the luma plane, stays.
+// Grayscale objects pass through unchanged (as a copy).
 func ToGrayscale(o *Object) (*Object, error) {
 	if !isProgressiveImage(o) {
 		return nil, fmt.Errorf("%w: %s", ErrBadInput, o)
@@ -61,6 +55,7 @@ func ToGrayscale(o *Object) (*Object, error) {
 		Description: o.Description,
 		Width:       si.W,
 		Height:      si.H,
+		Sketch:      o.Sketch,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package media
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"adaptiveqos/internal/wavelet"
@@ -194,16 +195,24 @@ func TestGradateColor(t *testing.T) {
 
 // TestColorSketchSkipsTheGrayscaleRoundTrip: the sketch of a colour
 // object, whole or truncated, is byte for byte the sketch of its luma
-// plane's own byte range — ToGrayscale, then the same LL-band decode —
-// so the chroma planes change nothing.
+// plane coded as a gray image — so the chroma planes change nothing —
+// and ToGrayscale keeps it.
 func TestColorSketchSkipsTheGrayscaleRoundTrip(t *testing.T) {
-	full := testColorObject(t)
+	scene := wavelet.ColorScene(64, 48, 1)
+	full, err := EncodeColorImage(scene, "colour test scene")
+	if err != nil {
+		t.Fatal(err)
+	}
+	luma, err := EncodeImage(scene.Luma(), full.Description)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ImageToSketch{}.Transform(luma)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range []int{len(full.Data), len(full.Data) / 2, len(full.Data) / 6} {
 		obj, err := Gradate(full, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ImageToSketch{}.Transform(obj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,16 +220,11 @@ func TestColorSketchSkipsTheGrayscaleRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := wavelet.DecodeLuma(gray.Data, wavelet.SketchMaxDim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SketchFromRaster(res.Image, obj.Description)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Data, want.Data) || got.Width != want.Width || got.Height != want.Height || got.Description != want.Description {
-			t.Errorf("prefix of %d B: shortcut sketch differs from the grayscale route's", n)
+		for name, o := range map[string]*Object{"colour": obj, "grayscale": gray} {
+			got, err := ImageToSketch{}.Transform(o)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("prefix of %d B, %s: sketch %v differs from the gray route's %v (err %v)", n, name, got, want, err)
+			}
 		}
 	}
 }

@@ -52,6 +52,10 @@ type Object struct {
 	Description string
 	// Width and Height are set for visual media.
 	Width, Height int
+	// Sketch is a progressive image's robust sketch, marshaled
+	// (wavelet.Sketch.Marshal): drawn once when the image is encoded and
+	// carried with every copy and cut of it; "" when it has none.
+	Sketch string
 }
 
 // Size returns the content size in bytes.

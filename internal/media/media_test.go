@@ -2,6 +2,7 @@ package media
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,11 +130,11 @@ func TestImageToSketchToText(t *testing.T) {
 	}
 }
 
-// TestImageToSketchFromLLBand holds the coded-stream sketch to the
-// claims ExtractSketch makes of a raster: a 512×512 scan's sketch is
-// ≥500× smaller than the original, a flat image has no edges, and a
-// stream coded with too few levels to reach SketchMaxDim still yields
-// a sketch that fits it.
+// TestImageToSketchFromLLBand holds the carried sketch to the claims
+// ExtractSketch makes of a raster: a 512×512 scan's sketch is ≥500×
+// smaller than the original and a flat image has no edges.  (A plane
+// coded with too few levels to reach SketchMaxDim is the wavelet
+// oracle's case: EncodeImage always codes every level.)
 func TestImageToSketchFromLLBand(t *testing.T) {
 	scan := wavelet.Medical(512, 512, 4)
 	obj, err := EncodeImage(scan, "chest scan, lesion upper-left quadrant")
@@ -162,18 +163,58 @@ func TestImageToSketchFromLLBand(t *testing.T) {
 	if s, err := wavelet.UnmarshalSketch(fsk.Data); err != nil || s.EdgeCount() != 0 {
 		t.Errorf("flat image sketch: %v", err)
 	}
+}
 
-	stream, err := wavelet.EncodeFilter(scan, 2, wavelet.Filter53)
+// TestSketchTravelsWithTheImage: the sketch tier of an image object is
+// the sketch it carries, whole or cut (Clone and Gradate keep it, as
+// ToGrayscale does in the colour test), as the sketch object the
+// derivation from the LL band yields.  An image that carries none, or whose sketch fails its
+// header check, cannot be sketched: Transform says so and decodes
+// nothing in its place.
+func TestSketchTravelsWithTheImage(t *testing.T) {
+	im := wavelet.Medical(96, 80, 7)
+	obj, err := EncodeImage(im, "ward scan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	shallow := &Object{Kind: KindImage, Format: FormatEZW, Data: stream, Width: scan.W, Height: scan.H}
-	ssk, err := ImageToSketch{}.Transform(shallow)
+	carried, err := wavelet.UnmarshalSketch([]byte(obj.Sketch))
+	if err != nil || carried.W > wavelet.SketchMaxDim || carried.H > wavelet.SketchMaxDim || carried.Description != "ward scan" {
+		t.Fatalf("carried sketch %+v (err %v)", carried, err)
+	}
+	cut, err := Gradate(obj, obj.Size()/5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ssk.Width > wavelet.SketchMaxDim || ssk.Height > wavelet.SketchMaxDim || ssk.Width < 1 || ssk.Height < 1 {
-		t.Errorf("two-level stream: sketch %dx%d, want within %d", ssk.Width, ssk.Height, wavelet.SketchMaxDim)
+	for name, o := range map[string]*Object{"whole": obj, "clone": obj.Clone(), "cut": cut} {
+		sk, err := ImageToSketch{}.Transform(o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := &Object{Kind: KindSketch, Format: FormatSketch, Data: []byte(obj.Sketch),
+			Description: "ward scan", Width: carried.W, Height: carried.H}
+		if !reflect.DeepEqual(sk, want) {
+			t.Errorf("%s: sketch tier %+v, want %+v", name, sk, want)
+		}
+	}
+
+	valid := obj.Sketch
+	corrupt := map[string]string{
+		"none":         "",
+		"bad magic":    "SK02" + valid[4:],
+		"zero width":   valid[:4] + "\x00" + valid[5:],
+		"cut header":   valid[:7],
+		"desc lies":    valid[:8+len("ward scan")-1],
+		"not a sketch": "EZW1" + valid[4:],
+	}
+	for name, sketch := range corrupt {
+		o := obj.Clone()
+		o.Sketch = sketch
+		if sk, err := (ImageToSketch{}).Transform(o); err == nil {
+			t.Errorf("%s: sketched as %s", name, sk)
+		}
+		if _, err := DefaultRegistry().Transmode(o, KindSketch); !errors.Is(err, wavelet.ErrSketchFormat) {
+			t.Errorf("%s: Transmode error %v, want ErrSketchFormat", name, err)
+		}
 	}
 }
 
@@ -340,4 +381,24 @@ func decodeColorImage(o *Object) (*wavelet.ColorDecodeResult, error) {
 func canReach(r *Registry, from, to Kind) bool {
 	_, err := r.Path(from, to)
 	return err == nil
+}
+
+// BenchmarkEncodeImage is the sender's cost of a 256×256 share: the
+// coded stream and, drawn from its LL band, the sketch it carries.
+func BenchmarkEncodeImage(b *testing.B) {
+	gray, colour := wavelet.Medical(256, 256, 1), wavelet.ColorScene(256, 256, 6)
+	b.Run("gray", func(b *testing.B) {
+		for range b.N {
+			if _, err := EncodeImage(gray, "gray scene"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("colour", func(b *testing.B) {
+		for range b.N {
+			if _, err := EncodeColorImage(colour, "colour scene"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

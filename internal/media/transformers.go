@@ -23,18 +23,22 @@ const FormatSpeech = "pcm-sim"
 
 // EncodeImage wraps a raster image as a progressive media object.
 func EncodeImage(im *wavelet.Image, description string) (*Object, error) {
-	stream, err := wavelet.Encode(im, 0)
+	stream, band, err := wavelet.EncodeBand(im, 0, wavelet.Filter53, wavelet.SketchMaxDim)
 	if err != nil {
 		return nil, err
 	}
-	return &Object{
-		Kind:        KindImage,
-		Format:      FormatEZW,
-		Data:        stream,
-		Description: description,
-		Width:       im.W,
-		Height:      im.H,
-	}, nil
+	return imageObject(FormatEZW, stream, band, im.W, im.H, description)
+}
+
+// imageObject wraps a coded stream as an image object carrying the
+// sketch of band, the luma LL band the stream decodes to at
+// SketchMaxDim.
+func imageObject(format string, stream []byte, band *wavelet.Image, w, h int, description string) (*Object, error) {
+	sketch, err := SketchFromRaster(band, description)
+	if err != nil {
+		return nil, err
+	}
+	return &Object{Kind: KindImage, Format: format, Data: stream, Description: description, Width: w, Height: h, Sketch: sketch}, nil
 }
 
 // isProgressiveImage reports whether o holds an embedded wavelet
@@ -67,8 +71,8 @@ func Gradate(o *Object, budget int) (*Object, error) {
 	return c, nil
 }
 
-// ImageToSketch extracts the robust sketch layer from a progressive
-// image object (≈2000× smaller than the original raster).
+// ImageToSketch yields the robust sketch layer of a progressive image
+// object (≈2000× smaller than the original raster).
 type ImageToSketch struct{}
 
 // Name implements Transformer.
@@ -80,39 +84,28 @@ func (ImageToSketch) From() Kind { return KindImage }
 // To implements Transformer.
 func (ImageToSketch) To() Kind { return KindSketch }
 
-// Transform implements Transformer.  The sketch is drawn from the luma
-// plane's coarse wavelet band: the decoder parses the luma code alone
-// (a colour object's chroma planes are never touched) and stops the
-// inverse transform at the finest LL band that fits SketchMaxDim, so
-// no full-resolution raster is ever built.
+// Transform implements Transformer.  The sketch is the one the object
+// carries, drawn from the encoder's LL band when the image was encoded:
+// nothing is decoded.  An object without one, or whose sketch fails its
+// header check, cannot be sketched.
 func (ImageToSketch) Transform(in *Object) (*Object, error) {
 	if !isProgressiveImage(in) {
 		return nil, fmt.Errorf("%w: %s", ErrBadInput, in)
 	}
-	res, err := wavelet.DecodeLuma(in.Data, wavelet.SketchMaxDim)
+	data := []byte(in.Sketch)
+	w, h, err := wavelet.SketchSize(data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %s carries no valid sketch", err, in)
 	}
-	return SketchFromRaster(res.Image, in.Description)
+	return &Object{Kind: KindSketch, Format: FormatSketch, Data: data, Description: in.Description, Width: w, Height: h}, nil
 }
 
-// SketchFromRaster builds the sketch object of a gray raster — what
-// ImageToSketch yields for an image object whose luma LL band (the
-// DecodeLuma result at SketchMaxDim) is that raster.
-func SketchFromRaster(gray *wavelet.Image, description string) (*Object, error) {
-	sk := wavelet.ExtractSketch(gray, description)
-	data, err := sk.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return &Object{
-		Kind:        KindSketch,
-		Format:      FormatSketch,
-		Data:        data,
-		Description: description,
-		Width:       sk.W,
-		Height:      sk.H,
-	}, nil
+// SketchFromRaster marshals the sketch of a gray raster: the sketch an
+// image object carries when its luma LL band at SketchMaxDim is that
+// raster.
+func SketchFromRaster(gray *wavelet.Image, description string) (string, error) {
+	data, err := wavelet.ExtractSketch(gray, description).Marshal()
+	return string(data), err
 }
 
 // ImageToText reduces an image to its verbal description — the minimal

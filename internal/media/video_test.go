@@ -19,7 +19,7 @@ func testVideo(t *testing.T, nFrames int) *Object {
 	data = append(data, 24)
 	data = binary.BigEndian.AppendUint16(data, uint16(nFrames))
 	for i := 0; i < nFrames; i++ {
-		stream, err := wavelet.Encode(wavelet.Medical(32, 32, int64(i+1)), 0)
+		stream, _, err := wavelet.EncodeBand(wavelet.Medical(32, 32, int64(i+1)), 0, wavelet.Filter53, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,6 +42,10 @@ const (
 	CtrDispatchQueueDrops = "dispatch.queue.drops"
 	// Collection-tracker counters (image reassembly bookkeeping).
 	CtrCollectEvictions = "registry.collect.evictions"
+	// Shares whose sketch tier the base station served as text: the
+	// share is no image, or carries no sketch that passes its header
+	// check (an old record, a hostile peer).  Never a decode.
+	CtrSketchFallbacks = "basestation.sketch.fallbacks"
 	// Gap-repair counters (core.Kernel.Poll, DESIGN.md §10): NACK-style
 	// history requests issued, gaps closed by a replay, and gaps
 	// abandoned after the retry budget (exposed as aqos_repair_*).
@@ -179,7 +183,7 @@ var defaultCounterNames = []string{
 	CtrFlattenReuse, CtrFlattenBuild,
 	CtrEncodeBufReuse, CtrEncodeBufAlloc, CtrDecodeErrors,
 	CtrDispatchBatches, CtrDispatchJobs, CtrDispatchQueueDrops,
-	CtrCollectEvictions,
+	CtrCollectEvictions, CtrSketchFallbacks,
 	CtrRepairRequests, CtrRepairSuccess, CtrRepairAbandoned, CtrRepairReplayedFrames,
 	CtrArchiveDupDrops,
 	CtrTraceHopsDropped, CtrTraceWireMerged, CtrTraceWireBad,

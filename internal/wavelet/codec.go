@@ -23,23 +23,31 @@ var (
 // bounds their product.
 const maxSide = 1 << 15
 
-// Encode produces the full embedded stream for the image: a
+// EncodeBand produces the full embedded stream for the image: a
 // coarse-to-fine bit-plane code of its wavelet coefficients.  Decoding
 // the whole stream is lossless; decoding any prefix is a progressively
-// better approximation.  levels ≤ 0 selects the maximum decomposition.
-func Encode(im *Image, levels int) ([]byte, error) {
-	return EncodeFilter(im, levels, Filter53)
+// better approximation.  levels ≤ 0 selects the maximum decomposition;
+// the filter choice travels in the stream header, so decoders need no
+// side information.  It also returns the raster the whole stream
+// decodes to at maxDim (see llLevel) — the LL band the robust sketch is
+// drawn from — taken from the encoder's own coefficients, so nothing is
+// decoded to get it.
+func EncodeBand(im *Image, levels int, filter Filter, maxDim int) ([]byte, *Image, error) {
+	stream, c, err := encode(im, levels, filter)
+	if err != nil {
+		return nil, nil, err
+	}
+	return stream, c.band(maxDim), nil
 }
 
-// EncodeFilter is Encode with an explicit wavelet filter.  The filter
-// choice travels in the stream header, so decoders need no side
-// information.
-func EncodeFilter(im *Image, levels int, filter Filter) ([]byte, error) {
+// encode codes im and returns the stream with the coefficient plane it
+// was coded from.
+func encode(im *Image, levels int, filter Filter) ([]byte, *Coeffs, error) {
 	if !checkGeometry(im.W, im.H) || len(im.Pix) != im.W*im.H {
-		return nil, fmt.Errorf("%w: %dx%d", ErrImageSize, im.W, im.H)
+		return nil, nil, fmt.Errorf("%w: %dx%d", ErrImageSize, im.W, im.H)
 	}
 	if filter != Filter53 && filter != FilterHaar {
-		return nil, fmt.Errorf("%w: unknown filter %d", ErrImageSize, filter)
+		return nil, nil, fmt.Errorf("%w: unknown filter %d", ErrImageSize, filter)
 	}
 	if levels <= 0 {
 		levels = MaxLevels(im.W, im.H)
@@ -138,7 +146,7 @@ func EncodeFilter(im *Image, levels int, filter Filter) ([]byte, error) {
 		stream[8] |= 0x80
 	}
 	stream[9] = byte(maxPlane)
-	return append(stream, code...), nil
+	return append(stream, code...), c, nil
 }
 
 // DecodeResult is a progressive decode outcome.
@@ -155,7 +163,7 @@ type DecodeResult struct {
 }
 
 // Decode reconstructs an image from a (possibly truncated) prefix of
-// an Encode stream, clamping pixels to the 8-bit display range.  At
+// an EncodeBand stream, clamping pixels to the 8-bit display range.  At
 // minimum the header must be present.
 func Decode(stream []byte) (*DecodeResult, error) {
 	return decode(stream, true, 0)
@@ -178,6 +186,21 @@ func llLevel(w, h, levels, maxDim int) (skip, sw, sh int) {
 		skip++
 	}
 	return skip, sw, sh
+}
+
+// band is what decode reconstructs from the complete stream of c at
+// maxDim: the top-left corner llLevel picks, which holds that LL band
+// and the detail bands of every level deeper than it, inverted and
+// clamped as decode inverts and clamps.  c is left as it is.
+func (c *Coeffs) band(maxDim int) *Image {
+	skip, sw, sh := llLevel(c.W, c.H, c.Levels, maxDim)
+	b := &Coeffs{W: sw, H: sh, Levels: c.Levels - skip, Filter: c.Filter, Data: make([]int32, sw*sh)}
+	for y := range sh {
+		copy(b.Data[y*sw:(y+1)*sw], c.Data[y*c.W:y*c.W+sw])
+	}
+	im := b.invert()
+	im.Clamp8()
+	return im
 }
 
 // decode reconstructs the LL band llLevel picks for maxDim; with

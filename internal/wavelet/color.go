@@ -93,20 +93,26 @@ var colorMagic = [4]byte{'E', 'Z', 'C', '1'}
 // ErrColorStream reports a malformed color container.
 var ErrColorStream = errors.New("wavelet: bad color stream")
 
-// EncodeColor produces the color embedded stream.  levels ≤ 0 selects
-// the maximum decomposition; the filter applies to all three planes.
-func EncodeColor(c *ColorImage, levels int, filter Filter) ([]byte, error) {
+// EncodeColorBand produces the color embedded stream.  levels ≤ 0
+// selects the maximum decomposition; the filter applies to all three
+// planes.  Like EncodeBand it also returns the raster the whole luma
+// plane decodes to at maxDim, from the luma coefficients.
+func EncodeColorBand(c *ColorImage, levels int, filter Filter, maxDim int) ([]byte, *Image, error) {
 	y, co, cg := c.YCoCg()
 	out := append([]byte(nil), colorMagic[:]...)
+	var luma *Coeffs
 	for _, plane := range []*Image{y, co, cg} {
-		stream, err := EncodeFilter(plane, levels, filter)
+		stream, coeffs, err := encode(plane, levels, filter)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		if luma == nil {
+			luma = coeffs
 		}
 		out = binary.BigEndian.AppendUint32(out, uint32(len(stream)))
 		out = append(out, stream...)
 	}
-	return out, nil
+	return out, luma.band(maxDim), nil
 }
 
 // ColorDecodeResult is a progressive color decode outcome.
@@ -121,7 +127,7 @@ type ColorDecodeResult struct {
 }
 
 // DecodeColor reconstructs a color image from a (possibly truncated)
-// prefix of an EncodeColor stream.  Truncation costs chroma first:
+// prefix of an EncodeColorBand stream.  Truncation costs chroma first:
 // with only the luma plane present the result is the grayscale
 // rendition of the image.
 func DecodeColor(stream []byte) (*ColorDecodeResult, error) {

@@ -112,18 +112,3 @@ func Inspect(stream []byte) (StreamInfo, error) {
 	}
 	return StreamInfo{W: hd.w, H: hd.h, PlanesPresent: 1, Planes: [3]Span{{0, len(stream)}}}, nil
 }
-
-// DecodeLuma is Decode for gray and colour streams alike: it decodes
-// the luma plane alone, clamped to the 8-bit display range.  For a
-// colour stream that is one plane pass instead of DecodeColor's three,
-// and on a complete stream the same raster as the luma of DecodeColor's
-// result.  maxDim > 0 stops the inverse transform early: the raster is
-// the finest LL band that fits maxDim on both sides, or the deepest
-// band the stream was coded with.  maxDim ≤ 0 returns the full plane.
-func DecodeLuma(stream []byte, maxDim int) (*DecodeResult, error) {
-	si, err := Inspect(stream)
-	if err != nil {
-		return nil, err
-	}
-	return decode(stream[si.Planes[0].Start:si.Planes[0].End], true, maxDim)
-}

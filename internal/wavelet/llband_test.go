@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -105,6 +106,44 @@ func TestDecodeLumaTooFewLevels(t *testing.T) {
 		}
 		if sk := ExtractSketch(res.Image, ""); sk.W > SketchMaxDim || sk.H > SketchMaxDim {
 			t.Errorf("%d levels: sketch %dx%d exceeds %d", levels, sk.W, sk.H, SketchMaxDim)
+		}
+	}
+}
+
+// TestEncodeBandIsTheDecodedBand: the band EncodeBand draws from the
+// encoder's own coefficients is the raster DecodeLuma reconstructs from
+// the whole stream it returns — at the sketch's size, at a smaller one
+// and for the full plane; over both filters, full and too-few levels
+// and the digest golden's geometries — and the stream is the one
+// EncodeFilter codes.  EncodeColorBand's band is its luma plane's.
+func TestEncodeBandIsTheDecodedBand(t *testing.T) {
+	ims := []*Image{Medical(256, 256, 1), Blocks(100, 37, 8, 2), Circles(64, 64), Noise(33, 17, 4),
+		Gradient(1, 64), Gradient(5, 1), Medical(256, 256, 3)}
+	for _, f := range []Filter{Filter53, FilterHaar} {
+		for _, lv := range []int{0, 1, 3} {
+			for _, maxDim := range []int{SketchMaxDim, 5, 0} {
+				for _, im := range ims {
+					name := fmt.Sprintf("%v %dx%d levels %d maxDim %d", f, im.W, im.H, lv, maxDim)
+					stream, band, err := EncodeBand(im, lv, f, maxDim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want, _ := EncodeFilter(im, lv, f); !bytes.Equal(stream, want) {
+						t.Fatalf("%s: EncodeBand's stream is not EncodeFilter's", name)
+					}
+					res, err := DecodeLuma(stream, maxDim)
+					if err != nil || !band.Equal(res.Image) {
+						t.Errorf("%s: band %dx%d is not the decoded %dx%d (err %v)", name, band.W, band.H, res.Image.W, res.Image.H, err)
+					}
+				}
+				stream, band, err := EncodeColorBand(ColorScene(96, 64, 3), lv, f, maxDim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res, err := DecodeLuma(stream, maxDim); err != nil || !band.Equal(res.Image) {
+					t.Errorf("colour %v levels %d maxDim %d: band is not the decoded luma band (err %v)", f, lv, maxDim, err)
+				}
+			}
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 // participants) can still follow the session.
 
 // SketchMaxDim is the maximum sketch raster dimension.  The media path
-// asks DecodeLuma for the LL band that fits it, so the raster reaching
+// asks EncodeBand for the LL band that fits it, so the raster reaching
 // ExtractSketch is already that small; ExtractSketch box-averages only
-// what is still larger (a stream coded with too few levels, or a raster
+// what is still larger (a plane coded with too few levels, or a raster
 // handed in directly).
 const SketchMaxDim = 32
 
@@ -142,19 +142,23 @@ func (s *Sketch) Marshal() ([]byte, error) {
 	return append(out, w.bytes()...), nil
 }
 
+// SketchSize checks the header of a marshaled sketch and returns its
+// raster dimensions, without decoding the bitmap.
+func SketchSize(data []byte) (w, h int, err error) {
+	if len(data) < 8 || string(data[:4]) != "SK01" || data[4] == 0 || data[5] == 0 ||
+		len(data) < 8+int(binary.BigEndian.Uint16(data[6:])) {
+		return 0, 0, ErrSketchFormat
+	}
+	return int(data[4]), int(data[5]), nil
+}
+
 // UnmarshalSketch decodes a marshaled sketch.
 func UnmarshalSketch(data []byte) (*Sketch, error) {
-	if len(data) < 8 || string(data[:4]) != "SK01" {
-		return nil, ErrSketchFormat
-	}
-	w, h := int(data[4]), int(data[5])
-	if w < 1 || h < 1 {
-		return nil, ErrSketchFormat
+	w, h, err := SketchSize(data)
+	if err != nil {
+		return nil, err
 	}
 	descLen := int(binary.BigEndian.Uint16(data[6:]))
-	if len(data) < 8+descLen {
-		return nil, ErrSketchFormat
-	}
 	s := &Sketch{W: w, H: h, Description: string(data[8 : 8+descLen])}
 	s.Edges = make([]bool, w*h)
 
