@@ -66,8 +66,9 @@
 // it decides its image budget, shown on its summary line, and reports
 // its loss and jitter about each sender it hears.  A sender whose
 // receivers report loss truncates its next share and marks the last
-// packet it does send, which ends the collection at the base station;
-// the feedback line counts reports and truncated shares.
+// packet it does send, which ends the share at every receiver, the
+// wireless ones included: the base station forwards the marker with its
+// packet.  The feedback line counts reports and truncated shares.
 //
 // -loss accepts either a probability (0.2) or a percentage (20).
 package main

@@ -43,17 +43,15 @@ func summary(t *testing.T, args ...string) map[string]int {
 // TestReceptionReportsCloseTheLoop drives the closing half of the
 // adaptation loop in the command itself: receivers report on their
 // tick, once a core.AdaptInterval, so on lossy wired links senders
-// truncate later shares, and a truncated share — ended by its RTP
-// marker at the base station — still reaches the wireless member as an
-// image.  Lossless, the same session truncates nothing.
+// truncate later shares, and a share — truncated, or missing packets
+// the wired link lost — still reaches the wireless member as the prefix
+// that got through: the base station forwards each packet as it passes.
+// Lossless, the same session truncates nothing.
 func TestReceptionReportsCloseTheLoop(t *testing.T) {
 	// Repair off: every wired send then comes from the workload loop, so
-	// the seeded loss pattern repeats.  10% loss: a 20%-loss prefix of
-	// ~12 packets plus its announce completes at the station about one
-	// time in twenty, too rarely to assert on.  Shares sent before the
-	// first report, and after a report of no loss, go whole; 320 events
-	// (32 ticks) truncate enough shares that those reaching the member
-	// outnumber the whole ones.
+	// the seeded loss pattern repeats.  Shares sent before the first
+	// report, and after a report of no loss, go whole; 320 events (32
+	// ticks) truncate a good many of the others.
 	const events, seed = 320, 2
 	args := []string{"-wired", "2", "-wireless", "1", "-events", fmt.Sprint(events),
 		"-seed", fmt.Sprint(seed), "-slo=false", "-repair-timeout", "0"}
@@ -71,10 +69,12 @@ func TestReceptionReportsCloseTheLoop(t *testing.T) {
 	if reports == 0 || cut == 0 {
 		t.Fatalf("%d reports sent, %d of %d shares truncated: the loop did not close", reports, cut, shares)
 	}
-	// More images reached the wireless member than were sent whole, so
-	// at least one of them was a truncated share.
-	if whole := shares - cut; reached <= whole {
-		t.Errorf("%d images at wireless-0 with %d of %d shares sent whole: no truncated share shown to arrive", reached, whole, shares)
+	// At 10% loss nearly every share gets some packets through, its
+	// announce among them: the member holds at least nine in ten.  (A
+	// station that waited for every packet of a share before serving
+	// anyone showed the member 12 of these 38.)
+	if reached*10 < shares*9 {
+		t.Errorf("%d of %d shares reached wireless-0 at 10%% loss, want at least 90%%", reached, shares)
 	}
 
 	clean := summary(t, append(args, "-loss", "0")...)

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestAnnounceClaimedCountBounded: a share's collection state follows
@@ -22,11 +21,10 @@ func TestAnnounceClaimedCountBounded(t *testing.T) {
 		metas[i] = ImageMeta{Object: fmt.Sprintf("claim-%02d", i), Width: 8, Height: 8, TotalPackets: 1<<16 - 1}
 	}
 	v := NewImageViewer()
-	now := time.Unix(0, 0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, m := range metas {
-		v.AnnounceAt(m, now)
+		v.Announce(m)
 	}
 	runtime.ReadMemStats(&after)
 	b := after.TotalAlloc - before.TotalAlloc

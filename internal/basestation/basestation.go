@@ -15,7 +15,8 @@
 // radio state live in the sharded internal/registry, per-client
 // delivery runs through the internal/dispatch worker pool and
 // pipeline, and both segments are reached through dispatch transmit
-// adapters.  The wired-relay and reassembly paths are in relay.go.
+// adapters.  The wired relay, which forwards an image share frame by
+// frame as it passes, is in relay.go.
 package basestation
 
 import (
@@ -25,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/media"
@@ -45,9 +45,8 @@ var (
 	ErrNoService     = errors.New("basestation: SIR below any service tier")
 )
 
-// Config parameterizes a base station.  The station stamps frames and
-// ages collections on its wired conn's clock (transport.Conn.Clock),
-// the clock its collection sweep is polled on.
+// Config parameterizes a base station.  The station stamps frames on
+// its wired conn's clock (transport.Conn.Clock).
 type Config struct {
 	// Thresholds gate forwarded modalities (default DefaultThresholds).
 	Thresholds radio.Thresholds
@@ -121,6 +120,11 @@ type BaseStation struct {
 	// eventPipe relays one light wired-session event to one wireless
 	// client: match → tier gate → transmit.
 	eventPipe dispatch.Pipeline
+	// relayFrame's, kept across frames: the re-stamped RTP body, its
+	// fan-out, and match → tier gate → image tier only → transmit.
+	frameBuf  []byte
+	frameFan  *dispatch.Fanout
+	framePipe dispatch.Pipeline
 	// tasks recycles the per-candidate dispatch.Task (see runTask).
 	tasks sync.Pool
 
@@ -144,10 +148,6 @@ type BaseStation struct {
 	sessionSeq map[string]uint32
 	seq        atomic.Uint32
 
-	// collect reassembles wired-side image shares so the BS can
-	// transform them per wireless client.
-	collect *apps.ImageViewer
-
 	stats struct {
 		uplinkEvents, uplinkDropped          atomic.Uint64
 		fwdImage, fwdSketch, fwdText, downlk atomic.Uint64
@@ -159,8 +159,7 @@ type BaseStation struct {
 
 // New creates a base station bridging the wired multicast session and
 // the wireless segment, using channel as the radio model, and has
-// transport.Serve drive both: the wired side with the collection sweep
-// as its poll.
+// transport.Serve drive both.
 func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg Config) *BaseStation {
 	cfg = cfg.withDefaults()
 	bs := &BaseStation{
@@ -172,7 +171,6 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		channel:  channel,
 		reg:      registry.New(registry.DefaultShards),
 		unwrap:   message.NewUnwrapper(),
-		collect:  apps.NewImageViewer(),
 	}
 	bs.env.Node = id
 	bs.sessionSeq = map[string]uint32{}
@@ -190,11 +188,17 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		bs.tierGate(radio.TierText),
 		dispatch.Transmit,
 	)
+	bs.frameFan = bs.rfTx.Fanout(nil)
+	bs.framePipe = dispatch.NewPipeline(
+		dispatch.Match(bs.flatOf),
+		bs.tierGate(radio.TierText),
+		imageTierOnly,
+	)
 	// SLO violation attributions get the client's radio picture from
 	// here (Close unregisters).
 	bs.unregRadioSrc = slo.Default().RegisterRadioSource(bs.RadioSnapshot)
 	bs.stops = [2]func(){
-		transport.Serve(wired, collectTTL/4, bs.handleWired, bs.sweep),
+		transport.Serve(wired, 0, bs.handleWired, nil),
 		transport.Serve(wireless, 0, bs.handleWireless, nil),
 	}
 	return bs
@@ -347,8 +351,8 @@ func (bs *BaseStation) UplinkShare(sender, object, sel string, obj *media.Object
 	}
 
 	// The other wireless clients get it no richer than the uplink
-	// admitted.
-	if err := bs.relayShare(rs, assess.Tier, sender); err != nil {
+	// admitted, and only those whose profiles its selector admits.
+	if err := bs.relayShare(dispatch.Task{Msg: &message.Message{Selector: sel}, Node: bs.id}, rs, assess.Tier, sender); err != nil {
 		return err
 	}
 	bs.stats.uplinkEvents.Add(1)

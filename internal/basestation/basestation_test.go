@@ -350,6 +350,11 @@ func TestDownlinkHonorsModalityPreference(t *testing.T) {
 	if w.Chat().Len() != 1 {
 		t.Errorf("w1 holds %d chat lines, want 1", w.Chat().Len())
 	}
+	for _, sender := range []string{r.wired.ID(), "w2"} {
+		if st, heard := w.ReceptionReport(sender); heard {
+			t.Errorf("w1 was sent %d data frames of %s's share", st.Received, sender)
+		}
+	}
 	if got := w.Viewer().Objects(); len(got) != 0 || w.Inbox().Len() != 2 {
 		t.Errorf("text-mode member holds images %v and %d inbox items, want none and 2", got, w.Inbox().Len())
 	}

@@ -1,15 +1,12 @@
 package basestation
 
-// Downlink relay (session → wireless clients), uplink frame handling
-// (radio segment → session) and the wired-side image reassembly path.
-// Per-client delivery is expressed as dispatch pipelines/batches over
-// the transmit adapters; membership state comes from the sharded
-// registry; reassembly (announce metadata, parked early packets, the
-// marker rule, idle eviction) is the image viewer's, as at a client.
+// Downlink relay (session → wireless clients) and uplink frame
+// handling (radio segment → session).  Per-client delivery is expressed
+// as dispatch pipelines/batches over the transmit adapters; membership
+// state comes from the sharded registry.  A wired image share is relayed
+// frame by frame as it passes: the station collects nothing.
 
 import (
-	"time"
-
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/media"
@@ -21,7 +18,6 @@ import (
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/transport"
-	"adaptiveqos/internal/wavelet"
 )
 
 // tierGate returns the infer-tier pipeline stage: assess the client
@@ -84,78 +80,62 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 			return bs.runTask(bs.eventPipe, dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id})
 		})
 	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
-		meta, err := apps.DecodeImageMeta(m.Body)
-		if err != nil {
-			return
-		}
-		bs.collect.AnnounceAt(meta, bs.clk.Now())
-		bs.maybeDeliver(m.Sender, meta.Object, m.Selector)
+		bs.relayAnnounce(m)
 	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:
-		object, ok1 := m.Attr(message.AttrObject)
-		level, _ := m.Attr(message.AttrLevel)
-		chunk, ok2 := level.Whole()
-		pkt, err := rtp.Unmarshal(m.Body)
-		if !ok1 || !ok2 || err != nil {
-			metrics.C(metrics.CtrDecodeErrors).Inc() // only an unreadable frame pays the lookup
-			return
-		}
-		if joined, _ := bs.collect.AddChunk(object.Str(), int(chunk), pkt, bs.clk.Now()); joined {
-			bs.maybeDeliver(m.Sender, object.Str(), m.Selector)
-		}
+		bs.relayFrame(m)
 	}
 }
 
-// maybeDeliver forwards a wired-side image to the wireless clients
-// once every packet has been collected — all that were announced, or
-// all up to the marker of a sender that cut its share short — then
-// forgets the collection: completed transfers must not accumulate in
-// the broker.
-func (bs *BaseStation) maybeDeliver(sender, object, sel string) {
-	st, err := bs.collect.Stats(object)
-	if err != nil || st.PacketsAccepted != st.TotalPackets {
-		return
-	}
-	bs.deliverCollectedImage(sender, object, sel)
-	bs.collect.Forget(object)
-}
-
-// deliverCollectedImage sends a collected wired-side image to each
-// wireless client at its own tier.  The collected stream is the image
-// tier as it stands (DESIGN.md §17): once its headers pass the coder's
-// checks it is re-split and relayed, not decoded and coded again, and
-// the sketch tier is the sketch its announce carried.
-func (bs *BaseStation) deliverCollectedImage(sender, object, sel string) {
-	meta, _ := bs.collect.Meta(object)
-	stream, err := bs.collect.AcceptedStream(object)
+// relayAnnounce relays a wired image share's announce as it passes
+// (DESIGN.md §17).  A member served at the image tier gets the announce
+// as it was sent, and relayFrame gives it the data frames that follow;
+// any other member gets the share's sketch or text rendition, drawn
+// from the announce alone.  The station keeps nothing of the share.
+func (bs *BaseStation) relayAnnounce(m *message.Message) {
+	meta, err := apps.DecodeImageMeta(m.Body)
 	if err != nil {
 		return
 	}
-	info, err := wavelet.Inspect(stream)
-	if err != nil {
-		return
-	}
-	obj := &media.Object{
-		Kind:        media.KindImage,
-		Format:      media.FormatEZW,
-		Data:        stream,
-		Description: meta.Description,
-		Width:       info.W,
-		Height:      info.H,
-		Sketch:      meta.Sketch,
-	}
-	if info.Color {
-		obj.Format = media.FormatEZWColor
-		if info.PlanesPresent < 3 {
-			// A prefix that stops short of the chroma headers is a gray
-			// image: relay the luma plane's own stream.
-			if obj, err = media.ToGrayscale(obj); err != nil {
-				return
-			}
-		}
-	}
+	// The lower tiers need the description, the carried sketch and the
+	// size; an announce always heads a progressive image, and which
+	// coding its stream uses is the image tier's business.
+	obj := &media.Object{Kind: media.KindImage, Format: media.FormatEZW, Description: meta.Description,
+		Width: meta.Width, Height: meta.Height, Sketch: meta.Sketch}
 	// Nobody upstream to tell: a member that could not be served is in
 	// the dispatch pool's counters and the flight recorder.
-	_ = bs.relayShare(&renditions{bs: bs, sender: sender, object: object, sel: sel, obj: obj}, radio.TierImage, "")
+	_ = bs.relayShare(dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: bs.rfTx.Fanout(m), Node: bs.id},
+		&renditions{bs: bs, sender: m.Sender, object: meta.Object, sel: m.Selector, obj: obj}, radio.TierImage, "")
+}
+
+// relayFrame relays one data frame of a wired image share to the
+// members served at the image tier, the tier relayAnnounce gave its
+// announce to.  The frame's RTP header is stamped again into the
+// station's scratch — the share's SSRC, its level as the seq — so each
+// share is one RTP stream at the member, as an uplinked one is.  What a
+// member costs here is a profile lookup, a selector match, an
+// assessment and a send: less than handing it to a dispatch shard, so
+// the candidates are served inline, each after the announce's batch has
+// completed.  The scratch, the fan-out and the pipeline are the
+// station's, kept across frames: a frame costs its datagram and the
+// candidate list.
+func (bs *BaseStation) relayFrame(m *message.Message) {
+	object, ok1 := m.Attr(message.AttrObject)
+	level, _ := m.Attr(message.AttrLevel)
+	idx, ok2 := level.Whole()
+	pkt, err := rtp.Unmarshal(m.Body)
+	if !ok1 || !ok2 || err != nil {
+		metrics.C(metrics.CtrDecodeErrors).Inc() // only an unreadable frame pays the lookup
+		return
+	}
+	pkt.SSRC, pkt.Seq = rtp.SSRCOf(bs.id+"/"+object.Str()), uint16(idx)
+	bs.frameBuf = pkt.AppendMarshal(bs.frameBuf[:0])
+	m.Body = bs.frameBuf
+	bs.frameFan.Reset(m)
+	task := dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: bs.frameFan, Node: bs.id}
+	for _, id := range dispatch.Candidates(bs.reg, m) {
+		task.To = id
+		_ = bs.runTask(bs.framePipe, task) // a member that could not be served is in the flight recorder
+	}
 }
 
 // flatOf is the match stage's lookup: a member's flattened profile.
@@ -164,57 +144,58 @@ func (bs *BaseStation) flatOf(id string) (selector.Attributes, bool) {
 	return flat, ok
 }
 
-// relayShare serves a share to every member but skip, each at the
-// richest tier that its SIR supports, its declared modality admits and
-// limit allows: resolve the flattened profile, infer the tier, clamp,
-// then frame + transmit that tier's rendition through forwardTiered.
-func (bs *BaseStation) relayShare(rs *renditions, limit radio.Tier, skip string) error {
+// servedTier is the tier a share is served to the task's member at: the
+// richest that its SIR supports (tierGate left it on the task), its
+// declared modality admits and limit allows.
+func servedTier(t *dispatch.Task, limit radio.Tier) radio.Tier {
+	tier := min(radio.Tier(t.Tier), limit)
+	// Respect the client's preferred modality when declared
+	// (e.g. a battery-saving client that switched to text mode).
+	if pref, ok := t.Flat[profile.SectionPreference+".modality"]; ok {
+		switch media.Kind(pref.Str()) {
+		case media.KindText:
+			tier = radio.TierText
+		case media.KindSketch:
+			tier = min(tier, radio.TierSketch)
+		}
+	}
+	return tier
+}
+
+// imageTierOnly is relayFrame's last stage: transmit the frame to a
+// member served at the image tier, skip any other.
+func imageTierOnly(t *dispatch.Task) error {
+	if servedTier(t, radio.TierImage) < radio.TierImage {
+		return dispatch.ErrSkip
+	}
+	return dispatch.Transmit(t)
+}
+
+// relayShare serves a share to every candidate of share.Msg's selector
+// but skip, each at servedTier: match, infer the tier, clamp, then send
+// the image tier share.Fan when it is set (a wired share's announce, as
+// it was sent) and every other tier that tier's rendition through
+// forwardTiered.
+func (bs *BaseStation) relayShare(share dispatch.Task, rs *renditions, limit radio.Tier, skip string) error {
 	pipe := dispatch.NewPipeline(
 		dispatch.Match(bs.flatOf),
 		bs.tierGate(radio.TierText),
 		func(t *dispatch.Task) error {
-			tier := min(radio.Tier(t.Tier), limit)
-			// Respect the client's preferred modality when declared
-			// (e.g. a battery-saving client that switched to text mode).
-			if pref, ok := t.Flat[profile.SectionPreference+".modality"]; ok {
-				switch media.Kind(pref.Str()) {
-				case media.KindText:
-					tier = radio.TierText
-				case media.KindSketch:
-					tier = min(tier, radio.TierSketch)
-				}
+			tier := servedTier(t, limit)
+			if tier == radio.TierImage && t.Fan != nil {
+				return dispatch.Transmit(t)
 			}
 			return bs.forwardTiered(rs, tier, bs.rfTx, t.To)
 		},
 	)
-	return bs.pool.Each(0, bs.reg.IDs(), func(id string) error {
+	return bs.pool.Each(share.MsgID, dispatch.Candidates(bs.reg, share.Msg), func(id string) error {
 		if id == skip {
 			return nil
 		}
-		return bs.runTask(pipe, dispatch.Task{To: id, Node: bs.id})
+		t := share
+		t.To = id
+		return bs.runTask(pipe, t)
 	})
-}
-
-// collectTTL bounds how long an incomplete wired-side collection, or
-// packets parked for an announce that never came, may sit idle before
-// sweep evicts them.
-const collectTTL = time.Minute
-
-var ctrCollectEvictions = metrics.C(metrics.CtrCollectEvictions)
-
-// sweep evicts idle, never-completed collections, every quarter
-// collectTTL: a wired sender crashing mid-transfer or a lossy segment
-// eating tail packets must not leak reassembly buffers and announce
-// metadata.
-func (bs *BaseStation) sweep(now time.Time) {
-	evicted := bs.collect.Sweep(now, collectTTL)
-	ctrCollectEvictions.Add(uint64(len(evicted)))
-	if obs.Enabled() {
-		for _, object := range evicted {
-			obs.Drop(0, obs.StageDeliver,
-				"bs "+bs.id+": incomplete collection "+object+" expired")
-		}
-	}
 }
 
 // --- Uplink frame handling (wireless segment → relays) ---

@@ -40,7 +40,9 @@ type rendition struct {
 type renditions struct {
 	bs                  *BaseStation
 	sender, object, sel string
-	// obj is the share as received (uplink) or as collected.
+	// obj is the share as received (uplink) or, for a wired share, as
+	// its announce describes it: no stream, only what the sketch and
+	// text tiers are drawn from.
 	obj *media.Object
 
 	imageOnce, sketchOnce, textOnce sync.Once
@@ -56,9 +58,10 @@ func (rs *renditions) mediaEvent(o *media.Object) rendition {
 	})}
 }
 
-// imageTier is the full tier: a progressive image goes as announce +
-// packets so receivers can still apply their own packet budgets; any
-// other object goes as it is.
+// imageTier is an uplinked share's full tier: a progressive image goes
+// as announce + packets so receivers can still apply their own packet
+// budgets; any other object goes as it is.  (A wired share's full tier
+// is the share as its sender sent it: relayAnnounce, relayFrame.)
 func (rs *renditions) imageTier() *rendition {
 	rs.imageOnce.Do(func() {
 		meta, packets, err := apps.ShareImage(rs.object, rs.obj, apps.SharePackets)

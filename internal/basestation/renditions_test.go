@@ -19,7 +19,7 @@ import (
 
 // TestRenditionsMatchPerClientDerivation is the differential for the
 // rendition set, through the station's public paths: for a gray and a
-// colour share, collected from the wired side and uplinked by a member,
+// colour share, relayed from the wired side and uplinked by a member,
 // what the image-, sketch- and text-tier members end up holding is what
 // apps.ShareImage and Registry.Transmode — the per-client route —
 // produce from the object.
@@ -55,13 +55,24 @@ func TestRenditionsMatchPerClientDerivation(t *testing.T) {
 			}
 			tr.checkShare(t, object, shares, skip)
 
-			_, packets, err := apps.ShareImage(object, obj, apps.SharePackets)
+			// The image tier holds what a viewer given ShareImage's split
+			// holds, and renders it alike.
+			meta, packets, err := apps.ShareImage(object, obj, apps.SharePackets)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tr.clients[radio.TierImage][1].Viewer().AcceptedStream(object)
-			if err != nil || !bytes.Equal(got, bytes.Join(packets, nil)) {
-				t.Errorf("%s: image tier holds %d B, ShareImage splits %d B (err %v)", name, len(got), len(bytes.Join(packets, nil)), err)
+			ref := apps.NewImageViewer()
+			ref.Announce(meta)
+			for i, p := range packets {
+				ref.AddPacket(object, i, p)
+			}
+			member := tr.clients[radio.TierImage][1].Viewer()
+			want, _ := ref.Stats(object)
+			if got, err := member.Stats(object); err != nil || got != want {
+				t.Errorf("%s: image tier holds %+v, ShareImage's split %+v (err %v)", name, got, want, err)
+			}
+			if res, err := member.Render(object); err != nil || !res.Image.Equal(mustRender(t, ref, object).Image) {
+				t.Errorf("%s: image tier renders another image (err %v)", name, err)
 			}
 			for tier, kind := range map[radio.Tier]media.Kind{radio.TierSketch: media.KindSketch, radio.TierText: media.KindText} {
 				o, err := reg.Transmode(obj, kind)
@@ -81,6 +92,15 @@ func TestRenditionsMatchPerClientDerivation(t *testing.T) {
 			}
 		}
 	}
+}
+
+func mustRender(t *testing.T, v *apps.ImageViewer, object string) *wavelet.DecodeResult {
+	t.Helper()
+	res, err := v.Render(object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // counted wraps a transformer and counts its runs.
@@ -164,7 +184,7 @@ func (tr *tierRig) checkShare(t *testing.T, object string, n int, skip *core.Cli
 }
 
 // TestOneDerivationPerOccupiedTier: six members in three tiers cost one
-// sketch and one text derivation per share, on the collected-image path
+// sketch and one text derivation per share, on the wired-share path
 // and on the uplink path; an empty tier's rendition is never built.
 func TestOneDerivationPerOccupiedTier(t *testing.T) {
 	grayObj := testImageObject(t)

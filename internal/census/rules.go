@@ -48,9 +48,8 @@ var rules = []rule{
 		[]string{"internal/core/", "internal/basestation/"}, nil, drivesItself},
 	{"global-state", "package state is shared by every session in a process, so each holder says why in globals.txt (ROADMAP item 2)",
 		[]string{"internal/", "cmd/"}, nil, globalState},
-	{"carried-sketch", "the station serves the sketch a share carries; a decode there is the cost the carried sketch removed (§17)",
-		[]string{"internal/basestation/", "internal/media/transformers.go"}, nil,
-		uses("internal/wavelet", "Decode", "DecodeLuma", "DecodeColor")},
+	{"carried-sketch", "the station serves the sketch a share carries and relays the stream it is sent without reading it, and the sketch transform decodes nothing (§17)",
+		[]string{"internal/basestation/", "internal/media/transformers.go"}, nil, carriedSketch},
 	{"received-attrs", "a received message keeps its attributes outside Message.Attrs, which is nil there: read them through Attr, NumAttrs or EachAttr (§7)",
 		[]string{"internal/", "cmd/"}, []string{"internal/message/"}, readsAttrs},
 }
@@ -227,6 +226,17 @@ func uses(pkg string, names ...string) func(*scope, ast.Node, types.Object) stri
 		}
 		return ""
 	}
+}
+
+// carriedSketch flags, in the base station, any use of internal/wavelet
+// and, in the media transformers, a decode.
+func carriedSketch(s *scope, n ast.Node, obj types.Object) string {
+	if !strings.HasPrefix(s.g.path(n.Pos()), "internal/basestation/") {
+		return uses("internal/wavelet", "Decode", "DecodeLuma", "DecodeColor")(s, n, obj)
+	} else if obj != nil && obj.Pkg() != nil && s.g.rel[obj.Pkg().Path()] == "internal/wavelet" {
+		return "uses internal/wavelet." + obj.Name()
+	}
+	return ""
 }
 
 // readsAttrs flags a read of the Attrs field of message.Message by

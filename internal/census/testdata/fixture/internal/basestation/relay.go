@@ -1,5 +1,5 @@
-// Package basestation checks a collected stream, which is allowed, and
-// takes the decoder as a value, which breaks the carried-sketch rule.
+// Package basestation reads a relayed stream's headers and takes the
+// decoder as a value: both break the carried-sketch rule.
 package basestation
 
 import w "fixture/internal/wavelet"

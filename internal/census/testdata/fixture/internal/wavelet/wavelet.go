@@ -1,5 +1,5 @@
-// Package wavelet is the coder the base station may inspect but not
-// decode with.
+// Package wavelet is the coder the base station may not read a stream
+// with.
 package wavelet
 
 // Inspect checks a stream's headers.

@@ -515,7 +515,7 @@ func (c *Client) handleEvent(m *message.Message) {
 		}
 		// Chunks that overtook the announce were parked in the viewer
 		// and count now that they join an announced share.
-		c.stats.data.Add(uint64(c.viewer.AnnounceAt(meta, c.clk.Now())))
+		c.stats.data.Add(uint64(c.viewer.Announce(meta)))
 	case apps.AppMedia:
 		if err := c.inbox.Apply(m.Sender, m.Body); err != nil {
 			c.stats.errors.Add(1)
@@ -567,7 +567,7 @@ func (c *Client) handleData(m *message.Message) {
 	now := c.clk.Now()
 	recv.Push(pkt, uint32(now.UnixMilli()))
 
-	joined, err := c.viewer.AddChunk(object.Str(), int(chunk), pkt, now)
+	joined, err := c.viewer.AddChunk(object.Str(), int(chunk), pkt)
 	switch {
 	case err != nil:
 		c.stats.errors.Add(1)

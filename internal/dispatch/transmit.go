@@ -116,10 +116,17 @@ func (uc *Unicaster) Fanout(m *message.Message) *Fanout {
 	return &Fanout{uc: uc, m: m}
 }
 
+// Reset readies f to carry m, keeping the storage of its datagram list:
+// a relay that fans out one message at a time keeps one Fanout for all
+// of them.  No Deliver may be running on f.
+func (f *Fanout) Reset(m *message.Message) {
+	f.m, f.once, f.err, f.datagrams = m, sync.Once{}, nil, f.datagrams[:0]
+}
+
 // Deliver unicasts the message's datagrams to to, as Unicaster.Deliver
 // would.
 func (f *Fanout) Deliver(to string) error {
-	f.once.Do(func() { f.datagrams, f.err = f.uc.Env.WrapMessage(f.m) })
+	f.once.Do(func() { f.datagrams, f.err = f.uc.Env.AppendWrapMessage(f.datagrams[:0], f.m) })
 	if f.err != nil {
 		return f.err
 	}

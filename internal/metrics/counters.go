@@ -40,8 +40,6 @@ const (
 	CtrDispatchBatches    = "dispatch.batches"
 	CtrDispatchJobs       = "dispatch.jobs"
 	CtrDispatchQueueDrops = "dispatch.queue.drops"
-	// Collection-tracker counters (image reassembly bookkeeping).
-	CtrCollectEvictions = "registry.collect.evictions"
 	// Shares whose sketch tier the base station served as text: the
 	// share is no image, or carries no sketch that passes its header
 	// check (an old record, a hostile peer).  Never a decode.
@@ -183,7 +181,7 @@ var defaultCounterNames = []string{
 	CtrFlattenReuse, CtrFlattenBuild,
 	CtrEncodeBufReuse, CtrEncodeBufAlloc, CtrDecodeErrors,
 	CtrDispatchBatches, CtrDispatchJobs, CtrDispatchQueueDrops,
-	CtrCollectEvictions, CtrSketchFallbacks,
+	CtrSketchFallbacks,
 	CtrRepairRequests, CtrRepairSuccess, CtrRepairAbandoned, CtrRepairReplayedFrames,
 	CtrArchiveDupDrops,
 	CtrTraceHopsDropped, CtrTraceWireMerged, CtrTraceWireBad,
