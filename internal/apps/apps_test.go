@@ -142,6 +142,20 @@ func TestImageMetaRoundTrip(t *testing.T) {
 	if _, err := DecodeImageMeta(EncodeImageMeta(zero)); err == nil {
 		t.Error("zero packets accepted")
 	}
+	// A raster the decoder would refuse is refused as it is read: a
+	// viewer sizes its blank canvas from the announce.
+	for _, size := range [][2]int{{65535, 65535}, {32768, 32768}, {32769, 1}, {0, 16}, {16, 0}} {
+		big := m
+		big.Width, big.Height = size[0], size[1]
+		if _, err := DecodeImageMeta(EncodeImageMeta(big)); !errors.Is(err, ErrBadEvent) {
+			t.Errorf("%dx%d announce decoded (err %v)", size[0], size[1], err)
+		}
+	}
+	edge := m
+	edge.Width, edge.Height = 32768, 128 // on both of the decoder's limits
+	if got, err := DecodeImageMeta(EncodeImageMeta(edge)); err != nil || got != edge {
+		t.Errorf("%dx%d announce: %+v (err %v)", edge.Width, edge.Height, got, err)
+	}
 
 	// The sketch trailer: present, it round-trips; a payload without
 	// it is an announce from before sketches travelled.
@@ -397,7 +411,7 @@ func TestImageViewerOutOfOrderAndErrors(t *testing.T) {
 	}
 }
 
-// TestAcceptedStream: the accessor hands back the accepted prefix — not
+// TestAcceptedStream: prefix hands back the accepted prefix — not
 // what was merely received — in one buffer of exactly its size that
 // the viewer does not share.
 func TestAcceptedStream(t *testing.T) {
@@ -408,7 +422,7 @@ func TestAcceptedStream(t *testing.T) {
 	for i, p := range packets {
 		v.AddPacket("img-1", i, p)
 	}
-	got, err := v.AcceptedStream("img-1")
+	got, _, err := v.prefix("img-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,10 +431,10 @@ func TestAcceptedStream(t *testing.T) {
 		t.Errorf("accepted stream: %d B in a %d B buffer, want exactly %d", len(got), cap(got), len(want))
 	}
 	got[0] ^= 0xFF
-	if again, _ := v.AcceptedStream("img-1"); !bytes.Equal(again, want) {
+	if again, _, _ := v.prefix("img-1"); !bytes.Equal(again, want) {
 		t.Error("the returned buffer aliases the viewer's packets")
 	}
-	if _, err := v.AcceptedStream("ghost"); !errors.Is(err, ErrUnknownImage) {
+	if _, _, err := v.prefix("ghost"); !errors.Is(err, ErrUnknownImage) {
 		t.Errorf("unknown image: %v", err)
 	}
 }

@@ -43,7 +43,7 @@ func EncodeBand(im *Image, levels int, filter Filter, maxDim int) ([]byte, *Imag
 // encode codes im and returns the stream with the coefficient plane it
 // was coded from.
 func encode(im *Image, levels int, filter Filter) ([]byte, *Coeffs, error) {
-	if !checkGeometry(im.W, im.H) || len(im.Pix) != im.W*im.H {
+	if !CheckGeometry(im.W, im.H) || len(im.Pix) != im.W*im.H {
 		return nil, nil, fmt.Errorf("%w: %dx%d", ErrImageSize, im.W, im.H)
 	}
 	if filter != Filter53 && filter != FilterHaar {

@@ -30,7 +30,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		im := res.Image
-		if !checkGeometry(im.W, im.H) || len(im.Pix) != im.W*im.H {
+		if !CheckGeometry(im.W, im.H) || len(im.Pix) != im.W*im.H {
 			t.Fatalf("decoded a %dx%d raster with %d pixels", im.W, im.H, len(im.Pix))
 		}
 		if len(im.Pix) > fuzzRoundTripPixels {
@@ -55,7 +55,7 @@ func FuzzDecodeColor(f *testing.F) {
 		}
 		im := res.Image
 		n := im.W * im.H
-		if !checkGeometry(im.W, im.H) || len(im.R) != n || len(im.G) != n || len(im.B) != n {
+		if !CheckGeometry(im.W, im.H) || len(im.R) != n || len(im.G) != n || len(im.B) != n {
 			t.Fatalf("decoded a %dx%d raster with %d/%d/%d samples", im.W, im.H, len(im.R), len(im.G), len(im.B))
 		}
 		if n > fuzzRoundTripPixels {

@@ -19,7 +19,7 @@ type Span struct{ Start, End int }
 // StreamInfo is what the headers of a coded stream, or of a prefix of
 // one, say.
 type StreamInfo struct {
-	// W, H are the raster dimensions (checkGeometry holds).
+	// W, H are the raster dimensions (CheckGeometry holds).
 	W, H int
 	// Color reports the three-plane container; a gray stream is its own
 	// single plane.
@@ -56,7 +56,7 @@ func parseHeader(stream []byte) (planeHeader, bool) {
 	if stream[8]&0x80 != 0 {
 		hd.filter = FilterHaar
 	}
-	if !checkGeometry(hd.w, hd.h) || hd.levels > 8 || hd.maxPlane > 31 || hd.levels > MaxLevels(hd.w, hd.h) {
+	if !CheckGeometry(hd.w, hd.h) || hd.levels > 8 || hd.maxPlane > 31 || hd.levels > MaxLevels(hd.w, hd.h) {
 		return planeHeader{}, false
 	}
 	return hd, true

@@ -10,7 +10,7 @@ import (
 // pure function of the geometry.  The tables are kept and the scan
 // tables cached, so a steady stream of same-sized images allocates
 // only what escapes to the caller.  Both are only ever sized by a
-// geometry that passed checkGeometry: nothing here is reachable from
+// geometry that passed CheckGeometry: nothing here is reachable from
 // an unvalidated header.
 
 // maxPixels bounds W*H for the encoder and the decoder alike.  Every
@@ -20,8 +20,8 @@ import (
 // an int32.
 const maxPixels = 1 << 22
 
-// checkGeometry reports whether a w×h plane is one the coder accepts.
-func checkGeometry(w, h int) bool {
+// CheckGeometry reports whether a w×h plane is one the coder accepts.
+func CheckGeometry(w, h int) bool {
 	return w >= 1 && h >= 1 && w <= maxSide && h <= maxSide && w*h <= maxPixels
 }
 
