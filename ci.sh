@@ -60,8 +60,10 @@ go test -race -count=1 ./...
 # read the radio channel while the control plane moves members, and
 # Serve goroutines apply to the chat area and whiteboard while readers
 # call Lines and Strokes; a reassembler's free list of chunk lists is
-# shared by every datagram from its peer, and the station's shard
-# workers each rewrite their own message for every frame they send.
+# shared by every datagram from its peer, the station's shard
+# workers each rewrite their own message for every frame they send, and
+# a client's publishers each borrow their own message, attributes and
+# payload from its pool of publish scratch.
 go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug

@@ -58,8 +58,14 @@ func NewChatArea() *ChatArea { return &ChatArea{} }
 // EncodeSay builds the event payload for a chat line, in one
 // allocation of exactly its length.
 func EncodeSay(text string) []byte {
-	out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(text)), uint32(len(text)))
-	return append(out, text...)
+	return AppendSay(make([]byte, 0, 4+len(text)), text)
+}
+
+// AppendSay appends the event payload for a chat line to dst: how a
+// publisher encodes into a buffer it reuses.
+func AppendSay(dst []byte, text string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(text)))
+	return append(dst, text...)
 }
 
 // Apply ingests a chat event from sender.

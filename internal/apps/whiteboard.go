@@ -40,14 +40,20 @@ func NewWhiteboard() *Whiteboard {
 // EncodeStroke builds the event payload adding a stroke, in one
 // allocation of exactly its length.
 func EncodeStroke(s Stroke) []byte {
-	out := append(make([]byte, 0, 9+4*len(s.Points)), wbOpStroke, s.Color, s.Width)
-	out = binary.BigEndian.AppendUint32(out, s.ID)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(s.Points)))
+	return AppendStroke(make([]byte, 0, 9+4*len(s.Points)), s)
+}
+
+// AppendStroke appends the event payload adding a stroke to dst: how a
+// publisher encodes into a buffer it reuses.
+func AppendStroke(dst []byte, s Stroke) []byte {
+	dst = append(dst, wbOpStroke, s.Color, s.Width)
+	dst = binary.BigEndian.AppendUint32(dst, s.ID)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s.Points)))
 	for _, p := range s.Points {
-		out = binary.BigEndian.AppendUint16(out, uint16(p.X))
-		out = binary.BigEndian.AppendUint16(out, uint16(p.Y))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(p.X))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(p.Y))
 	}
-	return out
+	return dst
 }
 
 // Apply ingests a whiteboard event.

@@ -121,9 +121,11 @@ type BaseStation struct {
 	// client: match → tier gate → transmit.
 	eventPipe dispatch.Pipeline
 	// relayFrame's, kept across frames: the re-stamped RTP body, its
-	// fan-out, and match → tier gate → image tier only → transmit.
+	// fan-out, its candidates, and match → tier gate → image tier only
+	// → transmit.
 	frameBuf  []byte
 	frameFan  *dispatch.Fanout
+	frameIDs  []string
 	framePipe dispatch.Pipeline
 	// tasks recycles the per-candidate dispatch.Task (see runTask).
 	tasks sync.Pool
@@ -235,16 +237,17 @@ func (bs *BaseStation) Close() error {
 
 // newMessage mints a frame from sender for to: the session when to is
 // "", else one member.
-func (bs *BaseStation) newMessage(kind message.Kind, sender, to, sel string, attrs selector.Attributes, body []byte) *message.Message {
-	return &message.Message{
+func (bs *BaseStation) newMessage(kind message.Kind, sender, to, sel string, attrs []message.Attr, body []byte) *message.Message {
+	m := &message.Message{
 		Kind:      kind,
 		Sender:    sender,
 		Seq:       bs.nextSeq(sender, to),
 		Timestamp: bs.clk.Now(),
 		Selector:  sel,
-		Attrs:     attrs,
 		Body:      body,
 	}
+	m.SetAttrs(attrs)
+	return m
 }
 
 // nextSeq numbers the next frame the station sends from sender to to:
@@ -280,10 +283,7 @@ func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) erro
 		}
 		return fmt.Errorf("%w: %s at %.1f dB", ErrNoService, sender, assess.SIRdB)
 	}
-	attrs := selector.Attributes{
-		message.AttrApp: selector.S(app),
-	}
-	m := bs.newMessage(message.KindEvent, sender, "", sel, attrs, payload)
+	m := bs.newMessage(message.KindEvent, sender, "", sel, []message.Attr{{Name: message.AttrApp, Value: selector.S(app)}}, payload)
 	msgID := obs.MsgID(m.Sender, m.Seq)
 	obs.AppendHop(msgID, bs.id, obs.StagePublish)
 	sp := obs.StartStage(msgID, obs.StagePublish)

@@ -74,7 +74,7 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 		// client, so the event is enveloped once, by the first client
 		// to get that far.
 		msgID := obs.MsgID(m.Sender, m.Seq)
-		ids := dispatch.Candidates(bs.reg, m)
+		ids := dispatch.Candidates(bs.reg, m, nil)
 		fan := bs.rfTx.Fanout(m)
 		bs.pool.Each(msgID, ids, func(id string) error {
 			return bs.runTask(bs.eventPipe, dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id})
@@ -115,9 +115,9 @@ func (bs *BaseStation) relayAnnounce(m *message.Message) {
 // member costs here is a profile lookup, a selector match, an
 // assessment and a send: less than handing it to a dispatch shard, so
 // the candidates are served inline, each after the announce's batch has
-// completed.  The scratch, the fan-out and the pipeline are the
-// station's, kept across frames: a frame costs its datagram and the
-// candidate list.
+// completed.  The scratch, the fan-out, the candidate list and the
+// pipeline are the station's, kept across frames: a frame costs its
+// datagram.
 func (bs *BaseStation) relayFrame(m *message.Message) {
 	object, ok1 := m.Attr(message.AttrObject)
 	level, _ := m.Attr(message.AttrLevel)
@@ -132,7 +132,8 @@ func (bs *BaseStation) relayFrame(m *message.Message) {
 	m.Body = bs.frameBuf
 	bs.frameFan.Reset(m)
 	task := dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: bs.frameFan, Node: bs.id}
-	for _, id := range dispatch.Candidates(bs.reg, m) {
+	bs.frameIDs = dispatch.Candidates(bs.reg, m, bs.frameIDs[:0])
+	for _, id := range bs.frameIDs {
 		task.To = id
 		_ = bs.runTask(bs.framePipe, task) // a member that could not be served is in the flight recorder
 	}
@@ -188,7 +189,7 @@ func (bs *BaseStation) relayShare(share dispatch.Task, rs *renditions, limit rad
 			return bs.forwardTiered(rs, tier, bs.rfTx, t.To)
 		},
 	)
-	return bs.pool.Each(share.MsgID, dispatch.Candidates(bs.reg, share.Msg), func(id string) error {
+	return bs.pool.Each(share.MsgID, dispatch.Candidates(bs.reg, share.Msg, nil), func(id string) error {
 		if id == skip {
 			return nil
 		}

@@ -23,14 +23,15 @@ import (
 
 // rendition is one tier's form of a share, ready to be framed.
 type rendition struct {
-	attrs   selector.Attributes
+	attrs   []message.Attr // name-sorted, as message.SetAttrs takes them
 	payload []byte
 	// packets, on a progressive image's full tier, is the split stream
 	// that follows the announce (attrs + payload), each packet already
 	// RTP-framed; packetAttrs[i] travels with packets[i].  The frames
-	// are frozen: every member of the tier is handed the same bytes.
+	// and their attributes are frozen: every member of the tier is
+	// handed the same ones.
 	packets     [][]byte
-	packetAttrs []selector.Attributes
+	packetAttrs [][]message.Attr
 	err         error
 }
 
@@ -52,10 +53,10 @@ type renditions struct {
 // mediaEvent renders o as a single media-inbox event.
 func (rs *renditions) mediaEvent(o *media.Object) rendition {
 	payload, err := apps.EncodeMediaObject(o)
-	return rendition{payload: payload, err: err, attrs: o.Attrs().Merge(selector.Attributes{
+	return rendition{payload: payload, err: err, attrs: message.AttrsOf(o.Attrs().Merge(selector.Attributes{
 		message.AttrApp:    selector.S(apps.AppMedia),
 		message.AttrObject: selector.S(rs.object),
-	})}
+	}))}
 }
 
 // imageTier is an uplinked share's full tier: a progressive image goes
@@ -69,18 +70,24 @@ func (rs *renditions) imageTier() *rendition {
 			rs.image = rs.mediaEvent(rs.obj)
 			return
 		}
-		viewer := selector.Attributes{
-			message.AttrApp:    selector.S(apps.AppImageViewer),
-			message.AttrObject: selector.S(rs.object),
-		}
+		app, object := selector.S(apps.AppImageViewer), selector.S(rs.object)
 		rs.image = rendition{
-			attrs:       rs.obj.Attrs().Merge(viewer),
+			attrs: message.AttrsOf(rs.obj.Attrs().Merge(selector.Attributes{
+				message.AttrApp:    app,
+				message.AttrObject: object,
+			})),
 			payload:     apps.EncodeImageMeta(meta),
 			packets:     rs.frame(packets),
-			packetAttrs: make([]selector.Attributes, len(packets)),
+			packetAttrs: make([][]message.Attr, len(packets)),
 		}
-		for i := range packets {
-			rs.image.packetAttrs[i] = viewer.Merge(selector.Attributes{message.AttrLevel: selector.N(float64(i))})
+		attrs := make([][3]message.Attr, len(packets)) // every packet's, in one allocation
+		for i := range attrs {
+			attrs[i] = [3]message.Attr{
+				{Name: message.AttrApp, Value: app},
+				{Name: message.AttrLevel, Value: selector.N(float64(i))},
+				{Name: message.AttrObject, Value: object},
+			}
+			rs.image.packetAttrs[i] = attrs[i][:]
 		}
 	})
 	return &rs.image
@@ -185,7 +192,8 @@ func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatc
 	}
 	m.Kind = message.KindData
 	for i, p := range r.packets {
-		m.Seq, m.Timestamp, m.Attrs, m.Body = bs.nextSeq(rs.sender, to), bs.clk.Now(), r.packetAttrs[i], p
+		m.Seq, m.Timestamp, m.Body = bs.nextSeq(rs.sender, to), bs.clk.Now(), p
+		m.SetAttrs(r.packetAttrs[i])
 		if err := tx.Deliver(to, m); err != nil {
 			return err
 		}

@@ -50,17 +50,16 @@ var rules = []rule{
 		[]string{"internal/", "cmd/"}, nil, globalState},
 	{"carried-sketch", "the station serves the sketch a share carries and relays the stream it is sent without reading it, and the sketch transform decodes nothing (§17)",
 		[]string{"internal/basestation/", "internal/media/transformers.go"}, nil, carriedSketch},
-	{"received-attrs", "a received message keeps its attributes outside Message.Attrs, which is nil there: read them through Attr, NumAttrs or EachAttr (§7)",
-		[]string{"internal/", "cmd/"}, []string{"internal/message/"}, readsAttrs},
+	{"sorted-attrs", "a message's attributes are one name-sorted slice, set with SetAttrs and read through Attr, NumAttrs or EachAttr: the map form, Message.Attrs, is the benchmark's until it goes (§7.5, ROADMAP item 20)",
+		[]string{"internal/", "cmd/", "examples/"}, []string{"internal/message/"}, usesAttrsMap},
 }
 
 // A scope is one package a rule covers files of.
 type scope struct {
-	g       *graph
-	pkg     *types.Package
-	info    *types.Info
-	first   *ast.File         // the first covered file
-	written map[ast.Expr]bool // index expressions assigned to, seen before themselves
+	g     *graph
+	pkg   *types.Package
+	info  *types.Info
+	first *ast.File // the first covered file
 }
 
 // check holds the files of one loaded package to every rule.
@@ -239,37 +238,11 @@ func carriedSketch(s *scope, n ast.Node, obj types.Object) string {
 	return ""
 }
 
-// readsAttrs flags a read of the Attrs field of message.Message by
-// index, range or len; storing into it, and setting it, are not reads.
-func readsAttrs(s *scope, n ast.Node, _ types.Object) string {
-	isAttrs := func(e ast.Expr) bool {
-		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		v, _ := s.info.Uses[sel.Sel].(*types.Var)
-		return v != nil && v.IsField() && v.Name() == "Attrs" && s.g.rel[v.Pkg().Path()] == "internal/message"
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		if s.written == nil {
-			s.written = map[ast.Expr]bool{}
-		}
-		for _, lhs := range n.Lhs {
-			s.written[ast.Unparen(lhs)] = true
-		}
-	case *ast.IndexExpr:
-		if !s.written[n] && isAttrs(n.X) {
-			return "indexes " + types.ExprString(n.X)
-		}
-	case *ast.RangeStmt:
-		if isAttrs(n.X) {
-			return "ranges over " + types.ExprString(n.X)
-		}
-	case *ast.CallExpr:
-		if id, _ := ast.Unparen(n.Fun).(*ast.Ident); id != nil && s.info.Uses[id] == types.Universe.Lookup("len") && isAttrs(n.Args[0]) {
-			return "takes len of " + types.ExprString(n.Args[0])
-		}
+// usesAttrsMap flags any use of the Attrs field of message.Message: a
+// read, a write, or a key of a composite literal.
+func usesAttrsMap(s *scope, _ ast.Node, uses types.Object) string {
+	if v, _ := uses.(*types.Var); v != nil && v.IsField() && v.Name() == "Attrs" && s.g.rel[v.Pkg().Path()] == "internal/message" {
+		return "uses message.Message.Attrs"
 	}
 	return ""
 }

@@ -2,8 +2,9 @@ package core
 
 import "fixture/internal/message"
 
-// Sum reads a message's attributes the three ways the rule flags, and
-// sets and stores into them the two ways it lets stand.
+// Sum uses a message's attribute map every way the rule flags: it sets
+// and stores into it, reads it by len, index and range, and names it in
+// a literal.
 func Sum(m *message.Message) int {
 	m.Attrs = map[string]int{"a": 1}
 	m.Attrs["b"] = 2
@@ -11,5 +12,5 @@ func Sum(m *message.Message) int {
 	for range m.Attrs {
 		n++
 	}
-	return n
+	return n + message.Count(message.Message{Attrs: nil})
 }

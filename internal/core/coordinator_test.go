@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/transport"
@@ -335,9 +336,9 @@ func TestCoordinatorReplayWalksLongArchive(t *testing.T) {
 
 	b := n.client("bob", Config{})
 	// NACK: alice's frames from her seq 31 on, nothing of carol's.
-	if err := b.k.sendHistoryRequest("coordinator", selector.Attributes{
-		attrCtrl:      selector.S(ctrlHistoryReq),
-		attrForSender: selector.S("alice"),
+	if err := b.k.sendHistoryRequest("coordinator", []message.Attr{
+		{Name: attrCtrl, Value: selector.S(ctrlHistoryReq)},
+		{Name: attrForSender, Value: selector.S("alice")},
 	}, appendHoles(nil, nil, 31)); err != nil {
 		t.Fatal(err)
 	}

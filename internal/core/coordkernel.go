@@ -164,16 +164,17 @@ func (k *CoordinatorKernel) handleLock(sender, ctrl, object string) {
 
 func (k *CoordinatorKernel) notifyLock(to, ctrl, object, holder string) {
 	// Best effort: a requester that has left simply misses the notice.
-	_ = k.tx.Deliver(to, &message.Message{
+	m := &message.Message{
 		Kind:      message.KindControl,
 		Sender:    k.ID(),
 		Timestamp: k.clk.Now(),
-		Attrs: selector.Attributes{
-			attrCtrl:   selector.S(ctrl),
-			attrObject: selector.S(object),
-			attrHolder: selector.S(holder),
-		},
+	}
+	m.SetAttrs([]message.Attr{
+		{Name: attrCtrl, Value: selector.S(ctrl)},
+		{Name: attrHolder, Value: selector.S(holder)},
+		{Name: attrObject, Value: selector.S(object)},
 	})
+	_ = k.tx.Deliver(to, m)
 }
 
 // senderStream indexes what the archive holds of one sender.

@@ -141,6 +141,11 @@ type Client struct {
 	// the base station's relay pipelines transmit through); unicasts go
 	// through the kernel's adapter so both share one enveloper.
 	txMulti dispatch.Deliverer
+	// pub lends each Say, Draw and ShareImage a publishScratch for the
+	// call.  A pool, not one buffer under a mutex: publishers may run
+	// concurrently, and a handler a zero-delay substrate runs inline
+	// under a send may publish on this client again.
+	pub sync.Pool
 
 	clk     clock.Clock // the conn's
 	rtpSend *rtp.Sender
@@ -191,6 +196,7 @@ func NewClient(conn transport.Conn, cfg Config) *Client {
 	}
 	c.k.Deliver = c.deliver
 	c.k.Control = c.control
+	c.pub.New = func() any { return new(publishScratch) }
 	c.lastDecision = inference.Decision{PacketBudget: inference.Unlimited}
 	c.txMulti = &dispatch.Multicaster{Env: &c.k.env, Conn: conn}
 	c.nextAdapt = c.clk.Now().Add(AdaptInterval)
@@ -254,16 +260,30 @@ func (c *Client) Close() error {
 
 // --- Sending ---
 
-func (c *Client) newMessage(kind message.Kind, sel string, attrs selector.Attributes, body []byte) *message.Message {
-	return &message.Message{
+// publishScratch is what one publish builds its frames in: the message,
+// room for its attributes and the payload (a chat line's or stroke's
+// encoding, an image packet's RTP frame).  The multicast adapter
+// envelopes the message before it returns and keeps none of it, so the
+// scratch goes back to the client's pool once the last frame is sent,
+// and a publish allocates only its datagrams.
+type publishScratch struct {
+	m     message.Message
+	attrs [4]message.Attr
+	buf   []byte
+}
+
+// stamp readies s's message as the client's next event or data frame.
+func (c *Client) stamp(s *publishScratch, kind message.Kind, sel string, attrs []message.Attr, body []byte) *message.Message {
+	s.m = message.Message{
 		Kind:      kind,
 		Sender:    c.ID(),
 		Seq:       c.seq.Add(1),
 		Timestamp: c.clk.Now(),
 		Selector:  sel,
-		Attrs:     attrs,
 		Body:      body,
 	}
+	s.m.SetAttrs(attrs)
+	return &s.m
 }
 
 func (c *Client) multicast(m *message.Message) error {
@@ -284,39 +304,43 @@ func (c *Client) multicast(m *message.Message) error {
 // Say publishes a chat line addressed to profiles matching sel ("" =
 // everyone).
 func (c *Client) Say(text, sel string) error {
-	attrs := selector.Attributes{
-		message.AttrApp:   selector.S(apps.AppChat),
-		message.AttrMedia: selector.S(string(media.KindText)),
-		message.AttrSize:  selector.N(float64(len(text))),
-	}
+	s := c.pub.Get().(*publishScratch)
+	defer c.pub.Put(s)
 	// The local state repository reflects the local action immediately
 	// (Apply and the codec only read the bytes, so one encoding serves
 	// both).
-	payload := apps.EncodeSay(text)
-	if err := c.chat.Apply(c.ID(), payload); err != nil {
+	s.buf = apps.AppendSay(s.buf[:0], text)
+	if err := c.chat.Apply(c.ID(), s.buf); err != nil {
 		return err
 	}
-	m := c.newMessage(message.KindEvent, sel, attrs, payload)
-	obs.AppendHop(obs.MsgID(m.Sender, m.Seq), c.ID(), obs.StagePublish)
-	sp := obs.StartStage(obs.MsgID(m.Sender, m.Seq), obs.StagePublish)
-	err := c.multicast(m)
-	sp.End()
-	return err
+	s.attrs = [4]message.Attr{
+		{Name: message.AttrApp, Value: selector.S(apps.AppChat)},
+		{Name: message.AttrMedia, Value: selector.S(string(media.KindText))},
+		{Name: message.AttrSize, Value: selector.N(float64(len(text)))},
+	}
+	return c.publishEvent(c.stamp(s, message.KindEvent, sel, s.attrs[:3], s.buf))
 }
 
 // Draw publishes a whiteboard stroke.
-func (c *Client) Draw(s apps.Stroke, sel string) error {
-	payload := apps.EncodeStroke(s)
-	attrs := selector.Attributes{
-		message.AttrApp:   selector.S(apps.AppWhiteboard),
-		message.AttrMedia: selector.S("stroke"),
-	}
-	if err := c.wb.Apply(payload); err != nil {
+func (c *Client) Draw(stroke apps.Stroke, sel string) error {
+	s := c.pub.Get().(*publishScratch)
+	defer c.pub.Put(s)
+	s.buf = apps.AppendStroke(s.buf[:0], stroke)
+	if err := c.wb.Apply(s.buf); err != nil {
 		return err
 	}
-	m := c.newMessage(message.KindEvent, sel, attrs, payload)
-	obs.AppendHop(obs.MsgID(m.Sender, m.Seq), c.ID(), obs.StagePublish)
-	sp := obs.StartStage(obs.MsgID(m.Sender, m.Seq), obs.StagePublish)
+	s.attrs = [4]message.Attr{
+		{Name: message.AttrApp, Value: selector.S(apps.AppWhiteboard)},
+		{Name: message.AttrMedia, Value: selector.S("stroke")},
+	}
+	return c.publishEvent(c.stamp(s, message.KindEvent, sel, s.attrs[:2], s.buf))
+}
+
+// publishEvent multicasts a chat line or stroke under its publish span.
+func (c *Client) publishEvent(m *message.Message) error {
+	id := obs.MsgID(m.Sender, m.Seq)
+	obs.AppendHop(id, c.ID(), obs.StagePublish)
+	sp := obs.StartStage(id, obs.StagePublish)
 	err := c.multicast(m)
 	sp.End()
 	return err
@@ -344,11 +368,12 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 		}
 	}
 
-	announceAttrs := obj.Attrs().Merge(selector.Attributes{
+	s := c.pub.Get().(*publishScratch)
+	defer c.pub.Put(s)
+	announce := c.stamp(s, message.KindEvent, sel, message.AttrsOf(obj.Attrs().Merge(selector.Attributes{
 		message.AttrApp:    selector.S(apps.AppImageViewer),
 		message.AttrObject: selector.S(object),
-	})
-	announce := c.newMessage(message.KindEvent, sel, announceAttrs, apps.EncodeImageMeta(meta))
+	})), apps.EncodeImageMeta(meta))
 	shareID := obs.MsgID(announce.Sender, announce.Seq)
 	obs.AppendHop(shareID, c.ID(), obs.StagePublish)
 	psp := obs.StartStage(shareID, obs.StagePublish)
@@ -373,26 +398,22 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 	}
 	obs.AppendHop(shareID, c.ID(), obs.StageRTP)
 	rsp := obs.StartStage(shareID, obs.StageRTP)
-	// Every packet is framed into one scratch buffer and sent as the
-	// announce's message with one attribute map, rewritten per packet:
-	// multicast envelopes the message by copying it into the datagrams,
-	// and nothing keeps m, m.Attrs or m.Body once it returns (the
-	// session record keeps only scalars).
-	largest := 0
-	for _, p := range packets {
-		largest = max(largest, len(p))
-	}
-	scratch := make([]byte, 0, rtp.HeaderLen+largest)
-	m := announce
-	m.Kind, m.Attrs = message.KindData, selector.Attributes{
-		message.AttrApp:    selector.S(apps.AppImageViewer),
-		message.AttrObject: selector.S(object),
-		message.AttrMedia:  selector.S(string(media.KindImage)),
+	// Every packet is framed into the scratch's buffer and sent as its
+	// message, attributes rewritten per packet: multicast envelopes the
+	// message by copying it into the datagrams, and nothing keeps m, its
+	// attributes or its body once it returns (the session record keeps
+	// only scalars).
+	s.attrs = [4]message.Attr{
+		{Name: message.AttrApp, Value: selector.S(apps.AppImageViewer)},
+		{Name: message.AttrLevel},
+		{Name: message.AttrMedia, Value: selector.S(string(media.KindImage))},
+		{Name: message.AttrObject, Value: selector.S(object)},
 	}
 	for i, p := range packets {
 		pkt := c.rtpSend.Next(uint32(c.clk.Now().UnixMilli()), i == len(packets)-1, p)
-		m.Attrs[message.AttrLevel] = selector.N(float64(i))
-		m.Seq, m.Timestamp, m.Body = c.seq.Add(1), c.clk.Now(), pkt.AppendMarshal(scratch[:0])
+		s.attrs[1].Value = selector.N(float64(i))
+		s.buf = pkt.AppendMarshal(s.buf[:0])
+		m := c.stamp(s, message.KindData, sel, s.attrs[:], s.buf)
 		if err := c.multicast(m); err != nil {
 			if rsp.Active() {
 				rsp.EndErr("rtp send: " + err.Error())
@@ -412,20 +433,21 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 // degrades its downlink accordingly.
 func (c *Client) AnnounceProfile(to string) error {
 	snap := c.k.pm.Snapshot()
-	attrs := make(selector.Attributes, len(snap.Interests)+len(snap.Preferences))
+	attrs := make([]message.Attr, 0, len(snap.Interests)+len(snap.Preferences))
 	for k, v := range snap.Interests {
-		attrs[profile.SectionInterest+"."+k] = v
+		attrs = append(attrs, message.Attr{Name: profile.SectionInterest + "." + k, Value: v})
 	}
 	for k, v := range snap.Preferences {
-		attrs[profile.SectionPreference+"."+k] = v
+		attrs = append(attrs, message.Attr{Name: profile.SectionPreference + "." + k, Value: v})
 	}
+	slices.SortFunc(attrs, func(a, b message.Attr) int { return strings.Compare(a.Name, b.Name) })
 	m := &message.Message{
 		Kind:      message.KindProfile,
 		Sender:    c.ID(),
 		Seq:       c.k.ctrlSeq.Add(1),
 		Timestamp: c.clk.Now(),
-		Attrs:     attrs,
 	}
+	m.SetAttrs(attrs)
 	if to == "" {
 		return c.multicast(m)
 	}

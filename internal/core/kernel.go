@@ -429,9 +429,9 @@ func (k *Kernel) abandon(so *senderOrder, waitingFor uint64) {
 func (k *Kernel) nack(so *senderOrder) error {
 	var ranges [maxNackHoles]session.SeqRange
 	holes, past := so.buf.Holes(ranges[:0], maxNackHoles)
-	return k.sendHistoryRequest(k.repair.Coordinator, selector.Attributes{
-		attrCtrl:      selector.S(ctrlHistoryReq),
-		attrForSender: selector.S(so.sender),
+	return k.sendHistoryRequest(k.repair.Coordinator, []message.Attr{
+		{Name: attrCtrl, Value: selector.S(ctrlHistoryReq)},
+		{Name: attrForSender, Value: selector.S(so.sender)},
 	}, appendHoles(nil, holes, past))
 }
 
@@ -440,16 +440,17 @@ func (k *Kernel) nack(so *senderOrder) error {
 // the atomic control sequence, the enveloper and the conn, so unlike
 // the rest of the kernel it may be called from any goroutine.
 func (k *Kernel) requestHistory(coordinator string) error {
-	return k.sendHistoryRequest(coordinator, selector.Attributes{attrCtrl: selector.S(ctrlHistoryReq)}, nil)
+	return k.sendHistoryRequest(coordinator, []message.Attr{{Name: attrCtrl, Value: selector.S(ctrlHistoryReq)}}, nil)
 }
 
-func (k *Kernel) sendHistoryRequest(coordinator string, attrs selector.Attributes, body []byte) error {
-	return k.tx.Deliver(coordinator, &message.Message{
+func (k *Kernel) sendHistoryRequest(coordinator string, attrs []message.Attr, body []byte) error {
+	m := &message.Message{
 		Kind:      message.KindControl,
 		Sender:    k.ID(),
 		Seq:       k.ctrlSeq.Add(1),
 		Timestamp: k.clk.Now(),
-		Attrs:     attrs,
 		Body:      body,
-	})
+	}
+	m.SetAttrs(attrs)
+	return k.tx.Deliver(coordinator, m)
 }

@@ -82,11 +82,11 @@ func (c *Client) sendLockControl(coordinator, ctrl, object string) error {
 		Sender:    c.ID(),
 		Seq:       c.k.ctrlSeq.Add(1),
 		Timestamp: c.clk.Now(),
-		Attrs: selector.Attributes{
-			attrCtrl:   selector.S(ctrl),
-			attrObject: selector.S(object),
-		},
 	}
+	m.SetAttrs([]message.Attr{
+		{Name: attrCtrl, Value: selector.S(ctrl)},
+		{Name: attrObject, Value: selector.S(object)},
+	})
 	return c.k.tx.Deliver(coordinator, m)
 }
 

@@ -84,13 +84,13 @@ func (c *Client) sendReceptionReports(streams []streamStats) {
 			Sender:    c.ID(),
 			Seq:       c.k.ctrlSeq.Add(1),
 			Timestamp: c.clk.Now(),
-			Attrs: selector.Attributes{
-				attrCtrl:     selector.S(ctrlRTCPReport),
-				attrSubject:  selector.S(st.sender),
-				attrFracLost: selector.N(rr.FractionLost),
-				attrJitterMs: selector.N(float64(rr.Jitter)),
-			},
 		}
+		m.SetAttrs([]message.Attr{
+			{Name: attrCtrl, Value: selector.S(ctrlRTCPReport)},
+			{Name: attrFracLost, Value: selector.N(rr.FractionLost)},
+			{Name: attrJitterMs, Value: selector.N(float64(rr.Jitter))},
+			{Name: attrSubject, Value: selector.S(st.sender)},
+		})
 		if c.multicast(m) != nil {
 			return
 		}

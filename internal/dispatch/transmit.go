@@ -14,10 +14,11 @@ import (
 // and test doubles all implement it, so pipelines and relay code
 // program against one seam regardless of segment.
 //
-// Deliver must not keep m, m.Attrs or m.Body once it returns: the
-// adapters envelope m before returning, so a sender may rewrite one
-// message for its next frame (the base station's tier forwarding and
-// the core client's image packets do).
+// Deliver must not keep m, m's attributes or m.Body once it returns:
+// the adapters envelope m before returning, so a sender may rewrite one
+// message, its attributes and its body for its next frame (the base
+// station's tier forwarding does, and the core client publishes every
+// chat line, stroke and image packet from scratch it reuses).
 type Deliverer interface {
 	Deliver(to string, m *message.Message) error
 }

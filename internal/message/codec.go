@@ -92,7 +92,8 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(nattrs))
 	var err error
 	if m.Attrs == nil {
-		// A received message's attributes are already in name order.
+		// The slice form, a received message's or SetAttrs', is
+		// already in name order.
 		for _, a := range m.attrs {
 			if buf, err = appendAttr(buf, a.Name, a.Value); err != nil {
 				return nil, err

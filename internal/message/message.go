@@ -72,13 +72,13 @@ type Message struct {
 	// Selector is the semantic selector source specifying receiver
 	// profiles.  Empty means "all" (equivalent to "true").
 	Selector string
-	// Attrs describes the content itself; receivers use these for
-	// interpretation and transformation decisions.  It is the sender's
-	// field: a received message (View.Message, Decode) leaves it nil
-	// and holds its attributes in name order inside the message, so
-	// read attributes through Attr, NumAttrs and EachAttr, which see
-	// either form.  Setting Attrs on a received message replaces the
-	// attributes it arrived with.
+	// Attrs describes the content itself as a map, the older sender
+	// form, which only the benchmark still writes.  A sender sets the
+	// name-sorted slice instead (SetAttrs), and a received message
+	// (View.Message, Decode) leaves Attrs nil and holds its attributes
+	// in that same slice form, so read attributes through Attr,
+	// NumAttrs and EachAttr, which see either form.  Setting Attrs
+	// replaces the slice.
 	Attrs selector.Attributes
 	// Body is the payload.  On a received message (View.Message,
 	// Decode) it aliases the frame the message was parsed from and is
@@ -91,15 +91,45 @@ type Message struct {
 	// without going back to the selector cache.  It is used only while
 	// its source still equals Selector.
 	sel *selector.Selector
-	// attrs are a received message's attributes, strictly increasing by
-	// name; read only while Attrs is nil.
+	// attrs are the message's attributes, strictly increasing by name:
+	// a received message's, or what a sender set with SetAttrs; read
+	// only while Attrs is nil.
 	attrs []Attr
 }
 
-// Attr is one attribute of a received message.
+// Attr is one content attribute of a message.
 type Attr struct {
 	Name  string
 	Value selector.Value
+}
+
+// SetAttrs sets the message's content attributes to attrs, which must
+// be strictly increasing by name: the order a received message holds
+// them in and the order they go out in, so encoding sorts nothing.  The
+// message keeps attrs itself, not a copy, and only reads it; a sender
+// may rewrite the slice for its next message once the message has been
+// handed on (a dispatch.Deliverer keeps none of it), and such a message
+// is not one to lend to View.MessageInto, which would write a frame's
+// attributes into them.  Attrs is cleared.  SetAttrs panics on a name
+// that does not sort after the one before it.
+func (m *Message) SetAttrs(attrs []Attr) {
+	for i := 1; i < len(attrs); i++ {
+		if attrs[i-1].Name >= attrs[i].Name {
+			panic(fmt.Sprintf("message: SetAttrs: attribute %q does not sort after %q", attrs[i].Name, attrs[i-1].Name))
+		}
+	}
+	m.Attrs, m.attrs = nil, attrs
+}
+
+// AttrsOf returns a's entries as the name-sorted slice SetAttrs takes:
+// how a sender that describes content with a map, as a media object's
+// attributes are, hands it to a message.
+func AttrsOf(a selector.Attributes) []Attr {
+	attrs := make([]Attr, 0, len(a))
+	for _, name := range a.Names() {
+		attrs = append(attrs, Attr{Name: name, Value: a[name]})
+	}
+	return attrs
 }
 
 // MatchProfile reports whether the message's selector admits the given
@@ -138,7 +168,7 @@ func (m *Message) CompiledSelector() (*selector.Selector, error) {
 }
 
 // Attr returns the content attribute called name, from Attrs when it
-// is set and otherwise from the attributes the message arrived with.
+// is set and otherwise from the name-sorted slice.
 func (m *Message) Attr(name string) (selector.Value, bool) {
 	if m.Attrs != nil {
 		v, ok := m.Attrs[name]

@@ -15,8 +15,8 @@ import (
 // allocs_per_delivery: in a 256-member cell a one-team selector costs
 // the result slice, sized from the previous match, and nothing per
 // shard (each index shard owns its predicate-split scratch).  IDs costs
-// its one result.  Excluded under -race: the detector's instrumentation
-// allocates.
+// its one result, and a list the caller reuses costs nothing.  Excluded
+// under -race: the detector's instrumentation allocates.
 func TestMatchIDsAllocs(t *testing.T) {
 	r := New(0)
 	for i := 0; i < 256; i++ {
@@ -41,5 +41,15 @@ func TestMatchIDsAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { r.IDs() }); n > 1 {
 		t.Errorf("IDs allocates %g times, want 1", n)
+	}
+	// A caller that hands back the list it used last, emptied, allocates
+	// nothing, whether it asks for the matching subset or for everyone.
+	ids := r.AppendMatchIDs(nil, sel)
+	if n := testing.AllocsPerRun(200, func() { ids = r.AppendMatchIDs(ids[:0], sel) }); n != 0 || len(ids) != 32 {
+		t.Errorf("AppendMatchIDs into a reused list allocates %g times for %d ids, want 0 for 32", n, len(ids))
+	}
+	ids = r.AppendMatchIDs(ids[:0], nil)
+	if n := testing.AllocsPerRun(200, func() { ids = r.AppendMatchIDs(ids[:0], nil) }); n != 0 || len(ids) != 256 {
+		t.Errorf("AppendMatchIDs(nil) into a reused list allocates %g times for %d ids, want 0 for 256", n, len(ids))
 	}
 }

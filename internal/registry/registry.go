@@ -188,18 +188,22 @@ func (r *Registry) Len() int {
 
 // IDs returns the registered client IDs in ascending order, so a
 // fan-out over them sends in the same order on every run.
-func (r *Registry) IDs() []string {
-	ids := make([]string, 0, r.Len())
+func (r *Registry) IDs() []string { return r.appendIDs(nil) }
+
+// appendIDs appends the registered client IDs to dst in ascending order.
+func (r *Registry) appendIDs(dst []string) []string {
+	n := len(dst)
+	dst = slices.Grow(dst, r.Len())
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.RLock()
 		for id := range s.members {
-			ids = append(ids, id)
+			dst = append(dst, id)
 		}
 		s.mu.RUnlock()
 	}
-	slices.Sort(ids)
-	return ids
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // FlatSnapshot returns the memoized flattened attribute view of the
@@ -209,49 +213,57 @@ func (r *Registry) FlatSnapshot(id string) (selector.Attributes, uint64, bool) {
 	return r.shard(id).FlatSnapshot(id)
 }
 
-// MatchIDs returns the IDs of every registered profile satisfying sel,
-// in ascending order, as IDs does.  With the index enabled the selector is
-// decomposed into an index plan and answered by each shard's counting
-// match; plans the index cannot answer (match-all, or a disjunct with
-// no indexable predicate) and disabled indexes fall back to the
-// brute-force per-profile evaluation.  Either way the result is exact.
-func (r *Registry) MatchIDs(sel *selector.Selector) []string {
+// MatchIDs returns the IDs of every registered profile satisfying sel
+// (nil: every one), in ascending order, as IDs does: AppendMatchIDs into
+// a new list.
+func (r *Registry) MatchIDs(sel *selector.Selector) []string { return r.AppendMatchIDs(nil, sel) }
+
+// AppendMatchIDs appends to dst the IDs of every registered profile
+// satisfying sel (nil: every one), in ascending order; a caller that
+// enumerates for one message at a time hands back the list it used
+// last, emptied, and allocates nothing.  With the index enabled the
+// selector is decomposed into an index plan and answered by each
+// shard's counting match; plans the index cannot answer (match-all, or
+// a disjunct with no indexable predicate) and disabled indexes fall
+// back to the brute-force per-profile evaluation.  Either way the
+// result is exact.
+func (r *Registry) AppendMatchIDs(dst []string, sel *selector.Selector) []string {
 	if sel == nil {
-		return r.IDs()
+		return r.appendIDs(dst)
 	}
+	n := len(dst)
 	if r.shards[0].idx != nil {
 		plan := matchindex.PlanSelector(sel)
 		if plan.MatchAll {
-			return r.IDs()
+			return r.appendIDs(dst)
 		}
 		if plan.Indexable() {
-			out := make([]string, 0, r.matched.Load())
+			dst = slices.Grow(dst, int(r.matched.Load()))
 			for i := range r.shards {
 				s := &r.shards[i]
-				out = s.idx.Match(plan, s.FlatSnapshot, out)
+				dst = s.idx.Match(plan, s.FlatSnapshot, dst)
 			}
-			r.matched.Store(int64(len(out)))
-			slices.Sort(out)
-			return out
+			r.matched.Store(int64(len(dst) - n))
+			slices.Sort(dst[n:])
+			return dst
 		}
 		if len(plan.Branches) == 0 && !plan.FullScan {
-			return nil // constant-false selector
+			return dst // constant-false selector
 		}
 	}
 	ctrMatchFallback.Add(uint64(r.Len()))
-	var out []string
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.RLock()
 		for id, m := range s.members {
 			if flat, _ := m.FlatSnapshot(); sel.Matches(flat) {
-				out = append(out, id)
+				dst = append(dst, id)
 			}
 		}
 		s.mu.RUnlock()
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Update applies fn to a copy of id's profile through its Manager —

@@ -265,17 +265,18 @@ func simulate(w *Workload, pol Policy, cfg SimConfig, trace func(transport.Trace
 			}
 			sn := senders[pub.Sender]
 			sn.nextSeq++
-			datagrams, err := sn.env.WrapMessage(&message.Message{
+			m := &message.Message{
 				Kind:      kind,
 				Sender:    pub.Sender,
 				Seq:       sn.nextSeq,
 				Timestamp: now,
-				Attrs: selector.Attributes{
-					message.AttrMedia: selector.S(pub.Modality),
-					message.AttrLevel: selector.N(float64(pub.Level)),
-				},
-				Body: make([]byte, pub.Size),
+				Body:      make([]byte, pub.Size),
+			}
+			m.SetAttrs([]message.Attr{
+				{Name: message.AttrLevel, Value: selector.N(float64(pub.Level))},
+				{Name: message.AttrMedia, Value: selector.S(pub.Modality)},
 			})
+			datagrams, err := sn.env.WrapMessage(m)
 			if err != nil {
 				panic("replay: encode publish: " + err.Error())
 			}
