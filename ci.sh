@@ -63,8 +63,14 @@ go test -race -count=1 ./...
 # shared by every datagram from its peer, the station's shard
 # workers each rewrite their own message for every frame they send, and
 # a client's publishers each borrow their own message, attributes and
-# payload from its pool of publish scratch.
-go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch
+# payload from its pool of publish scratch; the station's shard workers
+# derive the sketch and text renditions through one media registry,
+# reading its memoized routes at once, while the wired handler
+# reassembles each fragmented frame into its one scratch and rewrites
+# its per-share relay state (announced object, rendition set, fan-out,
+# share relay) between the dispatch pool's barriers, and a queued
+# batch is recycled through the pool's free list.
+go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

@@ -3,6 +3,7 @@ package apps
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"adaptiveqos/internal/media"
@@ -19,11 +20,21 @@ const AppMedia = "media"
 //	width u16 | height u16 | dataLen u32 | data [| sketchLen u16 | sketch]
 //
 // The sketch trailer is there only when the object carries a sketch.
-func EncodeMediaObject(o *media.Object) ([]byte, error) {
+func EncodeMediaObject(o *media.Object) ([]byte, error) { return AppendMediaObject(nil, o) }
+
+// AppendMediaObject appends o's EncodeMediaObject payload to dst,
+// growing it at most once, to the payload's exact size: a sender that
+// keeps its buffer from one object to the next allocates nothing.
+func AppendMediaObject(dst []byte, o *media.Object) ([]byte, error) {
 	if len(o.Kind) > 255 || len(o.Format) > 255 || len(o.Description) > 1<<16-1 || len(o.Sketch) > 1<<16-1 {
-		return nil, fmt.Errorf("%w: media object fields too long", ErrBadEvent)
+		return dst, fmt.Errorf("%w: media object fields too long", ErrBadEvent)
 	}
-	out := []byte{byte(len(o.Kind))}
+	n := 1 + len(o.Kind) + 1 + len(o.Format) + 2 + len(o.Description) + 2 + 2 + 4 + len(o.Data)
+	if o.Sketch != "" {
+		n += 2 + len(o.Sketch)
+	}
+	out := slices.Grow(dst, n)
+	out = append(out, byte(len(o.Kind)))
 	out = append(out, o.Kind...)
 	out = append(out, byte(len(o.Format)))
 	out = append(out, o.Format...)

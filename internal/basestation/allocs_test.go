@@ -19,10 +19,12 @@ import (
 )
 
 // relayedFrameAllocs counts what relaying one data frame of a wired
-// image share to n image-tier members costs the station, the dispatch
-// pool inline and the nets untraced, so nothing counted is the test's.
-// The members are bare radio endpoints; each must receive the frame.
-func relayedFrameAllocs(t *testing.T, n int) float64 {
+// image share, an RTP payload of the given size enveloped at the given
+// wired MTU (0 for the default), to n image-tier members costs the
+// station, the dispatch pool inline and the nets untraced, so nothing
+// counted is the test's.  The members are bare radio endpoints; each
+// must receive the frame.
+func relayedFrameAllocs(t *testing.T, n, payload, mtu int) float64 {
 	t.Helper()
 	r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
 	r.wiredNet.SetTrace(nil)
@@ -31,20 +33,28 @@ func relayedFrameAllocs(t *testing.T, n int) float64 {
 	for i := range members {
 		members[i] = r.join(t, fmt.Sprintf("m%02d", i), 30)
 	}
-	rp := rtp.Packet{PayloadType: 96, Seq: 41, Timestamp: 7, SSRC: 1, Payload: make([]byte, 1024)}
-	var env message.Enveloper
-	d, err := env.WrapMessage(&message.Message{
-		Kind: message.KindData, Sender: "pub", Seq: 2,
-		Attrs: selector.Attributes{message.AttrApp: selector.S(apps.AppImageViewer), message.AttrObject: selector.S("scan"),
-			message.AttrLevel: selector.N(3), message.AttrMedia: selector.S("image")},
-		Body: rp.Marshal(),
+	rp := rtp.Packet{PayloadType: 96, Seq: 41, Timestamp: 7, SSRC: 1, Payload: make([]byte, payload)}
+	env := message.Enveloper{MTU: mtu}
+	var m message.Message
+	m.Kind, m.Sender, m.Seq, m.Body = message.KindData, "pub", 2, rp.Marshal()
+	m.SetAttrs([]message.Attr{
+		{Name: message.AttrApp, Value: selector.S(apps.AppImageViewer)},
+		{Name: message.AttrLevel, Value: selector.N(3)},
+		{Name: message.AttrMedia, Value: selector.S("image")},
+		{Name: message.AttrObject, Value: selector.S("scan")},
 	})
+	// The same datagrams every time: each completes the frame afresh.
+	datagrams, err := env.WrapMessage(&m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := transport.Packet{From: "pub", Data: d[0]}
+	if (mtu > 0) != (len(datagrams) > 1) {
+		t.Fatalf("%d B payload at MTU %d: %d datagrams", payload, mtu, len(datagrams))
+	}
 	relay := func() {
-		r.bs.handleWired(pkt)
+		for _, d := range datagrams {
+			r.bs.handleWired(transport.Packet{From: "pub", Data: d})
+		}
 		for i, conn := range members {
 			select {
 			case <-conn.Recv():
@@ -60,19 +70,114 @@ func relayedFrameAllocs(t *testing.T, n int) float64 {
 // TestRelayedFrameAllocsFlat pins what a wired image share's data frame
 // costs the station as it passes (DESIGN.md §17).  The station keeps the
 // frame's RTP scratch, fan-out, candidate list and pipeline from frame
-// to frame, so a frame costs the one datagram every member is given,
-// however many image-tier members there are.  (A station that
+// to frame, and reassembles a fragmented frame — image-tiered's 1–2 KB
+// packets at its 1 400 B wired MTU — into the wired segment's scratch,
+// so a frame, whole or fragmented, costs the one datagram every member
+// is given, however many image-tier members there are.  (A station that
 // collected the share copied the whole stream again, re-split it and
-// RTP-framed it once per share.)
+// RTP-framed it once per share; one that reassembled into a fresh
+// buffer paid a second allocation for a fragmented frame.)
 func TestRelayedFrameAllocsFlat(t *testing.T) {
 	const pinned = 1
-	two, eight := relayedFrameAllocs(t, 2), relayedFrameAllocs(t, 8)
-	t.Logf("%g allocations per relayed frame with 2 members, %g with 8", two, eight)
-	if two > pinned {
-		t.Errorf("a relayed frame allocates %g times at the station, want <= %d", two, pinned)
+	for _, tc := range []struct {
+		name         string
+		payload, mtu int
+	}{
+		{"whole", 1024, 0},
+		{"fragmented", 1800, 1400},
+	} {
+		two, eight := relayedFrameAllocs(t, 2, tc.payload, tc.mtu), relayedFrameAllocs(t, 8, tc.payload, tc.mtu)
+		t.Logf("%s: %g allocations per relayed frame with 2 members, %g with 8", tc.name, two, eight)
+		if two > pinned {
+			t.Errorf("%s: a relayed frame allocates %g times at the station, want <= %d", tc.name, two, pinned)
+		}
+		if eight != two {
+			t.Errorf("%s: a relayed frame allocates %g times with 2 image-tier members and %g with 8: members cost allocations", tc.name, two, eight)
+		}
 	}
-	if eight != two {
-		t.Errorf("a relayed frame allocates %g times with 2 image-tier members and %g with 8: members cost allocations", two, eight)
+}
+
+// TestRelayedShareAllocs pins what a whole wired image share costs the
+// station as it passes (DESIGN.md §17): image-tiered's share, a 256×256
+// image in 16 packets enveloped at a 1 400 B wired MTU, to a cell with
+// two members in each tier, the dispatch pool inline and the nets
+// untraced.  The station sends 21 datagram sets — the announce and 16
+// frames, each enveloped once for the image tier, and one media event
+// per lower-tier member — and beyond them allocates only the share's
+// two transformed objects (the sketch's bytes, the text's) and the
+// announce's decoded strings.  Everything else is the wired segment's,
+// kept from share to share: the reassembly scratch, the announced
+// object, the rendition set and its buffers, the fan-out, the share
+// relay's pipeline and candidates, the message each member's rendition
+// is stamped in.  (A station that built all of that per share, and
+// reassembled each fragmented frame into a fresh buffer, allocated 79
+// times: its 21 datagram sets and 58 allocations besides.)
+func TestRelayedShareAllocs(t *testing.T) {
+	const (
+		datagramSets = 1 + 16 + 4
+		pinned       = datagramSets + 6
+	)
+	r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: tierThresholds})
+	r.wiredNet.SetTrace(nil)
+	r.radioNet.SetTrace(nil)
+	var members []transport.Conn
+	for _, tier := range []radio.Tier{radio.TierImage, radio.TierSketch, radio.TierText} {
+		for i, d := range tierDistances[tier] {
+			id := fmt.Sprintf("%s-%d", tier, i)
+			members = append(members, r.join(t, id, d))
+			if a, err := r.bs.Assess(id); err != nil || a.Tier != tier {
+				t.Fatalf("placement: %s assessed %s (%v)", id, a.Tier, err)
+			}
+		}
+	}
+	obj, err := media.EncodeImage(wavelet.Medical(256, 256, 1), "scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, packets, err := apps.ShareImage("scan", obj, 16)
+	if err != nil || len(packets) != 16 {
+		t.Fatalf("%d packets, %v", len(packets), err)
+	}
+	env := message.Enveloper{MTU: 1400}
+	var share [][]byte
+	send := func(m *message.Message, attrs ...message.Attr) {
+		m.Sender, m.Seq = "pub", uint32(len(share)+1)
+		m.SetAttrs(attrs)
+		d, err := env.WrapMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share = append(share, d...)
+	}
+	app, object := message.Attr{Name: message.AttrApp, Value: selector.S(apps.AppImageViewer)}, message.Attr{Name: message.AttrObject, Value: selector.S("scan")}
+	send(&message.Message{Kind: message.KindEvent, Body: apps.EncodeImageMeta(meta)}, app, object)
+	for i, p := range packets {
+		rp := rtp.Packet{PayloadType: 96, Marker: i == len(packets)-1, Seq: uint16(i), SSRC: 1, Payload: p}
+		send(&message.Message{Kind: message.KindData, Body: rp.Marshal()}, app, message.Attr{Name: message.AttrLevel, Value: selector.N(float64(i))}, object)
+	}
+	if len(share) <= 17 {
+		t.Fatalf("the share is %d datagrams: nothing was fragmented", len(share))
+	}
+	received := 0
+	relay := func() {
+		for _, d := range share {
+			r.bs.handleWired(transport.Packet{From: "pub", Data: d})
+		}
+		for _, conn := range members {
+			for len(conn.Recv()) > 0 {
+				<-conn.Recv()
+				received++
+			}
+		}
+	}
+	relay() // warm: selector cache, flat profiles, intern table, the wired segment's state
+	if want := 2*17 + 4; received != want {
+		t.Fatalf("the members were sent %d datagrams, want %d", received, want)
+	}
+	n := testing.AllocsPerRun(50, relay)
+	t.Logf("%g allocations per relayed share, %d of them datagram sets", n, datagramSets)
+	if n > pinned {
+		t.Errorf("a relayed share allocates %g times at the station, want <= %d (%d datagram sets)", n, pinned, datagramSets)
 	}
 }
 

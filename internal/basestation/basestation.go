@@ -127,8 +127,19 @@ type BaseStation struct {
 	frameFan  *dispatch.Fanout
 	frameIDs  []string
 	framePipe dispatch.Pipeline
-	// tasks recycles the per-candidate dispatch.Task (see runTask).
-	tasks sync.Pool
+	// The wired segment's, kept across shares: wiredFrame is the scratch
+	// a fragmented frame is reassembled into, dead once handleWired
+	// returns; relayAnnounce rewrites the announced object, its
+	// rendition set (the lower tiers' buffers kept), the fan-out and the
+	// share relay for each share.
+	wiredFrame []byte
+	annObj     media.Object
+	annRS      renditions
+	annFan     *dispatch.Fanout
+	annRelay   *shareRelay
+	// tasks recycles the per-candidate dispatch.Task (see runTask), msgs
+	// the message forwardTiered sends a member its rendition in.
+	tasks, msgs sync.Pool
 
 	env    message.Enveloper
 	unwrap *message.Unwrapper
@@ -178,6 +189,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	bs.sessionSeq = map[string]uint32{}
 	bs.unwrap.Node = id
 	bs.tasks.New = func() any { return new(dispatch.Task) }
+	bs.msgs.New = func() any { return new(message.Message) }
 	bs.wiredTx = &dispatch.Multicaster{Env: &bs.env, Conn: wired}
 	bs.rfTx = &dispatch.Unicaster{Env: &bs.env, Conn: wireless,
 		OnSend: func(string) { bs.stats.downlk.Add(1) }}
@@ -191,6 +203,9 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		dispatch.Transmit,
 	)
 	bs.frameFan = bs.rfTx.Fanout(nil)
+	bs.annRS.bs = bs
+	bs.annFan = bs.rfTx.Fanout(nil)
+	bs.annRelay = bs.newShareRelay()
 	bs.framePipe = dispatch.NewPipeline(
 		dispatch.Match(bs.flatOf),
 		bs.tierGate(radio.TierText),
@@ -235,10 +250,10 @@ func (bs *BaseStation) Close() error {
 // --- Uplink (wireless client → session) ---
 // (Membership and radio control plane: membership.go.)
 
-// newMessage mints a frame from sender for to: the session when to is
-// "", else one member.
-func (bs *BaseStation) newMessage(kind message.Kind, sender, to, sel string, attrs []message.Attr, body []byte) *message.Message {
-	m := &message.Message{
+// stamp writes into m the next frame from sender for to: the session
+// when to is "", else one member.
+func (bs *BaseStation) stamp(m *message.Message, kind message.Kind, sender, to, sel string, attrs []message.Attr, body []byte) {
+	*m = message.Message{
 		Kind:      kind,
 		Sender:    sender,
 		Seq:       bs.nextSeq(sender, to),
@@ -247,7 +262,13 @@ func (bs *BaseStation) newMessage(kind message.Kind, sender, to, sel string, att
 		Body:      body,
 	}
 	m.SetAttrs(attrs)
-	return m
+}
+
+// putMessage empties a message taken from msgs, so that it pins no
+// rendition, and gives it back.
+func (bs *BaseStation) putMessage(m *message.Message) {
+	*m = message.Message{}
+	bs.msgs.Put(m)
 }
 
 // nextSeq numbers the next frame the station sends from sender to to:
@@ -283,7 +304,8 @@ func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) erro
 		}
 		return fmt.Errorf("%w: %s at %.1f dB", ErrNoService, sender, assess.SIRdB)
 	}
-	m := bs.newMessage(message.KindEvent, sender, "", sel, []message.Attr{{Name: message.AttrApp, Value: selector.S(app)}}, payload)
+	m := new(message.Message)
+	bs.stamp(m, message.KindEvent, sender, "", sel, []message.Attr{{Name: message.AttrApp, Value: selector.S(app)}}, payload)
 	msgID := obs.MsgID(m.Sender, m.Seq)
 	obs.AppendHop(msgID, bs.id, obs.StagePublish)
 	sp := obs.StartStage(msgID, obs.StagePublish)
@@ -352,7 +374,7 @@ func (bs *BaseStation) UplinkShare(sender, object, sel string, obj *media.Object
 
 	// The other wireless clients get it no richer than the uplink
 	// admitted, and only those whose profiles its selector admits.
-	if err := bs.relayShare(dispatch.Task{Msg: &message.Message{Selector: sel}, Node: bs.id}, rs, assess.Tier, sender); err != nil {
+	if err := bs.newShareRelay().relay(dispatch.Task{Msg: &message.Message{Selector: sel}, Node: bs.id}, rs, assess.Tier, sender); err != nil {
 		return err
 	}
 	bs.stats.uplinkEvents.Add(1)

@@ -55,7 +55,11 @@ func (bs *BaseStation) runTask(pipe dispatch.Pipeline, task dispatch.Task) error
 // handleWired relays wired-session traffic to the wireless clients,
 // degrading content to each client's tier.
 func (bs *BaseStation) handleWired(pkt transport.Packet) {
-	frame, v, _ := bs.unwrap.Read(pkt.From, pkt.Data) // Read counts what it cannot read
+	// A fragmented frame is reassembled into the segment's scratch: all
+	// that is relayed of it is copied out (enveloped, re-stamped,
+	// rendered) before the relay returns, Pool.Each waiting for every
+	// job it queues.
+	frame, v, _ := bs.unwrap.ReadInto(pkt.From, pkt.Data, &bs.wiredFrame) // ReadInto counts what it cannot read
 	if frame == nil || string(v.Sender()) == bs.id {
 		return
 	}
@@ -90,7 +94,9 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 // (DESIGN.md §17).  A member served at the image tier gets the announce
 // as it was sent, and relayFrame gives it the data frames that follow;
 // any other member gets the share's sketch or text rendition, drawn
-// from the announce alone.  The station keeps nothing of the share.
+// from the announce alone.  The station keeps nothing of the share: the
+// object, the rendition set, the fan-out and the share relay are the
+// wired segment's, rewritten by each announce.
 func (bs *BaseStation) relayAnnounce(m *message.Message) {
 	meta, err := apps.DecodeImageMeta(m.Body)
 	if err != nil {
@@ -99,12 +105,14 @@ func (bs *BaseStation) relayAnnounce(m *message.Message) {
 	// The lower tiers need the description, the carried sketch and the
 	// size; an announce always heads a progressive image, and which
 	// coding its stream uses is the image tier's business.
-	obj := &media.Object{Kind: media.KindImage, Format: media.FormatEZW, Description: meta.Description,
+	bs.annObj = media.Object{Kind: media.KindImage, Format: media.FormatEZW, Description: meta.Description,
 		Width: meta.Width, Height: meta.Height, Sketch: meta.Sketch}
+	bs.annRS.reset(m.Sender, meta.Object, m.Selector, &bs.annObj)
+	bs.annFan.Reset(m)
 	// Nobody upstream to tell: a member that could not be served is in
 	// the dispatch pool's counters and the flight recorder.
-	_ = bs.relayShare(dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: bs.rfTx.Fanout(m), Node: bs.id},
-		&renditions{bs: bs, sender: m.Sender, object: meta.Object, sel: m.Selector, obj: obj}, radio.TierImage, "")
+	_ = bs.annRelay.relay(dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: bs.annFan, Node: bs.id},
+		&bs.annRS, radio.TierImage, "")
 }
 
 // relayFrame relays one data frame of a wired image share to the
@@ -172,31 +180,57 @@ func imageTierOnly(t *dispatch.Task) error {
 	return dispatch.Transmit(t)
 }
 
-// relayShare serves a share to every candidate of share.Msg's selector
+// shareRelay serves a share to every candidate of share.Msg's selector
 // but skip, each at servedTier: match, infer the tier, clamp, then send
 // the image tier share.Fan when it is set (a wired share's announce, as
 // it was sent) and every other tier that tier's rendition through
-// forwardTiered.
-func (bs *BaseStation) relayShare(share dispatch.Task, rs *renditions, limit radio.Tier, skip string) error {
-	pipe := dispatch.NewPipeline(
-		dispatch.Match(bs.flatOf),
-		bs.tierGate(radio.TierText),
-		func(t *dispatch.Task) error {
-			tier := servedTier(t, limit)
-			if tier == radio.TierImage && t.Fan != nil {
-				return dispatch.Transmit(t)
-			}
-			return bs.forwardTiered(rs, tier, bs.rfTx, t.To)
-		},
-	)
-	return bs.pool.Each(share.MsgID, dispatch.Candidates(bs.reg, share.Msg, nil), func(id string) error {
-		if id == skip {
-			return nil
-		}
-		t := share
-		t.To = id
-		return bs.runTask(pipe, t)
-	})
+// forwardTiered.  Its pipeline, the function the dispatch pool runs and
+// its candidate list are built once, so the wired segment keeps one
+// relay for all its shares; the dispatch shards read the share it is
+// serving while relay waits for them.
+type shareRelay struct {
+	bs    *BaseStation
+	pipe  dispatch.Pipeline
+	each  func(id string) error
+	ids   []string
+	share dispatch.Task
+	rs    *renditions
+	limit radio.Tier
+	skip  string
+}
+
+func (bs *BaseStation) newShareRelay() *shareRelay {
+	sr := &shareRelay{bs: bs}
+	sr.pipe = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate(radio.TierText), sr.serve)
+	sr.each = sr.member
+	return sr
+}
+
+// relay serves one share, no richer than limit.  One relay runs on sr
+// at a time.
+func (sr *shareRelay) relay(share dispatch.Task, rs *renditions, limit radio.Tier, skip string) error {
+	sr.share, sr.rs, sr.limit, sr.skip = share, rs, limit, skip
+	sr.ids = dispatch.Candidates(sr.bs.reg, share.Msg, sr.ids[:0])
+	err := sr.bs.pool.Each(share.MsgID, sr.ids, sr.each)
+	sr.share, sr.rs = dispatch.Task{}, nil
+	return err
+}
+
+func (sr *shareRelay) member(id string) error {
+	if id == sr.skip {
+		return nil
+	}
+	t := sr.share
+	t.To = id
+	return sr.bs.runTask(sr.pipe, t)
+}
+
+func (sr *shareRelay) serve(t *dispatch.Task) error {
+	tier := servedTier(t, sr.limit)
+	if tier == radio.TierImage && t.Fan != nil {
+		return dispatch.Transmit(t)
+	}
+	return sr.bs.forwardTiered(sr.rs, tier, sr.bs.rfTx, t.To)
 }
 
 // --- Uplink frame handling (wireless segment → relays) ---

@@ -50,13 +50,43 @@ type renditions struct {
 	image, sketch, text             rendition
 }
 
-// mediaEvent renders o as a single media-inbox event.
-func (rs *renditions) mediaEvent(o *media.Object) rendition {
-	payload, err := apps.EncodeMediaObject(o)
-	return rendition{payload: payload, err: err, attrs: message.AttrsOf(o.Attrs().Merge(selector.Attributes{
-		message.AttrApp:    selector.S(apps.AppMedia),
-		message.AttrObject: selector.S(rs.object),
-	}))}
+// reset readies rs for another wired share, the lower tiers' buffers
+// kept for their next renditions (a wired share's image tier is its
+// sender's frames).  No tier may be being derived.
+func (rs *renditions) reset(sender, object, sel string, obj *media.Object) {
+	*rs = renditions{bs: rs.bs, sender: sender, object: object, sel: sel, obj: obj,
+		sketch: rs.sketch.emptied(),
+		text:   rs.text.emptied()}
+}
+
+// emptied is r's buffers, emptied for the next rendition of its tier.
+func (r *rendition) emptied() rendition {
+	return rendition{attrs: r.attrs[:0], payload: r.payload[:0]}
+}
+
+// mediaEvent renders o into r as a single media-inbox event, in r's
+// buffers.
+func (rs *renditions) mediaEvent(r *rendition, o *media.Object) {
+	r.payload, r.err = apps.AppendMediaObject(r.payload[:0], o)
+	r.attrs = shareAttrs(r.attrs[:0], o, apps.AppMedia, rs.object)
+}
+
+// shareAttrs appends to dst the attributes a share travels with, in
+// name order as message.SetAttrs takes them: the app that takes it, o's
+// descriptive attributes and the object's name.
+func shareAttrs(dst []message.Attr, o *media.Object, app, object string) []message.Attr {
+	dst = append(dst, message.Attr{Name: message.AttrApp, Value: selector.S(app)})
+	named, placed := message.Attr{Name: message.AttrObject, Value: selector.S(object)}, false
+	o.EachAttr(func(name string, v selector.Value) {
+		if !placed && name > named.Name {
+			dst, placed = append(dst, named), true
+		}
+		dst = append(dst, message.Attr{Name: name, Value: v})
+	})
+	if !placed {
+		dst = append(dst, named)
+	}
+	return dst
 }
 
 // imageTier is an uplinked share's full tier: a progressive image goes
@@ -67,15 +97,12 @@ func (rs *renditions) imageTier() *rendition {
 	rs.imageOnce.Do(func() {
 		meta, packets, err := apps.ShareImage(rs.object, rs.obj, apps.SharePackets)
 		if err != nil {
-			rs.image = rs.mediaEvent(rs.obj)
+			rs.mediaEvent(&rs.image, rs.obj)
 			return
 		}
 		app, object := selector.S(apps.AppImageViewer), selector.S(rs.object)
 		rs.image = rendition{
-			attrs: message.AttrsOf(rs.obj.Attrs().Merge(selector.Attributes{
-				message.AttrApp:    app,
-				message.AttrObject: object,
-			})),
+			attrs:       shareAttrs(nil, rs.obj, apps.AppImageViewer, rs.object),
 			payload:     apps.EncodeImageMeta(meta),
 			packets:     rs.frame(packets),
 			packetAttrs: make([][]message.Attr, len(packets)),
@@ -124,26 +151,27 @@ func (rs *renditions) frame(packets [][]byte) [][]byte {
 	return frames
 }
 
-// transformed derives a lower tier through the configured registry,
-// under one transform span per share.  The stock sketch path
+// transformed derives a lower tier into r through the configured
+// registry, under one transform span per share.  The stock sketch path
 // (media.ImageToSketch) takes the sketch the share carries: nothing is
 // decoded.
-func (rs *renditions) transformed(to media.Kind, onFail string) rendition {
+func (rs *renditions) transformed(r *rendition, to media.Kind, onFail string) {
 	sp := obs.StartStage(0, obs.StageTransform)
 	o, err := rs.bs.cfg.registry.Transmode(rs.obj, to)
 	if err != nil {
 		if sp.Active() {
 			sp.EndErr("bs " + rs.bs.id + ": " + rs.object + onFail)
 		}
-		return rendition{err: err}
+		r.err = err
+		return
 	}
 	sp.End()
-	return rs.mediaEvent(o)
+	rs.mediaEvent(r, o)
 }
 
 func (rs *renditions) sketchTier() *rendition {
 	rs.sketchOnce.Do(func() {
-		rs.sketch = rs.transformed(media.KindSketch, " carries no valid sketch, falling back to text")
+		rs.transformed(&rs.sketch, media.KindSketch, " carries no valid sketch, falling back to text")
 		if rs.sketch.err != nil {
 			metrics.C(metrics.CtrSketchFallbacks).Inc()
 		}
@@ -153,16 +181,16 @@ func (rs *renditions) sketchTier() *rendition {
 
 func (rs *renditions) textTier() *rendition {
 	rs.textOnce.Do(func() {
-		rs.text = rs.transformed(media.KindText, " text transform failed")
+		rs.transformed(&rs.text, media.KindText, " text transform failed")
 	})
 	return &rs.text
 }
 
 // forwardTiered sends the share's rendition for the given tier — the
 // announce or media event, then each RTP frame — through the transmit
-// adapter (to is ignored by the multicast adapter).  It mints one
-// message per call and rewrites it for each frame: the adapter keeps
-// none of it once Deliver returns.
+// adapter (to is ignored by the multicast adapter).  It takes one
+// message per call from the station's pool and rewrites it for each
+// frame: the adapter keeps none of it once Deliver returns.
 func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatch.Deliverer, to string) error {
 	var r *rendition
 	switch tier {
@@ -181,7 +209,9 @@ func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatc
 	if r.err != nil {
 		return r.err
 	}
-	m := bs.newMessage(message.KindEvent, rs.sender, to, rs.sel, r.attrs, r.payload)
+	m := bs.msgs.Get().(*message.Message)
+	defer bs.putMessage(m)
+	bs.stamp(m, message.KindEvent, rs.sender, to, rs.sel, r.attrs, r.payload)
 	if tier != radio.TierImage {
 		// The relayed message is minted here, so the transform hop can
 		// only be attributed once its trace identity exists.

@@ -3,6 +3,7 @@ package basestation
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -394,6 +395,39 @@ func TestImageTierFramesSharedByMembers(t *testing.T) {
 			p.Marker != (i == len(packets)-1) || !bytes.Equal(p.Payload, packets[i]) {
 			t.Errorf("packet %d: seq %d ts %d marker %v, %d B; want seq %d, the share's one timestamp %d, %d B",
 				i, p.Seq, p.Timestamp, p.Marker, len(p.Payload), i, first.Timestamp, len(packets[i]))
+		}
+	}
+}
+
+// TestShareAttrsAreTheMergedMap: the attribute list a rendition is sent
+// with, written name-sorted straight from the object, is the list the
+// object's attribute map merged with the share's app and name gives, for
+// every kind of object a tier carries.
+func TestShareAttrsAreTheMergedMap(t *testing.T) {
+	gray := testImageObject(t)
+	colour, err := media.EncodeColorImage(wavelet.ColorScene(32, 32, 1), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := []*media.Object{
+		gray, colour,
+		{Kind: media.KindImage, Format: media.FormatEZW, Description: "announced", Width: 256, Height: 128},
+		{Kind: media.KindSketch, Format: media.FormatSketch, Data: []byte("sk"), Description: "d", Width: 32, Height: 16},
+		{Kind: media.KindText, Format: media.FormatText, Data: []byte("a caption"), Description: "a caption"},
+		{Kind: media.KindSpeech, Format: "pcm-sim"},
+	}
+	for _, app := range []string{apps.AppMedia, apps.AppImageViewer} {
+		for _, o := range objects {
+			want := message.AttrsOf(o.Attrs().Merge(selector.Attributes{
+				message.AttrApp:    selector.S(app),
+				message.AttrObject: selector.S("share"),
+			}))
+			got := shareAttrs(nil, o, app, "share")
+			if !slices.Equal(got, want) {
+				t.Errorf("%s as %s: shareAttrs gives %v, the merged map %v", o, app, got, want)
+			}
+			var m message.Message
+			m.SetAttrs(got) // panics unless strictly name-sorted
 		}
 	}
 }

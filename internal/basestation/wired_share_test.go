@@ -279,6 +279,128 @@ func TestRelayedFramesAreTheSentPackets(t *testing.T) {
 	}
 }
 
+// TestFragmentedSharesAreTheSentPackets: two wired shares whose frames
+// are fragmented at a 1 400 B MTU, their fragments interleaved so that
+// one frame of each is being reassembled at once, reach every image-tier
+// member as their sender sent them.  The station reassembles each frame
+// into one scratch it reuses for the next, so a frame relayed from that
+// scratch after a later one overwrote it would show here.
+func TestFragmentedSharesAreTheSentPackets(t *testing.T) {
+	c := newBareCell(t, 4, 0, 2)
+	env := message.Enveloper{MTU: 1400}
+	var seq uint32
+	wrap := func(m *message.Message) [][]byte {
+		t.Helper()
+		seq++
+		m.Sender, m.Seq, m.Timestamp = "pub", seq, c.clk.Now()
+		d, err := env.WrapMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	attrs := func(object string, level int) selector.Attributes {
+		a := selector.Attributes{message.AttrApp: selector.S(apps.AppImageViewer), message.AttrObject: selector.S(object)}
+		if level >= 0 {
+			a[message.AttrLevel] = selector.N(float64(level))
+		}
+		return a
+	}
+	objects := [2]string{"scan", "chart"}
+	var packets [2][][]byte
+	var announces [2][]byte
+	var frames [2][][][]byte
+	for s, object := range objects {
+		obj, err := media.EncodeImage(wavelet.Medical(256, 256, int64(s+1)), object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, ps, err := apps.ShareImage(object, obj, apps.SharePackets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packets[s], announces[s] = ps, apps.EncodeImageMeta(meta)
+		for i, p := range ps {
+			rp := rtp.Packet{PayloadType: 96, Marker: i == len(ps)-1, Seq: uint16(i), Timestamp: 9000, SSRC: 77, Payload: p}
+			frames[s] = append(frames[s], wrap(&message.Message{Kind: message.KindData, Attrs: attrs(object, i), Body: rp.Marshal()}))
+		}
+	}
+	send := func(d []byte) {
+		t.Helper()
+		if err := c.pub.Multicast(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s, object := range objects {
+		for _, d := range wrap(&message.Message{Kind: message.KindEvent, Attrs: attrs(object, -1), Body: announces[s]}) {
+			send(d)
+		}
+	}
+	fragmented := 0
+	for i := range packets[0] {
+		a, b := frames[0][i], frames[1][i]
+		if len(a) > 1 && len(b) > 1 {
+			fragmented++
+		}
+		for k := 0; k < max(len(a), len(b)); k++ {
+			if k < len(a) {
+				send(a[k])
+			}
+			if k < len(b) {
+				send(b[k])
+			}
+		}
+	}
+	if fragmented == 0 {
+		t.Fatal("no frame of either share was fragmented")
+	}
+	c.settle()
+
+	for _, conn := range c.members {
+		u := message.NewUnwrapper()
+		var got [2][][]byte
+		for len(conn.Recv()) > 0 {
+			frame, err := u.Unwrap("bs", (<-conn.Recv()).Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frame == nil {
+				continue
+			}
+			m, err := message.Decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name, _ := m.Attr(message.AttrObject)
+			s := 0
+			if name.Str() == objects[1] {
+				s = 1
+			}
+			if m.Kind == message.KindEvent {
+				if !bytes.Equal(m.Body, announces[s]) {
+					t.Errorf("%s: the announce of %s arrived as %d other bytes", conn.ID(), objects[s], len(m.Body))
+				}
+				continue
+			}
+			p, err := rtp.Unmarshal(m.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[s] = append(got[s], p.Payload)
+		}
+		for s := range objects {
+			if len(got[s]) != len(packets[s]) {
+				t.Fatalf("%s was sent %d data frames of %s, want %d", conn.ID(), len(got[s]), objects[s], len(packets[s]))
+			}
+			for i, p := range got[s] {
+				if !bytes.Equal(p, packets[s][i]) {
+					t.Errorf("%s: frame %d of %s differs from the packet its sender sent", conn.ID(), i, objects[s])
+				}
+			}
+		}
+	}
+}
+
 // TestHostileCollectedStreamDropped: a stream the coder would refuse
 // reaches image-tier members exactly as it reaches a wired receiver, and
 // is refused where it is decoded, at the members: a render fails or

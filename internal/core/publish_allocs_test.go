@@ -50,8 +50,10 @@ func TestPublishAllocs(t *testing.T) {
 
 	// A share's cost beyond its datagrams does not grow with the data
 	// packets it sends, here cut to 15 and to 11 of them by the loss a
-	// receiver reported.  Sent whole it is a dozen allocations: the
-	// split, the announce and its attributes, the local viewer's copy.
+	// receiver reported, and the cut itself costs nothing: the budget is
+	// read off the loss number.  Sent whole it is a dozen allocations:
+	// the split, the announce and its attributes, the local viewer's
+	// copy.
 	obj, err := media.EncodeImage(wavelet.Medical(64, 64, 3), "scan")
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +84,9 @@ func TestPublishAllocs(t *testing.T) {
 	}
 	if most != fewer {
 		t.Errorf("a share allocates %g beyond its datagrams cut to 15 packets and %g cut to 11: data packets allocate", most, fewer)
+	}
+	if most != whole {
+		t.Errorf("a share cut short by reported loss allocates %g beyond its datagrams, sent whole %g: the cut allocates", most, whole)
 	}
 	if whole > 12 {
 		t.Errorf("a share sent whole allocates %g beyond its datagrams, want <= 12", whole)

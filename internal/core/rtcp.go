@@ -131,12 +131,18 @@ func (c *Client) WorstPeerLoss() float64 { return c.reports.worst() }
 // sendBudget resolves how many of total packets to actually transmit,
 // given receiver feedback.  With no reports everything is sent.
 func (c *Client) sendBudget(total int) int {
-	worst := c.reports.worst()
+	return lossBudget(total, c.reports.worst())
+}
+
+// lossBudget is the packets of total a sender transmits when the worst
+// receiver reports losing worst of them: the budget the policy's
+// loss-budget rule gives (inference.Params.Decide on the loss alone),
+// read off the loss number without building the state map Decide takes.
+func lossBudget(total int, worst float64) int {
 	if worst <= 0 {
 		return total
 	}
-	state := selector.Attributes{inference.StateLoss: selector.N(worst)}
-	budget := inference.Params{MaxPackets: total}.Decide(state).EffectiveBudget(total)
+	budget := min(inference.Params{MaxPackets: total}.PacketsFromLoss(worst), total)
 	if budget < 1 {
 		budget = 1 // always send at least the base layer
 	}

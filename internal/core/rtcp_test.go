@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adaptiveqos/internal/clock"
+	"adaptiveqos/internal/inference"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/selector"
@@ -173,5 +174,24 @@ func TestRTCPReportAboutOthersIgnored(t *testing.T) {
 	// Clean links: zero loss reported either way.
 	if a.WorstPeerLoss() != 0 || b.WorstPeerLoss() != 0 {
 		t.Errorf("clean links reported loss: %g, %g", a.WorstPeerLoss(), b.WorstPeerLoss())
+	}
+}
+
+// TestLossBudgetIsDecides: the budget a sender reads off the worst
+// reported loss is the one the policy's Decide gives for that loss, on
+// a grid of losses and share sizes, clamped to at least the base layer.
+func TestLossBudgetIsDecides(t *testing.T) {
+	for total := 1; total <= 20; total++ {
+		for i := 0; i <= 200; i++ {
+			loss := float64(i) / 200
+			want := total
+			if loss > 0 {
+				state := selector.Attributes{inference.StateLoss: selector.N(loss)}
+				want = max(inference.Params{MaxPackets: total}.Decide(state).EffectiveBudget(total), 1)
+			}
+			if got := lossBudget(total, loss); got != want {
+				t.Errorf("lossBudget(%d, %g) = %d, Decide gives %d", total, loss, got, want)
+			}
+		}
 	}
 }

@@ -86,6 +86,9 @@ func (b *batch) setErr(err error) {
 type Pool struct {
 	cfg    PoolConfig
 	shards []chan job
+	// batches recycles the batch a queued Each waits on: every job
+	// points at it, so it escapes, and there is one per relayed message.
+	batches sync.Pool
 
 	mu     sync.RWMutex // guards shards against Close during Each
 	closed bool
@@ -184,13 +187,16 @@ func (p *Pool) Each(msgID uint64, ids []string, fn func(id string) error) error 
 		}
 		return firstErr
 	}
-	var b batch
+	b, _ := p.batches.Get().(*batch)
+	if b == nil {
+		b = new(batch)
+	}
 	b.wg.Add(len(ids))
 	mask := uint32(len(p.shards))
 	for _, id := range ids {
 		sh := p.shards[fnv32a(id)%mask]
 		select {
-		case sh <- job{id: id, fn: fn, b: &b, qsp: obs.StartStage(msgID, obs.StageQueue)}:
+		case sh <- job{id: id, fn: fn, b: b, qsp: obs.StartStage(msgID, obs.StageQueue)}:
 		default:
 			b.wg.Done()
 			ctrQueueDrops.Inc()
@@ -202,8 +208,11 @@ func (p *Pool) Each(msgID uint64, ids []string, fn func(id string) error) error 
 		}
 	}
 	p.mu.RUnlock()
-	b.wg.Wait()
-	return b.firstErr
+	b.wg.Wait() // no job holds b past its Done
+	err := b.firstErr
+	b.firstErr = nil
+	p.batches.Put(b)
+	return err
 }
 
 // SampleQoS feeds per-shard queue depths into the gauge set; the

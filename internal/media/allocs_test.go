@@ -27,3 +27,21 @@ func TestSketchTierAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTransmodeRouteAllocs: a registry searches its path for a pair of
+// kinds once; after that, deriving the sketch tier costs what the sketch
+// transform allocates and nothing for the route (the search allocated
+// twice on every call).
+func TestTransmodeRouteAllocs(t *testing.T) {
+	reg := DefaultRegistry()
+	gray, err := EncodeImage(wavelet.Medical(64, 64, 1), "gray scene")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Transmode(gray, KindSketch); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { reg.Transmode(gray, KindSketch) }); n != 2 {
+		t.Errorf("image -> sketch allocates %g times, want 2 (the sketch transform's)", n)
+	}
+}

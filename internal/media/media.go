@@ -21,6 +21,7 @@ package media
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"adaptiveqos/internal/selector"
 )
@@ -71,24 +72,32 @@ func (o *Object) Clone() *Object {
 // Attrs renders the object's descriptive attributes for semantic
 // selectors (the message header vocabulary).
 func (o *Object) Attrs() selector.Attributes {
-	a := selector.Attributes{
-		"media":    selector.S(string(o.Kind)),
-		"encoding": selector.S(o.Format),
-		"size":     selector.N(float64(len(o.Data))),
-	}
-	if o.Width > 0 {
-		a["width"] = selector.N(float64(o.Width))
-		a["height"] = selector.N(float64(o.Height))
-	}
+	a := make(selector.Attributes, 7)
+	o.EachAttr(func(name string, v selector.Value) { a[name] = v })
+	return a
+}
+
+// EachAttr calls fn with each of the attributes Attrs renders, in name
+// order, so a sender can write them straight into the name-sorted
+// attribute list a message carries.
+func (o *Object) EachAttr(fn func(name string, v selector.Value)) {
 	if o.Kind == KindImage {
 		// The Figure 3 negotiation attribute: monochrome-only clients
 		// reject color content they cannot transform.
-		a["color"] = selector.B(o.Format == FormatEZWColor)
+		fn("color", selector.B(o.Format == FormatEZWColor))
 	}
 	if o.Description != "" {
-		a["description"] = selector.S(o.Description)
+		fn("description", selector.S(o.Description))
 	}
-	return a
+	fn("encoding", selector.S(o.Format))
+	if o.Width > 0 {
+		fn("height", selector.N(float64(o.Height)))
+	}
+	fn("media", selector.S(string(o.Kind)))
+	fn("size", selector.N(float64(len(o.Data))))
+	if o.Width > 0 {
+		fn("width", selector.N(float64(o.Width)))
+	}
 }
 
 // String renders a compact description.
@@ -113,10 +122,29 @@ type Transformer interface {
 	Transform(in *Object) (*Object, error)
 }
 
-// Registry is the extensible transformer library.
+// Registry is the extensible transformer library.  Modules are
+// registered before the registry is shared; Transmode is then safe for
+// concurrent use (the base station's dispatch shards derive tiers
+// through one registry at once).
 type Registry struct {
 	byName map[string]Transformer
 	byEdge map[Kind][]Transformer
+
+	// routes memoizes Transmode's paths, one search per (from, to) pair
+	// for the registry's life, from a kind some module converts and at
+	// most maxRoutes of them, so a peer naming kinds of its own cannot
+	// grow it; Register forgets them.
+	mu     sync.RWMutex
+	routes map[[2]Kind]route
+}
+
+// maxRoutes bounds a registry's memoized paths.
+const maxRoutes = 64
+
+// route is one memoized Path result.
+type route struct {
+	path []Transformer
+	err  error
 }
 
 // NewRegistry returns an empty registry.
@@ -144,6 +172,9 @@ func DefaultRegistry() *Registry {
 func (r *Registry) Register(t Transformer) {
 	r.byName[t.Name()] = t
 	r.byEdge[t.From()] = append(r.byEdge[t.From()], t)
+	r.mu.Lock()
+	r.routes = nil
+	r.mu.Unlock()
 }
 
 // Path finds the shortest transformation chain from one modality to
@@ -178,10 +209,35 @@ func (r *Registry) Path(from, to Kind) ([]Transformer, error) {
 	return nil, fmt.Errorf("%w: %s -> %s", ErrNoPath, from, to)
 }
 
+// route is Path, searched once per (from, to) pair: the path it
+// returns is shared and must not be modified.
+func (r *Registry) route(from, to Kind) ([]Transformer, error) {
+	key := [2]Kind{from, to}
+	r.mu.RLock()
+	rt, ok := r.routes[key]
+	r.mu.RUnlock()
+	if ok {
+		return rt.path, rt.err
+	}
+	rt.path, rt.err = r.Path(from, to)
+	if len(r.byEdge[from]) == 0 {
+		return rt.path, rt.err
+	}
+	r.mu.Lock()
+	if r.routes == nil {
+		r.routes = make(map[[2]Kind]route)
+	}
+	if len(r.routes) < maxRoutes {
+		r.routes[key] = rt
+	}
+	r.mu.Unlock()
+	return rt.path, rt.err
+}
+
 // Transmode converts an object to the target modality along the
 // shortest registered path.
 func (r *Registry) Transmode(in *Object, to Kind) (*Object, error) {
-	path, err := r.Path(in.Kind, to)
+	path, err := r.route(in.Kind, to)
 	if err != nil {
 		return nil, err
 	}

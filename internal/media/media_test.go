@@ -2,8 +2,10 @@ package media
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -295,6 +297,54 @@ func TestMultiHopPath(t *testing.T) {
 	if !canReach(reg, KindImage, KindText) {
 		t.Error("CanReach image->text should be true")
 	}
+}
+
+// TestRoutesAreSharedAndForgotten: Transmode's memoized routes are read
+// from several goroutines at once (the base station's dispatch shards
+// derive tiers through one registry), a kind no module converts from is
+// not memoized, and registering a module forgets the routes, so a
+// shorter path it opens is taken.
+func TestRoutesAreSharedAndForgotten(t *testing.T) {
+	reg := DefaultRegistry()
+	obj := testImageObject(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, to := range []Kind{KindSketch, KindText, KindSpeech} {
+					if out, err := reg.Transmode(obj, to); err != nil || out.Kind != to {
+						t.Errorf("image -> %s: %v, %v", to, out, err)
+					}
+				}
+				if _, err := reg.Transmode(&Object{Kind: Kind(fmt.Sprint("k", i))}, KindText); !errors.Is(err, ErrNoPath) {
+					t.Errorf("an unknown kind: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(reg.routes); n != 3 {
+		t.Errorf("%d routes memoized, want 3 (image to sketch, text and speech)", n)
+	}
+
+	direct := 0
+	reg.Register(imageToSpeech{&direct})
+	if out, err := reg.Transmode(obj, KindSpeech); err != nil || out.Kind != KindSpeech || direct != 1 {
+		t.Errorf("image -> speech after a direct module registered: %v, %v, direct module ran %d times", out, err, direct)
+	}
+}
+
+// imageToSpeech is a one-hop image -> speech module that counts its runs.
+type imageToSpeech struct{ runs *int }
+
+func (imageToSpeech) Name() string { return "image-to-speech" }
+func (imageToSpeech) From() Kind   { return KindImage }
+func (imageToSpeech) To() Kind     { return KindSpeech }
+func (m imageToSpeech) Transform(in *Object) (*Object, error) {
+	*m.runs++
+	return &Object{Kind: KindSpeech, Format: "direct", Description: in.Description}, nil
 }
 
 func TestRegistryLookup(t *testing.T) {

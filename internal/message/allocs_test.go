@@ -113,7 +113,8 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 }
 
 // A two-fragment message costs one allocation at the receiver: the
-// frame it completes into.  Its reassembly state is the last message's,
+// frame it completes into, none when it completes into the receiver's
+// scratch.  Its reassembly state is the last message's,
 // recycled, and a duplicate fragment costs nothing.  So is the state of
 // a message that evicts an abandoned one: it takes the victim's.
 func TestReassemblyAllocs(t *testing.T) {
@@ -145,12 +146,26 @@ func TestReassemblyAllocs(t *testing.T) {
 		t.Errorf("a duplicate fragment allocates %g times, want 0", n)
 	}
 
+	// Into the receiver's scratch, the frame costs nothing either.
+	var scratch []byte
+	n = testing.AllocsPerRun(runs, func() {
+		d := msgs[next%len(msgs)]
+		next++
+		u.UnwrapInto("peer", d[0], &scratch)
+		if frame, _ := u.UnwrapInto("peer", d[1], &scratch); frame == nil {
+			t.Fatal("two fragments did not complete their message")
+		}
+	})
+	if n != 0 {
+		t.Errorf("a two-fragment message read into scratch allocates %g times, want 0", n)
+	}
+
 	r := NewReassembler()
 	r.MaxPending = 1
 	id, chunk := uint64(0), []byte{1}
 	if n := testing.AllocsPerRun(runs, func() {
 		id++ // a new message each run, evicting the last one's first fragment
-		if _, done, err := r.Add(Fragment{MsgID: id, Count: 2, Chunk: chunk}); done || err != nil {
+		if _, done, err := r.Add(Fragment{MsgID: id, Count: 2, Chunk: chunk}, nil); done || err != nil {
 			t.Fatalf("one fragment of two: done %v, %v", done, err)
 		}
 	}); n != 0 {

@@ -214,9 +214,18 @@ func NewUnwrapper() *Unwrapper {
 // from peer and returns the frame it completes with the validated view
 // of it.  frame is nil for a fragment whose message is still incomplete
 // and for a datagram that cannot be unwrapped or parsed; the latter is
-// returned as err and counted in message.decode.errors.
+// returned as err and counted in message.decode.errors.  A reassembled
+// frame is a fresh buffer, the caller's to keep (see ReadInto).
 func (u *Unwrapper) Read(peer string, datagram []byte) (frame []byte, v View, err error) {
-	frame, err = u.Unwrap(peer, datagram)
+	return u.ReadInto(peer, datagram, nil)
+}
+
+// ReadInto is Read, reassembling a fragmented frame into the caller's
+// scratch as Reassembler.Add does: such a frame, and the view of
+// it, are valid only until the next ReadInto on buf.  A whole frame is
+// the datagram's own bytes, as Read's is, and leaves *buf alone.
+func (u *Unwrapper) ReadInto(peer string, datagram []byte, buf *[]byte) (frame []byte, v View, err error) {
+	frame, err = u.UnwrapInto(peer, datagram, buf)
 	if err == nil && frame != nil {
 		v, err = Parse(frame)
 	}
@@ -236,6 +245,12 @@ func (u *Unwrapper) Read(peer string, datagram []byte) (frame []byte, v View, er
 // when it is not; either way the payload is handled exactly like the
 // untraced form.
 func (u *Unwrapper) Unwrap(peer string, datagram []byte) ([]byte, error) {
+	return u.UnwrapInto(peer, datagram, nil)
+}
+
+// UnwrapInto is Unwrap, reassembling a fragmented frame into *buf as
+// Reassembler.Add does; a nil buf is Unwrap.
+func (u *Unwrapper) UnwrapInto(peer string, datagram []byte, buf *[]byte) ([]byte, error) {
 	if len(datagram) < 1 {
 		return nil, ErrTruncated
 	}
@@ -267,7 +282,7 @@ func (u *Unwrapper) Unwrap(peer string, datagram []byte) ([]byte, error) {
 			u.peers[peer] = r
 		}
 		u.mu.Unlock()
-		frame, done, err := r.Add(frag)
+		frame, done, err := r.Add(frag, buf)
 		if err != nil || !done {
 			return nil, err
 		}

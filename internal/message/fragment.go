@@ -126,10 +126,18 @@ func (r *Reassembler) maxPending() int {
 // completes or is discarded: the chunk must not be written again (a
 // received datagram never is).  When the fragment completes its
 // message the chunks are concatenated — the one copy a fragmented byte
-// gets — into a fresh buffer of exactly the payload's size, returned
-// with done=true, and the message's state is released.  Duplicate
-// fragments are ignored.
-func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
+// gets — and returned with done=true, and the message's state is
+// released.  Duplicate fragments are ignored.
+//
+// With a nil buf the payload is a fresh buffer of exactly its size, the
+// caller's for good: a receiver that keeps what it decodes (a viewer's
+// chunks, an order buffer's bodies) may keep the payload itself.  With
+// a non-nil buf the payload is concatenated into the caller's scratch,
+// *buf, and *buf is left holding it, grown to the payload's size when
+// it was smaller: a receive loop that is done with each frame before it
+// reads the next reassembles every frame in one buffer, and the payload
+// is valid until the next Add on buf.
+func (r *Reassembler) Add(f Fragment, buf *[]byte) (payload []byte, done bool, err error) {
 	if f.Count == 0 || f.Index >= f.Count {
 		return nil, false, fmt.Errorf("%w: index %d of %d", ErrFragHeader, f.Index, f.Count)
 	}
@@ -167,9 +175,17 @@ func (r *Reassembler) Add(f Fragment) (payload []byte, done bool, err error) {
 	for _, c := range pm.chunks {
 		total += len(c.data)
 	}
-	out := make([]byte, 0, total)
+	var out []byte
+	if buf != nil && cap(*buf) >= total {
+		out = (*buf)[:0]
+	} else {
+		out = make([]byte, 0, total)
+	}
 	for _, c := range pm.chunks {
 		out = append(out, c.data...)
+	}
+	if buf != nil {
+		*buf = out
 	}
 	delete(r.pending, f.MsgID)
 	r.recycleLocked(pm.chunks)

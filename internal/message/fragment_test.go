@@ -58,7 +58,7 @@ func TestReassemblerInOrder(t *testing.T) {
 	frags := fragmentsOf(t, payload, 3)
 	r := NewReassembler()
 	for i, f := range frags {
-		out, done, err := r.Add(f)
+		out, done, err := r.Add(f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestReassemblerReorderAndDuplicates(t *testing.T) {
 		// retransmission of a new message with a recycled ID), so only
 		// the first completion carries the payload.
 		for rep := 0; rep < 2; rep++ {
-			out, done, err := r.Add(frags[idx])
+			out, done, err := r.Add(frags[idx], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,16 +116,70 @@ func TestReassemblerReorderAndDuplicates(t *testing.T) {
 	}
 }
 
+// TestReassemblerScratch: with the caller's scratch a completed payload
+// is written into it, the scratch reused while it is large enough and
+// replaced by a larger one when it is not; with none each payload is a
+// buffer of its own, which nothing reassembled later overwrites.  A
+// receive loop that is done with each frame may lend one scratch; a
+// receiver that keeps payloads (a viewer's chunks) must not.
+func TestReassemblerScratch(t *testing.T) {
+	payloads := [][]byte{
+		bytes.Repeat([]byte("a"), 90),
+		bytes.Repeat([]byte("b"), 60),
+		bytes.Repeat([]byte("c"), 150),
+	}
+	complete := func(r *Reassembler, msg int, buf *[]byte) []byte {
+		t.Helper()
+		frags := fragmentsOf(t, payloads[msg], 16)
+		for i := range frags {
+			frags[i].MsgID = uint64(msg + 1)
+			out, done, err := r.Add(frags[i], buf)
+			if err != nil || done != (i == len(frags)-1) {
+				t.Fatalf("payload %d, fragment %d of %d: done %v, %v", msg, i, len(frags), done, err)
+			}
+			if done {
+				return out
+			}
+		}
+		return nil
+	}
+
+	r := NewReassembler()
+	var fresh [][]byte
+	for msg := range payloads {
+		fresh = append(fresh, complete(r, msg, nil))
+	}
+	for msg, out := range fresh {
+		if !bytes.Equal(out, payloads[msg]) || cap(out) != len(payloads[msg]) {
+			t.Errorf("fresh payload %d reads %q (cap %d) after later messages, want its own %d bytes", msg, out, cap(out), len(payloads[msg]))
+		}
+	}
+
+	var scratch []byte
+	first := complete(r, 0, &scratch)
+	second := complete(r, 1, &scratch)
+	if !bytes.Equal(second, payloads[1]) || &second[0] != &first[0] || &scratch[:1][0] != &first[0] {
+		t.Errorf("a shorter payload was not written into the scratch the first one left")
+	}
+	if !bytes.Equal(first[:len(payloads[1])], payloads[1]) {
+		t.Errorf("the scratch was not reused: the first payload still reads %q", first)
+	}
+	third := complete(r, 2, &scratch)
+	if !bytes.Equal(third, payloads[2]) || &scratch[:1][0] != &third[0] || cap(scratch) < len(payloads[2]) {
+		t.Errorf("a longer payload: got %q, scratch cap %d", third, cap(scratch))
+	}
+}
+
 func TestReassemblerMismatchAndValidation(t *testing.T) {
 	r := NewReassembler()
-	r.Add(Fragment{MsgID: 1, Index: 0, Count: 3, Chunk: []byte("a")})
-	if _, _, err := r.Add(Fragment{MsgID: 1, Index: 1, Count: 4, Chunk: []byte("b")}); !errors.Is(err, ErrFragMismatch) {
+	r.Add(Fragment{MsgID: 1, Index: 0, Count: 3, Chunk: []byte("a")}, nil)
+	if _, _, err := r.Add(Fragment{MsgID: 1, Index: 1, Count: 4, Chunk: []byte("b")}, nil); !errors.Is(err, ErrFragMismatch) {
 		t.Errorf("count mismatch: %v", err)
 	}
-	if _, _, err := r.Add(Fragment{MsgID: 2, Index: 0, Count: 0}); !errors.Is(err, ErrFragHeader) {
+	if _, _, err := r.Add(Fragment{MsgID: 2, Index: 0, Count: 0}, nil); !errors.Is(err, ErrFragHeader) {
 		t.Errorf("zero count: %v", err)
 	}
-	if _, _, err := r.Add(Fragment{MsgID: 2, Index: 7, Count: 3}); !errors.Is(err, ErrFragHeader) {
+	if _, _, err := r.Add(Fragment{MsgID: 2, Index: 7, Count: 3}, nil); !errors.Is(err, ErrFragHeader) {
 		t.Errorf("index out of range: %v", err)
 	}
 }
@@ -136,14 +190,14 @@ func TestReassemblerEviction(t *testing.T) {
 	// Four incomplete messages with varying completeness.
 	for id := uint64(1); id <= 4; id++ {
 		for i := uint16(0); i < uint16(id); i++ { // msg 1 is least complete
-			r.Add(Fragment{MsgID: id, Index: i, Count: 10, Chunk: []byte{byte(id)}})
+			r.Add(Fragment{MsgID: id, Index: i, Count: 10, Chunk: []byte{byte(id)}}, nil)
 		}
 	}
 	if len(r.pending) != 4 {
 		t.Fatalf("pending = %d", len(r.pending))
 	}
 	// A fifth message forces eviction of the least-complete (msg 1).
-	r.Add(Fragment{MsgID: 5, Index: 0, Count: 2, Chunk: []byte("x")})
+	r.Add(Fragment{MsgID: 5, Index: 0, Count: 2, Chunk: []byte("x")}, nil)
 	if len(r.pending) != 4 {
 		t.Fatalf("pending after eviction = %d", len(r.pending))
 	}

@@ -3,6 +3,7 @@ package message
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -92,13 +93,31 @@ func FuzzUnwrap(f *testing.F) {
 
 // checkUnwrap unwraps dgs in order against a model that records each
 // pending message's distinct chunks and forgets the messages the
-// reassembler evicted.
+// reassembler evicted.  A second Unwrapper reads the same datagrams
+// into one scratch buffer (UnwrapInto) and must complete the same
+// frames with the same errors; the fresh frames the first one returned
+// must still hold their bytes at the end, whatever was reassembled
+// after them.
 func checkUnwrap(t *testing.T, dgs []peerDatagram) {
 	t.Helper()
-	u := NewUnwrapper()
+	u, scratched := NewUnwrapper(), NewUnwrapper()
+	var scratch []byte
+	type kept struct{ frame, want []byte }
+	var fresh []kept
+	defer func() {
+		for i, k := range fresh {
+			if !bytes.Equal(k.frame, k.want) {
+				t.Fatalf("fresh frame %d was overwritten: %x, completed as %x", i, k.frame, k.want)
+			}
+		}
+	}()
 	held := make(map[string]map[uint64]map[uint16][]byte)
 	for i, d := range dgs {
 		frame, err := u.Unwrap(d.peer, d.data)
+		into, intoErr := scratched.UnwrapInto(d.peer, d.data, &scratch)
+		if !bytes.Equal(frame, into) || (frame == nil) != (into == nil) || fmt.Sprint(err) != fmt.Sprint(intoErr) {
+			t.Fatalf("datagram %d: Unwrap gave %x (%v), UnwrapInto %x (%v)", i, frame, err, into, intoErr)
+		}
 		if err != nil {
 			if frame != nil {
 				t.Fatalf("datagram %d: a frame and an error (%v)", i, err)
@@ -143,6 +162,7 @@ func checkUnwrap(t *testing.T, dgs []peerDatagram) {
 			if !bytes.Equal(frame, want) {
 				t.Fatalf("datagram %d: message %d completed as %x, its chunks in order are %x", i, frag.MsgID, frame, want)
 			}
+			fresh = append(fresh, kept{frame, want})
 			delete(msgs, frag.MsgID)
 		}
 		pending := u.peers[d.peer].pending
