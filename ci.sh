@@ -69,8 +69,16 @@ go test -race -count=1 ./...
 # reassembles each fragmented frame into its one scratch and rewrites
 # its per-share relay state (announced object, rendition set, fan-out,
 # share relay) between the dispatch pool's barriers, and a queued
-# batch is recycled through the pool's free list.
-go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media
+# batch is recycled through the pool's free list; an SNMP monitor, its
+# client and the agent it polls each keep their request, frame and
+# response buffers from one exchange to the next, which concurrent
+# samples take turns over.
+go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media ./internal/snmp ./internal/hostagent
+# Twice in one process: a test that reads a process-global (the trace
+# ring, the metric registry) must scope or reset what an earlier run
+# left there, and a kept buffer must come out of a run as usable as it
+# went in.
+go test -count=2 ./internal/dispatch ./internal/obs ./internal/snmp ./internal/hostagent
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

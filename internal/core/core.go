@@ -161,6 +161,12 @@ type Client struct {
 	mu           sync.RWMutex
 	lastDecision inference.Decision
 
+	// adaptMu serializes adaptations (Poll's tick and a caller's
+	// AdaptOnce) over the sampled state and the profile fold they reuse.
+	adaptMu sync.Mutex
+	state   selector.Attributes
+	kvs     []profile.StateKV
+
 	// Poll's alone (Serve calls it one at a time): when it next adapts,
 	// and each sender's Received count at its last report.
 	nextAdapt time.Time
@@ -694,8 +700,11 @@ func (c *Client) AdaptOnce() (inference.Decision, error) {
 // folds it and the streams' reception quality into the profile (state
 // equal to the profile's leaves it untouched), decides through the
 // engine and configures the viewer.  A failed sample keeps the previous
-// decision and counts in Stats.SampleErrors.
+// decision and counts in Stats.SampleErrors.  With a Monitor, the state
+// map and the fold are the client's own, reused tick to tick.
 func (c *Client) adapt(streams []streamStats) (inference.Decision, error) {
+	c.adaptMu.Lock()
+	defer c.adaptMu.Unlock()
 	var state selector.Attributes
 	if c.cfg.Monitor != nil {
 		sample, err := c.cfg.Monitor.Sample(c.cfg.monitorParams...)
@@ -703,9 +712,14 @@ func (c *Client) adapt(streams []streamStats) (inference.Decision, error) {
 			c.stats.sampleErrors.Add(1)
 			return inference.Decision{}, fmt.Errorf("core: state sample: %w", err)
 		}
-		state = make(selector.Attributes, len(sample)+2)
-		for k, v := range sample {
-			state.SetNumber(k, v)
+		if c.state == nil {
+			c.state = make(selector.Attributes, len(c.cfg.monitorParams)+2)
+		}
+		state = c.state
+		clear(state)
+		for _, param := range c.cfg.monitorParams {
+			v, _ := sample.Get(param)
+			state.SetNumber(param, v)
 		}
 	} else {
 		state = c.k.pm.Snapshot().State // a deep copy: ours to extend
@@ -721,11 +735,11 @@ func (c *Client) adapt(streams []streamStats) (inference.Decision, error) {
 
 	// Fold the observed state into the profile (it is part of the
 	// client's selectable identity).
-	kvs := make([]profile.StateKV, 0, len(state))
+	c.kvs = c.kvs[:0]
 	for k, v := range state {
-		kvs = append(kvs, profile.StateKV{Name: k, V: v})
+		c.kvs = append(c.kvs, profile.StateKV{Name: k, V: v})
 	}
-	c.k.pm.UpdateStates(kvs)
+	c.k.pm.UpdateStates(c.kvs)
 
 	d := c.engine.Decide(state)
 	c.viewer.SetBudget(d.EffectiveBudget(apps.SharePackets))

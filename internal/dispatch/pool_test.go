@@ -102,6 +102,9 @@ func TestEachPerClientOrdering(t *testing.T) {
 	}
 }
 
+// backpressureRuns numbers TestEachBackpressureDropRecorded's runs.
+var backpressureRuns atomic.Int32
+
 // Backpressure: filling a bounded shard queue sheds the overflow with
 // ErrQueueFull, a metrics counter tick (the aqos_dispatch_queue_drops
 // exposition series) and a drop event in the obs trace ring.
@@ -111,7 +114,11 @@ func TestEachBackpressureDropRecorded(t *testing.T) {
 	drops := metrics.C(metrics.CtrDispatchQueueDrops)
 	dropsBefore := drops.Load()
 
-	p := NewPool(PoolConfig{Name: "bp-test", Workers: 2, queueDepth: 1})
+	// The trace ring outlives a run (-count=2 reruns this test), so the
+	// pool's name is this run's own and the count below reads only its
+	// drops.
+	name := fmt.Sprintf("bp-test-%d", backpressureRuns.Add(1))
+	p := NewPool(PoolConfig{Name: name, Workers: 2, queueDepth: 1})
 	defer p.Close()
 
 	// All IDs hash to whatever shard they hash to; with one worker per
@@ -159,7 +166,7 @@ func TestEachBackpressureDropRecorded(t *testing.T) {
 	var traced int
 	for _, ev := range obs.Events(0) {
 		if ev.Kind == obs.EventDrop && ev.Stage == obs.StageQueue && ev.MsgID == 7 &&
-			strings.Contains(ev.Detail, "bp-test") {
+			strings.HasPrefix(ev.Detail, "dispatch "+name+": ") {
 			traced++
 		}
 	}

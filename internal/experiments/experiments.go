@@ -79,13 +79,15 @@ func newViewerPipeline(imageSize int) (*viewerPipeline, error) {
 // measure runs one adaptation cycle at the host's current state and
 // returns the viewer statistics plus reconstruction PSNR.
 func (p *viewerPipeline) measure() (apps.ImageStats, float64, error) {
-	sample, err := p.monitor.Sample(hostagent.ParamCPULoad, hostagent.ParamPageFaults)
+	params := []string{hostagent.ParamCPULoad, hostagent.ParamPageFaults}
+	sample, err := p.monitor.Sample(params...)
 	if err != nil {
 		return apps.ImageStats{}, 0, err
 	}
-	state := make(selector.Attributes, len(sample))
-	for k, v := range sample {
-		state.SetNumber(k, v)
+	state := make(selector.Attributes, len(params))
+	for _, param := range params {
+		v, _ := sample.Get(param)
+		state.SetNumber(param, v)
 	}
 	d := p.engine.Decide(state)
 

@@ -58,19 +58,21 @@ const (
 	ParamSignal     = "signal"
 )
 
-// instrument maps parameter names to MIB instances.
-var instruments = []struct {
-	param string
-	oid   snmp.OID
-	kind  func(float64) snmp.Value
+// instruments maps parameter names to MIB objects and their scalar
+// instances (the object's OID with .0 appended).
+var instruments = [...]struct {
+	param    string
+	oid      snmp.OID
+	instance snmp.OID
+	kind     func(float64) snmp.Value
 }{
-	{ParamCPULoad, OIDCPULoad, gauge},
-	{ParamPageFaults, OIDPageFaults, gauge},
-	{ParamFreeMem, OIDFreeMemory, gauge},
-	{ParamBandwidth, OIDBandwidth, gauge},
-	{ParamLatency, OIDLatencyMicros, gauge},
-	{ParamJitter, OIDJitterMicros, gauge},
-	{ParamSignal, OIDSignalStrength, func(v float64) snmp.Value {
+	{ParamCPULoad, OIDCPULoad, OIDCPULoad.Append(0), gauge},
+	{ParamPageFaults, OIDPageFaults, OIDPageFaults.Append(0), gauge},
+	{ParamFreeMem, OIDFreeMemory, OIDFreeMemory.Append(0), gauge},
+	{ParamBandwidth, OIDBandwidth, OIDBandwidth.Append(0), gauge},
+	{ParamLatency, OIDLatencyMicros, OIDLatencyMicros.Append(0), gauge},
+	{ParamJitter, OIDJitterMicros, OIDJitterMicros.Append(0), gauge},
+	{ParamSignal, OIDSignalStrength, OIDSignalStrength.Append(0), func(v float64) snmp.Value {
 		return snmp.Integer(int64(math.Round(v * 10)))
 	}},
 }
@@ -221,48 +223,75 @@ func NewAgent(h *Host) *snmp.Agent {
 
 // Monitor polls a host's agent through an SNMP client and exposes the
 // sampled parameters as plain numbers — the manager-side half of the
-// network state interface.
+// network state interface.  It is safe for concurrent use.
 type Monitor struct {
 	Client *snmp.Client
+
+	// mu serializes samples over the request OIDs and the response the
+	// monitor keeps from one sample to the next.
+	mu   sync.Mutex
+	oids []snmp.OID
+	resp snmp.Message
+}
+
+// Reading is one sample of a host's parameters.  It is a value: no
+// later sample changes a Reading already returned.
+type Reading struct {
+	v  [len(instruments)]float64
+	ok [len(instruments)]bool
+}
+
+// Get returns a sampled parameter's value; ok is false for a parameter
+// the sample did not ask for.
+func (r Reading) Get(param string) (v float64, ok bool) {
+	i := paramIndex(param)
+	if i < 0 || !r.ok[i] {
+		return 0, false
+	}
+	return r.v[i], true
 }
 
 // Sample fetches the named parameters in one GET.  Unknown names are
-// an error; the caller controls the parameter set.
-func (m *Monitor) Sample(params ...string) (map[string]float64, error) {
-	oids := make([]snmp.OID, len(params))
-	for i, p := range params {
-		oid, ok := paramOID(p)
-		if !ok {
-			return nil, fmt.Errorf("hostagent: unknown parameter %q", p)
+// an error; the caller controls the parameter set.  Warm, a sample
+// allocates nothing.
+func (m *Monitor) Sample(params ...string) (Reading, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.oids = m.oids[:0]
+	for _, p := range params {
+		i := paramIndex(p)
+		if i < 0 {
+			return Reading{}, fmt.Errorf("hostagent: unknown parameter %q", p)
 		}
-		oids[i] = oid.Append(0)
+		m.oids = append(m.oids, instruments[i].instance)
 	}
-	vbs, err := m.Client.Get(oids...)
-	if err != nil {
-		return nil, err
+	if err := m.Client.GetInto(&m.resp, m.oids...); err != nil {
+		return Reading{}, err
 	}
-	out := make(map[string]float64, len(params))
-	for i, vb := range vbs {
+	var r Reading
+	for i, vb := range m.resp.PDU.VarBinds {
 		if vb.Value.IsException() {
-			return nil, fmt.Errorf("hostagent: %s: %s", params[i], vb.Value.Type)
+			return Reading{}, fmt.Errorf("hostagent: %s: %s", params[i], vb.Value.Type)
 		}
 		n, ok := vb.Value.Number()
 		if !ok {
-			return nil, fmt.Errorf("hostagent: %s has non-numeric value", params[i])
+			return Reading{}, fmt.Errorf("hostagent: %s has non-numeric value", params[i])
 		}
 		if params[i] == ParamSignal {
 			n /= 10 // stored as dB ×10
 		}
-		out[params[i]] = n
+		k := paramIndex(params[i])
+		r.v[k], r.ok[k] = n, true
 	}
-	return out, nil
+	return r, nil
 }
 
-func paramOID(p string) (snmp.OID, bool) {
-	for _, inst := range instruments {
-		if inst.param == p {
-			return inst.oid, true
+// paramIndex is the parameter's row in instruments, or -1.
+func paramIndex(p string) int {
+	for i := range instruments {
+		if instruments[i].param == p {
+			return i
 		}
 	}
-	return nil, false
+	return -1
 }

@@ -3,6 +3,7 @@ package hostagent
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -145,15 +146,72 @@ func TestMonitorSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[ParamCPULoad] != 60 || got[ParamPageFaults] != 45 {
-		t.Errorf("sample: %v", got)
+	cpu, _ := got.Get(ParamCPULoad)
+	faults, _ := got.Get(ParamPageFaults)
+	if cpu != 60 || faults != 45 {
+		t.Errorf("sample: %+v", got)
 	}
-	if got[ParamSignal] != -3.2 {
-		t.Errorf("signal rescale: %g", got[ParamSignal])
+	if signal, _ := got.Get(ParamSignal); signal != -3.2 {
+		t.Errorf("signal rescale: %g", signal)
+	}
+	if v, ok := got.Get(ParamBandwidth); ok {
+		t.Errorf("bandwidth %g in a sample that did not ask for it", v)
 	}
 
 	if _, err := m.Sample("no-such-param"); err == nil {
 		t.Error("unknown parameter should fail")
+	}
+}
+
+// TestConcurrentSamples: four goroutines sample at once, each asking
+// for its own parameters in its own order, and every reading holds
+// exactly the host's values for what it asked.  Two of them share a
+// Monitor, that Monitor shares its client with a third's, and the
+// fourth's client shares the agent: the monitor, the client and the
+// agent each reuse their buffers exchange to exchange, so a reading
+// that saw another's answer shows here (and a data race under -race).
+func TestConcurrentSamples(t *testing.T) {
+	h := NewHost("shared")
+	want := map[string]float64{ParamCPULoad: 35, ParamPageFaults: 80, ParamFreeMem: 4096,
+		ParamBandwidth: 64000, ParamLatency: 1500, ParamJitter: 250, ParamSignal: -7.5}
+	for p, v := range want {
+		h.Set(p, v)
+	}
+	agent := NewAgent(h)
+	shared := snmp.NewClient(&snmp.AgentRoundTripper{Agent: agent}, snmp.V2c, "")
+	m := &Monitor{Client: shared}
+	monitors := []*Monitor{m, m, {Client: shared},
+		{Client: snmp.NewClient(&snmp.AgentRoundTripper{Agent: agent}, snmp.V2c, "")}}
+	asks := [][]string{
+		{ParamCPULoad, ParamPageFaults},
+		{ParamSignal, ParamBandwidth, ParamLatency},
+		{ParamJitter},
+		{ParamFreeMem, ParamCPULoad, ParamSignal, ParamPageFaults, ParamJitter},
+	}
+	errs := make(chan error, len(asks))
+	for i, params := range asks {
+		go func() {
+			for range 200 {
+				r, err := monitors[i].Sample(params...)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for p := range want {
+					v, ok := r.Get(p)
+					if asked := slices.Contains(params, p); ok != asked || (ok && v != want[p]) {
+						errs <- fmt.Errorf("sampling %v read %s = %g (%v)", params, p, v, ok)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range asks {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

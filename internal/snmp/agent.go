@@ -3,6 +3,7 @@ package snmp
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 )
 
@@ -21,6 +22,15 @@ type Agent struct {
 
 	requests atomic.Uint64
 	authFail atomic.Uint64
+
+	// mu serializes frames over the request and response the agent
+	// decodes into and answers from, kept from one frame to the next.
+	// It is held while instrumentation routines run, so a routine must
+	// not send to its own agent.  (A sync.Pool would not keep them
+	// across polls: a host is polled once a second, and a pool drops
+	// what two GC cycles in a row found unused.)
+	mu        sync.Mutex
+	req, resp Message
 }
 
 // NewAgent creates an agent serving the given MIB.
@@ -28,39 +38,40 @@ func NewAgent(mib *MIB) *Agent {
 	return &Agent{mib: mib}
 }
 
-// HandleFrame decodes a request frame, processes it and returns the
-// encoded response frame.  A nil response with nil error means the
-// frame should be dropped silently (bad community, per RFC 1157).
-func (a *Agent) HandleFrame(frame []byte) ([]byte, error) {
-	req, err := DecodeMessage(frame)
-	if err != nil {
+// HandleFrame decodes a request frame, processes it and appends the
+// encoded response frame to dst.  A nil response with nil error means
+// the frame should be dropped silently (bad community, per RFC 1157).
+// It keeps neither slice, and answers a GET of registered instances
+// without allocating.
+func (a *Agent) HandleFrame(dst, frame []byte) ([]byte, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err := a.req.Decode(frame); err != nil {
 		return nil, err
 	}
-	resp := a.Handle(req)
-	if resp == nil {
+	if !a.handle(&a.req, &a.resp) {
 		return nil, nil
 	}
-	return EncodeMessage(resp)
+	out, err := AppendMessage(dst, &a.resp)
+	clear(a.resp.PDU.VarBinds) // hold no value or request OID past the frame
+	return out, err
 }
 
-// Handle processes a request message and builds the response message,
-// or nil when the request must be dropped (authentication failure or a
-// PDU type an agent does not respond to).
-func (a *Agent) Handle(req *Message) *Message {
+// handle processes a request message and builds the response message
+// in resp, reusing its varbind list; it reports false when the request
+// must be dropped (authentication failure or a PDU type an agent does
+// not respond to).
+func (a *Agent) handle(req, resp *Message) bool {
 	a.requests.Add(1)
 
 	write := req.PDU.Type == SetRequest
 	if !a.authorized(req.Community, write) {
 		a.authFail.Add(1)
-		return nil
+		return false
 	}
 
-	resp := &Message{
-		Version:   req.Version,
-		Community: req.Community,
-	}
-	resp.PDU.Type = GetResponse
-	resp.PDU.RequestID = req.PDU.RequestID
+	resp.Version, resp.Community = req.Version, req.Community
+	resp.PDU = PDU{Type: GetResponse, RequestID: req.PDU.RequestID, VarBinds: resp.PDU.VarBinds[:0]}
 
 	switch req.PDU.Type {
 	case GetRequest:
@@ -70,17 +81,23 @@ func (a *Agent) Handle(req *Message) *Message {
 	case GetBulkRequest:
 		if req.Version == V1 {
 			// GETBULK does not exist in v1.
-			resp.PDU.ErrorStatus = GenErr
-			resp.PDU.VarBinds = req.PDU.VarBinds
-			return resp
+			echo(req, resp, GenErr, 0)
+			return true
 		}
 		a.handleGetBulk(req, resp)
 	case SetRequest:
 		a.handleSet(req, resp)
 	default:
-		return nil // agents do not answer responses/traps
+		return false // agents do not answer responses/traps
 	}
-	return resp
+	return true
+}
+
+// echo answers with a status and the request's varbinds, copied
+// into the response's own list.
+func echo(req, resp *Message, status ErrorStatus, index int) {
+	resp.PDU.ErrorStatus, resp.PDU.ErrorIndex = status, index
+	resp.PDU.VarBinds = append(resp.PDU.VarBinds[:0], req.PDU.VarBinds...)
 }
 
 func (a *Agent) authorized(community string, write bool) bool {
@@ -93,18 +110,16 @@ func (a *Agent) authorized(community string, write bool) bool {
 
 func (a *Agent) handleGet(req, resp *Message) {
 	for i, vb := range req.PDU.VarBinds {
-		v, err := a.mib.Get(vb.OID)
-		if err != nil {
+		obj, ok := a.mib.lookup(vb.OID)
+		if !ok {
 			if req.Version == V1 {
-				resp.PDU.ErrorStatus = NoSuchName
-				resp.PDU.ErrorIndex = i + 1
-				resp.PDU.VarBinds = req.PDU.VarBinds
+				echo(req, resp, NoSuchName, i+1)
 				return
 			}
 			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: NoSuchInstance()})
 			continue
 		}
-		resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: v})
+		resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: obj.Get()})
 	}
 }
 
@@ -113,9 +128,7 @@ func (a *Agent) handleGetNext(req, resp *Message) {
 		next, v, ok := a.mib.Next(vb.OID)
 		if !ok {
 			if req.Version == V1 {
-				resp.PDU.ErrorStatus = NoSuchName
-				resp.PDU.ErrorIndex = i + 1
-				resp.PDU.VarBinds = req.PDU.VarBinds
+				echo(req, resp, NoSuchName, i+1)
 				return
 			}
 			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: EndOfMibView()})
@@ -172,31 +185,22 @@ func (a *Agent) handleGetBulk(req, resp *Message) {
 func (a *Agent) handleSet(req, resp *Message) {
 	// Two-phase per RFC: validate everything, then commit.
 	for i, vb := range req.PDU.VarBinds {
-		if _, err := a.mib.Get(vb.OID); err != nil {
-			resp.PDU.ErrorStatus = statusForVersion(req.Version, NoSuchName)
-			resp.PDU.ErrorIndex = i + 1
-			resp.PDU.VarBinds = req.PDU.VarBinds
+		if _, ok := a.mib.lookup(vb.OID); !ok {
+			echo(req, resp, NoSuchName, i+1) // v1 and v2c alike
 			return
 		}
 	}
 	for i, vb := range req.PDU.VarBinds {
 		if err := a.mib.Set(vb.OID, vb.Value); err != nil {
-			switch {
-			case req.Version == V1:
-				resp.PDU.ErrorStatus = ReadOnly
-			default:
-				resp.PDU.ErrorStatus = NotWritable
+			status := NotWritable
+			if req.Version == V1 {
+				status = ReadOnly
 			}
-			resp.PDU.ErrorIndex = i + 1
-			resp.PDU.VarBinds = req.PDU.VarBinds
+			echo(req, resp, status, i+1)
 			return
 		}
 	}
-	resp.PDU.VarBinds = req.PDU.VarBinds
-}
-
-func statusForVersion(v Version, s ErrorStatus) ErrorStatus {
-	return s // v1 and v2c share the subset we use for missing objects
+	echo(req, resp, NoError, 0)
 }
 
 // ServeUDP answers SNMP requests on the given UDP socket until the
@@ -205,15 +209,17 @@ func statusForVersion(v Version, s ErrorStatus) ErrorStatus {
 // skipped.
 func (a *Agent) ServeUDP(conn *net.UDPConn) error {
 	buf := make([]byte, 64<<10)
+	var out []byte
 	for {
 		n, peer, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			return err // socket closed
 		}
-		resp, err := a.HandleFrame(buf[:n])
+		resp, err := a.HandleFrame(out[:0], buf[:n])
 		if err != nil || resp == nil {
 			continue
 		}
+		out = resp
 		if _, err := conn.WriteToUDP(resp, peer); err != nil {
 			return fmt.Errorf("snmp: agent reply: %w", err)
 		}

@@ -81,7 +81,7 @@ func roundTrip(t *testing.T, a *Agent, req *Message) *Message {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respFrame, err := a.HandleFrame(frame)
+	respFrame, err := a.HandleFrame(nil, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestAgentIgnoresNonRequests(t *testing.T) {
 	if resp != nil {
 		t.Error("agent must not answer a response PDU")
 	}
-	if _, err := a.HandleFrame([]byte("garbage")); err == nil {
+	if _, err := a.HandleFrame(nil, []byte("garbage")); err == nil {
 		t.Error("garbage frame should error")
 	}
 }

@@ -38,11 +38,34 @@ var (
 	ErrBERInteger   = errors.New("snmp: invalid BER integer")
 )
 
+// The encoder writes a message in one pass into the caller's buffer:
+// each element's content length is sized first (the *Len functions),
+// so every header is written before its content and nothing is built
+// in a buffer of its own.
+
+// lengthLen is the size of the BER length field for n content bytes.
+func lengthLen(n int) int {
+	if n < 0x80 {
+		return 1
+	}
+	k := 1
+	for ; n > 0; n >>= 8 {
+		k++
+	}
+	return k
+}
+
+// tlvLen is the size of a whole element with n content bytes.
+func tlvLen(n int) int { return 1 + lengthLen(n) + n }
+
+// appendHeader appends tag | length for n content bytes.
+func appendHeader(out []byte, tag byte, n int) []byte {
+	return appendLength(append(out, tag), n)
+}
+
 // appendTLV appends tag | length | content.
 func appendTLV(out []byte, tag byte, content []byte) []byte {
-	out = append(out, tag)
-	out = appendLength(out, len(content))
-	return append(out, content...)
+	return append(appendHeader(out, tag, len(content)), content...)
 }
 
 // appendLength appends a BER length (short or long form).
@@ -50,63 +73,66 @@ func appendLength(out []byte, n int) []byte {
 	if n < 0x80 {
 		return append(out, byte(n))
 	}
-	var tmp [8]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte(n)
-		n >>= 8
+	k := lengthLen(n) - 1
+	out = append(out, byte(0x80|k))
+	for i := k - 1; i >= 0; i-- {
+		out = append(out, byte(n>>(8*i)))
 	}
-	out = append(out, byte(0x80|(len(tmp)-i)))
-	return append(out, tmp[i:]...)
+	return out
+}
+
+// intLen is the content length of v's minimal two's-complement
+// encoding.
+func intLen(v int64) int {
+	n := 8
+	for n > 1 {
+		top := byte(v >> ((n - 1) * 8))
+		next := byte(v >> ((n - 2) * 8))
+		if (top == 0x00 && next&0x80 == 0) || (top == 0xFF && next&0x80 != 0) {
+			n--
+			continue
+		}
+		break
+	}
+	return n
 }
 
 // appendInt appends a two's-complement INTEGER with the given tag.
 func appendInt(out []byte, tag byte, v int64) []byte {
-	var content []byte
-	switch {
-	case v == 0:
-		content = []byte{0}
-	default:
-		// Minimal two's-complement encoding.
-		n := 8
-		for n > 1 {
-			top := byte(v >> ((n - 1) * 8))
-			next := byte(v >> ((n - 2) * 8))
-			if (top == 0x00 && next&0x80 == 0) || (top == 0xFF && next&0x80 != 0) {
-				n--
-				continue
-			}
-			break
-		}
-		content = make([]byte, n)
-		for i := 0; i < n; i++ {
-			content[i] = byte(v >> ((n - 1 - i) * 8))
-		}
+	n := intLen(v)
+	out = append(out, tag, byte(n))
+	for i := n - 1; i >= 0; i-- {
+		out = append(out, byte(v>>(8*i)))
 	}
-	return appendTLV(out, tag, content)
+	return out
+}
+
+// uintLen is the content length of an unsigned integer: its minimal
+// bytes plus a leading zero if the top bit is set (BER integers are
+// signed).
+func uintLen(v uint64) int {
+	n := 1
+	for w := v >> 8; w > 0; w >>= 8 {
+		n++
+	}
+	if byte(v>>(8*(n-1)))&0x80 != 0 {
+		n++
+	}
+	return n
 }
 
 // appendUint appends an unsigned integer (Counter32/Gauge32/TimeTicks/
-// Counter64) with the given tag: minimal bytes plus a leading zero if
-// the top bit is set (BER integers are signed).
+// Counter64) with the given tag.
 func appendUint(out []byte, tag byte, v uint64) []byte {
-	var tmp [9]byte
-	i := len(tmp)
-	if v == 0 {
-		i--
-		tmp[i] = 0
+	n := uintLen(v)
+	out = append(out, tag, byte(n))
+	if n > 8 {
+		out, n = append(out, 0), 8
 	}
-	for v > 0 {
-		i--
-		tmp[i] = byte(v)
-		v >>= 8
+	for i := n - 1; i >= 0; i-- {
+		out = append(out, byte(v>>(8*i)))
 	}
-	if tmp[i]&0x80 != 0 {
-		i--
-		tmp[i] = 0
-	}
-	return appendTLV(out, tag, tmp[i:])
+	return out
 }
 
 // berReader walks a BER byte stream.

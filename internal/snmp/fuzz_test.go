@@ -1,6 +1,7 @@
 package snmp
 
 import (
+	"bytes"
 	"runtime"
 	"slices"
 	"testing"
@@ -15,13 +16,23 @@ import (
 // allocates in proportion to the frame, never to what its headers
 // claim.
 //
+// Every input is decoded twice: fresh, and into a warm Message still
+// holding the previous input, as the agent and a monitor decode.  The
+// two must agree field for field, or fail with the same error and
+// leave the warm Message empty, so nothing of the previous input
+// survives and nothing aliases the frame.  A warm decode of a valid
+// GET of up to 8 varbinds, decoded again, allocates nothing.
+//
 // Seeds (testdata/fuzz/FuzzDecodeMessage): a GetRequest, a GetBulk, a
 // SetRequest whose value needs a long-form length, a frame declaring a
 // 5-octet length, a GetResponse carrying a 9-byte Counter64, a cut-off
-// GetRequest, and the inputs that used to be misread: a first OID
-// subidentifier past 2.(2^32-1), a subidentifier that wrapped past
-// 2^64, and a request-id wider than 32 bits.
+// GetRequest, a GetResponse carrying an OctetString, a GetRequest whose
+// second OID is longer than any other seed's, and the inputs that used
+// to be misread: a first OID subidentifier past 2.(2^32-1), a
+// subidentifier that wrapped past 2^64, and a request-id wider than 32
+// bits.
 func FuzzDecodeMessage(f *testing.F) {
+	warm := new(Message) // inputs run one at a time in a worker
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		mib, _ := testMIB(t) // fresh per input: a SET must not leak into the next
 		agent := NewAgent(mib)
@@ -31,7 +42,26 @@ func FuzzDecodeMessage(f *testing.F) {
 		if n := allocatedBytes(func() { m, err = DecodeMessage(frame) }); n > decodeAllocBound(len(frame)) {
 			t.Fatalf("decoding %d B allocated %d B", len(frame), n)
 		}
-		resp, herr := agent.HandleFrame(frame)
+		scribbled := append([]byte(nil), frame...)
+		werr := warm.Decode(scribbled)
+		for i := range scribbled {
+			scribbled[i] ^= 0xFF
+		}
+		switch {
+		case err != nil && (werr == nil || werr.Error() != err.Error()):
+			t.Fatalf("fresh decode failed (%v), warm decode gave %v", err, werr)
+		case err != nil && !identical(warm, &Message{}):
+			t.Fatalf("a failed warm decode left %+v", warm)
+		case err == nil && (werr != nil || !identical(warm, m)):
+			t.Fatalf("warm decode = %+v (%v), fresh = %+v", warm, werr, m)
+		}
+		if err == nil && m.PDU.Type == GetRequest && len(m.PDU.VarBinds) <= 8 {
+			if n := testing.AllocsPerRun(50, func() { warm.Decode(frame) }); n != 0 {
+				t.Fatalf("a warm decode of a %d-varbind GET allocated %v times", len(m.PDU.VarBinds), n)
+			}
+		}
+
+		resp, herr := agent.HandleFrame(nil, frame)
 		if err != nil {
 			if herr == nil || resp != nil {
 				t.Fatalf("DecodeMessage refused the frame (%v), HandleFrame answered %x (%v)", err, resp, herr)
@@ -80,5 +110,19 @@ func sameMessage(a, b *Message) bool {
 		a.PDU.ErrorIndex == b.PDU.ErrorIndex &&
 		slices.EqualFunc(a.PDU.VarBinds, b.PDU.VarBinds, func(x, y VarBind) bool {
 			return slices.Equal(x.OID, y.OID) && valuesEqual(x.Value, y.Value)
+		})
+}
+
+// identical is sameMessage over every field of every value, whatever
+// its type: a field the message's type leaves unused must be empty in
+// both, so a warm Message that kept anything of an earlier one differs.
+func identical(a, b *Message) bool {
+	return a.Version == b.Version && a.Community == b.Community && a.PDU.Type == b.PDU.Type &&
+		a.PDU.RequestID == b.PDU.RequestID && a.PDU.ErrorStatus == b.PDU.ErrorStatus &&
+		a.PDU.ErrorIndex == b.PDU.ErrorIndex &&
+		slices.EqualFunc(a.PDU.VarBinds, b.PDU.VarBinds, func(x, y VarBind) bool {
+			return slices.Equal(x.OID, y.OID) && x.Value.Type == y.Value.Type && x.Value.Int == y.Value.Int &&
+				x.Value.Uint == y.Value.Uint && bytes.Equal(x.Value.Bytes, y.Value.Bytes) &&
+				slices.Equal(x.Value.OID, y.Value.OID) && x.Value.IP == y.Value.IP
 		})
 }

@@ -11,11 +11,12 @@ import (
 	"adaptiveqos/internal/clock"
 )
 
-// RoundTripper transports one encoded SNMP request frame and returns
-// the encoded response frame.  Implementations exist over UDP
-// (UDPRoundTripper) and in-process against an Agent (AgentRoundTripper).
+// RoundTripper transports one encoded SNMP request frame and appends
+// the encoded response frame to dst, keeping neither slice.
+// Implementations exist over UDP (UDPRoundTripper) and in-process
+// against an Agent (AgentRoundTripper).
 type RoundTripper interface {
-	RoundTrip(request []byte) (response []byte, err error)
+	RoundTrip(dst, request []byte) (response []byte, err error)
 }
 
 // Client errors.
@@ -37,6 +38,13 @@ type Client struct {
 	Community string
 
 	reqID atomic.Int32
+
+	// mu serializes exchanges over the buffers the client keeps between
+	// them: a request's varbinds, its encoding and the response frame.
+	mu  sync.Mutex
+	vbs []VarBind
+	out []byte
+	in  []byte
 }
 
 // NewClient builds a client over a transport.
@@ -46,54 +54,77 @@ func NewClient(t RoundTripper, version Version, community string) *Client {
 	return c
 }
 
-func (c *Client) exchange(pdu PDU) (*Message, error) {
-	pdu.RequestID = c.reqID.Add(1)
-	req := &Message{Version: c.Version, Community: c.Community, PDU: pdu}
-	frame, err := EncodeMessage(req)
-	if err != nil {
-		return nil, err
+// request sends one request of type typ for oids, each bound to NULL,
+// and decodes the answer into resp.
+func (c *Client) request(resp *Message, typ PDUType, nonRepeaters, maxRepetitions int, oids []OID) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	vbs := c.vbs[:0]
+	for _, o := range oids {
+		vbs = append(vbs, VarBind{OID: o, Value: Null()})
 	}
-	respFrame, err := c.Transport.RoundTrip(frame)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := DecodeMessage(respFrame)
-	if err != nil {
-		return nil, err
-	}
-	if resp.PDU.RequestID != pdu.RequestID {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRequestID, resp.PDU.RequestID, pdu.RequestID)
-	}
-	if resp.PDU.ErrorStatus != NoError {
-		return resp, fmt.Errorf("%w: %s (index %d)", ErrPDUError, resp.PDU.ErrorStatus, resp.PDU.ErrorIndex)
-	}
-	return resp, nil
+	err := c.exchange(PDU{Type: typ, ErrorStatus: ErrorStatus(nonRepeaters), ErrorIndex: maxRepetitions, VarBinds: vbs}, resp)
+	clear(vbs) // keep none of the caller's OIDs
+	c.vbs = vbs[:0]
+	return err
 }
 
-// Get fetches the values at the given OIDs.
-func (c *Client) Get(oids ...OID) ([]VarBind, error) {
-	vbs := make([]VarBind, len(oids))
-	for i, o := range oids {
-		vbs[i] = VarBind{OID: o, Value: Null()}
-	}
-	resp, err := c.exchange(PDU{Type: GetRequest, VarBinds: vbs})
+// exchange sends pdu under a fresh request-id and decodes the answer
+// into resp (c.mu held).  An error status in the answer is an error,
+// with resp holding the answer.
+func (c *Client) exchange(pdu PDU, resp *Message) error {
+	pdu.RequestID = c.reqID.Add(1)
+	req := Message{Version: c.Version, Community: c.Community, PDU: pdu}
+	out, err := AppendMessage(c.out[:0], &req)
 	if err != nil {
+		return err
+	}
+	c.out = out
+	in, err := c.Transport.RoundTrip(c.in[:0], out)
+	if err != nil {
+		return err
+	}
+	c.in = in
+	if err := resp.Decode(in); err != nil {
+		return err
+	}
+	if resp.PDU.RequestID != pdu.RequestID {
+		return fmt.Errorf("%w: got %d, want %d", ErrRequestID, resp.PDU.RequestID, pdu.RequestID)
+	}
+	if resp.PDU.ErrorStatus != NoError {
+		return fmt.Errorf("%w: %s (index %d)", ErrPDUError, resp.PDU.ErrorStatus, resp.PDU.ErrorIndex)
+	}
+	return nil
+}
+
+// Get fetches the values at the given OIDs.  The varbinds it returns
+// are the caller's: no later call writes them.
+func (c *Client) Get(oids ...OID) ([]VarBind, error) {
+	var resp Message
+	if err := c.GetInto(&resp, oids...); err != nil {
 		return nil, err
 	}
-	if len(resp.PDU.VarBinds) != len(oids) {
-		return nil, ErrShortReply
-	}
 	return resp.PDU.VarBinds, nil
+}
+
+// GetInto fetches the values at the given OIDs into resp, whose
+// storage it reuses: the answer's varbinds are resp.PDU.VarBinds, and
+// the next GetInto (or Decode) into resp overwrites them.  Warm, it
+// allocates nothing on the client's side.
+func (c *Client) GetInto(resp *Message, oids ...OID) error {
+	if err := c.request(resp, GetRequest, 0, 0, oids); err != nil {
+		return err
+	}
+	if len(resp.PDU.VarBinds) != len(oids) {
+		return ErrShortReply
+	}
+	return nil
 }
 
 // GetNext fetches the lexicographic successors of the given OIDs.
 func (c *Client) GetNext(oids ...OID) ([]VarBind, error) {
-	vbs := make([]VarBind, len(oids))
-	for i, o := range oids {
-		vbs[i] = VarBind{OID: o, Value: Null()}
-	}
-	resp, err := c.exchange(PDU{Type: GetNextRequest, VarBinds: vbs})
-	if err != nil {
+	var resp Message
+	if err := c.request(&resp, GetNextRequest, 0, 0, oids); err != nil {
 		return nil, err
 	}
 	if len(resp.PDU.VarBinds) != len(oids) {
@@ -102,7 +133,8 @@ func (c *Client) GetNext(oids ...OID) ([]VarBind, error) {
 	return resp.PDU.VarBinds, nil
 }
 
-// Walk visits every instance under prefix via repeated GETNEXT.
+// Walk visits every instance under prefix via repeated GETNEXT.  Each
+// varbind visited is the visitor's to keep.
 func (c *Client) Walk(prefix OID, visit func(VarBind) bool) error {
 	cur := prefix
 	for {
@@ -133,17 +165,8 @@ func (c *Client) GetBulk(nonRepeaters, maxRepetitions int, oids ...OID) ([]VarBi
 	if c.Version == V1 {
 		return nil, fmt.Errorf("snmp: GETBULK requires SNMPv2c")
 	}
-	vbs := make([]VarBind, len(oids))
-	for i, o := range oids {
-		vbs[i] = VarBind{OID: o, Value: Null()}
-	}
-	resp, err := c.exchange(PDU{
-		Type:        GetBulkRequest,
-		ErrorStatus: ErrorStatus(nonRepeaters),
-		ErrorIndex:  maxRepetitions,
-		VarBinds:    vbs,
-	})
-	if err != nil {
+	var resp Message
+	if err := c.request(&resp, GetBulkRequest, nonRepeaters, maxRepetitions, oids); err != nil {
 		return nil, err
 	}
 	return resp.PDU.VarBinds, nil
@@ -159,12 +182,13 @@ type AgentRoundTripper struct {
 	Drop func() bool
 }
 
-// RoundTrip implements RoundTripper.
-func (t *AgentRoundTripper) RoundTrip(request []byte) ([]byte, error) {
+// RoundTrip implements RoundTripper: the agent answers straight into
+// dst.
+func (t *AgentRoundTripper) RoundTrip(dst, request []byte) ([]byte, error) {
 	if t.Drop != nil && t.Drop() {
 		return nil, ErrTimeout
 	}
-	resp, err := t.Agent.HandleFrame(request)
+	resp, err := t.Agent.HandleFrame(dst, request)
 	if err != nil {
 		return nil, err
 	}
@@ -184,13 +208,14 @@ type UDPRoundTripper struct {
 	// Retries is the number of additional attempts (default 2).
 	Retries int
 
+	// mu serializes round trips over the socket and the datagram
+	// buffer, both kept from one to the next.
 	mu   sync.Mutex
 	conn *net.UDPConn
+	buf  []byte
 }
 
-func (t *UDPRoundTripper) dial() (*net.UDPConn, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *UDPRoundTripper) dialLocked() (*net.UDPConn, error) {
 	if t.conn != nil {
 		return t.conn, nil
 	}
@@ -206,7 +231,7 @@ func (t *UDPRoundTripper) dial() (*net.UDPConn, error) {
 	return conn, nil
 }
 
-// Close releases the socket.
+// Close releases the socket, after any round trip in flight.
 func (t *UDPRoundTripper) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -218,9 +243,12 @@ func (t *UDPRoundTripper) Close() error {
 	return err
 }
 
-// RoundTrip implements RoundTripper.
-func (t *UDPRoundTripper) RoundTrip(request []byte) ([]byte, error) {
-	conn, err := t.dial()
+// RoundTrip implements RoundTripper.  The response datagram is read
+// into the round tripper's own buffer and appended from there to dst.
+func (t *UDPRoundTripper) RoundTrip(dst, request []byte) ([]byte, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	conn, err := t.dialLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +260,9 @@ func (t *UDPRoundTripper) RoundTrip(request []byte) ([]byte, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
-	buf := make([]byte, 64<<10)
+	if t.buf == nil {
+		t.buf = make([]byte, 64<<10)
+	}
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if _, err := conn.Write(request); err != nil {
@@ -242,7 +272,7 @@ func (t *UDPRoundTripper) RoundTrip(request []byte) ([]byte, error) {
 		if err := conn.SetReadDeadline(clock.Wall.Now().Add(timeout)); err != nil {
 			return nil, err
 		}
-		n, err := conn.Read(buf)
+		n, err := conn.Read(t.buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				lastErr = ErrTimeout
@@ -251,7 +281,7 @@ func (t *UDPRoundTripper) RoundTrip(request []byte) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		return append([]byte(nil), buf[:n]...), nil
+		return append(dst, t.buf[:n]...), nil
 	}
 	return nil, lastErr
 }

@@ -146,14 +146,14 @@ func TestClientDroppedRequests(t *testing.T) {
 // mismatchTripper returns a response with the wrong request ID.
 type mismatchTripper struct{ agent *Agent }
 
-func (m *mismatchTripper) RoundTrip(req []byte) ([]byte, error) {
+func (m *mismatchTripper) RoundTrip(dst, req []byte) ([]byte, error) {
 	msg, err := DecodeMessage(req)
 	if err != nil {
 		return nil, err
 	}
 	msg.PDU.RequestID += 1000
 	msg.PDU.Type = GetResponse
-	return EncodeMessage(msg)
+	return AppendMessage(dst, msg)
 }
 
 func TestClientRequestIDMismatch(t *testing.T) {
@@ -167,14 +167,14 @@ func TestClientRequestIDMismatch(t *testing.T) {
 // shortTripper answers with fewer varbinds than requested.
 type shortTripper struct{}
 
-func (shortTripper) RoundTrip(req []byte) ([]byte, error) {
+func (shortTripper) RoundTrip(dst, req []byte) ([]byte, error) {
 	msg, err := DecodeMessage(req)
 	if err != nil {
 		return nil, err
 	}
 	msg.PDU.Type = GetResponse
 	msg.PDU.VarBinds = nil
-	return EncodeMessage(msg)
+	return AppendMessage(dst, msg)
 }
 
 func TestClientShortReply(t *testing.T) {
@@ -191,14 +191,14 @@ func TestClientShortReply(t *testing.T) {
 // that would loop a naive walker forever.
 type stuckTripper struct{}
 
-func (stuckTripper) RoundTrip(req []byte) ([]byte, error) {
+func (stuckTripper) RoundTrip(dst, req []byte) ([]byte, error) {
 	msg, err := DecodeMessage(req)
 	if err != nil {
 		return nil, err
 	}
 	msg.PDU.Type = GetResponse
 	msg.PDU.VarBinds = []VarBind{{OID: MustOID("1.3.6.1.5"), Value: Integer(1)}}
-	return EncodeMessage(msg)
+	return AppendMessage(dst, msg)
 }
 
 func TestClientWalkDetectsNonAdvancingAgent(t *testing.T) {
@@ -228,8 +228,10 @@ func getOne(c *Client, oid OID) (Value, error) {
 // set issues a SET; no program writes through the manager, but the
 // agent answers SETs off the wire, so the tests send them.
 func set(c *Client, vbs ...VarBind) ([]VarBind, error) {
-	resp, err := c.exchange(PDU{Type: SetRequest, VarBinds: vbs})
-	if err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var resp Message
+	if err := c.exchange(PDU{Type: SetRequest, VarBinds: vbs}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.PDU.VarBinds, nil

@@ -29,7 +29,7 @@ var (
 // instrumentation here.
 type MIB struct {
 	mu      sync.RWMutex
-	objects map[string]Object // key: OID.String()
+	objects map[string]Object // key: the OID's BER content (appendOID)
 	order   []OID             // sorted registration index
 	dirty   bool
 }
@@ -44,17 +44,17 @@ func (m *MIB) Register(oid OID, obj Object) error {
 	if obj.Get == nil {
 		return fmt.Errorf("snmp: object %s registered without Get", oid)
 	}
-	if len(oid) < 2 {
+	key, err := appendOID(nil, oid)
+	if err != nil {
 		return fmt.Errorf("%w: %s", ErrBadOID, oid)
 	}
-	key := oid.String()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, exists := m.objects[key]; !exists {
+	if _, exists := m.objects[string(key)]; !exists {
 		m.order = append(m.order, oid.Clone())
 		m.dirty = true
 	}
-	m.objects[key] = obj
+	m.objects[string(key)] = obj
 	return nil
 }
 
@@ -71,22 +71,23 @@ func (m *MIB) sortLocked() {
 	}
 }
 
-// Get returns the value at exactly oid.
-func (m *MIB) Get(oid OID) (Value, error) {
-	m.mu.RLock()
-	obj, ok := m.objects[oid.String()]
-	m.mu.RUnlock()
-	if !ok {
-		return Value{}, fmt.Errorf("%w: %s", ErrNoObject, oid)
+// lookup finds the object at exactly oid.  Its key is encoded on the
+// stack, so a lookup allocates nothing.
+func (m *MIB) lookup(oid OID) (Object, bool) {
+	var buf [64]byte
+	key, err := appendOID(buf[:0], oid)
+	if err != nil {
+		return Object{}, false
 	}
-	return obj.Get(), nil
+	m.mu.RLock()
+	obj, ok := m.objects[string(key)]
+	m.mu.RUnlock()
+	return obj, ok
 }
 
 // Set writes the value at exactly oid.
 func (m *MIB) Set(oid OID, v Value) error {
-	m.mu.RLock()
-	obj, ok := m.objects[oid.String()]
-	m.mu.RUnlock()
+	obj, ok := m.lookup(oid)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoObject, oid)
 	}
@@ -109,7 +110,9 @@ func (m *MIB) Next(oid OID) (OID, Value, bool) {
 		return nil, Value{}, false
 	}
 	next := m.order[i].Clone()
-	obj := m.objects[next.String()]
+	var buf [64]byte
+	key, _ := appendOID(buf[:0], next)
+	obj := m.objects[string(key)]
 	m.mu.Unlock()
 	return next, obj.Get(), true
 }

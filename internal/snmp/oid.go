@@ -125,16 +125,29 @@ func (o OID) Append(arcs ...uint32) OID {
 // Clone returns an independent copy.
 func (o OID) Clone() OID { return append(OID(nil), o...) }
 
-// encodeOID renders the OID arcs in BER content form (first two arcs
-// packed as 40*x+y, remaining arcs base-128 with continuation bits).
-func encodeOID(o OID) ([]byte, error) {
+// oidLen is the length of o's BER content (first two arcs packed as
+// 40*x+y, remaining arcs base-128 with continuation bits), or an error
+// for an OID BER cannot carry.
+func oidLen(o OID) (int, error) {
 	if len(o) < 2 {
-		return nil, fmt.Errorf("%w: needs at least two arcs", ErrBadOID)
+		return 0, fmt.Errorf("%w: needs at least two arcs", ErrBadOID)
 	}
 	if o[0] > 2 || (o[0] < 2 && o[1] > 39) {
-		return nil, fmt.Errorf("%w: first arcs %d.%d", ErrBadOID, o[0], o[1])
+		return 0, fmt.Errorf("%w: first arcs %d.%d", ErrBadOID, o[0], o[1])
 	}
-	out := make([]byte, 0, len(o)+4)
+	n := base128Len(uint64(o[0])*40 + uint64(o[1]))
+	for _, arc := range o[2:] {
+		n += base128Len(uint64(arc))
+	}
+	return n, nil
+}
+
+// appendOID appends o's BER content.  The content is also the OID's
+// key in a MIB: two OIDs are equal exactly when their contents are.
+func appendOID(out []byte, o OID) ([]byte, error) {
+	if _, err := oidLen(o); err != nil {
+		return out, err
+	}
 	out = appendBase128(out, uint64(o[0])*40+uint64(o[1]))
 	for _, arc := range o[2:] {
 		out = appendBase128(out, uint64(arc))
@@ -146,62 +159,62 @@ func encodeOID(o OID) ([]byte, error) {
 // the first, which packs 2.(2^32-1) as 80+arc.
 const maxSubID = 80 + math.MaxUint32
 
-// decodeOID parses BER OID content bytes.
-func decodeOID(b []byte) (OID, error) {
+// decodeOID parses BER OID content bytes into dst's storage.  On error
+// it returns dst emptied.
+func decodeOID(dst OID, b []byte) (OID, error) {
 	if len(b) == 0 {
-		return nil, fmt.Errorf("%w: empty content", ErrBadOID)
+		return dst[:0], fmt.Errorf("%w: empty content", ErrBadOID)
 	}
-	var arcs []uint64
-	var cur uint64
+	o := dst[:0]
+	if cap(o) <= len(b) {
+		o = make(OID, 0, len(b)+1) // b holds at most len(b)+1 arcs
+	}
+	var cur, wide uint64
 	for i, c := range b {
 		// Checked every octet, so the shift never overflows and no
 		// subidentifier can wrap into a smaller one.
 		if cur = cur<<7 | uint64(c&0x7F); cur > maxSubID {
-			return nil, fmt.Errorf("%w: arc overflow", ErrBadOID)
+			return dst[:0], fmt.Errorf("%w: arc overflow", ErrBadOID)
 		}
-		if c&0x80 == 0 {
-			arcs = append(arcs, cur)
-			cur = 0
-		} else if i == len(b)-1 {
-			return nil, fmt.Errorf("%w: truncated arc", ErrBadOID)
+		if c&0x80 != 0 {
+			if i == len(b)-1 {
+				return dst[:0], fmt.Errorf("%w: truncated arc", ErrBadOID)
+			}
+			continue
 		}
+		switch {
+		case len(o) > 0:
+			if cur > math.MaxUint32 && wide == 0 {
+				wide = cur
+			}
+			o = append(o, uint32(cur))
+		case cur < 40:
+			o = append(o, 0, uint32(cur))
+		case cur < 80:
+			o = append(o, 1, uint32(cur-40))
+		default:
+			o = append(o, 2, uint32(cur-80))
+		}
+		cur = 0
 	}
-	first := arcs[0]
-	var o OID
-	switch {
-	case first < 40:
-		o = OID{0, uint32(first)}
-	case first < 80:
-		o = OID{1, uint32(first - 40)}
-	default:
-		o = OID{2, uint32(first - 80)}
-	}
-	for _, a := range arcs[1:] {
-		if a > 0xFFFFFFFF {
-			return nil, fmt.Errorf("%w: arc %d exceeds 32 bits", ErrBadOID, a)
-		}
-		o = append(o, uint32(a))
+	if wide != 0 {
+		return dst[:0], fmt.Errorf("%w: arc %d exceeds 32 bits", ErrBadOID, wide)
 	}
 	return o, nil
 }
 
-func appendBase128(out []byte, v uint64) []byte {
-	if v == 0 {
-		return append(out, 0)
-	}
-	var tmp [10]byte
-	n := 0
-	for v > 0 {
-		tmp[n] = byte(v & 0x7F)
-		v >>= 7
+// base128Len is the number of base-128 digits of v.
+func base128Len(v uint64) int {
+	n := 1
+	for v >>= 7; v > 0; v >>= 7 {
 		n++
 	}
-	for i := n - 1; i >= 0; i-- {
-		b := tmp[i]
-		if i > 0 {
-			b |= 0x80
-		}
-		out = append(out, b)
+	return n
+}
+
+func appendBase128(out []byte, v uint64) []byte {
+	for i := base128Len(v) - 1; i > 0; i-- {
+		out = append(out, byte(v>>(7*i))|0x80)
 	}
-	return out
+	return append(out, byte(v)&0x7F)
 }

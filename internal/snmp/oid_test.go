@@ -107,11 +107,11 @@ func TestOIDEncodeDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseOID(%q): %v", s, err)
 		}
-		enc, err := encodeOID(oid)
+		enc, err := appendOID(nil, oid)
 		if err != nil {
-			t.Fatalf("encodeOID(%s): %v", s, err)
+			t.Fatalf("appendOID(%s): %v", s, err)
 		}
-		dec, err := decodeOID(enc)
+		dec, err := decodeOID(nil, enc)
 		if err != nil {
 			t.Fatalf("decodeOID(%s): %v", s, err)
 		}
@@ -120,20 +120,20 @@ func TestOIDEncodeDecode(t *testing.T) {
 		}
 	}
 
-	if _, err := encodeOID(OID{1}); !errors.Is(err, ErrBadOID) {
+	if _, err := appendOID(nil, OID{1}); !errors.Is(err, ErrBadOID) {
 		t.Errorf("one-arc encode: %v", err)
 	}
-	if _, err := encodeOID(OID{9, 9}); !errors.Is(err, ErrBadOID) {
+	if _, err := appendOID(nil, OID{9, 9}); !errors.Is(err, ErrBadOID) {
 		t.Errorf("bad first arc: %v", err)
 	}
-	if _, err := decodeOID(nil); !errors.Is(err, ErrBadOID) {
+	if _, err := decodeOID(nil, nil); !errors.Is(err, ErrBadOID) {
 		t.Errorf("empty decode: %v", err)
 	}
-	if _, err := decodeOID([]byte{0x81}); !errors.Is(err, ErrBadOID) {
+	if _, err := decodeOID(nil, []byte{0x81}); !errors.Is(err, ErrBadOID) {
 		t.Errorf("truncated arc: %v", err)
 	}
 	// Arc exceeding 32 bits: 5 continuation bytes of 0x7F payload.
-	if _, err := decodeOID([]byte{0x2B, 0x90, 0x80, 0x80, 0x80, 0x00}); !errors.Is(err, ErrBadOID) {
+	if _, err := decodeOID(nil, []byte{0x2B, 0x90, 0x80, 0x80, 0x80, 0x00}); !errors.Is(err, ErrBadOID) {
 		t.Errorf("oversized arc: %v", err)
 	}
 	// Subidentifiers that used to wrap into smaller arcs: 2.(2^32) as the
@@ -141,11 +141,11 @@ func TestOIDEncodeDecode(t *testing.T) {
 	wraps := append([]byte{0x2B}, appendBase128(nil, 1<<57)...)
 	wraps[len(wraps)-1] |= 0x80
 	for _, bad := range [][]byte{appendBase128(nil, 1<<32+80), append(wraps, 0x01)} {
-		if o, err := decodeOID(bad); !errors.Is(err, ErrBadOID) {
+		if o, err := decodeOID(nil, bad); !errors.Is(err, ErrBadOID) {
 			t.Errorf("decodeOID(%x) = %v, %v; want ErrBadOID", bad, o, err)
 		}
 	}
-	if o, err := decodeOID(appendBase128(nil, 1<<32+79)); err != nil || !slices.Equal(o, OID{2, 1<<32 - 1}) {
+	if o, err := decodeOID(nil, appendBase128(nil, 1<<32+79)); err != nil || !slices.Equal(o, OID{2, 1<<32 - 1}) {
 		t.Errorf("largest first subidentifier: %v, %v", o, err)
 	}
 }
@@ -165,11 +165,11 @@ func TestQuickOIDRoundTrip(t *testing.T) {
 		for i := 2; i < n; i++ {
 			oid[i] = r.Uint32()
 		}
-		enc, err := encodeOID(oid)
+		enc, err := appendOID(nil, oid)
 		if err != nil {
 			return false
 		}
-		dec, err := decodeOID(enc)
+		dec, err := decodeOID(nil, enc)
 		if err != nil {
 			t.Logf("seed %d: decode(%x): %v", seed, enc, err)
 			return false

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Version selects the SNMP protocol version.
@@ -135,156 +136,199 @@ var (
 	ErrBadVersion = errors.New("snmp: unsupported version")
 )
 
-// EncodeMessage serializes the message in BER.
-func EncodeMessage(m *Message) ([]byte, error) {
+// AppendMessage appends the message's BER encoding to dst in one pass:
+// every element is sized before it is written, so nothing is built
+// apart and dst, when it has room, is the only buffer touched.  On
+// error dst is returned unchanged.
+func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	if m.Version != V1 && m.Version != V2c {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, m.Version)
+		return dst, fmt.Errorf("%w: %d", ErrBadVersion, m.Version)
 	}
-
-	// Varbind list.
-	var vbl []byte
+	vbl := 0
 	for _, vb := range m.PDU.VarBinds {
-		oidContent, err := encodeOID(vb.OID)
+		n, err := varBindLen(vb)
 		if err != nil {
-			return nil, fmt.Errorf("snmp: varbind %s: %w", vb.OID, err)
+			return dst, fmt.Errorf("snmp: varbind %s: %w", vb.OID, err)
 		}
-		var one []byte
-		one = appendTLV(one, tagOID, oidContent)
-		one, err = appendValue(one, vb.Value)
-		if err != nil {
-			return nil, fmt.Errorf("snmp: varbind %s: %w", vb.OID, err)
-		}
-		vbl = appendTLV(vbl, tagSequence, one)
+		vbl += tlvLen(n)
 	}
+	pdu := tlvLen(intLen(int64(m.PDU.RequestID))) + tlvLen(intLen(int64(m.PDU.ErrorStatus))) +
+		tlvLen(intLen(int64(m.PDU.ErrorIndex))) + tlvLen(vbl)
+	inner := tlvLen(intLen(int64(m.Version))) + tlvLen(len(m.Community)) + tlvLen(pdu)
 
-	// PDU body.
-	var body []byte
-	body = appendInt(body, tagInteger, int64(m.PDU.RequestID))
-	body = appendInt(body, tagInteger, int64(m.PDU.ErrorStatus))
-	body = appendInt(body, tagInteger, int64(m.PDU.ErrorIndex))
-	body = appendTLV(body, tagSequence, vbl)
-
-	// Message wrapper.
-	var inner []byte
-	inner = appendInt(inner, tagInteger, int64(m.Version))
-	inner = appendTLV(inner, tagOctetString, []byte(m.Community))
-	inner = appendTLV(inner, byte(m.PDU.Type), body)
-
-	return appendTLV(nil, tagSequence, inner), nil
+	dst = slices.Grow(dst, tlvLen(inner))
+	dst = appendHeader(dst, tagSequence, inner)
+	dst = appendInt(dst, tagInteger, int64(m.Version))
+	dst = append(appendHeader(dst, tagOctetString, len(m.Community)), m.Community...)
+	dst = appendHeader(dst, byte(m.PDU.Type), pdu)
+	dst = appendInt(dst, tagInteger, int64(m.PDU.RequestID))
+	dst = appendInt(dst, tagInteger, int64(m.PDU.ErrorStatus))
+	dst = appendInt(dst, tagInteger, int64(m.PDU.ErrorIndex))
+	dst = appendHeader(dst, tagSequence, vbl)
+	for _, vb := range m.PDU.VarBinds {
+		n, _ := varBindLen(vb)
+		oid, _ := oidLen(vb.OID)
+		dst = appendHeader(dst, tagSequence, n)
+		dst, _ = appendOID(appendHeader(dst, tagOID, oid), vb.OID)
+		dst = appendValue(dst, vb.Value)
+	}
+	return dst, nil
 }
 
-// DecodeMessage parses a BER frame into a Message.
-func DecodeMessage(frame []byte) (*Message, error) {
+// varBindLen is the length of a varbind's content: its OID element and
+// its value element.
+func varBindLen(vb VarBind) (int, error) {
+	oid, err := oidLen(vb.OID)
+	if err != nil {
+		return 0, err
+	}
+	val, err := valueLen(vb.Value)
+	if err != nil {
+		return 0, err
+	}
+	return tlvLen(oid) + tlvLen(val), nil
+}
+
+// Decode parses a BER frame into m, reusing its storage: the varbind
+// slice, each varbind's OID and each value's bytes and OID are written
+// in place, and the community string is kept when it is unchanged.
+// Nothing of what m held before survives; after an error m is empty.
+// m aliases nothing of frame.
+func (m *Message) Decode(frame []byte) error {
+	if err := m.decode(frame); err != nil {
+		m.Version, m.Community = 0, ""
+		m.PDU = PDU{VarBinds: m.PDU.VarBinds[:0]}
+		return err
+	}
+	return nil
+}
+
+func (m *Message) decode(frame []byte) error {
+	m.PDU.VarBinds = m.PDU.VarBinds[:0]
 	top := berReader{buf: frame}
 	inner, err := top.expect(tagSequence)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	if !top.done() {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrBadMessage)
+		return fmt.Errorf("%w: trailing bytes", ErrBadMessage)
 	}
 
 	r := berReader{buf: inner}
 	verContent, err := r.expect(tagInteger)
 	if err != nil {
-		return nil, fmt.Errorf("%w: version: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: version: %v", ErrBadMessage, err)
 	}
 	ver, err := parseInt(verContent)
 	if err != nil {
-		return nil, fmt.Errorf("%w: version: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: version: %v", ErrBadMessage, err)
 	}
 	if Version(ver) != V1 && Version(ver) != V2c {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+		return fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
 	community, err := r.expect(tagOctetString)
 	if err != nil {
-		return nil, fmt.Errorf("%w: community: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: community: %v", ErrBadMessage, err)
 	}
 	pduTag, pduBody, err := r.readTLV()
 	if err != nil {
-		return nil, fmt.Errorf("%w: PDU: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: PDU: %v", ErrBadMessage, err)
 	}
 	if !r.done() {
-		return nil, fmt.Errorf("%w: trailing bytes after PDU", ErrBadMessage)
+		return fmt.Errorf("%w: trailing bytes after PDU", ErrBadMessage)
 	}
 	switch PDUType(pduTag) {
 	case GetRequest, GetNextRequest, GetResponse, SetRequest, GetBulkRequest, InformRequest, TrapV2:
 	default:
-		return nil, fmt.Errorf("%w: PDU tag 0x%02X", ErrBadMessage, pduTag)
+		return fmt.Errorf("%w: PDU tag 0x%02X", ErrBadMessage, pduTag)
 	}
 
-	m := &Message{Version: Version(ver), Community: string(community)}
+	m.Version = Version(ver)
+	if m.Community != string(community) {
+		m.Community = string(community)
+	}
 	m.PDU.Type = PDUType(pduTag)
 
 	pr := berReader{buf: pduBody}
 	reqContent, err := pr.expect(tagInteger)
 	if err != nil {
-		return nil, fmt.Errorf("%w: request-id: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: request-id: %v", ErrBadMessage, err)
 	}
 	reqID, err := parseInt(reqContent)
 	if err != nil {
-		return nil, fmt.Errorf("%w: request-id: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: request-id: %v", ErrBadMessage, err)
 	}
 	if reqID < math.MinInt32 || reqID > math.MaxInt32 { // RFC 3416's range; wider would wrap
-		return nil, fmt.Errorf("%w: request-id %d out of range", ErrBadMessage, reqID)
+		return fmt.Errorf("%w: request-id %d out of range", ErrBadMessage, reqID)
 	}
 	m.PDU.RequestID = int32(reqID)
 
 	esContent, err := pr.expect(tagInteger)
 	if err != nil {
-		return nil, fmt.Errorf("%w: error-status: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: error-status: %v", ErrBadMessage, err)
 	}
 	es, err := parseInt(esContent)
 	if err != nil {
-		return nil, fmt.Errorf("%w: error-status: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: error-status: %v", ErrBadMessage, err)
 	}
 	m.PDU.ErrorStatus = ErrorStatus(es)
 
 	eiContent, err := pr.expect(tagInteger)
 	if err != nil {
-		return nil, fmt.Errorf("%w: error-index: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: error-index: %v", ErrBadMessage, err)
 	}
 	ei, err := parseInt(eiContent)
 	if err != nil {
-		return nil, fmt.Errorf("%w: error-index: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: error-index: %v", ErrBadMessage, err)
 	}
 	m.PDU.ErrorIndex = int(ei)
 
 	vblContent, err := pr.expect(tagSequence)
 	if err != nil {
-		return nil, fmt.Errorf("%w: varbind list: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: varbind list: %v", ErrBadMessage, err)
 	}
 	if !pr.done() {
-		return nil, fmt.Errorf("%w: trailing bytes in PDU", ErrBadMessage)
+		return fmt.Errorf("%w: trailing bytes in PDU", ErrBadMessage)
 	}
 
 	vr := berReader{buf: vblContent}
 	for !vr.done() {
 		vbContent, err := vr.expect(tagSequence)
 		if err != nil {
-			return nil, fmt.Errorf("%w: varbind: %v", ErrBadMessage, err)
+			return fmt.Errorf("%w: varbind: %v", ErrBadMessage, err)
 		}
 		one := berReader{buf: vbContent}
 		oidContent, err := one.expect(tagOID)
 		if err != nil {
-			return nil, fmt.Errorf("%w: varbind OID: %v", ErrBadMessage, err)
+			return fmt.Errorf("%w: varbind OID: %v", ErrBadMessage, err)
 		}
-		oid, err := decodeOID(oidContent)
-		if err != nil {
-			return nil, fmt.Errorf("%w: varbind OID: %v", ErrBadMessage, err)
+		vb := m.nextVarBind()
+		if vb.OID, err = decodeOID(vb.OID, oidContent); err != nil {
+			return fmt.Errorf("%w: varbind OID: %v", ErrBadMessage, err)
 		}
 		vTag, vContent, err := one.readTLV()
 		if err != nil {
-			return nil, fmt.Errorf("%w: varbind value: %v", ErrBadMessage, err)
+			return fmt.Errorf("%w: varbind value: %v", ErrBadMessage, err)
 		}
-		val, err := parseValue(vTag, vContent)
-		if err != nil {
-			return nil, fmt.Errorf("%w: varbind value: %v", ErrBadMessage, err)
+		if err := vb.Value.decode(vTag, vContent); err != nil {
+			return fmt.Errorf("%w: varbind value: %v", ErrBadMessage, err)
 		}
 		if !one.done() {
-			return nil, fmt.Errorf("%w: trailing bytes in varbind", ErrBadMessage)
+			return fmt.Errorf("%w: trailing bytes in varbind", ErrBadMessage)
 		}
-		m.PDU.VarBinds = append(m.PDU.VarBinds, VarBind{OID: oid, Value: val})
 	}
-	return m, nil
+	return nil
+}
+
+// nextVarBind extends m's varbind list by one, reusing the slot (and
+// the storage its OID and value hold) a longer list left in capacity.
+func (m *Message) nextVarBind() *VarBind {
+	vbs := m.PDU.VarBinds
+	if len(vbs) < cap(vbs) {
+		vbs = vbs[:len(vbs)+1]
+	} else {
+		vbs = append(vbs, VarBind{})
+	}
+	m.PDU.VarBinds = vbs
+	return &vbs[len(vbs)-1]
 }

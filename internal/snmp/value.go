@@ -3,6 +3,7 @@ package snmp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 )
 
@@ -79,34 +80,14 @@ func Null() Value { return Value{Type: TypeNull} }
 // Integer returns an INTEGER value.
 func Integer(v int64) Value { return Value{Type: TypeInteger, Int: v} }
 
-// OctetString returns an OCTET STRING value.
-func OctetString(b []byte) Value {
-	return Value{Type: TypeOctetString, Bytes: append([]byte(nil), b...)}
-}
-
 // String8 returns an OCTET STRING value from a Go string.
 func String8(s string) Value { return Value{Type: TypeOctetString, Bytes: []byte(s)} }
-
-// ObjectIdentifier returns an OID value.
-func ObjectIdentifier(o OID) Value { return Value{Type: TypeObjectIdentifier, OID: o.Clone()} }
-
-// IPAddress returns an IpAddress value.
-func IPAddress(a netip.Addr) Value { return Value{Type: TypeIPAddress, IP: a} }
-
-// Counter32 returns a Counter32 value.
-func Counter32(v uint32) Value { return Value{Type: TypeCounter32, Uint: uint64(v)} }
 
 // Gauge32 returns a Gauge32 value.
 func Gauge32(v uint32) Value { return Value{Type: TypeGauge32, Uint: uint64(v)} }
 
 // TimeTicks returns a TimeTicks value (hundredths of a second).
 func TimeTicks(v uint32) Value { return Value{Type: TypeTimeTicks, Uint: uint64(v)} }
-
-// Counter64 returns a Counter64 value.
-func Counter64(v uint64) Value { return Value{Type: TypeCounter64, Uint: v} }
-
-// NoSuchObject is the v2c exception for an unknown object.
-func NoSuchObject() Value { return Value{Type: TypeNoSuchObject} }
 
 // NoSuchInstance is the v2c exception for an unknown instance.
 func NoSuchInstance() Value { return Value{Type: TypeNoSuchInstance} }
@@ -163,103 +144,127 @@ func (v Value) Number() (float64, bool) {
 // ErrBadValue reports an unencodable or undecodable value.
 var ErrBadValue = errors.New("snmp: bad value")
 
-// appendValue appends the BER encoding of v.
-func appendValue(out []byte, v Value) ([]byte, error) {
+// valueLen is the length of v's BER content, or an error for a value
+// BER cannot carry.
+func valueLen(v Value) (int, error) {
 	switch v.Type {
-	case TypeNull:
-		return appendTLV(out, tagNull, nil), nil
+	case TypeNull, TypeNoSuchObject, TypeNoSuchInstance, TypeEndOfMibView:
+		return 0, nil
 	case TypeInteger:
-		return appendInt(out, tagInteger, v.Int), nil
-	case TypeOctetString:
-		return appendTLV(out, tagOctetString, v.Bytes), nil
+		return intLen(v.Int), nil
+	case TypeOctetString, TypeOpaque:
+		return len(v.Bytes), nil
 	case TypeObjectIdentifier:
-		content, err := encodeOID(v.OID)
-		if err != nil {
-			return nil, err
-		}
-		return appendTLV(out, tagOID, content), nil
+		return oidLen(v.OID)
 	case TypeIPAddress:
 		if !v.IP.Is4() {
-			return nil, fmt.Errorf("%w: IpAddress must be IPv4", ErrBadValue)
+			return 0, fmt.Errorf("%w: IpAddress must be IPv4", ErrBadValue)
 		}
-		a4 := v.IP.As4()
-		return appendTLV(out, tagIPAddress, a4[:]), nil
-	case TypeCounter32:
-		return appendUint(out, tagCounter32, v.Uint), nil
-	case TypeGauge32:
-		return appendUint(out, tagGauge32, v.Uint), nil
-	case TypeTimeTicks:
-		return appendUint(out, tagTimeTicks, v.Uint), nil
-	case TypeCounter64:
-		return appendUint(out, tagCounter64, v.Uint), nil
-	case TypeOpaque:
-		return appendTLV(out, tagOpaque, v.Bytes), nil
-	case TypeNoSuchObject:
-		return appendTLV(out, tagNoSuchObject, nil), nil
-	case TypeNoSuchInstance:
-		return appendTLV(out, tagNoSuchInst, nil), nil
-	case TypeEndOfMibView:
-		return appendTLV(out, tagEndOfMibView, nil), nil
+		return 4, nil
+	case TypeCounter32, TypeGauge32, TypeTimeTicks, TypeCounter64:
+		return uintLen(v.Uint), nil
 	default:
-		return nil, fmt.Errorf("%w: type %s", ErrBadValue, v.Type)
+		return 0, fmt.Errorf("%w: type %s", ErrBadValue, v.Type)
 	}
 }
 
-// parseValue decodes one BER value element.
-func parseValue(tag byte, content []byte) (Value, error) {
+// valueTags maps each value type to its BER tag.
+var valueTags = [...]byte{
+	TypeNull:             tagNull,
+	TypeInteger:          tagInteger,
+	TypeOctetString:      tagOctetString,
+	TypeObjectIdentifier: tagOID,
+	TypeIPAddress:        tagIPAddress,
+	TypeCounter32:        tagCounter32,
+	TypeGauge32:          tagGauge32,
+	TypeTimeTicks:        tagTimeTicks,
+	TypeCounter64:        tagCounter64,
+	TypeOpaque:           tagOpaque,
+	TypeNoSuchObject:     tagNoSuchObject,
+	TypeNoSuchInstance:   tagNoSuchInst,
+	TypeEndOfMibView:     tagEndOfMibView,
+}
+
+// appendValue appends the BER encoding of v, which valueLen accepted.
+func appendValue(out []byte, v Value) []byte {
+	tag := valueTags[v.Type]
+	switch v.Type {
+	case TypeInteger:
+		return appendInt(out, tag, v.Int)
+	case TypeOctetString, TypeOpaque:
+		return appendTLV(out, tag, v.Bytes)
+	case TypeObjectIdentifier:
+		n, _ := oidLen(v.OID)
+		out, _ = appendOID(appendHeader(out, tag, n), v.OID)
+		return out
+	case TypeIPAddress:
+		a4 := v.IP.As4()
+		return appendTLV(out, tag, a4[:])
+	case TypeCounter32, TypeGauge32, TypeTimeTicks, TypeCounter64:
+		return appendUint(out, tag, v.Uint)
+	default: // Null and the v2c exceptions
+		return append(out, tag, 0)
+	}
+}
+
+// decode parses one BER value element into v, reusing the storage of
+// v.Bytes and v.OID; no other field of the value it held survives.
+func (v *Value) decode(tag byte, content []byte) error {
+	*v = Value{Bytes: v.Bytes[:0], OID: v.OID[:0]}
 	switch tag {
 	case tagNull:
-		return Null(), nil
+		v.Type = TypeNull
 	case tagInteger:
 		n, err := parseInt(content)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return Integer(n), nil
-	case tagOctetString:
-		return OctetString(content), nil
+		v.Type, v.Int = TypeInteger, n
+	case tagOctetString, tagOpaque:
+		v.Type = TypeOctetString
+		if tag == tagOpaque {
+			v.Type = TypeOpaque
+		}
+		v.Bytes = append(v.Bytes, content...)
 	case tagOID:
-		o, err := decodeOID(content)
+		o, err := decodeOID(v.OID, content)
+		v.OID = o
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return ObjectIdentifier(o), nil
+		v.Type = TypeObjectIdentifier
 	case tagIPAddress:
 		if len(content) != 4 {
-			return Value{}, fmt.Errorf("%w: IpAddress with %d bytes", ErrBadValue, len(content))
+			return fmt.Errorf("%w: IpAddress with %d bytes", ErrBadValue, len(content))
 		}
-		return IPAddress(netip.AddrFrom4([4]byte(content))), nil
-	case tagCounter32, tagGauge32, tagTimeTicks:
+		v.Type, v.IP = TypeIPAddress, netip.AddrFrom4([4]byte(content))
+	case tagCounter32, tagGauge32, tagTimeTicks, tagCounter64:
 		n, err := parseUint(content)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		if n > 0xFFFFFFFF {
-			return Value{}, fmt.Errorf("%w: 32-bit value overflow", ErrBadValue)
+		if tag != tagCounter64 && n > math.MaxUint32 {
+			return fmt.Errorf("%w: 32-bit value overflow", ErrBadValue)
 		}
+		v.Uint = n
 		switch tag {
 		case tagCounter32:
-			return Counter32(uint32(n)), nil
+			v.Type = TypeCounter32
 		case tagGauge32:
-			return Gauge32(uint32(n)), nil
+			v.Type = TypeGauge32
+		case tagTimeTicks:
+			v.Type = TypeTimeTicks
 		default:
-			return TimeTicks(uint32(n)), nil
+			v.Type = TypeCounter64
 		}
-	case tagCounter64:
-		n, err := parseUint(content)
-		if err != nil {
-			return Value{}, err
-		}
-		return Counter64(n), nil
-	case tagOpaque:
-		return Value{Type: TypeOpaque, Bytes: append([]byte(nil), content...)}, nil
 	case tagNoSuchObject:
-		return NoSuchObject(), nil
+		v.Type = TypeNoSuchObject
 	case tagNoSuchInst:
-		return NoSuchInstance(), nil
+		v.Type = TypeNoSuchInstance
 	case tagEndOfMibView:
-		return EndOfMibView(), nil
+		v.Type = TypeEndOfMibView
 	default:
-		return Value{}, fmt.Errorf("%w: tag 0x%02X", ErrBadValue, tag)
+		return fmt.Errorf("%w: tag 0x%02X", ErrBadValue, tag)
 	}
+	return nil
 }
