@@ -65,20 +65,21 @@ go test -race -count=1 ./...
 # a client's publishers each borrow their own message, attributes and
 # payload from its pool of publish scratch; the station's shard workers
 # derive the sketch and text renditions through one media registry,
-# reading its memoized routes at once, while the wired handler
-# reassembles each fragmented frame into its one scratch and rewrites
-# its per-share relay state (announced object, rendition set, fan-out,
-# share relay) between the dispatch pool's barriers, and a queued
-# batch is recycled through the pool's free list; an SNMP monitor, its
-# client and the agent it polls each keep their request, frame and
-# response buffers from one exchange to the next, which concurrent
-# samples take turns over.
+# reading its memoized routes at once, while each of the station's two
+# segment handlers — the wired one relaying a wired share, the radio
+# one a member's — reassembles each fragmented frame into its own
+# scratch and rewrites its own share relay state (announced object,
+# rendition set, fan-out, candidates, RTP scratch) between the dispatch
+# pool's barriers, and a queued batch is recycled through the pool's
+# free list; an SNMP monitor, its client and the agent it polls each
+# keep their request, frame and response buffers from one exchange to
+# the next, which concurrent samples take turns over.
 go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media ./internal/snmp ./internal/hostagent
 # Twice in one process: a test that reads a process-global (the trace
 # ring, the metric registry) must scope or reset what an earlier run
 # left there, and a kept buffer must come out of a run as usable as it
-# went in.
-go test -count=2 ./internal/dispatch ./internal/obs ./internal/snmp ./internal/hostagent
+# went in (the station's segments keep theirs from share to share).
+go test -count=2 ./internal/dispatch ./internal/obs ./internal/snmp ./internal/hostagent ./internal/basestation
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.
@@ -99,9 +100,10 @@ go test -C bench -count=1 .
 # the envelope's fragment reassembly (§7), the RTP header of every data
 # body and the sequence numbers and SSRCs the reception statistics
 # count, every relayed image stream and both of its decoders (§17), the
-# image announce and media object a member uplinks, every selector, the
-# replay policy grid and session record (cmd/qosreplay reads both), and
-# the SNMP agent's BER decoder (cmd/snmpd reads it off a socket).
+# image announce the station relays and the media object a member's
+# inbox takes, every selector, the replay policy grid and session
+# record (cmd/qosreplay reads both), and the SNMP agent's BER decoder
+# (cmd/snmpd reads it off a socket).
 for t in $fuzz; do
 	go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done

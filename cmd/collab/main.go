@@ -241,7 +241,10 @@ func run(args []string, out io.Writer) error {
 		DefaultLink: transport.Link{Loss: *loss},
 		Clock:       clk,
 	})
-	radioNet := transport.NewDESNet(transport.DESNetConfig{Seed: *seed + 1, Clock: clk})
+	// The radio segment is a star: its links are down but those between
+	// the base station and each wireless member, so a member reaches the
+	// session and the other members only through the station.
+	radioNet := transport.NewDESNet(transport.DESNetConfig{Seed: *seed + 1, Clock: clk, DefaultLink: transport.Link{Down: true}})
 	defer wiredNet.Close()
 	defer radioNet.Close()
 
@@ -320,6 +323,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		radioNet.SetLinkBoth("bs", id, transport.Link{})
 		c := core.NewClient(conn, core.Config{})
 		defer c.Close()
 		samplers = append(samplers, c.SampleQoS)

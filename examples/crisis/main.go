@@ -29,11 +29,13 @@ import (
 func main() {
 	// Both segments run on one virtual clock, and every node inline on
 	// this goroutine as the clock advances: the run is deterministic.
-	// The base station's sweep reschedules itself, so the clock's heap
-	// never drains; each step advances it by a fixed 200 ms instead.
+	// Every client ticks, so the clock's heap never drains; each step
+	// advances it by a fixed 200 ms instead.  The radio segment is a
+	// star: its links are down but those between the base station and
+	// each responder, so a responder reaches the others only through it.
 	clk := clock.NewVirtual(time.Time{})
 	wiredNet := transport.NewDESNet(transport.DESNetConfig{Seed: 3, Clock: clk})
-	radioNet := transport.NewDESNet(transport.DESNetConfig{Seed: 4, Clock: clk})
+	radioNet := transport.NewDESNet(transport.DESNetConfig{Seed: 4, Clock: clk, DefaultLink: transport.Link{Down: true}})
 	defer wiredNet.Close()
 	defer radioNet.Close()
 
@@ -69,6 +71,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		radioNet.SetLinkBoth("bs", id, transport.Link{})
 		c := core.NewClient(conn, core.Config{})
 		defer c.Close()
 		assess, err := bs.Join(profile.New(id), d, 1)
@@ -80,14 +83,16 @@ func main() {
 		field = append(field, responder{client: c, distance: d})
 	}
 
-	// Responder 1 shares a site photo from the field.  Its uplink SIR
-	// decides what actually reaches the session.
+	// Responder 1 shares a site photo from the field over the radio.
+	// Its uplink SIR decides what the base station passes on to the
+	// session.
+	r1 := field[0].client
 	photo := wavelet.Medical(128, 128, 99)
 	obj, err := media.EncodeImage(photo, "collapsed facade, north entrance blocked")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := bs.UplinkShare("responder-1", "site-photo-1", "", obj); err != nil {
+	if err := r1.ShareImage("site-photo-1", obj, ""); err != nil {
 		log.Fatal(err)
 	}
 	clk.Advance(200 * time.Millisecond)
@@ -115,7 +120,6 @@ func main() {
 	// served the image itself; it then switches to text mode to save
 	// battery — a change in preference, announced to the base station —
 	// and the next share reaches it as text.
-	r1 := field[0].client
 	share := func(object string) {
 		plan, err := media.EncodeImage(wavelet.Circles(64, 64), "site map, sectors A-D")
 		if err != nil {

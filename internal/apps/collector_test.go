@@ -205,7 +205,7 @@ func TestQuickCollectorMatchesModel(t *testing.T) {
 }
 
 // FuzzDecodeImageMeta: the base station decodes announces from the
-// air.  No input panics the decoder, and what it accepts it encodes
+// wire and from the air.  No input panics the decoder, and what it accepts it encodes
 // back to the same bytes.  Seeds: testdata/fuzz/FuzzDecodeImageMeta.
 func FuzzDecodeImageMeta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -223,8 +223,9 @@ func FuzzDecodeImageMeta(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMediaObject: the same for the media objects wireless
-// members uplink.  Seeds: testdata/fuzz/FuzzDecodeMediaObject.
+// FuzzDecodeMediaObject: the same for the media objects a wireless
+// member's inbox takes from the base station, the sketch and text
+// renditions of a share.  Seeds: testdata/fuzz/FuzzDecodeMediaObject.
 func FuzzDecodeMediaObject(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		o, err := DecodeMediaObject(payload)

@@ -18,13 +18,15 @@ import (
 	"adaptiveqos/internal/wavelet"
 )
 
-// relayedFrameAllocs counts what relaying one data frame of a wired
-// image share, an RTP payload of the given size enveloped at the given
-// wired MTU (0 for the default), to n image-tier members costs the
-// station, the dispatch pool inline and the nets untraced, so nothing
-// counted is the test's.  The members are bare radio endpoints; each
-// must receive the frame.
-func relayedFrameAllocs(t *testing.T, n, payload, mtu int) float64 {
+// relayedFrameAllocs counts what relaying one data frame of an image
+// share, an RTP payload of the given size enveloped at the given MTU (0
+// for the default), to n image-tier members costs the station, the
+// dispatch pool inline and the nets untraced, so nothing counted is the
+// test's.  The frame is a wired share's, or with uplink one that a
+// member "up" sends over the radio, which the station also multicasts
+// to the session, where a bare wired peer takes it.  The members are
+// bare radio endpoints; each must receive the frame.
+func relayedFrameAllocs(t *testing.T, n, payload, mtu int, uplink bool) float64 {
 	t.Helper()
 	r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
 	r.wiredNet.SetTrace(nil)
@@ -33,10 +35,16 @@ func relayedFrameAllocs(t *testing.T, n, payload, mtu int) float64 {
 	for i := range members {
 		members[i] = r.join(t, fmt.Sprintf("m%02d", i), 30)
 	}
+	sender, handle := "pub", r.bs.handleWired
+	if uplink {
+		sender, handle = "up", r.bs.handleWireless
+		r.join(t, sender, 30)
+		members = append(members, attach(t, r.wiredNet, "peer"))
+	}
 	rp := rtp.Packet{PayloadType: 96, Seq: 41, Timestamp: 7, SSRC: 1, Payload: make([]byte, payload)}
 	env := message.Enveloper{MTU: mtu}
 	var m message.Message
-	m.Kind, m.Sender, m.Seq, m.Body = message.KindData, "pub", 2, rp.Marshal()
+	m.Kind, m.Sender, m.Seq, m.Body = message.KindData, sender, 2, rp.Marshal()
 	m.SetAttrs([]message.Attr{
 		{Name: message.AttrApp, Value: selector.S(apps.AppImageViewer)},
 		{Name: message.AttrLevel, Value: selector.N(3)},
@@ -53,13 +61,13 @@ func relayedFrameAllocs(t *testing.T, n, payload, mtu int) float64 {
 	}
 	relay := func() {
 		for _, d := range datagrams {
-			r.bs.handleWired(transport.Packet{From: "pub", Data: d})
+			handle(transport.Packet{From: sender, Data: d})
 		}
-		for i, conn := range members {
+		for _, conn := range members {
 			select {
 			case <-conn.Recv():
 			default:
-				t.Fatalf("member %d: nothing relayed", i)
+				t.Fatalf("%s: nothing relayed", conn.ID())
 			}
 		}
 	}
@@ -78,7 +86,24 @@ func relayedFrameAllocs(t *testing.T, n, payload, mtu int) float64 {
 // RTP-framed it once per share; one that reassembled into a fresh
 // buffer paid a second allocation for a fragmented frame.)
 func TestRelayedFrameAllocsFlat(t *testing.T) {
-	const pinned = 1
+	pinFrameAllocs(t, false, 1)
+}
+
+// TestUplinkedFrameAllocsFlat pins the same for a data frame of a share
+// a member uplinks over the radio: the radio segment keeps its own
+// reassembly scratch, RTP scratch, fan-out and candidate list, so the
+// frame costs the datagram the session is multicast and the one every
+// other member is given.  (Before a member's share took the wired
+// share's relay, the station relayed no such frame at all, and still
+// allocated once per datagram for the peer key it read it under, and
+// once more for the fresh buffer a fragmented frame was reassembled
+// into: 1 per whole frame, 3 per fragmented one.)
+func TestUplinkedFrameAllocsFlat(t *testing.T) {
+	pinFrameAllocs(t, true, 2)
+}
+
+func pinFrameAllocs(t *testing.T, uplink bool, pinned float64) {
+	t.Helper()
 	for _, tc := range []struct {
 		name         string
 		payload, mtu int
@@ -86,10 +111,10 @@ func TestRelayedFrameAllocsFlat(t *testing.T) {
 		{"whole", 1024, 0},
 		{"fragmented", 1800, 1400},
 	} {
-		two, eight := relayedFrameAllocs(t, 2, tc.payload, tc.mtu), relayedFrameAllocs(t, 8, tc.payload, tc.mtu)
+		two, eight := relayedFrameAllocs(t, 2, tc.payload, tc.mtu, uplink), relayedFrameAllocs(t, 8, tc.payload, tc.mtu, uplink)
 		t.Logf("%s: %g allocations per relayed frame with 2 members, %g with 8", tc.name, two, eight)
 		if two > pinned {
-			t.Errorf("%s: a relayed frame allocates %g times at the station, want <= %d", tc.name, two, pinned)
+			t.Errorf("%s: a relayed frame allocates %g times at the station, want <= %g", tc.name, two, pinned)
 		}
 		if eight != two {
 			t.Errorf("%s: a relayed frame allocates %g times with 2 image-tier members and %g with 8: members cost allocations", tc.name, two, eight)
@@ -130,31 +155,7 @@ func TestRelayedShareAllocs(t *testing.T) {
 			}
 		}
 	}
-	obj, err := media.EncodeImage(wavelet.Medical(256, 256, 1), "scan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, packets, err := apps.ShareImage("scan", obj, 16)
-	if err != nil || len(packets) != 16 {
-		t.Fatalf("%d packets, %v", len(packets), err)
-	}
-	env := message.Enveloper{MTU: 1400}
-	var share [][]byte
-	send := func(m *message.Message, attrs ...message.Attr) {
-		m.Sender, m.Seq = "pub", uint32(len(share)+1)
-		m.SetAttrs(attrs)
-		d, err := env.WrapMessage(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		share = append(share, d...)
-	}
-	app, object := message.Attr{Name: message.AttrApp, Value: selector.S(apps.AppImageViewer)}, message.Attr{Name: message.AttrObject, Value: selector.S("scan")}
-	send(&message.Message{Kind: message.KindEvent, Body: apps.EncodeImageMeta(meta)}, app, object)
-	for i, p := range packets {
-		rp := rtp.Packet{PayloadType: 96, Marker: i == len(packets)-1, Seq: uint16(i), SSRC: 1, Payload: p}
-		send(&message.Message{Kind: message.KindData, Body: rp.Marshal()}, app, message.Attr{Name: message.AttrLevel, Value: selector.N(float64(i))}, object)
-	}
+	share := wiredShare(t, 256, 1400)
 	if len(share) <= 17 {
 		t.Fatalf("the share is %d datagrams: nothing was fragmented", len(share))
 	}
@@ -181,52 +182,104 @@ func TestRelayedShareAllocs(t *testing.T) {
 	}
 }
 
-// discardTx takes the messages it is handed and sends none.
-type discardTx struct{}
-
-func (discardTx) Deliver(string, *message.Message) error { return nil }
-
-// memberImageCost measures what forwardTiered allocates per member of
-// the image tier for a w×w share, envelope and substrate left out: the
-// rendition is built before counting, and the transmit adapter drops
-// the messages it is handed.  It returns the bytes and the allocations
-// per member and the share's mean packet size.
-func memberImageCost(t *testing.T, w int) (perMember, allocs uint64, packetBytes int) {
+// wiredShare returns the datagrams of a wired share "scan" from "pub":
+// a w×w image in 16 packets, announce first, enveloped at the given
+// MTU (0 for the default).
+func wiredShare(t *testing.T, w, mtu int) [][]byte {
 	t.Helper()
-	c := newBareCell(t, 1, 0, 0)
-	obj, err := media.EncodeImage(wavelet.Medical(w, w, 4), "scan")
+	obj, err := media.EncodeImage(wavelet.Medical(w, w, 1), "scan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := &renditions{bs: c.bs, sender: "pub", object: "pin", obj: obj}
-	if err := c.bs.forwardTiered(rs, radio.TierImage, discardTx{}, "m"); err != nil {
-		t.Fatal(err)
+	meta, packets, err := apps.ShareImage("scan", obj, 16)
+	if err != nil || len(packets) != 16 {
+		t.Fatalf("%d packets, %v", len(packets), err)
 	}
-	const runs = 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		c.bs.forwardTiered(rs, radio.TierImage, discardTx{}, "m")
+	env := message.Enveloper{MTU: mtu}
+	var share [][]byte
+	send := func(m *message.Message, attrs ...message.Attr) {
+		m.Sender, m.Seq = "pub", uint32(len(share)+1)
+		m.SetAttrs(attrs)
+		d, err := env.WrapMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share = append(share, d...)
 	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs, len(obj.Data) / apps.SharePackets
+	app, object := message.Attr{Name: message.AttrApp, Value: selector.S(apps.AppImageViewer)}, message.Attr{Name: message.AttrObject, Value: selector.S("scan")}
+	send(&message.Message{Kind: message.KindEvent, Body: apps.EncodeImageMeta(meta)}, app, object)
+	for i, p := range packets {
+		rp := rtp.Packet{PayloadType: 96, Marker: i == len(packets)-1, Seq: uint16(i), SSRC: 1, Payload: p}
+		send(&message.Message{Kind: message.KindData, Body: rp.Marshal()}, app, message.Attr{Name: message.AttrLevel, Value: selector.N(float64(i))}, object)
+	}
+	return share
+}
+
+// memberImageCost measures what relaying a whole w×w wired share costs
+// the station per image-tier member, the dispatch pool inline and the
+// nets untraced: the bytes and allocations of a share relayed to six
+// members less those of one relayed to two, over the four members
+// between, and the share's mean packet size.
+func memberImageCost(t *testing.T, w int) (perMember, allocs uint64, packetBytes int) {
+	t.Helper()
+	share := wiredShare(t, w, 0)
+	cost := func(n int) (bytes, mallocs uint64) {
+		r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
+		r.wiredNet.SetTrace(nil)
+		r.radioNet.SetTrace(nil)
+		members := make([]transport.Conn, n)
+		for i := range members {
+			members[i] = r.join(t, fmt.Sprintf("m%02d", i), 30)
+		}
+		relay := func() {
+			for _, d := range share {
+				r.bs.handleWired(transport.Packet{From: "pub", Data: d})
+			}
+			for _, conn := range members {
+				for len(conn.Recv()) > 0 {
+					<-conn.Recv()
+				}
+			}
+		}
+		relay() // warm
+		const runs = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			relay()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs
+	}
+	twoBytes, twoAllocs := cost(2)
+	sixBytes, sixAllocs := cost(6)
+	sub := func(a, b uint64) uint64 { return max(a, b) - b }
+	total := 0
+	for _, d := range share[1:] {
+		total += len(d)
+	}
+	return sub(sixBytes, twoBytes) / 4, sub(sixAllocs, twoAllocs) / 4, total / (len(share) - 1)
 }
 
 // TestImageTierMemberCostFlat: an image-tier member costs the station
-// one message, rewritten for every frame, not a copy of the share — RTP
-// framing is done once per rendition — so what a member costs does not
-// grow with packet size or count.
+// no copy of the share — the announce and every frame are enveloped
+// once, and every member is given that one datagram set — so what a
+// member costs neither grows with packet size nor amounts to an
+// allocation.  (While a member was sent the share in a message of its
+// own, rewritten per frame, it cost one allocation per share; while
+// each frame minted its own, 17.)
 func TestImageTierMemberCostFlat(t *testing.T) {
 	small, smallAllocs, smallPkt := memberImageCost(t, 64)
 	large, largeAllocs, largePkt := memberImageCost(t, 256)
-	if smallAllocs > 1 || largeAllocs > 1 {
-		t.Errorf("a member costs %d and %d allocations per share, want <= 1 (its message)", smallAllocs, largeAllocs)
+	t.Logf("a member costs %d B and %d allocations at %d B packets, %d B and %d at %d B", small, smallAllocs, smallPkt, large, largeAllocs, largePkt)
+	if smallAllocs > 0 || largeAllocs > 0 {
+		t.Errorf("a member costs %d and %d allocations per share, want none", smallAllocs, largeAllocs)
 	}
 	if largePkt < 8*smallPkt {
 		t.Fatalf("packets of %d and %d B are too close to tell", smallPkt, largePkt)
 	}
 	if large > small+256 {
-		t.Errorf("a member costs %d B for %d-byte packets and %d B for %d-byte ones: framing is paid per member",
+		t.Errorf("a member costs %d B for %d-byte packets and %d B for %d-byte ones: the share is copied per member",
 			small, smallPkt, large, largePkt)
 	}
 }

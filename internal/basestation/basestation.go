@@ -15,8 +15,11 @@
 // radio state live in the sharded internal/registry, per-client
 // delivery runs through the internal/dispatch worker pool and
 // pipeline, and both segments are reached through dispatch transmit
-// adapters.  The wired relay, which forwards an image share frame by
-// frame as it passes, is in relay.go.
+// adapters.  The radio segment is a star with the station at its hub:
+// a member's frames reach the station and no other member.  The share
+// relay, which forwards an image share frame by frame as it passes —
+// a wired one to the members, a member's to the session and the other
+// members — is in relay.go.
 package basestation
 
 import (
@@ -118,37 +121,17 @@ type BaseStation struct {
 	rfTx    *dispatch.Unicaster // unicast adapter (wireless clients)
 
 	// eventPipe relays one light wired-session event to one wireless
-	// client: match → tier gate → transmit.
-	eventPipe dispatch.Pipeline
-	// relayFrame's, kept across frames: the re-stamped RTP body, its
-	// fan-out, its candidates, and match → tier gate → image tier only
-	// → transmit.
-	frameBuf  []byte
-	frameFan  *dispatch.Fanout
-	frameIDs  []string
-	framePipe dispatch.Pipeline
-	// The wired segment's, kept across shares: wiredFrame is the scratch
-	// a fragmented frame is reassembled into, dead once handleWired
-	// returns; relayAnnounce rewrites the announced object, its
-	// rendition set (the lower tiers' buffers kept), the fan-out and the
-	// share relay for each share.
-	wiredFrame []byte
-	annObj     media.Object
-	annRS      renditions
-	annFan     *dispatch.Fanout
-	annRelay   *shareRelay
+	// client: match → tier gate → transmit; framePipe is relayFrame's:
+	// match → tier gate → image tier only → transmit.
+	eventPipe, framePipe dispatch.Pipeline
+	// What each segment's handler keeps from frame to frame and share
+	// to share (relay.go).
+	wiredSeg, rfSeg segment
 	// tasks recycles the per-candidate dispatch.Task (see runTask), msgs
-	// the message forwardTiered sends a member its rendition in.
+	// the message forwardTiered sends a rendition in.
 	tasks, msgs sync.Pool
 
-	env    message.Enveloper
-	unwrap *message.Unwrapper
-	// Each segment owns the interner its frames decode through and the
-	// message they decode into, refilled per frame: a segment handles
-	// one frame at a time, and the dispatch pool's workers read the
-	// wired one only while handleWired waits for them in Pool.Each.
-	wiredIntern, rfIntern message.Interner
-	wiredMsg, rfMsg       message.Message
+	env message.Enveloper
 
 	// What the station multicasts to the session is numbered per
 	// originating member, contiguous from 1 (sessionSeq, under seqMu),
@@ -183,11 +166,9 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		cfg:      cfg,
 		channel:  channel,
 		reg:      registry.New(registry.DefaultShards),
-		unwrap:   message.NewUnwrapper(),
 	}
 	bs.env.Node = id
 	bs.sessionSeq = map[string]uint32{}
-	bs.unwrap.Node = id
 	bs.tasks.New = func() any { return new(dispatch.Task) }
 	bs.msgs.New = func() any { return new(message.Message) }
 	bs.wiredTx = &dispatch.Multicaster{Env: &bs.env, Conn: wired}
@@ -202,15 +183,13 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		bs.tierGate(radio.TierText),
 		dispatch.Transmit,
 	)
-	bs.frameFan = bs.rfTx.Fanout(nil)
-	bs.annRS.bs = bs
-	bs.annFan = bs.rfTx.Fanout(nil)
-	bs.annRelay = bs.newShareRelay()
 	bs.framePipe = dispatch.NewPipeline(
 		dispatch.Match(bs.flatOf),
 		bs.tierGate(radio.TierText),
 		imageTierOnly,
 	)
+	bs.wiredSeg.init(bs)
+	bs.rfSeg.init(bs)
 	// SLO violation attributions get the client's radio picture from
 	// here (Close unregisters).
 	bs.unregRadioSrc = slo.Default().RegisterRadioSource(bs.RadioSnapshot)
@@ -284,25 +263,35 @@ func (bs *BaseStation) nextSeq(sender, to string) uint32 {
 	return bs.sessionSeq[sender]
 }
 
-// UplinkEvent relays a plain event (chat line, whiteboard stroke) from
-// a wireless client: multicast to the session, unicast to the other
-// wireless clients.  The uplink must meet at least the text tier.
-func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) error {
+// admit assesses sender's uplink of what (an event, a share) and
+// returns the tier it holds, or an error: the sender has not joined, or
+// it is below the text tier, a drop the station counts.
+func (bs *BaseStation) admit(sender, what string) (radio.Tier, error) {
 	if !bs.reg.Has(sender) {
-		return fmt.Errorf("%w: %s", ErrNotJoined, sender)
+		return radio.TierNone, fmt.Errorf("%w: %s", ErrNotJoined, sender)
 	}
 	assess, err := bs.Assess(sender)
 	if err != nil {
-		return err
+		return radio.TierNone, err
 	}
 	if assess.Tier < radio.TierText {
 		bs.stats.uplinkDropped.Add(1)
 		if obs.Enabled() {
 			obs.Drop(0, obs.StagePublish,
-				fmt.Sprintf("bs %s: uplink event from %s below text tier (%.1f dB)",
-					bs.id, sender, assess.SIRdB))
+				fmt.Sprintf("bs %s: uplink %s from %s below text tier (%.1f dB)",
+					bs.id, what, sender, assess.SIRdB))
 		}
-		return fmt.Errorf("%w: %s at %.1f dB", ErrNoService, sender, assess.SIRdB)
+		return radio.TierNone, fmt.Errorf("%w: %s at %.1f dB", ErrNoService, sender, assess.SIRdB)
+	}
+	return assess.Tier, nil
+}
+
+// UplinkEvent relays a plain event (chat line, whiteboard stroke) from
+// a wireless client: multicast to the session, unicast to the other
+// wireless clients.  The uplink must meet at least the text tier.
+func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) error {
+	if _, err := bs.admit(sender, "event"); err != nil {
+		return err
 	}
 	m := new(message.Message)
 	bs.stamp(m, message.KindEvent, sender, "", sel, []message.Attr{{Name: message.AttrApp, Value: selector.S(app)}}, payload)
@@ -333,49 +322,28 @@ func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) erro
 	return nil
 }
 
-// UplinkShare relays an image share from a wireless client.  The base
-// station receives the content, selects the data-type format by the
-// sender's received SIR — full image, text + base sketch, or text
-// description only — and forwards that modality to the multicast
-// session; each other wireless client receives the richest modality
-// its own SIR supports (never richer than what the uplink admitted).
-func (bs *BaseStation) UplinkShare(sender, object, sel string, obj *media.Object) error {
-	if !bs.reg.Has(sender) {
-		return fmt.Errorf("%w: %s", ErrNotJoined, sender)
+// uplinkShare sends the session a member's share at tier, the tier its
+// uplink holds (DESIGN.md §17): at the image tier the announce m, now
+// in the member's session stream, and relayFrame sends the frames that
+// follow; at a lower tier that tier's rendition, drawn from rs.
+func (bs *BaseStation) uplinkShare(rs *renditions, m *message.Message, tier radio.Tier) error {
+	var err error
+	if tier == radio.TierImage {
+		m.Seq = bs.nextSeq(m.Sender, "")
+		err = bs.wiredTx.Deliver("", m)
+	} else {
+		err = bs.forwardTiered(rs, tier, bs.wiredTx, "")
 	}
-	assess, err := bs.Assess(sender)
 	if err != nil {
 		return err
 	}
-	if assess.Tier == radio.TierNone {
-		bs.stats.uplinkDropped.Add(1)
-		if obs.Enabled() {
-			obs.Drop(0, obs.StagePublish,
-				fmt.Sprintf("bs %s: uplink share from %s below any tier (%.1f dB)",
-					bs.id, sender, assess.SIRdB))
-		}
-		return fmt.Errorf("%w: %s at %.1f dB", ErrNoService, sender, assess.SIRdB)
-	}
-
-	// Forward to the wired session at the uplink-admitted tier.  Every
-	// recipient below is served from the one rendition set.
-	rs := &renditions{bs: bs, sender: sender, object: object, sel: sel, obj: obj}
-	if err := bs.forwardTiered(rs, assess.Tier, bs.wiredTx, ""); err != nil {
-		return err
-	}
-	switch assess.Tier {
+	switch tier {
 	case radio.TierImage:
 		bs.stats.fwdImage.Add(1)
 	case radio.TierSketch:
 		bs.stats.fwdSketch.Add(1)
 	case radio.TierText:
 		bs.stats.fwdText.Add(1)
-	}
-
-	// The other wireless clients get it no richer than the uplink
-	// admitted, and only those whose profiles its selector admits.
-	if err := bs.newShareRelay().relay(dispatch.Task{Msg: &message.Message{Selector: sel}, Node: bs.id}, rs, assess.Tier, sender); err != nil {
-		return err
 	}
 	bs.stats.uplinkEvents.Add(1)
 	return nil

@@ -20,9 +20,9 @@ import (
 // framework client and a base station, plus a radio segment carrying
 // the base station and wireless client endpoints.  Both segments are
 // DESNets on one virtual clock and every node runs inline on the
-// goroutine that drives it.  The station's sweep reschedules itself,
-// so the clock's heap never drains: a test acts, settles (advances the
-// clock) and asserts once.
+// goroutine that drives it.  Every client ticks, so the clock's heap
+// never drains: a test acts, settles (advances the clock) and asserts
+// once.
 type rig struct {
 	clk      *clock.Virtual
 	wiredNet *transport.DESNet
@@ -32,14 +32,15 @@ type rig struct {
 }
 
 // newNets returns the wired and radio segments on a fresh virtual
-// clock.  Every test on them doubles as a frame-integrity test:
-// collected image chunks, parked packets and relayed bodies all alias
-// datagrams.
+// clock.  The radio segment is a star: every link is down but those
+// seat puts up between the station and a member.  Every test on them
+// doubles as a frame-integrity test: collected image chunks, parked
+// packets and relayed bodies all alias datagrams.
 func newNets(t *testing.T) (clk *clock.Virtual, wiredNet, radioNet *transport.DESNet) {
 	t.Helper()
 	clk = clock.NewVirtual(time.Unix(0, 0))
 	wiredNet = transport.NewDESNet(transport.DESNetConfig{Seed: 1, Clock: clk})
-	radioNet = transport.NewDESNet(transport.DESNetConfig{Seed: 2, Clock: clk})
+	radioNet = transport.NewDESNet(transport.DESNetConfig{Seed: 2, Clock: clk, DefaultLink: transport.Link{Down: true}})
 	t.Cleanup(func() { wiredNet.Close(); radioNet.Close() })
 	transporttest.Watch(t, wiredNet, radioNet)
 	return clk, wiredNet, radioNet
@@ -57,20 +58,33 @@ func attach(t *testing.T, net interface {
 	return conn
 }
 
+// seat attaches id to a radio segment, a DESNet or a SimNet whose
+// links are down by default, and puts up its link to and from the
+// station "bs": a member of the star.
+func seat(t *testing.T, net interface {
+	Attach(string) (transport.Conn, error)
+	SetLinkBoth(a, b string, l transport.Link)
+}, id string) transport.Conn {
+	t.Helper()
+	conn := attach(t, net, id)
+	net.SetLinkBoth("bs", id, transport.Link{})
+	return conn
+}
+
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	r := &rig{}
 	r.clk, r.wiredNet, r.radioNet = newNets(t)
 	r.bs = New("bs", attach(t, r.wiredNet, "bs"), attach(t, r.radioNet, "bs"), radio.NewChannel(radio.Params{}), cfg)
-	r.wired = r.client(t, r.wiredNet, "wired-1")
+	r.wired = r.client(t, attach(t, r.wiredNet, "wired-1"))
 	t.Cleanup(func() { r.bs.Close() })
 	return r
 }
 
-// client seats a framework client on net until the test ends.
-func (r *rig) client(t *testing.T, net *transport.DESNet, id string) *core.Client {
+// client runs a framework client on conn until the test ends.
+func (r *rig) client(t *testing.T, conn transport.Conn) *core.Client {
 	t.Helper()
-	c := core.NewClient(attach(t, net, id), core.Config{})
+	c := core.NewClient(conn, core.Config{})
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -80,11 +94,11 @@ func (r *rig) client(t *testing.T, net *transport.DESNet, id string) *core.Clien
 // (core.AdaptInterval).
 func (r *rig) settle() { r.clk.Advance(time.Second) }
 
-// joinWireless attaches a wireless endpoint (a plain framework client
-// on the radio segment) and registers it at the base station.
+// joinWireless seats a wireless endpoint (a plain framework client on
+// the radio segment) and registers it at the base station.
 func (r *rig) joinWireless(t *testing.T, id string, distance, power float64) *core.Client {
 	t.Helper()
-	c := r.client(t, r.radioNet, id)
+	c := r.client(t, seat(t, r.radioNet, id))
 	p := profile.New(id)
 	p.Interests.SetString("media", "any")
 	if _, err := r.bs.Join(p, distance, power); err != nil {
@@ -177,12 +191,15 @@ func TestUplinkEventRelay(t *testing.T) {
 	}
 }
 
-func TestUplinkShareFullImageTier(t *testing.T) {
+// TestUplinkedShareFullImageTier: a member alone in the cell shares an
+// image; the station sends the session its announce and frames as they
+// were sent.
+func TestUplinkedShareFullImageTier(t *testing.T) {
 	r := newRig(t, Config{})
-	r.joinWireless(t, "w1", 30, 1) // lone client: high SIR → full image
+	w1 := r.joinWireless(t, "w1", 30, 1) // lone client: high SIR → full image
 
 	obj := testImageObject(t)
-	if err := r.bs.UplinkShare("w1", "img-1", "", obj); err != nil {
+	if err := w1.ShareImage("img-1", obj, ""); err != nil {
 		t.Fatal(err)
 	}
 	r.settle()
@@ -201,11 +218,14 @@ func TestUplinkShareFullImageTier(t *testing.T) {
 	}
 }
 
-func TestUplinkShareDegradesWithInterference(t *testing.T) {
+// TestUplinkedShareDegradesWithInterference: a member whose uplink holds
+// only a lower tier shares an image; the session and the other members
+// get that tier's rendition and no frame of it.
+func TestUplinkedShareDegradesWithInterference(t *testing.T) {
 	r := newRig(t, Config{})
 	// Three clients at equal distance: everyone's SIR collapses to
 	// roughly -3 dB (two equal interferers) → text tier.
-	r.joinWireless(t, "w1", 50, 1)
+	w1 := r.joinWireless(t, "w1", 50, 1)
 	w2 := r.joinWireless(t, "w2", 50, 1)
 	r.joinWireless(t, "w3", 50, 1)
 
@@ -215,12 +235,17 @@ func TestUplinkShareDegradesWithInterference(t *testing.T) {
 	}
 
 	obj := testImageObject(t)
-	if err := r.bs.UplinkShare("w1", "img-2", "", obj); err != nil {
+	if err := w1.ShareImage("img-2", obj, ""); err != nil {
 		t.Fatal(err)
 	}
 	// The wired session receives degraded content via the media inbox,
 	// not the progressive image path.
 	r.settle()
+	for _, c := range []*core.Client{r.wired, w2} {
+		if st, heard := c.ReceptionReport("w1"); heard || c.Stats().DataPackets != 0 {
+			t.Errorf("%s was sent %d data frames of the degraded share", c.ID(), st.Received)
+		}
+	}
 	if n := r.wired.Inbox().Len(); n != 1 {
 		t.Fatalf("wired inbox holds %d items, want 1", n)
 	}
@@ -242,24 +267,32 @@ func TestUplinkShareDegradesWithInterference(t *testing.T) {
 	}
 }
 
+// TestUplinkBelowServiceDropped: a member below every tier shares an
+// image and says a line; the station relays neither and counts each
+// once as dropped.
 func TestUplinkBelowServiceDropped(t *testing.T) {
 	r := newRig(t, Config{})
-	r.joinWireless(t, "w1", 400, 0.01) // weak and far
-	r.joinWireless(t, "w2", 10, 5)     // dominant interferer
+	w1 := r.joinWireless(t, "w1", 400, 0.01) // weak and far
+	w2 := r.joinWireless(t, "w2", 10, 5)     // dominant interferer
 
 	a, _ := r.bs.Assess("w1")
 	if a.Tier != radio.TierNone {
 		t.Fatalf("geometry did not produce TierNone (SIR %.1f dB)", a.SIRdB)
 	}
-	err := r.bs.UplinkShare("w1", "img-x", "", testImageObject(t))
-	if !errors.Is(err, ErrNoService) {
-		t.Errorf("hopeless uplink: %v", err)
+	if err := w1.ShareImage("img-x", testImageObject(t), ""); err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+	for _, c := range []*core.Client{r.wired, w2} {
+		if st := c.Stats(); st.EventsReceived != 0 || st.DataPackets != 0 || c.Inbox().Len() != 0 {
+			t.Errorf("%s was relayed the hopeless share: %+v, %d inbox items", c.ID(), st, c.Inbox().Len())
+		}
 	}
 	if err := r.bs.UplinkEvent("w1", apps.AppChat, "", apps.EncodeSay("hello?")); !errors.Is(err, ErrNoService) {
 		t.Errorf("hopeless event: %v", err)
 	}
-	if st := r.bs.Stats(); st.UplinkDropped != 2 {
-		t.Errorf("dropped = %d", st.UplinkDropped)
+	if st := r.bs.Stats(); st.UplinkDropped != 2 || st.UplinkEvents != 0 {
+		t.Errorf("dropped = %d, relayed = %d, want 2 and 0", st.UplinkDropped, st.UplinkEvents)
 	}
 }
 
@@ -319,7 +352,7 @@ func TestDownlinkHonorsModalityPreference(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same goes for a share another member uplinks at the image tier.
-	r.joinWireless(t, "w2", tierDistances[radio.TierImage][1], 1)
+	w2 := r.joinWireless(t, "w2", tierDistances[radio.TierImage][1], 1)
 	for _, id := range []string{"w1", "w2"} {
 		if a, err := r.bs.Assess(id); err != nil || a.Tier != radio.TierImage {
 			t.Fatalf("%s assessed %s at %.1f dB (%v)", id, a.Tier, a.SIRdB, err)
@@ -327,7 +360,7 @@ func TestDownlinkHonorsModalityPreference(t *testing.T) {
 	}
 	shares := []func() error{
 		func() error { return r.wired.ShareImage("d-1", obj, "") },
-		func() error { return r.bs.UplinkShare("w2", "d-2", "", obj) },
+		func() error { return w2.ShareImage("d-2", obj, "") },
 	}
 	for i, share := range shares {
 		if err := share(); err != nil {

@@ -14,7 +14,7 @@ import (
 // selector can split the population.
 func (r *rig) joinWithMedia(t *testing.T, id, media string) *core.Client {
 	t.Helper()
-	c := r.client(t, r.radioNet, id)
+	c := r.client(t, seat(t, r.radioNet, id))
 	// The receiving endpoint filters by its own local profile too, so
 	// the interest must live on both sides.
 	c.Profile().SetInterest("media", selector.S(media))

@@ -20,11 +20,12 @@ import (
 // attachments: what arrives in their inboxes is exactly what the
 // substrate was handed.
 type bareCell struct {
-	clk     *clock.Virtual
-	bs      *BaseStation
-	pub     transport.Conn
-	wired   []transport.Conn
-	members []transport.Conn
+	clk      *clock.Virtual
+	radioNet *transport.DESNet
+	bs       *BaseStation
+	pub      transport.Conn
+	wired    []transport.Conn
+	members  []transport.Conn
 }
 
 // Every member of a bare cell clears every tier: its tests are about
@@ -34,7 +35,7 @@ var bareThresholds = radio.Thresholds{TextDB: -1000, SketchDB: -900, ImageDB: -8
 func newBareCell(t *testing.T, workers, wired, members int) *bareCell {
 	t.Helper()
 	clk, wiredNet, radioNet := newNets(t)
-	c := &bareCell{clk: clk, pub: attach(t, wiredNet, "pub")}
+	c := &bareCell{clk: clk, radioNet: radioNet, pub: attach(t, wiredNet, "pub")}
 	c.bs = New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}),
 		Config{fanOutWorkers: workers, Thresholds: bareThresholds})
 	t.Cleanup(func() { c.bs.Close() })
@@ -43,7 +44,7 @@ func newBareCell(t *testing.T, workers, wired, members int) *bareCell {
 	}
 	for i := 0; i < members; i++ {
 		id := fmt.Sprintf("m%02d", i)
-		c.members = append(c.members, attach(t, radioNet, id))
+		c.members = append(c.members, seat(t, radioNet, id))
 		if _, err := c.bs.Join(profile.New(id), 30, 1); err != nil {
 			t.Fatal(err)
 		}

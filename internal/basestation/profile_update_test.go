@@ -58,7 +58,7 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 	}
 
 	// Announcements from strangers are ignored.
-	stranger := r.client(t, r.radioNet, "stranger-2")
+	stranger := r.client(t, seat(t, r.radioNet, "stranger-2"))
 	stranger.Profile().SetPreference("modality", selector.S("text"))
 	if err := stranger.AnnounceProfile("bs"); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestWirelessPreferenceAnnouncement(t *testing.T) {
 // can install an interest on it — neither may find a nil map.
 func TestLiteralProfileJoinsAndUpdates(t *testing.T) {
 	r := newRig(t, Config{})
-	w := r.client(t, r.radioNet, "thin")
+	w := r.client(t, seat(t, r.radioNet, "thin"))
 	if _, err := r.bs.Join(&profile.Profile{ID: "thin"}, 20, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,13 @@ import (
 )
 
 // TestRelayedShareReceptionStats: the station frames every share it
-// relays under its own SSRC with seqs 0..15; a receiver that took the
-// second share of a sender as 16 late repeats of the first would freeze
-// that sender's loss figure after share one — the figure the member's
-// rtp_loss_fraction gauge and adaptation read.  Each share must count as
-// a stream of its own, on the downlink and on the uplink alike.
+// relays to the members under its own SSRC with seqs 0..15; a receiver
+// that took the second share of a sender as 16 late repeats of the
+// first would freeze that sender's loss figure after share one — the
+// figure the member's rtp_loss_fraction gauge and adaptation read.  Each
+// share must count as a stream of its own on the downlink; on the
+// uplink the session is sent the member's frames as they were sent, one
+// stream whose seqs run on from share to share.
 func TestRelayedShareReceptionStats(t *testing.T) {
 	obj := testImageObject(t)
 	report := func(c *core.Client, sender string) rtp.Stats {
@@ -43,9 +45,9 @@ func TestRelayedShareReceptionStats(t *testing.T) {
 
 	t.Run("uplink", func(t *testing.T) {
 		r := newRig(t, Config{})
-		r.joinWireless(t, "w1", 30, 1)
+		w1 := r.joinWireless(t, "w1", 30, 1)
 		for i := 1; i <= 2; i++ {
-			if err := r.bs.UplinkShare("w1", fmt.Sprintf("up-%d", i), "", obj); err != nil {
+			if err := w1.ShareImage(fmt.Sprintf("up-%d", i), obj, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -100,7 +102,8 @@ func TestLosslessMemberReportsNoLoss(t *testing.T) {
 	if a, _ := r.bs.Assess("w1"); a.Tier != radio.TierImage {
 		t.Fatalf("lone member tier = %s, want image", a.Tier)
 	}
-	// A listener on the radio segment reads the member's reports.
+	// A listener tapping the member's transmissions on the radio segment
+	// reads its reports.
 	var fracs []float64
 	un := message.NewUnwrapper()
 	if _, err := r.radioNet.AttachHandler("listener", func(p transport.Packet) {
@@ -119,6 +122,7 @@ func TestLosslessMemberReportsNoLoss(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	r.radioNet.SetLink("w1", "listener", transport.Link{})
 
 	for round := 1; round <= 3; round++ {
 		for i := 1; i <= 2; i++ {

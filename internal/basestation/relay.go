@@ -1,10 +1,11 @@
 package basestation
 
-// Downlink relay (session → wireless clients) and uplink frame
-// handling (radio segment → session).  Per-client delivery is expressed
-// as dispatch pipelines/batches over the transmit adapters; membership
-// state comes from the sharded registry.  A wired image share is relayed
-// frame by frame as it passes: the station collects nothing.
+// The share relay and the two segments' handlers: session → wireless
+// clients, and radio segment → session and the other members.
+// Per-client delivery is expressed as dispatch pipelines/batches over
+// the transmit adapters; membership state comes from the sharded
+// registry.  An image share, wired or a member's, is relayed frame by
+// frame as it passes, on one path: the station collects nothing.
 
 import (
 	"adaptiveqos/internal/apps"
@@ -50,54 +51,78 @@ func (bs *BaseStation) runTask(pipe dispatch.Pipeline, task dispatch.Task) error
 	return err
 }
 
-// --- Downlink (session → wireless clients) ---
+// --- The share relay, one per segment ---
 
-// handleWired relays wired-session traffic to the wireless clients,
-// degrading content to each client's tier.
-func (bs *BaseStation) handleWired(pkt transport.Packet) {
-	// A fragmented frame is reassembled into the segment's scratch: all
-	// that is relayed of it is copied out (enveloped, re-stamped,
-	// rendered) before the relay returns, Pool.Each waiting for every
-	// job it queues.
-	frame, v, _ := bs.unwrap.ReadInto(pkt.From, pkt.Data, &bs.wiredFrame) // ReadInto counts what it cannot read
-	if frame == nil || string(v.Sender()) == bs.id {
-		return
-	}
-	m := &bs.wiredMsg
-	v.MessageInto(m, &bs.wiredIntern)
-	app, _ := m.Attr(message.AttrApp)
-	switch {
-	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard || app.Str() == apps.AppMedia):
-		// Light events run the relay pipeline per client: candidates
-		// come index-first from the registry's inverted predicate
-		// index (DESIGN.md §12), then each candidate's pipeline
-		// re-verifies the cached compiled selector against the
-		// memoized flattened profile, gates on the text tier and
-		// transmits.  The dispatch pool fans the candidate set across
-		// its shards.  What is transmitted is the same for every
-		// client, so the event is enveloped once, by the first client
-		// to get that far.
-		msgID := obs.MsgID(m.Sender, m.Seq)
-		ids := dispatch.Candidates(bs.reg, m, nil)
-		fan := bs.rfTx.Fanout(m)
-		bs.pool.Each(msgID, ids, func(id string) error {
-			return bs.runTask(bs.eventPipe, dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id})
-		})
-	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
-		bs.relayAnnounce(m)
-	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:
-		bs.relayFrame(m)
-	}
+// segment is what the station keeps for one of its two segments, from
+// frame to frame and from share to share.  transport.Serve drives each
+// segment on a goroutine of its own on a wall substrate, so the two
+// never share it; a segment handles one frame at a time, and the
+// dispatch shards read the share it is relaying while Pool.Each waits
+// for them.
+type segment struct {
+	bs     *BaseStation
+	unwrap *message.Unwrapper
+	// frame is the scratch a fragmented frame is reassembled into, dead
+	// once the handler returns; m and intern are what a frame decodes
+	// into.
+	frame  []byte
+	m      message.Message
+	intern message.Interner
+	// The share being relayed: the object its announce describes, its
+	// rendition set (the lower tiers' buffers kept), the fan-out of the
+	// announce or frame, its candidates, the richest tier it is served
+	// at and the member it came from ("" for a wired share), who is
+	// skipped.
+	obj   media.Object
+	rs    renditions
+	fan   *dispatch.Fanout
+	ids   []string
+	share dispatch.Task
+	limit radio.Tier
+	from  string
+	// pipe serves the announce to one member: match → tier gate →
+	// serve; each is the function the dispatch pool runs it in.
+	pipe dispatch.Pipeline
+	each func(id string) error
+	// frameBuf is the frame's RTP body as stamped again for the members.
+	frameBuf []byte
 }
 
-// relayAnnounce relays a wired image share's announce as it passes
-// (DESIGN.md §17).  A member served at the image tier gets the announce
+func (s *segment) init(bs *BaseStation) {
+	s.bs = bs
+	s.unwrap = message.NewUnwrapper()
+	s.unwrap.Node = bs.id
+	s.rs.bs = bs
+	s.fan = bs.rfTx.Fanout(nil)
+	s.pipe = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate(radio.TierText), s.serve)
+	s.each = s.member
+}
+
+// read reassembles pkt into the segment's scratch and decodes the frame
+// it completes into the segment's message: all that is relayed of it is
+// copied out (enveloped, re-stamped, rendered) before the handler
+// returns, Pool.Each waiting for every job it queues.  It returns nil
+// for a fragment of a frame still incomplete, for the station's own
+// frames and for what cannot be read (ReadInto counts that).
+func (s *segment) read(pkt transport.Packet) *message.Message {
+	frame, v, _ := s.unwrap.ReadInto(pkt.From, pkt.Data, &s.frame)
+	if frame == nil || string(v.Sender()) == s.bs.id {
+		return nil
+	}
+	v.MessageInto(&s.m, &s.intern)
+	return &s.m
+}
+
+// relayAnnounce relays a share's announce as it passes (DESIGN.md §17):
+// a wired share's, or the share of the member from, which its uplink
+// admits at limit.  A member served at the image tier gets the announce
 // as it was sent, and relayFrame gives it the data frames that follow;
 // any other member gets the share's sketch or text rendition, drawn
-// from the announce alone.  The station keeps nothing of the share: the
-// object, the rendition set, the fan-out and the share relay are the
-// wired segment's, rewritten by each announce.
-func (bs *BaseStation) relayAnnounce(m *message.Message) {
+// from the announce alone, and none is served richer than limit.  A
+// member's share goes to the session first (uplinkShare).  The station
+// keeps nothing of the share: the object, the rendition set and the
+// fan-out are the segment's, rewritten by each announce.
+func (s *segment) relayAnnounce(m *message.Message, limit radio.Tier, from string) {
 	meta, err := apps.DecodeImageMeta(m.Body)
 	if err != nil {
 		return
@@ -105,28 +130,55 @@ func (bs *BaseStation) relayAnnounce(m *message.Message) {
 	// The lower tiers need the description, the carried sketch and the
 	// size; an announce always heads a progressive image, and which
 	// coding its stream uses is the image tier's business.
-	bs.annObj = media.Object{Kind: media.KindImage, Format: media.FormatEZW, Description: meta.Description,
+	s.obj = media.Object{Kind: media.KindImage, Format: media.FormatEZW, Description: meta.Description,
 		Width: meta.Width, Height: meta.Height, Sketch: meta.Sketch}
-	bs.annRS.reset(m.Sender, meta.Object, m.Selector, &bs.annObj)
-	bs.annFan.Reset(m)
+	s.rs.reset(m.Sender, meta.Object, m.Selector, &s.obj)
+	if from != "" && s.bs.uplinkShare(&s.rs, m, limit) != nil {
+		return
+	}
+	s.fan.Reset(m)
+	s.share = dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: s.fan, Node: s.bs.id}
+	s.limit, s.from = limit, from
+	s.ids = dispatch.Candidates(s.bs.reg, m, s.ids[:0])
 	// Nobody upstream to tell: a member that could not be served is in
 	// the dispatch pool's counters and the flight recorder.
-	_ = bs.annRelay.relay(dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: bs.annFan, Node: bs.id},
-		&bs.annRS, radio.TierImage, "")
+	_ = s.bs.pool.Each(s.share.MsgID, s.ids, s.each)
+	s.share = dispatch.Task{}
 }
 
-// relayFrame relays one data frame of a wired image share to the
-// members served at the image tier, the tier relayAnnounce gave its
-// announce to.  The frame's RTP header is stamped again into the
-// station's scratch — the share's SSRC, its level as the seq — so each
-// share is one RTP stream at the member, as an uplinked one is.  What a
-// member costs here is a profile lookup, a selector match, an
+func (s *segment) member(id string) error {
+	if id == s.from {
+		return nil
+	}
+	t := s.share
+	t.To = id
+	return s.bs.runTask(s.pipe, t)
+}
+
+// serve is the announce's last stage: the announce as it was sent at
+// the image tier, that tier's rendition at any other.
+func (s *segment) serve(t *dispatch.Task) error {
+	tier := servedTier(t, s.limit)
+	if tier == radio.TierImage {
+		return dispatch.Transmit(t)
+	}
+	return s.bs.forwardTiered(&s.rs, tier, s.bs.rfTx, t.To)
+}
+
+// relayFrame relays one data frame of a share to the members served at
+// the image tier, the tier relayAnnounce gave its announce to, but
+// from.  A member's frame goes to the session first, as it was sent and
+// in the member's session stream, and goes anywhere only while the
+// member's uplink holds the image tier.  The frame's RTP header is then
+// stamped again into the segment's scratch — the share's SSRC, its
+// level as the seq — so each share is one RTP stream at the member.
+// What a member costs here is a profile lookup, a selector match, an
 // assessment and a send: less than handing it to a dispatch shard, so
 // the candidates are served inline, each after the announce's batch has
-// completed.  The scratch, the fan-out, the candidate list and the
-// pipeline are the station's, kept across frames: a frame costs its
-// datagram.
-func (bs *BaseStation) relayFrame(m *message.Message) {
+// completed.  The scratch, the fan-out and the candidate list are the
+// segment's, kept across frames: a frame costs its datagrams.
+func (s *segment) relayFrame(m *message.Message, from string) {
+	bs := s.bs
 	object, ok1 := m.Attr(message.AttrObject)
 	level, _ := m.Attr(message.AttrLevel)
 	idx, ok2 := level.Whole()
@@ -135,13 +187,25 @@ func (bs *BaseStation) relayFrame(m *message.Message) {
 		metrics.C(metrics.CtrDecodeErrors).Inc() // only an unreadable frame pays the lookup
 		return
 	}
+	if from != "" {
+		if a, err := bs.Assess(from); err != nil || a.Tier < radio.TierImage {
+			return
+		}
+		m.Seq = bs.nextSeq(from, "")
+		if bs.wiredTx.Deliver("", m) != nil {
+			return
+		}
+	}
 	pkt.SSRC, pkt.Seq = rtp.SSRCOf(bs.id+"/"+object.Str()), uint16(idx)
-	bs.frameBuf = pkt.AppendMarshal(bs.frameBuf[:0])
-	m.Body = bs.frameBuf
-	bs.frameFan.Reset(m)
-	task := dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: bs.frameFan, Node: bs.id}
-	bs.frameIDs = dispatch.Candidates(bs.reg, m, bs.frameIDs[:0])
-	for _, id := range bs.frameIDs {
+	s.frameBuf = pkt.AppendMarshal(s.frameBuf[:0])
+	m.Body = s.frameBuf
+	s.fan.Reset(m)
+	task := dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: s.fan, Node: bs.id}
+	s.ids = dispatch.Candidates(bs.reg, m, s.ids[:0])
+	for _, id := range s.ids {
+		if id == from {
+			continue
+		}
 		task.To = id
 		_ = bs.runTask(bs.framePipe, task) // a member that could not be served is in the flight recorder
 	}
@@ -180,87 +244,67 @@ func imageTierOnly(t *dispatch.Task) error {
 	return dispatch.Transmit(t)
 }
 
-// shareRelay serves a share to every candidate of share.Msg's selector
-// but skip, each at servedTier: match, infer the tier, clamp, then send
-// the image tier share.Fan when it is set (a wired share's announce, as
-// it was sent) and every other tier that tier's rendition through
-// forwardTiered.  Its pipeline, the function the dispatch pool runs and
-// its candidate list are built once, so the wired segment keeps one
-// relay for all its shares; the dispatch shards read the share it is
-// serving while relay waits for them.
-type shareRelay struct {
-	bs    *BaseStation
-	pipe  dispatch.Pipeline
-	each  func(id string) error
-	ids   []string
-	share dispatch.Task
-	rs    *renditions
-	limit radio.Tier
-	skip  string
-}
+// --- Downlink (session → wireless clients) ---
 
-func (bs *BaseStation) newShareRelay() *shareRelay {
-	sr := &shareRelay{bs: bs}
-	sr.pipe = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate(radio.TierText), sr.serve)
-	sr.each = sr.member
-	return sr
-}
-
-// relay serves one share, no richer than limit.  One relay runs on sr
-// at a time.
-func (sr *shareRelay) relay(share dispatch.Task, rs *renditions, limit radio.Tier, skip string) error {
-	sr.share, sr.rs, sr.limit, sr.skip = share, rs, limit, skip
-	sr.ids = dispatch.Candidates(sr.bs.reg, share.Msg, sr.ids[:0])
-	err := sr.bs.pool.Each(share.MsgID, sr.ids, sr.each)
-	sr.share, sr.rs = dispatch.Task{}, nil
-	return err
-}
-
-func (sr *shareRelay) member(id string) error {
-	if id == sr.skip {
-		return nil
-	}
-	t := sr.share
-	t.To = id
-	return sr.bs.runTask(sr.pipe, t)
-}
-
-func (sr *shareRelay) serve(t *dispatch.Task) error {
-	tier := servedTier(t, sr.limit)
-	if tier == radio.TierImage && t.Fan != nil {
-		return dispatch.Transmit(t)
-	}
-	return sr.bs.forwardTiered(sr.rs, tier, sr.bs.rfTx, t.To)
-}
-
-// --- Uplink frame handling (wireless segment → relays) ---
-
-// handleWireless takes uplink frames from wireless clients over the
-// radio segment: clients transmit framework messages; the BS relays
-// them as if the client had called UplinkEvent/UplinkShare.
-func (bs *BaseStation) handleWireless(pkt transport.Packet) {
-	frame, v, _ := bs.unwrap.Read("rf:"+pkt.From, pkt.Data) // counted inside Read
-	if frame == nil {
+// handleWired relays wired-session traffic to the wireless clients,
+// degrading content to each client's tier.
+func (bs *BaseStation) handleWired(pkt transport.Packet) {
+	s := &bs.wiredSeg
+	m := s.read(pkt)
+	if m == nil {
 		return
 	}
-	m := &bs.rfMsg
-	v.MessageInto(m, &bs.rfIntern)
-	if !bs.reg.Has(m.Sender) {
+	app, _ := m.Attr(message.AttrApp)
+	switch {
+	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard || app.Str() == apps.AppMedia):
+		// Light events run the relay pipeline per client: candidates
+		// come index-first from the registry's inverted predicate
+		// index (DESIGN.md §12), then each candidate's pipeline
+		// re-verifies the cached compiled selector against the
+		// memoized flattened profile, gates on the text tier and
+		// transmits.  The dispatch pool fans the candidate set across
+		// its shards.  What is transmitted is the same for every
+		// client, so the event is enveloped once, by the first client
+		// to get that far.
+		msgID := obs.MsgID(m.Sender, m.Seq)
+		ids := dispatch.Candidates(bs.reg, m, nil)
+		fan := bs.rfTx.Fanout(m)
+		bs.pool.Each(msgID, ids, func(id string) error {
+			return bs.runTask(bs.eventPipe, dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id})
+		})
+	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
+		s.relayAnnounce(m, radio.TierImage, "")
+	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:
+		s.relayFrame(m, "")
+	}
+}
+
+// --- Uplink (wireless segment → session and the other members) ---
+
+// handleWireless takes uplink frames from wireless clients over the
+// radio segment, a star whose one hub is the station: a member's chat
+// lines and strokes go through UplinkEvent, its image share through the
+// wired share's relay, limited to its uplink tier, and its profile
+// announcements into its stored profile.  Anything else (its reception
+// reports among them) stops here.
+func (bs *BaseStation) handleWireless(pkt transport.Packet) {
+	s := &bs.rfSeg
+	m := s.read(pkt)
+	if m == nil || !bs.reg.Has(m.Sender) {
 		return // not joined: ignore
 	}
 	app, _ := m.Attr(message.AttrApp)
 	switch {
 	case m.Kind == message.KindProfile:
 		bs.applyProfileUpdate(m)
-	case m.Kind == message.KindEvent && app.Str() == apps.AppMedia:
-		obj, err := apps.DecodeMediaObject(m.Body)
-		if err != nil {
-			return
-		}
-		object, _ := m.Attr(message.AttrObject)
-		bs.UplinkShare(m.Sender, object.Str(), m.Selector, obj)
-	case m.Kind == message.KindEvent:
+	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard):
 		bs.UplinkEvent(m.Sender, app.Str(), m.Selector, m.Body)
+	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
+		if tier, err := bs.admit(m.Sender, "share"); err == nil {
+			s.relayAnnounce(m, tier, m.Sender)
+		}
+	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:
+		s.relayFrame(m, m.Sender)
 	}
 }
 

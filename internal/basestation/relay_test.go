@@ -146,7 +146,7 @@ func TestOneWrapPerRelayedEvent(t *testing.T) {
 // shows in the process-wide decode-error family instead of vanishing.
 func TestUndecodableFramesCounted(t *testing.T) {
 	r := newRig(t, Config{})
-	wiredRaw, rfRaw := attach(t, r.wiredNet, "raw"), attach(t, r.radioNet, "raw")
+	wiredRaw, rfRaw := attach(t, r.wiredNet, "raw"), seat(t, r.radioNet, "raw")
 	ctr := metrics.C(metrics.CtrDecodeErrors)
 	base := ctr.Load()
 	// An unknown envelope tag on the wired side (the rig's wired client

@@ -12,6 +12,7 @@ import (
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/metrics"
+	"adaptiveqos/internal/profile"
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
@@ -47,7 +48,7 @@ func TestRenditionsMatchPerClientDerivation(t *testing.T) {
 			var skip *core.Client
 			if uplink {
 				skip = uplinker
-				err = tr.bs.UplinkShare(uplinker.ID(), object, "", obj)
+				err = uplinker.ShareImage(object, obj, "")
 			} else {
 				err = tr.wired.ShareImage(object, obj, "")
 			}
@@ -217,7 +218,7 @@ func TestOneDerivationPerOccupiedTier(t *testing.T) {
 	}
 
 	sender := tr.clients[radio.TierImage][0]
-	if err := tr.bs.UplinkShare(sender.ID(), "uplinked", "", grayObj); err != nil {
+	if err := sender.ShareImage("uplinked", grayObj, ""); err != nil {
 		t.Fatal(err)
 	}
 	tr.checkShare(t, "uplinked", 3, sender)
@@ -231,9 +232,10 @@ func TestOneDerivationPerOccupiedTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.checkShare(t, "no-sketch", 1, nil)
-	if err := tr.bs.UplinkShare(tr.clients[radio.TierImage][0].ID(), "no-sketch-up", "", colorObj); err != nil {
+	if err := tr.clients[radio.TierImage][0].ShareImage("no-sketch-up", colorObj, ""); err != nil {
 		t.Fatal(err)
 	}
+	tr.settle()
 	if s, x := tr.sketches.Load(), tr.texts.Load(); s != 0 || x != 2 {
 		t.Errorf("image+text tiers only: %d sketch and %d text derivations, want 0 and 2", s, x)
 	}
@@ -249,23 +251,29 @@ func TestOneDerivationPerOccupiedTier(t *testing.T) {
 	}
 }
 
-// TestUnsketchableFallsBackToText: content the registry cannot sketch
-// reaches sketch-tier members as text — the fallback the per-client
-// code had, now taken from the share's one text rendition.
+// TestUnsketchableFallsBackToText: a share the registry cannot sketch —
+// here a registry with no route to a sketch at all — reaches sketch-tier
+// members as text, the fallback the per-client code had, taken from the
+// share's one text rendition, while the image tier and the session get
+// the image a member shares.
 func TestUnsketchableFallsBackToText(t *testing.T) {
-	tr := newTierRig(t, radio.TierImage, radio.TierSketch)
+	reg := media.NewRegistry()
+	reg.Register(media.ImageToText{})
+	tr := &tierRig{}
+	tr.place(t, Config{registry: reg}, radio.TierImage, radio.TierSketch)
 	sender := tr.clients[radio.TierImage][0]
-	note := &media.Object{Kind: media.KindText, Format: media.FormatText, Data: []byte("meet at the north gate")}
-	if err := tr.bs.UplinkShare(sender.ID(), "note", "", note); err != nil {
+	obj := testImageObject(t)
+	if err := sender.ShareImage("note", obj, ""); err != nil {
 		t.Fatal(err)
 	}
-	tr.settle()
-	for _, c := range append(tr.clients[radio.TierSketch], tr.clients[radio.TierImage][1], tr.wired) {
-		if c.Inbox().Len() != 1 {
-			t.Errorf("%s holds %d inbox items, want the note", c.ID(), c.Inbox().Len())
-		} else if d, _ := c.Inbox().Latest(); d.Object.Kind != media.KindText || !bytes.Equal(d.Object.Data, note.Data) {
-			t.Errorf("%s got %s, want the text note", c.ID(), d.Object)
+	tr.checkShare(t, "note", 1, sender)
+	for _, c := range tr.clients[radio.TierSketch] {
+		if got := latestFrom(t, c, media.KindText); string(got.Data) != obj.Description {
+			t.Errorf("%s holds the text %q, want the share's description", c.ID(), got.Data)
 		}
+	}
+	if !holdsFullImage(tr.wired, "note") || tr.wired.Inbox().Len() != 0 {
+		t.Errorf("the session holds the share as %d inbox items, want the image", tr.wired.Inbox().Len())
 	}
 }
 
@@ -290,7 +298,6 @@ func TestSketchTierServesTheCarriedSketch(t *testing.T) {
 	}
 	fallbacks := metrics.C(metrics.CtrSketchFallbacks)
 	before := fallbacks.Load()
-	rf := wConn(t, tr.rig, uplinker.ID())
 
 	shares := 0
 	for _, sketch := range []string{foreign.Sketch, "", "SK01\x00\x07\x00\x00", foreign.Sketch[:7]} {
@@ -302,8 +309,11 @@ func TestSketchTierServesTheCarriedSketch(t *testing.T) {
 			skip := (*core.Client)(nil)
 			if uplink {
 				skip = uplinker
-				uplinkRF(t, tr.rig, rf, uplinker.ID(), object, o)
-			} else if err := shareVia(in, object, o); err != nil {
+				err = uplinker.ShareImage(object, o, "")
+			} else {
+				err = shareVia(in, object, o)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			tr.checkShare(t, object, shares, skip)
@@ -323,43 +333,29 @@ func TestSketchTierServesTheCarriedSketch(t *testing.T) {
 	}
 }
 
-// uplinkRF has a member transmit obj as a media event over the radio
-// segment (rf, a wConn), as a wireless client does.
-func uplinkRF(t *testing.T, r *rig, rf interface{ Unicast(string, []byte) error }, sender, object string, obj *media.Object) {
-	t.Helper()
-	payload, err := apps.EncodeMediaObject(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := message.Encode(&message.Message{
-		Kind: message.KindEvent, Sender: sender, Seq: 1, Timestamp: r.clk.Now(), Body: payload,
-		Attrs: selector.Attributes{message.AttrApp: selector.S(apps.AppMedia), message.AttrObject: selector.S(object)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rf.Unicast("bs", message.WrapWhole(frame)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestImageTierFramesSharedByMembers: the image tier's RTP frames are
-// built once per share, so both of its members receive byte-identical
-// data bodies — one timestamp for the whole image, sequence numbers
-// 0…15, the marker on the last — whose payloads are ShareImage's split.
+// stamped once per frame of a share a member uplinks, so both of the
+// other members receive byte-identical data bodies — one timestamp for
+// the whole image, sequence numbers 0…15, the marker on the last —
+// whose payloads are ShareImage's split.
 func TestImageTierFramesSharedByMembers(t *testing.T) {
-	c := newBareCell(t, 4, 0, 3)
+	c := newBareCell(t, 4, 0, 2)
+	sender := core.NewClient(seat(t, c.radioNet, "sender"), core.Config{})
+	t.Cleanup(func() { sender.Close() })
+	if _, err := c.bs.Join(profile.New("sender"), 30, 1); err != nil {
+		t.Fatal(err)
+	}
 	obj := testImageObject(t)
 	_, packets, err := apps.ShareImage("scan", obj, apps.SharePackets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.bs.UplinkShare("m00", "scan", "", obj); err != nil {
+	if err := sender.ShareImage("scan", obj, ""); err != nil {
 		t.Fatal(err)
 	}
 	c.settle()
 	var bodies [2][][]byte
-	for i, conn := range c.members[1:] {
+	for i, conn := range c.members {
 		u := message.NewUnwrapper()
 		for frames := 0; frames < 1+len(packets); {
 			frame, err := u.Unwrap("bs", take(t, fmt.Sprintf("frame %d of %d", frames+1, 1+len(packets)), conn))
@@ -401,8 +397,8 @@ func TestImageTierFramesSharedByMembers(t *testing.T) {
 
 // TestShareAttrsAreTheMergedMap: the attribute list a rendition is sent
 // with, written name-sorted straight from the object, is the list the
-// object's attribute map merged with the share's app and name gives, for
-// every kind of object a tier carries.
+// object's attribute map merged with the inbox's app and the share's
+// name gives, for every kind of object a tier carries.
 func TestShareAttrsAreTheMergedMap(t *testing.T) {
 	gray := testImageObject(t)
 	colour, err := media.EncodeColorImage(wavelet.ColorScene(32, 32, 1), "")
@@ -416,18 +412,16 @@ func TestShareAttrsAreTheMergedMap(t *testing.T) {
 		{Kind: media.KindText, Format: media.FormatText, Data: []byte("a caption"), Description: "a caption"},
 		{Kind: media.KindSpeech, Format: "pcm-sim"},
 	}
-	for _, app := range []string{apps.AppMedia, apps.AppImageViewer} {
-		for _, o := range objects {
-			want := message.AttrsOf(o.Attrs().Merge(selector.Attributes{
-				message.AttrApp:    selector.S(app),
-				message.AttrObject: selector.S("share"),
-			}))
-			got := shareAttrs(nil, o, app, "share")
-			if !slices.Equal(got, want) {
-				t.Errorf("%s as %s: shareAttrs gives %v, the merged map %v", o, app, got, want)
-			}
-			var m message.Message
-			m.SetAttrs(got) // panics unless strictly name-sorted
+	for _, o := range objects {
+		want := message.AttrsOf(o.Attrs().Merge(selector.Attributes{
+			message.AttrApp:    selector.S(apps.AppMedia),
+			message.AttrObject: selector.S("share"),
+		}))
+		got := shareAttrs(nil, o, "share")
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: shareAttrs gives %v, the merged map %v", o, got, want)
 		}
+		var m message.Message
+		m.SetAttrs(got) // panics unless strictly name-sorted
 	}
 }

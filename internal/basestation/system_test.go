@@ -53,7 +53,7 @@ func TestFullSystemSession(t *testing.T) {
 	var wireless []*core.Client
 	for i := 0; i < 2; i++ {
 		id := fmt.Sprintf("wireless-%d", i)
-		c := core.NewClient(attach(t, radioNet, id), core.Config{})
+		c := core.NewClient(seat(t, radioNet, id), core.Config{})
 		defer c.Close()
 		if _, err := bs.Join(profile.New(id), 45+float64(i)*8, 1); err != nil {
 			t.Fatal(err)

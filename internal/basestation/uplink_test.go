@@ -30,9 +30,8 @@ func TestUplinkNumberedPerSender(t *testing.T) {
 	}})
 	t.Cleanup(func() { replica.Close() })
 	members := []string{"w1", "w2"}
-	for _, id := range members {
-		r.joinWireless(t, id, 30, 1)
-	}
+	w1 := r.joinWireless(t, "w1", 30, 1)
+	r.joinWireless(t, "w2", 30, 1)
 
 	ctrs := metrics.Counters()
 	requests0, abandoned0 := ctrs[metrics.CtrRepairRequests], ctrs[metrics.CtrRepairAbandoned]
@@ -42,9 +41,12 @@ func TestUplinkNumberedPerSender(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 2 {
-			if err := r.bs.UplinkShare("w1", "w1-photo", "", testImageObject(t)); err != nil {
+			// The share crosses the radio segment: it reaches the station,
+			// and is numbered into w1's stream, when the clock runs.
+			if err := w1.ShareImage("w1-photo", testImageObject(t), ""); err != nil {
 				t.Fatal(err)
 			}
+			r.clk.Advance(0)
 		}
 	}
 	var wg sync.WaitGroup

@@ -45,7 +45,7 @@ type virtualRun struct {
 func runVirtualSession(t *testing.T) virtualRun {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	wiredNet := transport.NewDESNet(transport.DESNetConfig{Seed: 11, Clock: clk})
-	radioNet := transport.NewDESNet(transport.DESNetConfig{Seed: 12, Clock: clk})
+	radioNet := transport.NewDESNet(transport.DESNetConfig{Seed: 12, Clock: clk, DefaultLink: transport.Link{Down: true}})
 	defer wiredNet.Close()
 	defer radioNet.Close()
 	var trace strings.Builder
@@ -78,7 +78,7 @@ func runVirtualSession(t *testing.T) virtualRun {
 		Config{fanOutWorkers: 1, Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
 	var wireless []*core.Client
 	for i, id := range virtualWireless {
-		wireless = append(wireless, core.NewClient(attach(t, radioNet, id), core.Config{}))
+		wireless = append(wireless, core.NewClient(seat(t, radioNet, id), core.Config{}))
 		p := profile.New(id)
 		p.Interests.SetString("media", "any")
 		if _, err := bs.Join(p, 50+float64(i)*6, 1); err != nil {

@@ -24,7 +24,7 @@ import (
 // schedules every send on its clock's heap.
 
 // wallCell is a base station on two wall-clock SimNets, both watched
-// for frame integrity.
+// for frame integrity; the radio one is a star, as newNets's is.
 type wallCell struct {
 	wiredNet, radioNet *transport.SimNet
 	bs                 *BaseStation
@@ -34,7 +34,7 @@ func newWallCell(t *testing.T, cfg Config) *wallCell {
 	t.Helper()
 	c := &wallCell{
 		wiredNet: transport.NewSimNet(transport.SimNetConfig{Seed: 1}),
-		radioNet: transport.NewSimNet(transport.SimNetConfig{Seed: 2}),
+		radioNet: transport.NewSimNet(transport.SimNetConfig{Seed: 2, DefaultLink: transport.Link{Down: true}}),
 	}
 	t.Cleanup(func() { c.wiredNet.Close(); c.radioNet.Close() })
 	transporttest.Watch(t, c.wiredNet, c.radioNet)
@@ -43,10 +43,10 @@ func newWallCell(t *testing.T, cfg Config) *wallCell {
 	return c
 }
 
-// join attaches a bare radio endpoint and joins it at distance d.
+// join seats a bare radio endpoint and joins it at distance d.
 func (c *wallCell) join(t *testing.T, id string, d float64) transport.Conn {
 	t.Helper()
-	conn := attach(t, c.radioNet, id)
+	conn := seat(t, c.radioNet, id)
 	if _, err := c.bs.Join(profile.New(id), d, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,11 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // TestStationOnWallClock: a wired client says lines and the station
 // uplinks two wireless members' lines, each from a goroutine of its
 // own, while the station's Serve goroutines relay them and every
-// client's takes what reaches it; the wired client shares an image on
-// the way.  Every line reaches every client once, and the share each
-// wireless one.
+// client's takes what reaches it; on the way the wired client shares an
+// image, and so does the first member, over the radio, so the station
+// relays the two shares at once, each on its own segment's state.
+// Every line reaches every client once, and each share every client
+// but its sender.
 func TestStationOnWallClock(t *testing.T) {
 	c := newWallCell(t, Config{})
 	seat := func(conn transport.Conn) *core.Client {
@@ -98,8 +100,8 @@ func TestStationOnWallClock(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 				}
-				if i == lines/2 && cl == wired {
-					if err := cl.ShareImage("scan", obj, ""); err != nil {
+				if i == lines/2 && cl != members[1] {
+					if err := cl.ShareImage(cl.ID()+"-scan", obj, ""); err != nil {
 						t.Error(err)
 					}
 				}
@@ -107,10 +109,23 @@ func TestStationOnWallClock(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	eventually(t, "every line at the wired client", func() bool { return wired.Chat().Len() == 3*lines })
-	for _, cl := range members {
-		eventually(t, "the others' lines and the share at "+cl.ID(), func() bool {
-			return cl.Chat().Len() == 2*lines && (holdsFullImage(cl, "scan") || cl.Inbox().Len() == 1)
-		})
+	// A share is held whole, or as one rendition in the inbox.
+	holds := func(cl *core.Client, shares ...string) bool {
+		n := cl.Inbox().Len()
+		for _, s := range shares {
+			if st, err := cl.Viewer().Stats(s); err == nil && st.PacketsAccepted == st.TotalPackets {
+				n++
+			}
+		}
+		return n == len(shares)
 	}
+	eventually(t, "every line and the member's share at the wired client", func() bool {
+		return wired.Chat().Len() == 3*lines && holds(wired, "w1-scan")
+	})
+	eventually(t, "the others' lines and the wired share at w1", func() bool {
+		return members[0].Chat().Len() == 2*lines && holds(members[0], "wired-1-scan")
+	})
+	eventually(t, "the others' lines and both shares at w2", func() bool {
+		return members[1].Chat().Len() == 2*lines && holds(members[1], "wired-1-scan", "w1-scan")
+	})
 }

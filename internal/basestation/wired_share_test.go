@@ -107,7 +107,7 @@ func TestTruncatedShareReachesEveryTier(t *testing.T) {
 	if tr.wired.WorstPeerLoss() <= 0 {
 		t.Fatal("the reception report did not reach the wired client")
 	}
-	peer := tr.client(t, tr.wiredNet, "wired-2")
+	peer := tr.client(t, attach(t, tr.wiredNet, "wired-2"))
 	share++
 	if err := tr.wired.ShareImage("cut-by-client", obj, ""); err != nil {
 		t.Fatal(err)
@@ -414,7 +414,7 @@ func TestHostileCollectedStreamDropped(t *testing.T) {
 	tr := &tierRig{}
 	tr.place(t, Config{}, radio.TierImage, radio.TierSketch, radio.TierText)
 	in := newWiredInjector(t, tr.rig, "mallory")
-	peer := tr.client(t, tr.wiredNet, "wired-2")
+	peer := tr.client(t, attach(t, tr.wiredNet, "wired-2"))
 
 	header := func(w, h uint16) []byte {
 		s := append([]byte("EZW1"), 0, 0, 0, 0, 1, 7)
@@ -514,7 +514,7 @@ func TestSharesObeyTheSelectorAtTheStation(t *testing.T) {
 	audio := r.joinWithMedia(t, "a1", "audio")
 	obj := testImageObject(t)
 	const sel = `media == "video"`
-	if err := r.bs.UplinkShare(uplinker.ID(), "uplinked", sel, obj); err != nil {
+	if err := uplinker.ShareImage("uplinked", obj, sel); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.wired.ShareImage("wired", obj, sel); err != nil {
