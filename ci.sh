@@ -68,10 +68,11 @@ go test -race -count=1 ./...
 # reading its memoized routes at once, while each of the station's two
 # segment handlers — the wired one relaying a wired share, the radio
 # one a member's — reassembles each fragmented frame into its own
-# scratch and rewrites its own share relay state (announced object,
-# rendition set, fan-out, candidates, RTP scratch) between the dispatch
-# pool's barriers, and a queued batch is recycled through the pool's
-# free list; an SNMP monitor, its client and the agent it polls each
+# scratch and rewrites its own relay state (announced object, rendition
+# set, fan-out, candidates, RTP scratch) between the dispatch pool's
+# barriers, the radio segment's under a lock that UplinkEvent, relaying
+# a member's line from its caller's goroutine, takes too, and a queued
+# batch is recycled through the pool's free list; an SNMP monitor, its client and the agent it polls each
 # keep their request, frame and response buffers from one exchange to
 # the next, which concurrent samples take turns over.
 go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media ./internal/snmp ./internal/hostagent

@@ -81,7 +81,6 @@ import (
 	"log"
 	"os"
 	"slices"
-	"strings"
 	"time"
 
 	"adaptiveqos/internal/apps"
@@ -128,20 +127,6 @@ func tickTelemetry(clk *clock.Virtual, samplers []obs.SamplerFunc, tl *timeline.
 		clk.ScheduleFunc(telemetryTick, tick)
 	}
 	clk.ScheduleFunc(telemetryTick, tick)
-}
-
-// exportTimeline writes the run's per-window series to path — CSV when
-// the extension says so, JSONL otherwise.
-func exportTimeline(path string, tl *timeline.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return tl.WriteCSV(f, timeline.Query{})
-	}
-	return tl.WriteJSONL(f, timeline.Query{})
 }
 
 func main() {
@@ -464,7 +449,7 @@ func run(args []string, out io.Writer) error {
 			// Close the partial tail window after the final sample so the
 			// export covers the whole run, then write by extension.
 			tl.Flush()
-			if err := exportTimeline(*tlPath, tl); err != nil {
+			if err := tl.WriteFile(*tlPath); err != nil {
 				return fmt.Errorf("timeline export: %w", err)
 			}
 			log.Printf("collab: timeline exported to %s", *tlPath)

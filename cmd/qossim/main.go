@@ -21,29 +21,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"adaptiveqos/internal/scenario"
-	"adaptiveqos/internal/timeline"
 	"adaptiveqos/internal/transport"
 )
-
-// exportTimeline writes the scenario's per-window series to path —
-// CSV when the extension says so, JSONL otherwise.  The bytes are a
-// pure function of the scenario config, so the CI determinism gate can
-// compare two same-seed exports directly.
-func exportTimeline(path string, tl *timeline.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return tl.WriteCSV(f, timeline.Query{})
-	}
-	return tl.WriteJSONL(f, timeline.Query{})
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
@@ -98,7 +80,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *tlPath != "" {
-		if err := exportTimeline(*tlPath, tl); err != nil {
+		// The export is a pure function of the scenario config, so the
+		// CI determinism gate compares two same-seed exports directly.
+		if err := tl.WriteFile(*tlPath); err != nil {
 			return err
 		}
 	}

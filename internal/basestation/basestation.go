@@ -122,8 +122,9 @@ type BaseStation struct {
 
 	// eventPipe relays one light wired-session event to one wireless
 	// client: match → tier gate → transmit; framePipe is relayFrame's:
-	// match → tier gate → image tier only → transmit.
-	eventPipe, framePipe dispatch.Pipeline
+	// match → tier gate → image tier only → transmit; linePipe relays a
+	// member's line to a member its selector admits: transmit.
+	eventPipe, framePipe, linePipe dispatch.Pipeline
 	// What each segment's handler keeps from frame to frame and share
 	// to share (relay.go).
 	wiredSeg, rfSeg segment
@@ -178,16 +179,9 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		Name:    "bs-" + id,
 		Workers: cfg.fanOutWorkers,
 	})
-	bs.eventPipe = dispatch.NewPipeline(
-		dispatch.Match(bs.flatOf),
-		bs.tierGate(radio.TierText),
-		dispatch.Transmit,
-	)
-	bs.framePipe = dispatch.NewPipeline(
-		dispatch.Match(bs.flatOf),
-		bs.tierGate(radio.TierText),
-		imageTierOnly,
-	)
+	bs.eventPipe = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate, dispatch.Transmit)
+	bs.framePipe = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate, imageTierOnly)
+	bs.linePipe = dispatch.NewPipeline(dispatch.Transmit)
 	bs.wiredSeg.init(bs)
 	bs.rfSeg.init(bs)
 	// SLO violation attributions get the client's radio picture from
@@ -287,39 +281,19 @@ func (bs *BaseStation) admit(sender, what string) (radio.Tier, error) {
 }
 
 // UplinkEvent relays a plain event (chat line, whiteboard stroke) from
-// a wireless client: multicast to the session, unicast to the other
-// wireless clients.  The uplink must meet at least the text tier.
+// a wireless client as if it had come over the radio (relayLine), from
+// the caller's goroutine under the radio segment's lock.  The uplink
+// must meet at least the text tier.
 func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) error {
 	if _, err := bs.admit(sender, "event"); err != nil {
 		return err
 	}
-	m := new(message.Message)
-	bs.stamp(m, message.KindEvent, sender, "", sel, []message.Attr{{Name: message.AttrApp, Value: selector.S(app)}}, payload)
-	msgID := obs.MsgID(m.Sender, m.Seq)
-	obs.AppendHop(msgID, bs.id, obs.StagePublish)
-	sp := obs.StartStage(msgID, obs.StagePublish)
-	if err := bs.wiredTx.Deliver("", m); err != nil {
-		if sp.Active() {
-			sp.EndErr("bs relay: " + err.Error())
-		}
-		return err
-	}
-	// Every member gets the same bytes: one envelope for the fan-out.
-	fan := bs.rfTx.Fanout(m)
-	if err := bs.pool.Each(msgID, bs.reg.IDs(), func(id string) error {
-		if id == sender {
-			return nil
-		}
-		return fan.Deliver(id)
-	}); err != nil {
-		if sp.Active() {
-			sp.EndErr("bs fan-out: " + err.Error())
-		}
-		return err
-	}
-	sp.End()
-	bs.stats.uplinkEvents.Add(1)
-	return nil
+	s := &bs.rfSeg
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lineAttr[0] = message.Attr{Name: message.AttrApp, Value: selector.S(app)}
+	bs.stamp(&s.line, message.KindEvent, sender, "", sel, s.lineAttr[:], payload)
+	return s.relayLine(&s.line)
 }
 
 // uplinkShare sends the session a member's share at tier, the tier its

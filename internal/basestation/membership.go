@@ -47,10 +47,10 @@ func (bs *BaseStation) Clients() []string { return bs.reg.IDs() }
 // future multi-base-station deployments sharing one registry).
 func (bs *BaseStation) Registry() *registry.Registry { return bs.reg }
 
-// Assess computes the current service assessment for a client.  The
-// assessment is also folded into the stored profile (one sharded-lock
-// pass) so the client's signal state is semantically selectable.
-func (bs *BaseStation) Assess(id string) (Assessment, error) {
+// radioState reads a client's current radio state from the channel:
+// its SIR, the tier the thresholds give that SIR, its power and its
+// distance.
+func (bs *BaseStation) radioState(id string) (Assessment, error) {
 	db, err := bs.channel.SIRdB(id)
 	if err != nil {
 		return Assessment{}, err
@@ -59,17 +59,21 @@ func (bs *BaseStation) Assess(id string) (Assessment, error) {
 	if err != nil {
 		return Assessment{}, err
 	}
-	if err := bs.reg.PutAssessment(id, registry.Assessment{
-		SIRdB: db, Power: cl.Power, Distance: cl.Distance,
-	}); err != nil {
+	return Assessment{SIRdB: db, Tier: bs.cfg.Thresholds.TierFor(db), Power: cl.Power, Distance: cl.Distance}, nil
+}
+
+// Assess computes the current service assessment for a client.  The
+// assessment is also folded into the stored profile (one sharded-lock
+// pass) so the client's signal state is semantically selectable.
+func (bs *BaseStation) Assess(id string) (Assessment, error) {
+	a, err := bs.radioState(id)
+	if err == nil {
+		err = bs.reg.PutAssessment(id, registry.Assessment{SIRdB: a.SIRdB, Power: a.Power, Distance: a.Distance})
+	}
+	if err != nil {
 		return Assessment{}, err
 	}
-	return Assessment{
-		SIRdB:    db,
-		Tier:     bs.cfg.Thresholds.TierFor(db),
-		Power:    cl.Power,
-		Distance: cl.Distance,
-	}, nil
+	return a, nil
 }
 
 // SampleQoS feeds the wireless segment's QoS state into the gauge
@@ -82,21 +86,16 @@ func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 	now := bs.clk.Now()
 	set(`bs_clients{bs="`+metrics.EscapeLabel(bs.id)+`"}`, float64(len(ids)))
 	for _, id := range ids {
-		db, err := bs.channel.SIRdB(id)
+		a, err := bs.radioState(id)
 		if err != nil {
 			continue
 		}
-		cl, err := bs.channel.Get(id)
-		if err != nil {
-			continue
-		}
-		tier := bs.cfg.Thresholds.TierFor(db)
 		label := `{bs="` + metrics.EscapeLabel(bs.id) + `",client="` + metrics.EscapeLabel(id) + `"}`
-		set("client_sir_db"+label, db)
-		set("client_tier"+label, float64(tier))
-		set("client_power"+label, cl.Power)
-		set("client_distance"+label, cl.Distance)
-		slo.ObserveTier(id, int(tier), now)
+		set("client_sir_db"+label, a.SIRdB)
+		set("client_tier"+label, float64(a.Tier))
+		set("client_power"+label, a.Power)
+		set("client_distance"+label, a.Distance)
+		slo.ObserveTier(id, int(a.Tier), now)
 	}
 	bs.pool.SampleQoS(set)
 }
@@ -106,21 +105,11 @@ func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 // not serve.  Registered with the SLO engine as a RadioSource so
 // violation bundles carry the radio context.
 func (bs *BaseStation) RadioSnapshot(id string) (slo.RadioSnapshot, bool) {
-	db, err := bs.channel.SIRdB(id)
+	a, err := bs.radioState(id)
 	if err != nil {
 		return slo.RadioSnapshot{}, false
 	}
-	cl, err := bs.channel.Get(id)
-	if err != nil {
-		return slo.RadioSnapshot{}, false
-	}
-	return slo.RadioSnapshot{
-		BS:       bs.id,
-		SIRdB:    db,
-		Power:    cl.Power,
-		Distance: cl.Distance,
-		Tier:     int(bs.cfg.Thresholds.TierFor(db)),
-	}, true
+	return slo.RadioSnapshot{BS: bs.id, SIRdB: a.SIRdB, Power: a.Power, Distance: a.Distance, Tier: int(a.Tier)}, true
 }
 
 // SetDistance moves a wireless client (mobility).

@@ -1,13 +1,17 @@
 package basestation
 
-// The share relay and the two segments' handlers: session → wireless
-// clients, and radio segment → session and the other members.
-// Per-client delivery is expressed as dispatch pipelines/batches over
-// the transmit adapters; membership state comes from the sharded
-// registry.  An image share, wired or a member's, is relayed frame by
-// frame as it passes, on one path: the station collects nothing.
+// The relay and the two segments' handlers: session → wireless clients,
+// and radio segment → session and the other members.  Whatever leaves
+// the station for more than one member — a wired line, a member's
+// line, a share's announce — leaves through its segment's one fan-out
+// (segment.fanOut), a dispatch pipeline per candidate over the transmit
+// adapters; membership state comes from the sharded registry.  An image
+// share, wired or a member's, is relayed frame by frame as it passes,
+// on one path: the station collects nothing.
 
 import (
+	"sync"
+
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/media"
@@ -21,21 +25,19 @@ import (
 	"adaptiveqos/internal/transport"
 )
 
-// tierGate returns the infer-tier pipeline stage: assess the client
-// and skip it (with a recorded drop) when its service tier is below
-// min.  The assessed tier is left on the task for later stages.
-func (bs *BaseStation) tierGate(min radio.Tier) dispatch.Stage {
-	return func(t *dispatch.Task) error {
-		a, err := bs.Assess(t.To)
-		if err != nil || a.Tier < min {
-			if obs.Enabled() {
-				obs.Drop(t.MsgID, obs.StageDeliver, "bs "+bs.id+": "+t.To+" below "+min.String()+" tier")
-			}
-			return dispatch.ErrSkip
+// tierGate is the infer-tier pipeline stage: assess the client and skip
+// it (with a recorded drop) when its service tier is below text.  The
+// assessed tier is left on the task for later stages.
+func (bs *BaseStation) tierGate(t *dispatch.Task) error {
+	a, err := bs.Assess(t.To)
+	if err != nil || a.Tier < radio.TierText {
+		if obs.Enabled() {
+			obs.Drop(t.MsgID, obs.StageDeliver, "bs "+bs.id+": "+t.To+" below text tier")
 		}
-		t.Tier = int(a.Tier)
-		return nil
+		return dispatch.ErrSkip
 	}
+	t.Tier = int(a.Tier)
+	return nil
 }
 
 // runTask runs one candidate's task through pipe.  A Task escapes to
@@ -51,39 +53,43 @@ func (bs *BaseStation) runTask(pipe dispatch.Pipeline, task dispatch.Task) error
 	return err
 }
 
-// --- The share relay, one per segment ---
+// --- The fan-out and the share relay, one per segment ---
 
 // segment is what the station keeps for one of its two segments, from
 // frame to frame and from share to share.  transport.Serve drives each
-// segment on a goroutine of its own on a wall substrate, so the two
-// never share it; a segment handles one frame at a time, and the
-// dispatch shards read the share it is relaying while Pool.Each waits
-// for them.
+// segment on a goroutine of its own on a wall substrate; on the radio
+// segment UplinkEvent relays from its caller's goroutine too, so there
+// handleWireless and UplinkEvent each hold mu while they relay.  A
+// segment relays one message at a time, and the dispatch shards read
+// what fanOut keeps while Pool.Each waits for them.
 type segment struct {
 	bs     *BaseStation
+	mu     sync.Mutex
 	unwrap *message.Unwrapper
 	// frame is the scratch a fragmented frame is reassembled into, dead
 	// once the handler returns; m and intern are what a frame decodes
-	// into.
-	frame  []byte
-	m      message.Message
-	intern message.Interner
-	// The share being relayed: the object its announce describes, its
-	// rendition set (the lower tiers' buffers kept), the fan-out of the
-	// announce or frame, its candidates, the richest tier it is served
-	// at and the member it came from ("" for a wired share), who is
-	// skipped.
-	obj   media.Object
-	rs    renditions
-	fan   *dispatch.Fanout
-	ids   []string
-	share dispatch.Task
-	limit radio.Tier
-	from  string
-	// pipe serves the announce to one member: match → tier gate →
-	// serve; each is the function the dispatch pool runs it in.
+	// into, line and lineAttr what UplinkEvent stamps a line into.
+	frame    []byte
+	m, line  message.Message
+	intern   message.Interner
+	lineAttr [1]message.Attr
+	// The message being fanned out: its fan-out, its candidates, the
+	// task each member's is copied from, the pipeline each runs, the
+	// member skipped ("" for none) and the function the pool runs.
+	fan  *dispatch.Fanout
+	ids  []string
+	task dispatch.Task
 	pipe dispatch.Pipeline
+	from string
 	each func(id string) error
+	// The share being relayed: the object its announce describes, its
+	// rendition set (the lower tiers' buffers kept), the richest tier
+	// it is served at, and the pipeline that serves its announce to one
+	// member: match → tier gate → serve.
+	obj      media.Object
+	rs       renditions
+	limit    radio.Tier
+	announce dispatch.Pipeline
 	// frameBuf is the frame's RTP body as stamped again for the members.
 	frameBuf []byte
 }
@@ -94,7 +100,7 @@ func (s *segment) init(bs *BaseStation) {
 	s.unwrap.Node = bs.id
 	s.rs.bs = bs
 	s.fan = bs.rfTx.Fanout(nil)
-	s.pipe = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate(radio.TierText), s.serve)
+	s.announce = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate, s.serve)
 	s.each = s.member
 }
 
@@ -113,6 +119,55 @@ func (s *segment) read(pkt transport.Packet) *message.Message {
 	return &s.m
 }
 
+// fanOut runs pipe for every member m's selector admits but from, on
+// the segment's kept fan-out, candidate list and task, and returns the
+// first member's error.  The candidates are spread over the dispatch
+// pool's shards; m is enveloped once, for every member pipe transmits
+// it to.  It is the only way out of the station to many members but a
+// share's data frame (relayFrame).
+func (s *segment) fanOut(m *message.Message, pipe dispatch.Pipeline, from string) error {
+	s.fan.Reset(m)
+	s.task = dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: s.fan, Node: s.bs.id}
+	s.pipe, s.from = pipe, from
+	s.ids = dispatch.Candidates(s.bs.reg, m, s.ids[:0])
+	err := s.bs.pool.Each(s.task.MsgID, s.ids, s.each)
+	s.task = dispatch.Task{}
+	return err
+}
+
+func (s *segment) member(id string) error {
+	if id == s.from {
+		return nil
+	}
+	t := s.task
+	t.To = id
+	return s.bs.runTask(s.pipe, t)
+}
+
+// relayLine relays a member's chat line or stroke m, numbered into the
+// member's session stream (DESIGN.md §7.5): multicast to the session as
+// the member sent it, then unicast to the other members its selector
+// admits, with no tier gate.  The caller holds s.mu.
+func (s *segment) relayLine(m *message.Message) error {
+	bs := s.bs
+	msgID := obs.MsgID(m.Sender, m.Seq)
+	obs.AppendHop(msgID, bs.id, obs.StagePublish)
+	sp := obs.StartStage(msgID, obs.StagePublish)
+	err := bs.wiredTx.Deliver("", m)
+	if err == nil {
+		err = s.fanOut(m, bs.linePipe, m.Sender)
+	}
+	if err != nil {
+		if sp.Active() {
+			sp.EndErr("bs relay: " + err.Error())
+		}
+		return err
+	}
+	sp.End()
+	bs.stats.uplinkEvents.Add(1)
+	return nil
+}
+
 // relayAnnounce relays a share's announce as it passes (DESIGN.md §17):
 // a wired share's, or the share of the member from, which its uplink
 // admits at limit.  A member served at the image tier gets the announce
@@ -120,8 +175,8 @@ func (s *segment) read(pkt transport.Packet) *message.Message {
 // any other member gets the share's sketch or text rendition, drawn
 // from the announce alone, and none is served richer than limit.  A
 // member's share goes to the session first (uplinkShare).  The station
-// keeps nothing of the share: the object, the rendition set and the
-// fan-out are the segment's, rewritten by each announce.
+// keeps nothing of the share: the object and the rendition set are the
+// segment's, rewritten by each announce.
 func (s *segment) relayAnnounce(m *message.Message, limit radio.Tier, from string) {
 	meta, err := apps.DecodeImageMeta(m.Body)
 	if err != nil {
@@ -136,23 +191,8 @@ func (s *segment) relayAnnounce(m *message.Message, limit radio.Tier, from strin
 	if from != "" && s.bs.uplinkShare(&s.rs, m, limit) != nil {
 		return
 	}
-	s.fan.Reset(m)
-	s.share = dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: s.fan, Node: s.bs.id}
-	s.limit, s.from = limit, from
-	s.ids = dispatch.Candidates(s.bs.reg, m, s.ids[:0])
-	// Nobody upstream to tell: a member that could not be served is in
-	// the dispatch pool's counters and the flight recorder.
-	_ = s.bs.pool.Each(s.share.MsgID, s.ids, s.each)
-	s.share = dispatch.Task{}
-}
-
-func (s *segment) member(id string) error {
-	if id == s.from {
-		return nil
-	}
-	t := s.share
-	t.To = id
-	return s.bs.runTask(s.pipe, t)
+	s.limit = limit
+	_ = s.fanOut(m, s.announce, from) // a member not served is in the pool's counters and the flight recorder
 }
 
 // serve is the announce's last stage: the announce as it was sent at
@@ -257,21 +297,9 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 	app, _ := m.Attr(message.AttrApp)
 	switch {
 	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard || app.Str() == apps.AppMedia):
-		// Light events run the relay pipeline per client: candidates
-		// come index-first from the registry's inverted predicate
-		// index (DESIGN.md §12), then each candidate's pipeline
-		// re-verifies the cached compiled selector against the
-		// memoized flattened profile, gates on the text tier and
-		// transmits.  The dispatch pool fans the candidate set across
-		// its shards.  What is transmitted is the same for every
-		// client, so the event is enveloped once, by the first client
-		// to get that far.
-		msgID := obs.MsgID(m.Sender, m.Seq)
-		ids := dispatch.Candidates(bs.reg, m, nil)
-		fan := bs.rfTx.Fanout(m)
-		bs.pool.Each(msgID, ids, func(id string) error {
-			return bs.runTask(bs.eventPipe, dispatch.Task{MsgID: msgID, To: id, Msg: m, Fan: fan, Node: bs.id})
-		})
+		// Match → tier gate → transmit, for each candidate (DESIGN.md §12);
+		// a member that could not be served is in the flight recorder.
+		_ = s.fanOut(m, bs.eventPipe, "")
 	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
 		s.relayAnnounce(m, radio.TierImage, "")
 	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:
@@ -283,12 +311,14 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 
 // handleWireless takes uplink frames from wireless clients over the
 // radio segment, a star whose one hub is the station: a member's chat
-// lines and strokes go through UplinkEvent, its image share through the
-// wired share's relay, limited to its uplink tier, and its profile
-// announcements into its stored profile.  Anything else (its reception
-// reports among them) stops here.
+// lines and strokes are relayed as it sent them, its image share
+// through the wired share's relay, limited to its uplink tier, and its
+// profile announcements go into its stored profile.  Anything else (its
+// reception reports among them) stops here.
 func (bs *BaseStation) handleWireless(pkt transport.Packet) {
 	s := &bs.rfSeg
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	m := s.read(pkt)
 	if m == nil || !bs.reg.Has(m.Sender) {
 		return // not joined: ignore
@@ -298,7 +328,10 @@ func (bs *BaseStation) handleWireless(pkt transport.Packet) {
 	case m.Kind == message.KindProfile:
 		bs.applyProfileUpdate(m)
 	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard):
-		bs.UplinkEvent(m.Sender, app.Str(), m.Selector, m.Body)
+		if _, err := bs.admit(m.Sender, "event"); err == nil {
+			m.Seq = bs.nextSeq(m.Sender, "")
+			_ = s.relayLine(m)
+		}
 	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
 		if tier, err := bs.admit(m.Sender, "share"); err == nil {
 			s.relayAnnounce(m, tier, m.Sender)

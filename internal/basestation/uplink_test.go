@@ -9,8 +9,10 @@ import (
 
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/core"
+	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/session"
+	"adaptiveqos/internal/transport"
 )
 
 // TestUplinkNumberedPerSender: what the station multicasts for a member
@@ -92,5 +94,65 @@ func TestUplinkNumberedPerSender(t *testing.T) {
 	}
 	if n := ctrs[metrics.CtrRepairAbandoned] - abandoned0; n != 0 {
 		t.Errorf("%d gaps abandoned on a lossless link, want 0", n)
+	}
+}
+
+// TestMemberLineCrossesAsSent: a line a member says over the radio
+// reaches the session as the member sent it — its attributes and its
+// publish timestamp, over a 5 ms radio link — and the other members
+// only where its selector admits them.  While the station re-minted
+// the line, the session's copy carried the app attribute alone and the
+// station's timestamp, and the line was unicast to every member, a1
+// too, whose kernel then filtered it.
+func TestMemberLineCrossesAsSent(t *testing.T) {
+	r := newRig(t, Config{})
+	v1 := r.joinWithMedia(t, "v1", "video")
+	v2 := r.joinWithMedia(t, "v2", "video")
+	a1 := r.joinWithMedia(t, "a1", "audio")
+	r.radioNet.SetLinkBoth("bs", "v1", transport.Link{Delay: 5 * time.Millisecond})
+	var got []*message.Message
+	un := message.NewUnwrapper()
+	if _, err := r.wiredNet.AttachHandler("tap", func(p transport.Packet) {
+		frame, err := un.Unwrap(p.From, p.Data)
+		if err != nil || frame == nil {
+			return
+		}
+		if m, err := message.Decode(frame); err == nil && m.Sender == "v1" && m.Kind == message.KindEvent {
+			got = append(got, m)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	unicasts := r.bs.Stats().DownlinkUnicasts
+	sent := r.clk.Now()
+	if err := v1.Say("video team only", `media == "video"`); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(50 * time.Millisecond)
+	if len(got) != 1 {
+		t.Fatalf("the session took %d lines from v1, want 1", len(got))
+	}
+	m := got[0]
+	for _, name := range []string{message.AttrApp, message.AttrMedia, message.AttrSize} {
+		if _, ok := m.Attr(name); !ok {
+			t.Errorf("the session's copy has no %q attribute: %v", name, m)
+		}
+	}
+	if m.Selector != `media == "video"` || m.Seq != 1 {
+		t.Errorf("the session's copy has selector %q and seq %d, want v1's selector and seq 1", m.Selector, m.Seq)
+	}
+	if !m.Timestamp.Equal(sent) {
+		t.Errorf("the session's copy is stamped %s after v1 said it, want v1's own timestamp", m.Timestamp.Sub(sent))
+	}
+	if n := r.bs.Stats().DownlinkUnicasts - unicasts; n != 1 {
+		t.Errorf("the line was unicast %d times, want once (to v2)", n)
+	}
+	if v2.Chat().Len() != 1 {
+		t.Errorf("v2 holds %d lines, want 1", v2.Chat().Len())
+	}
+	if st := a1.Stats(); st.EventsFiltered != 0 || st.EventsReceived != 0 {
+		t.Errorf("a1, whose profile the selector rejects, was sent %d events (%d filtered)",
+			st.EventsReceived+st.EventsFiltered, st.EventsFiltered)
 	}
 }

@@ -65,14 +65,17 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestStationOnWallClock: a wired client says lines and the station
-// uplinks two wireless members' lines, each from a goroutine of its
-// own, while the station's Serve goroutines relay them and every
-// client's takes what reaches it; on the way the wired client shares an
+// TestStationOnWallClock: a wired client says lines, the station
+// uplinks the first member's lines through UplinkEvent and the second
+// member says its own over the radio, each from a goroutine of its own,
+// while the station's Serve goroutines relay them and every client's
+// takes what reaches it.  So the two ways into the radio segment's
+// relay, UplinkEvent from its caller and handleWireless from Serve,
+// take turns over its state.  On the way the wired client shares an
 // image, and so does the first member, over the radio, so the station
 // relays the two shares at once, each on its own segment's state.
-// Every line reaches every client once, and each share every client
-// but its sender.
+// Every line reaches every client once (a client that says its own
+// holds them too), and each share every client but its sender.
 func TestStationOnWallClock(t *testing.T) {
 	c := newWallCell(t, Config{})
 	seat := func(conn transport.Conn) *core.Client {
@@ -92,7 +95,7 @@ func TestStationOnWallClock(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < lines; i++ {
 				var err error
-				if text := fmt.Sprintf("%s %d", cl.ID(), i); cl == wired {
+				if text := fmt.Sprintf("%s %d", cl.ID(), i); cl != members[0] {
 					err = cl.Say(text, "")
 				} else {
 					err = c.bs.UplinkEvent(cl.ID(), apps.AppChat, "", apps.EncodeSay(text))
@@ -125,7 +128,7 @@ func TestStationOnWallClock(t *testing.T) {
 	eventually(t, "the others' lines and the wired share at w1", func() bool {
 		return members[0].Chat().Len() == 2*lines && holds(members[0], "wired-1-scan")
 	})
-	eventually(t, "the others' lines and both shares at w2", func() bool {
-		return members[1].Chat().Len() == 2*lines && holds(members[1], "wired-1-scan", "w1-scan")
+	eventually(t, "every line and both shares at w2", func() bool {
+		return members[1].Chat().Len() == 3*lines && holds(members[1], "wired-1-scan", "w1-scan")
 	})
 }

@@ -52,6 +52,9 @@ var rules = []rule{
 		[]string{"internal/basestation/", "internal/media/transformers.go"}, nil, carriedSketch},
 	{"sorted-attrs", "a message's attributes are one name-sorted slice, set with SetAttrs and read through Attr, NumAttrs or EachAttr: the map form, Message.Attrs, is the benchmark's until it goes (§7.5, ROADMAP item 20)",
 		[]string{"internal/", "cmd/", "examples/"}, []string{"internal/message/"}, usesAttrsMap},
+	{"one-fanout", "whatever the station sends to many members — a wired line, a member's line, a share's announce — leaves through its segment's one kept fan-out (§7.5, §7.6)",
+		[]string{"internal/basestation/"}, []string{"internal/basestation/relay.go:segment.fanOut"},
+		usesMethod("internal/dispatch", "Pool", "Each")},
 }
 
 // A scope is one package a rule covers files of.
@@ -236,6 +239,21 @@ func carriedSketch(s *scope, n ast.Node, obj types.Object) string {
 		return "uses internal/wavelet." + obj.Name()
 	}
 	return ""
+}
+
+// usesMethod flags a use of the method name of the type recv that pkg
+// declares, called or taken as a value.
+func usesMethod(pkg, recv, name string) func(*scope, ast.Node, types.Object) string {
+	return func(s *scope, _ ast.Node, obj types.Object) string {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Name() != name || fn.Pkg() == nil || s.g.rel[fn.Pkg().Path()] != pkg {
+			return ""
+		}
+		if r := fn.Type().(*types.Signature).Recv(); r == nil || !strings.HasSuffix(types.TypeString(r.Type(), nil), "."+recv) {
+			return ""
+		}
+		return "uses " + pkg[strings.LastIndex(pkg, "/")+1:] + "." + recv + "." + name
+	}
 }
 
 // usesAttrsMap flags any use of the Attrs field of message.Message: a

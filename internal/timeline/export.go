@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strings"
 
 	"adaptiveqos/internal/metrics"
@@ -77,6 +78,26 @@ func (t *Timeline) WriteJSONL(w io.Writer, q Query) error {
 // columns per histogram series.
 func (t *Timeline) WriteCSV(w io.Writer, q Query) error {
 	return writeSeriesCSV(w, t.Query(q))
+}
+
+// WriteFile exports the whole timeline to path: wide CSV when the path
+// ends in ".csv", JSONL otherwise.  The bytes are a pure function of
+// what was sampled, so two same-seed runs' exports compare byte for
+// byte.
+func (t *Timeline) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".csv") {
+		err = t.WriteCSV(f, Query{})
+	} else {
+		err = t.WriteJSONL(f, Query{})
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func writeSeriesCSV(w io.Writer, series []SeriesData) error {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,16 @@ import (
 // as JSONL — called twice by the determinism test.
 func buildExportFixture(t *testing.T) []byte {
 	t.Helper()
+	var buf bytes.Buffer
+	if err := exportFixture().WriteJSONL(&buf, Query{}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// exportFixture is the timeline of a deterministic mini-workload: three
+// series over ten windows.
+func exportFixture() *Timeline {
 	clk := clock.NewVirtual(clock.DefaultEpoch)
 	tl := New(Config{Window: 250 * time.Millisecond, Retention: 32, Clock: clk})
 	var sent metrics.Counter
@@ -31,11 +43,34 @@ func buildExportFixture(t *testing.T) []byte {
 		lat.Observe(int64(1000 * (i + 1)))
 		advance(tl, clk, 250*time.Millisecond)
 	}
-	var buf bytes.Buffer
-	if err := tl.WriteJSONL(&buf, Query{}); err != nil {
+	return tl
+}
+
+// TestWriteFileByExtension: a path ending in ".csv" gets the CSV export,
+// any other the JSONL one, byte for byte, and a path that cannot be
+// created is an error.
+func TestWriteFileByExtension(t *testing.T) {
+	tl := exportFixture()
+	var csv, jsonl bytes.Buffer
+	if err := tl.WriteCSV(&csv, Query{}); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	if err := tl.WriteJSONL(&jsonl, Query{}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, want := range map[string][]byte{"tl.csv": csv.Bytes(), "tl.jsonl": jsonl.Bytes(), "tl": jsonl.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := tl.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: wrote %d bytes (%v), want the %d of its export", name, len(got), err, len(want))
+		}
+	}
+	if err := tl.WriteFile(filepath.Join(dir, "missing", "tl.csv")); err == nil {
+		t.Error("an export into a missing directory succeeded")
+	}
 }
 
 func TestWriteJSONLDeterministic(t *testing.T) {
