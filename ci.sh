@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: gofmt, vet, build, the census (the one static checker), the
 # tests without and then with the race detector, fuzz and command smokes.
-# -count=1 so a cached result never masks a fresh race or nondeterminism.
+# An explicit -count, so a cached result never masks a fresh race or
+# nondeterminism.
 set -eu
 fail() { echo "$*" >&2; exit 1; }
 
@@ -49,7 +50,12 @@ fi
 
 # The allocation and overhead guards the race runtime would distort run
 # only in the first pass (files tagged !race, or raceDetectorEnabled).
-go test -count=1 ./...
+# It runs every test twice in one process: a test that reads a
+# process-global (the trace ring, the metric registry) must scope or
+# reset what an earlier run left there, and a kept buffer must come out
+# of a run as usable as it went in (the station's segments keep theirs
+# from share to share).
+go test -count=2 ./...
 go test -race -count=1 ./...
 # At 4 Ps too: receive loops lend one message per frame, which pool workers
 # read, and the registry takes a shard lock and then a member's lock; the
@@ -76,11 +82,6 @@ go test -race -count=1 ./...
 # keep their request, frame and response buffers from one exchange to
 # the next, which concurrent samples take turns over.
 go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media ./internal/snmp ./internal/hostagent
-# Twice in one process: a test that reads a process-global (the trace
-# ring, the metric registry) must scope or reset what an earlier run
-# left there, and a kept buffer must come out of a run as usable as it
-# went in (the station's segments keep theirs from share to share).
-go test -count=2 ./internal/dispatch ./internal/obs ./internal/snmp ./internal/hostagent ./internal/basestation
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

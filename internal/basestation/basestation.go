@@ -13,9 +13,9 @@
 // Since the layered-broker refactor (DESIGN.md §9) this package is
 // composition plus uplink protocol handling: membership and per-client
 // radio state live in the sharded internal/registry, per-client
-// delivery runs through the internal/dispatch worker pool and
-// pipeline, and both segments are reached through dispatch transmit
-// adapters.  The radio segment is a star with the station at its hub:
+// delivery runs on the internal/dispatch worker pool, which calls the
+// station's own per-member functions (relay.go), and both segments are
+// reached through dispatch transmit adapters.  The radio segment is a star with the station at its hub:
 // a member's frames reach the station and no other member.  The share
 // relay, which forwards an image share frame by frame as it passes —
 // a wired one to the members, a member's to the session and the other
@@ -100,8 +100,8 @@ type Stats struct {
 
 // BaseStation links the wireless segment to the collaboration session.
 // It composes the three broker layers: the sharded membership registry
-// (profiles + radio state), the dispatch pool/pipeline (per-client
-// delivery), and the transmit adapters (wired multicast, wireless
+// (profiles + radio state), the dispatch pool (per-client delivery),
+// and the transmit adapters (wired multicast, wireless
 // unicast); what remains here is the uplink protocol and the radio
 // control plane.  Like a client it is a handler: transport.Serve drives
 // its two segments, so it starts no goroutine of its own (the dispatch
@@ -120,17 +120,11 @@ type BaseStation struct {
 	wiredTx dispatch.Deliverer  // multicast adapter (session)
 	rfTx    *dispatch.Unicaster // unicast adapter (wireless clients)
 
-	// eventPipe relays one light wired-session event to one wireless
-	// client: match → tier gate → transmit; framePipe is relayFrame's:
-	// match → tier gate → image tier only → transmit; linePipe relays a
-	// member's line to a member its selector admits: transmit.
-	eventPipe, framePipe, linePipe dispatch.Pipeline
 	// What each segment's handler keeps from frame to frame and share
 	// to share (relay.go).
 	wiredSeg, rfSeg segment
-	// tasks recycles the per-candidate dispatch.Task (see runTask), msgs
-	// the message forwardTiered sends a rendition in.
-	tasks, msgs sync.Pool
+	// msgs recycles the message forwardTiered sends a rendition in.
+	msgs sync.Pool
 
 	env message.Enveloper
 
@@ -170,18 +164,13 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	}
 	bs.env.Node = id
 	bs.sessionSeq = map[string]uint32{}
-	bs.tasks.New = func() any { return new(dispatch.Task) }
 	bs.msgs.New = func() any { return new(message.Message) }
 	bs.wiredTx = &dispatch.Multicaster{Env: &bs.env, Conn: wired}
-	bs.rfTx = &dispatch.Unicaster{Env: &bs.env, Conn: wireless,
-		OnSend: func(string) { bs.stats.downlk.Add(1) }}
+	bs.rfTx = &dispatch.Unicaster{Env: &bs.env, Conn: wireless}
 	bs.pool = dispatch.NewPool(dispatch.PoolConfig{
 		Name:    "bs-" + id,
 		Workers: cfg.fanOutWorkers,
 	})
-	bs.eventPipe = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate, dispatch.Transmit)
-	bs.framePipe = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate, imageTierOnly)
-	bs.linePipe = dispatch.NewPipeline(dispatch.Transmit)
 	bs.wiredSeg.init(bs)
 	bs.rfSeg.init(bs)
 	// SLO violation attributions get the client's radio picture from

@@ -4,10 +4,11 @@ package basestation
 // and radio segment → session and the other members.  Whatever leaves
 // the station for more than one member — a wired line, a member's
 // line, a share's announce — leaves through its segment's one fan-out
-// (segment.fanOut), a dispatch pipeline per candidate over the transmit
-// adapters; membership state comes from the sharded registry.  An image
-// share, wired or a member's, is relayed frame by frame as it passes,
-// on one path: the station collects nothing.
+// (segment.fanOut), which the dispatch pool runs a per-member function
+// of the segment's for each candidate: match and tier (matchTier), then
+// the transmit adapters; membership state comes from the sharded
+// registry.  An image share, wired or a member's, is relayed frame by
+// frame as it passes, on one path: the station collects nothing.
 
 import (
 	"sync"
@@ -25,32 +26,28 @@ import (
 	"adaptiveqos/internal/transport"
 )
 
-// tierGate is the infer-tier pipeline stage: assess the client and skip
-// it (with a recorded drop) when its service tier is below text.  The
-// assessed tier is left on the task for later stages.
-func (bs *BaseStation) tierGate(t *dispatch.Task) error {
-	a, err := bs.Assess(t.To)
+// matchTier is what serving member id message m begins with: the match
+// stage — its flat profile, held to m's selector — then its assessed
+// tier.  It returns the profile and the tier, or false for a member not
+// served: one that does not match, or, a drop it records, one below
+// the text tier.
+func (bs *BaseStation) matchTier(msgID uint64, m *message.Message, id string) (selector.Attributes, radio.Tier, bool) {
+	sp := obs.StartStage(msgID, obs.StageMatch)
+	flat, _, ok := bs.reg.FlatSnapshot(id)
+	if !ok || !m.MatchProfile(flat) {
+		sp.End()
+		return nil, radio.TierNone, false
+	}
+	sp.End()
+	obs.AppendHop(msgID, bs.id, obs.StageMatch)
+	a, err := bs.Assess(id)
 	if err != nil || a.Tier < radio.TierText {
 		if obs.Enabled() {
-			obs.Drop(t.MsgID, obs.StageDeliver, "bs "+bs.id+": "+t.To+" below text tier")
+			obs.Drop(msgID, obs.StageDeliver, "bs "+bs.id+": "+id+" below text tier")
 		}
-		return dispatch.ErrSkip
+		return nil, radio.TierNone, false
 	}
-	t.Tier = int(a.Tier)
-	return nil
-}
-
-// runTask runs one candidate's task through pipe.  A Task escapes to
-// the heap through the pipeline's indirect stage calls, and there is
-// one per candidate per relayed message, so it comes from a pool; no
-// stage keeps the pointer past its return.
-func (bs *BaseStation) runTask(pipe dispatch.Pipeline, task dispatch.Task) error {
-	t := bs.tasks.Get().(*dispatch.Task)
-	*t = task
-	err := pipe.Run(t)
-	*t = dispatch.Task{}
-	bs.tasks.Put(t)
-	return err
+	return flat, a.Tier, true
 }
 
 // --- The fan-out and the share relay, one per segment ---
@@ -73,23 +70,23 @@ type segment struct {
 	m, line  message.Message
 	intern   message.Interner
 	lineAttr [1]message.Attr
-	// The message being fanned out: its fan-out, its candidates, the
-	// task each member's is copied from, the pipeline each runs, the
-	// member skipped ("" for none) and the function the pool runs.
-	fan  *dispatch.Fanout
-	ids  []string
-	task dispatch.Task
-	pipe dispatch.Pipeline
-	from string
-	each func(id string) error
+	// The message being sent to members, its fan-out, its candidates,
+	// its trace identity and the member skipped ("" for none).
+	fan   *dispatch.Fanout
+	ids   []string
+	msg   *message.Message
+	msgID uint64
+	from  string
+	// What the pool runs per candidate of a member's line, a wired line
+	// and an announce, bound once: a method value taken per fan-out is
+	// allocated per fan-out.
+	toLine, toWired, toAnnounce func(id string) error
 	// The share being relayed: the object its announce describes, its
-	// rendition set (the lower tiers' buffers kept), the richest tier
-	// it is served at, and the pipeline that serves its announce to one
-	// member: match → tier gate → serve.
-	obj      media.Object
-	rs       renditions
-	limit    radio.Tier
-	announce dispatch.Pipeline
+	// rendition set (the lower tiers' buffers kept) and the richest
+	// tier it is served at.
+	obj   media.Object
+	rs    renditions
+	limit radio.Tier
 	// frameBuf is the frame's RTP body as stamped again for the members.
 	frameBuf []byte
 }
@@ -100,8 +97,7 @@ func (s *segment) init(bs *BaseStation) {
 	s.unwrap.Node = bs.id
 	s.rs.bs = bs
 	s.fan = bs.rfTx.Fanout(nil)
-	s.announce = dispatch.NewPipeline(dispatch.Match(bs.flatOf), bs.tierGate, s.serve)
-	s.each = s.member
+	s.toLine, s.toWired, s.toAnnounce = s.memberLine, s.wiredLine, s.announce
 }
 
 // read reassembles pkt into the segment's scratch and decodes the frame
@@ -119,29 +115,74 @@ func (s *segment) read(pkt transport.Packet) *message.Message {
 	return &s.m
 }
 
-// fanOut runs pipe for every member m's selector admits but from, on
-// the segment's kept fan-out, candidate list and task, and returns the
-// first member's error.  The candidates are spread over the dispatch
-// pool's shards; m is enveloped once, for every member pipe transmits
-// it to.  It is the only way out of the station to many members but a
-// share's data frame (relayFrame).
-func (s *segment) fanOut(m *message.Message, pipe dispatch.Pipeline, from string) error {
+// prepare readies the segment to send m: its fan-out, its trace
+// identity and its candidates, the members its selector admits, index
+// first; an unparsable selector admits no one, as MatchProfile does.
+func (s *segment) prepare(m *message.Message) {
 	s.fan.Reset(m)
-	s.task = dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: s.fan, Node: s.bs.id}
-	s.pipe, s.from = pipe, from
-	s.ids = dispatch.Candidates(s.bs.reg, m, s.ids[:0])
-	err := s.bs.pool.Each(s.task.MsgID, s.ids, s.each)
-	s.task = dispatch.Task{}
+	s.msg, s.msgID = m, obs.MsgID(m.Sender, m.Seq)
+	s.ids = s.ids[:0]
+	if sel, err := m.CompiledSelector(); err == nil {
+		s.ids = s.bs.reg.AppendMatchIDs(s.ids, sel)
+	}
+}
+
+// fanOut runs to for every candidate of m, spread over the dispatch
+// pool's shards, and returns the first member's error; to skips from,
+// the member m came from ("" for a wired message).  m is enveloped
+// once, for every member it is transmitted to.  It is the only way out
+// of the station to many members but a share's data frame (relayFrame).
+func (s *segment) fanOut(m *message.Message, to func(id string) error, from string) error {
+	s.prepare(m)
+	s.from = from
+	return s.bs.pool.Each(s.msgID, s.ids, to)
+}
+
+// transmit unicasts the fan-out to member id, counted once the
+// substrate has its datagrams.
+func (s *segment) transmit(id string) error {
+	obs.AppendHop(s.msgID, s.bs.id, obs.StageTransmit)
+	err := s.fan.Deliver(id)
+	if err == nil {
+		s.bs.stats.downlk.Add(1)
+	}
 	return err
 }
 
-func (s *segment) member(id string) error {
+// memberLine serves a member's line to member id, with no tier gate.
+func (s *segment) memberLine(id string) error {
 	if id == s.from {
 		return nil
 	}
-	t := s.task
-	t.To = id
-	return s.bs.runTask(s.pipe, t)
+	return s.transmit(id)
+}
+
+// wiredLine serves a wired line to member id at the text tier or above.
+func (s *segment) wiredLine(id string) error {
+	if _, _, ok := s.bs.matchTier(s.msgID, s.msg, id); !ok {
+		return nil
+	}
+	return s.transmit(id)
+}
+
+// announce serves the share's announce to member id: as it was sent at
+// the image tier, that tier's rendition at any other.
+func (s *segment) announce(id string) error {
+	if id == s.from {
+		return nil
+	}
+	flat, tier, ok := s.bs.matchTier(s.msgID, s.msg, id)
+	if !ok {
+		return nil
+	}
+	if tier = servedTier(tier, flat, s.limit); tier == radio.TierImage {
+		return s.transmit(id)
+	}
+	err := s.bs.forwardTiered(&s.rs, tier, s.bs.rfTx, id)
+	if err == nil {
+		s.bs.stats.downlk.Add(1)
+	}
+	return err
 }
 
 // relayLine relays a member's chat line or stroke m, numbered into the
@@ -155,7 +196,7 @@ func (s *segment) relayLine(m *message.Message) error {
 	sp := obs.StartStage(msgID, obs.StagePublish)
 	err := bs.wiredTx.Deliver("", m)
 	if err == nil {
-		err = s.fanOut(m, bs.linePipe, m.Sender)
+		err = s.fanOut(m, s.toLine, m.Sender)
 	}
 	if err != nil {
 		if sp.Active() {
@@ -192,17 +233,7 @@ func (s *segment) relayAnnounce(m *message.Message, limit radio.Tier, from strin
 		return
 	}
 	s.limit = limit
-	_ = s.fanOut(m, s.announce, from) // a member not served is in the pool's counters and the flight recorder
-}
-
-// serve is the announce's last stage: the announce as it was sent at
-// the image tier, that tier's rendition at any other.
-func (s *segment) serve(t *dispatch.Task) error {
-	tier := servedTier(t, s.limit)
-	if tier == radio.TierImage {
-		return dispatch.Transmit(t)
-	}
-	return s.bs.forwardTiered(&s.rs, tier, s.bs.rfTx, t.To)
+	_ = s.fanOut(m, s.toAnnounce, from) // a member not served is in the pool's counters and the flight recorder
 }
 
 // relayFrame relays one data frame of a share to the members served at
@@ -239,32 +270,25 @@ func (s *segment) relayFrame(m *message.Message, from string) {
 	pkt.SSRC, pkt.Seq = rtp.SSRCOf(bs.id+"/"+object.Str()), uint16(idx)
 	s.frameBuf = pkt.AppendMarshal(s.frameBuf[:0])
 	m.Body = s.frameBuf
-	s.fan.Reset(m)
-	task := dispatch.Task{MsgID: obs.MsgID(m.Sender, m.Seq), Msg: m, Fan: s.fan, Node: bs.id}
-	s.ids = dispatch.Candidates(bs.reg, m, s.ids[:0])
+	s.prepare(m)
 	for _, id := range s.ids {
 		if id == from {
 			continue
 		}
-		task.To = id
-		_ = bs.runTask(bs.framePipe, task) // a member that could not be served is in the flight recorder
+		if flat, tier, ok := bs.matchTier(s.msgID, m, id); ok && servedTier(tier, flat, radio.TierImage) == radio.TierImage {
+			_ = s.transmit(id) // a member that could not be served is in the flight recorder
+		}
 	}
 }
 
-// flatOf is the match stage's lookup: a member's flattened profile.
-func (bs *BaseStation) flatOf(id string) (selector.Attributes, bool) {
-	flat, _, ok := bs.reg.FlatSnapshot(id)
-	return flat, ok
-}
-
-// servedTier is the tier a share is served to the task's member at: the
-// richest that its SIR supports (tierGate left it on the task), its
-// declared modality admits and limit allows.
-func servedTier(t *dispatch.Task, limit radio.Tier) radio.Tier {
-	tier := min(radio.Tier(t.Tier), limit)
+// servedTier is the tier a share is served to a member at: the richest
+// that its SIR supports (tier), its declared modality (in its flat
+// profile) admits and limit allows.
+func servedTier(tier radio.Tier, flat selector.Attributes, limit radio.Tier) radio.Tier {
+	tier = min(tier, limit)
 	// Respect the client's preferred modality when declared
 	// (e.g. a battery-saving client that switched to text mode).
-	if pref, ok := t.Flat[profile.SectionPreference+".modality"]; ok {
+	if pref, ok := flat[profile.SectionPreference+".modality"]; ok {
 		switch media.Kind(pref.Str()) {
 		case media.KindText:
 			tier = radio.TierText
@@ -273,15 +297,6 @@ func servedTier(t *dispatch.Task, limit radio.Tier) radio.Tier {
 		}
 	}
 	return tier
-}
-
-// imageTierOnly is relayFrame's last stage: transmit the frame to a
-// member served at the image tier, skip any other.
-func imageTierOnly(t *dispatch.Task) error {
-	if servedTier(t, radio.TierImage) < radio.TierImage {
-		return dispatch.ErrSkip
-	}
-	return dispatch.Transmit(t)
 }
 
 // --- Downlink (session → wireless clients) ---
@@ -297,9 +312,10 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 	app, _ := m.Attr(message.AttrApp)
 	switch {
 	case m.Kind == message.KindEvent && (app.Str() == apps.AppChat || app.Str() == apps.AppWhiteboard || app.Str() == apps.AppMedia):
-		// Match → tier gate → transmit, for each candidate (DESIGN.md §12);
-		// a member that could not be served is in the flight recorder.
-		_ = s.fanOut(m, bs.eventPipe, "")
+		// Match and tier, then transmit, for each candidate (DESIGN.md
+		// §12); a member that could not be served is in the flight
+		// recorder.
+		_ = s.fanOut(m, s.toWired, "")
 	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
 		s.relayAnnounce(m, radio.TierImage, "")
 	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:

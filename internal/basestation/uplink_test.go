@@ -156,3 +156,25 @@ func TestMemberLineCrossesAsSent(t *testing.T) {
 			st.EventsReceived+st.EventsFiltered, st.EventsFiltered)
 	}
 }
+
+// TestUnparsableSelectorReachesNoMember: a member's line whose selector
+// does not parse still goes to the session, where each receiver holds
+// it to the selector itself, but no other member is sent it: the
+// station enumerates no candidates for it, as MatchProfile would match
+// no one.
+func TestUnparsableSelectorReachesNoMember(t *testing.T) {
+	c := newBareCell(t, 4, 1, 4)
+	if err := c.bs.UplinkEvent("m00", apps.AppChat, `media ==`, apps.EncodeSay("to whom?")); err != nil {
+		t.Fatal(err)
+	}
+	c.settle()
+	take(t, "the session's copy", c.wired[0])
+	for _, conn := range c.members {
+		if len(conn.Recv()) != 0 {
+			t.Errorf("%s was sent a line whose selector does not parse", conn.ID())
+		}
+	}
+	if n := c.bs.Stats().DownlinkUnicasts; n != 0 {
+		t.Errorf("DownlinkUnicasts = %d, want 0", n)
+	}
+}

@@ -21,7 +21,7 @@ type rule struct {
 }
 
 var rules = []rule{
-	{"boundary", "the registry and the dispatch pipeline know nothing of media formats or radio physics (§9)",
+	{"boundary", "the registry, the dispatch pool and the transmit adapters know nothing of media formats or radio physics (§9)",
 		[]string{"internal/registry/", "internal/dispatch/"}, nil, noDeps("internal/media", "internal/radio")},
 	{"leaf", "every layer takes an injected clock and reports into the one registry without a cycle (§8, §14)",
 		[]string{"internal/clock/", "internal/metrics/"}, nil, noDeps()},

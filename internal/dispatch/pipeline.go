@@ -24,9 +24,6 @@ type Task struct {
 	Msg   *message.Message
 	Flat  selector.Attributes
 	Tier  int
-	// Fan is the message enveloped for everyone it is relayed to; the
-	// Transmit stage sends this client its datagrams.
-	Fan *Fanout
 	// Node names the broker executing this pipeline in flight-recorder
 	// hop records; empty disables hop recording for the task.
 	Node string
@@ -86,13 +83,4 @@ func Match(lookup func(id string) (selector.Attributes, bool)) Stage {
 		}
 		return nil
 	}
-}
-
-// Transmit is the terminal stage: unicast the task's fan-out — one set
-// of datagrams, whoever it goes to — to the task's client.
-func Transmit(t *Task) error {
-	if t.Node != "" {
-		obs.AppendHop(t.MsgID, t.Node, obs.StageTransmit)
-	}
-	return t.Fan.Deliver(t.To)
 }

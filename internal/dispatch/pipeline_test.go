@@ -117,8 +117,7 @@ func TestTransmitAdapters(t *testing.T) {
 		}
 	}
 
-	var sent []string
-	uc := &Unicaster{Env: &env, Conn: a, OnSend: func(to string) { sent = append(sent, to) }}
+	uc := &Unicaster{Env: &env, Conn: a}
 	m2 := &message.Message{Kind: message.KindEvent, Sender: "a", Seq: 2, Body: []byte("yo")}
 	if err := uc.Deliver("b", m2); err != nil {
 		t.Fatal(err)
@@ -126,17 +125,14 @@ func TestTransmitAdapters(t *testing.T) {
 	if pkt := <-b.Recv(); pkt.From != "a" {
 		t.Errorf("unicast from %q", pkt.From)
 	}
-	if len(sent) != 1 || sent[0] != "b" {
-		t.Errorf("OnSend observed %v", sent)
-	}
-	// A send that fails is not observed, and "" — Conn.Give's name for
-	// the whole group — is nobody a unicast adapter will send to.
+	// "" — Conn.Give's name for the whole group — is nobody a unicast
+	// adapter will send to.
 	for _, to := range []string{"nobody", ""} {
 		if err := uc.Deliver(to, m2); !errors.Is(err, transport.ErrUnknownNode) {
 			t.Errorf("unicast to %q: %v, want ErrUnknownNode", to, err)
 		}
 	}
-	if len(sent) != 1 || len(b.Recv()) != 0 || len(c.Recv()) != 0 {
-		t.Errorf("failed unicasts were observed (%v) or delivered", sent)
+	if len(b.Recv()) != 0 || len(c.Recv()) != 0 {
+		t.Errorf("failed unicasts were delivered")
 	}
 }

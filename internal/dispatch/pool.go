@@ -1,12 +1,11 @@
-// Package dispatch is the broker's delivery-pipeline layer: a sharded
-// worker pool with bounded queues and recorded backpressure, a
-// composable per-client pipeline (match → infer-tier → transform →
-// transmit), and the transmit adapters that give the wired multicast
-// and per-client wireless unicast paths one interface.  It is the
-// middle of the three broker layers (registry → dispatch → transmit;
-// DESIGN.md §9) and is deliberately ignorant of media formats and
-// radio physics: tier inference and modality transforms are injected
-// as stages by the layer that owns them.
+// Package dispatch is the broker's delivery layer: a sharded worker
+// pool with bounded queues and recorded backpressure, which runs the
+// broker's function for each recipient of a message, and the transmit
+// adapters that give the wired multicast and per-client wireless
+// unicast paths one interface (DESIGN.md §9).  It knows nothing of
+// media formats or radio physics: matching, tier inference and
+// modality transforms are the broker's.  Only the benchmark's ladder
+// runs a per-client Pipeline (pipeline.go; ROADMAP item 17).
 package dispatch
 
 import (

@@ -11,8 +11,8 @@ import (
 // Deliverer is the transmit adapter interface: it moves one framework
 // message to a destination.  The base station's wired multicast and
 // per-client wireless unicast paths, the core client's session sends
-// and test doubles all implement it, so pipelines and relay code
-// program against one seam regardless of segment.
+// and test doubles all implement it, so relay code programs against one
+// seam regardless of segment.
 //
 // Deliver must not keep m, m's attributes or m.Body once it returns:
 // the adapters envelope m before returning, so a sender may rewrite one
@@ -56,14 +56,10 @@ func (mc *Multicaster) Deliver(_ string, m *message.Message) error {
 }
 
 // Unicaster is the per-client transmit adapter: it envelopes the
-// message and unicasts every datagram to the addressed peer.  OnSend,
-// when set, observes each message once its last datagram has been
-// handed to the substrate (the base station counts downlink unicasts
-// through it); a send that fails is not observed.
+// message and unicasts every datagram to the addressed peer.
 type Unicaster struct {
-	Env    *message.Enveloper
-	Conn   transport.Conn
-	OnSend func(to string)
+	Env  *message.Enveloper
+	Conn transport.Conn
 }
 
 // Deliver envelopes m and unicasts its datagrams to to, the list on the
@@ -90,9 +86,6 @@ func (uc *Unicaster) Send(to string, datagrams [][]byte) error {
 		if err := uc.Conn.Give(to, d); err != nil {
 			return err
 		}
-	}
-	if uc.OnSend != nil {
-		uc.OnSend(to)
 	}
 	return nil
 }

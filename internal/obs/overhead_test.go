@@ -18,6 +18,22 @@ func guardWorkload(buf []byte, seed uint64) uint64 {
 	return h
 }
 
+// interleavedMin times a and b alternately, one run of each per round,
+// and returns the fastest run of each: a slow spell on a shared host
+// lands on both sides, not on whichever was being timed in full.
+func interleavedMin(rounds int, a, b func()) (aBest, bBest time.Duration) {
+	aBest, bBest = time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for r := 0; r < rounds; r++ {
+		start := time.Now()
+		a()
+		aBest = min(aBest, time.Since(start))
+		start = time.Now()
+		b()
+		bBest = min(bBest, time.Since(start))
+	}
+	return aBest, bBest
+}
+
 // TestDisabledOverheadGuard is the CI guard for the tentpole's
 // "near-free when disabled" contract: timing a workload wrapped in
 // disabled spans against the bare workload, the overhead must stay
@@ -53,20 +69,8 @@ func TestDisabledOverheadGuard(t *testing.T) {
 		}
 	}
 
-	minTime := func(fn func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	// Warm up both paths, then interleave measurements so frequency
-	// scaling hits both equally.  A shared CI host can steal the core
+	// Warm up both paths, then interleave measurements round by round
+	// so frequency scaling and a noisy neighbour hit both equally.  A shared CI host can steal the core
 	// mid-round and inflate either side, so an over-budget reading is
 	// re-measured before it fails the guard.
 	bare()
@@ -74,8 +78,7 @@ func TestDisabledOverheadGuard(t *testing.T) {
 	const attempts = 3
 	var overhead float64
 	for a := 1; a <= attempts; a++ {
-		bareBest := minTime(bare)
-		instBest := minTime(instrumented)
+		bareBest, instBest := interleavedMin(rounds, bare, instrumented)
 		if sink == 0 {
 			t.Fatal("workload optimized away")
 		}
@@ -142,25 +145,12 @@ func TestTraceOverheadGuard(t *testing.T) {
 		SetTraceEnabled(false)
 	}
 
-	minTime := func(fn func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
 	spansOnly()
 	traced()
 	const attempts = 3
 	var overhead float64
 	for a := 1; a <= attempts; a++ {
-		baseBest := minTime(spansOnly)
-		tracedBest := minTime(traced)
+		baseBest, tracedBest := interleavedMin(rounds, spansOnly, traced)
 		if sink == 0 {
 			t.Fatal("workload optimized away")
 		}

@@ -5,7 +5,7 @@
 // concurrent joins, departures, assessments and per-frame snapshot
 // reads contend only within a shard instead of on one broker-wide
 // mutex.  It is the first of the three broker layers (registry →
-// dispatch pipeline → transmit adapters; DESIGN.md §9) and is
+// dispatch pool → transmit adapters; DESIGN.md §9) and is
 // deliberately ignorant of media formats and radio physics: it stores
 // what the upper layers tell it, keyed by client ID.
 package registry
