@@ -12,10 +12,11 @@
 //	       [-record out.jsonl] [-slo] [-timeline tl.jsonl]
 //
 // With -obs-addr, pipeline instrumentation is enabled and the
-// observability endpoint serves Prometheus-style /metrics and the
-// human /debug index.  The session runs on virtual time and is over in
-// a fraction of a second, so -obs-hold keeps the process serving its
-// final state after the scenario completes, for scraping.
+// observability endpoint serves Prometheus-style /metrics, the human
+// /debug index and /debug/decisions, plus /debug/slo with -slo and
+// /debug/timeline with -timeline.  The session runs on virtual time
+// and is over in a fraction of a second, so -obs-hold keeps the process
+// serving its final state after the scenario completes, for scraping.
 //
 // With -trace, the cross-node flight recorder is enabled: every frame
 // carries the wire trace extension, each node appends per-stage hops,
@@ -79,6 +80,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net/http"
 	"os"
 	"slices"
 	"time"
@@ -88,6 +90,7 @@ import (
 	"adaptiveqos/internal/clock"
 	"adaptiveqos/internal/core"
 	"adaptiveqos/internal/hostagent"
+	"adaptiveqos/internal/inference"
 	"adaptiveqos/internal/media"
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
@@ -168,14 +171,6 @@ func run(args []string, out io.Writer) error {
 	// Every node and the telemetry run on clk, a wall-independent
 	// instant that only the workload loop below moves.
 	clk := clock.NewVirtual(time.Time{})
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr)
-		if err != nil {
-			return fmt.Errorf("observability endpoint: %w", err)
-		}
-		defer srv.Close()
-		log.Printf("collab: serving /metrics and the /debug index on %s", *obsAddr)
-	}
 	instrument := *obsAddr != "" || *recordPath != "" || *tlPath != ""
 	if instrument {
 		obs.SetEnabled(true)
@@ -183,8 +178,8 @@ func run(args []string, out io.Writer) error {
 
 	// Windowed telemetry timeline: snapshot every tracked counter, gauge
 	// and histogram each telemetry tick into the bounded ring, publish it
-	// process-globally (SLO attributions attach curves, /debug/timeline
-	// serves it) and export the windows at exit.
+	// process-globally (SLO attributions attach curves) and export the
+	// windows at exit.
 	var tl *timeline.Timeline
 	if *tlPath != "" {
 		tl = timeline.New(timeline.Config{Window: telemetryTick, Clock: clk})
@@ -219,6 +214,27 @@ func run(args []string, out io.Writer) error {
 		sloSpec.RecoveryDeadline = 2 * time.Second
 		sloEng = slo.Default()
 		sloEng.SetDefaultSpec(sloSpec)
+	}
+
+	// The endpoint serves this run's decisions, and its SLO engine and
+	// timeline when the flags build them.
+	if *obsAddr != "" {
+		endpoints := []obs.Endpoint{{Path: "/debug/decisions", Desc: "inference decision audit (?client=<id>)",
+			Handler: http.HandlerFunc(inference.ServeDecisions)}}
+		if sloEng != nil {
+			endpoints = append(endpoints, obs.Endpoint{Path: "/debug/slo",
+				Desc: "per-client SLO conformance, transitions and attribution", Handler: sloEng})
+		}
+		if tl != nil {
+			endpoints = append(endpoints, obs.Endpoint{Path: "/debug/timeline",
+				Desc: "windowed metric curves (?series=&contains=&windows=&format=text|json|jsonl|csv)", Handler: tl})
+		}
+		srv, err := obs.Serve(*obsAddr, endpoints...)
+		if err != nil {
+			return fmt.Errorf("observability endpoint: %w", err)
+		}
+		defer srv.Close()
+		log.Printf("collab: serving /metrics and the /debug index on %s", *obsAddr)
 	}
 
 	wiredNet := transport.NewDESNet(transport.DESNetConfig{

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -236,6 +241,77 @@ func TestSummaryGolden(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("collab %s moved from testdata/%s; now:\n%s", args, golden, got)
+			}
+		})
+	}
+}
+
+// TestDebugEndpointsFollowFlags serves two runs while -obs-hold keeps
+// their endpoints up: /debug/timeline is mounted only with -timeline,
+// and then serves that run's timeline, the windows it exports at exit
+// byte for byte; /debug/slo is mounted only with -slo.
+func TestDebugEndpointsFollowFlags(t *testing.T) {
+	for _, tc := range []struct{ slo, timeline bool }{{false, false}, {true, true}} {
+		t.Run(fmt.Sprintf("slo=%v,timeline=%v", tc.slo, tc.timeline), func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close()
+			args := []string{"-events", "10", "-obs-addr", addr, "-obs-hold", "2s", "-slo=" + strconv.FormatBool(tc.slo)}
+			tlPath := filepath.Join(t.TempDir(), "tl.jsonl")
+			if tc.timeline {
+				args = append(args, "-timeline", tlPath)
+			}
+
+			// The hold begins when its log line is written: read the log
+			// up to it, fetch the pages, then let the run finish.
+			logs, logw := io.Pipe()
+			log.SetOutput(logw)
+			defer log.SetOutput(os.Stderr)
+			done := make(chan error, 1)
+			go func() {
+				var out bytes.Buffer
+				done <- run(args, &out)
+				logw.Close()
+			}()
+			held := false
+			for lines := bufio.NewScanner(logs); !held && lines.Scan(); {
+				held = strings.Contains(lines.Text(), "holding observability endpoint")
+			}
+			if !held {
+				t.Fatalf("collab %v ended without holding its endpoint: %v", args, <-done)
+			}
+			go io.Copy(io.Discard, logs)
+
+			get := func(path string) (int, string) {
+				resp, err := http.Get("http://" + addr + path)
+				if err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+				defer resp.Body.Close()
+				body, _ := io.ReadAll(resp.Body)
+				return resp.StatusCode, string(body)
+			}
+			_, index := get("/debug")
+			for path, mounted := range map[string]bool{"/debug/timeline": tc.timeline, "/debug/slo": tc.slo, "/debug/decisions": true} {
+				if code, _ := get(path); (code == http.StatusOK) != mounted || strings.Contains(index, path) != mounted {
+					t.Errorf("%s answers %d, listed %v; want mounted %v", path, code, strings.Contains(index, path), mounted)
+				}
+			}
+			if tc.timeline {
+				_, served := get("/debug/timeline?format=jsonl")
+				exported, err := os.ReadFile(tlPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if served != string(exported) {
+					t.Errorf("/debug/timeline serves other windows than the run exported:\n%.300s\nexported:\n%.300s", served, exported)
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("collab %v: %v", args, err)
 			}
 		})
 	}

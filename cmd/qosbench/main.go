@@ -7,18 +7,20 @@
 //	qosbench -exp fig6|fig7|fig8|fig9|fig10|all [-steps N] [-csv]
 //	qosbench ... [-obs-addr :9090]
 //
-// With -obs-addr, pipeline instrumentation is enabled and /metrics +
-// /debug/qos are served while the experiments run.
+// With -obs-addr, pipeline instrumentation is enabled and /metrics,
+// /debug/qos and /debug/decisions are served while the experiments run.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"slices"
 
 	"adaptiveqos/internal/experiments"
+	"adaptiveqos/internal/inference"
 	"adaptiveqos/internal/obs"
 )
 
@@ -31,7 +33,8 @@ func main() {
 
 	if *obsAddr != "" {
 		obs.SetEnabled(true)
-		srv, err := obs.Serve(*obsAddr)
+		srv, err := obs.Serve(*obsAddr, obs.Endpoint{Path: "/debug/decisions",
+			Desc: "inference decision audit (?client=<id>)", Handler: http.HandlerFunc(inference.ServeDecisions)})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qosbench: observability endpoint: %v\n", err)
 			os.Exit(1)

@@ -88,13 +88,15 @@ type Assessment struct {
 	Distance float64
 }
 
-// Stats counts base-station activity.
+// Stats counts base-station activity.  The Forward counts are a
+// member's shares sent up to the session (uplinkShare), by the tier its
+// uplink held; the shares served down to members count on none of them.
 type Stats struct {
 	UplinkEvents     uint64 // events relayed from wireless clients
 	UplinkDropped    uint64 // uplink attempts below any tier
-	ForwardFullImage uint64 // shares forwarded at full-image tier
-	ForwardSketch    uint64 // shares degraded to sketch
-	ForwardText      uint64 // shares degraded to text
+	ForwardFullImage uint64 // a member's shares sent up at the image tier
+	ForwardSketch    uint64 // a member's shares sent up as sketches
+	ForwardText      uint64 // a member's shares sent up as text
 	DownlinkUnicasts uint64 // deliveries to wireless clients
 }
 

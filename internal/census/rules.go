@@ -52,6 +52,8 @@ var rules = []rule{
 		[]string{"internal/basestation/", "internal/media/transformers.go"}, nil, carriedSketch},
 	{"sorted-attrs", "a message's attributes are one name-sorted slice, set with SetAttrs and read through Attr, NumAttrs or EachAttr: the map form, Message.Attrs, is the benchmark's until it goes (§7.5, ROADMAP item 20)",
 		[]string{"internal/", "cmd/", "examples/"}, []string{"internal/message/"}, usesAttrsMap},
+	{"explicit-wiring", "a program mounts and wires what it runs, so what a binary serves never depends on which packages it links (§8)",
+		[]string{"internal/", "cmd/"}, nil, initWiresNothing},
 	{"one-fanout", "whatever the station sends to many members — a wired line, a member's line, a share's announce — leaves through its segment's one kept fan-out (§7.5, §7.6)",
 		[]string{"internal/basestation/"}, []string{"internal/basestation/relay.go:segment.fanOut"},
 		usesMethod("internal/dispatch", "Pool", "Each")},
@@ -254,6 +256,25 @@ func usesMethod(pkg, recv, name string) func(*scope, ast.Node, types.Object) str
 		}
 		return "uses " + pkg[strings.LastIndex(pkg, "/")+1:] + "." + recv + "." + name
 	}
+}
+
+// initWiresNothing flags an init function that uses a declaration of
+// another internal package: registering into it, or calling it.
+func initWiresNothing(s *scope, n ast.Node, _ types.Object) string {
+	fd, _ := n.(*ast.FuncDecl)
+	if fd == nil || fd.Recv != nil || fd.Name.Name != "init" || fd.Body == nil {
+		return ""
+	}
+	var what string
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		id, _ := n.(*ast.Ident)
+		if obj := s.info.Uses[id]; what == "" && obj != nil && obj.Pkg() != nil && obj.Pkg() != s.pkg &&
+			strings.HasPrefix(s.g.rel[obj.Pkg().Path()], "internal/") {
+			what = "init uses " + strings.TrimPrefix(s.g.rel[obj.Pkg().Path()], "internal/") + "." + obj.Name()
+		}
+		return what == ""
+	})
+	return what
 }
 
 // usesAttrsMap flags any use of the Attrs field of message.Message: a

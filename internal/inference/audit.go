@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/selector"
 )
 
@@ -144,18 +143,18 @@ func WriteDecisions(w http.ResponseWriter, client string, max int) {
 	fmt.Fprint(w, sb.String())
 }
 
-func init() {
-	obs.RegisterDebug("/debug/decisions", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		max := 64
-		if v := q.Get("max"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				http.Error(w, "inference: bad ?max=", http.StatusBadRequest)
-				return
-			}
-			max = n
+// ServeDecisions serves the audit as text: a program mounts it at
+// /debug/decisions, where ?client=<id> filters and ?max=<n> bounds it.
+func ServeDecisions(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	max := 64
+	if v := q.Get("max"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			http.Error(w, "inference: bad ?max=", http.StatusBadRequest)
+			return
 		}
-		WriteDecisions(w, q.Get("client"), max)
-	})
+		max = n
+	}
+	WriteDecisions(w, q.Get("client"), max)
 }

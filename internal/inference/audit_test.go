@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -121,7 +122,7 @@ func TestDebugDecisionsEndpoint(t *testing.T) {
 	e := New("wired-0", nil, clock.Wall)
 	e.Decide(selector.Attributes{StateCPULoad: selector.N(95)})
 
-	h := obs.Handler() // /debug/decisions is registered by this package's init
+	h := obs.Handler(obs.Endpoint{Path: "/debug/decisions", Desc: "decision audit", Handler: http.HandlerFunc(ServeDecisions)})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/decisions", nil))
 	body := rec.Body.String()

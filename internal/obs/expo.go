@@ -7,10 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"adaptiveqos/internal/metrics"
@@ -203,137 +201,93 @@ func WriteTraceIndex(w io.Writer, max int) error {
 	return err
 }
 
-// extra debug handlers registered by other packages (the inference
-// engine mounts /debug/decisions here; obs cannot import it without a
-// cycle, so registration is inverted).
-var extras = struct {
-	mu sync.Mutex
-	m  map[string]http.HandlerFunc
-}{m: make(map[string]http.HandlerFunc)}
-
-// RegisterDebug mounts h at path on every Handler built afterwards.
-// The first registration of a path wins; a second registration is
-// rejected with an error so two packages cannot silently fight over an
-// endpoint (the keep-latest behaviour this replaces made the winner
-// depend on package init order).
-func RegisterDebug(path string, h http.HandlerFunc) error {
-	extras.mu.Lock()
-	defer extras.mu.Unlock()
-	if _, taken := extras.m[path]; taken {
-		return fmt.Errorf("obs: debug path %s already registered", path)
-	}
-	extras.m[path] = h
-	return nil
+// An Endpoint is one debug page a program mounts beside the built-in
+// ones: its path, its line on the /debug index and its handler.
+type Endpoint struct {
+	Path, Desc string
+	Handler    http.Handler
 }
 
-// debugIndex lists the built-in endpoints on the /debug index page;
-// registered extras are appended at render time.
-var debugIndex = []struct{ path, desc string }{
-	{"/metrics", "Prometheus text exposition (counters, gauges, histograms)"},
-	{"/debug/qos", "human QoS dump: stage latency quantiles, gauges, trace events"},
-	{"/debug/trace", "flight-recorder timelines (?msg=<hex id> or ?sender=&seq=)"},
-	{"/debug/slo", "per-client SLO conformance, transitions and attribution"},
-	{"/debug/decisions", "inference decision audit (?client=<id>)"},
-	{"/debug/timeline", "windowed metric curves (?series=&contains=&windows=&format=text|json|jsonl|csv)"},
-	{"/debug/pprof/", "net/http/pprof profiling suite"},
-}
-
-// writeDebugIndex renders the /debug index page linking every
-// exposition endpoint (plus any registered extras not already listed).
-func writeDebugIndex(w io.Writer) error {
+// Handler serves the exposition endpoints: /metrics (Prometheus text
+// format, runtime gauges refreshed per scrape), /debug/qos (human dump;
+// ?events=N bounds the trace tail, default 64), /debug/trace
+// (flight-recorder timelines; ?msg=<hex id> or ?sender=&seq=), the
+// net/http/pprof profiling suite under /debug/pprof/, and the extra
+// endpoints the program passes.  The /debug index lists exactly what
+// is mounted; any other path answers 404.  A path mounted twice panics.
+func Handler(extra ...Endpoint) http.Handler {
+	endpoints := append([]Endpoint{
+		{"/metrics", "Prometheus text exposition (counters, gauges, histograms)", http.HandlerFunc(serveMetrics)},
+		{"/debug/qos", "human QoS dump: stage latency quantiles, gauges, trace events", http.HandlerFunc(serveQoS)},
+		{"/debug/trace", "flight-recorder timelines (?msg=<hex id> or ?sender=&seq=)", http.HandlerFunc(serveTrace)},
+		{"/debug/pprof/", "net/http/pprof profiling suite", http.HandlerFunc(pprof.Index)},
+	}, extra...)
+	mux := http.NewServeMux()
 	var sb strings.Builder
 	sb.WriteString("adaptiveqos observability endpoints:\n\n")
-	listed := make(map[string]bool, len(debugIndex))
-	for _, e := range debugIndex {
-		listed[e.path] = true
-		fmt.Fprintf(&sb, "  %-18s %s\n", e.path, e.desc)
+	for _, e := range endpoints {
+		mux.Handle(e.Path, e.Handler)
+		fmt.Fprintf(&sb, "  %-18s %s\n", e.Path, e.Desc)
 	}
-	extras.mu.Lock()
-	var more []string
-	for path := range extras.m {
-		if !listed[path] {
-			more = append(more, path)
-		}
-	}
-	extras.mu.Unlock()
-	sort.Strings(more)
-	for _, path := range more {
-		fmt.Fprintf(&sb, "  %-18s (registered)\n", path)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// Handler serves the exposition endpoints: a /debug index page,
-// /metrics (Prometheus text format, runtime gauges refreshed per
-// scrape), /debug/qos (human dump; ?events=N bounds the trace tail,
-// default 64), /debug/trace (flight-recorder timelines; ?msg=<hex id>
-// or ?sender=&seq=), any registered extras (the inference engine's
-// /debug/decisions, the SLO engine's /debug/slo), and the
-// net/http/pprof profiling suite under /debug/pprof/.
-func Handler() http.Handler {
-	mux := http.NewServeMux()
-	index := func(w http.ResponseWriter, r *http.Request) {
+	index := sb.String()
+	serveIndex := func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		writeDebugIndex(w)
+		io.WriteString(w, index)
 	}
-	mux.HandleFunc("/", index)
-	mux.HandleFunc("/debug", index)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		SampleRuntime(metrics.SetGauge)
-		WriteMetrics(w)
-	})
-	mux.HandleFunc("/debug/qos", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		maxEvents := 64
-		if v := r.URL.Query().Get("events"); v != "" {
-			if n, err := parsePositive(v); err == nil {
-				maxEvents = n
-			}
-		}
-		WriteQoSDebug(w, maxEvents)
-	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		q := r.URL.Query()
-		if sender := q.Get("sender"); sender != "" {
-			seq, err := strconv.ParseUint(q.Get("seq"), 10, 32)
-			if err != nil {
-				http.Error(w, "obs: ?sender= needs a numeric ?seq=", http.StatusBadRequest)
-				return
-			}
-			WriteTimeline(w, MsgID(sender, uint32(seq)))
-			return
-		}
-		if msg := q.Get("msg"); msg != "" {
-			id, err := strconv.ParseUint(msg, 16, 64)
-			if err != nil {
-				http.Error(w, "obs: ?msg= wants the hex trace id", http.StatusBadRequest)
-				return
-			}
-			WriteTimeline(w, id)
-			return
-		}
-		max := 64
-		if v := q.Get("max"); v != "" {
-			if n, err := parsePositive(v); err == nil {
-				max = n
-			}
-		}
-		WriteTraceIndex(w, max)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/{$}", serveIndex)
+	mux.HandleFunc("/debug", serveIndex)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	extras.mu.Lock()
-	for path, h := range extras.m {
-		mux.HandleFunc(path, h)
-	}
-	extras.mu.Unlock()
 	return mux
+}
+
+func serveMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	SampleRuntime(metrics.SetGauge)
+	WriteMetrics(w)
+}
+
+func serveQoS(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	maxEvents := 64
+	if v := r.URL.Query().Get("events"); v != "" {
+		if n, err := parsePositive(v); err == nil {
+			maxEvents = n
+		}
+	}
+	WriteQoSDebug(w, maxEvents)
+}
+
+func serveTrace(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	q := r.URL.Query()
+	if sender := q.Get("sender"); sender != "" {
+		seq, err := strconv.ParseUint(q.Get("seq"), 10, 32)
+		if err != nil {
+			http.Error(w, "obs: ?sender= needs a numeric ?seq=", http.StatusBadRequest)
+			return
+		}
+		WriteTimeline(w, MsgID(sender, uint32(seq)))
+		return
+	}
+	if msg := q.Get("msg"); msg != "" {
+		id, err := strconv.ParseUint(msg, 16, 64)
+		if err != nil {
+			http.Error(w, "obs: ?msg= wants the hex trace id", http.StatusBadRequest)
+			return
+		}
+		WriteTimeline(w, id)
+		return
+	}
+	max := 64
+	if v := q.Get("max"); v != "" {
+		if n, err := parsePositive(v); err == nil {
+			max = n
+		}
+	}
+	WriteTraceIndex(w, max)
 }
 
 // Server is a running exposition endpoint.  Close drains in-flight
@@ -364,14 +318,14 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Serve starts the exposition endpoint on addr in a background
-// goroutine and returns the running server (caller closes it).  The
-// server is configured rather than bare: ReadHeaderTimeout against
-// slow-header connections, and graceful Shutdown on Close.
-func Serve(addr string) (*Server, error) {
+// Serve starts Handler(extra...) on addr in a background goroutine and
+// returns the running server (caller closes it).  The server is
+// configured rather than bare: ReadHeaderTimeout against slow-header
+// connections, and graceful Shutdown on Close.
+func Serve(addr string, extra ...Endpoint) (*Server, error) {
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           Handler(),
+		Handler:           Handler(extra...),
 		ReadHeaderTimeout: serveReadHeaderTimeout,
 	}
 	ln, err := net.Listen("tcp", addr)

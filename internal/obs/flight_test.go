@@ -2,9 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -308,17 +306,6 @@ func TestRuntimeGaugesAndPprof(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Errorf("/debug/pprof/ = %d", rec.Code)
-	}
-}
-
-func TestRegisterDebugExtra(t *testing.T) {
-	RegisterDebug("/debug/flighttest", func(w http.ResponseWriter, _ *http.Request) {
-		io.WriteString(w, "extra mounted")
-	})
-	rec := httptest.NewRecorder()
-	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flighttest", nil))
-	if !strings.Contains(rec.Body.String(), "extra mounted") {
-		t.Errorf("registered extra not served: %q", rec.Body.String())
 	}
 }
 

@@ -3,6 +3,9 @@
 // histograms in the internal/metrics registry and a ring-buffer event
 // log, a QoS telemetry sampler its owner ticks, and a text exposition
 // endpoint (Prometheus-style /metrics plus a human /debug/qos dump).
+// The endpoint serves the built-in pages and the extra Endpoints the
+// program passes Handler or Serve, and its /debug index lists exactly
+// those: no package registers a page of its own.
 //
 // Instrumentation is near-free when disabled: hot paths check one
 // process-global atomic flag per stage entry, span handles are value

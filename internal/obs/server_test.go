@@ -1,17 +1,16 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
 // TestServeAndGracefulClose runs the real Serve path on an ephemeral
-// port: the index page must advertise the debug endpoints, /metrics
+// port: the index page must advertise the built-in endpoints, /metrics
 // must answer, and Close must tear the listener down so further
 // connections fail.
 func TestServeAndGracefulClose(t *testing.T) {
@@ -28,8 +27,7 @@ func TestServeAndGracefulClose(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	index := string(body)
-	for _, want := range []string{"/metrics", "/debug/qos", "/debug/trace", "/debug/slo",
-		"/debug/decisions", "/debug/timeline", "/debug/pprof/"} {
+	for _, want := range []string{"/metrics", "/debug/qos", "/debug/trace", "/debug/pprof/"} {
 		if !strings.Contains(index, want) {
 			t.Errorf("index missing %s:\n%s", want, index)
 		}
@@ -53,35 +51,49 @@ func TestServeAndGracefulClose(t *testing.T) {
 	}
 }
 
-// debugPathSeq makes registered paths unique across test runs (the
-// extras registry is process-global, so -count=2 reuses it).
-var debugPathSeq atomic.Int64
-
-// TestRegisterDebugCollision pins first-wins registration: the second
-// claim on a path is rejected with an error and the first handler keeps
-// serving, so endpoint ownership never depends on package init order.
-func TestRegisterDebugCollision(t *testing.T) {
-	path := fmt.Sprintf("/debug/collision-test-%d", debugPathSeq.Add(1))
-	first := func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "first") }
-	second := func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "second") }
-
-	if err := RegisterDebug(path, first); err != nil {
-		t.Fatalf("first registration: %v", err)
+// TestIndexListsWhatIsMounted builds a handler with two extra
+// endpoints: every path on the /debug index answers with its own
+// handler, not the index, and a path nobody mounted — the pages other
+// programs mount among them — answers 404 instead of the index.
+func TestIndexListsWhatIsMounted(t *testing.T) {
+	page := func(body string) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, body) })
 	}
-	if err := RegisterDebug(path, second); err == nil {
-		t.Fatal("second registration of the same path should be rejected")
-	}
-
-	rr := httptest.NewRecorder()
-	Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
-	if rr.Body.String() != "first" {
-		t.Errorf("served %q, want the first handler's output", rr.Body.String())
+	h := Handler(
+		Endpoint{"/debug/one", "the first extra page", page("one")},
+		Endpoint{"/debug/two", "the second extra page", page("two")},
+	)
+	get := func(path string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr
 	}
 
-	// Unlisted extras still show up on the /debug index page.
-	rr = httptest.NewRecorder()
-	Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug", nil))
-	if !strings.Contains(rr.Body.String(), path) {
-		t.Errorf("/debug index missing registered extra %s:\n%s", path, rr.Body.String())
+	index := get("/debug").Body.String()
+	if root := get("/"); root.Code != http.StatusOK || root.Body.String() != index {
+		t.Errorf("GET / = %d %q, want the index", root.Code, root.Body.String())
+	}
+	var listed []string
+	for _, line := range strings.Split(index, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && strings.HasPrefix(f[0], "/") {
+			listed = append(listed, f[0])
+		}
+	}
+	want := []string{"/metrics", "/debug/qos", "/debug/trace", "/debug/pprof/", "/debug/one", "/debug/two"}
+	if !slices.Equal(listed, want) {
+		t.Errorf("index lists %v, want %v", listed, want)
+	}
+	for _, path := range listed {
+		if rr := get(path); rr.Code != http.StatusOK || rr.Body.String() == index {
+			t.Errorf("GET %s = %d, served by the index: %v", path, rr.Code, rr.Body.String() == index)
+		}
+	}
+	if body := get("/debug/two").Body.String(); body != "two" {
+		t.Errorf("GET /debug/two = %q, want its own handler's page", body)
+	}
+	for _, path := range []string{"/debug/slo", "/debug/timeline", "/debug/decisions", "/debug/", "/nowhere"} {
+		if rr := get(path); rr.Code != http.StatusNotFound {
+			t.Errorf("GET %s (not mounted) = %d, want 404", path, rr.Code)
+		}
 	}
 }

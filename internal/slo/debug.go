@@ -10,6 +10,13 @@ import (
 	"adaptiveqos/internal/obs"
 )
 
+// ServeHTTP serves the engine's WriteSummary as text: a program mounts
+// it at /debug/slo, where ?client=<id> filters to one client.
+func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	e.WriteSummary(w, r.URL.Query().Get("client"))
+}
+
 // WriteSummary renders the engine's conformance view as text: the
 // per-client table, the transition log, and the latest violation
 // attributions.  client filters to one client when non-empty.  Shared
@@ -116,11 +123,4 @@ func orKeep(m string) string {
 		return "(keep)"
 	}
 	return m
-}
-
-func init() {
-	obs.RegisterDebug("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		defaultEngine.WriteSummary(w, r.URL.Query().Get("client"))
-	})
 }

@@ -11,18 +11,17 @@ import (
 	"adaptiveqos/internal/obs"
 )
 
-// TestDebugSLOEndpoint drives the registered /debug/slo handler end to
-// end through the obs mux: the default engine's conformance view must
-// come back over HTTP, including the ?client= filter.
+// TestDebugSLOEndpoint mounts an engine at /debug/slo on the obs mux
+// and drives it end to end: that engine's conformance view, not the
+// default engine's, must come back over HTTP, including the ?client=
+// filter.
 func TestDebugSLOEndpoint(t *testing.T) {
 	base := time.Unix(2000, 0)
-	d := Default()
-	d.SetDefaultSpec(testSpec()) // the first Observe binds http-c1 to it
-	defer d.SetDefaultSpec(Spec{})
-	feed(d, "http-c1", base, 0.5, 8)
-	d.Poll(base.Add(200 * time.Millisecond))
+	e := NewEngine(testSpec())
+	feed(e, "http-c1", base, 0.5, 8)
+	e.Poll(base.Add(200 * time.Millisecond))
 
-	srv := httptest.NewServer(obs.Handler())
+	srv := httptest.NewServer(obs.Handler(obs.Endpoint{Path: "/debug/slo", Desc: "SLO conformance", Handler: e}))
 	defer srv.Close()
 
 	get := func(url string) string {

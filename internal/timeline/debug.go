@@ -5,15 +5,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-
-	"adaptiveqos/internal/obs"
 )
-
-func init() {
-	// First-wins: if another package somehow claimed the path, the
-	// /debug index still lists it and the owner serves it.
-	_ = obs.RegisterDebug("/debug/timeline", serveDebug)
-}
 
 // parseQuery maps the endpoint's URL parameters onto a Query.
 func parseQuery(r *http.Request) Query {
@@ -33,15 +25,9 @@ func parseQuery(r *http.Request) Query {
 	return q
 }
 
-// serveDebug is the /debug/timeline endpoint: the active timeline's
-// curves as text (default), json, jsonl or csv.
-func serveDebug(w http.ResponseWriter, r *http.Request) {
-	t := Active()
-	if t == nil {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("timeline: not enabled (run with a -timeline flag or call timeline.Enable)\n"))
-		return
-	}
+// ServeHTTP serves the timeline's curves as text (default), json,
+// jsonl or csv: a program mounts it at /debug/timeline.
+func (t *Timeline) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	q := parseQuery(r)
 	switch r.URL.Query().Get("format") {
 	case "json":

@@ -141,27 +141,22 @@ func TestWriteCSVShape(t *testing.T) {
 	}
 }
 
+// TestDebugEndpoint mounts a timeline at /debug/timeline on the obs mux
+// and reads it back in every format.  The timeline is not the active
+// one: the endpoint serves the timeline it is mounted with.
 func TestDebugEndpoint(t *testing.T) {
-	h := obs.Handler()
+	tl, clk := newVirtualTimeline(time.Second, 8)
+	var c metrics.Counter
+	tl.TrackCounter("dbg.sent", &c)
+	c.Add(6)
+	advance(tl, clk, time.Second)
+	h := obs.Handler(obs.Endpoint{Path: "/debug/timeline", Desc: "metric curves", Handler: tl})
 
 	get := func(url string) *httptest.ResponseRecorder {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
 		return rr
 	}
-
-	Disable()
-	if body := get("/debug/timeline").Body.String(); !strings.Contains(body, "not enabled") {
-		t.Errorf("disabled body = %q, want a not-enabled notice", body)
-	}
-
-	tl, clk := newVirtualTimeline(time.Second, 8)
-	var c metrics.Counter
-	tl.TrackCounter("dbg.sent", &c)
-	c.Add(6)
-	advance(tl, clk, time.Second)
-	Enable(tl)
-	defer Disable()
 
 	if body := get("/debug/timeline").Body.String(); !strings.Contains(body, "dbg.sent") {
 		t.Errorf("text body missing series:\n%s", body)

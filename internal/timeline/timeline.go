@@ -6,8 +6,8 @@
 // *windowed* p50/p90/p99 computed from bucket deltas, not the lifetime
 // quantiles /metrics exposes.
 //
-// The store is exposed three ways: the /debug/timeline endpoint
-// (debug.go), JSONL/CSV/text exporters for EXPERIMENTS.md figures
+// The store is exposed three ways: Timeline.ServeHTTP, which a program
+// mounts at /debug/timeline (debug.go), JSONL/CSV/text exporters for EXPERIMENTS.md figures
 // (export.go), and the typed Query API (query.go) the SLO attribution
 // bundle consumes.  The store schedules nothing: on a clock.Virtual
 // its owners schedule SampleNow as their own events (cmd/collab's
@@ -336,8 +336,8 @@ func (t *Timeline) sampleLocked(nowNS int64) {
 // nothing unless a timeline was explicitly enabled.
 var active atomic.Pointer[Timeline]
 
-// Enable installs t as the process-global timeline (/debug/timeline,
-// SLO attribution curves).  Enable(nil) disables.
+// Enable installs t as the process-global timeline the SLO
+// attribution curves read.  Enable(nil) disables.
 func Enable(t *Timeline) { active.Store(t) }
 
 // Disable clears the process-global timeline.
