@@ -67,8 +67,11 @@ go test -race -count=1 ./...
 # a member's line from its caller's goroutine, takes too, and a queued
 # batch is recycled through the pool's free list; an SNMP monitor, its client and the agent it polls each
 # keep their request, frame and response buffers from one exchange to
-# the next, which concurrent samples take turns over.
-go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media ./internal/snmp ./internal/hostagent
+# the next, which concurrent samples take turns over; and the two
+# segment handlers and UplinkEvent may make a selector's first match
+# plan at once, the compare-and-swap of the selector's memo deciding
+# which plan it keeps.
+go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media ./internal/snmp ./internal/hostagent ./internal/selector ./internal/matchindex
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

@@ -33,6 +33,9 @@ type CoordinatorKernel struct {
 	unwrap *message.Unwrapper
 	intern message.Interner // the strings control messages repeat
 	msg    message.Message  // the control message being handled, refilled per frame
+	// ctrlSeq numbers the lock notices, as Kernel.ctrlSeq numbers a
+	// client's control frames: each notice is its own message and trace.
+	ctrlSeq uint32
 
 	// log is the archive in session order, the order the frames were
 	// heard: log[i] is the frame with session seq first+i.  Frames leave
@@ -164,9 +167,11 @@ func (k *CoordinatorKernel) handleLock(sender, ctrl, object string) {
 
 func (k *CoordinatorKernel) notifyLock(to, ctrl, object, holder string) {
 	// Best effort: a requester that has left simply misses the notice.
+	k.ctrlSeq++
 	m := &message.Message{
 		Kind:      message.KindControl,
 		Sender:    k.ID(),
+		Seq:       k.ctrlSeq,
 		Timestamp: k.clk.Now(),
 	}
 	m.SetAttrs([]message.Attr{

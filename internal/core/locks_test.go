@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 )
@@ -50,6 +51,37 @@ func TestDistributedLockGrantAndQueue(t *testing.T) {
 	// Independent object: no contention.
 	step(a.RequestLock("coordinator", "img-2"))
 	checkLock(t, a, "img-2", LockGranted)
+}
+
+// TestLockNoticesNumbered: the coordinator numbers its lock notices, so
+// each is its own message with its own trace, not one seq shared by
+// every notice.
+func TestLockNoticesNumbered(t *testing.T) {
+	_, a, b, step := lockRig(t)
+	var seqs []uint32
+	for _, c := range []*Client{a, b} {
+		control := c.k.Control
+		c.k.Control = func(m *message.Message) {
+			if m.Sender == "coordinator" {
+				seqs = append(seqs, m.Seq)
+			}
+			control(m)
+		}
+	}
+	step(a.RequestLock("coordinator", "x")) // alice granted
+	step(b.RequestLock("coordinator", "x")) // bob waits
+	step(a.ReleaseLock("coordinator", "x")) // bob granted
+	if len(seqs) != 3 {
+		t.Fatalf("heard %d lock notices, want 3", len(seqs))
+	}
+	ids := make(map[uint64]uint32)
+	for _, seq := range seqs {
+		id := obs.MsgID("coordinator", seq)
+		if prev, dup := ids[id]; dup {
+			t.Fatalf("notices seq=%d and seq=%d share trace id %x (seqs %v)", prev, seq, id, seqs)
+		}
+		ids[id] = seq
+	}
 }
 
 func TestReleaseByNonHolderIgnored(t *testing.T) {

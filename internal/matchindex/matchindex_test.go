@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"adaptiveqos/internal/selector"
@@ -165,7 +166,7 @@ func TestPlanShapes(t *testing.T) {
 		{`a == 1 and a < true`, false, false, 0},
 	}
 	for _, c := range cases {
-		p := PlanExpr(selector.MustCompile(c.src).Expr())
+		p := PlanSelector(selector.MustCompile(c.src))
 		if p.MatchAll != c.matchAll || p.FullScan != c.fullScan || len(p.Branches) != c.branches {
 			t.Errorf("%q: got MatchAll=%v FullScan=%v branches=%d, want %v/%v/%d",
 				c.src, p.MatchAll, p.FullScan, len(p.Branches), c.matchAll, c.fullScan, c.branches)
@@ -176,7 +177,7 @@ func TestPlanShapes(t *testing.T) {
 func TestPlanEmptyInListNeverMatches(t *testing.T) {
 	// The parser rejects `a in []`, but FromExpr-built selectors can
 	// carry an empty list; it satisfies no profile.
-	p := PlanExpr(&selector.In{Attr: "a"})
+	p := PlanSelector(selector.FromExpr(&selector.In{Attr: "a"}))
 	if p.MatchAll || p.FullScan || len(p.Branches) != 0 {
 		t.Fatalf("empty in-list plan = %+v, want constant false", p)
 	}
@@ -184,9 +185,53 @@ func TestPlanEmptyInListNeverMatches(t *testing.T) {
 
 func TestPlanNaNLiteralFallsBack(t *testing.T) {
 	e := &selector.Cmp{Attr: "a", Op: selector.OpEq, Lit: selector.N(math.NaN())}
-	p := PlanExpr(e)
+	p := PlanSelector(selector.FromExpr(e))
 	if !p.FullScan {
 		t.Fatalf("NaN equality literal must degrade to FullScan, got %+v", p)
+	}
+}
+
+// TestPlanKeptOnSelector: a selector is planned once, on its first
+// PlanSelector, and every later call returns that plan without
+// allocating.
+func TestPlanKeptOnSelector(t *testing.T) {
+	sel := selector.MustCompile(`media == "image" and size > 2000`)
+	p := PlanSelector(sel)
+	if q := PlanSelector(sel); q != p {
+		t.Fatalf("second PlanSelector returned plan %p, first %p", q, p)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { PlanSelector(sel) }); allocs != 0 {
+		t.Fatalf("warm PlanSelector allocates %v times, want 0", allocs)
+	}
+}
+
+// TestPlanFirstCallsAgree: goroutines making a selector's first
+// PlanSelector at once may each plan it, but all of them get the one
+// plan the selector keeps.
+func TestPlanFirstCallsAgree(t *testing.T) {
+	sel := selector.MustCompile(`region in [1, 3] or client == "w7"`)
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		got   [8]*Plan
+	)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = PlanSelector(sel)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, p := range got {
+		if p != got[0] {
+			t.Fatalf("goroutine %d got plan %p, goroutine 0 %p", i, p, got[0])
+		}
+	}
+	if PlanSelector(sel) != got[0] {
+		t.Fatal("the selector keeps a plan no first caller got")
 	}
 }
 

@@ -1,9 +1,7 @@
 package matchindex
 
 import (
-	"container/list"
 	"math"
-	"sync"
 
 	"adaptiveqos/internal/selector"
 )
@@ -69,8 +67,16 @@ type Plan struct {
 // opposed to matching everyone or scanning everyone).
 func (p *Plan) Indexable() bool { return !p.MatchAll && !p.FullScan && len(p.Branches) > 0 }
 
-// PlanExpr compiles an expression tree into an index plan.
-func PlanExpr(e selector.Expr) *Plan {
+// PlanSelector returns the index plan of a compiled selector, made on
+// the first call and kept on the selector (selector.Memo): a selector
+// compiled once per distinct source, as the compile cache does, is
+// planned once too.
+func PlanSelector(sel *selector.Selector) *Plan {
+	return sel.Memo(planExpr).(*Plan)
+}
+
+// planExpr compiles an expression tree into an index plan.
+func planExpr(e selector.Expr) any {
 	p := &Plan{}
 	for _, be := range flattenOr(e, nil) {
 		br, always, never := planBranch(be)
@@ -187,62 +193,4 @@ func dedupValues(list []selector.Value) (out []selector.Value, hasNaN bool) {
 		}
 	}
 	return out, false
-}
-
-// planCache memoizes selector → plan, LRU-evicted.  Messages repeat a
-// small working set of distinct selectors (the same property the
-// compiled-selector cache exploits), so each distinct selector is
-// decomposed once per process rather than once per message.
-type planCache struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-	cap     int
-}
-
-type planEntry struct {
-	src  string
-	plan *Plan
-}
-
-// defaultPlanCapacity mirrors selector.DefaultCacheCapacity: generous
-// for a realistic selector vocabulary, bounded against selector churn.
-const defaultPlanCapacity = 4096
-
-var plans = planCache{
-	entries: make(map[string]*list.Element),
-	order:   list.New(),
-	cap:     defaultPlanCapacity,
-}
-
-// PlanSelector returns the (process-globally cached) index plan for a
-// compiled selector.
-func PlanSelector(sel *selector.Selector) *Plan {
-	src := sel.Source()
-	plans.mu.Lock()
-	if el, ok := plans.entries[src]; ok {
-		plans.order.MoveToFront(el)
-		p := el.Value.(*planEntry).plan
-		plans.mu.Unlock()
-		return p
-	}
-	plans.mu.Unlock()
-
-	// Plan outside the lock; concurrent first sightings both plan and
-	// the loser's install is a no-op (plans are pure functions of src).
-	p := PlanExpr(sel.Expr())
-
-	plans.mu.Lock()
-	defer plans.mu.Unlock()
-	if el, ok := plans.entries[src]; ok {
-		plans.order.MoveToFront(el)
-		return el.Value.(*planEntry).plan
-	}
-	plans.entries[src] = plans.order.PushFront(&planEntry{src: src, plan: p})
-	for plans.order.Len() > plans.cap {
-		old := plans.order.Back()
-		plans.order.Remove(old)
-		delete(plans.entries, old.Value.(*planEntry).src)
-	}
-	return p
 }

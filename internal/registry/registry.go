@@ -222,11 +222,12 @@ func (r *Registry) MatchIDs(sel *selector.Selector) []string { return r.AppendMa
 // satisfying sel (nil: every one), in ascending order; a caller that
 // enumerates for one message at a time hands back the list it used
 // last, emptied, and allocates nothing.  With the index enabled the
-// selector is decomposed into an index plan and answered by each
-// shard's counting match; plans the index cannot answer (match-all, or
-// a disjunct with no indexable predicate) and disabled indexes fall
-// back to the brute-force per-profile evaluation.  Either way the
-// result is exact.
+// selector's index plan, made on its first match and kept on the
+// selector (matchindex.PlanSelector), is answered by each shard's
+// counting match, with no lock but the shards'.  Plans the index cannot
+// answer (match-all, or a disjunct with no indexable predicate) and
+// disabled indexes fall back to the brute-force per-profile evaluation.
+// Either way the result is exact.
 func (r *Registry) AppendMatchIDs(dst []string, sel *selector.Selector) []string {
 	if sel == nil {
 		return r.appendIDs(dst)

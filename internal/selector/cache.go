@@ -76,8 +76,8 @@ func shardFor[S string | []byte](c *Cache, src S) *cacheShard {
 
 // Compile returns the compiled selector for src, parsing it only on the
 // first sighting (per eviction lifetime).  The returned *Selector is
-// shared: it is immutable after compilation and safe for concurrent
-// Matches calls.
+// shared: it is immutable after compilation but for its memo, and safe
+// for concurrent Matches and Memo calls.
 func (c *Cache) Compile(src string) (*Selector, error) {
 	sh := shardFor(c, src)
 	sh.mu.Lock()

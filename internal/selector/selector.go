@@ -1,11 +1,14 @@
 package selector
 
+import "sync/atomic"
+
 // Selector is a compiled semantic selector: the source text paired with
 // its parsed expression.  A Selector travels in message headers (as
 // text) and is evaluated against client profiles at the receivers.
 type Selector struct {
 	src  string
 	expr Expr
+	memo atomic.Value // what Memo derived from expr; unset until first use
 }
 
 // Compile parses src into a reusable Selector.
@@ -35,8 +38,19 @@ func FromExpr(e Expr) *Selector {
 // Source returns the selector's source text.
 func (s *Selector) Source() string { return s.src }
 
-// Expr returns the parsed expression tree.
-func (s *Selector) Expr() Expr { return s.expr }
+// Memo returns what build derives from the selector's expression,
+// deriving it on the first call and keeping it on s, so it lives as
+// long as s does (for a cached selector, as long as its cache entry).
+// Concurrent first calls may each build; compare-and-swap keeps one
+// result and every caller gets that one.  A selector holds one memo:
+// every caller passes the same build, which returns a non-nil value.
+func (s *Selector) Memo(build func(Expr) any) any {
+	if v := s.memo.Load(); v != nil {
+		return v
+	}
+	s.memo.CompareAndSwap(nil, build(s.expr))
+	return s.memo.Load()
+}
 
 // Matches reports whether the selector is satisfied by the attribute set.
 func (s *Selector) Matches(attrs Attributes) bool {
