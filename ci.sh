@@ -70,8 +70,9 @@ go test -race -count=1 ./...
 # the next, which concurrent samples take turns over; and the two
 # segment handlers and UplinkEvent may make a selector's first match
 # plan at once, the compare-and-swap of the selector's memo deciding
-# which plan it keeps.
-go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media ./internal/snmp ./internal/hostagent ./internal/selector ./internal/matchindex
+# which plan it keeps; and the dispatch shard workers and the driving
+# goroutine encode spans into one session recorder under its mutex.
+go test -race -count=1 -cpu 4 ./internal/core ./internal/basestation ./internal/session ./internal/registry ./internal/profile ./internal/clock ./internal/transport ./internal/wavelet ./internal/radio ./internal/apps ./internal/message ./internal/dispatch ./internal/media ./internal/snmp ./internal/hostagent ./internal/selector ./internal/matchindex ./internal/obs
 
 # The examples' byte goldens at several GOMAXPROCS: an ordering bug
 # between goroutines can hide at one P and show only at two or more.

@@ -34,7 +34,7 @@
 // file as JSONL (DESIGN.md §13): pipeline spans, sampled QoS gauges,
 // inference decisions and SLO conformance transitions under a
 // versioned schema header.  After the run the file is loaded back and
-// verified against the in-memory counters.
+// verified to hold every event the run offered.
 //
 // With -slo (default on), every client's QoS contract is monitored as
 // an SLO with sim-scale windows, and the summary prints the
@@ -496,7 +496,9 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintf(out, "  %-8s %d\n", typ, counts[typ])
 			}
 		}
-		if uint64(len(sess.Events)) != appended {
+		// Every producer has finished before StopRecording, so the record
+		// must hold every event this run offered.
+		if uint64(len(sess.Events)) != appended || dropped != 0 {
 			return fmt.Errorf("record verification FAILED: loaded %d events, aqos_record_appended=%d (dropped=%d)",
 				len(sess.Events), appended, dropped)
 		}

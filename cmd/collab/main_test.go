@@ -13,6 +13,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -157,18 +159,45 @@ func TestTelemetryTick(t *testing.T) {
 // TestRecordReplays records a lossy session and hands the record to
 // the counterfactual replay, as cmd/qosreplay does: the workload lies
 // within the run's virtual length, the clock its publishes and QoS
-// samples are stamped on, and one simulation of it finishes.
+// samples are stamped on, and one simulation of it finishes.  The
+// session is recorded at one P and again at two, and both records hold
+// the same publishes at the same virtual instants: a recorder that
+// shed events at one P would lose some of them.
 func TestRecordReplays(t *testing.T) {
 	const events, repairTimeout = 20, 250 * time.Millisecond
-	record := filepath.Join(t.TempDir(), "s.jsonl")
-	var out bytes.Buffer
-	if err := run([]string{"-events", fmt.Sprint(events), "-loss", "0.35",
-		"-repair-timeout", repairTimeout.String(), "-record", record}, &out); err != nil {
-		t.Fatalf("collab: %v\n%s", err, out.String())
+	record := func(procs int) *obs.Session {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("s%d.jsonl", procs))
+		var out bytes.Buffer
+		if err := run([]string{"-events", fmt.Sprint(events), "-loss", "0.35",
+			"-repair-timeout", repairTimeout.String(), "-record", path}, &out); err != nil {
+			t.Fatalf("collab at GOMAXPROCS=%d: %v\n%s", procs, err, out.String())
+		}
+		sess, err := obs.LoadSessionFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
 	}
-	sess, err := obs.LoadSessionFile(record)
-	if err != nil {
-		t.Fatal(err)
+	type publish struct {
+		sender string
+		seq    uint64
+		size   int
+		atNS   int64
+	}
+	publishes := func(s *obs.Session) []publish {
+		var out []publish
+		for _, ev := range s.Events {
+			if ev.Type == obs.RecTypePublish {
+				out = append(out, publish{ev.Client, ev.Seq, ev.Size, ev.AtNS})
+			}
+		}
+		return out
+	}
+	sess := record(1)
+	one, two := publishes(sess), publishes(record(2))
+	if len(one) == 0 || !slices.Equal(one, two) {
+		t.Fatalf("the record holds %d publishes at GOMAXPROCS=1 and %d at 2, or they differ", len(one), len(two))
 	}
 	w, err := replay.ExtractWorkload(sess)
 	if err != nil {

@@ -82,8 +82,8 @@ const (
 	CtrAdaptationEffective   = "slo.adaptation.effective"
 	CtrAdaptationIneffective = "slo.adaptation.ineffective"
 	// Session-recorder counters (internal/obs record.go, DESIGN.md
-	// §13): events accepted into the JSONL stream and events shed when
-	// the bounded buffer was full.
+	// §13): events written into the JSONL stream and events offered
+	// after the recorder closed.
 	CtrRecordAppended = "record.appended"
 	CtrRecordDropped  = "record.dropped"
 	// Gauge-cardinality cap (cardinality.go, DESIGN.md §8): sets against

@@ -173,7 +173,7 @@ func TestGaugesAndRegistry(t *testing.T) {
 // the caller passed, not the wall clock's.
 func TestSample(t *testing.T) {
 	var buf bytes.Buffer
-	prev := InstallRecorder(NewRecorder(&buf, "sample-node", 0))
+	prev := InstallRecorder(NewRecorder(&buf, "sample-node"))
 	at := time.Unix(946_684_800, 400_000_000) // a virtual clock's instant
 	calls := 0
 	Sample(at,

@@ -13,12 +13,10 @@ package obs
 // Recording is process-global and opt-in, like the other obs
 // switches: producers call RecordEvent, which is one atomic pointer
 // load (and zero allocations) while no recorder is installed.  An
-// installed recorder accepts events into a bounded channel; a single
-// writer goroutine encodes them as JSON lines.  A full buffer sheds
-// the event and counts it (aqos_record_dropped) — recording must never
-// backpressure the pipeline.  Accepted events are counted
-// (aqos_record_appended), flushed on Close, and the count matches what
-// LoadSession reads back.
+// installed recorder encodes each event in its caller, under one
+// mutex, into a buffered writer that Close flushes; every accepted
+// event is counted (aqos_record_appended) and LoadSession reads back
+// exactly those.
 
 import (
 	"bufio"
@@ -96,109 +94,73 @@ type RecEvent struct {
 	Size   int     `json:"size,omitempty"`  // publish: payload bytes
 }
 
-// defaultRecordDepth bounds the recorder's event channel: enough to
-// absorb a dispatch burst between writer wakeups without letting an
-// unwritable disk grow the heap.
-const defaultRecordDepth = 8192
-
-// Recorder streams session events to one writer as JSONL.
+// Recorder writes session events to one writer as JSONL.
 type Recorder struct {
-	mu     sync.RWMutex // guards closed vs concurrent append
+	mu     sync.Mutex // serializes Append and Close
 	closed bool
-
-	ch      chan RecEvent
-	done    chan struct{}
-	w       *bufio.Writer
-	closer  io.Closer // underlying file, when opened by StartRecording
-	wantErr error     // first write/flush error, reported by Close
+	enc    *json.Encoder
+	w      *bufio.Writer
+	closer io.Closer // underlying file, when opened by StartRecording
+	err    error     // first write/flush error, reported by Close
 
 	appended *metrics.Counter
 	dropped  *metrics.Counter
 }
 
-// NewRecorder starts a recorder writing to w (depth <= 0 uses the
-// default buffer depth).  The header line is written before any
-// event.  Callers must Close to flush.
-func NewRecorder(w io.Writer, node string, depth int) *Recorder {
-	if depth <= 0 {
-		depth = defaultRecordDepth
-	}
+// NewRecorder starts a recorder writing to w.  The header line is
+// written before any event.  Callers must Close to flush.
+func NewRecorder(w io.Writer, node string) *Recorder {
+	bw := bufio.NewWriterSize(w, 1<<16)
 	r := &Recorder{
-		ch:       make(chan RecEvent, depth),
-		done:     make(chan struct{}),
-		w:        bufio.NewWriterSize(w, 1<<16),
+		enc:      json.NewEncoder(bw),
+		w:        bw,
 		appended: metrics.C(metrics.CtrRecordAppended),
 		dropped:  metrics.C(metrics.CtrRecordDropped),
 	}
-	hdr := RecHeader{
+	r.err = r.enc.Encode(RecHeader{
 		Type:    RecTypeHeader,
 		Schema:  RecordSchema,
 		Version: RecordVersion,
 		Node:    node,
 		StartNS: nowNS(),
-	}
-	enc := json.NewEncoder(r.w)
-	if err := enc.Encode(hdr); err != nil {
-		r.wantErr = err
-	}
-	go r.writeLoop(enc)
+	})
 	return r
 }
 
-// writeLoop drains the event channel until it closes, then flushes.
-func (r *Recorder) writeLoop(enc *json.Encoder) {
-	defer close(r.done)
-	for ev := range r.ch {
-		if err := enc.Encode(ev); err != nil && r.wantErr == nil {
-			r.wantErr = err
-		}
-	}
-	if err := r.w.Flush(); err != nil && r.wantErr == nil {
-		r.wantErr = err
-	}
-}
-
-// Append offers one event to the recorder.  A full buffer or a closed
-// recorder sheds the event with a counted drop; acceptance is counted
-// as aqos_record_appended.
+// Append writes one event, counted as aqos_record_appended.  An event
+// offered after Close is counted as aqos_record_dropped instead.
 func (r *Recorder) Append(ev RecEvent) {
-	r.mu.RLock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.RUnlock()
 		r.dropped.Inc()
 		return
 	}
-	select {
-	case r.ch <- ev:
-		r.appended.Inc()
-	default:
-		r.dropped.Inc()
+	if err := r.enc.Encode(ev); err != nil && r.err == nil {
+		r.err = err
 	}
-	r.mu.RUnlock()
+	r.appended.Inc()
 }
 
-// Close stops the recorder: every accepted event is written, the
-// buffer is flushed (and the underlying file closed, when the
-// recorder opened it), and the first write error — if any — is
-// returned.  Close is idempotent.
+// Close stops the recorder: the buffer is flushed (and the underlying
+// file closed, when the recorder opened it), and the first write
+// error — if any — is returned.  Close is idempotent.
 func (r *Recorder) Close() error {
 	r.mu.Lock()
-	already := r.closed
-	r.closed = true
-	if !already {
-		close(r.ch)
+	defer r.mu.Unlock()
+	if r.closed {
+		return r.err
 	}
-	r.mu.Unlock()
-	<-r.done
-	err := r.wantErr
+	r.closed = true
+	if err := r.w.Flush(); err != nil && r.err == nil {
+		r.err = err
+	}
 	if r.closer != nil {
-		cerr := r.closer.Close()
-		r.closer = nil
-		if err == nil {
-			err = cerr
+		if err := r.closer.Close(); err != nil && r.err == nil {
+			r.err = err
 		}
 	}
-	return err
+	return r.err
 }
 
 // rec is the installed process-global recorder; nil means recording
@@ -256,7 +218,7 @@ func StartRecording(path, node string) (*Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := NewRecorder(f, node, 0)
+	r := NewRecorder(f, node)
 	r.closer = f
 	if prev := InstallRecorder(r); prev != nil {
 		prev.Close()

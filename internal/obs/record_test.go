@@ -4,17 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"adaptiveqos/internal/metrics"
 )
 
 func TestRecorderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, "rt-node", 0)
+	r := NewRecorder(&buf, "rt-node")
 	events := []RecEvent{
 		{Type: RecTypeSpan, AtNS: 1, Msg: TraceHex(0xabc), Stage: "deliver", NS: 250},
 		{Type: RecTypeQoS, AtNS: 2, Name: "client_loss_fraction", Value: 0.125},
@@ -65,7 +67,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 func TestRecorderConcurrentAppendClose(t *testing.T) {
 	before := metrics.Counters()
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, "race-node", 64)
+	r := NewRecorder(&buf, "race-node")
 
 	const goroutines = 8
 	const perG = 500
@@ -142,7 +144,7 @@ func TestRecorderFlushOnClose(t *testing.T) {
 // final line loads cleanly with Truncated set, losing only that line.
 func TestLoadSessionTruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, "crash-node", 0)
+	r := NewRecorder(&buf, "crash-node")
 	for i := 0; i < 10; i++ {
 		r.Append(RecEvent{Type: RecTypeNote, AtNS: int64(i)})
 	}
@@ -165,7 +167,7 @@ func TestLoadSessionTruncatedTail(t *testing.T) {
 
 func TestLoadSessionCorruptMiddle(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, "n", 0)
+	r := NewRecorder(&buf, "n")
 	r.Append(RecEvent{Type: RecTypeNote, AtNS: 1})
 	r.Append(RecEvent{Type: RecTypeNote, AtNS: 2})
 	if err := r.Close(); err != nil {
@@ -198,42 +200,36 @@ func TestLoadSessionSchemaChecks(t *testing.T) {
 	}
 }
 
-// TestRecorderShedsWhenFull gates the writer behind a slow reader by
-// never draining: a depth-1 recorder with a blocked pipe must shed
-// instead of backpressuring the appender.
-func TestRecorderShedsWhenFull(t *testing.T) {
+// TestRecorderKeepsUpWithASlowWriter appends from one goroutine into
+// a writer that takes a millisecond per Write: the appender waits for
+// the writer, and the record holds every event it offered.
+func TestRecorderKeepsUpWithASlowWriter(t *testing.T) {
 	before := metrics.Counters()[metrics.CtrRecordDropped]
-	gate := make(chan struct{})
-	w := &gatedWriter{gate: gate}
-	r := NewRecorder(w, "shed-node", 1)
-
-	// Oversized events defeat the recorder's bufio buffer, so the
-	// writer goroutine blocks on the gated Write; the channel (depth 1)
-	// holds at most one more, and the rest shed.
-	const offered = 50
-	pad := strings.Repeat("x", 1<<17)
+	var buf bytes.Buffer
+	r := NewRecorder(slowWriter{&buf}, "slow-node")
+	const offered = 20000
 	for i := 0; i < offered; i++ {
-		r.Append(RecEvent{Type: RecTypeNote, AtNS: int64(i), Detail: pad})
+		r.Append(RecEvent{Type: RecTypeNote, AtNS: int64(i)})
 	}
-	dropped := metrics.Counters()[metrics.CtrRecordDropped] - before
-	if dropped < offered-2 {
-		t.Fatalf("dropped %d of %d offered with a blocked writer, want nearly all", dropped, offered)
-	}
-	close(gate)
 	if err := r.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	dropped := metrics.Counters()[metrics.CtrRecordDropped] - before
+	sess, err := LoadSession(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if len(sess.Events) != offered || dropped != 0 {
+		t.Fatalf("record holds %d of %d events, dropped %d", len(sess.Events), offered, dropped)
+	}
 }
 
-// gatedWriter blocks every Write until its gate closes.
-type gatedWriter struct {
-	gate <-chan struct{}
-	buf  bytes.Buffer
-}
+// slowWriter takes a millisecond over every Write.
+type slowWriter struct{ w io.Writer }
 
-func (g *gatedWriter) Write(p []byte) (int, error) {
-	<-g.gate
-	return g.buf.Write(p)
+func (s slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return s.w.Write(p)
 }
 
 // TestRecordEventDisabledZeroAllocs pins the opt-in contract: with no
@@ -254,7 +250,7 @@ func TestRecordEventDisabledZeroAllocs(t *testing.T) {
 // TestRecorderWriteErrorSurfaces verifies the first write error comes
 // back from Close rather than vanishing.
 func TestRecorderWriteErrorSurfaces(t *testing.T) {
-	r := NewRecorder(failWriter{}, "err-node", 0)
+	r := NewRecorder(failWriter{}, "err-node")
 	// Force enough data through to defeat the 64 KiB bufio buffer.
 	pad := strings.Repeat("x", 4096)
 	for i := 0; i < 32; i++ {

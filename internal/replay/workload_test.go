@@ -49,7 +49,7 @@ func TestParseGaugeName(t *testing.T) {
 func recordSession(t *testing.T, emit func()) *obs.Session {
 	t.Helper()
 	var buf bytes.Buffer
-	r := obs.NewRecorder(&buf, "test", 0)
+	r := obs.NewRecorder(&buf, "test")
 	prev := obs.InstallRecorder(r)
 	emit()
 	obs.InstallRecorder(prev)
@@ -162,7 +162,7 @@ func TestExtractWorkloadRejectsUnencodablePublish(t *testing.T) {
 
 func TestExtractWorkloadTruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
-	r := obs.NewRecorder(&buf, "test", 0)
+	r := obs.NewRecorder(&buf, "test")
 	prev := obs.InstallRecorder(r)
 	obs.RecordPublish(10, "alice", 1, "event", "", 0, 64)
 	obs.RecordPublish(20, "alice", 2, "event", "", 0, 64)

@@ -371,7 +371,7 @@ func TestPollTransitionsInClientOrder(t *testing.T) {
 	base := time.Unix(1000, 0)
 	for run := 0; run < 32; run++ {
 		var buf bytes.Buffer
-		r := obs.NewRecorder(&buf, "test", 0)
+		r := obs.NewRecorder(&buf, "test")
 		prev := obs.InstallRecorder(r)
 		e := NewEngine(testSpec())
 		feed(e, "b", base, 0.5, 8)
@@ -407,7 +407,7 @@ func TestPollTransitionsInClientOrder(t *testing.T) {
 
 func TestSLOTransitionsAppendToSessionRecord(t *testing.T) {
 	var buf bytes.Buffer
-	r := obs.NewRecorder(&buf, "test", 0)
+	r := obs.NewRecorder(&buf, "test")
 	prev := obs.InstallRecorder(r)
 	defer func() {
 		obs.InstallRecorder(prev)
