@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"os"
@@ -161,8 +162,10 @@ func TestTelemetryTick(t *testing.T) {
 // within the run's virtual length, the clock its publishes and QoS
 // samples are stamped on, and one simulation of it finishes.  The
 // session is recorded at one P and again at two, and both records hold
-// the same publishes at the same virtual instants: a recorder that
-// shed events at one P would lose some of them.
+// the same publishes at the same virtual instants, and as many events
+// of every type: a recorder that shed events at one P would lose some
+// of them, and a node whose work depends on the count of Ps would
+// record more spans or QoS samples at two.
 func TestRecordReplays(t *testing.T) {
 	const events, repairTimeout = 20, 250 * time.Millisecond
 	record := func(procs int) *obs.Session {
@@ -194,10 +197,20 @@ func TestRecordReplays(t *testing.T) {
 		}
 		return out
 	}
-	sess := record(1)
-	one, two := publishes(sess), publishes(record(2))
+	types := func(s *obs.Session) map[string]int {
+		n := map[string]int{}
+		for _, ev := range s.Events {
+			n[ev.Type]++
+		}
+		return n
+	}
+	sess, sess2 := record(1), record(2)
+	one, two := publishes(sess), publishes(sess2)
 	if len(one) == 0 || !slices.Equal(one, two) {
 		t.Fatalf("the record holds %d publishes at GOMAXPROCS=1 and %d at 2, or they differ", len(one), len(two))
+	}
+	if n1, n2 := types(sess), types(sess2); !maps.Equal(n1, n2) {
+		t.Errorf("the record's events by type: %v at GOMAXPROCS=1, %v at 2", n1, n2)
 	}
 	w, err := replay.ExtractWorkload(sess)
 	if err != nil {

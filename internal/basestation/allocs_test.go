@@ -21,14 +21,13 @@ import (
 // relayedFrameAllocs counts what relaying one data frame of an image
 // share, an RTP payload of the given size enveloped at the given MTU (0
 // for the default), to n image-tier members costs the station, the
-// dispatch pool inline and the nets untraced, so nothing counted is the
-// test's.  The frame is a wired share's, or with uplink one that a
+// nets untraced, so nothing counted is the test's.  The frame is a wired share's, or with uplink one that a
 // member "up" sends over the radio, which the station also multicasts
 // to the session, where a bare wired peer takes it.  The members are
 // bare radio endpoints; each must receive the frame.
 func relayedFrameAllocs(t *testing.T, n, payload, mtu int, uplink bool) float64 {
 	t.Helper()
-	r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
+	r := newWallCell(t, Config{Thresholds: bareThresholds})
 	r.wiredNet.SetTrace(nil)
 	r.radioNet.SetTrace(nil)
 	members := make([]transport.Conn, n)
@@ -125,8 +124,7 @@ func pinFrameAllocs(t *testing.T, uplink bool, pinned float64) {
 // TestRelayedShareAllocs pins what a whole wired image share costs the
 // station as it passes (DESIGN.md §17): image-tiered's share, a 256×256
 // image in 16 packets enveloped at a 1 400 B wired MTU, to a cell with
-// two members in each tier, the dispatch pool inline and the nets
-// untraced.  The station sends 21 datagram sets — the announce and 16
+// two members in each tier and the nets untraced.  The station sends 21 datagram sets — the announce and 16
 // frames, each enveloped once for the image tier, and one media event
 // per lower-tier member — and beyond them allocates only the share's
 // two transformed objects (the sketch's bytes, the text's) and the
@@ -142,7 +140,7 @@ func TestRelayedShareAllocs(t *testing.T) {
 		datagramSets = 1 + 16 + 4
 		pinned       = datagramSets + 6
 	)
-	r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: tierThresholds})
+	r := newWallCell(t, Config{Thresholds: tierThresholds})
 	r.wiredNet.SetTrace(nil)
 	r.radioNet.SetTrace(nil)
 	var members []transport.Conn
@@ -216,15 +214,14 @@ func wiredShare(t *testing.T, w, mtu int) [][]byte {
 }
 
 // memberImageCost measures what relaying a whole w×w wired share costs
-// the station per image-tier member, the dispatch pool inline and the
-// nets untraced: the bytes and allocations of a share relayed to six
+// the station per image-tier member, the nets untraced: the bytes and allocations of a share relayed to six
 // members less those of one relayed to two, over the four members
 // between, and the share's mean packet size.
 func memberImageCost(t *testing.T, w int) (perMember, allocs uint64, packetBytes int) {
 	t.Helper()
 	share := wiredShare(t, w, 0)
 	cost := func(n int) (bytes, mallocs uint64) {
-		r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
+		r := newWallCell(t, Config{Thresholds: bareThresholds})
 		r.wiredNet.SetTrace(nil)
 		r.radioNet.SetTrace(nil)
 		members := make([]transport.Conn, n)
@@ -294,7 +291,7 @@ func TestImageTierMemberCostFlat(t *testing.T) {
 // member is alone in a cell with a bare wired peer, so what is counted
 // is the station's own relay work.
 func TestUplinkMembershipCopiesNoProfile(t *testing.T) {
-	c := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
+	c := newWallCell(t, Config{Thresholds: bareThresholds})
 	attach(t, c.wiredNet, "pub")
 	c.join(t, "m00", 30)
 	body := []byte("hello")
@@ -313,15 +310,15 @@ func TestUplinkMembershipCopiesNoProfile(t *testing.T) {
 }
 
 // TestRelayedEventAllocs pins what relaying one chat event from the
-// wired session to the cell costs the station, with the dispatch pool
-// inline.  The frame is decoded into the wired segment's own message,
-// lent to the relay for the call, and fanned out on the segment's kept
-// fan-out, candidate list and pool function, so what is counted is the
+// wired session to the cell costs the station.  The frame is decoded
+// into the wired segment's own message, lent to the relay for the
+// call, and fanned out on the segment's kept fan-out and candidate
+// list, so what is counted is the
 // one datagram every member is given (five while the relay built a
 // candidate list, a Fanout and a closure per event).  The nets are
 // untraced, so nothing counted is the test's.
 func TestRelayedEventAllocs(t *testing.T) {
-	r := newWallCell(t, Config{fanOutWorkers: 1, Thresholds: bareThresholds})
+	r := newWallCell(t, Config{Thresholds: bareThresholds})
 	r.wiredNet.SetTrace(nil)
 	r.radioNet.SetTrace(nil)
 	members := make([]transport.Conn, 4)

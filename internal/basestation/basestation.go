@@ -12,10 +12,10 @@
 //
 // Since the layered-broker refactor (DESIGN.md §9) this package is
 // composition plus uplink protocol handling: membership and per-client
-// radio state live in the sharded internal/registry, per-client
-// delivery runs on the internal/dispatch worker pool, which calls the
-// station's own per-member functions (relay.go), and both segments are
-// reached through dispatch transmit adapters.  The radio segment is a star with the station at its hub:
+// radio state live in the sharded internal/registry, each segment's
+// handler serves the members one after another through the station's
+// own per-member functions (relay.go), and both segments are reached
+// through dispatch transmit adapters.  The radio segment is a star with the station at its hub:
 // a member's frames reach the station and no other member.  The share
 // relay, which forwards an image share frame by frame as it passes —
 // a wired one to the members, a member's to the session and the other
@@ -25,7 +25,6 @@ package basestation
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -57,11 +56,6 @@ type Config struct {
 	// registry supplies modality transformers (default
 	// media.DefaultRegistry); the package's tests substitute one.
 	registry *media.Registry
-	// fanOutWorkers is the dispatch pool's shard count: per-client
-	// delivery work is hashed over this many single-worker queues.
-	// 0 means GOMAXPROCS; 1 forces the inline sequential path, which
-	// the package's tests choose.
-	fanOutWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -70,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.registry == nil {
 		c.registry = media.DefaultRegistry()
-	}
-	if c.fanOutWorkers <= 0 {
-		c.fanOutWorkers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -101,13 +92,12 @@ type Stats struct {
 }
 
 // BaseStation links the wireless segment to the collaboration session.
-// It composes the three broker layers: the sharded membership registry
-// (profiles + radio state), the dispatch pool (per-client delivery),
-// and the transmit adapters (wired multicast, wireless
-// unicast); what remains here is the uplink protocol and the radio
-// control plane.  Like a client it is a handler: transport.Serve drives
-// its two segments, so it starts no goroutine of its own (the dispatch
-// pool's workers are the pool's).
+// It composes the sharded membership registry (profiles + radio state)
+// and the transmit adapters (wired multicast, wireless unicast); what
+// remains here is the relay, the uplink protocol and the radio control
+// plane.  Like a client it is a handler: transport.Serve drives its two
+// segments, and each segment's handler serves the members itself, so
+// it starts no goroutine of its own.
 type BaseStation struct {
 	id       string
 	clk      clock.Clock    // the wired conn's
@@ -116,8 +106,7 @@ type BaseStation struct {
 	cfg      Config
 	channel  *radio.Channel
 
-	reg  *registry.Registry
-	pool *dispatch.Pool
+	reg *registry.Registry
 
 	wiredTx dispatch.Deliverer  // multicast adapter (session)
 	rfTx    *dispatch.Unicaster // unicast adapter (wireless clients)
@@ -125,8 +114,6 @@ type BaseStation struct {
 	// What each segment's handler keeps from frame to frame and share
 	// to share (relay.go).
 	wiredSeg, rfSeg segment
-	// msgs recycles the message forwardTiered sends a rendition in.
-	msgs sync.Pool
 
 	env message.Enveloper
 
@@ -166,13 +153,8 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	}
 	bs.env.Node = id
 	bs.sessionSeq = map[string]uint32{}
-	bs.msgs.New = func() any { return new(message.Message) }
 	bs.wiredTx = &dispatch.Multicaster{Env: &bs.env, Conn: wired}
 	bs.rfTx = &dispatch.Unicaster{Env: &bs.env, Conn: wireless}
-	bs.pool = dispatch.NewPool(dispatch.PoolConfig{
-		Name:    "bs-" + id,
-		Workers: cfg.fanOutWorkers,
-	})
 	bs.wiredSeg.init(bs)
 	bs.rfSeg.init(bs)
 	// SLO violation attributions get the client's radio picture from
@@ -197,14 +179,13 @@ func (bs *BaseStation) Stats() Stats {
 	}
 }
 
-// Close detaches both connections, waits until nothing drives them and
-// stops the dispatch pool.  Safe to call more than once.
+// Close detaches both connections and waits until nothing drives them.
+// Safe to call more than once.
 func (bs *BaseStation) Close() error {
 	bs.unregRadioSrc()
 	e1, e2 := bs.wired.Close(), bs.wireless.Close()
 	bs.stops[0]()
 	bs.stops[1]()
-	bs.pool.Close()
 	if e1 != nil {
 		return e1
 	}
@@ -226,13 +207,6 @@ func (bs *BaseStation) stamp(m *message.Message, kind message.Kind, sender, to, 
 		Body:      body,
 	}
 	m.SetAttrs(attrs)
-}
-
-// putMessage empties a message taken from msgs, so that it pins no
-// rendition, and gives it back.
-func (bs *BaseStation) putMessage(m *message.Message) {
-	*m = message.Message{}
-	bs.msgs.Put(m)
 }
 
 // nextSeq numbers the next frame the station sends from sender to to:
@@ -290,14 +264,16 @@ func (bs *BaseStation) UplinkEvent(sender, app, sel string, payload []byte) erro
 // uplinkShare sends the session a member's share at tier, the tier its
 // uplink holds (DESIGN.md §17): at the image tier the announce m, now
 // in the member's session stream, and relayFrame sends the frames that
-// follow; at a lower tier that tier's rendition, drawn from rs.
-func (bs *BaseStation) uplinkShare(rs *renditions, m *message.Message, tier radio.Tier) error {
+// follow; at a lower tier that tier's rendition, drawn from the
+// segment's renditions.
+func (s *segment) uplinkShare(m *message.Message, tier radio.Tier) error {
+	bs := s.bs
 	var err error
 	if tier == radio.TierImage {
 		m.Seq = bs.nextSeq(m.Sender, "")
 		err = bs.wiredTx.Deliver("", m)
 	} else {
-		err = bs.forwardTiered(rs, tier, bs.wiredTx, "")
+		err = s.forwardTiered(tier, bs.wiredTx, "")
 	}
 	if err != nil {
 		return err

@@ -2,72 +2,80 @@ package basestation
 
 import (
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
+	"runtime"
+	"slices"
 	"testing"
+
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/radio"
 )
 
-// The dispatch pool (which replaced the bespoke fanOut) must call fn
-// exactly once per ID regardless of worker count, and must report the
-// first error while still attempting every client.
+// A segment's fan-out calls its per-member function exactly once for
+// every member the message's selector admits but the one it came from,
+// in the registry's ascending ID order.
 func TestFanOutCoverage(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 64} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			bs := newBareCell(t, workers, 0, 0).bs
-			ids := make([]string, 100)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("c%d", i)
-			}
-			var mu sync.Mutex
-			seen := make(map[string]int)
-			err := bs.pool.Each(0, ids, func(id string) error {
-				mu.Lock()
-				seen[id]++
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seen) != len(ids) {
-				t.Fatalf("fn saw %d distinct ids, want %d", len(seen), len(ids))
-			}
-			for id, n := range seen {
-				if n != 1 {
-					t.Fatalf("id %s handled %d times", id, n)
-				}
-			}
-		})
+	c := newBareCell(t, 0, 100)
+	var got []string
+	err := c.bs.wiredSeg.fanOut(&message.Message{Kind: message.KindEvent, Sender: "m07"}, func(id string) error {
+		got = append(got, id)
+		return nil
+	}, "m07")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.DeleteFunc(c.bs.Clients(), func(id string) bool { return id == "m07" })
+	if !slices.Equal(got, want) {
+		t.Fatalf("the fan-out served %v, want every member but the sender once, in order: %v", got, want)
 	}
 }
 
+// One failing member does not starve the rest: every member is still
+// attempted, and the first error is the one returned.
 func TestFanOutErrorDoesNotStarvePeers(t *testing.T) {
-	bs := newBareCell(t, 4, 0, 0).bs
-	ids := []string{"a", "b", "c", "d", "e", "f"}
-	boom := errors.New("boom")
-	var handled atomic.Int64
-	err := bs.pool.Each(0, ids, func(id string) error {
-		handled.Add(1)
-		if id == "b" {
+	c := newBareCell(t, 0, 6)
+	boom, bang := errors.New("boom"), errors.New("bang")
+	handled := 0
+	err := c.bs.wiredSeg.fanOut(&message.Message{Kind: message.KindEvent, Sender: "pub"}, func(id string) error {
+		handled++
+		switch id {
+		case "m01":
 			return boom
+		case "m03":
+			return bang
 		}
 		return nil
-	})
+	}, "")
 	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+		t.Fatalf("err = %v, want boom, the first member's error", err)
 	}
-	if handled.Load() != int64(len(ids)) {
-		t.Fatalf("handled %d of %d: one failing peer starved the rest", handled.Load(), len(ids))
+	if handled != 6 {
+		t.Fatalf("handled %d of 6: one failing member starved the rest", handled)
 	}
 }
 
 func TestFanOutEmpty(t *testing.T) {
-	bs := newBareCell(t, 4, 0, 0).bs
-	if err := bs.pool.Each(0, nil, func(string) error {
-		t.Error("fn called for empty id set")
+	c := newBareCell(t, 0, 0)
+	if err := c.bs.wiredSeg.fanOut(&message.Message{Kind: message.KindEvent, Sender: "pub"}, func(string) error {
+		t.Error("fn called for an empty cell")
 		return nil
-	}); err != nil {
+	}, ""); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStationStartsNoGoroutine: the station is a handler.  On a DESNet
+// transport.Serve runs both segments' handlers on the clock's driving
+// goroutine, and the station serves its members there itself, so
+// building one starts no goroutine, however many Ps there are.
+func TestStationStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, wiredNet, radioNet := newNets(t)
+	wired, wireless := attach(t, wiredNet, "bs"), attach(t, radioNet, "bs")
+	before := runtime.NumGoroutine()
+	bs := New("bs", wired, wireless, radio.NewChannel(radio.Params{}), Config{})
+	after := runtime.NumGoroutine()
+	bs.Close()
+	if after != before {
+		t.Errorf("building a station at GOMAXPROCS=4 took the goroutines from %d to %d, want no change", before, after)
 	}
 }

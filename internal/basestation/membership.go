@@ -78,9 +78,9 @@ func (bs *BaseStation) Assess(id string) (Assessment, error) {
 
 // SampleQoS feeds the wireless segment's QoS state into the gauge
 // set: per-client SIR, service tier and power-control state (transmit
-// power, distance), the population size, and the dispatch pool's
-// per-shard queue depths.  The signature matches obs.SamplerFunc so
-// the telemetry tick can sample the base station directly.
+// power, distance) and the population size.  The signature matches
+// obs.SamplerFunc so the telemetry tick can sample the base station
+// directly.
 func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 	ids := bs.reg.IDs()
 	now := bs.clk.Now()
@@ -97,7 +97,6 @@ func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 		set("client_distance"+label, a.Distance)
 		slo.ObserveTier(id, int(a.Tier), now)
 	}
-	bs.pool.SampleQoS(set)
 }
 
 // RadioSnapshot reports the client's current radio state in the SLO

@@ -32,12 +32,12 @@ type bareCell struct {
 // buffers.
 var bareThresholds = radio.Thresholds{TextDB: -1000, SketchDB: -900, ImageDB: -800}
 
-func newBareCell(t *testing.T, workers, wired, members int) *bareCell {
+func newBareCell(t *testing.T, wired, members int) *bareCell {
 	t.Helper()
 	clk, wiredNet, radioNet := newNets(t)
 	c := &bareCell{clk: clk, radioNet: radioNet, pub: attach(t, wiredNet, "pub")}
 	c.bs = New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}),
-		Config{fanOutWorkers: workers, Thresholds: bareThresholds})
+		Config{Thresholds: bareThresholds})
 	t.Cleanup(func() { c.bs.Close() })
 	for i := 0; i < wired; i++ {
 		c.wired = append(c.wired, attach(t, wiredNet, fmt.Sprintf("w%02d", i)))
@@ -90,73 +90,65 @@ func (c *bareCell) takeShared(t *testing.T, what string, conns []transport.Conn)
 // base station envelopes a relayed event once (TestOneWrapPerRelayedEvent)
 // and gives that datagram to the substrate, so every recipient of an
 // uplink's wired multicast, of its radio fan-out and of a downlink
-// relay holds the same backing array — whichever dispatch shard sent it.
+// relay holds the same backing array.
 func TestFanoutSharesOneBuffer(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := newBareCell(t, workers, 3, 9)
-			if err := c.bs.UplinkEvent("m00", apps.AppChat, "", apps.EncodeSay("from the field")); err != nil {
-				t.Fatal(err)
-			}
-			c.takeShared(t, "uplink, wired multicast", append(c.wired, c.pub))
-			c.takeShared(t, "uplink, radio fan-out", c.members[1:])
+	c := newBareCell(t, 3, 9)
+	if err := c.bs.UplinkEvent("m00", apps.AppChat, "", apps.EncodeSay("from the field")); err != nil {
+		t.Fatal(err)
+	}
+	c.takeShared(t, "uplink, wired multicast", append(c.wired, c.pub))
+	c.takeShared(t, "uplink, radio fan-out", c.members[1:])
 
-			// Downlink.  The publisher uses the copying call and then
-			// reuses its buffer: what the members share is the base
-			// station's envelope of what was sent, not of what the
-			// publisher wrote afterwards.
-			d, err := new(message.Enveloper).WrapMessage(&message.Message{
-				Kind: message.KindEvent, Sender: "pub", Seq: 1,
-				Attrs: selector.Attributes{message.AttrApp: selector.S(apps.AppChat)},
-				Body:  apps.EncodeSay("to the cell"),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.pub.Multicast(d[0]); err != nil {
-				t.Fatal(err)
-			}
-			for i := range d[0] {
-				d[0][i] = 'y'
-			}
-			c.takeShared(t, "downlink, wired peers", c.wired)
-			relayed := c.takeShared(t, "downlink, relayed to the cell", c.members)
-			frame, err := message.NewUnwrapper().Unwrap("bs", relayed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := message.Decode(frame)
-			if err != nil || !bytes.Equal(got.Body, apps.EncodeSay("to the cell")) {
-				t.Errorf("the cell was relayed %v (%v), want the line the publisher sent", got, err)
-			}
-		})
+	// Downlink.  The publisher uses the copying call and then
+	// reuses its buffer: what the members share is the base
+	// station's envelope of what was sent, not of what the
+	// publisher wrote afterwards.
+	d, err := new(message.Enveloper).WrapMessage(&message.Message{
+		Kind: message.KindEvent, Sender: "pub", Seq: 1,
+		Attrs: selector.Attributes{message.AttrApp: selector.S(apps.AppChat)},
+		Body:  apps.EncodeSay("to the cell"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.pub.Multicast(d[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i := range d[0] {
+		d[0][i] = 'y'
+	}
+	c.takeShared(t, "downlink, wired peers", c.wired)
+	relayed := c.takeShared(t, "downlink, relayed to the cell", c.members)
+	frame, err := message.NewUnwrapper().Unwrap("bs", relayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := message.Decode(frame)
+	if err != nil || !bytes.Equal(got.Body, apps.EncodeSay("to the cell")) {
+		t.Errorf("the cell was relayed %v (%v), want the line the publisher sent", got, err)
 	}
 }
 
 // TestDownlinkUnicastsCountsDeliveries: Stats.DownlinkUnicasts counts a
 // member once its datagrams have been handed to the substrate, not
 // before the attempt.  A joined member whose radio attachment has gone
-// surfaces as the batch's error and is not counted; the others are
+// surfaces as the fan-out's error and is not counted; the others are
 // still served, and counted once each.
 func TestDownlinkUnicastsCountsDeliveries(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := newBareCell(t, workers, 0, 6)
-			c.members[2].Close() // still joined: the station has not been told
-			err := c.bs.UplinkEvent("m00", apps.AppChat, "", apps.EncodeSay("anyone there?"))
-			if !errors.Is(err, transport.ErrUnknownNode) {
-				t.Errorf("uplink fan-out past a detached member: %v, want ErrUnknownNode", err)
-			}
-			served := []transport.Conn{c.members[1], c.members[3], c.members[4], c.members[5]}
-			c.takeShared(t, "fan-out past a detached member", served)
-			if got := c.bs.Stats().DownlinkUnicasts; got != uint64(len(served)) {
-				t.Errorf("DownlinkUnicasts = %d, want %d: the members reached, each once", got, len(served))
-			}
-			for _, conn := range append(served, c.members[0]) {
-				if n := len(conn.Recv()); n != 0 {
-					t.Errorf("%s holds %d more datagrams", conn.ID(), n)
-				}
-			}
-		})
+	c := newBareCell(t, 0, 6)
+	c.members[2].Close() // still joined: the station has not been told
+	err := c.bs.UplinkEvent("m00", apps.AppChat, "", apps.EncodeSay("anyone there?"))
+	if !errors.Is(err, transport.ErrUnknownNode) {
+		t.Errorf("uplink fan-out past a detached member: %v, want ErrUnknownNode", err)
+	}
+	served := []transport.Conn{c.members[1], c.members[3], c.members[4], c.members[5]}
+	c.takeShared(t, "fan-out past a detached member", served)
+	if got := c.bs.Stats().DownlinkUnicasts; got != uint64(len(served)) {
+		t.Errorf("DownlinkUnicasts = %d, want %d: the members reached, each once", got, len(served))
+	}
+	for _, conn := range append(served, c.members[0]) {
+		if n := len(conn.Recv()); n != 0 {
+			t.Errorf("%s holds %d more datagrams", conn.ID(), n)
+		}
 	}
 }

@@ -90,14 +90,14 @@ func TestLiteralProfileJoinsAndUpdates(t *testing.T) {
 }
 
 // TestAnnouncementRacingAssessment: a member's profile announcement
-// (the radio segment's goroutine) and its re-assessment (a dispatch
-// worker, here a goroutine alternating SetDistance and Assess) write
+// (the radio segment's goroutine) and its re-assessment (the control
+// plane, here a goroutine alternating SetDistance and Assess) write
 // the same stored profile.  Both go through the member's one Manager,
 // so neither reinstalls what the other replaced: the version a reader
 // sees never goes backwards, and the last announced interest and the
 // last assessed distance both survive.
 func TestAnnouncementRacingAssessment(t *testing.T) {
-	bs := newBareCell(t, 1, 0, 1).bs
+	bs := newBareCell(t, 0, 1).bs
 	const rounds = 2000
 	frames := make([][]byte, rounds)
 	var env message.Enveloper

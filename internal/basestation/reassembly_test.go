@@ -189,7 +189,7 @@ func TestReassemblyJoinLeaveMidTransfer(t *testing.T) {
 // is not a whole number counts as a decode error and is relayed to no
 // member: a level of 0.5 must not reach the cell as packet 0.
 func TestCollectedLevelMustBeWhole(t *testing.T) {
-	c := newBareCell(t, 1, 0, 1)
+	c := newBareCell(t, 0, 1)
 	meta, packets, err := apps.ShareImage("scan", testImageObject(t), apps.SharePackets)
 	if err != nil {
 		t.Fatal(err)

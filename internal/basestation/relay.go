@@ -3,12 +3,13 @@ package basestation
 // The relay and the two segments' handlers: session → wireless clients,
 // and radio segment → session and the other members.  Whatever leaves
 // the station for more than one member — a wired line, a member's
-// line, a share's announce — leaves through its segment's one fan-out
-// (segment.fanOut), which the dispatch pool runs a per-member function
-// of the segment's for each candidate: match and tier (matchTier), then
-// the transmit adapters; membership state comes from the sharded
-// registry.  An image share, wired or a member's, is relayed frame by
-// frame as it passes, on one path: the station collects nothing.
+// line, a share's announce or data frame — leaves through its segment's
+// one fan-out (segment.fanOut), which calls a per-member function of
+// the segment's for each candidate in turn, on the handler's own
+// goroutine: match and tier (matchTier), then the transmit adapters;
+// membership state comes from the sharded registry.  An image share,
+// wired or a member's, is relayed frame by frame as it passes, on one
+// path: the station collects nothing.
 
 import (
 	"sync"
@@ -57,8 +58,7 @@ func (bs *BaseStation) matchTier(msgID uint64, m *message.Message, id string) (s
 // segment on a goroutine of its own on a wall substrate; on the radio
 // segment UplinkEvent relays from its caller's goroutine too, so there
 // handleWireless and UplinkEvent each hold mu while they relay.  A
-// segment relays one message at a time, and the dispatch shards read
-// what fanOut keeps while Pool.Each waits for them.
+// segment relays one message at a time, to one member at a time.
 type segment struct {
 	bs     *BaseStation
 	mu     sync.Mutex
@@ -70,23 +70,19 @@ type segment struct {
 	m, line  message.Message
 	intern   message.Interner
 	lineAttr [1]message.Attr
-	// The message being sent to members, its fan-out, its candidates,
-	// its trace identity and the member skipped ("" for none).
+	// The message being sent to members, its fan-out, its candidates
+	// and its trace identity.
 	fan   *dispatch.Fanout
 	ids   []string
 	msg   *message.Message
 	msgID uint64
-	from  string
-	// What the pool runs per candidate of a member's line, a wired line
-	// and an announce, bound once: a method value taken per fan-out is
-	// allocated per fan-out.
-	toLine, toWired, toAnnounce func(id string) error
 	// The share being relayed: the object its announce describes, its
-	// rendition set (the lower tiers' buffers kept) and the richest
-	// tier it is served at.
-	obj   media.Object
-	rs    renditions
-	limit radio.Tier
+	// rendition set (the lower tiers' buffers kept), the richest tier
+	// it is served at and the message a rendition is stamped into.
+	obj    media.Object
+	rs     renditions
+	limit  radio.Tier
+	tiered message.Message
 	// frameBuf is the frame's RTP body as stamped again for the members.
 	frameBuf []byte
 }
@@ -97,15 +93,14 @@ func (s *segment) init(bs *BaseStation) {
 	s.unwrap.Node = bs.id
 	s.rs.bs = bs
 	s.fan = bs.rfTx.Fanout(nil)
-	s.toLine, s.toWired, s.toAnnounce = s.memberLine, s.wiredLine, s.announce
 }
 
 // read reassembles pkt into the segment's scratch and decodes the frame
 // it completes into the segment's message: all that is relayed of it is
 // copied out (enveloped, re-stamped, rendered) before the handler
-// returns, Pool.Each waiting for every job it queues.  It returns nil
-// for a fragment of a frame still incomplete, for the station's own
-// frames and for what cannot be read (ReadInto counts that).
+// returns.  It returns nil for a fragment of a frame still incomplete,
+// for the station's own frames and for what cannot be read (ReadInto
+// counts that).
 func (s *segment) read(pkt transport.Packet) *message.Message {
 	frame, v, _ := s.unwrap.ReadInto(pkt.From, pkt.Data, &s.frame)
 	if frame == nil || string(v.Sender()) == s.bs.id {
@@ -127,15 +122,24 @@ func (s *segment) prepare(m *message.Message) {
 	}
 }
 
-// fanOut runs to for every candidate of m, spread over the dispatch
-// pool's shards, and returns the first member's error; to skips from,
-// the member m came from ("" for a wired message).  m is enveloped
-// once, for every member it is transmitted to.  It is the only way out
-// of the station to many members but a share's data frame (relayFrame).
+// fanOut runs to for every candidate of m but from, the member m came
+// from ("" for a wired message), one after another, and returns the
+// first member's error: every candidate is attempted whatever an
+// earlier one returned.  m is enveloped once, for every member it is
+// transmitted to.  It is the only way out of the station to many
+// members.
 func (s *segment) fanOut(m *message.Message, to func(id string) error, from string) error {
 	s.prepare(m)
-	s.from = from
-	return s.bs.pool.Each(s.msgID, s.ids, to)
+	var first error
+	for _, id := range s.ids {
+		if id == from {
+			continue
+		}
+		if err := to(id); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // transmit unicasts the fan-out to member id, counted once the
@@ -149,14 +153,6 @@ func (s *segment) transmit(id string) error {
 	return err
 }
 
-// memberLine serves a member's line to member id, with no tier gate.
-func (s *segment) memberLine(id string) error {
-	if id == s.from {
-		return nil
-	}
-	return s.transmit(id)
-}
-
 // wiredLine serves a wired line to member id at the text tier or above.
 func (s *segment) wiredLine(id string) error {
 	if _, _, ok := s.bs.matchTier(s.msgID, s.msg, id); !ok {
@@ -168,9 +164,6 @@ func (s *segment) wiredLine(id string) error {
 // announce serves the share's announce to member id: as it was sent at
 // the image tier, that tier's rendition at any other.
 func (s *segment) announce(id string) error {
-	if id == s.from {
-		return nil
-	}
 	flat, tier, ok := s.bs.matchTier(s.msgID, s.msg, id)
 	if !ok {
 		return nil
@@ -178,7 +171,7 @@ func (s *segment) announce(id string) error {
 	if tier = servedTier(tier, flat, s.limit); tier == radio.TierImage {
 		return s.transmit(id)
 	}
-	err := s.bs.forwardTiered(&s.rs, tier, s.bs.rfTx, id)
+	err := s.forwardTiered(tier, s.bs.rfTx, id)
 	if err == nil {
 		s.bs.stats.downlk.Add(1)
 	}
@@ -196,7 +189,7 @@ func (s *segment) relayLine(m *message.Message) error {
 	sp := obs.StartStage(msgID, obs.StagePublish)
 	err := bs.wiredTx.Deliver("", m)
 	if err == nil {
-		err = s.fanOut(m, s.toLine, m.Sender)
+		err = s.fanOut(m, s.transmit, m.Sender)
 	}
 	if err != nil {
 		if sp.Active() {
@@ -229,11 +222,11 @@ func (s *segment) relayAnnounce(m *message.Message, limit radio.Tier, from strin
 	s.obj = media.Object{Kind: media.KindImage, Format: media.FormatEZW, Description: meta.Description,
 		Width: meta.Width, Height: meta.Height, Sketch: meta.Sketch}
 	s.rs.reset(m.Sender, meta.Object, m.Selector, &s.obj)
-	if from != "" && s.bs.uplinkShare(&s.rs, m, limit) != nil {
+	if from != "" && s.uplinkShare(m, limit) != nil {
 		return
 	}
 	s.limit = limit
-	_ = s.fanOut(m, s.toAnnounce, from) // a member not served is in the pool's counters and the flight recorder
+	_ = s.fanOut(m, s.announce, from) // a member not served is in the flight recorder
 }
 
 // relayFrame relays one data frame of a share to the members served at
@@ -243,11 +236,8 @@ func (s *segment) relayAnnounce(m *message.Message, limit radio.Tier, from strin
 // member's uplink holds the image tier.  The frame's RTP header is then
 // stamped again into the segment's scratch — the share's SSRC, its
 // level as the seq — so each share is one RTP stream at the member.
-// What a member costs here is a profile lookup, a selector match, an
-// assessment and a send: less than handing it to a dispatch shard, so
-// the candidates are served inline, each after the announce's batch has
-// completed.  The scratch, the fan-out and the candidate list are the
-// segment's, kept across frames: a frame costs its datagrams.
+// The scratch, the fan-out and the candidate list are the segment's,
+// kept across frames: a frame costs its datagrams.
 func (s *segment) relayFrame(m *message.Message, from string) {
 	bs := s.bs
 	object, ok1 := m.Attr(message.AttrObject)
@@ -270,15 +260,17 @@ func (s *segment) relayFrame(m *message.Message, from string) {
 	pkt.SSRC, pkt.Seq = rtp.SSRCOf(bs.id+"/"+object.Str()), uint16(idx)
 	s.frameBuf = pkt.AppendMarshal(s.frameBuf[:0])
 	m.Body = s.frameBuf
-	s.prepare(m)
-	for _, id := range s.ids {
-		if id == from {
-			continue
-		}
-		if flat, tier, ok := bs.matchTier(s.msgID, m, id); ok && servedTier(tier, flat, radio.TierImage) == radio.TierImage {
-			_ = s.transmit(id) // a member that could not be served is in the flight recorder
-		}
+	_ = s.fanOut(m, s.dataFrame, from) // a member that could not be served is in the flight recorder
+}
+
+// dataFrame serves a share's data frame to member id if it is served
+// the image tier.
+func (s *segment) dataFrame(id string) error {
+	flat, tier, ok := s.bs.matchTier(s.msgID, s.msg, id)
+	if !ok || servedTier(tier, flat, radio.TierImage) != radio.TierImage {
+		return nil
 	}
+	return s.transmit(id)
 }
 
 // servedTier is the tier a share is served to a member at: the richest
@@ -315,7 +307,7 @@ func (bs *BaseStation) handleWired(pkt transport.Packet) {
 		// Match and tier, then transmit, for each candidate (DESIGN.md
 		// §12); a member that could not be served is in the flight
 		// recorder.
-		_ = s.fanOut(m, s.toWired, "")
+		_ = s.fanOut(m, s.wiredLine, "")
 	case m.Kind == message.KindEvent && app.Str() == apps.AppImageViewer:
 		s.relayAnnounce(m, radio.TierImage, "")
 	case m.Kind == message.KindData && app.Str() == apps.AppImageViewer:

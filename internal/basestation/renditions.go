@@ -9,8 +9,6 @@ package basestation
 // envelope and unicast.
 
 import (
-	"sync"
-
 	"adaptiveqos/internal/apps"
 	"adaptiveqos/internal/dispatch"
 	"adaptiveqos/internal/media"
@@ -29,8 +27,8 @@ type rendition struct {
 }
 
 // renditions holds one share's sketch and text renditions.  Each is
-// derived on first use and at most once: the dispatch pool asks from
-// several shard goroutines, and a tier nobody sits in is never built.
+// derived on first use and at most once, so a tier nobody sits in is
+// never built.
 type renditions struct {
 	bs                  *BaseStation
 	sender, object, sel string
@@ -38,12 +36,12 @@ type renditions struct {
 	// what the sketch and text tiers are drawn from.
 	obj *media.Object
 
-	sketchOnce, textOnce sync.Once
-	sketch, text         rendition
+	sketchBuilt, textBuilt bool
+	sketch, text           rendition
 }
 
 // reset readies rs for another share, the tiers' buffers kept for their
-// next renditions.  No tier may be being derived.
+// next renditions.
 func (rs *renditions) reset(sender, object, sel string, obj *media.Object) {
 	*rs = renditions{bs: rs.bs, sender: sender, object: object, sel: sel, obj: obj,
 		sketch: rs.sketch.emptied(),
@@ -93,27 +91,30 @@ func (rs *renditions) transformed(r *rendition, to media.Kind, onFail string) {
 }
 
 func (rs *renditions) sketchTier() *rendition {
-	rs.sketchOnce.Do(func() {
+	if !rs.sketchBuilt {
+		rs.sketchBuilt = true
 		rs.transformed(&rs.sketch, media.KindSketch, " carries no valid sketch, falling back to text")
 		if rs.sketch.err != nil {
 			metrics.C(metrics.CtrSketchFallbacks).Inc()
 		}
-	})
+	}
 	return &rs.sketch
 }
 
 func (rs *renditions) textTier() *rendition {
-	rs.textOnce.Do(func() {
+	if !rs.textBuilt {
+		rs.textBuilt = true
 		rs.transformed(&rs.text, media.KindText, " text transform failed")
-	})
+	}
 	return &rs.text
 }
 
-// forwardTiered sends the share's rendition for the given tier, sketch
-// or text, through the transmit adapter (to is ignored by the multicast
-// adapter).  It takes the message from the station's pool: the adapter
+// forwardTiered sends the segment's share's rendition for the given
+// tier, sketch or text, through the transmit adapter (to is ignored by
+// the multicast adapter), in the segment's kept message: the adapter
 // keeps none of it once Deliver returns.
-func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatch.Deliverer, to string) error {
+func (s *segment) forwardTiered(tier radio.Tier, tx dispatch.Deliverer, to string) error {
+	bs, rs := s.bs, &s.rs
 	var r *rendition
 	switch tier {
 	case radio.TierSketch:
@@ -129,8 +130,7 @@ func (bs *BaseStation) forwardTiered(rs *renditions, tier radio.Tier, tx dispatc
 	if r.err != nil {
 		return r.err
 	}
-	m := bs.msgs.Get().(*message.Message)
-	defer bs.putMessage(m)
+	m := &s.tiered
 	bs.stamp(m, message.KindEvent, rs.sender, to, rs.sel, r.attrs, r.payload)
 	// The relayed message is minted here, so the transform hop can only
 	// be attributed once its trace identity exists.

@@ -145,8 +145,6 @@ var (
 // place builds the rig under cfg and seats two clients in each tier.
 func (tr *tierRig) place(t *testing.T, cfg Config, tiers ...radio.Tier) {
 	t.Helper()
-	// Several shards, so the once-guards are met from several goroutines.
-	cfg.fanOutWorkers = 4
 	cfg.Thresholds = tierThresholds
 	tr.rig = newRig(t, cfg)
 	tr.clients = make(map[radio.Tier][]*core.Client)
@@ -339,7 +337,7 @@ func TestSketchTierServesTheCarriedSketch(t *testing.T) {
 // the whole image, sequence numbers 0…15, the marker on the last —
 // whose payloads are ShareImage's split.
 func TestImageTierFramesSharedByMembers(t *testing.T) {
-	c := newBareCell(t, 4, 0, 2)
+	c := newBareCell(t, 0, 2)
 	sender := core.NewClient(seat(t, c.radioNet, "sender"), core.Config{})
 	t.Cleanup(func() { sender.Close() })
 	if _, err := c.bs.Join(profile.New("sender"), 30, 1); err != nil {

@@ -163,7 +163,7 @@ func TestMemberLineCrossesAsSent(t *testing.T) {
 // station enumerates no candidates for it, as MatchProfile would match
 // no one.
 func TestUnparsableSelectorReachesNoMember(t *testing.T) {
-	c := newBareCell(t, 4, 1, 4)
+	c := newBareCell(t, 1, 4)
 	if err := c.bs.UplinkEvent("m00", apps.AppChat, `media ==`, apps.EncodeSay("to whom?")); err != nil {
 		t.Fatal(err)
 	}

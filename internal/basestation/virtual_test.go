@@ -34,7 +34,7 @@ type virtualRun struct {
 
 // runVirtualSession runs real nodes on two DESNets sharing one
 // clock.Virtual: two wired clients with gap repair, the archiving
-// coordinator, and a base station (one dispatch shard) serving six
+// coordinator, and a base station serving six
 // wireless clients, two pairs of them sharing a registry shard, so the
 // station's send order is the registry's member order.  transport.Serve drives every node inline on the
 // clock's goroutine.  The links between the wired clients lose 10% of
@@ -75,7 +75,7 @@ func runVirtualSession(t *testing.T) virtualRun {
 	// Six members interfere: thresholds below the defaults keep every
 	// one of them in service, at the image, sketch and text tiers.
 	bs := New("bs", attach(t, wiredNet, "bs"), attach(t, radioNet, "bs"), radio.NewChannel(radio.Params{}),
-		Config{fanOutWorkers: 1, Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
+		Config{Thresholds: radio.Thresholds{TextDB: -12, SketchDB: -8, ImageDB: -5}})
 	var wireless []*core.Client
 	for i, id := range virtualWireless {
 		wireless = append(wireless, core.NewClient(seat(t, radioNet, id), core.Config{}))

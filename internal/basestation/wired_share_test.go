@@ -212,7 +212,7 @@ func TestLostPacketStarvesNoTier(t *testing.T) {
 // the station's: the share's own SSRC and its level as the seq, so each
 // share is one RTP stream at the member, as an uplinked share is.
 func TestRelayedFramesAreTheSentPackets(t *testing.T) {
-	c := newBareCell(t, 4, 0, 2)
+	c := newBareCell(t, 0, 2)
 	in := &wiredInjector{t: t, clk: c.clk, conn: c.pub}
 	meta, packets, err := apps.ShareImage("scan", testImageObject(t), apps.SharePackets)
 	if err != nil {
@@ -286,7 +286,7 @@ func TestRelayedFramesAreTheSentPackets(t *testing.T) {
 // into one scratch it reuses for the next, so a frame relayed from that
 // scratch after a later one overwrote it would show here.
 func TestFragmentedSharesAreTheSentPackets(t *testing.T) {
-	c := newBareCell(t, 4, 0, 2)
+	c := newBareCell(t, 0, 2)
 	env := message.Enveloper{MTU: 1400}
 	var seq uint32
 	wrap := func(m *message.Message) [][]byte {

@@ -54,8 +54,8 @@ var rules = []rule{
 		[]string{"internal/", "cmd/", "examples/"}, []string{"internal/message/"}, usesAttrsMap},
 	{"explicit-wiring", "a program mounts and wires what it runs, so what a binary serves never depends on which packages it links (§8)",
 		[]string{"internal/", "cmd/"}, nil, initWiresNothing},
-	{"one-fanout", "whatever the station sends to many members — a wired line, a member's line, a share's announce — leaves through its segment's one kept fan-out (§7.5, §7.6)",
-		[]string{"internal/basestation/"}, []string{"internal/basestation/relay.go:segment.fanOut"},
+	{"one-fanout", "the station hands no member to a worker pool: its segment's handler serves every member itself, one after another, so a relay's work and its record do not depend on the count of Ps (§7.6)",
+		[]string{"internal/basestation/"}, nil,
 		usesMethod("internal/dispatch", "Pool", "Each")},
 }
 

@@ -1,6 +1,6 @@
 // Package basestation reads a relayed stream's headers and takes the
-// decoder as a value: both break the carried-sketch rule.  It also fans
-// out past its one fan-out, which breaks one-fanout.
+// decoder as a value: both break the carried-sketch rule.  It also
+// hands members to a worker pool, three times, which breaks one-fanout.
 package basestation
 
 import (
@@ -16,13 +16,13 @@ var Sketch = w.Decode
 
 type segment struct{ pool *dispatch.Pool }
 
-// fanOut is the station's one fan-out, where the rule allows Each.
+// fanOut hands its members to the pool's shards.
 func (s *segment) fanOut(ids []string) error { return s.pool.Each(ids, s.member) }
 
 func (s *segment) member(string) error { return nil }
 
-// broadcast is a second fan-out in the same file.
+// broadcast is a second fan-out through the pool.
 func (s *segment) broadcast(ids []string) error { return s.pool.Each(ids, s.member) }
 
-// Each is a method value of the pool, taken outside fanOut.
+// Each takes the pool's method as a value.
 func Each(p *dispatch.Pool) func([]string, func(string) error) error { return p.Each }

@@ -1,11 +1,13 @@
-// Package dispatch is the broker's delivery layer: a sharded worker
-// pool with bounded queues and recorded backpressure, which runs the
-// broker's function for each recipient of a message, and the transmit
+// Package dispatch is the broker's delivery layer: the transmit
 // adapters that give the wired multicast and per-client wireless
-// unicast paths one interface (DESIGN.md §9).  It knows nothing of
-// media formats or radio physics: matching, tier inference and
-// modality transforms are the broker's.  Only the benchmark's ladder
-// runs a per-client Pipeline (pipeline.go; ROADMAP item 17).
+// unicast paths one interface (transmit.go; DESIGN.md §9), and a
+// sharded worker pool with bounded queues and recorded backpressure,
+// which runs a caller's function for each recipient of a message.  It
+// knows nothing of media formats or radio physics: matching, tier
+// inference and modality transforms are the broker's.  The base
+// station serves its members itself, one after another; only the
+// benchmark's ladder runs the Pool and a per-client Pipeline
+// (pipeline.go; ROADMAP item 17).
 package dispatch
 
 import (
@@ -212,28 +214,4 @@ func (p *Pool) Each(msgID uint64, ids []string, fn func(id string) error) error 
 	b.firstErr = nil
 	p.batches.Put(b)
 	return err
-}
-
-// SampleQoS feeds per-shard queue depths into the gauge set; the
-// signature matches obs.SamplerFunc so the telemetry tick (or a
-// broker embedding the pool) can sample it directly.
-func (p *Pool) SampleQoS(set func(name string, value float64)) {
-	for i, sh := range p.shards {
-		set(`dispatch_queue_depth{pool="`+metrics.EscapeLabel(p.cfg.Name)+`",shard="`+shardLabel(i)+`"}`, float64(len(sh)))
-	}
-}
-
-// shardLabel formats a shard index without fmt (hot-path-adjacent).
-func shardLabel(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	n := len(buf)
-	for i > 0 {
-		n--
-		buf[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[n:])
 }

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"fmt"
-	"sync"
 
 	"adaptiveqos/internal/message"
 	"adaptiveqos/internal/transport"
@@ -94,13 +93,12 @@ func (uc *Unicaster) Send(to string, datagrams [][]byte) error {
 // The datagrams are the same bytes whoever they go to, so the message
 // is enveloped once — on the first Deliver, so a message no peer turns
 // out to be admitted to is never encoded — and every addressee is
-// given that one set: one buffer per datagram, however many peers.  It
-// is safe for concurrent use: the dispatch pool delivers from several
-// shard goroutines.
+// given that one set: one buffer per datagram, however many peers.  One
+// goroutine delivers it at a time.
 type Fanout struct {
 	uc        *Unicaster
 	m         *message.Message
-	once      sync.Once
+	wrapped   bool
 	datagrams [][]byte
 	err       error
 }
@@ -112,15 +110,18 @@ func (uc *Unicaster) Fanout(m *message.Message) *Fanout {
 
 // Reset readies f to carry m, keeping the storage of its datagram list:
 // a relay that fans out one message at a time keeps one Fanout for all
-// of them.  No Deliver may be running on f.
+// of them.
 func (f *Fanout) Reset(m *message.Message) {
-	f.m, f.once, f.err, f.datagrams = m, sync.Once{}, nil, f.datagrams[:0]
+	f.m, f.wrapped, f.err, f.datagrams = m, false, nil, f.datagrams[:0]
 }
 
 // Deliver unicasts the message's datagrams to to, as Unicaster.Deliver
 // would.
 func (f *Fanout) Deliver(to string) error {
-	f.once.Do(func() { f.datagrams, f.err = f.uc.Env.AppendWrapMessage(f.datagrams[:0], f.m) })
+	if !f.wrapped {
+		f.wrapped = true
+		f.datagrams, f.err = f.uc.Env.AppendWrapMessage(f.datagrams[:0], f.m)
+	}
 	if f.err != nil {
 		return f.err
 	}
