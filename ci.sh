@@ -48,7 +48,7 @@ go test -race -count=1 ./...
 # handlers, UplinkEvent relaying a member's line from its caller's
 # goroutine under the radio segment's lock, and the control plane
 # (Join, Leave, Assess, PowerControl) against both: the handlers and
-# UplinkEvent read the radio channel and take a registry shard lock and
+# UplinkEvent read the radio channel and take the registry's lock and
 # then a member's lock while the control plane moves members, derive
 # renditions through one media registry, reading its memoized routes at
 # once, and may make a selector's first match plan at once, the

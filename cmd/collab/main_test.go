@@ -358,3 +358,23 @@ func TestDebugEndpointsFollowFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestNoDispatchFamilies: the station serves its members on its
+// segments' own goroutines and runs no dispatch pool, so after a
+// session the exposition holds no aqos_dispatch_* family, not even one
+// at zero.
+func TestNoDispatchFamilies(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-wired", "2", "-wireless", "3", "-events", "10"}, &out); err != nil {
+		t.Fatalf("collab: %v\n%s", err, out.String())
+	}
+	var expo bytes.Buffer
+	if err := obs.WriteMetrics(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(expo.String(), "\n") {
+		if strings.Contains(line, "aqos_dispatch_") {
+			t.Errorf("exposition has a dispatch-pool line: %s", line)
+		}
+	}
+}

@@ -12,7 +12,7 @@
 //
 // Since the layered-broker refactor (DESIGN.md §9) this package is
 // composition plus uplink protocol handling: membership and per-client
-// radio state live in the sharded internal/registry, each segment's
+// radio state live in internal/registry's one table, each segment's
 // handler serves the members one after another through the station's
 // own per-member functions (relay.go), and both segments are reached
 // through dispatch transmit adapters.  The radio segment is a star with the station at its hub:
@@ -92,7 +92,7 @@ type Stats struct {
 }
 
 // BaseStation links the wireless segment to the collaboration session.
-// It composes the sharded membership registry (profiles + radio state)
+// It composes the membership registry (profiles + radio state)
 // and the transmit adapters (wired multicast, wireless unicast); what
 // remains here is the relay, the uplink protocol and the radio control
 // plane.  Like a client it is a handler: transport.Serve drives its two
@@ -149,7 +149,7 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 		wireless: wireless,
 		cfg:      cfg,
 		channel:  channel,
-		reg:      registry.New(registry.DefaultShards),
+		reg:      registry.New(),
 	}
 	bs.env.Node = id
 	bs.sessionSeq = map[string]uint32{}

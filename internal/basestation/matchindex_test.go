@@ -37,7 +37,7 @@ func TestRelaySelectorDeliveryIndexModes(t *testing.T) {
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
 			r := newRig(t, Config{})
 			if !indexed {
-				r.bs.reg = registry.NewWithIndex(registry.DefaultShards, false)
+				r.bs.reg = registry.NewWithIndex(false)
 			}
 			video1 := r.joinWithMedia(t, "v1", "video")
 			video2 := r.joinWithMedia(t, "v2", "video")

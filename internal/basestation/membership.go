@@ -2,7 +2,7 @@ package basestation
 
 // Membership control plane: joining, departure, per-client service
 // assessment and the radio/power-control knobs.  Membership state
-// itself lives in the sharded internal/registry; these methods are the
+// itself lives in internal/registry; these methods are the
 // policy around it (SIR → tier mapping, folding assessments back into
 // profile state).
 
@@ -43,8 +43,9 @@ func (bs *BaseStation) Leave(id string) error {
 // Clients returns the joined wireless client IDs in ascending order.
 func (bs *BaseStation) Clients() []string { return bs.reg.IDs() }
 
-// Registry exposes the sharded membership registry (experiments,
-// future multi-base-station deployments sharing one registry).
+// Registry exposes the membership registry, for a caller that reads
+// or assesses the station's members directly (the benchmark's
+// bs-relay ladder).
 func (bs *BaseStation) Registry() *registry.Registry { return bs.reg }
 
 // radioState reads a client's current radio state from the channel:
@@ -63,8 +64,8 @@ func (bs *BaseStation) radioState(id string) (Assessment, error) {
 }
 
 // Assess computes the current service assessment for a client.  The
-// assessment is also folded into the stored profile (one sharded-lock
-// pass) so the client's signal state is semantically selectable.
+// assessment is also folded into the stored profile (one registry
+// lookup) so the client's signal state is semantically selectable.
 func (bs *BaseStation) Assess(id string) (Assessment, error) {
 	a, err := bs.radioState(id)
 	if err == nil {

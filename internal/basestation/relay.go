@@ -7,7 +7,7 @@ package basestation
 // one fan-out (segment.fanOut), which calls a per-member function of
 // the segment's for each candidate in turn, on the handler's own
 // goroutine: match and tier (matchTier), then the transmit adapters;
-// membership state comes from the sharded registry.  An image share,
+// membership state comes from the registry.  An image share,
 // wired or a member's, is relayed frame by frame as it passes, on one
 // path: the station collects nothing.
 

@@ -34,10 +34,9 @@ type virtualRun struct {
 
 // runVirtualSession runs real nodes on two DESNets sharing one
 // clock.Virtual: two wired clients with gap repair, the archiving
-// coordinator, and a base station serving six
-// wireless clients, two pairs of them sharing a registry shard, so the
-// station's send order is the registry's member order.  transport.Serve drives every node inline on the
-// clock's goroutine.  The links between the wired clients lose 10% of
+// coordinator, and a base station serving six wireless clients, whose
+// send order is the registry's member order.  transport.Serve drives
+// every node inline on the clock's goroutine.  The links between the wired clients lose 10% of
 // frames; the links into the coordinator and the station stay clean,
 // as in the live deployment.  Each wired client says virtualLines
 // chat lines, the last over healed links so trailing gaps show; wired-0

@@ -25,12 +25,6 @@ import (
 // aqos_dispatch_queue_drops) and recorded in the obs trace ring.
 var ErrQueueFull = errors.New("dispatch: shard queue full")
 
-var (
-	ctrBatches    = metrics.C(metrics.CtrDispatchBatches)
-	ctrJobs       = metrics.C(metrics.CtrDispatchJobs)
-	ctrQueueDrops = metrics.C(metrics.CtrDispatchQueueDrops)
-)
-
 // PoolConfig parameterizes a Pool.
 type PoolConfig struct {
 	// Name labels the pool in metrics and trace events.
@@ -87,6 +81,9 @@ func (b *batch) setErr(err error) {
 type Pool struct {
 	cfg    PoolConfig
 	shards []chan job
+	// The pool's counters exist from the first NewPool on, so a program
+	// that runs no pool exports no aqos_dispatch_* family.
+	ctrBatches, ctrJobs, ctrQueueDrops *metrics.Counter
 	// batches recycles the batch a queued Each waits on: every job
 	// points at it, so it escapes, and there is one per relayed message.
 	batches sync.Pool
@@ -99,7 +96,12 @@ type Pool struct {
 // NewPool starts the pool's workers.
 func NewPool(cfg PoolConfig) *Pool {
 	cfg = cfg.withDefaults()
-	p := &Pool{cfg: cfg}
+	p := &Pool{
+		cfg:           cfg,
+		ctrBatches:    metrics.C(metrics.CtrDispatchBatches),
+		ctrJobs:       metrics.C(metrics.CtrDispatchJobs),
+		ctrQueueDrops: metrics.C(metrics.CtrDispatchQueueDrops),
+	}
 	if cfg.Workers > 1 {
 		p.shards = make([]chan job, cfg.Workers)
 		for i := range p.shards {
@@ -155,8 +157,8 @@ func fnv32a(s string) uint32 {
 // drop and ErrQueueFull folded into the batch error.  msgID threads
 // the message's trace identity into queue-wait spans and drop events.
 func (p *Pool) Each(msgID uint64, ids []string, fn func(id string) error) error {
-	ctrBatches.Inc()
-	ctrJobs.Add(uint64(len(ids)))
+	p.ctrBatches.Inc()
+	p.ctrJobs.Add(uint64(len(ids)))
 	if len(ids) == 0 {
 		return nil
 	}
@@ -200,7 +202,7 @@ func (p *Pool) Each(msgID uint64, ids []string, fn func(id string) error) error 
 		case sh <- job{id: id, fn: fn, b: b, qsp: obs.StartStage(msgID, obs.StageQueue)}:
 		default:
 			b.wg.Done()
-			ctrQueueDrops.Inc()
+			p.ctrQueueDrops.Inc()
 			if obs.Enabled() {
 				obs.Drop(msgID, obs.StageQueue,
 					"dispatch "+p.cfg.Name+": shard queue full, shedding "+id)

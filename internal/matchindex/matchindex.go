@@ -17,13 +17,12 @@
 // evaluator.  Results are exact by construction: anything the planner
 // cannot decompose falls back to the brute-force evaluator.
 //
-// A Shard indexes the clients of one registry lock shard; the sharded
-// registry keeps one index shard per profile shard so index upkeep
-// contends exactly like membership does.  Invalidation is lazy: (see
-// MarkDirty/Invalidate) mutations only record the client ID, and the
-// next match drains the dirty set, re-reading each client's flattened
-// view and skipping the rebuild when the profile generation counter is
-// unchanged.
+// An Index covers the whole registry and keeps its own lock, so a
+// match does not block the registry's snapshot reads.  Invalidation is
+// lazy (see MarkDirty/Invalidate): mutations only record the client
+// ID, and the next match drains the dirty set, re-reading each
+// client's flattened view and skipping the rebuild when the profile
+// generation counter is unchanged.
 package matchindex
 
 import (
@@ -96,11 +95,11 @@ type clientEntry struct {
 	postings []posting
 }
 
-// Shard indexes the clients of one registry shard.  All methods are
-// safe for concurrent use; Match synchronizes with the mutation
-// methods through the shard mutex, so a match observes every
-// invalidation that completed before it began.
-type Shard struct {
+// Index indexes the registry's clients.  All methods are safe for
+// concurrent use; Match synchronizes with the mutation methods through
+// the index mutex, so a match observes every invalidation that
+// completed before it began.
+type Index struct {
 	mu      sync.Mutex
 	clients map[string]*clientEntry
 	attrs   map[string]*attrIndex
@@ -116,9 +115,9 @@ type Shard struct {
 	counted, verified []*pred
 }
 
-// NewShard returns an empty index shard.
-func NewShard() *Shard {
-	return &Shard{
+// NewIndex returns an empty index.
+func NewIndex() *Index {
+	return &Index{
 		clients: make(map[string]*clientEntry),
 		attrs:   make(map[string]*attrIndex),
 		dirty:   make(idSet),
@@ -130,10 +129,10 @@ func NewShard() *Shard {
 // MarkDirty records that id's profile may have changed; the next match
 // re-reads its flattened view and reindexes only if the generation
 // counter moved.
-func (s *Shard) MarkDirty(id string) {
-	s.mu.Lock()
-	s.dirty[id] = struct{}{}
-	s.mu.Unlock()
+func (ix *Index) MarkDirty(id string) {
+	ix.mu.Lock()
+	ix.dirty[id] = struct{}{}
+	ix.mu.Unlock()
 }
 
 // Invalidate drops id's postings immediately and marks it dirty, for
@@ -141,18 +140,18 @@ func (s *Shard) MarkDirty(id string) {
 // profile Put may install different attributes under an unchanged
 // version (the registry's Put replaces the entry, it does not bump),
 // and a Remove must not leave postings behind.
-func (s *Shard) Invalidate(id string) {
-	s.mu.Lock()
-	if e, ok := s.clients[id]; ok {
-		s.removeLocked(id, e)
+func (ix *Index) Invalidate(id string) {
+	ix.mu.Lock()
+	if e, ok := ix.clients[id]; ok {
+		ix.removeLocked(id, e)
 	}
-	s.dirty[id] = struct{}{}
-	s.mu.Unlock()
+	ix.dirty[id] = struct{}{}
+	ix.mu.Unlock()
 }
 
-func (s *Shard) removeLocked(id string, e *clientEntry) {
+func (ix *Index) removeLocked(id string, e *clientEntry) {
 	for _, po := range e.postings {
-		a := s.attrs[po.attr]
+		a := ix.attrs[po.attr]
 		if a == nil {
 			continue
 		}
@@ -177,16 +176,16 @@ func (s *Shard) removeLocked(id string, e *clientEntry) {
 			}
 		}
 	}
-	delete(s.clients, id)
+	delete(ix.clients, id)
 }
 
-func (s *Shard) indexLocked(id string, flat selector.Attributes, gen uint64) {
+func (ix *Index) indexLocked(id string, flat selector.Attributes, gen uint64) {
 	e := &clientEntry{gen: gen, postings: make([]posting, 0, len(flat))}
 	for attr, v := range flat {
-		a := s.attrs[attr]
+		a := ix.attrs[attr]
 		if a == nil {
 			a = newAttrIndex()
-			s.attrs[attr] = a
+			ix.attrs[attr] = a
 		}
 		b := a.eq[v]
 		if b == nil {
@@ -213,22 +212,22 @@ func (s *Shard) indexLocked(id string, flat selector.Attributes, gen uint64) {
 		}
 		e.postings = append(e.postings, posting{attr: attr, v: v})
 	}
-	s.clients[id] = e
+	ix.clients[id] = e
 }
 
 // syncLocked drains the dirty set: departed clients lose their
 // postings, clients whose generation moved are reindexed, and clients
 // whose flattened view is unchanged cost one map lookup.
-func (s *Shard) syncLocked(lookup Lookup) {
-	if len(s.dirty) == 0 {
+func (ix *Index) syncLocked(lookup Lookup) {
+	if len(ix.dirty) == 0 {
 		return
 	}
-	for id := range s.dirty {
-		e := s.clients[id]
+	for id := range ix.dirty {
+		e := ix.clients[id]
 		flat, gen, ok := lookup(id)
 		if !ok {
 			if e != nil {
-				s.removeLocked(id, e)
+				ix.removeLocked(id, e)
 			}
 			continue
 		}
@@ -236,12 +235,12 @@ func (s *Shard) syncLocked(lookup Lookup) {
 			continue
 		}
 		if e != nil {
-			s.removeLocked(id, e)
+			ix.removeLocked(id, e)
 		}
-		s.indexLocked(id, flat, gen)
+		ix.indexLocked(id, flat, gen)
 		ctrReindex.Inc()
 	}
-	clear(s.dirty)
+	clear(ix.dirty)
 }
 
 // freshSorted returns attr's numeric breakpoint list, rebuilding it
@@ -283,8 +282,8 @@ func rangeBounds(sorted []numEntry, op selector.Op, lit float64) (lo, hi int, in
 
 // estimate returns an upper bound on the predicate's posting count,
 // used to pick which predicates enumerate and which verify.
-func (s *Shard) estimate(p *pred) int {
-	a := s.attrs[p.attr]
+func (ix *Index) estimate(p *pred) int {
+	a := ix.attrs[p.attr]
 	if a == nil {
 		return 0
 	}
@@ -312,8 +311,8 @@ func (s *Shard) estimate(p *pred) int {
 }
 
 // enumerate yields every client satisfying the predicate.
-func (s *Shard) enumerate(p *pred, yield func(id string)) {
-	a := s.attrs[p.attr]
+func (ix *Index) enumerate(p *pred, yield func(id string)) {
+	a := ix.attrs[p.attr]
 	if a == nil {
 		return
 	}
@@ -366,19 +365,19 @@ const (
 	verifySlack  = 16
 )
 
-// Match appends to dst the IDs of every client in the shard matching
+// Match appends to dst the IDs of every indexed client matching
 // the plan, deduplicated across branches, after draining the dirty
 // set.  The plan must be Indexable (MatchAll and FullScan are the
 // caller's cases — they need the registry's full population, which the
 // index does not own).
-func (s *Shard) Match(p *Plan, lookup Lookup, dst []string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.syncLocked(lookup)
-	if len(s.clients) == 0 {
+func (ix *Index) Match(p *Plan, lookup Lookup, dst []string) []string {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.syncLocked(lookup)
+	if len(ix.clients) == 0 {
 		return dst
 	}
-	clear(s.seen)
+	clear(ix.seen)
 	var candidates, fallbacks uint64
 	for bi := range p.Branches {
 		br := &p.Branches[bi]
@@ -386,19 +385,19 @@ func (s *Shard) Match(p *Plan, lookup Lookup, dst []string) []string {
 		// Split the conjuncts: the most selective predicates enumerate
 		// their postings into the counting match, the rest verify.
 		pivot := -1
-		sizes := s.sizes[:0]
+		sizes := ix.sizes[:0]
 		for i := range br.preds {
-			sizes = append(sizes, s.estimate(&br.preds[i]))
+			sizes = append(sizes, ix.estimate(&br.preds[i]))
 			if pivot < 0 || sizes[i] < sizes[pivot] {
 				pivot = i
 			}
 		}
-		s.sizes = sizes
+		ix.sizes = sizes
 		if sizes[pivot] == 0 {
 			continue // some conjunct has no satisfying client
 		}
 		bound := sizes[pivot]*verifyFactor + verifySlack
-		counted, verified := s.counted[:0], s.verified[:0]
+		counted, verified := ix.counted[:0], ix.verified[:0]
 		for i := range br.preds {
 			if i == pivot || sizes[i] <= bound {
 				counted = append(counted, &br.preds[i])
@@ -406,10 +405,10 @@ func (s *Shard) Match(p *Plan, lookup Lookup, dst []string) []string {
 				verified = append(verified, &br.preds[i])
 			}
 		}
-		s.counted, s.verified = counted, verified
+		ix.counted, ix.verified = counted, verified
 
 		emit := func(id string) {
-			if _, dup := s.seen[id]; dup {
+			if _, dup := ix.seen[id]; dup {
 				return
 			}
 			candidates++
@@ -430,20 +429,20 @@ func (s *Shard) Match(p *Plan, lookup Lookup, dst []string) []string {
 					}
 				}
 			}
-			s.seen[id] = struct{}{}
+			ix.seen[id] = struct{}{}
 			dst = append(dst, id)
 		}
 
 		if len(counted) == 1 {
-			s.enumerate(counted[0], emit)
+			ix.enumerate(counted[0], emit)
 			continue
 		}
-		clear(s.counts)
+		clear(ix.counts)
 		for _, cp := range counted {
-			s.enumerate(cp, func(id string) { s.counts[id]++ })
+			ix.enumerate(cp, func(id string) { ix.counts[id]++ })
 		}
 		need := len(counted)
-		for id, n := range s.counts {
+		for id, n := range ix.counts {
 			if n == need {
 				emit(id)
 			}

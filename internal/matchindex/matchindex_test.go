@@ -31,8 +31,8 @@ func (p tablePop) set(id string, gen uint64, flat selector.Attributes) {
 	}{flat, gen}
 }
 
-// matchIDs runs sel against the shard and returns the sorted result.
-func matchIDs(t *testing.T, s *Shard, pop tablePop, src string) []string {
+// matchIDs runs sel against the index and returns the sorted result.
+func matchIDs(t *testing.T, s *Index, pop tablePop, src string) []string {
 	t.Helper()
 	sel := selector.MustCompile(src)
 	plan := PlanSelector(sel)
@@ -91,7 +91,7 @@ func testPop() tablePop {
 	return pop
 }
 
-func syncShard(s *Shard, pop tablePop) {
+func syncIndex(s *Index, pop tablePop) {
 	for id := range pop {
 		s.MarkDirty(id)
 	}
@@ -99,8 +99,8 @@ func syncShard(s *Shard, pop tablePop) {
 
 func TestShardMatchBasics(t *testing.T) {
 	pop := testPop()
-	s := NewShard()
-	syncShard(s, pop)
+	s := NewIndex()
+	syncIndex(s, pop)
 
 	for _, src := range []string{
 		`media == "video"`,
@@ -127,8 +127,8 @@ func TestShardMatchBasics(t *testing.T) {
 
 func TestShardResidueVerification(t *testing.T) {
 	pop := testPop()
-	s := NewShard()
-	syncShard(s, pop)
+	s := NewIndex()
+	syncIndex(s, pop)
 
 	// like and not are non-indexable: they ride as residue on the
 	// indexable region predicate and are verified per candidate.
@@ -242,8 +242,8 @@ func TestNaNAttributeRangeSemantics(t *testing.T) {
 	pop.set("nan", 1, selector.Attributes{"v": selector.N(math.NaN())})
 	pop.set("low", 1, selector.Attributes{"v": selector.N(1)})
 	pop.set("high", 1, selector.Attributes{"v": selector.N(9)})
-	s := NewShard()
-	syncShard(s, pop)
+	s := NewIndex()
+	syncIndex(s, pop)
 
 	for _, src := range []string{`v <= 5`, `v >= 5`, `v < 5`, `v > 5`, `v == 1`, `v != 1`} {
 		got := matchIDs(t, s, pop, src)
@@ -257,7 +257,7 @@ func TestNaNAttributeRangeSemantics(t *testing.T) {
 func TestGenerationSkipAndReindex(t *testing.T) {
 	pop := make(tablePop)
 	pop.set("a", 1, selector.Attributes{"media": selector.S("video")})
-	s := NewShard()
+	s := NewIndex()
 	s.MarkDirty("a")
 
 	if got := matchIDs(t, s, pop, `media == "video"`); !eq(got, []string{"a"}) {
@@ -295,7 +295,7 @@ func TestInvalidateForcesReindexOnSameGeneration(t *testing.T) {
 	// unchanged version; Invalidate must not trust the generation.
 	pop := make(tablePop)
 	pop.set("a", 0, selector.Attributes{"media": selector.S("video")})
-	s := NewShard()
+	s := NewIndex()
 	s.MarkDirty("a")
 	if got := matchIDs(t, s, pop, `media == "video"`); !eq(got, []string{"a"}) {
 		t.Fatalf("initial: %v", got)
@@ -313,8 +313,8 @@ func TestInvalidateForcesReindexOnSameGeneration(t *testing.T) {
 
 func TestRemovalDropsPostings(t *testing.T) {
 	pop := testPop()
-	s := NewShard()
-	syncShard(s, pop)
+	s := NewIndex()
+	syncIndex(s, pop)
 	if got := matchIDs(t, s, pop, `media == "video"`); len(got) == 0 {
 		t.Fatal("no initial matches")
 	}
@@ -334,8 +334,8 @@ func TestRemovalDropsPostings(t *testing.T) {
 
 func TestCandidateCounter(t *testing.T) {
 	pop := testPop()
-	s := NewShard()
-	syncShard(s, pop)
+	s := NewIndex()
+	syncIndex(s, pop)
 	before := ctrCandidates.Load()
 	got := matchIDs(t, s, pop, `media == "video" and region == 0`)
 	scanned := ctrCandidates.Load() - before

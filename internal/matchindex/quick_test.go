@@ -3,7 +3,7 @@ package matchindex_test
 // Property test for the tentpole contract (DESIGN.md §12): for any
 // selector the language can express — conjunctions, disjunctions,
 // negation, like-globs, in-lists, exists, mixed-kind comparisons —
-// index-first matching through the sharded registry must return
+// index-first matching through the registry must return
 // exactly the set the brute-force evaluator returns over the same
 // profiles.  The generator deliberately covers the fallback taxonomy
 // (residue conjuncts, residue-only branches, match-all, constant
@@ -143,8 +143,8 @@ func idsEqual(a, b []string) bool {
 func TestQuickIndexEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		indexed := registry.NewWithIndex(4, true)
-		brute := registry.NewWithIndex(4, false)
+		indexed := registry.NewWithIndex(true)
+		brute := registry.NewWithIndex(false)
 		flats := quickPopulation(r, indexed, brute)
 
 		for round := 0; round < 6; round++ {

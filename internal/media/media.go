@@ -124,7 +124,7 @@ type Transformer interface {
 
 // Registry is the extensible transformer library.  Modules are
 // registered before the registry is shared; Transmode is then safe for
-// concurrent use (the base station's dispatch shards derive tiers
+// concurrent use (the base station's two segment handlers derive tiers
 // through one registry at once).
 type Registry struct {
 	byName map[string]Transformer

@@ -300,8 +300,8 @@ func TestMultiHopPath(t *testing.T) {
 }
 
 // TestRoutesAreSharedAndForgotten: Transmode's memoized routes are read
-// from several goroutines at once (the base station's dispatch shards
-// derive tiers through one registry), a kind no module converts from is
+// from several goroutines at once (the base station's two segment
+// handlers derive tiers through one registry), a kind no module converts from is
 // not memoized, and registering a module forgets the routes, so a
 // shorter path it opens is taken.
 func TestRoutesAreSharedAndForgotten(t *testing.T) {

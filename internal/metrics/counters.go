@@ -35,8 +35,10 @@ const (
 	// base station's wired and radio loops) could not unwrap or parse: a
 	// corrupt or hostile peer shows here.
 	CtrDecodeErrors = "message.decode.errors"
-	// Dispatch-pool counters (exposed as aqos_dispatch_*; the pool
-	// replaced the base station's per-batch fan-out goroutines).
+	// Dispatch-pool counters (exposed as aqos_dispatch_*).  Only the
+	// benchmark's ladder runs a dispatch.Pool, so they are created by
+	// dispatch.NewPool, not pre-touched here: a program that runs no
+	// pool exports none of them.
 	CtrDispatchBatches    = "dispatch.batches"
 	CtrDispatchJobs       = "dispatch.jobs"
 	CtrDispatchQueueDrops = "dispatch.queue.drops"
@@ -172,15 +174,14 @@ func UnescapeLabel(v string) string {
 }
 
 // defaultCounterNames lists every unlabeled counter family declared
-// above.  init registers them all, so each aqos_* counter is present
-// (at zero) in /metrics from process start instead of appearing only
-// after its first event.  Keep in sync with the constants;
+// above but the dispatch pool's.  init registers them all, so each
+// aqos_* counter is present (at zero) in /metrics from process start
+// instead of appearing only after its first event.  Keep in sync with the constants;
 // TestDefaultCounterFamiliesPreTouched guards the list.
 var defaultCounterNames = []string{
 	CtrSelectorCacheHit, CtrSelectorCacheMiss,
 	CtrFlattenReuse, CtrFlattenBuild,
 	CtrEncodeBufReuse, CtrEncodeBufAlloc, CtrDecodeErrors,
-	CtrDispatchBatches, CtrDispatchJobs, CtrDispatchQueueDrops,
 	CtrSketchFallbacks,
 	CtrRepairRequests, CtrRepairSuccess, CtrRepairAbandoned, CtrRepairReplayedFrames,
 	CtrArchiveDupDrops,

@@ -13,12 +13,12 @@ import (
 // TestMatchIDsAllocs pins what an indexed match allocates — the bs-relay
 // benchmark's registry.match_ids_allocs, a share of its
 // allocs_per_delivery: in a 256-member cell a one-team selector costs
-// the result slice, sized from the previous match, and nothing per
-// shard (each index shard owns its predicate-split scratch).  IDs costs
+// the result slice, sized from the previous match, and nothing more
+// (the index owns its predicate-split scratch).  IDs costs
 // its one result, and a list the caller reuses costs nothing.  Excluded
 // under -race: the detector's instrumentation allocates.
 func TestMatchIDsAllocs(t *testing.T) {
-	r := New(0)
+	r := New()
 	for i := 0; i < 256; i++ {
 		p := profile.New(fmt.Sprintf("m-%d-%02d", i/32, i%32))
 		p.Interests.SetString("team", fmt.Sprintf("t%d", i/32))

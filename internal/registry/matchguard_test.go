@@ -13,7 +13,7 @@ import (
 // `region == 17` always selects exactly 8 clients whether n is one
 // thousand or one hundred thousand.
 func guardRegistry(n int) *Registry {
-	r := NewWithIndex(16, true)
+	r := NewWithIndex(true)
 	populate(r, n, n/8)
 	// Drain the join-time dirty set so timing measures steady-state
 	// matching, not the initial index build.
@@ -26,7 +26,7 @@ func guardRegistry(n int) *Registry {
 // must depend on the matching subset, not the registered population.
 // It times the same constant-selectivity selector against 1k and 100k
 // clients and bounds the ratio.  Brute-force matching is ~100x here;
-// the bound leaves room for per-shard fixed costs and cache effects
+// the bound leaves room for fixed per-match costs and cache effects
 // while still catching any accidental O(population) term.
 func TestFlatMatchGuard(t *testing.T) {
 	if testing.Short() {

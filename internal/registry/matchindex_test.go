@@ -27,11 +27,11 @@ func populate(r *Registry, n, regions int) {
 func sortedIDs(ids []string) []string { sort.Strings(ids); return ids }
 
 func TestMatchIDsIndexAgreesWithBrute(t *testing.T) {
-	indexed := NewWithIndex(8, true)
-	brute := NewWithIndex(8, false)
+	indexed := NewWithIndex(true)
+	brute := NewWithIndex(false)
 	populate(indexed, 200, 25)
 	populate(brute, 200, 25)
-	if indexed.shards[0].idx == nil || brute.shards[0].idx != nil {
+	if indexed.idx == nil || brute.idx != nil {
 		t.Fatal("NewWithIndex wiring")
 	}
 
@@ -67,7 +67,7 @@ func TestMatchIDsIndexAgreesWithBrute(t *testing.T) {
 }
 
 func TestMatchIDsSeesMutations(t *testing.T) {
-	r := New(4)
+	r := New()
 	populate(r, 32, 8)
 	sel := selector.MustCompile(`state.sir >= 0`)
 	if got := r.MatchIDs(sel); len(got) != 0 {
@@ -115,7 +115,7 @@ func TestMatchIDsSeesMutations(t *testing.T) {
 // joins, departures, assessments and profile replacement; the race
 // detector (ci.sh runs this with -race -count=1) is the assertion.
 func TestMatchIDsConcurrentChurn(t *testing.T) {
-	r := New(8)
+	r := New()
 	populate(r, 64, 8)
 	sels := []*selector.Selector{
 		selector.MustCompile(`media == "video" and region <= 3`),

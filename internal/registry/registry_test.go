@@ -9,26 +9,15 @@ import (
 	"adaptiveqos/internal/selector"
 )
 
+// A client's operations must all reach its one entry: install via
+// Put, read via Has/FlatSnapshot, mutate via UpdateStates.
 func TestShardRoundingAndRouting(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
-	} {
-		if got := len(New(tc.in).shards); got != tc.want {
-			t.Errorf("New(%d) has %d shards, want %d", tc.in, got, tc.want)
-		}
-	}
-
-	// A client's operations must all land on one shard: install via
-	// Put, read via Has/FlatSnapshot, mutate via UpdateStates.
-	r := New(8)
+	r := New()
 	for i := 0; i < 100; i++ {
 		id := fmt.Sprintf("client-%d", i)
 		p := profile.New(id)
 		p.Interests.SetString("media", "any")
 		r.Put(p)
-	}
-	if r.Len() != 100 {
-		t.Fatalf("Len = %d", r.Len())
 	}
 	if len(r.IDs()) != 100 {
 		t.Fatalf("IDs = %d entries", len(r.IDs()))
@@ -46,13 +35,13 @@ func TestShardRoundingAndRouting(t *testing.T) {
 	if !r.Remove("client-42") || r.Remove("client-42") {
 		t.Fatal("Remove semantics")
 	}
-	if r.Len() != 99 {
-		t.Fatalf("Len after remove = %d", r.Len())
+	if n := len(r.IDs()); n != 99 {
+		t.Fatalf("IDs after remove = %d entries", n)
 	}
 }
 
 func TestPutAssessmentFoldsRadioState(t *testing.T) {
-	r := New(4)
+	r := New()
 	r.Put(profile.New("w1"))
 	if err := r.PutAssessment("w1", Assessment{SIRdB: -2.5, Power: 0.8, Distance: 120}); err != nil {
 		t.Fatal(err)
@@ -87,7 +76,7 @@ func TestPutAssessmentFoldsRadioState(t *testing.T) {
 }
 
 func TestMatchAllAcrossShards(t *testing.T) {
-	r := New(8)
+	r := New()
 	for i := 0; i < 40; i++ {
 		p := profile.New(fmt.Sprintf("c%d", i))
 		if i%2 == 0 {
@@ -106,10 +95,10 @@ func TestMatchAllAcrossShards(t *testing.T) {
 	}
 }
 
-// Concurrent Join/Leave/Assess/FlatSnapshot across shards must be
-// race-clean (run under -race in CI) and leave the registry coherent.
+// Concurrent Join/Leave/Assess/FlatSnapshot must be race-clean
+// (run under -race in CI) and leave the registry coherent.
 func TestConcurrentChurnAndAssess(t *testing.T) {
-	r := New(8)
+	r := New()
 	const perWorker = 50
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -150,7 +139,6 @@ func TestConcurrentChurnAndAssess(t *testing.T) {
 					r.FlatSnapshot(id)
 					r.Has(id)
 				}
-				r.Len()
 			}
 		}()
 	}
@@ -166,7 +154,7 @@ func TestConcurrentChurnAndAssess(t *testing.T) {
 			}
 		}
 	}
-	if r.Len() != want {
-		t.Fatalf("Len after churn = %d, want %d", r.Len(), want)
+	if n := len(r.IDs()); n != want {
+		t.Fatalf("IDs after churn = %d entries, want %d", n, want)
 	}
 }

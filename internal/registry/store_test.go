@@ -10,8 +10,8 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	r := New(4)
-	if r.Len() != 0 {
+	r := New()
+	if len(r.IDs()) != 0 {
 		t.Fatal("fresh registry not empty")
 	}
 	a := profile.New("a")
@@ -20,8 +20,8 @@ func TestRegistry(t *testing.T) {
 	b.Interests.SetString("media", "text")
 	r.Put(a)
 	r.Put(b)
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+	if n := len(r.IDs()); n != 2 {
+		t.Fatalf("IDs = %d entries", n)
 	}
 
 	// Put stores a copy: the caller's profile stays its own.
@@ -50,8 +50,8 @@ func TestRegistry(t *testing.T) {
 	if !r.Remove("a") || r.Remove("a") {
 		t.Error("Remove semantics broken")
 	}
-	if r.Len() != 1 {
-		t.Errorf("Len after remove = %d", r.Len())
+	if n := len(r.IDs()); n != 1 {
+		t.Errorf("IDs after remove = %d entries", n)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestRegistry(t *testing.T) {
 // sections nil; the registry must still be able to write state and
 // announced interests into it.
 func TestRegistryPutLiteralProfile(t *testing.T) {
-	r := New(4)
+	r := New()
 	r.Put(&profile.Profile{ID: "thin"})
 	if err := r.UpdateStates("thin", []profile.StateKV{{Name: "sir", V: selector.N(3)}}); err != nil {
 		t.Fatalf("UpdateStates on a literal profile: %v", err)
@@ -74,7 +74,7 @@ func TestRegistryPutLiteralProfile(t *testing.T) {
 }
 
 func TestRegistryFlatSnapshot(t *testing.T) {
-	r := New(4)
+	r := New()
 	p := profile.New("a")
 	p.Interests.SetString("media", "image")
 	r.Put(p)
@@ -123,7 +123,7 @@ func TestRegistryFlatSnapshot(t *testing.T) {
 // race-free (run under -race), and a reader never sees a member's
 // version go backwards.
 func TestRegistryFlatSnapshotConcurrent(t *testing.T) {
-	r := New(4)
+	r := New()
 	for i := 0; i < 8; i++ {
 		r.Put(profile.New(fmt.Sprintf("c%d", i)))
 	}
