@@ -266,7 +266,6 @@ func run(args []string, out io.Writer) error {
 			Coordinator:  "coordinator",
 			StallTimeout: *repairTimeout,
 			MaxRetries:   *repairRetries,
-			Seed:         *seed,
 		}
 	}
 

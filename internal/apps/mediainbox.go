@@ -7,12 +7,32 @@ import (
 	"sync"
 
 	"adaptiveqos/internal/media"
+	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/selector"
 )
 
 // AppMedia is the app name for direct media-object delivery: the base
 // station uses it to hand tiered content (text description, sketch,
 // speech, or a complete image object) to clients in one event.
 const AppMedia = "media"
+
+// ShareAttrs appends to dst the attributes a shared media object
+// travels with, in name order as message.SetAttrs takes them: the app
+// that takes it, o's descriptive attributes and the object's name.
+func ShareAttrs(dst []message.Attr, app string, o *media.Object, object string) []message.Attr {
+	dst = append(dst, message.Attr{Name: message.AttrApp, Value: selector.S(app)})
+	named, placed := message.Attr{Name: message.AttrObject, Value: selector.S(object)}, false
+	o.EachAttr(func(name string, v selector.Value) {
+		if !placed && name > named.Name {
+			dst, placed = append(dst, named), true
+		}
+		dst = append(dst, message.Attr{Name: name, Value: v})
+	})
+	if !placed {
+		dst = append(dst, named)
+	}
+	return dst
+}
 
 // EncodeMediaObject serializes a media object as an event payload:
 //

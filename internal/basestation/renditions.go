@@ -16,7 +16,6 @@ import (
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/radio"
-	"adaptiveqos/internal/selector"
 )
 
 // rendition is one lower tier's form of a share: a media-inbox event.
@@ -53,24 +52,6 @@ func (r *rendition) emptied() rendition {
 	return rendition{attrs: r.attrs[:0], payload: r.payload[:0]}
 }
 
-// shareAttrs appends to dst the attributes a rendition travels with, in
-// name order as message.SetAttrs takes them: the media inbox's app, o's
-// descriptive attributes and the object's name.
-func shareAttrs(dst []message.Attr, o *media.Object, object string) []message.Attr {
-	dst = append(dst, message.Attr{Name: message.AttrApp, Value: selector.S(apps.AppMedia)})
-	named, placed := message.Attr{Name: message.AttrObject, Value: selector.S(object)}, false
-	o.EachAttr(func(name string, v selector.Value) {
-		if !placed && name > named.Name {
-			dst, placed = append(dst, named), true
-		}
-		dst = append(dst, message.Attr{Name: name, Value: v})
-	})
-	if !placed {
-		dst = append(dst, named)
-	}
-	return dst
-}
-
 // transformed derives a lower tier into r, a single media-inbox event
 // in r's buffers, through the configured registry, under one transform
 // span per share.  The stock sketch path (media.ImageToSketch) takes
@@ -87,7 +68,7 @@ func (rs *renditions) transformed(r *rendition, to media.Kind, onFail string) {
 	}
 	sp.End()
 	r.payload, r.err = apps.AppendMediaObject(r.payload[:0], o)
-	r.attrs = shareAttrs(r.attrs[:0], o, rs.object)
+	r.attrs = apps.ShareAttrs(r.attrs[:0], apps.AppMedia, o, rs.object)
 }
 
 func (rs *renditions) sketchTier() *rendition {

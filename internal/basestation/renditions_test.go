@@ -393,10 +393,10 @@ func TestImageTierFramesSharedByMembers(t *testing.T) {
 	}
 }
 
-// TestShareAttrsAreTheMergedMap: the attribute list a rendition is sent
-// with, written name-sorted straight from the object, is the list the
-// object's attribute map merged with the inbox's app and the share's
-// name gives, for every kind of object a tier carries.
+// TestShareAttrsAreTheMergedMap: the attribute list a share or a
+// rendition is sent with, written name-sorted straight from the object,
+// is the list the object's attribute map merged with the taking app and
+// the share's name gives, for every kind of object a tier carries.
 func TestShareAttrsAreTheMergedMap(t *testing.T) {
 	gray := testImageObject(t)
 	colour, err := media.EncodeColorImage(wavelet.ColorScene(32, 32, 1), "")
@@ -411,15 +411,21 @@ func TestShareAttrsAreTheMergedMap(t *testing.T) {
 		{Kind: media.KindSpeech, Format: "pcm-sim"},
 	}
 	for _, o := range objects {
-		want := message.AttrsOf(o.Attrs().Merge(selector.Attributes{
-			message.AttrApp:    selector.S(apps.AppMedia),
-			message.AttrObject: selector.S("share"),
-		}))
-		got := shareAttrs(nil, o, "share")
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: shareAttrs gives %v, the merged map %v", o, got, want)
+		for _, app := range []string{apps.AppMedia, apps.AppImageViewer} {
+			merged := o.Attrs().Merge(selector.Attributes{
+				message.AttrApp:    selector.S(app),
+				message.AttrObject: selector.S("share"),
+			})
+			var want []message.Attr
+			for _, name := range merged.Names() {
+				want = append(want, message.Attr{Name: name, Value: merged[name]})
+			}
+			got := apps.ShareAttrs(nil, app, o, "share")
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: ShareAttrs gives %v, the merged map %v", o, got, want)
+			}
+			var m message.Message
+			m.SetAttrs(got) // panics unless strictly name-sorted
 		}
-		var m message.Message
-		m.SetAttrs(got) // panics unless strictly name-sorted
 	}
 }

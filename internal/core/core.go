@@ -67,7 +67,8 @@ type RepairOptions struct {
 	// MaxRetries is the NACK budget per gap; after that many and one
 	// more backoff without progress the gap is abandoned (default 6).
 	MaxRetries int
-	// Seed makes the backoff jitter reproducible (0 means 1).
+	// Seed makes the backoff jitter reproducible.  0 derives it from
+	// the node's ID, so replicas sharing one RepairOptions draw apart.
 	Seed int64
 	// MaxPending bounds each sender's order buffer (default 512);
 	// overflow evicts the farthest-ahead frame so a corrupt sequence
@@ -81,9 +82,6 @@ func (r RepairOptions) withDefaults() RepairOptions {
 	}
 	if r.MaxRetries < 1 {
 		r.MaxRetries = 6
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
 	}
 	if r.MaxPending <= 0 {
 		r.MaxPending = 512
@@ -376,10 +374,8 @@ func (c *Client) ShareImage(object string, obj *media.Object, sel string) error 
 
 	s := c.pub.Get().(*publishScratch)
 	defer c.pub.Put(s)
-	announce := c.stamp(s, message.KindEvent, sel, message.AttrsOf(obj.Attrs().Merge(selector.Attributes{
-		message.AttrApp:    selector.S(apps.AppImageViewer),
-		message.AttrObject: selector.S(object),
-	})), apps.EncodeImageMeta(meta))
+	announce := c.stamp(s, message.KindEvent, sel, apps.ShareAttrs(nil, apps.AppImageViewer, obj, object),
+		apps.EncodeImageMeta(meta))
 	shareID := obs.MsgID(announce.Sender, announce.Seq)
 	obs.AppendHop(shareID, c.ID(), obs.StagePublish)
 	psp := obs.StartStage(shareID, obs.StagePublish)

@@ -377,6 +377,26 @@ func TestGapJitterSpreadAndDeterministic(t *testing.T) {
 	}
 }
 
+// Replicas given one RepairOptions with no seed, as cmd/collab gives
+// its wired clients, seed their jitter from their own IDs, so they do
+// not NACK the same loss in lockstep.
+func TestGapJitterPerNodeWithoutSeed(t *testing.T) {
+	opts := &RepairOptions{}
+	schedule := func(id string) (out []time.Duration) {
+		k := NewKernel(nullConn{id, clock.NewVirtual(time.Unix(0, 0))}, Config{Repair: opts})
+		for i := 1; i <= 4; i++ {
+			out = append(out, k.backoff(i))
+		}
+		return out
+	}
+	if a, b := schedule("wired-0"), schedule("wired-1"); reflect.DeepEqual(a, b) {
+		t.Errorf("two replicas sharing one RepairOptions drew the same backoffs %v", a)
+	}
+	if a, b := schedule("wired-0"), schedule("wired-0"); !reflect.DeepEqual(a, b) {
+		t.Errorf("one node's schedule is not reproducible: %v vs %v", a, b)
+	}
+}
+
 // An unrepairable gap is abandoned within RepairOptions.AbandonSpan of
 // opening, for every retry budget and stall timeout the replay grid
 // sweeps and across jitter draws.  Polls run on the kernel's own grid

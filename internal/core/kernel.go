@@ -14,6 +14,7 @@ import (
 	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 	"adaptiveqos/internal/profile"
+	"adaptiveqos/internal/rtp"
 	"adaptiveqos/internal/selector"
 	"adaptiveqos/internal/session"
 	"adaptiveqos/internal/slo"
@@ -62,7 +63,7 @@ type Kernel struct {
 	repair  RepairOptions // Config.Repair with its defaults
 	order   map[string]*senderOrder
 	streams []*senderOrder // order's streams sorted by sender: what Poll walks
-	jitter  *rand.Rand     // seeded by RepairOptions.Seed
+	jitter  *rand.Rand     // seeded by RepairOptions.Seed, or by the node's ID
 
 	// intern shares the strings every frame repeats (sender, attribute
 	// names, short values) among the messages this kernel materialises,
@@ -91,7 +92,11 @@ func NewKernel(conn transport.Conn, cfg Config) *Kernel {
 	if cfg.Repair != nil {
 		k.repair = cfg.Repair.withDefaults()
 		k.order = make(map[string]*senderOrder)
-		k.jitter = rand.New(rand.NewSource(k.repair.Seed))
+		seed := k.repair.Seed
+		if seed == 0 {
+			seed = int64(rtp.SSRCOf(conn.ID()))
+		}
+		k.jitter = rand.New(rand.NewSource(seed))
 	}
 	return k
 }

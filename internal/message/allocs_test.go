@@ -161,10 +161,12 @@ func TestReassemblyAllocs(t *testing.T) {
 	}
 
 	r := NewReassembler()
-	r.MaxPending = 1
 	id, chunk := uint64(0), []byte{1}
+	for ; id < maxPending; id++ { // the reassembler full of first fragments
+		r.Add(Fragment{MsgID: id, Count: 2, Chunk: chunk}, nil)
+	}
 	if n := testing.AllocsPerRun(runs, func() {
-		id++ // a new message each run, evicting the last one's first fragment
+		id++ // a new message each run, evicting the oldest one's first fragment
 		if _, done, err := r.Add(Fragment{MsgID: id, Count: 2, Chunk: chunk}, nil); done || err != nil {
 			t.Fatalf("one fragment of two: done %v, %v", done, err)
 		}
@@ -179,7 +181,7 @@ func TestReassemblyAllocs(t *testing.T) {
 // them (≈5 MB, held until eviction); now it costs under 4 KB, and the
 // 64 such messages a peer may hold pending cost under 1 MB together.
 func TestReassemblyClaimedCountBounded(t *testing.T) {
-	const held = 64 // Reassembler.MaxPending's default
+	const held = maxPending
 	datagrams := make([][]byte, 2*held)
 	for i := range datagrams {
 		f := Fragment{MsgID: uint64(i + 1), Count: MaxFragments, Chunk: []byte{0xAB}}

@@ -85,8 +85,6 @@ type Reassembler struct {
 	// free holds the chunk lists of completed and evicted messages,
 	// cleared, for the next messages to start in.
 	free [][]fragChunk
-	// MaxPending bounds distinct in-flight messages; 0 means 64.
-	MaxPending int
 }
 
 // pendingMsg is one message's fragments so far, in index order: its
@@ -110,16 +108,13 @@ const pendingChunks = 16
 // freeLists bounds the chunk lists a reassembler keeps for reuse.
 const freeLists = 8
 
+// maxPending bounds the distinct in-flight messages a reassembler holds;
+// a new message past it evicts the least complete.
+const maxPending = 64
+
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
 	return &Reassembler{pending: make(map[uint64]pendingMsg)}
-}
-
-func (r *Reassembler) maxPending() int {
-	if r.MaxPending <= 0 {
-		return 64
-	}
-	return r.MaxPending
 }
 
 // Add ingests a fragment and retains f.Chunk itself until its message
@@ -146,7 +141,7 @@ func (r *Reassembler) Add(f Fragment, buf *[]byte) (payload []byte, done bool, e
 
 	pm, ok := r.pending[f.MsgID]
 	if !ok {
-		if len(r.pending) >= r.maxPending() {
+		if len(r.pending) >= maxPending {
 			r.evictLocked()
 		}
 		pm = pendingMsg{count: f.Count}

@@ -186,25 +186,24 @@ func TestReassemblerMismatchAndValidation(t *testing.T) {
 
 func TestReassemblerEviction(t *testing.T) {
 	r := NewReassembler()
-	r.MaxPending = 4
-	// Four incomplete messages with varying completeness.
-	for id := uint64(1); id <= 4; id++ {
+	// maxPending incomplete messages with varying completeness.
+	for id := uint64(1); id <= maxPending; id++ {
 		for i := uint16(0); i < uint16(id); i++ { // msg 1 is least complete
-			r.Add(Fragment{MsgID: id, Index: i, Count: 10, Chunk: []byte{byte(id)}}, nil)
+			r.Add(Fragment{MsgID: id, Index: i, Count: 2 * maxPending, Chunk: []byte{byte(id)}}, nil)
 		}
 	}
-	if len(r.pending) != 4 {
+	if len(r.pending) != maxPending {
 		t.Fatalf("pending = %d", len(r.pending))
 	}
-	// A fifth message forces eviction of the least-complete (msg 1).
-	r.Add(Fragment{MsgID: 5, Index: 0, Count: 2, Chunk: []byte("x")}, nil)
-	if len(r.pending) != 4 {
+	// One more message forces eviction of the least-complete (msg 1).
+	r.Add(Fragment{MsgID: maxPending + 1, Index: 0, Count: 2, Chunk: []byte("x")}, nil)
+	if len(r.pending) != maxPending {
 		t.Fatalf("pending after eviction = %d", len(r.pending))
 	}
 	if _, ok := r.pending[1]; ok {
 		t.Error("least-complete message should have been evicted")
 	}
-	if _, ok := r.pending[4]; !ok {
+	if _, ok := r.pending[maxPending]; !ok {
 		t.Error("most-complete message should survive eviction")
 	}
 }

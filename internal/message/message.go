@@ -121,17 +121,6 @@ func (m *Message) SetAttrs(attrs []Attr) {
 	m.Attrs, m.attrs = nil, attrs
 }
 
-// AttrsOf returns a's entries as the name-sorted slice SetAttrs takes:
-// how a sender that describes content with a map, as a media object's
-// attributes are, hands it to a message.
-func AttrsOf(a selector.Attributes) []Attr {
-	attrs := make([]Attr, 0, len(a))
-	for _, name := range a.Names() {
-		attrs = append(attrs, Attr{Name: name, Value: a[name]})
-	}
-	return attrs
-}
-
 // MatchProfile reports whether the message's selector admits the given
 // flattened profile attributes.  The empty selector matches everything;
 // an unparsable selector matches nothing (fail-closed: a malformed

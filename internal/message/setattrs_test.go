@@ -2,7 +2,6 @@ package message
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 	"time"
 
@@ -74,9 +73,6 @@ func TestSetAttrsEncodesAsTheMap(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: the slice form encodes to\n%x\nthe map form to\n%x", tc.name, got, want)
-		}
-		if conv := AttrsOf(fromMap.Attrs); !slices.Equal(conv, tc.attrs) {
-			t.Errorf("%s: AttrsOf gives %v, want %v", tc.name, conv, tc.attrs)
 		}
 	}
 }

@@ -143,8 +143,8 @@ func EscapeLabel(v string) string {
 	return sb.String()
 }
 
-// UnescapeLabel reverses EscapeLabel (exposition-format parsers and
-// round-trip tests).
+// UnescapeLabel reverses EscapeLabel: how a reader of gauge names, as
+// replay reads a session record's, recovers each label value.
 func UnescapeLabel(v string) string {
 	if !strings.ContainsRune(v, '\\') {
 		return v

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"adaptiveqos/internal/message"
+	"adaptiveqos/internal/metrics"
 	"adaptiveqos/internal/obs"
 )
 
@@ -246,9 +247,9 @@ func (w *Workload) hostValueAt(param string, atNS int64) float64 {
 }
 
 // parseGaugeName splits a Prometheus-style gauge name
-// (`base{k="v",k2="v2"}`) into base and labels.  EscapeLabel's escapes
-// (\\ and \") are reversed.  Names without labels return ok with an
-// empty map.
+// (`base{k="v",k2="v2"}`) into base and labels, each value decoded by
+// metrics.UnescapeLabel.  Names without labels return ok with an empty
+// map.
 func parseGaugeName(name string) (base string, labels map[string]string, ok bool) {
 	labels = map[string]string{}
 	i := strings.IndexByte(name, '{')
@@ -267,24 +268,16 @@ func parseGaugeName(name string) (base string, labels map[string]string, ok bool
 		}
 		key := body[:eq]
 		rest := body[eq+2:]
-		var sb strings.Builder
 		j := 0
-		for ; j < len(rest); j++ {
-			c := rest[j]
-			if c == '\\' && j+1 < len(rest) {
-				j++
-				sb.WriteByte(rest[j])
-				continue
+		for ; j < len(rest) && rest[j] != '"'; j++ {
+			if rest[j] == '\\' {
+				j++ // the escaped byte cannot close the value
 			}
-			if c == '"' {
-				break
-			}
-			sb.WriteByte(c)
 		}
 		if j >= len(rest) {
 			return "", nil, false // unterminated value
 		}
-		labels[key] = sb.String()
+		labels[key] = metrics.UnescapeLabel(rest[:j])
 		body = rest[j+1:]
 		if strings.HasPrefix(body, ",") {
 			body = body[1:]

@@ -25,6 +25,8 @@ func TestParseGaugeName(t *testing.T) {
 		{`client_sir_db{bs="bs0",client="w0"}`, "client_sir_db",
 			map[string]string{"bs": "bs0", "client": "w0"}, true},
 		{`x{k="a\"b\\c"}`, "x", map[string]string{"k": `a"b\c`}, true},
+		{`client_sir_db{bs="bs0",client="w\n0"}`, "client_sir_db",
+			map[string]string{"bs": "bs0", "client": "w\n0"}, true},
 		{`x{k="unterminated`, "", nil, false},
 		{`x{k=}`, "", nil, false},
 		{`x{k="v"`, "", nil, false},

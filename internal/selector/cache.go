@@ -1,77 +1,55 @@
 package selector
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
 	"adaptiveqos/internal/metrics"
 )
 
-// Cache is a concurrency-safe compiled-selector cache: a sharded LRU
-// keyed by selector source text.  Every message on the wire carries its
-// selector as text and every receiver must evaluate it, so without a
-// cache each delivered message pays a full lex+parse.  Sessions reuse a
-// small working set of distinct selectors (per application, per topic),
-// so caching compiles each distinct selector once per process.
+// Cache is a concurrency-safe compiled-selector cache keyed by selector
+// source text.  Every message on the wire carries its selector as text
+// and every receiver must evaluate it, so without a cache each
+// delivered message pays a full lex+parse.  Sessions reuse a small
+// working set of distinct selectors (per application, per topic), so
+// caching compiles each distinct selector once per process.
+//
+// One map under a read-write lock holds the entries, and a ring holds
+// the same entries for CLOCK eviction: a hit takes only the read lock
+// and sets the entry's reference bit, so hits do not exclude each
+// other; a first sighting past DefaultCacheCapacity replaces the first
+// entry the hand finds unreferenced, clearing the bits it passes.
 //
 // Compile errors are cached too (negative caching): a corrupt selector
 // arriving in a flood of messages is rejected by a map lookup rather
 // than a fresh failed parse per message.
 type Cache struct {
-	shards [cacheShards]cacheShard
-	// perShard is the LRU capacity of each shard.
-	perShard     int
+	mu      sync.RWMutex
+	entries map[string]*cacheEntry
+	ring    []*cacheEntry // the entries in CLOCK order
+	hand    int           // the next ring slot a full cache examines
+
 	hits, misses atomic.Uint64
 }
 
-const cacheShards = 16
-
-// DefaultCacheCapacity is the total entry budget of NewCache(0) and of
-// the process-global cache: generous for any realistic working set of
-// distinct selectors, small enough that pathological selector churn
-// (an attacker minting unique selectors) stays bounded.
+// DefaultCacheCapacity is the entry budget of every cache: generous for
+// any realistic working set of distinct selectors, small enough that
+// pathological selector churn (an attacker minting unique selectors)
+// stays bounded.
 const DefaultCacheCapacity = 4096
 
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-}
-
+// cacheEntry is one compiled source.  It is immutable once installed
+// but for ref, so a hit reads it outside the lock.
 type cacheEntry struct {
 	src string
 	sel *Selector // nil when err != nil
 	err error
+	ref atomic.Bool // hit since the CLOCK hand last passed
 }
 
-// NewCache creates a cache holding up to capacity compiled selectors
-// (0 means DefaultCacheCapacity).
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
-	perShard := (capacity + cacheShards - 1) / cacheShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Cache{perShard: perShard}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*list.Element)
-		c.shards[i].order = list.New()
-	}
-	return c
-}
-
-// shardFor hashes src (FNV-1a) to a shard so concurrent compiles of
-// different selectors rarely contend on one lock.
-func shardFor[S string | []byte](c *Cache, src S) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(src); i++ {
-		h ^= uint32(src[i])
-		h *= 16777619
-	}
-	return &c.shards[h%cacheShards]
+// NewCache creates an empty cache of DefaultCacheCapacity entries.
+func NewCache() *Cache {
+	return &Cache{entries: make(map[string]*cacheEntry)}
 }
 
 // Compile returns the compiled selector for src, parsing it only on the
@@ -79,13 +57,13 @@ func shardFor[S string | []byte](c *Cache, src S) *cacheShard {
 // shared: it is immutable after compilation but for its memo, and safe
 // for concurrent Matches and Memo calls.
 func (c *Cache) Compile(src string) (*Selector, error) {
-	sh := shardFor(c, src)
-	sh.mu.Lock()
-	if el, ok := sh.entries[src]; ok {
-		return c.hit(sh, el)
+	c.mu.RLock()
+	e := c.entries[src]
+	c.mu.RUnlock()
+	if e == nil {
+		return c.install(src)
 	}
-	sh.mu.Unlock()
-	return c.install(sh, src)
+	return c.hit(e)
 }
 
 // CompileBytes is Compile for source text still sitting in a receive
@@ -93,46 +71,52 @@ func (c *Cache) Compile(src string) (*Selector, error) {
 // place), and only a first sighting copies src, into the string the
 // cache and the compiled selector then keep.  src is not retained.
 func (c *Cache) CompileBytes(src []byte) (*Selector, error) {
-	sh := shardFor(c, src)
-	sh.mu.Lock()
-	if el, ok := sh.entries[string(src)]; ok {
-		return c.hit(sh, el)
+	c.mu.RLock()
+	e := c.entries[string(src)]
+	c.mu.RUnlock()
+	if e == nil {
+		return c.install(string(src))
 	}
-	sh.mu.Unlock()
-	return c.install(sh, string(src))
+	return c.hit(e)
 }
 
-// hit finishes a lookup that found el; the shard lock is held on entry
-// and released here.
-func (c *Cache) hit(sh *cacheShard, el *list.Element) (*Selector, error) {
-	sh.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	sh.mu.Unlock()
+// hit returns e's outcome and marks e referenced, writing the bit only
+// when it is clear so that hits on a hot entry share its cache line.
+func (c *Cache) hit(e *cacheEntry) (*Selector, error) {
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
 	c.hits.Add(1)
 	ctrCacheHit.Inc()
 	return e.sel, e.err
 }
 
 // install compiles src after a lookup missed and caches the outcome.
-func (c *Cache) install(sh *cacheShard, src string) (*Selector, error) {
-	// Parse outside the shard lock: a slow parse of one selector must
-	// not stall cache hits for every other selector in the shard.
-	// Concurrent first sightings may both parse; the second install is
-	// a no-op.
+func (c *Cache) install(src string) (*Selector, error) {
+	// Parse outside the lock: a slow parse of one selector must not
+	// stall cache hits for every other selector.  Concurrent first
+	// sightings may both parse; the second install is a hit.
 	sel, err := Compile(src)
 
-	sh.mu.Lock()
-	if el, ok := sh.entries[src]; ok { // raced with another first sighting
-		return c.hit(sh, el)
+	c.mu.Lock()
+	if e := c.entries[src]; e != nil { // raced with another first sighting
+		c.mu.Unlock()
+		return c.hit(e)
 	}
-	el := sh.order.PushFront(&cacheEntry{src: src, sel: sel, err: err})
-	sh.entries[src] = el
-	for sh.order.Len() > c.perShard {
-		old := sh.order.Back()
-		sh.order.Remove(old)
-		delete(sh.entries, old.Value.(*cacheEntry).src)
+	e := &cacheEntry{src: src, sel: sel, err: err}
+	if len(c.ring) < DefaultCacheCapacity {
+		c.ring = append(c.ring, e)
+	} else {
+		// One turn of the hand clears every bit, so the sweep ends.
+		for c.ring[c.hand].ref.Swap(false) {
+			c.hand = (c.hand + 1) % len(c.ring)
+		}
+		delete(c.entries, c.ring[c.hand].src)
+		c.ring[c.hand] = e
+		c.hand = (c.hand + 1) % len(c.ring)
 	}
-	sh.mu.Unlock()
+	c.entries[src] = e
+	c.mu.Unlock()
 	c.misses.Add(1)
 	ctrCacheMiss.Inc()
 	return sel, err
@@ -146,14 +130,9 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the hit/miss counters and resident size.
 func (c *Cache) Stats() CacheStats {
-	st := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Entries += sh.order.Len()
-		sh.mu.Unlock()
-	}
-	return st
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: len(c.entries)}
 }
 
 var (
@@ -163,7 +142,7 @@ var (
 
 // defaultCache is the process-global compiled-selector cache used by
 // the message dispatch path.
-var defaultCache = NewCache(0)
+var defaultCache = NewCache()
 
 // DefaultCache returns the process-global compiled-selector cache.
 func DefaultCache() *Cache { return defaultCache }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCacheCompileHitMiss(t *testing.T) {
-	c := NewCache(64)
+	c := NewCache()
 	src := `media == "image" and size <= 1024`
 
 	s1, err := c.Compile(src)
@@ -33,7 +33,7 @@ func TestCacheCompileHitMiss(t *testing.T) {
 // Compile errors are cached (negative caching): a corrupt selector in a
 // message flood costs one parse, then map lookups.
 func TestCacheNegativeCaching(t *testing.T) {
-	c := NewCache(64)
+	c := NewCache()
 	if _, err := c.Compile(`media ==`); err == nil {
 		t.Fatal("expected compile error")
 	}
@@ -46,25 +46,53 @@ func TestCacheNegativeCaching(t *testing.T) {
 	}
 }
 
+// The cache holds DefaultCacheCapacity entries however many distinct
+// selectors it meets.
 func TestCacheEviction(t *testing.T) {
-	// Capacity 16 → one entry per shard; each shard evicts its LRU when
-	// a second distinct selector hashes to it.
-	c := NewCache(16)
-	for i := 0; i < 500; i++ {
-		src := fmt.Sprintf(`size == %d`, i)
-		if _, err := c.Compile(src); err != nil {
+	c := NewCache()
+	for i := 0; i < DefaultCacheCapacity+500; i++ {
+		if _, err := c.Compile(fmt.Sprintf(`size == %d`, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.Entries > 16 {
-		t.Errorf("entries = %d, want ≤ capacity 16", st.Entries)
+	if st := c.Stats(); st.Entries != DefaultCacheCapacity || st.Misses != DefaultCacheCapacity+500 {
+		t.Errorf("stats = %+v, want %d entries after %d first sightings", st, DefaultCacheCapacity, DefaultCacheCapacity+500)
 	}
 }
 
-// Many goroutines compiling a mix of shared and distinct selectors must
-// be race-free and always receive a working selector (run under -race).
+// An entry hit since the CLOCK hand last passed survives the sweep that
+// makes room for a first sighting; the unreferenced entry after it is
+// the one replaced.
+func TestCacheClockSparesReferenced(t *testing.T) {
+	c := NewCache()
+	src := func(i int) string { return fmt.Sprintf(`size == %d`, i) }
+	for i := 0; i < DefaultCacheCapacity; i++ {
+		c.Compile(src(i))
+	}
+	c.Compile(src(0)) // the hand's first slot, referenced
+	c.Compile(`size == -1`)
+	if _, ok := c.entries[src(0)]; !ok {
+		t.Error("the referenced entry was evicted")
+	}
+	if _, ok := c.entries[src(1)]; ok {
+		t.Error("the unreferenced entry past the hand survived")
+	}
+	if c.entries[src(0)].ref.Load() {
+		t.Error("the hand passed the referenced entry without clearing its bit")
+	}
+	if st := c.Stats(); st.Entries != DefaultCacheCapacity {
+		t.Errorf("entries = %d, want %d", st.Entries, DefaultCacheCapacity)
+	}
+}
+
+// Many goroutines compiling a mix of shared and distinct selectors into
+// a full cache, so that sweeps evict while others hit, must be
+// race-free and always receive a working selector (run under -race).
 func TestCacheConcurrentCompile(t *testing.T) {
-	c := NewCache(128)
+	c := NewCache()
+	for i := 0; i < DefaultCacheCapacity; i++ {
+		c.Compile(fmt.Sprintf(`nonce == %d`, i))
+	}
 	attrs := Attributes{"media": S("image"), "size": N(100)}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -81,20 +109,21 @@ func TestCacheConcurrentCompile(t *testing.T) {
 					t.Error("shared selector mismatch")
 					return
 				}
-				own, err := c.Compile(fmt.Sprintf(`size == %d`, i%32))
+				own, err := c.CompileBytes([]byte(fmt.Sprintf(`size == %d or nonce == %d`, 100*(i%2), g*1000+i)))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if own.Matches(attrs) != (i%32 == 100%32) {
-					_ = own
+				if own.Matches(attrs) != (i%2 == 1) {
+					t.Errorf("%s mismatch", own.Source())
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("stats = %+v, want both hits and misses", st)
+	if st := c.Stats(); st.Hits == 0 || st.Entries != DefaultCacheCapacity {
+		t.Errorf("stats = %+v, want hits and a full cache", st)
 	}
 }
 
@@ -114,7 +143,7 @@ func TestCompileCachedDefault(t *testing.T) {
 // CompileBytes is Compile for source text still in a receive buffer:
 // the same entries, the same counters, and nothing kept of the buffer.
 func TestCacheCompileBytes(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	buf := []byte(`media == "image" and size <= 4096`)
 	src := string(buf)
 	first, err := c.CompileBytes(buf)
