@@ -38,7 +38,7 @@ fi
 # The allocation and overhead guards the race runtime would distort run
 # only in the first pass (files tagged !race, or raceDetectorEnabled).
 # It runs every test twice in one process: a test that reads a
-# process-global (the trace ring, the metric registry) must scope or
+# process-global (the obs event log, the metric registry) must scope or
 # reset what an earlier run left there, and a kept buffer must come out
 # of a run as usable as it went in (the station's segments keep theirs
 # from share to share).

@@ -95,6 +95,38 @@ func TestReceptionReportsCloseTheLoop(t *testing.T) {
 	}
 }
 
+// TestTraceTimeline runs the program's flight-recorder summary: with
+// -trace it says how many traces it retained and prints one complete
+// timeline, from the sender's publish to a receiver's deliver.
+func TestTraceTimeline(t *testing.T) {
+	obs.ResetFlight()
+	t.Cleanup(func() { obs.SetTraceEnabled(false); obs.ResetFlight() })
+	var out bytes.Buffer
+	if err := run([]string{"-events", "40", "-slo=false", "-trace"}, &out); err != nil {
+		t.Fatalf("collab -trace: %v\n%s", err, out.String())
+	}
+	_, section, ok := strings.Cut(out.String(), "\n--- flight recorder (")
+	if !ok {
+		t.Fatalf("no flight-recorder section in the summary:\n%s", out.String())
+	}
+	lines := strings.Split(section, "\n")
+	var retained, n int
+	var id uint64
+	if _, err := fmt.Sscanf(lines[0], "%d traces retained) ---", &retained); err != nil || retained == 0 {
+		t.Fatalf("retained-traces header %q: %d traces (%v)", lines[0], retained, err)
+	}
+	if _, err := fmt.Sscanf(lines[1], "trace %x (%d hops", &id, &n); err != nil || n < 2 || len(lines) < 2+n {
+		t.Fatalf("sampled timeline header %q: %d hops (%v)", lines[1], n, err)
+	}
+	stage := func(line string) string {
+		f := strings.Fields(line)
+		return f[len(f)-1]
+	}
+	if first, last := stage(lines[2]), stage(lines[1+n]); first != "publish" || last != "deliver" {
+		t.Errorf("trace %016x runs %s → %s, want publish → deliver:\n%s", id, first, last, strings.Join(lines[1:2+n], "\n"))
+	}
+}
+
 // TestTelemetryTick runs a lossy session with SLO monitoring (on by
 // default), a session record and a timeline export, all three fed by the
 // one telemetry tick: the record verifies, the SLO section prints, and

@@ -18,7 +18,7 @@
 // pkg.Name (lines)" per unreached declaration, and exits 1 on any, on a
 // stale entry in allow.txt or globals.txt (the package state the
 // global-state rule lets stand) and on more than maxAllowed allow.txt
-// entries.  On success it prints how many globals.txt lists.
+// or maxGlobals globals.txt entries.  On success it prints how many globals.txt lists.
 package main
 
 import (
@@ -44,6 +44,11 @@ import (
 // paper needs and no program drives yet, not a second way to keep code.
 const maxAllowed = 40
 
+// maxGlobals bounds globals.txt at its present length, so the package
+// state it lists can shrink but not grow without an edit here that
+// says why (ROADMAP item 2 gives each entry a node owner).
+const maxGlobals = 46
+
 func main() {
 	if err := run(".", os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "census:", err)
@@ -57,7 +62,7 @@ func run(dir string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	globals, err := readList(dir, "globals.txt", 0)
+	globals, err := readList(dir, "globals.txt", maxGlobals)
 	if err != nil {
 		return err
 	}
@@ -92,7 +97,7 @@ func readList(dir, name string, max int) ([]string, error) {
 
 // parseList reads the list file as "pkg.Name — reason" lines; blank
 // lines and # comments are skipped, a missing reason is an error, and
-// so are more than max entries when max > 0.
+// so are more than max entries.
 func parseList(r io.Reader, file string, max int) ([]string, error) {
 	var names []string
 	sc := bufio.NewScanner(r)
@@ -110,7 +115,7 @@ func parseList(r io.Reader, file string, max int) ([]string, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if max > 0 && len(names) > max {
+	if len(names) > max {
 		return nil, fmt.Errorf("%s holds %d declarations, at most %d", file, len(names), max)
 	}
 	return names, nil

@@ -127,7 +127,11 @@ func TestParseAllow(t *testing.T) {
 	if _, err := parseList(strings.NewReader(long), "allow.txt", maxAllowed); err == nil {
 		t.Error("an over-long allowlist was accepted")
 	}
-	if _, err := parseList(strings.NewReader(long), "globals.txt", 0); err != nil {
-		t.Errorf("an uncapped list was refused: %v", err)
+	globals := strings.Repeat("lib.G — r\n", maxGlobals)
+	if _, err := parseList(strings.NewReader(globals), "globals.txt", maxGlobals); err != nil {
+		t.Errorf("globals.txt at its cap was refused: %v", err)
+	}
+	if _, err := parseList(strings.NewReader(globals+"lib.H — r\n"), "globals.txt", maxGlobals); err == nil {
+		t.Error("a globals.txt one entry past its cap was accepted")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // shard's bounded queue is full: the broker sheds the newest work for
 // the overloaded shard rather than stalling the relay loop.  Every
 // shed client is counted (CtrDispatchQueueDrops →
-// aqos_dispatch_queue_drops) and recorded in the obs trace ring.
+// aqos_dispatch_queue_drops) and recorded in the obs event log.
 var ErrQueueFull = errors.New("dispatch: shard queue full")
 
 // PoolConfig parameterizes a Pool.

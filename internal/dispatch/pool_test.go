@@ -107,14 +107,14 @@ var backpressureRuns atomic.Int32
 
 // Backpressure: filling a bounded shard queue sheds the overflow with
 // ErrQueueFull, a metrics counter tick (the aqos_dispatch_queue_drops
-// exposition series) and a drop event in the obs trace ring.
+// exposition series) and a drop event in the obs event log.
 func TestEachBackpressureDropRecorded(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	drops := metrics.C(metrics.CtrDispatchQueueDrops)
 	dropsBefore := drops.Load()
 
-	// The trace ring outlives a run (-count=2 reruns this test), so the
+	// The event log outlives a run (-count=2 reruns this test), so the
 	// pool's name is this run's own and the count below reads only its
 	// drops.
 	name := fmt.Sprintf("bp-test-%d", backpressureRuns.Add(1))
@@ -161,7 +161,7 @@ func TestEachBackpressureDropRecorded(t *testing.T) {
 	if got := handled.Load() + int64(dropped); got != int64(len(ids)) {
 		t.Fatalf("handled %d + dropped %d != %d submitted", handled.Load(), dropped, len(ids))
 	}
-	// The trace ring holds the shed clients' drop events at the queue
+	// The event log holds the shed clients' drop events at the queue
 	// stage, tagged with the batch's message identity.
 	var traced int
 	for _, ev := range obs.Events(0) {
@@ -171,7 +171,7 @@ func TestEachBackpressureDropRecorded(t *testing.T) {
 		}
 	}
 	if traced != int(dropped) {
-		t.Fatalf("trace ring has %d queue-drop events, counter says %d", traced, dropped)
+		t.Fatalf("event log has %d queue-drop events, counter says %d", traced, dropped)
 	}
 }
 

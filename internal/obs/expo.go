@@ -67,10 +67,8 @@ func suffixed(name, suffix string) string {
 // family strips the label block: the TYPE comment names the bare
 // metric family, emitted once however many label sets it carries.
 func family(name string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i]
-	}
-	return name
+	fam, _, _ := strings.Cut(name, "{")
+	return fam
 }
 
 // WriteMetrics renders every registered counter, gauge and histogram
@@ -208,13 +206,11 @@ type Endpoint struct {
 	Handler    http.Handler
 }
 
-// Handler serves the exposition endpoints: /metrics (Prometheus text
-// format, runtime gauges refreshed per scrape), /debug/qos (human dump;
-// ?events=N bounds the trace tail, default 64), /debug/trace
-// (flight-recorder timelines; ?msg=<hex id> or ?sender=&seq=), the
-// net/http/pprof profiling suite under /debug/pprof/, and the extra
-// endpoints the program passes.  The /debug index lists exactly what
-// is mounted; any other path answers 404.  A path mounted twice panics.
+// Handler serves /metrics, /debug/qos (?events=N bounds the event tail,
+// default 64), /debug/trace (?msg=<hex id> or ?sender=&seq=),
+// /debug/pprof/ and the extra endpoints the program passes.  The /debug
+// index lists exactly what is mounted, any other path answers 404, and
+// a path mounted twice panics.
 func Handler(extra ...Endpoint) http.Handler {
 	endpoints := append([]Endpoint{
 		{"/metrics", "Prometheus text exposition (counters, gauges, histograms)", http.HandlerFunc(serveMetrics)},
@@ -252,10 +248,8 @@ func serveMetrics(w http.ResponseWriter, r *http.Request) {
 func serveQoS(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	maxEvents := 64
-	if v := r.URL.Query().Get("events"); v != "" {
-		if n, err := parsePositive(v); err == nil {
-			maxEvents = n
-		}
+	if n, err := parsePositive(r.URL.Query().Get("events")); err == nil {
+		maxEvents = n
 	}
 	WriteQoSDebug(w, maxEvents)
 }
@@ -282,10 +276,8 @@ func serveTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	max := 64
-	if v := q.Get("max"); v != "" {
-		if n, err := parsePositive(v); err == nil {
-			max = n
-		}
+	if n, err := parsePositive(q.Get("max")); err == nil {
+		max = n
 	}
 	WriteTraceIndex(w, max)
 }
@@ -298,13 +290,13 @@ type Server struct {
 	ln  net.Listener
 }
 
-// serveReadHeaderTimeout bounds how long a connection may dribble its
-// request headers; without it an idle or hostile scraper pins a
-// goroutine and a socket forever (Slowloris).
-const serveReadHeaderTimeout = 5 * time.Second
-
-// shutdownGrace bounds how long Close waits for in-flight scrapes.
-const shutdownGrace = 2 * time.Second
+// serveReadHeaderTimeout keeps a slow-header (Slowloris) client from
+// pinning a goroutine and a socket; shutdownGrace bounds how long Close
+// waits for in-flight scrapes.
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	shutdownGrace          = 2 * time.Second
+)
 
 // Close shuts the endpoint down gracefully: the listener stops
 // accepting, in-flight responses get shutdownGrace to complete, then
@@ -319,9 +311,7 @@ func (s *Server) Close() error {
 }
 
 // Serve starts Handler(extra...) on addr in a background goroutine and
-// returns the running server (caller closes it).  The server is
-// configured rather than bare: ReadHeaderTimeout against slow-header
-// connections, and graceful Shutdown on Close.
+// returns the running server, which the caller closes.
 func Serve(addr string, extra ...Endpoint) (*Server, error) {
 	srv := &http.Server{
 		Addr:              addr,
@@ -336,19 +326,11 @@ func Serve(addr string, extra ...Endpoint) (*Server, error) {
 	return &Server{srv: srv, ln: ln}, nil
 }
 
+// parsePositive parses a query count: decimal digits, at most 1<<20.
 func parsePositive(s string) (int, error) {
-	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, fmt.Errorf("obs: bad number %q", s)
-		}
-		n = n*10 + int(s[i]-'0')
-		if n > 1<<20 {
-			return 0, fmt.Errorf("obs: number too large %q", s)
-		}
-	}
-	if len(s) == 0 {
-		return 0, fmt.Errorf("obs: empty number")
+	n, err := strconv.Atoi(s)
+	if err != nil || s[0] < '0' || n > 1<<20 {
+		return 0, fmt.Errorf("obs: bad count %q", s)
 	}
 	return n, nil
 }

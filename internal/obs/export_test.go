@@ -3,16 +3,25 @@ package obs
 // Hooks only this package's tests use; kept out of the production
 // surface (the census gate, internal/census, would report them).
 
-import "adaptiveqos/internal/metrics"
+import (
+	"errors"
 
-func (r *eventRing) reset() {
-	r.mu.Lock()
-	r.next = 0
-	r.mu.Unlock()
+	"adaptiveqos/internal/metrics"
+)
+
+// UnmarshalWireTrace parses a trace extension blob into its trace ID
+// and hop records.
+func UnmarshalWireTrace(blob []byte) (uint64, []Hop, error) {
+	id, wire, ok := parseWireTrace(nil, blob)
+	if !ok {
+		return 0, nil, errors.New("obs: malformed trace extension")
+	}
+	hops := make([]Hop, len(wire))
+	for i, h := range wire {
+		hops[i] = Hop{Node: string(h.node), Stage: h.stage, DeltaUS: h.delta}
+	}
+	return id, hops, nil
 }
-
-// ResetEvents clears the trace log (tests, debugging sessions).
-func ResetEvents() { events.reset() }
 
 // gauges snapshots every registered gauge.
 func gauges() map[string]float64 {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -12,7 +13,7 @@ import (
 )
 
 // withTracing runs the body with the flight recorder on and restores a
-// clean disabled state (flag off, store cleared) afterwards.
+// clean disabled state (flag off, log cleared) afterwards.
 func withTracing(t *testing.T, body func()) {
 	t.Helper()
 	SetTraceEnabled(true)
@@ -24,11 +25,26 @@ func withTracing(t *testing.T, body func()) {
 	body()
 }
 
+// wireBlob marshals hops as trace id's wire extension.
+func wireBlob(id uint64, hops ...Hop) []byte {
+	b := binary.BigEndian.AppendUint64(nil, id)
+	b = append(b, byte(len(hops)))
+	for _, h := range hops {
+		b = append(b, byte(h.Stage))
+		b = binary.BigEndian.AppendUint32(b, h.DeltaUS)
+		b = append(b, byte(len(h.Node)))
+		b = append(b, h.Node...)
+	}
+	return b
+}
+
 func TestFlightDisabledIsInert(t *testing.T) {
 	SetTraceEnabled(false)
 	ResetFlight()
 	AppendHop(1, "n", StagePublish)
-	MergeHops(1, []Hop{{Node: "n", Stage: StagePublish}})
+	if _, ok := MergeWireTrace(wireBlob(1, Hop{Node: "n", Stage: StagePublish})); ok {
+		t.Fatal("disabled recorder merged a wire blob")
+	}
 	if got := Hops(1); got != nil {
 		t.Fatalf("disabled recorder stored hops: %v", got)
 	}
@@ -125,7 +141,7 @@ func TestFlightWireRoundTrip(t *testing.T) {
 			}
 		}
 
-		// Merging into a fresh store reconstructs the trace and dedups
+		// Merging into a fresh log reconstructs the trace and dedups
 		// repeated deliveries of the same extension.
 		ResetFlight()
 		mergedBefore := metrics.C(metrics.CtrTraceWireMerged).Load()
@@ -147,10 +163,9 @@ func TestFlightMergeAnchorsUnseenTrace(t *testing.T) {
 		// A remote trace whose last hop delta is 500µs: local origin is
 		// back-computed so a local follow-on hop lands after it.
 		id := uint64(0xfeed)
-		MergeHops(id, []Hop{
-			{Node: "remote", Stage: StagePublish, DeltaUS: 0},
-			{Node: "remote", Stage: StageFragment, DeltaUS: 500},
-		})
+		MergeWireTrace(wireBlob(id,
+			Hop{Node: "remote", Stage: StagePublish, DeltaUS: 0},
+			Hop{Node: "remote", Stage: StageFragment, DeltaUS: 500}))
 		AppendHop(id, "local", StageDeliver)
 		tl, ok := Timeline(id)
 		if !ok || len(tl) != 3 {
@@ -199,16 +214,47 @@ func TestFlightHopCapAndEviction(t *testing.T) {
 			t.Errorf("hops-dropped counter %d -> %d, want +5", droppedBefore, got)
 		}
 
-		// Store eviction: oldest-created trace goes first.
+		// Eviction: the log holds logCapacity records, and a trace goes
+		// whole, oldest-created first, when its first hop is
+		// overwritten, by a hop or by a drop.  An id whose trace was
+		// evicted starts afresh, and the leftovers of its old trace
+		// evict nothing.
 		ResetFlight()
-		for i := 0; i < maxTraces+1; i++ {
-			AppendHop(uint64(i+1), "n", StagePublish)
+		AppendHop(1, "n", StagePublish)
+		AppendHop(2, "n", StagePublish)
+		AppendHop(1, "n", StageDeliver)
+		for i := 0; i < logCapacity-3; i++ {
+			AppendHop(uint64(i+100), "n", StagePublish)
 		}
+		if len(Hops(1)) != 2 || len(Hops(2)) != 1 {
+			t.Fatalf("a full log lost a trace: %v %v", Hops(1), Hops(2))
+		}
+		AppendHop(uint64(logCapacity+100), "n", StagePublish) // overwrites trace 1's first hop
 		if Hops(1) != nil {
-			t.Error("oldest trace should have been evicted")
+			t.Errorf("trace 1 kept %v after its first hop was overwritten", Hops(1))
 		}
-		if Hops(maxTraces+1) == nil {
-			t.Error("newest trace missing")
+		if Hops(2) == nil {
+			t.Error("trace 2 evicted before its first hop was overwritten")
+		}
+		SetEnabled(true)
+		defer SetEnabled(false)
+		Drop(7, StageMatch, "filtered") // overwrites trace 2's only hop
+		if Hops(2) != nil {
+			t.Error("a drop overwrote trace 2's first hop and left the trace")
+		}
+
+		// Trace 1 again: its old deliver hop is still in the ring, and
+		// overwriting it must not evict the new trace.
+		AppendHop(1, "n", StagePublish)
+		AppendHop(uint64(logCapacity+200), "n", StagePublish) // overwrites the old deliver hop
+		if got := Hops(1); len(got) != 1 || got[0].Stage != StagePublish {
+			t.Errorf("re-created trace 1 = %v, want its one publish hop", got)
+		}
+		if sums := TraceSummaries(2); len(sums) != 2 || sums[0].ID != logCapacity+200 || sums[1].ID != 1 {
+			t.Errorf("TraceSummaries(2) = %+v, want the newest-created first", sums)
+		}
+		if evs := Events(0); len(evs) != 1 || evs[0].MsgID != 7 {
+			t.Errorf("Events = %+v, want the one drop", evs)
 		}
 	})
 }
@@ -361,4 +407,48 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 			t.Errorf("%s: %g allocs/op on the disabled path, want 0", tc.name, allocs)
 		}
 	}
+}
+
+// TestTraceWarmZeroAllocs: once the log holds its capacity, the traced
+// path allocates nothing — a hop on a new trace or a known one, a
+// marshal into a reused buffer, and the merge of a blob already merged
+// (every fragment of a message carries the same one).
+func TestTraceWarmZeroAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	withTracing(t, func() {
+		for i := 0; i < logCapacity; i++ {
+			AppendHop(uint64(i+1), "warm", StagePublish)
+		}
+		fresh := uint64(logCapacity + 1)
+		known := MsgID("wired-0", 1)
+		AppendHop(known, "wired-0", StagePublish)
+		AppendHop(known, "wired-0", StageFragment)
+		blob := AppendWireTrace(nil, known)
+		MergeWireTrace(blob)
+		var dst []byte
+		n := 0
+		cases := []struct {
+			name string
+			fn   func()
+		}{
+			{"AppendHop new trace", func() { AppendHop(fresh, "node", StagePublish); fresh++ }},
+			{"AppendHop known trace", func() {
+				// Rotate over a few traces so none reaches maxTraceHops.
+				n++
+				AppendHop(MsgID("wired-1", uint32(n%8)), "node", StageMatch)
+			}},
+			{"AppendWireTrace", func() { dst = AppendWireTrace(dst[:0], known) }},
+			{"MergeWireTrace merged", func() { _, _ = MergeWireTrace(blob) }},
+		}
+		for _, tc := range cases {
+			if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
+				t.Errorf("%s: %g allocs/op with the log warm, want 0", tc.name, allocs)
+			}
+		}
+		if len(dst) == 0 {
+			t.Error("AppendWireTrace marshaled nothing for a retained trace")
+		}
+	})
 }

@@ -12,14 +12,14 @@ import (
 )
 
 // withInstrumentation runs the body with the global flag on and
-// restores a clean disabled state (flag off, ring cleared) afterwards,
+// restores a clean disabled state (flag off, log cleared) afterwards,
 // keeping the package's global state from leaking across tests.
 func withInstrumentation(t *testing.T, body func()) {
 	t.Helper()
 	SetEnabled(true)
 	t.Cleanup(func() {
 		SetEnabled(false)
-		ResetEvents()
+		ResetFlight()
 	})
 	body()
 }
@@ -93,7 +93,7 @@ func TestSpanEnabledRecords(t *testing.T) {
 		if s.Count != before+1 {
 			t.Fatalf("count %d -> %d", before, s.Count)
 		}
-		// End() must not touch the trace ring.
+		// End() must not touch the event log.
 		if evs := Events(0); len(evs) != 0 {
 			t.Errorf("plain End logged %d events", len(evs))
 		}
@@ -131,22 +131,22 @@ func TestDropAndNote(t *testing.T) {
 
 func TestRingOverwriteOldest(t *testing.T) {
 	withInstrumentation(t, func() {
-		for i := 0; i < ringCapacity+10; i++ {
+		for i := 0; i < logCapacity+10; i++ {
 			Drop(uint64(i), StageDeliver, "")
 		}
 		evs := Events(0)
-		if len(evs) != ringCapacity {
-			t.Fatalf("retained %d events, want %d", len(evs), ringCapacity)
+		if len(evs) != logCapacity {
+			t.Fatalf("retained %d events, want %d", len(evs), logCapacity)
 		}
 		if evs[0].MsgID != 10 {
 			t.Errorf("oldest retained = %d, want 10 (overwrite-oldest)", evs[0].MsgID)
 		}
-		if last := evs[len(evs)-1].MsgID; last != ringCapacity+9 {
+		if last := evs[len(evs)-1].MsgID; last != logCapacity+9 {
 			t.Errorf("newest retained = %d", last)
 		}
 		// Bounded snapshot returns the most recent events.
 		tail := Events(3)
-		if len(tail) != 3 || tail[2].MsgID != ringCapacity+9 {
+		if len(tail) != 3 || tail[2].MsgID != logCapacity+9 {
 			t.Errorf("Events(3) = %+v", tail)
 		}
 	})

@@ -113,7 +113,6 @@ func TestTraceOverheadGuard(t *testing.T) {
 		SetEnabled(false)
 		SetTraceEnabled(false)
 		ResetFlight()
-		ResetEvents()
 	})
 
 	buf := make([]byte, 8192)

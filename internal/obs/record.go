@@ -1,25 +1,16 @@
 package obs
 
-// Persistent session recorder (DESIGN.md §13).
-//
-// The flight recorder and the audit rings are bounded in-memory views;
-// this file is the durable one: an opt-in JSONL event log streamed to
-// disk — pipeline spans, QoS gauge samples, inference decisions and
-// SLO conformance transitions — with a versioned schema and a
-// truncation-tolerant loader.  It is the substrate counterfactual
-// policy replay (ROADMAP 5) consumes: a recorded session can be loaded
-// back, event for event, and replayed against alternative policies.
-//
-// Recording is process-global and opt-in, like the other obs
-// switches: producers call RecordEvent, which is one atomic pointer
-// load (and zero allocations) while no recorder is installed.  An
-// installed recorder encodes each event in its caller, under one
-// mutex, into a buffered writer that Close flushes; every accepted
-// event is counted (aqos_record_appended) and LoadSession reads back
-// exactly those.
+// Persistent session recorder (DESIGN.md §13): an opt-in JSONL stream
+// of spans, QoS samples, decisions, SLO transitions and publishes, with
+// a versioned schema and a truncation-tolerant loader, which
+// counterfactual replay reads back.  While none is installed RecordEvent
+// is one atomic load; an installed recorder encodes each event in its
+// caller, under one mutex, into a buffered writer Close flushes, and
+// counts it (aqos_record_appended): LoadSession reads back exactly those.
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,22 +22,17 @@ import (
 	"adaptiveqos/internal/metrics"
 )
 
-// RecordSchema and RecordVersion identify the JSONL session-record
-// format.  The version bumps on any incompatible change to RecHeader
-// or RecEvent; loaders reject files claiming a newer version than they
-// understand.
+// RecordSchema and RecordVersion identify the JSONL format; the version
+// bumps on any incompatible change to RecHeader or RecEvent.
 const (
 	RecordSchema  = "aqos-session-record"
 	RecordVersion = 1
 )
 
-// Recorder load errors.
+// Recorder load errors: a header of another schema or a newer version,
+// and an undecodable line that is not the last (see LoadSession).
 var (
-	// ErrRecordSchema reports a header with the wrong schema name or a
-	// version newer than this build understands.
-	ErrRecordSchema = errors.New("obs: unrecognized session-record schema")
-	// ErrRecordCorrupt reports an undecodable non-final event line (a
-	// truncated FINAL line is tolerated — see LoadSession).
+	ErrRecordSchema  = errors.New("obs: unrecognized session-record schema")
 	ErrRecordCorrupt = errors.New("obs: corrupt session-record line")
 )
 
@@ -70,15 +56,12 @@ type RecHeader struct {
 	StartNS int64  `json:"start_ns"`
 }
 
-// RecEvent is one recorded session event.  Fields beyond Type and
-// AtNS are per-type: spans carry Msg/Stage/NS, QoS samples carry
-// Name/Value, decisions and SLO transitions carry Client/Name/Detail,
-// publish events carry Client (the sender) plus Seq/Level/Size.
-// Msg is the 16-hex trace identifier as a string (JSON numbers lose
-// uint64 precision in non-Go consumers).  The Seq/Level/Size additions
-// are optional fields, so the schema stays at version 1: older loaders
-// ignore unknown JSON keys and older records simply carry no publish
-// events.
+// RecEvent is one recorded session event.  Beyond Type and AtNS: spans
+// carry Msg/Stage/NS, QoS samples Name/Value, decisions and SLO
+// transitions Client/Name/Detail, publishes Client (the sender) and
+// Seq/Level/Size, optional fields that keep the schema at version 1.
+// Msg is the 16-hex trace id as a string (JSON numbers lose uint64
+// precision outside Go).
 type RecEvent struct {
 	Type   string  `json:"type"`
 	AtNS   int64   `json:"at_ns"`
@@ -136,15 +119,12 @@ func (r *Recorder) Append(ev RecEvent) {
 		r.dropped.Inc()
 		return
 	}
-	if err := r.enc.Encode(ev); err != nil && r.err == nil {
-		r.err = err
-	}
+	r.err = cmp.Or(r.err, r.enc.Encode(ev))
 	r.appended.Inc()
 }
 
-// Close stops the recorder: the buffer is flushed (and the underlying
-// file closed, when the recorder opened it), and the first write
-// error — if any — is returned.  Close is idempotent.
+// Close flushes the buffer, closes the file StartRecording opened, and
+// returns the first write error.  Close is idempotent.
 func (r *Recorder) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -152,13 +132,9 @@ func (r *Recorder) Close() error {
 		return r.err
 	}
 	r.closed = true
-	if err := r.w.Flush(); err != nil && r.err == nil {
-		r.err = err
-	}
+	r.err = cmp.Or(r.err, r.w.Flush())
 	if r.closer != nil {
-		if err := r.closer.Close(); err != nil && r.err == nil {
-			r.err = err
-		}
+		r.err = cmp.Or(r.err, r.closer.Close())
 	}
 	return r.err
 }
@@ -167,9 +143,8 @@ func (r *Recorder) Close() error {
 // is off.  RecordEvent's disabled path is this one atomic load.
 var rec atomic.Pointer[Recorder]
 
-// Recording reports whether a session recorder is installed.  Call
-// sites that would allocate building an event (formatting a detail
-// string, hex-encoding a trace ID) gate on it first.
+// Recording reports whether a session recorder is installed: call sites
+// that would allocate building an event gate on it.
 func Recording() bool { return rec.Load() != nil }
 
 // RecordEvent offers one event to the installed recorder; a no-op
@@ -180,27 +155,14 @@ func RecordEvent(ev RecEvent) {
 	}
 }
 
-// RecordPublish appends one publish-workload event: sender published
-// the frame (kind "event" or "data", modality from the media
-// attribute) with the given per-sender sequence, refinement level and
-// payload size at atNS.  Counterfactual replay (DESIGN.md §15)
-// reconstructs the session's workload from these.  No-op while
+// RecordPublish records that sender published a frame (kind "event" or
+// "data", modality from the media attribute) with the given per-sender
+// seq, refinement level and payload size at atNS: counterfactual replay
+// (DESIGN.md §15) rebuilds the workload from these.  No-op while
 // recording is off.
 func RecordPublish(atNS int64, sender string, seq uint64, kind, modality string, level, size int) {
-	r := rec.Load()
-	if r == nil {
-		return
-	}
-	r.Append(RecEvent{
-		Type:   RecTypePublish,
-		AtNS:   atNS,
-		Client: sender,
-		Name:   kind,
-		Detail: modality,
-		Seq:    seq,
-		Level:  level,
-		Size:   size,
-	})
+	RecordEvent(RecEvent{Type: RecTypePublish, AtNS: atNS, Client: sender, Name: kind,
+		Detail: modality, Seq: seq, Level: level, Size: size})
 }
 
 // InstallRecorder makes r the process-global recorder (nil

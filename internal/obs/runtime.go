@@ -2,15 +2,12 @@ package obs
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 )
 
-// SampleRuntime feeds process-health gauges into the gauge set:
-// goroutine count, heap bytes in use, GC cycle count and the p99 GC
-// pause over the runtime's retained pause ring.  The signature matches
-// SamplerFunc so an owner can pass it to Sample; the /metrics handler
-// also calls it on every scrape so the gauges are fresh without a
-// sampling owner (ReadMemStats is scrape-time work, not hot-path work).
+// SampleRuntime is the SamplerFunc of process health: goroutines, heap
+// bytes in use, GC cycles and the p99 GC pause.  /metrics also calls it
+// on every scrape, so the gauges are fresh without a sampling owner.
 func SampleRuntime(set func(name string, value float64)) {
 	set("runtime_goroutines", float64(runtime.NumGoroutine()))
 	var ms runtime.MemStats
@@ -23,19 +20,10 @@ func SampleRuntime(set func(name string, value float64)) {
 // gcPauseP99 computes the 99th-percentile GC pause from the MemStats
 // circular pause buffer (up to the 256 most recent cycles).
 func gcPauseP99(ms *runtime.MemStats) float64 {
-	n := int(ms.NumGC)
-	if n == 0 {
+	pauses := slices.Clone(ms.PauseNs[:min(int(ms.NumGC), len(ms.PauseNs))])
+	if len(pauses) == 0 {
 		return 0
 	}
-	if n > len(ms.PauseNs) {
-		n = len(ms.PauseNs)
-	}
-	pauses := make([]uint64, n)
-	copy(pauses, ms.PauseNs[:n])
-	sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
-	idx := (n*99 + 99) / 100
-	if idx > n {
-		idx = n
-	}
-	return float64(pauses[idx-1])
+	slices.Sort(pauses)
+	return float64(pauses[(len(pauses)*99+99)/100-1])
 }

@@ -6,19 +6,14 @@ import (
 	"adaptiveqos/internal/metrics"
 )
 
-// SamplerFunc feeds one component's QoS telemetry into named gauges.
-// Implementations call set once per metric; names may carry
-// Prometheus-style labels (`client_sir_db{client="w0"}`).  The base
-// station, clients and host agents expose SampleQoS methods with this
-// shape.
+// SamplerFunc feeds one component's QoS telemetry into named gauges,
+// calling set once per metric; names may carry labels
+// (`client_sir_db{client="w0"}`).
 type SamplerFunc func(set func(name string, value float64))
 
-// Sample runs every sampler once, at now, into the registry's gauges:
-// per-client SIR, service tier and power-control state from base
-// stations, RTCP loss/jitter from clients, and host parameters from
-// host agents.  When a session recorder is installed, each sampled
-// gauge is also appended to the record as a qos event stamped now, the
-// instant on the caller's clock.
+// Sample runs every sampler once, at now, into the registry's gauges.
+// Under a session recorder each sampled gauge is also a qos event
+// stamped now, the instant on the caller's clock.
 func Sample(now time.Time, samplers ...SamplerFunc) {
 	// Each sampling round re-bases the gauge-overflow aggregates, so the
 	// capped families' min/mean/max describe this round's spread.

@@ -2,20 +2,13 @@ package obs
 
 import "adaptiveqos/internal/metrics"
 
-// Stage identifies one pipeline stage of a message's journey from
-// publisher to client delivery.  The set mirrors the delivery path:
-// publish → dispatch-queue wait → selector match → capability
-// transform → fragmentation → RTP send → reorder/release → client
-// delivery, plus the out-of-band repair stage (gap detection, NACK
-// retries and replay absorption; its histogram records stall-to-fill
-// latency rather than a span inside the live path).
+// Stage identifies one pipeline stage of a message's journey, in
+// delivery-path order, plus repair (its histogram records stall-to-fill
+// latency, not a span in the live path) and the flight recorder's
+// transmit and archive, appended so earlier ordinals stay stable.
 type Stage uint8
 
-// Pipeline stages, in pipeline order.  StageTransmit (datagrams handed
-// to a transmit adapter) and StageArchive (a coordinator committing a
-// frame to session history) were added with the flight recorder
-// (DESIGN.md §11) and sit after the original set so existing stage
-// ordinals stay stable.
+// Pipeline stages (DESIGN.md §8, §11).
 const (
 	StagePublish Stage = iota
 	StageQueue
@@ -68,10 +61,9 @@ var stageHists = func() [numStages]*metrics.Histogram {
 // StageHistogram returns the latency histogram for one stage.
 func StageHistogram(s Stage) *metrics.Histogram { return stageHists[s] }
 
-// Span measures one stage of one message.  It is a value type: the
-// disabled path returns the zero Span (one atomic flag load, no
-// allocation) and End on a zero Span is a no-op, so call sites do not
-// branch on the enabled flag themselves.
+// Span measures one stage of one message.  Disabled, StartStage
+// returns the zero Span, whose methods no-op, so call sites do not
+// branch on the flag themselves.
 type Span struct {
 	start int64 // UnixNano at start; 0 means disabled
 	id    uint64
@@ -87,15 +79,13 @@ func StartStage(id uint64, s Stage) Span {
 	return Span{start: nowNS(), id: id, stage: s}
 }
 
-// Active reports whether the span is recording.  Call sites use it to
-// skip building dynamic detail strings (which would allocate) before
-// EndErr/Drop/Note when instrumentation is off.
+// Active reports whether the span is recording: call sites skip
+// building a detail string for EndErr, Drop or Note when it is not.
 func (sp Span) Active() bool { return sp.start != 0 }
 
 // End records the stage latency into the stage histogram.  Ordinary
-// completions stay out of the ring-buffer trace log (it is reserved
-// for drops, rejections and transforms), so a busy pipeline's span
-// cost is two clock reads and one atomic add.  Safe on the zero Span.
+// completions stay out of the event log, so a busy pipeline's span
+// costs two clock reads and one atomic add.  Safe on the zero Span.
 func (sp Span) End() {
 	if sp.start == 0 {
 		return
@@ -116,57 +106,22 @@ func (sp Span) EndErr(detail string) {
 	}
 	d := nowNS() - sp.start
 	stageHists[sp.stage].Observe(d)
-	events.add(Event{
-		At:     sp.start,
-		MsgID:  sp.id,
-		Stage:  sp.stage,
-		Kind:   EventDrop,
-		NS:     d,
-		Detail: detail,
-	})
-	if r := rec.Load(); r != nil {
-		r.Append(RecEvent{Type: RecTypeSpan, AtNS: sp.start,
-			Msg: TraceHex(sp.id), Stage: sp.stage.String(), NS: d, Detail: detail})
-	}
+	logEvent(Event{At: sp.start, MsgID: sp.id, NS: d, Detail: detail, Stage: sp.stage, Kind: EventDrop}, true)
 }
 
 // Drop records a discrete pipeline event — a message dropped,
 // rejected or degraded at a stage — without timing it.  No-op (and
 // allocation-free) when instrumentation is disabled.
 func Drop(id uint64, s Stage, detail string) {
-	if !enabled.Load() {
-		return
-	}
-	at := nowNS()
-	events.add(Event{
-		At:     at,
-		MsgID:  id,
-		Stage:  s,
-		Kind:   EventDrop,
-		Detail: detail,
-	})
-	if r := rec.Load(); r != nil {
-		r.Append(RecEvent{Type: RecTypeNote, AtNS: at,
-			Msg: TraceHex(id), Stage: s.String(), Detail: "drop: " + detail})
+	if enabled.Load() {
+		logEvent(Event{At: nowNS(), MsgID: id, Detail: detail, Stage: s, Kind: EventDrop}, false)
 	}
 }
 
 // Note records an informational pipeline event (e.g. a transform
 // performed, a reorder-window skip) at a stage.
 func Note(id uint64, s Stage, detail string) {
-	if !enabled.Load() {
-		return
-	}
-	at := nowNS()
-	events.add(Event{
-		At:     at,
-		MsgID:  id,
-		Stage:  s,
-		Kind:   EventNote,
-		Detail: detail,
-	})
-	if r := rec.Load(); r != nil {
-		r.Append(RecEvent{Type: RecTypeNote, AtNS: at,
-			Msg: TraceHex(id), Stage: s.String(), Detail: detail})
+	if enabled.Load() {
+		logEvent(Event{At: nowNS(), MsgID: id, Detail: detail, Stage: s, Kind: EventNote}, false)
 	}
 }

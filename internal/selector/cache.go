@@ -29,7 +29,7 @@ type Cache struct {
 	ring    []*cacheEntry // the entries in CLOCK order
 	hand    int           // the next ring slot a full cache examines
 
-	hits, misses atomic.Uint64
+	hits, misses *metrics.Counter
 }
 
 // DefaultCacheCapacity is the entry budget of every cache: generous for
@@ -47,9 +47,10 @@ type cacheEntry struct {
 	ref atomic.Bool // hit since the CLOCK hand last passed
 }
 
-// NewCache creates an empty cache of DefaultCacheCapacity entries.
+// NewCache creates an empty cache of DefaultCacheCapacity entries,
+// counting its hits and misses on its own.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[string]*cacheEntry)}
+	return &Cache{entries: make(map[string]*cacheEntry), hits: new(metrics.Counter), misses: new(metrics.Counter)}
 }
 
 // Compile returns the compiled selector for src, parsing it only on the
@@ -86,8 +87,7 @@ func (c *Cache) hit(e *cacheEntry) (*Selector, error) {
 	if !e.ref.Load() {
 		e.ref.Store(true)
 	}
-	c.hits.Add(1)
-	ctrCacheHit.Inc()
+	c.hits.Inc()
 	return e.sel, e.err
 }
 
@@ -117,8 +117,7 @@ func (c *Cache) install(src string) (*Selector, error) {
 	}
 	c.entries[src] = e
 	c.mu.Unlock()
-	c.misses.Add(1)
-	ctrCacheMiss.Inc()
+	c.misses.Inc()
 	return sel, err
 }
 
@@ -135,14 +134,14 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: len(c.entries)}
 }
 
-var (
-	ctrCacheHit  = metrics.C(metrics.CtrSelectorCacheHit)
-	ctrCacheMiss = metrics.C(metrics.CtrSelectorCacheMiss)
-)
-
 // defaultCache is the process-global compiled-selector cache used by
-// the message dispatch path.
-var defaultCache = NewCache()
+// the message dispatch path.  Its hits and misses are the registry's
+// selector.cache.hit and .miss counters.
+var defaultCache = func() *Cache {
+	c := NewCache()
+	c.hits, c.misses = metrics.C(metrics.CtrSelectorCacheHit), metrics.C(metrics.CtrSelectorCacheMiss)
+	return c
+}()
 
 // DefaultCache returns the process-global compiled-selector cache.
 func DefaultCache() *Cache { return defaultCache }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"adaptiveqos/internal/metrics"
 )
 
 func TestCacheCompileHitMiss(t *testing.T) {
@@ -137,6 +139,23 @@ func TestCompileCachedDefault(t *testing.T) {
 	}
 	if DefaultCache().Stats().Misses == 0 {
 		t.Error("default cache saw no compiles")
+	}
+
+	// The default cache counts on the registry's counters, once per
+	// lookup; a private cache moves neither.
+	hits, misses := metrics.C(metrics.CtrSelectorCacheHit), metrics.C(metrics.CtrSelectorCacheMiss)
+	st0, h0, m0 := DefaultCache().Stats(), hits.Load(), misses.Load()
+	for i := 0; i < 3; i++ {
+		CompileCached(`exists(cap.display)`)
+	}
+	CompileCached(fmt.Sprintf(`nonce == %d`, h0+m0)) // unseen in this process
+	NewCache().Compile(`exists(cap.display)`)
+	st1 := DefaultCache().Stats()
+	if st1.Hits-st0.Hits != 3 || hits.Load()-h0 != 3 {
+		t.Errorf("three hits moved Stats().Hits by %d and the registry by %d, want 3 and 3", st1.Hits-st0.Hits, hits.Load()-h0)
+	}
+	if st1.Misses-st0.Misses != 1 || misses.Load()-m0 != 1 {
+		t.Errorf("one miss moved Stats().Misses by %d and the registry by %d, want 1 and 1", st1.Misses-st0.Misses, misses.Load()-m0)
 	}
 }
 
