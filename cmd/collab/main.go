@@ -338,7 +338,9 @@ func run(args []string, out io.Writer) error {
 		senders = append(senders, id)
 	}
 
-	if !instrument {
+	// The samplers feed the gauges and the SLO engine (loss, the radio
+	// picture), so they run whenever either is on.
+	if !instrument && sloEng == nil {
 		samplers = nil
 	}
 	tickTelemetry(clk, samplers, tl, sloEng)

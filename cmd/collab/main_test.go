@@ -194,8 +194,8 @@ func TestTelemetryTick(t *testing.T) {
 // within the run's virtual length, the clock its publishes and QoS
 // samples are stamped on, and one simulation of it finishes.  The
 // session is recorded at one P and again at two, and both records hold
-// the same publishes at the same virtual instants, and as many events
-// of every type: a recorder that shed events at one P would lose some
+// the same publishes at the same virtual instants, the same QoS samples
+// in the same order, and as many events of every type: a recorder that shed events at one P would lose some
 // of them, and a node whose work depends on the count of Ps would
 // record more spans or QoS samples at two.
 func TestRecordReplays(t *testing.T) {
@@ -229,6 +229,23 @@ func TestRecordReplays(t *testing.T) {
 		}
 		return out
 	}
+	// A QoS sample is its gauge, instant and value, in record order: the
+	// samplers walk their state in a fixed order, so two runs list them
+	// alike.
+	type qos struct {
+		name  string
+		atNS  int64
+		value float64
+	}
+	samples := func(s *obs.Session) []qos {
+		var out []qos
+		for _, ev := range s.Events {
+			if ev.Type == obs.RecTypeQoS {
+				out = append(out, qos{ev.Name, ev.AtNS, ev.Value})
+			}
+		}
+		return out
+	}
 	types := func(s *obs.Session) map[string]int {
 		n := map[string]int{}
 		for _, ev := range s.Events {
@@ -243,6 +260,13 @@ func TestRecordReplays(t *testing.T) {
 	}
 	if n1, n2 := types(sess), types(sess2); !maps.Equal(n1, n2) {
 		t.Errorf("the record's events by type: %v at GOMAXPROCS=1, %v at 2", n1, n2)
+	}
+	if q1, q2 := samples(sess), samples(sess2); len(q1) == 0 || !slices.Equal(q1, q2) {
+		i := 0
+		for i < min(len(q1), len(q2)) && q1[i] == q2[i] {
+			i++
+		}
+		t.Errorf("the record's qos samples differ from sample %d of %d (%d at GOMAXPROCS=2)", i, len(q1), len(q2))
 	}
 	w, err := replay.ExtractWorkload(sess)
 	if err != nil {
@@ -298,17 +322,7 @@ func TestSummaryGolden(t *testing.T) {
 		"lossy-slo.golden": "-events 30 -loss 0.3 -seed 5",
 	} {
 		t.Run(golden, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "summary")
-			child := exec.Command(os.Args[0], "-test.run=^TestSummaryGolden$")
-			child.Env = append(os.Environ(), "COLLAB_SUMMARY_OUT="+path,
-				"COLLAB_SUMMARY_ARGS="+args, "TZ=America/New_York")
-			if out, err := child.CombinedOutput(); err != nil {
-				t.Fatalf("collab %s: %v\n%s", args, err, out)
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := childSummary(t, args)
 			want, err := os.ReadFile(filepath.Join("testdata", golden))
 			if err != nil {
 				t.Fatal(err)
@@ -317,6 +331,55 @@ func TestSummaryGolden(t *testing.T) {
 				t.Errorf("collab %s moved from testdata/%s; now:\n%s", args, golden, got)
 			}
 		})
+	}
+}
+
+// childSummary runs collab with args in a child process, as
+// TestSummaryGolden does, and returns the summary it wrote.
+func childSummary(t *testing.T, args string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "summary")
+	child := exec.Command(os.Args[0], "-test.run=^TestSummaryGolden$")
+	child.Env = append(os.Environ(), "COLLAB_SUMMARY_OUT="+path,
+		"COLLAB_SUMMARY_ARGS="+args, "TZ=America/New_York")
+	if out, err := child.CombinedOutput(); err != nil {
+		t.Fatalf("collab %s: %v\n%s", args, err, out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestSLOSectionIgnoresTimeline: the station's QoS sample is the one
+// way the SLO engine hears a member's radio picture, and it runs
+// whenever the engine is on, so a run without instrumentation lists
+// every member the station samples and its conformance section reads
+// as it does under -timeline, bar the curve lines a timeline attaches
+// to a violation.  Of four members the two farthest fall below the
+// text tier and are violated on tier.  Each run is a child process:
+// the SLO engine is process-global.
+func TestSLOSectionIgnoresTimeline(t *testing.T) {
+	const args = "-wireless 4 -events 40"
+	section := func(summary []byte) string {
+		_, s, ok := strings.Cut(string(summary), "--- slo conformance ---")
+		if !ok {
+			t.Fatalf("no slo section in:\n%s", summary)
+		}
+		s, _, _ = strings.Cut(s, "\n--- qos telemetry ---")
+		lines := strings.Split(s, "\n")
+		return strings.Join(slices.DeleteFunc(lines, func(l string) bool { return strings.HasPrefix(l, "  curve ") }), "\n")
+	}
+	plain := section(childSummary(t, args))
+	timed := section(childSummary(t, args+" -timeline "+filepath.Join(t.TempDir(), "tl.jsonl")))
+	if plain != timed {
+		t.Errorf("the slo section moves with -timeline; without:\n%s\nwith:\n%s", plain, timed)
+	}
+	for _, want := range []string{`slo conformance \(6 clients`, `(?m)^wireless-2 +interactive +violated +tier `, `(?m)^wireless-3 +interactive +violated +tier `} {
+		if !regexp.MustCompile(want).MatchString(plain) {
+			t.Errorf("the slo section does not match %s:\n%s", want, plain)
+		}
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"adaptiveqos/internal/radio"
 	"adaptiveqos/internal/registry"
 	"adaptiveqos/internal/selector"
-	"adaptiveqos/internal/slo"
 	"adaptiveqos/internal/transport"
 )
 
@@ -133,8 +132,7 @@ type BaseStation struct {
 		fwdImage, fwdSketch, fwdText, downlk atomic.Uint64
 	}
 
-	stops         [2]func() // end transport.Serve's driving of each segment
-	unregRadioSrc func()
+	stops [2]func() // end transport.Serve's driving of each segment
 }
 
 // New creates a base station bridging the wired multicast session and
@@ -157,9 +155,6 @@ func New(id string, wired, wireless transport.Conn, channel *radio.Channel, cfg 
 	bs.rfTx = &dispatch.Unicaster{Env: &bs.env, Conn: wireless}
 	bs.wiredSeg.init(bs)
 	bs.rfSeg.init(bs)
-	// SLO violation attributions get the client's radio picture from
-	// here (Close unregisters).
-	bs.unregRadioSrc = slo.Default().RegisterRadioSource(bs.RadioSnapshot)
 	bs.stops = [2]func(){
 		transport.Serve(wired, 0, bs.handleWired, nil),
 		transport.Serve(wireless, 0, bs.handleWireless, nil),
@@ -182,7 +177,6 @@ func (bs *BaseStation) Stats() Stats {
 // Close detaches both connections and waits until nothing drives them.
 // Safe to call more than once.
 func (bs *BaseStation) Close() error {
-	bs.unregRadioSrc()
 	e1, e2 := bs.wired.Close(), bs.wireless.Close()
 	bs.stops[0]()
 	bs.stops[1]()

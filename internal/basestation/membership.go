@@ -79,9 +79,10 @@ func (bs *BaseStation) Assess(id string) (Assessment, error) {
 
 // SampleQoS feeds the wireless segment's QoS state into the gauge
 // set: per-client SIR, service tier and power-control state (transmit
-// power, distance) and the population size.  The signature matches
-// obs.SamplerFunc so the telemetry tick can sample the base station
-// directly.
+// power, distance) and the population size.  Each member's radio
+// picture also goes to the SLO engine (slo.ObserveRadio), the one way
+// it learns a tier.  The signature matches obs.SamplerFunc so the
+// telemetry tick can sample the base station directly.
 func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 	ids := bs.reg.IDs()
 	now := bs.clk.Now()
@@ -96,20 +97,8 @@ func (bs *BaseStation) SampleQoS(set func(name string, value float64)) {
 		set("client_tier"+label, float64(a.Tier))
 		set("client_power"+label, a.Power)
 		set("client_distance"+label, a.Distance)
-		slo.ObserveTier(id, int(a.Tier), now)
+		slo.ObserveRadio(id, slo.RadioSnapshot{BS: bs.id, SIRdB: a.SIRdB, Power: a.Power, Distance: a.Distance, Tier: int(a.Tier)}, now)
 	}
-}
-
-// RadioSnapshot reports the client's current radio state in the SLO
-// attribution shape; ok is false for clients this base station does
-// not serve.  Registered with the SLO engine as a RadioSource so
-// violation bundles carry the radio context.
-func (bs *BaseStation) RadioSnapshot(id string) (slo.RadioSnapshot, bool) {
-	a, err := bs.radioState(id)
-	if err != nil {
-		return slo.RadioSnapshot{}, false
-	}
-	return slo.RadioSnapshot{BS: bs.id, SIRdB: a.SIRdB, Power: a.Power, Distance: a.Distance, Tier: int(a.Tier)}, true
 }
 
 // SetDistance moves a wireless client (mobility).

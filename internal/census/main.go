@@ -47,7 +47,7 @@ const maxAllowed = 40
 // maxGlobals bounds globals.txt at its present length, so the package
 // state it lists can shrink but not grow without an edit here that
 // says why (ROADMAP item 2 gives each entry a node owner).
-const maxGlobals = 46
+const maxGlobals = 45
 
 func main() {
 	if err := run(".", os.Stdout); err != nil {

@@ -40,11 +40,13 @@ type CoordinatorKernel struct {
 	// log is the archive in session order, the order the frames were
 	// heard: log[i] is the frame with session seq first+i.  Frames leave
 	// from the front only, so first never moves back.
-	log        []archivedFrame
-	first      uint64
-	archiveCap int                      // retained frames: maxArchived, lower in tests
-	streams    map[string]*senderStream // per sender: archive index; nil if the group filter rejects it
-	locks      session.ObjectLocks      // distributed lock arbitration
+	log            []archivedFrame
+	first          uint64
+	archiveCap     int                      // retained frames: maxArchived, lower in tests
+	archiveByteCap int                      // retained frame bytes: maxArchivedBytes, lower in tests
+	archivedBytes  int                      // the bytes of the frames in log
+	streams        map[string]*senderStream // per sender: archive index; nil if the group filter rejects it
+	locks          session.ObjectLocks      // distributed lock arbitration
 }
 
 // archivedFrame is one archived original frame plus where its sender's
@@ -56,12 +58,17 @@ type archivedFrame struct {
 	stream    *senderStream
 }
 
-// maxArchived bounds the archive: past it the oldest frames leave the
-// log, index entries with them.  No session in this repository comes
-// near it (the benchmark's lossy chat archives about 25k frames); it
-// bounds a coordinator that runs for ever, as maxRepairFrames bounds
-// one answer.
-const maxArchived = 1 << 16
+// maxArchived and maxArchivedBytes bound the archive in frames and in
+// frame bytes: past either the oldest frames leave the log, index
+// entries with them.  No session in this repository comes near them
+// (the benchmark's lossy chat archives about 25k small frames); they
+// bound a coordinator that runs for ever, as maxRepairFrames bounds
+// one answer.  The byte bound holds however large the frames are: a
+// reassembled frame may run to MaxFragments datagrams.
+const (
+	maxArchived      = 1 << 16
+	maxArchivedBytes = 32 << 20
+)
 
 // Control-message vocabulary for the history protocol.
 const (
@@ -86,13 +93,14 @@ const maxRepairFrames = 256
 // conn's clock timestamps lock notifications.
 func NewCoordinatorKernel(conn transport.Conn, group session.Group) *CoordinatorKernel {
 	k := &CoordinatorKernel{
-		conn:       conn,
-		clk:        conn.Clock(),
-		group:      group,
-		unwrap:     message.NewUnwrapper(),
-		first:      1,
-		archiveCap: maxArchived,
-		streams:    make(map[string]*senderStream),
+		conn:           conn,
+		clk:            conn.Clock(),
+		group:          group,
+		unwrap:         message.NewUnwrapper(),
+		first:          1,
+		archiveCap:     maxArchived,
+		archiveByteCap: maxArchivedBytes,
+		streams:        make(map[string]*senderStream),
 	}
 	k.env.Node = conn.ID()
 	k.tx = dispatch.Unicaster{Env: &k.env, Conn: conn}
@@ -257,8 +265,8 @@ func (k *CoordinatorKernel) stream(sender []byte) *senderStream {
 // dropped, since archiving it again would mint a second session event.
 // frame aliases the datagram (or is the reassembler's fresh buffer),
 // which nobody writes again: the archive keeps those bytes and resend
-// only reads them.  Past the cap the oldest frames leave, index entries
-// with them.
+// only reads them.  Past either bound the oldest frames leave, index
+// entries with them.
 func (k *CoordinatorKernel) archive(st *senderStream, seq uint32, frame []byte) {
 	if !st.index(seq, k.first+uint64(len(k.log))) {
 		metrics.C(metrics.CtrArchiveDupDrops).Inc()
@@ -270,13 +278,17 @@ func (k *CoordinatorKernel) archive(st *senderStream, seq uint32, frame []byte) 
 	}
 	obs.AppendHop(obs.MsgID(st.sender, seq), k.ID(), obs.StageArchive)
 	k.log = append(k.log, archivedFrame{data: frame, senderSeq: seq, stream: st})
-	if drop := len(k.log) - k.archiveCap; drop > 0 {
+	k.archivedBytes += len(frame)
+	drop := 0
+	for ; len(k.log)-drop > k.archiveCap || k.archivedBytes > k.archiveByteCap; drop++ {
+		f := k.log[drop]
+		f.stream.unindex(f.senderSeq)
+		k.archivedBytes -= len(f.data)
+	}
+	if drop > 0 {
 		// Slide the window instead of copying it: the cut frames are
 		// cleared so their bytes are not retained, and append moves the
 		// survivors only when the backing array runs out.
-		for _, f := range k.log[:drop] {
-			f.stream.unindex(f.senderSeq)
-		}
 		clear(k.log[:drop])
 		k.log = k.log[drop:]
 		k.first += uint64(drop)

@@ -409,6 +409,55 @@ func TestCoordinatorIndexFollowsArchiveCap(t *testing.T) {
 	}
 }
 
+// TestCoordinatorArchiveByteBound: when the frames are large enough
+// that the byte bound binds before the frame bound, the archive keeps
+// at most the bound's bytes of frames, the newest, trims the oldest
+// with their index entries, and raises each sender's floor past what
+// it trimmed, so a trimmed frame heard again is a duplicate.
+func TestCoordinatorArchiveByteBound(t *testing.T) {
+	conn := newCaptureConn("coordinator", time.Unix(0, 0))
+	k := NewCoordinatorKernel(conn, session.Group{Objective: "bytes"})
+	k.archiveByteCap = 10 << 10
+	var env message.Enveloper
+	send := func(sender string, seq uint32, size int) {
+		t.Helper()
+		d, err := env.WrapMessage(&message.Message{Kind: message.KindEvent, Sender: sender, Seq: seq, Body: make([]byte, size)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.HandlePacket(transport.Packet{From: sender, Data: d[0]})
+	}
+	const frames = 60
+	for seq := uint32(1); seq <= frames; seq++ {
+		send("alice", seq, 300+10*int(seq))
+		send("bob", seq, 700)
+		retained := 0
+		for _, f := range k.log {
+			retained += len(f.data)
+		}
+		if retained > k.archiveByteCap || retained != k.archivedBytes {
+			t.Fatalf("after seq %d: %d bytes retained, %d counted, bound %d", seq, retained, k.archivedBytes, k.archiveByteCap)
+		}
+		if k.ArchivedEvents() != indexed(k) {
+			t.Fatalf("after seq %d: %d frames archived, %d indexed", seq, k.ArchivedEvents(), indexed(k))
+		}
+	}
+	if last := k.log[len(k.log)-1]; last.stream.sender != "bob" || last.senderSeq != frames {
+		t.Errorf("the newest archived frame is %s/%d, want bob/%d", last.stream.sender, last.senderSeq, frames)
+	}
+	for _, sender := range []string{"alice", "bob"} {
+		st := k.streams[sender]
+		if st.floor == 0 || st.archived[0].senderSeq != st.floor+1 {
+			t.Errorf("%s: floor %d, oldest archived seq %d; want a raised floor just below the oldest", sender, st.floor, st.archived[0].senderSeq)
+		}
+	}
+	drops := metrics.C(metrics.CtrArchiveDupDrops).Load()
+	send("alice", 1, 10)
+	if got := metrics.C(metrics.CtrArchiveDupDrops).Load() - drops; got != 1 {
+		t.Errorf("%d duplicate drops counted for a trimmed frame heard again, want 1", got)
+	}
+}
+
 func TestHoleListRoundTrip(t *testing.T) {
 	var buf [maxNackHoles + 1]session.SeqRange
 	for _, tc := range []struct {

@@ -13,6 +13,7 @@ package hostagent
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"adaptiveqos/internal/metrics"
@@ -128,6 +129,7 @@ type Host struct {
 	step      int
 	ticks     uint32
 	values    map[string]float64
+	names     []string // the keys of values, ascending: SampleQoS walks them
 	schedules map[string]Schedule
 }
 
@@ -146,7 +148,7 @@ func (h *Host) SetSchedule(param string, s Schedule) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.schedules[param] = s
-	h.values[param] = s.At(h.step)
+	h.setLocked(param, s.At(h.step))
 }
 
 // Set forces a parameter to a fixed value (clearing any schedule).
@@ -154,6 +156,16 @@ func (h *Host) Set(param string, v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.schedules, param)
+	h.setLocked(param, v)
+}
+
+// setLocked stores v for param, listing a new param in name order.
+// Caller holds h.mu.
+func (h *Host) setLocked(param string, v float64) {
+	if _, ok := h.values[param]; !ok {
+		i, _ := slices.BinarySearch(h.names, param)
+		h.names = slices.Insert(h.names, i, param)
+	}
 	h.values[param] = v
 }
 
@@ -166,17 +178,14 @@ func (h *Host) Get(param string) float64 {
 
 // SampleQoS feeds every current host parameter into the QoS gauge
 // set (the system-state side of the telemetry the contract adapts
-// to).  The signature matches obs.SamplerFunc so the telemetry
+// to), in name order, so a session record lists them the same way
+// every run.  The signature matches obs.SamplerFunc so the telemetry
 // tick can sample the host directly.
 func (h *Host) SampleQoS(set func(name string, value float64)) {
 	h.mu.RLock()
-	params := make(map[string]float64, len(h.values))
-	for param, v := range h.values {
-		params[param] = v
-	}
-	h.mu.RUnlock()
-	for param, v := range params {
-		set(`host_param{host="`+metrics.EscapeLabel(h.Name)+`",param="`+metrics.EscapeLabel(param)+`"}`, v)
+	defer h.mu.RUnlock()
+	for _, param := range h.names {
+		set(`host_param{host="`+metrics.EscapeLabel(h.Name)+`",param="`+metrics.EscapeLabel(param)+`"}`, h.values[param])
 	}
 }
 

@@ -88,9 +88,9 @@ const (
 	// after the recorder closed.
 	CtrRecordAppended = "record.appended"
 	CtrRecordDropped  = "record.dropped"
-	// Gauge-cardinality cap (cardinality.go, DESIGN.md §8): sets against
-	// a labeled gauge family already at its child limit, folded into the
-	// family's min/mean/max overflow aggregate instead of registering.
+	// Gauge-cardinality cap (registry.go, DESIGN.md §8): sets dropped
+	// because they would register a child of a labeled gauge family
+	// already at its limit.
 	CtrGaugeCardinalityDropped = "gauge.cardinality.dropped"
 )
 

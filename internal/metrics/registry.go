@@ -23,18 +23,24 @@ func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 // table is the process-global registry: one name→metric map under one
 // mutex, where a name holds exactly one kind — a *Counter, *Gauge or
 // *Histogram.  Hot paths hold handles; the map is only consulted at
-// registration and exposition time.  famCount and overflow are the
-// gauge cardinality cap's bookkeeping (cardinality.go).
+// registration and exposition time.  famCount counts each labeled
+// gauge family's children, for GaugeCardinalityLimit.
 var table = struct {
 	mu       sync.Mutex
 	m        map[string]any
 	famCount map[string]int
-	overflow map[string]*overflowAgg
 }{
 	m:        make(map[string]any),
 	famCount: make(map[string]int),
-	overflow: make(map[string]*overflowAgg),
 }
+
+// GaugeCardinalityLimit caps how many labeled children one gauge family
+// may register.  Per-client families (slo_state{client=...},
+// client_sir_db{client=...}) are unbounded in principle — at 100k sim
+// clients a /metrics scrape, and every timeline snapshot, would walk
+// 300k+ gauges.  A set that would register a child past the cap is
+// dropped and counted on aqos_gauge_cardinality_dropped.
+const GaugeCardinalityLimit = 256
 
 // getLocked returns (creating on demand) the metric of kind T named
 // name.  A name registered as another kind is a programming error and
@@ -66,34 +72,22 @@ func C(name string) *Counter { return get[Counter](name) }
 // Prometheus-style labels: `stage_latency_ns{stage="match"}`.
 func H(name string) *Histogram { return get[Histogram](name) }
 
-// gaugeLocked returns (creating on demand) the named gauge, or nil when
-// name would be a new child of a labeled family already at
-// GaugeCardinalityLimit.  Caller holds table.mu.
-func gaugeLocked(name string) *Gauge {
+// SetGauge sets the named gauge, registering it on first use.  A set
+// that would register a child of a labeled family past its cardinality
+// cap is dropped and counted on aqos_gauge_cardinality_dropped instead.
+func SetGauge(name string, v float64) {
+	table.mu.Lock()
+	defer table.mu.Unlock()
 	if _, ok := table.m[name]; !ok {
 		if fam, _, labeled := strings.Cut(name, "{"); labeled {
 			if table.famCount[fam] >= GaugeCardinalityLimit {
-				return nil
+				getLocked[Counter](CtrGaugeCardinalityDropped).Inc()
+				return
 			}
 			table.famCount[fam]++
 		}
 	}
-	return getLocked[Gauge](name)
-}
-
-// SetGauge sets the named gauge.  Sets against a labeled family past its
-// cardinality cap fold into the family's min/mean/max overflow
-// aggregate and bump aqos_gauge_cardinality_dropped instead.
-func SetGauge(name string, v float64) {
-	table.mu.Lock()
-	defer table.mu.Unlock()
-	if g := gaugeLocked(name); g != nil {
-		g.Set(v)
-		return
-	}
-	fam, _, _ := strings.Cut(name, "{")
-	overflowObserveLocked(fam, v)
-	getLocked[Counter](CtrGaugeCardinalityDropped).Inc()
+	getLocked[Gauge](name).Set(v)
 }
 
 // Each calls fn for every registered metric in name order; m is its

@@ -15,9 +15,6 @@ type SamplerFunc func(set func(name string, value float64))
 // Under a session recorder each sampled gauge is also a qos event
 // stamped now, the instant on the caller's clock.
 func Sample(now time.Time, samplers ...SamplerFunc) {
-	// Each sampling round re-bases the gauge-overflow aggregates, so the
-	// capped families' min/mean/max describe this round's spread.
-	metrics.StartGaugeOverflowRound()
 	set := metrics.SetGauge
 	if r := rec.Load(); r != nil {
 		at := now.UnixNano()

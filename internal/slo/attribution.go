@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"slices"
 	"sort"
 
 	"adaptiveqos/internal/inference"
@@ -23,37 +24,14 @@ const (
 	maxCurveSeries  = 12
 )
 
-// RadioSnapshot is a client's radio/tier state at violation time, as
-// reported by a registered RadioSource (typically the base station).
+// RadioSnapshot is a client's radio/tier state as its base station
+// last sampled it (ObserveRadio); a violation bundle copies it.
 type RadioSnapshot struct {
 	BS       string
 	SIRdB    float64
 	Power    float64
 	Distance float64
 	Tier     int
-}
-
-// RadioSource reports the current radio snapshot for a client, and
-// whether the source knows the client at all.
-type RadioSource func(client string) (RadioSnapshot, bool)
-
-// TraceExemplar references one flight-recorder trace that ended at the
-// violating client — an entry point for /debug/trace forensics.
-type TraceExemplar struct {
-	ID        uint64
-	Hops      int
-	SpanUS    uint32
-	LastStage string
-}
-
-// DecisionSummary condenses one audited inference decision from the
-// window surrounding the violation.
-type DecisionSummary struct {
-	At        int64
-	Fired     []string
-	Budget    int
-	Modality  string
-	Satisfied bool
 }
 
 // Attribution is the evidence bundle captured when a client enters the
@@ -66,8 +44,12 @@ type Attribution struct {
 	Objective Objective
 	BurnShort float64
 	BurnLong  float64
-	Traces    []TraceExemplar
-	Decisions []DecisionSummary
+	// Traces are the worst retained traces that ended at the client,
+	// longest span first: entry points for /debug/trace forensics.
+	Traces []obs.TraceSummary
+	// Decisions are the client's audited inference decisions, newest
+	// first.
+	Decisions []inference.AuditEntry
 	Radio     RadioSnapshot
 	RadioOK   bool
 
@@ -79,17 +61,10 @@ type Attribution struct {
 }
 
 // captureAttribution assembles the bundle for a freshly violated
-// client.  The engine calls it under its own lock, so sources must not
-// call back into the engine (see RegisterRadioSource).
-func captureAttribution(client string, worst Objective, burnShort, burnLong float64, nowNS int64, sources []*RadioSource) Attribution {
-	a := Attribution{
-		AtNS:      nowNS,
-		Client:    client,
-		Objective: worst,
-		BurnShort: burnShort,
-		BurnLong:  burnLong,
-	}
-
+// client from its state.  The engine calls it under its own lock.  The
+// bundle is retained, so it clones what it keeps of each store's
+// answer rather than pinning the whole answer.
+func captureAttribution(client string, cs *clientState, nowNS int64) Attribution {
 	// Worst messages: traces whose final hop landed on this client,
 	// ranked by total span.
 	var mine []obs.TraceSummary
@@ -99,39 +74,18 @@ func captureAttribution(client string, worst Objective, burnShort, burnLong floa
 		}
 	}
 	sort.Slice(mine, func(i, j int) bool { return mine[i].SpanUS > mine[j].SpanUS })
-	if len(mine) > maxExemplars {
-		mine = mine[:maxExemplars]
+	return Attribution{
+		AtNS:      nowNS,
+		Client:    client,
+		Objective: cs.worst,
+		BurnShort: cs.burnShort,
+		BurnLong:  cs.burnLong,
+		Traces:    slices.Clone(mine[:min(len(mine), maxExemplars)]),
+		Decisions: slices.Clone(inference.Audits(client, maxDecisions)),
+		Radio:     cs.radio,
+		RadioOK:   cs.radioOK,
+		Curves:    captureCurves(client, nowNS),
 	}
-	for _, t := range mine {
-		a.Traces = append(a.Traces, TraceExemplar{
-			ID:        t.ID,
-			Hops:      t.Hops,
-			SpanUS:    t.SpanUS,
-			LastStage: t.Last.Stage.String(),
-		})
-	}
-
-	// Surrounding inference decisions, newest first.
-	for _, d := range inference.Audits(client, maxDecisions) {
-		a.Decisions = append(a.Decisions, DecisionSummary{
-			At:        d.At,
-			Fired:     append([]string(nil), d.Fired...),
-			Budget:    d.Budget,
-			Modality:  d.Modality,
-			Satisfied: d.Satisfied,
-		})
-	}
-
-	for _, src := range sources {
-		if snap, ok := (*src)(client); ok {
-			a.Radio = snap
-			a.RadioOK = true
-			break
-		}
-	}
-
-	a.Curves = captureCurves(client, nowNS)
-	return a
 }
 
 // captureCurves pulls the recent metric windows relevant to client

@@ -80,7 +80,7 @@ func writeAttribution(w io.Writer, a Attribution) {
 	}
 	for _, t := range a.Traces {
 		fmt.Fprintf(w, "  trace %s span=%dus hops=%d last=%s\n",
-			obs.TraceHex(t.ID), t.SpanUS, t.Hops, t.LastStage)
+			obs.TraceHex(t.ID), t.SpanUS, t.Hops, t.Last.Stage)
 	}
 	for _, d := range a.Decisions {
 		fired := strings.Join(d.Fired, ",")

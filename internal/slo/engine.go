@@ -68,6 +68,11 @@ type clientState struct {
 	burnShort float64 // max over objectives
 	burnLong  float64
 
+	// radio is the client's radio picture as last observed
+	// (ObserveRadio); radioOK is false until one is.
+	radio   RadioSnapshot
+	radioOK bool
+
 	attributions []Attribution
 }
 
@@ -94,7 +99,6 @@ type Engine struct {
 	clients     map[string]*clientState
 	ids         []string // the keys of clients, ascending: Poll and Status walk them
 	transitions []Transition
-	sources     []*RadioSource // one per registration, in registration order
 
 	// Poll idempotence: on a virtual clock many drive iterations can
 	// land on the same instant; re-evaluating the state machine at an
@@ -121,25 +125,6 @@ func (e *Engine) SetDefaultSpec(spec Spec) {
 	e.defaultSpec = spec.withDefaults()
 }
 
-// RegisterRadioSource adds a radio-snapshot provider consulted when a
-// violation attribution is captured.  Sources are called with the
-// engine lock held and must not call back into the engine.  The
-// returned function unregisters: it removes this registration and
-// keeps the others in order.
-func (e *Engine) RegisterRadioSource(src RadioSource) func() {
-	entry := &src
-	e.mu.Lock()
-	e.sources = append(e.sources, entry)
-	e.mu.Unlock()
-	return func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if i := slices.Index(e.sources, entry); i >= 0 {
-			e.sources = slices.Delete(e.sources, i, i+1)
-		}
-	}
-}
-
 func newClientState(spec Spec, nowNS int64) *clientState {
 	cs := &clientState{spec: spec.withDefaults(), sinceNS: nowNS}
 	for i := range cs.series {
@@ -156,8 +141,24 @@ func (e *Engine) Observe(client string, o Objective, v float64, at time.Time) {
 	if o >= numObjectives {
 		return
 	}
-	nowNS := at.UnixNano()
 	e.mu.Lock()
+	e.observeLocked(client, o, v, at.UnixNano())
+	e.mu.Unlock()
+}
+
+// ObserveRadio records a client's sampled radio picture at the instant
+// at: its tier is one tier observation, and the snapshot is what the
+// client's next violation bundle carries.
+func (e *Engine) ObserveRadio(client string, snap RadioSnapshot, at time.Time) {
+	e.mu.Lock()
+	cs := e.observeLocked(client, ObjTier, float64(snap.Tier), at.UnixNano())
+	cs.radio, cs.radioOK = snap, true
+	e.mu.Unlock()
+}
+
+// observeLocked records one observation and returns the client's
+// state.  Caller holds e.mu.
+func (e *Engine) observeLocked(client string, o Objective, v float64, nowNS int64) *clientState {
 	cs, ok := e.clients[client]
 	if !ok {
 		cs = newClientState(e.defaultSpec, nowNS)
@@ -166,7 +167,7 @@ func (e *Engine) Observe(client string, o Objective, v float64, at time.Time) {
 		e.ids = slices.Insert(e.ids, i, client)
 	}
 	cs.series[o].observe(nowNS, v, cs.spec.bad(o, v))
-	e.mu.Unlock()
+	return cs
 }
 
 // Poll evaluates every client's windows at now and advances the
@@ -280,7 +281,7 @@ func (e *Engine) setState(client string, cs *clientState, to State, nowNS int64)
 		cs.deadlineScored = false
 		metrics.C(metrics.CtrSLOViolations).Inc()
 		metrics.C(metrics.SLOClientViolations(client)).Inc()
-		a := captureAttribution(client, cs.worst, cs.burnShort, cs.burnLong, nowNS, e.sources)
+		a := captureAttribution(client, cs, nowNS)
 		if len(cs.attributions) >= maxAttributions {
 			copy(cs.attributions, cs.attributions[1:])
 			cs.attributions = cs.attributions[:maxAttributions-1]

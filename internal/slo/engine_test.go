@@ -172,44 +172,8 @@ func TestBlownRecoveryDeadlineScoresIneffective(t *testing.T) {
 	}
 }
 
-// TestRadioSourceUnregisterFreesItsSlot: every base station registers
-// a radio source with the process's engine and unregisters it when it
-// closes, so a register/unregister pair must leave nothing behind, and
-// must not disturb the sources still registered.
-func TestRadioSourceUnregisterFreesItsSlot(t *testing.T) {
-	e := NewEngine(testSpec())
-	dropFirst := e.RegisterRadioSource(func(string) (RadioSnapshot, bool) { return RadioSnapshot{BS: "gone"}, true })
-	keep := e.RegisterRadioSource(func(client string) (RadioSnapshot, bool) {
-		return RadioSnapshot{BS: "kept", SIRdB: 3}, client == "c1"
-	})
-	defer keep()
-	dropFirst()
-	for i := 0; i < 1000; i++ {
-		e.RegisterRadioSource(func(string) (RadioSnapshot, bool) { return RadioSnapshot{BS: "gone"}, true })()
-	}
-	dropFirst() // a second call changes nothing
-	if n := len(e.sources); n != 1 {
-		t.Fatalf("%d sources registered after 1001 register/unregister pairs, want the 1 kept", n)
-	}
-
-	base := time.Unix(1000, 0)
-	feed(e, "c1", base, 0.5, 8)
-	e.Poll(base.Add(200 * time.Millisecond))
-	atts := e.Attributions("c1")
-	if len(atts) != 1 || !atts[0].RadioOK || atts[0].Radio.BS != "kept" {
-		t.Fatalf("attributions %+v, want one with the kept source's radio snapshot", atts)
-	}
-}
-
 func TestViolationAttributionBundle(t *testing.T) {
 	e := NewEngine(testSpec())
-	unreg := e.RegisterRadioSource(func(client string) (RadioSnapshot, bool) {
-		if client != "c1" {
-			return RadioSnapshot{}, false
-		}
-		return RadioSnapshot{BS: "bs", SIRdB: 7.5, Power: 0.8, Distance: 60, Tier: 2}, true
-	})
-	defer unreg()
 
 	// Retained flight-recorder traces ending at the violating client
 	// become the exemplars.
@@ -230,7 +194,11 @@ func TestViolationAttributionBundle(t *testing.T) {
 	obs.AppendHop(other, "sender", obs.StagePublish)
 	obs.AppendHop(other, "c2", obs.StageDeliver)
 
+	// The station's sample pushes c1's radio picture; the bundle keeps
+	// the latest one.
 	base := time.Unix(1000, 0)
+	e.ObserveRadio("c1", RadioSnapshot{BS: "bs", SIRdB: 2, Tier: 3}, base)
+	e.ObserveRadio("c1", RadioSnapshot{BS: "bs", SIRdB: 7.5, Power: 0.8, Distance: 60, Tier: 2}, base)
 	feed(e, "c1", base, 0.5, 8)
 	e.Poll(base.Add(200 * time.Millisecond))
 
@@ -242,8 +210,8 @@ func TestViolationAttributionBundle(t *testing.T) {
 	if a.Objective != ObjLoss || a.BurnShort < 2 {
 		t.Errorf("attribution objective/burn = %s %.2f", a.Objective, a.BurnShort)
 	}
-	if !a.RadioOK || a.Radio.BS != "bs" || a.Radio.Tier != 2 {
-		t.Errorf("radio snapshot = %+v ok=%v", a.Radio, a.RadioOK)
+	if want := (RadioSnapshot{BS: "bs", SIRdB: 7.5, Power: 0.8, Distance: 60, Tier: 2}); !a.RadioOK || a.Radio != want {
+		t.Errorf("radio snapshot = %+v ok=%v, want %+v", a.Radio, a.RadioOK, want)
 	}
 	if len(a.Traces) != 2 {
 		t.Fatalf("trace exemplars = %+v, want the 2 traces ending at c1", a.Traces)

@@ -26,7 +26,7 @@ func TestDisabledObserveZeroAllocs(t *testing.T) {
 		ObserveDelivery("c", 10*time.Millisecond, at)
 		ObserveLoss("c", 0.01, at)
 		ObserveRepair("c", 100*time.Millisecond, at)
-		ObserveTier("c", 2, at)
+		ObserveRadio("c", RadioSnapshot{BS: "bs", SIRdB: 9, Tier: 2}, at)
 	}); n != 0 {
 		t.Fatalf("disabled Observe* allocates %.1f per run, want 0", n)
 	}

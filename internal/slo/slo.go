@@ -13,18 +13,25 @@
 // machine (conforming → at-risk → violated → recovered) runs on the
 // windowed burn rates; transitions are counted (aqos_slo_*), exported
 // as gauges, appended to the session record, and — on entry into
-// violated — decorated with an attribution bundle: exemplar
-// flight-recorder trace IDs for the worst offending messages, the
-// inference decisions audited in the surrounding window, and the
-// client's radio/tier snapshot.  Violations also start an
+// violated — decorated with an attribution bundle: the flight
+// recorder's worst traces that ended at the client, the inference
+// decisions audited in the surrounding window, and the client's last
+// radio snapshot.  Violations also start an
 // adaptation-effectiveness clock: conformance restored within the
 // recovery deadline counts aqos_slo_adaptation_effective (plus a
 // time-to-recover histogram), a blown deadline counts
 // aqos_slo_adaptation_ineffective.
 //
+// Every observation reaches the engine one way, pushed by the node
+// that knows the fact, stamped on that node's clock: a client's
+// deliveries and sampled loss, its kernel's repairs, and the radio
+// picture the base station samples for each member (ObserveRadio).
+// The engine pulls from no one.
+//
 // Like the rest of the observability layer, the disabled path is one
 // process-global atomic load and zero allocations (guarded by
-// TestSLODisabledZeroAllocs and TestSLOOverheadGuard in CI).
+// TestDisabledObserveZeroAllocs and TestEnabledObserveOverheadGuard in
+// CI).
 package slo
 
 import (
@@ -47,8 +54,7 @@ func Enabled() bool { return on.Load() }
 // paths call slo.ObserveDelivery(...) without holding a handle.
 var defaultEngine = NewEngine(Spec{})
 
-// Default returns the process-global engine (registration, polling,
-// debug views).
+// Default returns the process-global engine (polling, debug views).
 func Default() *Engine { return defaultEngine }
 
 // ObserveDelivery records one message-delivery latency for client at
@@ -81,12 +87,13 @@ func ObserveRepair(client string, converge time.Duration, at time.Time) {
 	defaultEngine.Observe(client, ObjRepair, float64(converge.Nanoseconds()), at)
 }
 
-// ObserveTier records one sampled service tier for client (the
-// radio.Tier ordinal: 0 none, 1 text, 2 sketch, 3 image) at the
-// instant at.
-func ObserveTier(client string, tier int, at time.Time) {
+// ObserveRadio records one sampled radio picture for client at the
+// instant at: its service tier (the radio.Tier ordinal: 0 none, 1
+// text, 2 sketch, 3 image) feeds the tier objective, and the snapshot
+// is what the client's next violation bundle carries.
+func ObserveRadio(client string, snap RadioSnapshot, at time.Time) {
 	if !on.Load() {
 		return
 	}
-	defaultEngine.Observe(client, ObjTier, float64(tier), at)
+	defaultEngine.ObserveRadio(client, snap, at)
 }
